@@ -54,11 +54,14 @@ func main() {
 		ductIDs = append(ductIDs, d.ID)
 	}
 	scenarios, covered, uncovReroutes := 0, 0, 0
-	graph.FailureScenarios(ductIDs, 2, func(cut map[int]bool) {
+	cut := graph.NewCut(g)
+	var tree graph.ShortestPathTree
+	var scratch graph.Scratch
+	graph.FailureScenarios(ductIDs, 2, func(ducts []int) {
 		scenarios++
-		sub := g.WithoutEdges(cut)
+		cut.Set(ducts)
 		for i, a := range dcs {
-			tree := sub.Dijkstra(a)
+			g.DijkstraInto(a, cut.Skip(), &tree, &scratch)
 			for _, b := range dcs[i+1:] {
 				if math.IsInf(tree.Dist[b], 1) {
 					continue // physically disconnected: no guarantee owed
@@ -96,12 +99,11 @@ func main() {
 			worst2, best2 = id, du.TotalPairs()
 		}
 	}
-	cut := map[int]bool{worst1: true, worst2: true}
-	sub := g.WithoutEdges(cut)
+	cut.Set([]int{worst1, worst2})
 	fmt.Printf("\ncutting the two busiest ducts (%d and %d, %d+%d fiber-pairs):\n",
 		worst1, worst2, best1, best2)
 	for i, a := range dcs {
-		tree := sub.Dijkstra(a)
+		g.DijkstraInto(a, cut.Skip(), &tree, &scratch)
 		for _, b := range dcs[i+1:] {
 			if math.IsInf(tree.Dist[b], 1) {
 				fmt.Printf("  %s-%s physically disconnected by the cuts\n",

@@ -7,7 +7,6 @@ import (
 	"sync"
 
 	"iris/internal/graph"
-	"iris/internal/hose"
 	"iris/internal/optics"
 	"iris/internal/parallel"
 	"iris/internal/plan"
@@ -16,63 +15,78 @@ import (
 // Auditor replays failure scenarios against a finished plan and checks
 // whether the provisioned capacities still admit the hose traffic.
 //
-// For each scenario it materialises the degraded graph, re-routes every DC
-// pair exactly as the planner would (same deterministic Dijkstra
-// tie-breaking, same hub walks for centralized plans), and per duct
-// verifies the worst-case hose-model load of the crossing pairs — computed
-// by the same bipartite-double-cover max-flow the planner uses — fits the
-// base plus cut-through fiber leased there. A pair a cut disconnects is
-// skipped, matching the planner's own guarantee: Algorithm 1 owes no
-// capacity to pairs with no surviving path, so admissibility means "every
-// pair that still has a path gets its full hose demand", and Survives
-// additionally demands that no pair lost its path.
+// Each scenario goes through the planner's own kernel (plan.Evaluator):
+// the cut becomes a skip mask over the base graph, every DC pair is
+// re-routed with the same deterministic Dijkstra tie-breaking (and the
+// same hub walks for centralized plans), and per crossed duct the
+// provisioning rule's need is compared with the base plus cut-through
+// fiber leased there. Cut-through fiber counts because its riders are
+// among the crossing pairs and their load never exceeds the cut-through's
+// provisioned size (the b-matching LP is subadditive over pair-set
+// unions). A pair a cut disconnects is skipped, matching the planner's
+// own guarantee: Algorithm 1 owes no capacity to pairs with no surviving
+// path, so admissibility means "every pair that still has a path gets its
+// full hose demand", and Survives additionally demands that no pair lost
+// its path.
 //
-// An Auditor is safe for concurrent Audit calls; Run fans scenarios out
-// over a worker pool.
+// An Auditor is safe for concurrent Audit calls, each of which borrows an
+// evaluator from a free list; Run fans scenarios out over a worker pool.
 type Auditor struct {
-	pl     *plan.Plan
-	base   *graph.Graph
-	dcs    []int
-	caps   map[int]float64
-	baseKM map[hose.Pair]float64 // failure-free path length per pair
+	in plan.Input // the plan's input with Base pinned, for new evaluators
 
-	havePairs map[int]int // duct -> base + cut-through fiber-pairs
-	residual  map[int]int // duct -> residual fiber-pairs
+	// Plan-derived tables: by duct ID, and by the evaluator's pair index.
+	have     []int     // base + cut-through fiber-pairs
+	residual []int     // residual fiber-pairs
+	baseKM   []float64 // failure-free path length, 0 for unrouted pairs
 
-	// mu guards the worst-case-load memo; most scenarios reproduce the
-	// same per-duct pair sets, so loads are shared across Audit calls.
-	mu    sync.Mutex
-	loads map[string]float64
+	mu   sync.Mutex
+	free []*plan.Evaluator
 }
 
 // NewAuditor prepares an auditor for the given plan. The plan's base graph
 // is rebuilt unless the plan's input carried one.
 func NewAuditor(pl *plan.Plan) *Auditor {
-	base := pl.Input.Base
-	if base == nil {
-		base = plan.BaseGraph(pl.Input.Map)
+	a := &Auditor{in: pl.Input}
+	if a.in.Base == nil {
+		a.in.Base = plan.BaseGraph(a.in.Map)
 	}
-	a := &Auditor{
-		pl:        pl,
-		base:      base,
-		dcs:       pl.Input.Map.DCs(),
-		caps:      make(map[int]float64),
-		baseKM:    make(map[hose.Pair]float64),
-		havePairs: make(map[int]int),
-		residual:  make(map[int]int),
-		loads:     make(map[string]float64),
-	}
-	for _, dc := range a.dcs {
-		a.caps[dc] = float64(pl.Input.Capacity[dc])
-	}
+	ev := plan.NewEvaluator(a.in)
+	a.free = append(a.free, ev)
+
+	nDucts := a.in.Base.MaxEdgeID() + 1
+	a.have = make([]int, nDucts)
+	a.residual = make([]int, nDucts)
 	for id, du := range pl.Ducts {
-		a.havePairs[id] = du.BasePairs + du.CutThroughPairs
+		a.have[id] = du.BasePairs + du.CutThroughPairs
 		a.residual[id] = du.ResidualPairs
 	}
+	a.baseKM = make([]float64, ev.NumPairs())
 	for pair, info := range pl.Paths {
-		a.baseKM[pair] = info.TotalKM
+		if idx, ok := ev.PairIndex(pair); ok {
+			a.baseKM[idx] = info.TotalKM
+		}
 	}
 	return a
+}
+
+// evaluator borrows an evaluator; release returns it. Each keeps its own
+// hose-load memo, which is a pure cache: results do not depend on which
+// evaluator served a scenario.
+func (a *Auditor) evaluator() *plan.Evaluator {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	if n := len(a.free); n > 0 {
+		ev := a.free[n-1]
+		a.free = a.free[:n-1]
+		return ev
+	}
+	return plan.NewEvaluator(a.in)
+}
+
+func (a *Auditor) release(ev *plan.Evaluator) {
+	a.mu.Lock()
+	a.free = append(a.free, ev)
+	a.mu.Unlock()
 }
 
 // Overload records one duct whose provisioned fiber cannot carry the
@@ -121,240 +135,114 @@ type Result struct {
 // Audit replays one scenario against the plan.
 func (a *Auditor) Audit(sc Scenario) Result {
 	res := Result{Scenario: sc, Cuts: sc.CutCount(), MaxStretch: 1}
-	g := a.base
-	if len(sc.Ducts) > 0 {
-		g = a.base.WithoutEdges(sc.CutSet())
-	}
+	ev := a.evaluator()
+	defer a.release(ev)
 
-	// Route every pair the way the planner does and collect per-duct
-	// crossings (with multiplicity: centralized hub walks can cross a
-	// duct twice).
-	crossings := make(map[int]map[hose.Pair]int)
-	residByDuct := make(map[int]int)
-	connected := make([]hose.Pair, 0, len(a.dcs)*(len(a.dcs)-1)/2)
-
-	record := func(pair hose.Pair, edges []graph.Edge, totalKM float64) {
-		connected = append(connected, pair)
-		for _, e := range edges {
-			residByDuct[e.ID]++
-			byPair := crossings[e.ID]
-			if byPair == nil {
-				byPair = make(map[hose.Pair]int)
-				crossings[e.ID] = byPair
-			}
-			byPair[pair]++
-		}
-		if totalKM > optics.MaxPathKM+1e-9 {
+	ev.Cut.Set(sc.Ducts)
+	routes := ev.Route()
+	res.DisconnectedPairs = ev.NumPairs() - len(routes)
+	for i := range routes {
+		r := &routes[i]
+		if r.TotalKM > optics.MaxPathKM+1e-9 {
 			res.SLAViolations++
 		}
-		if base, ok := a.baseKM[pair]; ok && base > 0 {
-			if s := totalKM / base; s > res.MaxStretch {
+		if base := a.baseKM[r.PairIdx]; base > 0 {
+			if s := r.TotalKM / base; s > res.MaxStretch {
 				res.MaxStretch = s
 			}
 		}
 	}
+	res.DisconnectedDCs = strandedDCs(ev.DCs(), routes)
 
-	if hubs := a.pl.Input.ViaHubs; len(hubs) > 0 {
-		hubTrees := make(map[int]*graph.ShortestPathTree, len(hubs))
-		for _, h := range hubs {
-			hubTrees[h] = g.Dijkstra(h)
+	for _, l := range ev.Load(nil, nil) {
+		if have := a.have[l.Duct]; l.BasePairs > have {
+			res.Overloads = append(res.Overloads, Overload{DuctID: l.Duct, NeedPairs: l.BasePairs, HavePairs: have})
 		}
-		for i, x := range a.dcs {
-			for _, y := range a.dcs[i+1:] {
-				pair := hose.Pair{A: x, B: y}
-				edges, total, ok := bestHubWalk(hubTrees, hubs, x, y)
-				if !ok {
-					res.DisconnectedPairs++
-					continue
-				}
-				record(pair, edges, total)
-			}
-		}
-	} else {
-		trees := make(map[int]*graph.ShortestPathTree, len(a.dcs))
-		for _, dc := range a.dcs {
-			trees[dc] = g.Dijkstra(dc)
-		}
-		for i, x := range a.dcs {
-			for _, y := range a.dcs[i+1:] {
-				pair := hose.Pair{A: x, B: y}
-				_, edges, ok := trees[x].PathTo(y)
-				if !ok {
-					res.DisconnectedPairs++
-					continue
-				}
-				record(pair, edges, trees[x].Dist[y])
-			}
-		}
-	}
-
-	res.DisconnectedDCs = strandedDCs(a.dcs, connected)
-
-	// Capacity check per crossed duct, mirroring the planner's
-	// provisioning rule: worst-case hose load of the crossing pairs plus
-	// the multi-crossing surcharge, against base + cut-through fiber.
-	// Cut-through fiber counts because its riders are among the crossing
-	// pairs and their load never exceeds the cut-through's provisioned
-	// size (the b-matching LP is subadditive over pair-set unions).
-	ductIDs := make([]int, 0, len(crossings))
-	for id := range crossings {
-		ductIDs = append(ductIDs, id)
-	}
-	sort.Ints(ductIDs)
-	for _, id := range ductIDs {
-		byPair := crossings[id]
-		pairs := make([]hose.Pair, 0, len(byPair))
-		extra := 0.0
-		for pair, k := range byPair {
-			pairs = append(pairs, pair)
-			if k > 1 {
-				extra += float64(k-1) * math.Min(a.caps[pair.A], a.caps[pair.B])
-			}
-		}
-		need := int(math.Ceil(a.cachedLoad(pairs) + extra - 1e-9))
-		if have := a.havePairs[id]; need > have {
-			res.Overloads = append(res.Overloads, Overload{DuctID: id, NeedPairs: need, HavePairs: have})
-		}
-		if n, have := residByDuct[id], a.residual[id]; n > have {
-			res.ResidualOverloads = append(res.ResidualOverloads, Overload{DuctID: id, NeedPairs: n, HavePairs: have})
+		if have := a.residual[l.Duct]; l.ResidualPairs > have {
+			res.ResidualOverloads = append(res.ResidualOverloads, Overload{DuctID: l.Duct, NeedPairs: l.ResidualPairs, HavePairs: have})
 		}
 	}
 
 	res.Admissible = len(res.Overloads) == 0 && len(res.ResidualOverloads) == 0
 	res.Survives = res.Admissible && res.DisconnectedPairs == 0
-	res.WorstPairFibers = a.worstPairThroughput(sc.CutSet(), connected)
+	res.WorstPairFibers = a.worstPairThroughput(ev.Cut, routes)
 	return res
 }
 
 // strandedDCs returns the DCs outside the largest cluster the surviving
-// pairs connect, sorted ascending. Ties go to the cluster holding the
-// lowest DC ID, so the result is deterministic even for an even split.
-func strandedDCs(dcs []int, pairs []hose.Pair) []int {
-	parent := make(map[int]int, len(dcs))
-	for _, dc := range dcs {
-		parent[dc] = dc
+// routes connect, ascending. Ties go to the cluster holding the lowest DC
+// ID, so the result is deterministic even for an even split.
+func strandedDCs(dcs []int, routes []plan.Route) []int {
+	// Union-find over DC positions; roots are the smallest position of
+	// their cluster, which makes the tie-break below stable.
+	n := len(dcs)
+	parent := make([]int, 2*n)
+	parent, size := parent[:n], parent[n:]
+	for i := range parent {
+		parent[i] = i
 	}
-	var find func(int) int
-	find = func(x int) int {
-		if parent[x] != x {
-			parent[x] = find(parent[x])
+	find := func(x int) int {
+		for parent[x] != x {
+			parent[x] = parent[parent[x]]
+			x = parent[x]
 		}
-		return parent[x]
+		return x
 	}
-	for _, p := range pairs {
-		ra, rb := find(p.A), find(p.B)
+	for i := range routes {
+		ra, rb := find(int(routes[i].I)), find(int(routes[i].J))
 		if ra != rb {
-			// Root at the smaller ID so the tie-break below is stable.
-			if ra > rb {
-				ra, rb = rb, ra
-			}
-			parent[rb] = ra
+			parent[max(ra, rb)] = min(ra, rb)
 		}
 	}
-	size := make(map[int]int)
-	for _, dc := range dcs {
-		size[find(dc)]++
+	for i := range parent {
+		size[find(i)]++
 	}
-	best := -1
-	for _, dc := range dcs { // ascending IDs: first max wins ties
-		if r := find(dc); size[r] > 0 && (best == -1 || size[r] > size[best]) {
+	best := 0
+	for i := range parent { // ascending IDs: first max wins ties
+		if r := find(i); size[r] > size[best] {
 			best = r
 		}
 	}
 	var out []int
-	for _, dc := range dcs {
-		if find(dc) != best {
+	for i, dc := range dcs {
+		if find(i) != best {
 			out = append(out, dc)
 		}
 	}
-	sort.Ints(out)
 	return out
-}
-
-// bestHubWalk mirrors the planner's centralized routing: the shortest
-// DC-hub-DC walk over the given hubs, whose legs may share ducts.
-func bestHubWalk(trees map[int]*graph.ShortestPathTree, hubs []int, a, b int) (edges []graph.Edge, total float64, ok bool) {
-	best := graph.Inf
-	for _, h := range hubs {
-		t := trees[h]
-		d := t.Dist[a] + t.Dist[b]
-		if d >= best || d >= graph.Inf {
-			continue
-		}
-		_, edgesA, okA := t.PathTo(a)
-		_, edgesB, okB := t.PathTo(b)
-		if !okA || !okB {
-			continue
-		}
-		es := make([]graph.Edge, 0, len(edgesA)+len(edgesB))
-		for i := len(edgesA) - 1; i >= 0; i-- {
-			es = append(es, edgesA[i])
-		}
-		es = append(es, edgesB...)
-		edges, total, ok = es, d, true
-		best = d
-	}
-	return edges, total, ok
 }
 
 // worstPairThroughput builds one flow network over the surviving
 // provisioned ducts (arc capacity = total leased fiber-pairs, both
-// directions) and returns the minimum max-flow over the surviving pairs —
-// the residual worst-pair throughput of the degraded region. The network
-// is built once per scenario and Reset between per-pair runs.
-func (a *Auditor) worstPairThroughput(cut map[int]bool, pairs []hose.Pair) float64 {
-	if len(pairs) == 0 {
+// directions, added in duct-ID order) and returns the minimum max-flow
+// over the surviving pairs — the residual worst-pair throughput of the
+// degraded region. The network is built once per scenario and Reset
+// between per-pair runs.
+func (a *Auditor) worstPairThroughput(cut *graph.Cut, routes []plan.Route) float64 {
+	if len(routes) == 0 {
 		return 0
 	}
-	f := graph.NewFlowNetwork(len(a.pl.Input.Map.Nodes))
-	for id, have := range a.havePairs {
+	m := a.in.Map
+	f := graph.NewFlowNetwork(len(m.Nodes))
+	for id, have := range a.have {
 		total := have + a.residual[id]
-		if total == 0 || cut[id] {
+		if total == 0 || cut.Has(id) {
 			continue
 		}
-		d := a.pl.Input.Map.Ducts[id]
+		d := m.Ducts[id]
 		f.AddArc(d.A, d.B, float64(total))
 		f.AddArc(d.B, d.A, float64(total))
 	}
 	worst := math.Inf(1)
-	for i, pair := range pairs {
+	for i := range routes {
 		if i > 0 {
 			f.Reset()
 		}
-		if flow := f.MaxFlow(pair.A, pair.B); flow < worst {
+		if flow := f.MaxFlow(routes[i].Pair.A, routes[i].Pair.B); flow < worst {
 			worst = flow
 		}
 	}
 	return worst
-}
-
-// cachedLoad memoises hose.WorstCaseLoad over the plan's DC capacities,
-// keyed by the sorted pair-set signature (as the planner does), shared
-// across concurrent Audit calls.
-func (a *Auditor) cachedLoad(pairs []hose.Pair) float64 {
-	sort.Slice(pairs, func(i, j int) bool {
-		if pairs[i].A != pairs[j].A {
-			return pairs[i].A < pairs[j].A
-		}
-		return pairs[i].B < pairs[j].B
-	})
-	key := make([]byte, 0, 4*len(pairs))
-	for _, pr := range pairs {
-		key = append(key,
-			byte(pr.A), byte(pr.A>>8),
-			byte(pr.B), byte(pr.B>>8))
-	}
-	a.mu.Lock()
-	load, ok := a.loads[string(key)]
-	a.mu.Unlock()
-	if ok {
-		return load
-	}
-	load = hose.WorstCaseLoad(a.caps, pairs)
-	a.mu.Lock()
-	a.loads[string(key)] = load
-	a.mu.Unlock()
-	return load
 }
 
 // Run audits every scenario across the given number of workers (0 =

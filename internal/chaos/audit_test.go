@@ -119,3 +119,19 @@ func TestSummaryAndCurveShapes(t *testing.T) {
 		t.Fatalf("Curve(nil) = %v, want empty", pts)
 	}
 }
+
+// BenchmarkAudit20DC audits the benchmark's region — the seed-1 map with
+// 20 DCs planned for two cuts — against every single cut and 200 sampled
+// double cuts, serially on a warmed auditor.
+func BenchmarkAudit20DC(b *testing.B) {
+	dep := planSynthetic(b, 1, 20, 2)
+	m := dep.Region.Map
+	scs := append(EnumerateCuts(m, 1), SampleCuts(1, m, 2, 200)...)
+	a := NewAuditor(dep.Plan)
+	a.Run(scs, 1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		a.Run(scs, 1)
+	}
+}

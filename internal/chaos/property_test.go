@@ -9,7 +9,7 @@ import (
 
 // planSynthetic generates a seeded synthetic region, places DCs on it and
 // plans with the given duct-cut tolerance.
-func planSynthetic(t *testing.T, seed int64, dcs, failures int) *core.Deployment {
+func planSynthetic(t testing.TB, seed int64, dcs, failures int) *core.Deployment {
 	t.Helper()
 	gcfg := fibermap.DefaultGen()
 	gcfg.Seed = seed

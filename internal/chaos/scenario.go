@@ -111,7 +111,9 @@ type Scenario struct {
 // CutCount returns the number of ducts the scenario severs.
 func (s Scenario) CutCount() int { return len(s.Ducts) }
 
-// CutSet returns the severed ducts as a set.
+// CutSet returns the severed ducts as a set. The auditor takes Ducts as
+// they are (graph.Cut.Set); CutSet feeds graph.WithoutEdges, the reference
+// path tests and benchmarks compare against.
 func (s Scenario) CutSet() map[int]bool {
 	set := make(map[int]bool, len(s.Ducts))
 	for _, id := range s.Ducts {
@@ -164,12 +166,8 @@ func incidentDucts(m *fibermap.Map, node int) []int {
 func EnumerateCuts(m *fibermap.Map, maxCuts int) []Scenario {
 	ids := usableDucts(m)
 	out := make([]Scenario, 0, graph.CountFailureScenarios(len(ids), maxCuts))
-	graph.FailureScenarios(ids, maxCuts, func(cut map[int]bool) {
-		ducts := make([]int, 0, len(cut))
-		for id := range cut {
-			ducts = append(ducts, id)
-		}
-		out = append(out, Cut(ducts...))
+	graph.FailureScenarios(ids, maxCuts, func(cut []int) {
+		out = append(out, Cut(cut...))
 	})
 	return out
 }

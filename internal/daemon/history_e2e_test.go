@@ -2,7 +2,10 @@ package daemon
 
 import (
 	"encoding/json"
+	"math/rand"
+	"net/http"
 	"net/http/httptest"
+	"sort"
 	"strconv"
 	"testing"
 	"time"
@@ -10,11 +13,13 @@ import (
 	"iris/internal/chaos"
 	"iris/internal/core"
 	"iris/internal/fabric"
+	"iris/internal/fibermap"
 	"iris/internal/graph"
 	"iris/internal/history"
 	"iris/internal/hose"
 	"iris/internal/plan"
 	"iris/internal/telemetry"
+	"iris/internal/topoapi"
 	"iris/internal/trace"
 	"iris/internal/traffic"
 )
@@ -104,6 +109,117 @@ func (h *historyRig) runCycle(t *testing.T, sc chaos.Scenario) *chaos.CycleResul
 		t.Fatalf("chaos cycle: %v", err)
 	}
 	return res
+}
+
+// replayCritical is the independent oracle for /api/critical: every cut
+// set of at most k base-graph ducts materialised as a derived graph
+// (graph.WithoutEdges), its components recomputed from scratch, and the
+// demand of the pairs it splits summed in (A, B) order — the order the
+// server documents, so sums compare exactly. It returns the duct IDs and,
+// per duct, the worst stranded demand over the cut sets containing it and
+// the demand stranded by cutting it alone.
+func replayCritical(base *graph.Graph, demand map[hose.Pair]float64, k int) (ids []int, worst, solo map[int]float64) {
+	for _, e := range base.Edges() {
+		ids = append(ids, e.ID)
+	}
+	pairs := make([]hose.Pair, 0, len(demand))
+	for p := range demand {
+		pairs = append(pairs, p)
+	}
+	sort.Slice(pairs, func(i, j int) bool {
+		if pairs[i].A != pairs[j].A {
+			return pairs[i].A < pairs[j].A
+		}
+		return pairs[i].B < pairs[j].B
+	})
+	worst = make(map[int]float64)
+	solo = make(map[int]float64)
+	graph.FailureScenarios(ids, k, func(cut []int) {
+		if len(cut) == 0 {
+			return
+		}
+		set := make(map[int]bool, len(cut))
+		for _, id := range cut {
+			set[id] = true
+		}
+		comps := base.WithoutEdges(set).Components()
+		stranded := 0.0
+		for _, p := range pairs {
+			if comps[p.A] != comps[p.B] {
+				stranded += demand[p]
+			}
+		}
+		for _, id := range cut {
+			if stranded > worst[id] {
+				worst[id] = stranded
+			}
+			if len(cut) == 1 {
+				solo[id] = stranded
+			}
+		}
+	})
+	return ids, worst, solo
+}
+
+// TestCriticalMatchesReplayK2 holds /api/critical?k=2 to the replay oracle
+// on the benchmark's region (seed-1 map, 20 DCs, heavy-tailed demand at
+// 0.7): every duct's stranded and solo-stranded demand must equal the
+// replay's exactly. The server is a bare topoapi.Server over a static
+// snapshot; the test lives here to share the oracle with
+// TestHistoryTimeTravel.
+func TestCriticalMatchesReplayK2(t *testing.T) {
+	gcfg := fibermap.DefaultGen()
+	gcfg.Seed = 1
+	m := fibermap.Generate(gcfg)
+	pcfg := fibermap.DefaultPlace()
+	pcfg.Seed, pcfg.N = 1, 20
+	dcs, err := fibermap.PlaceDCs(m, pcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	caps := make(map[int]int)
+	capsW := make(map[int]float64)
+	for _, dc := range dcs {
+		caps[dc] = 16
+		capsW[dc] = 16 * 40
+	}
+	dep, err := core.Plan(core.Region{Map: m, Capacity: caps, Lambda: 40}, core.Options{MaxFailures: 0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	demand := traffic.HeavyTailed(rand.New(rand.NewSource(1)), m.DCs(), capsW, 0.7).Demand
+	mux := http.NewServeMux()
+	topoapi.New(topoapi.Config{State: func() topoapi.Snapshot {
+		return topoapi.Snapshot{Dep: dep, Demand: demand, Ready: true}
+	}}).Register(mux)
+	srv := httptest.NewServer(mux)
+	defer srv.Close()
+
+	var crit struct {
+		Ducts []struct {
+			Duct           int     `json:"duct"`
+			StrandedDemand float64 `json:"stranded_demand"`
+			SoloStranded   float64 `json:"solo_stranded"`
+		} `json:"ducts"`
+	}
+	apiGet(t, srv, "/api/critical?k=2", &crit)
+	ids, worst, solo := replayCritical(plan.BaseGraph(m), demand, 2)
+	if len(crit.Ducts) != len(ids) {
+		t.Fatalf("critical lists %d ducts, want %d", len(crit.Ducts), len(ids))
+	}
+	stranding := 0
+	for _, d := range crit.Ducts {
+		if d.StrandedDemand != worst[d.Duct] || d.SoloStranded != solo[d.Duct] {
+			t.Errorf("duct %d strands (%v, solo %v); replay says (%v, solo %v)",
+				d.Duct, d.StrandedDemand, d.SoloStranded, worst[d.Duct], solo[d.Duct])
+		}
+		if d.StrandedDemand > 0 {
+			stranding++
+		}
+	}
+	if stranding == 0 {
+		t.Fatal("no cut set strands any demand; the comparison is vacuous")
+	}
 }
 
 // apiGet decodes a JSON endpoint into out, failing on any non-200.
@@ -262,33 +378,7 @@ func TestHistoryTimeTravel(t *testing.T) {
 		t.Fatalf("critical lists %d ducts, want %d", len(crit.Ducts), base.NumEdges())
 	}
 
-	demand := h.d.topoSnapshot().Demand
-	ids := make([]int, 0, base.NumEdges())
-	for _, e := range base.Edges() {
-		ids = append(ids, e.ID)
-	}
-	worst := make(map[int]float64)
-	solo := make(map[int]float64)
-	graph.FailureScenarios(ids, crit.K, func(cut map[int]bool) {
-		if len(cut) == 0 {
-			return
-		}
-		comps := base.WithoutEdges(cut).Components()
-		stranded := 0.0
-		for p, dm := range demand {
-			if comps[p.A] != comps[p.B] {
-				stranded += dm
-			}
-		}
-		for id := range cut {
-			if stranded > worst[id] {
-				worst[id] = stranded
-			}
-			if len(cut) == 1 {
-				solo[id] = stranded
-			}
-		}
-	})
+	ids, worst, solo := replayCritical(base, h.d.topoSnapshot().Demand, crit.K)
 	wantStranded, wantSolo := 0.0, 0.0
 	for _, id := range ids {
 		if worst[id] > wantStranded || (worst[id] == wantStranded && solo[id] > wantSolo) {

@@ -2,8 +2,96 @@ package graph
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 )
+
+// The typed binary heap below is the independent oracle for the bucket
+// queue: the same relaxation driven by a different priority queue. It
+// served production as the fallback for graphs without a positive edge
+// weight until the bucket loop took those too; it lives on here only to
+// prove the one production loop against.
+
+func heapPushItem(h []distItem, it distItem) []distItem {
+	h = append(h, it)
+	i := len(h) - 1
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !itemLess(h[i], h[parent]) {
+			break
+		}
+		h[i], h[parent] = h[parent], h[i]
+		i = parent
+	}
+	return h
+}
+
+func heapPopItem(h []distItem) ([]distItem, distItem) {
+	top := h[0]
+	last := len(h) - 1
+	h[0] = h[last]
+	h = h[:last]
+	i := 0
+	for {
+		l, r := 2*i+1, 2*i+2
+		small := i
+		if l < len(h) && itemLess(h[l], h[small]) {
+			small = l
+		}
+		if r < len(h) && itemLess(h[r], h[small]) {
+			small = r
+		}
+		if small == i {
+			break
+		}
+		h[i], h[small] = h[small], h[i]
+		i = small
+	}
+	return h, top
+}
+
+// heapDijkstra is the oracle: a fresh tree settled from the given initial
+// labels (one for Dijkstra, several for DistancesFromSeeds) on the typed
+// heap.
+func (g *Graph) heapDijkstra(source int, seeds []Seed) *ShortestPathTree {
+	t := new(ShortestPathTree)
+	t.reset(g)
+	t.Source = source
+	var h []distItem
+	for _, s := range seeds {
+		if better(s.Dist, 0, -1, -1, t.Dist[s.Node], t.Hops[s.Node], t.prev(s.Node), t.prevID(s.Node)) {
+			t.Dist[s.Node] = s.Dist
+			t.Hops[s.Node] = 0
+			h = heapPushItem(h, distItem{node: s.Node, dist: s.Dist})
+		}
+	}
+	done := make([]bool, g.n)
+	for len(h) > 0 {
+		var it distItem
+		h, it = heapPopItem(h)
+		u := it.node
+		if done[u] {
+			continue
+		}
+		done[u] = true
+		for _, idx := range g.adj[u] {
+			e := g.edges[idx]
+			v := e.Other(u)
+			if done[v] {
+				continue
+			}
+			nd := t.Dist[u] + e.W
+			nh := t.Hops[u] + 1
+			if better(nd, nh, u, e.ID, t.Dist[v], t.Hops[v], t.prev(v), t.prevID(v)) {
+				t.Dist[v] = nd
+				t.Hops[v] = nh
+				t.prevEdge[v] = idx
+				h = heapPushItem(h, distItem{node: v, dist: nd, hops: nh})
+			}
+		}
+	}
+	return t
+}
 
 // treesEqual asserts two shortest-path trees agree bit-for-bit on every
 // label and on every reconstructed path.
@@ -37,10 +125,24 @@ func treesEqual(t *testing.T, want, got *ShortestPathTree, n int) {
 	}
 }
 
-// The arena Dijkstra must reproduce the memoised one exactly: same
-// graph filtered by a skip mask versus a WithoutEdges-derived clone,
-// across random multigraphs, sources and removed-edge sets, with the
-// tree and scratch reused (dirty) between trials.
+// randomCut removes each edge of g with probability 1/4, returning the
+// removal both ways it can be represented.
+func randomCut(rng *rand.Rand, g *Graph) (map[int]bool, *Cut) {
+	removed := make(map[int]bool)
+	cut := NewCut(g)
+	for _, e := range g.Edges() {
+		if rng.Intn(4) == 0 {
+			removed[e.ID] = true
+			cut.Push(e.ID)
+		}
+	}
+	return removed, cut
+}
+
+// The skip-mask Dijkstra on the base graph must reproduce, exactly, an
+// independent computation on the derived graph: the typed-heap oracle
+// over a WithoutEdges clone. Random multigraphs, sources and cuts, with
+// the tree and scratch reused (dirty) between trials.
 func TestDijkstraIntoMatchesWithoutEdges(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	var tree ShortestPathTree
@@ -49,40 +151,97 @@ func TestDijkstraIntoMatchesWithoutEdges(t *testing.T) {
 		n := 2 + rng.Intn(14)
 		m := rng.Intn(4 * n)
 		g := randomGraph(rng, n, m)
-
-		removed := make(map[int]bool)
-		skip := make([]bool, g.NumEdges())
-		for _, e := range g.Edges() {
-			if rng.Intn(4) == 0 {
-				removed[e.ID] = true
-				idx, ok := g.EdgeIndex(e.ID)
-				if !ok {
-					t.Fatalf("edge %d has no index", e.ID)
-				}
-				skip[idx] = true
-			}
-		}
+		removed, cut := randomCut(rng, g)
 		source := rng.Intn(n)
-		want := g.WithoutEdges(removed).Dijkstra(source)
-		got := g.DijkstraInto(source, skip, &tree, &sc)
+		want := g.WithoutEdges(removed).heapDijkstra(source, []Seed{{Node: source}})
+		got := g.DijkstraInto(source, cut.Skip(), &tree, &sc)
 		treesEqual(t, want, got, n)
 	}
 }
 
-// Bucket-queue and binary-heap settling must pop in the same order and
-// therefore produce identical trees.
-func TestDijkstraBucketsMatchHeap(t *testing.T) {
-	rng := rand.New(rand.NewSource(43))
-	var bt, ht ShortestPathTree
-	var bs, hs Scratch
+// ComponentsInto under a skip mask must label exactly as Components on
+// the derived graph does, with the label slice reused between trials.
+func TestComponentsIntoMatchesWithoutEdges(t *testing.T) {
+	rng := rand.New(rand.NewSource(42))
+	var labels []int
 	for trial := 0; trial < 300; trial++ {
 		n := 2 + rng.Intn(14)
 		m := rng.Intn(4 * n)
 		g := randomGraph(rng, n, m)
-		source := rng.Intn(n)
+		removed, cut := randomCut(rng, g)
+		want := g.WithoutEdges(removed).Components()
+		labels = g.ComponentsInto(cut.Skip(), labels)
+		if !reflect.DeepEqual(labels, want) {
+			t.Fatalf("trial %d: components %v, want %v", trial, labels, want)
+		}
+	}
+	g := randomGraph(rng, 40, 60)
+	_, cut := randomCut(rng, g)
+	labels = g.ComponentsInto(cut.Skip(), labels)
+	if avg := testing.AllocsPerRun(20, func() { labels = g.ComponentsInto(cut.Skip(), labels) }); avg != 0 {
+		t.Fatalf("ComponentsInto with a reused slice allocated %v per run, want 0", avg)
+	}
+}
+
+func TestCutPushPopSet(t *testing.T) {
+	g := New(3)
+	g.AddEdge(5, 0, 1, 1)
+	g.AddEdge(2, 1, 2, 1)
+	c := NewCut(g)
+	if c.Skip() != nil || len(c.IDs()) != 0 {
+		t.Fatal("new cut is not empty")
+	}
+	c.Push(5)
+	c.Push(9) // no such edge: listed, masks nothing
+	c.Push(2)
+	c.Push(5) // duplicate: ignored
+	if !reflect.DeepEqual(c.IDs(), []int{2, 5, 9}) {
+		t.Fatalf("IDs = %v, want [2 5 9]", c.IDs())
+	}
+	if !reflect.DeepEqual(c.Skip(), []bool{true, true}) || !c.Has(2) || !c.Has(5) || c.Has(9) {
+		t.Fatalf("mask %v does not cover edges 2 and 5 only", c.Skip())
+	}
+	c.Pop(5)
+	if !reflect.DeepEqual(c.IDs(), []int{2, 9}) || c.Has(5) || !c.Has(2) {
+		t.Fatalf("after Pop(5): IDs %v, mask %v", c.IDs(), c.Skip())
+	}
+	c.Set([]int{5})
+	if !reflect.DeepEqual(c.IDs(), []int{5}) || !reflect.DeepEqual(c.Skip(), []bool{true, false}) {
+		t.Fatalf("after Set([5]): IDs %v, mask %v", c.IDs(), c.Skip())
+	}
+	c.Set(nil)
+	if c.Skip() != nil {
+		t.Fatal("Set(nil) did not empty the cut")
+	}
+}
+
+// Bucket-queue settling must pop in the same order as the typed heap and
+// therefore produce identical trees — including on the inputs that have
+// no positive edge weight to size buckets by (edgeless, all-zero-weight),
+// which the bucket loop serves at width 1.
+func TestDijkstraBucketsMatchHeap(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	var bt ShortestPathTree
+	var bs Scratch
+	check := func(g *Graph, source int) {
+		t.Helper()
 		got := g.DijkstraInto(source, nil, &bt, &bs)
-		want := g.dijkstraHeapInto(source, nil, &ht, &hs)
-		treesEqual(t, want, got, n)
+		want := g.heapDijkstra(source, []Seed{{Node: source}})
+		treesEqual(t, want, got, g.NumNodes())
+	}
+	for trial := 0; trial < 300; trial++ {
+		n := 2 + rng.Intn(14)
+		m := rng.Intn(4 * n)
+		check(randomGraph(rng, n, m), rng.Intn(n))
+	}
+	for trial := 0; trial < 100; trial++ {
+		n := 2 + rng.Intn(14)
+		check(New(n), rng.Intn(n))
+		zero := New(n)
+		for id, m := 0, rng.Intn(4*n); id < m; id++ {
+			zero.AddEdge(id, rng.Intn(n), rng.Intn(n), 0)
+		}
+		check(zero, rng.Intn(n))
 	}
 }
 
@@ -96,11 +255,28 @@ func TestDijkstraBucketsOverflowExact(t *testing.T) {
 	g.AddEdge(3, 3, 4, 1e6)
 	g.AddEdge(4, 0, 5, 2e6)
 	g.AddEdge(5, 5, 4, 1e-6)
-	var bt, ht ShortestPathTree
-	var bs, hs Scratch
+	var bt ShortestPathTree
+	var bs Scratch
 	got := g.DijkstraInto(0, nil, &bt, &bs)
-	want := g.dijkstraHeapInto(0, nil, &ht, &hs)
+	want := g.heapDijkstra(0, []Seed{{Node: 0}})
 	treesEqual(t, want, got, 6)
+}
+
+// An infinite edge weight yields infinite and NaN bucket quotients; the
+// clamp must route them to the overflow bucket, not out of range.
+func TestDijkstraInfiniteWeight(t *testing.T) {
+	g := New(3)
+	g.AddEdge(0, 0, 1, Inf)
+	g.AddEdge(1, 1, 2, Inf)
+	var bt ShortestPathTree
+	var bs Scratch
+	got := g.DijkstraInto(0, nil, &bt, &bs)
+	want := g.heapDijkstra(0, []Seed{{Node: 0}})
+	treesEqual(t, want, got, 3)
+	g.AddEdge(2, 0, 2, 1)
+	got = g.DijkstraInto(0, nil, &bt, &bs)
+	want = g.heapDijkstra(0, []Seed{{Node: 0}})
+	treesEqual(t, want, got, 3)
 }
 
 func TestAppendPathToMatchesPathTo(t *testing.T) {
@@ -152,32 +328,14 @@ func TestDijkstraIntoZeroAlloc(t *testing.T) {
 	}
 }
 
-func benchGraph() *Graph {
-	rng := rand.New(rand.NewSource(9))
-	return randomGraph(rng, 400, 1600)
-}
-
-// The bucket-vs-heap pair quantifies the queue choice for the
-// BENCH_<sha>.json artifact set; DijkstraInto's default is the bucket
-// queue whenever the width heuristic holds.
 func BenchmarkDijkstraArenaBuckets(b *testing.B) {
-	g := benchGraph()
+	rng := rand.New(rand.NewSource(9))
+	g := randomGraph(rng, 400, 1600)
 	var tree ShortestPathTree
 	var sc Scratch
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		g.DijkstraInto(i%g.NumNodes(), nil, &tree, &sc)
-	}
-}
-
-func BenchmarkDijkstraArenaHeap(b *testing.B) {
-	g := benchGraph()
-	var tree ShortestPathTree
-	var sc Scratch
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		g.dijkstraHeapInto(i%g.NumNodes(), nil, &tree, &sc)
 	}
 }

@@ -10,7 +10,6 @@
 package graph
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 	"sort"
@@ -143,10 +142,11 @@ func (g *Graph) Neighbors(n int, fn func(Edge)) {
 }
 
 // WithoutEdges returns a copy of g with the edges whose IDs appear in the
-// set removed. It is how failure scenarios are materialised, so it builds
-// the copy directly rather than through AddEdge: the surviving edges are
-// already validated and unique, and skipping the per-edge lock and memo
-// invalidation keeps scenario fan-out (thousands of derived graphs) cheap.
+// set removed. It is the reference materialisation of a failure scenario:
+// production code routes on the base graph under a Cut's skip mask
+// (DijkstraInto, ComponentsInto), and tests prove that path bit-identical
+// against this one. The copy is built directly rather than through
+// AddEdge: the surviving edges are already validated and unique.
 func (g *Graph) WithoutEdges(removed map[int]bool) *Graph {
 	h := &Graph{
 		n:     g.n,
@@ -192,7 +192,7 @@ type ShortestPathTree struct {
 // Dijkstra computes single-source shortest paths. Ties on distance are
 // broken first by hop count, then by the smaller predecessor node, then by
 // the smaller edge ID, so that path selection is fully deterministic and
-// independent of heap ordering.
+// independent of queue ordering.
 //
 // Trees are memoised per source and invalidated when the graph mutates,
 // so repeated calls from the same source — e.g. a planner re-routing the
@@ -208,7 +208,9 @@ func (g *Graph) Dijkstra(source int) *ShortestPathTree {
 	}
 	g.sptMu.Unlock()
 
-	t := g.dijkstra(source)
+	sc := scratchPool.Get().(*Scratch)
+	t := g.DijkstraInto(source, nil, new(ShortestPathTree), sc)
+	scratchPool.Put(sc)
 
 	g.sptMu.Lock()
 	defer g.sptMu.Unlock()
@@ -221,33 +223,6 @@ func (g *Graph) Dijkstra(source int) *ShortestPathTree {
 		return prev
 	}
 	g.spt[source] = t
-	return t
-}
-
-// dijkstra is the uncached single-source computation behind Dijkstra.
-func (g *Graph) dijkstra(source int) *ShortestPathTree {
-	t := newTree(g)
-	t.Source = source
-	t.Dist[source] = 0
-	t.Hops[source] = 0
-	pq := &distHeap{{node: source, dist: 0, hops: 0}}
-	g.settle(t, pq)
-	return t
-}
-
-func newTree(g *Graph) *ShortestPathTree {
-	t := &ShortestPathTree{
-		Source:   -1,
-		Dist:     make([]float64, g.n),
-		Hops:     make([]int, g.n),
-		prevEdge: make([]int, g.n),
-		g:        g,
-	}
-	for i := range t.Dist {
-		t.Dist[i] = Inf
-		t.Hops[i] = math.MaxInt
-		t.prevEdge[i] = -1
-	}
 	return t
 }
 
@@ -266,45 +241,21 @@ type Seed struct {
 // identical — without materialising the extended graph. Results are not
 // memoised: seed weights vary per call.
 func (g *Graph) DistancesFromSeeds(seeds []Seed) []float64 {
-	t := newTree(g)
-	pq := &distHeap{}
+	sc := scratchPool.Get().(*Scratch)
+	defer scratchPool.Put(sc)
+	t := new(ShortestPathTree)
+	t.reset(g)
+	sc.reset(g.n)
+	width := g.bucketWidth()
 	for _, s := range seeds {
 		if better(s.Dist, 0, -1, -1, t.Dist[s.Node], t.Hops[s.Node], t.prev(s.Node), t.prevID(s.Node)) {
 			t.Dist[s.Node] = s.Dist
 			t.Hops[s.Node] = 0
-			heap.Push(pq, distItem{node: s.Node, dist: s.Dist, hops: 0})
+			sc.push(distItem{node: s.Node, dist: s.Dist}, width)
 		}
 	}
-	g.settle(t, pq)
+	g.settle(t, sc, nil, width)
 	return t.Dist
-}
-
-// settle runs the Dijkstra main loop over an initialised tree and heap.
-func (g *Graph) settle(t *ShortestPathTree, pq *distHeap) {
-	done := make([]bool, g.n)
-	for pq.Len() > 0 {
-		item := heap.Pop(pq).(distItem)
-		u := item.node
-		if done[u] {
-			continue
-		}
-		done[u] = true
-		for _, idx := range g.adj[u] {
-			e := g.edges[idx]
-			v := e.Other(u)
-			if done[v] {
-				continue
-			}
-			nd := t.Dist[u] + e.W
-			nh := t.Hops[u] + 1
-			if better(nd, nh, u, e.ID, t.Dist[v], t.Hops[v], t.prev(v), t.prevID(v)) {
-				t.Dist[v] = nd
-				t.Hops[v] = nh
-				t.prevEdge[v] = idx
-				heap.Push(pq, distItem{node: v, dist: nd, hops: nh})
-			}
-		}
-	}
 }
 
 func (t *ShortestPathTree) prev(v int) int {
@@ -342,20 +293,7 @@ func better(d float64, h, pn, eid int, od float64, oh, opn, oeid int) bool {
 // PathTo returns the node sequence and edge sequence of the shortest path
 // from the tree source to v. It returns ok=false if v is unreachable.
 func (t *ShortestPathTree) PathTo(v int) (nodes []int, edges []Edge, ok bool) {
-	if math.IsInf(t.Dist[v], 1) {
-		return nil, nil, false
-	}
-	for v != t.Source {
-		idx := t.prevEdge[v]
-		e := t.g.edges[idx]
-		edges = append(edges, e)
-		nodes = append(nodes, v)
-		v = e.Other(v)
-	}
-	nodes = append(nodes, t.Source)
-	reverseInts(nodes)
-	reverseEdges(edges)
-	return nodes, edges, true
+	return t.AppendPathTo(v, nil, nil)
 }
 
 // AppendPathTo is PathTo into caller-owned buffers: the path's nodes and
@@ -392,28 +330,6 @@ func reverseEdges(s []Edge) {
 		s[i], s[j] = s[j], s[i]
 	}
 }
-
-type distItem struct {
-	node int
-	dist float64
-	hops int
-}
-
-type distHeap []distItem
-
-func (h distHeap) Len() int { return len(h) }
-func (h distHeap) Less(i, j int) bool {
-	if h[i].dist != h[j].dist {
-		return h[i].dist < h[j].dist
-	}
-	if h[i].hops != h[j].hops {
-		return h[i].hops < h[j].hops
-	}
-	return h[i].node < h[j].node
-}
-func (h distHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *distHeap) Push(x any)   { *h = append(*h, x.(distItem)) }
-func (h *distHeap) Pop() any     { old := *h; n := len(old); x := old[n-1]; *h = old[:n-1]; return x }
 
 // BellmanFord computes single-source shortest path distances in O(V·E).
 // It exists as a cross-checking oracle for Dijkstra in tests and accepts the
@@ -470,22 +386,39 @@ func (g *Graph) Connected(u, v int) bool {
 
 // Components returns the component label of every node; labels are dense
 // from 0 and assigned in order of the smallest node in each component.
-func (g *Graph) Components() []int {
-	label := make([]int, g.n)
+func (g *Graph) Components() []int { return g.ComponentsInto(nil, nil) }
+
+// ComponentsInto is Components with the skipped edges excluded (skip is
+// indexed by edge index, as in DijkstraInto; nil means none), equal to
+// Components on the WithoutEdges-derived graph. The labels are written
+// into the given slice, which is grown if needed and returned; its spare
+// capacity holds the DFS stack, so passing a previous result back makes
+// the call allocation-free.
+func (g *Graph) ComponentsInto(skip []bool, labels []int) []int {
+	if cap(labels) < 2*g.n {
+		labels = make([]int, 2*g.n)
+	}
+	label := labels[:g.n]
 	for i := range label {
 		label[i] = -1
 	}
+	// Every node is pushed at most once (it is labelled when pushed), so
+	// the stack never outgrows the spare capacity.
+	stack := labels[g.n:g.n]
 	next := 0
 	for s := 0; s < g.n; s++ {
 		if label[s] >= 0 {
 			continue
 		}
 		label[s] = next
-		stack := []int{s}
+		stack = append(stack, s)
 		for len(stack) > 0 {
 			n := stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
 			for _, idx := range g.adj[n] {
+				if skip != nil && skip[idx] {
+					continue
+				}
 				m := g.edges[idx].Other(n)
 				if label[m] < 0 {
 					label[m] = next
@@ -498,15 +431,92 @@ func (g *Graph) Components() []int {
 	return label
 }
 
+// Cut is a failure scenario over one base graph: the cut edge IDs in
+// ascending order, plus the skip mask over the graph's edge indices that
+// DijkstraInto and ComponentsInto take. It is the one representation of
+// "these ducts are down"; scenario loops push and pop on a single Cut
+// instead of deriving a graph per scenario. IDs the graph has no edge for
+// are kept in IDs but mask nothing. Not safe for concurrent use.
+type Cut struct {
+	g    *Graph
+	ids  []int
+	skip []bool
+}
+
+// NewCut returns the empty cut over g. Growing g afterwards invalidates it.
+func NewCut(g *Graph) *Cut {
+	return &Cut{g: g, skip: make([]bool, len(g.edges))}
+}
+
+// Push adds an edge ID to the cut; an ID already present is ignored.
+func (c *Cut) Push(id int) {
+	i := len(c.ids)
+	for i > 0 && c.ids[i-1] > id {
+		i--
+	}
+	if i > 0 && c.ids[i-1] == id {
+		return
+	}
+	c.ids = append(c.ids, 0)
+	copy(c.ids[i+1:], c.ids[i:])
+	c.ids[i] = id
+	if idx, ok := c.g.EdgeIndex(id); ok {
+		c.skip[idx] = true
+	}
+}
+
+// Pop removes an edge ID from the cut.
+func (c *Cut) Pop(id int) {
+	for i, v := range c.ids {
+		if v == id {
+			c.ids = append(c.ids[:i], c.ids[i+1:]...)
+			if idx, ok := c.g.EdgeIndex(id); ok {
+				c.skip[idx] = false
+			}
+			return
+		}
+	}
+}
+
+// Set makes the cut exactly the given IDs.
+func (c *Cut) Set(ids []int) {
+	for len(c.ids) > 0 {
+		c.Pop(c.ids[len(c.ids)-1])
+	}
+	for _, id := range ids {
+		c.Push(id)
+	}
+}
+
+// Has reports whether an edge of the graph is cut.
+func (c *Cut) Has(id int) bool {
+	idx, ok := c.g.EdgeIndex(id)
+	return ok && c.skip[idx]
+}
+
+// IDs returns the cut edge IDs, ascending. The slice is reused; callers
+// must not retain or modify it.
+func (c *Cut) IDs() []int { return c.ids }
+
+// Skip returns the mask over the graph's edge indices, or nil for the
+// empty cut (so routing reads the graph's memoised failure-free trees).
+func (c *Cut) Skip() []bool {
+	if len(c.ids) == 0 {
+		return nil
+	}
+	return c.skip
+}
+
 // FailureScenarios enumerates all subsets of the given edge IDs of size 0
-// through maxCuts inclusive and calls fn with each subset (as a set). The
-// subset map is reused across calls; fn must not retain it. Enumeration
-// order is deterministic: the empty set first, then depth-first by sorted
-// ID, so each subset is visited immediately after its longest prefix.
-func FailureScenarios(ids []int, maxCuts int, fn func(cut map[int]bool)) {
+// through maxCuts inclusive and calls fn with each subset as ascending
+// IDs (what Cut.Set takes). The slice is reused across calls; fn must not
+// retain it. Enumeration order is deterministic: the empty set first,
+// then depth-first by sorted ID, so each subset is visited immediately
+// after its longest prefix.
+func FailureScenarios(ids []int, maxCuts int, fn func(cut []int)) {
 	sorted := append([]int(nil), ids...)
 	sort.Ints(sorted)
-	cut := make(map[int]bool, maxCuts)
+	cut := make([]int, 0, maxCuts)
 	fn(cut) // the no-failure scenario
 
 	var rec func(start, remaining int)
@@ -515,10 +525,10 @@ func FailureScenarios(ids []int, maxCuts int, fn func(cut map[int]bool)) {
 			return
 		}
 		for i := start; i < len(sorted); i++ {
-			cut[sorted[i]] = true
+			cut = append(cut, sorted[i])
 			fn(cut)
 			rec(i+1, remaining-1)
-			delete(cut, sorted[i])
+			cut = cut[:len(cut)-1]
 		}
 	}
 	if maxCuts > 0 {

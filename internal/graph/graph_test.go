@@ -242,14 +242,8 @@ func TestComponents(t *testing.T) {
 func TestFailureScenarios(t *testing.T) {
 	ids := []int{3, 1, 2}
 	var got [][]int
-	FailureScenarios(ids, 2, func(cut map[int]bool) {
-		var s []int
-		for _, id := range []int{1, 2, 3} {
-			if cut[id] {
-				s = append(s, id)
-			}
-		}
-		got = append(got, s)
+	FailureScenarios(ids, 2, func(cut []int) {
+		got = append(got, append([]int(nil), cut...))
 	})
 	want := [][]int{
 		nil,
@@ -285,7 +279,7 @@ func TestFailureScenariosMatchesCount(t *testing.T) {
 	ids := []int{10, 20, 30, 40, 50, 60}
 	for k := 0; k <= 3; k++ {
 		n := 0
-		FailureScenarios(ids, k, func(map[int]bool) { n++ })
+		FailureScenarios(ids, k, func([]int) { n++ })
 		if want := CountFailureScenarios(len(ids), k); n != want {
 			t.Errorf("k=%d: enumerated %d scenarios, want %d", k, n, want)
 		}
@@ -329,7 +323,7 @@ func TestDijkstraConcurrentSharedGraph(t *testing.T) {
 		id++
 	}
 
-	want := g.dijkstra(0).Dist // uncached oracle
+	want := g.heapDijkstra(0, []Seed{{Node: 0}}).Dist // uncached oracle
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)

@@ -1,0 +1,77 @@
+package graph_test
+
+import (
+	"reflect"
+	"sort"
+	"testing"
+
+	"iris/internal/fibermap"
+	"iris/internal/geo"
+	"iris/internal/graph"
+)
+
+// On the generated regions everything downstream is pinned to — DC
+// placement (fibermap.PlaceDCs reads DistancesFromSeeds) and every plan
+// (Dijkstra from each DC) — the production loop must agree with the
+// typed-heap oracle bit for bit: full trees from every DC, and the
+// distance vector of every seed set placement would try (each candidate
+// grid point's two nearest huts at their access-duct lengths).
+func TestGeneratedMapsMatchHeapOracle(t *testing.T) {
+	for seed := int64(1); seed <= 5; seed++ {
+		gcfg := fibermap.DefaultGen()
+		gcfg.Seed = seed
+		m := fibermap.Generate(gcfg)
+		pcfg := fibermap.DefaultPlace()
+		pcfg.Seed, pcfg.N = seed, 20
+		if _, err := fibermap.PlaceDCs(m, pcfg); err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		g := m.Graph()
+
+		for _, dc := range m.DCs() {
+			got := g.Dijkstra(dc)
+			want := g.HeapDijkstra(dc, []graph.Seed{{Node: dc}})
+			if !reflect.DeepEqual(got.Dist, want.Dist) || !reflect.DeepEqual(got.Hops, want.Hops) {
+				t.Fatalf("seed %d: labels from DC %d differ from the heap oracle", seed, dc)
+			}
+			for v := 0; v < g.NumNodes(); v++ {
+				gn, ge, _ := got.PathTo(v)
+				wn, we, _ := want.PathTo(v)
+				if !reflect.DeepEqual(gn, wn) || !reflect.DeepEqual(ge, we) {
+					t.Fatalf("seed %d: path %d->%d differs from the heap oracle", seed, dc, v)
+				}
+			}
+		}
+
+		huts := m.Huts()
+		pts := make([]geo.Point, len(huts))
+		for i, h := range huts {
+			pts[i] = m.Nodes[h].Pos
+		}
+		sets := 0
+		geo.GridPoints(geo.BoundingRect(pts).Expand(5), pcfg.GridCellKM, func(p geo.Point) bool {
+			order := append([]int(nil), huts...)
+			sort.Slice(order, func(x, y int) bool {
+				dx, dy := p.Dist(m.Nodes[order[x]].Pos), p.Dist(m.Nodes[order[y]].Pos)
+				if dx != dy {
+					return dx < dy
+				}
+				return order[x] < order[y]
+			})
+			seeds := make([]graph.Seed, 2)
+			for i, h := range order[:2] {
+				seeds[i] = graph.Seed{Node: h, Dist: p.Dist(m.Nodes[h].Pos) * pcfg.RoadFactor}
+			}
+			got := g.DistancesFromSeeds(seeds)
+			want := g.HeapDijkstra(-1, seeds).Dist
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("seed %d: distances from seeds %v differ from the heap oracle", seed, seeds)
+			}
+			sets++
+			return false
+		})
+		if sets == 0 {
+			t.Fatalf("seed %d: no candidate grid points", seed)
+		}
+	}
+}

@@ -59,9 +59,9 @@ func lessPath(a, b Path) bool {
 // equal-length paths are broken by hop count, then node sequence, then
 // edge IDs.
 //
-// Each spur step materialises a derived graph via WithoutEdges, so the
-// cost is O(k · n · Dijkstra) — fine for region-scale fiber maps, which
-// have tens of ducts.
+// Each spur step runs DijkstraInto on g under a skip mask, so the cost is
+// O(k · n · Dijkstra) — fine for region-scale fiber maps, which have tens
+// of ducts.
 func (g *Graph) KShortestPaths(from, to, k int) []Path {
 	if k <= 0 || from < 0 || from >= g.n || to < 0 || to >= g.n {
 		return nil
@@ -76,6 +76,9 @@ func (g *Graph) KShortestPaths(from, to, k int) []Path {
 	}
 	paths := []Path{{Nodes: nodes, Edges: edges, Dist: t.Dist[to]}}
 	var candidates []Path
+	removed := make([]bool, len(g.edges)) // by edge index
+	var spurTree ShortestPathTree
+	var sc Scratch
 
 	for len(paths) < k {
 		prev := paths[len(paths)-1]
@@ -84,7 +87,7 @@ func (g *Graph) KShortestPaths(from, to, k int) []Path {
 			rootNodes := prev.Nodes[:i+1]
 			rootEdges := prev.Edges[:i]
 
-			removed := make(map[int]bool)
+			clear(removed)
 			// Any accepted path sharing the root prefix must not be
 			// rediscovered: remove the edge each one takes out of the spur.
 			for _, p := range paths {
@@ -99,16 +102,18 @@ func (g *Graph) KShortestPaths(from, to, k int) []Path {
 					}
 				}
 				if match {
-					removed[p.Edges[i].ID] = true
+					removed[g.byID[p.Edges[i].ID]] = true
 				}
 			}
 			// Looplessness: the spur path must not revisit a root node, so
 			// every edge incident to the root prefix (spur excluded) goes.
 			for _, n := range rootNodes[:len(rootNodes)-1] {
-				g.Neighbors(n, func(e Edge) { removed[e.ID] = true })
+				for _, idx := range g.adj[n] {
+					removed[idx] = true
+				}
 			}
 
-			st := g.WithoutEdges(removed).Dijkstra(spur)
+			st := g.DijkstraInto(spur, removed, &spurTree, &sc)
 			sn, se, ok := st.PathTo(to)
 			if !ok {
 				continue

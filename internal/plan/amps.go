@@ -14,12 +14,12 @@ import (
 // and terminal amplifier at the receiving DC.
 func elementsFor(pr *pathRec) []optics.Element {
 	el := []optics.Element{{Kind: optics.Amp}, {Kind: optics.OSS}}
-	for i, e := range pr.ducts {
+	for i, e := range pr.Ducts {
 		el = append(el, optics.Element{Kind: optics.Span, LengthKM: e.W})
-		if i == len(pr.ducts)-1 {
+		if i == len(pr.Ducts)-1 {
 			break
 		}
-		interior := pr.nodes[i+1]
+		interior := pr.Nodes[i+1]
 		if pr.bypassed(interior) {
 			continue
 		}
@@ -40,12 +40,12 @@ func elementsFor(pr *pathRec) []optics.Element {
 // SegmentLoss violation, which the planner does in a hot loop.
 func segmentLossViolated(pr *pathRec) bool {
 	seg := 0.0
-	for i, e := range pr.ducts {
+	for i, e := range pr.Ducts {
 		seg += e.W
 		if seg > optics.MaxSpanKM+1e-9 {
 			return true
 		}
-		if i < len(pr.ducts)-1 && pr.nodes[i+1] == pr.ampNode {
+		if i < len(pr.Ducts)-1 && pr.Nodes[i+1] == pr.ampNode {
 			seg = 0
 		}
 	}
@@ -57,8 +57,8 @@ func segmentLossViolated(pr *pathRec) bool {
 // loopback amplifier adds a second pass (matching elementsFor).
 func ossTraversals(pr *pathRec) int {
 	n := 2
-	for i := 0; i < len(pr.ducts)-1; i++ {
-		v := pr.nodes[i+1]
+	for i := 0; i < len(pr.Ducts)-1; i++ {
+		v := pr.Nodes[i+1]
 		if pr.bypassed(v) {
 			continue
 		}
@@ -107,11 +107,11 @@ func (p *Planner) placeAmps(recs []pathRec) error {
 				// violates TC1 with its amp placed is unfixable.
 				p.plan.Viol = append(p.plan.Viol, fmt.Sprintf(
 					"pair %d-%d: segment loss unresolved with inline amp at %d",
-					pr.pair.A, pr.pair.B, pr.ampNode))
+					pr.Pair.A, pr.Pair.B, pr.ampNode))
 				continue
 			}
 			found := false
-			for _, v := range pr.nodes[1 : len(pr.nodes)-1] {
+			for _, v := range pr.Nodes[1 : len(pr.Nodes)-1] {
 				if ampResolves(pr, v) {
 					if p.candGen[v] != p.candSeq {
 						p.candGen[v] = p.candSeq
@@ -125,7 +125,7 @@ func (p *Planner) placeAmps(recs []pathRec) error {
 			if !found {
 				p.plan.Viol = append(p.plan.Viol, fmt.Sprintf(
 					"pair %d-%d: no amplifier location can satisfy TC1 (%.1f km path)",
-					pr.pair.A, pr.pair.B, pr.totalKM))
+					pr.Pair.A, pr.Pair.B, pr.TotalKM))
 			}
 		}
 		if len(p.candNodes) == 0 {
@@ -145,10 +145,10 @@ func (p *Planner) placeAmps(recs []pathRec) error {
 		p.idxBuf = p.idxBuf[:0]
 		for i := range recs {
 			if recs[i].ampNode == best {
-				p.idxBuf = append(p.idxBuf, recs[i].pairIdx)
+				p.idxBuf = append(p.idxBuf, recs[i].PairIdx)
 			}
 		}
-		need := int(math.Ceil(p.cachedLoad(p.idxBuf) - 1e-9))
+		need := p.ev.PairsFor(p.idxBuf)
 		if need > p.ampsArr[best] {
 			if p.ampsArr[best] == 0 {
 				p.ampsTouched = append(p.ampsTouched, int32(best))
@@ -193,9 +193,9 @@ func (p *Planner) pickAmpLocation(recs []pathRec) int {
 		cl := p.candOf[v]
 		p.idxBuf = p.idxBuf[:0]
 		for _, ri := range cl {
-			p.idxBuf = append(p.idxBuf, recs[ri].pairIdx)
+			p.idxBuf = append(p.idxBuf, recs[ri].PairIdx)
 		}
-		noa := int(math.Ceil(p.cachedLoad(p.idxBuf) - 1e-9))
+		noa := p.ev.PairsFor(p.idxBuf)
 		ntbp := noa - p.ampsArr[v]
 		if ntbp < 0 {
 			ntbp = 0

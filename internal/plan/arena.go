@@ -2,7 +2,6 @@ package plan
 
 import (
 	"fmt"
-	"math"
 	"slices"
 	"time"
 
@@ -13,8 +12,8 @@ import (
 )
 
 // This file is the planner's arena: a Planner owns every slab the
-// planning pipeline touches — routing records, Dijkstra trees, per-duct
-// crossing tables, the hose-load memo, cut-through identities — and
+// planning pipeline touches beyond the scenario evaluator's — amplifier
+// candidates, cut-through identities, per-duct maxima, output maps — and
 // reuses them across Plan calls, so a warmed solve performs no heap
 // allocation. The generation-stamp idiom (a per-entry stamp compared
 // against a run counter, with a touched list for sparse reset) comes
@@ -151,13 +150,6 @@ const (
 	nStages
 )
 
-// crossEntry is one DC pair's crossing count on a duct within a
-// scenario (hub walks may cross a duct more than once).
-type crossEntry struct {
-	pairIdx int32
-	count   int32
-}
-
 type slaRec struct {
 	pair    hose.Pair
 	totalKM float64
@@ -200,55 +192,27 @@ type Planner struct {
 	in   Input
 	plan Plan
 
-	// Region-shaped state, rebuilt by prepare on fingerprint miss.
+	// Region-shaped state, rebuilt by prepare on fingerprint miss: the
+	// scenario evaluator holds the DCs, hubs, routing state and the
+	// hose-load memo (the dominant cross-solve win).
 	prepared bool
-	base     *graph.Graph
-	dcs      []int
-	nDC      int
-	caps     map[int]float64 // DC -> capacity (float for hose calls)
-	pairAB   []hose.Pair     // pairIdx -> canonical pair
-	hubs     []int
+	ev       *Evaluator
 
 	// Fingerprint of the prepared region.
 	fpMap      *fibermap.Map
 	fpInBase   *graph.Graph // Input.Base as passed (nil if planner-built)
 	fpNumEdges int
 	fpMaxFail  int
-	fpCaps     []int // per dcs position
+	fpCaps     []int // per DC position
 
-	// Scenario enumeration.
-	seen      seqIndex
-	cutSorted []int32  // current cut, ascending duct IDs
-	cutMark   []bool   // per duct ID
-	skip      []bool   // per base edge index
-	usedMark  []uint32 // per duct ID, stamped by usedSeq
-	usedSeq   uint32
-	usedBuf   [][]int32 // per DFS depth
+	// Scenario enumeration over ev.Cut.
+	seen     seqIndex
+	usedMark []uint32 // per duct ID, stamped by usedSeq
+	usedSeq  uint32
+	usedBuf  [][]int32 // per DFS depth
 
-	// Routing.
-	dijk     graph.Scratch
-	ownTrees []graph.ShortestPathTree
-	curTrees []*graph.ShortestPathTree
-	ownHub   []graph.ShortestPathTree
-	curHub   []*graph.ShortestPathTree
-	legN     []int
-	legE     []graph.Edge
-	recs     []pathRec // one slot per DC pair
-
-	// Hose-load memo, keyed by sorted pairIdx sequences. Survives
-	// across solves while the fingerprint holds — the dominant
-	// cross-solve win.
-	hoseIdx   seqIndex
-	hoseLoads []float64
-	idxBuf    []int32
-	pairsBuf  []hose.Pair
-
-	// Provisioning scratch (per duct ID).
-	cross     [][]crossEntry
-	crossGen  []uint32
-	crossSeq  uint32
-	residCnt  []int32
-	crossList []int32
+	recs   []pathRec // recs[i] wraps the evaluator's route slot i
+	idxBuf []int32
 
 	// Amplifier placement scratch (per node).
 	pend        []int32
@@ -321,18 +285,13 @@ func (p *Planner) matches(in Input) bool {
 		in.MaxFailures != p.fpMaxFail || in.Lambda <= 0 {
 		return false
 	}
-	if p.base.NumEdges() != p.fpNumEdges {
+	if p.ev.base.NumEdges() != p.fpNumEdges {
 		return false
 	}
-	if len(in.ViaHubs) != len(p.hubs) {
+	if !slices.Equal(in.ViaHubs, p.ev.hubs) {
 		return false
 	}
-	for i, h := range in.ViaHubs {
-		if h != p.hubs[i] {
-			return false
-		}
-	}
-	for i, dc := range p.dcs {
+	for i, dc := range p.ev.dcs {
 		if c, ok := in.Capacity[dc]; !ok || c != p.fpCaps[i] {
 			return false
 		}
@@ -345,63 +304,34 @@ func (p *Planner) matches(in Input) bool {
 // steady-state Planner.
 func (p *Planner) prepare(in Input) error {
 	p.prepared = false
-	m := in.Map
-	p.dcs = m.DCs()
-	p.base = in.Base
-	if p.base == nil {
-		p.base = BaseGraph(m)
-	}
+	p.ev = NewEvaluator(in)
+	dcs, base := p.ev.dcs, p.ev.base
 
 	// Reject regions that are disconnected even before any failure.
 	// Connectivity is a property of the base graph, so the check belongs
 	// to prepare: a fingerprint hit implies it already passed.
-	labels := p.base.Components()
-	for _, dc := range p.dcs[1:] {
-		if labels[dc] != labels[p.dcs[0]] {
-			return fmt.Errorf("plan: DCs %d and %d are not connected by usable ducts", p.dcs[0], dc)
+	labels := base.Components()
+	for _, dc := range dcs[1:] {
+		if labels[dc] != labels[dcs[0]] {
+			return fmt.Errorf("plan: DCs %d and %d are not connected by usable ducts", dcs[0], dc)
 		}
 	}
 
-	nNodes := p.base.NumNodes()
-	nEdges := p.base.NumEdges()
-	nDucts := p.base.MaxEdgeID() + 1
-	p.nDC = len(p.dcs)
-	nPairs := p.nDC * (p.nDC - 1) / 2
+	nNodes := base.NumNodes()
+	nDucts := base.MaxEdgeID() + 1
+	nPairs := p.ev.NumPairs()
 
-	p.caps = make(map[int]float64, p.nDC)
-	p.fpCaps = make([]int, p.nDC)
-	for i, dc := range p.dcs {
-		c := in.Capacity[dc]
-		p.caps[dc] = float64(c)
-		p.fpCaps[i] = c
+	p.fpCaps = make([]int, len(dcs))
+	for i, dc := range dcs {
+		p.fpCaps[i] = in.Capacity[dc]
 	}
-	p.pairAB = p.pairAB[:0]
-	for i := 0; i < p.nDC; i++ {
-		for j := i + 1; j < p.nDC; j++ {
-			p.pairAB = append(p.pairAB, hose.Pair{A: p.dcs[i], B: p.dcs[j]})
-		}
-	}
-	p.hubs = append(p.hubs[:0], in.ViaHubs...)
 
-	p.cutSorted = make([]int32, 0, in.MaxFailures+1)
-	p.cutMark = make([]bool, nDucts)
-	p.skip = make([]bool, nEdges)
 	p.usedMark = make([]uint32, nDucts)
 	p.usedSeq = 0
-
-	p.ownTrees = make([]graph.ShortestPathTree, p.nDC)
-	p.curTrees = make([]*graph.ShortestPathTree, p.nDC)
-	p.ownHub = make([]graph.ShortestPathTree, len(p.hubs))
-	p.curHub = make([]*graph.ShortestPathTree, len(p.hubs))
 	p.recs = make([]pathRec, nPairs)
-
-	p.hoseIdx.reset()
-	p.hoseLoads = p.hoseLoads[:0]
-
-	p.cross = make([][]crossEntry, nDucts)
-	p.crossGen = make([]uint32, nDucts)
-	p.crossSeq = 0
-	p.residCnt = make([]int32, nDucts)
+	for i := range p.recs {
+		p.recs[i].Route = &p.ev.routes[i]
+	}
 
 	p.candOf = make([][]int32, nNodes)
 	p.candGen = make([]uint32, nNodes)
@@ -417,9 +347,9 @@ func (p *Planner) prepare(in Input) error {
 	p.pathsOut = make(map[hose.Pair]*PathInfo, nPairs)
 	p.ampsOut = make(map[int]int)
 
-	p.fpMap = m
+	p.fpMap = in.Map
 	p.fpInBase = in.Base
-	p.fpNumEdges = nEdges
+	p.fpNumEdges = base.NumEdges()
 	p.fpMaxFail = in.MaxFailures
 	p.prepared = true
 	return nil
@@ -429,7 +359,7 @@ func (p *Planner) prepare(in Input) error {
 // solve used.
 func (p *Planner) resetSolve(in Input) {
 	p.in = in
-	p.plan = Plan{Input: in, DCs: p.dcs}
+	p.plan = Plan{Input: in, DCs: p.ev.dcs}
 	for _, id := range p.ductList {
 		p.ductActive[id] = false
 		p.ductSlab[id] = DuctUse{}
@@ -452,11 +382,9 @@ func (p *Planner) resetSolve(in Input) {
 	p.ctDuctSlab = p.ctDuctSlab[:0]
 	p.ctIntSlab = p.ctIntSlab[:0]
 	p.seen.reset()
-	p.cutSorted = p.cutSorted[:0]
-	// The DFS unwinds these in lockstep, but an errored solve may have
+	// The DFS unwinds the cut in lockstep, but an errored solve may have
 	// bailed mid-descent; clearing is cheap insurance.
-	clear(p.cutMark)
-	clear(p.skip)
+	p.ev.Cut.Set(nil)
 	for i := range p.stageDur {
 		p.stageDur[i] = 0
 		p.stageCalls[i] = 0
@@ -468,20 +396,17 @@ func (p *Planner) timeStage(stage int, start time.Time) {
 	p.stageCalls[stage]++
 }
 
-// pairIdx maps DC positions i<j (in dcs order) to the dense pair index;
-// the enumeration order makes ascending indices coincide with ascending
-// (A, B) pairs, which cachedLoad's key ordering relies on.
-func (p *Planner) pairIdx(i, j int) int32 {
-	return int32(i*p.nDC - i*(i+1)/2 + j - i - 1)
-}
-
 // visit is the pruned scenario DFS: a cut of a duct no chosen path uses
 // leaves every path — and hence all provisioning — unchanged, so only
 // used ducts seed the next cut. With deterministic tie-breaking,
 // removing an unused duct cannot alter which paths Dijkstra selects,
 // making the pruning exact.
 func (p *Planner) visit(depth int) error {
-	if _, added := p.seen.intern(p.cutSorted); !added {
+	p.tmpKey = p.tmpKey[:0]
+	for _, d := range p.ev.Cut.IDs() {
+		p.tmpKey = append(p.tmpKey, int32(d))
+	}
+	if _, added := p.seen.intern(p.tmpKey); !added {
 		return nil
 	}
 	p.plan.NScena++
@@ -497,12 +422,12 @@ func (p *Planner) visit(depth int) error {
 		return nil
 	}
 	for _, d := range used {
-		if p.cutMark[d] {
+		if p.ev.Cut.Has(int(d)) {
 			continue
 		}
-		p.pushCut(int(d))
+		p.ev.Cut.Push(int(d))
 		err := p.visit(depth + 1)
-		p.popCut(int(d))
+		p.ev.Cut.Pop(int(d))
 		if err != nil {
 			return err
 		}
@@ -510,41 +435,21 @@ func (p *Planner) visit(depth int) error {
 	return nil
 }
 
-func (p *Planner) pushCut(d int) {
-	p.cutMark[d] = true
-	if idx, ok := p.base.EdgeIndex(d); ok {
-		p.skip[idx] = true
-	}
-	p.cutSorted = append(p.cutSorted, int32(d))
-	for i := len(p.cutSorted) - 1; i > 0 && p.cutSorted[i-1] > p.cutSorted[i]; i-- {
-		p.cutSorted[i-1], p.cutSorted[i] = p.cutSorted[i], p.cutSorted[i-1]
-	}
-}
-
-func (p *Planner) popCut(d int) {
-	p.cutMark[d] = false
-	if idx, ok := p.base.EdgeIndex(d); ok {
-		p.skip[idx] = false
-	}
-	for i, v := range p.cutSorted {
-		if v == int32(d) {
-			p.cutSorted = append(p.cutSorted[:i], p.cutSorted[i+1:]...)
-			break
-		}
-	}
-}
-
 // scenario processes one failure scenario end to end: routing, amps,
 // cut-throughs, capacity. It appends the duct IDs used by any chosen
 // path to used (sorted), which drives the pruned enumeration.
 func (p *Planner) scenario(used []int32) ([]int32, error) {
-	var skip []bool
-	if len(p.cutSorted) > 0 {
-		skip = p.skip
-	}
-
 	start := time.Now()
-	recs := p.recs[:p.routeAll(skip)]
+	routes := p.ev.Route()
+	recs := p.recs[:len(routes)]
+	for i := range recs {
+		pr := &recs[i]
+		pr.ampNode = -1
+		pr.bypass = pr.bypass[:0]
+		if pr.TotalKM > optics.MaxPathKM+1e-9 {
+			p.recordSLA(pr.Pair, pr.TotalKM)
+		}
+	}
 	p.timeStage(stRoute, start)
 
 	start = time.Now()
@@ -561,11 +466,17 @@ func (p *Planner) scenario(used []int32) ([]int32, error) {
 
 	// Provisioning runs after cut-through placement: traffic on a
 	// cut-through fiber does not also consume switched base capacity on
-	// the ducts it bypasses.
+	// the ducts it bypasses (Route.CutDucts), but its residual fiber still
+	// follows the full path. Per-duct maxima are taken against prior
+	// scenarios.
 	start = time.Now()
-	p.provision(recs)
+	for _, l := range p.ev.Load(nil, nil) {
+		du := p.ductUse(l.Duct)
+		du.BasePairs = max(du.BasePairs, l.BasePairs)
+		du.ResidualPairs = max(du.ResidualPairs, l.ResidualPairs)
+	}
 	p.timeStage(stProvision, start)
-	if len(p.cutSorted) == 0 {
+	if len(p.ev.Cut.IDs()) == 0 {
 		p.recordBasePaths(recs)
 	}
 
@@ -574,8 +485,8 @@ func (p *Planner) scenario(used []int32) ([]int32, error) {
 		clear(p.usedMark)
 		p.usedSeq = 1
 	}
-	for i := range recs {
-		for _, e := range recs[i].ducts {
+	for i := range routes {
+		for _, e := range routes[i].Ducts {
 			if p.usedMark[e.ID] != p.usedSeq {
 				p.usedMark[e.ID] = p.usedSeq
 				used = append(used, int32(e.ID))
@@ -586,198 +497,12 @@ func (p *Planner) scenario(used []int32) ([]int32, error) {
 	return used, nil
 }
 
-// routeAll computes every DC pair's route — shortest path in the
-// distributed design, best DC-hub-DC path in the centralized one — into
-// the rec slab, skipping pairs disconnected by the cuts and recording
-// SLA overruns. It returns the number of routed pairs. The failure-free
-// scenario (skip == nil) reads the base graph's memoised trees, which
-// are shared across solves and, through Input.Base, across planners.
-func (p *Planner) routeAll(skip []bool) int {
-	nr := 0
-	if len(p.hubs) > 0 {
-		for hi, h := range p.hubs {
-			if skip == nil {
-				p.curHub[hi] = p.base.Dijkstra(h)
-			} else {
-				p.curHub[hi] = p.base.DijkstraInto(h, skip, &p.ownHub[hi], &p.dijk)
-			}
-		}
-		for i := range p.dcs {
-			for j := i + 1; j < p.nDC; j++ {
-				a, b := p.dcs[i], p.dcs[j]
-				// Best DC-hub-DC walk; legs may share ducts (both DCs
-				// behind one trunk) and provisioning accounts for the
-				// double crossing.
-				best := graph.Inf
-				var bt *graph.ShortestPathTree
-				for _, t := range p.curHub {
-					if d := t.Dist[a] + t.Dist[b]; d < best && d < graph.Inf {
-						best, bt = d, t
-					}
-				}
-				if bt == nil {
-					continue
-				}
-				r := p.nextRec(&nr, i, j)
-				p.legN, p.legE, _ = bt.AppendPathTo(a, p.legN[:0], p.legE[:0])
-				for k := len(p.legN) - 1; k >= 0; k-- {
-					r.nodes = append(r.nodes, p.legN[k])
-				}
-				for k := len(p.legE) - 1; k >= 0; k-- {
-					r.ducts = append(r.ducts, p.legE[k])
-				}
-				p.legN, p.legE, _ = bt.AppendPathTo(b, p.legN[:0], p.legE[:0])
-				r.nodes = append(r.nodes, p.legN[1:]...)
-				r.ducts = append(r.ducts, p.legE...)
-				r.totalKM = best
-				if r.totalKM > optics.MaxPathKM+1e-9 {
-					p.recordSLA(r.pair, r.totalKM)
-				}
-			}
-		}
-		return nr
-	}
-
-	for di, dc := range p.dcs {
-		if skip == nil {
-			p.curTrees[di] = p.base.Dijkstra(dc)
-		} else {
-			p.curTrees[di] = p.base.DijkstraInto(dc, skip, &p.ownTrees[di], &p.dijk)
-		}
-	}
-	for i := range p.dcs {
-		t := p.curTrees[i]
-		for j := i + 1; j < p.nDC; j++ {
-			b := p.dcs[j]
-			if math.IsInf(t.Dist[b], 1) {
-				continue // cut disconnected this pair; no guarantee owed
-			}
-			r := p.nextRec(&nr, i, j)
-			r.nodes, r.ducts, _ = t.AppendPathTo(b, r.nodes, r.ducts)
-			r.totalKM = t.Dist[b]
-			if r.totalKM > optics.MaxPathKM+1e-9 {
-				p.recordSLA(r.pair, r.totalKM)
-			}
-		}
-	}
-	return nr
-}
-
-// nextRec claims the next rec slot for DC positions i<j, resetting its
-// reused slices.
-func (p *Planner) nextRec(nr *int, i, j int) *pathRec {
-	r := &p.recs[*nr]
-	*nr++
-	r.pair = hose.Pair{A: p.dcs[i], B: p.dcs[j]}
-	r.pairIdx = p.pairIdx(i, j)
-	r.nodes = r.nodes[:0]
-	r.ducts = r.ducts[:0]
-	r.totalKM = 0
-	r.ampNode = -1
-	r.bypass = r.bypass[:0]
-	r.cutDucts = r.cutDucts[:0]
-	return r
-}
-
 func (p *Planner) recordSLA(pair hose.Pair, totalKM float64) {
-	off := int32(len(p.slaCuts))
-	for _, d := range p.cutSorted {
-		p.slaCuts = append(p.slaCuts, int(d))
-	}
+	off := len(p.slaCuts)
+	p.slaCuts = append(p.slaCuts, p.ev.Cut.IDs()...)
 	p.slaRecs = append(p.slaRecs, slaRec{
-		pair: pair, totalKM: totalKM, cutOff: off, cutLen: int32(len(p.cutSorted)),
+		pair: pair, totalKM: totalKM, cutOff: int32(off), cutLen: int32(len(p.slaCuts) - off),
 	})
-}
-
-// provision applies the Algorithm 1 capacity rule and the §4.3 residual
-// rule for one scenario, taking per-duct maxima against prior scenarios.
-// Pairs riding a cut-through contribute no switched base capacity to the
-// ducts it covers (the cut-through fiber carries them), but their
-// residual fiber still follows the full path.
-//
-// Centralized (via-hub) walks may cross a duct more than once; each
-// extra crossing is provisioned at the pair's full hose demand, a sound
-// upper bound on the exact (weighted) worst case.
-func (p *Planner) provision(recs []pathRec) {
-	p.crossSeq++
-	if p.crossSeq == 0 {
-		clear(p.crossGen)
-		p.crossSeq = 1
-	}
-	p.crossList = p.crossList[:0]
-	for ri := range recs {
-		pr := &recs[ri]
-		for _, e := range pr.ducts {
-			id := e.ID
-			if p.crossGen[id] != p.crossSeq {
-				p.crossGen[id] = p.crossSeq
-				p.cross[id] = p.cross[id][:0]
-				p.residCnt[id] = 0
-				p.crossList = append(p.crossList, int32(id))
-			}
-			p.residCnt[id]++
-			if !pr.onCutThrough(id) {
-				entries := p.cross[id]
-				found := false
-				for k := range entries {
-					if entries[k].pairIdx == pr.pairIdx {
-						entries[k].count++
-						found = true
-						break
-					}
-				}
-				if !found {
-					p.cross[id] = append(entries, crossEntry{pairIdx: pr.pairIdx, count: 1})
-				}
-			}
-		}
-	}
-	for _, id32 := range p.crossList {
-		id := int(id32)
-		if entries := p.cross[id]; len(entries) > 0 {
-			p.idxBuf = p.idxBuf[:0]
-			extra := 0.0
-			for _, en := range entries {
-				p.idxBuf = append(p.idxBuf, en.pairIdx)
-				if en.count > 1 {
-					pair := p.pairAB[en.pairIdx]
-					extra += float64(en.count-1) * math.Min(p.caps[pair.A], p.caps[pair.B])
-				}
-			}
-			load := p.cachedLoad(p.idxBuf) + extra
-			basePairs := int(math.Ceil(load - 1e-9))
-			du := p.ductUse(id)
-			if basePairs > du.BasePairs {
-				du.BasePairs = basePairs
-			}
-		}
-		if n := int(p.residCnt[id]); n > 0 {
-			du := p.ductUse(id)
-			if n > du.ResidualPairs {
-				du.ResidualPairs = n
-			}
-		}
-	}
-}
-
-// cachedLoad memoises hose.WorstCaseLoad over the planner's fixed DC
-// capacities, keyed by the sorted pair-index sequence (duplicates are
-// harmless: WorstCaseLoad coalesces them). idx is sorted in place. The
-// memo outlives individual solves, so a re-solved region pays for no
-// max-flow at all.
-func (p *Planner) cachedLoad(idx []int32) float64 {
-	slices.Sort(idx)
-	id, added := p.hoseIdx.intern(idx)
-	if !added {
-		return p.hoseLoads[id]
-	}
-	p.pairsBuf = p.pairsBuf[:0]
-	for _, pi := range idx {
-		p.pairsBuf = append(p.pairsBuf, p.pairAB[pi])
-	}
-	load := hose.WorstCaseLoad(p.caps, p.pairsBuf)
-	p.hoseLoads = append(p.hoseLoads, load)
-	return load
 }
 
 func (p *Planner) ductUse(id int) *DuctUse {
@@ -796,12 +521,12 @@ func (p *Planner) ductUse(id int) *DuctUse {
 func (p *Planner) recordBasePaths(recs []pathRec) {
 	for i := range recs {
 		pr := &recs[i]
-		info := &p.pathInfos[pr.pairIdx]
-		info.Pair = pr.pair
-		info.Nodes = append(info.Nodes[:0], pr.nodes...)
-		info.TotalKM = pr.totalKM
+		info := &p.pathInfos[pr.PairIdx]
+		info.Pair = pr.Pair
+		info.Nodes = append(info.Nodes[:0], pr.Nodes...)
+		info.TotalKM = pr.TotalKM
 		info.Ducts = info.Ducts[:0]
-		for _, e := range pr.ducts {
+		for _, e := range pr.Ducts {
 			info.Ducts = append(info.Ducts, e.ID)
 		}
 		info.AmpNodes = info.AmpNodes[:0]
@@ -810,9 +535,9 @@ func (p *Planner) recordBasePaths(recs []pathRec) {
 		}
 		info.Bypassed = append(info.Bypassed[:0], pr.bypass...)
 		slices.Sort(info.Bypassed)
-		info.CutDucts = append(info.CutDucts[:0], pr.cutDucts...)
+		info.CutDucts = append(info.CutDucts[:0], pr.CutDucts...)
 		slices.Sort(info.CutDucts)
-		p.pathsOut[pr.pair] = info
+		p.pathsOut[pr.Pair] = info
 	}
 }
 

@@ -166,3 +166,31 @@ func TestPlannerSteadyStateZeroAlloc(t *testing.T) {
 		t.Fatalf("warmed Planner.Plan allocated %v per run, want 0", avg)
 	}
 }
+
+// A warmed Evaluator must route and load scenarios without allocating:
+// the failure-free scenario, every single cut and a run of double cuts,
+// all on slabs and a hose-load memo the first pass filled.
+func TestEvaluatorSteadyStateZeroAlloc(t *testing.T) {
+	in := arenaInput(t, 1, 6, 8, 1)
+	ev := NewEvaluator(in)
+	edges := ev.Base().Edges()
+	sweep := func() {
+		ev.Route()
+		ev.Load(nil, nil)
+		for i, e := range edges {
+			ev.Cut.Push(e.ID)
+			ev.Route()
+			ev.Load(nil, nil)
+			second := edges[(i+1)%len(edges)].ID
+			ev.Cut.Push(second)
+			ev.Route()
+			ev.Load(nil, nil)
+			ev.Cut.Pop(second)
+			ev.Cut.Pop(e.ID)
+		}
+	}
+	sweep()
+	if avg := testing.AllocsPerRun(5, sweep); avg != 0 {
+		t.Fatalf("warmed Evaluator allocated %v per sweep, want 0", avg)
+	}
+}

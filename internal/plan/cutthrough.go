@@ -1,9 +1,6 @@
 package plan
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // placeCutThroughs resolves reconfiguration-budget violations (TC4: too
 // many optical switch traversals on a path) by building cut-through links:
@@ -42,7 +39,7 @@ func (p *Planner) placeCutThroughs(recs []pathRec) error {
 			for _, ri := range pend {
 				pr := &recs[ri]
 				p.plan.Viol = append(p.plan.Viol, fmt.Sprintf(
-					"pair %d-%d: no cut-through can satisfy TC4", pr.pair.A, pr.pair.B))
+					"pair %d-%d: no cut-through can satisfy TC4", pr.Pair.A, pr.Pair.B))
 			}
 			return nil
 		}
@@ -74,7 +71,7 @@ func (p *Planner) placeCutThroughs(recs []pathRec) error {
 			}
 			for _, d := range ducts {
 				if !pr.onCutThrough(int(d)) {
-					pr.cutDucts = append(pr.cutDucts, int(d))
+					pr.CutDucts = append(pr.CutDucts, int(d))
 				}
 			}
 		}
@@ -83,9 +80,9 @@ func (p *Planner) placeCutThroughs(recs []pathRec) error {
 		// maximised across scenarios (the link is physical infrastructure).
 		p.idxBuf = p.idxBuf[:0]
 		for _, ri := range p.ctResolve[best] {
-			p.idxBuf = append(p.idxBuf, recs[ri].pairIdx)
+			p.idxBuf = append(p.idxBuf, recs[ri].PairIdx)
 		}
-		need := int(math.Ceil(p.cachedLoad(p.idxBuf) - 1e-9))
+		need := p.ev.PairsFor(p.idxBuf)
 		id, added := p.ctAll.intern(key)
 		if added {
 			ct := ctRec{
@@ -124,13 +121,13 @@ func (p *Planner) placeCutThroughs(recs []pathRec) error {
 // map-based planner's first-writer-wins behaviour.
 func (p *Planner) cutCandidates(recs []pathRec, ri int32) {
 	pr := &recs[ri]
-	n := len(pr.nodes)
+	n := len(pr.Nodes)
 	for i := 0; i < n-1; i++ {
 		for j := i + 2; j < n; j++ {
 			// Bypass interior nodes strictly between nodes[i] and nodes[j].
 			p.tmpInterior = p.tmpInterior[:0]
 			valid := true
-			for _, v := range pr.nodes[i+1 : j] {
+			for _, v := range pr.Nodes[i+1 : j] {
 				if v == pr.ampNode {
 					valid = false
 					break
@@ -143,9 +140,9 @@ func (p *Planner) cutCandidates(recs []pathRec, ri int32) {
 			if !valid || len(p.tmpInterior) == 0 {
 				continue
 			}
-			p.tmpKey = append(p.tmpKey[:0], int32(pr.nodes[i]), int32(pr.nodes[j]))
+			p.tmpKey = append(p.tmpKey[:0], int32(pr.Nodes[i]), int32(pr.Nodes[j]))
 			for k := i; k < j; k++ {
-				p.tmpKey = append(p.tmpKey, int32(pr.ducts[k].ID))
+				p.tmpKey = append(p.tmpKey, int32(pr.Ducts[k].ID))
 			}
 			id, added := p.ctIter.intern(p.tmpKey)
 			if added {

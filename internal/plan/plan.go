@@ -23,6 +23,7 @@ package plan
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -221,38 +222,18 @@ func New(in Input) (*Plan, error) {
 	return NewPlanner().Plan(in)
 }
 
-// pathRec is the per-scenario routing record for one DC pair. Its slices
-// live in the planner arena and are truncated, not reallocated, between
-// scenarios.
+// pathRec is the planner's per-scenario record for one DC pair: the
+// evaluator's route plus the optical decisions Algorithm 2 and cut-through
+// placement make for it. Its slices live in the planner arena and are
+// truncated, not reallocated, between scenarios.
 type pathRec struct {
-	pair    hose.Pair
-	pairIdx int32 // dense index into the planner's pair table
-	nodes   []int
-	ducts   []graph.Edge
-	totalKM float64
+	*Route
 	ampNode int   // node carrying this path's inline amplifier, or -1
 	bypass  []int // interior nodes bypassed by a cut-through (unordered, unique)
-	// cutDucts lists ducts whose switched base capacity this pair does not
-	// consume because its traffic rides a cut-through fiber there instead.
-	cutDucts []int
 }
 
 func (pr *pathRec) bypassed(v int) bool {
-	for _, b := range pr.bypass {
-		if b == v {
-			return true
-		}
-	}
-	return false
-}
-
-func (pr *pathRec) onCutThrough(duct int) bool {
-	for _, d := range pr.cutDucts {
-		if d == duct {
-			return true
-		}
-	}
-	return false
+	return slices.Contains(pr.bypass, v)
 }
 
 // EvaluatePath re-evaluates the stored failure-free path of a DC pair
@@ -264,15 +245,13 @@ func (pl *Plan) EvaluatePath(pair hose.Pair) (optics.PathEval, bool) {
 		return optics.PathEval{}, false
 	}
 	pr := &pathRec{
-		pair:    info.Pair,
-		nodes:   info.Nodes,
-		totalKM: info.TotalKM,
+		Route:   &Route{Pair: info.Pair, Nodes: info.Nodes, TotalKM: info.TotalKM},
 		ampNode: -1,
 		bypass:  info.Bypassed,
 	}
 	for _, id := range info.Ducts {
 		d := pl.Input.Map.Ducts[id]
-		pr.ducts = append(pr.ducts, graph.Edge{ID: d.ID, U: d.A, V: d.B, W: d.FiberKM})
+		pr.Ducts = append(pr.Ducts, graph.Edge{ID: d.ID, U: d.A, V: d.B, W: d.FiberKM})
 	}
 	if len(info.AmpNodes) > 0 {
 		pr.ampNode = info.AmpNodes[0]

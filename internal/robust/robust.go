@@ -29,6 +29,7 @@ import (
 
 	"iris/internal/core"
 	"iris/internal/hose"
+	"iris/internal/plan"
 	"iris/internal/traffic"
 )
 
@@ -169,8 +170,8 @@ func MaxEnvelope(ms []*traffic.Matrix) map[hose.Pair]float64 {
 	return raw
 }
 
-// Overload is one duct whose leased fiber cannot carry a matrix's
-// worst-case hose load (mirrors the chaos auditor's capacity check).
+// Overload is one duct whose leased fiber cannot carry what a matrix's
+// worst-case hose load requires of it.
 type Overload struct {
 	Duct int `json:"duct"`
 	// Need is the fiber-pairs the matrix's hose worst case requires.
@@ -190,8 +191,8 @@ type Verdict struct {
 	// wavelengths (the dominance check the envelope construction makes
 	// automatic unless clamping cut below the matrix).
 	Uncovered []hose.Pair `json:"uncovered,omitempty"`
-	// Overloads are ducts failing the hose.WorstCaseLoad capacity check;
-	// ResidualOverloads are ducts crossed by more pairs than residual
+	// Overloads are ducts failing the hose capacity check;
+	// ResidualOverloads are ducts with more pair crossings than residual
 	// fibers provisioned.
 	Overloads         []Overload `json:"overloads,omitempty"`
 	ResidualOverloads []Overload `json:"residual_overloads,omitempty"`
@@ -376,32 +377,42 @@ func Provisioned(alloc core.Allocation, lambda int) float64 {
 	return total
 }
 
-// Verify checks each matrix's admissibility under a fixed allocation,
-// mirroring the chaos auditor's provisioning rule. Two independent
-// checks per matrix:
+// Verify checks each matrix's admissibility under a fixed allocation. Two
+// independent checks per matrix:
 //
 //   - coverage: every pair's demand fits the wavelengths the allocation
 //     provisions for it (circuits are dedicated per pair, so coverage is
 //     exactly per-pair dominance up to the allocator's ceiling);
-//   - capacity: per crossed duct, the worst-case hose-model load of the
-//     crossing pairs — hose.WorstCaseLoad with the matrix's own per-DC
-//     aggregates as hose caps, plus the multi-crossing surcharge for hub
-//     walks — must fit the base plus cut-through fiber leased there, and
-//     the crossing-pair count must fit the residual fibers.
+//   - capacity: the plan's provisioning rule (plan.Evaluator.Load) applied
+//     to the failure-free routes of the pairs the matrix loads, with the
+//     matrix's own per-DC aggregates as hose caps — per crossed duct the
+//     need must fit the base plus cut-through fiber leased there, and the
+//     crossings the residual fibers.
+//
+// The failure-free scenario is routed once per call; each matrix only
+// changes the caps and the active pair set.
 func Verify(dep *core.Deployment, alloc core.Allocation, ms []*traffic.Matrix) []Verdict {
 	lambda := dep.Region.Lambda
+	ev := plan.NewEvaluator(dep.Plan.Input)
+	routed := make([]bool, ev.NumPairs())
+	for _, r := range ev.Route() {
+		routed[r.PairIdx] = true
+	}
+	capsF := make([]float64, len(ev.DCs()))
+	active := make([]bool, ev.NumPairs())
+
 	out := make([]Verdict, len(ms))
 	for i, m := range ms {
 		v := Verdict{Index: i, Admissible: true}
 
 		// Per-DC aggregates in fiber units: the hose caps this matrix
 		// induces for the worst-case load bound.
-		capsF := make(map[int]float64)
-		for dc, agg := range m.PerDC() {
-			capsF[dc] = agg / float64(lambda)
+		perDC := m.PerDC()
+		for pos, dc := range ev.DCs() {
+			capsF[pos] = perDC[dc] / float64(lambda)
 		}
 
-		crossings := make(map[int]map[hose.Pair]int)
+		clear(active)
 		for p, dm := range m.Demand {
 			if dm <= 0 {
 				continue
@@ -412,49 +423,27 @@ func Verify(dep *core.Deployment, alloc core.Allocation, ms []*traffic.Matrix) [
 				v.Uncovered = append(v.Uncovered, c)
 				v.Admissible = false
 			}
-			info, ok := dep.Plan.Paths[c]
-			if !ok {
+			idx, ok := ev.PairIndex(c)
+			if !ok || !routed[idx] {
 				v.Uncovered = append(v.Uncovered, c)
 				v.Admissible = false
 				continue
 			}
-			for _, duct := range info.Ducts {
-				byPair := crossings[duct]
-				if byPair == nil {
-					byPair = make(map[hose.Pair]int)
-					crossings[duct] = byPair
-				}
-				byPair[c]++
-			}
+			active[idx] = true
 		}
 		sort.Slice(v.Uncovered, func(a, b int) bool { return lessPair(v.Uncovered[a], v.Uncovered[b]) })
 
-		ductIDs := make([]int, 0, len(crossings))
-		for id := range crossings {
-			ductIDs = append(ductIDs, id)
-		}
-		sort.Ints(ductIDs)
-		for _, id := range ductIDs {
-			du := dep.Plan.Ducts[id]
+		for _, l := range ev.Load(capsF, active) {
+			du := dep.Plan.Ducts[l.Duct]
 			if du == nil {
 				continue
 			}
-			byPair := crossings[id]
-			pairs := make([]hose.Pair, 0, len(byPair))
-			extra := 0.0
-			for pair, k := range byPair {
-				pairs = append(pairs, pair)
-				if k > 1 {
-					extra += float64(k-1) * math.Min(capsF[pair.A], capsF[pair.B])
-				}
-			}
-			need := int(math.Ceil(hose.WorstCaseLoad(capsF, pairs) + extra - 1e-9))
-			if have := du.BasePairs + du.CutThroughPairs; need > have {
-				v.Overloads = append(v.Overloads, Overload{Duct: id, Need: need, Have: have})
+			if have := du.BasePairs + du.CutThroughPairs; l.BasePairs > have {
+				v.Overloads = append(v.Overloads, Overload{Duct: l.Duct, Need: l.BasePairs, Have: have})
 				v.Admissible = false
 			}
-			if n, have := len(byPair), du.ResidualPairs; n > have {
-				v.ResidualOverloads = append(v.ResidualOverloads, Overload{Duct: id, Need: n, Have: have})
+			if have := du.ResidualPairs; l.ResidualPairs > have {
+				v.ResidualOverloads = append(v.ResidualOverloads, Overload{Duct: l.Duct, Need: l.ResidualPairs, Have: have})
 				v.Admissible = false
 			}
 		}

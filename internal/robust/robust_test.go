@@ -8,6 +8,7 @@ import (
 	"iris/internal/core"
 	"iris/internal/fibermap"
 	"iris/internal/hose"
+	"iris/internal/plan"
 	"iris/internal/traffic"
 )
 
@@ -269,5 +270,73 @@ func TestProvisioned(t *testing.T) {
 	}
 	if got := Provisioned(alloc, 40); got != 2*40+13+5 {
 		t.Errorf("Provisioned = %v, want %v", got, 2*40+13+5)
+	}
+}
+
+// TestVerifyHubWalkResidualMultiplicity pins Verify's residual rule to
+// the planner's on a centralized plan whose DC-hub-DC walks cross some
+// duct twice: residual need is crossings with multiplicity, the quantity
+// Algorithm 1 provisioned as ResidualPairs, not the number of distinct
+// pairs. With every pair loaded and every duct's residual fiber
+// understated by one, each duct must be reported with need equal to the
+// planner's own figure.
+func TestVerifyHubWalkResidualMultiplicity(t *testing.T) {
+	gcfg := fibermap.DefaultGen()
+	gcfg.Seed = 2
+	m := fibermap.Generate(gcfg)
+	pcfg := fibermap.DefaultPlace()
+	pcfg.Seed, pcfg.N = 2, 5
+	dcs, err := fibermap.PlaceDCs(m, pcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	caps := make(map[int]int)
+	for _, dc := range dcs {
+		caps[dc] = 8
+	}
+	h1, h2 := fibermap.ChooseHubs(m, 5)
+	pl, err := plan.New(plan.Input{Map: m, Capacity: caps, Lambda: 40, MaxFailures: 0, ViaHubs: []int{h1, h2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	planned := make(map[int]int) // duct -> the planner's ResidualPairs
+	distinct := make(map[int]int)
+	for _, info := range pl.Paths {
+		seen := make(map[int]bool)
+		for _, d := range info.Ducts {
+			if !seen[d] {
+				seen[d] = true
+				distinct[d]++
+			}
+		}
+	}
+	doubled := 0
+	for id, du := range pl.Ducts {
+		planned[id] = du.ResidualPairs
+		if du.ResidualPairs > distinct[id] {
+			doubled++
+		}
+		du.ResidualPairs-- // understate what is leased
+	}
+	if doubled == 0 {
+		t.Fatal("no duct is crossed twice by one walk; the case does not cover multiplicity")
+	}
+
+	full := traffic.NewMatrix(m.DCs())
+	for _, p := range full.Pairs() {
+		full.Set(p, 1)
+	}
+	dep := &core.Deployment{Region: core.Region{Map: m, Capacity: caps, Lambda: 40}, Plan: pl}
+	v := Verify(dep, core.Allocation{}, []*traffic.Matrix{full})[0]
+	if len(v.ResidualOverloads) != len(planned) {
+		t.Fatalf("%d residual overloads, want one per planned duct (%d): %+v",
+			len(v.ResidualOverloads), len(planned), v.ResidualOverloads)
+	}
+	for _, o := range v.ResidualOverloads {
+		if o.Need != planned[o.Duct] || o.Have != planned[o.Duct]-1 {
+			t.Errorf("duct %d: residual need %d have %d, planner provisioned %d",
+				o.Duct, o.Need, o.Have, planned[o.Duct])
+		}
 	}
 }

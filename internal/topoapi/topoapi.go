@@ -241,13 +241,9 @@ func (s *Server) handlePaths(w http.ResponseWriter, r *http.Request) {
 			po.Names = append(po.Names, m.Nodes[n].Name)
 		}
 		for i, e := range p.Edges {
-			prov := 0
+			prov, basePairs := 0, 0
 			if du := snap.Dep.Plan.Ducts[e.ID]; du != nil {
-				prov = du.TotalPairs()
-			}
-			base := 0
-			if du := snap.Dep.Plan.Ducts[e.ID]; du != nil {
-				base = du.BasePairs
+				prov, basePairs = du.TotalPairs(), du.BasePairs
 			}
 			po.Hops = append(po.Hops, Hop{
 				Duct:             e.ID,
@@ -257,7 +253,7 @@ func (s *Server) handlePaths(w http.ResponseWriter, r *http.Request) {
 				ProvisionedPairs: prov,
 				UsedFibers:       fibers[e.ID],
 				ResidualUsers:    residual[e.ID],
-				FreePairs:        base - fibers[e.ID],
+				FreePairs:        basePairs - fibers[e.ID],
 			})
 		}
 		out = append(out, po)
@@ -283,14 +279,49 @@ type CriticalDuct struct {
 	MinCutPairs int `json:"min_cut_pairs"`
 }
 
-// strandedDemand sums the demand of pairs split across components of the
-// degraded graph.
-func strandedDemand(base *graph.Graph, cut map[int]bool, demand map[hose.Pair]float64) float64 {
-	comps := base.WithoutEdges(cut).Components()
-	total := 0.0
+// pairDemand is one entry of a demand snapshot.
+type pairDemand struct {
+	pair   hose.Pair
+	demand float64
+}
+
+// stranding answers "how much demand does this cut strand" for one
+// request: the demand snapshot flattened in (A, B) order, so float sums
+// are reproducible where ranging the map is not, and one graph.Cut and
+// label slice reused across every cut set asked about. A cut strands a
+// pair when it separates the pair's endpoints, which needs components of
+// the masked base graph only — no derived graph and no routing.
+type stranding struct {
+	base   *graph.Graph
+	cut    *graph.Cut
+	labels []int
+	demand []pairDemand
+}
+
+func newStranding(base *graph.Graph, demand map[hose.Pair]float64) *stranding {
+	st := &stranding{base: base, cut: graph.NewCut(base), demand: make([]pairDemand, 0, len(demand))}
 	for p, d := range demand {
-		if comps[p.A] != comps[p.B] {
-			total += d
+		st.demand = append(st.demand, pairDemand{pair: p, demand: d})
+	}
+	sort.Slice(st.demand, func(i, j int) bool {
+		a, b := st.demand[i].pair, st.demand[j].pair
+		if a.A != b.A {
+			return a.A < b.A
+		}
+		return a.B < b.B
+	})
+	return st
+}
+
+// stranded sums the demand of pairs split across components when the
+// given ducts (ascending IDs) are cut.
+func (st *stranding) stranded(ducts []int) float64 {
+	st.cut.Set(ducts)
+	st.labels = st.base.ComponentsInto(st.cut.Skip(), st.labels)
+	total := 0.0
+	for _, pd := range st.demand {
+		if st.labels[pd.pair.A] != st.labels[pd.pair.B] {
+			total += pd.demand
 		}
 	}
 	return total
@@ -324,15 +355,16 @@ func (s *Server) handleCritical(w http.ResponseWriter, r *http.Request) {
 
 	// Exhaustive ≤k cut audit: attribute each cut set's stranded demand
 	// to every member duct (worst case per duct).
-	graph.FailureScenarios(ids, k, func(cut map[int]bool) {
+	st := newStranding(base, snap.Demand)
+	graph.FailureScenarios(ids, k, func(cut []int) {
 		if len(cut) == 0 {
 			return
 		}
-		stranded := strandedDemand(base, cut, snap.Demand)
+		stranded := st.stranded(cut)
 		if stranded == 0 {
 			return
 		}
-		for id := range cut {
+		for _, id := range cut {
 			row := rows[id]
 			if stranded > row.StrandedDemand {
 				row.StrandedDemand = stranded
@@ -350,18 +382,12 @@ func (s *Server) handleCritical(w http.ResponseWriter, r *http.Request) {
 	for id, du := range snap.Dep.Plan.Ducts {
 		capByDuct[id] = du.TotalPairs()
 	}
-	pairs := make([]hose.Pair, 0, len(snap.Demand))
-	for p, d := range snap.Demand {
-		if d > 0 {
-			pairs = append(pairs, p)
+	pairs := make([]hose.Pair, 0, len(st.demand))
+	for _, pd := range st.demand {
+		if pd.demand > 0 {
+			pairs = append(pairs, pd.pair)
 		}
 	}
-	sort.Slice(pairs, func(i, j int) bool {
-		if pairs[i].A != pairs[j].A {
-			return pairs[i].A < pairs[j].A
-		}
-		return pairs[i].B < pairs[j].B
-	})
 	if len(pairs) > 0 {
 		f := graph.NewFlowNetwork(len(m.Nodes))
 		for _, id := range ids {
@@ -441,7 +467,7 @@ func (s *Server) handleWhatIf(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, map[string]any{
 		"scenario":        sc,
 		"result":          res,
-		"stranded_demand": strandedDemand(base, sc.CutSet(), snap.Demand),
+		"stranded_demand": newStranding(base, snap.Demand).stranded(sc.Ducts),
 	})
 }
 

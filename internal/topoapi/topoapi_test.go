@@ -1,7 +1,11 @@
 package topoapi
 
 import (
+	"bytes"
 	"encoding/json"
+	"fmt"
+	"io"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -9,9 +13,11 @@ import (
 	"time"
 
 	"iris/internal/core"
+	"iris/internal/fibermap"
 	"iris/internal/history"
 	"iris/internal/hose"
 	"iris/internal/plan"
+	"iris/internal/traffic"
 )
 
 func newTestServer(t *testing.T, cfg Config) *httptest.Server {
@@ -263,5 +269,84 @@ func TestOccupancyAccounting(t *testing.T) {
 	}
 	if residual[0] != 1 || residual[4] != 1 || residual[1] != 1 || residual[2] != 0 {
 		t.Fatalf("residual occupancy wrong: %v", residual)
+	}
+}
+
+// staticRegion is the benchmark's read-plane region without a daemon: the
+// seed-1 map with 20 DCs, planned, under a heavy-tailed demand at 0.7
+// utilisation and the allocation for it.
+func staticRegion(tb testing.TB) Snapshot {
+	tb.Helper()
+	gcfg := fibermap.DefaultGen()
+	gcfg.Seed = 1
+	m := fibermap.Generate(gcfg)
+	pcfg := fibermap.DefaultPlace()
+	pcfg.Seed, pcfg.N = 1, 20
+	dcs, err := fibermap.PlaceDCs(m, pcfg)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	caps := make(map[int]int)
+	capsW := make(map[int]float64)
+	for _, dc := range dcs {
+		caps[dc] = 16
+		capsW[dc] = 16 * 40
+	}
+	dep, err := core.Plan(core.Region{Map: m, Capacity: caps, Lambda: 40}, core.Options{MaxFailures: 0})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tm := traffic.HeavyTailed(rand.New(rand.NewSource(1)), m.DCs(), capsW, 0.7)
+	st, err := dep.AllocateState(tm)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return Snapshot{Dep: dep, Alloc: st.Snapshot(), Demand: tm.Demand, Ready: true}
+}
+
+// TestResponsesReproducible: identical requests get byte-identical bodies.
+// Stranded demand is a float sum over the demand snapshot; summed in map
+// order its last digits — and with them the criticality ranking of ducts
+// that strand the same pairs — changed from one request to the next.
+func TestResponsesReproducible(t *testing.T) {
+	snap := staticRegion(t)
+	srv := newTestServer(t, Config{State: func() Snapshot { return snap }})
+	duct := snap.Dep.Plan.Input.Map.Ducts[0].ID
+	for _, path := range []string{"/api/critical?k=2", fmt.Sprintf("/api/whatif?scenario=cut:%d", duct)} {
+		var first []byte
+		for i := 0; i < 20; i++ {
+			res, err := srv.Client().Get(srv.URL + path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			body, err := io.ReadAll(res.Body)
+			res.Body.Close()
+			if err != nil || res.StatusCode != http.StatusOK {
+				t.Fatalf("GET %s: status %d, err %v", path, res.StatusCode, err)
+			}
+			if i == 0 {
+				first = body
+			} else if !bytes.Equal(body, first) {
+				t.Fatalf("GET %s: response %d differs from the first", path, i+1)
+			}
+		}
+	}
+}
+
+// BenchmarkAPICriticalK2 is one exhaustive two-cut criticality request
+// against the static region: 3 829 cut sets over 87 ducts.
+func BenchmarkAPICriticalK2(b *testing.B) {
+	snap := staticRegion(b)
+	mux := http.NewServeMux()
+	New(Config{State: func() Snapshot { return snap }}).Register(mux)
+	req := httptest.NewRequest(http.MethodGet, "/api/critical?k=2", nil)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		w := httptest.NewRecorder()
+		mux.ServeHTTP(w, req)
+		if w.Code != http.StatusOK {
+			b.Fatalf("status %d", w.Code)
+		}
 	}
 }
