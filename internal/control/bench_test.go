@@ -1,0 +1,55 @@
+package control
+
+import "testing"
+
+// BenchmarkWireCodec measures the line protocol's codec on the largest
+// message of a tick: the state reply of a 400-transceiver bank (what the
+// audit fetches from every bank, every tick). Encoding into a reused
+// buffer is gated at zero allocations; decoding allocates the result map
+// and its two typed slices.
+func BenchmarkWireCodec(b *testing.B) {
+	bank := NewTransceiverBank(400, 40)
+	for i := 0; i < 400; i += 3 {
+		bank.tuned[i], bank.enabled[i] = i%40, true
+	}
+	state, err := bank.Handle("state", nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	resp := &Response{ID: 12345, OK: true, Result: state}
+	line, err := appendResponse(nil, resp)
+	if err != nil {
+		b.Fatal(err)
+	}
+
+	b.Run("encode", func(b *testing.B) {
+		buf := make([]byte, 0, 2*len(line))
+		encode := func() {
+			if buf, err = appendResponse(buf[:0], resp); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if allocs := testing.AllocsPerRun(100, encode); allocs != 0 {
+			b.Fatalf("encoding a state reply allocates %.1f times, want 0", allocs)
+		}
+		b.ReportAllocs()
+		b.SetBytes(int64(len(line)))
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			encode()
+		}
+	})
+	b.Run("decode", func(b *testing.B) {
+		b.ReportAllocs()
+		b.SetBytes(int64(len(line)))
+		for i := 0; i < b.N; i++ {
+			var r Response
+			if err := decodeResponse(line, &r); err != nil {
+				b.Fatal(err)
+			}
+			if len(r.Result["tuned"].([]int)) != 400 || len(r.Result["enabled"].([]bool)) != 400 {
+				b.Fatalf("decoded %v", r.Result)
+			}
+		}
+	})
+}

@@ -238,7 +238,7 @@ func TestReconfigureDrainOrdering(t *testing.T) {
 	oss := tb.Devices["hut-oss"].(*OSS)
 	var drainTime, switchTime time.Time
 	for _, e := range xcvr.Log() {
-		if e.Op == "disable" {
+		if e.Op == "disable-batch" {
 			drainTime = e.Time
 		}
 	}

@@ -4,9 +4,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"net"
-	"reflect"
+	"slices"
 	"sort"
+	"strconv"
 	"sync"
 	"time"
 
@@ -98,12 +100,12 @@ func (c *Controller) Call(device, op string, args map[string]any) (map[string]an
 	return res, nil
 }
 
-// tracedCall runs one device RPC under a child span of parent, carrying
-// the device attribution and the deadline outcome. A nil parent (no
-// tracer, or an untraced caller) records nothing and adds no overhead
-// beyond the nil checks.
-func (c *Controller) tracedCall(parent *trace.Span, device, op string, args map[string]any) (map[string]any, error) {
-	sp := parent.Child(op)
+// tracedCall runs one device RPC under a child span of parent named
+// span, carrying the device attribution and the deadline outcome. A nil
+// parent (no tracer, or an untraced caller) records nothing and adds no
+// overhead beyond the nil checks.
+func (c *Controller) tracedCall(parent *trace.Span, span, device, op string, args map[string]any) (map[string]any, error) {
+	sp := parent.Child(span)
 	sp.SetDevice(device)
 	res, err := c.Call(device, op, args)
 	if err != nil {
@@ -131,12 +133,7 @@ func isDeadline(err error) bool {
 func (c *Controller) Devices() []string {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	names := make([]string, 0, len(c.devices))
-	for n := range c.devices {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
+	return sortedDevices(c.devices)
 }
 
 // OSSOp is one space-switch operation.
@@ -194,9 +191,10 @@ type Report struct {
 	Total  time.Duration
 }
 
-// Reconfigure executes the change. Phases run strictly in order;
-// operations within a phase run concurrently (they touch independent
-// devices or independent ports). The first error aborts subsequent phases.
+// Reconfigure executes the change. Phases run strictly in order; within a
+// phase each device receives its operations as one batch RPC, and devices
+// run concurrently. The first error aborts subsequent phases. Report
+// counts operations, not RPCs.
 //
 // When ctx carries a span (trace.ContextWith — the daemon threads its
 // reconfig root through here), each phase becomes a child span with
@@ -262,41 +260,54 @@ func parallel(ctx context.Context, fns []func() error) error {
 	return first
 }
 
-// transceiverPhase executes per-transceiver operations grouped by device:
-// devices run concurrently, while a device's own ops run in sequence —
-// which is how the transport behaves anyway, since one Client serialises
-// its calls. The grouping gives each device one span covering all of its
-// ops in the phase.
-func (c *Controller) transceiverPhase(ctx context.Context, sp *trace.Span, ops []TransceiverOp, op string) error {
-	byDev := make(map[string][]TransceiverOp)
-	for _, o := range ops {
-		byDev[o.Device] = append(byDev[o.Device], o)
+// sortedDevices returns the keys of a per-device grouping in sorted order.
+func sortedDevices[V any](groups map[string]V) []string {
+	names := make([]string, 0, len(groups))
+	for dev := range groups {
+		names = append(names, dev)
 	}
-	fns := make([]func() error, 0, len(byDev))
-	for dev, group := range byDev {
-		dev, group := dev, group
-		fns = append(fns, func() error {
-			dsp := sp.Child(op)
-			dsp.SetDevice(dev)
-			for _, o := range group {
-				args := map[string]any{"idx": o.Idx}
-				if op == "tune" {
-					args["wavelength"] = o.Wavelength
-				}
-				if _, err := c.Call(dev, op, args); err != nil {
-					dsp.Fail(err)
-					if isDeadline(err) {
-						dsp.SetAttr("deadline_exceeded")
-					}
-					dsp.Finish()
-					return err
-				}
-			}
-			dsp.Finish()
-			return nil
-		})
+	sort.Strings(names)
+	return names
+}
+
+// perDevice runs call once per device group, concurrently, issuing the
+// groups in sorted device order, and returns the first error.
+func perDevice[V any](ctx context.Context, groups map[string]V, call func(dev string, group V) error) error {
+	fns := make([]func() error, 0, len(groups))
+	for _, dev := range sortedDevices(groups) {
+		dev, group := dev, groups[dev]
+		fns = append(fns, func() error { return call(dev, group) })
 	}
 	return parallel(ctx, fns)
+}
+
+// transceiverPhase executes one phase's per-transceiver operations (op is
+// "disable", "tune" or "enable") as one batch RPC per bank: banks run
+// concurrently, and a bank applies its batch only if every entry passes
+// its checks. Each bank gets one span, named after the phase's operation,
+// covering its batch.
+func (c *Controller) transceiverPhase(ctx context.Context, sp *trace.Span, ops []TransceiverOp, op string) error {
+	type batch struct{ idxs, wavelengths []int }
+	byDev := make(map[string]*batch)
+	for _, o := range ops {
+		b := byDev[o.Device]
+		if b == nil {
+			b = new(batch)
+			byDev[o.Device] = b
+		}
+		b.idxs = append(b.idxs, o.Idx)
+		if op == "tune" {
+			b.wavelengths = append(b.wavelengths, o.Wavelength)
+		}
+	}
+	return perDevice(ctx, byDev, func(dev string, b *batch) error {
+		args := map[string]any{"idxs": b.idxs}
+		if op == "tune" {
+			args["wavelengths"] = b.wavelengths
+		}
+		_, err := c.tracedCall(sp, op, dev, op+"-batch", args)
+		return err
+	})
 }
 
 // switchPhase executes the OSS operations. Disconnects precede connects so
@@ -305,43 +316,35 @@ func (c *Controller) transceiverPhase(ctx context.Context, sp *trace.Span, ops [
 // settles all of a batch's mirrors in one window — and devices run
 // concurrently.
 func (c *Controller) switchPhase(ctx context.Context, sp *trace.Span, ops []OSSOp) error {
-	discByDev := make(map[string][]int)
-	type xc struct{ in, out int }
-	connByDev := make(map[string][]xc)
+	type batch struct{ ins, outs []int }
+	disc := make(map[string]*batch)
+	conn := make(map[string]*batch)
 	for _, o := range ops {
+		groups := conn
 		if o.Disconnect {
-			discByDev[o.Device] = append(discByDev[o.Device], o.In)
-		} else {
-			connByDev[o.Device] = append(connByDev[o.Device], xc{o.In, o.Out})
+			groups = disc
+		}
+		b := groups[o.Device]
+		if b == nil {
+			b = new(batch)
+			groups[o.Device] = b
+		}
+		b.ins = append(b.ins, o.In)
+		if !o.Disconnect {
+			b.outs = append(b.outs, o.Out)
 		}
 	}
-
-	var disc []func() error
-	for dev, ins := range discByDev {
-		dev, ins := dev, ins
-		disc = append(disc, func() error {
-			_, err := c.tracedCall(sp, dev, "disconnect-batch", map[string]any{"ins": ins})
-			return err
-		})
-	}
-	if err := parallel(ctx, disc); err != nil {
+	err := perDevice(ctx, disc, func(dev string, b *batch) error {
+		_, err := c.tracedCall(sp, "disconnect-batch", dev, "disconnect-batch", map[string]any{"ins": b.ins})
+		return err
+	})
+	if err != nil {
 		return err
 	}
-
-	var conn []func() error
-	for dev, xcs := range connByDev {
-		dev, xcs := dev, xcs
-		conn = append(conn, func() error {
-			ins := make([]int, len(xcs))
-			outs := make([]int, len(xcs))
-			for i, x := range xcs {
-				ins[i], outs[i] = x.in, x.out
-			}
-			_, err := c.tracedCall(sp, dev, "connect-batch", map[string]any{"ins": ins, "outs": outs})
-			return err
-		})
-	}
-	return parallel(ctx, conn)
+	return perDevice(ctx, conn, func(dev string, b *batch) error {
+		_, err := c.tracedCall(sp, "connect-batch", dev, "connect-batch", map[string]any{"ins": b.ins, "outs": b.outs})
+		return err
+	})
 }
 
 func (c *Controller) ampPhase(ctx context.Context, sp *trace.Span, ops []AmpOp) error {
@@ -353,7 +356,7 @@ func (c *Controller) ampPhase(ctx context.Context, sp *trace.Span, ops []AmpOp) 
 			if o.Enable {
 				op = "enable"
 			}
-			_, err := c.tracedCall(sp, o.Device, op, nil)
+			_, err := c.tracedCall(sp, op, o.Device, op, nil)
 			return err
 		})
 	}
@@ -365,11 +368,7 @@ func (c *Controller) fillPhase(ctx context.Context, sp *trace.Span, ops []FillOp
 	for _, o := range ops {
 		o := o
 		fns = append(fns, func() error {
-			chans := make([]any, len(o.Channels))
-			for i, ch := range o.Channels {
-				chans[i] = ch
-			}
-			_, err := c.tracedCall(sp, o.Device, "fill", map[string]any{"channels": chans})
+			_, err := c.tracedCall(sp, "fill", o.Device, "fill", map[string]any{"channels": o.Channels})
 			return err
 		})
 	}
@@ -391,6 +390,24 @@ type Expected struct {
 	Filled map[string][]int
 }
 
+// devices returns every device the expectation names, sorted.
+func (e Expected) devices() []string {
+	seen := make(map[string]bool, len(e.Cross)+len(e.Enabled)+len(e.Tuned)+len(e.Filled))
+	for dev := range e.Cross {
+		seen[dev] = true
+	}
+	for dev := range e.Tuned {
+		seen[dev] = true
+	}
+	for dev := range e.Enabled {
+		seen[dev] = true
+	}
+	for dev := range e.Filled {
+		seen[dev] = true
+	}
+	return sortedDevices(seen)
+}
+
 // Audit fetches every device's state and compares it to the expectation,
 // returning an error describing the first mismatch.
 func (c *Controller) Audit(exp Expected) error {
@@ -401,87 +418,118 @@ func (c *Controller) Audit(exp Expected) error {
 // device-state fetch is recorded as a per-device child, so an audit
 // appears in the flight recorder alongside the reconfiguration it
 // verifies.
+//
+// The audit is a full fetch-and-compare: one "state" RPC to every device
+// the expectation names, in sorted order, and every expected value checked
+// against what the device reported. A reply that is not a well-formed
+// state — a missing field, a value of the wrong type — is a *DeviceError
+// against that device, like a failed call; a well-formed state that
+// differs from intent is a plain mismatch error.
 func (c *Controller) AuditCtx(ctx context.Context, exp Expected) error {
 	sp := trace.FromContext(ctx)
-	for dev, want := range exp.Cross {
-		st, err := c.tracedCall(sp, dev, "state", nil)
+	for _, dev := range exp.devices() {
+		st, err := c.tracedCall(sp, "state", dev, "state", nil)
 		if err != nil {
 			return err
 		}
-		got := make(map[int]int)
-		if cross, ok := st["cross"].(map[string]any); ok {
-			for k, v := range cross {
-				var in int
-				if _, err := fmt.Sscanf(k, "%d", &in); err != nil {
-					return fmt.Errorf("control: audit %s: bad port key %q", dev, k)
-				}
-				got[in] = int(v.(float64))
-			}
-		}
-		if !reflect.DeepEqual(got, want) {
-			return fmt.Errorf("control: audit %s: cross map %v, want %v", dev, got, want)
-		}
-	}
-	for dev, want := range exp.Tuned {
-		st, err := c.tracedCall(sp, dev, "state", nil)
+		mismatch, err := exp.compare(dev, st)
 		if err != nil {
-			return err
+			return &DeviceError{Device: dev, Err: fmt.Errorf("audit: %w", err)}
 		}
-		got := toIntSlice(st["tuned"])
-		if !reflect.DeepEqual(got, want) {
-			return fmt.Errorf("control: audit %s: tuned %v, want %v", dev, got, want)
-		}
-	}
-	for dev, want := range exp.Enabled {
-		st, err := c.tracedCall(sp, dev, "state", nil)
-		if err != nil {
-			return err
-		}
-		got := toBoolSlice(st["enabled"])
-		if !reflect.DeepEqual(got, want) {
-			return fmt.Errorf("control: audit %s: enabled %v, want %v", dev, got, want)
-		}
-	}
-	for dev, want := range exp.Filled {
-		st, err := c.tracedCall(sp, dev, "state", nil)
-		if err != nil {
-			return err
-		}
-		got := toIntSlice(st["filled"])
-		if len(got) == 0 && len(want) == 0 {
-			continue
-		}
-		if !reflect.DeepEqual(got, want) {
-			return fmt.Errorf("control: audit %s: filled %v, want %v", dev, got, want)
+		if mismatch != "" {
+			return fmt.Errorf("control: audit %s: %s", dev, mismatch)
 		}
 	}
 	return nil
 }
 
-func toIntSlice(v any) []int {
-	raw, ok := v.([]any)
-	if !ok {
-		return nil
-	}
-	out := make([]int, len(raw))
-	for i, e := range raw {
-		if f, ok := e.(float64); ok {
-			out[i] = int(f)
+// compare checks one device's reported state against everything the
+// expectation holds for it. It returns a description of the first
+// difference ("" when there is none), or an error when the state itself
+// is malformed.
+func (e Expected) compare(dev string, st map[string]any) (mismatch string, err error) {
+	if want, ok := e.Cross[dev]; ok {
+		got, err := StateCross(st)
+		if err != nil || !maps.Equal(got, want) {
+			return fmt.Sprintf("cross map %v, want %v", got, want), err
 		}
 	}
-	return out
+	if want, ok := e.Tuned[dev]; ok {
+		got, err := StateInts(st, "tuned")
+		if err != nil || !slices.Equal(got, want) {
+			return fmt.Sprintf("tuned %v, want %v", got, want), err
+		}
+	}
+	if want, ok := e.Enabled[dev]; ok {
+		got, err := StateBools(st, "enabled")
+		if err != nil || !slices.Equal(got, want) {
+			return fmt.Sprintf("enabled %v, want %v", got, want), err
+		}
+	}
+	if want, ok := e.Filled[dev]; ok {
+		got, err := StateInts(st, "filled")
+		if err != nil || !slices.Equal(got, want) {
+			return fmt.Sprintf("filled %v, want %v", got, want), err
+		}
+	}
+	return "", nil
 }
 
-func toBoolSlice(v any) []bool {
-	raw, ok := v.([]any)
+// The State* readers take fields out of a device's "state" result as the
+// controller's transport delivers it (wire.go: integer arrays are []int,
+// boolean arrays []bool, objects map[string]any of float64). They are the
+// one place that knows that shape — the audit and fabric.Reconcile both
+// read device state through them — and they reject anything else rather
+// than coerce it: a wrongly typed element read as 0 or false would audit
+// as a drained transceiver.
+
+// StateCross returns an OSS state's cross-connect map, input port to
+// output port.
+func StateCross(st map[string]any) (map[int]int, error) {
+	cross, ok := st["cross"].(map[string]any)
 	if !ok {
-		return nil
+		return nil, fmt.Errorf("state field \"cross\" is %T, want an object", st["cross"])
 	}
-	out := make([]bool, len(raw))
-	for i, e := range raw {
-		if b, ok := e.(bool); ok {
-			out[i] = b
+	out := make(map[int]int, len(cross))
+	for k, v := range cross {
+		// The whole key must be the number in its one canonical spelling:
+		// "1junk" is no port, and "01" beside "1" would be two entries for
+		// one.
+		in, err := strconv.Atoi(k)
+		if err != nil || strconv.Itoa(in) != k {
+			return nil, fmt.Errorf("state field \"cross\": bad port key %q", k)
+		}
+		p, ok := asInt(v)
+		if !ok {
+			return nil, fmt.Errorf("state field \"cross\": port %d maps to %v, want an integer", in, v)
+		}
+		out[in] = p
+	}
+	return out, nil
+}
+
+// StateInts returns an integer-array field of a device state.
+func StateInts(st map[string]any, key string) ([]int, error) {
+	switch v := st[key].(type) {
+	case []int:
+		return v, nil
+	case []any:
+		if len(v) == 0 {
+			return nil, nil
 		}
 	}
-	return out
+	return nil, fmt.Errorf("state field %q is %T, want an array of integers", key, st[key])
+}
+
+// StateBools returns a boolean-array field of a device state.
+func StateBools(st map[string]any, key string) ([]bool, error) {
+	switch v := st[key].(type) {
+	case []bool:
+		return v, nil
+	case []any:
+		if len(v) == 0 {
+			return nil, nil
+		}
+	}
+	return nil, fmt.Errorf("state field %q is %T, want an array of booleans", key, st[key])
 }

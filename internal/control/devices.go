@@ -2,6 +2,7 @@ package control
 
 import (
 	"fmt"
+	"strconv"
 	"sync"
 	"time"
 )
@@ -14,23 +15,64 @@ type LogEntry struct {
 	Note string
 }
 
+// logCap is how many operations a device remembers. A device runs for as
+// long as the daemon does, so its log is a ring: a dense tick writes three
+// entries per bank and two per OSS, which makes this the last forty-odd
+// ticks.
+const logCap = 128
+
+// logRec is one remembered operation with its operands as the device
+// received them; the note is formatted when the log is read, not while
+// the operation runs.
+type logRec struct {
+	at   time.Time
+	op   string
+	a, b []int
+}
+
+func (r logRec) note() string {
+	switch {
+	case r.a == nil:
+		return ""
+	case r.b == nil:
+		return fmt.Sprint(r.a)
+	default: // ports in -> out, or transceivers -> wavelengths
+		return fmt.Sprintf("%v->%v", r.a, r.b)
+	}
+}
+
 // opLog is the shared audit-trail implementation embedded in every device.
 type opLog struct {
-	mu      sync.Mutex
-	entries []LogEntry
+	mu   sync.Mutex
+	ring []logRec // grows to logCap, then the oldest entry is overwritten
+	n    int      // operations recorded since the device started
 }
 
-func (l *opLog) record(op, note string) {
+// record remembers one operation. The operand slices are retained, not
+// copied: callers pass slices nothing modifies afterwards.
+func (l *opLog) record(op string, a, b []int) {
+	rec := logRec{at: time.Now(), op: op, a: a, b: b}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	l.entries = append(l.entries, LogEntry{Time: time.Now(), Op: op, Note: note})
+	if len(l.ring) < logCap {
+		l.ring = append(l.ring, rec)
+	} else {
+		l.ring[l.n%logCap] = rec
+	}
+	l.n++
 }
 
-// Log returns a copy of the device's operation log.
+// Log returns the device's last logCap operations, oldest first.
 func (l *opLog) Log() []LogEntry {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return append([]LogEntry(nil), l.entries...)
+	out := make([]LogEntry, len(l.ring))
+	oldest := l.n - len(l.ring) // operation k sits in slot k % logCap
+	for i := range out {
+		r := l.ring[(oldest+i)%logCap]
+		out[i] = LogEntry{Time: r.at, Op: r.op, Note: r.note()}
+	}
+	return out
 }
 
 // OSS emulates an optical space switch: a port-to-port circuit fabric that
@@ -87,7 +129,7 @@ func (o *OSS) Handle(op string, args map[string]any) (map[string]any, error) {
 		if err := o.connectBatch(ins, outs); err != nil {
 			return nil, err
 		}
-		o.record(op, fmt.Sprintf("%v->%v", ins, outs))
+		o.record(op, ins, outs)
 		return nil, nil
 	case "disconnect-batch":
 		ins, err := argIntSlice(args, "ins")
@@ -99,7 +141,7 @@ func (o *OSS) Handle(op string, args map[string]any) (map[string]any, error) {
 				return nil, err
 			}
 		}
-		o.record(op, fmt.Sprint(ins))
+		o.record(op, ins, nil)
 		return nil, nil
 	case "connect":
 		in, err := argInt(args, "in")
@@ -110,10 +152,11 @@ func (o *OSS) Handle(op string, args map[string]any) (map[string]any, error) {
 		if err != nil {
 			return nil, err
 		}
-		if err := o.connect(in, out); err != nil {
+		ins, outs := []int{in}, []int{out}
+		if err := o.connectBatch(ins, outs); err != nil {
 			return nil, err
 		}
-		o.record(op, fmt.Sprintf("%d->%d", in, out))
+		o.record(op, ins, outs)
 		return nil, nil
 	case "disconnect":
 		in, err := argInt(args, "in")
@@ -123,17 +166,13 @@ func (o *OSS) Handle(op string, args map[string]any) (map[string]any, error) {
 		if err := o.disconnect(in); err != nil {
 			return nil, err
 		}
-		o.record(op, fmt.Sprintf("%d", in))
+		o.record(op, []int{in}, nil)
 		return nil, nil
 	case "state":
 		return map[string]any{"cross": o.CrossMap(), "ports": o.ports}, nil
 	default:
 		return nil, fmt.Errorf("oss: unknown op %q", op)
 	}
-}
-
-func (o *OSS) connect(in, out int) error {
-	return o.connectBatch([]int{in}, []int{out})
 }
 
 // connectBatch validates and reserves every cross-connect under the lock,
@@ -195,7 +234,7 @@ func (o *OSS) CrossMap() map[string]int {
 	defer o.mu.Unlock()
 	out := make(map[string]int, len(o.cross))
 	for in, p := range o.cross {
-		out[fmt.Sprint(in)] = p
+		out[strconv.Itoa(in)] = p
 	}
 	return out
 }
@@ -238,7 +277,7 @@ func (a *Amplifier) Handle(op string, args map[string]any) (map[string]any, erro
 	default:
 		return nil, fmt.Errorf("amp: unknown op %q", op)
 	}
-	a.record(op, "")
+	a.record(op, nil, nil)
 	return nil, nil
 }
 
@@ -276,76 +315,104 @@ func (b *TransceiverBank) Kind() string { return "transceivers" }
 
 // Handle implements Device. Operations:
 //
-//	tune {idx, wavelength} — retune one transceiver (sub-millisecond)
-//	enable {idx} / disable {idx}
+//	disable-batch {idxs}           — drain several transceivers
+//	tune-batch {idxs, wavelengths} — retune several (sub-millisecond each)
+//	enable-batch {idxs}            — undrain several
+//	tune {idx, wavelength}, enable {idx}, disable {idx} — a batch of one
 //	state
+//
+// A batch is all-or-nothing: every entry is checked under the lock —
+// index and wavelength in range, a transceiver disabled (drained) before
+// it is retuned and tuned before it is enabled — and the bank changes
+// only if all of them pass. The controller sends only the batch forms, so
+// a reconfiguration costs one round trip per bank per phase however many
+// transceivers it touches.
 func (b *TransceiverBank) Handle(op string, args map[string]any) (map[string]any, error) {
 	switch op {
-	case "tune":
+	case "tune-batch":
+		idxs, err := argIntSlice(args, "idxs")
+		if err != nil {
+			return nil, err
+		}
+		ws, err := argIntSlice(args, "wavelengths")
+		if err != nil {
+			return nil, err
+		}
+		if len(idxs) != len(ws) {
+			return nil, fmt.Errorf("transceivers: batch length mismatch: %d idxs, %d wavelengths", len(idxs), len(ws))
+		}
+		if err := b.tuneBatch(idxs, ws); err != nil {
+			return nil, err
+		}
+		b.record(op, idxs, ws)
+		return nil, nil
+	case "enable-batch", "disable-batch":
+		idxs, err := argIntSlice(args, "idxs")
+		if err != nil {
+			return nil, err
+		}
+		if err := b.setEnabledBatch(idxs, op == "enable-batch"); err != nil {
+			return nil, err
+		}
+		b.record(op, idxs, nil)
+		return nil, nil
+	case "tune", "enable", "disable":
+		// The single forms are a batch of one, executed and logged as one.
 		idx, err := argInt(args, "idx")
 		if err != nil {
 			return nil, err
 		}
-		w, err := argInt(args, "wavelength")
-		if err != nil {
-			return nil, err
+		batch := map[string]any{"idxs": []int{idx}}
+		if op == "tune" {
+			w, err := argInt(args, "wavelength")
+			if err != nil {
+				return nil, err
+			}
+			batch["wavelengths"] = []int{w}
 		}
-		if err := b.tune(idx, w); err != nil {
-			return nil, err
-		}
-		b.record(op, fmt.Sprintf("%d@%d", idx, w))
-		return nil, nil
-	case "enable", "disable":
-		idx, err := argInt(args, "idx")
-		if err != nil {
-			return nil, err
-		}
-		if err := b.setEnabled(idx, op == "enable"); err != nil {
-			return nil, err
-		}
-		b.record(op, fmt.Sprint(idx))
-		return nil, nil
+		return b.Handle(op+"-batch", batch)
 	case "state":
-		b.mu.Lock()
-		defer b.mu.Unlock()
-		tuned := make([]any, len(b.tuned))
-		enabled := make([]any, len(b.enabled))
-		for i := range b.tuned {
-			tuned[i] = b.tuned[i]
-			enabled[i] = b.enabled[i]
-		}
+		tuned, enabled := b.Snapshot()
 		return map[string]any{"tuned": tuned, "enabled": enabled, "lambda": b.lambda}, nil
 	default:
 		return nil, fmt.Errorf("transceivers: unknown op %q", op)
 	}
 }
 
-func (b *TransceiverBank) tune(idx, w int) error {
+func (b *TransceiverBank) tuneBatch(idxs, ws []int) error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if idx < 0 || idx >= len(b.tuned) {
-		return fmt.Errorf("transceivers: index %d out of range [0,%d)", idx, len(b.tuned))
+	for i, idx := range idxs {
+		if idx < 0 || idx >= len(b.tuned) {
+			return fmt.Errorf("transceivers: index %d out of range [0,%d)", idx, len(b.tuned))
+		}
+		if w := ws[i]; w < -1 || w >= b.lambda {
+			return fmt.Errorf("transceivers: wavelength %d out of range [-1,%d)", w, b.lambda)
+		}
+		if b.enabled[idx] {
+			return fmt.Errorf("transceivers: %d must be disabled (drained) before retuning", idx)
+		}
 	}
-	if w < -1 || w >= b.lambda {
-		return fmt.Errorf("transceivers: wavelength %d out of range [-1,%d)", w, b.lambda)
+	for i, idx := range idxs {
+		b.tuned[idx] = ws[i]
 	}
-	if b.enabled[idx] {
-		return fmt.Errorf("transceivers: %d must be disabled (drained) before retuning", idx)
-	}
-	b.tuned[idx] = w
 	return nil
 }
 
-func (b *TransceiverBank) setEnabled(idx int, on bool) error {
+func (b *TransceiverBank) setEnabledBatch(idxs []int, on bool) error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if idx < 0 || idx >= len(b.enabled) {
-		return fmt.Errorf("transceivers: index %d out of range [0,%d)", idx, len(b.enabled))
+	for _, idx := range idxs {
+		if idx < 0 || idx >= len(b.enabled) {
+			return fmt.Errorf("transceivers: index %d out of range [0,%d)", idx, len(b.enabled))
+		}
+		if on && b.tuned[idx] < 0 {
+			return fmt.Errorf("transceivers: %d cannot enable while untuned", idx)
+		}
 	}
-	if on && b.tuned[idx] < 0 {
-		return fmt.Errorf("transceivers: %d cannot enable while untuned", idx)
+	for _, idx := range idxs {
+		b.enabled[idx] = on
 	}
-	b.enabled[idx] = on
 	return nil
 }
 
@@ -396,18 +463,10 @@ func (e *ChannelEmulator) Handle(op string, args map[string]any) (map[string]any
 		for _, c := range chans {
 			e.filled[c] = true
 		}
-		e.record(op, fmt.Sprint(chans))
+		e.record(op, chans, nil)
 		return nil, nil
 	case "state":
-		e.mu.Lock()
-		defer e.mu.Unlock()
-		var chans []any
-		for c := 0; c < e.lambda; c++ {
-			if e.filled[c] {
-				chans = append(chans, c)
-			}
-		}
-		return map[string]any{"filled": chans, "lambda": e.lambda}, nil
+		return map[string]any{"filled": e.Filled(), "lambda": e.lambda}, nil
 	default:
 		return nil, fmt.Errorf("emulator: unknown op %q", op)
 	}

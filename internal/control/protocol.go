@@ -6,17 +6,17 @@
 //
 // The paper's controller drove vendor hardware over serial, HTTPS and
 // NetConf; this package substitutes emulated device agents served over
-// TCP with a newline-delimited JSON protocol, preserving the control
-// logic, command set and sequencing while making the whole plane testable
-// in-process.
+// TCP with a newline-delimited JSON protocol (wire.go is its codec),
+// preserving the control logic, command set and sequencing while making
+// the whole plane testable in-process.
 package control
 
 import (
 	"bufio"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"sync"
 	"time"
@@ -97,29 +97,56 @@ func Serve(ctx context.Context, l net.Listener, dev Device) error {
 	}
 }
 
-func serveConn(conn net.Conn, dev Device) {
-	scanner := bufio.NewScanner(conn)
-	scanner.Buffer(make([]byte, 0, 64*1024), 1<<20)
-	enc := json.NewEncoder(conn)
-	for scanner.Scan() {
-		var req Request
-		resp := Response{}
-		if err := json.Unmarshal(scanner.Bytes(), &req); err != nil {
-			resp.Error = fmt.Sprintf("malformed request: %v", err)
-		} else {
-			resp.ID = req.ID
-			result, err := handleCommon(dev, req.Op, req.Args)
-			if err != nil {
-				resp.Error = err.Error()
-			} else {
-				resp.OK = true
-				resp.Result = result
-			}
-		}
-		if err := enc.Encode(resp); err != nil {
+// maxLine bounds one protocol line in either direction.
+const maxLine = 1 << 20
+
+func newLineScanner(r io.Reader) *bufio.Scanner {
+	sc := bufio.NewScanner(r)
+	sc.Buffer(make([]byte, 0, 64*1024), maxLine)
+	return sc
+}
+
+// serveConn answers every request line with exactly one response line,
+// until the peer hangs up or sends a line longer than maxLine (which is
+// answered with an error before the connection is dropped: the rest of
+// the stream can no longer be framed).
+func serveConn(rw io.ReadWriter, dev Device) {
+	sc := newLineScanner(rw)
+	var out []byte
+	for sc.Scan() {
+		out = respond(out[:0], sc.Bytes(), dev)
+		if _, err := rw.Write(out); err != nil {
 			return
 		}
 	}
+	if errors.Is(sc.Err(), bufio.ErrTooLong) {
+		out, _ = appendResponse(out[:0], &Response{Error: "malformed request: line too long"})
+		_, _ = rw.Write(out) // the connection is being dropped either way
+	}
+}
+
+// respond appends the response line to one request line.
+func respond(dst, line []byte, dev Device) []byte {
+	var req Request
+	var resp Response
+	if err := decodeRequest(line, &req); err != nil {
+		resp.Error = "malformed request: " + err.Error()
+	} else {
+		resp.ID = req.ID
+		result, err := handleCommon(dev, req.Op, req.Args)
+		if err != nil {
+			resp.Error = err.Error()
+		} else {
+			resp.OK = true
+			resp.Result = result
+		}
+	}
+	out, err := appendResponse(dst, &resp)
+	if err != nil {
+		// The device returned a value the protocol cannot carry.
+		out, _ = appendResponse(dst, &Response{ID: resp.ID, Error: err.Error()})
+	}
+	return out
 }
 
 // handleCommon answers protocol-level operations and delegates the rest to
@@ -154,8 +181,8 @@ type Client struct {
 	dialTimeout time.Duration
 	rpcTimeout  time.Duration
 	conn        net.Conn
-	enc         *json.Encoder
 	sc          *bufio.Scanner
+	wbuf        []byte // request line under construction, reused
 	nextID      int64
 	broken      bool
 	closed      bool
@@ -197,9 +224,7 @@ func (c *Client) redialLocked() error {
 	if err != nil {
 		return fmt.Errorf("control: dial %s: %w", c.addr, err)
 	}
-	sc := bufio.NewScanner(conn)
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
-	c.conn, c.enc, c.sc = conn, json.NewEncoder(conn), sc
+	c.conn, c.sc = conn, newLineScanner(conn)
 	c.broken = false
 	return nil
 }
@@ -229,11 +254,16 @@ func (c *Client) Call(op string, args map[string]any) (map[string]any, error) {
 	}
 	c.nextID++
 	req := Request{ID: c.nextID, Op: op, Args: args}
+	line, err := appendRequest(c.wbuf[:0], &req)
+	if err != nil {
+		return nil, err // nothing was sent: the transport stays usable
+	}
+	c.wbuf = line
 	if c.rpcTimeout > 0 {
 		c.conn.SetDeadline(time.Now().Add(c.rpcTimeout))
 		defer c.conn.SetDeadline(time.Time{})
 	}
-	if err := c.enc.Encode(req); err != nil {
+	if _, err := c.conn.Write(line); err != nil {
 		c.failLocked()
 		return nil, fmt.Errorf("control: send %s: %w", op, err)
 	}
@@ -246,7 +276,7 @@ func (c *Client) Call(op string, args map[string]any) (map[string]any, error) {
 		return nil, fmt.Errorf("control: connection closed during %s", op)
 	}
 	var resp Response
-	if err := json.Unmarshal(c.sc.Bytes(), &resp); err != nil {
+	if err := decodeResponse(c.sc.Bytes(), &resp); err != nil {
 		c.failLocked()
 		return nil, fmt.Errorf("control: decode response to %s: %w", op, err)
 	}
@@ -272,36 +302,51 @@ func (c *Client) Close() error {
 	return c.conn.Close()
 }
 
-// Argument decoding helpers: JSON numbers arrive as float64.
+// Argument decoding helpers. Off the wire a scalar number is a float64
+// and an array of integer literals is an []int (wire.go); a caller in the
+// same process may pass ints directly.
+
+func asInt(v any) (int, bool) {
+	switch n := v.(type) {
+	case int:
+		return n, true
+	case float64:
+		return int(n), n == float64(int(n))
+	}
+	return 0, false
+}
 
 func argInt(args map[string]any, key string) (int, error) {
 	v, ok := args[key]
 	if !ok {
 		return 0, fmt.Errorf("missing argument %q", key)
 	}
-	f, ok := v.(float64)
-	if !ok || f != float64(int(f)) {
+	n, ok := asInt(v)
+	if !ok {
 		return 0, fmt.Errorf("argument %q must be an integer, got %v", key, v)
 	}
-	return int(f), nil
+	return n, nil
 }
 
+// argIntSlice returns an integer-array argument. The slice is the
+// caller's own (the decoder's, off the wire) and is not modified.
 func argIntSlice(args map[string]any, key string) ([]int, error) {
-	v, ok := args[key]
-	if !ok {
+	switch raw := args[key].(type) {
+	case nil:
 		return nil, fmt.Errorf("missing argument %q", key)
-	}
-	raw, ok := v.([]any)
-	if !ok {
-		return nil, fmt.Errorf("argument %q must be an array, got %T", key, v)
-	}
-	out := make([]int, len(raw))
-	for i, e := range raw {
-		f, ok := e.(float64)
-		if !ok || f != float64(int(f)) {
-			return nil, fmt.Errorf("argument %q[%d] must be an integer, got %v", key, i, e)
+	case []int:
+		return raw, nil
+	case []any: // empty, or written with fractions or exponents
+		out := make([]int, len(raw))
+		for i, e := range raw {
+			n, ok := asInt(e)
+			if !ok {
+				return nil, fmt.Errorf("argument %q[%d] must be an integer, got %v", key, i, e)
+			}
+			out[i] = n
 		}
-		out[i] = int(f)
+		return out, nil
+	default:
+		return nil, fmt.Errorf("argument %q must be an array, got %T", key, raw)
 	}
-	return out, nil
 }

@@ -1,0 +1,92 @@
+package fabric
+
+import (
+	"context"
+	"math/rand"
+	"testing"
+
+	"iris/internal/core"
+	"iris/internal/traffic"
+)
+
+// benchRegion is the 20-DC evaluation region (10 fiber-pairs × 40
+// wavelengths per DC, instant switches) with two dense allocations drawn
+// around one heavy-tailed base, so moving between them reconfigures most
+// of the region's devices — the shape of a dense converge tick.
+func benchRegion(b *testing.B) (*Rig, [2]core.Allocation) {
+	b.Helper()
+	rig, err := BringUp(BringUpConfig{Seed: 1, DCs: 20, DCCapacity: 10, Lambda: 40})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(rig.Close)
+	dcs := rig.Dep.Region.Map.DCs()
+	caps := make(map[int]float64)
+	for _, dc := range dcs {
+		caps[dc] = 0.7 * float64(rig.Dep.Region.Capacity[dc]*rig.Dep.Region.Lambda)
+	}
+	rng := rand.New(rand.NewSource(1))
+	base := traffic.HeavyTailed(rng, dcs, caps, 1)
+	var allocs [2]core.Allocation
+	for i := range allocs {
+		m := traffic.NewMatrix(dcs)
+		for _, p := range base.Pairs() {
+			m.Set(p, base.Get(p)*(1+0.4*(2*rng.Float64()-1)))
+		}
+		m.ClampToHose(caps)
+		if allocs[i], err = rig.Dep.Allocate(m); err != nil {
+			b.Fatal(err)
+		}
+	}
+	return rig, allocs
+}
+
+// BenchmarkReconfigureDense measures Controller.Reconfigure alone on a
+// dense change (CompileTarget runs off the clock): a couple of thousand
+// device operations, one RPC per device per phase.
+func BenchmarkReconfigureDense(b *testing.B) {
+	rig, allocs := benchRegion(b)
+	ctx := context.Background()
+	ops := 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		ch, err := rig.Fab.CompileTarget(allocs[i%2])
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		rep, err := rig.Testbed.Controller.Reconfigure(ctx, ch)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, ph := range rep.Phases {
+			ops += ph.Ops
+		}
+	}
+	b.ReportMetric(float64(ops)/float64(b.N), "device-ops/op")
+}
+
+// BenchmarkAuditRegion measures the audit that closes every tick: one
+// full state fetch from each of the region's switches and banks, compared
+// value by value against intent.
+func BenchmarkAuditRegion(b *testing.B) {
+	rig, allocs := benchRegion(b)
+	ch, err := rig.Fab.CompileTarget(allocs[0])
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, err := rig.Testbed.Controller.Reconfigure(context.Background(), ch); err != nil {
+		b.Fatal(err)
+	}
+	exp := rig.Fab.Expected()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := rig.Testbed.Controller.Audit(exp); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(len(exp.Cross)+len(exp.Enabled)), "devices/op")
+}

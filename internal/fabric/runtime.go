@@ -65,7 +65,8 @@ func (c *circuit) clone() *circuit {
 // returns the change that repairs every drifted device — the anti-entropy
 // pass the daemon runs after a reconfiguration fails partway (§5.2's audit
 // turned into repair). states maps device name to that device's "state"
-// result; devices absent from the map are left untouched. The returned
+// result as Controller.Call returns it; devices absent from the map are
+// left untouched, and a malformed state is an error. The returned
 // change follows the usual discipline: drains and disconnects first, then
 // connects, retunes, undrains, so it is safe to hand to
 // Controller.Reconfigure directly.
@@ -98,7 +99,7 @@ func (f *Fabric) Reconcile(states map[string]map[string]any) (control.Change, er
 		if !ok {
 			continue
 		}
-		actual, err := parseCross(st["cross"])
+		actual, err := control.StateCross(st)
 		if err != nil {
 			return control.Change{}, fmt.Errorf("fabric: reconcile %s: %w", name, err)
 		}
@@ -122,8 +123,14 @@ func (f *Fabric) Reconcile(states map[string]map[string]any) (control.Change, er
 		if !ok {
 			continue
 		}
-		tuned := parseIntVec(st["tuned"])
-		actEn := parseBoolVec(st["enabled"])
+		tuned, err := control.StateInts(st, "tuned")
+		if err != nil {
+			return control.Change{}, fmt.Errorf("fabric: reconcile %s: %w", name, err)
+		}
+		actEn, err := control.StateBools(st, "enabled")
+		if err != nil {
+			return control.Change{}, fmt.Errorf("fabric: reconcile %s: %w", name, err)
+		}
 		wantEn := exp.Enabled[name]
 		for idx := range actEn {
 			want := idx < len(wantEn) && wantEn[idx]
@@ -188,79 +195,4 @@ func sortedKeys[V any](m map[int]V) []int {
 	}
 	sort.Ints(out)
 	return out
-}
-
-// State parsing: values arrive either straight from a device's Handle
-// (map[string]int, []int, []bool) or through the JSON transport
-// (map[string]any with float64, []any).
-
-func parseCross(v any) (map[int]int, error) {
-	out := make(map[int]int)
-	switch cross := v.(type) {
-	case nil:
-		return out, nil
-	case map[string]int:
-		for k, p := range cross {
-			in, err := parsePort(k)
-			if err != nil {
-				return nil, err
-			}
-			out[in] = p
-		}
-	case map[string]any:
-		for k, p := range cross {
-			in, err := parsePort(k)
-			if err != nil {
-				return nil, err
-			}
-			f, ok := p.(float64)
-			if !ok {
-				return nil, fmt.Errorf("bad cross value %v", p)
-			}
-			out[in] = int(f)
-		}
-	default:
-		return nil, fmt.Errorf("bad cross map %T", v)
-	}
-	return out, nil
-}
-
-func parsePort(k string) (int, error) {
-	var in int
-	if _, err := fmt.Sscanf(k, "%d", &in); err != nil {
-		return 0, fmt.Errorf("bad port key %q", k)
-	}
-	return in, nil
-}
-
-func parseIntVec(v any) []int {
-	switch vec := v.(type) {
-	case []int:
-		return vec
-	case []any:
-		out := make([]int, len(vec))
-		for i, e := range vec {
-			if f, ok := e.(float64); ok {
-				out[i] = int(f)
-			}
-		}
-		return out
-	}
-	return nil
-}
-
-func parseBoolVec(v any) []bool {
-	switch vec := v.(type) {
-	case []bool:
-		return vec
-	case []any:
-		out := make([]bool, len(vec))
-		for i, e := range vec {
-			if b, ok := e.(bool); ok {
-				out[i] = b
-			}
-		}
-		return out
-	}
-	return nil
 }

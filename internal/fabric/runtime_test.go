@@ -2,8 +2,12 @@ package fabric
 
 import (
 	"context"
+	"math/rand"
+	"strings"
+	"sync"
 	"testing"
 
+	"iris/internal/control"
 	"iris/internal/hose"
 	"iris/internal/traffic"
 )
@@ -164,6 +168,153 @@ func TestBringUpGeneratedRegion(t *testing.T) {
 	for _, name := range rig.Testbed.Controller.Devices() {
 		if _, err := rig.Testbed.Controller.Call(name, "ping", nil); err != nil {
 			t.Fatalf("ping %s: %v", name, err)
+		}
+	}
+}
+
+// opCounter counts the device RPCs of a region by device and op.
+type opCounter struct {
+	mu sync.Mutex
+	n  map[string]map[string]int // device → op → calls
+}
+
+type countedDevice struct {
+	control.Device
+	name string
+	c    *opCounter
+}
+
+func (d countedDevice) Handle(op string, args map[string]any) (map[string]any, error) {
+	d.c.mu.Lock()
+	if d.c.n[d.name] == nil {
+		d.c.n[d.name] = make(map[string]int)
+	}
+	d.c.n[d.name][op]++
+	d.c.mu.Unlock()
+	return d.Device.Handle(op, args)
+}
+
+func (c *opCounter) wrap(name string, dev control.Device) control.Device {
+	return countedDevice{Device: dev, name: name, c: c}
+}
+
+// take returns the calls counted since the last take.
+func (c *opCounter) take() map[string]map[string]int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	n := c.n
+	c.n = make(map[string]map[string]int)
+	return n
+}
+
+// TestReconfigureRPCBudget: on the 20-DC region a reconfiguration costs
+// one RPC per device per phase, however many operations it carries, and
+// the audit that closes it one state fetch per expected device.
+func TestReconfigureRPCBudget(t *testing.T) {
+	counter := &opCounter{n: make(map[string]map[string]int)}
+	rig, err := BringUp(BringUpConfig{Seed: 1, DCs: 20, DCCapacity: 10, Lambda: 40, WrapDevice: counter.wrap})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rig.Close()
+	kinds := make(map[string]int)
+	for _, dev := range rig.Testbed.Devices {
+		kinds[dev.Kind()]++
+	}
+
+	dcs := rig.Dep.Region.Map.DCs()
+	caps := make(map[int]float64)
+	for _, dc := range dcs {
+		caps[dc] = float64(rig.Dep.Region.Capacity[dc] * rig.Dep.Region.Lambda)
+	}
+	tm := traffic.HeavyTailed(rand.New(rand.NewSource(1)), dcs, caps, 0.7)
+	alloc, err := rig.Dep.Allocate(tm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ch, err := rig.Fab.CompileTarget(alloc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ops := len(ch.Drain) + len(ch.Switches) + len(ch.Amps) + len(ch.Retunes) + len(ch.Fills) + len(ch.Undrain)
+	if ops < 1000 {
+		t.Fatalf("the change has %d operations: not a dense commit", ops)
+	}
+	counter.take()
+	rep, err := rig.Testbed.Controller.Reconfigure(context.Background(), ch)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	rpcs := 0
+	for dev, byOp := range counter.take() {
+		for op, n := range byOp {
+			rpcs += n
+			if strings.HasSuffix(dev, "-xcvr") && !strings.HasSuffix(op, "-batch") {
+				t.Errorf("%s received the single-transceiver op %q", dev, op)
+			}
+			if n > 1 {
+				t.Errorf("%s received %q %d times in one reconfiguration", dev, op, n)
+			}
+		}
+	}
+	budget := 3*kinds["transceivers"] + 2*kinds["oss"] + kinds["amp"] + len(ch.Fills)
+	if rpcs == 0 || rpcs > budget {
+		t.Errorf("%d device RPCs for %d operations, budget %d (%v)", rpcs, ops, budget, kinds)
+	}
+	reported := 0
+	for _, ph := range rep.Phases {
+		reported += ph.Ops
+	}
+	if reported != ops {
+		t.Errorf("Report.Phases count %d operations, the change has %d", reported, ops)
+	}
+
+	exp := rig.Fab.Expected()
+	if err := rig.Testbed.Controller.Audit(exp); err != nil {
+		t.Fatal(err)
+	}
+	fetched := counter.take()
+	expected := make(map[string]bool)
+	for dev := range exp.Cross {
+		expected[dev] = true
+	}
+	for dev := range exp.Enabled {
+		expected[dev] = true
+	}
+	for dev := range expected {
+		if got := fetched[dev]; len(got) != 1 || got["state"] != 1 {
+			t.Errorf("audit sent %s %v, want one state fetch", dev, got)
+		}
+	}
+	if len(fetched) != len(expected) {
+		t.Errorf("audit called %d devices, expectation names %d", len(fetched), len(expected))
+	}
+}
+
+// TestReconcileRejectsMalformedState: repair reads device state through
+// the same strict readers as the audit, so a bank reporting garbage is an
+// error, not a bank read as fully drained.
+func TestReconcileRejectsMalformedState(t *testing.T) {
+	rig := toyRig(t)
+	states := deviceStates(t, rig)
+	if _, err := rig.Fab.Reconcile(states); err != nil {
+		t.Fatal(err)
+	}
+	xcvr := rig.Fab.XcvrName(rig.Dep.Region.Map.DCs()[0])
+	good := states[xcvr]["enabled"]
+	states[xcvr]["enabled"] = []any{nil, "on"}
+	if _, err := rig.Fab.Reconcile(states); err == nil {
+		t.Error("reconcile accepted a bank whose enabled vector holds null and a string")
+	}
+	states[xcvr]["enabled"] = good
+	for name, st := range states {
+		if _, ok := st["cross"]; ok {
+			st["cross"] = map[string]any{"1junk": 2.0}
+			if _, err := rig.Fab.Reconcile(states); err == nil {
+				t.Errorf("reconcile accepted %s with port key \"1junk\"", name)
+			}
+			break
 		}
 	}
 }
