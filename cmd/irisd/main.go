@@ -190,7 +190,7 @@ func main() {
 		log.Info("pprof enabled", "path", "/debug/pprof/")
 	}
 
-	srv := &http.Server{Addr: *listen, Handler: mux}
+	srv := daemon.NewHTTPServer(*listen, mux)
 	go func() {
 		log.Info("http surface up",
 			"addr", *listen,

@@ -116,7 +116,7 @@ func main() {
 	}
 	defer f.Close()
 
-	srv := &http.Server{Addr: *listen, Handler: f.Handler()}
+	srv := daemon.NewHTTPServer(*listen, f.Handler())
 	go func() {
 		log.Info("fleet http surface up",
 			"addr", *listen,

@@ -25,6 +25,7 @@ import (
 	"iris/internal/fibermap"
 	"iris/internal/hose"
 	"iris/internal/logging"
+	"iris/internal/parallel"
 )
 
 // logger carries irisplan's structured logs; the plan report stays on
@@ -45,7 +46,7 @@ func main() {
 		capacity = flag.Int("capacity", 16, "per-DC capacity in fiber-pairs")
 		lambda   = flag.Int("lambda", 40, "wavelengths per fiber")
 		failures = flag.Int("failures", 2, "fiber-cut tolerance")
-		parallel = flag.Int("parallel", 0, "worker count for -seeds planning: 0 = GOMAXPROCS, 1 = serial")
+		workers  = flag.Int("parallel", 0, "worker count for -seeds planning: 0 = GOMAXPROCS, 1 = serial")
 		load     = flag.String("load", "", "plan a region loaded from a JSON file instead of generating one")
 		save     = flag.String("save", "", "write the region (generated or loaded) to a JSON file")
 		verbose  = flag.Bool("v", false, "print per-duct and per-path detail")
@@ -65,7 +66,7 @@ func main() {
 		if *toy || *load != "" || *save != "" {
 			fatal("bad flags", errors.New("-seeds cannot be combined with -toy, -load, or -save"))
 		}
-		if err := planSeeds(*seeds, *dcs, *capacity, *lambda, *failures, *parallel, *verbose); err != nil {
+		if err := planSeeds(*seeds, *dcs, *capacity, *lambda, *failures, *workers, *verbose); err != nil {
 			fatal("multi-seed planning failed", err)
 		}
 		return
@@ -93,9 +94,11 @@ func main() {
 	printDeployment(dep, *verbose)
 }
 
-// planSeeds builds one region per listed seed and plans them all through
-// core.PlanMany, printing each deployment in seed order.
-func planSeeds(list string, dcs, capacity, lambda, failures, parallel int, verbose bool) error {
+// planSeeds builds one region per listed seed and plans them concurrently,
+// at most workers at a time, printing each deployment in seed order.
+// Planning a region is deterministic, so the output does not depend on
+// workers.
+func planSeeds(list string, dcs, capacity, lambda, failures, workers int, verbose bool) error {
 	var regions []core.Region
 	var seedVals []int64
 	for _, field := range strings.Split(list, ",") {
@@ -110,7 +113,15 @@ func planSeeds(list string, dcs, capacity, lambda, failures, parallel int, verbo
 		seedVals = append(seedVals, s)
 		regions = append(regions, region)
 	}
-	deps, err := core.PlanMany(regions, core.Options{MaxFailures: failures, Parallelism: parallel})
+	deps := make([]*core.Deployment, len(regions))
+	err := parallel.ForEach(len(regions), workers, func(i int) error {
+		dep, err := core.Plan(regions[i], core.Options{MaxFailures: failures})
+		if err != nil {
+			return fmt.Errorf("seed %d: %w", seedVals[i], err)
+		}
+		deps[i] = dep
+		return nil
+	})
 	if err != nil {
 		return err
 	}
@@ -229,12 +240,7 @@ func printDeployment(dep *core.Deployment, verbose bool) {
 	for p := range pl.Paths {
 		pairs = append(pairs, p)
 	}
-	sort.Slice(pairs, func(i, j int) bool {
-		if pairs[i].A != pairs[j].A {
-			return pairs[i].A < pairs[j].A
-		}
-		return pairs[i].B < pairs[j].B
-	})
+	hose.SortPairs(pairs)
 	for _, p := range pairs {
 		info := pl.Paths[p]
 		fmt.Printf("  %s → %s: %.1f km, %d hops", m.Nodes[p.A].Name, m.Nodes[p.B].Name,

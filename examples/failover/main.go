@@ -11,9 +11,9 @@ import (
 	"log"
 	"math"
 
+	"iris/internal/core"
 	"iris/internal/fibermap"
 	"iris/internal/graph"
-	"iris/internal/plan"
 )
 
 func main() {
@@ -34,14 +34,16 @@ func main() {
 		caps[dc] = 8
 	}
 
-	tolerant, err := plan.New(plan.Input{Map: m, Capacity: caps, Lambda: 40, MaxFailures: 2})
+	region := core.Region{Map: m, Capacity: caps, Lambda: 40}
+	tolerantDep, err := core.Plan(region, core.Options{MaxFailures: 2})
 	if err != nil {
 		log.Fatal(err)
 	}
-	fragile, err := plan.New(plan.Input{Map: m, Capacity: caps, Lambda: 40, MaxFailures: 0})
+	fragileDep, err := core.Plan(region, core.Options{MaxFailures: 0})
 	if err != nil {
 		log.Fatal(err)
 	}
+	tolerant, fragile := tolerantDep.Plan, fragileDep.Plan
 	fmt.Printf("6-DC region: 2-cut-tolerant plan leases %d fiber-pairs, fragile plan %d\n",
 		tolerant.TotalFiberPairs(), fragile.TotalFiberPairs())
 

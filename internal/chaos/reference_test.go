@@ -271,12 +271,7 @@ func (a *refAuditor) worstPairThroughput(cut map[int]bool, pairs []hose.Pair) fl
 // cachedLoad memoises hose.WorstCaseLoad over the plan's DC capacities,
 // keyed by the sorted pair-set signature.
 func (a *refAuditor) cachedLoad(pairs []hose.Pair) float64 {
-	sort.Slice(pairs, func(i, j int) bool {
-		if pairs[i].A != pairs[j].A {
-			return pairs[i].A < pairs[j].A
-		}
-		return pairs[i].B < pairs[j].B
-	})
+	hose.SortPairs(pairs)
 	key := make([]byte, 0, 4*len(pairs))
 	for _, pr := range pairs {
 		key = append(key,

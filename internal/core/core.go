@@ -17,13 +17,9 @@
 package core
 
 import (
-	"fmt"
-	"sort"
-
 	"iris/internal/cost"
 	"iris/internal/fibermap"
 	"iris/internal/hose"
-	"iris/internal/parallel"
 	"iris/internal/plan"
 	"iris/internal/trace"
 	"iris/internal/traffic"
@@ -45,12 +41,8 @@ type Options struct {
 	// Prices overrides the component catalog; zero value means the
 	// paper's §3.3 prices.
 	Prices cost.Catalog
-	// Parallelism bounds how many regions PlanMany plans concurrently:
-	// 0 means GOMAXPROCS, 1 is fully serial. Plan ignores it.
-	Parallelism int
 	// Span, when non-nil, receives the planner's per-stage child spans
-	// (see plan.Input.Span). PlanMany ignores it: concurrent regions
-	// would interleave children under one parent.
+	// (see plan.Input.Span).
 	Span *trace.Span
 }
 
@@ -66,9 +58,9 @@ type Deployment struct {
 }
 
 // DefaultOptions returns the paper's operational planning defaults: the
-// §4 duct-cut tolerance of 2, the §3.3 price catalog (selected by the zero
-// Prices), and fully parallel PlanMany. Mutate the returned struct to
-// deviate, matching the Default* construction idiom used module-wide.
+// §4 duct-cut tolerance of 2 and the §3.3 price catalog (selected by the
+// zero Prices). Mutate the returned struct to deviate, matching the
+// Default* construction idiom used module-wide.
 func DefaultOptions() Options {
 	return Options{MaxFailures: 2}
 }
@@ -79,29 +71,6 @@ func DefaultOptions() Options {
 // instead and amortize the workspace across calls.
 func Plan(region Region, opts Options) (*Deployment, error) {
 	return NewSolver(opts).Solve(region)
-}
-
-// PlanMany plans several regions, fanning them out across
-// Options.Parallelism workers, each with its own Solver. Deployments are
-// returned in input order regardless of scheduling; planning each region
-// is deterministic, so a parallel run returns exactly what a serial one
-// would. On failure the error names the lowest-index failing region and
-// no deployments are returned.
-func PlanMany(regions []Region, opts Options) ([]*Deployment, error) {
-	opts.Span = nil // concurrent regions would interleave children under one parent
-	deps := make([]*Deployment, len(regions))
-	err := parallel.ForEach(len(regions), opts.Parallelism, func(i int) error {
-		dep, err := Plan(regions[i], opts)
-		if err != nil {
-			return fmt.Errorf("region %d: %w", i, err)
-		}
-		deps[i] = dep
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return deps, nil
 }
 
 // Allocation is a fiber-granularity circuit assignment for one traffic
@@ -156,144 +125,4 @@ func (d *Deployment) Allocate(m *traffic.Matrix) (Allocation, error) {
 		return Allocation{}, err
 	}
 	return st.alloc, nil
-}
-
-// allocFull is the from-scratch solver shared by Allocate, AllocateState
-// and the delta engine's fallback path: it books every pair of the matrix
-// into a fresh AllocState and validates the hose model and the provisioned
-// duct capacities.
-func (d *Deployment) allocFull(m *traffic.Matrix) (*AllocState, error) {
-	lambda := d.Region.Lambda
-	// Hose feasibility: each DC's aggregate demand within its capacity.
-	use := m.PerDC()
-	for dc, agg := range use {
-		capW := float64(d.Region.Capacity[dc] * lambda)
-		if agg > capW+1e-9 {
-			return nil, fmt.Errorf(
-				"core: DC %d aggregate demand %.1f wavelengths exceeds capacity %.0f",
-				dc, agg, capW)
-		}
-	}
-
-	st := &AllocState{
-		dep: d,
-		dcs: append([]int(nil), m.DCs...),
-		alloc: Allocation{
-			Fibers:   make(map[hose.Pair]int),
-			Residual: make(map[hose.Pair]int),
-		},
-		demand:         make(map[hose.Pair]float64),
-		perDC:          use,
-		fibersByDuct:   make(map[int]int),
-		residualByDuct: make(map[int]int),
-	}
-	for _, p := range m.Pairs() {
-		demand := m.Get(p)
-		if demand == 0 {
-			continue
-		}
-		p = p.Canonical()
-		info, ok := d.Plan.Paths[p]
-		if !ok {
-			return nil, fmt.Errorf("core: no planned path for pair %d-%d", p.A, p.B)
-		}
-		full, rem := pairCircuits(demand, lambda)
-		st.demand[p] = demand
-		st.alloc.Fibers[p] = full
-		st.alloc.Residual[p] = rem
-		for _, duct := range info.Ducts {
-			// Ducts covered by this pair's cut-through carry its traffic
-			// on the dedicated cut-through fiber, not base capacity.
-			if !inSortedInts(info.CutDucts, duct) {
-				st.fibersByDuct[duct] += full
-			}
-			if rem > 0 {
-				st.residualByDuct[duct]++
-			}
-		}
-	}
-	for duct, used := range st.fibersByDuct {
-		du := d.Plan.Ducts[duct]
-		if du == nil || used > du.BasePairs {
-			base := 0
-			if du != nil {
-				base = du.BasePairs
-			}
-			return nil, fmt.Errorf(
-				"core: duct %d needs %d full fibers, provisioned %d", duct, used, base)
-		}
-	}
-	for duct, used := range st.residualByDuct {
-		du := d.Plan.Ducts[duct]
-		if du == nil || used > du.ResidualPairs {
-			res := 0
-			if du != nil {
-				res = du.ResidualPairs
-			}
-			return nil, fmt.Errorf(
-				"core: duct %d needs %d residual fibers, provisioned %d", duct, used, res)
-		}
-	}
-	return st, nil
-}
-
-// Move is one pair whose circuit assignment changes between two
-// allocations — the unit of reconfiguration work.
-type Move struct {
-	Pair hose.Pair
-	// FibersDelta is the change in dedicated fibers (signed).
-	FibersDelta int
-	// FracAffected is the fraction of the pair's old capacity that is
-	// unavailable during the fiber switch — what the flow simulator
-	// models as a Dip.
-	FracAffected float64
-}
-
-// Diff returns the moves needed to go from an old allocation to a new
-// one, in deterministic pair order. Pairs with unchanged fiber counts do
-// not appear: residual-wavelength changes retune transceivers (sub-
-// millisecond) without switching fibers (§5.2).
-func Diff(oldA, newA Allocation) []Move {
-	pairSet := make(map[hose.Pair]bool)
-	for p := range oldA.Fibers {
-		pairSet[p] = true
-	}
-	for p := range newA.Fibers {
-		pairSet[p] = true
-	}
-	pairs := make([]hose.Pair, 0, len(pairSet))
-	for p := range pairSet {
-		pairs = append(pairs, p)
-	}
-	sort.Slice(pairs, func(i, j int) bool {
-		if pairs[i].A != pairs[j].A {
-			return pairs[i].A < pairs[j].A
-		}
-		return pairs[i].B < pairs[j].B
-	})
-
-	var moves []Move
-	for _, p := range pairs {
-		oldF, newF := oldA.Fibers[p], newA.Fibers[p]
-		if oldF == newF {
-			continue
-		}
-		delta := newF - oldF
-		// Capacity affected during the switch: only circuits being torn
-		// down carry traffic that must drain (§5.2); fibers joining a
-		// growing circuit were idle, so existing capacity is untouched.
-		frac := 0.0
-		if delta < 0 {
-			denom := oldF
-			if denom < 1 {
-				denom = 1
-			}
-			frac = float64(-delta) / float64(denom)
-			if frac > 1 {
-				frac = 1
-			}
-		}
-		moves = append(moves, Move{Pair: p, FibersDelta: delta, FracAffected: frac})
-	}
-	return moves
 }

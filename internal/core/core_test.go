@@ -231,56 +231,6 @@ func TestAllocateRejectsUnplannedPair(t *testing.T) {
 	}
 }
 
-func TestPlanManyMatchesPlan(t *testing.T) {
-	var regions []Region
-	for seed := int64(1); seed <= 3; seed++ {
-		gcfg := fibermap.DefaultGen()
-		gcfg.Seed = seed
-		m := fibermap.Generate(gcfg)
-		pcfg := fibermap.DefaultPlace()
-		pcfg.Seed, pcfg.N = seed+1, 5
-		placed, err := fibermap.PlaceDCs(m, pcfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		caps := make(map[int]int, len(placed))
-		for _, dc := range placed {
-			caps[dc] = 8
-		}
-		regions = append(regions, Region{Map: m, Capacity: caps, Lambda: 40})
-	}
-
-	opts := Options{MaxFailures: 1, Parallelism: 3}
-	deps, err := PlanMany(regions, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(deps) != len(regions) {
-		t.Fatalf("deps = %d, want %d", len(deps), len(regions))
-	}
-	for i, region := range regions {
-		want, err := Plan(region, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if deps[i] == nil || deps[i].Iris.Total() != want.Iris.Total() ||
-			deps[i].EPS.Total() != want.EPS.Total() ||
-			deps[i].Plan.TotalFiberPairs() != want.Plan.TotalFiberPairs() {
-			t.Errorf("region %d: parallel deployment differs from serial Plan", i)
-		}
-	}
-}
-
-func TestPlanManyNamesFailingRegion(t *testing.T) {
-	good, _ := toyRegion()
-	bad := good
-	bad.Lambda = -1
-	if _, err := PlanMany([]Region{good, bad}, Options{Parallelism: 2}); err == nil ||
-		!strings.Contains(err.Error(), "region 1") {
-		t.Fatalf("err = %v, want it to name region 1", err)
-	}
-}
-
 func TestAllocationEqual(t *testing.T) {
 	p := hose.Pair{A: 1, B: 2}
 	q := hose.Pair{A: 1, B: 3}

@@ -1,9 +1,11 @@
 package core
 
 import (
+	"slices"
 	"sort"
 
 	"iris/internal/hose"
+	"iris/internal/plan"
 )
 
 // PairDelta records how one DC pair's circuit assignment changed between
@@ -24,11 +26,10 @@ type PairDelta struct {
 // Pair returns the canonical DC pair the delta is about.
 func (d PairDelta) Pair() hose.Pair { return hose.Pair{A: d.A, B: d.B}.Canonical() }
 
-// DiffAlloc returns the per-pair changes from oldA to newA, in
-// deterministic pair order. Unlike Diff (which reports only fiber moves,
-// the unit of reconfiguration work), DiffAlloc also reports residual-
-// wavelength changes, because the history lake needs enough to reproduce
-// the allocation, not just the work done.
+// DiffAlloc returns the per-pair changes from oldA to newA, in pair order.
+// It is the one allocation diff: it reports residual-wavelength changes as
+// well as fiber moves, because the history lake needs enough to reproduce
+// the allocation; Moves projects it onto the reconfiguration work.
 func DiffAlloc(oldA, newA Allocation) []PairDelta {
 	pairSet := make(map[hose.Pair]bool)
 	for p := range oldA.Fibers {
@@ -47,12 +48,7 @@ func DiffAlloc(oldA, newA Allocation) []PairDelta {
 	for p := range pairSet {
 		pairs = append(pairs, p)
 	}
-	sort.Slice(pairs, func(i, j int) bool {
-		if pairs[i].A != pairs[j].A {
-			return pairs[i].A < pairs[j].A
-		}
-		return pairs[i].B < pairs[j].B
-	})
+	hose.SortPairs(pairs)
 
 	var deltas []PairDelta
 	for _, p := range pairs {
@@ -106,6 +102,90 @@ func ApplyDeltas(a Allocation, deltas []PairDelta) Allocation {
 	return out
 }
 
+// Move is one pair whose circuit assignment changes between two
+// allocations — the unit of reconfiguration work.
+type Move struct {
+	Pair hose.Pair
+	// FibersDelta is the change in dedicated fibers (signed).
+	FibersDelta int
+	// FracAffected is the fraction of the pair's old capacity that is
+	// unavailable during the fiber switch — what the flow simulator
+	// models as a Dip.
+	FracAffected float64
+}
+
+// Moves keeps the pair deltas that switch fibers, in their order. Pairs
+// with unchanged fiber counts do not appear: residual-wavelength changes
+// retune transceivers (sub-millisecond) without switching fibers (§5.2).
+func Moves(deltas []PairDelta) []Move {
+	var moves []Move
+	for _, pd := range deltas {
+		delta := pd.NewFibers - pd.OldFibers
+		if delta == 0 {
+			continue
+		}
+		// Capacity affected during the switch: only circuits being torn
+		// down carry traffic that must drain (§5.2); fibers joining a
+		// growing circuit were idle, so existing capacity is untouched.
+		frac := 0.0
+		if delta < 0 {
+			frac = min(1, float64(-delta)/float64(max(1, pd.OldFibers)))
+		}
+		moves = append(moves, Move{Pair: pd.Pair(), FibersDelta: delta, FracAffected: frac})
+	}
+	return moves
+}
+
+// Diff returns the moves needed to go from an old allocation to a new
+// one, in pair order.
+func Diff(oldA, newA Allocation) []Move { return Moves(DiffAlloc(oldA, newA)) }
+
+// ride books one pair's circuit change onto the ducts of its planned
+// path. It is the only statement of the §4.3 occupancy rule: full fibers
+// occupy base capacity on every duct of the path except those the pair's
+// cut-through covers (there they ride the dedicated cut-through fiber),
+// and the pair's one residual fiber occupies every duct. book receives
+// each duct whose occupancy moves, with the signed change.
+func ride(info *plan.PathInfo, fibers, residual int, book func(duct, fibers, residual int)) {
+	if fibers == 0 && residual == 0 {
+		return
+	}
+	for _, duct := range info.Ducts {
+		f := fibers
+		if f != 0 && slices.Contains(info.CutDucts, duct) {
+			f = 0
+		}
+		if f != 0 || residual != 0 {
+			book(duct, f, residual)
+		}
+	}
+}
+
+// residualUse is a pair's residual-fiber count: one when it carries any
+// residual wavelengths — occupancy counts duct users, not wavelengths.
+func residualUse(wavelengths int) int {
+	if wavelengths > 0 {
+		return 1
+	}
+	return 0
+}
+
+// Occupancy derives per-duct usage from an allocation by the books' own
+// rule: full fiber-pairs in service and residual-fiber users per duct.
+// Pairs with no planned path are skipped. It is what an AllocState that
+// holds the same allocation has on its books.
+func Occupancy(d *Deployment, a Allocation) (fibers, residual map[int]int) {
+	fibers = make(map[int]int)
+	residual = make(map[int]int)
+	for p, info := range d.Plan.Paths {
+		ride(info, a.Fibers[p], residualUse(a.Residual[p]), func(duct, f, r int) {
+			fibers[duct] += f
+			residual[duct] += r
+		})
+	}
+	return fibers, residual
+}
+
 // DuctDelta is the physical-layer view of a reconfiguration: how one
 // duct's occupancy moved — full fiber-pairs in service and residual-fiber
 // users. Signed; zero-change ducts are omitted.
@@ -116,52 +196,30 @@ type DuctDelta struct {
 }
 
 // DuctDeltas projects pair deltas onto the ducts their planned paths
-// ride, using the same occupancy accounting as the live books: full
-// fibers skip ducts covered by the pair's cut-through (those ride the
-// dedicated cut-through fiber), and residual occupancy counts duct users,
-// not wavelengths. Pairs with no planned path (drained unknowns) are
-// skipped. Results are sorted by duct ID.
+// ride, by the books' occupancy rule. Pairs with no planned path (drained
+// unknowns) are skipped. Results are sorted by duct ID.
 func (d *Deployment) DuctDeltas(deltas []PairDelta) []DuctDelta {
 	byDuct := make(map[int]*DuctDelta)
-	touch := func(duct int) *DuctDelta {
+	book := func(duct, f, r int) {
 		dd := byDuct[duct]
 		if dd == nil {
 			dd = &DuctDelta{Duct: duct}
 			byDuct[duct] = dd
 		}
-		return dd
+		dd.Fibers += f
+		dd.Residual += r
 	}
 	for _, pd := range deltas {
-		info, ok := d.Plan.Paths[pd.Pair()]
-		if !ok {
-			continue
-		}
-		fullDiff := pd.NewFibers - pd.OldFibers
-		resDiff := 0
-		if pd.OldResidual > 0 {
-			resDiff--
-		}
-		if pd.NewResidual > 0 {
-			resDiff++
-		}
-		if fullDiff == 0 && resDiff == 0 {
-			continue
-		}
-		for _, duct := range info.Ducts {
-			if fullDiff != 0 && !inSortedInts(info.CutDucts, duct) {
-				touch(duct).Fibers += fullDiff
-			}
-			if resDiff != 0 {
-				touch(duct).Residual += resDiff
-			}
+		if info, ok := d.Plan.Paths[pd.Pair()]; ok {
+			ride(info, pd.NewFibers-pd.OldFibers,
+				residualUse(pd.NewResidual)-residualUse(pd.OldResidual), book)
 		}
 	}
 	out := make([]DuctDelta, 0, len(byDuct))
 	for _, dd := range byDuct {
-		if dd.Fibers == 0 && dd.Residual == 0 {
-			continue
+		if dd.Fibers != 0 || dd.Residual != 0 {
+			out = append(out, *dd)
 		}
-		out = append(out, *dd)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Duct < out[j].Duct })
 	return out

@@ -9,12 +9,12 @@ import (
 	"iris/internal/traffic"
 )
 
-// DefaultDeltaFallbackFrac is the delta-cascade threshold: when more than
-// this fraction of the region's planned DC pairs changed demand,
-// AllocateDelta abandons the incremental path and re-solves from scratch —
-// past that point a full scan touches barely more state than the
-// incremental bookkeeping would.
-const DefaultDeltaFallbackFrac = 0.5
+// fallbackFrac is the delta-cascade threshold: when more than this
+// fraction of the region's planned DC pairs changed demand, AllocateDelta
+// rebuilds the books from empty instead of editing them — past that point
+// a rebuild touches barely more state, and it sheds the rounding the hose
+// aggregates pick up from repeated in-place edits.
+const fallbackFrac = 0.5
 
 // AllocState is an Allocation plus the bookkeeping it was derived from:
 // the demand it satisfies, each DC's aggregate hose usage, and the
@@ -27,21 +27,9 @@ const DefaultDeltaFallbackFrac = 0.5
 // place. It is not safe for concurrent use; callers that publish the
 // contained Allocation elsewhere should hand out Snapshot().
 type AllocState struct {
-	// FallbackFrac overrides DefaultDeltaFallbackFrac when positive.
-	FallbackFrac float64
-
-	dep   *Deployment
-	alloc Allocation
-	dcs   []int
-	// demand holds the nonzero demand per (canonical) pair.
-	demand map[hose.Pair]float64
-	// perDC is each DC's aggregate demand — the hose usage the feasibility
-	// check audits.
-	perDC map[int]float64
-	// fibersByDuct / residualByDuct mirror the occupancy checks of a full
-	// Allocate: full fiber-pairs and residual-fiber users per duct.
-	fibersByDuct   map[int]int
-	residualByDuct map[int]int
+	dep *Deployment
+	dcs []int
+	books
 	// pairIdx/ductPairs are the static reverse index of the plan's paths:
 	// each planned pair gets a dense index, and ductPairs lists the pair
 	// indices riding each duct. The index drives the cascade accounting —
@@ -60,6 +48,27 @@ type AllocState struct {
 	pairGen  []uint32 // per pair index: generation that last marked it
 	aggDCs   []int    // affected DCs, this generation
 	aggDiffs []float64
+}
+
+// books is what an allocation keeps account of. A fallback swaps the whole
+// set for a rebuilt one, and its Undo swaps the old set back.
+type books struct {
+	alloc Allocation
+	// demand holds the nonzero demand per (canonical) pair.
+	demand map[hose.Pair]float64
+	// perDC is each DC's aggregate demand — the hose usage the feasibility
+	// check audits.
+	perDC map[int]float64
+	// fibersByDuct / residualByDuct are the duct occupancy, as ride books
+	// it: full fiber-pairs and residual-fiber users per duct.
+	fibersByDuct   map[int]int
+	residualByDuct map[int]int
+}
+
+// pairDemand is one pair's demand.
+type pairDemand struct {
+	pair   hose.Pair
+	demand float64
 }
 
 // nextGen advances the scratch generation, resetting the stamp buffers on
@@ -83,9 +92,7 @@ func (st *AllocState) nextGen() {
 // markDuct records a duct as touched this generation.
 func (st *AllocState) markDuct(duct int) {
 	if duct >= len(st.ductGen) {
-		grown := make([]uint32, duct+1)
-		copy(grown, st.ductGen)
-		st.ductGen = grown
+		st.ductGen = append(st.ductGen, make([]uint32, duct+1-len(st.ductGen))...)
 	}
 	if st.ductGen[duct] != st.gen {
 		st.ductGen[duct] = st.gen
@@ -113,9 +120,6 @@ func (st *AllocState) Snapshot() Allocation {
 	}
 	return c
 }
-
-// Demand returns the demand the state currently satisfies for a pair.
-func (st *AllocState) Demand(p hose.Pair) float64 { return st.demand[p.Canonical()] }
 
 // DemandMatrix reconstructs the demand matrix the state satisfies.
 func (st *AllocState) DemandMatrix() *traffic.Matrix {
@@ -150,20 +154,12 @@ type DeltaStats struct {
 // implies). The zero Undo is a no-op.
 type Undo struct {
 	st *AllocState
-	// prev holds the old demands of the changed pairs; rollback re-applies
-	// them through the same incremental path.
-	prev traffic.Delta
-	// books holds the wholesale pre-fallback state when the full solver
-	// ran; swap-restore is cheaper than replaying a large delta.
-	books *allocBooks
-}
-
-type allocBooks struct {
-	alloc          Allocation
-	demand         map[hose.Pair]float64
-	perDC          map[int]float64
-	fibersByDuct   map[int]int
-	residualByDuct map[int]int
+	// prev holds the old demands of the changed pairs, in pair order;
+	// rollback re-applies them through the same primitive.
+	prev []pairDemand
+	// books holds the wholesale pre-fallback state when the books were
+	// rebuilt; swap-restore is cheaper than replaying a large delta.
+	books *books
 }
 
 // Rollback restores the state to its books before the AllocateDelta that
@@ -175,33 +171,48 @@ func (u *Undo) Rollback() {
 	}
 	u.st = nil
 	if u.books != nil {
-		st.alloc = u.books.alloc
-		st.demand = u.books.demand
-		st.perDC = u.books.perDC
-		st.fibersByDuct = u.books.fibersByDuct
-		st.residualByDuct = u.books.residualByDuct
+		st.books = *u.books
 		return
 	}
 	// Re-applying the inverse delta restores a state known feasible, so
 	// neither the hose nor the duct audit can fail here.
 	st.nextGen()
-	for p, old := range u.prev.Changes {
-		// The forward pass validated every changed pair's path; the
-		// inverse walk cannot miss.
-		_ = st.applyPairDelta(p, old)
+	for _, pd := range u.prev {
+		st.applyPairDelta(pd.pair, pd.demand)
 	}
 }
 
-// captureBooks moves the live books out of the state (for a fallback undo)
-// without copying.
-func (st *AllocState) captureBooks() *allocBooks {
-	return &allocBooks{
-		alloc:          st.alloc,
-		demand:         st.demand,
-		perDC:          st.perDC,
-		fibersByDuct:   st.fibersByDuct,
-		residualByDuct: st.residualByDuct,
+// allocFull is the from-scratch allocation behind Allocate, AllocateState
+// and the delta engine's fallback: empty books, and the matrix applied to
+// them as one delta.
+func (d *Deployment) allocFull(m *traffic.Matrix) (*AllocState, error) {
+	st := &AllocState{
+		dep: d,
+		dcs: append([]int(nil), m.DCs...),
+		books: books{
+			alloc: Allocation{
+				Fibers:   make(map[hose.Pair]int),
+				Residual: make(map[hose.Pair]int),
+			},
+			demand:         make(map[hose.Pair]float64),
+			perDC:          make(map[int]float64, len(m.DCs)),
+			fibersByDuct:   make(map[int]int),
+			residualByDuct: make(map[int]int),
+		},
+		touched:  make([]int, 0, len(d.Plan.Ducts)),
+		aggDCs:   make([]int, 0, len(m.DCs)),
+		aggDiffs: make([]float64, 0, len(m.DCs)),
 	}
+	changed := make([]hose.Pair, 0, len(m.Demand))
+	for _, p := range m.Pairs() {
+		if p = p.Canonical(); m.Demand[p] != 0 {
+			changed = append(changed, p)
+		}
+	}
+	if err := st.apply(changed, m.Demand); err != nil {
+		return nil, err
+	}
+	return st, nil
 }
 
 // AllocateState runs a full allocation like Allocate but retains the
@@ -221,12 +232,7 @@ func (st *AllocState) buildPairIndex() {
 	for p := range st.dep.Plan.Paths {
 		pairs = append(pairs, p)
 	}
-	sort.Slice(pairs, func(i, j int) bool {
-		if pairs[i].A != pairs[j].A {
-			return pairs[i].A < pairs[j].A
-		}
-		return pairs[i].B < pairs[j].B
-	})
+	hose.SortPairs(pairs)
 	maxDuct := 0
 	for _, p := range pairs {
 		for _, duct := range st.dep.Plan.Paths[p].Ducts {
@@ -252,9 +258,9 @@ func (st *AllocState) buildPairIndex() {
 // names are re-solved, the ducts their circuits ride are re-audited
 // against provisioned capacity (together with the hose feasibility of the
 // affected DCs), and every other pair's books are left untouched. When
-// the delta covers more than FallbackFrac of the region's planned pairs
-// the engine falls back to a from-scratch solve, which is cheaper at that
-// size.
+// the delta covers more than fallbackFrac of the region's planned pairs
+// the engine rebuilds the books from empty instead, which is cheaper at
+// that size, and says so in the returned DeltaStats.
 //
 // On success the state is updated in place and the returned Undo can
 // revert it (for callers whose downstream commit fails). On error the
@@ -275,64 +281,23 @@ func (d *Deployment) AllocateDelta(st *AllocState, delta traffic.Delta) (Undo, D
 	if len(changed) == 0 {
 		return Undo{}, DeltaStats{Incremental: true}, nil
 	}
-	sort.Slice(changed, func(i, j int) bool {
-		if changed[i].A != changed[j].A {
-			return changed[i].A < changed[j].A
-		}
-		return changed[i].B < changed[j].B
-	})
+	hose.SortPairs(changed)
 
-	frac := st.FallbackFrac
-	if frac <= 0 {
-		frac = DefaultDeltaFallbackFrac
-	}
-	if total := len(d.Plan.Paths); float64(len(changed)) > frac*float64(total) {
+	if total := len(d.Plan.Paths); float64(len(changed)) > fallbackFrac*float64(total) {
 		return st.fallbackFull(delta, fmt.Sprintf("delta covers %d of %d pairs", len(changed), total))
 	}
-	st.nextGen()
 
-	// Hose feasibility of the affected DCs, checked before any mutation so
-	// an infeasible delta leaves the state untouched.
-	lambda := d.Region.Lambda
-	for _, p := range changed {
-		diff := delta.Changes[p] - st.demand[p]
-		st.addAggDiff(p.A, diff)
-		st.addAggDiff(p.B, diff)
+	undo := Undo{st: st, prev: make([]pairDemand, len(changed))}
+	for i, p := range changed {
+		undo.prev[i] = pairDemand{p, st.demand[p]}
 	}
-	for i, dc := range st.aggDCs {
-		agg := st.perDC[dc] + st.aggDiffs[i]
-		capW := float64(d.Region.Capacity[dc] * lambda)
-		if agg > capW+1e-9 {
-			return Undo{}, DeltaStats{}, fmt.Errorf(
-				"core: DC %d aggregate demand %.1f wavelengths exceeds capacity %.0f",
-				dc, agg, capW)
-		}
+	if err := st.apply(changed, delta.Changes); err != nil {
+		undo.Rollback()
+		return Undo{}, DeltaStats{}, err
 	}
 
-	// Every changed pair must have a planned path (unless it is being
-	// drained to zero and never carried circuits).
-	for _, p := range changed {
-		if _, ok := d.Plan.Paths[p]; !ok && delta.Changes[p] > 0 {
-			return Undo{}, DeltaStats{}, fmt.Errorf("core: no planned path for pair %d-%d", p.A, p.B)
-		}
-	}
-
-	undo := Undo{st: st, prev: traffic.NewDelta()}
-	for _, p := range changed {
-		undo.prev.Changes[p] = st.demand[p]
-	}
-
-	for _, p := range changed {
-		if err := st.applyPairDelta(p, delta.Changes[p]); err != nil {
-			undo.Rollback()
-			return Undo{}, DeltaStats{}, err
-		}
-	}
-
-	// Re-audit the ducts whose occupancy moved — the incremental
-	// equivalent of Allocate's region-wide provisioning check. Untouched
-	// ducts kept their (previously validated) occupancy.
-	sort.Ints(st.touched)
+	// Cascade accounting: the changed pairs' duct-sharing neighbours are
+	// the pairs whose admissibility the duct audit just re-established.
 	gen := st.gen
 	for _, p := range changed {
 		if idx, ok := st.pairIdx[p]; ok {
@@ -341,21 +306,6 @@ func (d *Deployment) AllocateDelta(st *AllocState, delta traffic.Delta) (Undo, D
 	}
 	revalidated := 0
 	for _, duct := range st.touched {
-		du := d.Plan.Ducts[duct]
-		if used := st.fibersByDuct[duct]; du == nil || used > du.BasePairs {
-			base := 0
-			if du != nil {
-				base = du.BasePairs
-			}
-			undo.Rollback()
-			return Undo{}, DeltaStats{}, fmt.Errorf(
-				"core: duct %d needs %d full fibers, provisioned %d", duct, used, base)
-		}
-		if used := st.residualByDuct[duct]; used > du.ResidualPairs {
-			undo.Rollback()
-			return Undo{}, DeltaStats{}, fmt.Errorf(
-				"core: duct %d needs %d residual fibers, provisioned %d", duct, used, du.ResidualPairs)
-		}
 		for _, idx := range st.ductPairs[duct] {
 			if st.pairGen[idx] != gen {
 				st.pairGen[idx] = gen
@@ -363,7 +313,6 @@ func (d *Deployment) AllocateDelta(st *AllocState, delta traffic.Delta) (Undo, D
 			}
 		}
 	}
-
 	return undo, DeltaStats{
 		Incremental:      true,
 		PairsResolved:    len(changed),
@@ -372,9 +321,75 @@ func (d *Deployment) AllocateDelta(st *AllocState, delta traffic.Delta) (Undo, D
 	}, nil
 }
 
+// apply is the allocator's one primitive: it moves the changed pairs
+// (canonical, in pair order) to their demand in next and checks the three
+// admission rules in a fixed order, so a rejection names the same culprit
+// on every run — the lowest DC over its hose capacity, else the first
+// pair without a planned path, else the lowest duct over its provisioned
+// fiber. The hose and path checks precede any mutation; a duct rejection
+// leaves the books edited and the caller reverts them (or discards a
+// fresh state). A from-scratch allocation is apply on empty books.
+func (st *AllocState) apply(changed []hose.Pair, next map[hose.Pair]float64) error {
+	d := st.dep
+	st.nextGen()
+	for _, p := range changed {
+		diff := next[p] - st.demand[p]
+		st.addAggDiff(p.A, diff)
+		st.addAggDiff(p.B, diff)
+	}
+	over := -1
+	for i, dc := range st.aggDCs {
+		if st.hoseUse(i) > st.hoseCap(dc)+1e-9 && (over < 0 || dc < st.aggDCs[over]) {
+			over = i
+		}
+	}
+	if over >= 0 {
+		dc := st.aggDCs[over]
+		return fmt.Errorf("core: DC %d aggregate demand %.1f wavelengths exceeds capacity %.0f",
+			dc, st.hoseUse(over), st.hoseCap(dc))
+	}
+
+	// Every changed pair must have a planned path (unless it is being
+	// drained to zero and never carried circuits).
+	for _, p := range changed {
+		if _, ok := d.Plan.Paths[p]; !ok && next[p] > 0 {
+			return fmt.Errorf("core: no planned path for pair %d-%d", p.A, p.B)
+		}
+	}
+	for _, p := range changed {
+		st.applyPairDelta(p, next[p])
+	}
+
+	// Re-audit the ducts whose occupancy moved; untouched ducts kept their
+	// (previously validated) occupancy.
+	sort.Ints(st.touched)
+	for _, duct := range st.touched {
+		var base, res int
+		du := d.Plan.Ducts[duct]
+		if du != nil {
+			base, res = du.BasePairs, du.ResidualPairs
+		}
+		if used := st.fibersByDuct[duct]; du == nil || used > base {
+			return fmt.Errorf("core: duct %d needs %d full fibers, provisioned %d", duct, used, base)
+		}
+		if used := st.residualByDuct[duct]; used > res {
+			return fmt.Errorf("core: duct %d needs %d residual fibers, provisioned %d", duct, used, res)
+		}
+	}
+	return nil
+}
+
+// hoseUse is the aggregate demand the i-th affected DC would carry after
+// the delta being applied; hoseCap is a DC's hose capacity in wavelengths.
+func (st *AllocState) hoseUse(i int) float64 { return st.perDC[st.aggDCs[i]] + st.aggDiffs[i] }
+
+func (st *AllocState) hoseCap(dc int) float64 {
+	return float64(st.dep.Region.Capacity[dc] * st.dep.Region.Lambda)
+}
+
 // addAggDiff accumulates one DC's demand diff into the per-call scratch.
-// Affected-DC counts are tiny (2 per changed pair), so a linear scan beats
-// a map.
+// Affected DCs are few (two per changed pair, at most the region's DCs), so
+// a linear scan beats a map.
 func (st *AllocState) addAggDiff(dc int, diff float64) {
 	for i, d := range st.aggDCs {
 		if d == dc {
@@ -386,8 +401,8 @@ func (st *AllocState) addAggDiff(dc int, diff float64) {
 	st.aggDiffs = append(st.aggDiffs, diff)
 }
 
-// fallbackFull re-solves the whole region from the state's demand plus the
-// delta, replacing the books in place so the caller's pointer stays valid.
+// fallbackFull rebuilds the books from the state's demand plus the delta,
+// replacing them in place so the caller's pointer stays valid.
 func (st *AllocState) fallbackFull(delta traffic.Delta, reason string) (Undo, DeltaStats, error) {
 	m := st.DemandMatrix()
 	delta.ApplyTo(m)
@@ -395,13 +410,9 @@ func (st *AllocState) fallbackFull(delta traffic.Delta, reason string) (Undo, De
 	if err != nil {
 		return Undo{}, DeltaStats{}, err
 	}
-	undo := Undo{st: st, books: st.captureBooks()}
-	st.alloc = fresh.alloc
-	st.demand = fresh.demand
-	st.perDC = fresh.perDC
-	st.fibersByDuct = fresh.fibersByDuct
-	st.residualByDuct = fresh.residualByDuct
-	return undo, DeltaStats{FallbackReason: reason, PairsResolved: len(st.dep.Plan.Paths)}, nil
+	old := st.books
+	st.books = fresh.books
+	return Undo{st: st, books: &old}, DeltaStats{FallbackReason: reason, PairsResolved: len(st.dep.Plan.Paths)}, nil
 }
 
 // pairCircuits converts one pair's demand (in wavelengths) to circuits:
@@ -418,37 +429,16 @@ func pairCircuits(demand float64, lambda int) (full, rem int) {
 	return full, rem
 }
 
-// inSortedInts reports membership in a small ascending slice. Cut-duct
-// lists hold at most a handful of entries, so a linear scan beats both a
-// map allocation and binary-search bookkeeping on the hot path.
-func inSortedInts(s []int, v int) bool {
-	for _, x := range s {
-		if x == v {
-			return true
-		}
-		if x > v {
-			return false
-		}
-	}
-	return false
-}
-
 // applyPairDelta moves one pair from its currently booked demand to
 // newDemand: circuit entries, hose aggregates and duct occupancies are all
 // updated, and every duct whose occupancy changed is marked touched for
-// the current generation. The caller validates hose feasibility beforehand
-// and duct capacity afterwards.
-func (st *AllocState) applyPairDelta(p hose.Pair, newDemand float64) error {
+// the current generation. A pair with no planned path has no books to
+// move; apply has rejected it unless it carries nothing before and after.
+func (st *AllocState) applyPairDelta(p hose.Pair, newDemand float64) {
 	oldDemand := st.demand[p]
-	if oldDemand == newDemand {
-		return nil
-	}
 	info, ok := st.dep.Plan.Paths[p]
-	if !ok {
-		if newDemand == 0 && oldDemand == 0 {
-			return nil
-		}
-		return fmt.Errorf("core: no planned path for pair %d-%d", p.A, p.B)
+	if oldDemand == newDemand || !ok {
+		return
 	}
 	lambda := st.dep.Region.Lambda
 	oldFull, oldRem := pairCircuits(oldDemand, lambda)
@@ -465,29 +455,16 @@ func (st *AllocState) applyPairDelta(p hose.Pair, newDemand float64) error {
 	}
 	st.perDC[p.A] += newDemand - oldDemand
 	st.perDC[p.B] += newDemand - oldDemand
+	ride(info, newFull-oldFull, residualUse(newRem)-residualUse(oldRem), st.book)
+}
 
-	fullDiff := newFull - oldFull
-	resDiff := 0
-	if oldRem > 0 {
-		resDiff--
+// book is ride's callback on the live books.
+func (st *AllocState) book(duct, fibers, residual int) {
+	if fibers != 0 {
+		st.fibersByDuct[duct] += fibers
 	}
-	if newRem > 0 {
-		resDiff++
+	if residual != 0 {
+		st.residualByDuct[duct] += residual
 	}
-	if fullDiff == 0 && resDiff == 0 {
-		return nil
-	}
-	for _, duct := range info.Ducts {
-		// Ducts covered by this pair's cut-through carry its traffic on
-		// the dedicated cut-through fiber, not base capacity.
-		if fullDiff != 0 && !inSortedInts(info.CutDucts, duct) {
-			st.fibersByDuct[duct] += fullDiff
-			st.markDuct(duct)
-		}
-		if resDiff != 0 {
-			st.residualByDuct[duct] += resDiff
-			st.markDuct(duct)
-		}
-	}
-	return nil
+	st.markDuct(duct)
 }

@@ -3,21 +3,21 @@ package core
 import (
 	"iris/internal/cost"
 	"iris/internal/plan"
-	"iris/internal/traffic"
 )
 
 // Solver is a reusable planning engine: it owns an arena-backed planner
 // workspace (plan.Planner), a pricing workspace (cost.Calc) and a
-// Deployment it refills on every Solve, so a control loop that re-plans
-// the same region — the daemon's converge loop, the robust envelope
-// solver, the chaos auditor, the fleet scheduler — pays the allocation
-// cost of planning once and then solves allocation-free.
+// Deployment it refills on every Solve, so a loop that re-plans the same
+// region — a sweep over failure tolerances, a what-if study — pays the
+// allocation cost of planning once and then solves allocation-free. A
+// live region does not need one: it plans once at bring-up (core.Plan)
+// and every tick after that allocates against that Deployment.
 //
 // The Deployment returned by Solve aliases the Solver's workspace and is
 // overwritten by the next Solve call; callers that need a result to
 // outlive the next solve must use the package-level Plan, which wraps a
 // throwaway Solver. A Solver is not safe for concurrent use — use one
-// per goroutine (PlanMany does).
+// per goroutine.
 type Solver struct {
 	opts    Options
 	planner *plan.Planner
@@ -56,12 +56,4 @@ func (s *Solver) Solve(region Region) (*Deployment, error) {
 	s.dep.EPS = s.calc.EPS(pl, s.opts.Prices)
 	s.dep.Hybrid = s.calc.Hybrid(pl, s.opts.Prices)
 	return &s.dep, nil
-}
-
-// SolveDelta applies a traffic delta to an allocation state derived from
-// this Solver's current Deployment (via Deployment.AllocateState). It is
-// Deployment.AllocateDelta surfaced on the Solver so a converge loop can
-// drive planning and incremental allocation through one handle.
-func (s *Solver) SolveDelta(st *AllocState, delta traffic.Delta) (Undo, DeltaStats, error) {
-	return s.dep.AllocateDelta(st, delta)
 }

@@ -569,14 +569,21 @@ func (d *Daemon) commitChange(tm *traffic.Matrix, st *core.AllocState, alloc cor
 	d.mu.Unlock()
 	d.m.circuits.Set(float64(clone.CircuitCount()))
 	log.Info("converged", "ops", ops, "total", rep.Total.Round(time.Microsecond))
-	if d.cfg.FlowMonitor != nil && haveLKG {
+	// One diff of the committed change serves both its readers: the flow
+	// monitor takes the fiber moves, the history record the pair deltas.
+	monitor := d.cfg.FlowMonitor != nil && haveLKG
+	var pairs []core.PairDelta
+	if monitor || d.cfg.History != nil {
+		pairs = core.DiffAlloc(lkg, alloc)
+	}
+	if monitor {
 		// Replay the committed change as capacity dips and measure the
 		// flow slowdown it cost. The simulation journals under the same
 		// reconfig trace, so /debug/events?reconfig=<id> shows the drain
 		// and its flow impact side by side.
 		fsp := root.Child("flowsim-impact")
 		imp, ferr := d.cfg.FlowMonitor.ObserveReconfig(
-			id, alloc, dep.Region.Lambda, core.Diff(lkg, alloc), rep.Total.Seconds())
+			id, alloc, dep.Region.Lambda, core.Moves(pairs), rep.Total.Seconds())
 		if ferr != nil {
 			fsp.Fail(ferr)
 			log.Warn("flow-impact simulation failed", "err", ferr)
@@ -590,7 +597,7 @@ func (d *Daemon) commitChange(tm *traffic.Matrix, st *core.AllocState, alloc cor
 	root.Fail(err)
 	root.Finish()
 	d.recordHistory(trig, id, recordAt, preHealth,
-		hoseAgg(last), hoseAgg(tm), lkg, alloc, dep, err)
+		hoseAgg(last), hoseAgg(tm), pairs, dep, err)
 	return err
 }
 
@@ -600,7 +607,7 @@ func (d *Daemon) commitChange(tm *traffic.Matrix, st *core.AllocState, alloc cor
 // fetches and reconfiguration phases are journaled like a convergence.
 func (d *Daemon) repair() error {
 	d.mu.Lock()
-	fab, lkg, last := d.fab, d.lkg, d.lastMatrix
+	fab, last := d.fab, d.lastMatrix
 	d.mu.Unlock()
 
 	recordAt := d.now()
@@ -618,7 +625,7 @@ func (d *Daemon) repair() error {
 	// allocation diff is empty; what it documents is the health transition
 	// and the reconciliation's span tree.
 	d.recordHistory(history.TriggerRepair, id, recordAt, preHealth,
-		hoseAgg(last), hoseAgg(last), lkg, lkg, fab.Deployment(), err)
+		hoseAgg(last), hoseAgg(last), nil, fab.Deployment(), err)
 	return err
 }
 

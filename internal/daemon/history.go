@@ -67,7 +67,7 @@ func hoseAgg(m *traffic.Matrix) history.HoseAggregate {
 // captured Spans include the complete trace.
 func (d *Daemon) recordHistory(trig history.Trigger, id uint64, at time.Time,
 	preHealth history.Health, preHose, postHose history.HoseAggregate,
-	oldAlloc, newAlloc core.Allocation, dep *core.Deployment, opErr error) {
+	pairs []core.PairDelta, dep *core.Deployment, opErr error) {
 	if d.cfg.History == nil {
 		return
 	}
@@ -80,7 +80,7 @@ func (d *Daemon) recordHistory(trig history.Trigger, id uint64, at time.Time,
 		PostHealth: d.healthBrief(),
 		PreHose:    preHose,
 		PostHose:   postHose,
-		Pairs:      core.DiffAlloc(oldAlloc, newAlloc),
+		Pairs:      pairs,
 		Spans:      d.tracer.Events(trace.Filter{TraceID: id}),
 	}
 	rec.Ducts = dep.DuctDeltas(rec.Pairs)

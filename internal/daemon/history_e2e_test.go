@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
-	"sort"
 	"strconv"
 	"testing"
 	"time"
@@ -126,12 +125,7 @@ func replayCritical(base *graph.Graph, demand map[hose.Pair]float64, k int) (ids
 	for p := range demand {
 		pairs = append(pairs, p)
 	}
-	sort.Slice(pairs, func(i, j int) bool {
-		if pairs[i].A != pairs[j].A {
-			return pairs[i].A < pairs[j].A
-		}
-		return pairs[i].B < pairs[j].B
-	})
+	hose.SortPairs(pairs)
 	worst = make(map[int]float64)
 	solo = make(map[int]float64)
 	graph.FailureScenarios(ids, k, func(cut []int) {

@@ -14,6 +14,29 @@ import (
 	"iris/internal/trace"
 )
 
+// Header-read and keep-alive limits of the HTTP planes. They are
+// constants, not flags: a client that trickles its request line or parks
+// an idle connection is never legitimate.
+const (
+	httpReadHeaderTimeout = 5 * time.Second
+	httpIdleTimeout       = 2 * time.Minute
+)
+
+// NewHTTPServer returns the server irisd and irisfleet mount their
+// handlers on. It bounds how long a client may take to send its request
+// headers and how long an idle keep-alive connection is held. There is
+// no WriteTimeout: a CPU profile or an exhaustive /api/critical
+// legitimately streams for longer than any fixed bound, and cutting those
+// needs handlers that honour cancellation first.
+func NewHTTPServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           h,
+		ReadHeaderTimeout: httpReadHeaderTimeout,
+		IdleTimeout:       httpIdleTimeout,
+	}
+}
+
 // Status is the daemon's introspection snapshot, served as JSON on
 // /status.
 type Status struct {
@@ -115,10 +138,8 @@ func (d *Daemon) Status() Status {
 	st.Circuits = d.fab.CircuitCount()
 	d.mu.Unlock()
 	sort.Slice(st.Allocation, func(i, j int) bool {
-		if st.Allocation[i].A != st.Allocation[j].A {
-			return st.Allocation[i].A < st.Allocation[j].A
-		}
-		return st.Allocation[i].B < st.Allocation[j].B
+		a, b := st.Allocation[i], st.Allocation[j]
+		return hose.Pair{A: a.A, B: a.B}.Less(hose.Pair{A: b.A, B: b.B})
 	})
 
 	d.hmu.Lock()

@@ -110,3 +110,17 @@ func TestChaosCycleEndpointValidation(t *testing.T) {
 	}
 	getJSONError(t, res, http.StatusBadRequest)
 }
+
+// TestHTTPServerBoundsSlowClients pins the hardening both binaries rely
+// on: the shared constructor bounds header reads and idle connections.
+func TestHTTPServerBoundsSlowClients(t *testing.T) {
+	h := http.NewServeMux()
+	srv := NewHTTPServer("127.0.0.1:0", h)
+	if srv.Addr != "127.0.0.1:0" || srv.Handler != h {
+		t.Fatalf("server not wired to its arguments: %+v", srv)
+	}
+	if srv.ReadHeaderTimeout <= 0 || srv.IdleTimeout <= 0 {
+		t.Fatalf("ReadHeaderTimeout %v, IdleTimeout %v: both must be set",
+			srv.ReadHeaderTimeout, srv.IdleTimeout)
+	}
+}

@@ -447,12 +447,7 @@ func (f *Fabric) CompileTarget(alloc core.Allocation) (control.Change, error) {
 	for p := range pairs {
 		ordered = append(ordered, p)
 	}
-	sort.Slice(ordered, func(i, j int) bool {
-		if ordered[i].A != ordered[j].A {
-			return ordered[i].A < ordered[j].A
-		}
-		return ordered[i].B < ordered[j].B
-	})
+	hose.SortPairs(ordered)
 
 	// Teardowns first so their fibers and transceivers free up for the
 	// establishes compiled after them (the controller runs disconnects

@@ -79,35 +79,43 @@ func TestRoundSkipsBusyRegions(t *testing.T) {
 	fast0, fast1 := newFakeRegion(), newFakeRegion()
 	f := fakeFleet(t, fast0, slow, fast1)
 
-	waitSteps := func(r *fakeRegion, want int64) {
+	// waitSteps waits for member i to have finished want steps. The step
+	// counter is bumped inside Step, before the scheduler clears the
+	// member's busy bit, so the wait is on both: a Round issued between
+	// the two would skip a region that is merely finishing.
+	waitSteps := func(i int, want int64) {
 		t.Helper()
+		m := f.members[i]
+		r := m.r.(*fakeRegion)
 		deadline := time.Now().Add(5 * time.Second)
-		for r.steps.Load() < want {
+		for r.steps.Load() < want || m.busy.Load() {
 			if time.Now().After(deadline) {
-				t.Fatalf("region stuck at %d steps, want %d", r.steps.Load(), want)
+				t.Fatalf("region %d stuck at %d steps (busy %v), want %d idle",
+					i, r.steps.Load(), m.busy.Load(), want)
 			}
 			time.Sleep(time.Millisecond)
 		}
 	}
+	const fastA, fastB = 0, 2 // member indices of fast0 and fast1
 
 	// Round 1 dispatches all three; the slow one parks on its gate.
 	if dispatched, _ := f.Round(); dispatched != 3 {
 		t.Fatalf("round 1 dispatched %d, want 3", dispatched)
 	}
-	waitSteps(fast0, 1)
-	waitSteps(fast1, 1)
+	waitSteps(fastA, 1)
+	waitSteps(fastB, 1)
 
 	// Rounds 2..4: the slow region is still busy and must be skipped;
 	// the fast ones keep converging at full cadence.
 	for round := 2; round <= 4; round++ {
-		waitSteps(fast0, int64(round-1))
-		waitSteps(fast1, int64(round-1))
+		waitSteps(fastA, int64(round-1))
+		waitSteps(fastB, int64(round-1))
 		if dispatched, _ := f.Round(); dispatched != 2 {
 			t.Fatalf("round %d dispatched %d, want 2 (slow region skipped)", round, dispatched)
 		}
 	}
-	waitSteps(fast0, 4)
-	waitSteps(fast1, 4)
+	waitSteps(fastA, 4)
+	waitSteps(fastB, 4)
 	if got := f.skippedBusy.Value(); got != 3 {
 		t.Errorf("skipped-busy = %v, want 3", got)
 	}

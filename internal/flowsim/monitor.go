@@ -3,7 +3,6 @@ package flowsim
 import (
 	"fmt"
 	"math"
-	"sort"
 	"sync"
 
 	"iris/internal/core"
@@ -147,12 +146,7 @@ func (m *Monitor) observe(id uint64, kind string, alloc core.Allocation, lambda 
 	for p := range pairs {
 		sorted = append(sorted, p)
 	}
-	sort.Slice(sorted, func(i, j int) bool {
-		if sorted[i].A != sorted[j].A {
-			return sorted[i].A < sorted[j].A
-		}
-		return sorted[i].B < sorted[j].B
-	})
+	hose.SortPairs(sorted)
 	pipeIdx := make(map[hose.Pair]int)
 	var pipes []Pipe
 	for _, p := range sorted {

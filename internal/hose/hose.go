@@ -36,6 +36,20 @@ func (p Pair) Canonical() Pair {
 	return p
 }
 
+// Less orders pairs by A, then B: the one order every sorted pair listing
+// in the repository uses (allocator books, history diffs, API bodies).
+func (p Pair) Less(q Pair) bool {
+	if p.A != q.A {
+		return p.A < q.A
+	}
+	return p.B < q.B
+}
+
+// SortPairs sorts pairs in Less order.
+func SortPairs(ps []Pair) {
+	sort.Slice(ps, func(i, j int) bool { return ps[i].Less(ps[j]) })
+}
+
 // WorstCaseLoad returns the worst-case hose-model load contributed by the
 // given DC pairs, where caps maps DC id to its hose capacity (in the same
 // units the result is produced in, e.g. fibers). Duplicate pairs are

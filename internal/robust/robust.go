@@ -131,7 +131,7 @@ func (e *Envelope) Escapes(m *traffic.Matrix) []Escape {
 		if di != dj {
 			return di > dj
 		}
-		return lessPair(out[i].Pair, out[j].Pair)
+		return out[i].Pair.Less(out[j].Pair)
 	})
 	return out
 }
@@ -431,7 +431,7 @@ func Verify(dep *core.Deployment, alloc core.Allocation, ms []*traffic.Matrix) [
 			}
 			active[idx] = true
 		}
-		sort.Slice(v.Uncovered, func(a, b int) bool { return lessPair(v.Uncovered[a], v.Uncovered[b]) })
+		hose.SortPairs(v.Uncovered)
 
 		for _, l := range ev.Load(capsF, active) {
 			du := dep.Plan.Ducts[l.Duct]
@@ -460,11 +460,4 @@ func pairAggregates(demand map[hose.Pair]float64) map[int]float64 {
 		agg[p.B] += dm
 	}
 	return agg
-}
-
-func lessPair(a, b hose.Pair) bool {
-	if a.A != b.A {
-		return a.A < b.A
-	}
-	return a.B < b.B
 }

@@ -145,51 +145,6 @@ func intQuery(q url.Values, name string, def int) (int, error) {
 	return n, nil
 }
 
-// inSorted reports membership in a small ascending slice (cut-duct lists
-// hold a handful of entries).
-func inSorted(s []int, v int) bool {
-	for _, x := range s {
-		if x == v {
-			return true
-		}
-		if x > v {
-			return false
-		}
-	}
-	return false
-}
-
-// occupancy derives per-duct fiber usage from an allocation, mirroring
-// the live books' accounting: full fibers skip ducts covered by the
-// pair's cut-through, residual counts duct users.
-func occupancy(dep *core.Deployment, alloc core.Allocation) (fibers, residual map[int]int) {
-	fibers = make(map[int]int)
-	residual = make(map[int]int)
-	pairs := make(map[hose.Pair]bool, len(alloc.Fibers))
-	for p := range alloc.Fibers {
-		pairs[p] = true
-	}
-	for p := range alloc.Residual {
-		pairs[p] = true
-	}
-	for p := range pairs {
-		info, ok := dep.Plan.Paths[p]
-		if !ok {
-			continue
-		}
-		full, rem := alloc.Fibers[p], alloc.Residual[p]
-		for _, duct := range info.Ducts {
-			if full != 0 && !inSorted(info.CutDucts, duct) {
-				fibers[duct] += full
-			}
-			if rem > 0 {
-				residual[duct]++
-			}
-		}
-	}
-	return fibers, residual
-}
-
 // Hop is one duct of a reported path, with its live fiber occupancy.
 type Hop struct {
 	Duct             int     `json:"duct"`
@@ -232,7 +187,7 @@ func (s *Server) handlePaths(w http.ResponseWriter, r *http.Request) {
 		k = 16
 	}
 	base, _ := s.tools(snap.Dep)
-	fibers, residual := occupancy(snap.Dep, snap.Alloc)
+	fibers, residual := core.Occupancy(snap.Dep, snap.Alloc)
 	paths := base.KShortestPaths(from, to, k)
 	out := make([]PathOut, 0, len(paths))
 	for _, p := range paths {
@@ -303,13 +258,7 @@ func newStranding(base *graph.Graph, demand map[hose.Pair]float64) *stranding {
 	for p, d := range demand {
 		st.demand = append(st.demand, pairDemand{pair: p, demand: d})
 	}
-	sort.Slice(st.demand, func(i, j int) bool {
-		a, b := st.demand[i].pair, st.demand[j].pair
-		if a.A != b.A {
-			return a.A < b.A
-		}
-		return a.B < b.B
-	})
+	sort.Slice(st.demand, func(i, j int) bool { return st.demand[i].pair.Less(st.demand[j].pair) })
 	return st
 }
 
@@ -611,12 +560,7 @@ func (s *Server) handleHistoryDiff(w http.ResponseWriter, r *http.Request) {
 		}
 		pairs = append(pairs, pd)
 	}
-	sort.Slice(pairs, func(i, j int) bool {
-		if pairs[i].A != pairs[j].A {
-			return pairs[i].A < pairs[j].A
-		}
-		return pairs[i].B < pairs[j].B
-	})
+	sort.Slice(pairs, func(i, j int) bool { return pairs[i].Pair().Less(pairs[j].Pair()) })
 	resp := map[string]any{
 		"from":      fromID,
 		"to":        toID,

@@ -15,8 +15,6 @@ import (
 	"iris/internal/core"
 	"iris/internal/fibermap"
 	"iris/internal/history"
-	"iris/internal/hose"
-	"iris/internal/plan"
 	"iris/internal/traffic"
 )
 
@@ -236,39 +234,6 @@ func TestDiffIdentity(t *testing.T) {
 	}
 	if len(diff.Reconfigs) != 0 || len(diff.Pairs) != 0 {
 		t.Fatalf("identity diff not empty: %+v", diff)
-	}
-}
-
-// TestOccupancyAccounting pins the duct-occupancy projection against the
-// books' accounting rules: full fibers skip cut-through ducts, residual
-// counts users not wavelengths.
-func TestOccupancyAccounting(t *testing.T) {
-	dep := &core.Deployment{
-		Plan: &plan.Plan{
-			Paths: map[hose.Pair]*plan.PathInfo{
-				{A: 2, B: 3}: {Ducts: []int{0, 4, 1}, CutDucts: []int{4}},
-				{A: 2, B: 4}: {Ducts: []int{0, 2}},
-			},
-		},
-	}
-	alloc := core.Allocation{
-		Fibers: map[hose.Pair]int{
-			{A: 2, B: 3}: 2,
-			{A: 2, B: 4}: 1,
-		},
-		Residual: map[hose.Pair]int{
-			{A: 2, B: 3}: 5, // 5 wavelengths = 1 user per duct
-		},
-	}
-	fibers, residual := occupancy(dep, alloc)
-	if fibers[0] != 3 || fibers[1] != 2 || fibers[2] != 1 {
-		t.Fatalf("fiber occupancy wrong: %v", fibers)
-	}
-	if fibers[4] != 0 {
-		t.Fatalf("cut-through duct 4 counted full fibers: %v", fibers)
-	}
-	if residual[0] != 1 || residual[4] != 1 || residual[1] != 1 || residual[2] != 0 {
-		t.Fatalf("residual occupancy wrong: %v", residual)
 	}
 }
 

@@ -2,7 +2,6 @@ package traffic
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"iris/internal/hose"
@@ -53,12 +52,7 @@ func (d Delta) Pairs() []hose.Pair {
 	for p := range d.Changes {
 		out = append(out, p)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].A != out[j].A {
-			return out[i].A < out[j].A
-		}
-		return out[i].B < out[j].B
-	})
+	hose.SortPairs(out)
 	return out
 }
 

@@ -46,22 +46,35 @@ func (m *Matrix) Set(p hose.Pair, d float64) {
 	m.Demand[p.Canonical()] = d
 }
 
+// each calls fn with every pair of Pairs that has a demand entry, in that
+// order (an entry between DCs the matrix does not list is not part of it).
+// Float sums taken through it are reproducible where ranging Demand is
+// not: two builds of one seeded matrix agree to the last bit.
+func (m *Matrix) each(fn func(p hose.Pair, d float64)) {
+	for i, a := range m.DCs {
+		for _, b := range m.DCs[i+1:] {
+			p := hose.Pair{A: a, B: b}.Canonical()
+			if d, ok := m.Demand[p]; ok {
+				fn(p, d)
+			}
+		}
+	}
+}
+
 // Total returns the sum of all pair demands.
 func (m *Matrix) Total() float64 {
 	var sum float64
-	for _, d := range m.Demand {
-		sum += d
-	}
+	m.each(func(_ hose.Pair, d float64) { sum += d })
 	return sum
 }
 
 // PerDC returns each DC's aggregate demand (the hose usage).
 func (m *Matrix) PerDC() map[int]float64 {
 	out := make(map[int]float64, len(m.DCs))
-	for p, d := range m.Demand {
+	m.each(func(p hose.Pair, d float64) {
 		out[p.A] += d
 		out[p.B] += d
-	}
+	})
 	return out
 }
 
@@ -179,7 +192,7 @@ func (cp ChangeProcess) Step(rng *rand.Rand, m *Matrix) {
 			if di != dj {
 				return di > dj
 			}
-			return lessPair(byDemand[i], byDemand[j])
+			return byDemand[i].Less(byDemand[j])
 		})
 		topK := len(byDemand) / 4
 		if topK == 0 {
@@ -196,11 +209,4 @@ func (cp ChangeProcess) Step(rng *rand.Rand, m *Matrix) {
 		scaled[dc] = cp.Util * c
 	}
 	m.ClampToHose(scaled)
-}
-
-func lessPair(a, b hose.Pair) bool {
-	if a.A != b.A {
-		return a.A < b.A
-	}
-	return a.B < b.B
 }

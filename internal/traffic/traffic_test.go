@@ -257,3 +257,35 @@ func TestChangeProcessEmptyMatrix(t *testing.T) {
 	cp := ChangeProcess{Bound: 0.5}
 	cp.Step(rand.New(rand.NewSource(1)), m) // must not panic
 }
+
+// TestHeavyTailedBuildsRepeatExactly: the base matrix is a pure function
+// of its seed. Total and PerDC sum in pair order, so twenty builds agree
+// on every pair to the last bit, where sums taken in map order did not.
+func TestHeavyTailedBuildsRepeatExactly(t *testing.T) {
+	dcs := make([]int, 20)
+	caps := map[int]float64{}
+	for i := range dcs {
+		dcs[i] = 3 + 2*i
+		caps[dcs[i]] = float64(300 + 37*i) // unequal, so ClampToHose has work
+	}
+	build := func() *Matrix {
+		return HeavyTailed(rand.New(rand.NewSource(11)), dcs, caps, 0.7)
+	}
+	first := build()
+	for run := 1; run < 20; run++ {
+		m := build()
+		for _, p := range first.Pairs() {
+			if got, want := m.Get(p), first.Get(p); got != want {
+				t.Fatalf("build %d: pair %v = %v, first build %v", run, p, got, want)
+			}
+		}
+		if m.Total() != first.Total() {
+			t.Fatalf("build %d: Total %v, first build %v", run, m.Total(), first.Total())
+		}
+		for dc, want := range first.PerDC() {
+			if got := m.PerDC()[dc]; got != want {
+				t.Fatalf("build %d: PerDC[%d] = %v, first build %v", run, dc, got, want)
+			}
+		}
+	}
+}
