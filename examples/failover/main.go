@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"log"
 	"math"
+	"sort"
 
 	"iris/internal/core"
 	"iris/internal/fibermap"
@@ -91,16 +92,21 @@ func main() {
 	}
 
 	// Show a concrete double cut: kill the two ducts carrying the most
-	// fiber and confirm the tolerant plan still routes everything.
-	var worst1, worst2, best1, best2 = -1, -1, 0, 0
-	for id, du := range tolerant.Ducts {
-		if du.TotalPairs() > best1 {
-			worst2, best2 = worst1, best1
-			worst1, best1 = id, du.TotalPairs()
-		} else if du.TotalPairs() > best2 {
-			worst2, best2 = id, du.TotalPairs()
-		}
+	// fiber (the lower duct ID wins a tie) and confirm the tolerant plan
+	// still routes everything.
+	ids := make([]int, 0, len(tolerant.Ducts))
+	for id := range tolerant.Ducts {
+		ids = append(ids, id)
 	}
+	pairsOf := func(id int) int { return tolerant.Ducts[id].TotalPairs() }
+	sort.Slice(ids, func(i, j int) bool {
+		if pairsOf(ids[i]) != pairsOf(ids[j]) {
+			return pairsOf(ids[i]) > pairsOf(ids[j])
+		}
+		return ids[i] < ids[j]
+	})
+	worst1, worst2 := ids[0], ids[1]
+	best1, best2 := pairsOf(worst1), pairsOf(worst2)
 	cut.Set([]int{worst1, worst2})
 	fmt.Printf("\ncutting the two busiest ducts (%d and %d, %d+%d fiber-pairs):\n",
 		worst1, worst2, best1, best2)

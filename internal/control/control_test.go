@@ -58,7 +58,7 @@ func TestUnknownDeviceAndOp(t *testing.T) {
 	if _, err := tb.Controller.Call("dc1-oss", "explode", nil); err == nil {
 		t.Error("expected error for unknown op")
 	}
-	if _, err := tb.Controller.Call("dc1-oss", "connect", map[string]any{"in": 1}); err == nil {
+	if _, err := tb.Controller.Call("dc1-oss", "connect-batch", map[string]any{"ins": []int{1}}); err == nil {
 		t.Error("expected error for missing argument")
 	}
 }
@@ -72,45 +72,52 @@ func TestOSSSemantics(t *testing.T) {
 			t.Fatalf("%s: %v", op, err)
 		}
 	}
-	must("connect", map[string]any{"in": 0, "out": 10})
-	if _, err := c.Call("hut-oss", "connect", map[string]any{"in": 0, "out": 11}); err == nil {
+	connect := func(in, out int) map[string]any {
+		return map[string]any{"ins": []int{in}, "outs": []int{out}}
+	}
+	must("connect-batch", connect(0, 10))
+	if _, err := c.Call("hut-oss", "connect-batch", connect(0, 11)); err == nil {
 		t.Error("double-connecting an input must fail")
 	}
-	if _, err := c.Call("hut-oss", "connect", map[string]any{"in": 1, "out": 10}); err == nil {
+	if _, err := c.Call("hut-oss", "connect-batch", connect(1, 10)); err == nil {
 		t.Error("double-feeding an output must fail")
 	}
-	if _, err := c.Call("hut-oss", "connect", map[string]any{"in": 99, "out": 1}); err == nil {
+	if _, err := c.Call("hut-oss", "connect-batch", connect(99, 1)); err == nil {
 		t.Error("out-of-range port must fail")
 	}
-	must("disconnect", map[string]any{"in": 0})
-	if _, err := c.Call("hut-oss", "disconnect", map[string]any{"in": 0}); err == nil {
+	must("disconnect-batch", map[string]any{"ins": []int{0}})
+	if _, err := c.Call("hut-oss", "disconnect-batch", map[string]any{"ins": []int{0}}); err == nil {
 		t.Error("disconnecting an idle input must fail")
 	}
-	must("connect", map[string]any{"in": 1, "out": 10}) // port freed
+	must("connect-batch", connect(1, 10)) // port freed
 }
 
 func TestTransceiverDrainDiscipline(t *testing.T) {
 	tb := fig13Testbed(t)
 	c := tb.Controller
+	first := map[string]any{"idxs": []int{0}}
+	tune := func(w int) map[string]any {
+		return map[string]any{"idxs": []int{0}, "wavelengths": []int{w}}
+	}
 	// Cannot enable untuned.
-	if _, err := c.Call("dc1-xcvr", "enable", map[string]any{"idx": 0}); err == nil {
+	if _, err := c.Call("dc1-xcvr", "enable-batch", first); err == nil {
 		t.Error("enabling an untuned transceiver must fail")
 	}
-	if _, err := c.Call("dc1-xcvr", "tune", map[string]any{"idx": 0, "wavelength": 7}); err != nil {
+	if _, err := c.Call("dc1-xcvr", "tune-batch", tune(7)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Call("dc1-xcvr", "enable", map[string]any{"idx": 0}); err != nil {
+	if _, err := c.Call("dc1-xcvr", "enable-batch", first); err != nil {
 		t.Fatal(err)
 	}
 	// Cannot retune while live: the §5.2 drain-first rule is enforced by
 	// the device itself.
-	if _, err := c.Call("dc1-xcvr", "tune", map[string]any{"idx": 0, "wavelength": 9}); err == nil {
+	if _, err := c.Call("dc1-xcvr", "tune-batch", tune(9)); err == nil {
 		t.Error("retuning a live transceiver must fail")
 	}
-	if _, err := c.Call("dc1-xcvr", "disable", map[string]any{"idx": 0}); err != nil {
+	if _, err := c.Call("dc1-xcvr", "disable-batch", first); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Call("dc1-xcvr", "tune", map[string]any{"idx": 0, "wavelength": 9}); err != nil {
+	if _, err := c.Call("dc1-xcvr", "tune-batch", tune(9)); err != nil {
 		t.Errorf("retune after drain should succeed: %v", err)
 	}
 }
@@ -245,8 +252,7 @@ func TestReconfigureDrainOrdering(t *testing.T) {
 	for _, e := range oss.Log() {
 		// The controller batches per device: the move lands as a
 		// connect-batch containing port 4.
-		if (e.Op == "connect" && e.Note == "4->6") ||
-			(e.Op == "connect-batch" && strings.Contains(e.Note, "[4]->[6]")) {
+		if e.Op == "connect-batch" && strings.Contains(e.Note, "[4]->[6]") {
 			switchTime = e.Time
 		}
 	}
@@ -340,8 +346,8 @@ func TestConcurrentCalls(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			_, err := tb.Controller.Call("hut-oss", "connect",
-				map[string]any{"in": i, "out": i + 16})
+			_, err := tb.Controller.Call("hut-oss", "connect-batch",
+				map[string]any{"ins": []int{i}, "outs": []int{i + 16}})
 			errs <- err
 		}(i)
 	}
@@ -376,6 +382,36 @@ func TestAmplifierStateAndLog(t *testing.T) {
 	}
 	if len(amp.Log()) == 0 {
 		t.Error("expected log entries")
+	}
+}
+
+// TestAmpPhaseLastOperationDecides: a compiled change parks an amplifier
+// with the last circuit it tears down and lights it again for the first it
+// establishes. The phase used to send both concurrently, and the amplifier
+// ended in whichever state arrived last; now it gets one RPC carrying the
+// final state.
+func TestAmpPhaseLastOperationDecides(t *testing.T) {
+	tb := fig13Testbed(t)
+	amp := tb.Devices["hut-amp"].(*Amplifier)
+	const rounds = 60 // under logCap, so the log counts the RPCs
+	for i := 0; i < rounds; i++ {
+		want := i%2 == 0
+		rep, err := tb.Controller.Reconfigure(context.Background(), Change{Amps: []AmpOp{
+			{Device: "hut-amp", Enable: !want},
+			{Device: "hut-amp", Enable: want},
+		}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if amp.Enabled() != want {
+			t.Fatalf("reconfiguration %d left the amplifier enabled=%v, its last operation says %v", i, !want, want)
+		}
+		if got := rep.Phases[2]; got.Name != "amps" || got.Ops != 2 {
+			t.Fatalf("phase report %+v, want amps with 2 operations", got)
+		}
+	}
+	if got := len(amp.Log()); got != rounds {
+		t.Fatalf("amplifier received %d operations in %d reconfigurations, want one each", got, rounds)
 	}
 }
 

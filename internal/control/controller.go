@@ -1,13 +1,13 @@
 package control
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"maps"
 	"net"
 	"slices"
-	"sort"
 	"strconv"
 	"sync"
 	"time"
@@ -133,7 +133,7 @@ func isDeadline(err error) bool {
 func (c *Controller) Devices() []string {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return sortedDevices(c.devices)
+	return sortedKeys(c.devices)
 }
 
 // OSSOp is one space-switch operation.
@@ -260,21 +260,22 @@ func parallel(ctx context.Context, fns []func() error) error {
 	return first
 }
 
-// sortedDevices returns the keys of a per-device grouping in sorted order.
-func sortedDevices[V any](groups map[string]V) []string {
-	names := make([]string, 0, len(groups))
-	for dev := range groups {
-		names = append(names, dev)
+// sortedKeys returns a map's keys (device names, switch ports) in
+// ascending order.
+func sortedKeys[K cmp.Ordered, V any](m map[K]V) []K {
+	keys := make([]K, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
 	}
-	sort.Strings(names)
-	return names
+	slices.Sort(keys)
+	return keys
 }
 
 // perDevice runs call once per device group, concurrently, issuing the
 // groups in sorted device order, and returns the first error.
 func perDevice[V any](ctx context.Context, groups map[string]V, call func(dev string, group V) error) error {
 	fns := make([]func() error, 0, len(groups))
-	for _, dev := range sortedDevices(groups) {
+	for _, dev := range sortedKeys(groups) {
 		dev, group := dev, groups[dev]
 		fns = append(fns, func() error { return call(dev, group) })
 	}
@@ -347,20 +348,23 @@ func (c *Controller) switchPhase(ctx context.Context, sp *trace.Span, ops []OSSO
 	})
 }
 
+// ampPhase switches amplifier groups on or off, one RPC per device. Of
+// several operations naming one device the last decides: a change that
+// parks an amplifier with the last circuit it tears down and lights it for
+// the first it establishes must leave it on, not race the two.
 func (c *Controller) ampPhase(ctx context.Context, sp *trace.Span, ops []AmpOp) error {
-	fns := make([]func() error, 0, len(ops))
+	final := make(map[string]bool)
 	for _, o := range ops {
-		o := o
-		fns = append(fns, func() error {
-			op := "disable"
-			if o.Enable {
-				op = "enable"
-			}
-			_, err := c.tracedCall(sp, op, o.Device, op, nil)
-			return err
-		})
+		final[o.Device] = o.Enable
 	}
-	return parallel(ctx, fns)
+	return perDevice(ctx, final, func(dev string, enable bool) error {
+		op := "disable"
+		if enable {
+			op = "enable"
+		}
+		_, err := c.tracedCall(sp, op, dev, op, nil)
+		return err
+	})
 }
 
 func (c *Controller) fillPhase(ctx context.Context, sp *trace.Span, ops []FillOp) error {
@@ -375,11 +379,13 @@ func (c *Controller) fillPhase(ctx context.Context, sp *trace.Span, ops []FillOp
 	return parallel(ctx, fns)
 }
 
-// Expected is the controller's intended device state, used by Audit to
-// verify that the network matches intent ("checking that the devices are
-// in expected state", §6.2).
+// Expected is the controller's whole intent for the devices it names
+// ("the devices are in expected state", §6.2). A device appears under every
+// field that describes its kind; Audit and Repair fetch and check each
+// named device and nothing else.
 type Expected struct {
-	// Cross maps OSS device name to its expected input→output map.
+	// Cross maps OSS device name to its expected input→output map (empty
+	// for a switch that must carry no circuit).
 	Cross map[string]map[int]int
 	// Tuned maps transceiver-bank device name to per-index wavelengths
 	// (-1 for untuned).
@@ -388,104 +394,225 @@ type Expected struct {
 	Enabled map[string][]bool
 	// Filled maps emulator device name to its ASE channel set (ascending).
 	Filled map[string][]int
+	// Amps maps amplifier device name to whether it must provide gain.
+	Amps map[string]bool
 }
 
 // devices returns every device the expectation names, sorted.
 func (e Expected) devices() []string {
-	seen := make(map[string]bool, len(e.Cross)+len(e.Enabled)+len(e.Tuned)+len(e.Filled))
-	for dev := range e.Cross {
-		seen[dev] = true
-	}
-	for dev := range e.Tuned {
-		seen[dev] = true
-	}
-	for dev := range e.Enabled {
-		seen[dev] = true
-	}
-	for dev := range e.Filled {
-		seen[dev] = true
-	}
-	return sortedDevices(seen)
+	seen := make(map[string]bool, len(e.Cross)+len(e.Enabled)+len(e.Filled)+len(e.Amps))
+	named(seen, e.Cross)
+	named(seen, e.Tuned)
+	named(seen, e.Enabled)
+	named(seen, e.Filled)
+	named(seen, e.Amps)
+	return sortedKeys(seen)
 }
 
-// Audit fetches every device's state and compares it to the expectation,
-// returning an error describing the first mismatch.
-func (c *Controller) Audit(exp Expected) error {
-	return c.AuditCtx(context.Background(), exp)
+func named[V any](seen map[string]bool, field map[string]V) {
+	for dev := range field {
+		seen[dev] = true
+	}
 }
 
-// AuditCtx is Audit with span plumbing: when ctx carries a span, every
-// device-state fetch is recorded as a per-device child, so an audit
-// appears in the flight recorder alongside the reconfiguration it
-// verifies.
-//
-// The audit is a full fetch-and-compare: one "state" RPC to every device
-// the expectation names, in sorted order, and every expected value checked
-// against what the device reported. A reply that is not a well-formed
-// state — a missing field, a value of the wrong type — is a *DeviceError
-// against that device, like a failed call; a well-formed state that
-// differs from intent is a plain mismatch error.
-func (c *Controller) AuditCtx(ctx context.Context, exp Expected) error {
+// eachState is the one fetch loop behind the audit and the repair: the
+// "state" of every device the expectation names, in sorted order, handed to
+// visit until a fetch or a visit fails. When ctx carries a span every fetch
+// is a per-device "state" child of it, so both appear in the flight
+// recorder beside the reconfiguration they verify.
+func (c *Controller) eachState(ctx context.Context, exp Expected, visit func(dev string, st map[string]any) error) error {
 	sp := trace.FromContext(ctx)
 	for _, dev := range exp.devices() {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
 		st, err := c.tracedCall(sp, "state", dev, "state", nil)
 		if err != nil {
 			return err
 		}
-		mismatch, err := exp.compare(dev, st)
-		if err != nil {
-			return &DeviceError{Device: dev, Err: fmt.Errorf("audit: %w", err)}
-		}
-		if mismatch != "" {
-			return fmt.Errorf("control: audit %s: %s", dev, mismatch)
+		if err := visit(dev, st); err != nil {
+			return err
 		}
 	}
 	return nil
 }
 
-// compare checks one device's reported state against everything the
-// expectation holds for it. It returns a description of the first
-// difference ("" when there is none), or an error when the state itself
-// is malformed.
-func (e Expected) compare(dev string, st map[string]any) (mismatch string, err error) {
-	if want, ok := e.Cross[dev]; ok {
-		got, err := StateCross(st)
-		if err != nil || !maps.Equal(got, want) {
-			return fmt.Sprintf("cross map %v, want %v", got, want), err
-		}
-	}
-	if want, ok := e.Tuned[dev]; ok {
-		got, err := StateInts(st, "tuned")
-		if err != nil || !slices.Equal(got, want) {
-			return fmt.Sprintf("tuned %v, want %v", got, want), err
-		}
-	}
-	if want, ok := e.Enabled[dev]; ok {
-		got, err := StateBools(st, "enabled")
-		if err != nil || !slices.Equal(got, want) {
-			return fmt.Sprintf("enabled %v, want %v", got, want), err
-		}
-	}
-	if want, ok := e.Filled[dev]; ok {
-		got, err := StateInts(st, "filled")
-		if err != nil || !slices.Equal(got, want) {
-			return fmt.Sprintf("filled %v, want %v", got, want), err
-		}
-	}
-	return "", nil
+// Audit checks every expected device against the expectation, returning
+// an error describing the first mismatch.
+func (c *Controller) Audit(exp Expected) error {
+	return c.AuditCtx(context.Background(), exp)
 }
 
-// The State* readers take fields out of a device's "state" result as the
-// controller's transport delivers it (wire.go: integer arrays are []int,
-// boolean arrays []bool, objects map[string]any of float64). They are the
-// one place that knows that shape — the audit and fabric.Reconcile both
-// read device state through them — and they reject anything else rather
-// than coerce it: a wrongly typed element read as 0 or false would audit
-// as a drained transceiver.
+// AuditCtx is Audit with span plumbing (see eachState). The audit passes
+// exactly when the repair of the fetched states is empty: it stops at the
+// first device whose state needs an operation to match intent. A reply
+// that is not a well-formed state — a missing field, a value of the wrong
+// type — is a *DeviceError against that device, like a failed call; a
+// well-formed state that differs from intent is a plain mismatch error
+// naming the device and the field.
+func (c *Controller) AuditCtx(ctx context.Context, exp Expected) error {
+	return c.eachState(ctx, exp, func(dev string, st map[string]any) error {
+		var ch Change
+		diff, err := exp.repair(&ch, dev, st)
+		if err == nil && diff != "" {
+			err = fmt.Errorf("control: audit %s: %s", dev, diff)
+		}
+		return err
+	})
+}
 
-// StateCross returns an OSS state's cross-connect map, input port to
+// Repair fetches every expected device's state and returns the change that
+// moves them to the expectation (Expected.Repair); empty, the audit passes.
+func (c *Controller) Repair(ctx context.Context, exp Expected) (Change, error) {
+	var ch Change
+	err := c.eachState(ctx, exp, func(dev string, st map[string]any) error {
+		_, err := exp.repair(&ch, dev, st)
+		return err
+	})
+	if err != nil {
+		return Change{}, err
+	}
+	return ch, nil
+}
+
+// Repair returns the change that moves every device in states (device
+// name to "state" result, as Controller.Call returns it) to the
+// expectation: the audit turned into anti-entropy. Expected devices absent
+// from states are left untouched; a malformed state is a *DeviceError.
+// Reconfigure runs the change in the usual order: drains, disconnects,
+// connects, amplifiers, retunes, fills, undrains.
+func (e Expected) Repair(states map[string]map[string]any) (Change, error) {
+	var ch Change
+	for _, dev := range e.devices() {
+		st, ok := states[dev]
+		if !ok {
+			continue
+		}
+		if _, err := e.repair(&ch, dev, st); err != nil {
+			return Change{}, err
+		}
+	}
+	return ch, nil
+}
+
+// repair is the one comparison of a device's reported state with intent.
+// It appends to ch the operations that move the device to everything the
+// expectation holds for it and describes the first field that differed:
+// diff is "" exactly when nothing was appended. A state that is not well
+// formed, or is of a bank of another size than intent's, is a *DeviceError.
+func (e Expected) repair(ch *Change, dev string, st map[string]any) (diff string, err error) {
+	differs := func(field string, got, want any) {
+		if diff == "" {
+			diff = fmt.Sprintf("%s %v, want %v", field, got, want)
+		}
+	}
+	malformed := func(err error) (string, error) {
+		return "", &DeviceError{Device: dev, Err: err}
+	}
+
+	if want, ok := e.Cross[dev]; ok {
+		got, err := stateCross(st)
+		if err != nil {
+			return malformed(err)
+		}
+		if !maps.Equal(got, want) {
+			differs("cross map", got, want)
+			for _, in := range sortedKeys(got) {
+				if out, ok := want[in]; !ok || out != got[in] {
+					ch.Switches = append(ch.Switches, OSSOp{Device: dev, In: in, Disconnect: true})
+				}
+			}
+			for _, in := range sortedKeys(want) {
+				if out, ok := got[in]; !ok || out != want[in] {
+					ch.Switches = append(ch.Switches, OSSOp{Device: dev, In: in, Out: want[in]})
+				}
+			}
+		}
+	}
+
+	wantTuned, hasTuned := e.Tuned[dev]
+	wantLive, hasLive := e.Enabled[dev]
+	if hasTuned || hasLive {
+		// Retuning needs the transceiver drained: a stray live one is
+		// drained, a wrong wavelength retuned (drained first if live), and
+		// one that must be live retuned and undrained unless it already is
+		// live on its wavelength. A field the expectation leaves out is
+		// taken as reported.
+		tuned, err := stateInts(st, "tuned")
+		if err != nil {
+			return malformed(err)
+		}
+		live, err := stateBools(st, "enabled")
+		if err != nil {
+			return malformed(err)
+		}
+		if !hasTuned {
+			wantTuned = tuned
+		}
+		if !hasLive {
+			wantLive = live
+		}
+		if len(tuned) != len(wantTuned) || len(live) != len(wantLive) || len(tuned) != len(live) {
+			return malformed(fmt.Errorf("bank reports %d tuned and %d enabled entries, intent has %d and %d",
+				len(tuned), len(live), len(wantTuned), len(wantLive)))
+		}
+		for idx := range live {
+			onWavelength := tuned[idx] == wantTuned[idx]
+			switch {
+			case !onWavelength:
+				differs("tuned", tuned, wantTuned)
+			case live[idx] != wantLive[idx]:
+				differs("enabled", live, wantLive)
+			default:
+				continue
+			}
+			op := TransceiverOp{Device: dev, Idx: idx}
+			if live[idx] {
+				ch.Drain = append(ch.Drain, op)
+			}
+			if wantLive[idx] || !onWavelength {
+				ch.Retunes = append(ch.Retunes, TransceiverOp{Device: dev, Idx: idx, Wavelength: wantTuned[idx]})
+			}
+			if wantLive[idx] {
+				ch.Undrain = append(ch.Undrain, op)
+			}
+		}
+	}
+
+	if want, ok := e.Filled[dev]; ok {
+		got, err := stateInts(st, "filled")
+		if err != nil {
+			return malformed(err)
+		}
+		if !slices.Equal(got, want) {
+			differs("filled", got, want)
+			ch.Fills = append(ch.Fills, FillOp{Device: dev, Channels: want})
+		}
+	}
+
+	if want, ok := e.Amps[dev]; ok {
+		got, ok := st["enabled"].(bool)
+		if !ok {
+			return malformed(fmt.Errorf("state field \"enabled\" is %T, want a boolean", st["enabled"]))
+		}
+		if got != want {
+			differs("amplifier enabled", got, want)
+			ch.Amps = append(ch.Amps, AmpOp{Device: dev, Enable: want})
+		}
+	}
+	return diff, nil
+}
+
+// The state readers take fields out of a device's "state" result as the
+// controller's transport delivers it (wire.go: integer arrays are []int,
+// boolean arrays []bool, objects map[string]any of float64). With repair
+// they are the one place that knows that shape, and they reject anything
+// else rather than coerce it: a wrongly typed element read as 0 or false
+// would audit as a drained transceiver.
+
+// stateCross returns an OSS state's cross-connect map, input port to
 // output port.
-func StateCross(st map[string]any) (map[int]int, error) {
+func stateCross(st map[string]any) (map[int]int, error) {
 	cross, ok := st["cross"].(map[string]any)
 	if !ok {
 		return nil, fmt.Errorf("state field \"cross\" is %T, want an object", st["cross"])
@@ -508,8 +635,8 @@ func StateCross(st map[string]any) (map[int]int, error) {
 	return out, nil
 }
 
-// StateInts returns an integer-array field of a device state.
-func StateInts(st map[string]any, key string) ([]int, error) {
+// stateInts returns an integer-array field of a device state.
+func stateInts(st map[string]any, key string) ([]int, error) {
 	switch v := st[key].(type) {
 	case []int:
 		return v, nil
@@ -521,8 +648,8 @@ func StateInts(st map[string]any, key string) ([]int, error) {
 	return nil, fmt.Errorf("state field %q is %T, want an array of integers", key, st[key])
 }
 
-// StateBools returns a boolean-array field of a device state.
-func StateBools(st map[string]any, key string) ([]bool, error) {
+// stateBools returns a boolean-array field of a device state.
+func stateBools(st map[string]any, key string) ([]bool, error) {
 	switch v := st[key].(type) {
 	case []bool:
 		return v, nil

@@ -102,16 +102,15 @@ func (o *OSS) Kind() string { return "oss" }
 
 // Handle implements Device. Operations:
 //
-//	connect {in, out}        — create a circuit; fails if either port is in use
-//	disconnect {in}          — tear down the circuit from an input port
-//	connect-batch {ins, outs} — create several circuits in one settling window
-//	disconnect-batch {ins}   — tear down several circuits at once
-//	state                    — current cross-connect map
+//	connect-batch {ins, outs} — create circuits in one settling window; fails
+//	                            if any port is in use
+//	disconnect-batch {ins}    — tear down the circuits from the input ports
+//	state                     — current cross-connect map
 //
-// The batch forms mirror real OSS firmware, which executes a set of
-// cross-connect moves in a single mirror-settling window; the controller
-// uses them so a multi-circuit reconfiguration pays the switching delay
-// once per device, not once per circuit.
+// There is no single-circuit form: real OSS firmware executes a set of
+// cross-connect moves in a single mirror-settling window, so a
+// multi-circuit reconfiguration pays the switching delay once per device,
+// not once per circuit, and one circuit is a batch of one.
 func (o *OSS) Handle(op string, args map[string]any) (map[string]any, error) {
 	switch op {
 	case "connect-batch":
@@ -142,31 +141,6 @@ func (o *OSS) Handle(op string, args map[string]any) (map[string]any, error) {
 			}
 		}
 		o.record(op, ins, nil)
-		return nil, nil
-	case "connect":
-		in, err := argInt(args, "in")
-		if err != nil {
-			return nil, err
-		}
-		out, err := argInt(args, "out")
-		if err != nil {
-			return nil, err
-		}
-		ins, outs := []int{in}, []int{out}
-		if err := o.connectBatch(ins, outs); err != nil {
-			return nil, err
-		}
-		o.record(op, ins, outs)
-		return nil, nil
-	case "disconnect":
-		in, err := argInt(args, "in")
-		if err != nil {
-			return nil, err
-		}
-		if err := o.disconnect(in); err != nil {
-			return nil, err
-		}
-		o.record(op, []int{in}, nil)
 		return nil, nil
 	case "state":
 		return map[string]any{"cross": o.CrossMap(), "ports": o.ports}, nil
@@ -318,14 +292,13 @@ func (b *TransceiverBank) Kind() string { return "transceivers" }
 //	disable-batch {idxs}           — drain several transceivers
 //	tune-batch {idxs, wavelengths} — retune several (sub-millisecond each)
 //	enable-batch {idxs}            — undrain several
-//	tune {idx, wavelength}, enable {idx}, disable {idx} — a batch of one
 //	state
 //
 // A batch is all-or-nothing: every entry is checked under the lock —
 // index and wavelength in range, a transceiver disabled (drained) before
 // it is retuned and tuned before it is enabled — and the bank changes
-// only if all of them pass. The controller sends only the batch forms, so
-// a reconfiguration costs one round trip per bank per phase however many
+// only if all of them pass. There is no single-transceiver form, so a
+// reconfiguration costs one round trip per bank per phase however many
 // transceivers it touches.
 func (b *TransceiverBank) Handle(op string, args map[string]any) (map[string]any, error) {
 	switch op {
@@ -356,21 +329,6 @@ func (b *TransceiverBank) Handle(op string, args map[string]any) (map[string]any
 		}
 		b.record(op, idxs, nil)
 		return nil, nil
-	case "tune", "enable", "disable":
-		// The single forms are a batch of one, executed and logged as one.
-		idx, err := argInt(args, "idx")
-		if err != nil {
-			return nil, err
-		}
-		batch := map[string]any{"idxs": []int{idx}}
-		if op == "tune" {
-			w, err := argInt(args, "wavelength")
-			if err != nil {
-				return nil, err
-			}
-			batch["wavelengths"] = []int{w}
-		}
-		return b.Handle(op+"-batch", batch)
 	case "state":
 		tuned, enabled := b.Snapshot()
 		return map[string]any{"tuned": tuned, "enabled": enabled, "lambda": b.lambda}, nil

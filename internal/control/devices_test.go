@@ -18,10 +18,10 @@ func cloneBank(b *TransceiverBank) *TransceiverBank {
 }
 
 // TestTransceiverBatchMatchesSingleOps is the batch forms' contract,
-// checked against the single operations over seeded random sequences: a
-// batch is accepted exactly when the same entries applied one at a time
-// to a copy are all accepted; an accepted batch leaves the state those
-// single operations leave; a rejected one leaves the bank untouched.
+// checked against batches of one over seeded random sequences: a batch is
+// accepted exactly when the same entries applied one at a time to a copy
+// are all accepted; an accepted batch leaves the state those single
+// operations leave; a rejected one leaves the bank untouched.
 func TestTransceiverBatchMatchesSingleOps(t *testing.T) {
 	const n, lambda = 8, 4
 	for seed := int64(1); seed <= 20; seed++ {
@@ -55,11 +55,11 @@ func TestTransceiverBatchMatchesSingleOps(t *testing.T) {
 			oracle := cloneBank(bank)
 			want := len(ws) == len(idxs)
 			for i := 0; want && i < size; i++ {
-				one := map[string]any{"idx": idxs[i]}
+				one := map[string]any{"idxs": idxs[i : i+1]}
 				if op == "tune" {
-					one["wavelength"] = ws[i]
+					one["wavelengths"] = ws[i : i+1]
 				}
-				_, err := oracle.Handle(op, one)
+				_, err := oracle.Handle(op+"-batch", one)
 				want = err == nil
 			}
 

@@ -316,18 +316,6 @@ func asInt(v any) (int, bool) {
 	return 0, false
 }
 
-func argInt(args map[string]any, key string) (int, error) {
-	v, ok := args[key]
-	if !ok {
-		return 0, fmt.Errorf("missing argument %q", key)
-	}
-	n, ok := asInt(v)
-	if !ok {
-		return 0, fmt.Errorf("argument %q must be an integer, got %v", key, v)
-	}
-	return n, nil
-}
-
 // argIntSlice returns an integer-array argument. The slice is the
 // caller's own (the decoder's, off the wire) and is not modified.
 func argIntSlice(args map[string]any, key string) ([]int, error) {

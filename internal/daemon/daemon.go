@@ -593,7 +593,7 @@ func (d *Daemon) commitChange(tm *traffic.Matrix, st *core.AllocState, alloc cor
 		}
 		fsp.Finish()
 	}
-	err = d.runAudit(ctx, id)
+	err = d.runAudit(ctx, id, clone.Expected())
 	root.Fail(err)
 	root.Finish()
 	d.recordHistory(trig, id, recordAt, preHealth,
@@ -631,21 +631,13 @@ func (d *Daemon) repair() error {
 
 func (d *Daemon) repairIn(ctx context.Context, id uint64, fab *fabric.Fabric) error {
 	root := trace.FromContext(ctx)
-	states := make(map[string]map[string]any)
+	exp := fab.Expected()
 	fsp := root.Child("fetch-state")
-	for _, name := range d.ctl.Devices() {
-		st, err := d.ctl.Call(name, "state", nil)
-		if err != nil {
-			d.penalizeIn(id, err)
-			fsp.Fail(err)
-			fsp.Finish()
-			return fmt.Errorf("repair: state of %s: %w", name, err)
-		}
-		states[name] = st
-	}
+	ch, err := d.ctl.Repair(trace.ContextWith(ctx, fsp), exp)
+	fsp.Fail(err)
 	fsp.Finish()
-	ch, err := fab.Reconcile(states)
 	if err != nil {
+		d.penalizeIn(id, err)
 		return fmt.Errorf("repair: %w", err)
 	}
 	if !fabric.EmptyChange(ch) {
@@ -681,7 +673,7 @@ func (d *Daemon) repairIn(ctx context.Context, id uint64, fab *fabric.Fabric) er
 			fsp.Finish()
 		}
 	}
-	if err := d.runAudit(ctx, id); err != nil {
+	if err := d.runAudit(ctx, id, exp); err != nil {
 		return err
 	}
 	d.mu.Lock()
@@ -699,13 +691,10 @@ func (d *Daemon) repairIn(ctx context.Context, id uint64, fab *fabric.Fabric) er
 // runAudit checks device state against intent and records the result as
 // an "audit" span under whatever span ctx carries (the reconfig or repair
 // root). An audit mismatch schedules a repair.
-func (d *Daemon) runAudit(ctx context.Context, traceID uint64) error {
-	d.mu.Lock()
-	fab := d.fab
-	d.mu.Unlock()
+func (d *Daemon) runAudit(ctx context.Context, traceID uint64, exp control.Expected) error {
 	d.m.audits.Inc()
 	sp := trace.FromContext(ctx).Child("audit")
-	err := d.ctl.AuditCtx(trace.ContextWith(ctx, sp), fab.Expected())
+	err := d.ctl.AuditCtx(trace.ContextWith(ctx, sp), exp)
 	sp.Fail(err)
 	sp.Finish()
 	d.mu.Lock()

@@ -96,9 +96,9 @@ func TestAuditSeesEveryDeviceFlip(t *testing.T) {
 				}
 			}
 		}
-		flip(dev, "disable", map[string]any{"idx": idx})
+		flip(dev, "disable-batch", map[string]any{"idxs": []int{idx}})
 		wantReport(dev, "enabled")
-		flip(dev, "enable", map[string]any{"idx": idx})
+		flip(dev, "enable-batch", map[string]any{"idxs": []int{idx}})
 		if err := d.Audit(); err != nil {
 			t.Fatalf("audit after restoring %s: %v", dev, err)
 		}
@@ -113,9 +113,9 @@ func TestAuditSeesEveryDeviceFlip(t *testing.T) {
 				}
 			}
 		}
-		flip(dev, "disconnect", map[string]any{"in": in})
+		flip(dev, "disconnect-batch", map[string]any{"ins": []int{in}})
 		wantReport(dev, "cross map")
-		flip(dev, "connect", map[string]any{"in": in, "out": exp.Cross[dev][in]})
+		flip(dev, "connect-batch", map[string]any{"ins": []int{in}, "outs": []int{exp.Cross[dev][in]}})
 		if err := d.Audit(); err != nil {
 			t.Fatalf("audit after restoring %s: %v", dev, err)
 		}

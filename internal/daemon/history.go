@@ -49,11 +49,11 @@ func hoseAgg(m *traffic.Matrix) history.HoseAggregate {
 	if m == nil {
 		return agg
 	}
+	agg.Total = m.Total() // summed in pair order: the same bits every run
 	for _, dm := range m.Demand {
 		if dm <= 0 {
 			continue
 		}
-		agg.Total += dm
 		agg.Pairs++
 		if dm > agg.MaxPair {
 			agg.MaxPair = dm

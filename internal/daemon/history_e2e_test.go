@@ -521,3 +521,24 @@ func TestHistoryPersistenceAcrossRestart(t *testing.T) {
 		t.Fatal("records replayed from disk do not compose to the committed allocation")
 	}
 }
+
+// TestHoseAggIsReproducible: a record's hose totals are summed in pair
+// order, so evaluating one matrix twenty times gives one value, to the
+// last bit (ranging the demand map gave several).
+func TestHoseAggIsReproducible(t *testing.T) {
+	dcs := make([]int, 20)
+	caps := make(map[int]float64)
+	for i := range dcs {
+		dcs[i], caps[i] = i, 400
+	}
+	m := traffic.HeavyTailed(rand.New(rand.NewSource(5)), dcs, caps, 0.7)
+	first := hoseAgg(m)
+	if first.Pairs == 0 || first.Total <= first.MaxPair {
+		t.Fatalf("degenerate aggregate %+v", first)
+	}
+	for i := 1; i < 20; i++ {
+		if got := hoseAgg(m); got != first {
+			t.Fatalf("evaluation %d = %+v, the first was %+v", i, got, first)
+		}
+	}
+}

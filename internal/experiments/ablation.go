@@ -7,6 +7,7 @@ import (
 	"iris/internal/clos"
 	"iris/internal/cost"
 	"iris/internal/fibermap"
+	"iris/internal/hose"
 	"iris/internal/plan"
 	"iris/internal/stats"
 	"iris/internal/wave"
@@ -177,9 +178,17 @@ func WSSAblation(cfg WSSConfig) ([]WSSRow, error) {
 				return nil, err
 			}
 
+			// Lightpaths are numbered in pair order: the greedy colouring
+			// depends on it, and map order would change it run to run.
+			pairs := make([]hose.Pair, 0, len(pl.Paths))
+			for p := range pl.Paths {
+				pairs = append(pairs, p)
+			}
+			hose.SortPairs(pairs)
 			multi, total := 0, 0
 			var paths []wave.Lightpath
-			for _, info := range pl.Paths {
+			for _, p := range pairs {
+				info := pl.Paths[p]
 				total++
 				if len(info.Nodes) > 3 { // more than one intermediate node
 					multi++

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -58,5 +59,26 @@ func TestWSSAblation(t *testing.T) {
 	out := FormatWSS(rows)
 	if !strings.Contains(out, "wavelength switching") {
 		t.Error("Format missing header")
+	}
+}
+
+// TestWSSAblationIsReproducible: the greedy colouring depends on the
+// order lightpaths are numbered in, which is pair order, not map order —
+// ten calls on one config give one answer (the wavelength counts used to
+// differ between two runs of one binary).
+func TestWSSAblationIsReproducible(t *testing.T) {
+	cfg := DefaultWSS()
+	first, err := WSSAblation(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i < 10; i++ {
+		rows, err := WSSAblation(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(rows, first) {
+			t.Fatalf("call %d:\n%+v\nthe first call:\n%+v", i, rows, first)
+		}
 	}
 }

@@ -69,8 +69,8 @@ func BenchmarkReconfigureDense(b *testing.B) {
 }
 
 // BenchmarkAuditRegion measures the audit that closes every tick: one
-// full state fetch from each of the region's switches and banks, compared
-// value by value against intent.
+// full state fetch from each of the region's switches, banks and
+// amplifiers, compared value by value against intent.
 func BenchmarkAuditRegion(b *testing.B) {
 	rig, allocs := benchRegion(b)
 	ch, err := rig.Fab.CompileTarget(allocs[0])
@@ -88,5 +88,5 @@ func BenchmarkAuditRegion(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	b.ReportMetric(float64(len(exp.Cross)+len(exp.Enabled)), "devices/op")
+	b.ReportMetric(float64(len(exp.Cross)+len(exp.Enabled)+len(exp.Amps)), "devices/op")
 }

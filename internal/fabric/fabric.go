@@ -50,6 +50,10 @@ type Fabric struct {
 	// compiler enables an amp with its first user and parks it with the
 	// last.
 	ampRefs map[int]int
+	// tuned is the last wavelength commanded for every transceiver of
+	// every DC, -1 before the first. A freed transceiver keeps its tuning
+	// on the device, so it keeps it here: the books are the device state.
+	tuned map[int][]int
 }
 
 // circuit is one end-to-end fiber circuit for a DC pair.
@@ -130,6 +134,7 @@ func Build(dep *core.Deployment) (*Fabric, error) {
 		full:       make(map[hose.Pair][]*circuit),
 		residual:   make(map[hose.Pair]*circuit),
 		ampRefs:    make(map[int]int),
+		tuned:      make(map[int][]int),
 	}
 	m := dep.Region.Map
 	pl := dep.Plan
@@ -167,6 +172,10 @@ func Build(dep *core.Deployment) (*Fabric, error) {
 		f.ossSize[dc] += local
 		f.localPorts[dc] = newPool(local)
 		f.xcvrs[dc] = newPool(capacity * f.lambda)
+		f.tuned[dc] = make([]int, capacity*f.lambda)
+		for i := range f.tuned[dc] {
+			f.tuned[dc][i] = -1
+		}
 	}
 	return f, nil
 }
@@ -260,10 +269,6 @@ func (f *Fabric) pathFor(p hose.Pair) (*coreFilePath, error) {
 	return cp, nil
 }
 
-// fiberKindOf tells the compiler which per-duct accounting bucket a
-// circuit's fiber comes from; the pools do not distinguish, matching the
-// paper's observation that residual fibers are ordinary leased fibers.
-
 // establish allocates resources for one circuit and appends its device
 // operations to the change.
 func (f *Fabric) establish(ch *control.Change, p hose.Pair, live int) (*circuit, error) {
@@ -322,6 +327,7 @@ func (f *Fabric) establish(ch *control.Change, p hose.Pair, live int) (*circuit,
 		f.ampRefs[n]++
 	}
 	for slot := 0; slot < live; slot++ {
+		f.tuned[c.pair.A][xa[slot]], f.tuned[c.pair.B][xb[slot]] = slot, slot
 		ch.Retunes = append(ch.Retunes,
 			control.TransceiverOp{Device: f.XcvrName(c.pair.A), Idx: xa[slot], Wavelength: slot},
 			control.TransceiverOp{Device: f.XcvrName(c.pair.B), Idx: xb[slot], Wavelength: slot},
@@ -492,27 +498,30 @@ func (f *Fabric) CompileTarget(alloc core.Allocation) (control.Change, error) {
 	return ch, nil
 }
 
-// Expected returns the controller-intent view of the fabric for auditing:
-// every OSS cross-connect and every transceiver's live/drained state.
-// (Expected wavelengths are not asserted as full vectors because freed
-// transceivers keep their stale device-local tuning; the per-index intent
-// is available to Reconcile instead.)
+// Expected returns the controller's intent for every device the fabric
+// built: each OSS's cross-connect map (empty for an idle switch), each
+// bank's per-transceiver wavelength and live/drained state, and each
+// amplifier group on exactly when a circuit crosses its site.
 func (f *Fabric) Expected() control.Expected {
-	cross := make(map[string]map[int]int)
-	record := func(node, in, out int) {
-		name := f.OSSName(node)
-		if cross[name] == nil {
-			cross[name] = make(map[int]int)
+	exp := control.Expected{
+		Cross:   make(map[string]map[int]int, len(f.ossSize)),
+		Tuned:   make(map[string][]int, len(f.tuned)),
+		Enabled: make(map[string][]bool, len(f.tuned)),
+		Amps:    make(map[string]bool),
+	}
+	for node, size := range f.ossSize {
+		if size > 0 {
+			exp.Cross[f.OSSName(node)] = make(map[int]int)
 		}
-		cross[name][in] = out
 	}
-	nodeByName := make(map[string]int, len(f.ossSize))
-	for n := range f.ossSize {
-		nodeByName[f.OSSName(n)] = n
+	for dc, tuned := range f.tuned {
+		name := f.XcvrName(dc)
+		exp.Tuned[name], exp.Enabled[name] = append([]int(nil), tuned...), make([]bool, len(tuned))
 	}
-	enabled := make(map[string][]bool)
-	for _, dc := range f.dep.Region.Map.DCs() {
-		enabled[f.XcvrName(dc)] = make([]bool, f.dep.Region.Capacity[dc]*f.lambda)
+	for node, count := range f.dep.Plan.Amps {
+		if count > 0 {
+			exp.Amps[f.AmpName(node)] = f.ampRefs[node] > 0
+		}
 	}
 	every := func(c *circuit) {
 		ops, err := f.circuitOps(c, false)
@@ -520,11 +529,11 @@ func (f *Fabric) Expected() control.Expected {
 			return
 		}
 		for _, op := range ops {
-			record(nodeByName[op.Device], op.In, op.Out)
+			exp.Cross[op.Device][op.In] = op.Out
 		}
+		liveA, liveB := exp.Enabled[f.XcvrName(c.pair.A)], exp.Enabled[f.XcvrName(c.pair.B)]
 		for slot := 0; slot < c.live; slot++ {
-			enabled[f.XcvrName(c.pair.A)][c.xcvrA[slot]] = true
-			enabled[f.XcvrName(c.pair.B)][c.xcvrB[slot]] = true
+			liveA[c.xcvrA[slot]], liveB[c.xcvrB[slot]] = true, true
 		}
 	}
 	for _, cs := range f.full {
@@ -535,7 +544,7 @@ func (f *Fabric) Expected() control.Expected {
 	for _, c := range f.residual {
 		every(c)
 	}
-	return control.Expected{Cross: cross, Enabled: enabled}
+	return exp
 }
 
 // CircuitCount returns the number of active circuits (full + residual).

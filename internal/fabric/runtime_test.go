@@ -114,7 +114,7 @@ func TestReconcileRepairsDriftedDevices(t *testing.T) {
 			break
 		}
 	}
-	if _, err := ctl.Call(ossName, "disconnect", map[string]any{"in": ossIn}); err != nil {
+	if _, err := ctl.Call(ossName, "disconnect-batch", map[string]any{"ins": []int{ossIn}}); err != nil {
 		t.Fatal(err)
 	}
 	var xcvrName string
@@ -129,7 +129,7 @@ func TestReconcileRepairsDriftedDevices(t *testing.T) {
 			break
 		}
 	}
-	if _, err := ctl.Call(xcvrName, "disable", map[string]any{"idx": xcvrIdx}); err != nil {
+	if _, err := ctl.Call(xcvrName, "disable-batch", map[string]any{"idxs": []int{xcvrIdx}}); err != nil {
 		t.Fatal(err)
 	}
 	if err := ctl.Audit(exp); err == nil {
@@ -280,6 +280,9 @@ func TestReconfigureRPCBudget(t *testing.T) {
 		expected[dev] = true
 	}
 	for dev := range exp.Enabled {
+		expected[dev] = true
+	}
+	for dev := range exp.Amps {
 		expected[dev] = true
 	}
 	for dev := range expected {

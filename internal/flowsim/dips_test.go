@@ -221,7 +221,7 @@ func TestDipSpanningSimulationEnd(t *testing.T) {
 // TestSimultaneousDipEventTies: coincident change events — two dips
 // starting and ending at the same instants, and a dip starting exactly
 // when another ends — must compose like their flattened equivalents, and
-// ties in the simulatePipe select must not lose or invent flows.
+// ties in the event loop's select must not lose or invent flows.
 func TestSimultaneousDipEventTies(t *testing.T) {
 	cases := map[string][]Dip{
 		"identical pair": {

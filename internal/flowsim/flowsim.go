@@ -9,11 +9,11 @@
 // fluid equivalent of fair queueing). A reconfiguration removes a fraction
 // of a pipe's capacity for its duration; the paper measures 70 ms per
 // fiber switch. Because Iris circuits are dedicated fibers, pipes are
-// independent and are simulated exactly with a per-pipe event loop.
+// independent and are simulated exactly with a per-pipe event loop
+// (loadPipe, in load.go).
 package flowsim
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 	"math/rand"
@@ -78,32 +78,51 @@ func (r Result) FCTs(shortOnly bool) []float64 {
 	return out
 }
 
-// Run simulates all pipes and returns the pooled completed flows sorted by
-// arrival time.
-func Run(cfg Config) (Result, error) {
-	if cfg.DurationS <= 0 {
-		return Result{}, fmt.Errorf("flowsim: duration must be positive")
+// validate checks what Run and RunLoad both require of a run and returns
+// the workload's mean flow size.
+func validate(durationS float64, dist traffic.SizeDist, pipes []Pipe) (meanBytes float64, err error) {
+	if durationS <= 0 {
+		return 0, fmt.Errorf("flowsim: duration must be positive")
 	}
-	if len(cfg.Pipes) == 0 {
-		return Result{}, fmt.Errorf("flowsim: no pipes")
+	if len(pipes) == 0 {
+		return 0, fmt.Errorf("flowsim: no pipes")
 	}
-	mean := cfg.Dist.Mean()
+	mean := dist.Mean()
 	if mean <= 0 || math.IsNaN(mean) {
-		return Result{}, fmt.Errorf("flowsim: workload has invalid mean %v", mean)
+		return 0, fmt.Errorf("flowsim: workload has invalid mean %v", mean)
+	}
+	for i, p := range pipes {
+		if p.CapacityGbps <= 0 {
+			return 0, fmt.Errorf("flowsim: pipe %d has capacity %v", i, p.CapacityGbps)
+		}
+		if p.UtilFrac < 0 || p.UtilFrac >= 1 {
+			return 0, fmt.Errorf("flowsim: pipe %d utilization %v outside [0,1)", i, p.UtilFrac)
+		}
+	}
+	return mean, nil
+}
+
+// pipeRNG returns pipe i's random stream: independent of the other pipes'
+// but deterministic in the seed.
+func pipeRNG(seed int64, i int) *rand.Rand {
+	return rand.New(rand.NewSource(seed*1_000_003 + int64(i)))
+}
+
+// Run simulates all pipes and returns the pooled completed flows sorted by
+// arrival time. It is the load engine's event loop (loadPipe) with every
+// counted flow recorded.
+func Run(cfg Config) (Result, error) {
+	mean, err := validate(cfg.DurationS, cfg.Dist, cfg.Pipes)
+	if err != nil {
+		return Result{}, err
 	}
 	var res Result
 	for i, p := range cfg.Pipes {
-		if p.CapacityGbps <= 0 {
-			return Result{}, fmt.Errorf("flowsim: pipe %d has capacity %v", i, p.CapacityGbps)
-		}
-		if p.UtilFrac < 0 || p.UtilFrac >= 1 {
-			return Result{}, fmt.Errorf("flowsim: pipe %d utilization %v outside [0,1)", i, p.UtilFrac)
-		}
-		// Independent but deterministic stream per pipe.
-		rng := rand.New(rand.NewSource(cfg.Seed*1_000_003 + int64(i)))
-		flows, inc := simulatePipe(rng, i, p, cfg.Dips[i], cfg.Dist, mean, cfg.DurationS, cfg.WarmupS)
-		res.Flows = append(res.Flows, flows...)
-		res.Incomplete += inc
+		st := loadPipe(pipeRNG(cfg.Seed, i), p, cfg.Dips[i], cfg.Dist, mean, 0,
+			cfg.DurationS, cfg.WarmupS, nil, func(sizeBytes, arriveS, fctS float64) {
+				res.Flows = append(res.Flows, Flow{Pipe: i, SizeBytes: sizeBytes, ArriveS: arriveS, FCTSec: fctS})
+			})
+		res.Incomplete += int(st.Incomplete)
 	}
 	sort.Slice(res.Flows, func(i, j int) bool {
 		if res.Flows[i].ArriveS != res.Flows[j].ArriveS {
@@ -144,8 +163,6 @@ type capChange struct {
 
 // capTimeline replays a pipe's piecewise-constant capacity multiplier:
 // the product of the multipliers of all dips covering the current time.
-// Both the exact per-pipe simulator and the bucketed load engine drive
-// their event loops with it.
 type capTimeline struct {
 	changes []capChange
 	idx     int
@@ -197,80 +214,8 @@ func (ct *capTimeline) apply() {
 	} else {
 		ct.active = append(ct.active, c.mult)
 	}
-	ct.mult = recomputeMult(ct.active)
-}
-
-// simulatePipe runs exact processor sharing with a piecewise-constant
-// capacity using the credit method: credit(t) integrates the per-flow
-// service rate C(t)/N(t); a flow arriving at credit c0 with size s
-// finishes when credit reaches c0+s.
-func simulatePipe(rng *rand.Rand, pipeIdx int, p Pipe, dips []Dip, dist traffic.SizeDist,
-	meanBytes, durationS, warmupS float64) ([]Flow, int) {
-
-	capBytesPerS := p.CapacityGbps * 1e9 / 8
-	lambda := p.UtilFrac * capBytesPerS / meanBytes // flows per second
-
-	timeline := newCapTimeline(dips)
-
-	var flows []Flow
-	active := &flowHeap{}
-	credit := 0.0
-
-	t := 0.0
-	nextArrival := t
-	if lambda > 0 {
-		nextArrival = rng.ExpFloat64() / lambda
-	} else {
-		nextArrival = math.Inf(1)
+	ct.mult = 1
+	for _, m := range ct.active {
+		ct.mult *= m
 	}
-
-	currentCap := func() float64 { return capBytesPerS * timeline.mult }
-
-	for t < durationS {
-		// Next departure under the current rate.
-		nextDeparture := math.Inf(1)
-		if active.Len() > 0 && currentCap() > 0 {
-			perFlow := currentCap() / float64(active.Len())
-			nextDeparture = t + ((*active)[0].doneAtCredit-credit)/perFlow
-		}
-		nextChange := timeline.next()
-		next := math.Min(math.Min(nextArrival, nextChange), math.Min(nextDeparture, durationS))
-
-		// Advance credit over [t, next].
-		if active.Len() > 0 && currentCap() > 0 {
-			credit += currentCap() / float64(active.Len()) * (next - t)
-		}
-		t = next
-		switch {
-		case t == nextDeparture && active.Len() > 0:
-			f := heap.Pop(active).(activeFlow)
-			if f.arriveS >= warmupS {
-				flows = append(flows, Flow{
-					Pipe:      pipeIdx,
-					SizeBytes: f.sizeBytes,
-					ArriveS:   f.arriveS,
-					FCTSec:    t - f.arriveS,
-				})
-			}
-		case t == nextArrival:
-			size := dist.Sample(rng)
-			heap.Push(active, activeFlow{
-				doneAtCredit: credit + size,
-				sizeBytes:    size,
-				arriveS:      t,
-			})
-			nextArrival = t + rng.ExpFloat64()/lambda
-		case t == nextChange:
-			timeline.apply()
-		}
-	}
-	return flows, active.Len()
-}
-
-func recomputeMult(stack []float64) float64 {
-	m := 1.0
-	for _, v := range stack {
-		m *= v
-	}
-	return m
 }

@@ -2,7 +2,6 @@ package flowsim
 
 import (
 	"container/heap"
-	"fmt"
 	"math"
 	"math/rand"
 
@@ -10,17 +9,18 @@ import (
 	"iris/internal/traffic"
 )
 
-// This file is the user-scale load engine: the same fluid
-// processor-sharing model as the exact per-pipe simulator, restructured
-// so a region can carry millions of concurrent flows. The active set is
+// This file is the flow engine, built for user scale: fluid processor
+// sharing per pipe, structured so a region can carry millions of
+// concurrent flows. The active set is
 // a two-level credit calendar — an unsorted ring of coarse credit
 // buckets with only the head bucket expanded into an exact min-heap — so
 // an arrival is O(1), a capacity change is O(1), and a departure touches
 // the small head heap instead of a million-entry one. With a flat
 // arrival shape the engine consumes the per-pipe RNG stream in exactly
-// the order the exact simulator does and replays the same event
-// sequence, which is what lets the validation tests compare the two
-// flow-for-flow.
+// the order the heap-based reference simulator (simulatePipe, kept in
+// exact_test.go) does and replays the same event sequence, which is what
+// lets Run record per-flow results from it and the validation tests
+// compare the two flow-for-flow.
 
 // LoadConfig drives one user-scale load run.
 type LoadConfig struct {
@@ -34,7 +34,7 @@ type LoadConfig struct {
 	Dips map[int][]Dip
 	// Shape optionally modulates arrivals (diurnal swing, flash crowds)
 	// via thinning of a homogeneous Poisson envelope. Nil or flat keeps
-	// arrivals identical to the exact simulator's.
+	// arrivals identical to Run's.
 	Shape *traffic.Shape
 	// Workers bounds the parallel per-pipe simulations; <=0 uses
 	// GOMAXPROCS. Results are deterministic regardless of worker count.
@@ -73,35 +73,15 @@ type LoadStats struct {
 // RunLoad simulates all pipes in parallel and merges their statistics in
 // pipe order, so the result is independent of scheduling.
 func RunLoad(cfg LoadConfig) (LoadStats, error) {
-	if cfg.DurationS <= 0 {
-		return LoadStats{}, fmt.Errorf("flowsim: duration must be positive")
-	}
-	if len(cfg.Pipes) == 0 {
-		return LoadStats{}, fmt.Errorf("flowsim: no pipes")
-	}
-	mean := cfg.Dist.Mean()
-	if mean <= 0 || math.IsNaN(mean) {
-		return LoadStats{}, fmt.Errorf("flowsim: workload has invalid mean %v", mean)
-	}
-	for i, p := range cfg.Pipes {
-		if p.CapacityGbps <= 0 {
-			return LoadStats{}, fmt.Errorf("flowsim: pipe %d has capacity %v", i, p.CapacityGbps)
-		}
-		if p.UtilFrac < 0 || p.UtilFrac >= 1 {
-			return LoadStats{}, fmt.Errorf("flowsim: pipe %d utilization %v outside [0,1)", i, p.UtilFrac)
-		}
-	}
-	width := cfg.BucketCredit
-	if width <= 0 {
-		width = cfg.Dist.Max() / 64
+	mean, err := validate(cfg.DurationS, cfg.Dist, cfg.Pipes)
+	if err != nil {
+		return LoadStats{}, err
 	}
 
 	per := make([]LoadStats, len(cfg.Pipes))
-	err := parallel.ForEach(len(cfg.Pipes), cfg.Workers, func(i int) error {
-		// The same per-pipe stream as the exact simulator.
-		rng := rand.New(rand.NewSource(cfg.Seed*1_000_003 + int64(i)))
-		per[i] = loadPipe(rng, cfg.Pipes[i], cfg.Dips[i], cfg.Dist, mean, width,
-			cfg.DurationS, cfg.WarmupS, cfg.Shape)
+	err = parallel.ForEach(len(cfg.Pipes), cfg.Workers, func(i int) error {
+		per[i] = loadPipe(pipeRNG(cfg.Seed, i), cfg.Pipes[i], cfg.Dips[i], cfg.Dist, mean,
+			cfg.BucketCredit, cfg.DurationS, cfg.WarmupS, cfg.Shape, nil)
 		return nil
 	})
 	if err != nil {
@@ -176,11 +156,19 @@ func (c *creditCalendar) pop() activeFlow {
 	return heap.Pop(&c.heap).(activeFlow)
 }
 
-// loadPipe is the engine's per-pipe event loop: the credit method of
-// simulatePipe, with the heap swapped for the calendar and streaming
-// statistics in place of per-flow records.
+// loadPipe is the per-pipe event loop behind Run and RunLoad: exact
+// processor sharing with a piecewise-constant capacity by the credit
+// method — credit(t) integrates the per-flow service rate C(t)/N(t), and a
+// flow arriving at credit c0 with size s finishes when credit reaches
+// c0+s. It keeps streaming statistics, and hands every counted flow to
+// sink when one is given. width is LoadConfig.BucketCredit.
 func loadPipe(rng *rand.Rand, p Pipe, dips []Dip, dist traffic.SizeDist,
-	meanBytes, width, durationS, warmupS float64, shape *traffic.Shape) LoadStats {
+	meanBytes, width, durationS, warmupS float64, shape *traffic.Shape,
+	sink func(sizeBytes, arriveS, fctS float64)) LoadStats {
+
+	if width <= 0 {
+		width = dist.Max() / 64
+	}
 
 	capBytesPerS := p.CapacityGbps * 1e9 / 8
 	lambda := p.UtilFrac * capBytesPerS / meanBytes
@@ -189,7 +177,7 @@ func loadPipe(rng *rand.Rand, p Pipe, dips []Dip, dist traffic.SizeDist,
 	// rate lambda*MaxMult: each candidate is accepted with probability
 	// Mult(t)/MaxMult. With no shape the envelope is lambda itself and no
 	// acceptance draw is made, so the RNG stream — arrival gap, then flow
-	// size, repeated — matches the exact simulator's draw for draw.
+	// size, repeated — matches the reference simulator's draw for draw.
 	maxMult := 1.0
 	if shape != nil {
 		maxMult = shape.MaxMult()
@@ -231,6 +219,9 @@ func loadPipe(rng *rand.Rand, p Pipe, dips []Dip, dist traffic.SizeDist,
 			f := cal.pop()
 			if f.arriveS >= warmupS {
 				fct := t - f.arriveS
+				if sink != nil {
+					sink(f.sizeBytes, f.arriveS, fct)
+				}
 				st.Flows++
 				st.BytesCompleted += f.sizeBytes
 				st.FCT.Observe(fct)

@@ -43,22 +43,39 @@ func runLoadFromExact(t *testing.T, cfg Config, mutate func(*LoadConfig)) LoadSt
 
 // TestLoadEngineMatchesExactSimulator is the engine's ground truth: with
 // a flat arrival shape it consumes the same RNG stream and replays the
-// same event sequence as the exact per-pipe simulator, so flow counts
-// must match exactly and the sketch quantiles must sit within the
-// sketch's ~1% bucket resolution of the exact empirical quantiles.
+// same event sequence as the heap-based reference simulator, so the flows
+// Run records from it must equal the reference's one for one, bit for bit,
+// and the sketch quantiles must sit within the sketch's ~1% bucket
+// resolution of the exact empirical quantiles.
 func TestLoadEngineMatchesExactSimulator(t *testing.T) {
 	cfg := loadTestConfig()
-	exact, err := Run(cfg)
+	exact, err := runExact(cfg)
 	if err != nil {
 		t.Fatal(err)
+	}
+	recorded, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recorded.Flows) != len(exact.Flows) || recorded.Incomplete != exact.Incomplete {
+		t.Fatalf("engine recorded %d flows and %d incomplete, reference %d and %d",
+			len(recorded.Flows), recorded.Incomplete, len(exact.Flows), exact.Incomplete)
+	}
+	if len(exact.Flows) < 10000 {
+		t.Fatalf("only %d flows: the comparison tests little", len(exact.Flows))
+	}
+	for i, f := range recorded.Flows {
+		if f != exact.Flows[i] {
+			t.Fatalf("flow %d: engine %+v, reference %+v", i, f, exact.Flows[i])
+		}
 	}
 	st := runLoadFromExact(t, cfg, nil)
 
 	if got, want := st.Flows, uint64(len(exact.Flows)); got != want {
-		t.Fatalf("engine completed %d flows, exact simulator %d", got, want)
+		t.Fatalf("engine completed %d flows, reference simulator %d", got, want)
 	}
 	if got, want := st.Incomplete, uint64(exact.Incomplete); got != want {
-		t.Fatalf("engine left %d incomplete, exact simulator %d", got, want)
+		t.Fatalf("engine left %d incomplete, reference simulator %d", got, want)
 	}
 	var bytes float64
 	for _, f := range exact.Flows {

@@ -261,8 +261,12 @@ func Solve(dep *core.Deployment, ms []*traffic.Matrix, cfg Config) (*Result, err
 	// it, and when even the raw max exceeds some hose cap (hFeas < 1) no
 	// dominating envelope exists — clamp into the polytope from the start
 	// and let the verdicts report what the clamp cut.
+	rawM := traffic.NewMatrix(dcs)
+	for p, dm := range raw {
+		rawM.Set(p, dm)
+	}
 	hFeas := math.Inf(1)
-	for dc, agg := range pairAggregates(raw) {
+	for dc, agg := range rawM.PerDC() { // summed in pair order: the same bits every run
 		if agg > 0 && capsW[dc] > 0 {
 			if f := capsW[dc] / agg; f < hFeas {
 				hFeas = f
@@ -450,14 +454,4 @@ func Verify(dep *core.Deployment, alloc core.Allocation, ms []*traffic.Matrix) [
 		out[i] = v
 	}
 	return out
-}
-
-// pairAggregates sums a pair-demand map into per-DC hose aggregates.
-func pairAggregates(demand map[hose.Pair]float64) map[int]float64 {
-	agg := make(map[int]float64)
-	for p, dm := range demand {
-		agg[p.A] += dm
-		agg[p.B] += dm
-	}
-	return agg
 }

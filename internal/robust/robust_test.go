@@ -340,3 +340,37 @@ func TestVerifyHubWalkResidualMultiplicity(t *testing.T) {
 		}
 	}
 }
+
+// TestSolveHeadroomIsReproducible: the hose-feasible headroom is a ratio
+// of per-DC aggregates summed in pair order, so twenty solves over one
+// seeded window land on one headroom, to the last bit (summing the
+// envelope in map order gave several on a region of ten DCs).
+func TestSolveHeadroomIsReproducible(t *testing.T) {
+	m := fibermap.Generate(fibermap.DefaultGen())
+	pcfg := fibermap.DefaultPlace()
+	pcfg.N = 10
+	if _, err := fibermap.PlaceDCs(m, pcfg); err != nil {
+		t.Fatal(err)
+	}
+	caps := make(map[int]int)
+	for _, dc := range m.DCs() {
+		caps[dc] = 10
+	}
+	dep, err := core.Plan(core.Region{Map: m, Capacity: caps, Lambda: 40}, core.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ms := evolve(dep, 3, 4, 0.6, 0.2)
+	var first float64
+	for i := 0; i < 20; i++ {
+		res, err := Solve(dep, ms, Config{Headroom: 5.0}) // far above feasible: Headroom is the aggregates' bound
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 {
+			first = res.Headroom
+		} else if res.Headroom != first {
+			t.Fatalf("solve %d: headroom %v, the first was %v", i, res.Headroom, first)
+		}
+	}
+}
