@@ -359,8 +359,8 @@ func TestConcurrentCalls(t *testing.T) {
 		}
 	}
 	oss := tb.Devices["hut-oss"].(*OSS)
-	if got := len(oss.CrossMap()); got != 16 {
-		t.Errorf("cross connects = %d, want 16", got)
+	if ins, _ := oss.Cross(); len(ins) != 16 {
+		t.Errorf("cross connects = %d, want 16", len(ins))
 	}
 }
 
@@ -424,8 +424,8 @@ func TestOSSBatchSemantics(t *testing.T) {
 		t.Fatal(err)
 	}
 	oss := tb.Devices["hut-oss"].(*OSS)
-	if got := len(oss.CrossMap()); got != 3 {
-		t.Fatalf("cross connects = %d, want 3", got)
+	if ins, _ := oss.Cross(); len(ins) != 3 {
+		t.Fatalf("cross connects = %d, want 3", len(ins))
 	}
 	// A batch with a conflict is rejected atomically: port 1 is busy, so
 	// the new ports 3 and 4 must not be connected either.
@@ -433,8 +433,8 @@ func TestOSSBatchSemantics(t *testing.T) {
 		map[string]any{"ins": []any{3, 1, 4}, "outs": []any{13, 14, 15}}); err == nil {
 		t.Fatal("conflicting batch should fail")
 	}
-	if got := len(oss.CrossMap()); got != 3 {
-		t.Errorf("failed batch left %d connects, want unchanged 3", got)
+	if ins, _ := oss.Cross(); len(ins) != 3 {
+		t.Errorf("failed batch left %d connects, want unchanged 3", len(ins))
 	}
 	// Length mismatch.
 	if _, err := c.Call("hut-oss", "connect-batch",
@@ -446,8 +446,8 @@ func TestOSSBatchSemantics(t *testing.T) {
 		map[string]any{"ins": []any{0, 1, 2}}); err != nil {
 		t.Fatal(err)
 	}
-	if got := len(oss.CrossMap()); got != 0 {
-		t.Errorf("cross connects = %d after batch disconnect, want 0", got)
+	if ins, _ := oss.Cross(); len(ins) != 0 {
+		t.Errorf("cross connects = %d after batch disconnect, want 0", len(ins))
 	}
 }
 

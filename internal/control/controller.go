@@ -5,10 +5,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"maps"
 	"net"
 	"slices"
-	"strconv"
 	"sync"
 	"time"
 
@@ -87,17 +85,30 @@ func (c *Controller) Close() {
 
 // Call forwards one operation to a named device.
 func (c *Controller) Call(device, op string, args map[string]any) (map[string]any, error) {
+	cl, err := c.send(device, op, args)
+	if err != nil {
+		return nil, err
+	}
+	res, err := cl.recv()
+	if err != nil {
+		err = &DeviceError{Device: device, Err: err}
+	}
+	return res, err
+}
+
+// send puts one request to a named device on the wire and returns the
+// device's client, which stays locked until recv or Client.abandon.
+func (c *Controller) send(device, op string, args map[string]any) (*Client, error) {
 	c.mu.Lock()
 	cl, ok := c.devices[device]
 	c.mu.Unlock()
 	if !ok {
 		return nil, fmt.Errorf("control: unknown device %q", device)
 	}
-	res, err := cl.Call(op, args)
-	if err != nil {
+	if err := cl.send(op, args); err != nil {
 		return nil, &DeviceError{Device: device, Err: err}
 	}
-	return res, nil
+	return cl, nil
 }
 
 // tracedCall runs one device RPC under a child span of parent named
@@ -108,6 +119,12 @@ func (c *Controller) tracedCall(parent *trace.Span, span, device, op string, arg
 	sp := parent.Child(span)
 	sp.SetDevice(device)
 	res, err := c.Call(device, op, args)
+	finishRPC(sp, err)
+	return res, err
+}
+
+// finishRPC closes a device RPC's span with its outcome.
+func finishRPC(sp *trace.Span, err error) {
 	if err != nil {
 		sp.Fail(err)
 		if isDeadline(err) {
@@ -115,7 +132,6 @@ func (c *Controller) tracedCall(parent *trace.Span, span, device, op string, arg
 		}
 	}
 	sp.Finish()
-	return res, err
 }
 
 // isDeadline reports whether an RPC error is a transport or context
@@ -415,26 +431,49 @@ func named[V any](seen map[string]bool, field map[string]V) {
 	}
 }
 
-// eachState is the one fetch loop behind the audit and the repair: the
-// "state" of every device the expectation names, in sorted order, handed to
-// visit until a fetch or a visit fails. When ctx carries a span every fetch
-// is a per-device "state" child of it, so both appear in the flight
-// recorder beside the reconfiguration they verify.
-func (c *Controller) eachState(ctx context.Context, exp Expected, visit func(dev string, st map[string]any) error) error {
-	sp := trace.FromContext(ctx)
-	for _, dev := range exp.devices() {
-		if err := ctx.Err(); err != nil {
-			return err
+// eachState is the one fetch behind the audit and the repair: the "state"
+// of every device the expectation names, handed to visit in sorted order
+// until a fetch or a visit fails. Every request is on the wire before the
+// first reply is awaited, so the devices answer while the controller
+// compares and a device's RPC deadline runs from when its request was sent;
+// when the loop stops early the requests still in flight are abandoned.
+// When ctx carries a span every fetch is a per-device "state" child of it.
+func (c *Controller) eachState(ctx context.Context, exp Expected, visit func(dev string, st map[string]any) error) (stop error) {
+	parent := trace.FromContext(ctx)
+	devs := exp.devices()
+	spans := make([]*trace.Span, len(devs))
+	clients := make([]*Client, len(devs)) // each holding a request in flight
+	errs := make([]error, len(devs))      // or why there is none
+	for i, dev := range devs {
+		spans[i] = parent.Child("state")
+		spans[i].SetDevice(dev)
+		clients[i], errs[i] = c.send(dev, "state", nil)
+	}
+	for i, dev := range devs {
+		if stop == nil {
+			stop = ctx.Err()
 		}
-		st, err := c.tracedCall(sp, "state", dev, "state", nil)
-		if err != nil {
-			return err
+		if stop != nil {
+			if clients[i] != nil {
+				clients[i].abandon()
+			}
+			spans[i].SetAttr("abandoned")
+			spans[i].Finish()
+			continue
 		}
-		if err := visit(dev, st); err != nil {
-			return err
+		var st map[string]any
+		err := errs[i]
+		if err == nil {
+			if st, err = clients[i].recv(); err != nil {
+				err = &DeviceError{Device: dev, Err: err}
+			}
+		}
+		finishRPC(spans[i], err)
+		if stop = err; stop == nil {
+			stop = visit(dev, st)
 		}
 	}
-	return nil
+	return stop
 }
 
 // Audit checks every expected device against the expectation, returning
@@ -497,13 +536,16 @@ func (e Expected) Repair(states map[string]map[string]any) (Change, error) {
 
 // repair is the one comparison of a device's reported state with intent.
 // It appends to ch the operations that move the device to everything the
-// expectation holds for it and describes the first field that differed:
-// diff is "" exactly when nothing was appended. A state that is not well
-// formed, or is of a bank of another size than intent's, is a *DeviceError.
+// expectation holds for it and describes the first element that differed
+// and how many do: diff is "" exactly when nothing was appended. The state
+// is read where it lies (a bank's packed digits, a switch's circuits in
+// port order) and nothing is built for a device that matches. A state not
+// well formed, or of a bank of another size than intent's, is a *DeviceError.
 func (e Expected) repair(ch *Change, dev string, st map[string]any) (diff string, err error) {
-	differs := func(field string, got, want any) {
-		if diff == "" {
-			diff = fmt.Sprintf("%s %v, want %v", field, got, want)
+	differing := 0
+	differs := func(format string, args ...any) {
+		if differing++; differing == 1 {
+			diff = fmt.Sprintf(format, args...)
 		}
 	}
 	malformed := func(err error) (string, error) {
@@ -511,19 +553,30 @@ func (e Expected) repair(ch *Change, dev string, st map[string]any) (diff string
 	}
 
 	if want, ok := e.Cross[dev]; ok {
-		got, err := stateCross(st)
+		ins, outs, err := stateCross(st)
 		if err != nil {
 			return malformed(err)
 		}
-		if !maps.Equal(got, want) {
-			differs("cross map", got, want)
-			for _, in := range sortedKeys(got) {
-				if out, ok := want[in]; !ok || out != got[in] {
-					ch.Switches = append(ch.Switches, OSSOp{Device: dev, In: in, Disconnect: true})
-				}
+		matched := 0
+		for i, in := range ins {
+			switch out, ok := want[in]; {
+			case !ok:
+				differs("cross map: port %d → %d, want none", in, outs[i])
+			case out != outs[i]:
+				differs("cross map: port %d → %d, want %d", in, outs[i], out)
+			default:
+				matched++
+				continue
 			}
+			ch.Switches = append(ch.Switches, OSSOp{Device: dev, In: in, Disconnect: true})
+		}
+		if matched < len(want) { // a wanted circuit is missing or on another port
 			for _, in := range sortedKeys(want) {
-				if out, ok := got[in]; !ok || out != want[in] {
+				i, ok := slices.BinarySearch(ins, in)
+				if !ok {
+					differs("cross map: port %d → none, want %d", in, want[in])
+				}
+				if !ok || outs[i] != want[in] {
 					ch.Switches = append(ch.Switches, OSSOp{Device: dev, In: in, Out: want[in]})
 				}
 			}
@@ -538,42 +591,42 @@ func (e Expected) repair(ch *Change, dev string, st map[string]any) (diff string
 		// one that must be live retuned and undrained unless it already is
 		// live on its wavelength. A field the expectation leaves out is
 		// taken as reported.
-		tuned, err := stateInts(st, "tuned")
+		bank, err := stateBank(st)
 		if err != nil {
 			return malformed(err)
 		}
-		live, err := stateBools(st, "enabled")
-		if err != nil {
-			return malformed(err)
+		if (hasTuned && len(wantTuned) != bank.n) || (hasLive && len(wantLive) != bank.n) {
+			return malformed(fmt.Errorf("bank of %d, intent has %d tuned and %d enabled", bank.n, len(wantTuned), len(wantLive)))
 		}
-		if !hasTuned {
-			wantTuned = tuned
-		}
-		if !hasLive {
-			wantLive = live
-		}
-		if len(tuned) != len(wantTuned) || len(live) != len(wantLive) || len(tuned) != len(live) {
-			return malformed(fmt.Errorf("bank reports %d tuned and %d enabled entries, intent has %d and %d",
-				len(tuned), len(live), len(wantTuned), len(wantLive)))
-		}
-		for idx := range live {
-			onWavelength := tuned[idx] == wantTuned[idx]
+		for idx := 0; idx < bank.n; idx++ {
+			tuned, live, ok := bank.at(idx)
+			if !ok {
+				return malformed(fmt.Errorf("state of transceiver %d is not lower-case hex digits", idx))
+			}
+			wantW, wantOn := tuned, live
+			if hasTuned {
+				wantW = wantTuned[idx]
+			}
+			if hasLive {
+				wantOn = wantLive[idx]
+			}
+			onWavelength := tuned == wantW
 			switch {
 			case !onWavelength:
-				differs("tuned", tuned, wantTuned)
-			case live[idx] != wantLive[idx]:
-				differs("enabled", live, wantLive)
+				differs("tuned[%d] %d, want %d", idx, tuned, wantW)
+			case live != wantOn:
+				differs("enabled[%d] %t, want %t", idx, live, wantOn)
 			default:
 				continue
 			}
 			op := TransceiverOp{Device: dev, Idx: idx}
-			if live[idx] {
+			if live {
 				ch.Drain = append(ch.Drain, op)
 			}
-			if wantLive[idx] || !onWavelength {
-				ch.Retunes = append(ch.Retunes, TransceiverOp{Device: dev, Idx: idx, Wavelength: wantTuned[idx]})
+			if wantOn || !onWavelength {
+				ch.Retunes = append(ch.Retunes, TransceiverOp{Device: dev, Idx: idx, Wavelength: wantW})
 			}
-			if wantLive[idx] {
+			if wantOn {
 				ch.Undrain = append(ch.Undrain, op)
 			}
 		}
@@ -585,7 +638,11 @@ func (e Expected) repair(ch *Change, dev string, st map[string]any) (diff string
 			return malformed(err)
 		}
 		if !slices.Equal(got, want) {
-			differs("filled", got, want)
+			i := 0
+			for i < len(got) && i < len(want) && got[i] == want[i] {
+				i++
+			}
+			differs("filled: %d channels, want %d, alike up to [%d]", len(got), len(want), i)
 			ch.Fills = append(ch.Fills, FillOp{Device: dev, Channels: want})
 		}
 	}
@@ -596,43 +653,86 @@ func (e Expected) repair(ch *Change, dev string, st map[string]any) (diff string
 			return malformed(fmt.Errorf("state field \"enabled\" is %T, want a boolean", st["enabled"]))
 		}
 		if got != want {
-			differs("amplifier enabled", got, want)
+			differs("amplifier enabled %t, want %t", got, want)
 			ch.Amps = append(ch.Amps, AmpOp{Device: dev, Enable: want})
 		}
+	}
+	if differing > 1 {
+		diff = fmt.Sprintf("%s (first of %d differences)", diff, differing)
 	}
 	return diff, nil
 }
 
 // The state readers take fields out of a device's "state" result as the
 // controller's transport delivers it (wire.go: integer arrays are []int,
-// boolean arrays []bool, objects map[string]any of float64). With repair
-// they are the one place that knows that shape, and they reject anything
-// else rather than coerce it: a wrongly typed element read as 0 or false
-// would audit as a drained transceiver.
+// scalar numbers float64). With repair they are the one place that knows
+// that shape, and they reject anything else rather than coerce it: a
+// wrongly typed element read as 0 or false would audit as a drained
+// transceiver.
 
-// stateCross returns an OSS state's cross-connect map, input port to
-// output port.
-func stateCross(st map[string]any) (map[int]int, error) {
-	cross, ok := st["cross"].(map[string]any)
-	if !ok {
-		return nil, fmt.Errorf("state field \"cross\" is %T, want an object", st["cross"])
+// stateCross returns an OSS state's circuits: input ports, strictly
+// ascending, and the output port of each.
+func stateCross(st map[string]any) (ins, outs []int, err error) {
+	if ins, err = stateInts(st, "in"); err == nil {
+		outs, err = stateInts(st, "out")
 	}
-	out := make(map[int]int, len(cross))
-	for k, v := range cross {
-		// The whole key must be the number in its one canonical spelling:
-		// "1junk" is no port, and "01" beside "1" would be two entries for
-		// one.
-		in, err := strconv.Atoi(k)
-		if err != nil || strconv.Itoa(in) != k {
-			return nil, fmt.Errorf("state field \"cross\": bad port key %q", k)
-		}
-		p, ok := asInt(v)
-		if !ok {
-			return nil, fmt.Errorf("state field \"cross\": port %d maps to %v, want an integer", in, v)
-		}
-		out[in] = p
+	if err == nil && len(ins) != len(outs) {
+		err = fmt.Errorf("switch reports %d input and %d output ports", len(ins), len(outs))
 	}
-	return out, nil
+	for i := 1; err == nil && i < len(ins); i++ {
+		if ins[i-1] >= ins[i] {
+			err = fmt.Errorf("state field \"in\": port %d follows port %d", ins[i], ins[i-1])
+		}
+	}
+	return ins, outs, err
+}
+
+// bankState is a transceiver bank's state, still packed (packBank).
+type bankState struct {
+	tuned, enabled string
+	width, n       int // digits per wavelength, transceivers
+}
+
+// stateBank checks a bank state's fields and that their lengths describe
+// one bank; the digits are checked as at reads them.
+func stateBank(st map[string]any) (b bankState, err error) {
+	var isTuned, isEnabled bool
+	b.tuned, isTuned = st["tuned"].(string)
+	b.enabled, isEnabled = st["enabled"].(string)
+	lambda, isLambda := asInt(st["lambda"])
+	if !isTuned || !isEnabled || !isLambda || lambda < 1 {
+		return b, fmt.Errorf("bank state has tuned %T, enabled %T, lambda %v", st["tuned"], st["enabled"], st["lambda"])
+	}
+	b.width = tunedWidth(lambda)
+	b.n = len(b.tuned) / b.width
+	if len(b.tuned)%b.width != 0 || len(b.enabled) != (b.n+3)/4 {
+		return b, fmt.Errorf("bank reports %d tuned digits, %d each, and %d enabled", len(b.tuned), b.width, len(b.enabled))
+	}
+	if b.n%4 != 0 && max(unhex(b.enabled[len(b.enabled)-1]), 0)&(15>>(b.n%4)) != 0 { // no digit at all: at says so
+		return b, fmt.Errorf("bank of %d reports a transceiver past its last enabled", b.n)
+	}
+	return b, nil
+}
+
+// at returns transceiver idx's wavelength (-1: untuned) and whether it is
+// live; ok is false when one of its digits is not lower-case hex.
+func (b *bankState) at(idx int) (tuned int, live, ok bool) {
+	for _, c := range []byte(b.tuned[idx*b.width : (idx+1)*b.width]) {
+		tuned = tuned<<4 | unhex(c) // once -1 is or-ed in, tuned stays negative
+	}
+	digit := unhex(b.enabled[idx/4])
+	return tuned - 1, digit&(8>>(idx%4)) != 0, tuned|digit >= 0
+}
+
+// unhex returns a lower-case hex digit's value, -1 for any other byte.
+func unhex(c byte) int {
+	switch {
+	case c >= '0' && c <= '9':
+		return int(c - '0')
+	case c >= 'a' && c <= 'f':
+		return int(c-'a') + 10
+	}
+	return -1
 }
 
 // stateInts returns an integer-array field of a device state.
@@ -646,17 +746,4 @@ func stateInts(st map[string]any, key string) ([]int, error) {
 		}
 	}
 	return nil, fmt.Errorf("state field %q is %T, want an array of integers", key, st[key])
-}
-
-// stateBools returns a boolean-array field of a device state.
-func stateBools(st map[string]any, key string) ([]bool, error) {
-	switch v := st[key].(type) {
-	case []bool:
-		return v, nil
-	case []any:
-		if len(v) == 0 {
-			return nil, nil
-		}
-	}
-	return nil, fmt.Errorf("state field %q is %T, want an array of booleans", key, st[key])
 }

@@ -2,7 +2,7 @@ package control
 
 import (
 	"fmt"
-	"strconv"
+	"math/bits"
 	"sync"
 	"time"
 )
@@ -83,18 +83,17 @@ type OSS struct {
 	mu          sync.Mutex
 	ports       int
 	switchDelay time.Duration
-	cross       map[int]int // in port -> out port
-	outInUse    map[int]int // out port -> in port
+	cross       []int // in port -> out port, -1 when unconnected
+	outInUse    []int // out port -> in port, -1 when idle
 }
 
 // NewOSS returns an OSS with the given port count and switch delay.
 func NewOSS(ports int, switchDelay time.Duration) *OSS {
-	return &OSS{
-		ports:       ports,
-		switchDelay: switchDelay,
-		cross:       make(map[int]int),
-		outInUse:    make(map[int]int),
+	o := &OSS{ports: ports, switchDelay: switchDelay, cross: make([]int, ports), outInUse: make([]int, ports)}
+	for p := range o.cross {
+		o.cross[p], o.outInUse[p] = -1, -1
 	}
+	return o
 }
 
 // Kind implements Device.
@@ -105,7 +104,7 @@ func (o *OSS) Kind() string { return "oss" }
 //	connect-batch {ins, outs} — create circuits in one settling window; fails
 //	                            if any port is in use
 //	disconnect-batch {ins}    — tear down the circuits from the input ports
-//	state                     — current cross-connect map
+//	state                     — circuits {in, out}: input ports ascending
 //
 // There is no single-circuit form: real OSS firmware executes a set of
 // cross-connect moves in a single mirror-settling window, so a
@@ -143,7 +142,8 @@ func (o *OSS) Handle(op string, args map[string]any) (map[string]any, error) {
 		o.record(op, ins, nil)
 		return nil, nil
 	case "state":
-		return map[string]any{"cross": o.CrossMap(), "ports": o.ports}, nil
+		ins, outs := o.Cross()
+		return map[string]any{"in": ins, "out": outs, "ports": o.ports}, nil
 	default:
 		return nil, fmt.Errorf("oss: unknown op %q", op)
 	}
@@ -161,12 +161,12 @@ func (o *OSS) connectBatch(ins, outs []int) error {
 			o.mu.Unlock()
 			return fmt.Errorf("oss: port out of range [0,%d): in=%d out=%d", o.ports, in, out)
 		}
-		if cur, busy := o.cross[in]; busy {
+		if cur := o.cross[in]; cur >= 0 {
 			o.rollback(ins[:i])
 			o.mu.Unlock()
 			return fmt.Errorf("oss: input %d already connected to %d", in, cur)
 		}
-		if cur, busy := o.outInUse[out]; busy {
+		if cur := o.outInUse[out]; cur >= 0 {
 			o.rollback(ins[:i])
 			o.mu.Unlock()
 			return fmt.Errorf("oss: output %d already fed by %d", out, cur)
@@ -182,35 +182,32 @@ func (o *OSS) connectBatch(ins, outs []int) error {
 // rollback undoes partially applied batch entries; callers hold o.mu.
 func (o *OSS) rollback(ins []int) {
 	for _, in := range ins {
-		if out, ok := o.cross[in]; ok {
-			delete(o.cross, in)
-			delete(o.outInUse, out)
-		}
+		out := o.cross[in]
+		o.cross[in], o.outInUse[out] = -1, -1
 	}
 }
 
 func (o *OSS) disconnect(in int) error {
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	out, ok := o.cross[in]
-	if !ok {
+	if in < 0 || in >= o.ports || o.cross[in] < 0 {
 		return fmt.Errorf("oss: input %d not connected", in)
 	}
-	delete(o.cross, in)
-	delete(o.outInUse, out)
+	o.rollback([]int{in})
 	return nil
 }
 
-// CrossMap returns the current cross-connect state keyed by input port
-// (stringified for JSON transport).
-func (o *OSS) CrossMap() map[string]int {
+// Cross returns the circuits: input ports ascending, and each one's output.
+func (o *OSS) Cross() (ins, outs []int) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	out := make(map[string]int, len(o.cross))
-	for in, p := range o.cross {
-		out[strconv.Itoa(in)] = p
+	ins, outs = make([]int, 0, o.ports/2), make([]int, 0, o.ports/2) // a circuit takes two ports
+	for in, out := range o.cross {
+		if out >= 0 {
+			ins, outs = append(ins, in), append(outs, out)
+		}
 	}
-	return out
+	return ins, outs
 }
 
 // Amplifier emulates an EDFA run at fixed gain behind an input power
@@ -292,7 +289,7 @@ func (b *TransceiverBank) Kind() string { return "transceivers" }
 //	disable-batch {idxs}           — drain several transceivers
 //	tune-batch {idxs, wavelengths} — retune several (sub-millisecond each)
 //	enable-batch {idxs}            — undrain several
-//	state
+//	state                          — {tuned, enabled, lambda}, see packBank
 //
 // A batch is all-or-nothing: every entry is checked under the lock —
 // index and wavelength in range, a transceiver disabled (drained) before
@@ -330,7 +327,9 @@ func (b *TransceiverBank) Handle(op string, args map[string]any) (map[string]any
 		b.record(op, idxs, nil)
 		return nil, nil
 	case "state":
-		tuned, enabled := b.Snapshot()
+		b.mu.Lock()
+		defer b.mu.Unlock()
+		tuned, enabled := packBank(b.tuned, b.enabled, b.lambda)
 		return map[string]any{"tuned": tuned, "enabled": enabled, "lambda": b.lambda}, nil
 	default:
 		return nil, fmt.Errorf("transceivers: unknown op %q", op)
@@ -379,6 +378,38 @@ func (b *TransceiverBank) Snapshot() ([]int, []bool) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return append([]int(nil), b.tuned...), append([]bool(nil), b.enabled...)
+}
+
+const hexDigits = "0123456789abcdef"
+
+// tunedWidth is the number of hex digits that hold every wavelength plus
+// one of a bank with lambda slots: those of lambda itself.
+func tunedWidth(lambda int) int { return (bits.Len(uint(lambda)) + 3) / 4 }
+
+// packBank packs a bank's state, so 400 transceivers are 900 bytes the
+// codec copies, not 800 JSON elements it parses: tunedWidth(lambda) hex
+// digits per transceiver holding its wavelength plus one (zero: untuned),
+// and one hex digit per four transceivers, the first of the four in the
+// high bit, the bits past the last zero. Expected.repair is the reader.
+func packBank(tuned []int, enabled []bool, lambda int) (string, string) {
+	width := tunedWidth(lambda)
+	buf := make([]byte, 0, width*len(tuned)+(len(enabled)+3)/4)
+	for _, w := range tuned {
+		for shift := 4 * (width - 1); shift >= 0; shift -= 4 {
+			buf = append(buf, hexDigits[(w+1)>>shift&15])
+		}
+	}
+	for i := 0; i < len(enabled); i += 4 {
+		digit := 0
+		for j, on := range enabled[i:min(i+4, len(enabled))] {
+			if on {
+				digit |= 8 >> j
+			}
+		}
+		buf = append(buf, hexDigits[digit])
+	}
+	both := string(buf)
+	return both[:width*len(tuned)], both[width*len(tuned):]
 }
 
 // ChannelEmulator emulates the ASE-noise channel filler of §5.1: it keeps

@@ -4,8 +4,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -171,39 +173,68 @@ func (d hostileDevice) Handle(op string, _ map[string]any) (map[string]any, erro
 	return nil, fmt.Errorf("hostile: unknown op %q", op)
 }
 
-// TestAuditRejectsMalformedState: a device cannot crash the audit or talk
-// its way through it. Each reply here either panicked the audit or passed
-// it before the wire carried typed values; each must now be an error
-// attributed to the device.
-func TestAuditRejectsMalformedState(t *testing.T) {
-	cross := func(m map[string]any) hostileDevice {
-		return hostileDevice{"oss", map[string]any{"cross": m, "ports": 8}}
+// malformedStates are replies that are not a state of the device kind the
+// expectation takes them for: wrongly typed fields (each of the first
+// twelve either panicked the audit or passed it before the wire carried
+// typed values) and packed vectors or port lists that break their own
+// format. FuzzStateDecode starts from the same list.
+var malformedStates = func() []struct {
+	name string
+	dev  hostileDevice
+	exp  Expected
+} {
+	cross := func(in, out any) hostileDevice {
+		return hostileDevice{"oss", map[string]any{"in": in, "out": out, "ports": 8}}
 	}
 	bank := func(tuned, enabled any) hostileDevice {
-		return hostileDevice{"transceivers", map[string]any{"tuned": tuned, "enabled": enabled, "lambda": 4}}
+		return hostileDevice{"transceivers", map[string]any{"tuned": tuned, "enabled": enabled, "lambda": 40}}
 	}
 	expCross := Expected{Cross: map[string]map[int]int{"dev": {1: 2}}}
 	expDrained := Expected{Enabled: map[string][]bool{"dev": {false, false}}}
 	expTuned := Expected{Tuned: map[string][]int{"dev": {0, 0}}}
 	expFilled := Expected{Filled: map[string][]int{"dev": {}}}
-	for _, c := range []struct {
+	expFive := Expected{Enabled: map[string][]bool{"dev": make([]bool, 5)}}
+	return []struct {
 		name string
 		dev  hostileDevice
 		exp  Expected
 	}{
-		{"cross value of the wrong type", cross(map[string]any{"1": "two"}), expCross},
-		{"cross value with a fraction", cross(map[string]any{"1": 2.5}), expCross},
-		{"port key with trailing junk", cross(map[string]any{"1junk": 2}), expCross},
-		{"port key spelled twice", cross(map[string]any{"1": 2, "01": 2}), expCross},
+		{"cross value of the wrong type", cross([]int{1}, []any{"two"}), expCross},
+		{"cross value with a fraction", cross([]int{1}, []any{2.5}), expCross},
+		{"port key with trailing junk", cross([]any{"1junk"}, []int{2}), expCross},
+		{"port key spelled twice", cross([]int{1, 1}, []int{2, 2}), expCross},
 		{"cross map missing", hostileDevice{"oss", map[string]any{"ports": 8}}, expCross},
 		{"cross map an array", hostileDevice{"oss", map[string]any{"cross": []int{1, 2}}}, expCross},
-		{"enabled with null elements", bank([]int{0, 0}, []any{nil, nil}), expDrained},
-		{"enabled as numbers", bank([]int{0, 0}, []int{0, 0}), expDrained},
-		{"enabled missing", hostileDevice{"transceivers", map[string]any{"lambda": 4}}, expDrained},
-		{"tuned with a string element", bank([]any{0, "0"}, []bool{false, false}), expTuned},
-		{"tuned as booleans", bank([]bool{false, false}, []bool{false, false}), expTuned},
+		{"enabled with null elements", bank("0101", []any{nil, nil}), expDrained},
+		{"enabled as numbers", bank("0101", []int{0, 0}), expDrained},
+		{"enabled missing", hostileDevice{"transceivers", map[string]any{"tuned": "0101", "lambda": 40}}, expDrained},
+		{"tuned with a string element", bank([]any{0, "0"}, "0"), expTuned},
+		{"tuned as booleans", bank([]any{false, false}, "0"), expTuned},
 		{"filled an object", hostileDevice{"emulator", map[string]any{"filled": map[string]any{}}}, expFilled},
-	} {
+
+		{"in ports descending", cross([]int{2, 1}, []int{3, 4}), expCross},
+		{"more in ports than out ports", cross([]int{1, 3}, []int{2}), expCross},
+		{"out ports missing", hostileDevice{"oss", map[string]any{"in": []int{1}, "ports": 8}}, expCross},
+		{"tuned cut short", bank("010", "0"), expTuned},
+		{"tuned of another bank size", bank("010101", "0"), expTuned},
+		{"tuned with an upper-case digit", bank("0A01", "0"), expTuned},
+		{"tuned with a non-hex digit", bank("0g01", "0"), expTuned},
+		{"enabled cut short", bank("0101010101", "0"), expFive},
+		{"enabled too long", bank("0101", "00"), expDrained},
+		{"enabled with an upper-case digit", bank("0101010101", "C0"), expFive},
+		{"enabled with a non-hex digit", bank("0101", "x"), expDrained},
+		{"a bit set past the last transceiver", bank("0101", "2"), expDrained},
+		{"lambda missing", hostileDevice{"transceivers", map[string]any{"tuned": "0101", "enabled": "0"}}, expDrained},
+		{"lambda zero", hostileDevice{"transceivers", map[string]any{"tuned": "0101", "enabled": "0", "lambda": 0}}, expDrained},
+		{"lambda a fraction", hostileDevice{"transceivers", map[string]any{"tuned": "0101", "enabled": "0", "lambda": 40.5}}, expDrained},
+	}
+}()
+
+// TestAuditRejectsMalformedState: a device cannot crash the audit or talk
+// its way through it: every malformed state is an error attributed to the
+// device.
+func TestAuditRejectsMalformedState(t *testing.T) {
+	for _, c := range malformedStates {
 		t.Run(c.name, func(t *testing.T) {
 			tb, err := StartTestbed(map[string]Device{"dev": c.dev})
 			if err != nil {
@@ -292,4 +323,226 @@ func TestAuditSeesAFlippedEmulatorChannel(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "dc1-emulator") || !strings.Contains(err.Error(), "filled") {
 		t.Errorf("audit = %v, want a filled mismatch naming dc1-emulator", err)
 	}
+}
+
+// TestMismatchNamesTheElementNotTheVectors: an audit mismatch goes into
+// the daemon's status, its log, a span attribute and a history record, so
+// it names the first element that differs and how many do, in under 200
+// bytes however large the device, and keeps the field words operators
+// and tests match on.
+func TestMismatchNamesTheElementNotTheVectors(t *testing.T) {
+	bank, oss := NewTransceiverBank(400, 40), NewOSS(320, 0)
+	tuned, live := make([]int, 400), make([]bool, 400)
+	cross := make(map[int]int)
+	var idxs, ws, ins, outs []int
+	for i := range tuned {
+		tuned[i], live[i] = i%40, true
+		idxs, ws = append(idxs, i), append(ws, i%40)
+		if i < 160 {
+			cross[i], ins, outs = 319-i, append(ins, i), append(outs, 319-i)
+		}
+	}
+	tb, err := StartTestbed(map[string]Device{"bank": bank, "oss": oss, "amp": NewAmplifier(20, -3), "em": NewChannelEmulator(96)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tb.Close()
+	for _, c := range []struct {
+		dev, op string
+		args    map[string]any
+	}{
+		{"bank", "tune-batch", map[string]any{"idxs": idxs, "wavelengths": ws}},
+		{"bank", "enable-batch", map[string]any{"idxs": idxs}},
+		{"oss", "connect-batch", map[string]any{"ins": ins, "outs": outs}},
+		{"em", "fill", map[string]any{"channels": idxs[:90]}},
+	} {
+		if _, err := tb.Controller.Call(c.dev, c.op, c.args); err != nil {
+			t.Fatal(err)
+		}
+	}
+	exp := func() Expected {
+		return Expected{
+			Tuned:   map[string][]int{"bank": slices.Clone(tuned)},
+			Enabled: map[string][]bool{"bank": slices.Clone(live)},
+			Cross:   map[string]map[int]int{"oss": cross},
+			Filled:  map[string][]int{"em": slices.Clone(idxs[:90])},
+			Amps:    map[string]bool{"amp": false},
+		}
+	}
+	if err := tb.Controller.Audit(exp()); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name   string
+		intent func(*Expected)
+		want   string
+	}{
+		{"one drained transceiver", func(e *Expected) { e.Enabled["bank"][17] = false },
+			"control: audit bank: enabled[17] true, want false"},
+		{"three on other wavelengths", func(e *Expected) { e.Tuned["bank"][17], e.Tuned["bank"][18], e.Tuned["bank"][399] = 5, 5, 5 },
+			"control: audit bank: tuned[17] 17, want 5 (first of 3 differences)"},
+		{"every transceiver", func(e *Expected) { clear(e.Enabled["bank"]) },
+			"control: audit bank: enabled[0] true, want false (first of 400 differences)"},
+		{"a moved circuit", func(e *Expected) { e.Cross["oss"] = map[int]int{3: 9} },
+			"control: audit oss: cross map: port 0 → 319, want none (first of 160 differences)"},
+		{"a missing circuit", func(e *Expected) { e.Cross["oss"] = maps.Clone(cross); e.Cross["oss"][200] = 100 },
+			"control: audit oss: cross map: port 200 → none, want 100"},
+		{"a circuit to another port", func(e *Expected) { e.Cross["oss"] = maps.Clone(cross); e.Cross["oss"][3] = 9 },
+			"control: audit oss: cross map: port 3 → 316, want 9"},
+		{"a parked amplifier", func(e *Expected) { e.Amps["amp"] = true },
+			"control: audit amp: amplifier enabled false, want true"},
+		{"an ASE channel", func(e *Expected) { e.Filled["em"][89] = 95 },
+			"control: audit em: filled: 90 channels, want 90, alike up to [89]"},
+	} {
+		e := exp()
+		c.intent(&e)
+		err := tb.Controller.Audit(e)
+		if err == nil || err.Error() != c.want || len(c.want) >= 200 {
+			t.Errorf("%s: audit = %v\nwant %s", c.name, err, c.want)
+		}
+	}
+}
+
+// overTheWire is what the controller's transport makes of a device's
+// result: encoded as a response line and decoded again.
+func overTheWire(t testing.TB, result map[string]any) map[string]any {
+	t.Helper()
+	line, err := appendResponse(nil, &Response{ID: 1, OK: true, Result: result})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var resp Response
+	if err := decodeResponse(line, &resp); err != nil {
+		t.Fatal(err)
+	}
+	return resp.Result
+}
+
+// TestPackedBankStateCarriesEveryWavelength: the packed encoding imposes
+// no cap of its own. For bank sizes around the four-to-a-digit boundary
+// and wavelength counts around every digit-width boundary, every
+// wavelength the bank accepts (-1 ≤ w < lambda), live or drained, goes
+// device → wire → reader unchanged: the intent it was set from matches,
+// and intent one wavelength or one transceiver off does not.
+func TestPackedBankStateCarriesEveryWavelength(t *testing.T) {
+	for _, n := range []int{0, 1, 3, 4, 5, 400, 1000} {
+		for _, lambda := range []int{1, 40, 96, 255, 256, 4096, 70000} {
+			bank := NewTransceiverBank(n, lambda)
+			all := make([]int, n)
+			for i := range all {
+				all[i] = i
+			}
+			must := func(op string, args map[string]any) {
+				t.Helper()
+				if _, err := bank.Handle(op, args); err != nil {
+					t.Fatalf("n=%d lambda=%d: %s: %v", n, lambda, op, err)
+				}
+			}
+			// Each round tunes the whole bank to the next n wavelengths,
+			// wrapping from lambda-1 to -1, until all have been held.
+			for first := -1; first < lambda; first += max(n, 1) {
+				tuned, live, lit := make([]int, n), make([]bool, n), []int(nil)
+				for i := range tuned {
+					tuned[i] = (first+i+1)%(lambda+1) - 1
+					if live[i] = tuned[i] >= 0 && i%3 != 1; live[i] {
+						lit = append(lit, i)
+					}
+				}
+				must("disable-batch", map[string]any{"idxs": all})
+				must("tune-batch", map[string]any{"idxs": all, "wavelengths": tuned})
+				must("enable-batch", map[string]any{"idxs": lit})
+				st, err := bank.Handle("state", nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				st = overTheWire(t, st)
+
+				var ch Change
+				exp := Expected{Tuned: map[string][]int{"dev": tuned}, Enabled: map[string][]bool{"dev": live}}
+				if diff, err := exp.repair(&ch, "dev", st); err != nil || diff != "" {
+					t.Fatalf("n=%d lambda=%d from %d: the reader sees %q, %v in %v", n, lambda, first, diff, err, st)
+				}
+				if n == 0 {
+					continue
+				}
+				last := n - 1
+				tuned[last]++
+				if diff, _ := exp.repair(&ch, "dev", st); !strings.HasPrefix(diff, fmt.Sprintf("tuned[%d] %d, want %d", last, tuned[last]-1, tuned[last])) {
+					t.Fatalf("n=%d lambda=%d from %d: wavelength off by one reads %q", n, lambda, first, diff)
+				}
+				tuned[last]--
+				live[last] = !live[last]
+				if diff, _ := exp.repair(&ch, "dev", st); !strings.HasPrefix(diff, fmt.Sprintf("enabled[%d] %t, want %t", last, !live[last], live[last])) {
+					t.Fatalf("n=%d lambda=%d from %d: a flipped transceiver reads %q", n, lambda, first, diff)
+				}
+			}
+		}
+	}
+}
+
+// FuzzStateDecode hands Expected.repair arbitrary bytes as the result of
+// a bank's and a switch's "state": it never panics, and whatever it does
+// not reject as a *DeviceError is a well-formed state — a bank's digits
+// unpack and pack again to the same strings, a switch's input ports
+// ascend with an output port each — whose repair is empty exactly when
+// nothing is reported to differ.
+func FuzzStateDecode(f *testing.F) {
+	for _, c := range malformedStates {
+		line, err := appendValue(nil, c.dev.state)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(line)
+	}
+	f.Add([]byte(`{"tuned":"0100290000","enabled":"88","lambda":40}`))
+	f.Add([]byte(`{"tuned":"","enabled":"","lambda":1}`))
+	f.Add([]byte(`{"tuned":"1117000000","enabled":"c","lambda":70000}`))
+	f.Add([]byte(`{"in":[1,4,9],"out":[2,0,7],"ports":16}`))
+	f.Add([]byte(`{"in":[],"out":[],"ports":16}`))
+	f.Add([]byte(`{"in":[1],"out":[2],"tuned":"01","enabled":"8","lambda":4}`))
+	exps := []Expected{
+		{Tuned: map[string][]int{"dev": {0, -1, 40, -1, -1}}, Enabled: map[string][]bool{"dev": {true, false, false, false, true}}},
+		{Tuned: map[string][]int{"dev": {0}}},
+		{Enabled: map[string][]bool{"dev": {}}},
+		{Cross: map[string]map[int]int{"dev": {1: 2, 4: 0}}},
+	}
+	f.Fuzz(func(t *testing.T, result []byte) {
+		var resp Response
+		if decodeResponse(append(append([]byte(`{"ok":true,"result":`), result...), '}'), &resp) != nil {
+			return
+		}
+		st := resp.Result
+		for _, exp := range exps {
+			var ch Change
+			diff, err := exp.repair(&ch, "dev", st)
+			if err != nil {
+				var de *DeviceError
+				if !errors.As(err, &de) || de.Device != "dev" {
+					t.Fatalf("repair of %q: %v is not a DeviceError for dev", result, err)
+				}
+				continue
+			}
+			empty := len(ch.Drain)+len(ch.Switches)+len(ch.Retunes)+len(ch.Undrain) == 0
+			if (diff == "") != empty {
+				t.Fatalf("repair of %q: diff %q with %+v", result, diff, ch)
+			}
+			if exp.Cross != nil {
+				ins, _ := st["in"].([]int) // [] decodes to an empty []any
+				outs, _ := st["out"].([]int)
+				if len(ins) != len(outs) || !slices.IsSorted(ins) || len(slices.Compact(slices.Clone(ins))) != len(ins) {
+					t.Fatalf("repair took %q for a switch state", result)
+				}
+				continue
+			}
+			bank, _ := stateBank(st)
+			tuned, live := make([]int, bank.n), make([]bool, bank.n)
+			for i := range tuned {
+				tuned[i], live[i], _ = bank.at(i)
+			}
+			lambda, _ := asInt(st["lambda"])
+			if pt, pe := packBank(tuned, live, lambda); pt != st["tuned"] || pe != st["enabled"] {
+				t.Fatalf("repair took %q for a bank state, which packs again as %q %q", result, pt, pe)
+			}
+		}
+	})
 }

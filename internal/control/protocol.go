@@ -183,7 +183,8 @@ type Client struct {
 	conn        net.Conn
 	sc          *bufio.Scanner
 	wbuf        []byte // request line under construction, reused
-	nextID      int64
+	nextID      int64  // ID of the last request sent
+	op          string // its operation, for recv's errors
 	broken      bool
 	closed      bool
 }
@@ -242,52 +243,83 @@ func (c *Client) failLocked() {
 // Call sends one operation and waits for its response, bounded by the
 // client's RPC deadline.
 func (c *Client) Call(op string, args map[string]any) (map[string]any, error) {
+	if err := c.send(op, args); err != nil {
+		return nil, err
+	}
+	return c.recv()
+}
+
+// send writes one request, starts its RPC deadline and returns with c.mu
+// held: the request is in flight, and the client locked, until recv reads
+// its response or abandon gives it up. When send fails nothing is in flight
+// and the lock is free. A caller with requests in flight on several clients
+// takes them in one order (the controller: sorted device names), so two
+// such callers cannot deadlock.
+func (c *Client) send(op string, args map[string]any) (err error) {
 	c.mu.Lock()
-	defer c.mu.Unlock()
+	defer func() {
+		if err != nil {
+			c.mu.Unlock()
+		}
+	}()
 	if c.closed {
-		return nil, fmt.Errorf("control: client for %s is closed", c.addr)
+		return fmt.Errorf("control: client for %s is closed", c.addr)
 	}
 	if c.broken || c.conn == nil {
 		if err := c.redialLocked(); err != nil {
-			return nil, err
+			return err
 		}
 	}
 	c.nextID++
-	req := Request{ID: c.nextID, Op: op, Args: args}
-	line, err := appendRequest(c.wbuf[:0], &req)
+	line, err := appendRequest(c.wbuf[:0], &Request{ID: c.nextID, Op: op, Args: args})
 	if err != nil {
-		return nil, err // nothing was sent: the transport stays usable
+		return err // nothing was sent: the transport stays usable
 	}
-	c.wbuf = line
+	c.wbuf, c.op = line, op
 	if c.rpcTimeout > 0 {
 		c.conn.SetDeadline(time.Now().Add(c.rpcTimeout))
-		defer c.conn.SetDeadline(time.Time{})
 	}
 	if _, err := c.conn.Write(line); err != nil {
 		c.failLocked()
-		return nil, fmt.Errorf("control: send %s: %w", op, err)
+		return fmt.Errorf("control: send %s: %w", op, err)
+	}
+	return nil
+}
+
+// recv reads the response to the request in flight and unlocks the client.
+func (c *Client) recv() (map[string]any, error) {
+	defer c.mu.Unlock()
+	if c.rpcTimeout > 0 {
+		defer c.conn.SetDeadline(time.Time{})
 	}
 	if !c.sc.Scan() {
 		err := c.sc.Err()
 		c.failLocked()
 		if err != nil {
-			return nil, fmt.Errorf("control: recv %s: %w", op, err)
+			return nil, fmt.Errorf("control: recv %s: %w", c.op, err)
 		}
-		return nil, fmt.Errorf("control: connection closed during %s", op)
+		return nil, fmt.Errorf("control: connection closed during %s", c.op)
 	}
 	var resp Response
 	if err := decodeResponse(c.sc.Bytes(), &resp); err != nil {
 		c.failLocked()
-		return nil, fmt.Errorf("control: decode response to %s: %w", op, err)
+		return nil, fmt.Errorf("control: decode response to %s: %w", c.op, err)
 	}
-	if resp.ID != req.ID {
+	if resp.ID != c.nextID {
 		c.failLocked()
-		return nil, fmt.Errorf("control: response ID %d for request %d", resp.ID, req.ID)
+		return nil, fmt.Errorf("control: response ID %d for request %d", resp.ID, c.nextID)
 	}
 	if !resp.OK {
-		return nil, fmt.Errorf("control: %s: %s", op, resp.Error)
+		return nil, fmt.Errorf("control: %s: %s", c.op, resp.Error)
 	}
 	return resp.Result, nil
+}
+
+// abandon gives up the request in flight and unlocks the client; as its
+// response may still arrive, the connection is poisoned as after a timeout.
+func (c *Client) abandon() {
+	c.failLocked()
+	c.mu.Unlock()
 }
 
 // Close tears down the connection permanently; subsequent calls fail

@@ -3,10 +3,15 @@ package control
 import (
 	"context"
 	"errors"
+	"fmt"
 	"net"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
+
+	"iris/internal/trace"
 )
 
 // stallableDevice wraps a real device and, while stalled, blocks every
@@ -126,5 +131,191 @@ func TestDeviceErrorAttribution(t *testing.T) {
 	})
 	if !errors.As(err, &de) || de.Device != "oss-a" {
 		t.Errorf("reconfigure err = %v, want wrapped DeviceError for oss-a", err)
+	}
+}
+
+// The ways one device of an audit can fail while the requests to the
+// devices after it are already on the wire.
+const (
+	answering int32 = iota
+	wedged          // answers after the RPC deadline
+	garbled         // answers with a state of no device kind
+	refusing        // answers with an error
+)
+
+// moodyBank is a two-transceiver bank whose "state" misbehaves on demand.
+type moodyBank struct {
+	*TransceiverBank
+	mood atomic.Int32
+}
+
+func (d *moodyBank) Handle(op string, args map[string]any) (map[string]any, error) {
+	if op == "state" {
+		switch d.mood.Load() {
+		case wedged:
+			time.Sleep(300 * time.Millisecond)
+		case garbled:
+			return map[string]any{"tuned": "zz", "enabled": true}, nil
+		case refusing:
+			return nil, errors.New("moody: not now")
+		}
+	}
+	return d.TransceiverBank.Handle(op, args)
+}
+
+// overlapRig serves five idle banks a…e, the middle one moody, behind a
+// controller with a 60 ms RPC deadline, and returns the intent they match.
+func overlapRig(t *testing.T) (*Testbed, *moodyBank, Expected) {
+	t.Helper()
+	moody := &moodyBank{TransceiverBank: NewTransceiverBank(2, 4)}
+	devs := map[string]Device{"c": moody}
+	exp := Expected{Tuned: map[string][]int{}, Enabled: map[string][]bool{}}
+	for _, name := range []string{"a", "b", "c", "d", "e"} {
+		if devs[name] == nil {
+			devs[name] = NewTransceiverBank(2, 4)
+		}
+		exp.Tuned[name], exp.Enabled[name] = []int{-1, -1}, []bool{false, false}
+	}
+	tb, err := StartTestbedWithOptions(devs, DialOptions{RPCTimeout: 60 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(tb.Close)
+	if err := tb.Controller.Audit(exp); err != nil {
+		t.Fatal(err)
+	}
+	return tb, moody, exp
+}
+
+// TestAuditThatStopsEarlyLeavesNoStaleReply: when device c of a…e fails
+// the audit, the requests already sent to d and e are abandoned, and the
+// error is the one a one-at-a-time audit gave: a *DeviceError naming c
+// (a deadline for a wedged device), or the context's own error. Once the
+// fault clears the next audits pass on every connection: no reply to an
+// abandoned request is ever read as the reply to a later one.
+func TestAuditThatStopsEarlyLeavesNoStaleReply(t *testing.T) {
+	tb, moody, exp := overlapRig(t)
+	ctl := tb.Controller
+	healthy := func(t *testing.T) {
+		t.Helper()
+		moody.mood.Store(answering)
+		for i := 0; i < 3; i++ {
+			if err := ctl.Audit(exp); err != nil {
+				t.Fatalf("audit %d after the fault cleared: %v", i, err)
+			}
+		}
+		for _, dev := range ctl.Devices() {
+			if _, err := ctl.Call(dev, "state", nil); err != nil {
+				t.Fatalf("%s after the fault cleared: %v", dev, err)
+			}
+		}
+	}
+	for _, c := range []struct {
+		name     string
+		mood     int32
+		deadline bool
+	}{
+		{"wedged past the deadline", wedged, true},
+		{"answering garbage", garbled, false},
+		{"refusing", refusing, false},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			moody.mood.Store(c.mood)
+			start := time.Now()
+			err := ctl.Audit(exp)
+			var de *DeviceError
+			if !errors.As(err, &de) || de.Device != "c" || isDeadline(err) != c.deadline {
+				t.Fatalf("audit = %v, want a DeviceError for c (deadline: %v)", err, c.deadline)
+			}
+			if took := time.Since(start); took > 250*time.Millisecond {
+				t.Errorf("the audit took %v: c's 60ms deadline did not bound it", took)
+			}
+			if _, rerr := ctl.Repair(context.Background(), exp); !errors.As(rerr, &de) || de.Device != "c" {
+				t.Errorf("repair = %v, want a DeviceError for c", rerr)
+			}
+			healthy(t)
+		})
+	}
+
+	t.Run("cancelled between replies", func(t *testing.T) {
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		var visited []string
+		err := ctl.eachState(ctx, exp, func(dev string, _ map[string]any) error {
+			if visited = append(visited, dev); dev == "b" {
+				cancel()
+			}
+			return nil
+		})
+		if !errors.Is(err, context.Canceled) || fmt.Sprint(visited) != "[a b]" {
+			t.Fatalf("eachState = %v after visiting %v, want context.Canceled after [a b]", err, visited)
+		}
+		healthy(t)
+	})
+
+	t.Run("a device the controller does not have", func(t *testing.T) {
+		unknown := Expected{Enabled: map[string][]bool{"a": {false, false}, "bb": {false}, "e": {false, false}}}
+		err := ctl.Audit(unknown)
+		if err == nil || !strings.Contains(err.Error(), `unknown device "bb"`) {
+			t.Fatalf("audit = %v, want unknown device bb", err)
+		}
+		healthy(t)
+	})
+}
+
+// TestAuditSpansAreOnePerDevice: under a traced audit every device has
+// one "state" child of the audit's span, attributed to it; a wedged
+// device's carries its error and deadline_exceeded, and the requests
+// abandoned behind it are marked so.
+func TestAuditSpansAreOnePerDevice(t *testing.T) {
+	tb, moody, exp := overlapRig(t)
+	tracer := trace.New(256)
+	audit := func(id uint64) (map[string]trace.Event, error) {
+		root := tracer.Start(id, "audit")
+		err := tb.Controller.AuditCtx(trace.ContextWith(context.Background(), root), exp)
+		root.Finish()
+		byDev := make(map[string]trace.Event)
+		var rootID uint64
+		events := tracer.Events(trace.Filter{TraceID: id})
+		for _, ev := range events {
+			if ev.Name == "audit" {
+				rootID = ev.SpanID
+			}
+		}
+		for _, ev := range events {
+			if ev.Name != "state" {
+				continue
+			}
+			if _, dup := byDev[ev.Device]; dup || ev.ParentID != rootID {
+				t.Errorf("trace %d: state span %+v is a duplicate or not a child of the audit", id, ev)
+			}
+			byDev[ev.Device] = ev
+		}
+		if len(byDev) != 5 {
+			t.Errorf("trace %d has state spans for %d devices, want 5", id, len(byDev))
+		}
+		return byDev, err
+	}
+
+	spans, err := audit(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for dev, ev := range spans {
+		if ev.Err != "" || ev.Attr != "" {
+			t.Errorf("clean audit: span of %s = %+v", dev, ev)
+		}
+	}
+
+	moody.mood.Store(wedged)
+	spans, err = audit(2)
+	if err == nil {
+		t.Fatal("audit of a wedged device passed")
+	}
+	for dev, ev := range spans {
+		want := map[string]string{"c": "deadline_exceeded", "d": "abandoned", "e": "abandoned"}[dev]
+		if ev.Attr != want || (ev.Err != "") != (dev == "c") {
+			t.Errorf("span of %s has attr %q, error %q; want attr %q", dev, ev.Attr, ev.Err, want)
+		}
 	}
 }

@@ -23,11 +23,11 @@ import (
 // device RPC of every tick.
 //
 // Values inside "args" and "result" are the closed set the devices use:
-// nil, bool, int, float64, string, []int, []bool, map[string]int and
-// nested map[string]any / []any of those. The decoder yields []int for an
-// array of integer literals and []bool for an array of booleans, so a
-// bank's 400-transceiver state is two typed slices, not 800 boxed values;
-// any other array is []any, scalar numbers are float64 and objects are
+// nil, bool, int, float64, string, []int and nested map[string]any / []any
+// of those. The decoder yields []int for an array of integer literals, so
+// a batch's indices and a switch's ports are one typed slice, not boxed
+// values (a bank's per-transceiver state travels as two strings); any
+// other array is []any, scalar numbers are float64 and objects are
 // map[string]any, as encoding/json would give.
 
 // maxDepth is encoding/json's nesting limit; past it a line is malformed.
@@ -97,15 +97,6 @@ func appendValue(dst []byte, v any) ([]byte, error) {
 			dst = strconv.AppendInt(dst, int64(e), 10)
 		}
 		return append(dst, ']'), nil
-	case []bool:
-		dst = append(dst, '[')
-		for i, e := range v {
-			if i > 0 {
-				dst = append(dst, ',')
-			}
-			dst = strconv.AppendBool(dst, e)
-		}
-		return append(dst, ']'), nil
 	case []any:
 		dst = append(dst, '[')
 		for i, e := range v {
@@ -117,15 +108,6 @@ func appendValue(dst []byte, v any) ([]byte, error) {
 			}
 		}
 		return append(dst, ']'), nil
-	case map[string]int:
-		dst = append(dst, '{')
-		for k, e := range v {
-			dst = appendString(dst, k)
-			dst = append(dst, ':')
-			dst = strconv.AppendInt(dst, int64(e), 10)
-			dst = append(dst, ',')
-		}
-		return closeObject(dst), nil
 	case map[string]any:
 		dst = append(dst, '{')
 		for k, e := range v {
@@ -439,10 +421,9 @@ func (d *decoder) object(m map[string]any) (map[string]any, error) {
 }
 
 // array reads an array as []int while every element is an integer
-// literal that fits an int, as []bool while every element is a boolean,
-// and as []any of generically decoded values from the first element that
-// is neither (the elements already read are widened). The empty array is
-// an empty []any.
+// literal that fits an int, and as []any of generically decoded values
+// from the first element that is not (the elements already read are
+// widened). The empty array is an empty []any.
 func (d *decoder) array() (any, error) {
 	if d.depth++; d.depth > maxDepth {
 		return nil, d.errorf("nesting deeper than %d", maxDepth)
@@ -455,15 +436,14 @@ func (d *decoder) array() (any, error) {
 		return []any{}, nil
 	}
 	var (
-		ints  []int
-		bools []bool
-		anys  []any
-		n     = d.elems()
+		ints []int
+		anys []any
+		n    = d.elems()
 	)
 	for {
 		c := d.peek()
 		switch {
-		case anys == nil && bools == nil && (c == '-' || (c >= '0' && c <= '9')):
+		case anys == nil && (c == '-' || (c >= '0' && c <= '9')):
 			start := d.i
 			v, isInt, _, err := d.number()
 			if err != nil {
@@ -471,21 +451,16 @@ func (d *decoder) array() (any, error) {
 			}
 			if !isInt || int64(int(v)) != v {
 				d.i = start
-				anys = widen(ints, bools, n)
+				anys = widen(ints, n)
 				continue
 			}
 			if ints == nil {
 				ints = make([]int, 0, n)
 			}
 			ints = append(ints, int(v))
-		case anys == nil && ints == nil && (c == 't' || c == 'f') && (d.lit("true") || d.lit("false")):
-			if bools == nil {
-				bools = make([]bool, 0, n)
-			}
-			bools = append(bools, c == 't')
 		default:
 			if anys == nil {
-				anys = widen(ints, bools, n)
+				anys = widen(ints, n)
 			}
 			v, err := d.value()
 			if err != nil {
@@ -501,11 +476,8 @@ func (d *decoder) array() (any, error) {
 		case ']':
 			d.i++
 			d.depth--
-			switch {
-			case anys != nil:
+			if anys != nil {
 				return anys, nil
-			case bools != nil:
-				return bools, nil
 			}
 			return ints, nil
 		default:
@@ -530,15 +502,12 @@ func (d *decoder) elems() int {
 	return n
 }
 
-// widen converts the typed prefix of an array that turned out mixed into
+// widen converts the integer prefix of an array that turned out mixed into
 // the generic form encoding/json gives.
-func widen(ints []int, bools []bool, n int) []any {
+func widen(ints []int, n int) []any {
 	out := make([]any, 0, n)
 	for _, v := range ints {
 		out = append(out, float64(v))
-	}
-	for _, v := range bools {
-		out = append(out, v)
 	}
 	return out
 }

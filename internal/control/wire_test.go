@@ -94,6 +94,8 @@ var wireSeeds = []string{
 	`{"args":{"deep":` + strings.Repeat("[", 9998) + strings.Repeat("]", 9998) + `}}`,
 	`{"args":{"deep":` + strings.Repeat("[", 9999) + strings.Repeat("]", 9999) + `}}`,
 	`{"a":[true,false,1],"b":[1,true],"c":[[1,2],[true]],"d":[{"x":[1]}]}`,
+	`{"id":5,"ok":true,"result":{"tuned":"06000000","enabled":"8","lambda":40}}`,
+	`{"id":6,"ok":true,"result":{"in":[0,12],"out":[8,3],"ports":32}}`,
 }
 
 // FuzzWireDecode holds the decoder to encoding/json on arbitrary lines:
@@ -309,7 +311,8 @@ func FuzzWireRoundTrip(f *testing.F) {
 }
 
 // TestWireTypedArrays pins what the decoder hands the devices and the
-// audit: typed slices for homogeneous arrays, and nothing silently coerced.
+// audit: a typed slice for an array of integers, and nothing silently
+// coerced.
 func TestWireTypedArrays(t *testing.T) {
 	var r Response
 	line := `{"id":1,"ok":true,"result":{"i":[1,-2,3],"b":[true,false],"e":[],"m":[1,true],"f":[1,2.5],"n":[null],"big":[9223372036854775808]}}`
@@ -317,7 +320,7 @@ func TestWireTypedArrays(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := map[string]any{
-		"i": []int{1, -2, 3}, "b": []bool{true, false}, "e": []any{},
+		"i": []int{1, -2, 3}, "b": []any{true, false}, "e": []any{},
 		"m": []any{1.0, true}, "f": []any{1.0, 2.5}, "n": []any{nil},
 		"big": []any{9223372036854775808.0},
 	}

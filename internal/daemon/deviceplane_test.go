@@ -1,10 +1,13 @@
 package daemon
 
 import (
+	"context"
 	"math/rand"
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"iris/internal/control"
 	"iris/internal/fabric"
@@ -166,5 +169,73 @@ func TestLongRunningRegionStaysFlat(t *testing.T) {
 	const slack = 2 << 20
 	if heap300 > heap150+slack {
 		t.Errorf("live heap grew from %d to %d bytes over 150 ticks", heap150, heap300)
+	}
+}
+
+// TestConcurrentFetchesNeitherDeadlockNorMisframe: an audit holds every
+// device's connection from its request to its reply, so everything else
+// that talks to devices has to interleave with it. Two audits, a repair,
+// a probe round and a reconfiguration (one that restates the books, so
+// every audit must pass) run at once on one controller for 200 rounds;
+// any error is a mis-framed or stale reply, and a round that does not end
+// is a deadlock. Meant for -race.
+func TestConcurrentFetchesNeitherDeadlockNorMisframe(t *testing.T) {
+	rig, d := denseRegion(t, 6)
+	ctl := rig.Testbed.Controller
+	ctx := context.Background()
+	d.mu.Lock()
+	exp := d.fab.Expected()
+	d.mu.Unlock()
+	// The last transceiver of a bank is the last its pool hands out: it is
+	// drained and untuned, and the change says so again.
+	bank := rig.Fab.XcvrName(rig.Dep.Region.Map.DCs()[0])
+	idle := len(exp.Enabled[bank]) - 1
+	if exp.Enabled[bank][idle] || exp.Tuned[bank][idle] != -1 {
+		t.Fatalf("transceiver %d of %s is in use", idle, bank)
+	}
+	restate := control.Change{
+		Drain:   []control.TransceiverOp{{Device: bank, Idx: idle}},
+		Retunes: []control.TransceiverOp{{Device: bank, Idx: idle, Wavelength: -1}},
+	}
+	for dev := range exp.Amps {
+		restate.Amps = append(restate.Amps, control.AmpOp{Device: dev, Enable: exp.Amps[dev]})
+	}
+
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for round := 0; round < 200; round++ {
+			var wg sync.WaitGroup
+			for what, run := range map[string]func() error{
+				"audit":  d.Audit,
+				"audit2": func() error { return ctl.AuditCtx(ctx, exp) },
+				"repair": func() error {
+					ch, err := ctl.Repair(ctx, exp)
+					if err == nil && !fabric.EmptyChange(ch) {
+						t.Errorf("round %d: repair of matching devices = %+v", round, ch)
+					}
+					return err
+				},
+				"probe":       func() error { d.ProbeOnce(); return nil },
+				"reconfigure": func() error { _, err := ctl.Reconfigure(ctx, restate); return err },
+			} {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					if err := run(); err != nil {
+						t.Errorf("round %d: %s: %v", round, what, err)
+					}
+				}()
+			}
+			wg.Wait()
+		}
+	}()
+	select {
+	case <-done:
+	case <-time.After(2 * time.Minute):
+		t.Fatal("200 rounds did not finish: a fetch is deadlocked")
+	}
+	if !d.Healthy() {
+		t.Errorf("a probe failed along the way: %+v", d.Status().Devices)
 	}
 }

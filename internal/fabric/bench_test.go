@@ -70,7 +70,9 @@ func BenchmarkReconfigureDense(b *testing.B) {
 
 // BenchmarkAuditRegion measures the audit that closes every tick: one
 // full state fetch from each of the region's switches, banks and
-// amplifiers, compared value by value against intent.
+// amplifiers, compared value by value against intent. Its allocations —
+// controller and devices, which share the process — are gated at 1 200 an
+// audit (888 when the gate was set; 2 802 with per-element state replies).
 func BenchmarkAuditRegion(b *testing.B) {
 	rig, allocs := benchRegion(b)
 	ch, err := rig.Fab.CompileTarget(allocs[0])
@@ -81,12 +83,18 @@ func BenchmarkAuditRegion(b *testing.B) {
 		b.Fatal(err)
 	}
 	exp := rig.Fab.Expected()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	audit := func() {
 		if err := rig.Testbed.Controller.Audit(exp); err != nil {
 			b.Fatal(err)
 		}
+	}
+	if allocs := testing.AllocsPerRun(20, audit); allocs > 1200 {
+		b.Fatalf("an audit of the region allocates %.0f times, want at most 1200", allocs)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		audit()
 	}
 	b.ReportMetric(float64(len(exp.Cross)+len(exp.Enabled)+len(exp.Amps)), "devices/op")
 }

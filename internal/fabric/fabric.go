@@ -32,6 +32,9 @@ type Fabric struct {
 	dep    *core.Deployment
 	lambda int
 
+	// Device names by node, built once: Clone shares them.
+	ossNames, xcvrNames, ampNames []string
+
 	// Port layout.
 	ossSize   map[int]int         // node -> OSS port count
 	ductBase  map[int]map[int]int // node -> duct -> first port index
@@ -138,6 +141,11 @@ func Build(dep *core.Deployment) (*Fabric, error) {
 	}
 	m := dep.Region.Map
 	pl := dep.Plan
+	for _, n := range m.Nodes {
+		f.ossNames = append(f.ossNames, n.Name+"-oss")
+		f.xcvrNames = append(f.xcvrNames, n.Name+"-xcvr")
+		f.ampNames = append(f.ampNames, n.Name+"-amp")
+	}
 
 	// Duct-side ports, in duct-ID order for determinism.
 	ductIDs := make([]int, 0, len(pl.Ducts))
@@ -186,19 +194,13 @@ func (f *Fabric) Deployment() *core.Deployment { return f.dep }
 // Device naming.
 
 // OSSName returns the device name of a node's optical space switch.
-func (f *Fabric) OSSName(node int) string {
-	return f.dep.Region.Map.Nodes[node].Name + "-oss"
-}
+func (f *Fabric) OSSName(node int) string { return f.ossNames[node] }
 
 // XcvrName returns the device name of a DC's transceiver bank.
-func (f *Fabric) XcvrName(dc int) string {
-	return f.dep.Region.Map.Nodes[dc].Name + "-xcvr"
-}
+func (f *Fabric) XcvrName(dc int) string { return f.xcvrNames[dc] }
 
 // AmpName returns the device name of a node's amplifier group.
-func (f *Fabric) AmpName(node int) string {
-	return f.dep.Region.Map.Nodes[node].Name + "-amp"
-}
+func (f *Fabric) AmpName(node int) string { return f.ampNames[node] }
 
 // Devices builds the emulated device set for the whole fabric, sized from
 // the plan, suitable for control.StartTestbed.
@@ -381,21 +383,25 @@ func (f *Fabric) release(c *circuit) {
 // disconnect only the input port of each cross-connect is named.
 func (f *Fabric) circuitOps(c *circuit, disconnect bool) ([]control.OSSOp, error) {
 	var ops []control.OSSOp
-	add := func(node, in, out int) {
-		ops = append(ops, control.OSSOp{
-			Device: f.OSSName(node), In: in, Out: out, Disconnect: disconnect,
-		})
-	}
+	err := f.hops(c, func(node, in, out int) {
+		ops = append(ops, control.OSSOp{Device: f.OSSName(node), In: in, Out: out, Disconnect: disconnect})
+	})
+	return ops, err
+}
+
+// hops calls visit with every cross-connect of the circuit, in path order:
+// the switched node and its input and output port.
+func (f *Fabric) hops(c *circuit, visit func(node, in, out int)) error {
 	// Source DC: local port -> first duct.
 	aLocal, err := f.LocalPort(c.pair.A, c.localA)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	first, err := f.Port(pathEndpointA(c), c.path.ducts[0], c.fiberIdx[0])
 	if err != nil {
-		return nil, err
+		return err
 	}
-	add(pathEndpointA(c), aLocal, first)
+	visit(pathEndpointA(c), aLocal, first)
 
 	// Interior switched nodes.
 	for i := 0; i < len(c.path.ducts)-1; i++ {
@@ -405,27 +411,27 @@ func (f *Fabric) circuitOps(c *circuit, disconnect bool) ([]control.OSSOp, error
 		}
 		in, err := f.Port(node, c.path.ducts[i], c.fiberIdx[i])
 		if err != nil {
-			return nil, err
+			return err
 		}
 		out, err := f.Port(node, c.path.ducts[i+1], c.fiberIdx[i+1])
 		if err != nil {
-			return nil, err
+			return err
 		}
-		add(node, in, out)
+		visit(node, in, out)
 	}
 
 	// Destination DC: last duct -> local port.
 	last := len(c.path.ducts) - 1
 	in, err := f.Port(pathEndpointB(c), c.path.ducts[last], c.fiberIdx[last])
 	if err != nil {
-		return nil, err
+		return err
 	}
 	bLocal, err := f.LocalPort(c.pair.B, c.localB)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	add(pathEndpointB(c), in, bLocal)
-	return ops, nil
+	visit(pathEndpointB(c), in, bLocal)
+	return nil
 }
 
 func pathEndpointA(c *circuit) int { return c.path.nodes[0] }
@@ -510,8 +516,8 @@ func (f *Fabric) Expected() control.Expected {
 		Amps:    make(map[string]bool),
 	}
 	for node, size := range f.ossSize {
-		if size > 0 {
-			exp.Cross[f.OSSName(node)] = make(map[int]int)
+		if size > 0 { // a circuit takes two ports: no map grows past its hint
+			exp.Cross[f.OSSName(node)] = make(map[int]int, size/2)
 		}
 	}
 	for dc, tuned := range f.tuned {
@@ -523,14 +529,9 @@ func (f *Fabric) Expected() control.Expected {
 			exp.Amps[f.AmpName(node)] = f.ampRefs[node] > 0
 		}
 	}
+	cross := func(node, in, out int) { exp.Cross[f.OSSName(node)][in] = out }
 	every := func(c *circuit) {
-		ops, err := f.circuitOps(c, false)
-		if err != nil {
-			return
-		}
-		for _, op := range ops {
-			exp.Cross[op.Device][op.In] = op.Out
-		}
+		_ = f.hops(c, cross) // an established circuit's ports resolved at compile
 		liveA, liveB := exp.Enabled[f.XcvrName(c.pair.A)], exp.Enabled[f.XcvrName(c.pair.B)]
 		for slot := 0; slot < c.live; slot++ {
 			liveA[c.xcvrA[slot]], liveB[c.xcvrB[slot]] = true, true

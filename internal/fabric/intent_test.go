@@ -141,6 +141,9 @@ func TestAuditAndRepairAgreeOnNamedDrifts(t *testing.T) {
 			if err == nil || !strings.Contains(err.Error(), c.dev) || !strings.Contains(err.Error(), c.field) {
 				t.Fatalf("audit = %v, want a %s mismatch naming %s", err, c.field, c.dev)
 			}
+			if len(err.Error()) >= 200 {
+				t.Errorf("the mismatch takes %d bytes to say: %v", len(err.Error()), err)
+			}
 			var de *control.DeviceError
 			if errors.As(err, &de) {
 				t.Errorf("a well-formed mismatch is a *DeviceError: %v", err)
@@ -201,15 +204,10 @@ func (d *drifter) cross(dev string) (cross map[int]int, ins, freeIn, freeOut []i
 	oss := d.rig.Testbed.Devices[dev].(*control.OSS)
 	cross = make(map[int]int)
 	fed := make(map[int]bool)
-	for k, out := range oss.CrossMap() {
-		in, err := strconv.Atoi(k)
-		if err != nil {
-			d.t.Fatal(err)
-		}
-		cross[in], fed[out] = out, true
-		ins = append(ins, in)
+	ins, outs := oss.Cross()
+	for i, in := range ins {
+		cross[in], fed[outs[i]] = outs[i], true
 	}
-	sort.Ints(ins)
 	st, err := oss.Handle("state", nil)
 	if err != nil {
 		d.t.Fatal(err)
@@ -371,12 +369,6 @@ func TestAuditPassesIffRepairIsEmpty(t *testing.T) {
 func reconcileOracle(f *Fabric, states map[string]map[string]any) control.Change {
 	var ch control.Change
 	exp := f.Expected()
-	num := func(v any) int {
-		if n, ok := v.(int); ok {
-			return n
-		}
-		return int(v.(float64))
-	}
 
 	// Intended wavelength per live transceiver index.
 	wl := make(map[string]map[int]int)
@@ -404,9 +396,9 @@ func reconcileOracle(f *Fabric, states map[string]map[string]any) control.Change
 			continue
 		}
 		actual := make(map[int]int)
-		for k, v := range st["cross"].(map[string]any) {
-			in, _ := strconv.Atoi(k)
-			actual[in] = num(v)
+		ins, _ := st["in"].([]int) // an idle switch reports [], which is no []int
+		for i, in := range ins {
+			actual[in] = st["out"].([]int)[i]
 		}
 		want := exp.Cross[name]
 		for _, in := range sortedKeys(actual) {
@@ -428,8 +420,7 @@ func reconcileOracle(f *Fabric, states map[string]map[string]any) control.Change
 		if !ok {
 			continue
 		}
-		tuned := st["tuned"].([]int)
-		actEn := st["enabled"].([]bool)
+		tuned, actEn := unpackBank(st)
 		wantEn := exp.Enabled[name]
 		for idx := range actEn {
 			want := idx < len(wantEn) && wantEn[idx]
@@ -588,4 +579,27 @@ func TestIntentNamesEveryBuiltDevice(t *testing.T) {
 			t.Errorf("%s = %v, want a DeviceError for %s", what, err, amp)
 		}
 	}
+}
+
+// unpackBank is the test's own reader of a bank's packed state (DESIGN §6):
+// hex digits of wavelength+1 per transceiver, and one hex digit per four
+// transceivers with the first in the high bit.
+func unpackBank(st map[string]any) (tuned []int, enabled []bool) {
+	width := len(strconv.FormatInt(int64(st["lambda"].(float64)), 16))
+	packed := st["tuned"].(string)
+	for i := 0; i < len(packed); i += width {
+		v, err := strconv.ParseInt(packed[i:i+width], 16, 64)
+		if err != nil {
+			panic(err)
+		}
+		tuned = append(tuned, int(v)-1)
+	}
+	for i := range tuned {
+		digit, err := strconv.ParseInt(st["enabled"].(string)[i/4:i/4+1], 16, 8)
+		if err != nil {
+			panic(err)
+		}
+		enabled = append(enabled, digit&(8>>(i%4)) != 0)
+	}
+	return tuned, enabled
 }

@@ -2,7 +2,9 @@ package fabric
 
 import (
 	"context"
+	"encoding/json"
 	"math/rand"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -295,6 +297,82 @@ func TestReconfigureRPCBudget(t *testing.T) {
 	}
 }
 
+// replyRecorder keeps the last "state" result of every device.
+type replyRecorder struct {
+	mu     sync.Mutex
+	states map[string]map[string]any
+	calls  map[string]int
+}
+
+func (r *replyRecorder) wrap(name string, dev control.Device) control.Device {
+	return recordedDevice{Device: dev, name: name, r: r}
+}
+
+type recordedDevice struct {
+	control.Device
+	name string
+	r    *replyRecorder
+}
+
+func (d recordedDevice) Handle(op string, args map[string]any) (map[string]any, error) {
+	st, err := d.Device.Handle(op, args)
+	if op == "state" {
+		d.r.mu.Lock()
+		d.r.states[d.name], d.r.calls[d.name] = st, d.r.calls[d.name]+1
+		d.r.mu.Unlock()
+	}
+	return st, err
+}
+
+// TestAuditReplyBudget: on the 20-DC region an audit is exactly one state
+// fetch per device the controller has, and what the devices send back for
+// it is at most half of what the same states took as per-element JSON
+// arrays and a string-keyed object (the reply shapes before the packed
+// state, rebuilt here from the devices' own accessors).
+func TestAuditReplyBudget(t *testing.T) {
+	rec := &replyRecorder{states: make(map[string]map[string]any), calls: make(map[string]int)}
+	rig, exp := intentRig(t, rec.wrap)
+	clear(rec.calls)
+	if err := rig.Testbed.Controller.Audit(exp); err != nil {
+		t.Fatal(err)
+	}
+	size := func(result map[string]any) int {
+		line, err := json.Marshal(map[string]any{"id": 1, "ok": true, "result": result})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return len(line) + 1
+	}
+	packed, elementwise := 0, 0
+	for _, name := range rig.Testbed.Controller.Devices() {
+		if rec.calls[name] != 1 {
+			t.Errorf("the audit fetched %s %d times, want once", name, rec.calls[name])
+		}
+		packed += size(rec.states[name])
+		old := rec.states[name]
+		switch dev := rig.Testbed.Devices[name].(recordedDevice).Device.(type) {
+		case *control.OSS:
+			cross := make(map[string]int)
+			ins, outs := dev.Cross()
+			for i, in := range ins {
+				cross[strconv.Itoa(in)] = outs[i]
+			}
+			old = map[string]any{"cross": cross, "ports": old["ports"]}
+		case *control.TransceiverBank:
+			tuned, enabled := dev.Snapshot()
+			old = map[string]any{"tuned": tuned, "enabled": enabled, "lambda": old["lambda"]}
+		}
+		elementwise += size(old)
+	}
+	if len(rec.calls) != len(rig.Testbed.Controller.Devices()) {
+		t.Errorf("the audit fetched %d devices, the controller has %d", len(rec.calls), len(rig.Testbed.Controller.Devices()))
+	}
+	t.Logf("state replies of one audit: %d bytes packed, %d bytes element by element", packed, elementwise)
+	if 2*packed > elementwise {
+		t.Errorf("packed replies take %d bytes, more than half of the %d they took element by element", packed, elementwise)
+	}
+}
+
 // TestReconcileRejectsMalformedState: repair reads device state through
 // the same strict readers as the audit, so a bank reporting garbage is an
 // error, not a bank read as fully drained.
@@ -306,16 +384,16 @@ func TestReconcileRejectsMalformedState(t *testing.T) {
 	}
 	xcvr := rig.Fab.XcvrName(rig.Dep.Region.Map.DCs()[0])
 	good := states[xcvr]["enabled"]
-	states[xcvr]["enabled"] = []any{nil, "on"}
+	states[xcvr]["enabled"] = strings.Repeat("G", len(good.(string)))
 	if _, err := rig.Fab.Reconcile(states); err == nil {
-		t.Error("reconcile accepted a bank whose enabled vector holds null and a string")
+		t.Error("reconcile accepted a bank whose enabled vector is not hex digits")
 	}
 	states[xcvr]["enabled"] = good
 	for name, st := range states {
-		if _, ok := st["cross"]; ok {
-			st["cross"] = map[string]any{"1junk": 2.0}
+		if _, ok := st["in"]; ok {
+			st["in"], st["out"] = []int{1, 1}, []int{2, 3}
 			if _, err := rig.Fab.Reconcile(states); err == nil {
-				t.Errorf("reconcile accepted %s with port key \"1junk\"", name)
+				t.Errorf("reconcile accepted %s with input port 1 connected twice", name)
 			}
 			break
 		}
