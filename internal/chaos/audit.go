@@ -29,8 +29,8 @@ import (
 // full hose demand", and Survives additionally demands that no pair lost
 // its path.
 //
-// An Auditor is safe for concurrent Audit calls, each of which borrows an
-// evaluator from a free list; Run fans scenarios out over a worker pool.
+// An Auditor is safe for concurrent Audit calls, each of which borrows a
+// worker from a free list; Run fans scenarios out over a worker pool.
 type Auditor struct {
 	in plan.Input // the plan's input with Base pinned, for new evaluators
 
@@ -40,7 +40,49 @@ type Auditor struct {
 	baseKM   []float64 // failure-free path length, 0 for unrouted pairs
 
 	mu   sync.Mutex
-	free []*plan.Evaluator
+	free []*worker
+}
+
+// worker is what one Audit call borrows, all of it built once and kept
+// across the scenarios it serves: the evaluator (with its kept trees and
+// hose-load memo), the flow network of the provisioned fiber for the
+// worst-pair throughput, and the union-find over DC positions that both
+// DisconnectedDCs and the worst-pair sources are read from. Results do
+// not depend on which worker served a scenario.
+type worker struct {
+	ev *plan.Evaluator
+
+	// net holds every duct the plan leased fiber on as two opposite arcs
+	// of that many fiber-pairs, added in duct-ID order; arcs, by duct ID,
+	// are their indices (both -1 for a duct with no fiber). A scenario
+	// sets its cut ducts' arcs to zero and back.
+	net  *graph.FlowNetwork
+	arcs [][2]int
+
+	root, size []int // by DC position, see cluster
+}
+
+func (a *Auditor) newWorker() *worker {
+	m := a.in.Map
+	n := len(m.DCs())
+	w := &worker{
+		ev:   plan.NewEvaluator(a.in),
+		net:  graph.NewFlowNetwork(len(m.Nodes)),
+		arcs: make([][2]int, len(a.have)),
+		root: make([]int, n),
+		size: make([]int, n),
+	}
+	for id := range a.have {
+		w.arcs[id] = [2]int{-1, -1}
+		if total := a.have[id] + a.residual[id]; total > 0 {
+			d := m.Ducts[id]
+			w.arcs[id] = [2]int{
+				w.net.AddArc(d.A, d.B, float64(total)),
+				w.net.AddArc(d.B, d.A, float64(total)),
+			}
+		}
+	}
+	return w
 }
 
 // NewAuditor prepares an auditor for the given plan. The plan's base graph
@@ -50,9 +92,6 @@ func NewAuditor(pl *plan.Plan) *Auditor {
 	if a.in.Base == nil {
 		a.in.Base = plan.BaseGraph(a.in.Map)
 	}
-	ev := plan.NewEvaluator(a.in)
-	a.free = append(a.free, ev)
-
 	nDucts := a.in.Base.MaxEdgeID() + 1
 	a.have = make([]int, nDucts)
 	a.residual = make([]int, nDucts)
@@ -60,32 +99,34 @@ func NewAuditor(pl *plan.Plan) *Auditor {
 		a.have[id] = du.BasePairs + du.CutThroughPairs
 		a.residual[id] = du.ResidualPairs
 	}
-	a.baseKM = make([]float64, ev.NumPairs())
+	w := a.newWorker()
+	a.free = append(a.free, w)
+	a.baseKM = make([]float64, w.ev.NumPairs())
 	for pair, info := range pl.Paths {
-		if idx, ok := ev.PairIndex(pair); ok {
+		if idx, ok := w.ev.PairIndex(pair); ok {
 			a.baseKM[idx] = info.TotalKM
 		}
 	}
 	return a
 }
 
-// evaluator borrows an evaluator; release returns it. Each keeps its own
-// hose-load memo, which is a pure cache: results do not depend on which
-// evaluator served a scenario.
-func (a *Auditor) evaluator() *plan.Evaluator {
+// borrow takes a worker off the free list, or builds one; release returns
+// it.
+func (a *Auditor) borrow() *worker {
 	a.mu.Lock()
-	defer a.mu.Unlock()
 	if n := len(a.free); n > 0 {
-		ev := a.free[n-1]
+		w := a.free[n-1]
 		a.free = a.free[:n-1]
-		return ev
+		a.mu.Unlock()
+		return w
 	}
-	return plan.NewEvaluator(a.in)
+	a.mu.Unlock()
+	return a.newWorker()
 }
 
-func (a *Auditor) release(ev *plan.Evaluator) {
+func (a *Auditor) release(w *worker) {
 	a.mu.Lock()
-	a.free = append(a.free, ev)
+	a.free = append(a.free, w)
 	a.mu.Unlock()
 }
 
@@ -132,11 +173,14 @@ type Result struct {
 	SLAViolations int `json:"sla_violations"`
 }
 
-// Audit replays one scenario against the plan.
+// Audit replays one scenario against the plan. On a warmed worker the
+// only allocations are the result's own lists: DisconnectedDCs and the
+// overloads, empty for a scenario the plan survives.
 func (a *Auditor) Audit(sc Scenario) Result {
 	res := Result{Scenario: sc, Cuts: sc.CutCount(), MaxStretch: 1}
-	ev := a.evaluator()
-	defer a.release(ev)
+	w := a.borrow()
+	defer a.release(w)
+	ev := w.ev
 
 	ev.Cut.Set(sc.Ducts)
 	routes := ev.Route()
@@ -152,7 +196,8 @@ func (a *Auditor) Audit(sc Scenario) Result {
 			}
 		}
 	}
-	res.DisconnectedDCs = strandedDCs(ev.DCs(), routes)
+	w.cluster(routes)
+	res.DisconnectedDCs = w.strandedDCs()
 
 	for _, l := range ev.Load(nil, nil) {
 		if have := a.have[l.Duct]; l.BasePairs > have {
@@ -165,84 +210,111 @@ func (a *Auditor) Audit(sc Scenario) Result {
 
 	res.Admissible = len(res.Overloads) == 0 && len(res.ResidualOverloads) == 0
 	res.Survives = res.Admissible && res.DisconnectedPairs == 0
-	res.WorstPairFibers = a.worstPairThroughput(ev.Cut, routes)
+	res.WorstPairFibers = a.worstPairThroughput(w, routes)
 	return res
 }
 
-// strandedDCs returns the DCs outside the largest cluster the surviving
-// routes connect, ascending. Ties go to the cluster holding the lowest DC
-// ID, so the result is deterministic even for an even split.
-func strandedDCs(dcs []int, routes []plan.Route) []int {
-	// Union-find over DC positions; roots are the smallest position of
-	// their cluster, which makes the tie-break below stable.
-	n := len(dcs)
-	parent := make([]int, 2*n)
-	parent, size := parent[:n], parent[n:]
-	for i := range parent {
-		parent[i] = i
+// cluster groups the DC positions the surviving routes connect: after it,
+// root[i] is the lowest position of i's cluster and size[r] the number of
+// DCs in the cluster rooted at r.
+func (w *worker) cluster(routes []plan.Route) {
+	root, size := w.root, w.size
+	for i := range root {
+		root[i] = i
+		size[i] = 0
 	}
 	find := func(x int) int {
-		for parent[x] != x {
-			parent[x] = parent[parent[x]]
-			x = parent[x]
+		for root[x] != x {
+			root[x] = root[root[x]]
+			x = root[x]
 		}
 		return x
 	}
 	for i := range routes {
 		ra, rb := find(int(routes[i].I)), find(int(routes[i].J))
 		if ra != rb {
-			parent[max(ra, rb)] = min(ra, rb)
+			root[max(ra, rb)] = min(ra, rb)
 		}
 	}
-	for i := range parent {
-		size[find(i)]++
+	// A root is the lowest position of its cluster, so every parent link
+	// points down and one ascending pass flattens them all.
+	for i := range root {
+		root[i] = root[root[i]]
+		size[root[i]]++
 	}
+}
+
+// strandedDCs returns the DCs outside the largest cluster, ascending. Ties
+// go to the cluster holding the lowest DC ID, so the result is
+// deterministic even for an even split.
+func (w *worker) strandedDCs() []int {
 	best := 0
-	for i := range parent { // ascending IDs: first max wins ties
-		if r := find(i); size[r] > size[best] {
+	for i, r := range w.root { // ascending IDs: first max wins ties
+		if r == i && w.size[r] > w.size[best] {
 			best = r
 		}
 	}
 	var out []int
-	for i, dc := range dcs {
-		if find(i) != best {
+	for i, dc := range w.ev.DCs() {
+		if w.root[i] != best {
 			out = append(out, dc)
 		}
 	}
 	return out
 }
 
-// worstPairThroughput builds one flow network over the surviving
-// provisioned ducts (arc capacity = total leased fiber-pairs, both
-// directions, added in duct-ID order) and returns the minimum max-flow
-// over the surviving pairs — the residual worst-pair throughput of the
-// degraded region. The network is built once per scenario and Reset
-// between per-pair runs.
-func (a *Auditor) worstPairThroughput(cut *graph.Cut, routes []plan.Route) float64 {
+// worstPairThroughput returns the minimum, over the surviving pairs, of
+// the max-flow between them across the provisioned ducts the scenario did
+// not cut — the residual worst-pair throughput of the degraded region.
+//
+// It runs one flow per DC beyond the lowest of each cluster, from that
+// lowest DC, instead of one per pair. Every duct is two opposite arcs of
+// one capacity, so a cut's value does not depend on its direction, and
+// then min over all pairs {u,v} of a cluster of λ(u,v) equals min over v
+// of λ(s,v) for any member s: take the pair (u,v) that attains the
+// minimum and a minimum cut (S, S̄) between them; s lies on one side, say
+// with u, and the same cut separates s from v, so λ(s,v) ≤ λ(u,v); the
+// left side is a minimum over more pairs, so it is not larger either.
+// Capacities are whole fiber-pairs, so the two sides are the same float.
+// Every pair of a cluster is itself routed (reachability over ducts is
+// an equivalence), and the routes list pairs in pair order, so a cluster's
+// flows are the routes whose lower DC is the cluster's root.
+// TestFixedSourceMinEqualsAllPairsMin and the reference auditor, which
+// still runs every pair, hold this.
+func (a *Auditor) worstPairThroughput(w *worker, routes []plan.Route) float64 {
 	if len(routes) == 0 {
 		return 0
 	}
-	m := a.in.Map
-	f := graph.NewFlowNetwork(len(m.Nodes))
-	for id, have := range a.have {
-		total := have + a.residual[id]
-		if total == 0 || cut.Has(id) {
-			continue
-		}
-		d := m.Ducts[id]
-		f.AddArc(d.A, d.B, float64(total))
-		f.AddArc(d.B, d.A, float64(total))
-	}
+	a.setCutArcs(w, false)
 	worst := math.Inf(1)
 	for i := range routes {
-		if i > 0 {
-			f.Reset()
+		r := &routes[i]
+		if w.root[r.I] != int(r.I) {
+			continue
 		}
-		if flow := f.MaxFlow(routes[i].Pair.A, routes[i].Pair.B); flow < worst {
+		w.net.Reset()
+		if flow := w.net.MaxFlow(r.Pair.A, r.Pair.B); flow < worst {
 			worst = flow
 		}
 	}
+	a.setCutArcs(w, true)
 	return worst
+}
+
+// setCutArcs takes the fiber of the ducts in the worker's cut out of its
+// flow network, or puts it back.
+func (a *Auditor) setCutArcs(w *worker, live bool) {
+	for _, id := range w.ev.Cut.IDs() {
+		if id < 0 || id >= len(w.arcs) || w.arcs[id][0] < 0 {
+			continue
+		}
+		fiber := 0.0
+		if live {
+			fiber = float64(a.have[id] + a.residual[id])
+		}
+		w.net.SetCapacity(w.arcs[id][0], fiber)
+		w.net.SetCapacity(w.arcs[id][1], fiber)
+	}
 }
 
 // Run audits every scenario across the given number of workers (0 =

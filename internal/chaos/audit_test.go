@@ -122,16 +122,23 @@ func TestSummaryAndCurveShapes(t *testing.T) {
 
 // BenchmarkAudit20DC audits the benchmark's region — the seed-1 map with
 // 20 DCs planned for two cuts — against every single cut and 200 sampled
-// double cuts, serially on a warmed auditor.
+// double cuts, serially on a warmed auditor. It fails itself above two
+// allocations per scenario: a warmed worker routes, loads and runs its
+// flows on storage it keeps, and what a scenario may allocate is its
+// result's own lists.
 func BenchmarkAudit20DC(b *testing.B) {
 	dep := planSynthetic(b, 1, 20, 2)
 	m := dep.Region.Map
 	scs := append(EnumerateCuts(m, 1), SampleCuts(1, m, 2, 200)...)
 	a := NewAuditor(dep.Plan)
-	a.Run(scs, 1)
+	run := func() { a.Run(scs, 1) }
+	run()
+	if per := testing.AllocsPerRun(3, run) / float64(len(scs)); per > 2 {
+		b.Fatalf("a warmed audit allocates %.1f times per scenario, want at most 2", per)
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		a.Run(scs, 1)
+		run()
 	}
 }

@@ -349,3 +349,64 @@ func TestAuditMatchesReference(t *testing.T) {
 	}
 	matchesReference(t, "via-hub", hubPlan, EnumerateCuts(hubbed.Map, 2))
 }
+
+// TestAuditMatchesReferenceAcrossClusters audits a cut that leaves two
+// clusters of several DCs each and one DC on its own, between ordinary
+// scenarios on the same worker: the worst-pair step then runs from one
+// fixed source per cluster on a network whose cut arcs the scenario
+// before put back, and must still equal the reference's minimum over
+// every surviving pair.
+func TestAuditMatchesReferenceAcrossClusters(t *testing.T) {
+	dep := planSynthetic(t, 1, 20, 2)
+	m := dep.Region.Map
+	base := plan.BaseGraph(m)
+	dcs := m.DCs()
+
+	// One side of the split is everything west of the median DC; every
+	// duct crossing that line is cut, and so is every duct of the last DC.
+	xs := make([]float64, len(dcs))
+	for i, dc := range dcs {
+		xs[i] = m.Nodes[dc].Pos.X
+	}
+	sort.Float64s(xs)
+	near := make([]bool, base.NumNodes())
+	for v := range near {
+		near[v] = m.Nodes[v].Pos.X < xs[len(xs)/2]
+	}
+	alone := dcs[len(dcs)-1]
+	var ducts []int
+	for _, e := range base.Edges() {
+		if near[e.U] != near[e.V] || e.U == alone || e.V == alone {
+			ducts = append(ducts, e.ID)
+		}
+	}
+	split := Cut(ducts...)
+
+	cut := graph.NewCut(base)
+	cut.Set(split.Ducts)
+	labels := base.ComponentsInto(cut.Skip(), nil)
+	perCluster := make(map[int]int)
+	for _, dc := range dcs {
+		perCluster[labels[dc]]++
+	}
+	several, single := 0, 0
+	for _, n := range perCluster {
+		if n >= 2 {
+			several++
+		} else {
+			single++
+		}
+	}
+	if several < 2 || single < 1 {
+		t.Fatalf("the cut leaves DC clusters of sizes %v; the case wants two of several DCs and a single one", perCluster)
+	}
+
+	singles := EnumerateCuts(m, 1)
+	matchesReference(t, "clusters", dep.Plan, []Scenario{
+		singles[1], split, singles[2], Cut(), split, Cut(split.Ducts[:len(split.Ducts)/2]...),
+	})
+	if res := NewAuditor(dep.Plan).Audit(split); res.WorstPairFibers <= 0 || len(res.DisconnectedDCs) == 0 {
+		t.Fatalf("split audit: worst pair %v, stranded %v; want flow inside the clusters and DCs outside the largest",
+			res.WorstPairFibers, res.DisconnectedDCs)
+	}
+}

@@ -339,3 +339,32 @@ func BenchmarkDijkstraArenaBuckets(b *testing.B) {
 		g.DijkstraInto(i%g.NumNodes(), nil, &tree, &sc)
 	}
 }
+
+// MarkPathTo over some targets marks exactly the edges of their paths,
+// early stops included, and nothing for an unreachable target.
+func TestMarkPathToMatchesPathTo(t *testing.T) {
+	rng := rand.New(rand.NewSource(45))
+	for trial := 0; trial < 100; trial++ {
+		n := 2 + rng.Intn(12)
+		g := randomGraph(rng, n, n+rng.Intn(2*n))
+		_, cut := randomCut(rng, g)
+		tr := g.DijkstraInto(rng.Intn(n), cut.Skip(), new(ShortestPathTree), new(Scratch))
+		got := make([]bool, g.MaxEdgeID()+1)
+		want := make([]bool, g.MaxEdgeID()+1)
+		for v := 0; v < n; v++ {
+			if rng.Intn(2) == 0 {
+				continue
+			}
+			tr.MarkPathTo(v, got)
+			_, edges, _ := tr.PathTo(v)
+			for _, e := range edges {
+				want[e.ID] = true
+			}
+		}
+		for id := range want {
+			if got[id] != want[id] {
+				t.Fatalf("trial %d: edge %d marked %v, on a path %v", trial, id, got[id], want[id])
+			}
+		}
+	}
+}

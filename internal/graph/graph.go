@@ -319,6 +319,25 @@ func (t *ShortestPathTree) AppendPathTo(v int, nodes []int, edges []Edge) (_ []i
 	return nodes, edges, true
 }
 
+// MarkPathTo sets onPath[e.ID] for every edge e of the tree's path from
+// the source to v, and nothing when v is unreachable. It stops at the
+// first edge already set: in a tree the rest of the walk is then the tail
+// of an earlier one, so marks must come from this tree's walks only.
+func (t *ShortestPathTree) MarkPathTo(v int, onPath []bool) {
+	for v != t.Source {
+		idx := t.prevEdge[v]
+		if idx < 0 {
+			return
+		}
+		e := t.g.edges[idx]
+		if onPath[e.ID] {
+			return
+		}
+		onPath[e.ID] = true
+		v = e.Other(v)
+	}
+}
+
 func reverseInts(s []int) {
 	for i, j := 0, len(s)-1; i < j; i, j = i+1, j-1 {
 		s[i], s[j] = s[j], s[i]
@@ -498,8 +517,9 @@ func (c *Cut) Has(id int) bool {
 // must not retain or modify it.
 func (c *Cut) IDs() []int { return c.ids }
 
-// Skip returns the mask over the graph's edge indices, or nil for the
-// empty cut (so routing reads the graph's memoised failure-free trees).
+// Skip returns the mask over the graph's edge indices, or nil — what
+// DijkstraInto and ComponentsInto take as no exclusions — for the empty
+// cut.
 func (c *Cut) Skip() []bool {
 	if len(c.ids) == 0 {
 		return nil

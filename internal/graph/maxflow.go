@@ -8,12 +8,18 @@ import (
 // FlowNetwork is a directed flow network for max-flow computations. It is
 // separate from Graph because flow problems in the planner (hose-model
 // provisioning) are built on derived directed graphs, not on the fiber map
-// itself. The zero value is unusable; use NewFlowNetwork.
+// itself. A network is meant to be kept: Clear empties it for the next
+// problem, SetCapacity edits one arc, and both — like MaxFlow — run on the
+// storage earlier calls grew, so a warmed network allocates nothing. The
+// zero value is the empty network of no nodes.
 type FlowNetwork struct {
 	n    int
 	arcs []arc // forward/backward arcs interleaved: arc i's reverse is i^1
 	head [][]int
 	orig []float64 // as-built capacities, restored by Reset
+
+	// MaxFlow's per-run state.
+	level, iter, queue []int
 }
 
 type arc struct {
@@ -21,30 +27,69 @@ type arc struct {
 	cap float64
 }
 
+// flowEps is the residual capacity below which an arc counts as saturated.
+const flowEps = 1e-12
+
 // NewFlowNetwork returns a flow network with n nodes and no arcs.
 func NewFlowNetwork(n int) *FlowNetwork {
-	return &FlowNetwork{n: n, head: make([][]int, n)}
+	f := new(FlowNetwork)
+	f.Clear(n)
+	return f
+}
+
+// Clear makes the network one of n nodes and no arcs, keeping its storage.
+func (f *FlowNetwork) Clear(n int) {
+	// Adjacency lists past the nodes in use are empty, so only those in
+	// use need emptying.
+	for i := range f.head {
+		f.head[i] = f.head[i][:0]
+	}
+	if n > cap(f.head) {
+		f.head = append(f.head[:cap(f.head)], make([][]int, n-cap(f.head))...)
+	}
+	f.head = f.head[:n]
+	f.n = n
+	f.arcs = f.arcs[:0]
+	f.orig = f.orig[:0]
 }
 
 // NumNodes returns the number of nodes in the network.
 func (f *FlowNetwork) NumNodes() int { return f.n }
 
+func checkCapacity(u, v int, capacity float64) {
+	if capacity < 0 || math.IsNaN(capacity) {
+		panic(fmt.Sprintf("graph: arc (%d,%d) has invalid capacity %v", u, v, capacity))
+	}
+}
+
 // AddArc adds a directed arc from u to v with the given capacity and
-// returns its index, usable with Flow after a MaxFlow run. Capacities must
-// be non-negative; math.Inf(1) is allowed for unbounded arcs.
+// returns its index, usable with Flow after a MaxFlow run and with
+// SetCapacity. Capacities must be non-negative; math.Inf(1) is allowed
+// for unbounded arcs.
 func (f *FlowNetwork) AddArc(u, v int, capacity float64) int {
 	if u < 0 || u >= f.n || v < 0 || v >= f.n {
 		panic(fmt.Sprintf("graph: arc (%d,%d) out of range [0,%d)", u, v, f.n))
 	}
-	if capacity < 0 || math.IsNaN(capacity) {
-		panic(fmt.Sprintf("graph: arc (%d,%d) has invalid capacity %v", u, v, capacity))
-	}
+	checkCapacity(u, v, capacity)
 	idx := len(f.arcs)
 	f.arcs = append(f.arcs, arc{to: v, cap: capacity}, arc{to: u, cap: 0})
 	f.orig = append(f.orig, capacity, 0)
 	f.head[u] = append(f.head[u], idx)
 	f.head[v] = append(f.head[v], idx+1)
 	return idx
+}
+
+// SetCapacity changes the as-built capacity of the arc AddArc returned
+// arcIdx for, under AddArc's rule for capacities. The arc itself is left
+// carrying no flow; the residual state MaxFlow left on the rest of the
+// network stays, so call Reset before the next independent computation.
+// A failure-scenario loop keeps one network and sets the cut arcs to zero
+// and back instead of building a network per scenario.
+func (f *FlowNetwork) SetCapacity(arcIdx int, capacity float64) {
+	checkCapacity(f.arcs[arcIdx^1].to, f.arcs[arcIdx].to, capacity)
+	f.orig[arcIdx] = capacity
+	f.arcs[arcIdx].cap = capacity
+	f.arcs[arcIdx^1].cap = 0
 }
 
 // Reset restores every arc to its as-built capacity, discarding the
@@ -72,60 +117,19 @@ func (f *FlowNetwork) MaxFlow(s, t int) float64 {
 	if s == t {
 		return 0
 	}
-	const eps = 1e-12
+	if cap(f.level) < f.n {
+		f.level = make([]int, f.n)
+		f.iter = make([]int, f.n)
+		f.queue = make([]int, 0, f.n)
+	}
+	f.level, f.iter = f.level[:f.n], f.iter[:f.n]
+
 	var total float64
-	level := make([]int, f.n)
-	iter := make([]int, f.n)
-	queue := make([]int, 0, f.n)
-
-	bfs := func() bool {
-		for i := range level {
-			level[i] = -1
-		}
-		queue = queue[:0]
-		queue = append(queue, s)
-		level[s] = 0
-		for qi := 0; qi < len(queue); qi++ {
-			u := queue[qi]
-			for _, ai := range f.head[u] {
-				a := f.arcs[ai]
-				if a.cap > eps && level[a.to] < 0 {
-					level[a.to] = level[u] + 1
-					queue = append(queue, a.to)
-				}
-			}
-		}
-		return level[t] >= 0
-	}
-
-	var dfs func(u int, limit float64) float64
-	dfs = func(u int, limit float64) float64 {
-		if u == t {
-			return limit
-		}
-		for ; iter[u] < len(f.head[u]); iter[u]++ {
-			ai := f.head[u][iter[u]]
-			a := &f.arcs[ai]
-			if a.cap <= eps || level[a.to] != level[u]+1 {
-				continue
-			}
-			pushed := dfs(a.to, math.Min(limit, a.cap))
-			if pushed > eps {
-				a.cap -= pushed
-				f.arcs[ai^1].cap += pushed
-				return pushed
-			}
-		}
-		return 0
-	}
-
-	for bfs() {
-		for i := range iter {
-			iter[i] = 0
-		}
+	for f.bfs(s, t) {
+		clear(f.iter)
 		for {
-			pushed := dfs(s, math.Inf(1))
-			if pushed <= eps {
+			pushed := f.dfs(s, t, math.Inf(1))
+			if pushed <= flowEps {
 				break
 			}
 			total += pushed
@@ -134,11 +138,55 @@ func (f *FlowNetwork) MaxFlow(s, t int) float64 {
 	return total
 }
 
+// bfs labels every node with its distance from s over unsaturated arcs
+// and reports whether t was reached.
+func (f *FlowNetwork) bfs(s, t int) bool {
+	level := f.level
+	for i := range level {
+		level[i] = -1
+	}
+	// Every node is queued at most once, so the queue never outgrows n.
+	queue := append(f.queue[:0], s)
+	level[s] = 0
+	for qi := 0; qi < len(queue); qi++ {
+		u := queue[qi]
+		for _, ai := range f.head[u] {
+			a := f.arcs[ai]
+			if a.cap > flowEps && level[a.to] < 0 {
+				level[a.to] = level[u] + 1
+				queue = append(queue, a.to)
+			}
+		}
+	}
+	return level[t] >= 0
+}
+
+// dfs pushes one augmenting path's worth of flow, at most limit, from u
+// to t along the level graph and returns the amount pushed.
+func (f *FlowNetwork) dfs(u, t int, limit float64) float64 {
+	if u == t {
+		return limit
+	}
+	for ; f.iter[u] < len(f.head[u]); f.iter[u]++ {
+		ai := f.head[u][f.iter[u]]
+		a := &f.arcs[ai]
+		if a.cap <= flowEps || f.level[a.to] != f.level[u]+1 {
+			continue
+		}
+		pushed := f.dfs(a.to, t, math.Min(limit, a.cap))
+		if pushed > flowEps {
+			a.cap -= pushed
+			f.arcs[ai^1].cap += pushed
+			return pushed
+		}
+	}
+	return 0
+}
+
 // MinCutReachable returns, after a MaxFlow(s,t) run, the set of nodes
 // reachable from s in the residual network. The arcs crossing from the set
 // to its complement form a minimum cut.
 func (f *FlowNetwork) MinCutReachable(s int) []bool {
-	const eps = 1e-12
 	seen := make([]bool, f.n)
 	stack := []int{s}
 	seen[s] = true
@@ -147,7 +195,7 @@ func (f *FlowNetwork) MinCutReachable(s int) []bool {
 		stack = stack[:len(stack)-1]
 		for _, ai := range f.head[u] {
 			a := f.arcs[ai]
-			if a.cap > eps && !seen[a.to] {
+			if a.cap > flowEps && !seen[a.to] {
 				seen[a.to] = true
 				stack = append(stack, a.to)
 			}

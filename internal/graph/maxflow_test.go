@@ -245,3 +245,189 @@ func TestResetMatchesRebuild(t *testing.T) {
 		}
 	}
 }
+
+// symmetricNetwork builds a random network in which every link is two
+// opposite arcs of one whole capacity, as the auditor's is. The nodes fall
+// into groups with no link between them; within a group some links carry
+// zero, so a group's nodes may still be cut off from each other.
+func symmetricNetwork(rng *rand.Rand) (f *FlowNetwork, groups [][]int) {
+	n := 4 + rng.Intn(9)
+	f = NewFlowNetwork(n)
+	groups = make([][]int, 1+rng.Intn(3))
+	for v := 0; v < n; v++ {
+		g := rng.Intn(len(groups))
+		groups[g] = append(groups[g], v)
+	}
+	for _, members := range groups {
+		for i, u := range members {
+			for _, v := range members[i+1:] {
+				if rng.Intn(3) == 0 {
+					continue
+				}
+				c := float64(rng.Intn(6)) // 0 is a bridge that carries nothing
+				f.AddArc(u, v, c)
+				f.AddArc(v, u, c)
+			}
+		}
+	}
+	return f, groups
+}
+
+// The auditor's worst-pair step rests on this: on symmetric arcs, the
+// minimum max-flow over all pairs of a node set equals the minimum over
+// the pairs that contain one fixed member, whichever member that is.
+func TestFixedSourceMinEqualsAllPairsMin(t *testing.T) {
+	rng := rand.New(rand.NewSource(19))
+	flow := func(f *FlowNetwork, u, v int) float64 {
+		f.Reset()
+		return f.MaxFlow(u, v)
+	}
+	for trial := 0; trial < 200; trial++ {
+		f, groups := symmetricNetwork(rng)
+		for _, members := range groups {
+			if len(members) < 2 {
+				continue
+			}
+			all := math.Inf(1)
+			for i, u := range members {
+				for _, v := range members[i+1:] {
+					all = math.Min(all, flow(f, u, v))
+				}
+			}
+			for _, s := range members {
+				fixed := math.Inf(1)
+				for _, v := range members {
+					if v != s {
+						fixed = math.Min(fixed, flow(f, s, v))
+					}
+				}
+				if fixed != all {
+					t.Fatalf("trial %d, group %v: min over pairs from %d is %v, over all pairs %v",
+						trial, members, s, fixed, all)
+				}
+			}
+		}
+	}
+}
+
+// Clear leaves a network that behaves as a new one of the size asked for,
+// whatever it held before and whether it shrank or grew.
+func TestClearMatchesNew(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	kept := new(FlowNetwork) // the zero value is the empty network
+	for trial := 0; trial < 100; trial++ {
+		n := 2 + rng.Intn(12)
+		kept.Clear(n)
+		fresh := NewFlowNetwork(n)
+		if kept.NumNodes() != n {
+			t.Fatalf("trial %d: NumNodes = %d after Clear(%d)", trial, kept.NumNodes(), n)
+		}
+		for i := rng.Intn(4 * n); i > 0; i-- {
+			u, v, c := rng.Intn(n), rng.Intn(n), rng.Float64()*10
+			if a, b := kept.AddArc(u, v, c), fresh.AddArc(u, v, c); a != b {
+				t.Fatalf("trial %d: arc index %d on the cleared network, %d on a new one", trial, a, b)
+			}
+		}
+		s, tt := rng.Intn(n), rng.Intn(n)
+		if got, want := kept.MaxFlow(s, tt), fresh.MaxFlow(s, tt); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("trial %d: MaxFlow = %v on the cleared network, %v on a new one", trial, got, want)
+		}
+	}
+}
+
+// SetCapacity followed by Reset is the network built with that capacity
+// in the first place; setting the old capacity back restores it.
+func TestSetCapacityMatchesRebuild(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	for trial := 0; trial < 100; trial++ {
+		n := 3 + rng.Intn(8)
+		type link struct {
+			u, v int
+			c    float64
+		}
+		links := make([]link, 2+rng.Intn(3*n))
+		f := NewFlowNetwork(n)
+		idx := make([]int, len(links))
+		for i := range links {
+			links[i] = link{rng.Intn(n), rng.Intn(n), float64(rng.Intn(9))}
+			idx[i] = f.AddArc(links[i].u, links[i].v, links[i].c)
+		}
+		s, tt := 0, n-1
+		whole := f.MaxFlow(s, tt)
+
+		// Take some arcs down, as a failure scenario does.
+		down := make(map[int]bool)
+		for k := rng.Intn(len(links)); k > 0; k-- {
+			i := rng.Intn(len(links))
+			down[i] = true
+			f.SetCapacity(idx[i], 0)
+		}
+		rebuilt := NewFlowNetwork(n)
+		for i, l := range links {
+			if down[i] {
+				l.c = 0
+			}
+			rebuilt.AddArc(l.u, l.v, l.c)
+		}
+		f.Reset()
+		if got, want := f.MaxFlow(s, tt), rebuilt.MaxFlow(s, tt); got != want {
+			t.Fatalf("trial %d: MaxFlow = %v with arcs set to zero, %v rebuilt without them", trial, got, want)
+		}
+		for i := range down {
+			if f.Flow(idx[i]) != 0 {
+				t.Fatalf("trial %d: a zero-capacity arc carries %v", trial, f.Flow(idx[i]))
+			}
+			f.SetCapacity(idx[i], links[i].c)
+		}
+		f.Reset()
+		if got := f.MaxFlow(s, tt); got != whole {
+			t.Fatalf("trial %d: MaxFlow = %v after restoring, %v before", trial, got, whole)
+		}
+	}
+
+	// On a network that carries no flow the new capacity counts at once.
+	f := NewFlowNetwork(2)
+	a := f.AddArc(0, 1, 3)
+	f.SetCapacity(a, 7)
+	if got := f.MaxFlow(0, 1); got != 7 {
+		t.Errorf("MaxFlow = %v right after SetCapacity(7), want 7", got)
+	}
+	for _, bad := range []float64{-1, math.NaN()} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("SetCapacity(%v) did not panic", bad)
+				}
+			}()
+			f.SetCapacity(a, bad)
+		}()
+	}
+}
+
+// A warmed network runs Reset and MaxFlow — and Clear and a refill of no
+// more arcs than it has held — without allocating.
+func TestFlowNetworkSteadyStateZeroAlloc(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	f, _ := symmetricNetwork(rng)
+	n := f.NumNodes()
+	f.MaxFlow(0, n-1)
+	if avg := testing.AllocsPerRun(20, func() {
+		f.Reset()
+		f.MaxFlow(0, n-1)
+	}); avg != 0 {
+		t.Errorf("warmed Reset+MaxFlow allocated %v per run, want 0", avg)
+	}
+
+	fill := func() {
+		f.Clear(n)
+		for u := 0; u+1 < n; u++ {
+			f.AddArc(u, u+1, 2)
+			f.AddArc(u+1, u, 2)
+		}
+		f.MaxFlow(0, n-1)
+	}
+	fill()
+	if avg := testing.AllocsPerRun(20, fill); avg != 0 {
+		t.Errorf("warmed Clear+AddArc+MaxFlow allocated %v per run, want 0", avg)
+	}
+}

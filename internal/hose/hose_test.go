@@ -1,9 +1,13 @@
 package hose
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
+
+	"iris/internal/graph"
 )
 
 func TestSinglePair(t *testing.T) {
@@ -198,5 +202,173 @@ func TestBoundsProperties(t *testing.T) {
 				t.Fatalf("trial %d: load %v below single-pair bound %v", trial, got, lower)
 			}
 		}
+	}
+}
+
+// refWorstCaseLoad is WorstCaseLoad as it stood before the LP moved onto a
+// kept network: maps for the DCs in play, a new network per call, nodes
+// numbered densely over those DCs. It stays as the oracle for the bits of
+// the result, which with fractional capacities depend on the order Dinic
+// meets the arcs in.
+func refWorstCaseLoad(caps map[int]float64, pairs []Pair) float64 {
+	if len(pairs) == 0 {
+		return 0
+	}
+	seen := make(map[Pair]bool, len(pairs))
+	var uniq []Pair
+	for _, p := range pairs {
+		if p.A == p.B {
+			panic(fmt.Sprintf("hose: degenerate pair (%d,%d)", p.A, p.B))
+		}
+		c := p.Canonical()
+		if !seen[c] {
+			seen[c] = true
+			uniq = append(uniq, c)
+		}
+	}
+	idSet := make(map[int]bool)
+	for _, p := range uniq {
+		idSet[p.A] = true
+		idSet[p.B] = true
+	}
+	ids := make([]int, 0, len(idSet))
+	for id := range idSet {
+		ids = append(ids, id)
+	}
+	sort.Ints(ids)
+	index := make(map[int]int, len(ids))
+	for i, id := range ids {
+		index[id] = i
+	}
+	n := len(ids)
+	f := graph.NewFlowNetwork(2 + 2*n)
+	s, t := 0, 1
+	for i, id := range ids {
+		c, ok := caps[id]
+		if !ok {
+			panic(fmt.Sprintf("hose: no capacity for DC %d", id))
+		}
+		if c < 0 || math.IsNaN(c) {
+			panic(fmt.Sprintf("hose: invalid capacity %v for DC %d", c, id))
+		}
+		f.AddArc(s, 2+i, c)
+		f.AddArc(2+n+i, t, c)
+	}
+	for _, p := range uniq {
+		a, b := index[p.A], index[p.B]
+		f.AddArc(2+a, 2+n+b, math.Inf(1))
+		f.AddArc(2+b, 2+n+a, math.Inf(1))
+	}
+	return f.MaxFlow(s, t) / 2
+}
+
+// panicOf runs fn and returns what it panicked with, nil if it returned.
+func panicOf(fn func()) (v any) {
+	defer func() { v = recover() }()
+	fn()
+	return nil
+}
+
+// Both entries — the map signature and an LP held across all the trials —
+// return the reference's float bit for bit: whole and fractional
+// capacities, sparse DC ids, pairs in any order with duplicates and
+// reversals for the map signature, and the sorted distinct pairs an
+// evaluator passes for the LP.
+func TestBothEntriesMatchReferenceBitForBit(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	var lp LP
+	for trial := 0; trial < 500; trial++ {
+		nDCs := 2 + rng.Intn(9)
+		ids := rng.Perm(40)[:nDCs]
+		sort.Ints(ids)
+		caps := make(map[int]float64, nDCs)
+		dense := make([]float64, nDCs)
+		for i, id := range ids {
+			c := float64(rng.Intn(12))
+			if trial%2 == 1 {
+				c = rng.Float64() * 12 // what robust.Verify's overrides look like
+			}
+			caps[id], dense[i] = c, c
+		}
+
+		var pairs []Pair // by id, as given
+		set := make(map[Pair]bool)
+		for i := 1 + rng.Intn(3*nDCs); i > 0; i-- {
+			a, b := rng.Intn(nDCs), rng.Intn(nDCs)
+			if a == b {
+				continue
+			}
+			pairs = append(pairs, Pair{A: ids[a], B: ids[b]}) // either orientation, repeats likely
+			set[Pair{A: min(a, b), B: max(a, b)}] = true
+		}
+		want := refWorstCaseLoad(caps, pairs)
+		if got := WorstCaseLoad(caps, pairs); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("trial %d: map signature %v, reference %v (caps=%v pairs=%v)", trial, got, want, caps, pairs)
+		}
+
+		// The evaluator's call: positions, distinct, ascending — against
+		// the reference given the same pairs in that order.
+		var byPos, byID []Pair
+		for p := range set {
+			byPos = append(byPos, p)
+		}
+		SortPairs(byPos)
+		for _, p := range byPos {
+			byID = append(byID, Pair{A: ids[p.A], B: ids[p.B]})
+		}
+		want = refWorstCaseLoad(caps, byID)
+		if got := lp.WorstCaseLoad(dense, byPos); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("trial %d: LP %v, reference %v (caps=%v pairs=%v)", trial, got, want, dense, byPos)
+		}
+	}
+}
+
+// An invalid capacity panics with the same message from every entry when
+// its DC is in play, and is not looked at when it is not.
+func TestInvalidCapacityPanicsAlike(t *testing.T) {
+	for _, bad := range []float64{-1, math.NaN()} {
+		caps := map[int]float64{0: 4, 1: bad, 2: 4, 3: bad}
+		dense := []float64{4, bad, 4, bad}
+		pairs := []Pair{{0, 1}, {1, 2}}
+		want := panicOf(func() { refWorstCaseLoad(caps, pairs) })
+		if want == nil {
+			t.Fatalf("reference accepted capacity %v", bad)
+		}
+		if got := panicOf(func() { WorstCaseLoad(caps, pairs) }); got != want {
+			t.Errorf("map signature panicked with %v, reference with %v", got, want)
+		}
+		var lp LP
+		if got := panicOf(func() { lp.WorstCaseLoad(dense, pairs) }); got != want {
+			t.Errorf("LP panicked with %v, reference with %v", got, want)
+		}
+		// DCs 1 and 3 out of play: their capacities are never read.
+		if got := lp.WorstCaseLoad(dense, []Pair{{0, 2}}); got != 4 {
+			t.Errorf("LP with the invalid DCs out of play = %v, want 4", got)
+		}
+		if got := WorstCaseLoad(caps, []Pair{{2, 0}}); got != 4 {
+			t.Errorf("map signature with the invalid DCs out of play = %v, want 4", got)
+		}
+	}
+}
+
+// The LP takes positions: a pair outside the capacities, reversed or
+// degenerate is a caller's bug and panics.
+func TestLPRejectsMalformedPairs(t *testing.T) {
+	var lp LP
+	for _, p := range []Pair{{0, 3}, {-1, 1}, {2, 1}, {1, 1}} {
+		if panicOf(func() { lp.WorstCaseLoad([]float64{1, 1, 1}, []Pair{p}) }) == nil {
+			t.Errorf("pair %v accepted", p)
+		}
+	}
+}
+
+// A warmed LP solves without allocating.
+func TestLPSteadyStateZeroAlloc(t *testing.T) {
+	var lp LP
+	caps := []float64{3, 2.5, 4, 1, 6}
+	pairs := []Pair{{0, 1}, {0, 2}, {1, 4}, {2, 3}, {3, 4}}
+	lp.WorstCaseLoad(caps, pairs)
+	if avg := testing.AllocsPerRun(20, func() { lp.WorstCaseLoad(caps, pairs) }); avg != 0 {
+		t.Errorf("warmed LP allocated %v per solve, want 0", avg)
 	}
 }

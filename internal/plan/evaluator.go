@@ -70,25 +70,24 @@ type Evaluator struct {
 	// Cut is the failure scenario Route evaluates.
 	Cut *graph.Cut
 
-	base   *graph.Graph
-	dcs    []int
-	nDC    int
-	dcPos  []int32   // node ID -> position in dcs, -1 for non-DCs
-	caps   []float64 // by DC position
-	pairAB []hose.Pair
-	hubs   []int
+	base    *graph.Graph
+	dcs     []int
+	nDC     int
+	dcPos   []int32     // node ID -> position in dcs, -1 for non-DCs
+	caps    []float64   // by DC position
+	pairPos []hose.Pair // by pair index, the pair's DC positions
+	hubs    []int
 
-	dijk     graph.Scratch
-	ownTrees []graph.ShortestPathTree
-	curTrees []*graph.ShortestPathTree
-	legN     []int
-	legE     []graph.Edge
-	routes   []Route // one slot per DC pair
-	nRoutes  int
+	dijk    graph.Scratch
+	kept    [][]keptTree              // by source, then by size of the cut
+	trees   []*graph.ShortestPathTree // by source, the current scenario's
+	legN    []int
+	legE    []graph.Edge
+	routes  []Route // one slot per DC pair
+	nRoutes int
 
 	// Hose-load memo, keyed by sorted pair-index sequences.
-	capsByID  map[int]float64 // caps as hose.WorstCaseLoad takes them
-	overByID  map[int]float64 // the same for a Load capacity override
+	lp        hose.LP
 	hoseIdx   seqIndex
 	hoseLoads []float64
 	idxBuf    []int32
@@ -114,7 +113,10 @@ func NewEvaluator(in Input) *Evaluator {
 	nDC := len(dcs)
 	nPairs := nDC * (nDC - 1) / 2
 	nDucts := base.MaxEdgeID() + 1
-	nTrees := max(nDC, len(in.ViaHubs))
+	nSources := nDC
+	if len(in.ViaHubs) > 0 {
+		nSources = len(in.ViaHubs)
+	}
 	ev := &Evaluator{
 		Cut:      graph.NewCut(base),
 		base:     base,
@@ -122,13 +124,11 @@ func NewEvaluator(in Input) *Evaluator {
 		nDC:      nDC,
 		dcPos:    make([]int32, base.NumNodes()),
 		caps:     make([]float64, nDC),
-		pairAB:   make([]hose.Pair, 0, nPairs),
+		pairPos:  make([]hose.Pair, 0, nPairs),
 		hubs:     append([]int(nil), in.ViaHubs...),
-		ownTrees: make([]graph.ShortestPathTree, nTrees),
-		curTrees: make([]*graph.ShortestPathTree, nTrees),
+		kept:     make([][]keptTree, nSources),
+		trees:    make([]*graph.ShortestPathTree, nSources),
 		routes:   make([]Route, nPairs),
-		capsByID: make(map[int]float64, nDC),
-		overByID: make(map[int]float64, nDC),
 		cross:    make([][]crossEntry, nDucts),
 		crossGen: make([]uint32, nDucts),
 		residCnt: make([]int32, nDucts),
@@ -139,13 +139,12 @@ func NewEvaluator(in Input) *Evaluator {
 	for i, dc := range dcs {
 		ev.dcPos[dc] = int32(i)
 		ev.caps[i] = float64(in.Capacity[dc])
-		ev.capsByID[dc] = ev.caps[i]
 	}
 	// Enumeration order makes ascending pair indices coincide with
 	// ascending (A, B) pairs, which the memo's key ordering relies on.
 	for i := 0; i < nDC; i++ {
 		for j := i + 1; j < nDC; j++ {
-			ev.pairAB = append(ev.pairAB, hose.Pair{A: dcs[i], B: dcs[j]})
+			ev.pairPos = append(ev.pairPos, hose.Pair{A: i, B: j})
 		}
 	}
 	return ev
@@ -159,7 +158,7 @@ func (ev *Evaluator) Base() *graph.Graph { return ev.base }
 func (ev *Evaluator) DCs() []int { return ev.dcs }
 
 // NumPairs returns the number of DC pairs, the length of per-pair slices.
-func (ev *Evaluator) NumPairs() int { return len(ev.pairAB) }
+func (ev *Evaluator) NumPairs() int { return len(ev.pairPos) }
 
 // PairIndex returns the dense index of a DC pair (either orientation), or
 // false when an endpoint is not a DC of the region.
@@ -177,27 +176,110 @@ func (ev *Evaluator) PairIndex(p hose.Pair) (int, bool) {
 // pairIdx maps DC positions i<j to the dense pair index.
 func (ev *Evaluator) pairIdx(i, j int) int { return i*ev.nDC - i*(i+1)/2 + j - i - 1 }
 
+// keptTree is a shortest-path tree Route computed from one source, with
+// what decides whether a later scenario may read it instead of computing
+// its own: the cut it was computed under and, by duct ID, whether the duct
+// lies on the tree's path to a DC that Route reads from this source.
+type keptTree struct {
+	tree   *graph.ShortestPathTree
+	cut    []int
+	onPath []bool
+}
+
+// holds reports whether the tree is, in everything Route reads from it,
+// the tree of the given cut (ascending, as the tree's own): no duct it was
+// computed without is back, and no duct it reaches a DC over is cut.
+func (k *keptTree) holds(cut []int) bool {
+	i := 0
+	for _, id := range cut {
+		if i < len(k.cut) && k.cut[i] == id {
+			i++
+		} else if uint(id) < uint(len(k.onPath)) && k.onPath[id] {
+			return false
+		}
+	}
+	return i == len(k.cut)
+}
+
+// tree returns the shortest-path tree of source number si, node s, under
+// Cut. Per source and per cut size the evaluator keeps the last tree it
+// computed, and a scenario reads the deepest kept tree that holds for its
+// cut; Dijkstra runs only when none does. The planner's DFS (Cut.Push and
+// Pop: a child scenario's cut extends its parent's) and the auditor
+// (Cut.Set: most cuts miss most sources' failure-free trees) are served by
+// this one rule.
+//
+// It is exact by the argument that makes the planner's pruned DFS exact:
+// with deterministic tie-breaking, removing a duct no selected path uses
+// cannot alter which paths Dijkstra selects — the paths to the DCs read
+// survive, and every rival label only got worse. So a kept tree's paths
+// to those DCs, and their lengths bit for bit, are what a fresh run under
+// the larger cut would produce; a DC the tree does not reach stays
+// unreached. The rest of the tree may differ and is never read.
+// TestRouteReuseMatchesRecompute holds the rule to a recomputation after
+// every Route call.
+func (ev *Evaluator) tree(si, s int) *graph.ShortestPathTree {
+	cut := ev.Cut.IDs()
+	for len(ev.kept[si]) <= len(cut) {
+		ev.kept[si] = append(ev.kept[si], keptTree{})
+	}
+	kept := ev.kept[si]
+	if kept[0].tree == nil {
+		// The failure-free tree is the base graph's memoised one, shared
+		// by every evaluator on that graph.
+		kept[0].tree = ev.base.Dijkstra(s)
+		ev.markPaths(si, &kept[0])
+	}
+	for d := len(cut); d >= 0; d-- {
+		if k := &kept[d]; k.tree != nil && k.holds(cut) {
+			return k.tree
+		}
+	}
+	k := &kept[len(cut)]
+	if k.tree == nil {
+		k.tree = new(graph.ShortestPathTree)
+	}
+	ev.base.DijkstraInto(s, ev.Cut.Skip(), k.tree, &ev.dijk)
+	k.cut = append(k.cut[:0], cut...)
+	ev.markPaths(si, k)
+	return k.tree
+}
+
+// markPaths fills k.onPath for source number si: the ducts on the tree's
+// paths to the DCs Route reads from it — every DC from a hub, the DCs
+// after it from a DC.
+func (ev *Evaluator) markPaths(si int, k *keptTree) {
+	if k.onPath == nil {
+		k.onPath = make([]bool, len(ev.cross))
+	}
+	clear(k.onPath)
+	targets := ev.dcs
+	if len(ev.hubs) == 0 {
+		targets = ev.dcs[si+1:]
+	}
+	for _, dc := range targets {
+		k.tree.MarkPathTo(dc, k.onPath)
+	}
+}
+
 // Route computes every DC pair's route under Cut — shortest surviving
 // path in the distributed design, best DC-hub-DC walk in the centralized
 // one — and returns the routed pairs in pair-index order. Pairs the cut
-// disconnects are absent: Algorithm 1 owes them no capacity. The
-// failure-free scenario reads the base graph's memoised trees, which are
-// shared by every evaluator on that graph.
+// disconnects are absent: Algorithm 1 owes them no capacity.
 func (ev *Evaluator) Route() []Route {
-	skip := ev.Cut.Skip()
 	sources := ev.dcs
 	if len(ev.hubs) > 0 {
 		sources = ev.hubs
 	}
-	trees := ev.curTrees[:len(sources)]
 	for si, s := range sources {
-		if skip == nil {
-			trees[si] = ev.base.Dijkstra(s)
-		} else {
-			trees[si] = ev.base.DijkstraInto(s, skip, &ev.ownTrees[si], &ev.dijk)
-		}
+		ev.trees[si] = ev.tree(si, s)
 	}
+	return ev.readRoutes()
+}
 
+// readRoutes reads the routes off the sources' current trees.
+func (ev *Evaluator) readRoutes() []Route {
+	trees := ev.trees
 	ev.nRoutes = 0
 	for i := range ev.dcs {
 		for j := i + 1; j < ev.nDC; j++ {
@@ -267,12 +349,8 @@ func (ev *Evaluator) nextRoute(i, j int) *Route {
 // subset of the routed pairs: together they evaluate one traffic matrix's
 // own hose instead of the planned one. An override bypasses the memo.
 func (ev *Evaluator) Load(caps []float64, active []bool) []DuctLoad {
-	override := caps != nil
-	if override {
-		for i, dc := range ev.dcs {
-			ev.overByID[dc] = caps[i]
-		}
-	} else {
+	override := caps
+	if caps == nil {
 		caps = ev.caps
 	}
 
@@ -298,16 +376,13 @@ func (ev *Evaluator) Load(caps []float64, active []bool) []DuctLoad {
 			if r.onCutThrough(id) {
 				continue
 			}
+			// Routes are visited one pair at a time, and a pair crosses a
+			// duct again (a via-hub walk) only within its own route: its
+			// entry, if the duct has one, is the last.
 			entries := ev.cross[id]
-			found := false
-			for k := range entries {
-				if entries[k].pairIdx == r.PairIdx {
-					entries[k].count++
-					found = true
-					break
-				}
-			}
-			if !found {
+			if n := len(entries); n > 0 && entries[n-1].pairIdx == r.PairIdx {
+				entries[n-1].count++
+			} else {
 				ev.cross[id] = append(entries, crossEntry{pairIdx: r.PairIdx, count: 1})
 			}
 		}
@@ -325,8 +400,8 @@ func (ev *Evaluator) Load(caps []float64, active []bool) []DuctLoad {
 			for _, en := range entries {
 				ev.idxBuf = append(ev.idxBuf, en.pairIdx)
 				if en.count > 1 {
-					p := ev.pairAB[en.pairIdx]
-					extra += float64(en.count-1) * math.Min(caps[ev.dcPos[p.A]], caps[ev.dcPos[p.B]])
+					p := ev.pairPos[en.pairIdx]
+					extra += float64(en.count-1) * math.Min(caps[p.A], caps[p.B])
 				}
 			}
 			l.BasePairs = pairsFor(ev.hoseLoad(ev.idxBuf, override) + extra)
@@ -338,30 +413,36 @@ func (ev *Evaluator) Load(caps []float64, active []bool) []DuctLoad {
 
 // PairsFor returns the fiber-pairs (or, for an amplifier site, the
 // amplifiers) that carry the worst-case hose load of the given pairs
-// under the region's capacities. idx is sorted in place.
+// under the region's capacities. idx is reordered in place.
 func (ev *Evaluator) PairsFor(idx []int32) int {
-	return pairsFor(ev.hoseLoad(idx, false))
+	return pairsFor(ev.hoseLoad(idx, nil))
 }
 
-// hoseLoad is hose.WorstCaseLoad over the pairs with the given indices
-// (sorted in place; duplicates are harmless, WorstCaseLoad coalesces
-// them), memoised for the region's own capacities. The memo outlives
-// scenarios, so a re-evaluated region pays for no max-flow at all; a Load
-// capacity override is computed afresh.
-func (ev *Evaluator) hoseLoad(idx []int32, override bool) float64 {
+// hoseLoad is the worst-case hose load of the pairs with the given indices
+// (sorted and stripped of duplicates in place). Under the region's own
+// capacities (override nil) it is memoised: the memo outlives scenarios,
+// so a re-evaluated region pays for no max-flow at all. Under a Load
+// capacity override, by DC position, it is computed afresh on the same
+// resident LP.
+func (ev *Evaluator) hoseLoad(idx []int32, override []float64) float64 {
 	slices.Sort(idx)
-	caps := ev.capsByID
-	if override {
-		caps = ev.overByID
-	} else if id, added := ev.hoseIdx.intern(idx); !added {
-		return ev.hoseLoads[id]
+	idx = slices.Compact(idx)
+	caps := override
+	if override == nil {
+		id, added := ev.hoseIdx.intern(idx)
+		if !added {
+			return ev.hoseLoads[id]
+		}
+		caps = ev.caps
 	}
+	// Ascending pair indices are ascending (A, B) pairs: the order the
+	// LP's arcs have always been added in.
 	ev.pairsBuf = ev.pairsBuf[:0]
 	for _, pi := range idx {
-		ev.pairsBuf = append(ev.pairsBuf, ev.pairAB[pi])
+		ev.pairsBuf = append(ev.pairsBuf, ev.pairPos[pi])
 	}
-	load := hose.WorstCaseLoad(caps, ev.pairsBuf)
-	if !override {
+	load := ev.lp.WorstCaseLoad(caps, ev.pairsBuf)
+	if override == nil {
 		ev.hoseLoads = append(ev.hoseLoads, load)
 	}
 	return load
