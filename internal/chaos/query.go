@@ -2,6 +2,7 @@ package chaos
 
 import (
 	"fmt"
+	"math"
 	"net/url"
 	"strconv"
 	"strings"
@@ -57,8 +58,9 @@ func ScenarioFromQuery(m *fibermap.Map, q url.Values) (Scenario, error) {
 		x, errX := strconv.ParseFloat(q.Get("x"), 64)
 		y, errY := strconv.ParseFloat(q.Get("y"), 64)
 		radius, errR := strconv.ParseFloat(q.Get("radius"), 64)
-		if errX != nil || errY != nil || errR != nil || radius <= 0 {
-			return Scenario{}, fmt.Errorf("chaos: geo needs x, y and a positive radius")
+		// NaN and ±Inf parse as floats; JSON cannot carry them back.
+		if errX != nil || errY != nil || errR != nil || !finite(x) || !finite(y) || !finite(radius) || radius <= 0 {
+			return Scenario{}, fmt.Errorf("chaos: geo needs finite x, y and a positive radius")
 		}
 		c := geo.Point{X: x, Y: y}
 		var ducts []int
@@ -77,6 +79,8 @@ func ScenarioFromQuery(m *fibermap.Map, q url.Values) (Scenario, error) {
 	}
 	return Scenario{}, fmt.Errorf("chaos: unsupported kind %q", kind)
 }
+
+func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
 
 // ParseScenario builds a scenario from its compact text form, the
 // human-typable spelling of the same scenarios ScenarioFromQuery accepts:

@@ -19,6 +19,7 @@ package chaos
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"iris/internal/fibermap"
@@ -122,10 +123,12 @@ func (s Scenario) CutSet() map[int]bool {
 	return set
 }
 
-// Cut builds a plain duct-cut scenario from the given duct IDs.
+// Cut builds a plain duct-cut scenario from the given duct IDs, in any
+// order and with repeats: a duct is cut once however often it is named.
 func Cut(ducts ...int) Scenario {
 	sorted := append([]int(nil), ducts...)
 	sort.Ints(sorted)
+	sorted = slices.Compact(sorted)
 	return Scenario{
 		Kind:  DuctCut,
 		Name:  fmt.Sprintf("cut%v", sorted),

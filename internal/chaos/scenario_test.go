@@ -1,6 +1,7 @@
 package chaos
 
 import (
+	"net/url"
 	"reflect"
 	"testing"
 
@@ -34,6 +35,43 @@ func TestKindRoundTrip(t *testing.T) {
 	}
 	if _, err := KindFromString("meteor"); err == nil {
 		t.Error("KindFromString accepted an unknown kind")
+	}
+}
+
+// TestCutNamesEachDuctOnce: however a cut is spelled — repeated IDs, any
+// order, query or compact form — it is one scenario severing each duct
+// once, so a request cannot inflate a scenario by repeating an ID.
+func TestCutNamesEachDuctOnce(t *testing.T) {
+	toy, _ := toyRegion(t, 0)
+	want := Cut(1, 3)
+	if want.Name != "cut[1 3]" || !reflect.DeepEqual(want.Ducts, []int{1, 3}) {
+		t.Fatalf("Cut(1, 3) = %q %v", want.Name, want.Ducts)
+	}
+	if got := Cut(3, 1, 3, 3, 1); !reflect.DeepEqual(got, want) {
+		t.Errorf("Cut(3, 1, 3, 3, 1) = %q %v, want %q", got.Name, got.Ducts, want.Name)
+	}
+	parsed, err := ParseScenario(toy.Map, "cut:3,1,1")
+	if err != nil || !reflect.DeepEqual(parsed, want) {
+		t.Errorf("ParseScenario(cut:3,1,1) = %q %v, %v; want %q", parsed.Name, parsed.Ducts, err, want.Name)
+	}
+	queried, err := ScenarioFromQuery(toy.Map, url.Values{"kind": {"cut"}, "duct": {"3", "3", "1"}})
+	if err != nil || !reflect.DeepEqual(queried, want) {
+		t.Errorf("ScenarioFromQuery(duct=3&duct=3&duct=1) = %q %v, %v; want %q", queried.Name, queried.Ducts, err, want.Name)
+	}
+}
+
+// TestGeoRejectsNonFinite: "NaN" and "Inf" parse as floats, but a scenario
+// carrying them cannot be encoded as JSON — /api/whatif answered 200 with
+// an empty body.
+func TestGeoRejectsNonFinite(t *testing.T) {
+	toy, _ := toyRegion(t, 0)
+	for _, spec := range []string{"geo:NaN,0,1", "geo:0,Inf,1", "geo:0,0,Inf", "geo:0,0,NaN", "geo:0,0,-1"} {
+		if sc, err := ParseScenario(toy.Map, spec); err == nil {
+			t.Errorf("ParseScenario(%q) accepted: %q", spec, sc.Name)
+		}
+	}
+	if _, err := ParseScenario(toy.Map, "geo:0,0,1e9"); err != nil {
+		t.Errorf("a large finite radius rejected: %v", err)
 	}
 }
 

@@ -25,9 +25,11 @@ const (
 // NewHTTPServer returns the server irisd and irisfleet mount their
 // handlers on. It bounds how long a client may take to send its request
 // headers and how long an idle keep-alive connection is held. There is
-// no WriteTimeout: a CPU profile or an exhaustive /api/critical
-// legitimately streams for longer than any fixed bound, and cutting those
-// needs handlers that honour cancellation first.
+// no WriteTimeout: a CPU profile legitimately streams for longer than
+// any fixed bound. /api/critical no longer does — its one long step, the
+// first request's overlay build for a deployment, is bounded by
+// topoapi's cut-set limit — but a deadline on it still needs handlers
+// that honour cancellation first.
 func NewHTTPServer(addr string, h http.Handler) *http.Server {
 	return &http.Server{
 		Addr:              addr,

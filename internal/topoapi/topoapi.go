@@ -10,11 +10,16 @@
 //	GET /api/history/{reconfig_id}  one record with span tree and alloc diff
 //	GET /api/history/diff?from=&to= net topology change between two reconfigs
 //
-// The server owns no state: a Config.State callback snapshots the
+// The server owns no region state: a Config.State callback snapshots the
 // daemon's committed deployment, allocation and demand on every request,
 // and Config.Lake is the history store the daemon and chaos cycles
-// append to. Derived machinery (base graph, survivability auditor) is
-// cached per deployment pointer, so steady-state queries never re-plan.
+// append to. What it keeps is derived from the deployment pointer alone
+// and dropped when a replan swaps it: the base graph, the survivability
+// auditor, and per k asked for the cut overlay /api/critical reads (the
+// partitions the ≤k cut sets produce; built by the first request, once).
+// The last min_cut_pairs column is kept too, for (deployment, live-pair
+// list); demand values change none of it, so nothing is invalidated per
+// tick and steady-state queries never re-plan or re-enumerate.
 package topoapi
 
 import (
@@ -27,6 +32,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"iris/internal/chaos"
 	"iris/internal/core"
@@ -67,10 +73,14 @@ type Config struct {
 type Server struct {
 	cfg Config
 
-	mu      sync.Mutex
-	dep     *core.Deployment // deployment the cached tools were built for
-	base    *graph.Graph
-	auditor *chaos.Auditor
+	mu       sync.Mutex
+	dep      *core.Deployment // deployment the cached tools were built for
+	base     *graph.Graph
+	auditor  *chaos.Auditor
+	overlays [maxCutK]func() *cutOverlay // by k-1; each builds once, on first call
+
+	minCut minCutMemo
+	builds atomic.Int64 // overlays built; read by tests only
 }
 
 // New returns a server for the given region wiring.
@@ -121,16 +131,24 @@ func (s *Server) snapshot(w http.ResponseWriter, r *http.Request) (Snapshot, boo
 func (s *Server) tools(dep *core.Deployment) (*graph.Graph, *chaos.Auditor) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.dep != dep {
-		base := dep.Plan.Input.Base
-		if base == nil {
-			base = plan.BaseGraph(dep.Region.Map)
-		}
-		s.base = base
-		s.auditor = chaos.NewAuditor(dep.Plan)
-		s.dep = dep
-	}
+	s.retool(dep)
 	return s.base, s.auditor
+}
+
+// retool points the cache at a deployment, dropping everything kept for
+// another. Callers hold mu.
+func (s *Server) retool(dep *core.Deployment) {
+	if s.dep == dep {
+		return
+	}
+	base := dep.Plan.Input.Base
+	if base == nil {
+		base = plan.BaseGraph(dep.Region.Map)
+	}
+	s.base = base
+	s.auditor = chaos.NewAuditor(dep.Plan)
+	s.overlays = [maxCutK]func() *cutOverlay{}
+	s.dep = dep
 }
 
 func intQuery(q url.Values, name string, def int) (int, error) {
@@ -240,40 +258,37 @@ type pairDemand struct {
 	demand float64
 }
 
-// stranding answers "how much demand does this cut strand" for one
-// request: the demand snapshot flattened in (A, B) order, so float sums
-// are reproducible where ranging the map is not, and one graph.Cut and
-// label slice reused across every cut set asked about. A cut strands a
-// pair when it separates the pair's endpoints, which needs components of
-// the masked base graph only — no derived graph and no routing.
-type stranding struct {
-	base   *graph.Graph
-	cut    *graph.Cut
-	labels []int
-	demand []pairDemand
-}
-
-func newStranding(base *graph.Graph, demand map[hose.Pair]float64) *stranding {
-	st := &stranding{base: base, cut: graph.NewCut(base), demand: make([]pairDemand, 0, len(demand))}
+// sortedDemand flattens a demand snapshot in (A, B) order, so float sums
+// over it are reproducible where ranging the map is not.
+func sortedDemand(demand map[hose.Pair]float64) []pairDemand {
+	out := make([]pairDemand, 0, len(demand))
 	for p, d := range demand {
-		st.demand = append(st.demand, pairDemand{pair: p, demand: d})
+		out = append(out, pairDemand{pair: p, demand: d})
 	}
-	sort.Slice(st.demand, func(i, j int) bool { return st.demand[i].pair.Less(st.demand[j].pair) })
-	return st
+	sort.Slice(out, func(i, j int) bool { return out[i].pair.Less(out[j].pair) })
+	return out
 }
 
-// stranded sums the demand of pairs split across components when the
-// given ducts (ascending IDs) are cut.
-func (st *stranding) stranded(ducts []int) float64 {
-	st.cut.Set(ducts)
-	st.labels = st.base.ComponentsInto(st.cut.Skip(), st.labels)
+// separated sums, in the given order, the demand of the pairs whose
+// endpoints carry different component labels: what a cut strands. That
+// needs components of the masked base graph only — no derived graph and
+// no routing.
+func separated[L int | int32](labels []L, demand []pairDemand) float64 {
 	total := 0.0
-	for _, pd := range st.demand {
-		if st.labels[pd.pair.A] != st.labels[pd.pair.B] {
+	for _, pd := range demand {
+		if labels[pd.pair.A] != labels[pd.pair.B] {
 			total += pd.demand
 		}
 	}
 	return total
+}
+
+// strandedBy is the demand stranded when the given ducts (ascending IDs)
+// are cut.
+func strandedBy(base *graph.Graph, ducts []int, demand map[hose.Pair]float64) float64 {
+	cut := graph.NewCut(base)
+	cut.Set(ducts)
+	return separated(base.ComponentsInto(cut.Skip(), nil), sortedDemand(demand))
 }
 
 func (s *Server) handleCritical(w http.ResponseWriter, r *http.Request) {
@@ -286,89 +301,31 @@ func (s *Server) handleCritical(w http.ResponseWriter, r *http.Request) {
 		jsonError(w, http.StatusBadRequest, "bad k")
 		return
 	}
-	if k > 3 {
-		k = 3 // exhaustive enumeration; deeper cuts explode combinatorially
-	}
-	base, _ := s.tools(snap.Dep)
-	m := snap.Dep.Region.Map
+	base, ov, k := s.cuts(snap.Dep, k)
+	demand := sortedDemand(snap.Demand)
 
-	ids := make([]int, 0, base.NumEdges())
-	rows := make(map[int]*CriticalDuct, base.NumEdges())
-	for _, e := range base.Edges() {
-		ids = append(ids, e.ID)
-		rows[e.ID] = &CriticalDuct{Duct: e.ID, From: e.U, To: e.V, KM: e.W}
-	}
-	for _, id := range base.Bridges() {
-		rows[id].Bridge = true
-	}
-
-	// Exhaustive ≤k cut audit: attribute each cut set's stranded demand
-	// to every member duct (worst case per duct).
-	st := newStranding(base, snap.Demand)
-	graph.FailureScenarios(ids, k, func(cut []int) {
-		if len(cut) == 0 {
-			return
-		}
-		stranded := st.stranded(cut)
-		if stranded == 0 {
-			return
-		}
-		for _, id := range cut {
-			row := rows[id]
-			if stranded > row.StrandedDemand {
-				row.StrandedDemand = stranded
-			}
-			if len(cut) == 1 {
-				row.SoloStranded = stranded
-			}
-		}
-	})
-
-	// Min-cut membership per live DC pair, over the provisioned fiber
-	// (base + cut-through + residual, the same capacities the
-	// survivability auditor flows over).
-	capByDuct := make(map[int]int, len(snap.Dep.Plan.Ducts))
-	for id, du := range snap.Dep.Plan.Ducts {
-		capByDuct[id] = du.TotalPairs()
-	}
-	pairs := make([]hose.Pair, 0, len(st.demand))
-	for _, pd := range st.demand {
+	// Each partition's stranded demand is summed once and attributed to
+	// every duct with a ≤k cut set that produces the partition (worst
+	// case per duct).
+	stranded := ov.stranded(demand)
+	live := make([]hose.Pair, 0, len(demand))
+	for _, pd := range demand {
 		if pd.demand > 0 {
-			pairs = append(pairs, pd.pair)
+			live = append(live, pd.pair)
 		}
 	}
-	if len(pairs) > 0 {
-		f := graph.NewFlowNetwork(len(m.Nodes))
-		for _, id := range ids {
-			total := capByDuct[id]
-			if total == 0 {
-				continue
-			}
-			d := m.Ducts[id]
-			f.AddArc(d.A, d.B, float64(total))
-			f.AddArc(d.B, d.A, float64(total))
-		}
-		for i, p := range pairs {
-			if i > 0 {
-				f.Reset()
-			}
-			f.MaxFlow(p.A, p.B)
-			seen := f.MinCutReachable(p.A)
-			for _, id := range ids {
-				if capByDuct[id] == 0 {
-					continue
-				}
-				d := m.Ducts[id]
-				if seen[d.A] != seen[d.B] {
-					rows[id].MinCutPairs++
-				}
-			}
-		}
-	}
+	minCut := s.minCutPairs(snap.Dep, base, live)
 
-	out := make([]CriticalDuct, 0, len(rows))
-	for _, row := range rows {
-		out = append(out, *row)
+	out := make([]CriticalDuct, base.NumEdges())
+	for i, e := range base.Edges() {
+		row := CriticalDuct{Duct: e.ID, From: e.U, To: e.V, KM: e.W,
+			Bridge: ov.solo[i] != 0, SoloStranded: stranded[ov.solo[i]], MinCutPairs: minCut[i]}
+		for _, p := range ov.parts[i] {
+			if stranded[p] > row.StrandedDemand {
+				row.StrandedDemand = stranded[p]
+			}
+		}
+		out[i] = row
 	}
 	sort.Slice(out, func(i, j int) bool {
 		a, b := out[i], out[j]
@@ -416,7 +373,7 @@ func (s *Server) handleWhatIf(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, map[string]any{
 		"scenario":        sc,
 		"result":          res,
-		"stranded_demand": newStranding(base, snap.Demand).stranded(sc.Ducts),
+		"stranded_demand": strandedBy(base, sc.Ducts, snap.Demand),
 	})
 }
 
