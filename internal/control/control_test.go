@@ -2,6 +2,7 @@ package control
 
 import (
 	"context"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -389,29 +390,47 @@ func TestAmplifierStateAndLog(t *testing.T) {
 // with the last circuit it tears down and lights it again for the first it
 // establishes. The phase used to send both concurrently, and the amplifier
 // ended in whichever state arrived last; now it gets one RPC carrying the
-// final state.
+// final state. The same holds for two fills naming one emulator, which a
+// round (one request per device) could not even send.
 func TestAmpPhaseLastOperationDecides(t *testing.T) {
 	tb := fig13Testbed(t)
 	amp := tb.Devices["hut-amp"].(*Amplifier)
+	emu := tb.Devices["dc1-emulator"].(*ChannelEmulator)
 	const rounds = 60 // under logCap, so the log counts the RPCs
 	for i := 0; i < rounds; i++ {
 		want := i%2 == 0
-		rep, err := tb.Controller.Reconfigure(context.Background(), Change{Amps: []AmpOp{
-			{Device: "hut-amp", Enable: !want},
-			{Device: "hut-amp", Enable: want},
-		}})
+		wantFill := []int{i % 39, 39}
+		rep, err := tb.Controller.Reconfigure(context.Background(), Change{
+			Amps: []AmpOp{
+				{Device: "hut-amp", Enable: !want},
+				{Device: "hut-amp", Enable: want},
+			},
+			Fills: []FillOp{
+				{Device: "dc1-emulator", Channels: []int{(i + 1) % 40}},
+				{Device: "dc1-emulator", Channels: wantFill},
+			},
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if amp.Enabled() != want {
 			t.Fatalf("reconfiguration %d left the amplifier enabled=%v, its last operation says %v", i, !want, want)
 		}
+		if got := emu.Filled(); !slices.Equal(got, wantFill) {
+			t.Fatalf("reconfiguration %d left the emulator filling %v, its last operation says %v", i, got, wantFill)
+		}
 		if got := rep.Phases[2]; got.Name != "amps" || got.Ops != 2 {
 			t.Fatalf("phase report %+v, want amps with 2 operations", got)
+		}
+		if got := rep.Phases[4]; got.Name != "fill" || got.Ops != 2 {
+			t.Fatalf("phase report %+v, want fill with 2 operations", got)
 		}
 	}
 	if got := len(amp.Log()); got != rounds {
 		t.Fatalf("amplifier received %d operations in %d reconfigurations, want one each", got, rounds)
+	}
+	if got := len(emu.Log()); got != rounds {
+		t.Fatalf("emulator received %d operations in %d reconfigurations, want one each", got, rounds)
 	}
 }
 

@@ -35,14 +35,8 @@ type DialOptions struct {
 	RPCTimeout  time.Duration // end-to-end bound per device call
 }
 
-// Dial connects to all device agents with default transport deadlines. On
-// any failure it closes the connections already made and returns the error.
-func Dial(specs []DeviceSpec) (*Controller, error) {
-	return DialWithOptions(specs, DialOptions{})
-}
-
-// DialWithOptions connects to all device agents with explicit transport
-// deadlines.
+// DialWithOptions connects to all device agents. On any failure it closes
+// the connections already made and returns the error.
 func DialWithOptions(specs []DeviceSpec, opts DialOptions) (*Controller, error) {
 	c := &Controller{devices: make(map[string]*Client, len(specs))}
 	for _, s := range specs {
@@ -109,18 +103,6 @@ func (c *Controller) send(device, op string, args map[string]any) (*Client, erro
 		return nil, &DeviceError{Device: device, Err: err}
 	}
 	return cl, nil
-}
-
-// tracedCall runs one device RPC under a child span of parent named
-// span, carrying the device attribution and the deadline outcome. A nil
-// parent (no tracer, or an untraced caller) records nothing and adds no
-// overhead beyond the nil checks.
-func (c *Controller) tracedCall(parent *trace.Span, span, device, op string, args map[string]any) (map[string]any, error) {
-	sp := parent.Child(span)
-	sp.SetDevice(device)
-	res, err := c.Call(device, op, args)
-	finishRPC(sp, err)
-	return res, err
 }
 
 // finishRPC closes a device RPC's span with its outcome.
@@ -207,10 +189,13 @@ type Report struct {
 	Total  time.Duration
 }
 
-// Reconfigure executes the change. Phases run strictly in order; within a
-// phase each device receives its operations as one batch RPC, and devices
-// run concurrently. The first error aborts subsequent phases. Report
-// counts operations, not RPCs.
+// Reconfigure executes the change. Phases run strictly in order; a phase
+// is one round of RPCs (the switch phase two, disconnects then connects),
+// in which each device the phase names receives its operations as one
+// batch and all of them work at once. The first error stops the phase's
+// round and aborts the phases after it; a device whose request was
+// abandoned then may or may not have applied it. Report counts operations,
+// not RPCs.
 //
 // When ctx carries a span (trace.ContextWith — the daemon threads its
 // reconfig root through here), each phase becomes a child span with
@@ -251,31 +236,6 @@ func (c *Controller) Reconfigure(ctx context.Context, ch Change) (Report, error)
 	return rep, nil
 }
 
-// parallel runs fns concurrently and returns the first error.
-func parallel(ctx context.Context, fns []func() error) error {
-	if len(fns) == 0 {
-		return nil
-	}
-	errs := make(chan error, len(fns))
-	for _, fn := range fns {
-		go func(f func() error) { errs <- f() }(fn)
-	}
-	var first error
-	for range fns {
-		select {
-		case err := <-errs:
-			if err != nil && first == nil {
-				first = err
-			}
-		case <-ctx.Done():
-			if first == nil {
-				first = ctx.Err()
-			}
-		}
-	}
-	return first
-}
-
 // sortedKeys returns a map's keys (device names, switch ports) in
 // ascending order.
 func sortedKeys[K cmp.Ordered, V any](m map[K]V) []K {
@@ -287,22 +247,75 @@ func sortedKeys[K cmp.Ordered, V any](m map[K]V) []K {
 	return keys
 }
 
-// perDevice runs call once per device group, concurrently, issuing the
-// groups in sorted device order, and returns the first error.
-func perDevice[V any](ctx context.Context, groups map[string]V, call func(dev string, group V) error) error {
-	fns := make([]func() error, 0, len(groups))
-	for _, dev := range sortedKeys(groups) {
-		dev, group := dev, groups[dev]
-		fns = append(fns, func() error { return call(dev, group) })
+// request is one device's share of a round: the operation, its arguments
+// and the name of the span it runs under.
+type request struct {
+	span, op string
+	args     map[string]any
+}
+
+// round is the one way the controller holds requests in flight on more
+// than one device; the audit, the repair and every phase of a change go
+// through it. Every request is on the wire, in sorted device order, before
+// the first reply is awaited: the devices work while the controller reads
+// (three switches settle in one settling time), and a device's RPC deadline
+// runs from when its request was sent. Replies are read in the same order
+// and handed to visit, if there is one. The first failed reply (a
+// *DeviceError naming its device), a failed visit or a cancelled ctx stops
+// the round, and the requests still in flight are abandoned — a device may
+// have applied an abandoned operation, which is what the audit after a
+// change and Repair are for. Each request is a child span of parent,
+// attributed to its device.
+//
+// A client stays locked from send to recv, so a second request to a device
+// would wait for ever on the first one's lock: reqs is keyed by device
+// because a round names a device at most once. Every round takes the
+// clients in the same order, so two of them cannot deadlock.
+func (c *Controller) round(ctx context.Context, parent *trace.Span, reqs map[string]request, visit func(dev string, res map[string]any) error) (stop error) {
+	if err := ctx.Err(); err != nil {
+		return err // nothing goes on the wire for a caller that has given up
 	}
-	return parallel(ctx, fns)
+	devs := sortedKeys(reqs)
+	spans := make([]*trace.Span, len(devs))
+	clients := make([]*Client, len(devs)) // each holding a request in flight
+	errs := make([]error, len(devs))      // or why there is none
+	for i, dev := range devs {
+		req := reqs[dev]
+		spans[i] = parent.Child(req.span)
+		spans[i].SetDevice(dev)
+		clients[i], errs[i] = c.send(dev, req.op, req.args)
+	}
+	for i, dev := range devs {
+		if stop == nil {
+			stop = ctx.Err()
+		}
+		if stop != nil {
+			if clients[i] != nil {
+				clients[i].abandon()
+			}
+			spans[i].SetAttr("abandoned")
+			spans[i].Finish()
+			continue
+		}
+		var res map[string]any
+		err := errs[i]
+		if err == nil {
+			if res, err = clients[i].recv(); err != nil {
+				err = &DeviceError{Device: dev, Err: err}
+			}
+		}
+		finishRPC(spans[i], err)
+		if stop = err; stop == nil && visit != nil {
+			stop = visit(dev, res)
+		}
+	}
+	return stop
 }
 
 // transceiverPhase executes one phase's per-transceiver operations (op is
-// "disable", "tune" or "enable") as one batch RPC per bank: banks run
-// concurrently, and a bank applies its batch only if every entry passes
-// its checks. Each bank gets one span, named after the phase's operation,
-// covering its batch.
+// "disable", "tune" or "enable") as one batch per bank, which a bank
+// applies only if every entry passes its checks. A bank's span is named
+// after the phase's operation.
 func (c *Controller) transceiverPhase(ctx context.Context, sp *trace.Span, ops []TransceiverOp, op string) error {
 	type batch struct{ idxs, wavelengths []int }
 	byDev := make(map[string]*batch)
@@ -317,21 +330,21 @@ func (c *Controller) transceiverPhase(ctx context.Context, sp *trace.Span, ops [
 			b.wavelengths = append(b.wavelengths, o.Wavelength)
 		}
 	}
-	return perDevice(ctx, byDev, func(dev string, b *batch) error {
+	reqs := make(map[string]request, len(byDev))
+	for dev, b := range byDev {
 		args := map[string]any{"idxs": b.idxs}
 		if op == "tune" {
 			args["wavelengths"] = b.wavelengths
 		}
-		_, err := c.tracedCall(sp, op, dev, op+"-batch", args)
-		return err
-	})
+		reqs[dev] = request{span: op, op: op + "-batch", args: args}
+	}
+	return c.round(ctx, sp, reqs, nil)
 }
 
-// switchPhase executes the OSS operations. Disconnects precede connects so
-// a circuit can move to a port being vacated in the same change; within
-// each direction, operations are batched per device — the physical switch
-// settles all of a batch's mirrors in one window — and devices run
-// concurrently.
+// switchPhase executes the OSS operations, batched per device — the
+// physical switch settles all of a batch's mirrors in one window — in two
+// rounds: disconnects precede connects, so a circuit can move to a port
+// being vacated in the same change.
 func (c *Controller) switchPhase(ctx context.Context, sp *trace.Span, ops []OSSOp) error {
 	type batch struct{ ins, outs []int }
 	disc := make(map[string]*batch)
@@ -351,48 +364,44 @@ func (c *Controller) switchPhase(ctx context.Context, sp *trace.Span, ops []OSSO
 			b.outs = append(b.outs, o.Out)
 		}
 	}
-	err := perDevice(ctx, disc, func(dev string, b *batch) error {
-		_, err := c.tracedCall(sp, "disconnect-batch", dev, "disconnect-batch", map[string]any{"ins": b.ins})
-		return err
-	})
-	if err != nil {
+	reqs := make(map[string]request, len(disc))
+	for dev, b := range disc {
+		reqs[dev] = request{span: "disconnect-batch", op: "disconnect-batch", args: map[string]any{"ins": b.ins}}
+	}
+	if err := c.round(ctx, sp, reqs, nil); err != nil {
 		return err
 	}
-	return perDevice(ctx, conn, func(dev string, b *batch) error {
-		_, err := c.tracedCall(sp, "connect-batch", dev, "connect-batch", map[string]any{"ins": b.ins, "outs": b.outs})
-		return err
-	})
+	clear(reqs)
+	for dev, b := range conn {
+		reqs[dev] = request{span: "connect-batch", op: "connect-batch", args: map[string]any{"ins": b.ins, "outs": b.outs}}
+	}
+	return c.round(ctx, sp, reqs, nil)
 }
 
-// ampPhase switches amplifier groups on or off, one RPC per device. Of
-// several operations naming one device the last decides: a change that
-// parks an amplifier with the last circuit it tears down and lights it for
-// the first it establishes must leave it on, not race the two.
+// ampPhase switches amplifier groups on or off. Of several operations
+// naming one device the last decides: a change that parks an amplifier with
+// the last circuit it tears down and lights it for the first it establishes
+// must leave it on.
 func (c *Controller) ampPhase(ctx context.Context, sp *trace.Span, ops []AmpOp) error {
-	final := make(map[string]bool)
+	reqs := make(map[string]request)
 	for _, o := range ops {
-		final[o.Device] = o.Enable
-	}
-	return perDevice(ctx, final, func(dev string, enable bool) error {
 		op := "disable"
-		if enable {
+		if o.Enable {
 			op = "enable"
 		}
-		_, err := c.tracedCall(sp, op, dev, op, nil)
-		return err
-	})
+		reqs[o.Device] = request{span: op, op: op}
+	}
+	return c.round(ctx, sp, reqs, nil)
 }
 
+// fillPhase sets each emulator's channel set; as for amplifiers, the last
+// operation naming a device decides.
 func (c *Controller) fillPhase(ctx context.Context, sp *trace.Span, ops []FillOp) error {
-	fns := make([]func() error, 0, len(ops))
+	reqs := make(map[string]request)
 	for _, o := range ops {
-		o := o
-		fns = append(fns, func() error {
-			_, err := c.tracedCall(sp, "fill", o.Device, "fill", map[string]any{"channels": o.Channels})
-			return err
-		})
+		reqs[o.Device] = request{span: "fill", op: "fill", args: map[string]any{"channels": o.Channels}}
 	}
-	return parallel(ctx, fns)
+	return c.round(ctx, sp, reqs, nil)
 }
 
 // Expected is the controller's whole intent for the devices it names
@@ -431,49 +440,18 @@ func named[V any](seen map[string]bool, field map[string]V) {
 	}
 }
 
-// eachState is the one fetch behind the audit and the repair: the "state"
-// of every device the expectation names, handed to visit in sorted order
-// until a fetch or a visit fails. Every request is on the wire before the
-// first reply is awaited, so the devices answer while the controller
-// compares and a device's RPC deadline runs from when its request was sent;
-// when the loop stops early the requests still in flight are abandoned.
-// When ctx carries a span every fetch is a per-device "state" child of it.
-func (c *Controller) eachState(ctx context.Context, exp Expected, visit func(dev string, st map[string]any) error) (stop error) {
-	parent := trace.FromContext(ctx)
+// eachState is the one fetch behind the audit and the repair: a round of
+// "state" requests to every device the expectation names, each reply handed
+// to visit — in sorted order, while the devices behind it still answer —
+// until a fetch or a visit fails. When ctx carries a span every fetch is a
+// per-device "state" child of it.
+func (c *Controller) eachState(ctx context.Context, exp Expected, visit func(dev string, st map[string]any) error) error {
 	devs := exp.devices()
-	spans := make([]*trace.Span, len(devs))
-	clients := make([]*Client, len(devs)) // each holding a request in flight
-	errs := make([]error, len(devs))      // or why there is none
-	for i, dev := range devs {
-		spans[i] = parent.Child("state")
-		spans[i].SetDevice(dev)
-		clients[i], errs[i] = c.send(dev, "state", nil)
+	reqs := make(map[string]request, len(devs))
+	for _, dev := range devs {
+		reqs[dev] = request{span: "state", op: "state"}
 	}
-	for i, dev := range devs {
-		if stop == nil {
-			stop = ctx.Err()
-		}
-		if stop != nil {
-			if clients[i] != nil {
-				clients[i].abandon()
-			}
-			spans[i].SetAttr("abandoned")
-			spans[i].Finish()
-			continue
-		}
-		var st map[string]any
-		err := errs[i]
-		if err == nil {
-			if st, err = clients[i].recv(); err != nil {
-				err = &DeviceError{Device: dev, Err: err}
-			}
-		}
-		finishRPC(spans[i], err)
-		if stop = err; stop == nil {
-			stop = visit(dev, st)
-		}
-	}
-	return stop
+	return c.round(ctx, trace.FromContext(ctx), reqs, visit)
 }
 
 // Audit checks every expected device against the expectation, returning

@@ -87,7 +87,7 @@ func TestDeadDeviceSurfacesError(t *testing.T) {
 		Serve(ctx, l, NewOSS(4, 0))
 	}()
 
-	ctl, err := Dial([]DeviceSpec{{Name: "oss", Addr: l.Addr().String()}})
+	ctl, err := DialWithOptions([]DeviceSpec{{Name: "oss", Addr: l.Addr().String()}}, DialOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,9 +131,9 @@ func TestReconfigureFailsCleanlyOnDeadDevice(t *testing.T) {
 	// Close only the OSS client's transport by closing the whole testbed
 	// listeners after connecting a second controller — simpler: dial a
 	// controller to one real and one bogus address.
-	_, err = Dial([]DeviceSpec{
+	_, err = DialWithOptions([]DeviceSpec{
 		{Name: "oss", Addr: "127.0.0.1:1"}, // nothing listens here
-	})
+	}, DialOptions{})
 	if err == nil {
 		t.Fatal("dial to dead address should fail")
 	}
@@ -159,7 +159,7 @@ func TestDialRejectsDuplicateNames(t *testing.T) {
 	go Serve(ctx, l, NewOSS(4, 0))
 
 	addr := l.Addr().String()
-	_, err = Dial([]DeviceSpec{{Name: "a", Addr: addr}, {Name: "a", Addr: addr}})
+	_, err = DialWithOptions([]DeviceSpec{{Name: "a", Addr: addr}, {Name: "a", Addr: addr}}, DialOptions{})
 	if err == nil || !strings.Contains(err.Error(), "duplicate") {
 		t.Errorf("err = %v, want duplicate-name error", err)
 	}

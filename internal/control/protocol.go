@@ -189,12 +189,7 @@ type Client struct {
 	closed      bool
 }
 
-// DialDevice connects to a device agent with the default deadlines.
-func DialDevice(addr string) (*Client, error) {
-	return DialDeviceTimeout(addr, DefaultDialTimeout, DefaultRPCTimeout)
-}
-
-// DialDeviceTimeout connects to a device agent with explicit deadlines.
+// DialDeviceTimeout connects to a device agent.
 // dialTimeout bounds connection establishment (and re-establishment);
 // rpcTimeout bounds each Call end to end. Zero values select the defaults;
 // negative values disable the corresponding deadline.
@@ -252,9 +247,9 @@ func (c *Client) Call(op string, args map[string]any) (map[string]any, error) {
 // send writes one request, starts its RPC deadline and returns with c.mu
 // held: the request is in flight, and the client locked, until recv reads
 // its response or abandon gives it up. When send fails nothing is in flight
-// and the lock is free. A caller with requests in flight on several clients
-// takes them in one order (the controller: sorted device names), so two
-// such callers cannot deadlock.
+// and the lock is free. The one caller with requests in flight on several
+// clients, Controller.round, takes them in sorted device order, so two
+// rounds cannot deadlock.
 func (c *Client) send(op string, args map[string]any) (err error) {
 	c.mu.Lock()
 	defer func() {

@@ -97,7 +97,7 @@ func TestClosedClientDoesNotRedial(t *testing.T) {
 	}()
 	defer func() { cancel(); l.Close(); <-done }()
 
-	cl, err := DialDevice(l.Addr().String())
+	cl, err := DialDeviceTimeout(l.Addr().String(), 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,31 +134,35 @@ func TestDeviceErrorAttribution(t *testing.T) {
 	}
 }
 
-// The ways one device of an audit can fail while the requests to the
+// The ways one device of a round can fail while the requests to the
 // devices after it are already on the wire.
 const (
-	answering int32 = iota
-	wedged          // answers after the RPC deadline
-	garbled         // answers with a state of no device kind
-	refusing        // answers with an error
+	answering  int32 = iota
+	wedged           // answers after the RPC deadline
+	garbled          // answers "state" with a state of no device kind
+	refusing         // answers with an error
+	cancelling       // cancels the caller's context, then answers
 )
 
-// moodyBank is a two-transceiver bank whose "state" misbehaves on demand.
+// moodyBank is a two-transceiver bank that misbehaves on demand.
 type moodyBank struct {
 	*TransceiverBank
-	mood atomic.Int32
+	mood   atomic.Int32
+	cancel atomic.Value // the context.CancelFunc a cancelling bank calls
 }
 
 func (d *moodyBank) Handle(op string, args map[string]any) (map[string]any, error) {
-	if op == "state" {
-		switch d.mood.Load() {
-		case wedged:
-			time.Sleep(300 * time.Millisecond)
-		case garbled:
+	switch d.mood.Load() {
+	case wedged:
+		time.Sleep(300 * time.Millisecond)
+	case garbled:
+		if op == "state" {
 			return map[string]any{"tuned": "zz", "enabled": true}, nil
-		case refusing:
-			return nil, errors.New("moody: not now")
 		}
+	case refusing:
+		return nil, errors.New("moody: not now")
+	case cancelling:
+		d.cancel.Load().(context.CancelFunc)()
 	}
 	return d.TransceiverBank.Handle(op, args)
 }
@@ -191,15 +195,27 @@ func overlapRig(t *testing.T) (*Testbed, *moodyBank, Expected) {
 // the audit, the requests already sent to d and e are abandoned, and the
 // error is the one a one-at-a-time audit gave: a *DeviceError naming c
 // (a deadline for a wedged device), or the context's own error. Once the
-// fault clears the next audits pass on every connection: no reply to an
-// abandoned request is ever read as the reply to a later one.
+// fault clears the next changes and audits pass on every connection: no
+// reply to an abandoned request is ever read as the reply to a later one.
+// The same holds for a round that mutates — the drain phase of a change —
+// and the phases behind it do not run.
 func TestAuditThatStopsEarlyLeavesNoStaleReply(t *testing.T) {
 	tb, moody, exp := overlapRig(t)
 	ctl := tb.Controller
+	// drain disables the (idle) first transceiver of each bank named.
+	drain := func(devs ...string) (ops []TransceiverOp) {
+		for _, dev := range devs {
+			ops = append(ops, TransceiverOp{Device: dev, Idx: 0})
+		}
+		return ops
+	}
 	healthy := func(t *testing.T) {
 		t.Helper()
 		moody.mood.Store(answering)
 		for i := 0; i < 3; i++ {
+			if _, err := ctl.Reconfigure(context.Background(), Change{Drain: drain("a", "b", "c", "d", "e")}); err != nil {
+				t.Fatalf("change %d after the fault cleared: %v", i, err)
+			}
 			if err := ctl.Audit(exp); err != nil {
 				t.Fatalf("audit %d after the fault cleared: %v", i, err)
 			}
@@ -258,6 +274,83 @@ func TestAuditThatStopsEarlyLeavesNoStaleReply(t *testing.T) {
 		err := ctl.Audit(unknown)
 		if err == nil || !strings.Contains(err.Error(), `unknown device "bb"`) {
 			t.Fatalf("audit = %v, want unknown device bb", err)
+		}
+		healthy(t)
+	})
+
+	// The mutating round. failedDrain runs a traced change whose drain of
+	// the banks named fails — behind it a retune of a, which must not run —
+	// and returns the error with the attribute of each bank's span.
+	tracer := trace.New(256)
+	var traceID uint64
+	failedDrain := func(t *testing.T, ctx context.Context, devs ...string) (map[string]string, error) {
+		t.Helper()
+		ch := Change{Drain: drain(devs...), Retunes: []TransceiverOp{{Device: "a", Idx: 0, Wavelength: 3}}}
+		traceID++
+		root := tracer.Start(traceID, "reconfig")
+		start := time.Now()
+		_, err := ctl.Reconfigure(trace.ContextWith(ctx, root), ch)
+		took := time.Since(start)
+		root.Finish()
+		if err == nil || !strings.Contains(err.Error(), "drain phase") {
+			t.Fatalf("reconfigure = %v, want a failed drain phase", err)
+		}
+		if took > 250*time.Millisecond {
+			t.Errorf("the drain took %v: one 60ms deadline did not bound it", took)
+		}
+		if tuned, _ := tb.Devices["a"].(*TransceiverBank).Snapshot(); tuned[0] != -1 {
+			t.Errorf("the retune phase ran behind the failed drain")
+		}
+		attrs := make(map[string]string)
+		for _, ev := range tracer.Events(trace.Filter{TraceID: traceID}) {
+			if ev.Name == "disable" {
+				attrs[ev.Device] = ev.Attr
+			}
+		}
+		for _, dev := range []string{"d", "e"} {
+			if attrs[dev] != "abandoned" {
+				t.Errorf("span of %s has attr %q, want abandoned", dev, attrs[dev])
+			}
+		}
+		return attrs, err
+	}
+	for _, c := range []struct {
+		name string
+		mood int32
+		attr string
+	}{
+		{"drain wedged past the deadline", wedged, "deadline_exceeded"},
+		{"drain refused", refusing, ""},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			moody.mood.Store(c.mood)
+			attrs, err := failedDrain(t, context.Background(), "a", "b", "c", "d", "e")
+			var de *DeviceError
+			if !errors.As(err, &de) || de.Device != "c" || isDeadline(err) != (c.mood == wedged) {
+				t.Fatalf("reconfigure = %v, want a DeviceError for c (deadline: %v)", err, c.mood == wedged)
+			}
+			if attrs["a"] != "" || attrs["b"] != "" || attrs["c"] != c.attr {
+				t.Errorf("span attrs %v, want a and b clean and c %q", attrs, c.attr)
+			}
+			healthy(t)
+		})
+	}
+
+	t.Run("drain cancelled between replies", func(t *testing.T) {
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		moody.cancel.Store(cancel)
+		moody.mood.Store(cancelling) // c cancels before it replies, so before d's reply is awaited
+		if _, err := failedDrain(t, ctx, "a", "b", "c", "d", "e"); !errors.Is(err, context.Canceled) {
+			t.Fatalf("reconfigure = %v, want context.Canceled", err)
+		}
+		healthy(t)
+	})
+
+	t.Run("drain of a device the controller does not have", func(t *testing.T) {
+		attrs, err := failedDrain(t, context.Background(), "a", "bb", "d", "e")
+		if !strings.Contains(err.Error(), `unknown device "bb"`) || attrs["a"] != "" {
+			t.Fatalf("reconfigure = %v with span attrs %v, want unknown device bb after a clean a", err, attrs)
 		}
 		healthy(t)
 	})

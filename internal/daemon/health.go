@@ -57,6 +57,14 @@ func (d *Daemon) transitionLocked(traceID uint64, name string, h *deviceHealth, 
 // ProbeOnce probes every non-quarantined device concurrently and advances
 // breaker state. Run calls it on the probe interval; tests call it
 // directly.
+//
+// The probes are a goroutine and a Call each, not one round of requests
+// the way an audit or a phase of control.Controller.Reconfigure is: probing
+// owes every device its own verdict under its own deadline, whereas a round
+// stops at the first failure and reads replies in order, so behind one
+// wedged switch every later device would be abandoned, or have its
+// deadline eaten, and a region's worth of breakers would trip for one hung
+// device.
 func (d *Daemon) ProbeOnce() {
 	var wg sync.WaitGroup
 	for _, name := range d.ctl.Devices() {

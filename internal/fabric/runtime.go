@@ -62,15 +62,9 @@ func (c *circuit) clone() *circuit {
 	return &d
 }
 
-// Reconcile returns the change that repairs every drifted device in states
-// (device name to "state" result) — §5.2's audit turned into repair: the
-// fabric's intent under the one comparison the audit uses.
-func (f *Fabric) Reconcile(states map[string]map[string]any) (control.Change, error) {
-	return f.Expected().Repair(states)
-}
-
-// EmptyChange reports whether a change contains no operations; a Reconcile
-// result that is empty means the devices already match intent.
+// EmptyChange reports whether a change contains no operations; a repair
+// (control.Expected.Repair) that is empty means the devices already match
+// intent.
 func EmptyChange(ch control.Change) bool {
 	return len(ch.Drain) == 0 && len(ch.Switches) == 0 && len(ch.Amps) == 0 &&
 		len(ch.Retunes) == 0 && len(ch.Fills) == 0 && len(ch.Undrain) == 0

@@ -95,7 +95,7 @@ func TestReconcileRepairsDriftedDevices(t *testing.T) {
 	}
 
 	// A converged fabric reconciles to an empty change.
-	rc, err := rig.Fab.Reconcile(deviceStates(t, rig))
+	rc, err := rig.Fab.Expected().Repair(deviceStates(t, rig))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +139,7 @@ func TestReconcileRepairsDriftedDevices(t *testing.T) {
 	}
 
 	// Reconcile must produce exactly the repair and bring the audit back.
-	rc, err = rig.Fab.Reconcile(deviceStates(t, rig))
+	rc, err = rig.Fab.Expected().Repair(deviceStates(t, rig))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -379,20 +379,20 @@ func TestAuditReplyBudget(t *testing.T) {
 func TestReconcileRejectsMalformedState(t *testing.T) {
 	rig := toyRig(t)
 	states := deviceStates(t, rig)
-	if _, err := rig.Fab.Reconcile(states); err != nil {
+	if _, err := rig.Fab.Expected().Repair(states); err != nil {
 		t.Fatal(err)
 	}
 	xcvr := rig.Fab.XcvrName(rig.Dep.Region.Map.DCs()[0])
 	good := states[xcvr]["enabled"]
 	states[xcvr]["enabled"] = strings.Repeat("G", len(good.(string)))
-	if _, err := rig.Fab.Reconcile(states); err == nil {
+	if _, err := rig.Fab.Expected().Repair(states); err == nil {
 		t.Error("reconcile accepted a bank whose enabled vector is not hex digits")
 	}
 	states[xcvr]["enabled"] = good
 	for name, st := range states {
 		if _, ok := st["in"]; ok {
 			st["in"], st["out"] = []int{1, 1}, []int{2, 3}
-			if _, err := rig.Fab.Reconcile(states); err == nil {
+			if _, err := rig.Fab.Expected().Repair(states); err == nil {
 				t.Errorf("reconcile accepted %s with input port 1 connected twice", name)
 			}
 			break
