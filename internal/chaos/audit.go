@@ -184,9 +184,12 @@ func (a *Auditor) Audit(sc Scenario) Result {
 
 	ev.Cut.Set(sc.Ducts)
 	routes := ev.Route()
-	res.DisconnectedPairs = ev.NumPairs() - len(routes)
 	for i := range routes {
 		r := &routes[i]
+		if !r.Routed() {
+			res.DisconnectedPairs++
+			continue
+		}
 		if r.TotalKM > optics.MaxPathKM+1e-9 {
 			res.SLAViolations++
 		}
@@ -210,7 +213,9 @@ func (a *Auditor) Audit(sc Scenario) Result {
 
 	res.Admissible = len(res.Overloads) == 0 && len(res.ResidualOverloads) == 0
 	res.Survives = res.Admissible && res.DisconnectedPairs == 0
-	res.WorstPairFibers = a.worstPairThroughput(w, routes)
+	if res.DisconnectedPairs < len(routes) { // else no pair survives: 0
+		res.WorstPairFibers = a.worstPairThroughput(w, routes)
+	}
 	return res
 }
 
@@ -231,6 +236,9 @@ func (w *worker) cluster(routes []plan.Route) {
 		return x
 	}
 	for i := range routes {
+		if !routes[i].Routed() {
+			continue
+		}
 		ra, rb := find(int(routes[i].I)), find(int(routes[i].J))
 		if ra != rb {
 			root[max(ra, rb)] = min(ra, rb)
@@ -266,6 +274,7 @@ func (w *worker) strandedDCs() []int {
 // worstPairThroughput returns the minimum, over the surviving pairs, of
 // the max-flow between them across the provisioned ducts the scenario did
 // not cut — the residual worst-pair throughput of the degraded region.
+// At least one pair must survive.
 //
 // It runs one flow per DC beyond the lowest of each cluster, from that
 // lowest DC, instead of one per pair. Every duct is two opposite arcs of
@@ -282,14 +291,11 @@ func (w *worker) strandedDCs() []int {
 // TestFixedSourceMinEqualsAllPairsMin and the reference auditor, which
 // still runs every pair, hold this.
 func (a *Auditor) worstPairThroughput(w *worker, routes []plan.Route) float64 {
-	if len(routes) == 0 {
-		return 0
-	}
 	a.setCutArcs(w, false)
 	worst := math.Inf(1)
 	for i := range routes {
 		r := &routes[i]
-		if w.root[r.I] != int(r.I) {
+		if !r.Routed() || w.root[r.I] != int(r.I) {
 			continue
 		}
 		w.net.Reset()

@@ -5,15 +5,17 @@ import (
 	"sync"
 )
 
-// This file is the one Dijkstra main loop and its allocation-free face.
+// This file is the one Dijkstra main loop and its allocation-free faces.
 // The memoised Dijkstra method suits callers that keep one graph alive
 // and ask for the same sources repeatedly; a failure-scenario loop is the
 // opposite shape — thousands of slightly different graphs, each asked
-// once per DC. DijkstraInto serves it by running on the *base* graph with
-// an edge-exclusion mask (see Cut), writing into a caller-owned tree
-// through a reusable Scratch, so a warmed caller routes a scenario with
-// zero heap allocations. Dijkstra and DistancesFromSeeds run on the same
-// loop with a pooled Scratch.
+// once per DC. Two entry points serve it on the *base* graph under an
+// edge-exclusion mask (see Cut), writing into a caller-owned tree through
+// a reusable Scratch, so a warmed caller performs no heap allocation:
+// DijkstraInto computes a tree from nothing, and RepairInto derives the
+// tree of a larger cut from the tree of a smaller one, relabelling only
+// the nodes below the newly cut edges. Dijkstra and DistancesFromSeeds
+// run on the same loop with a pooled Scratch.
 //
 // Results are bit-identical to Dijkstra on the WithoutEdges-derived
 // graph: the deterministic tie-break (better) keys on distances, hop
@@ -29,6 +31,7 @@ type Scratch struct {
 	buckets [][]distItem
 	hi      int // 1 + highest bucket index touched this run
 	queued  int
+	hit     []int // RepairInto: the nodes being relabelled
 }
 
 // scratchPool lends a Scratch to the calls that have no caller-owned one
@@ -140,6 +143,92 @@ func (g *Graph) DijkstraInto(source int, skip []bool, t *ShortestPathTree, sc *S
 	sc.push(distItem{node: source}, width)
 	g.settle(t, sc, skip, width)
 	return t
+}
+
+// RepairInto derives the shortest-path tree of g under skip from the tree
+// from, which must be the exact tree of the same source under a subset of
+// skip (the failure-free tree always is), and writes it into t; t may be
+// from itself. It returns the number of nodes it relabelled.
+//
+// A node whose path in from runs over no newly skipped edge keeps its
+// label: its path survives, and every rival label only got worse. The
+// others — the subtrees of from below the newly skipped edges — are
+// unlabelled, each is seeded with its best label over its kept neighbours
+// under the same better order, and the one settle loop finishes among
+// them with the kept nodes already done. A node's final label is the
+// least, under better, of what its neighbours' final labels offer it, in
+// whatever order the offers arrive, so the result is bit for bit what
+// DijkstraInto computes under skip (TestRepairMatchesDijkstra) — for the
+// cost of the nodes below the cut, not of the graph.
+func (g *Graph) RepairInto(from *ShortestPathTree, skip []bool, t *ShortestPathTree, sc *Scratch) int {
+	if t != from {
+		t.Dist = append(t.Dist[:0], from.Dist...)
+		t.Hops = append(t.Hops[:0], from.Hops...)
+		t.prevEdge = append(t.prevEdge[:0], from.prevEdge...)
+		t.g, t.Source = g, from.Source
+	}
+	if skip == nil {
+		return 0
+	}
+	sc.hit = sc.hit[:0]
+	for v, pe := range t.prevEdge {
+		if pe >= 0 && skip[pe] {
+			sc.hit = append(sc.hit, v)
+		}
+	}
+	if len(sc.hit) == 0 {
+		return 0
+	}
+	sc.reset(g.n)
+	done := sc.done
+	for i := range done {
+		done[i] = true
+	}
+	for _, v := range sc.hit {
+		done[v] = false
+	}
+	// The subtrees below: a neighbour reached over the shared edge is a
+	// child.
+	for k := 0; k < len(sc.hit); k++ {
+		x := sc.hit[k]
+		for _, idx := range g.adj[x] {
+			if y := g.edges[idx].Other(x); done[y] && t.prevEdge[y] == idx {
+				done[y] = false
+				sc.hit = append(sc.hit, y)
+			}
+		}
+	}
+	hit := sc.hit
+	for _, v := range hit {
+		t.Dist[v] = Inf
+		t.Hops[v] = math.MaxInt
+		t.prevEdge[v] = -1
+	}
+	width := g.bucketWidth()
+	for _, v := range hit {
+		for _, idx := range g.adj[v] {
+			if skip[idx] {
+				continue
+			}
+			e := g.edges[idx]
+			u := e.Other(v)
+			if !done[u] || t.Hops[u] == math.MaxInt {
+				continue
+			}
+			nd := t.Dist[u] + e.W
+			nh := t.Hops[u] + 1
+			if better(nd, nh, u, e.ID, t.Dist[v], t.Hops[v], t.prev(v), t.prevID(v)) {
+				t.Dist[v] = nd
+				t.Hops[v] = nh
+				t.prevEdge[v] = idx
+			}
+		}
+		if t.prevEdge[v] >= 0 {
+			sc.push(distItem{node: v, dist: t.Dist[v], hops: t.Hops[v]}, width)
+		}
+	}
+	g.settle(t, sc, skip, width)
+	return len(hit)
 }
 
 // settle is the Dijkstra main loop, over a monotone bucket queue holding

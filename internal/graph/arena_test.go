@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -366,5 +367,98 @@ func TestMarkPathToMatchesPathTo(t *testing.T) {
 				t.Fatalf("trial %d: edge %d marked %v, on a path %v", trial, id, got[id], want[id])
 			}
 		}
+	}
+}
+
+// repairGraph builds a random multigraph for TestRepairMatchesDijkstra:
+// parallel edges, the odd self-loop, edge IDs with gaps, and either real
+// weights or small integers (zero included), where whole paths tie
+// exactly and only hops, predecessor and edge ID decide.
+func repairGraph(rng *rand.Rand, integer bool) *Graph {
+	n := 2 + rng.Intn(20)
+	g := New(n)
+	id := 0
+	for m := rng.Intn(4 * n); m > 0; m-- {
+		id += 1 + rng.Intn(2)
+		u, v := rng.Intn(n), rng.Intn(n)
+		w := 1 + rng.Float64()*99
+		if integer {
+			w = float64(rng.Intn(4))
+		}
+		g.AddEdge(id, u, v, w)
+	}
+	return g
+}
+
+// TestRepairMatchesDijkstra binds RepairInto: over a cut that grows in
+// stages, each stage's tree repaired from the previous stage's — a
+// repaired tree, from the second stage on — equals DijkstraInto's under
+// the same mask in every node's distance bits, hop count and tree edge.
+// Stages cut random edges, every edge of one node (the source's
+// component falls apart) and IDs the graph has no edge for; the trees
+// and the scratch are reused dirty, alternately repaired in place and
+// into a second tree.
+func TestRepairMatchesDijkstra(t *testing.T) {
+	rng := rand.New(rand.NewSource(46))
+	var want, a, b ShortestPathTree
+	var sc, rsc Scratch
+	relabelled, repairs := 0, 0
+	for trial := 0; trial < 400; trial++ {
+		g := repairGraph(rng, trial%2 == 1)
+		edges := g.Edges()
+		source := rng.Intn(g.NumNodes())
+		cut := NewCut(g)
+		from := g.DijkstraInto(source, nil, &a, &sc)
+		for stage := 0; stage < 6; stage++ {
+			switch k := rng.Intn(8); {
+			case k < 5 && len(edges) > 0:
+				for n := 1 + rng.Intn(3); n > 0; n-- {
+					cut.Push(edges[rng.Intn(len(edges))].ID)
+				}
+			case k < 6: // strand a node, now and then the source
+				v := source
+				if rng.Intn(3) > 0 {
+					v = rng.Intn(g.NumNodes())
+				}
+				g.Neighbors(v, func(e Edge) { cut.Push(e.ID) })
+			case k < 7: // an ID the graph does not have masks nothing
+				cut.Push(g.MaxEdgeID() + 1 + rng.Intn(3))
+			default: // the same cut again
+			}
+			into := from
+			if stage%2 == 0 {
+				into = &b
+				if from == &b {
+					into = &a
+				}
+			}
+			relabelled += g.RepairInto(from, cut.Skip(), into, &rsc)
+			repairs++
+			g.DijkstraInto(source, cut.Skip(), &want, &sc)
+			if into.Source != want.Source {
+				t.Fatalf("trial %d stage %d: source %d, want %d", trial, stage, into.Source, want.Source)
+			}
+			for v := 0; v < g.NumNodes(); v++ {
+				if math.Float64bits(into.Dist[v]) != math.Float64bits(want.Dist[v]) ||
+					into.Hops[v] != want.Hops[v] || into.prevEdge[v] != want.prevEdge[v] {
+					t.Fatalf("trial %d stage %d, cut %v, source %d, node %d: repaired (%v, %d, edge %d), Dijkstra (%v, %d, edge %d)",
+						trial, stage, cut.IDs(), source, v, into.Dist[v], into.Hops[v], into.prevEdge[v],
+						want.Dist[v], want.Hops[v], want.prevEdge[v])
+				}
+			}
+			from = into
+		}
+	}
+	if relabelled == 0 || relabelled >= repairs*10 {
+		t.Fatalf("%d nodes relabelled over %d repairs: the cuts do not exercise a partial repair", relabelled, repairs)
+	}
+
+	g := randomGraph(rng, 60, 200)
+	skip := make([]bool, g.NumEdges())
+	base := g.DijkstraInto(0, nil, new(ShortestPathTree), &sc)
+	skip[base.prevEdge[7]] = true
+	g.RepairInto(base, skip, &a, &rsc)
+	if avg := testing.AllocsPerRun(20, func() { g.RepairInto(base, skip, &a, &rsc) }); avg != 0 {
+		t.Fatalf("warmed RepairInto allocated %v per run, want 0", avg)
 	}
 }

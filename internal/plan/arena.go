@@ -206,12 +206,10 @@ type Planner struct {
 	fpCaps     []int // per DC position
 
 	// Scenario enumeration over ev.Cut.
-	seen     seqIndex
-	usedMark []uint32 // per duct ID, stamped by usedSeq
-	usedSeq  uint32
-	usedBuf  [][]int32 // per DFS depth
+	seen    seqIndex
+	usedBuf [][]int32 // per DFS depth
 
-	recs   []pathRec // recs[i] wraps the evaluator's route slot i
+	recs   []pathRec // recs[i] wraps the evaluator's slot of pair i
 	idxBuf []int32
 
 	// Amplifier placement scratch (per node).
@@ -326,8 +324,6 @@ func (p *Planner) prepare(in Input) error {
 		p.fpCaps[i] = in.Capacity[dc]
 	}
 
-	p.usedMark = make([]uint32, nDucts)
-	p.usedSeq = 0
 	p.recs = make([]pathRec, nPairs)
 	for i := range p.recs {
 		p.recs[i].Route = &p.ev.routes[i]
@@ -436,12 +432,14 @@ func (p *Planner) visit(depth int) error {
 }
 
 // scenario processes one failure scenario end to end: routing, amps,
-// cut-throughs, capacity. It appends the duct IDs used by any chosen
-// path to used (sorted), which drives the pruned enumeration.
+// cut-throughs, capacity. It appends the IDs of the ducts some chosen path
+// uses to used, ascending, which drives the pruned enumeration. The stages
+// walk every pair's record; one the cut disconnects has no ducts and
+// violates nothing.
 func (p *Planner) scenario(used []int32) ([]int32, error) {
 	start := time.Now()
-	routes := p.ev.Route()
-	recs := p.recs[:len(routes)]
+	p.ev.Route()
+	recs := p.recs
 	for i := range recs {
 		pr := &recs[i]
 		pr.ampNode = -1
@@ -468,32 +466,18 @@ func (p *Planner) scenario(used []int32) ([]int32, error) {
 	// cut-through fiber does not also consume switched base capacity on
 	// the ducts it bypasses (Route.CutDucts), but its residual fiber still
 	// follows the full path. Per-duct maxima are taken against prior
-	// scenarios.
+	// scenarios. The loaded ducts are the used ones.
 	start = time.Now()
 	for _, l := range p.ev.Load(nil, nil) {
 		du := p.ductUse(l.Duct)
 		du.BasePairs = max(du.BasePairs, l.BasePairs)
 		du.ResidualPairs = max(du.ResidualPairs, l.ResidualPairs)
+		used = append(used, int32(l.Duct))
 	}
 	p.timeStage(stProvision, start)
 	if len(p.ev.Cut.IDs()) == 0 {
 		p.recordBasePaths(recs)
 	}
-
-	p.usedSeq++
-	if p.usedSeq == 0 { // stamp wraparound: invalidate all marks
-		clear(p.usedMark)
-		p.usedSeq = 1
-	}
-	for i := range routes {
-		for _, e := range routes[i].Ducts {
-			if p.usedMark[e.ID] != p.usedSeq {
-				p.usedMark[e.ID] = p.usedSeq
-				used = append(used, int32(e.ID))
-			}
-		}
-	}
-	slices.Sort(used)
 	return used, nil
 }
 
@@ -521,6 +505,9 @@ func (p *Planner) ductUse(id int) *DuctUse {
 func (p *Planner) recordBasePaths(recs []pathRec) {
 	for i := range recs {
 		pr := &recs[i]
+		if !pr.Routed() {
+			continue
+		}
 		info := &p.pathInfos[pr.PairIdx]
 		info.Pair = pr.Pair
 		info.Nodes = append(info.Nodes[:0], pr.Nodes...)

@@ -7,7 +7,7 @@ import (
 )
 
 // arenaInput builds a generated-region planning input.
-func arenaInput(t *testing.T, seed int64, n, f, maxFailures int) Input {
+func arenaInput(t testing.TB, seed int64, n, f, maxFailures int) Input {
 	t.Helper()
 	gcfg := fibermap.DefaultGen()
 	gcfg.Seed = seed
@@ -169,9 +169,19 @@ func TestPlannerSteadyStateZeroAlloc(t *testing.T) {
 
 // A warmed Evaluator must route and load scenarios without allocating:
 // the failure-free scenario, every single cut and a run of double cuts,
-// all on slabs and a hose-load memo the first pass filled.
+// all on slabs and a hose-load memo the first pass filled — in the
+// distributed design and in the centralized one, whose walks put pairs on
+// the multi-crossing lists.
 func TestEvaluatorSteadyStateZeroAlloc(t *testing.T) {
 	in := arenaInput(t, 1, 6, 8, 1)
+	evaluatorSweepZeroAlloc(t, "distributed", in)
+	hubbed := arenaInput(t, 2, 5, 8, 1)
+	h1, h2 := fibermap.ChooseHubs(hubbed.Map, 5)
+	hubbed.ViaHubs = []int{h1, h2}
+	evaluatorSweepZeroAlloc(t, "via-hub", hubbed)
+}
+
+func evaluatorSweepZeroAlloc(t *testing.T, label string, in Input) {
 	ev := NewEvaluator(in)
 	edges := ev.Base().Edges()
 	sweep := func() {
@@ -191,6 +201,51 @@ func TestEvaluatorSteadyStateZeroAlloc(t *testing.T) {
 	}
 	sweep()
 	if avg := testing.AllocsPerRun(5, sweep); avg != 0 {
-		t.Fatalf("warmed Evaluator allocated %v per sweep, want 0", avg)
+		t.Fatalf("%s: warmed Evaluator allocated %v per sweep, want 0", label, avg)
+	}
+}
+
+// BenchmarkPlanK2Region20 is Algorithm 1 at the paper's operational
+// tolerance on the region bench/ plans (generated map seed 1, 20 DCs, k =
+// 2), on a warmed Planner. It gates the work a scenario may cost, read
+// off the evaluator's own counters, so that the time cannot quietly grow
+// back: per solve exactly 2 041 scenarios and at most one failure-free
+// tree per source, per scenario at most 12 routes read off trees (190
+// when every scenario re-read every pair) and 25 tree nodes relabelled
+// (188 settled per scenario when every touched source ran Dijkstra), and
+// no allocation.
+func BenchmarkPlanK2Region20(b *testing.B) {
+	in := arenaInput(b, 1, 20, 10, 2)
+	in.Base = BaseGraph(in.Map)
+	p := NewPlanner()
+	solve := func() {
+		if _, err := p.Plan(in); err != nil {
+			b.Fatal(err)
+		}
+	}
+	solve()
+	solve()
+	if avg := testing.AllocsPerRun(1, solve); avg != 0 {
+		b.Fatalf("warmed k=2 solve allocated %v, want 0", avg)
+	}
+	before := p.ev.work
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		solve()
+	}
+	b.StopTimer()
+	w, n := p.ev.work, float64(b.N)
+	scenarios := float64(w.scenarios-before.scenarios) / n
+	trees := float64(w.fullTrees-before.fullTrees) / n
+	routes := float64(w.routesRead-before.routesRead) / n / scenarios
+	relabelled := float64(w.relabelled-before.relabelled) / n / scenarios
+	b.ReportMetric(scenarios, "scenarios/op")
+	b.ReportMetric(routes, "routes/scenario")
+	b.ReportMetric(relabelled, "relabelled/scenario")
+	b.ReportMetric(float64(w.lookups-before.lookups)/n, "lookups/op")
+	if scenarios != 2041 || trees > float64(len(p.ev.sources)) || routes > 12 || relabelled > 25 {
+		b.Fatalf("per solve: %v scenarios (want 2041), %v failure-free trees (at most %d); per scenario: %.1f routes read (at most 12), %.1f nodes relabelled (at most 25)",
+			scenarios, trees, len(p.ev.sources), routes, relabelled)
 	}
 }

@@ -2,6 +2,7 @@ package plan
 
 import (
 	"math"
+	"math/bits"
 	"slices"
 
 	"iris/internal/graph"
@@ -13,12 +14,30 @@ import (
 // pair on its shortest surviving path, then load every crossed duct under
 // the hose model. The planner maximises its output over the scenarios it
 // enumerates; the chaos auditor and the robust verifier compare it with
-// what a finished plan provisioned. Everything is held in flat arenas
-// stamped by generation, so a warmed evaluator routes and loads a
-// scenario without allocating.
+// what a finished plan provisioned.
+//
+// The evaluator keeps the scenario between calls, and a new scenario costs
+// what its cut touches. Three things are carried over, on one argument —
+// with deterministic tie-breaking, removing a duct no selected path uses
+// cannot change a selected path: the path survives, and every rival label
+// only got worse.
+//
+//   - Routes live one slot per pair. Route diffs Cut against a stack of
+//     frames: it undoes the frames the cut no longer contains from their
+//     logs of replaced routes, then pushes one frame for the ducts the cut
+//     gained, re-routing exactly the pairs that cross one of them.
+//   - Crossing sets are bitsets over pair indices, one per duct, so moving
+//     a pair is a bit per duct; Load recomputes the ducts whose set changed
+//     and lists the rest from the need it computed before.
+//   - Shortest-path trees are kept per source and cut size, and the tree
+//     of a new cut is repaired from a kept one (graph.RepairInto) below
+//     the newly cut ducts instead of being computed from nothing.
+//
+// Everything is held in flat arenas, so a warmed evaluator routes and
+// loads a scenario without allocating.
 
-// Route is one DC pair's path in the evaluator's current scenario. Its
-// slices live in the evaluator and are overwritten by the next Route call.
+// Route is one DC pair's slot in the evaluator's current scenario. Its
+// slices live in the evaluator and are overwritten by later Route calls.
 type Route struct {
 	Pair    hose.Pair
 	I, J    int32 // positions of Pair.A and Pair.B in Evaluator.DCs
@@ -32,6 +51,11 @@ type Route struct {
 	// it empty and compare the load with base plus cut-through fiber.
 	CutDucts []int
 }
+
+// Routed reports whether the scenario leaves the pair a path. The slot of
+// a pair it disconnects has no nodes, no ducts and zero length: Algorithm
+// 1 owes the pair no capacity.
+func (r *Route) Routed() bool { return len(r.Nodes) > 0 }
 
 func (r *Route) onCutThrough(duct int) bool {
 	return slices.Contains(r.CutDucts, duct)
@@ -54,18 +78,51 @@ type DuctLoad struct {
 // fiber-pairs (or amplifiers) that carry a worst-case load.
 func pairsFor(load float64) int { return int(math.Ceil(load - 1e-9)) }
 
-// crossEntry is one DC pair's crossing count on a duct within a scenario.
+// crossEntry is one DC pair's crossing count on a duct, kept only for the
+// pairs that cross it more than once.
 type crossEntry struct {
 	pairIdx int32
 	count   int32
 }
 
+// rider is one pair riding a cut-through on one duct of its route.
+type rider struct {
+	duct, pairIdx int32
+}
+
+// frame is one step of the scenario stack: the ducts the cut gained at
+// that step and what undoing the step puts back — the routes it replaced
+// (nodes and ducts in the frame's flat slabs) and the need of every duct
+// whose crossing set it was the first to change since that need was
+// computed. Frame 0 is the failure-free scenario and is never undone.
+type frame struct {
+	ids   []int
+	saves []routeSave
+	nodes []int
+	ducts []graph.Edge
+	needs []DuctLoad
+}
+
+type routeSave struct {
+	pairIdx          int32
+	nodeOff, nodeLen int32
+	ductOff, ductLen int32
+	totalKM          float64
+}
+
+// evalWork counts what an evaluator did since it was built: scenarios
+// routed, failure-free trees fetched, tree nodes relabelled by repairs,
+// routes read off trees and hose-memo lookups. BenchmarkPlanK2Region20
+// gates on it.
+type evalWork struct {
+	scenarios, fullTrees, relabelled, routesRead, lookups int
+}
+
 // Evaluator routes and loads failure scenarios of one region: a fiber
 // map's usable-duct graph, DC capacities and, for the centralized design,
 // hubs. The scenario is Cut; set it, call Route, then Load. The hose-load
-// memo is keyed by pair sets and survives across scenarios, which is the
-// dominant saving: most scenarios reproduce the same per-duct pair sets.
-// An Evaluator is not safe for concurrent use.
+// memo is keyed by pair sets and survives across scenarios. An Evaluator
+// is not safe for concurrent use.
 type Evaluator struct {
 	// Cut is the failure scenario Route evaluates.
 	Cut *graph.Cut
@@ -77,28 +134,42 @@ type Evaluator struct {
 	caps    []float64   // by DC position
 	pairPos []hose.Pair // by pair index, the pair's DC positions
 	hubs    []int
+	sources []int // the nodes trees are grown from: the hubs, else the DCs
 
 	dijk    graph.Scratch
 	kept    [][]keptTree              // by source, then by size of the cut
-	trees   []*graph.ShortestPathTree // by source, the current scenario's
+	trees   []*graph.ShortestPathTree // by source, valid while treeGen matches
+	treeGen []uint32
+	treeSeq uint32
 	legN    []int
 	legE    []graph.Edge
-	routes  []Route // one slot per DC pair
-	nRoutes int
 
-	// Hose-load memo, keyed by sorted pair-index sequences.
-	lp        hose.LP
-	hoseIdx   seqIndex
-	hoseLoads []float64
-	idxBuf    []int32
-	pairsBuf  []hose.Pair
+	routes []Route // one slot per DC pair
+	frames []frame
+	gained []int
+	work   evalWork
 
-	// Per-duct crossing tables, stamped by crossSeq.
-	cross    [][]crossEntry
-	crossGen []uint32
-	crossSeq uint32
+	// Per-duct crossing tables. cross holds words bits per duct: bit p is
+	// set while pair p's route crosses the duct; multi lists, in pair
+	// order, the pairs that cross it more than once; residCnt counts
+	// crossings with multiplicity. need is the duct's load as Load(nil,
+	// nil) last computed it, current unless dirty.
+	words    int
+	cross    []uint64
+	multi    [][]crossEntry
 	residCnt []int32
+	need     []DuctLoad
+	dirty    []bool
+	riders   []rider
+	key      []uint64 // words bits of scratch: a pair set being looked up
+	mask     []uint64 // words bits of scratch: pairs to re-route, or active
 	loads    []DuctLoad
+
+	// Hose-load memo, keyed by pair set.
+	lp        hose.LP
+	hoseIdx   setIndex
+	hoseLoads []float64
+	pairsBuf  []hose.Pair
 }
 
 // NewEvaluator sizes an evaluator for the input's region: Map, Capacity,
@@ -113,10 +184,7 @@ func NewEvaluator(in Input) *Evaluator {
 	nDC := len(dcs)
 	nPairs := nDC * (nDC - 1) / 2
 	nDucts := base.MaxEdgeID() + 1
-	nSources := nDC
-	if len(in.ViaHubs) > 0 {
-		nSources = len(in.ViaHubs)
-	}
+	words := (nPairs + 63) / 64
 	ev := &Evaluator{
 		Cut:      graph.NewCut(base),
 		base:     base,
@@ -126,13 +194,24 @@ func NewEvaluator(in Input) *Evaluator {
 		caps:     make([]float64, nDC),
 		pairPos:  make([]hose.Pair, 0, nPairs),
 		hubs:     append([]int(nil), in.ViaHubs...),
-		kept:     make([][]keptTree, nSources),
-		trees:    make([]*graph.ShortestPathTree, nSources),
-		routes:   make([]Route, nPairs),
-		cross:    make([][]crossEntry, nDucts),
-		crossGen: make([]uint32, nDucts),
+		routes:   make([]Route, 0, nPairs),
+		words:    words,
+		cross:    make([]uint64, nDucts*words),
+		multi:    make([][]crossEntry, nDucts),
 		residCnt: make([]int32, nDucts),
+		need:     make([]DuctLoad, nDucts),
+		dirty:    make([]bool, nDucts),
+		key:      make([]uint64, words),
+		mask:     make([]uint64, words),
+		hoseIdx:  setIndex{width: words},
 	}
+	ev.sources = dcs
+	if len(ev.hubs) > 0 {
+		ev.sources = ev.hubs
+	}
+	ev.kept = make([][]keptTree, len(ev.sources))
+	ev.trees = make([]*graph.ShortestPathTree, len(ev.sources))
+	ev.treeGen = make([]uint32, len(ev.sources))
 	for i := range ev.dcPos {
 		ev.dcPos[i] = -1
 	}
@@ -141,11 +220,20 @@ func NewEvaluator(in Input) *Evaluator {
 		ev.caps[i] = float64(in.Capacity[dc])
 	}
 	// Enumeration order makes ascending pair indices coincide with
-	// ascending (A, B) pairs, which the memo's key ordering relies on.
+	// ascending (A, B) pairs, which the order the LP's arcs are added in
+	// relies on.
 	for i := 0; i < nDC; i++ {
 		for j := i + 1; j < nDC; j++ {
 			ev.pairPos = append(ev.pairPos, hose.Pair{A: i, B: j})
+			ev.routes = append(ev.routes, Route{
+				Pair: hose.Pair{A: dcs[i], B: dcs[j]},
+				I:    int32(i), J: int32(j), PairIdx: int32(len(ev.routes)),
+			})
 		}
+	}
+	for id := range ev.need {
+		ev.need[id].Duct = id
+		ev.dirty[id] = true
 	}
 	return ev
 }
@@ -176,50 +264,54 @@ func (ev *Evaluator) PairIndex(p hose.Pair) (int, bool) {
 // pairIdx maps DC positions i<j to the dense pair index.
 func (ev *Evaluator) pairIdx(i, j int) int { return i*ev.nDC - i*(i+1)/2 + j - i - 1 }
 
-// keptTree is a shortest-path tree Route computed from one source, with
-// what decides whether a later scenario may read it instead of computing
-// its own: the cut it was computed under and, by duct ID, whether the duct
-// lies on the tree's path to a DC that Route reads from this source.
+// keptTree is a shortest-path tree the evaluator holds for one source: the
+// exact tree of the cut recorded with it, and, by duct ID, whether the
+// duct lies on the tree's path to a DC that routes read from this source —
+// which decides whether a scenario with a larger cut may read it as is.
 type keptTree struct {
 	tree   *graph.ShortestPathTree
 	cut    []int
 	onPath []bool
 }
 
-// holds reports whether the tree is, in everything Route reads from it,
-// the tree of the given cut (ascending, as the tree's own): no duct it was
-// computed without is back, and no duct it reaches a DC over is cut.
-func (k *keptTree) holds(cut []int) bool {
-	i := 0
+// covers reports two things about the tree and a cut (ascending, as the
+// tree's own). within: no duct the tree was computed without is back, so a
+// repair for the cut may start from it. holds: besides, no other duct of
+// the cut lies on a path routes read from it, so the tree is, in
+// everything read from it, the tree of that cut.
+func (k *keptTree) covers(cut []int) (within, holds bool) {
+	i, clear := 0, true
 	for _, id := range cut {
 		if i < len(k.cut) && k.cut[i] == id {
 			i++
 		} else if uint(id) < uint(len(k.onPath)) && k.onPath[id] {
-			return false
+			clear = false
 		}
 	}
-	return i == len(k.cut)
+	within = i == len(k.cut)
+	return within, within && clear
 }
 
-// tree returns the shortest-path tree of source number si, node s, under
-// Cut. Per source and per cut size the evaluator keeps the last tree it
-// computed, and a scenario reads the deepest kept tree that holds for its
-// cut; Dijkstra runs only when none does. The planner's DFS (Cut.Push and
-// Pop: a child scenario's cut extends its parent's) and the auditor
-// (Cut.Set: most cuts miss most sources' failure-free trees) are served by
-// this one rule.
+// tree returns the shortest-path tree of source number si under the given
+// cut, which is Cut's or, for the failure-free frame, empty. Per source
+// and per cut size the evaluator keeps the last tree it made, and a
+// scenario reads the deepest kept tree that holds for its cut. When none
+// does, the tree is repaired from the deepest kept tree whose own cut is
+// within this one — the failure-free tree always is — so only the nodes
+// below the ducts the cut adds are relabelled.
 //
-// It is exact by the argument that makes the planner's pruned DFS exact:
-// with deterministic tie-breaking, removing a duct no selected path uses
-// cannot alter which paths Dijkstra selects — the paths to the DCs read
-// survive, and every rival label only got worse. So a kept tree's paths
-// to those DCs, and their lengths bit for bit, are what a fresh run under
-// the larger cut would produce; a DC the tree does not reach stays
-// unreached. The rest of the tree may differ and is never read.
-// TestRouteReuseMatchesRecompute holds the rule to a recomputation after
-// every Route call.
-func (ev *Evaluator) tree(si, s int) *graph.ShortestPathTree {
-	cut := ev.Cut.IDs()
+// A tree that holds is read as is by the argument in this file's header:
+// its paths to the DCs read, and their lengths bit for bit, are what a
+// fresh run under the larger cut would produce, and a DC it does not reach
+// stays unreached; the rest of it may differ and is never read. A repair
+// starts from a whole tree, and every kept tree is the exact tree of the
+// cut recorded with it — the failure-free one from Dijkstra, a repaired
+// one by induction (graph.RepairInto). TestRouteReuseMatchesRecompute
+// holds both to a recomputation after every Route call.
+func (ev *Evaluator) tree(si int, cut []int) *graph.ShortestPathTree {
+	if ev.treeGen[si] == ev.treeSeq {
+		return ev.trees[si]
+	}
 	for len(ev.kept[si]) <= len(cut) {
 		ev.kept[si] = append(ev.kept[si], keptTree{})
 	}
@@ -227,30 +319,45 @@ func (ev *Evaluator) tree(si, s int) *graph.ShortestPathTree {
 	if kept[0].tree == nil {
 		// The failure-free tree is the base graph's memoised one, shared
 		// by every evaluator on that graph.
-		kept[0].tree = ev.base.Dijkstra(s)
+		kept[0].tree = ev.base.Dijkstra(ev.sources[si])
 		ev.markPaths(si, &kept[0])
+		ev.work.fullTrees++
 	}
-	for d := len(cut); d >= 0; d-- {
-		if k := &kept[d]; k.tree != nil && k.holds(cut) {
-			return k.tree
+	var t *graph.ShortestPathTree
+	var from *keptTree
+	for d := len(cut); d >= 0 && t == nil; d-- {
+		k := &kept[d]
+		if k.tree == nil {
+			continue
+		}
+		if within, holds := k.covers(cut); holds {
+			t = k.tree
+		} else if within && from == nil {
+			from = k
 		}
 	}
-	k := &kept[len(cut)]
-	if k.tree == nil {
-		k.tree = new(graph.ShortestPathTree)
+	if t == nil {
+		// from is at worst the failure-free tree, and never the slot
+		// being filled: a tree of this cut's size within it is its own.
+		k := &kept[len(cut)]
+		if k.tree == nil {
+			k.tree = new(graph.ShortestPathTree)
+		}
+		ev.work.relabelled += ev.base.RepairInto(from.tree, ev.Cut.Skip(), k.tree, &ev.dijk)
+		k.cut = append(k.cut[:0], cut...)
+		ev.markPaths(si, k)
+		t = k.tree
 	}
-	ev.base.DijkstraInto(s, ev.Cut.Skip(), k.tree, &ev.dijk)
-	k.cut = append(k.cut[:0], cut...)
-	ev.markPaths(si, k)
-	return k.tree
+	ev.trees[si], ev.treeGen[si] = t, ev.treeSeq
+	return t
 }
 
 // markPaths fills k.onPath for source number si: the ducts on the tree's
-// paths to the DCs Route reads from it — every DC from a hub, the DCs
+// paths to the DCs routes read from it — every DC from a hub, the DCs
 // after it from a DC.
 func (ev *Evaluator) markPaths(si int, k *keptTree) {
 	if k.onPath == nil {
-		k.onPath = make([]bool, len(ev.cross))
+		k.onPath = make([]bool, len(ev.need))
 	}
 	clear(k.onPath)
 	targets := ev.dcs
@@ -262,174 +369,391 @@ func (ev *Evaluator) markPaths(si int, k *keptTree) {
 	}
 }
 
-// Route computes every DC pair's route under Cut — shortest surviving
-// path in the distributed design, best DC-hub-DC walk in the centralized
-// one — and returns the routed pairs in pair-index order. Pairs the cut
-// disconnects are absent: Algorithm 1 owes them no capacity.
+// Route brings every DC pair's route — shortest surviving path in the
+// distributed design, best DC-hub-DC walk in the centralized one — up to
+// Cut and returns the pairs' slots, indexed by pair index. Pairs the cut
+// disconnects are not Routed.
+//
+// A pair's route is re-read only when a duct the cut gained lies on it;
+// every other pair keeps its route by the argument in this file's header.
+// Frames the cut no longer contains are undone first, so the routes a new
+// frame starts from are exactly those of the ducts still cut.
 func (ev *Evaluator) Route() []Route {
-	sources := ev.dcs
-	if len(ev.hubs) > 0 {
-		sources = ev.hubs
-	}
-	for si, s := range sources {
-		ev.trees[si] = ev.tree(si, s)
-	}
-	return ev.readRoutes()
-}
-
-// readRoutes reads the routes off the sources' current trees.
-func (ev *Evaluator) readRoutes() []Route {
-	trees := ev.trees
-	ev.nRoutes = 0
-	for i := range ev.dcs {
-		for j := i + 1; j < ev.nDC; j++ {
-			a, b := ev.dcs[i], ev.dcs[j]
-			if len(ev.hubs) == 0 {
-				t := trees[i]
-				if math.IsInf(t.Dist[b], 1) {
-					continue
-				}
-				r := ev.nextRoute(i, j)
-				r.Nodes, r.Ducts, _ = t.AppendPathTo(b, r.Nodes, r.Ducts)
-				r.TotalKM = t.Dist[b]
-				continue
-			}
-			// Best DC-hub-DC walk; legs may share ducts (both DCs behind
-			// one trunk) and Load accounts for the double crossing.
-			best := graph.Inf
-			var bt *graph.ShortestPathTree
-			for _, t := range trees {
-				if d := t.Dist[a] + t.Dist[b]; d < best && d < graph.Inf {
-					best, bt = d, t
-				}
-			}
-			if bt == nil {
-				continue
-			}
-			r := ev.nextRoute(i, j)
-			ev.legN, ev.legE, _ = bt.AppendPathTo(a, ev.legN[:0], ev.legE[:0])
-			for k := len(ev.legN) - 1; k >= 0; k-- {
-				r.Nodes = append(r.Nodes, ev.legN[k])
-			}
-			for k := len(ev.legE) - 1; k >= 0; k-- {
-				r.Ducts = append(r.Ducts, ev.legE[k])
-			}
-			ev.legN, ev.legE, _ = bt.AppendPathTo(b, ev.legN[:0], ev.legE[:0])
-			r.Nodes = append(r.Nodes, ev.legN[1:]...)
-			r.Ducts = append(r.Ducts, ev.legE...)
-			r.TotalKM = best
+	ev.work.scenarios++
+	for i := range ev.routes {
+		if r := &ev.routes[i]; len(r.CutDucts) > 0 {
+			r.CutDucts = r.CutDucts[:0]
 		}
 	}
-	return ev.routes[:ev.nRoutes]
+	if len(ev.frames) == 0 {
+		for i := range ev.mask {
+			ev.mask[i] = ^uint64(0)
+		}
+		if tail := len(ev.pairPos) % 64; tail > 0 {
+			ev.mask[ev.words-1] = 1<<tail - 1
+		}
+		ev.push(nil, nil)
+	}
+	cut := ev.Cut.IDs()
+	kept := 0 // cut ducts the surviving frames account for
+	for i := 1; i < len(ev.frames); i++ {
+		if !ev.frames[i].within(cut) {
+			for len(ev.frames) > i {
+				ev.undo()
+			}
+			break
+		}
+		kept += len(ev.frames[i].ids)
+	}
+	if kept == len(cut) {
+		return ev.routes
+	}
+	ev.gained = ev.gained[:0]
+	clear(ev.mask)
+	for _, id := range cut {
+		if ev.cutBy(id) {
+			continue
+		}
+		ev.gained = append(ev.gained, id)
+		if uint(id) < uint(len(ev.need)) {
+			for w, bits := range ev.crossing(id) {
+				ev.mask[w] |= bits
+			}
+		}
+	}
+	ev.push(ev.gained, cut)
+	return ev.routes
 }
 
-// nextRoute claims the next route slot for DC positions i<j, resetting
-// its reused slices.
-func (ev *Evaluator) nextRoute(i, j int) *Route {
-	r := &ev.routes[ev.nRoutes]
-	ev.nRoutes++
-	r.Pair = hose.Pair{A: ev.dcs[i], B: ev.dcs[j]}
-	r.I, r.J = int32(i), int32(j)
-	r.PairIdx = int32(ev.pairIdx(i, j))
-	r.Nodes = r.Nodes[:0]
-	r.Ducts = r.Ducts[:0]
-	r.CutDucts = r.CutDucts[:0]
-	return r
+// within reports whether every duct the frame cut is in the given cut.
+func (f *frame) within(cut []int) bool {
+	for _, id := range f.ids {
+		if _, ok := slices.BinarySearch(cut, id); !ok {
+			return false
+		}
+	}
+	return true
 }
 
-// Load applies the provisioning rule to the routes of the last Route
-// call and returns what the scenario requires of every crossed duct, in
-// duct-ID order: need = ⌈WorstCaseLoad(crossing pairs) +
-// Σ(k−1)·min(C_A,C_B) − 1e-9⌉ fiber-pairs for a duct whose pairs cross it
-// k times, and one residual pair per crossing. The slice is reused by the
-// next call.
+// cutBy reports whether a frame on the stack cut the duct.
+func (ev *Evaluator) cutBy(id int) bool {
+	for i := 1; i < len(ev.frames); i++ {
+		if _, ok := slices.BinarySearch(ev.frames[i].ids, id); ok {
+			return true
+		}
+	}
+	return false
+}
+
+// crossing returns the duct's crossing set.
+func (ev *Evaluator) crossing(duct int) []uint64 {
+	return ev.cross[duct*ev.words : (duct+1)*ev.words]
+}
+
+// push opens a frame for the ducts the cut gained and re-routes, under
+// the whole cut, the pairs set in ev.mask, logging what it replaces.
+func (ev *Evaluator) push(gained, cut []int) {
+	n := len(ev.frames)
+	if n < cap(ev.frames) {
+		ev.frames = ev.frames[:n+1]
+	} else {
+		ev.frames = append(ev.frames, frame{})
+	}
+	f := &ev.frames[n]
+	f.ids = append(f.ids[:0], gained...)
+	f.saves, f.nodes, f.ducts, f.needs = f.saves[:0], f.nodes[:0], f.ducts[:0], f.needs[:0]
+	ev.treeSeq++
+	if ev.treeSeq == 0 { // stamp wraparound: invalidate all marks
+		clear(ev.treeGen)
+		ev.treeSeq = 1
+	}
+	for w, todo := range ev.mask {
+		for ; todo != 0; todo &= todo - 1 {
+			r := &ev.routes[w*64+bits.TrailingZeros64(todo)]
+			f.saves = append(f.saves, routeSave{
+				pairIdx: r.PairIdx,
+				nodeOff: int32(len(f.nodes)), nodeLen: int32(len(r.Nodes)),
+				ductOff: int32(len(f.ducts)), ductLen: int32(len(r.Ducts)),
+				totalKM: r.TotalKM,
+			})
+			f.nodes = append(f.nodes, r.Nodes...)
+			f.ducts = append(f.ducts, r.Ducts...)
+			ev.uncross(f, r)
+			ev.read(r, cut)
+			ev.recross(f, r)
+		}
+	}
+}
+
+// undo pops the top frame: the routes it replaced are back, and so is the
+// need of every duct that was current when the frame first touched it.
+// The other ducts it touched are left to the next Load.
+func (ev *Evaluator) undo() {
+	f := &ev.frames[len(ev.frames)-1]
+	for _, s := range f.saves {
+		r := &ev.routes[s.pairIdx]
+		ev.uncross(nil, r)
+		r.Nodes = append(r.Nodes[:0], f.nodes[s.nodeOff:s.nodeOff+s.nodeLen]...)
+		r.Ducts = append(r.Ducts[:0], f.ducts[s.ductOff:s.ductOff+s.ductLen]...)
+		r.TotalKM = s.totalKM
+		ev.recross(nil, r)
+	}
+	for _, l := range f.needs {
+		ev.need[l.Duct] = l
+		ev.dirty[l.Duct] = false
+	}
+	ev.frames = ev.frames[:len(ev.frames)-1]
+}
+
+// touch records that the duct's crossing set is changing: its need is no
+// longer current, and a frame that is the first to change it since the
+// need was computed logs the need for undo.
+func (ev *Evaluator) touch(f *frame, duct int) {
+	if !ev.dirty[duct] {
+		if f != nil {
+			f.needs = append(f.needs, ev.need[duct])
+		}
+		ev.dirty[duct] = true
+	}
+}
+
+// uncross takes the route's crossings out of the per-duct tables.
+func (ev *Evaluator) uncross(f *frame, r *Route) {
+	w, bit := r.PairIdx>>6, uint64(1)<<(r.PairIdx&63)
+	for _, e := range r.Ducts {
+		ev.touch(f, e.ID)
+		ev.residCnt[e.ID]--
+		if m := ev.multi[e.ID]; len(m) > 0 {
+			if i, found := findEntry(m, r.PairIdx); found {
+				if m[i].count--; m[i].count == 1 {
+					ev.multi[e.ID] = slices.Delete(m, i, i+1)
+				}
+				continue
+			}
+		}
+		ev.crossing(e.ID)[w] &^= bit
+	}
+}
+
+// recross puts the route's crossings into the per-duct tables. A duct the
+// route crosses again (a via-hub walk whose legs share it) finds the
+// pair's bit set by the first crossing.
+func (ev *Evaluator) recross(f *frame, r *Route) {
+	w, bit := r.PairIdx>>6, uint64(1)<<(r.PairIdx&63)
+	for _, e := range r.Ducts {
+		ev.touch(f, e.ID)
+		ev.residCnt[e.ID]++
+		set := ev.crossing(e.ID)
+		if set[w]&bit == 0 {
+			set[w] |= bit
+			continue
+		}
+		m := ev.multi[e.ID]
+		if i, found := findEntry(m, r.PairIdx); found {
+			m[i].count++
+		} else {
+			ev.multi[e.ID] = slices.Insert(m, i, crossEntry{pairIdx: r.PairIdx, count: 2})
+		}
+	}
+}
+
+// findEntry returns where the pair's entry is, or belongs, in a list kept
+// in pair order.
+func findEntry(m []crossEntry, pairIdx int32) (int, bool) {
+	for i, en := range m {
+		if en.pairIdx >= pairIdx {
+			return i, en.pairIdx == pairIdx
+		}
+	}
+	return len(m), false
+}
+
+// read reads one pair's route off the sources' trees under the given cut.
+func (ev *Evaluator) read(r *Route, cut []int) {
+	ev.work.routesRead++
+	r.Nodes, r.Ducts, r.TotalKM = r.Nodes[:0], r.Ducts[:0], 0
+	a, b := r.Pair.A, r.Pair.B
+	if len(ev.hubs) == 0 {
+		t := ev.tree(int(r.I), cut)
+		if math.IsInf(t.Dist[b], 1) {
+			return
+		}
+		r.Nodes, r.Ducts, _ = t.AppendPathTo(b, r.Nodes, r.Ducts)
+		r.TotalKM = t.Dist[b]
+		return
+	}
+	// Best DC-hub-DC walk; legs may share ducts (both DCs behind one
+	// trunk) and Load accounts for the double crossing.
+	best := graph.Inf
+	var bt *graph.ShortestPathTree
+	for si := range ev.hubs {
+		t := ev.tree(si, cut)
+		if d := t.Dist[a] + t.Dist[b]; d < best && d < graph.Inf {
+			best, bt = d, t
+		}
+	}
+	if bt == nil {
+		return
+	}
+	ev.legN, ev.legE, _ = bt.AppendPathTo(a, ev.legN[:0], ev.legE[:0])
+	for k := len(ev.legN) - 1; k >= 0; k-- {
+		r.Nodes = append(r.Nodes, ev.legN[k])
+	}
+	for k := len(ev.legE) - 1; k >= 0; k-- {
+		r.Ducts = append(r.Ducts, ev.legE[k])
+	}
+	ev.legN, ev.legE, _ = bt.AppendPathTo(b, ev.legN[:0], ev.legE[:0])
+	r.Nodes = append(r.Nodes, ev.legN[1:]...)
+	r.Ducts = append(r.Ducts, ev.legE...)
+	r.TotalKM = best
+}
+
+// Load applies the provisioning rule to the current routes and returns
+// what the scenario requires of every crossed duct, in duct-ID order: need
+// = ⌈WorstCaseLoad(crossing pairs) + Σ(k−1)·min(C_A,C_B) − 1e-9⌉
+// fiber-pairs for a duct whose pairs cross it k times, and one residual
+// pair per crossing. The slice is reused by the next call.
 //
 // Both arguments are optional. caps overrides the region's DC capacities
 // (by DC position) and active, by pair index, restricts the load to a
 // subset of the routed pairs: together they evaluate one traffic matrix's
-// own hose instead of the planned one. An override bypasses the memo.
+// own hose instead of the planned one. An override bypasses the memo and
+// computes every duct; without one, a duct whose crossing set has not
+// changed since its need was computed — no re-route or undo touched it,
+// and no cut-through rider is or was on it — is listed from that need.
 func (ev *Evaluator) Load(caps []float64, active []bool) []DuctLoad {
 	override := caps
 	if caps == nil {
 		caps = ev.caps
 	}
-
-	ev.crossSeq++
-	if ev.crossSeq == 0 { // stamp wraparound: invalidate all marks
-		clear(ev.crossGen)
-		ev.crossSeq = 1
+	var only []uint64
+	if active != nil {
+		only = ev.mask
+		clear(only)
+		for p, on := range active {
+			if on {
+				only[p>>6] |= 1 << (p & 63)
+			}
+		}
 	}
-	routes := ev.routes[:ev.nRoutes]
-	for ri := range routes {
-		r := &routes[ri]
-		if active != nil && !active[r.PairIdx] {
+	ev.riders = ev.riders[:0]
+	for i := range ev.routes {
+		r := &ev.routes[i]
+		if len(r.CutDucts) == 0 || (active != nil && !active[i]) {
 			continue
 		}
 		for _, e := range r.Ducts {
-			id := e.ID
-			if ev.crossGen[id] != ev.crossSeq {
-				ev.crossGen[id] = ev.crossSeq
-				ev.cross[id] = ev.cross[id][:0]
-				ev.residCnt[id] = 0
-			}
-			ev.residCnt[id]++
-			if r.onCutThrough(id) {
-				continue
-			}
-			// Routes are visited one pair at a time, and a pair crosses a
-			// duct again (a via-hub walk) only within its own route: its
-			// entry, if the duct has one, is the last.
-			entries := ev.cross[id]
-			if n := len(entries); n > 0 && entries[n-1].pairIdx == r.PairIdx {
-				entries[n-1].count++
-			} else {
-				ev.cross[id] = append(entries, crossEntry{pairIdx: r.PairIdx, count: 1})
+			if r.onCutThrough(e.ID) {
+				ev.riders = append(ev.riders, rider{duct: int32(e.ID), pairIdx: r.PairIdx})
 			}
 		}
 	}
 
+	// A need computed with a rider on the duct is not one to keep: the
+	// duct is dirty going in and coming out.
+	cached := override == nil && active == nil
+	if cached {
+		for _, rd := range ev.riders {
+			ev.dirty[rd.duct] = true
+		}
+	}
 	ev.loads = ev.loads[:0]
-	for id, gen := range ev.crossGen {
-		if gen != ev.crossSeq {
+	for id, n := range ev.residCnt {
+		if n == 0 {
 			continue
 		}
-		l := DuctLoad{Duct: id, ResidualPairs: int(ev.residCnt[id])}
-		if entries := ev.cross[id]; len(entries) > 0 {
-			ev.idxBuf = ev.idxBuf[:0]
-			extra := 0.0
-			for _, en := range entries {
-				ev.idxBuf = append(ev.idxBuf, en.pairIdx)
-				if en.count > 1 {
-					p := ev.pairPos[en.pairIdx]
-					extra += float64(en.count-1) * math.Min(caps[p.A], caps[p.B])
-				}
-			}
-			l.BasePairs = pairsFor(ev.hoseLoad(ev.idxBuf, override) + extra)
+		if cached && !ev.dirty[id] {
+			ev.loads = append(ev.loads, ev.need[id])
+			continue
+		}
+		l := ev.loadDuct(id, caps, override, only)
+		if l.ResidualPairs == 0 {
+			continue // no active pair crosses it
+		}
+		if cached {
+			ev.need[id] = l
+			ev.dirty[id] = false
 		}
 		ev.loads = append(ev.loads, l)
+	}
+	if cached {
+		for _, rd := range ev.riders {
+			ev.dirty[rd.duct] = true
+		}
 	}
 	return ev.loads
 }
 
-// PairsFor returns the fiber-pairs (or, for an amplifier site, the
-// amplifiers) that carry the worst-case hose load of the given pairs
-// under the region's capacities. idx is reordered in place.
-func (ev *Evaluator) PairsFor(idx []int32) int {
-	return pairsFor(ev.hoseLoad(idx, nil))
+// loadDuct is the provisioning rule for one crossed duct, from its
+// crossing tables: only, when not nil, is the set of pairs that count.
+func (ev *Evaluator) loadDuct(id int, caps, override []float64, only []uint64) DuctLoad {
+	l := DuctLoad{Duct: id, ResidualPairs: int(ev.residCnt[id])}
+	key := ev.key
+	copy(key, ev.crossing(id))
+	if only != nil {
+		l.ResidualPairs = 0
+		for w := range key {
+			key[w] &= only[w]
+			l.ResidualPairs += bits.OnesCount64(key[w])
+		}
+		for _, en := range ev.multi[id] {
+			if hasBit(key, en.pairIdx) {
+				l.ResidualPairs += int(en.count - 1)
+			}
+		}
+	}
+	// A rider's residual fiber follows its whole path; its switched load
+	// does not cross this duct.
+	for _, rd := range ev.riders {
+		if int(rd.duct) == id {
+			key[rd.pairIdx>>6] &^= 1 << (rd.pairIdx & 63)
+		}
+	}
+	extra := 0.0
+	for _, en := range ev.multi[id] {
+		if hasBit(key, en.pairIdx) {
+			p := ev.pairPos[en.pairIdx]
+			extra += float64(en.count-1) * math.Min(caps[p.A], caps[p.B])
+		}
+	}
+	if !isZero(key) {
+		l.BasePairs = pairsFor(ev.hoseLoad(key, override) + extra)
+	}
+	return l
 }
 
-// hoseLoad is the worst-case hose load of the pairs with the given indices
-// (sorted and stripped of duplicates in place). Under the region's own
-// capacities (override nil) it is memoised: the memo outlives scenarios,
-// so a re-evaluated region pays for no max-flow at all. Under a Load
-// capacity override, by DC position, it is computed afresh on the same
-// resident LP.
-func (ev *Evaluator) hoseLoad(idx []int32, override []float64) float64 {
-	slices.Sort(idx)
-	idx = slices.Compact(idx)
+func hasBit(set []uint64, p int32) bool { return set[p>>6]&(1<<(p&63)) != 0 }
+
+func isZero(set []uint64) bool {
+	for _, w := range set {
+		if w != 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// PairsFor returns the fiber-pairs (or, for an amplifier site, the
+// amplifiers) that carry the worst-case hose load of the given pairs
+// under the region's capacities.
+func (ev *Evaluator) PairsFor(idx []int32) int {
+	clear(ev.key)
+	for _, p := range idx {
+		ev.key[p>>6] |= 1 << (p & 63)
+	}
+	return pairsFor(ev.hoseLoad(ev.key, nil))
+}
+
+// hoseLoad is the worst-case hose load of a set of pairs. Under the
+// region's own capacities (override nil) it is memoised: the memo outlives
+// scenarios, so a re-evaluated region pays for no max-flow at all. Under a
+// Load capacity override, by DC position, it is computed afresh on the
+// same resident LP.
+func (ev *Evaluator) hoseLoad(set []uint64, override []float64) float64 {
 	caps := override
 	if override == nil {
-		id, added := ev.hoseIdx.intern(idx)
+		ev.work.lookups++
+		id, added := ev.hoseIdx.intern(set)
 		if !added {
 			return ev.hoseLoads[id]
 		}
@@ -438,12 +762,67 @@ func (ev *Evaluator) hoseLoad(idx []int32, override []float64) float64 {
 	// Ascending pair indices are ascending (A, B) pairs: the order the
 	// LP's arcs have always been added in.
 	ev.pairsBuf = ev.pairsBuf[:0]
-	for _, pi := range idx {
-		ev.pairsBuf = append(ev.pairsBuf, ev.pairPos[pi])
+	for w, rest := range set {
+		for ; rest != 0; rest &= rest - 1 {
+			ev.pairsBuf = append(ev.pairsBuf, ev.pairPos[w*64+bits.TrailingZeros64(rest)])
+		}
 	}
 	load := ev.lp.WorstCaseLoad(caps, ev.pairsBuf)
 	if override == nil {
 		ev.hoseLoads = append(ev.hoseLoads, load)
 	}
 	return load
+}
+
+// setIndex interns bitsets of one fixed width: equal sets get the same
+// dense ID, assigned in first-seen order. Keys live in one flat slab and
+// the hash table is open-addressed, so looking up a known set allocates
+// nothing.
+type setIndex struct {
+	width int
+	slab  []uint64 // concatenated keys, in ID order
+	table []int32  // open addressing; value is id+1, 0 means empty
+}
+
+func hashSet(key []uint64) uint32 {
+	h := uint64(14695981039346656037)
+	for _, v := range key {
+		h = (h ^ v) * 0x9E3779B97F4A7C15
+		h ^= h >> 29
+	}
+	return uint32(h ^ h>>32)
+}
+
+// intern returns the ID for key, adding it if absent. added reports
+// whether this call created the entry.
+func (s *setIndex) intern(key []uint64) (id int, added bool) {
+	n := len(s.slab) / max(s.width, 1)
+	if (n+1)*4 >= len(s.table)*3 {
+		s.table = make([]int32, max(64, len(s.table)*2))
+		for id := 0; id < n; id++ {
+			s.place(id)
+		}
+	}
+	mask := uint32(len(s.table) - 1)
+	for i := hashSet(key) & mask; ; i = (i + 1) & mask {
+		v := s.table[i]
+		if v == 0 {
+			s.slab = append(s.slab, key...)
+			s.table[i] = int32(n + 1)
+			return n, true
+		}
+		if id = int(v - 1); slices.Equal(s.slab[id*s.width:(id+1)*s.width], key) {
+			return id, false
+		}
+	}
+}
+
+// place enters an interned key into a table that does not hold it.
+func (s *setIndex) place(id int) {
+	mask := uint32(len(s.table) - 1)
+	i := hashSet(s.slab[id*s.width:(id+1)*s.width]) & mask
+	for s.table[i] != 0 {
+		i = (i + 1) & mask
+	}
+	s.table[i] = int32(id + 1)
 }

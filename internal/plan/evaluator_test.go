@@ -8,58 +8,220 @@ import (
 
 	"iris/internal/fibermap"
 	"iris/internal/graph"
+	"iris/internal/hose"
 )
 
-// reuseChecker drives one long-lived evaluator and, after every Route,
-// compares it with an evaluator whose every tree was computed for the cut
-// at hand by DijkstraInto — no kept tree, no memoised one.
+// oracle is the evaluator the frames, crossing sets and tree repairs
+// replaced, kept as the reference they are held to: every tree computed
+// for the cut at hand by DijkstraInto, every route read off those trees,
+// every duct's crossing list rebuilt from those routes and loaded on an LP
+// of its own. It borrows an Evaluator's region tables and nothing else.
+type oracle struct {
+	region *Evaluator
+	dijk   graph.Scratch
+	routes []Route // one slot per pair, as Evaluator.Route returns
+	lp     hose.LP
+}
+
+// readRoutes reads every pair's route under the cut off fresh trees.
+func (o *oracle) readRoutes(cut *graph.Cut) []Route {
+	ev := o.region
+	trees := make([]*graph.ShortestPathTree, len(ev.sources))
+	for si, s := range ev.sources {
+		trees[si] = ev.base.DijkstraInto(s, cut.Skip(), new(graph.ShortestPathTree), &o.dijk)
+	}
+	o.routes = o.routes[:0]
+	for i := range ev.dcs {
+		for j := i + 1; j < ev.nDC; j++ {
+			a, b := ev.dcs[i], ev.dcs[j]
+			o.routes = append(o.routes, Route{
+				Pair: hose.Pair{A: a, B: b}, I: int32(i), J: int32(j), PairIdx: int32(ev.pairIdx(i, j)),
+			})
+			r := &o.routes[len(o.routes)-1]
+			if len(ev.hubs) == 0 {
+				if t := trees[i]; !math.IsInf(t.Dist[b], 1) {
+					r.Nodes, r.Ducts, _ = t.PathTo(b)
+					r.TotalKM = t.Dist[b]
+				}
+				continue
+			}
+			best := graph.Inf
+			var bt *graph.ShortestPathTree
+			for _, t := range trees {
+				if d := t.Dist[a] + t.Dist[b]; d < best && d < graph.Inf {
+					best, bt = d, t
+				}
+			}
+			if bt == nil {
+				continue
+			}
+			legN, legE, _ := bt.PathTo(a)
+			slices.Reverse(legN)
+			slices.Reverse(legE)
+			toN, toE, _ := bt.PathTo(b)
+			r.Nodes = append(legN, toN[1:]...)
+			r.Ducts = append(legE, toE...)
+			r.TotalKM = best
+		}
+	}
+	return o.routes
+}
+
+// load rebuilds every duct's crossing list from the routes last read and
+// applies the provisioning rule, as Evaluator.Load documents it.
+func (o *oracle) load(caps []float64, active []bool) []DuctLoad {
+	if caps == nil {
+		caps = o.region.caps
+	}
+	nDucts := o.region.base.MaxEdgeID() + 1
+	cross := make([][]crossEntry, nDucts)
+	resid := make([]int, nDucts)
+	for ri := range o.routes {
+		r := &o.routes[ri]
+		if active != nil && !active[r.PairIdx] {
+			continue
+		}
+		for _, e := range r.Ducts {
+			resid[e.ID]++
+			if r.onCutThrough(e.ID) {
+				continue
+			}
+			entries := cross[e.ID]
+			if n := len(entries); n > 0 && entries[n-1].pairIdx == r.PairIdx {
+				entries[n-1].count++
+			} else {
+				cross[e.ID] = append(entries, crossEntry{pairIdx: r.PairIdx, count: 1})
+			}
+		}
+	}
+	var loads []DuctLoad
+	for id, n := range resid {
+		if n == 0 {
+			continue
+		}
+		l := DuctLoad{Duct: id, ResidualPairs: n}
+		if len(cross[id]) > 0 {
+			var pairs []hose.Pair
+			extra := 0.0
+			for _, en := range cross[id] {
+				p := o.region.pairPos[en.pairIdx]
+				pairs = append(pairs, p)
+				if en.count > 1 {
+					extra += float64(en.count-1) * math.Min(caps[p.A], caps[p.B])
+				}
+			}
+			l.BasePairs = pairsFor(o.lp.WorstCaseLoad(caps, pairs) + extra)
+		}
+		loads = append(loads, l)
+	}
+	return loads
+}
+
+// reuseChecker drives one long-lived evaluator and, after every step,
+// compares its routes and loads with the oracle's, and its loads with
+// those of an evaluator built for the step.
 type reuseChecker struct {
 	t       *testing.T
 	label   string
-	ev, ref *Evaluator
-	dijk    graph.Scratch
-	routed  int // Route calls checked
+	in      Input
+	ev      *Evaluator
+	oracle  oracle
+	rng     *rand.Rand
+	routed  int // steps checked
 	partial int // of them, scenarios that lost a pair
+	doubled int // of them, scenarios in which a pair crosses a duct twice
+	ridden  int // of them, scenarios loaded with a cut-through rider
 }
 
-func newReuseChecker(t *testing.T, label string, in Input) *reuseChecker {
+func newReuseChecker(t *testing.T, label string, in Input, seed int64) *reuseChecker {
 	in.Base = BaseGraph(in.Map)
-	return &reuseChecker{t: t, label: label, ev: NewEvaluator(in), ref: NewEvaluator(in)}
+	ev := NewEvaluator(in)
+	return &reuseChecker{t: t, label: label, in: in, ev: ev, oracle: oracle{region: ev}, rng: rand.New(rand.NewSource(seed))}
 }
 
-// route calls Route on the long-lived evaluator and checks every route.
+// route calls Route on the long-lived evaluator — now and then twice —
+// and checks every pair's slot, then the loads.
 func (c *reuseChecker) route() []Route {
 	c.t.Helper()
 	got := c.ev.Route()
-
-	ref := c.ref
-	ref.Cut.Set(c.ev.Cut.IDs())
-	sources := ref.dcs
-	if len(ref.hubs) > 0 {
-		sources = ref.hubs
+	if c.rng.Intn(4) == 0 {
+		got = c.ev.Route()
 	}
-	for si, s := range sources {
-		ref.trees[si] = ref.base.DijkstraInto(s, ref.Cut.Skip(), new(graph.ShortestPathTree), &c.dijk)
-	}
-	want := ref.readRoutes()
+	want := c.oracle.readRoutes(c.ev.Cut)
 
 	if len(got) != len(want) {
-		c.t.Fatalf("%s, cut %v: %d routes, recomputed %d", c.label, c.ev.Cut.IDs(), len(got), len(want))
+		c.t.Fatalf("%s, cut %v: %d slots, recomputed %d", c.label, c.ev.Cut.IDs(), len(got), len(want))
 	}
+	lost := false
 	for i := range want {
 		g, w := &got[i], &want[i]
 		if g.PairIdx != w.PairIdx || g.Pair != w.Pair || g.I != w.I || g.J != w.J ||
-			math.Float64bits(g.TotalKM) != math.Float64bits(w.TotalKM) ||
-			!slices.Equal(g.Nodes, w.Nodes) || !slices.Equal(g.Ducts, w.Ducts) {
-			c.t.Fatalf("%s, cut %v, pair %v:\n reused     %v %v %v\n recomputed %v %v %v",
-				c.label, c.ev.Cut.IDs(), w.Pair, g.Nodes, g.Ducts, g.TotalKM, w.Nodes, w.Ducts, w.TotalKM)
+			math.Float64bits(g.TotalKM) != math.Float64bits(w.TotalKM) || len(g.CutDucts) != 0 ||
+			g.Routed() != (len(w.Nodes) > 0) || !slices.Equal(g.Nodes, w.Nodes) || !slices.Equal(g.Ducts, w.Ducts) {
+			c.t.Fatalf("%s, cut %v, pair %v:\n reused     %v %v %v %v\n recomputed %v %v %v",
+				c.label, c.ev.Cut.IDs(), w.Pair, g.Nodes, g.Ducts, g.TotalKM, g.CutDucts, w.Nodes, w.Ducts, w.TotalKM)
 		}
+		lost = lost || !g.Routed()
 	}
 	c.routed++
-	if len(got) < c.ev.NumPairs() {
+	if lost {
 		c.partial++
 	}
+	c.loads(got, want)
 	return got
+}
+
+// loads compares Load under the region's hose and under a random matrix's
+// with the oracle's and with a fresh evaluator's. Two steps in three, a
+// few pairs first ride cut-throughs on some of their ducts (and one on a
+// duct not its own), as placeCutThroughs leaves them; the next Route
+// takes the riders off again.
+func (c *reuseChecker) loads(got, want []Route) {
+	c.t.Helper()
+	rng := c.rng
+	fresh := NewEvaluator(c.in)
+	fresh.Cut.Set(c.ev.Cut.IDs())
+	mine := fresh.Route()
+	if rng.Intn(3) > 0 {
+		for n := 1 + rng.Intn(4); n > 0; n-- {
+			p := rng.Intn(len(got))
+			for _, e := range got[p].Ducts {
+				if rng.Intn(2) == 0 && !got[p].onCutThrough(e.ID) {
+					got[p].CutDucts = append(got[p].CutDucts, e.ID)
+					c.ridden++
+				}
+			}
+			got[p].CutDucts = append(got[p].CutDucts, rng.Intn(c.ev.base.MaxEdgeID()+1))
+			want[p].CutDucts = append(want[p].CutDucts[:0], got[p].CutDucts...)
+			mine[p].CutDucts = append(mine[p].CutDucts[:0], got[p].CutDucts...)
+		}
+	}
+	for id := range c.ev.multi {
+		if len(c.ev.multi[id]) > 0 {
+			c.doubled++
+			break
+		}
+	}
+
+	caps := make([]float64, c.ev.nDC)
+	for i := range caps {
+		caps[i] = rng.Float64() * 2 * c.ev.caps[i]
+	}
+	active := make([]bool, c.ev.NumPairs())
+	for i := range active {
+		active[i] = rng.Intn(3) > 0
+	}
+	check := func(what string, caps []float64, active []bool) {
+		c.t.Helper()
+		g, w, f := c.ev.Load(caps, active), c.oracle.load(caps, active), fresh.Load(caps, active)
+		if !slices.Equal(g, w) || !slices.Equal(f, w) {
+			c.t.Fatalf("%s, cut %v, %s:\n reused  %v\n fresh   %v\n rebuilt %v", c.label, c.ev.Cut.IDs(), what, g, f, w)
+		}
+	}
+	check("region hose", nil, nil)
+	check("matrix hose", caps, active)
+	check("matrix caps, every pair", caps, nil)
+	check("region hose again", nil, nil)
 }
 
 // dfs is the planner's pruned scenario DFS: only ducts some route uses
@@ -88,8 +250,10 @@ func (c *reuseChecker) dfs(depth int) {
 
 // setSequence walks Cut.Set through cuts that grow, shrink, repeat and
 // jump to unrelated ducts, with now and then every duct of one DC cut (so
-// pairs lose their path) and an ID the graph has no duct for.
-func (c *reuseChecker) setSequence(rng *rand.Rand, steps int) {
+// pairs lose their path) and an ID the graph has no duct for, past its
+// last or negative.
+func (c *reuseChecker) setSequence(steps int) {
+	rng := c.rng
 	edges := c.ev.base.Edges()
 	pick := func() int { return edges[rng.Intn(len(edges))].ID }
 	var cut []int
@@ -105,7 +269,11 @@ func (c *reuseChecker) setSequence(rng *rand.Rand, steps int) {
 			dc := c.ev.dcs[rng.Intn(c.ev.nDC)]
 			c.ev.base.Neighbors(dc, func(e graph.Edge) { cut = append(cut, e.ID) })
 		case k < 8: // an ID outside the graph rides along
-			cut = append(cut, c.ev.base.MaxEdgeID()+1+rng.Intn(3))
+			if rng.Intn(2) == 0 {
+				cut = append(cut, c.ev.base.MaxEdgeID()+1+rng.Intn(3))
+			} else {
+				cut = append(cut, -1-rng.Intn(3))
+			}
 		default: // unrelated
 			cut = cut[:0]
 			for n := rng.Intn(4); n > 0; n-- {
@@ -121,10 +289,13 @@ func (c *reuseChecker) setSequence(rng *rand.Rand, steps int) {
 	}
 }
 
-// TestRouteReuseMatchesRecompute binds the tree-reuse rule: whatever
-// scenarios an evaluator has been through, Route returns what a
-// recomputation of every tree returns, bit for bit.
+// TestRouteReuseMatchesRecompute binds what the evaluator carries from one
+// scenario to the next — routes across frames, crossing sets and needs
+// across loads, trees across repairs: whatever scenarios an evaluator has
+// been through, Route and Load return what a recomputation of every tree,
+// route and crossing list returns, bit for bit.
 func TestRouteReuseMatchesRecompute(t *testing.T) {
+	doubled := 0
 	for seed := int64(1); seed <= 4; seed++ {
 		in := arenaInput(t, seed, 8, 8, 2)
 		hubbed := arenaInput(t, seed, 6, 8, 2)
@@ -135,17 +306,20 @@ func TestRouteReuseMatchesRecompute(t *testing.T) {
 			label string
 			in    Input
 		}{{"distributed", in}, {"via-hub", hubbed}} {
-			c := newReuseChecker(t, tc.label, tc.in)
-			rng := rand.New(rand.NewSource(seed))
+			c := newReuseChecker(t, tc.label, tc.in, seed)
 			// Interleaved, so each walk meets trees the other kept.
-			c.setSequence(rng, 150)
+			c.setSequence(150)
 			c.dfs(2)
-			c.setSequence(rng, 150)
+			c.setSequence(150)
 			c.dfs(2)
-			if c.partial == 0 {
-				t.Errorf("%s seed %d: no scenario of %d lost a pair; the case does not cover unreachable DCs",
-					tc.label, seed, c.routed)
+			if c.partial == 0 || c.ridden == 0 {
+				t.Errorf("%s seed %d: of %d scenarios %d lost a pair and %d cut-through riders were loaded; the case does not cover them",
+					tc.label, seed, c.routed, c.partial, c.ridden)
 			}
+			doubled += c.doubled
 		}
+	}
+	if doubled == 0 {
+		t.Error("no via-hub walk crossed a duct twice; the cases do not cover multiplicity")
 	}
 }

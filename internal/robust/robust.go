@@ -399,8 +399,9 @@ func Verify(dep *core.Deployment, alloc core.Allocation, ms []*traffic.Matrix) [
 	lambda := dep.Region.Lambda
 	ev := plan.NewEvaluator(dep.Plan.Input)
 	routed := make([]bool, ev.NumPairs())
-	for _, r := range ev.Route() {
-		routed[r.PairIdx] = true
+	routes := ev.Route()
+	for i := range routes {
+		routed[i] = routes[i].Routed()
 	}
 	capsF := make([]float64, len(ev.DCs()))
 	active := make([]bool, ev.NumPairs())
