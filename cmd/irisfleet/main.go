@@ -22,13 +22,9 @@
 //	POST /chaos          — correlated multi-region storm
 //	*    /regions/{id}/… — each region's own debug surface
 //
-// Usage:
-//
-//	irisfleet [-regions 16] [-seed 1] [-workers 0] [-interval 2s]
-//	          [-steps N] [-listen 127.0.0.1:9190] [-chaos] [-flow-load]
-//	          [-toy] [-dcs 5] [-oss-delay 0] [-util 0.7]
-//	          [-shift-bound 0.4] [-trace-events 1024]
-//	          [-log-level info] [-log-json]
+// Usage: irisfleet [flags]; irisfleet -h lists them with their defaults.
+// Every region flag irisd takes is declared here too, by the same
+// daemon.RegionConfig.RegisterFlags, and applies to each region.
 //
 // SIGINT/SIGTERM shut the fleet down gracefully: in-flight region steps
 // finish, the HTTP server closes, then every emulated testbed is torn
@@ -53,29 +49,21 @@ import (
 )
 
 func main() {
+	// The region template: irisd's flags and defaults, except that a fleet
+	// of 100 regions switches instantly and keeps smaller rings.
+	rc := daemon.DefaultRegionConfig()
+	rc.OSSDelay = 0
+	rc.TraceEvents = 1024
+	rc.HistoryRecords = 256
+	rc.RegisterFlags(flag.CommandLine)
+	flag.Lookup("seed").Usage = "fleet seed; region i uses seed+i*stride for its map, traffic and jitter"
 	var (
-		regions  = flag.Int("regions", 16, "number of regions to build and supervise")
-		seed     = flag.Int64("seed", 1, "fleet seed; region i uses seed+i*stride for its map, traffic and jitter")
-		workers  = flag.Int("workers", 0, "scheduler worker pool size (0 = GOMAXPROCS)")
-		interval = flag.Duration("interval", 2*time.Second, "scheduler round cadence")
-		steps    = flag.Int("steps", 0, "per-region traffic steps before the feed exhausts (0 = run forever)")
-		listen   = flag.String("listen", "127.0.0.1:9190", "fleet HTTP listen address")
-
-		toy      = flag.Bool("toy", true, "use the paper's Fig. 10 toy region in every region")
-		dcs      = flag.Int("dcs", 5, "DCs per region when not using the toy")
-		ossDelay = flag.Duration("oss-delay", 0, "emulated OSS switching time (0 keeps 100-region fleets snappy)")
-		util     = flag.Float64("util", 0.7, "target hose utilisation of each region's traffic process")
-		shift    = flag.Float64("shift-bound", 0.4, "max fractional per-pair demand change per step (≤0 = pair swaps)")
-
-		chaosOn  = flag.Bool("chaos", false, "arm a chaos injector in every region (enables /chaos storms and /regions/{id}/debug/chaos)")
-		flowLoad = flag.Bool("flow-load", false, "arm the flow-impact monitor in every region")
-
-		historyRecs = flag.Int("history-records", 256, "per-region reconfiguration history lake capacity (0 = default 512, negative disables)")
-
-		traceEvents = flag.Int("trace-events", 1024, "per-region flight-recorder capacity (0 disables region tracing)")
-		fleetTrace  = flag.Int("fleet-trace-events", 4096, "fleet flight-recorder capacity for fleet-round/fleet-chaos spans (0 disables)")
-		logLevel    = flag.String("log-level", "info", "log level: debug, info, warn or error")
-		logJSON     = flag.Bool("log-json", false, "emit logs as JSON instead of text")
+		regions    = flag.Int("regions", 16, "number of regions to build and supervise")
+		workers    = flag.Int("workers", 0, "scheduler worker pool size (0 = GOMAXPROCS)")
+		listen     = flag.String("listen", "127.0.0.1:9190", "fleet HTTP listen address")
+		fleetTrace = flag.Int("fleet-trace-events", 4096, "fleet flight-recorder capacity for fleet-round/fleet-chaos spans (0 disables)")
+		logLevel   = flag.String("log-level", "info", "log level: debug, info, warn or error")
+		logJSON    = flag.Bool("log-json", false, "emit logs as JSON instead of text")
 	)
 	flag.Parse()
 
@@ -87,26 +75,14 @@ func main() {
 
 	cfg := fleet.DefaultConfig()
 	cfg.Regions = *regions
-	cfg.Seed = *seed
+	cfg.Seed = rc.Seed
 	cfg.Workers = *workers
-	cfg.Interval = *interval
+	cfg.Interval = rc.Interval
 	cfg.Logger = log
 	if *fleetTrace > 0 {
 		cfg.Tracer = trace.New(*fleetTrace)
 	}
 
-	rc := daemon.DefaultRegionConfig()
-	rc.Toy = *toy
-	rc.DCs = *dcs
-	rc.OSSDelay = *ossDelay
-	rc.Interval = *interval
-	rc.Steps = *steps
-	rc.Util = *util
-	rc.ShiftBound = *shift
-	rc.Chaos = *chaosOn
-	rc.FlowLoad = *flowLoad
-	rc.TraceEvents = *traceEvents
-	rc.HistoryRecords = *historyRecs
 	cfg.Region = rc
 
 	f, err := fleet.New(cfg)

@@ -180,7 +180,7 @@ func TestChaosCycleEndToEnd(t *testing.T) {
 	if !d.ConvergedNow() {
 		t.Fatalf("daemon not reconverged after cycle: %+v", d.Status())
 	}
-	if cr.inj.ActiveCount() != 0 {
+	if cr.inj.Snapshot().ActiveFaults != 0 {
 		t.Fatal("fault left active after cycle")
 	}
 
@@ -278,7 +278,7 @@ func TestChaosHTTPInjection(t *testing.T) {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	if cr.inj.ActiveCount() != 0 {
+	if cr.inj.Snapshot().ActiveFaults != 0 {
 		t.Fatal("faults still active after restore_all")
 	}
 

@@ -20,10 +20,10 @@ import (
 	"iris/internal/trace"
 )
 
-// ErrInjected is the error a faulted device returns for every operation,
+// errInjected is the error a faulted device returns for every operation,
 // probes included, so injected failures are fully visible to the daemon's
 // supervision and attributable in its traces.
-var ErrInjected = errors.New("chaos: injected fault")
+var errInjected = errors.New("chaos: injected fault")
 
 // DeviceSet wraps a fabric's emulated devices with fault shims. Install
 // Wrap as fabric.BringUpConfig.WrapDevice before bring-up; the set then
@@ -47,18 +47,6 @@ func (s *DeviceSet) Wrap(name string, dev control.Device) control.Device {
 	s.devs[name] = f
 	s.mu.Unlock()
 	return f
-}
-
-// Names returns the wrapped device names, sorted.
-func (s *DeviceSet) Names() []string {
-	s.mu.Lock()
-	names := make([]string, 0, len(s.devs))
-	for n := range s.devs {
-		names = append(names, n)
-	}
-	s.mu.Unlock()
-	sort.Strings(names)
-	return names
 }
 
 // has reports whether a device was wrapped under the given name.
@@ -94,7 +82,7 @@ type faultDevice struct {
 
 func (f *faultDevice) Handle(op string, args map[string]any) (map[string]any, error) {
 	if f.faults.Load() > 0 {
-		return nil, ErrInjected
+		return nil, errInjected
 	}
 	return f.Device.Handle(op, args)
 }
@@ -195,12 +183,12 @@ func (in *Injector) nextID() uint64 {
 
 // TargetsFor maps a scenario to the device names its injection fails:
 //
-//   - DuctCut: the OSS at each cut duct's endpoints (the line cards facing
+//   - ductCut: the OSS at each cut duct's endpoints (the line cards facing
 //     the duct) — deduplicated across ducts.
-//   - HutLoss: the hut's OSS, plus its amplifier if one is deployed.
-//   - AmpFailure: the site's amplifier group.
-//   - DCLoss: the DC's OSS and its transceiver bank.
-//   - GeoEvent: the OSS of every node inside the radius, plus the OSS at
+//   - hutLoss: the hut's OSS, plus its amplifier if one is deployed.
+//   - ampFailure: the site's amplifier group.
+//   - dcLoss: the DC's OSS and its transceiver bank.
+//   - geoEvent: the OSS of every node inside the radius, plus the OSS at
 //     the endpoints of every severed duct.
 //
 // Only devices that exist on the fabric (and were wrapped) are returned;
@@ -223,17 +211,17 @@ func (in *Injector) TargetsFor(sc Scenario) []string {
 		}
 	}
 	switch sc.Kind {
-	case DuctCut:
+	case ductCut:
 		endpoints()
-	case HutLoss:
+	case hutLoss:
 		add(in.fab.OSSName(sc.Node))
 		add(in.fab.AmpName(sc.Node))
-	case AmpFailure:
+	case ampFailure:
 		add(in.fab.AmpName(sc.Node))
-	case DCLoss:
+	case dcLoss:
 		add(in.fab.OSSName(sc.Node))
 		add(in.fab.XcvrName(sc.Node))
-	case GeoEvent:
+	case geoEvent:
 		for _, n := range m.Nodes {
 			if n.Pos.Dist(sc.Center) <= sc.RadiusKM {
 				add(in.fab.OSSName(n.ID))
@@ -245,9 +233,9 @@ func (in *Injector) TargetsFor(sc Scenario) []string {
 	return out
 }
 
-// Inject materialises a scenario as live device faults and returns the
+// inject materialises a scenario as live device faults and returns the
 // fault handle. It fails if the scenario maps to no live devices.
-func (in *Injector) Inject(sc Scenario) (Fault, error) {
+func (in *Injector) inject(sc Scenario) (Fault, error) {
 	targets := in.TargetsFor(sc)
 	if len(targets) == 0 {
 		return Fault{}, fmt.Errorf("chaos: scenario %q maps to no live devices", sc.Name)
@@ -272,8 +260,8 @@ func (in *Injector) Inject(sc Scenario) (Fault, error) {
 	return *f, nil
 }
 
-// Restore heals the devices of one active fault.
-func (in *Injector) Restore(id uint64) error {
+// restore heals the devices of one active fault.
+func (in *Injector) restore(id uint64) error {
 	in.mu.Lock()
 	f, ok := in.active[id]
 	if !ok {
@@ -304,21 +292,14 @@ func (in *Injector) Restore(id uint64) error {
 	return nil
 }
 
-// RestoreAll heals every active fault, oldest first.
-func (in *Injector) RestoreAll() {
+// restoreAll heals every active fault, oldest first.
+func (in *Injector) restoreAll() {
 	in.mu.Lock()
 	ids := append([]uint64(nil), in.order...)
 	in.mu.Unlock()
 	for _, id := range ids {
-		_ = in.Restore(id)
+		_ = in.restore(id)
 	}
-}
-
-// ActiveCount returns the number of live faults.
-func (in *Injector) ActiveCount() int {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	return len(in.active)
 }
 
 // Status is the injector's introspection snapshot, embedded in irisd's
@@ -487,7 +468,7 @@ func (in *Injector) RunCycle(cfg CycleConfig) (*CycleResult, error) {
 	}
 
 	isp := root.Child("inject")
-	f, err := in.Inject(cfg.Scenario)
+	f, err := in.inject(cfg.Scenario)
 	if err != nil {
 		isp.Fail(err)
 		isp.Finish()
@@ -498,13 +479,13 @@ func (in *Injector) RunCycle(cfg CycleConfig) (*CycleResult, error) {
 
 	detect, err := wait("detect", func() bool { return !cfg.CP.Healthy() })
 	if err != nil {
-		_ = in.Restore(f.ID)
+		_ = in.restore(f.ID)
 		return fail(err)
 	}
 	in.detectSecs.Observe(detect.Seconds())
 
 	rsp := root.Child("restore")
-	if err := in.Restore(f.ID); err != nil {
+	if err := in.restore(f.ID); err != nil {
 		rsp.Fail(err)
 		rsp.Finish()
 		return fail(err)
@@ -576,7 +557,7 @@ func (in *Injector) Handler() http.Handler {
 				http.Error(w, err.Error(), http.StatusBadRequest)
 				return
 			}
-			f, err := in.Inject(sc)
+			f, err := in.inject(sc)
 			if err != nil {
 				http.Error(w, err.Error(), http.StatusConflict)
 				return
@@ -588,7 +569,7 @@ func (in *Injector) Handler() http.Handler {
 					return
 				}
 				id := f.ID
-				time.AfterFunc(d, func() { _ = in.Restore(id) })
+				time.AfterFunc(d, func() { _ = in.restore(id) })
 			}
 			writeJSON(f)
 		case "restore":
@@ -597,13 +578,13 @@ func (in *Injector) Handler() http.Handler {
 				http.Error(w, "bad fault id", http.StatusBadRequest)
 				return
 			}
-			if err := in.Restore(id); err != nil {
+			if err := in.restore(id); err != nil {
 				http.Error(w, err.Error(), http.StatusNotFound)
 				return
 			}
 			writeJSON(in.Snapshot())
 		case "restore_all":
-			in.RestoreAll()
+			in.restoreAll()
 			writeJSON(in.Snapshot())
 		default:
 			http.Error(w, "unknown action (want inject, restore or restore_all)", http.StatusBadRequest)

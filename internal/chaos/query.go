@@ -19,7 +19,7 @@ import (
 //	kind=hut|dc|amp&node=4
 //	kind=geo&x=1.5&y=-3&radius=2
 func ScenarioFromQuery(m *fibermap.Map, q url.Values) (Scenario, error) {
-	kind, err := KindFromString(q.Get("kind"))
+	kind, err := kindFromString(q.Get("kind"))
 	if err != nil {
 		return Scenario{}, err
 	}
@@ -31,7 +31,7 @@ func ScenarioFromQuery(m *fibermap.Map, q url.Values) (Scenario, error) {
 		return n, nil
 	}
 	switch kind {
-	case DuctCut:
+	case ductCut:
 		var ducts []int
 		for _, v := range q["duct"] {
 			id, err := strconv.Atoi(v)
@@ -44,7 +44,7 @@ func ScenarioFromQuery(m *fibermap.Map, q url.Values) (Scenario, error) {
 			return Scenario{}, fmt.Errorf("chaos: cut needs at least one duct")
 		}
 		return Cut(ducts...), nil
-	case HutLoss, DCLoss, AmpFailure:
+	case hutLoss, dcLoss, ampFailure:
 		node, err := parseNode()
 		if err != nil {
 			return Scenario{}, err
@@ -54,7 +54,7 @@ func ScenarioFromQuery(m *fibermap.Map, q url.Values) (Scenario, error) {
 		sc.Name = fmt.Sprintf("%s %s", kind, m.Nodes[node].Name)
 		sc.Node = node
 		return sc, nil
-	case GeoEvent:
+	case geoEvent:
 		x, errX := strconv.ParseFloat(q.Get("x"), 64)
 		y, errY := strconv.ParseFloat(q.Get("y"), 64)
 		radius, errR := strconv.ParseFloat(q.Get("radius"), 64)
@@ -70,7 +70,7 @@ func ScenarioFromQuery(m *fibermap.Map, q url.Values) (Scenario, error) {
 			}
 		}
 		sc := Cut(ducts...)
-		sc.Kind = GeoEvent
+		sc.Kind = geoEvent
 		sc.Name = fmt.Sprintf("geo %s r=%.1f", c, radius)
 		sc.Node = -1
 		sc.Center = c

@@ -33,37 +33,37 @@ import (
 type Kind int
 
 const (
-	// DuctCut severs a set of fiber ducts — the planner's own failure
+	// ductCut severs a set of fiber ducts — the planner's own failure
 	// model (OC4 plans against up to MaxFailures simultaneous cuts).
-	DuctCut Kind = iota
-	// HutLoss takes a fiber hut offline: every duct terminating there is
+	ductCut Kind = iota
+	// hutLoss takes a fiber hut offline: every duct terminating there is
 	// severed at once (power loss, fire, flooding).
-	HutLoss
-	// AmpFailure fails an amplifier site. Losing the amplifier darkens
+	hutLoss
+	// ampFailure fails an amplifier site. Losing the amplifier darkens
 	// the hut's optical line system, so it is modelled conservatively as
 	// the loss of every duct incident to the site.
-	AmpFailure
-	// DCLoss takes a data-center site offline, severing its access ducts.
-	DCLoss
-	// GeoEvent is a correlated failure: every duct whose route passes
+	ampFailure
+	// dcLoss takes a data-center site offline, severing its access ducts.
+	dcLoss
+	// geoEvent is a correlated failure: every duct whose route passes
 	// within a radius of an epicentre is severed together, modelling
 	// backhoe cuts and localized disasters that the independent-failure
 	// model misses.
-	GeoEvent
+	geoEvent
 )
 
 // String implements fmt.Stringer.
 func (k Kind) String() string {
 	switch k {
-	case DuctCut:
+	case ductCut:
 		return "cut"
-	case HutLoss:
+	case hutLoss:
 		return "hut"
-	case AmpFailure:
+	case ampFailure:
 		return "amp"
-	case DCLoss:
+	case dcLoss:
 		return "dc"
-	case GeoEvent:
+	case geoEvent:
 		return "geo"
 	}
 	return fmt.Sprintf("Kind(%d)", int(k))
@@ -75,7 +75,7 @@ func (k Kind) MarshalText() ([]byte, error) { return []byte(k.String()), nil }
 // UnmarshalText parses the names MarshalText produces, so faults and
 // audit results round-trip through their JSON surfaces.
 func (k *Kind) UnmarshalText(text []byte) error {
-	parsed, err := KindFromString(string(text))
+	parsed, err := kindFromString(string(text))
 	if err != nil {
 		return err
 	}
@@ -83,9 +83,9 @@ func (k *Kind) UnmarshalText(text []byte) error {
 	return nil
 }
 
-// KindFromString parses the names String produces.
-func KindFromString(s string) (Kind, error) {
-	for _, k := range []Kind{DuctCut, HutLoss, AmpFailure, DCLoss, GeoEvent} {
+// kindFromString parses the names String produces.
+func kindFromString(s string) (Kind, error) {
+	for _, k := range []Kind{ductCut, hutLoss, ampFailure, dcLoss, geoEvent} {
 		if k.String() == s {
 			return k, nil
 		}
@@ -101,10 +101,10 @@ type Scenario struct {
 	Name string `json:"name"`
 	// Ducts are the severed duct IDs, sorted ascending.
 	Ducts []int `json:"ducts"`
-	// Node is the failed site for HutLoss, AmpFailure and DCLoss; -1
+	// Node is the failed site for hutLoss, ampFailure and dcLoss; -1
 	// otherwise.
 	Node int `json:"node,omitempty"`
-	// Center and RadiusKM locate a GeoEvent.
+	// Center and RadiusKM locate a geoEvent.
 	Center   geo.Point `json:"center"`
 	RadiusKM float64   `json:"radius_km,omitempty"`
 }
@@ -130,7 +130,7 @@ func Cut(ducts ...int) Scenario {
 	sort.Ints(sorted)
 	sorted = slices.Compact(sorted)
 	return Scenario{
-		Kind:  DuctCut,
+		Kind:  ductCut,
 		Name:  fmt.Sprintf("cut%v", sorted),
 		Ducts: sorted,
 		Node:  -1,
@@ -219,7 +219,7 @@ func HutLossScenarios(m *fibermap.Map) []Scenario {
 			continue
 		}
 		sc := Cut(ducts...)
-		sc.Kind = HutLoss
+		sc.Kind = hutLoss
 		sc.Name = fmt.Sprintf("hut %s", n.Name)
 		sc.Node = n.ID
 		out = append(out, sc)
@@ -241,7 +241,7 @@ func DCLossScenarios(m *fibermap.Map) []Scenario {
 			continue
 		}
 		sc := Cut(ducts...)
-		sc.Kind = DCLoss
+		sc.Kind = dcLoss
 		sc.Name = fmt.Sprintf("dc %s", n.Name)
 		sc.Node = n.ID
 		out = append(out, sc)
@@ -268,7 +268,7 @@ func AmpFailureScenarios(pl *plan.Plan) []Scenario {
 			continue
 		}
 		sc := Cut(ducts...)
-		sc.Kind = AmpFailure
+		sc.Kind = ampFailure
 		sc.Name = fmt.Sprintf("amp %s", pl.Input.Map.Nodes[node].Name)
 		sc.Node = node
 		out = append(out, sc)
@@ -304,7 +304,7 @@ func GeoEvents(seed int64, m *fibermap.Map, radiusKM float64, n int) []Scenario 
 			continue
 		}
 		sc := Cut(ducts...)
-		sc.Kind = GeoEvent
+		sc.Kind = geoEvent
 		sc.Name = fmt.Sprintf("geo %s r=%.1f", c, radiusKM)
 		sc.Node = -1
 		sc.Center = c

@@ -27,13 +27,13 @@ func toyRegion(t *testing.T, failures int) (*fibermap.ToyRegion, *core.Deploymen
 }
 
 func TestKindRoundTrip(t *testing.T) {
-	for _, k := range []Kind{DuctCut, HutLoss, AmpFailure, DCLoss, GeoEvent} {
-		got, err := KindFromString(k.String())
+	for _, k := range []Kind{ductCut, hutLoss, ampFailure, dcLoss, geoEvent} {
+		got, err := kindFromString(k.String())
 		if err != nil || got != k {
 			t.Errorf("KindFromString(%q) = %v, %v; want %v", k, got, err, k)
 		}
 	}
-	if _, err := KindFromString("meteor"); err == nil {
+	if _, err := kindFromString("meteor"); err == nil {
 		t.Error("KindFromString accepted an unknown kind")
 	}
 }
@@ -88,7 +88,7 @@ func TestEnumerateCuts(t *testing.T) {
 	seen := make(map[string]bool)
 	sizes := make(map[int]int)
 	for _, sc := range scs {
-		if sc.Kind != DuctCut {
+		if sc.Kind != ductCut {
 			t.Fatalf("scenario %q has kind %v, want DuctCut", sc.Name, sc.Kind)
 		}
 		if seen[sc.Name] {
@@ -140,7 +140,7 @@ func TestSiteScenarios(t *testing.T) {
 	}
 	// Each hub terminates two access ducts and the central duct.
 	for _, sc := range huts {
-		if sc.Kind != HutLoss || sc.CutCount() != 3 {
+		if sc.Kind != hutLoss || sc.CutCount() != 3 {
 			t.Fatalf("hut scenario %q: kind %v, cuts %d; want HutLoss severing 3", sc.Name, sc.Kind, sc.CutCount())
 		}
 	}
@@ -150,7 +150,7 @@ func TestSiteScenarios(t *testing.T) {
 		t.Fatalf("dc scenarios = %d, want 4", len(dcs))
 	}
 	for _, sc := range dcs {
-		if sc.Kind != DCLoss || sc.CutCount() != 1 {
+		if sc.Kind != dcLoss || sc.CutCount() != 1 {
 			t.Fatalf("dc scenario %q: kind %v, cuts %d; want DCLoss severing 1", sc.Name, sc.Kind, sc.CutCount())
 		}
 		if sc.Node < 0 {
@@ -190,7 +190,7 @@ func TestAmpFailureScenarios(t *testing.T) {
 		t.Fatalf("amp scenarios = %d, want one per amplified site (%d)", len(scs), sites)
 	}
 	for _, sc := range scs {
-		if sc.Kind != AmpFailure || sc.CutCount() == 0 || sc.Node < 0 {
+		if sc.Kind != ampFailure || sc.CutCount() == 0 || sc.Node < 0 {
 			t.Fatalf("malformed amp scenario %+v", sc)
 		}
 	}
@@ -203,7 +203,7 @@ func TestGeoEvents(t *testing.T) {
 		t.Fatalf("geo events = %d, want 5", len(scs))
 	}
 	for _, sc := range scs {
-		if sc.Kind != GeoEvent || sc.CutCount() == 0 {
+		if sc.Kind != geoEvent || sc.CutCount() == 0 {
 			t.Fatalf("geo event %q severs nothing", sc.Name)
 		}
 		if sc.RadiusKM != 8 {

@@ -27,9 +27,6 @@ type Design struct {
 	InternalPorts int
 }
 
-// TotalPorts returns external plus internal ports.
-func (d Design) TotalPorts() int { return d.ExternalPorts + d.InternalPorts }
-
 // Size returns the smallest non-blocking folded-Clos design serving the
 // given number of external ports with switches of the given radix.
 // Oversub ≥ 1 permits oversubscribing the leaf uplinks by that factor
@@ -141,15 +138,4 @@ func ceilDiv64(a int, f float64) int {
 		n++
 	}
 	return n
-}
-
-// HubOverheadFrac returns the fraction of a hub fabric's ports that are
-// fabric-internal — pure overhead of the electrical big-switch abstraction
-// relative to the transceiver-facing ports it serves.
-func HubOverheadFrac(externalPorts, radix int) (float64, error) {
-	d, err := Size(externalPorts, radix, 1)
-	if err != nil {
-		return 0, err
-	}
-	return float64(d.InternalPorts) / float64(d.TotalPorts()), nil
 }

@@ -97,9 +97,9 @@ func TestSizeMonotoneInHosts(t *testing.T) {
 		if errA != nil || errB != nil {
 			continue // beyond 3-tier capacity for small radix
 		}
-		if db.TotalPorts() < da.TotalPorts() {
+		if totalPorts(db) < totalPorts(da) {
 			t.Fatalf("radix %d: %d hosts needs %d ports but %d hosts needs %d",
-				radix, a, da.TotalPorts(), b, db.TotalPorts())
+				radix, a, totalPorts(da), b, totalPorts(db))
 		}
 	}
 }
@@ -132,20 +132,22 @@ func TestCapacityCoversHosts(t *testing.T) {
 	}
 }
 
+func totalPorts(d Design) int { return d.ExternalPorts + d.InternalPorts }
+
 func TestHubOverheadFrac(t *testing.T) {
 	// A DCI hub terminating thousands of transceivers pays a significant
 	// internal-port tax; a small hub pays none.
-	small, err := HubOverheadFrac(20, 32)
-	if err != nil {
-		t.Fatal(err)
+	overhead := func(externalPorts int) float64 {
+		d, err := Size(externalPorts, 32, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return float64(d.InternalPorts) / float64(totalPorts(d))
 	}
-	if small != 0 {
+	if small := overhead(20); small != 0 {
 		t.Errorf("small hub overhead = %v, want 0", small)
 	}
-	big, err := HubOverheadFrac(3200, 32)
-	if err != nil {
-		t.Fatal(err)
-	}
+	big := overhead(3200)
 	if big < 0.3 {
 		t.Errorf("big hub overhead = %v, want the Clos internal-port tax ≥ 30%%", big)
 	}

@@ -16,7 +16,7 @@ func BenchmarkWireCodec(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	resp := &Response{ID: 12345, OK: true, Result: state}
+	resp := &wireResponse{ID: 12345, OK: true, Result: state}
 	line, err := appendResponse(nil, resp)
 	if err != nil {
 		b.Fatal(err)
@@ -43,7 +43,7 @@ func BenchmarkWireCodec(b *testing.B) {
 		b.ReportAllocs()
 		b.SetBytes(int64(len(line)))
 		for i := 0; i < b.N; i++ {
-			var r Response
+			var r wireResponse
 			if err := decodeResponse(line, &r); err != nil {
 				b.Fatal(err)
 			}

@@ -13,8 +13,8 @@ import (
 	"iris/internal/trace"
 )
 
-// DeviceSpec names one device agent and where to reach it.
-type DeviceSpec struct {
+// deviceSpec names one device agent and where to reach it.
+type deviceSpec struct {
 	Name string
 	Addr string
 }
@@ -25,7 +25,7 @@ type DeviceSpec struct {
 // spectrum, then undrain.
 type Controller struct {
 	mu      sync.Mutex
-	devices map[string]*Client
+	devices map[string]*client
 }
 
 // DialOptions configures the controller's per-device transports. Zero
@@ -35,18 +35,18 @@ type DialOptions struct {
 	RPCTimeout  time.Duration // end-to-end bound per device call
 }
 
-// DialWithOptions connects to all device agents. On any failure it closes
+// dialWithOptions connects to all device agents. On any failure it closes
 // the connections already made and returns the error.
-func DialWithOptions(specs []DeviceSpec, opts DialOptions) (*Controller, error) {
-	c := &Controller{devices: make(map[string]*Client, len(specs))}
+func dialWithOptions(specs []deviceSpec, opts DialOptions) (*Controller, error) {
+	c := &Controller{devices: make(map[string]*client, len(specs))}
 	for _, s := range specs {
 		if _, dup := c.devices[s.Name]; dup {
-			c.Close()
+			c.shutdown()
 			return nil, fmt.Errorf("control: duplicate device name %q", s.Name)
 		}
-		cl, err := DialDeviceTimeout(s.Addr, opts.DialTimeout, opts.RPCTimeout)
+		cl, err := dialDeviceTimeout(s.Addr, opts.DialTimeout, opts.RPCTimeout)
 		if err != nil {
-			c.Close()
+			c.shutdown()
 			return nil, err
 		}
 		c.devices[s.Name] = cl
@@ -67,8 +67,8 @@ func (e *DeviceError) Error() string { return fmt.Sprintf("device %s: %v", e.Dev
 // Unwrap exposes the underlying transport or device error.
 func (e *DeviceError) Unwrap() error { return e.Err }
 
-// Close tears down all device connections.
-func (c *Controller) Close() {
+// shutdown tears down all device connections.
+func (c *Controller) shutdown() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for _, cl := range c.devices {
@@ -92,7 +92,7 @@ func (c *Controller) Call(device, op string, args map[string]any) (map[string]an
 
 // send puts one request to a named device on the wire and returns the
 // device's client, which stays locked until recv or Client.abandon.
-func (c *Controller) send(device, op string, args map[string]any) (*Client, error) {
+func (c *Controller) send(device, op string, args map[string]any) (*client, error) {
 	c.mu.Lock()
 	cl, ok := c.devices[device]
 	c.mu.Unlock()
@@ -277,7 +277,7 @@ func (c *Controller) round(ctx context.Context, parent *trace.Span, reqs map[str
 	}
 	devs := sortedKeys(reqs)
 	spans := make([]*trace.Span, len(devs))
-	clients := make([]*Client, len(devs)) // each holding a request in flight
+	clients := make([]*client, len(devs)) // each holding a request in flight
 	errs := make([]error, len(devs))      // or why there is none
 	for i, dev := range devs {
 		req := reqs[dev]

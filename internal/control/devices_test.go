@@ -407,11 +407,11 @@ func TestMismatchNamesTheElementNotTheVectors(t *testing.T) {
 // result: encoded as a response line and decoded again.
 func overTheWire(t testing.TB, result map[string]any) map[string]any {
 	t.Helper()
-	line, err := appendResponse(nil, &Response{ID: 1, OK: true, Result: result})
+	line, err := appendResponse(nil, &wireResponse{ID: 1, OK: true, Result: result})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var resp Response
+	var resp wireResponse
 	if err := decodeResponse(line, &resp); err != nil {
 		t.Fatal(err)
 	}
@@ -507,7 +507,7 @@ func FuzzStateDecode(f *testing.F) {
 		{Cross: map[string]map[int]int{"dev": {1: 2, 4: 0}}},
 	}
 	f.Fuzz(func(t *testing.T, result []byte) {
-		var resp Response
+		var resp wireResponse
 		if decodeResponse(append(append([]byte(`{"ok":true,"result":`), result...), '}'), &resp) != nil {
 			return
 		}

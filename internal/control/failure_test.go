@@ -22,7 +22,7 @@ func TestMalformedRequestGetsErrorResponse(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		Serve(ctx, l, NewOSS(4, 0))
+		serve(ctx, l, NewOSS(4, 0))
 	}()
 
 	conn, err := net.Dial("tcp", l.Addr().String())
@@ -37,7 +37,7 @@ func TestMalformedRequestGetsErrorResponse(t *testing.T) {
 	if !sc.Scan() {
 		t.Fatal("no response to malformed request")
 	}
-	var resp Response
+	var resp wireResponse
 	if err := json.Unmarshal(sc.Bytes(), &resp); err != nil {
 		t.Fatalf("response not JSON: %v", err)
 	}
@@ -46,7 +46,7 @@ func TestMalformedRequestGetsErrorResponse(t *testing.T) {
 	}
 
 	// The connection must still work afterwards.
-	req, _ := json.Marshal(Request{ID: 7, Op: "ping"})
+	req, _ := json.Marshal(wireRequest{ID: 7, Op: "ping"})
 	conn.Write(append(req, '\n'))
 	if !sc.Scan() {
 		t.Fatal("connection dead after malformed request")
@@ -84,14 +84,14 @@ func TestDeadDeviceSurfacesError(t *testing.T) {
 	served := make(chan struct{})
 	go func() {
 		defer close(served)
-		Serve(ctx, l, NewOSS(4, 0))
+		serve(ctx, l, NewOSS(4, 0))
 	}()
 
-	ctl, err := DialWithOptions([]DeviceSpec{{Name: "oss", Addr: l.Addr().String()}}, DialOptions{})
+	ctl, err := dialWithOptions([]deviceSpec{{Name: "oss", Addr: l.Addr().String()}}, DialOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer ctl.Close()
+	defer ctl.shutdown()
 	if _, err := ctl.Call("oss", "ping", nil); err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +131,7 @@ func TestReconfigureFailsCleanlyOnDeadDevice(t *testing.T) {
 	// Close only the OSS client's transport by closing the whole testbed
 	// listeners after connecting a second controller — simpler: dial a
 	// controller to one real and one bogus address.
-	_, err = DialWithOptions([]DeviceSpec{
+	_, err = dialWithOptions([]deviceSpec{
 		{Name: "oss", Addr: "127.0.0.1:1"}, // nothing listens here
 	}, DialOptions{})
 	if err == nil {
@@ -156,10 +156,10 @@ func TestDialRejectsDuplicateNames(t *testing.T) {
 	defer l.Close()
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	go Serve(ctx, l, NewOSS(4, 0))
+	go serve(ctx, l, NewOSS(4, 0))
 
 	addr := l.Addr().String()
-	_, err = DialWithOptions([]DeviceSpec{{Name: "a", Addr: addr}, {Name: "a", Addr: addr}}, DialOptions{})
+	_, err = dialWithOptions([]deviceSpec{{Name: "a", Addr: addr}, {Name: "a", Addr: addr}}, DialOptions{})
 	if err == nil || !strings.Contains(err.Error(), "duplicate") {
 		t.Errorf("err = %v, want duplicate-name error", err)
 	}

@@ -22,15 +22,15 @@ import (
 	"time"
 )
 
-// Request is one controller-to-device command.
-type Request struct {
+// wireRequest is one controller-to-device command.
+type wireRequest struct {
 	ID   int64          `json:"id"`
 	Op   string         `json:"op"`
 	Args map[string]any `json:"args,omitempty"`
 }
 
-// Response is a device's reply to a Request.
-type Response struct {
+// wireResponse is a device's reply to a Request.
+type wireResponse struct {
 	ID     int64          `json:"id"`
 	OK     bool           `json:"ok"`
 	Error  string         `json:"error,omitempty"`
@@ -47,11 +47,11 @@ type Device interface {
 	Handle(op string, args map[string]any) (map[string]any, error)
 }
 
-// Serve accepts connections on l and serves dev until the listener is
+// serve accepts connections on l and serves dev until the listener is
 // closed or ctx is cancelled. Cancellation closes active connections too,
 // so Serve never blocks shutdown on clients that keep their sockets open.
 // It returns the first non-shutdown error.
-func Serve(ctx context.Context, l net.Listener, dev Device) error {
+func serve(ctx context.Context, l net.Listener, dev Device) error {
 	var (
 		mu    sync.Mutex
 		conns = make(map[net.Conn]bool)
@@ -120,15 +120,15 @@ func serveConn(rw io.ReadWriter, dev Device) {
 		}
 	}
 	if errors.Is(sc.Err(), bufio.ErrTooLong) {
-		out, _ = appendResponse(out[:0], &Response{Error: "malformed request: line too long"})
+		out, _ = appendResponse(out[:0], &wireResponse{Error: "malformed request: line too long"})
 		_, _ = rw.Write(out) // the connection is being dropped either way
 	}
 }
 
 // respond appends the response line to one request line.
 func respond(dst, line []byte, dev Device) []byte {
-	var req Request
-	var resp Response
+	var req wireRequest
+	var resp wireResponse
 	if err := decodeRequest(line, &req); err != nil {
 		resp.Error = "malformed request: " + err.Error()
 	} else {
@@ -144,7 +144,7 @@ func respond(dst, line []byte, dev Device) []byte {
 	out, err := appendResponse(dst, &resp)
 	if err != nil {
 		// The device returned a value the protocol cannot carry.
-		out, _ = appendResponse(dst, &Response{ID: resp.ID, Error: err.Error()})
+		out, _ = appendResponse(dst, &wireResponse{ID: resp.ID, Error: err.Error()})
 	}
 	return out
 }
@@ -166,16 +166,16 @@ func handleCommon(dev Device, op string, args map[string]any) (map[string]any, e
 // answers must not wedge the controller (§5.2 budgets a reconfiguration in
 // tens of milliseconds; seconds means the device is gone).
 const (
-	DefaultDialTimeout = 5 * time.Second
+	defaultDialTimeout = 5 * time.Second
 	DefaultRPCTimeout  = 30 * time.Second
 )
 
-// Client is a connection to one device agent. It serialises calls; one TCP
+// client is a connection to one device agent. It serialises calls; one TCP
 // connection carries the exchange, and a connection that times out or
 // desynchronises is discarded and transparently redialled on the next
 // call, so a device that heals becomes reachable again without rebuilding
 // the controller.
-type Client struct {
+type client struct {
 	mu          sync.Mutex
 	addr        string
 	dialTimeout time.Duration
@@ -189,18 +189,18 @@ type Client struct {
 	closed      bool
 }
 
-// DialDeviceTimeout connects to a device agent.
+// dialDeviceTimeout connects to a device agent.
 // dialTimeout bounds connection establishment (and re-establishment);
-// rpcTimeout bounds each Call end to end. Zero values select the defaults;
+// rpcTimeout bounds each request end to end. Zero values select the defaults;
 // negative values disable the corresponding deadline.
-func DialDeviceTimeout(addr string, dialTimeout, rpcTimeout time.Duration) (*Client, error) {
+func dialDeviceTimeout(addr string, dialTimeout, rpcTimeout time.Duration) (*client, error) {
 	if dialTimeout == 0 {
-		dialTimeout = DefaultDialTimeout
+		dialTimeout = defaultDialTimeout
 	}
 	if rpcTimeout == 0 {
 		rpcTimeout = DefaultRPCTimeout
 	}
-	c := &Client{addr: addr, dialTimeout: dialTimeout, rpcTimeout: rpcTimeout}
+	c := &client{addr: addr, dialTimeout: dialTimeout, rpcTimeout: rpcTimeout}
 	if err := c.redialLocked(); err != nil {
 		return nil, err
 	}
@@ -208,8 +208,8 @@ func DialDeviceTimeout(addr string, dialTimeout, rpcTimeout time.Duration) (*Cli
 }
 
 // redialLocked (re)establishes the transport. Callers hold c.mu, except
-// from DialDeviceTimeout where the client is not yet shared.
-func (c *Client) redialLocked() error {
+// from dialDeviceTimeout where the client is not yet shared.
+func (c *client) redialLocked() error {
 	var conn net.Conn
 	var err error
 	if c.dialTimeout > 0 {
@@ -228,20 +228,11 @@ func (c *Client) redialLocked() error {
 // failLocked poisons the transport: a timed-out or desynchronised
 // connection may still deliver a stale response later, which would corrupt
 // the framing of the next call, so it is closed and replaced lazily.
-func (c *Client) failLocked() {
+func (c *client) failLocked() {
 	c.broken = true
 	if c.conn != nil {
 		c.conn.Close()
 	}
-}
-
-// Call sends one operation and waits for its response, bounded by the
-// client's RPC deadline.
-func (c *Client) Call(op string, args map[string]any) (map[string]any, error) {
-	if err := c.send(op, args); err != nil {
-		return nil, err
-	}
-	return c.recv()
 }
 
 // send writes one request, starts its RPC deadline and returns with c.mu
@@ -250,7 +241,7 @@ func (c *Client) Call(op string, args map[string]any) (map[string]any, error) {
 // and the lock is free. The one caller with requests in flight on several
 // clients, Controller.round, takes them in sorted device order, so two
 // rounds cannot deadlock.
-func (c *Client) send(op string, args map[string]any) (err error) {
+func (c *client) send(op string, args map[string]any) (err error) {
 	c.mu.Lock()
 	defer func() {
 		if err != nil {
@@ -266,7 +257,7 @@ func (c *Client) send(op string, args map[string]any) (err error) {
 		}
 	}
 	c.nextID++
-	line, err := appendRequest(c.wbuf[:0], &Request{ID: c.nextID, Op: op, Args: args})
+	line, err := appendRequest(c.wbuf[:0], &wireRequest{ID: c.nextID, Op: op, Args: args})
 	if err != nil {
 		return err // nothing was sent: the transport stays usable
 	}
@@ -282,7 +273,7 @@ func (c *Client) send(op string, args map[string]any) (err error) {
 }
 
 // recv reads the response to the request in flight and unlocks the client.
-func (c *Client) recv() (map[string]any, error) {
+func (c *client) recv() (map[string]any, error) {
 	defer c.mu.Unlock()
 	if c.rpcTimeout > 0 {
 		defer c.conn.SetDeadline(time.Time{})
@@ -295,7 +286,7 @@ func (c *Client) recv() (map[string]any, error) {
 		}
 		return nil, fmt.Errorf("control: connection closed during %s", c.op)
 	}
-	var resp Response
+	var resp wireResponse
 	if err := decodeResponse(c.sc.Bytes(), &resp); err != nil {
 		c.failLocked()
 		return nil, fmt.Errorf("control: decode response to %s: %w", c.op, err)
@@ -312,14 +303,14 @@ func (c *Client) recv() (map[string]any, error) {
 
 // abandon gives up the request in flight and unlocks the client; as its
 // response may still arrive, the connection is poisoned as after a timeout.
-func (c *Client) abandon() {
+func (c *client) abandon() {
 	c.failLocked()
 	c.mu.Unlock()
 }
 
 // Close tears down the connection permanently; subsequent calls fail
 // rather than redial.
-func (c *Client) Close() error {
+func (c *client) Close() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.closed = true

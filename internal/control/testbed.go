@@ -43,7 +43,7 @@ func StartTestbedWithOptions(devices map[string]Device, opts DialOptions) (*Test
 	}
 	sort.Strings(names)
 
-	var specs []DeviceSpec
+	var specs []deviceSpec
 	for _, name := range names {
 		l, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
@@ -51,18 +51,18 @@ func StartTestbedWithOptions(devices map[string]Device, opts DialOptions) (*Test
 			return nil, fmt.Errorf("control: testbed listen: %w", err)
 		}
 		tb.listeners = append(tb.listeners, l)
-		specs = append(specs, DeviceSpec{Name: name, Addr: l.Addr().String()})
+		specs = append(specs, deviceSpec{Name: name, Addr: l.Addr().String()})
 		dev := devices[name]
 		tb.wg.Add(1)
 		go func(l net.Listener, dev Device) {
 			defer tb.wg.Done()
 			// Serve returns nil on listener close; other errors surface
 			// through failed controller calls in tests.
-			_ = Serve(ctx, l, dev)
+			_ = serve(ctx, l, dev)
 		}(l, dev)
 	}
 
-	ctl, err := DialWithOptions(specs, opts)
+	ctl, err := dialWithOptions(specs, opts)
 	if err != nil {
 		tb.Close()
 		return nil, err
@@ -75,7 +75,7 @@ func StartTestbedWithOptions(devices map[string]Device, opts DialOptions) (*Test
 // goroutines.
 func (tb *Testbed) Close() {
 	if tb.Controller != nil {
-		tb.Controller.Close()
+		tb.Controller.shutdown()
 	}
 	tb.cancel()
 	for _, l := range tb.listeners {

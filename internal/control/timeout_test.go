@@ -42,6 +42,14 @@ func (d *stallableDevice) Handle(op string, args map[string]any) (map[string]any
 // TestCallTimesOutOnHungDevice: a device that stops answering must fail
 // the call by the RPC deadline instead of wedging the controller forever
 // — and once it answers again, the client must transparently reconnect.
+// Call is one send and its recv, as Controller.Call does for a named device.
+func (c *client) Call(op string, args map[string]any) (map[string]any, error) {
+	if err := c.send(op, args); err != nil {
+		return nil, err
+	}
+	return c.recv()
+}
+
 func TestCallTimesOutOnHungDevice(t *testing.T) {
 	dev := &stallableDevice{Device: NewOSS(4, 0), stall: 2 * time.Second}
 	l, err := net.Listen("tcp", "127.0.0.1:0")
@@ -53,11 +61,11 @@ func TestCallTimesOutOnHungDevice(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		Serve(ctx, l, dev)
+		serve(ctx, l, dev)
 	}()
 	defer func() { cancel(); l.Close(); <-done }()
 
-	cl, err := DialDeviceTimeout(l.Addr().String(), time.Second, 50*time.Millisecond)
+	cl, err := dialDeviceTimeout(l.Addr().String(), time.Second, 50*time.Millisecond)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,11 +101,11 @@ func TestClosedClientDoesNotRedial(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		Serve(ctx, l, NewOSS(4, 0))
+		serve(ctx, l, NewOSS(4, 0))
 	}()
 	defer func() { cancel(); l.Close(); <-done }()
 
-	cl, err := DialDeviceTimeout(l.Addr().String(), 0, 0)
+	cl, err := dialDeviceTimeout(l.Addr().String(), 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

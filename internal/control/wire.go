@@ -34,7 +34,7 @@ import (
 const maxDepth = 10000
 
 // appendRequest appends r as one protocol line.
-func appendRequest(dst []byte, r *Request) ([]byte, error) {
+func appendRequest(dst []byte, r *wireRequest) ([]byte, error) {
 	dst = append(dst, `{"id":`...)
 	dst = strconv.AppendInt(dst, r.ID, 10)
 	dst = append(dst, `,"op":`...)
@@ -50,7 +50,7 @@ func appendRequest(dst []byte, r *Request) ([]byte, error) {
 }
 
 // appendResponse appends r as one protocol line.
-func appendResponse(dst []byte, r *Response) ([]byte, error) {
+func appendResponse(dst []byte, r *wireResponse) ([]byte, error) {
 	dst = append(dst, `{"id":`...)
 	dst = strconv.AppendInt(dst, r.ID, 10)
 	dst = append(dst, `,"ok":`...)
@@ -154,7 +154,7 @@ func appendString(dst []byte, s string) []byte {
 }
 
 // decodeRequest decodes one protocol line into r.
-func decodeRequest(line []byte, r *Request) error {
+func decodeRequest(line []byte, r *wireRequest) error {
 	d := decoder{b: line}
 	return d.message(func(key []byte) (err error) {
 		switch fieldName(key, "id", "op", "args") {
@@ -172,7 +172,7 @@ func decodeRequest(line []byte, r *Request) error {
 }
 
 // decodeResponse decodes one protocol line into r.
-func decodeResponse(line []byte, r *Response) error {
+func decodeResponse(line []byte, r *wireResponse) error {
 	d := decoder{b: line}
 	return d.message(func(key []byte) (err error) {
 		switch fieldName(key, "id", "ok", "error", "result") {

@@ -106,7 +106,7 @@ func FuzzWireDecode(f *testing.F) {
 		f.Add([]byte(s))
 	}
 	f.Fuzz(func(t *testing.T, line []byte) {
-		var gotReq, wantReq Request
+		var gotReq, wantReq wireRequest
 		err, werr := decodeRequest(line, &gotReq), json.Unmarshal(line, &wantReq)
 		if (err != nil) != (werr != nil) {
 			t.Fatalf("request %q: decoder err = %v, encoding/json err = %v", line, err, werr)
@@ -120,7 +120,7 @@ func FuzzWireDecode(f *testing.F) {
 			}
 		}
 
-		var gotResp, wantResp Response
+		var gotResp, wantResp wireResponse
 		err, werr = decodeResponse(line, &gotResp), json.Unmarshal(line, &wantResp)
 		if (err != nil) != (werr != nil) {
 			t.Fatalf("response %q: decoder err = %v, encoding/json err = %v", line, err, werr)
@@ -257,8 +257,8 @@ func FuzzWireRoundTrip(f *testing.F) {
 	f.Fuzz(func(t *testing.T, id int64, op string, seed []byte) {
 		g := &valueGen{b: seed}
 		args := g.object(0, int(g.byte()%5))
-		req := Request{ID: id, Op: op, Args: args}
-		resp := Response{ID: id, OK: id%2 == 0, Error: op, Result: args}
+		req := wireRequest{ID: id, Op: op, Args: args}
+		resp := wireResponse{ID: id, OK: id%2 == 0, Error: op, Result: args}
 
 		reqLine, err := appendRequest(nil, &req)
 		if !encodable(args) {
@@ -274,8 +274,8 @@ func FuzzWireRoundTrip(f *testing.F) {
 		if err != nil {
 			t.Fatalf("encode %#v: %v", resp, err)
 		}
-		wantReq := Request{ID: id, Op: generic(op).(string), Args: genericArgs(args)}
-		wantResp := Response{ID: id, OK: resp.OK, Error: wantReq.Op, Result: wantReq.Args}
+		wantReq := wireRequest{ID: id, Op: generic(op).(string), Args: genericArgs(args)}
+		wantResp := wireResponse{ID: id, OK: resp.OK, Error: wantReq.Op, Result: wantReq.Args}
 
 		for _, line := range [][]byte{reqLine, respLine} {
 			if line[len(line)-1] != '\n' || bytes.IndexByte(line, '\n') != len(line)-1 {
@@ -285,7 +285,7 @@ func FuzzWireRoundTrip(f *testing.F) {
 				t.Fatalf("encoder wrote invalid JSON: %q", line)
 			}
 		}
-		var jsonReq, gotReq Request
+		var jsonReq, gotReq wireRequest
 		if err := json.Unmarshal(reqLine, &jsonReq); err != nil || !reflect.DeepEqual(jsonReq, wantReq) {
 			t.Fatalf("encoding/json reads %q as %#v (%v), want %#v", reqLine, jsonReq, err, wantReq)
 		}
@@ -296,7 +296,7 @@ func FuzzWireRoundTrip(f *testing.F) {
 		if !reflect.DeepEqual(gotReq, wantReq) {
 			t.Fatalf("round trip of %q gave %#v, want %#v", reqLine, gotReq, wantReq)
 		}
-		var jsonResp, gotResp Response
+		var jsonResp, gotResp wireResponse
 		if err := json.Unmarshal(respLine, &jsonResp); err != nil || !reflect.DeepEqual(jsonResp, wantResp) {
 			t.Fatalf("encoding/json reads %q as %#v (%v), want %#v", respLine, jsonResp, err, wantResp)
 		}
@@ -314,7 +314,7 @@ func FuzzWireRoundTrip(f *testing.F) {
 // audit: a typed slice for an array of integers, and nothing silently
 // coerced.
 func TestWireTypedArrays(t *testing.T) {
-	var r Response
+	var r wireResponse
 	line := `{"id":1,"ok":true,"result":{"i":[1,-2,3],"b":[true,false],"e":[],"m":[1,true],"f":[1,2.5],"n":[null],"big":[9223372036854775808]}}`
 	if err := decodeResponse([]byte(line), &r); err != nil {
 		t.Fatal(err)
@@ -376,7 +376,7 @@ func FuzzServeConn(f *testing.F) {
 			t.Fatalf("%d response lines to %d request lines\nin:  %q\nout: %q", len(answers), lines, stream, out.Bytes())
 		}
 		for _, a := range answers {
-			var viaJSON, viaCodec Response
+			var viaJSON, viaCodec wireResponse
 			if err := json.Unmarshal(a, &viaJSON); err != nil {
 				t.Fatalf("response %q is not a JSON message: %v", a, err)
 			}

@@ -100,11 +100,6 @@ func (st *AllocState) markDuct(duct int) {
 	}
 }
 
-// Allocation returns the state's current circuit assignment. The returned
-// maps alias the live books: they change on the next AllocateDelta. Use
-// Snapshot for a stable copy.
-func (st *AllocState) Allocation() Allocation { return st.alloc }
-
 // Snapshot returns a deep copy of the current circuit assignment, safe to
 // retain across further delta applications.
 func (st *AllocState) Snapshot() Allocation {
@@ -121,8 +116,8 @@ func (st *AllocState) Snapshot() Allocation {
 	return c
 }
 
-// DemandMatrix reconstructs the demand matrix the state satisfies.
-func (st *AllocState) DemandMatrix() *traffic.Matrix {
+// demandMatrix reconstructs the demand matrix the state satisfies.
+func (st *AllocState) demandMatrix() *traffic.Matrix {
 	m := traffic.NewMatrix(st.dcs)
 	for p, v := range st.demand {
 		m.Set(p, v)
@@ -404,7 +399,7 @@ func (st *AllocState) addAggDiff(dc int, diff float64) {
 // fallbackFull rebuilds the books from the state's demand plus the delta,
 // replacing them in place so the caller's pointer stays valid.
 func (st *AllocState) fallbackFull(delta traffic.Delta, reason string) (Undo, DeltaStats, error) {
-	m := st.DemandMatrix()
+	m := st.demandMatrix()
 	delta.ApplyTo(m)
 	fresh, err := st.dep.allocFull(m)
 	if err != nil {

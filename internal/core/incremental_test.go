@@ -84,7 +84,7 @@ func TestAllocateStateMatchesAllocate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !st.Allocation().Equal(want) {
+	if !st.alloc.Equal(want) {
 		t.Errorf("AllocateState allocation differs from Allocate")
 	}
 	snap := st.Snapshot()
@@ -180,7 +180,7 @@ func TestAllocateDeltaStream(t *testing.T) {
 						t.Fatalf("step %d: fallback without a reason", step)
 					}
 				}
-				if !st.Allocation().Equal(wantAlloc) {
+				if !st.alloc.Equal(wantAlloc) {
 					t.Fatalf("step %d: incremental allocation differs from full (stats %+v)", step, stats)
 				}
 				fresh, ferr := dep.allocFull(next)
@@ -225,11 +225,11 @@ func TestAllocateDeltaRollback(t *testing.T) {
 	if !stats.Incremental || stats.PairsResolved != 2 {
 		t.Errorf("stats = %+v, want incremental with 2 pairs resolved", stats)
 	}
-	if st.Allocation().Equal(before) {
+	if st.alloc.Equal(before) {
 		t.Fatal("delta did not change the allocation")
 	}
 	undo.Rollback()
-	if !st.Allocation().Equal(before) {
+	if !st.alloc.Equal(before) {
 		t.Error("rollback did not restore the allocation")
 	}
 	fresh, err := dep.allocFull(m)
@@ -240,7 +240,7 @@ func TestAllocateDeltaRollback(t *testing.T) {
 		t.Errorf("rollback left inconsistent books: %v", err)
 	}
 	undo.Rollback() // second rollback is a no-op
-	if !st.Allocation().Equal(before) {
+	if !st.alloc.Equal(before) {
 		t.Error("double rollback corrupted the state")
 	}
 
@@ -257,7 +257,7 @@ func TestAllocateDeltaRollback(t *testing.T) {
 		t.Errorf("region-wide delta stayed incremental: %+v", stats)
 	}
 	undo.Rollback()
-	if !st.Allocation().Equal(before) {
+	if !st.alloc.Equal(before) {
 		t.Error("fallback rollback did not restore the allocation")
 	}
 }
@@ -279,7 +279,7 @@ func TestAllocateDeltaRejectsHoseViolation(t *testing.T) {
 		!strings.Contains(err.Error(), "exceeds capacity") {
 		t.Errorf("err = %v, want hose violation", err)
 	}
-	if len(st.Allocation().Fibers) != 0 {
+	if len(st.alloc.Fibers) != 0 {
 		t.Error("rejected delta mutated the state")
 	}
 }

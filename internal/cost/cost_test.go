@@ -142,22 +142,6 @@ func TestInNetworkAccounting(t *testing.T) {
 	}
 }
 
-func TestPortModelValidate(t *testing.T) {
-	for _, bad := range []PortModel{
-		{N: 0, P: 1, G: 1},
-		{N: 4, P: 0, G: 1},
-		{N: 4, P: 1, G: 0},
-		{N: 4, P: 1, G: 5},
-	} {
-		if err := bad.Validate(); err == nil {
-			t.Errorf("expected error for %+v", bad)
-		}
-	}
-	if err := (PortModel{N: 16, P: 32, G: 4}).Validate(); err != nil {
-		t.Errorf("unexpected error: %v", err)
-	}
-}
-
 func TestPortModelCounts(t *testing.T) {
 	// §2.4 with N=16: centralized needs 2·N·P ports, G groups (G+1)·N·P,
 	// fully distributed N²·P.
@@ -174,18 +158,18 @@ func TestPortModelCounts(t *testing.T) {
 	if got := distributed.TotalPorts(); got != n*n*p {
 		t.Errorf("distributed ports = %d, want %d", got, n*n*p)
 	}
-	if got := distributed.IntraGroupPorts(); got != 0 {
+	if got := distributed.intraGroupPorts(); got != 0 {
 		t.Errorf("distributed intra-group ports = %d, want 0", got)
 	}
 	for _, g := range []int{1, 2, 4, 8} {
 		pm := PortModel{N: n, P: p, G: g}
-		if pm.IntraGroupPorts() != 2*n*p {
-			t.Errorf("G=%d intra ports = %d, want %d", g, pm.IntraGroupPorts(), 2*n*p)
+		if pm.intraGroupPorts() != 2*n*p {
+			t.Errorf("G=%d intra ports = %d, want %d", g, pm.intraGroupPorts(), 2*n*p)
 		}
-		if pm.IntraGroupPorts()+pm.InterGroupPorts() != pm.TotalPorts() {
+		if pm.intraGroupPorts()+pm.interGroupPorts() != pm.TotalPorts() {
 			t.Errorf("G=%d port split inconsistent", g)
 		}
-		if pm.DCPorts()+pm.HubPorts() != pm.TotalPorts() {
+		if pm.dcPorts()+pm.hubPorts() != pm.TotalPorts() {
 			t.Errorf("G=%d DC/hub split inconsistent", g)
 		}
 	}

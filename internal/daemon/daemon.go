@@ -106,7 +106,7 @@ type Config struct {
 	// to METTEOR-style robust planning: one envelope allocation covers a
 	// window of matrices and reconfiguration is skipped while the live
 	// demand stays inside it (see internal/robust).
-	Robust *RobustPolicy
+	Robust *robustPolicy
 }
 
 // Daemon is the regional control loop. Construct with New, drive with Run
@@ -126,7 +126,7 @@ type Daemon struct {
 	fallbackID atomic.Uint64
 
 	// robustWin captures the recent matrices a robust envelope is solved
-	// over (nil without a RobustPolicy). Only the converge path touches
+	// over (nil without a robustPolicy). Only the converge path touches
 	// it, which Step serialises.
 	robustWin *traffic.Window
 
@@ -195,13 +195,20 @@ type metricsSet struct {
 	staleness         *telemetry.Gauge
 	circuits          *telemetry.Gauge
 	planStageSeconds  *telemetry.HistogramVec
-	// Robust-mode series, registered only when a RobustPolicy is armed so
+	// Robust-mode series, registered only when a robustPolicy is armed so
 	// non-robust scrapes stay clean.
 	robustInEnv    *telemetry.Counter
 	robustEscapes  *telemetry.Counter
 	robustHeadroom *telemetry.Gauge
 	robustOverprov *telemetry.Gauge
 }
+
+// The control loop's cadences when Config leaves them zero, and what
+// DefaultRegionConfig shows as the -interval and -probe-interval defaults.
+const (
+	defaultInterval      = 2 * time.Second
+	defaultProbeInterval = time.Second
+)
 
 // latencyBuckets cover sub-millisecond emulated phases up to multi-second
 // hardware settling.
@@ -214,13 +221,13 @@ func New(cfg Config) (*Daemon, error) {
 		return nil, fmt.Errorf("daemon: Fab, Controller and Feed are required")
 	}
 	if cfg.Interval <= 0 {
-		cfg.Interval = 2 * time.Second
+		cfg.Interval = defaultInterval
 	}
 	if cfg.MaxBatch <= 0 {
 		cfg.MaxBatch = 1
 	}
 	if cfg.ProbeInterval <= 0 {
-		cfg.ProbeInterval = time.Second
+		cfg.ProbeInterval = defaultProbeInterval
 	}
 	if cfg.FailureThreshold <= 0 {
 		cfg.FailureThreshold = 3

@@ -8,6 +8,7 @@ import (
 	"io"
 	"log/slog"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -134,15 +135,32 @@ func TestDaemonSkipsEqualAllocation(t *testing.T) {
 	}
 }
 
-// counterValue reads an unlabeled counter the daemon already registered;
-// registration is single-shot, so tests must look up, never re-claim.
+// metricsText renders the registry as /metrics would.
+func metricsText(t *testing.T, reg *telemetry.Registry) string {
+	t.Helper()
+	var b strings.Builder
+	if err := reg.WriteText(&b); err != nil {
+		t.Fatal(err)
+	}
+	return b.String()
+}
+
+// counterValue reads an unlabeled counter the daemon already registered
+// off the text exposition; registration is single-shot, so tests must
+// read, never re-claim.
 func counterValue(t *testing.T, reg *telemetry.Registry, name string) float64 {
 	t.Helper()
-	c := reg.LookupCounter(name)
-	if c == nil {
-		t.Fatalf("counter %s not registered", name)
+	for _, line := range strings.Split(metricsText(t, reg), "\n") {
+		if v, ok := strings.CutPrefix(line, name+" "); ok {
+			f, err := strconv.ParseFloat(v, 64)
+			if err != nil {
+				t.Fatalf("counter %s: %v", name, err)
+			}
+			return f
+		}
 	}
-	return c.Value()
+	t.Fatalf("counter %s not registered", name)
+	return 0
 }
 
 // TestHTTPSurface exercises /status, /metrics and /healthz end to end.

@@ -173,9 +173,8 @@ func TestBreakerTripAndRecovery(t *testing.T) {
 	if d.Healthy() {
 		t.Fatal("Healthy() with an open breaker")
 	}
-	trips := reg.LookupCounterWith("iris_breaker_trips_total", victim)
-	if trips == nil || trips.Value() != 1 {
-		t.Fatalf("breaker trips = %v, want 1", trips)
+	if out := metricsText(t, reg); !strings.Contains(out, `iris_breaker_trips_total{device="`+victim+`"} 1`+"\n") {
+		t.Fatalf("breaker trips not 1:\n%s", out)
 	}
 
 	// Degraded: steps are skipped, the LKG allocation is held.
@@ -236,11 +235,7 @@ func TestBreakerTripAndRecovery(t *testing.T) {
 	}
 
 	// The metrics surface reflects the injected failure.
-	var b strings.Builder
-	if err := reg.WriteText(&b); err != nil {
-		t.Fatal(err)
-	}
-	out := b.String()
+	out := metricsText(t, reg)
 	if !strings.Contains(out, `iris_probe_failures_total{device="`+victim+`"}`) {
 		t.Errorf("metrics missing probe failures for %s:\n%s", victim, out)
 	}

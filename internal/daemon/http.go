@@ -73,7 +73,7 @@ type Status struct {
 	FlowImpact *flowsim.Impact `json:"flow_impact,omitempty"`
 
 	// Robust is the robust-mode envelope block (absent unless a
-	// RobustPolicy is armed).
+	// robustPolicy is armed).
 	Robust *RobustStatus `json:"robust,omitempty"`
 }
 

@@ -13,6 +13,7 @@ import (
 	"iris/internal/flowsim"
 	"iris/internal/history"
 	"iris/internal/optics"
+	"iris/internal/robust"
 	"iris/internal/telemetry"
 	"iris/internal/trace"
 	"iris/internal/traffic"
@@ -146,17 +147,17 @@ type RegionConfig struct {
 
 	// Robust arms METTEOR-style robust reconfiguration: one envelope
 	// allocation covers a window of matrices and reconfiguration is
-	// skipped while the live demand stays inside it. The Robust* knobs
-	// mirror irisd's -robust-* flags (0 selects the policy defaults:
-	// window 4, headroom 1.15, forecast 2, budget 8).
+	// skipped while the live demand stays inside it. A zero RobustWindow,
+	// RobustHeadroom or RobustBudget selects the policy's default (4,
+	// 1.15, 8); a zero RobustForecast adds no forecast steps.
 	Robust         bool
 	RobustWindow   int
 	RobustHeadroom float64
 	RobustForecast int
 	RobustBudget   int
 
-	// FlowLoad arms the flow-impact monitor; the Flow* knobs mirror
-	// irisd's -flow-* flags.
+	// FlowLoad arms the flow-impact monitor; a zero FlowUtil, FlowWindow
+	// or FlowGbps selects the monitor's default.
 	FlowLoad   bool
 	FlowDist   string
 	FlowUtil   float64
@@ -177,28 +178,36 @@ type RegionConfig struct {
 
 // DefaultRegionConfig returns irisd's region defaults: the toy map, 2 s
 // control loop, 1 s probes, flat traffic at 0.7 hose utilisation, tracing
-// on, chaos and flow monitoring off.
+// on, chaos, robust mode and flow monitoring off. They are also the
+// defaults RegisterFlags shows. The control-loop, RPC and robust values
+// are read from where New, control and robust declare them; the flow
+// monitor and the lake apply theirs (0.6, 4 s, 0.25; 512) to a zero
+// field and give them no name to read.
 func DefaultRegionConfig() RegionConfig {
+	rb := robust.DefaultConfig()
 	return RegionConfig{
 		Toy:            true,
 		Seed:           1,
 		DCs:            5,
 		OSSDelay:       time.Duration(optics.OSSSwitchTimeMS) * time.Millisecond,
-		Interval:       2 * time.Second,
+		RPCTimeout:     control.DefaultRPCTimeout,
+		Interval:       defaultInterval,
 		MaxBatch:       1,
-		ProbeInterval:  time.Second,
+		ProbeInterval:  defaultProbeInterval,
 		ShiftBound:     0.4,
 		Util:           0.7,
 		TraceEvents:    4096,
 		HistoryRecords: 512,
-		RobustWindow:   4,
-		RobustHeadroom: 1.15,
+		RobustWindow:   defaultRobustWindow,
+		RobustHeadroom: rb.Headroom,
 		RobustForecast: 2,
-		RobustBudget:   8,
+		RobustBudget:   rb.Budget,
 		FlowDist:       "web2",
 		FlowUtil:       0.6,
 		FlowWindow:     4 * time.Second,
 		FlowGbps:       0.25,
+		// Off until -diurnal-amp or -flash-every says otherwise.
+		Profile: traffic.LoadProfile{DiurnalPeriodS: 300, FlashDurationS: 5, FlashMult: 3},
 	}
 }
 
@@ -341,9 +350,9 @@ func BuildRegion(cfg RegionConfig) (*BuiltRegion, error) {
 		}
 	}
 
-	var pol *RobustPolicy
+	var pol *robustPolicy
 	if cfg.Robust {
-		pol = &RobustPolicy{
+		pol = &robustPolicy{
 			Window:   cfg.RobustWindow,
 			Forecast: cfg.RobustForecast,
 			CP:       traffic.ChangeProcess{Bound: cfg.ShiftBound, Caps: caps, Util: cfg.Util},

@@ -10,13 +10,13 @@ import (
 	"iris/internal/traffic"
 )
 
-// RobustPolicy arms METTEOR-style robust reconfiguration: the daemon
+// robustPolicy arms METTEOR-style robust reconfiguration: the daemon
 // solves one envelope allocation over a window of recent matrices (plus
 // optional change-process forecasts) and skips device reconfiguration
 // while the live demand stays inside the committed envelope, re-planning
 // only on escape. Construct via daemon.Config.Robust; zero fields select
 // the defaults.
-type RobustPolicy struct {
+type robustPolicy struct {
 	// Window is how many recent matrices the envelope is solved over
 	// (default 4).
 	Window int
@@ -35,9 +35,13 @@ type RobustPolicy struct {
 	Budget   int
 }
 
-func (p RobustPolicy) withDefaults() RobustPolicy {
+// defaultRobustWindow is the envelope's matrix window when the policy
+// leaves it zero, and the -robust-window default.
+const defaultRobustWindow = 4
+
+func (p robustPolicy) withDefaults() robustPolicy {
 	if p.Window <= 0 {
-		p.Window = 4
+		p.Window = defaultRobustWindow
 	}
 	if p.Forecast < 0 {
 		p.Forecast = 0
@@ -198,15 +202,4 @@ func (d *Daemon) robustStatus() *RobustStatus {
 		}
 	}
 	return st
-}
-
-// RobustEnvelope returns the committed robust envelope (nil outside
-// robust mode or before the first plan) — the topology API's audit view.
-func (d *Daemon) RobustEnvelope() *robust.Envelope {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.robustRes == nil {
-		return nil
-	}
-	return d.robustRes.Envelope
 }

@@ -3,6 +3,7 @@ package daemon
 import (
 	"encoding/json"
 	"net/http/httptest"
+	"strings"
 	"testing"
 
 	"iris/internal/history"
@@ -35,7 +36,7 @@ func TestRobustModeSkipsAndEscapes(t *testing.T) {
 		History:    lake,
 		// Forecast 0 keeps the envelope a pure function of the replayed
 		// window, so every assertion below is deterministic.
-		Robust: &RobustPolicy{Window: 4, Headroom: 1.15, Forecast: 0},
+		Robust: &robustPolicy{Window: 4, Headroom: 1.15, Forecast: 0},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -161,7 +162,7 @@ func TestRobustDisabledSurface(t *testing.T) {
 	if st := d.Status(); st.Robust != nil {
 		t.Errorf("robust status present without a policy: %+v", st.Robust)
 	}
-	if c := reg.LookupCounter("iris_robust_in_envelope_total"); c != nil {
+	if strings.Contains(metricsText(t, reg), "iris_robust_in_envelope_total") {
 		t.Error("iris_robust_in_envelope_total registered without a policy")
 	}
 

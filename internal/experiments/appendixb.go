@@ -2,44 +2,10 @@ package experiments
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"iris/internal/stats"
 )
-
-// ResidualMerge applies the Appendix B construction to one DC's demands:
-// given per-destination demands in wavelengths (each at most λ — anything
-// larger rides base capacity by definition), the largest ⌊D/λ⌋ demands are
-// served by base-capacity fibers and the rest become residual traffic,
-// which wavelength switching can compress into ⌈residual/λ⌉ fibers.
-//
-// Observation 2 of the paper: the residual of n destinations never exceeds
-// λ·n/4 when the base split is exact, so the merged fiber count is at most
-// ⌈n/4⌉ (one extra fiber of slack appears when D is not a multiple of λ).
-func ResidualMerge(demands []int, lambda int) (baseFibers, residualWavelengths, mergedFibers int) {
-	if lambda <= 0 {
-		panic("experiments: lambda must be positive")
-	}
-	sorted := append([]int(nil), demands...)
-	sort.Sort(sort.Reverse(sort.IntSlice(sorted)))
-	total := 0
-	for _, d := range sorted {
-		if d < 0 || d > lambda {
-			panic(fmt.Sprintf("experiments: demand %d outside [0,λ=%d]", d, lambda))
-		}
-		total += d
-	}
-	baseFibers = total / lambda
-	if baseFibers > len(sorted) {
-		baseFibers = len(sorted)
-	}
-	for _, d := range sorted[baseFibers:] {
-		residualWavelengths += d
-	}
-	mergedFibers = (residualWavelengths + lambda - 1) / lambda
-	return baseFibers, residualWavelengths, mergedFibers
-}
 
 // AppendixBResult summarises the hybrid design's savings over the sweep.
 type AppendixBResult struct {

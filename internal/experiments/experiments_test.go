@@ -1,8 +1,10 @@
 package experiments
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"sort"
 	"strings"
 	"testing"
 
@@ -264,6 +266,39 @@ func TestFig18Quick(t *testing.T) {
 	}
 }
 
+// residualMerge applies the Appendix B construction to one DC's demands:
+// given per-destination demands in wavelengths (each at most λ — anything
+// larger rides base capacity by definition), the largest ⌊D/λ⌋ demands are
+// served by base-capacity fibers and the rest become residual traffic,
+// which wavelength switching can compress into ⌈residual/λ⌉ fibers.
+//
+// Observation 2 of the paper: the residual of n destinations never exceeds
+// λ·n/4 when the base split is exact, so the merged fiber count is at most
+// ⌈n/4⌉ (one extra fiber of slack appears when D is not a multiple of λ).
+func residualMerge(demands []int, lambda int) (baseFibers, residualWavelengths, mergedFibers int) {
+	if lambda <= 0 {
+		panic("experiments: lambda must be positive")
+	}
+	sorted := append([]int(nil), demands...)
+	sort.Sort(sort.Reverse(sort.IntSlice(sorted)))
+	total := 0
+	for _, d := range sorted {
+		if d < 0 || d > lambda {
+			panic(fmt.Sprintf("experiments: demand %d outside [0,λ=%d]", d, lambda))
+		}
+		total += d
+	}
+	baseFibers = total / lambda
+	if baseFibers > len(sorted) {
+		baseFibers = len(sorted)
+	}
+	for _, d := range sorted[baseFibers:] {
+		residualWavelengths += d
+	}
+	mergedFibers = (residualWavelengths + lambda - 1) / lambda
+	return baseFibers, residualWavelengths, mergedFibers
+}
+
 func TestResidualMergeObservation2(t *testing.T) {
 	// Property (Appendix B, Observation 2): with an exact base split, any
 	// n residual fibers from one source compress into at most ⌈n/4⌉
@@ -276,7 +311,7 @@ func TestResidualMergeObservation2(t *testing.T) {
 		for i := range demands {
 			demands[i] = rng.Intn(lambda + 1)
 		}
-		_, residual, merged := ResidualMerge(demands, lambda)
+		_, residual, merged := residualMerge(demands, lambda)
 		bound := (n + 3) / 4
 		total := 0
 		for _, d := range demands {
@@ -298,9 +333,9 @@ func TestResidualMergeObservation2(t *testing.T) {
 
 func TestResidualMergeValidation(t *testing.T) {
 	for name, fn := range map[string]func(){
-		"bad lambda":     func() { ResidualMerge([]int{1}, 0) },
-		"demand too big": func() { ResidualMerge([]int{41}, 40) },
-		"negative":       func() { ResidualMerge([]int{-1}, 40) },
+		"bad lambda":     func() { residualMerge([]int{1}, 0) },
+		"demand too big": func() { residualMerge([]int{41}, 40) },
+		"negative":       func() { residualMerge([]int{-1}, 40) },
 	} {
 		t.Run(name, func(t *testing.T) {
 			defer func() {

@@ -225,9 +225,9 @@ func (f *Fabric) Devices(ossDelay time.Duration) map[string]control.Device {
 	return devs
 }
 
-// Port returns the OSS port of fiber-pair fiberIdx of the given duct at
+// port returns the OSS port of fiber-pair fiberIdx of the given duct at
 // the given node.
-func (f *Fabric) Port(node, duct, fiberIdx int) (int, error) {
+func (f *Fabric) port(node, duct, fiberIdx int) (int, error) {
 	bases, ok := f.ductBase[node]
 	if !ok {
 		return 0, fmt.Errorf("fabric: node %d has no duct ports", node)
@@ -239,8 +239,8 @@ func (f *Fabric) Port(node, duct, fiberIdx int) (int, error) {
 	return base + fiberIdx, nil
 }
 
-// LocalPort returns the transceiver-side OSS port of a DC's local fiber.
-func (f *Fabric) LocalPort(dc, localIdx int) (int, error) {
+// localPort returns the transceiver-side OSS port of a DC's local fiber.
+func (f *Fabric) localPort(dc, localIdx int) (int, error) {
 	base, ok := f.localBase[dc]
 	if !ok {
 		return 0, fmt.Errorf("fabric: node %d is not a DC", dc)
@@ -250,10 +250,6 @@ func (f *Fabric) LocalPort(dc, localIdx int) (int, error) {
 	}
 	return base + localIdx, nil
 }
-
-// OSSPortCount returns the sized port count of a node's OSS (0 if the node
-// needs none).
-func (f *Fabric) OSSPortCount(node int) int { return f.ossSize[node] }
 
 func (f *Fabric) pathFor(p hose.Pair) (*coreFilePath, error) {
 	info, ok := f.dep.Plan.Paths[p.Canonical()]
@@ -393,11 +389,11 @@ func (f *Fabric) circuitOps(c *circuit, disconnect bool) ([]control.OSSOp, error
 // the switched node and its input and output port.
 func (f *Fabric) hops(c *circuit, visit func(node, in, out int)) error {
 	// Source DC: local port -> first duct.
-	aLocal, err := f.LocalPort(c.pair.A, c.localA)
+	aLocal, err := f.localPort(c.pair.A, c.localA)
 	if err != nil {
 		return err
 	}
-	first, err := f.Port(pathEndpointA(c), c.path.ducts[0], c.fiberIdx[0])
+	first, err := f.port(pathEndpointA(c), c.path.ducts[0], c.fiberIdx[0])
 	if err != nil {
 		return err
 	}
@@ -409,11 +405,11 @@ func (f *Fabric) hops(c *circuit, visit func(node, in, out int)) error {
 		if c.path.bypassed[node] {
 			continue // cut-through: the fiber passes the hut unswitched
 		}
-		in, err := f.Port(node, c.path.ducts[i], c.fiberIdx[i])
+		in, err := f.port(node, c.path.ducts[i], c.fiberIdx[i])
 		if err != nil {
 			return err
 		}
-		out, err := f.Port(node, c.path.ducts[i+1], c.fiberIdx[i+1])
+		out, err := f.port(node, c.path.ducts[i+1], c.fiberIdx[i+1])
 		if err != nil {
 			return err
 		}
@@ -422,11 +418,11 @@ func (f *Fabric) hops(c *circuit, visit func(node, in, out int)) error {
 
 	// Destination DC: last duct -> local port.
 	last := len(c.path.ducts) - 1
-	in, err := f.Port(pathEndpointB(c), c.path.ducts[last], c.fiberIdx[last])
+	in, err := f.port(pathEndpointB(c), c.path.ducts[last], c.fiberIdx[last])
 	if err != nil {
 		return err
 	}
-	bLocal, err := f.LocalPort(c.pair.B, c.localB)
+	bLocal, err := f.localPort(c.pair.B, c.localB)
 	if err != nil {
 		return err
 	}

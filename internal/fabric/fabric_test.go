@@ -43,33 +43,33 @@ func TestBuildLayout(t *testing.T) {
 	wantHubA := dep.Plan.Ducts[r.L1].TotalPairs() +
 		dep.Plan.Ducts[r.L2].TotalPairs() +
 		dep.Plan.Ducts[r.L5].TotalPairs()
-	if got := f.OSSPortCount(r.HubA); got != wantHubA {
+	if got := f.ossSize[r.HubA]; got != wantHubA {
 		t.Errorf("hub A OSS ports = %d, want %d", got, wantHubA)
 	}
 	// DC1: its access duct pairs + local ports (10 capacity + 3 peers).
 	wantDC1 := dep.Plan.Ducts[r.L1].TotalPairs() + 10 + 3
-	if got := f.OSSPortCount(r.DC1); got != wantDC1 {
+	if got := f.ossSize[r.DC1]; got != wantDC1 {
 		t.Errorf("DC1 OSS ports = %d, want %d", got, wantDC1)
 	}
 	// Port lookups are consistent and disjoint between ducts.
-	p1, err := f.Port(r.HubA, r.L1, 0)
+	p1, err := f.port(r.HubA, r.L1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p2, err := f.Port(r.HubA, r.L2, 0)
+	p2, err := f.port(r.HubA, r.L2, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if p1 == p2 {
 		t.Error("distinct ducts share a port")
 	}
-	if _, err := f.Port(r.HubA, 99, 0); err == nil {
+	if _, err := f.port(r.HubA, 99, 0); err == nil {
 		t.Error("expected error for foreign duct")
 	}
-	if _, err := f.LocalPort(r.HubA, 0); err == nil {
+	if _, err := f.localPort(r.HubA, 0); err == nil {
 		t.Error("expected error for local port on a hut")
 	}
-	if _, err := f.LocalPort(r.DC1, 13); err == nil {
+	if _, err := f.localPort(r.DC1, 13); err == nil {
 		t.Error("expected error for out-of-range local index")
 	}
 }
@@ -79,12 +79,12 @@ func TestBuildDeterministic(t *testing.T) {
 	f1, _ := Build(dep)
 	f2, _ := Build(dep)
 	for _, node := range []int{r.DC1, r.DC2, r.HubA, r.HubB} {
-		if f1.OSSPortCount(node) != f2.OSSPortCount(node) {
+		if f1.ossSize[node] != f2.ossSize[node] {
 			t.Fatalf("layout differs at node %d", node)
 		}
 	}
-	a, _ := f1.Port(r.HubB, r.L5, 3)
-	b, _ := f2.Port(r.HubB, r.L5, 3)
+	a, _ := f1.port(r.HubB, r.L5, 3)
+	b, _ := f2.port(r.HubB, r.L5, 3)
 	if a != b {
 		t.Fatal("port map differs across identical builds")
 	}

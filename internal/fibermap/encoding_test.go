@@ -7,8 +7,8 @@ import (
 )
 
 func TestJSONRoundTrip(t *testing.T) {
-	m := Generate(DefaultGenConfig(5))
-	if _, err := PlaceDCs(m, DefaultPlaceConfig(5, 4)); err != nil {
+	m := Generate(genConfig(5))
+	if _, err := PlaceDCs(m, placeConfig(5, 4)); err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer

@@ -122,12 +122,6 @@ func (m *Map) Graph() *graph.Graph {
 	return g
 }
 
-// FiberDist returns the shortest fiber distance in km between two nodes,
-// or +Inf if they are disconnected.
-func (m *Map) FiberDist(a, b int) float64 {
-	return m.Graph().Dijkstra(a).Dist[b]
-}
-
 // Clone returns a deep copy of the map, so experiments can extend a base
 // map (e.g. attach a candidate DC) without mutating it.
 func (m *Map) Clone() *Map {

@@ -65,14 +65,30 @@ func TestNodeKindString(t *testing.T) {
 	}
 }
 
+// fiberDist is the shortest fiber distance in km between two nodes, +Inf
+// if they are disconnected.
+func fiberDist(m *Map, a, b int) float64 { return m.Graph().Dijkstra(a).Dist[b] }
+
+func genConfig(seed int64) GenConfig {
+	cfg := DefaultGen()
+	cfg.Seed = seed
+	return cfg
+}
+
+func placeConfig(seed int64, n int) PlaceConfig {
+	cfg := DefaultPlace()
+	cfg.Seed, cfg.N = seed, n
+	return cfg
+}
+
 func TestToyDistances(t *testing.T) {
 	r := Toy()
 	// DC1-DC2 share hub A: 18+18 = 36 km.
-	if d := r.Map.FiberDist(r.DC1, r.DC2); math.Abs(d-36) > 1e-9 {
+	if d := fiberDist(r.Map, r.DC1, r.DC2); math.Abs(d-36) > 1e-9 {
 		t.Errorf("DC1-DC2 = %v, want 36", d)
 	}
 	// DC1-DC3 cross the central duct: 18+40+18 = 76 km, within the SLA.
-	if d := r.Map.FiberDist(r.DC1, r.DC3); math.Abs(d-76) > 1e-9 {
+	if d := fiberDist(r.Map, r.DC1, r.DC3); math.Abs(d-76) > 1e-9 {
 		t.Errorf("DC1-DC3 = %v, want 76", d)
 	}
 	if err := r.Map.Validate(); err != nil {
@@ -100,8 +116,8 @@ func TestValidateDetectsDisconnection(t *testing.T) {
 }
 
 func TestGenerateDeterministic(t *testing.T) {
-	a := Generate(DefaultGenConfig(3))
-	b := Generate(DefaultGenConfig(3))
+	a := Generate(genConfig(3))
+	b := Generate(genConfig(3))
 	if len(a.Nodes) != len(b.Nodes) || len(a.Ducts) != len(b.Ducts) {
 		t.Fatal("same seed produced different maps")
 	}
@@ -110,7 +126,7 @@ func TestGenerateDeterministic(t *testing.T) {
 			t.Fatalf("duct %d differs: %+v vs %+v", i, a.Ducts[i], b.Ducts[i])
 		}
 	}
-	c := Generate(DefaultGenConfig(4))
+	c := Generate(genConfig(4))
 	same := len(a.Nodes) == len(c.Nodes)
 	if same {
 		same = false
@@ -129,7 +145,7 @@ func TestGenerateDeterministic(t *testing.T) {
 
 func TestGenerateStructure(t *testing.T) {
 	for seed := int64(0); seed < 8; seed++ {
-		m := Generate(DefaultGenConfig(seed))
+		m := Generate(genConfig(seed))
 		if err := m.Validate(); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -152,8 +168,8 @@ func TestGenerateStructure(t *testing.T) {
 
 func TestPlaceDCs(t *testing.T) {
 	for seed := int64(0); seed < 5; seed++ {
-		m := Generate(DefaultGenConfig(seed))
-		dcs, err := PlaceDCs(m, DefaultPlaceConfig(seed+100, 8))
+		m := Generate(genConfig(seed))
+		dcs, err := PlaceDCs(m, placeConfig(seed+100, 8))
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -189,10 +205,10 @@ func TestPlaceDCs(t *testing.T) {
 }
 
 func TestPlaceDCsDeterministic(t *testing.T) {
-	m1 := Generate(DefaultGenConfig(9))
-	m2 := Generate(DefaultGenConfig(9))
-	d1, err1 := PlaceDCs(m1, DefaultPlaceConfig(5, 6))
-	d2, err2 := PlaceDCs(m2, DefaultPlaceConfig(5, 6))
+	m1 := Generate(genConfig(9))
+	m2 := Generate(genConfig(9))
+	d1, err1 := PlaceDCs(m1, placeConfig(5, 6))
+	d2, err2 := PlaceDCs(m2, placeConfig(5, 6))
 	if err1 != nil || err2 != nil {
 		t.Fatalf("errors: %v %v", err1, err2)
 	}
@@ -204,15 +220,15 @@ func TestPlaceDCsDeterministic(t *testing.T) {
 }
 
 func TestPlaceDCsZero(t *testing.T) {
-	m := Generate(DefaultGenConfig(1))
-	dcs, err := PlaceDCs(m, DefaultPlaceConfig(1, 0))
+	m := Generate(genConfig(1))
+	dcs, err := PlaceDCs(m, placeConfig(1, 0))
 	if err != nil || len(dcs) != 0 {
 		t.Fatalf("PlaceDCs(0) = %v, %v", dcs, err)
 	}
 }
 
 func TestChooseHubs(t *testing.T) {
-	m := Generate(DefaultGenConfig(2))
+	m := Generate(genConfig(2))
 	near1, near2 := ChooseHubs(m, 5)
 	far1, far2 := ChooseHubs(m, 22)
 	if near1 == near2 || far1 == far2 {
@@ -229,7 +245,7 @@ func TestFiberDistDisconnected(t *testing.T) {
 	m := &Map{}
 	m.AddNode(Hut, geo.Point{}, "")
 	m.AddNode(Hut, geo.Point{X: 1}, "")
-	if d := m.FiberDist(0, 1); !math.IsInf(d, 1) {
-		t.Errorf("FiberDist = %v, want +Inf", d)
+	if d := fiberDist(m, 0, 1); !math.IsInf(d, 1) {
+		t.Errorf("fiberDist = %v, want +Inf", d)
 	}
 }

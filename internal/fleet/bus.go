@@ -9,56 +9,47 @@ import (
 	"iris/internal/daemon"
 )
 
-// DemandSample is one region's hose aggregate as published on the bus:
+// demandSample is one region's hose aggregate as published on the bus:
 // the region's DemandSummary stamped with who published it and when.
-type DemandSample struct {
+type demandSample struct {
 	Region string    `json:"region"`
 	At     time.Time `json:"at"`
 	daemon.DemandSummary
 }
 
-// Bus is the fleet's gossip-style demand exchange: regions publish their
+// bus is the fleet's gossip-style demand exchange: regions publish their
 // hose aggregates after each convergence, consumers read the latest
 // sample per region. It is last-writer-wins per region — there is no
 // history, matching the gossip model where only the freshest view
 // matters.
-type Bus struct {
+type bus struct {
 	now func() time.Time
 
 	mu     sync.RWMutex
-	latest map[string]DemandSample
-	pubs   uint64
+	latest map[string]demandSample
 }
 
-// NewBus returns an empty bus stamping samples with now (time.Now if
+// newBus returns an empty bus stamping samples with now (time.Now if
 // nil).
-func NewBus(now func() time.Time) *Bus {
+func newBus(now func() time.Time) *bus {
 	if now == nil {
 		now = time.Now
 	}
-	return &Bus{now: now, latest: make(map[string]DemandSample)}
+	return &bus{now: now, latest: make(map[string]demandSample)}
 }
 
-// Publish replaces region's sample on the bus.
-func (b *Bus) Publish(region string, dm daemon.DemandSummary) {
+// publish replaces region's sample on the bus.
+func (b *bus) publish(region string, dm daemon.DemandSummary) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	b.latest[region] = DemandSample{Region: region, At: b.now(), DemandSummary: dm}
-	b.pubs++
+	b.latest[region] = demandSample{Region: region, At: b.now(), DemandSummary: dm}
 }
 
-// Publishes returns the total number of samples ever published.
-func (b *Bus) Publishes() uint64 {
-	b.mu.RLock()
-	defer b.mu.RUnlock()
-	return b.pubs
-}
-
-// Snapshot returns the latest sample from every region, ordered by
+// snapshot returns the latest sample from every region, ordered by
 // region id.
-func (b *Bus) Snapshot() []DemandSample {
+func (b *bus) snapshot() []demandSample {
 	b.mu.RLock()
-	out := make([]DemandSample, 0, len(b.latest))
+	out := make([]demandSample, 0, len(b.latest))
 	for _, s := range b.latest {
 		out = append(out, s)
 	}
@@ -88,9 +79,9 @@ type SkewReport struct {
 	CV float64 `json:"cv"`
 }
 
-// Skew computes the current cross-region demand skew from the bus.
-func (b *Bus) Skew() SkewReport {
-	samples := b.Snapshot()
+// skew computes the current cross-region demand skew from the bus.
+func (b *bus) skew() SkewReport {
+	samples := b.snapshot()
 	r := SkewReport{Regions: len(samples)}
 	if len(samples) == 0 {
 		return r

@@ -103,7 +103,7 @@ func runFleetE2E(t *testing.T, n int, seed int64) (*fleet.Fleet, *fakeClock) {
 	if st.Converged != n || st.Healthy != n {
 		t.Fatalf("after round 1: converged=%d healthy=%d, want %d", st.Converged, st.Healthy, n)
 	}
-	if sk := f.Bus().Skew(); sk.Regions != n || sk.Total <= 0 || sk.Skew < 1 {
+	if sk := f.Status().Skew; sk.Regions != n || sk.Total <= 0 || sk.Skew < 1 {
 		t.Fatalf("demand skew not aggregated: %+v", sk)
 	}
 

@@ -39,18 +39,18 @@ import (
 	"iris/internal/trace"
 )
 
-// SeedStride separates consecutive regions' seed spaces. BuildRegion
+// seedStride separates consecutive regions' seed spaces. BuildRegion
 // derives streams from Seed..Seed+3, so any stride ≥ 4 keeps regions
 // statistically independent; a wide stride also keeps the spaces disjoint
 // under future derived streams.
-const SeedStride = 1000
+const seedStride = 1000
 
 // Config describes a fleet. Construct with DefaultConfig and mutate.
 type Config struct {
 	// Regions is the number of regions to build and supervise.
 	Regions int
 	// Seed pins the whole fleet: region i is built with
-	// Seed + i*SeedStride, so one value reproduces every region's map,
+	// Seed + i*seedStride, so one value reproduces every region's map,
 	// traffic and jitter.
 	Seed int64
 	// Workers bounds the scheduler's worker pool (≤0 = GOMAXPROCS). All
@@ -110,7 +110,7 @@ type member struct {
 type Fleet struct {
 	cfg     Config
 	members []*member
-	bus     *Bus
+	bus     *bus
 	reg     *telemetry.Registry
 	tracer  *trace.Tracer
 	log     *slog.Logger
@@ -149,7 +149,7 @@ func New(cfg Config) (*Fleet, error) {
 	f.members = make([]*member, cfg.Regions)
 	err = parallel.ForEach(cfg.Regions, cfg.Workers, func(i int) error {
 		rc := cfg.Region
-		rc.Seed = cfg.Seed + int64(i)*SeedStride
+		rc.Seed = cfg.Seed + int64(i)*seedStride
 		rc.Registry = nil // always instance-scoped; sharing panics
 		rc.Now = cfg.Now
 		id := RegionID(i)
@@ -203,7 +203,7 @@ func newSupervisor(cfg Config) (*Fleet, error) {
 
 	f := &Fleet{
 		cfg:    cfg,
-		bus:    NewBus(now),
+		bus:    newBus(now),
 		reg:    reg,
 		tracer: cfg.Tracer,
 		log:    log,
@@ -290,7 +290,7 @@ func (f *Fleet) Round() (dispatched int, allDone bool) {
 	}
 	f.convergedG.Set(float64(converged))
 	f.doneG.Set(float64(done))
-	if sk := f.bus.Skew(); sk.Regions > 0 {
+	if sk := f.bus.skew(); sk.Regions > 0 {
 		f.skewG.Set(sk.Skew)
 		f.cvG.Set(sk.CV)
 	}
@@ -324,7 +324,7 @@ func (f *Fleet) stepMember(m *member, round *trace.Span) {
 		f.regionSteps.Inc()
 	}
 	if dm, ok := m.r.Demand(); ok {
-		f.bus.Publish(m.id, dm)
+		f.bus.publish(m.id, dm)
 	}
 	if !m.r.ConvergedNow() {
 		sp.Fail(fmt.Errorf("not converged"))
@@ -396,7 +396,7 @@ func (f *Fleet) Status() Status {
 	st := Status{
 		Regions:   len(f.members),
 		Rounds:    f.rounds.Value(),
-		Skew:      f.bus.Skew(),
+		Skew:      f.bus.skew(),
 		PerRegion: make([]RegionStatus, 0, len(f.members)),
 	}
 	for _, m := range f.members {
@@ -427,9 +427,3 @@ func (f *Fleet) Status() Status {
 	sort.Slice(st.PerRegion, func(i, j int) bool { return st.PerRegion[i].ID < st.PerRegion[j].ID })
 	return st
 }
-
-// Registry returns the fleet-level metrics registry (iris_fleet_*).
-func (f *Fleet) Registry() *telemetry.Registry { return f.reg }
-
-// Bus returns the inter-region demand bus.
-func (f *Fleet) Bus() *Bus { return f.bus }

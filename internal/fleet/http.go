@@ -69,8 +69,8 @@ func (f *Fleet) Handler() http.Handler {
 	mux.HandleFunc("/demand", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, struct {
 			Skew    SkewReport     `json:"skew"`
-			Samples []DemandSample `json:"samples"`
-		}{f.bus.Skew(), f.bus.Snapshot()})
+			Samples []demandSample `json:"samples"`
+		}{f.bus.skew(), f.bus.snapshot()})
 	})
 	mux.HandleFunc("/api/history", func(w http.ResponseWriter, r *http.Request) {
 		n, err := intParam(r, "n", 10)
@@ -78,9 +78,9 @@ func (f *Fleet) Handler() http.Handler {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}
-		out := make([]RegionHistory, 0, len(f.members))
+		out := make([]regionHistory, 0, len(f.members))
 		for _, m := range f.members {
-			row := RegionHistory{Region: m.id}
+			row := regionHistory{Region: m.id}
 			if lake := m.r.History(); lake != nil {
 				row.Enabled = true
 				row.Total = lake.Len()
@@ -133,10 +133,10 @@ func (f *Fleet) Handler() http.Handler {
 	return mux
 }
 
-// RegionHistory is one region's row in the fleet /api/history listing.
+// regionHistory is one region's row in the fleet /api/history listing.
 // The full per-record detail (span trees, alloc diffs) lives on the
 // region's own surface: /regions/{id}/api/history/{reconfig_id}.
-type RegionHistory struct {
+type regionHistory struct {
 	Region  string            `json:"region"`
 	Enabled bool              `json:"enabled"`
 	Total   int               `json:"total"`

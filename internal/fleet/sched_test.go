@@ -164,17 +164,17 @@ func (e *exhaustAfter) Step() bool { return e.n.Add(1) >= e.limit }
 // TestBusSkew pins the skew math: three regions at 10/10/40 give
 // total 60, mean 20, skew 2, cv = sqrt(200)/20.
 func TestBusSkew(t *testing.T) {
-	b := NewBus(nil)
-	if sk := b.Skew(); sk.Regions != 0 || sk.Skew != 0 {
+	b := newBus(nil)
+	if sk := b.skew(); sk.Regions != 0 || sk.Skew != 0 {
 		t.Fatalf("empty bus skew = %+v", sk)
 	}
-	b.Publish("r000", daemon.DemandSummary{Total: 10})
-	b.Publish("r001", daemon.DemandSummary{Total: 10})
-	b.Publish("r002", daemon.DemandSummary{Total: 40})
+	b.publish("r000", daemon.DemandSummary{Total: 10})
+	b.publish("r001", daemon.DemandSummary{Total: 10})
+	b.publish("r002", daemon.DemandSummary{Total: 40})
 	// Re-publishing replaces, not appends.
-	b.Publish("r002", daemon.DemandSummary{Total: 40})
+	b.publish("r002", daemon.DemandSummary{Total: 40})
 
-	sk := b.Skew()
+	sk := b.skew()
 	if sk.Regions != 3 || sk.Total != 60 || sk.Mean != 20 {
 		t.Fatalf("skew report = %+v", sk)
 	}
@@ -187,10 +187,7 @@ func TestBusSkew(t *testing.T) {
 	if want := math.Sqrt(200) / 20; math.Abs(sk.CV-want) > 1e-12 {
 		t.Errorf("cv = %v, want %v", sk.CV, want)
 	}
-	if got := b.Publishes(); got != 4 {
-		t.Errorf("publishes = %d, want 4", got)
-	}
-	snap := b.Snapshot()
+	snap := b.snapshot()
 	if len(snap) != 3 || snap[0].Region != "r000" || snap[2].Region != "r002" {
 		t.Errorf("snapshot not ordered by region: %+v", snap)
 	}

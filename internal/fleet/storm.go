@@ -22,7 +22,7 @@ type CycleOptions struct {
 	Timeout time.Duration
 }
 
-// RunChaosCycle pins region id busy and drives it through one full
+// runChaosCycle pins region id busy and drives it through one full
 // inject→detect→restore→heal→replan→settle cycle. While pinned, the
 // scheduler skips the region — its siblings keep converging untouched —
 // and the cycle's own pump advances the region instead. The cycle is
@@ -31,7 +31,7 @@ type CycleOptions struct {
 //
 // It fails fast if the region is unknown, has no chaos injector armed,
 // or is already busy (a cycle or dispatch owns it).
-func (f *Fleet) RunChaosCycle(id string, sc chaos.Scenario, opt CycleOptions) (*chaos.CycleResult, error) {
+func (f *Fleet) runChaosCycle(id string, sc chaos.Scenario, opt CycleOptions) (*chaos.CycleResult, error) {
 	m := f.member(id)
 	if m == nil {
 		return nil, fmt.Errorf("fleet: unknown region %q", id)
@@ -158,7 +158,7 @@ func (f *Fleet) Storm(cfg StormConfig) []StormOutcome {
 		wg.Add(1)
 		go func(i int, id string, sc chaos.Scenario) {
 			defer wg.Done()
-			res, err := f.RunChaosCycle(id, sc, cfg.Cycle)
+			res, err := f.runChaosCycle(id, sc, cfg.Cycle)
 			if err != nil {
 				out[i].Error = err.Error()
 				return

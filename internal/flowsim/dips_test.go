@@ -50,7 +50,7 @@ func flattenDips(dips []Dip) []Dip {
 }
 
 // requireSameFlows asserts two runs over identical arrivals produced the
-// same flows with FCTs equal within a relative tolerance (the two dip
+// same flows with fcts equal within a relative tolerance (the two dip
 // encodings differ in float rounding, not in semantics).
 func requireSameFlows(t *testing.T, got, want Result) {
 	t.Helper()
@@ -79,7 +79,7 @@ func requireSameFlows(t *testing.T, got, want Result) {
 // B's multiplier was pushed last. The old stack popped B's multiplier,
 // leaving the pipe at half capacity during [5,6s] instead of the true 0.1.
 // The piecewise-constant reference exposes the difference through the
-// FCTs of the backlog draining across t=5.
+// fcts of the backlog draining across t=5.
 func TestOverlappingDipsRestoreCorrectCapacity(t *testing.T) {
 	dips := []Dip{
 		{TimeS: 0, DurationS: 5, FracLost: 0.5},

@@ -39,14 +39,14 @@ func runExact(cfg Config) (Result, error) {
 // service rate C(t)/N(t); a flow arriving at credit c0 with size s
 // finishes when credit reaches c0+s.
 func simulatePipe(rng *rand.Rand, pipeIdx int, p Pipe, dips []Dip, dist traffic.SizeDist,
-	meanBytes, durationS, warmupS float64) ([]Flow, int) {
+	meanBytes, durationS, warmupS float64) ([]flow, int) {
 
 	capBytesPerS := p.CapacityGbps * 1e9 / 8
 	lambda := p.UtilFrac * capBytesPerS / meanBytes // flows per second
 
 	timeline := newCapTimeline(dips)
 
-	var flows []Flow
+	var flows []flow
 	active := &flowHeap{}
 	credit := 0.0
 
@@ -79,7 +79,7 @@ func simulatePipe(rng *rand.Rand, pipeIdx int, p Pipe, dips []Dip, dist traffic.
 		case t == nextDeparture && active.Len() > 0:
 			f := heap.Pop(active).(activeFlow)
 			if f.arriveS >= warmupS {
-				flows = append(flows, Flow{
+				flows = append(flows, flow{
 					Pipe:      pipeIdx,
 					SizeBytes: f.sizeBytes,
 					ArriveS:   f.arriveS,

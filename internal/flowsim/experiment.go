@@ -172,8 +172,8 @@ func (e Experiment) Run() (SlowdownReport, error) {
 		EPSFlows:  len(eps.Flows),
 		Reconfigs: nDips,
 	}
-	rep.All = ratio99(iris.FCTs(false), eps.FCTs(false))
-	rep.Short = ratio99(iris.FCTs(true), eps.FCTs(true))
+	rep.All = ratio99(iris.fcts(false), eps.fcts(false))
+	rep.Short = ratio99(iris.fcts(true), eps.fcts(true))
 	return rep, nil
 }
 

@@ -51,8 +51,8 @@ type Config struct {
 	Dips map[int][]Dip
 }
 
-// Flow is one completed flow.
-type Flow struct {
+// flow is one completed flow.
+type flow struct {
 	Pipe      int
 	SizeBytes float64
 	ArriveS   float64
@@ -61,13 +61,13 @@ type Flow struct {
 
 // Result collects a run's completed flows.
 type Result struct {
-	Flows      []Flow
+	Flows      []flow
 	Incomplete int // flows still active at the end of the simulation
 }
 
-// FCTs returns the completion times of all flows, or of only the short
+// fcts returns the completion times of all flows, or of only the short
 // flows (< traffic.ShortFlowBytes) when shortOnly is set.
-func (r Result) FCTs(shortOnly bool) []float64 {
+func (r Result) fcts(shortOnly bool) []float64 {
 	var out []float64
 	for _, f := range r.Flows {
 		if shortOnly && f.SizeBytes >= traffic.ShortFlowBytes {
@@ -120,7 +120,7 @@ func Run(cfg Config) (Result, error) {
 	for i, p := range cfg.Pipes {
 		st := loadPipe(pipeRNG(cfg.Seed, i), p, cfg.Dips[i], cfg.Dist, mean, 0,
 			cfg.DurationS, cfg.WarmupS, nil, func(sizeBytes, arriveS, fctS float64) {
-				res.Flows = append(res.Flows, Flow{Pipe: i, SizeBytes: sizeBytes, ArriveS: arriveS, FCTSec: fctS})
+				res.Flows = append(res.Flows, flow{Pipe: i, SizeBytes: sizeBytes, ArriveS: arriveS, FCTSec: fctS})
 			})
 		res.Incomplete += int(st.Incomplete)
 	}

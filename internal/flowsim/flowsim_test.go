@@ -103,7 +103,7 @@ func TestUtilizationAffectsFCT(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return stats.Percentile(res.FCTs(false), 99)
+		return stats.Percentile(res.fcts(false), 99)
 	}
 	low, high := run(0.1), run(0.7)
 	if high <= low {
@@ -128,9 +128,9 @@ func TestFullOutageDelaysFlows(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Same arrivals, so flow counts can differ only via end-of-run
-	// truncation; FCTs of flows spanning the outage grow by up to 1 s.
-	p99Clean := stats.Percentile(clean.FCTs(false), 99)
-	p99Hit := stats.Percentile(hit.FCTs(false), 99)
+	// truncation; fcts of flows spanning the outage grow by up to 1 s.
+	p99Clean := stats.Percentile(clean.fcts(false), 99)
+	p99Hit := stats.Percentile(hit.fcts(false), 99)
 	if p99Hit <= p99Clean {
 		t.Errorf("outage p99 %v should exceed clean p99 %v", p99Hit, p99Clean)
 	}
@@ -138,8 +138,8 @@ func TestFullOutageDelaysFlows(t *testing.T) {
 	// backlog that accumulated during it (arrivals continue while the pipe
 	// is dark). At 30% utilization the drain adds well under a second, so
 	// a small multiple of the outage bounds the damage.
-	maxClean := stats.Max(clean.FCTs(false))
-	maxHit := stats.Max(hit.FCTs(false))
+	maxClean := stats.Max(clean.fcts(false))
+	maxHit := stats.Max(hit.fcts(false))
 	if maxHit > maxClean+3 {
 		t.Errorf("outage added %v s to worst FCT; expected ≤ outage + drain", maxHit-maxClean)
 	}
@@ -164,7 +164,7 @@ func TestPartialDipOnlySlows(t *testing.T) {
 		t.Fatal(err)
 	}
 	// 140 ms of half capacity in 10 s barely moves the needle.
-	ratio := stats.Percentile(hit.FCTs(false), 99) / stats.Percentile(clean.FCTs(false), 99)
+	ratio := stats.Percentile(hit.fcts(false), 99) / stats.Percentile(clean.fcts(false), 99)
 	if ratio < 1-1e-9 {
 		t.Errorf("dips made flows faster: ratio %v", ratio)
 	}
@@ -190,14 +190,14 @@ func TestWarmupExcludesEarlyFlows(t *testing.T) {
 }
 
 func TestShortFlowFilter(t *testing.T) {
-	res := Result{Flows: []Flow{
+	res := Result{Flows: []flow{
 		{SizeBytes: 1e3, FCTSec: 1},
 		{SizeBytes: 1e6, FCTSec: 2},
 	}}
-	if got := res.FCTs(true); len(got) != 1 || got[0] != 1 {
+	if got := res.fcts(true); len(got) != 1 || got[0] != 1 {
 		t.Errorf("short FCTs = %v", got)
 	}
-	if got := res.FCTs(false); len(got) != 2 {
+	if got := res.fcts(false); len(got) != 2 {
 		t.Errorf("all FCTs = %v", got)
 	}
 }

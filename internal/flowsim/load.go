@@ -88,7 +88,7 @@ func RunLoad(cfg LoadConfig) (LoadStats, error) {
 		return LoadStats{}, err
 	}
 
-	out := LoadStats{FCT: NewSketch(), ShortFCT: NewSketch()}
+	out := LoadStats{FCT: newSketch(), ShortFCT: newSketch()}
 	for i := range per {
 		out.Flows += per[i].Flows
 		out.ShortFlows += per[i].ShortFlows
@@ -96,8 +96,8 @@ func RunLoad(cfg LoadConfig) (LoadStats, error) {
 		out.BytesCompleted += per[i].BytesCompleted
 		out.BytesStranded += per[i].BytesStranded
 		out.PeakConcurrent += per[i].PeakConcurrent
-		out.FCT.Merge(per[i].FCT)
-		out.ShortFCT.Merge(per[i].ShortFCT)
+		out.FCT.merge(per[i].FCT)
+		out.ShortFCT.merge(per[i].ShortFCT)
 	}
 	return out, nil
 }
@@ -186,7 +186,7 @@ func loadPipe(rng *rand.Rand, p Pipe, dips []Dip, dist traffic.SizeDist,
 
 	timeline := newCapTimeline(dips)
 	cal := newCreditCalendar(width, dist.Max())
-	st := LoadStats{FCT: NewSketch(), ShortFCT: NewSketch()}
+	st := LoadStats{FCT: newSketch(), ShortFCT: newSketch()}
 	credit := 0.0
 
 	t := 0.0
@@ -224,10 +224,10 @@ func loadPipe(rng *rand.Rand, p Pipe, dips []Dip, dist traffic.SizeDist,
 				}
 				st.Flows++
 				st.BytesCompleted += f.sizeBytes
-				st.FCT.Observe(fct)
+				st.FCT.observe(fct)
 				if f.sizeBytes < traffic.ShortFlowBytes {
 					st.ShortFlows++
-					st.ShortFCT.Observe(fct)
+					st.ShortFCT.observe(fct)
 				}
 			}
 		case t == nextArrival:

@@ -144,8 +144,8 @@ func (e RegionExperiment) Run() (SlowdownReport, error) {
 		return SlowdownReport{}, err
 	}
 	return SlowdownReport{
-		All:       ratio99(iris.FCTs(false), eps.FCTs(false)),
-		Short:     ratio99(iris.FCTs(true), eps.FCTs(true)),
+		All:       ratio99(iris.fcts(false), eps.fcts(false)),
+		Short:     ratio99(iris.fcts(true), eps.fcts(true)),
 		IrisFlows: len(iris.Flows),
 		EPSFlows:  len(eps.Flows),
 		Reconfigs: nDips,

@@ -76,7 +76,7 @@ func TestIntegerizeRoundsNoise(t *testing.T) {
 			t.Errorf("pair %v: noisy integerized to %v, exact to %v", p, got, want)
 		}
 	}
-	if d := traffic.DiffMatrices(base, noisy); !d.Empty() {
+	if d := traffic.DiffMatrices(base, noisy); d.Len() != 0 {
 		t.Errorf("noisy-but-constant matrix produced %d diffs: %v", d.Len(), d.Changes)
 	}
 }

@@ -3,14 +3,13 @@ package flowsim
 import "math"
 
 // Sketch is a streaming log-bucketed histogram for flow-completion-time
-// quantiles: the load engine pushes millions of FCTs through it without
+// quantiles: the load engine pushes millions of fcts through it without
 // storing per-flow records. Buckets grow geometrically by sketchGamma,
 // bounding the relative error of any reported quantile by ~1% — far
 // inside the tolerance of the paper's slowdown comparisons.
 type Sketch struct {
 	counts []uint64
 	n      uint64
-	sum    float64
 	min    float64
 	max    float64
 }
@@ -24,8 +23,8 @@ const (
 	sketchBuckets = 1640
 )
 
-// NewSketch returns an empty sketch.
-func NewSketch() *Sketch {
+// newSketch returns an empty sketch.
+func newSketch() *Sketch {
 	return &Sketch{
 		counts: make([]uint64, sketchBuckets),
 		min:    math.Inf(1),
@@ -44,11 +43,10 @@ func sketchIndex(x float64) int {
 	return i
 }
 
-// Observe adds one value.
-func (s *Sketch) Observe(x float64) {
+// observe adds one value.
+func (s *Sketch) observe(x float64) {
 	s.counts[sketchIndex(x)]++
 	s.n++
-	s.sum += x
 	if x < s.min {
 		s.min = x
 	}
@@ -57,8 +55,8 @@ func (s *Sketch) Observe(x float64) {
 	}
 }
 
-// Merge folds another sketch into this one.
-func (s *Sketch) Merge(o *Sketch) {
+// merge folds another sketch into this one.
+func (s *Sketch) merge(o *Sketch) {
 	if o == nil {
 		return
 	}
@@ -66,25 +64,12 @@ func (s *Sketch) Merge(o *Sketch) {
 		s.counts[i] += c
 	}
 	s.n += o.n
-	s.sum += o.sum
 	if o.min < s.min {
 		s.min = o.min
 	}
 	if o.max > s.max {
 		s.max = o.max
 	}
-}
-
-// Count returns the number of observations.
-func (s *Sketch) Count() uint64 { return s.n }
-
-// Mean returns the exact mean of all observations (the sum is tracked
-// outside the buckets), or 0 for an empty sketch.
-func (s *Sketch) Mean() float64 {
-	if s.n == 0 {
-		return 0
-	}
-	return s.sum / float64(s.n)
 }
 
 // Quantile returns the q-th quantile (q in [0,1]) as the geometric

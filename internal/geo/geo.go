@@ -23,25 +23,17 @@ func (p Point) Dist(q Point) float64 {
 	return math.Hypot(p.X-q.X, p.Y-q.Y)
 }
 
-// Add returns the vector sum p+q.
-func (p Point) Add(q Point) Point { return Point{p.X + q.X, p.Y + q.Y} }
+// add returns the vector sum p+q.
+func (p Point) add(q Point) Point { return Point{p.X + q.X, p.Y + q.Y} }
 
-// Sub returns the vector difference p-q.
-func (p Point) Sub(q Point) Point { return Point{p.X - q.X, p.Y - q.Y} }
+// sub returns the vector difference p-q.
+func (p Point) sub(q Point) Point { return Point{p.X - q.X, p.Y - q.Y} }
 
-// Scale returns p scaled by k.
-func (p Point) Scale(k float64) Point { return Point{p.X * k, p.Y * k} }
-
-// Norm returns the Euclidean norm of p treated as a vector.
-func (p Point) Norm() float64 { return math.Hypot(p.X, p.Y) }
+// scale returns p scaled by k.
+func (p Point) scale(k float64) Point { return Point{p.X * k, p.Y * k} }
 
 // String implements fmt.Stringer.
 func (p Point) String() string { return fmt.Sprintf("(%.2f, %.2f)", p.X, p.Y) }
-
-// Midpoint returns the midpoint of the segment pq.
-func Midpoint(p, q Point) Point {
-	return Point{(p.X + q.X) / 2, (p.Y + q.Y) / 2}
-}
 
 // Centroid returns the arithmetic mean of the given points. It returns the
 // origin for an empty slice.
@@ -54,7 +46,7 @@ func Centroid(pts []Point) Point {
 		c.X += p.X
 		c.Y += p.Y
 	}
-	return c.Scale(1 / float64(len(pts)))
+	return c.scale(1 / float64(len(pts)))
 }
 
 // Rect is an axis-aligned rectangle, used as a sampling and measurement
@@ -77,14 +69,6 @@ func (r Rect) Width() float64 { return r.Max.X - r.Min.X }
 
 // Height returns the vertical extent of r.
 func (r Rect) Height() float64 { return r.Max.Y - r.Min.Y }
-
-// Area returns the area of r in km².
-func (r Rect) Area() float64 { return r.Width() * r.Height() }
-
-// Contains reports whether p lies in r (inclusive of the boundary).
-func (r Rect) Contains(p Point) bool {
-	return p.X >= r.Min.X && p.X <= r.Max.X && p.Y >= r.Min.Y && p.Y <= r.Max.Y
-}
 
 // Expand returns r grown by d kilometres on every side.
 func (r Rect) Expand(d float64) Rect {
@@ -118,31 +102,19 @@ func RandomInRect(rng *rand.Rand, r Rect) Point {
 	}
 }
 
-// RandomInDisk returns a point uniformly distributed in the disk of the
-// given radius around the centre.
-func RandomInDisk(rng *rand.Rand, centre Point, radius float64) Point {
-	// Inverse-CDF sampling: radius ∝ sqrt(u) gives a uniform area density.
-	r := radius * math.Sqrt(rng.Float64())
-	theta := 2 * math.Pi * rng.Float64()
-	return Point{
-		X: centre.X + r*math.Cos(theta),
-		Y: centre.Y + r*math.Sin(theta),
-	}
-}
-
 // DistToSegment returns the shortest distance from p to the segment ab.
 // It is how correlated failure events (a backhoe or disaster with a blast
 // radius) decide which fiber routes they sever: a duct is hit when its
 // segment passes within the radius, not only when an endpoint does.
 func DistToSegment(p, a, b Point) float64 {
-	ab := b.Sub(a)
+	ab := b.sub(a)
 	den := ab.X*ab.X + ab.Y*ab.Y
 	if den == 0 {
 		return p.Dist(a)
 	}
 	t := ((p.X-a.X)*ab.X + (p.Y-a.Y)*ab.Y) / den
 	t = math.Max(0, math.Min(1, t))
-	return p.Dist(a.Add(ab.Scale(t)))
+	return p.Dist(a.add(ab.scale(t)))
 }
 
 // PoissonDisk samples up to n points inside rect such that no two points are

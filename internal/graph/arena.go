@@ -192,7 +192,7 @@ func (g *Graph) RepairInto(from *ShortestPathTree, skip []bool, t *ShortestPathT
 	for k := 0; k < len(sc.hit); k++ {
 		x := sc.hit[k]
 		for _, idx := range g.adj[x] {
-			if y := g.edges[idx].Other(x); done[y] && t.prevEdge[y] == idx {
+			if y := g.edges[idx].other(x); done[y] && t.prevEdge[y] == idx {
 				done[y] = false
 				sc.hit = append(sc.hit, y)
 			}
@@ -211,7 +211,7 @@ func (g *Graph) RepairInto(from *ShortestPathTree, skip []bool, t *ShortestPathT
 				continue
 			}
 			e := g.edges[idx]
-			u := e.Other(v)
+			u := e.other(v)
 			if !done[u] || t.Hops[u] == math.MaxInt {
 				continue
 			}
@@ -270,7 +270,7 @@ func (g *Graph) settle(t *ShortestPathTree, sc *Scratch, skip []bool, width floa
 				continue
 			}
 			e := g.edges[idx]
-			v := e.Other(u)
+			v := e.other(u)
 			if sc.done[v] {
 				continue
 			}

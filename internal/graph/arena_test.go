@@ -77,7 +77,7 @@ func (g *Graph) heapDijkstra(source int, seeds []Seed) *ShortestPathTree {
 		done[u] = true
 		for _, idx := range g.adj[u] {
 			e := g.edges[idx]
-			v := e.Other(u)
+			v := e.other(u)
 			if done[v] {
 				continue
 			}
@@ -420,7 +420,7 @@ func TestRepairMatchesDijkstra(t *testing.T) {
 				if rng.Intn(3) > 0 {
 					v = rng.Intn(g.NumNodes())
 				}
-				g.Neighbors(v, func(e Edge) { cut.Push(e.ID) })
+				neighbors(g, v, func(e Edge) { cut.Push(e.ID) })
 			case k < 7: // an ID the graph does not have masks nothing
 				cut.Push(g.MaxEdgeID() + 1 + rng.Intn(3))
 			default: // the same cut again

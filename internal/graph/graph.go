@@ -23,9 +23,9 @@ type Edge struct {
 	W    float64 // weight (kilometres of fiber, for the planner)
 }
 
-// Other returns the endpoint of e that is not n. It panics if n is not an
+// other returns the endpoint of e that is not n. It panics if n is not an
 // endpoint, which indicates a programming error.
-func (e Edge) Other(n int) int {
+func (e Edge) other(n int) int {
 	switch n {
 	case e.U:
 		return e.V
@@ -111,15 +111,6 @@ func (g *Graph) AddEdge(id, u, v int, w float64) {
 // must not modify it.
 func (g *Graph) Edges() []Edge { return g.edges }
 
-// EdgeByID returns the edge with the given ID.
-func (g *Graph) EdgeByID(id int) (Edge, bool) {
-	idx, ok := g.EdgeIndex(id)
-	if !ok {
-		return Edge{}, false
-	}
-	return g.edges[idx], true
-}
-
 // EdgeIndex returns the position of edge id in Edges(). Indices are what
 // the arena Dijkstra's skip filter is keyed by: they are dense, so a
 // []bool can stand in for a set of removed ducts.
@@ -133,13 +124,6 @@ func (g *Graph) EdgeIndex(id int) (int, bool) {
 // MaxEdgeID returns the largest edge ID present, or -1 for an edgeless
 // graph. Callers sizing per-duct arenas use it as the slab bound.
 func (g *Graph) MaxEdgeID() int { return len(g.byID) - 1 }
-
-// Neighbors calls fn for every edge incident to node n.
-func (g *Graph) Neighbors(n int, fn func(Edge)) {
-	for _, idx := range g.adj[n] {
-		fn(g.edges[idx])
-	}
-}
 
 // WithoutEdges returns a copy of g with the edges whose IDs appear in the
 // set removed. It is the reference materialisation of a failure scenario:
@@ -262,7 +246,7 @@ func (t *ShortestPathTree) prev(v int) int {
 	if t.prevEdge[v] < 0 {
 		return -1
 	}
-	return t.g.edges[t.prevEdge[v]].Other(v)
+	return t.g.edges[t.prevEdge[v]].other(v)
 }
 
 func (t *ShortestPathTree) prevID(v int) int {
@@ -311,7 +295,7 @@ func (t *ShortestPathTree) AppendPathTo(v int, nodes []int, edges []Edge) (_ []i
 		e := t.g.edges[idx]
 		edges = append(edges, e)
 		nodes = append(nodes, v)
-		v = e.Other(v)
+		v = e.other(v)
 	}
 	nodes = append(nodes, t.Source)
 	reverseInts(nodes[n0:])
@@ -334,7 +318,7 @@ func (t *ShortestPathTree) MarkPathTo(v int, onPath []bool) {
 			return
 		}
 		onPath[e.ID] = true
-		v = e.Other(v)
+		v = e.other(v)
 	}
 }
 
@@ -348,59 +332,6 @@ func reverseEdges(s []Edge) {
 	for i, j := 0, len(s)-1; i < j; i, j = i+1, j-1 {
 		s[i], s[j] = s[j], s[i]
 	}
-}
-
-// BellmanFord computes single-source shortest path distances in O(V·E).
-// It exists as a cross-checking oracle for Dijkstra in tests and accepts the
-// same non-negative weights.
-func (g *Graph) BellmanFord(source int) []float64 {
-	dist := make([]float64, g.n)
-	for i := range dist {
-		dist[i] = Inf
-	}
-	dist[source] = 0
-	for i := 0; i < g.n-1; i++ {
-		changed := false
-		for _, e := range g.edges {
-			if dist[e.U]+e.W < dist[e.V] {
-				dist[e.V] = dist[e.U] + e.W
-				changed = true
-			}
-			if dist[e.V]+e.W < dist[e.U] {
-				dist[e.U] = dist[e.V] + e.W
-				changed = true
-			}
-		}
-		if !changed {
-			break
-		}
-	}
-	return dist
-}
-
-// Connected reports whether u and v are in the same component.
-func (g *Graph) Connected(u, v int) bool {
-	if u == v {
-		return true
-	}
-	seen := make([]bool, g.n)
-	stack := []int{u}
-	seen[u] = true
-	for len(stack) > 0 {
-		n := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, idx := range g.adj[n] {
-			m := g.edges[idx].Other(n)
-			if m == v {
-				return true
-			}
-			if !seen[m] {
-				seen[m] = true
-				stack = append(stack, m)
-			}
-		}
-	}
-	return false
 }
 
 // Components returns the component label of every node; labels are dense
@@ -438,7 +369,7 @@ func (g *Graph) ComponentsInto(skip []bool, labels []int) []int {
 				if skip != nil && skip[idx] {
 					continue
 				}
-				m := g.edges[idx].Other(n)
+				m := g.edges[idx].other(n)
 				if label[m] < 0 {
 					label[m] = next
 					stack = append(stack, m)

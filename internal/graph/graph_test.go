@@ -30,7 +30,7 @@ func TestAddEdgeValidation(t *testing.T) {
 
 func TestEdgeOther(t *testing.T) {
 	e := Edge{ID: 7, U: 2, V: 5}
-	if e.Other(2) != 5 || e.Other(5) != 2 {
+	if e.other(2) != 5 || e.other(5) != 2 {
 		t.Fatal("Other returned wrong endpoint")
 	}
 	defer func() {
@@ -38,18 +38,68 @@ func TestEdgeOther(t *testing.T) {
 			t.Fatal("expected panic for non-endpoint")
 		}
 	}()
-	e.Other(3)
+	e.other(3)
+}
+
+// edgeByID returns the edge with the given ID.
+func edgeByID(g *Graph, id int) (Edge, bool) {
+	idx, ok := g.EdgeIndex(id)
+	if !ok {
+		return Edge{}, false
+	}
+	return g.edges[idx], true
+}
+
+// neighbors calls fn for every edge incident to node n.
+func neighbors(g *Graph, n int, fn func(Edge)) {
+	for _, idx := range g.adj[n] {
+		fn(g.edges[idx])
+	}
+}
+
+// connected reports whether u and v are in the same component.
+func connected(g *Graph, u, v int) bool {
+	c := g.Components()
+	return c[u] == c[v]
+}
+
+// bellmanFord computes single-source shortest path distances in O(V·E):
+// the cross-checking oracle for Dijkstra, on the same non-negative
+// weights.
+func bellmanFord(g *Graph, source int) []float64 {
+	dist := make([]float64, g.n)
+	for i := range dist {
+		dist[i] = Inf
+	}
+	dist[source] = 0
+	for i := 0; i < g.n-1; i++ {
+		changed := false
+		for _, e := range g.edges {
+			if dist[e.U]+e.W < dist[e.V] {
+				dist[e.V] = dist[e.U] + e.W
+				changed = true
+			}
+			if dist[e.V]+e.W < dist[e.U] {
+				dist[e.U] = dist[e.V] + e.W
+				changed = true
+			}
+		}
+		if !changed {
+			break
+		}
+	}
+	return dist
 }
 
 func TestEdgeByID(t *testing.T) {
 	g := New(3)
 	g.AddEdge(10, 0, 1, 2)
 	g.AddEdge(20, 1, 2, 3)
-	e, ok := g.EdgeByID(20)
+	e, ok := edgeByID(g, 20)
 	if !ok || e.U != 1 || e.V != 2 || e.W != 3 {
 		t.Fatalf("EdgeByID(20) = %+v, %v", e, ok)
 	}
-	if _, ok := g.EdgeByID(99); ok {
+	if _, ok := edgeByID(g, 99); ok {
 		t.Fatal("EdgeByID(99) should not exist")
 	}
 }
@@ -60,7 +110,7 @@ func TestNeighbors(t *testing.T) {
 	g.AddEdge(1, 0, 2, 1)
 	g.AddEdge(2, 1, 2, 1)
 	var ids []int
-	g.Neighbors(0, func(e Edge) { ids = append(ids, e.ID) })
+	neighbors(g, 0, func(e Edge) { ids = append(ids, e.ID) })
 	if !reflect.DeepEqual(ids, []int{0, 1}) {
 		t.Fatalf("Neighbors(0) edge IDs = %v", ids)
 	}
@@ -170,7 +220,7 @@ func TestDijkstraMatchesBellmanFord(t *testing.T) {
 		g := randomGraph(rng, n, m)
 		src := rng.Intn(n)
 		d1 := g.Dijkstra(src).Dist
-		d2 := g.BellmanFord(src)
+		d2 := bellmanFord(g, src)
 		for v := range d1 {
 			a, b := d1[v], d2[v]
 			if math.IsInf(a, 1) != math.IsInf(b, 1) {
@@ -216,14 +266,14 @@ func TestWithoutEdges(t *testing.T) {
 	if h.NumEdges() != 2 {
 		t.Fatalf("NumEdges = %d, want 2", h.NumEdges())
 	}
-	if h.Connected(0, 3) {
+	if connected(h, 0, 3) {
 		t.Error("0 and 3 should be disconnected after removing edge 1")
 	}
-	if !h.Connected(0, 1) || !h.Connected(2, 3) {
+	if !connected(h, 0, 1) || !connected(h, 2, 3) {
 		t.Error("remaining segments should stay connected")
 	}
 	// Original graph untouched.
-	if g.NumEdges() != 3 || !g.Connected(0, 3) {
+	if g.NumEdges() != 3 || !connected(g, 0, 3) {
 		t.Error("WithoutEdges mutated the original graph")
 	}
 }
@@ -431,18 +481,18 @@ func TestWithoutEdgesMatchesRebuild(t *testing.T) {
 			}
 		}
 		for _, e := range want.Edges() {
-			ge, ok := got.EdgeByID(e.ID)
+			ge, ok := edgeByID(got, e.ID)
 			if !ok || ge != e {
 				t.Fatalf("trial %d: EdgeByID(%d) = %v,%v, want %v", trial, e.ID, ge, ok, e)
 			}
 		}
-		if _, ok := got.EdgeByID(-1); ok {
+		if _, ok := edgeByID(got, -1); ok {
 			t.Fatalf("trial %d: EdgeByID(-1) found an edge", trial)
 		}
 		for v := 0; v < n; v++ {
 			var gotAdj, wantAdj []Edge
-			got.Neighbors(v, func(e Edge) { gotAdj = append(gotAdj, e) })
-			want.Neighbors(v, func(e Edge) { wantAdj = append(wantAdj, e) })
+			neighbors(got, v, func(e Edge) { gotAdj = append(gotAdj, e) })
+			neighbors(want, v, func(e Edge) { wantAdj = append(wantAdj, e) })
 			if !reflect.DeepEqual(gotAdj, wantAdj) {
 				t.Fatalf("trial %d: Neighbors(%d) = %v, want %v", trial, v, gotAdj, wantAdj)
 			}
@@ -458,7 +508,7 @@ func TestWithoutEdgesMatchesRebuild(t *testing.T) {
 		}
 		// The copy must accept further mutation like any other graph.
 		got.AddEdge(m, 0, n-1, 1)
-		if _, ok := got.EdgeByID(m); !ok {
+		if _, ok := edgeByID(got, m); !ok {
 			t.Fatalf("trial %d: AddEdge on derived graph lost the edge", trial)
 		}
 	}

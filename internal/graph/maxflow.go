@@ -53,9 +53,6 @@ func (f *FlowNetwork) Clear(n int) {
 	f.orig = f.orig[:0]
 }
 
-// NumNodes returns the number of nodes in the network.
-func (f *FlowNetwork) NumNodes() int { return f.n }
-
 func checkCapacity(u, v int, capacity float64) {
 	if capacity < 0 || math.IsNaN(capacity) {
 		panic(fmt.Sprintf("graph: arc (%d,%d) has invalid capacity %v", u, v, capacity))
@@ -63,9 +60,8 @@ func checkCapacity(u, v int, capacity float64) {
 }
 
 // AddArc adds a directed arc from u to v with the given capacity and
-// returns its index, usable with Flow after a MaxFlow run and with
-// SetCapacity. Capacities must be non-negative; math.Inf(1) is allowed
-// for unbounded arcs.
+// returns its index, usable with SetCapacity. Capacities must be
+// non-negative; math.Inf(1) is allowed for unbounded arcs.
 func (f *FlowNetwork) AddArc(u, v int, capacity float64) int {
 	if u < 0 || u >= f.n || v < 0 || v >= f.n {
 		panic(fmt.Sprintf("graph: arc (%d,%d) out of range [0,%d)", u, v, f.n))
@@ -100,13 +96,6 @@ func (f *FlowNetwork) Reset() {
 	for i := range f.arcs {
 		f.arcs[i].cap = f.orig[i]
 	}
-}
-
-// Flow returns the flow routed on the arc with the given index by the most
-// recent MaxFlow call: the capacity consumed on the forward arc, i.e. the
-// residual on its reverse.
-func (f *FlowNetwork) Flow(arcIdx int) float64 {
-	return f.arcs[arcIdx^1].cap
 }
 
 // MaxFlow computes the maximum s-t flow using Dinic's algorithm and returns

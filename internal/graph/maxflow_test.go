@@ -53,10 +53,10 @@ func TestFlowPerArc(t *testing.T) {
 	if total != 5 {
 		t.Fatalf("MaxFlow = %v, want 5", total)
 	}
-	if got := f.Flow(a) + f.Flow(b); math.Abs(got-5) > 1e-9 {
+	if got := flowOn(f, a) + flowOn(f, b); math.Abs(got-5) > 1e-9 {
 		t.Errorf("flow into node 1 = %v, want 5", got)
 	}
-	if got := f.Flow(c); math.Abs(got-5) > 1e-9 {
+	if got := flowOn(f, c); math.Abs(got-5) > 1e-9 {
 		t.Errorf("flow on bottleneck = %v, want 5", got)
 	}
 }
@@ -163,7 +163,7 @@ func TestMaxFlowConservation(t *testing.T) {
 		total := f.MaxFlow(0, n-1)
 		net := make([]float64, n)
 		for _, r := range recs {
-			fl := f.Flow(r.idx)
+			fl := flowOn(f, r.idx)
 			if fl < -1e-9 {
 				t.Fatalf("negative flow %v", fl)
 			}
@@ -197,7 +197,7 @@ func TestFlowNetworkReset(t *testing.T) {
 		t.Fatalf("MaxFlow on consumed network = %v, want 0", got)
 	}
 	f.Reset()
-	if got := f.Flow(a); got != 0 {
+	if got := flowOn(f, a); got != 0 {
 		t.Fatalf("Flow after Reset = %v, want 0", got)
 	}
 	if got := f.MaxFlow(0, 3); got != 1 {
@@ -319,8 +319,8 @@ func TestClearMatchesNew(t *testing.T) {
 		n := 2 + rng.Intn(12)
 		kept.Clear(n)
 		fresh := NewFlowNetwork(n)
-		if kept.NumNodes() != n {
-			t.Fatalf("trial %d: NumNodes = %d after Clear(%d)", trial, kept.NumNodes(), n)
+		if kept.n != n {
+			t.Fatalf("trial %d: NumNodes = %d after Clear(%d)", trial, kept.n, n)
 		}
 		for i := rng.Intn(4 * n); i > 0; i-- {
 			u, v, c := rng.Intn(n), rng.Intn(n), rng.Float64()*10
@@ -374,8 +374,8 @@ func TestSetCapacityMatchesRebuild(t *testing.T) {
 			t.Fatalf("trial %d: MaxFlow = %v with arcs set to zero, %v rebuilt without them", trial, got, want)
 		}
 		for i := range down {
-			if f.Flow(idx[i]) != 0 {
-				t.Fatalf("trial %d: a zero-capacity arc carries %v", trial, f.Flow(idx[i]))
+			if flowOn(f, idx[i]) != 0 {
+				t.Fatalf("trial %d: a zero-capacity arc carries %v", trial, flowOn(f, idx[i]))
 			}
 			f.SetCapacity(idx[i], links[i].c)
 		}
@@ -406,10 +406,14 @@ func TestSetCapacityMatchesRebuild(t *testing.T) {
 
 // A warmed network runs Reset and MaxFlow — and Clear and a refill of no
 // more arcs than it has held — without allocating.
+// flowOn returns the flow the most recent MaxFlow call routed on the arc
+// AddArc returned as arcIdx: the residual on its reverse arc.
+func flowOn(f *FlowNetwork, arcIdx int) float64 { return f.arcs[arcIdx^1].cap }
+
 func TestFlowNetworkSteadyStateZeroAlloc(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	f, _ := symmetricNetwork(rng)
-	n := f.NumNodes()
+	n := f.n
 	f.MaxFlow(0, n-1)
 	if avg := testing.AllocsPerRun(20, func() {
 		f.Reset()

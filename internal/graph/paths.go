@@ -194,7 +194,7 @@ func (g *Graph) Bridges() []int {
 				if idx == f.parentIdx {
 					continue
 				}
-				v := g.edges[idx].Other(u)
+				v := g.edges[idx].other(u)
 				if disc[v] == -1 {
 					disc[v], low[v] = timer, timer
 					timer++

@@ -104,8 +104,8 @@ type Summary struct {
 	Spans        int           `json:"spans"`
 }
 
-// Summarize reduces the record to its listing row.
-func (r Record) Summarize() Summary {
+// summarize reduces the record to its listing row.
+func (r Record) summarize() Summary {
 	return Summary{
 		Seq:        r.Seq,
 		ReconfigID: r.ReconfigID,
@@ -254,12 +254,17 @@ func (l *Lake) Append(rec Record) uint64 {
 }
 
 // insert places a record into its shard's ring, evicting the slot's
-// previous occupant from the ID index when the ring is full.
+// previous occupant from the ID index when the ring is full. Two records
+// may share a ReconfigID — a replayed journal holds the previous
+// process's IDs, and the tracer of this one starts at 1 again — and the
+// index then points at the newer: evicting the older must leave it be.
 func (l *Lake) insert(rec Record) {
 	sh := &l.shards[rec.ReconfigID&(shardCount-1)]
 	sh.mu.Lock()
 	if sh.n == len(sh.buf) {
-		delete(sh.idx, sh.buf[sh.next].ReconfigID)
+		if old := sh.buf[sh.next].ReconfigID; sh.idx[old] == sh.next {
+			delete(sh.idx, old)
+		}
 		l.evictions.Inc()
 	}
 	sh.buf[sh.next] = rec
@@ -346,7 +351,7 @@ func (l *Lake) Summaries(n int) []Summary {
 	}
 	out := make([]Summary, len(recs))
 	for i, r := range recs {
-		out[i] = r.Summarize()
+		out[i] = r.summarize()
 	}
 	return out
 }

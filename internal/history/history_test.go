@@ -1,8 +1,10 @@
 package history
 
 import (
+	"encoding/json"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -140,6 +142,32 @@ func TestPersistenceReplay(t *testing.T) {
 	if seq := l2.Append(rec(6)); seq != 6 {
 		t.Fatalf("post-replay seq = %d, want 6", seq)
 	}
+	if err := l2.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// A restarted process numbers its reconfigurations from 1 again, so
+	// its records share IDs with the replayed ones. Once the ring evicts a
+	// replayed twin, the live record must still be found by its ID.
+	l3 := mustLake(t, Config{Capacity: 32, Path: path})
+	for id := uint64(1); id <= 32; id++ { // a full ring of live records
+		l3.Append(rec(id))
+	}
+	everyRecordIsIndexed(t, l3)
+	if got, ok := l3.Get(9); !ok || got.Seq != 6+9 {
+		t.Fatalf("Get(9) = seq %d ok=%v, want the live record, seq 15", got.Seq, ok)
+	}
+}
+
+// everyRecordIsIndexed checks that Get finds every record Records returns.
+func everyRecordIsIndexed(t *testing.T, l *Lake) {
+	t.Helper()
+	for _, r := range l.Records() {
+		if got, ok := l.Get(r.ReconfigID); !ok || got.ReconfigID != r.ReconfigID {
+			t.Fatalf("Records() holds seq %d (reconfig %d) but Get(%d) = %+v, %v",
+				r.Seq, r.ReconfigID, r.ReconfigID, got, ok)
+		}
+	}
 }
 
 func TestPersistenceReplayBoundedByCapacity(t *testing.T) {
@@ -192,11 +220,14 @@ func TestMetrics(t *testing.T) {
 	for id := uint64(1); id <= 12; id++ {
 		l.Append(rec(id))
 	}
-	if c := reg.LookupCounter("iris_history_appends_total"); c == nil || c.Value() != 12 {
-		t.Fatalf("appends counter: %v", c)
+	var b strings.Builder
+	if err := reg.WriteText(&b); err != nil {
+		t.Fatal(err)
 	}
-	if c := reg.LookupCounter("iris_history_evictions_total"); c == nil || c.Value() != 4 {
-		t.Fatalf("evictions counter: %v", c)
+	for _, want := range []string{"iris_history_appends_total 12\n", "iris_history_evictions_total 4\n"} {
+		if !strings.Contains(b.String(), want) {
+			t.Errorf("metrics lack %q:\n%s", want, b.String())
+		}
 	}
 }
 
@@ -256,4 +287,60 @@ func BenchmarkHistoryAppend(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		work()
 	}
+}
+
+// FuzzJournalReplay writes arbitrary bytes where a lake's journal goes:
+// whatever a crash, a disk or an operator left there, New opens the lake,
+// keeps no more than its capacity, resumes the Seq counter at or past
+// every record it kept, and goes on appending — and after a restarted
+// process's worth of appends (IDs from 1 again) every record the lake
+// holds is still found by its ID.
+func FuzzJournalReplay(f *testing.F) {
+	var intact []byte
+	for id := uint64(1); id <= 2; id++ {
+		r := rec(id)
+		r.Seq = id
+		line, err := json.Marshal(r)
+		if err != nil {
+			f.Fatal(err)
+		}
+		intact = append(append(intact, line...), '\n')
+	}
+	f.Add(intact)
+	f.Add(append(append([]byte(nil), intact...), `{"seq": 3, "reconfig_id":`...)) // torn write
+	f.Add(append(append([]byte(nil), intact...), intact...))                      // the same IDs twice
+	f.Add([]byte(`{"seq":18446744073709551615,"reconfig_id":1}` + "\n"))
+	f.Add([]byte{})
+
+	f.Fuzz(func(t *testing.T, journal []byte) {
+		const capacity = 16 // a multiple of the shard count, so it is exact
+		path := filepath.Join(t.TempDir(), "history.jsonl")
+		if err := os.WriteFile(path, journal, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		l, err := New(Config{Capacity: capacity, Path: path})
+		if err != nil {
+			t.Fatalf("New on a journal of %d bytes: %v", len(journal), err)
+		}
+		defer l.Close()
+		if l.Len() > capacity {
+			t.Fatalf("replay kept %d records, capacity %d", l.Len(), capacity)
+		}
+		resumed := l.seq.Load()
+		for _, r := range l.Records() {
+			if r.Seq > resumed {
+				t.Fatalf("replayed seq %d above the resumed counter %d", r.Seq, resumed)
+			}
+		}
+		everyRecordIsIndexed(t, l)
+		for id := uint64(1); id <= 2*capacity; id++ {
+			if seq := l.Append(rec(id)); seq != resumed+id { // equal even if a forged seq wraps the counter
+				t.Fatalf("append %d got seq %d, want %d", id, seq, resumed+id)
+			}
+			everyRecordIsIndexed(t, l)
+		}
+		if l.Len() != capacity {
+			t.Fatalf("lake holds %d records after %d appends, capacity %d", l.Len(), 2*capacity, capacity)
+		}
+	})
 }

@@ -2,6 +2,7 @@ package hose_test
 
 import (
 	"fmt"
+	"math"
 
 	"iris/internal/hose"
 )
@@ -12,7 +13,7 @@ import (
 func ExampleWorstCaseLoad() {
 	caps := map[int]float64{0: 4, 1: 10, 2: 10}
 	pairs := []hose.Pair{{A: 0, B: 1}, {A: 0, B: 2}}
-	fmt.Printf("naive: %.0f fibers\n", hose.NaiveLoad(caps, pairs))
+	fmt.Printf("naive: %.0f fibers\n", math.Min(caps[0], caps[1])+math.Min(caps[0], caps[2]))
 	fmt.Printf("hose:  %.0f fibers\n", hose.WorstCaseLoad(caps, pairs))
 	// Output:
 	// naive: 8 fibers

@@ -163,20 +163,3 @@ func (lp *LP) WorstCaseLoad(caps []float64, pairs []Pair) float64 {
 	}
 	return f.MaxFlow(s, t) / 2
 }
-
-// NaiveLoad returns the per-pair sum Σ min(C_A, C_B), the over-provisioned
-// bound a naive planner would use (§4.1). It exists for comparison in the
-// evaluation and as an upper bound in tests.
-func NaiveLoad(caps map[int]float64, pairs []Pair) float64 {
-	seen := make(map[Pair]bool, len(pairs))
-	var total float64
-	for _, p := range pairs {
-		c := p.Canonical()
-		if seen[c] {
-			continue
-		}
-		seen[c] = true
-		total += math.Min(caps[p.A], caps[p.B])
-	}
-	return total
-}

@@ -17,6 +17,22 @@ func TestSinglePair(t *testing.T) {
 	}
 }
 
+// naiveLoad is the per-pair sum Σ min(C_A, C_B), the over-provisioned
+// bound a naive planner would use (§4.1): an upper bound on the hose load.
+func naiveLoad(caps map[int]float64, pairs []Pair) float64 {
+	seen := make(map[Pair]bool, len(pairs))
+	var total float64
+	for _, p := range pairs {
+		c := p.Canonical()
+		if seen[c] {
+			continue
+		}
+		seen[c] = true
+		total += math.Min(caps[p.A], caps[p.B])
+	}
+	return total
+}
+
 func TestSharedEndpointAvoidsDoubleCounting(t *testing.T) {
 	// The §4.1 example: DC A appears in pairs A-B and A-C. A naive sum
 	// counts A's capacity twice; the exact load is min(C_A, C_B + C_C).
@@ -25,8 +41,8 @@ func TestSharedEndpointAvoidsDoubleCounting(t *testing.T) {
 	if got := WorstCaseLoad(caps, pairs); got != 4 {
 		t.Errorf("WorstCaseLoad = %v, want 4 (A's hose cap)", got)
 	}
-	if naive := NaiveLoad(caps, pairs); naive != 8 {
-		t.Errorf("NaiveLoad = %v, want 8 (double-counted)", naive)
+	if naive := naiveLoad(caps, pairs); naive != 8 {
+		t.Errorf("naiveLoad = %v, want 8 (double-counted)", naive)
 	}
 }
 
@@ -55,8 +71,8 @@ func TestDuplicatesCoalesced(t *testing.T) {
 	if got := WorstCaseLoad(caps, pairs); got != 3 {
 		t.Errorf("WorstCaseLoad = %v, want 3", got)
 	}
-	if naive := NaiveLoad(caps, pairs); naive != 3 {
-		t.Errorf("NaiveLoad = %v, want 3", naive)
+	if naive := naiveLoad(caps, pairs); naive != 3 {
+		t.Errorf("naiveLoad = %v, want 3", naive)
 	}
 }
 
@@ -188,7 +204,7 @@ func TestBoundsProperties(t *testing.T) {
 			continue
 		}
 		got := WorstCaseLoad(caps, pairs)
-		naive := NaiveLoad(caps, pairs)
+		naive := naiveLoad(caps, pairs)
 		if got > naive+1e-9 {
 			t.Fatalf("trial %d: load %v exceeds naive bound %v", trial, got, naive)
 		}

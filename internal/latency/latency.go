@@ -11,34 +11,34 @@ import (
 	"iris/internal/geo"
 )
 
-// GeoToFiberFactor is the industry rule of thumb the paper uses to
+// geoToFiberFactor is the industry rule of thumb the paper uses to
 // estimate fiber distance from geographic distance.
-const GeoToFiberFactor = 2.0
+const geoToFiberFactor = 2.0
 
-// LightSpeedKMPerMS is the propagation speed in fiber (≈2/3 of c), used to
+// lightSpeedKMPerMS is the propagation speed in fiber (≈2/3 of c), used to
 // convert fiber kilometres into round-trip milliseconds.
-const LightSpeedKMPerMS = 200.0
+const lightSpeedKMPerMS = 200.0
 
-// RTTms returns the round-trip propagation latency in milliseconds over
+// rttMS returns the round-trip propagation latency in milliseconds over
 // the given one-way fiber distance.
-func RTTms(fiberKM float64) float64 { return 2 * fiberKM / LightSpeedKMPerMS }
+func rttMS(fiberKM float64) float64 { return 2 * fiberKM / lightSpeedKMPerMS }
 
-// Inflation returns the latency inflation of routing one DC pair through
+// inflation returns the latency inflation of routing one DC pair through
 // the best of the given hubs instead of directly: (best DC-hub-DC fiber
 // distance) / (direct DC-DC fiber distance). Both distances use the
 // geographic rule of thumb. It returns an error when the two DCs are
 // co-located (direct distance zero) or no hubs are given.
-func Inflation(a, b geo.Point, hubs []geo.Point) (float64, error) {
+func inflation(a, b geo.Point, hubs []geo.Point) (float64, error) {
 	if len(hubs) == 0 {
 		return 0, fmt.Errorf("latency: no hubs")
 	}
-	direct := a.Dist(b) * GeoToFiberFactor
+	direct := a.Dist(b) * geoToFiberFactor
 	if direct == 0 {
 		return 0, fmt.Errorf("latency: co-located DCs")
 	}
 	best := -1.0
 	for _, h := range hubs {
-		via := (a.Dist(h) + h.Dist(b)) * GeoToFiberFactor
+		via := (a.Dist(h) + h.Dist(b)) * geoToFiberFactor
 		if best < 0 || via < best {
 			best = via
 		}
@@ -52,7 +52,7 @@ func Inflations(dcs []geo.Point, hubs []geo.Point) []float64 {
 	var out []float64
 	for i := range dcs {
 		for j := i + 1; j < len(dcs); j++ {
-			infl, err := Inflation(dcs[i], dcs[j], hubs)
+			infl, err := inflation(dcs[i], dcs[j], hubs)
 			if err != nil {
 				continue
 			}

@@ -11,11 +11,11 @@ import (
 
 func TestRTTms(t *testing.T) {
 	// 100 km of fiber: 1 ms round trip at 200 km/ms.
-	if got := RTTms(100); got != 1 {
+	if got := rttMS(100); got != 1 {
 		t.Errorf("RTTms(100) = %v, want 1", got)
 	}
 	// The paper's Tokyo example: 19 km direct ≈ 0.2 ms RTT.
-	if got := RTTms(19); math.Abs(got-0.19) > 1e-9 {
+	if got := rttMS(19); math.Abs(got-0.19) > 1e-9 {
 		t.Errorf("RTTms(19) = %v, want 0.19", got)
 	}
 }
@@ -25,7 +25,7 @@ func TestInflationGeometry(t *testing.T) {
 	b := geo.Point{X: 10, Y: 0}
 
 	t.Run("hub on the segment has no inflation", func(t *testing.T) {
-		got, err := Inflation(a, b, []geo.Point{{X: 5, Y: 0}})
+		got, err := inflation(a, b, []geo.Point{{X: 5, Y: 0}})
 		if err != nil || math.Abs(got-1) > 1e-9 {
 			t.Errorf("inflation = %v, %v; want 1", got, err)
 		}
@@ -33,7 +33,7 @@ func TestInflationGeometry(t *testing.T) {
 
 	t.Run("detour through a distant hub", func(t *testing.T) {
 		// Hub equidistant from both DCs at distance 13 (5-12-13 triangles).
-		got, err := Inflation(a, b, []geo.Point{{X: 5, Y: 12}})
+		got, err := inflation(a, b, []geo.Point{{X: 5, Y: 12}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -44,17 +44,17 @@ func TestInflationGeometry(t *testing.T) {
 
 	t.Run("best of two hubs wins", func(t *testing.T) {
 		hubs := []geo.Point{{X: 5, Y: 12}, {X: 5, Y: 0}}
-		got, err := Inflation(a, b, hubs)
+		got, err := inflation(a, b, hubs)
 		if err != nil || math.Abs(got-1) > 1e-9 {
 			t.Errorf("inflation = %v, %v; want 1 via the close hub", got, err)
 		}
 	})
 
 	t.Run("errors", func(t *testing.T) {
-		if _, err := Inflation(a, b, nil); err == nil {
+		if _, err := inflation(a, b, nil); err == nil {
 			t.Error("expected error for no hubs")
 		}
-		if _, err := Inflation(a, a, []geo.Point{{X: 1}}); err == nil {
+		if _, err := inflation(a, a, []geo.Point{{X: 1}}); err == nil {
 			t.Error("expected error for co-located DCs")
 		}
 	})

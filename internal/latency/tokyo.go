@@ -27,9 +27,9 @@ func Tokyo() TokyoExample {
 		Hub1: geo.Point{X: -2, Y: -13},
 		Hub2: geo.Point{X: 2, Y: -13},
 	}
-	e.DirectKM = e.DC1.Dist(e.DC2) * GeoToFiberFactor
-	via1 := (e.DC1.Dist(e.Hub1) + e.Hub1.Dist(e.DC2)) * GeoToFiberFactor
-	via2 := (e.DC1.Dist(e.Hub2) + e.Hub2.Dist(e.DC2)) * GeoToFiberFactor
+	e.DirectKM = e.DC1.Dist(e.DC2) * geoToFiberFactor
+	via1 := (e.DC1.Dist(e.Hub1) + e.Hub1.Dist(e.DC2)) * geoToFiberFactor
+	via2 := (e.DC1.Dist(e.Hub2) + e.Hub2.Dist(e.DC2)) * geoToFiberFactor
 	e.ViaHubKM = via1
 	if via2 < via1 {
 		e.ViaHubKM = via2
@@ -38,10 +38,10 @@ func Tokyo() TokyoExample {
 }
 
 // DirectRTTms returns the round-trip latency of the direct connection.
-func (e TokyoExample) DirectRTTms() float64 { return RTTms(e.DirectKM) }
+func (e TokyoExample) DirectRTTms() float64 { return rttMS(e.DirectKM) }
 
 // ViaHubRTTms returns the round-trip latency through the better hub.
-func (e TokyoExample) ViaHubRTTms() float64 { return RTTms(e.ViaHubKM) }
+func (e TokyoExample) ViaHubRTTms() float64 { return rttMS(e.ViaHubKM) }
 
 // Reduction returns the latency reduction factor of going direct.
 func (e TokyoExample) Reduction() float64 { return e.ViaHubRTTms() / e.DirectRTTms() }

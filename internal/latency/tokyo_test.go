@@ -16,7 +16,7 @@ func TestTokyoExampleMatchesFig2(t *testing.T) {
 		t.Errorf("direct RTT = %.2f ms, want ≈0.2", rtt)
 	}
 	// Paper: DC-hub runs of 53-60 km → worst DC-DC RTT 1.2 ms via hubs.
-	hubLeg := e.DC1.Dist(e.Hub1) * GeoToFiberFactor
+	hubLeg := e.DC1.Dist(e.Hub1) * geoToFiberFactor
 	if hubLeg < 50 || hubLeg > 62 {
 		t.Errorf("DC-hub fiber = %.1f km, want 53-60", hubLeg)
 	}
@@ -33,7 +33,7 @@ func TestTokyoConsistentWithInflation(t *testing.T) {
 	// The example's reduction factor must equal the generic inflation
 	// metric evaluated on the same geometry.
 	e := Tokyo()
-	infl, err := Inflation(e.DC1, e.DC2, []geo.Point{e.Hub1, e.Hub2})
+	infl, err := inflation(e.DC1, e.DC2, []geo.Point{e.Hub1, e.Hub2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,6 @@
 // Package optics models the physical layer of a regional DCI: fiber spans,
 // erbium-doped fiber amplifiers, optical space switches (OSS), optical
-// cross-connects (OXC), and 400ZR-class coherent transceivers. It encodes
+// cross-connects (oxc), and 400ZR-class coherent transceivers. It encodes
 // the technology constraints TC1–TC4 of §3.2 of the paper and the measured
 // component behaviour of §6.2 (Figs. 8, 9 and 14), and is the authority the
 // planner consults when validating end-to-end optical paths.
@@ -18,55 +18,49 @@ import (
 
 // Published physical-layer constants (Fig. 8, §3.2).
 const (
-	// FiberLossDBPerKM is the typical regional fiber attenuation.
-	FiberLossDBPerKM = 0.25
+	// fiberLossDBPerKM is the typical regional fiber attenuation.
+	fiberLossDBPerKM = 0.25
 	// AmpGainDB is the fixed gain of every amplifier. Iris operates all
 	// amplifiers at fixed gain with input power limiters (§5.1), so gain
 	// never needs online adjustment.
 	AmpGainDB = 20.0
-	// AmpNoiseFigureDB is the OSNR penalty added by the first amplifier on
+	// ampNoiseFigureDB is the OSNR penalty added by the first amplifier on
 	// a path (measured in Fig. 9).
-	AmpNoiseFigureDB = 4.5
-	// OSSLossDB is the insertion loss of one optical space switch traversal.
-	OSSLossDB = 1.5
-	// OXCLossDB is the insertion loss of an optical cross-connect
+	ampNoiseFigureDB = 4.5
+	// ossLossDB is the insertion loss of one optical space switch traversal.
+	ossLossDB = 1.5
+	// oxcLossDB is the insertion loss of an optical cross-connect
 	// (wavelength-granularity switching element).
-	OXCLossDB = 9.0
+	oxcLossDB = 9.0
 	// MaxSpanKM is the longest unamplified point-to-point fiber run (TC1):
 	// the 20 dB receive-amplifier gain divided by the fiber loss.
-	MaxSpanKM = AmpGainDB / FiberLossDBPerKM // 80 km
+	MaxSpanKM = AmpGainDB / fiberLossDBPerKM // 80 km
 	// MaxPathKM is the SLA-derived maximum DC-DC fiber distance (OC1).
 	MaxPathKM = 120.0
-	// MaxAmpsPerPath is the end-to-end amplifier budget (TC2): a 9 dB OSNR
+	// maxAmpsPerPath is the end-to-end amplifier budget (TC2): a 9 dB OSNR
 	// penalty budget permits at most 3 cascaded amplifiers.
-	MaxAmpsPerPath = 3
-	// MaxInlineAmpsPerPath limits amplifiers between the terminal sites to
-	// one (TC2): with two terminal amplifiers, only one more fits in the
-	// 3-amplifier budget.
-	MaxInlineAmpsPerPath = 1
+	maxAmpsPerPath = 3
 	// OSNRPenaltyBudgetDB is the tolerable cascaded-amplifier OSNR penalty
 	// after reserving margin for transmission impairments (§3.2).
 	OSNRPenaltyBudgetDB = 9.0
-	// ReconfigLossBudgetDB is the optical power budget available for
+	// reconfigLossBudgetDB is the optical power budget available for
 	// reconfiguration elements on a max-distance path (TC4): at most one
-	// OXC or six OSS traversals.
-	ReconfigLossBudgetDB = 10.0
-	// MaxOSSPerPath is ReconfigLossBudgetDB / OSSLossDB rounded down.
+	// oxc or six OSS traversals.
+	reconfigLossBudgetDB = 10.0
+	// MaxOSSPerPath is reconfigLossBudgetDB / ossLossDB rounded down.
 	MaxOSSPerPath = 6
 )
 
 // 400ZR transceiver characteristics (Fig. 8, §3.2, §6.2).
 const (
-	// TransceiverGbps is the line rate of one 400ZR transceiver.
-	TransceiverGbps = 400
 	// SoftFECBERThreshold is the pre-FEC bit error rate above which the
 	// soft-decision FEC can no longer deliver error-free output.
 	SoftFECBERThreshold = 2e-2
-	// RequiredOSNRDB is the receiver OSNR at the FEC threshold.
-	RequiredOSNRDB = 26.0
-	// BackToBackOSNRDB is the OSNR of an unamplified, loss-compensated
+	// requiredOSNRDB is the receiver OSNR at the FEC threshold.
+	requiredOSNRDB = 26.0
+	// backToBackOSNRDB is the OSNR of an unamplified, loss-compensated
 	// link; cascaded amplifiers subtract OSNRPenaltyDB from it.
-	BackToBackOSNRDB = 37.0
+	backToBackOSNRDB = 37.0
 	// ReconfigRecoveryMS is the measured time for a receiver to recover
 	// the signal after a fiber switch (§6.2: 50 ms on one hut, up to
 	// 70 ms across two huts).
@@ -84,7 +78,7 @@ func OSNRPenaltyDB(n int) float64 {
 	if n <= 0 {
 		return 0
 	}
-	return AmpNoiseFigureDB + 3*math.Log2(float64(n))
+	return ampNoiseFigureDB + 3*math.Log2(float64(n))
 }
 
 // MaxAmpsWithinPenalty returns the largest amplifier cascade whose OSNR
@@ -103,13 +97,13 @@ func MaxAmpsWithinPenalty(budgetDB float64) int {
 	return n
 }
 
-// PreFECBER maps received OSNR to the pre-FEC bit error rate of a
+// preFECBER maps received OSNR to the pre-FEC bit error rate of a
 // dual-polarization 16-QAM coherent receiver. The mapping is anchored at
-// the FEC threshold (RequiredOSNRDB → SoftFECBERThreshold) and follows the
+// the FEC threshold (requiredOSNRDB → SoftFECBERThreshold) and follows the
 // steep waterfall slope characteristic of coherent 16-QAM: roughly one
 // decade of BER per 3.5 dB of OSNR. It saturates at 0.5 for hopeless links.
-func PreFECBER(osnrDB float64) float64 {
-	margin := osnrDB - RequiredOSNRDB
+func preFECBER(osnrDB float64) float64 {
+	margin := osnrDB - requiredOSNRDB
 	ber := SoftFECBERThreshold * math.Pow(10, -margin/3.5)
 	if ber > 0.5 {
 		return 0.5
@@ -127,10 +121,10 @@ const (
 	Amp
 	// OSS is one traversal of an optical space switch.
 	OSS
-	// OXC is one traversal of a wavelength-granularity cross-connect.
-	OXC
-	// Mux is a WSS multiplexer or demultiplexer traversal.
-	Mux
+	// oxc is one traversal of a wavelength-granularity cross-connect.
+	oxc
+	// mux is a WSS multiplexer or demultiplexer traversal.
+	mux
 )
 
 // String implements fmt.Stringer.
@@ -142,16 +136,16 @@ func (k ElementKind) String() string {
 		return "amp"
 	case OSS:
 		return "oss"
-	case OXC:
+	case oxc:
 		return "oxc"
-	case Mux:
+	case mux:
 		return "mux"
 	}
 	return fmt.Sprintf("ElementKind(%d)", int(k))
 }
 
-// MuxLossDB is the insertion loss of one WSS mux or demux traversal.
-const MuxLossDB = 6.0
+// muxLossDB is the insertion loss of one WSS mux or demux traversal.
+const muxLossDB = 6.0
 
 // Element is one component on an end-to-end optical path, in order from
 // the sending DC to the receiving DC.
@@ -161,65 +155,65 @@ type Element struct {
 	LengthKM float64
 }
 
-// LossDB returns the optical power loss of the element. Amplifiers have
+// lossDB returns the optical power loss of the element. Amplifiers have
 // zero loss here; their gain is accounted for in segment evaluation.
-func (e Element) LossDB() float64 {
+func (e Element) lossDB() float64 {
 	switch e.Kind {
 	case Span:
-		return e.LengthKM * FiberLossDBPerKM
+		return e.LengthKM * fiberLossDBPerKM
 	case Amp:
 		return 0
 	case OSS:
-		return OSSLossDB
-	case OXC:
-		return OXCLossDB
-	case Mux:
-		return MuxLossDB
+		return ossLossDB
+	case oxc:
+		return oxcLossDB
+	case mux:
+		return muxLossDB
 	}
 	panic(fmt.Sprintf("optics: unknown element kind %d", int(e.Kind)))
 }
 
-// ViolationKind classifies a constraint violation found on a path.
-type ViolationKind int
+// violationKind classifies a constraint violation found on a path.
+type violationKind int
 
 const (
-	// TooLong: the path exceeds the SLA fiber distance (OC1).
-	TooLong ViolationKind = iota
-	// SegmentLoss: an amplifier-to-amplifier segment loses more power than
+	// tooLong: the path exceeds the SLA fiber distance (OC1).
+	tooLong violationKind = iota
+	// segmentLoss: an amplifier-to-amplifier segment loses more power than
 	// one amplifier can restore (TC1).
-	SegmentLoss
-	// TooManyAmps: the amplifier cascade exceeds the OSNR budget (TC2).
-	TooManyAmps
-	// ReconfigLoss: switching elements exceed the reconfiguration power
+	segmentLoss
+	// tooManyAmps: the amplifier cascade exceeds the OSNR budget (TC2).
+	tooManyAmps
+	// reconfigLoss: switching elements exceed the reconfiguration power
 	// budget (TC4).
-	ReconfigLoss
+	reconfigLoss
 )
 
 // String implements fmt.Stringer.
-func (k ViolationKind) String() string {
+func (k violationKind) String() string {
 	switch k {
-	case TooLong:
+	case tooLong:
 		return "path too long (OC1)"
-	case SegmentLoss:
+	case segmentLoss:
 		return "segment loss exceeds amplifier gain (TC1)"
-	case TooManyAmps:
+	case tooManyAmps:
 		return "amplifier cascade exceeds OSNR budget (TC2)"
-	case ReconfigLoss:
+	case reconfigLoss:
 		return "reconfiguration elements exceed power budget (TC4)"
 	}
 	return fmt.Sprintf("ViolationKind(%d)", int(k))
 }
 
-// Violation is one constraint breach found by Evaluate.
-type Violation struct {
-	Kind   ViolationKind
+// violation is one constraint breach found by Evaluate.
+type violation struct {
+	Kind   violationKind
 	Detail string
 }
 
 // Error renders the violation as text. Violation intentionally does not
 // implement the error interface: a path with violations is an analysis
 // result, not a failure of the evaluation itself.
-func (v Violation) String() string {
+func (v violation) String() string {
 	return fmt.Sprintf("%s: %s", v.Kind, v.Detail)
 }
 
@@ -231,11 +225,11 @@ type PathEval struct {
 	OSSCount      int
 	OXCCount      int
 	OSNRPenaltyDB float64 // cascaded-amplifier penalty
-	ReconfigDB    float64 // loss attributable to OSS/OXC elements
+	ReconfigDB    float64 // loss attributable to OSS/oxc elements
 	WorstSegDB    float64 // highest single-segment loss
 	RxOSNRDB      float64 // OSNR at the receiver
 	PreFECBER     float64 // implied pre-FEC bit error rate
-	Violations    []Violation
+	Violations    []violation
 }
 
 // Feasible reports whether the path satisfies all constraints.
@@ -251,7 +245,7 @@ func (p PathEval) Feasible() bool { return len(p.Violations) == 0 }
 // segment's fiber loss must not exceed one amplifier's gain (TC1: 80 km at
 // 0.25 dB/km against 20 dB), while switching-element losses are covered by
 // the separate 10 dB reconfiguration budget (TC4: at most six OSS or one
-// OXC) and mux losses by the link margins of Fig. 8.
+// oxc) and mux losses by the link margins of Fig. 8.
 func Evaluate(elems []Element) PathEval {
 	var ev PathEval
 	segLoss := 0.0
@@ -268,13 +262,13 @@ func Evaluate(elems []Element) PathEval {
 			ev.Amps++
 		case OSS:
 			ev.OSSCount++
-			ev.ReconfigDB += OSSLossDB
-		case OXC:
+			ev.ReconfigDB += ossLossDB
+		case oxc:
 			ev.OXCCount++
-			ev.ReconfigDB += OXCLossDB
+			ev.ReconfigDB += oxcLossDB
 		case Span:
 			ev.TotalKM += e.LengthKM
-			segLoss += e.LossDB()
+			segLoss += e.lossDB()
 		}
 	}
 	flushSeg()
@@ -286,25 +280,25 @@ func Evaluate(elems []Element) PathEval {
 	}
 
 	ev.OSNRPenaltyDB = OSNRPenaltyDB(ev.Amps)
-	ev.RxOSNRDB = BackToBackOSNRDB - ev.OSNRPenaltyDB
-	ev.PreFECBER = PreFECBER(ev.RxOSNRDB)
+	ev.RxOSNRDB = backToBackOSNRDB - ev.OSNRPenaltyDB
+	ev.PreFECBER = preFECBER(ev.RxOSNRDB)
 
 	if ev.TotalKM > MaxPathKM+1e-9 {
-		ev.Violations = append(ev.Violations, Violation{TooLong,
+		ev.Violations = append(ev.Violations, violation{tooLong,
 			fmt.Sprintf("%.1f km > %.0f km", ev.TotalKM, MaxPathKM)})
 	}
 	if ev.WorstSegDB > AmpGainDB+1e-9 {
-		ev.Violations = append(ev.Violations, Violation{SegmentLoss,
+		ev.Violations = append(ev.Violations, violation{segmentLoss,
 			fmt.Sprintf("%.2f dB > %.0f dB gain", ev.WorstSegDB, AmpGainDB)})
 	}
-	if ev.Amps > MaxAmpsPerPath {
-		ev.Violations = append(ev.Violations, Violation{TooManyAmps,
+	if ev.Amps > maxAmpsPerPath {
+		ev.Violations = append(ev.Violations, violation{tooManyAmps,
 			fmt.Sprintf("%d amps > %d (penalty %.1f dB > %.0f dB)",
-				ev.Amps, MaxAmpsPerPath, ev.OSNRPenaltyDB, OSNRPenaltyBudgetDB)})
+				ev.Amps, maxAmpsPerPath, ev.OSNRPenaltyDB, OSNRPenaltyBudgetDB)})
 	}
-	if ev.ReconfigDB > ReconfigLossBudgetDB+1e-9 {
-		ev.Violations = append(ev.Violations, Violation{ReconfigLoss,
-			fmt.Sprintf("%.1f dB > %.0f dB", ev.ReconfigDB, ReconfigLossBudgetDB)})
+	if ev.ReconfigDB > reconfigLossBudgetDB+1e-9 {
+		ev.Violations = append(ev.Violations, violation{reconfigLoss,
+			fmt.Sprintf("%.1f dB > %.0f dB", ev.ReconfigDB, reconfigLossBudgetDB)})
 	}
 	return ev
 }

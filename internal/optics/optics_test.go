@@ -49,23 +49,23 @@ func TestDerivedConstants(t *testing.T) {
 	if MaxOSSPerPath != 6 {
 		t.Errorf("MaxOSSPerPath = %v, want 6 (TC4)", MaxOSSPerPath)
 	}
-	if got := math.Floor(ReconfigLossBudgetDB / OSSLossDB); got != MaxOSSPerPath {
-		t.Errorf("OSS budget inconsistency: floor(%v/%v) = %v", ReconfigLossBudgetDB, OSSLossDB, got)
+	if got := math.Floor(reconfigLossBudgetDB / ossLossDB); got != MaxOSSPerPath {
+		t.Errorf("OSS budget inconsistency: floor(%v/%v) = %v", reconfigLossBudgetDB, ossLossDB, got)
 	}
-	// Exactly one OXC fits the reconfiguration budget, two do not.
-	if OXCLossDB > ReconfigLossBudgetDB || 2*OXCLossDB <= ReconfigLossBudgetDB {
+	// Exactly one oxc fits the reconfiguration budget, two do not.
+	if oxcLossDB > reconfigLossBudgetDB || 2*oxcLossDB <= reconfigLossBudgetDB {
 		t.Error("OXC budget should admit exactly one traversal")
 	}
 }
 
 func TestPreFECBER(t *testing.T) {
-	if got := PreFECBER(RequiredOSNRDB); math.Abs(got-SoftFECBERThreshold) > 1e-12 {
+	if got := preFECBER(requiredOSNRDB); math.Abs(got-SoftFECBERThreshold) > 1e-12 {
 		t.Errorf("BER at required OSNR = %v, want threshold %v", got, SoftFECBERThreshold)
 	}
-	if PreFECBER(RequiredOSNRDB+5) >= PreFECBER(RequiredOSNRDB) {
+	if preFECBER(requiredOSNRDB+5) >= preFECBER(requiredOSNRDB) {
 		t.Error("BER should fall as OSNR rises")
 	}
-	if got := PreFECBER(0); got != 0.5 {
+	if got := preFECBER(0); got != 0.5 {
 		t.Errorf("hopeless link BER = %v, want saturation at 0.5", got)
 	}
 }
@@ -76,20 +76,20 @@ func TestElementLoss(t *testing.T) {
 		want float64
 	}{
 		{Element{Kind: Span, LengthKM: 80}, 20},
-		{Element{Kind: OSS}, OSSLossDB},
-		{Element{Kind: OXC}, OXCLossDB},
-		{Element{Kind: Mux}, MuxLossDB},
+		{Element{Kind: OSS}, ossLossDB},
+		{Element{Kind: oxc}, oxcLossDB},
+		{Element{Kind: mux}, muxLossDB},
 		{Element{Kind: Amp}, 0},
 	}
 	for _, tt := range tests {
-		if got := tt.e.LossDB(); got != tt.want {
+		if got := tt.e.lossDB(); got != tt.want {
 			t.Errorf("LossDB(%v) = %v, want %v", tt.e.Kind, got, tt.want)
 		}
 	}
 }
 
 func TestKindStrings(t *testing.T) {
-	kinds := map[ElementKind]string{Span: "span", Amp: "amp", OSS: "oss", OXC: "oxc", Mux: "mux"}
+	kinds := map[ElementKind]string{Span: "span", Amp: "amp", OSS: "oss", oxc: "oxc", mux: "mux"}
 	for k, want := range kinds {
 		if k.String() != want {
 			t.Errorf("%d.String() = %q, want %q", int(k), k.String(), want)
@@ -98,12 +98,12 @@ func TestKindStrings(t *testing.T) {
 	if ElementKind(42).String() != "ElementKind(42)" {
 		t.Error("unknown ElementKind string")
 	}
-	for _, v := range []ViolationKind{TooLong, SegmentLoss, TooManyAmps, ReconfigLoss} {
+	for _, v := range []violationKind{tooLong, segmentLoss, tooManyAmps, reconfigLoss} {
 		if v.String() == "" {
 			t.Errorf("empty string for ViolationKind %d", int(v))
 		}
 	}
-	if ViolationKind(42).String() != "ViolationKind(42)" {
+	if violationKind(42).String() != "ViolationKind(42)" {
 		t.Error("unknown ViolationKind string")
 	}
 }
@@ -145,7 +145,7 @@ func TestEvaluateMaxDistanceWithInlineAmp(t *testing.T) {
 }
 
 func TestEvaluateViolations(t *testing.T) {
-	hasViolation := func(ev PathEval, k ViolationKind) bool {
+	hasViolation := func(ev PathEval, k violationKind) bool {
 		for _, v := range ev.Violations {
 			if v.Kind == k {
 				return true
@@ -159,7 +159,7 @@ func TestEvaluateViolations(t *testing.T) {
 			{Kind: Amp}, {Kind: Span, LengthKM: 70}, {Kind: Amp},
 			{Kind: Span, LengthKM: 70}, {Kind: Amp},
 		})
-		if !hasViolation(ev, TooLong) {
+		if !hasViolation(ev, tooLong) {
 			t.Errorf("expected TooLong, got %v", ev.Violations)
 		}
 	})
@@ -169,7 +169,7 @@ func TestEvaluateViolations(t *testing.T) {
 		ev := Evaluate([]Element{
 			{Kind: Amp}, {Kind: Span, LengthKM: 90}, {Kind: Amp},
 		})
-		if !hasViolation(ev, SegmentLoss) {
+		if !hasViolation(ev, segmentLoss) {
 			t.Errorf("expected SegmentLoss, got %v", ev.Violations)
 		}
 	})
@@ -180,7 +180,7 @@ func TestEvaluateViolations(t *testing.T) {
 		ev := Evaluate([]Element{
 			{Kind: Amp}, {Kind: Span, LengthKM: 78}, {Kind: OSS}, {Kind: Amp},
 		})
-		if hasViolation(ev, SegmentLoss) {
+		if hasViolation(ev, segmentLoss) {
 			t.Errorf("unexpected SegmentLoss: %v", ev.Violations)
 		}
 	})
@@ -192,7 +192,7 @@ func TestEvaluateViolations(t *testing.T) {
 			{Kind: Amp}, {Kind: Span, LengthKM: 60}, {Kind: OSS},
 			{Kind: Span, LengthKM: 60}, {Kind: Amp},
 		})
-		if !hasViolation(ev, SegmentLoss) {
+		if !hasViolation(ev, segmentLoss) {
 			t.Errorf("expected SegmentLoss, got %v", ev.Violations)
 		}
 	})
@@ -203,7 +203,7 @@ func TestEvaluateViolations(t *testing.T) {
 			elems = append(elems, Element{Kind: Span, LengthKM: 20}, Element{Kind: Amp})
 		}
 		ev := Evaluate(elems)
-		if !hasViolation(ev, TooManyAmps) {
+		if !hasViolation(ev, tooManyAmps) {
 			t.Errorf("expected TooManyAmps with 4 amps, got %v", ev.Violations)
 		}
 	})
@@ -215,7 +215,7 @@ func TestEvaluateViolations(t *testing.T) {
 		}
 		elems = append(elems, Element{Kind: Span, LengthKM: 10}, Element{Kind: Amp})
 		ev := Evaluate(elems)
-		if !hasViolation(ev, ReconfigLoss) {
+		if !hasViolation(ev, reconfigLoss) {
 			t.Errorf("expected ReconfigLoss with 7 OSS, got %v", ev.Violations)
 		}
 	})
@@ -233,12 +233,12 @@ func TestEvaluateViolations(t *testing.T) {
 	})
 
 	t.Run("one OXC fine two not", func(t *testing.T) {
-		one := Evaluate([]Element{{Kind: Amp}, {Kind: OXC}, {Kind: Span, LengthKM: 10}, {Kind: Amp}})
+		one := Evaluate([]Element{{Kind: Amp}, {Kind: oxc}, {Kind: Span, LengthKM: 10}, {Kind: Amp}})
 		if !one.Feasible() {
 			t.Errorf("one OXC should be feasible: %v", one.Violations)
 		}
-		two := Evaluate([]Element{{Kind: Amp}, {Kind: OXC}, {Kind: OXC}, {Kind: Span, LengthKM: 10}, {Kind: Amp}})
-		if !hasViolation(two, ReconfigLoss) {
+		two := Evaluate([]Element{{Kind: Amp}, {Kind: oxc}, {Kind: oxc}, {Kind: Span, LengthKM: 10}, {Kind: Amp}})
+		if !hasViolation(two, reconfigLoss) {
 			t.Errorf("two OXC should violate TC4: %v", two.Violations)
 		}
 	})
@@ -248,7 +248,7 @@ func TestEvaluateWorstSegment(t *testing.T) {
 	ev := Evaluate([]Element{
 		{Kind: Amp}, {Kind: Span, LengthKM: 40}, {Kind: Amp}, {Kind: Span, LengthKM: 60}, {Kind: Amp},
 	})
-	if want := 60 * FiberLossDBPerKM; math.Abs(ev.WorstSegDB-want) > 1e-9 {
+	if want := 60 * fiberLossDBPerKM; math.Abs(ev.WorstSegDB-want) > 1e-9 {
 		t.Errorf("WorstSegDB = %v, want %v", ev.WorstSegDB, want)
 	}
 }

@@ -38,19 +38,19 @@ type ReconfigExperiment struct {
 func TestbedPaths() (pathA, pathB []Element) {
 	// Configuration A: 60 km + 60 km via the hut (amplified at the hut).
 	pathA = []Element{
-		{Kind: Mux}, {Kind: OSS}, {Kind: Amp},
+		{Kind: mux}, {Kind: OSS}, {Kind: Amp},
 		{Kind: Span, LengthKM: 60},
 		{Kind: OSS}, {Kind: Amp}, // hut: loopback amplifier through the OSS
 		{Kind: Span, LengthKM: 60},
-		{Kind: OSS}, {Kind: Amp}, {Kind: Mux},
+		{Kind: OSS}, {Kind: Amp}, {Kind: mux},
 	}
 	// Configuration B: 20 km + 10 km via the hut (no inline amplification).
 	pathB = []Element{
-		{Kind: Mux}, {Kind: OSS}, {Kind: Amp},
+		{Kind: mux}, {Kind: OSS}, {Kind: Amp},
 		{Kind: Span, LengthKM: 20},
 		{Kind: OSS},
 		{Kind: Span, LengthKM: 10},
-		{Kind: OSS}, {Kind: Amp}, {Kind: Mux},
+		{Kind: OSS}, {Kind: Amp}, {Kind: mux},
 	}
 	return pathA, pathB
 }

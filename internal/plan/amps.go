@@ -7,37 +7,11 @@ import (
 	"iris/internal/optics"
 )
 
-// elementsFor renders a routed path as the ordered optical element chain
-// the physical layer will see (Fig. 11): a terminal amplifier and OSS at
-// the sending DC, an OSS at every non-bypassed intermediate node (plus a
-// loopback amplifier traversal where the path is amplified), and an OSS
-// and terminal amplifier at the receiving DC.
-func elementsFor(pr *pathRec) []optics.Element {
-	el := []optics.Element{{Kind: optics.Amp}, {Kind: optics.OSS}}
-	for i, e := range pr.Ducts {
-		el = append(el, optics.Element{Kind: optics.Span, LengthKM: e.W})
-		if i == len(pr.Ducts)-1 {
-			break
-		}
-		interior := pr.Nodes[i+1]
-		if pr.bypassed(interior) {
-			continue
-		}
-		el = append(el, optics.Element{Kind: optics.OSS})
-		if pr.ampNode == interior {
-			// Loopback amplification: into the OSS, through the amp, and
-			// back out — a second OSS traversal (hut H1 in Fig. 11).
-			el = append(el, optics.Element{Kind: optics.Amp}, optics.Element{Kind: optics.OSS})
-		}
-	}
-	el = append(el, optics.Element{Kind: optics.OSS}, optics.Element{Kind: optics.Amp})
-	return el
-}
-
 // segmentLossViolated reports whether any inter-amplifier segment of the
 // path exceeds the unamplified span limit (TC1). It is the allocation-free
 // equivalent of checking optics.Evaluate(elementsFor(pr)) for a
-// SegmentLoss violation, which the planner does in a hot loop.
+// SegmentLoss violation (the oracle plan_test.go keeps), which the planner
+// does in a hot loop.
 func segmentLossViolated(pr *pathRec) bool {
 	seg := 0.0
 	for i, e := range pr.Ducts {
@@ -148,7 +122,7 @@ func (p *Planner) placeAmps(recs []pathRec) error {
 				p.idxBuf = append(p.idxBuf, recs[i].PairIdx)
 			}
 		}
-		need := p.ev.PairsFor(p.idxBuf)
+		need := p.ev.pairsFor(p.idxBuf)
 		if need > p.ampsArr[best] {
 			if p.ampsArr[best] == 0 {
 				p.ampsTouched = append(p.ampsTouched, int32(best))
@@ -195,7 +169,7 @@ func (p *Planner) pickAmpLocation(recs []pathRec) int {
 		for _, ri := range cl {
 			p.idxBuf = append(p.idxBuf, recs[ri].PairIdx)
 		}
-		noa := p.ev.PairsFor(p.idxBuf)
+		noa := p.ev.pairsFor(p.idxBuf)
 		ntbp := noa - p.ampsArr[v]
 		if ntbp < 0 {
 			ntbp = 0

@@ -259,7 +259,7 @@ func NewPlanner() *Planner { return &Planner{} }
 func (p *Planner) Plan(in Input) (*Plan, error) {
 	t0 := time.Now()
 	if !p.matches(in) {
-		if err := in.Validate(); err != nil {
+		if err := in.validate(); err != nil {
 			return nil, err
 		}
 		if err := p.prepare(in); err != nil {

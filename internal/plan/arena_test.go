@@ -183,7 +183,7 @@ func TestEvaluatorSteadyStateZeroAlloc(t *testing.T) {
 
 func evaluatorSweepZeroAlloc(t *testing.T, label string, in Input) {
 	ev := NewEvaluator(in)
-	edges := ev.Base().Edges()
+	edges := ev.base.Edges()
 	sweep := func() {
 		ev.Route()
 		ev.Load(nil, nil)

@@ -10,15 +10,15 @@ import (
 func TestViaHubsValidation(t *testing.T) {
 	in, r := toyInput(0)
 	in.ViaHubs = []int{99}
-	if err := in.Validate(); err == nil {
+	if err := in.validate(); err == nil {
 		t.Error("expected error for out-of-range hub")
 	}
 	in.ViaHubs = []int{r.DC1}
-	if err := in.Validate(); err == nil {
+	if err := in.validate(); err == nil {
 		t.Error("expected error for a DC as hub")
 	}
 	in.ViaHubs = []int{r.HubA, r.HubB}
-	if err := in.Validate(); err != nil {
+	if err := in.validate(); err != nil {
 		t.Errorf("valid hubs rejected: %v", err)
 	}
 }
@@ -124,7 +124,7 @@ func TestCentralizedOnGeneratedRegion(t *testing.T) {
 	}
 	// All centralized paths still pass the optical constraints.
 	for pair := range cent.Paths {
-		ev, _ := cent.EvaluatePath(pair)
+		ev, _ := evaluatePath(cent, pair)
 		if !ev.Feasible() {
 			t.Errorf("pair %v infeasible in centralized plan: %v", pair, ev.Violations)
 		}

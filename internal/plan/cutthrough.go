@@ -82,7 +82,7 @@ func (p *Planner) placeCutThroughs(recs []pathRec) error {
 		for _, ri := range p.ctResolve[best] {
 			p.idxBuf = append(p.idxBuf, recs[ri].PairIdx)
 		}
-		need := p.ev.PairsFor(p.idxBuf)
+		need := p.ev.pairsFor(p.idxBuf)
 		id, added := p.ctAll.intern(key)
 		if added {
 			ct := ctRec{

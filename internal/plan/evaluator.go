@@ -238,9 +238,6 @@ func NewEvaluator(in Input) *Evaluator {
 	return ev
 }
 
-// Base returns the usable-duct graph scenarios are evaluated on.
-func (ev *Evaluator) Base() *graph.Graph { return ev.base }
-
 // DCs returns the region's DC node IDs, ascending. Per-DC slices the
 // evaluator takes are indexed by position in this list.
 func (ev *Evaluator) DCs() []int { return ev.dcs }
@@ -733,10 +730,10 @@ func isZero(set []uint64) bool {
 	return true
 }
 
-// PairsFor returns the fiber-pairs (or, for an amplifier site, the
+// pairsFor returns the fiber-pairs (or, for an amplifier site, the
 // amplifiers) that carry the worst-case hose load of the given pairs
 // under the region's capacities.
-func (ev *Evaluator) PairsFor(idx []int32) int {
+func (ev *Evaluator) pairsFor(idx []int32) int {
 	clear(ev.key)
 	for _, p := range idx {
 		ev.key[p>>6] |= 1 << (p & 63)

@@ -267,7 +267,11 @@ func (c *reuseChecker) setSequence(steps int) {
 		case k < 6: // repeat
 		case k < 7: // strand a DC, on top of what is cut
 			dc := c.ev.dcs[rng.Intn(c.ev.nDC)]
-			c.ev.base.Neighbors(dc, func(e graph.Edge) { cut = append(cut, e.ID) })
+			for _, e := range c.ev.base.Edges() {
+				if e.U == dc || e.V == dc {
+					cut = append(cut, e.ID)
+				}
+			}
 		case k < 8: // an ID outside the graph rides along
 			if rng.Intn(2) == 0 {
 				cut = append(cut, c.ev.base.MaxEdgeID()+1+rng.Intn(3))

@@ -66,8 +66,8 @@ type Input struct {
 	Span *trace.Span
 }
 
-// Validate reports the first problem with the input.
-func (in Input) Validate() error {
+// validate reports the first problem with the input.
+func (in Input) validate() error {
 	if in.Map == nil {
 		return fmt.Errorf("plan: nil fiber map")
 	}
@@ -236,29 +236,6 @@ func (pr *pathRec) bypassed(v int) bool {
 	return slices.Contains(pr.bypass, v)
 }
 
-// EvaluatePath re-evaluates the stored failure-free path of a DC pair
-// against the optical constraints, reconstructing its element chain from
-// the recorded amplifier and cut-through assignments.
-func (pl *Plan) EvaluatePath(pair hose.Pair) (optics.PathEval, bool) {
-	info, ok := pl.Paths[pair.Canonical()]
-	if !ok {
-		return optics.PathEval{}, false
-	}
-	pr := &pathRec{
-		Route:   &Route{Pair: info.Pair, Nodes: info.Nodes, TotalKM: info.TotalKM},
-		ampNode: -1,
-		bypass:  info.Bypassed,
-	}
-	for _, id := range info.Ducts {
-		d := pl.Input.Map.Ducts[id]
-		pr.Ducts = append(pr.Ducts, graph.Edge{ID: d.ID, U: d.A, V: d.B, W: d.FiberKM})
-	}
-	if len(info.AmpNodes) > 0 {
-		pr.ampNode = info.AmpNodes[0]
-	}
-	return optics.Evaluate(elementsFor(pr)), true
-}
-
 // TotalFiberPairs returns the region-wide number of leased fiber-pairs.
 func (pl *Plan) TotalFiberPairs() int {
 	total := 0
@@ -308,22 +285,4 @@ func (pl *Plan) UsedHuts() []int {
 	}
 	sort.Ints(huts)
 	return huts
-}
-
-// DCFiberEnds returns, per node, the number of fiber-pair ends terminating
-// there (base + residual; cut-throughs terminate only at their endpoint
-// nodes and are reported separately by CutThroughEnds).
-func (pl *Plan) FiberEndsByNode() map[int]int {
-	ends := make(map[int]int)
-	for id, du := range pl.Ducts {
-		d := pl.Input.Map.Ducts[id]
-		n := du.BasePairs + du.ResidualPairs
-		ends[d.A] += n
-		ends[d.B] += n
-	}
-	for _, ct := range pl.Cuts {
-		ends[ct.From] += ct.Pairs
-		ends[ct.To] += ct.Pairs
-	}
-	return ends
 }

@@ -156,9 +156,9 @@ func (e *Envelope) Utilization(m *traffic.Matrix) float64 {
 	return worst
 }
 
-// MaxEnvelope returns the element-wise maximum of the matrices' pair
+// maxEnvelope returns the element-wise maximum of the matrices' pair
 // demands (canonical pairs) — the raw, uninflated envelope.
-func MaxEnvelope(ms []*traffic.Matrix) map[hose.Pair]float64 {
+func maxEnvelope(ms []*traffic.Matrix) map[hose.Pair]float64 {
 	raw := make(map[hose.Pair]float64)
 	for _, m := range ms {
 		for p, dm := range m.Demand {
@@ -243,7 +243,7 @@ func Solve(dep *core.Deployment, ms []*traffic.Matrix, cfg Config) (*Result, err
 		return nil, err
 	}
 
-	raw := MaxEnvelope(ms)
+	raw := maxEnvelope(ms)
 	dcs := dep.Region.Map.DCs()
 	capsW := make(map[int]float64, len(dcs))
 	for _, dc := range dcs {
@@ -323,13 +323,13 @@ func Solve(dep *core.Deployment, ms []*traffic.Matrix, cfg Config) (*Result, err
 			Alloc:      alloc,
 			Headroom:   h,
 			Iterations: iter,
-			Verdicts:   Verify(dep, alloc, ms),
+			Verdicts:   verify(dep, alloc, ms),
 		}
 		res.AllAdmissible = true
 		for _, v := range res.Verdicts {
 			res.AllAdmissible = res.AllAdmissible && v.Admissible
 		}
-		res.ProvisionedWavelengths = Provisioned(alloc, dep.Region.Lambda)
+		res.ProvisionedWavelengths = provisioned(alloc, dep.Region.Lambda)
 		if meanTotal > 0 {
 			res.Overprovision = res.ProvisionedWavelengths / meanTotal
 		}
@@ -366,9 +366,9 @@ func newEnvelope(em *traffic.Matrix, h float64, k int, clamped bool) *Envelope {
 	return e
 }
 
-// Provisioned totals an allocation's capacity in wavelengths:
+// provisioned totals an allocation's capacity in wavelengths:
 // fibers·λ + residual summed over pairs.
-func Provisioned(alloc core.Allocation, lambda int) float64 {
+func provisioned(alloc core.Allocation, lambda int) float64 {
 	total := 0.0
 	for p, f := range alloc.Fibers {
 		total += float64(f*lambda + alloc.Residual[p])
@@ -381,7 +381,7 @@ func Provisioned(alloc core.Allocation, lambda int) float64 {
 	return total
 }
 
-// Verify checks each matrix's admissibility under a fixed allocation. Two
+// verify checks each matrix's admissibility under a fixed allocation. Two
 // independent checks per matrix:
 //
 //   - coverage: every pair's demand fits the wavelengths the allocation
@@ -395,7 +395,7 @@ func Provisioned(alloc core.Allocation, lambda int) float64 {
 //
 // The failure-free scenario is routed once per call; each matrix only
 // changes the caps and the active pair set.
-func Verify(dep *core.Deployment, alloc core.Allocation, ms []*traffic.Matrix) []Verdict {
+func verify(dep *core.Deployment, alloc core.Allocation, ms []*traffic.Matrix) []Verdict {
 	lambda := dep.Region.Lambda
 	ev := plan.NewEvaluator(dep.Plan.Input)
 	routed := make([]bool, ev.NumPairs())

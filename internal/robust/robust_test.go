@@ -227,7 +227,7 @@ func TestMaxEnvelope(t *testing.T) {
 	b := traffic.NewMatrix(dcs)
 	b.Set(hose.Pair{A: 3, B: 2}, 7) // non-canonical order on purpose
 	b.Set(hose.Pair{A: 2, B: 4}, 3)
-	raw := MaxEnvelope([]*traffic.Matrix{a, b})
+	raw := maxEnvelope([]*traffic.Matrix{a, b})
 	want := map[hose.Pair]float64{
 		{A: 2, B: 3}: 10,
 		{A: 3, B: 4}: 5,
@@ -268,7 +268,7 @@ func TestProvisioned(t *testing.T) {
 		Fibers:   map[hose.Pair]int{{A: 0, B: 1}: 2},
 		Residual: map[hose.Pair]int{{A: 0, B: 1}: 13, {A: 0, B: 2}: 5},
 	}
-	if got := Provisioned(alloc, 40); got != 2*40+13+5 {
+	if got := provisioned(alloc, 40); got != 2*40+13+5 {
 		t.Errorf("Provisioned = %v, want %v", got, 2*40+13+5)
 	}
 }
@@ -328,7 +328,7 @@ func TestVerifyHubWalkResidualMultiplicity(t *testing.T) {
 		full.Set(p, 1)
 	}
 	dep := &core.Deployment{Region: core.Region{Map: m, Capacity: caps, Lambda: 40}, Plan: pl}
-	v := Verify(dep, core.Allocation{}, []*traffic.Matrix{full})[0]
+	v := verify(dep, core.Allocation{}, []*traffic.Matrix{full})[0]
 	if len(v.ResidualOverloads) != len(planned) {
 		t.Fatalf("%d residual overloads, want one per planned duct (%d): %+v",
 			len(v.ResidualOverloads), len(planned), v.ResidualOverloads)

@@ -29,7 +29,7 @@ type Analysis struct {
 }
 
 // DefaultAnalysis returns the configuration used in the evaluation,
-// matching the placement parameters of fibermap.DefaultPlaceConfig. The
+// matching the placement parameters of fibermap.DefaultPlace. The
 // measurement window extends well beyond the hut bounding box: sites far
 // outside the metro core are exactly where the distributed model's longer
 // reach pays off (Fig. 5's extended shaded areas).

@@ -78,31 +78,6 @@ func FractionAbove(xs []float64, threshold float64) float64 {
 	return float64(n) / float64(len(xs))
 }
 
-// CDFPoint is one point of an empirical CDF.
-type CDFPoint struct {
-	X float64 // value
-	P float64 // fraction of the sample ≤ X
-}
-
-// CDF returns the empirical CDF of the sample, one point per distinct
-// value, in ascending order. It returns nil for an empty sample.
-func CDF(xs []float64) []CDFPoint {
-	if len(xs) == 0 {
-		return nil
-	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	var out []CDFPoint
-	n := float64(len(sorted))
-	for i := 0; i < len(sorted); i++ {
-		if i+1 < len(sorted) && sorted[i+1] == sorted[i] {
-			continue // emit only the last occurrence of each value
-		}
-		out = append(out, CDFPoint{X: sorted[i], P: float64(i+1) / n})
-	}
-	return out
-}
-
 // CDFAt returns the empirical CDF evaluated at x: the fraction of the
 // sample ≤ x.
 func CDFAt(xs []float64, x float64) float64 {

@@ -77,18 +77,11 @@ func TestFractionAbove(t *testing.T) {
 }
 
 func TestCDF(t *testing.T) {
-	pts := CDF([]float64{3, 1, 3, 2})
-	want := []CDFPoint{{1, 0.25}, {2, 0.5}, {3, 1}}
-	if len(pts) != len(want) {
-		t.Fatalf("CDF = %v", pts)
-	}
-	for i := range want {
-		if pts[i] != want[i] {
-			t.Errorf("CDF[%d] = %v, want %v", i, pts[i], want[i])
+	xs := []float64{3, 1, 3, 2}
+	for _, want := range []struct{ x, p float64 }{{1, 0.25}, {2, 0.5}, {3, 1}} {
+		if got := CDFAt(xs, want.x); got != want.p {
+			t.Errorf("CDFAt(%v) = %v, want %v", want.x, got, want.p)
 		}
-	}
-	if CDF(nil) != nil {
-		t.Error("CDF(nil) should be nil")
 	}
 }
 
@@ -112,19 +105,18 @@ func TestCDFMonotoneProperty(t *testing.T) {
 		for i := range xs {
 			xs[i] = rng.NormFloat64() * 10
 		}
-		pts := CDF(xs)
-		for i := 1; i < len(pts); i++ {
-			if pts[i].X <= pts[i-1].X || pts[i].P <= pts[i-1].P {
-				t.Fatalf("CDF not strictly increasing at %d: %v", i, pts)
+		sort.Float64s(xs)
+		for i := 1; i < len(xs); i++ {
+			if CDFAt(xs, xs[i]) < CDFAt(xs, xs[i-1]) {
+				t.Fatalf("CDF decreases between %v and %v", xs[i-1], xs[i])
 			}
 		}
-		if pts[len(pts)-1].P != 1 {
-			t.Fatalf("CDF must end at 1: %v", pts[len(pts)-1])
+		if CDFAt(xs, xs[len(xs)-1]) != 1 {
+			t.Fatalf("CDF must end at 1, got %v", CDFAt(xs, xs[len(xs)-1]))
 		}
 		// Percentile and CDF are inverse-consistent up to interpolation:
 		// the interpolated percentile sits between two order statistics,
 		// so the CDF there can undershoot by at most one sample.
-		sort.Float64s(xs)
 		slack := 1 / float64(len(xs))
 		for _, p := range []float64{10, 50, 90} {
 			v := Percentile(xs, p)

@@ -121,22 +121,15 @@ func (g *Gauge) Set(v float64) {
 	g.mu.Unlock()
 }
 
-// Add adds d (may be negative).
-func (g *Gauge) Add(d float64) {
-	g.mu.Lock()
-	g.v += d
-	g.mu.Unlock()
-}
-
-// Value returns the current value.
-func (g *Gauge) Value() float64 {
+// value returns the current value.
+func (g *Gauge) value() float64 {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	return g.v
 }
 
 func (g *Gauge) write(w io.Writer, name, labels string) error {
-	_, err := fmt.Fprintf(w, "%s%s %s\n", name, labels, formatFloat(g.Value()))
+	_, err := fmt.Fprintf(w, "%s%s %s\n", name, labels, formatFloat(g.value()))
 	return err
 }
 
@@ -169,20 +162,6 @@ func (h *Histogram) Observe(v float64) {
 		}
 	}
 	h.inf++
-}
-
-// Count returns the number of observations.
-func (h *Histogram) Count() uint64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.count
-}
-
-// Sum returns the sum of all observed values.
-func (h *Histogram) Sum() float64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.sum
 }
 
 func (h *Histogram) write(w io.Writer, name, labels string) error {
@@ -237,39 +216,6 @@ func (r *Registry) Gauge(name, help string) *Gauge {
 func (r *Registry) Histogram(name, help string, buckets []float64) *Histogram {
 	f := r.family(name, help, "histogram", "", buckets)
 	return f.child("", func() collector { return newHistogram(f.buckets) }).(*Histogram)
-}
-
-// LookupCounter returns the already-registered unlabeled counter with
-// the given name, or nil if no such counter exists. Unlike Counter it
-// never registers a family — use it to observe a metric owned by
-// another subsystem (e.g. from a test) without claiming the name.
-func (r *Registry) LookupCounter(name string) *Counter {
-	r.mu.Lock()
-	f, ok := r.families[name]
-	r.mu.Unlock()
-	if !ok {
-		return nil
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	c, _ := f.children[""].(*Counter)
-	return c
-}
-
-// LookupCounterWith returns the already-registered counter for one label
-// value of the named labeled family, or nil if the family or value does
-// not exist. Like LookupCounter, it never registers.
-func (r *Registry) LookupCounterWith(name, value string) *Counter {
-	r.mu.Lock()
-	f, ok := r.families[name]
-	r.mu.Unlock()
-	if !ok {
-		return nil
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	c, _ := f.children[value].(*Counter)
-	return c
 }
 
 // CounterVec is a counter family keyed by one label.

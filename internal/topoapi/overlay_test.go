@@ -32,10 +32,10 @@ func oracleCritical(snap Snapshot, k int) []byte {
 	base := plan.BaseGraph(m)
 
 	ids := make([]int, 0, base.NumEdges())
-	rows := make(map[int]*CriticalDuct, base.NumEdges())
+	rows := make(map[int]*criticalDuct, base.NumEdges())
 	for _, e := range base.Edges() {
 		ids = append(ids, e.ID)
-		rows[e.ID] = &CriticalDuct{Duct: e.ID, From: e.U, To: e.V, KM: e.W}
+		rows[e.ID] = &criticalDuct{Duct: e.ID, From: e.U, To: e.V, KM: e.W}
 	}
 	for _, id := range base.Bridges() {
 		rows[id].Bridge = true
@@ -113,7 +113,7 @@ func oracleCritical(snap Snapshot, k int) []byte {
 		}
 	}
 
-	out := make([]CriticalDuct, 0, len(rows))
+	out := make([]criticalDuct, 0, len(rows))
 	for _, row := range rows {
 		out = append(out, *row)
 	}
@@ -376,7 +376,7 @@ func TestCriticalWorkBound(t *testing.T) {
 		New(Config{State: func() Snapshot { return tc.snap }}).Register(mux)
 		var body struct {
 			K     int            `json:"k"`
-			Ducts []CriticalDuct `json:"ducts"`
+			Ducts []criticalDuct `json:"ducts"`
 		}
 		if err := json.Unmarshal(get(t, mux, "/api/critical?k=3"), &body); err != nil {
 			t.Fatal(err)

@@ -163,8 +163,8 @@ func intQuery(q url.Values, name string, def int) (int, error) {
 	return n, nil
 }
 
-// Hop is one duct of a reported path, with its live fiber occupancy.
-type Hop struct {
+// hop is one duct of a reported path, with its live fiber occupancy.
+type hop struct {
 	Duct             int     `json:"duct"`
 	From             int     `json:"from"`
 	To               int     `json:"to"`
@@ -175,12 +175,12 @@ type Hop struct {
 	FreePairs        int     `json:"free_pairs"`
 }
 
-// PathOut is one k-shortest path.
-type PathOut struct {
+// pathOut is one k-shortest path.
+type pathOut struct {
 	Nodes []int    `json:"nodes"`
 	Names []string `json:"names"`
 	KM    float64  `json:"km"`
-	Hops  []Hop    `json:"hops"`
+	Hops  []hop    `json:"hops"`
 }
 
 func (s *Server) handlePaths(w http.ResponseWriter, r *http.Request) {
@@ -207,9 +207,9 @@ func (s *Server) handlePaths(w http.ResponseWriter, r *http.Request) {
 	base, _ := s.tools(snap.Dep)
 	fibers, residual := core.Occupancy(snap.Dep, snap.Alloc)
 	paths := base.KShortestPaths(from, to, k)
-	out := make([]PathOut, 0, len(paths))
+	out := make([]pathOut, 0, len(paths))
 	for _, p := range paths {
-		po := PathOut{Nodes: p.Nodes, KM: p.Dist, Hops: make([]Hop, 0, len(p.Edges))}
+		po := pathOut{Nodes: p.Nodes, KM: p.Dist, Hops: make([]hop, 0, len(p.Edges))}
 		for _, n := range p.Nodes {
 			po.Names = append(po.Names, m.Nodes[n].Name)
 		}
@@ -218,7 +218,7 @@ func (s *Server) handlePaths(w http.ResponseWriter, r *http.Request) {
 			if du := snap.Dep.Plan.Ducts[e.ID]; du != nil {
 				prov, basePairs = du.TotalPairs(), du.BasePairs
 			}
-			po.Hops = append(po.Hops, Hop{
+			po.Hops = append(po.Hops, hop{
 				Duct:             e.ID,
 				From:             p.Nodes[i],
 				To:               p.Nodes[i+1],
@@ -234,8 +234,8 @@ func (s *Server) handlePaths(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, map[string]any{"from": from, "to": to, "k": k, "paths": out})
 }
 
-// CriticalDuct is one duct of the criticality ranking.
-type CriticalDuct struct {
+// criticalDuct is one duct of the criticality ranking.
+type criticalDuct struct {
 	Duct int     `json:"duct"`
 	From int     `json:"from"`
 	To   int     `json:"to"`
@@ -316,9 +316,9 @@ func (s *Server) handleCritical(w http.ResponseWriter, r *http.Request) {
 	}
 	minCut := s.minCutPairs(snap.Dep, base, live)
 
-	out := make([]CriticalDuct, base.NumEdges())
+	out := make([]criticalDuct, base.NumEdges())
 	for i, e := range base.Edges() {
-		row := CriticalDuct{Duct: e.ID, From: e.U, To: e.V, KM: e.W,
+		row := criticalDuct{Duct: e.ID, From: e.U, To: e.V, KM: e.W,
 			Bridge: ov.solo[i] != 0, SoloStranded: stranded[ov.solo[i]], MinCutPairs: minCut[i]}
 		for _, p := range ov.parts[i] {
 			if stranded[p] > row.StrandedDemand {

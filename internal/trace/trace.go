@@ -85,18 +85,6 @@ func New(capacity int) *Tracer {
 	return t
 }
 
-// Cap returns the recorder's total event capacity (0 for a nil tracer).
-func (t *Tracer) Cap() int {
-	if t == nil {
-		return 0
-	}
-	n := 0
-	for i := range t.shards {
-		n += len(t.shards[i].buf)
-	}
-	return n
-}
-
 // NextID hands out a fresh non-zero ID, usable as a trace ID for a new
 // trace. A nil tracer returns 0.
 func (t *Tracer) NextID() uint64 {

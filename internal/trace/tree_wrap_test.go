@@ -5,7 +5,7 @@ import "testing"
 // flood records enough events on an unrelated trace to overwrite every
 // slot of the bounded ring.
 func flood(t *Tracer, traceID uint64) {
-	for i := 0; i < t.Cap()+shardCount; i++ {
+	for i := 0; i < ringCap(t)+shardCount; i++ {
 		t.Start(traceID, "filler").Finish()
 	}
 }

@@ -13,7 +13,7 @@ import (
 // hands the allocator a Delta instead of a full matrix, and only those
 // pairs (plus any duct-sharing neighbours) are re-solved.
 //
-// Pairs are keyed canonically; use Set/Get rather than touching Changes
+// Pairs are keyed canonically; use Set rather than touching Changes
 // directly when orientation is not guaranteed.
 type Delta struct {
 	Changes map[hose.Pair]float64
@@ -33,45 +33,17 @@ func (d Delta) Set(p hose.Pair, demand float64) {
 	d.Changes[p.Canonical()] = demand
 }
 
-// Get returns the new demand recorded for a pair and whether the pair is
-// part of the delta.
-func (d Delta) Get(p hose.Pair) (float64, bool) {
-	v, ok := d.Changes[p.Canonical()]
-	return v, ok
-}
-
 // Len returns the number of changed pairs.
 func (d Delta) Len() int { return len(d.Changes) }
 
-// Empty reports whether the delta changes nothing.
-func (d Delta) Empty() bool { return len(d.Changes) == 0 }
-
-// Pairs returns the changed pairs in deterministic (A, then B) order.
-func (d Delta) Pairs() []hose.Pair {
+// pairs returns the changed pairs in deterministic (A, then B) order.
+func (d Delta) pairs() []hose.Pair {
 	out := make([]hose.Pair, 0, len(d.Changes))
 	for p := range d.Changes {
 		out = append(out, p)
 	}
 	hose.SortPairs(out)
 	return out
-}
-
-// Clone returns a deep copy.
-func (d Delta) Clone() Delta {
-	c := NewDelta()
-	for p, v := range d.Changes {
-		c.Changes[p] = v
-	}
-	return c
-}
-
-// Merge folds a later delta into this one: for pairs present in both, the
-// later value wins. This is how a burst of feed ticks coalesces into one
-// incremental solve.
-func (d Delta) Merge(later Delta) {
-	for p, v := range later.Changes {
-		d.Changes[p] = v
-	}
 }
 
 // ApplyTo writes the delta's demands into a matrix.
@@ -86,7 +58,7 @@ func (d Delta) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "delta{%d pairs", len(d.Changes))
 	if n := len(d.Changes); n > 0 && n <= 4 {
-		for _, p := range d.Pairs() {
+		for _, p := range d.pairs() {
 			fmt.Fprintf(&b, " %d-%d=%.1f", p.A, p.B, d.Changes[p])
 		}
 	}

@@ -28,16 +28,6 @@ type LoadProfile struct {
 	FlashMult      float64
 }
 
-// DefaultLoadProfile returns a pronounced but stable profile for
-// simulations: a ±30% diurnal swing over five minutes (a compressed day)
-// and 3× flash crowds of five seconds roughly once a minute.
-func DefaultLoadProfile() LoadProfile {
-	return LoadProfile{
-		DiurnalAmp: 0.3, DiurnalPeriodS: 300,
-		FlashEveryS: 60, FlashDurationS: 5, FlashMult: 3,
-	}
-}
-
 // Flat reports whether the profile modulates nothing.
 func (p LoadProfile) Flat() bool {
 	diurnal := p.DiurnalAmp > 0 && p.DiurnalPeriodS > 0

@@ -26,9 +26,9 @@ type SizeDist struct {
 // Name returns the workload name ("web1", "web2", "hadoop", "cache").
 func (d SizeDist) Name() string { return d.name }
 
-// NewSizeDist builds a distribution from breakpoints. It panics on
+// newSizeDist builds a distribution from breakpoints. It panics on
 // malformed tables, which are programming errors in workload definitions.
-func NewSizeDist(name string, bytes, cdf []float64) SizeDist {
+func newSizeDist(name string, bytes, cdf []float64) SizeDist {
 	if len(bytes) != len(cdf) || len(bytes) < 2 {
 		panic(fmt.Sprintf("traffic: malformed size table %q", name))
 	}
@@ -107,7 +107,7 @@ func (d SizeDist) quantile(u float64) float64 {
 
 // WebSearch returns the pFabric web-search workload (the paper's "web1").
 func WebSearch() SizeDist {
-	return NewSizeDist("web1",
+	return newSizeDist("web1",
 		[]float64{1e2, 1e4, 3e4, 1e5, 3e5, 1e6, 3e6, 1e7, 3e7},
 		[]float64{0, 0.15, 0.30, 0.45, 0.60, 0.70, 0.80, 0.90, 1},
 	)
@@ -115,23 +115,23 @@ func WebSearch() SizeDist {
 
 // FBWeb returns the Facebook web-server workload (the paper's "web2").
 func FBWeb() SizeDist {
-	return NewSizeDist("web2",
+	return newSizeDist("web2",
 		[]float64{1e2, 1e3, 1e4, 1e5, 1e6, 1e7},
 		[]float64{0, 0.30, 0.70, 0.90, 0.97, 1},
 	)
 }
 
-// FBHadoop returns the Facebook hadoop workload.
-func FBHadoop() SizeDist {
-	return NewSizeDist("hadoop",
+// fbHadoop returns the Facebook hadoop workload.
+func fbHadoop() SizeDist {
+	return newSizeDist("hadoop",
 		[]float64{1e2, 1e3, 1e4, 1e5, 1e6, 1e8},
 		[]float64{0, 0.20, 0.50, 0.75, 0.90, 1},
 	)
 }
 
-// FBCache returns the Facebook cache-follower workload.
-func FBCache() SizeDist {
-	return NewSizeDist("cache",
+// fbCache returns the Facebook cache-follower workload.
+func fbCache() SizeDist {
+	return newSizeDist("cache",
 		[]float64{1e2, 1e3, 1e4, 1e5, 1e6, 1e7},
 		[]float64{0, 0.10, 0.40, 0.70, 0.90, 1},
 	)
@@ -139,7 +139,7 @@ func FBCache() SizeDist {
 
 // Workloads returns the four evaluation workloads in Fig. 18 order.
 func Workloads() []SizeDist {
-	return []SizeDist{WebSearch(), FBWeb(), FBHadoop(), FBCache()}
+	return []SizeDist{WebSearch(), FBWeb(), fbHadoop(), fbCache()}
 }
 
 // WorkloadByName resolves a workload by its Name (command-line flags).

@@ -10,10 +10,10 @@ import (
 
 func TestSizeDistValidation(t *testing.T) {
 	for name, fn := range map[string]func(){
-		"length mismatch": func() { NewSizeDist("x", []float64{1, 2}, []float64{0}) },
-		"too short":       func() { NewSizeDist("x", []float64{1}, []float64{1}) },
-		"non-monotone":    func() { NewSizeDist("x", []float64{2, 1}, []float64{0, 1}) },
-		"cdf not to 1":    func() { NewSizeDist("x", []float64{1, 2}, []float64{0, 0.9}) },
+		"length mismatch": func() { newSizeDist("x", []float64{1, 2}, []float64{0}) },
+		"too short":       func() { newSizeDist("x", []float64{1}, []float64{1}) },
+		"non-monotone":    func() { newSizeDist("x", []float64{2, 1}, []float64{0, 1}) },
+		"cdf not to 1":    func() { newSizeDist("x", []float64{1, 2}, []float64{0, 0.9}) },
 	} {
 		t.Run(name, func(t *testing.T) {
 			defer func() {

@@ -33,12 +33,6 @@ func (w *Window) Push(m *Matrix) {
 	}
 }
 
-// Len is the number of matrices currently held.
-func (w *Window) Len() int { return len(w.ms) }
-
-// Cap is the window's bound.
-func (w *Window) Cap() int { return w.cap }
-
 // Matrices returns the window's contents oldest-first. The slice is
 // fresh but the matrices are the window's own clones; callers must not
 // mutate them.

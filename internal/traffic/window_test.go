@@ -9,16 +9,16 @@ import (
 
 func TestWindowEvictsOldest(t *testing.T) {
 	w := NewWindow(3)
-	if w.Cap() != 3 || w.Len() != 0 {
-		t.Fatalf("fresh window cap=%d len=%d, want 3, 0", w.Cap(), w.Len())
+	if w.cap != 3 || len(w.ms) != 0 {
+		t.Fatalf("fresh window cap=%d len=%d, want 3, 0", w.cap, len(w.ms))
 	}
 	for i := 1; i <= 5; i++ {
 		m := NewMatrix([]int{1, 2})
 		m.Set(hose.Pair{A: 1, B: 2}, float64(i))
 		w.Push(m)
 	}
-	if w.Len() != 3 {
-		t.Fatalf("len = %d after 5 pushes into cap 3, want 3", w.Len())
+	if len(w.ms) != 3 {
+		t.Fatalf("len = %d after 5 pushes into cap 3, want 3", len(w.ms))
 	}
 	ms := w.Matrices()
 	for i, want := range []float64{3, 4, 5} { // oldest first
@@ -41,8 +41,8 @@ func TestWindowClonesOnPush(t *testing.T) {
 
 func TestWindowMinimumCapacity(t *testing.T) {
 	w := NewWindow(0)
-	if w.Cap() != 1 {
-		t.Fatalf("NewWindow(0) cap = %d, want 1", w.Cap())
+	if w.cap != 1 {
+		t.Fatalf("NewWindow(0) cap = %d, want 1", w.cap)
 	}
 }
 

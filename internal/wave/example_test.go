@@ -19,7 +19,7 @@ func ExamplePackDC() {
 	}
 	for _, f := range fibers {
 		fmt.Printf("fiber to DC%d: %d live, %d ASE-filled\n",
-			f.Dst, f.Live(), len(wave.ASEFill(f, 40)))
+			f.Dst, len(f.Slots), len(wave.ASEFill(f, 40)))
 	}
 	// Output:
 	// fiber to DC1: 40 live, 0 ASE-filled

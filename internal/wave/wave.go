@@ -31,9 +31,6 @@ type Fiber struct {
 	Slots []int
 }
 
-// Live returns the number of live wavelengths on the fiber.
-func (f Fiber) Live() int { return len(f.Slots) }
-
 // PackDC packs a DC's demands into outgoing fibers of lambda wavelength
 // slots each: ⌊d/λ⌋ full fibers per destination plus one residual fiber
 // carrying the remainder (§4.3). Full fibers use every slot; residual
@@ -89,17 +86,6 @@ func ASEFill(f Fiber, lambda int) []int {
 		}
 	}
 	return fill
-}
-
-// FiberCount returns how many fibers PackDC would use for the demands —
-// the §4.3 per-DC fiber requirement (full fibers plus one residual per
-// fractional destination).
-func FiberCount(demands []Demand, lambda int) (int, error) {
-	fibers, err := PackDC(demands, lambda)
-	if err != nil {
-		return 0, err
-	}
-	return len(fibers), nil
 }
 
 // ---------------------------------------------------------------------------
@@ -209,25 +195,4 @@ func ValidColoring(paths []Lightpath, colors []int) bool {
 		}
 	}
 	return true
-}
-
-// MinLoadLowerBound returns the trivial lower bound on the wavelengths any
-// assignment needs: the maximum number of lightpaths sharing one link.
-func MinLoadLowerBound(paths []Lightpath) int {
-	byLink := make(map[int]int)
-	maxLoad := 0
-	for _, p := range paths {
-		seen := make(map[int]bool, len(p.Links))
-		for _, l := range p.Links {
-			if seen[l] {
-				continue
-			}
-			seen[l] = true
-			byLink[l]++
-			if byLink[l] > maxLoad {
-				maxLoad = byLink[l]
-			}
-		}
-	}
-	return maxLoad
 }

@@ -19,13 +19,13 @@ func TestPackDCBasics(t *testing.T) {
 		t.Fatalf("fibers = %d, want 4", len(fibers))
 	}
 	// Destination order: dst 1 first.
-	if fibers[0].Dst != 1 || fibers[0].Live() != 40 {
+	if fibers[0].Dst != 1 || len(fibers[0].Slots) != 40 {
 		t.Errorf("fiber[0] = %+v", fibers[0])
 	}
-	if fibers[1].Dst != 2 || fibers[1].Live() != 40 {
+	if fibers[1].Dst != 2 || len(fibers[1].Slots) != 40 {
 		t.Errorf("fiber[1] = %+v", fibers[1])
 	}
-	if fibers[3].Dst != 2 || fibers[3].Live() != 20 {
+	if fibers[3].Dst != 2 || len(fibers[3].Slots) != 20 {
 		t.Errorf("fiber[3] = %+v (residual)", fibers[3])
 	}
 }
@@ -59,10 +59,10 @@ func TestPackDCConservesWavelengths(t *testing.T) {
 		}
 		got := 0
 		for _, f := range fibers {
-			if f.Live() > lambda {
-				t.Fatalf("fiber overfilled: %d > λ=%d", f.Live(), lambda)
+			if len(f.Slots) > lambda {
+				t.Fatalf("fiber overfilled: %d > λ=%d", len(f.Slots), lambda)
 			}
-			got += f.Live()
+			got += len(f.Slots)
 		}
 		if got != want {
 			t.Fatalf("trial %d: packed %d wavelengths, want %d", trial, got, want)
@@ -86,15 +86,15 @@ func TestFiberCountMatchesSection43(t *testing.T) {
 	// A DC with capacity z fibers sending x+y=z where y is fractional
 	// needs z+1 fibers (§4.3's motivating example).
 	const lambda = 40
-	n, err := FiberCount([]Demand{
+	fibers, err := PackDC([]Demand{
 		{Dst: 1, Wavelengths: 70}, // 1 full + residual
 		{Dst: 2, Wavelengths: 10}, // residual only
 	}, lambda)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n != 3 { // demand totals 2 fibers' worth but needs 3
-		t.Errorf("FiberCount = %d, want 3", n)
+	if len(fibers) != 3 { // demand totals 2 fibers' worth but needs 3
+		t.Errorf("fibers = %d, want 3", len(fibers))
 	}
 }
 
@@ -149,7 +149,7 @@ func TestColorLightpathsRandomValidAndBounded(t *testing.T) {
 		if !ValidColoring(paths, colors) {
 			t.Fatalf("trial %d: invalid coloring", trial)
 		}
-		lower := MinLoadLowerBound(paths)
+		lower := minLoadLowerBound(paths)
 		if used < lower {
 			t.Fatalf("trial %d: used %d below link-load lower bound %d", trial, used, lower)
 		}
@@ -180,16 +180,37 @@ func TestValidColoringDetectsConflicts(t *testing.T) {
 	}
 }
 
+// minLoadLowerBound returns the trivial lower bound on the wavelengths any
+// assignment needs: the maximum number of lightpaths sharing one link.
+func minLoadLowerBound(paths []Lightpath) int {
+	byLink := make(map[int]int)
+	maxLoad := 0
+	for _, p := range paths {
+		seen := make(map[int]bool, len(p.Links))
+		for _, l := range p.Links {
+			if seen[l] {
+				continue
+			}
+			seen[l] = true
+			byLink[l]++
+			if byLink[l] > maxLoad {
+				maxLoad = byLink[l]
+			}
+		}
+	}
+	return maxLoad
+}
+
 func TestMinLoadLowerBound(t *testing.T) {
 	paths := []Lightpath{
 		{ID: 0, Links: []int{1, 1, 2}}, // duplicate links count once
 		{ID: 1, Links: []int{1}},
 		{ID: 2, Links: []int{2}},
 	}
-	if got := MinLoadLowerBound(paths); got != 2 {
+	if got := minLoadLowerBound(paths); got != 2 {
 		t.Errorf("lower bound = %d, want 2", got)
 	}
-	if got := MinLoadLowerBound(nil); got != 0 {
+	if got := minLoadLowerBound(nil); got != 0 {
 		t.Errorf("empty lower bound = %d", got)
 	}
 }
