@@ -120,12 +120,25 @@ func TestSummaryAndCurveShapes(t *testing.T) {
 	}
 }
 
+// flowsRun sums the MaxFlow runs of an idle auditor's workers.
+func (a *Auditor) flowsRun() int {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	n := 0
+	for _, w := range a.free {
+		n += w.flows
+	}
+	return n
+}
+
 // BenchmarkAudit20DC audits the benchmark's region — the seed-1 map with
 // 20 DCs planned for two cuts — against every single cut and 200 sampled
-// double cuts, serially on a warmed auditor. It fails itself above two
-// allocations per scenario: a warmed worker routes, loads and runs its
-// flows on storage it keeps, and what a scenario may allocate is its
-// result's own lists.
+// double cuts, serially on a warmed auditor. It gates work, not time, and
+// fails itself above two allocations or three max-flows per scenario
+// (19 when every scenario ran its flows from nothing; the failure-free
+// flows the first scenario keeps are counted in): a warmed worker routes,
+// loads and runs its flows on storage it keeps, and what a scenario may
+// allocate is its result's own lists.
 func BenchmarkAudit20DC(b *testing.B) {
 	dep := planSynthetic(b, 1, 20, 2)
 	m := dep.Region.Map
@@ -133,6 +146,7 @@ func BenchmarkAudit20DC(b *testing.B) {
 	a := NewAuditor(dep.Plan)
 	run := func() { a.Run(scs, 1) }
 	run()
+	flows := float64(a.flowsRun()) / float64(len(scs))
 	if per := testing.AllocsPerRun(3, run) / float64(len(scs)); per > 2 {
 		b.Fatalf("a warmed audit allocates %.1f times per scenario, want at most 2", per)
 	}
@@ -140,5 +154,9 @@ func BenchmarkAudit20DC(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		run()
+	}
+	b.ReportMetric(flows, "flows/scenario")
+	if flows > 3 {
+		b.Fatalf("the audit ran %.2f max-flows per scenario, want at most 3", flows)
 	}
 }

@@ -1,6 +1,7 @@
 package chaos
 
 import (
+	"fmt"
 	"math"
 	"reflect"
 	"sort"
@@ -310,9 +311,11 @@ func matchesReference(t *testing.T, label string, pl *plan.Plan, scs []Scenario)
 
 // TestAuditMatchesReference is the evaluator's bit-identity gate: on the
 // toy region exhaustively, on the 20-DC generated region the benchmark
-// plans (every single cut plus 200 sampled doubles, and the site-loss
-// classes whose cuts exceed the planned tolerance), and on a via-hub plan
-// whose walks double-cross ducts, Auditor.Run equals the reference.
+// plans (every single cut plus 200 sampled doubles, and what exceeds the
+// planned tolerance — 100 sampled triples, the site-loss classes and geo
+// events — where the worst-pair bounds are loosest), on two 16-DC regions
+// (singles and 200 doubles), and on a via-hub plan whose walks
+// double-cross ducts, Auditor.Run equals the reference.
 func TestAuditMatchesReference(t *testing.T) {
 	toy, dep := toyRegion(t, 2)
 	matchesReference(t, "toy", dep.Plan, EnumerateCuts(toy.Map, 2))
@@ -324,7 +327,16 @@ func TestAuditMatchesReference(t *testing.T) {
 	scs = append(scs, HutLossScenarios(m)...)
 	scs = append(scs, DCLossScenarios(m)...)
 	scs = append(scs, AmpFailureScenarios(dep.Plan)...)
+	scs = append(scs, SampleCuts(1, m, 3, 100)...)
+	scs = append(scs, GeoEvents(1, m, 6, 20)...)
 	matchesReference(t, "seed-1 20 DCs", dep.Plan, scs)
+
+	for seed := int64(2); seed <= 3; seed++ {
+		dep = planSynthetic(t, seed, 16, 2)
+		m = dep.Region.Map
+		matchesReference(t, fmt.Sprintf("seed-%d 16 DCs", seed), dep.Plan,
+			append(EnumerateCuts(m, 1), SampleCuts(seed, m, 2, 200)...))
+	}
 
 	// A centralized plan whose DC-hub-DC walks cross some duct twice, so
 	// the multi-crossing surcharge and residual multiplicity are compared.

@@ -172,21 +172,31 @@ func (f *FlowNetwork) dfs(u, t int, limit float64) float64 {
 	return 0
 }
 
-// MinCutReachable returns, after a MaxFlow(s,t) run, the set of nodes
-// reachable from s in the residual network. The arcs crossing from the set
-// to its complement form a minimum cut.
-func (f *FlowNetwork) MinCutReachable(s int) []bool {
-	seen := make([]bool, f.n)
-	stack := []int{s}
+// Flow returns the flow the MaxFlow runs since the last Reset routed on the
+// arc AddArc returned arcIdx for: what its reverse arc gained.
+func (f *FlowNetwork) Flow(arcIdx int) float64 { return f.arcs[arcIdx^1].cap }
+
+// MinCutInto marks in seen, after a MaxFlow(s,t) run, the nodes reachable
+// from s in the residual network, and returns it; seen is grown to one
+// entry per node when shorter (nil allocates one) and overwritten. The
+// arcs crossing from the set to its complement form a minimum cut. The
+// search runs on the network's own queue, so a seen slice that is kept
+// makes the call allocation-free.
+func (f *FlowNetwork) MinCutInto(s int, seen []bool) []bool {
+	if cap(seen) < f.n {
+		seen = make([]bool, f.n)
+	}
+	seen = seen[:f.n]
+	clear(seen)
+	// Every node is queued at most once, so the queue MaxFlow sized never
+	// outgrows n.
+	queue := append(f.queue[:0], s)
 	seen[s] = true
-	for len(stack) > 0 {
-		u := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, ai := range f.head[u] {
-			a := f.arcs[ai]
-			if a.cap > flowEps && !seen[a.to] {
+	for qi := 0; qi < len(queue); qi++ {
+		for _, ai := range f.head[queue[qi]] {
+			if a := f.arcs[ai]; a.cap > flowEps && !seen[a.to] {
 				seen[a.to] = true
-				stack = append(stack, a.to)
+				queue = append(queue, a.to)
 			}
 		}
 	}

@@ -3,6 +3,7 @@ package graph
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -53,10 +54,10 @@ func TestFlowPerArc(t *testing.T) {
 	if total != 5 {
 		t.Fatalf("MaxFlow = %v, want 5", total)
 	}
-	if got := flowOn(f, a) + flowOn(f, b); math.Abs(got-5) > 1e-9 {
+	if got := f.Flow(a) + f.Flow(b); math.Abs(got-5) > 1e-9 {
 		t.Errorf("flow into node 1 = %v, want 5", got)
 	}
-	if got := flowOn(f, c); math.Abs(got-5) > 1e-9 {
+	if got := f.Flow(c); math.Abs(got-5) > 1e-9 {
 		t.Errorf("flow on bottleneck = %v, want 5", got)
 	}
 }
@@ -126,18 +127,23 @@ func TestMaxFlowEqualsMinCutRandom(t *testing.T) {
 	}
 }
 
-func TestMinCutReachable(t *testing.T) {
+func TestMinCutInto(t *testing.T) {
 	f := NewFlowNetwork(4)
 	f.AddArc(0, 1, 10)
 	f.AddArc(1, 2, 1) // bottleneck
 	f.AddArc(2, 3, 10)
 	f.MaxFlow(0, 3)
-	seen := f.MinCutReachable(0)
 	want := []bool{true, true, false, false}
-	for i := range want {
-		if seen[i] != want[i] {
-			t.Errorf("reachable[%d] = %v, want %v", i, seen[i], want[i])
+	// A nil slice, a short one and one left full by an earlier call all
+	// come back as the source side.
+	for _, seen := range [][]bool{nil, make([]bool, 2), {true, true, true, true, true}} {
+		if got := f.MinCutInto(0, seen); !slices.Equal(got, want) {
+			t.Errorf("MinCutInto(0, %v) = %v, want %v", seen, got, want)
 		}
+	}
+	seen := make([]bool, 4)
+	if avg := testing.AllocsPerRun(10, func() { f.MinCutInto(0, seen) }); avg != 0 {
+		t.Errorf("MinCutInto on a kept slice allocated %v per run, want 0", avg)
 	}
 }
 
@@ -163,7 +169,7 @@ func TestMaxFlowConservation(t *testing.T) {
 		total := f.MaxFlow(0, n-1)
 		net := make([]float64, n)
 		for _, r := range recs {
-			fl := flowOn(f, r.idx)
+			fl := f.Flow(r.idx)
 			if fl < -1e-9 {
 				t.Fatalf("negative flow %v", fl)
 			}
@@ -197,7 +203,7 @@ func TestFlowNetworkReset(t *testing.T) {
 		t.Fatalf("MaxFlow on consumed network = %v, want 0", got)
 	}
 	f.Reset()
-	if got := flowOn(f, a); got != 0 {
+	if got := f.Flow(a); got != 0 {
 		t.Fatalf("Flow after Reset = %v, want 0", got)
 	}
 	if got := f.MaxFlow(0, 3); got != 1 {
@@ -310,6 +316,130 @@ func TestFixedSourceMinEqualsAllPairsMin(t *testing.T) {
 	}
 }
 
+// The auditor's worst-pair step also rests on this: the flows from one
+// source on the whole network bracket the flows on the network less a set
+// of edges, without running them. Per target v, with λ₀ the kept flow's
+// value, x[e] the net flow it left on edge e (its two arcs' flows
+// cancelled) and S the source side of its minimum cut:
+//
+//	λ₀ − Σ_{e∈C} x[e]  ≤  λ_C  ≤  λ₀ − Σ_{e∈C, one end in S} cap(e)
+//
+// and the minimum over the targets is found by running only those the
+// bounds leave open. Random undirected multigraphs on whole capacities,
+// some zero; cut sets of up to four edges, now and then every edge of the
+// source or of a target, or an ID no edge has.
+func TestCutBoundsBracketMaxFlow(t *testing.T) {
+	rng := rand.New(rand.NewSource(47))
+	type edge struct {
+		u, v   int
+		c      float64
+		ab, ba int // arc indices
+	}
+	ran, skipped, exact := 0, 0, 0
+	for trial := 0; trial < 300; trial++ {
+		n := 3 + rng.Intn(8)
+		f := NewFlowNetwork(n)
+		var edges []edge
+		for m := n + rng.Intn(2*n); m > 0; m-- {
+			u, v := rng.Intn(n), rng.Intn(n)
+			if u == v {
+				continue
+			}
+			c := float64(rng.Intn(6))
+			edges = append(edges, edge{u, v, c, f.AddArc(u, v, c), f.AddArc(v, u, c)})
+		}
+		s := rng.Intn(n)
+
+		// What is kept of the whole network's flows.
+		flow0 := make([]float64, n)
+		net := make([][]float64, n)
+		side := make([][]bool, n)
+		for v := 0; v < n; v++ {
+			f.Reset()
+			flow0[v] = f.MaxFlow(s, v)
+			net[v] = make([]float64, len(edges))
+			for i, e := range edges {
+				net[v][i] = math.Abs(f.Flow(e.ab) - f.Flow(e.ba))
+			}
+			side[v] = f.MinCutInto(s, nil)
+		}
+
+		var cut []int
+		switch rng.Intn(6) {
+		case 0: // strand the source or a target
+			x := rng.Intn(n)
+			for i, e := range edges {
+				if e.u == x || e.v == x {
+					cut = append(cut, i)
+				}
+			}
+		default:
+			for k := rng.Intn(5); k > 0 && len(edges) > 0; k-- {
+				if i := rng.Intn(len(edges)); !slices.Contains(cut, i) {
+					cut = append(cut, i)
+				}
+			}
+		}
+		if rng.Intn(4) == 0 {
+			cut = append(cut, len(edges)+rng.Intn(3), -1)
+		}
+		live := func(i int) bool { return i >= 0 && i < len(edges) }
+		for _, i := range cut {
+			if live(i) {
+				f.SetCapacity(edges[i].ab, 0)
+				f.SetCapacity(edges[i].ba, 0)
+			}
+		}
+
+		lo, hi := make([]float64, n), make([]float64, n)
+		upper, want := math.Inf(1), math.Inf(1)
+		for v := 0; v < n; v++ {
+			if v == s {
+				continue
+			}
+			lo[v], hi[v] = flow0[v], flow0[v]
+			for _, i := range cut {
+				if !live(i) {
+					continue
+				}
+				lo[v] -= net[v][i]
+				if e := edges[i]; side[v][e.u] != side[v][e.v] {
+					hi[v] -= e.c
+				}
+			}
+			f.Reset()
+			got := f.MaxFlow(s, v)
+			if got < lo[v] || got > hi[v] {
+				t.Fatalf("trial %d, %d -> %d without %v: flow %v outside [%v, %v] (whole network %v)",
+					trial, s, v, cut, got, lo[v], hi[v], flow0[v])
+			}
+			upper, want = math.Min(upper, hi[v]), math.Min(want, got)
+		}
+		worst := math.Inf(1)
+		for v := 0; v < n; v++ {
+			switch {
+			case v == s:
+			case lo[v] == hi[v]:
+				worst = math.Min(worst, lo[v])
+				exact++
+			case lo[v] >= math.Min(upper, worst):
+				skipped++
+			default:
+				f.Reset()
+				worst = math.Min(worst, f.MaxFlow(s, v))
+				ran++
+			}
+		}
+		if worst != want {
+			t.Fatalf("trial %d, source %d without %v: minimum %v from the exact and the computed flows, %v from all of them",
+				trial, s, cut, worst, want)
+		}
+	}
+	if ran == 0 || skipped == 0 || exact == 0 {
+		t.Errorf("%d flows ran, %d were passed over and %d known exactly; the networks do not cover the three", ran, skipped, exact)
+	}
+}
+
 // Clear leaves a network that behaves as a new one of the size asked for,
 // whatever it held before and whether it shrank or grew.
 func TestClearMatchesNew(t *testing.T) {
@@ -374,8 +504,8 @@ func TestSetCapacityMatchesRebuild(t *testing.T) {
 			t.Fatalf("trial %d: MaxFlow = %v with arcs set to zero, %v rebuilt without them", trial, got, want)
 		}
 		for i := range down {
-			if flowOn(f, idx[i]) != 0 {
-				t.Fatalf("trial %d: a zero-capacity arc carries %v", trial, flowOn(f, idx[i]))
+			if f.Flow(idx[i]) != 0 {
+				t.Fatalf("trial %d: a zero-capacity arc carries %v", trial, f.Flow(idx[i]))
 			}
 			f.SetCapacity(idx[i], links[i].c)
 		}
@@ -406,10 +536,6 @@ func TestSetCapacityMatchesRebuild(t *testing.T) {
 
 // A warmed network runs Reset and MaxFlow — and Clear and a refill of no
 // more arcs than it has held — without allocating.
-// flowOn returns the flow the most recent MaxFlow call routed on the arc
-// AddArc returned as arcIdx: the residual on its reverse arc.
-func flowOn(f *FlowNetwork, arcIdx int) float64 { return f.arcs[arcIdx^1].cap }
-
 func TestFlowNetworkSteadyStateZeroAlloc(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	f, _ := symmetricNetwork(rng)

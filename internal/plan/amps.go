@@ -7,29 +7,16 @@ import (
 	"iris/internal/optics"
 )
 
-// segmentLossViolated reports whether any inter-amplifier segment of the
-// path exceeds the unamplified span limit (TC1). It is the allocation-free
-// equivalent of checking optics.Evaluate(elementsFor(pr)) for a
-// SegmentLoss violation (the oracle plan_test.go keeps), which the planner
-// does in a hot loop.
-func segmentLossViolated(pr *pathRec) bool {
-	seg := 0.0
-	for i, e := range pr.Ducts {
-		seg += e.W
-		if seg > optics.MaxSpanKM+1e-9 {
-			return true
-		}
-		if i < len(pr.Ducts)-1 && pr.Nodes[i+1] == pr.ampNode {
-			seg = 0
-		}
-	}
-	return false
-}
-
 // ossTraversals counts the path's optical-switch traversals: one at each
 // terminal, one per switched interior node, plus one more where the
-// loopback amplifier adds a second pass (matching elementsFor).
+// loopback amplifier adds a second pass (matching elementsFor). A path
+// with no amplifier and no bypass — nearly every path of a scenario, when
+// cut-through placement opens — switches at every node it has, and an
+// unrouted pair's empty path at its two terminals.
 func ossTraversals(pr *pathRec) int {
+	if pr.ampNode < 0 && len(pr.bypass) == 0 {
+		return max(2, len(pr.Ducts)+1)
+	}
 	n := 2
 	for i := 0; i < len(pr.Ducts)-1; i++ {
 		v := pr.Nodes[i+1]
@@ -53,40 +40,37 @@ func reconfigViolated(pr *pathRec) bool {
 // placeAmps runs Algorithm 2 for one scenario: while paths violate the
 // segment-loss constraint (TC1), score every candidate amplifier location
 // by constraint resolutions per newly needed amplifier and place greedily
-// at the best one. Amplifier counts accumulate across scenarios in
-// p.ampsArr (amplifiers are physical installations shared by all
-// scenarios). Candidate sets live in generation-stamped per-node lists,
-// so the loop allocates nothing once the planner is warm.
+// at the best one. It opens from the verdicts the evaluator keeps with the
+// routes (Route.overSpan; no path is amplified yet), in pair order.
+// Amplifier counts accumulate across scenarios in p.ampsArr (amplifiers
+// are physical installations shared by all scenarios). Candidate sets live
+// in generation-stamped per-node lists, so the loop allocates nothing once
+// the planner is warm.
 func (p *Planner) placeAmps(recs []pathRec) error {
 	pend := p.pend[:0]
 	for i := range recs {
-		if segmentLossViolated(&recs[i]) {
+		if recs[i].overSpan {
 			pend = append(pend, int32(i))
 		}
 	}
 
 	for len(pend) > 0 {
 		// Candidate locations: interior nodes whose amplifier would clear
-		// the path's segment-loss violation.
+		// the path's segment-loss violation without creating another. A
+		// path that has none is recorded and leaves the list: no later
+		// placement changes it.
 		p.candSeq++
 		if p.candSeq == 0 { // stamp wraparound: invalidate all marks
 			clear(p.candGen)
 			p.candSeq = 1
 		}
 		p.candNodes = p.candNodes[:0]
+		k := 0
 		for _, ri := range pend {
 			pr := &recs[ri]
-			if pr.ampNode >= 0 {
-				// TC2 allows one inline amplifier; a path that still
-				// violates TC1 with its amp placed is unfixable.
-				p.plan.Viol = append(p.plan.Viol, fmt.Sprintf(
-					"pair %d-%d: segment loss unresolved with inline amp at %d",
-					pr.Pair.A, pr.Pair.B, pr.ampNode))
-				continue
-			}
 			found := false
 			for _, v := range pr.Nodes[1 : len(pr.Nodes)-1] {
-				if ampResolves(pr, v) {
+				if !p.ev.spanExceeded(pr.Route, v) {
 					if p.candGen[v] != p.candSeq {
 						p.candGen[v] = p.candSeq
 						p.candOf[v] = p.candOf[v][:0]
@@ -100,12 +84,14 @@ func (p *Planner) placeAmps(recs []pathRec) error {
 				p.plan.Viol = append(p.plan.Viol, fmt.Sprintf(
 					"pair %d-%d: no amplifier location can satisfy TC1 (%.1f km path)",
 					pr.Pair.A, pr.Pair.B, pr.TotalKM))
+				continue
 			}
+			pend[k] = ri
+			k++
 		}
-		if len(p.candNodes) == 0 {
-			// Everything left is unfixable and has been recorded.
-			p.pend = pend
-			return nil
+		pend = pend[:k]
+		if len(pend) == 0 {
+			break
 		}
 
 		best := p.pickAmpLocation(recs)
@@ -130,9 +116,11 @@ func (p *Planner) placeAmps(recs []pathRec) error {
 			p.ampsArr[best] = need
 		}
 
-		k := 0
+		// TC2 allows one inline amplifier, and a path got its own only
+		// from a candidate that clears it: what is left has none yet.
+		k = 0
 		for _, ri := range pend {
-			if segmentLossViolated(&recs[ri]) && recs[ri].ampNode < 0 {
+			if p.ev.spanExceeded(recs[ri].Route, recs[ri].ampNode) {
 				pend[k] = ri
 				k++
 			}
@@ -141,16 +129,6 @@ func (p *Planner) placeAmps(recs []pathRec) error {
 	}
 	p.pend = pend
 	return nil
-}
-
-// ampResolves reports whether placing the path's inline amplifier at node v
-// clears its segment-loss violation without creating another.
-func ampResolves(pr *pathRec, v int) bool {
-	saved := pr.ampNode
-	pr.ampNode = v
-	ok := !segmentLossViolated(pr)
-	pr.ampNode = saved
-	return ok
 }
 
 // pickAmpLocation scores candidate amplifier sites: resolved paths per

@@ -211,9 +211,11 @@ func evaluatorSweepZeroAlloc(t *testing.T, label string, in Input) {
 // off the evaluator's own counters, so that the time cannot quietly grow
 // back: per solve exactly 2 041 scenarios and at most one failure-free
 // tree per source, per scenario at most 12 routes read off trees (190
-// when every scenario re-read every pair) and 25 tree nodes relabelled
-// (188 settled per scenario when every touched source ran Dijkstra), and
-// no allocation.
+// when every scenario re-read every pair), 24 span walks (one per route
+// read plus Algorithm 2's probes of its pending paths' interior nodes,
+// 9.3 + 9.8; 200 when placeAmps opened by walking every pair) and 25 tree
+// nodes relabelled (188 settled per scenario when every touched source
+// ran Dijkstra), and no allocation.
 func BenchmarkPlanK2Region20(b *testing.B) {
 	in := arenaInput(b, 1, 20, 10, 2)
 	in.Base = BaseGraph(in.Map)
@@ -240,12 +242,14 @@ func BenchmarkPlanK2Region20(b *testing.B) {
 	trees := float64(w.fullTrees-before.fullTrees) / n
 	routes := float64(w.routesRead-before.routesRead) / n / scenarios
 	relabelled := float64(w.relabelled-before.relabelled) / n / scenarios
+	spanWalks := float64(w.spanWalks-before.spanWalks) / n / scenarios
 	b.ReportMetric(scenarios, "scenarios/op")
 	b.ReportMetric(routes, "routes/scenario")
+	b.ReportMetric(spanWalks, "span-walks/scenario")
 	b.ReportMetric(relabelled, "relabelled/scenario")
 	b.ReportMetric(float64(w.lookups-before.lookups)/n, "lookups/op")
-	if scenarios != 2041 || trees > float64(len(p.ev.sources)) || routes > 12 || relabelled > 25 {
-		b.Fatalf("per solve: %v scenarios (want 2041), %v failure-free trees (at most %d); per scenario: %.1f routes read (at most 12), %.1f nodes relabelled (at most 25)",
-			scenarios, trees, len(p.ev.sources), routes, relabelled)
+	if scenarios != 2041 || trees > float64(len(p.ev.sources)) || routes > 12 || spanWalks > 24 || relabelled > 25 {
+		b.Fatalf("per solve: %v scenarios (want 2041), %v failure-free trees (at most %d); per scenario: %.1f routes read (at most 12), %.1f span walks (at most 24), %.1f nodes relabelled (at most 25)",
+			scenarios, trees, len(p.ev.sources), routes, spanWalks, relabelled)
 	}
 }

@@ -7,28 +7,25 @@ import "fmt"
 // uninterrupted fiber runs that traverse one or more switching points
 // without being switched (Appendix A). Candidates are scored by paths
 // resolved per duct of extra fiber; the best is built, affected paths mark
-// the bypassed nodes, and the loop repeats until no violations remain.
+// the bypassed nodes, and the loop repeats until no violations remain. The
+// first scan is O(1) per path (ossTraversals, nothing is bypassed yet);
+// later ones re-check the pending paths only.
 //
 // A candidate's identity — (from, to, duct sequence) — is interned per
 // iteration in p.ctIter; the committed cut-throughs of the whole solve
 // are interned in p.ctAll with their duct and interior lists in flat
 // slabs, so the loop allocates nothing once the planner is warm.
 func (p *Planner) placeCutThroughs(recs []pathRec) error {
-	for iter := 0; ; iter++ {
+	pend := p.pend[:0]
+	for i := range recs {
+		if reconfigViolated(&recs[i]) {
+			pend = append(pend, int32(i))
+		}
+	}
+	for iter := 0; len(pend) > 0; iter++ {
 		if iter > len(recs)*8 {
 			return fmt.Errorf("plan: cut-through placement did not converge")
 		}
-		pend := p.pend[:0]
-		for i := range recs {
-			if reconfigViolated(&recs[i]) {
-				pend = append(pend, int32(i))
-			}
-		}
-		p.pend = pend
-		if len(pend) == 0 {
-			return nil
-		}
-
 		p.ctIter.reset()
 		p.ctIterCands = p.ctIterCands[:0]
 		p.ctIterInterior = p.ctIterInterior[:0]
@@ -41,7 +38,7 @@ func (p *Planner) placeCutThroughs(recs []pathRec) error {
 				p.plan.Viol = append(p.plan.Viol, fmt.Sprintf(
 					"pair %d-%d: no cut-through can satisfy TC4", pr.Pair.A, pr.Pair.B))
 			}
-			return nil
+			break
 		}
 
 		// Deterministic greedy choice: paths resolved per duct of fiber,
@@ -107,7 +104,20 @@ func (p *Planner) placeCutThroughs(recs []pathRec) error {
 				p.ductUse(int(d)).CutThroughPairs += delta
 			}
 		}
+
+		// A bypass only takes traversals off a path, so the paths that
+		// still violate are among the pending ones, in the same order.
+		k := 0
+		for _, ri := range pend {
+			if reconfigViolated(&recs[ri]) {
+				pend[k] = ri
+				k++
+			}
+		}
+		pend = pend[:k]
 	}
+	p.pend = pend
+	return nil
 }
 
 // cutCandidates enumerates the contiguous runs of switched interior nodes

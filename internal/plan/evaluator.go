@@ -7,6 +7,7 @@ import (
 
 	"iris/internal/graph"
 	"iris/internal/hose"
+	"iris/internal/optics"
 )
 
 // This file is the scenario evaluator: the one implementation of the
@@ -25,7 +26,9 @@ import (
 //   - Routes live one slot per pair. Route diffs Cut against a stack of
 //     frames: it undoes the frames the cut no longer contains from their
 //     logs of replaced routes, then pushes one frame for the ducts the cut
-//     gained, re-routing exactly the pairs that cross one of them.
+//     gained, re-routing exactly the pairs that cross one of them. What
+//     only the route decides — whether it is over the unamplified span
+//     limit — is kept with it.
 //   - Crossing sets are bitsets over pair indices, one per duct, so moving
 //     a pair is a bit per duct; Load recomputes the ducts whose set changed
 //     and lists the rest from the need it computed before.
@@ -50,6 +53,12 @@ type Route struct {
 	// empties it; the planner fills it before Load, other callers leave
 	// it empty and compare the load with base plus cut-through fiber.
 	CutDucts []int
+
+	// overSpan is spanExceeded for the route with no amplifier on it,
+	// kept with the slot: push sets it where it reads a route and undo
+	// puts it back, so Algorithm 2 opens a scenario from the verdicts of
+	// the routes the cut changed instead of walking every pair's ducts.
+	overSpan bool
 }
 
 // Routed reports whether the scenario leaves the pair a path. The slot of
@@ -108,14 +117,16 @@ type routeSave struct {
 	nodeOff, nodeLen int32
 	ductOff, ductLen int32
 	totalKM          float64
+	overSpan         bool
 }
 
 // evalWork counts what an evaluator did since it was built: scenarios
 // routed, failure-free trees fetched, tree nodes relabelled by repairs,
-// routes read off trees and hose-memo lookups. BenchmarkPlanK2Region20
+// routes read off trees, hose-memo lookups, and span walks — runs of
+// spanExceeded, the evaluator's and Algorithm 2's. BenchmarkPlanK2Region20
 // gates on it.
 type evalWork struct {
-	scenarios, fullTrees, relabelled, routesRead, lookups int
+	scenarios, fullTrees, relabelled, routesRead, lookups, spanWalks int
 }
 
 // Evaluator routes and loads failure scenarios of one region: a fiber
@@ -471,12 +482,13 @@ func (ev *Evaluator) push(gained, cut []int) {
 				pairIdx: r.PairIdx,
 				nodeOff: int32(len(f.nodes)), nodeLen: int32(len(r.Nodes)),
 				ductOff: int32(len(f.ducts)), ductLen: int32(len(r.Ducts)),
-				totalKM: r.TotalKM,
+				totalKM: r.TotalKM, overSpan: r.overSpan,
 			})
 			f.nodes = append(f.nodes, r.Nodes...)
 			f.ducts = append(f.ducts, r.Ducts...)
 			ev.uncross(f, r)
 			ev.read(r, cut)
+			r.overSpan = ev.spanExceeded(r, -1)
 			ev.recross(f, r)
 		}
 	}
@@ -492,7 +504,7 @@ func (ev *Evaluator) undo() {
 		ev.uncross(nil, r)
 		r.Nodes = append(r.Nodes[:0], f.nodes[s.nodeOff:s.nodeOff+s.nodeLen]...)
 		r.Ducts = append(r.Ducts[:0], f.ducts[s.ductOff:s.ductOff+s.ductLen]...)
-		r.TotalKM = s.totalKM
+		r.TotalKM, r.overSpan = s.totalKM, s.overSpan
 		ev.recross(nil, r)
 	}
 	for _, l := range f.needs {
@@ -603,6 +615,27 @@ func (ev *Evaluator) read(r *Route, cut []int) {
 	r.Nodes = append(r.Nodes, ev.legN[1:]...)
 	r.Ducts = append(r.Ducts, ev.legE...)
 	r.TotalKM = best
+}
+
+// spanExceeded reports whether a segment of the route, between its ends
+// and an inline amplifier at ampNode (none when negative), is longer than
+// the unamplified span limit (TC1). It is the allocation-free equivalent
+// of checking optics.Evaluate(elementsFor(pr)) for a segment-loss
+// violation (the oracle plan_test.go keeps), which Algorithm 2 does in a
+// hot loop.
+func (ev *Evaluator) spanExceeded(r *Route, ampNode int) bool {
+	ev.work.spanWalks++
+	seg := 0.0
+	for i, e := range r.Ducts {
+		seg += e.W
+		if seg > optics.MaxSpanKM+1e-9 {
+			return true
+		}
+		if i < len(r.Ducts)-1 && r.Nodes[i+1] == ampNode {
+			seg = 0
+		}
+	}
+	return false
 }
 
 // Load applies the provisioning rule to the current routes and returns

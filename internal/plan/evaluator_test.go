@@ -9,6 +9,7 @@ import (
 	"iris/internal/fibermap"
 	"iris/internal/graph"
 	"iris/internal/hose"
+	"iris/internal/optics"
 )
 
 // oracle is the evaluator the frames, crossing sets and tree repairs
@@ -131,6 +132,8 @@ type reuseChecker struct {
 	partial int // of them, scenarios that lost a pair
 	doubled int // of them, scenarios in which a pair crosses a duct twice
 	ridden  int // of them, scenarios loaded with a cut-through rider
+	spans   int // slots met whose route has a segment over the span limit
+	budgets int // slots met whose route is over the switching budget
 }
 
 func newReuseChecker(t *testing.T, label string, in Input, seed int64) *reuseChecker {
@@ -162,6 +165,25 @@ func (c *reuseChecker) route() []Route {
 				c.label, c.ev.Cut.IDs(), w.Pair, g.Nodes, g.Ducts, g.TotalKM, g.CutDucts, w.Nodes, w.Ducts, w.TotalKM)
 		}
 		lost = lost || !g.Routed()
+
+		// What Algorithm 2 and cut-through placement open a scenario from
+		// — the span verdict kept with the slot, the closed-form switch
+		// count — against a full scan: the walk over a record built from
+		// the recomputed route, and the optical model's own evaluation.
+		pr := &pathRec{Route: w, ampNode: -1}
+		el := optics.Evaluate(elementsFor(pr))
+		if over := el.WorstSegDB > optics.AmpGainDB+1e-9; g.overSpan != over || c.ev.spanExceeded(w, -1) != over {
+			c.t.Fatalf("%s, cut %v, pair %v: kept span verdict %v, walked %v, worst segment %.2f dB",
+				c.label, c.ev.Cut.IDs(), w.Pair, g.overSpan, c.ev.spanExceeded(w, -1), el.WorstSegDB)
+		} else if over {
+			c.spans++
+		}
+		if n := ossTraversals(&pathRec{Route: g, ampNode: -1}); n != el.OSSCount {
+			c.t.Fatalf("%s, cut %v, pair %v: %d switch traversals in closed form, %d on the path's elements",
+				c.label, c.ev.Cut.IDs(), w.Pair, n, el.OSSCount)
+		} else if n > optics.MaxOSSPerPath {
+			c.budgets++
+		}
 	}
 	c.routed++
 	if lost {
@@ -299,31 +321,44 @@ func (c *reuseChecker) setSequence(steps int) {
 // been through, Route and Load return what a recomputation of every tree,
 // route and crossing list returns, bit for bit.
 func TestRouteReuseMatchesRecompute(t *testing.T) {
-	doubled := 0
+	doubled, spans, budgets := 0, 0, 0
 	for seed := int64(1); seed <= 4; seed++ {
 		in := arenaInput(t, seed, 8, 8, 2)
 		hubbed := arenaInput(t, seed, 6, 8, 2)
 		h1, h2 := fibermap.ChooseHubs(hubbed.Map, 5)
 		hubbed.ViaHubs = []int{h1, h2}
 
-		for _, tc := range []struct {
-			label string
-			in    Input
-		}{{"distributed", in}, {"via-hub", hubbed}} {
+		type reuseCase struct {
+			label        string
+			in           Input
+			steps, depth int
+		}
+		cases := []reuseCase{{"distributed", in, 150, 2}, {"via-hub", hubbed, 150, 2}}
+		if seed == 4 {
+			// The one region here whose plan needs cut-throughs: routes
+			// long enough to be over the switching budget.
+			cases = append(cases, reuseCase{"distributed, 24 DCs", arenaInput(t, seed, 24, 8, 2), 40, 1})
+		}
+		for _, tc := range cases {
 			c := newReuseChecker(t, tc.label, tc.in, seed)
 			// Interleaved, so each walk meets trees the other kept.
-			c.setSequence(150)
-			c.dfs(2)
-			c.setSequence(150)
-			c.dfs(2)
+			c.setSequence(tc.steps)
+			c.dfs(tc.depth)
+			c.setSequence(tc.steps)
+			c.dfs(tc.depth)
 			if c.partial == 0 || c.ridden == 0 {
 				t.Errorf("%s seed %d: of %d scenarios %d lost a pair and %d cut-through riders were loaded; the case does not cover them",
 					tc.label, seed, c.routed, c.partial, c.ridden)
 			}
 			doubled += c.doubled
+			spans += c.spans
+			budgets += c.budgets
 		}
 	}
 	if doubled == 0 {
 		t.Error("no via-hub walk crossed a duct twice; the cases do not cover multiplicity")
+	}
+	if spans == 0 || budgets == 0 {
+		t.Errorf("%d routes were over the span limit and %d over the switching budget; the cases do not cover the opening scans", spans, budgets)
 	}
 }

@@ -277,6 +277,36 @@ func TestAmplifierPlacement(t *testing.T) {
 	}
 }
 
+// A pair no amplifier site can clear is reported once in a scenario,
+// however many greedy iterations the scenario's other pairs take. DCs A,
+// B, C and huts X, H: A -70- X -70- H -70- B and C -30- H. A-B (210 km)
+// and A-C (170 km) keep a segment over 80 km wherever their one amplifier
+// goes; B-C (100 km) is cleared at H, which costs the loop an iteration.
+func TestUnfixableSpanReportedOncePerScenario(t *testing.T) {
+	m := &fibermap.Map{}
+	hH := m.AddNode(fibermap.Hut, geo.Point{X: 140}, "")
+	hX := m.AddNode(fibermap.Hut, geo.Point{X: 70}, "")
+	a := m.AddNode(fibermap.DC, geo.Point{X: 0}, "")
+	b := m.AddNode(fibermap.DC, geo.Point{X: 210}, "")
+	c := m.AddNode(fibermap.DC, geo.Point{X: 140, Y: 30}, "")
+	m.AddDuct(a, hX, 70)
+	m.AddDuct(hX, hH, 70)
+	m.AddDuct(hH, b, 70)
+	m.AddDuct(c, hH, 30)
+
+	pl, err := New(Input{Map: m, Capacity: map[int]int{a: 2, b: 2, c: 2}, Lambda: 40})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(pl.Viol) != 2 || !strings.Contains(pl.Viol[0], "no amplifier location") ||
+		!strings.Contains(pl.Viol[1], "no amplifier location") || pl.Viol[0] == pl.Viol[1] {
+		t.Errorf("violations = %q, want one \"no amplifier location\" line for each of A-B and A-C", pl.Viol)
+	}
+	if got := pl.Amps[hH]; got != 2 {
+		t.Errorf("amps at H = %d, want 2 for B-C", got)
+	}
+}
+
 func TestCutThroughPlacement(t *testing.T) {
 	// A chain with 6 interior huts: 2 terminal + 6 interior OSS = 8 > 6
 	// traversals, violating TC4. Cut-throughs must bypass at least two

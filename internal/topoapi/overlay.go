@@ -145,10 +145,11 @@ func (s *Server) minCutPairs(dep *core.Deployment, base *graph.Graph, pairs []ho
 			f.AddArc(e.V, e.U, float64(du.TotalPairs()))
 		}
 	}
+	var seen []bool
 	for _, p := range pairs {
 		f.Reset()
 		f.MaxFlow(p.A, p.B)
-		seen := f.MinCutReachable(p.A)
+		seen = f.MinCutInto(p.A, seen)
 		for i, e := range base.Edges() {
 			if lit[i] && seen[e.U] != seen[e.V] {
 				counts[i]++

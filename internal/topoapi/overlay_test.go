@@ -100,7 +100,7 @@ func oracleCritical(snap Snapshot, k int) []byte {
 				f.Reset()
 			}
 			f.MaxFlow(p.A, p.B)
-			seen := f.MinCutReachable(p.A)
+			seen := f.MinCutInto(p.A, nil)
 			for _, id := range ids {
 				if capByDuct[id] == 0 {
 					continue
