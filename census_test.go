@@ -15,6 +15,7 @@ import (
 	"slices"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -55,7 +56,11 @@ type module struct {
 	dirs map[string]string // import path → directory
 	pkgs map[string]*types.Package
 	info map[string]*types.Info
+	asts map[string][]*ast.File
 }
+
+// theModule is loaded once per test binary, for every test that reads it.
+var theModule = sync.OnceValues(func() (*module, error) { return loadModule(".") })
 
 func (m *module) Import(path string) (*types.Package, error) {
 	dir, ok := m.dirs[path]
@@ -91,7 +96,7 @@ func (m *module) Import(path string) (*types.Package, error) {
 	if err != nil {
 		return nil, err
 	}
-	m.pkgs[path], m.info[path] = p, info
+	m.pkgs[path], m.info[path], m.asts[path] = p, info, files
 	return p, nil
 }
 
@@ -105,6 +110,7 @@ func loadModule(root string) (*module, error) {
 		dirs: map[string]string{},
 		pkgs: map[string]*types.Package{},
 		info: map[string]*types.Info{},
+		asts: map[string][]*ast.File{},
 	}
 	err := filepath.WalkDir(root, func(p string, d fs.DirEntry, err error) error {
 		if err != nil {
@@ -348,7 +354,7 @@ func readAllowList(name string) (map[string]string, error) {
 }
 
 func TestExportCensus(t *testing.T) {
-	m, err := loadModule(".")
+	m, err := theModule()
 	if err != nil {
 		t.Fatal(err)
 	}

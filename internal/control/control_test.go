@@ -62,6 +62,17 @@ func TestUnknownDeviceAndOp(t *testing.T) {
 	if _, err := tb.Controller.Call("dc1-oss", "connect-batch", map[string]any{"ins": []int{1}}); err == nil {
 		t.Error("expected error for missing argument")
 	}
+	// An OSS and a bank take batches only, an amplifier its single-valued
+	// enable and disable only; each request carries every argument.
+	args := map[string]any{"in": 0, "out": 1, "ins": []int{0}, "outs": []int{1},
+		"idx": 0, "wavelength": 1, "idxs": []int{0}, "wavelengths": []int{1}}
+	for _, c := range []string{"dc1-oss connect", "dc1-oss disconnect", "dc1-xcvr tune", "dc1-xcvr enable",
+		"dc1-xcvr disable", "dc1-xcvr connect-batch", "hut-amp enable-batch"} {
+		dev, op, _ := strings.Cut(c, " ")
+		if _, err := tb.Controller.Call(dev, op, args); err == nil || !strings.Contains(err.Error(), "unknown op") {
+			t.Errorf("%s accepted %s: err = %v, want unknown op", dev, op, err)
+		}
+	}
 }
 
 func TestOSSSemantics(t *testing.T) {
@@ -467,6 +478,23 @@ func TestOSSBatchSemantics(t *testing.T) {
 	}
 	if ins, _ := oss.Cross(); len(ins) != 0 {
 		t.Errorf("cross connects = %d after batch disconnect, want 0", len(ins))
+	}
+	// A disconnect naming an idle input, or one input twice, is rejected
+	// atomically as well: no circuit goes and the op log records nothing.
+	if _, err := c.Call("hut-oss", "connect-batch", map[string]any{"ins": []int{0, 1}, "outs": []int{4, 5}}); err != nil {
+		t.Fatal(err)
+	}
+	logged := len(oss.Log())
+	for _, ins := range [][]any{{0, 2}, {1, 1}} {
+		if _, err := c.Call("hut-oss", "disconnect-batch", map[string]any{"ins": ins}); err == nil {
+			t.Errorf("disconnect-batch %v should fail", ins)
+		}
+		if got, outs := oss.Cross(); !slices.Equal(got, []int{0, 1}) || !slices.Equal(outs, []int{4, 5}) {
+			t.Errorf("failed disconnect-batch %v left circuits %v->%v, want [0 1]->[4 5]", ins, got, outs)
+		}
+		if got := len(oss.Log()); got != logged {
+			t.Errorf("failed disconnect-batch %v logged %d operations, want 0", ins, got-logged)
+		}
 	}
 }
 

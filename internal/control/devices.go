@@ -3,6 +3,7 @@ package control
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 	"sync"
 	"time"
 )
@@ -103,7 +104,9 @@ func (o *OSS) Kind() string { return "oss" }
 //
 //	connect-batch {ins, outs} — create circuits in one settling window; fails
 //	                            if any port is in use
-//	disconnect-batch {ins}    — tear down the circuits from the input ports
+//	disconnect-batch {ins}    — tear down the circuits from the input ports;
+//	                            fails, changing nothing, if any is idle or
+//	                            named twice
 //	state                     — circuits {in, out}: input ports ascending
 //
 // There is no single-circuit form: real OSS firmware executes a set of
@@ -134,10 +137,8 @@ func (o *OSS) Handle(op string, args map[string]any) (map[string]any, error) {
 		if err != nil {
 			return nil, err
 		}
-		for _, in := range ins {
-			if err := o.disconnect(in); err != nil {
-				return nil, err
-			}
+		if err := o.disconnectBatch(ins); err != nil {
+			return nil, err
 		}
 		o.record(op, ins, nil)
 		return nil, nil
@@ -179,7 +180,7 @@ func (o *OSS) connectBatch(ins, outs []int) error {
 	return nil
 }
 
-// rollback undoes partially applied batch entries; callers hold o.mu.
+// rollback tears down the circuits from ins; callers hold o.mu.
 func (o *OSS) rollback(ins []int) {
 	for _, in := range ins {
 		out := o.cross[in]
@@ -187,13 +188,20 @@ func (o *OSS) rollback(ins []int) {
 	}
 }
 
-func (o *OSS) disconnect(in int) error {
+// disconnectBatch checks every input under the lock before it tears down
+// any circuit.
+func (o *OSS) disconnectBatch(ins []int) error {
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	if in < 0 || in >= o.ports || o.cross[in] < 0 {
-		return fmt.Errorf("oss: input %d not connected", in)
+	for i, in := range ins {
+		if in < 0 || in >= o.ports || o.cross[in] < 0 {
+			return fmt.Errorf("oss: input %d not connected", in)
+		}
+		if slices.Contains(ins[:i], in) {
+			return fmt.Errorf("oss: input %d named twice in one batch", in)
+		}
 	}
-	o.rollback([]int{in})
+	o.rollback(ins)
 	return nil
 }
 
