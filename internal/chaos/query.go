@@ -16,7 +16,7 @@ import (
 // API's what-if endpoint:
 //
 //	kind=cut&duct=3&duct=7
-//	kind=hut|dc|amp&node=4
+//	kind=hut|dc|amp&node=4   (hut on a hut, dc on a DC)
 //	kind=geo&x=1.5&y=-3&radius=2
 func ScenarioFromQuery(m *fibermap.Map, q url.Values) (Scenario, error) {
 	kind, err := kindFromString(q.Get("kind"))
@@ -48,6 +48,11 @@ func ScenarioFromQuery(m *fibermap.Map, q url.Values) (Scenario, error) {
 		node, err := parseNode()
 		if err != nil {
 			return Scenario{}, err
+		}
+		// The map does not know the plan's amplifier sites; it does know
+		// which nodes are huts and which DCs.
+		if k := m.Nodes[node].Kind; (kind == hutLoss && k != fibermap.Hut) || (kind == dcLoss && k != fibermap.DC) {
+			return Scenario{}, fmt.Errorf("chaos: %s scenario on node %d, a %s", kind, node, k)
 		}
 		sc := Cut(incidentDucts(m, node)...)
 		sc.Kind = kind

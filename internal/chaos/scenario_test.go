@@ -3,6 +3,7 @@ package chaos
 import (
 	"net/url"
 	"reflect"
+	"strings"
 	"testing"
 
 	"iris/internal/core"
@@ -72,6 +73,27 @@ func TestGeoRejectsNonFinite(t *testing.T) {
 	}
 	if _, err := ParseScenario(toy.Map, "geo:0,0,1e9"); err != nil {
 		t.Errorf("a large finite radius rejected: %v", err)
+	}
+}
+
+// TestSiteScenarioChecksNodeKind: a hut scenario is on a hut and a DC
+// scenario on a DC. The parser checked the node's range only, so "dc:0"
+// was a DC loss named after hut H1 and "hut:2" a hut loss named after
+// DC1.
+func TestSiteScenarioChecksNodeKind(t *testing.T) {
+	toy := fibermap.Toy()
+	for spec, kind := range map[string]string{"dc:0": "a hut", "hut:2": "a dc"} {
+		sc, err := ParseScenario(toy.Map, spec)
+		if err == nil {
+			t.Errorf("ParseScenario(%q) accepted: %q", spec, sc.Name)
+		} else if !strings.Contains(err.Error(), kind) {
+			t.Errorf("ParseScenario(%q): %v; want the error to name the node %s", spec, err, kind)
+		}
+	}
+	for spec, name := range map[string]string{"hut:0": "hut H1", "dc:2": "dc DC1", "amp:2": "amp DC1"} {
+		if sc, err := ParseScenario(toy.Map, spec); err != nil || sc.Name != name {
+			t.Errorf("ParseScenario(%q) = %q, %v; want %q", spec, sc.Name, err, name)
+		}
 	}
 }
 

@@ -12,10 +12,11 @@ import (
 // once per DC. Two entry points serve it on the *base* graph under an
 // edge-exclusion mask (see Cut), writing into a caller-owned tree through
 // a reusable Scratch, so a warmed caller performs no heap allocation:
-// DijkstraInto computes a tree from nothing, and RepairInto derives the
-// tree of a larger cut from the tree of a smaller one, relabelling only
-// the nodes below the newly cut edges. Dijkstra and DistancesFromSeeds
-// run on the same loop with a pooled Scratch.
+// DijkstraInto computes a tree from nothing, and Repair turns the tree of
+// a cut, in place, into the tree of a larger one, relabelling only the
+// nodes below the newly cut edges and logging the labels it overwrites,
+// which Restore puts back when the cut shrinks again. Dijkstra and
+// DistancesFromSeeds run on the same loop with a pooled Scratch.
 //
 // Results are bit-identical to Dijkstra on the WithoutEdges-derived
 // graph: the deterministic tie-break (better) keys on distances, hop
@@ -31,7 +32,8 @@ type Scratch struct {
 	buckets [][]distItem
 	hi      int // 1 + highest bucket index touched this run
 	queued  int
-	hit     []int // RepairInto: the nodes being relabelled
+	hit     []int // Repair: the nodes being relabelled
+	settled bool  // done is all set, as Repair leaves it
 }
 
 // scratchPool lends a Scratch to the calls that have no caller-owned one
@@ -61,6 +63,7 @@ func itemLess(a, b distItem) bool {
 }
 
 func (sc *Scratch) reset(n int) {
+	sc.settled = false
 	if cap(sc.done) < n {
 		sc.done = make([]bool, n)
 	} else {
@@ -145,14 +148,24 @@ func (g *Graph) DijkstraInto(source int, skip []bool, t *ShortestPathTree, sc *S
 	return t
 }
 
-// RepairInto derives the shortest-path tree of g under skip from the tree
-// from, which must be the exact tree of the same source under a subset of
-// skip (the failure-free tree always is), and writes it into t; t may be
-// from itself. It returns the number of nodes it relabelled.
+// Label is one node's label in a shortest-path tree as a repair found it
+// before overwriting it: what Restore puts back.
+type Label struct {
+	node, hops, prevEdge int
+	dist                 float64
+}
+
+// Repair brings t, the exact tree of its source under some cut, to the
+// exact tree under that cut plus the edges ids: skip is the mask of the
+// whole new cut. It appends every label it overwrites to log and returns
+// the extended log; the number of entries it appended is the number of
+// nodes it relabelled, and Restore with them puts t back.
 //
-// A node whose path in from runs over no newly skipped edge keeps its
-// label: its path survives, and every rival label only got worse. The
-// others — the subtrees of from below the newly skipped edges — are
+// A tree exact for a cut uses none of the cut's edges, so the subtrees to
+// relabel hang below the edges of ids alone: their roots are the endpoints
+// of those edges whose tree edge is that edge, found with no pass over the
+// nodes. A node whose path runs over no newly cut edge keeps its label:
+// its path survives, and every rival label only got worse. The others are
 // unlabelled, each is seeded with its best label over its kept neighbours
 // under the same better order, and the one settle loop finishes among
 // them with the kept nodes already done. A node's final label is the
@@ -160,32 +173,29 @@ func (g *Graph) DijkstraInto(source int, skip []bool, t *ShortestPathTree, sc *S
 // whatever order the offers arrive, so the result is bit for bit what
 // DijkstraInto computes under skip (TestRepairMatchesDijkstra) — for the
 // cost of the nodes below the cut, not of the graph.
-func (g *Graph) RepairInto(from *ShortestPathTree, skip []bool, t *ShortestPathTree, sc *Scratch) int {
-	if t != from {
-		t.Dist = append(t.Dist[:0], from.Dist...)
-		t.Hops = append(t.Hops[:0], from.Hops...)
-		t.prevEdge = append(t.prevEdge[:0], from.prevEdge...)
-		t.g, t.Source = g, from.Source
-	}
-	if skip == nil {
-		return 0
-	}
-	sc.hit = sc.hit[:0]
-	for v, pe := range t.prevEdge {
-		if pe >= 0 && skip[pe] {
-			sc.hit = append(sc.hit, v)
+//
+// Between repairs the scratch's settled marks are all set: a repair
+// clears the marks of the nodes it relabels and sets them again, so it
+// neither resets nor copies anything of the graph's size.
+func (g *Graph) Repair(t *ShortestPathTree, ids []int, skip []bool, sc *Scratch, log []Label) []Label {
+	if !sc.settled || len(sc.done) != g.n {
+		sc.reset(g.n)
+		for i := range sc.done {
+			sc.done[i] = true
 		}
+		sc.settled = true
 	}
-	if len(sc.hit) == 0 {
-		return 0
-	}
-	sc.reset(g.n)
 	done := sc.done
-	for i := range done {
-		done[i] = true
-	}
-	for _, v := range sc.hit {
-		done[v] = false
+	sc.hit = sc.hit[:0]
+	for _, id := range ids {
+		if idx, ok := g.EdgeIndex(id); ok {
+			for _, v := range [2]int{g.edges[idx].U, g.edges[idx].V} {
+				if t.prevEdge[v] == idx && done[v] {
+					done[v] = false
+					sc.hit = append(sc.hit, v)
+				}
+			}
+		}
 	}
 	// The subtrees below: a neighbour reached over the shared edge is a
 	// child.
@@ -200,11 +210,13 @@ func (g *Graph) RepairInto(from *ShortestPathTree, skip []bool, t *ShortestPathT
 	}
 	hit := sc.hit
 	for _, v := range hit {
+		log = append(log, Label{node: v, hops: t.Hops[v], prevEdge: t.prevEdge[v], dist: t.Dist[v]})
 		t.Dist[v] = Inf
 		t.Hops[v] = math.MaxInt
 		t.prevEdge[v] = -1
 	}
 	width := g.bucketWidth()
+	sc.hi = 0
 	for _, v := range hit {
 		for _, idx := range g.adj[v] {
 			if skip[idx] {
@@ -228,7 +240,19 @@ func (g *Graph) RepairInto(from *ShortestPathTree, skip []bool, t *ShortestPathT
 		}
 	}
 	g.settle(t, sc, skip, width)
-	return len(hit)
+	for _, v := range hit {
+		done[v] = true
+	}
+	return log
+}
+
+// Restore puts back, last first, the labels that repairs of t appended to
+// a log, so t is again the tree it was before the first of them.
+func (t *ShortestPathTree) Restore(log []Label) {
+	for i := len(log) - 1; i >= 0; i-- {
+		l := log[i]
+		t.Dist[l.node], t.Hops[l.node], t.prevEdge[l.node] = l.dist, l.hops, l.prevEdge
+	}
 }
 
 // settle is the Dijkstra main loop, over a monotone bucket queue holding

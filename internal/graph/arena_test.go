@@ -1,9 +1,11 @@
 package graph
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -341,35 +343,6 @@ func BenchmarkDijkstraArenaBuckets(b *testing.B) {
 	}
 }
 
-// MarkPathTo over some targets marks exactly the edges of their paths,
-// early stops included, and nothing for an unreachable target.
-func TestMarkPathToMatchesPathTo(t *testing.T) {
-	rng := rand.New(rand.NewSource(45))
-	for trial := 0; trial < 100; trial++ {
-		n := 2 + rng.Intn(12)
-		g := randomGraph(rng, n, n+rng.Intn(2*n))
-		_, cut := randomCut(rng, g)
-		tr := g.DijkstraInto(rng.Intn(n), cut.Skip(), new(ShortestPathTree), new(Scratch))
-		got := make([]bool, g.MaxEdgeID()+1)
-		want := make([]bool, g.MaxEdgeID()+1)
-		for v := 0; v < n; v++ {
-			if rng.Intn(2) == 0 {
-				continue
-			}
-			tr.MarkPathTo(v, got)
-			_, edges, _ := tr.PathTo(v)
-			for _, e := range edges {
-				want[e.ID] = true
-			}
-		}
-		for id := range want {
-			if got[id] != want[id] {
-				t.Fatalf("trial %d: edge %d marked %v, on a path %v", trial, id, got[id], want[id])
-			}
-		}
-	}
-}
-
 // repairGraph builds a random multigraph for TestRepairMatchesDijkstra:
 // parallel edges, the odd self-loop, edge IDs with gaps, and either real
 // weights or small integers (zero included), where whole paths tie
@@ -390,26 +363,54 @@ func repairGraph(rng *rand.Rand, integer bool) *Graph {
 	return g
 }
 
-// TestRepairMatchesDijkstra binds RepairInto: over a cut that grows in
-// stages, each stage's tree repaired from the previous stage's — a
-// repaired tree, from the second stage on — equals DijkstraInto's under
-// the same mask in every node's distance bits, hop count and tree edge.
-// Stages cut random edges, every edge of one node (the source's
-// component falls apart) and IDs the graph has no edge for; the trees
-// and the scratch are reused dirty, alternately repaired in place and
-// into a second tree.
+// sameLabels asserts two trees agree in every node's distance bits, hop
+// count and tree edge.
+func sameLabels(t *testing.T, what string, got, want *ShortestPathTree) {
+	t.Helper()
+	if got.Source != want.Source {
+		t.Fatalf("%s: source %d, want %d", what, got.Source, want.Source)
+	}
+	for v := range want.Dist {
+		if math.Float64bits(got.Dist[v]) != math.Float64bits(want.Dist[v]) ||
+			got.Hops[v] != want.Hops[v] || got.prevEdge[v] != want.prevEdge[v] {
+			t.Fatalf("%s, node %d: (%v, %d, edge %d), want (%v, %d, edge %d)",
+				what, v, got.Dist[v], got.Hops[v], got.prevEdge[v], want.Dist[v], want.Hops[v], want.prevEdge[v])
+		}
+	}
+}
+
+// TestRepairMatchesDijkstra binds Repair and Restore. One tree per trial
+// is repaired in place through a cut that grows in six stages — now and
+// then a stage late, with the edges of both stages — and after every
+// repair equals DijkstraInto's under the same mask in every node's
+// distance bits, hop count and tree edge. Stages cut random edges, every
+// edge of one node (the source's component falls apart) and IDs the graph
+// has no edge for. Then Restore, from the last repair back and one or two
+// repairs' logs per call, must give back every earlier tree bit for bit.
+// The scratch is now and then the one DijkstraInto resets between
+// repairs.
 func TestRepairMatchesDijkstra(t *testing.T) {
 	rng := rand.New(rand.NewSource(46))
-	var want, a, b ShortestPathTree
+	var tree, want ShortestPathTree
 	var sc, rsc Scratch
-	relabelled, repairs := 0, 0
+	var log []Label
+	relabelled, repairs, lagged := 0, 0, 0
 	for trial := 0; trial < 400; trial++ {
 		g := repairGraph(rng, trial%2 == 1)
 		edges := g.Edges()
 		source := rng.Intn(g.NumNodes())
+		rs := &rsc
+		if trial%3 == 0 {
+			rs = &sc
+		}
 		cut := NewCut(g)
-		from := g.DijkstraInto(source, nil, &a, &sc)
+		g.DijkstraInto(source, nil, &tree, &sc)
+		trees := []*ShortestPathTree{tree.Clone()} // trees[r]: before repair r
+		var offs []int                             // offs[r]: where repair r's labels start
+		var pending []int                          // IDs cut since the last repair
+		log = log[:0]
 		for stage := 0; stage < 6; stage++ {
+			before := slices.Clone(cut.IDs())
 			switch k := rng.Intn(8); {
 			case k < 5 && len(edges) > 0:
 				for n := 1 + rng.Intn(3); n > 0; n-- {
@@ -425,40 +426,52 @@ func TestRepairMatchesDijkstra(t *testing.T) {
 				cut.Push(g.MaxEdgeID() + 1 + rng.Intn(3))
 			default: // the same cut again
 			}
-			into := from
-			if stage%2 == 0 {
-				into = &b
-				if from == &b {
-					into = &a
+			for _, id := range cut.IDs() {
+				if !slices.Contains(before, id) {
+					pending = append(pending, id)
 				}
 			}
-			relabelled += g.RepairInto(from, cut.Skip(), into, &rsc)
+			if stage < 5 && rng.Intn(3) == 0 {
+				continue // the tree lags: the next repair takes both stages
+			}
+			if len(pending) > 0 && len(pending) > len(cut.IDs())-len(before) {
+				lagged++
+			}
+			offs = append(offs, len(log))
+			log = g.Repair(&tree, pending, cut.Skip(), rs, log)
+			relabelled += len(log) - offs[len(offs)-1]
 			repairs++
+			pending = pending[:0]
 			g.DijkstraInto(source, cut.Skip(), &want, &sc)
-			if into.Source != want.Source {
-				t.Fatalf("trial %d stage %d: source %d, want %d", trial, stage, into.Source, want.Source)
-			}
-			for v := 0; v < g.NumNodes(); v++ {
-				if math.Float64bits(into.Dist[v]) != math.Float64bits(want.Dist[v]) ||
-					into.Hops[v] != want.Hops[v] || into.prevEdge[v] != want.prevEdge[v] {
-					t.Fatalf("trial %d stage %d, cut %v, source %d, node %d: repaired (%v, %d, edge %d), Dijkstra (%v, %d, edge %d)",
-						trial, stage, cut.IDs(), source, v, into.Dist[v], into.Hops[v], into.prevEdge[v],
-						want.Dist[v], want.Hops[v], want.prevEdge[v])
-				}
-			}
-			from = into
+			sameLabels(t, fmt.Sprintf("trial %d stage %d, cut %v, source %d", trial, stage, cut.IDs(), source), &tree, &want)
+			trees = append(trees, tree.Clone())
+		}
+		for r := len(offs); r > 0; {
+			back := r - 1 - rng.Intn(min(2, r))
+			tree.Restore(log[offs[back]:])
+			log = log[:offs[back]]
+			sameLabels(t, fmt.Sprintf("trial %d, restored to before repair %d of %d", trial, back, len(offs)), &tree, trees[back])
+			r = back
 		}
 	}
-	if relabelled == 0 || relabelled >= repairs*10 {
-		t.Fatalf("%d nodes relabelled over %d repairs: the cuts do not exercise a partial repair", relabelled, repairs)
+	if relabelled == 0 || relabelled >= repairs*10 || lagged == 0 {
+		t.Fatalf("%d nodes relabelled over %d repairs, %d a stage late: the cuts do not exercise a partial repair", relabelled, repairs, lagged)
 	}
 
 	g := randomGraph(rng, 60, 200)
-	skip := make([]bool, g.NumEdges())
-	base := g.DijkstraInto(0, nil, new(ShortestPathTree), &sc)
-	skip[base.prevEdge[7]] = true
-	g.RepairInto(base, skip, &a, &rsc)
-	if avg := testing.AllocsPerRun(20, func() { g.RepairInto(base, skip, &a, &rsc) }); avg != 0 {
-		t.Fatalf("warmed RepairInto allocated %v per run, want 0", avg)
+	tr := g.DijkstraInto(0, nil, new(ShortestPathTree), &sc)
+	cut := NewCut(g)
+	ids := []int{g.edges[tr.prevEdge[7]].ID}
+	cut.Push(ids[0])
+	run := func() {
+		log = g.Repair(tr, ids, cut.Skip(), &rsc, log[:0])
+		tr.Restore(log)
+	}
+	run()
+	if len(log) == 0 {
+		t.Fatal("cutting node 7's tree edge relabelled nothing")
+	}
+	if avg := testing.AllocsPerRun(20, run); avg != 0 {
+		t.Fatalf("warmed Repair and Restore allocated %v per run, want 0", avg)
 	}
 }

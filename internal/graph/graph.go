@@ -12,6 +12,7 @@ package graph
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 )
@@ -303,23 +304,12 @@ func (t *ShortestPathTree) AppendPathTo(v int, nodes []int, edges []Edge) (_ []i
 	return nodes, edges, true
 }
 
-// MarkPathTo sets onPath[e.ID] for every edge e of the tree's path from
-// the source to v, and nothing when v is unreachable. It stops at the
-// first edge already set: in a tree the rest of the walk is then the tail
-// of an earlier one, so marks must come from this tree's walks only.
-func (t *ShortestPathTree) MarkPathTo(v int, onPath []bool) {
-	for v != t.Source {
-		idx := t.prevEdge[v]
-		if idx < 0 {
-			return
-		}
-		e := t.g.edges[idx]
-		if onPath[e.ID] {
-			return
-		}
-		onPath[e.ID] = true
-		v = e.other(v)
-	}
+// Clone returns a copy of the tree that shares no label with it, for a
+// caller that repairs its own copy in place (Repair).
+func (t *ShortestPathTree) Clone() *ShortestPathTree {
+	c := *t
+	c.Dist, c.Hops, c.prevEdge = slices.Clone(t.Dist), slices.Clone(t.Hops), slices.Clone(t.prevEdge)
+	return &c
 }
 
 func reverseInts(s []int) {

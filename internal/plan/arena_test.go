@@ -214,10 +214,19 @@ func evaluatorSweepZeroAlloc(t *testing.T, label string, in Input) {
 // when every scenario re-read every pair), 24 span walks (one per route
 // read plus Algorithm 2's probes of its pending paths' interior nodes,
 // 9.3 + 9.8; 200 when placeAmps opened by walking every pair) and 25 tree
-// nodes relabelled (188 settled per scenario when every touched source
-// ran Dijkstra), and no allocation.
-func BenchmarkPlanK2Region20(b *testing.B) {
-	in := arenaInput(b, 1, 20, 10, 2)
+// labels overwritten by repairs (19.1; 188 settled per scenario when
+// every touched source ran Dijkstra), no more labels put back by undo
+// than repairs overwrote, and no allocation.
+func BenchmarkPlanK2Region20(b *testing.B) { benchPlanRegion20(b, 2, 2041, 12, 24, 25) }
+
+// BenchmarkPlanK3Region20 is the same region and gates at k = 3, where
+// scenarios must be cheap enough to sweep one cut deeper than the plan:
+// exactly 43 260 scenarios, and per scenario at most 12 routes read, 28
+// span walks and 28 labels overwritten (9.8, 21.8 and 22.1).
+func BenchmarkPlanK3Region20(b *testing.B) { benchPlanRegion20(b, 3, 43260, 12, 28, 28) }
+
+func benchPlanRegion20(b *testing.B, k, wantScenarios int, maxRoutes, maxSpanWalks, maxRelabelled float64) {
+	in := arenaInput(b, 1, 20, 10, k)
 	in.Base = BaseGraph(in.Map)
 	p := NewPlanner()
 	solve := func() {
@@ -228,7 +237,7 @@ func BenchmarkPlanK2Region20(b *testing.B) {
 	solve()
 	solve()
 	if avg := testing.AllocsPerRun(1, solve); avg != 0 {
-		b.Fatalf("warmed k=2 solve allocated %v, want 0", avg)
+		b.Fatalf("warmed k=%d solve allocated %v, want 0", k, avg)
 	}
 	before := p.ev.work
 	b.ReportAllocs()
@@ -242,14 +251,19 @@ func BenchmarkPlanK2Region20(b *testing.B) {
 	trees := float64(w.fullTrees-before.fullTrees) / n
 	routes := float64(w.routesRead-before.routesRead) / n / scenarios
 	relabelled := float64(w.relabelled-before.relabelled) / n / scenarios
+	restored := float64(w.restored-before.restored) / n / scenarios
 	spanWalks := float64(w.spanWalks-before.spanWalks) / n / scenarios
 	b.ReportMetric(scenarios, "scenarios/op")
 	b.ReportMetric(routes, "routes/scenario")
 	b.ReportMetric(spanWalks, "span-walks/scenario")
 	b.ReportMetric(relabelled, "relabelled/scenario")
+	b.ReportMetric(restored, "restored/scenario")
 	b.ReportMetric(float64(w.lookups-before.lookups)/n, "lookups/op")
-	if scenarios != 2041 || trees > float64(len(p.ev.sources)) || routes > 12 || spanWalks > 24 || relabelled > 25 {
-		b.Fatalf("per solve: %v scenarios (want 2041), %v failure-free trees (at most %d); per scenario: %.1f routes read (at most 12), %.1f span walks (at most 24), %.1f nodes relabelled (at most 25)",
-			scenarios, trees, len(p.ev.sources), routes, spanWalks, relabelled)
+	if scenarios != float64(wantScenarios) || trees > float64(len(p.ev.sources)) || routes > maxRoutes || spanWalks > maxSpanWalks || relabelled > maxRelabelled {
+		b.Fatalf("per solve: %v scenarios (want %d), %v failure-free trees (at most %d); per scenario: %.1f routes read (at most %v), %.1f span walks (at most %v), %.1f labels overwritten (at most %v)",
+			scenarios, wantScenarios, trees, len(p.ev.sources), routes, maxRoutes, spanWalks, maxSpanWalks, relabelled, maxRelabelled)
+	}
+	if restored > relabelled {
+		b.Fatalf("undo put back %.2f labels per scenario, repairs overwrote %.2f: a frame restored what it did not log", restored, relabelled)
 	}
 }

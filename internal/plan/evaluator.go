@@ -32,9 +32,12 @@ import (
 //   - Crossing sets are bitsets over pair indices, one per duct, so moving
 //     a pair is a bit per duct; Load recomputes the ducts whose set changed
 //     and lists the rest from the need it computed before.
-//   - Shortest-path trees are kept per source and cut size, and the tree
-//     of a new cut is repaired from a kept one (graph.RepairInto) below
-//     the newly cut ducts instead of being computed from nothing.
+//   - Shortest-path trees live one per source on the same stack. A tree
+//     records the frame it is exact for; a source asked for under a higher
+//     frame is repaired in place below the ducts of the frames in between
+//     (graph.Repair), and the labels it overwrote go on the top frame's
+//     log, so undoing that frame puts the tree back. Siblings in the
+//     planner's DFS share their parent's repairs.
 //
 // Everything is held in flat arenas, so a warmed evaluator routes and
 // loads a scenario without allocating.
@@ -101,15 +104,25 @@ type rider struct {
 
 // frame is one step of the scenario stack: the ducts the cut gained at
 // that step and what undoing the step puts back — the routes it replaced
-// (nodes and ducts in the frame's flat slabs) and the need of every duct
+// (nodes and ducts in the frame's flat slabs), the need of every duct
 // whose crossing set it was the first to change since that need was
-// computed. Frame 0 is the failure-free scenario and is never undone.
+// computed, and the tree labels its repairs overwrote. Frame 0 is the
+// failure-free scenario and is never undone.
 type frame struct {
-	ids   []int
-	saves []routeSave
-	nodes []int
-	ducts []graph.Edge
-	needs []DuctLoad
+	ids     []int
+	saves   []routeSave
+	nodes   []int
+	ducts   []graph.Edge
+	needs   []DuctLoad
+	labels  []graph.Label
+	repairs []treeRepair
+}
+
+// treeRepair is one tree a frame repaired: the source number, the frame
+// its tree was exact for before, and where its labels start in the
+// frame's log.
+type treeRepair struct {
+	si, depth, off int32
 }
 
 type routeSave struct {
@@ -121,12 +134,12 @@ type routeSave struct {
 }
 
 // evalWork counts what an evaluator did since it was built: scenarios
-// routed, failure-free trees fetched, tree nodes relabelled by repairs,
-// routes read off trees, hose-memo lookups, and span walks — runs of
-// spanExceeded, the evaluator's and Algorithm 2's. BenchmarkPlanK2Region20
-// gates on it.
+// routed, failure-free trees fetched, tree labels overwritten by repairs
+// and put back by undo, routes read off trees, hose-memo lookups, and span
+// walks — runs of spanExceeded, the evaluator's and Algorithm 2's.
+// BenchmarkPlanK2Region20 and BenchmarkPlanK3Region20 gate on it.
 type evalWork struct {
-	scenarios, fullTrees, relabelled, routesRead, lookups, spanWalks int
+	scenarios, fullTrees, relabelled, restored, routesRead, lookups, spanWalks int
 }
 
 // Evaluator routes and loads failure scenarios of one region: a fiber
@@ -147,13 +160,12 @@ type Evaluator struct {
 	hubs    []int
 	sources []int // the nodes trees are grown from: the hubs, else the DCs
 
-	dijk    graph.Scratch
-	kept    [][]keptTree              // by source, then by size of the cut
-	trees   []*graph.ShortestPathTree // by source, valid while treeGen matches
-	treeGen []uint32
-	treeSeq uint32
-	legN    []int
-	legE    []graph.Edge
+	dijk  graph.Scratch
+	trees []*graph.ShortestPathTree // by source, nil until first asked for
+	depth []int                     // by source, the frame its tree is exact for
+	ids   []int                     // scratch: the ducts a repair adds
+	legN  []int
+	legE  []graph.Edge
 
 	routes []Route // one slot per DC pair
 	frames []frame
@@ -220,9 +232,8 @@ func NewEvaluator(in Input) *Evaluator {
 	if len(ev.hubs) > 0 {
 		ev.sources = ev.hubs
 	}
-	ev.kept = make([][]keptTree, len(ev.sources))
 	ev.trees = make([]*graph.ShortestPathTree, len(ev.sources))
-	ev.treeGen = make([]uint32, len(ev.sources))
+	ev.depth = make([]int, len(ev.sources))
 	for i := range ev.dcPos {
 		ev.dcPos[i] = -1
 	}
@@ -272,109 +283,39 @@ func (ev *Evaluator) PairIndex(p hose.Pair) (int, bool) {
 // pairIdx maps DC positions i<j to the dense pair index.
 func (ev *Evaluator) pairIdx(i, j int) int { return i*ev.nDC - i*(i+1)/2 + j - i - 1 }
 
-// keptTree is a shortest-path tree the evaluator holds for one source: the
-// exact tree of the cut recorded with it, and, by duct ID, whether the
-// duct lies on the tree's path to a DC that routes read from this source —
-// which decides whether a scenario with a larger cut may read it as is.
-type keptTree struct {
-	tree   *graph.ShortestPathTree
-	cut    []int
-	onPath []bool
-}
-
-// covers reports two things about the tree and a cut (ascending, as the
-// tree's own). within: no duct the tree was computed without is back, so a
-// repair for the cut may start from it. holds: besides, no other duct of
-// the cut lies on a path routes read from it, so the tree is, in
-// everything read from it, the tree of that cut.
-func (k *keptTree) covers(cut []int) (within, holds bool) {
-	i, clear := 0, true
-	for _, id := range cut {
-		if i < len(k.cut) && k.cut[i] == id {
-			i++
-		} else if uint(id) < uint(len(k.onPath)) && k.onPath[id] {
-			clear = false
-		}
-	}
-	within = i == len(k.cut)
-	return within, within && clear
-}
-
-// tree returns the shortest-path tree of source number si under the given
-// cut, which is Cut's or, for the failure-free frame, empty. Per source
-// and per cut size the evaluator keeps the last tree it made, and a
-// scenario reads the deepest kept tree that holds for its cut. When none
-// does, the tree is repaired from the deepest kept tree whose own cut is
-// within this one — the failure-free tree always is — so only the nodes
-// below the ducts the cut adds are relabelled.
-//
-// A tree that holds is read as is by the argument in this file's header:
-// its paths to the DCs read, and their lengths bit for bit, are what a
-// fresh run under the larger cut would produce, and a DC it does not reach
-// stays unreached; the rest of it may differ and is never read. A repair
-// starts from a whole tree, and every kept tree is the exact tree of the
-// cut recorded with it — the failure-free one from Dijkstra, a repaired
-// one by induction (graph.RepairInto). TestRouteReuseMatchesRecompute
-// holds both to a recomputation after every Route call.
-func (ev *Evaluator) tree(si int, cut []int) *graph.ShortestPathTree {
-	if ev.treeGen[si] == ev.treeSeq {
-		return ev.trees[si]
-	}
-	for len(ev.kept[si]) <= len(cut) {
-		ev.kept[si] = append(ev.kept[si], keptTree{})
-	}
-	kept := ev.kept[si]
-	if kept[0].tree == nil {
-		// The failure-free tree is the base graph's memoised one, shared
-		// by every evaluator on that graph.
-		kept[0].tree = ev.base.Dijkstra(ev.sources[si])
-		ev.markPaths(si, &kept[0])
+// tree returns the shortest-path tree of source number si under Cut, as
+// the top frame accounts for it. The first time a source is asked for, its
+// tree is copied — repairs must leave the shared one alone — from the base
+// graph's memoised failure-free one, which is exact for frame 0. A tree
+// exact for a lower frame is repaired in place below the ducts of the
+// frames above it (graph.Repair: the failure-free tree and every repaired
+// one is the exact tree of its frame's cut, so the result is too, by
+// induction); the labels it overwrote go on the top frame's log with the
+// frame the tree was exact for, and undo puts both back.
+// TestRouteReuseMatchesRecompute holds every tree the evaluator keeps to
+// DijkstraInto's for the cut of its frame, node by node.
+func (ev *Evaluator) tree(si int) *graph.ShortestPathTree {
+	t, top := ev.trees[si], len(ev.frames)-1
+	if t == nil {
+		t = ev.base.Dijkstra(ev.sources[si]).Clone()
+		ev.trees[si] = t
 		ev.work.fullTrees++
 	}
-	var t *graph.ShortestPathTree
-	var from *keptTree
-	for d := len(cut); d >= 0 && t == nil; d-- {
-		k := &kept[d]
-		if k.tree == nil {
-			continue
-		}
-		if within, holds := k.covers(cut); holds {
-			t = k.tree
-		} else if within && from == nil {
-			from = k
-		}
+	d := ev.depth[si]
+	if d == top {
+		return t
 	}
-	if t == nil {
-		// from is at worst the failure-free tree, and never the slot
-		// being filled: a tree of this cut's size within it is its own.
-		k := &kept[len(cut)]
-		if k.tree == nil {
-			k.tree = new(graph.ShortestPathTree)
-		}
-		ev.work.relabelled += ev.base.RepairInto(from.tree, ev.Cut.Skip(), k.tree, &ev.dijk)
-		k.cut = append(k.cut[:0], cut...)
-		ev.markPaths(si, k)
-		t = k.tree
+	ev.ids = ev.ids[:0]
+	for i := d + 1; i <= top; i++ {
+		ev.ids = append(ev.ids, ev.frames[i].ids...)
 	}
-	ev.trees[si], ev.treeGen[si] = t, ev.treeSeq
+	f := &ev.frames[top]
+	off := len(f.labels)
+	f.labels = ev.base.Repair(t, ev.ids, ev.Cut.Skip(), &ev.dijk, f.labels)
+	f.repairs = append(f.repairs, treeRepair{si: int32(si), depth: int32(d), off: int32(off)})
+	ev.work.relabelled += len(f.labels) - off
+	ev.depth[si] = top
 	return t
-}
-
-// markPaths fills k.onPath for source number si: the ducts on the tree's
-// paths to the DCs routes read from it — every DC from a hub, the DCs
-// after it from a DC.
-func (ev *Evaluator) markPaths(si int, k *keptTree) {
-	if k.onPath == nil {
-		k.onPath = make([]bool, len(ev.need))
-	}
-	clear(k.onPath)
-	targets := ev.dcs
-	if len(ev.hubs) == 0 {
-		targets = ev.dcs[si+1:]
-	}
-	for _, dc := range targets {
-		k.tree.MarkPathTo(dc, k.onPath)
-	}
 }
 
 // Route brings every DC pair's route — shortest surviving path in the
@@ -400,7 +341,7 @@ func (ev *Evaluator) Route() []Route {
 		if tail := len(ev.pairPos) % 64; tail > 0 {
 			ev.mask[ev.words-1] = 1<<tail - 1
 		}
-		ev.push(nil, nil)
+		ev.push(nil)
 	}
 	cut := ev.Cut.IDs()
 	kept := 0 // cut ducts the surviving frames account for
@@ -429,7 +370,7 @@ func (ev *Evaluator) Route() []Route {
 			}
 		}
 	}
-	ev.push(ev.gained, cut)
+	ev.push(ev.gained)
 	return ev.routes
 }
 
@@ -460,7 +401,7 @@ func (ev *Evaluator) crossing(duct int) []uint64 {
 
 // push opens a frame for the ducts the cut gained and re-routes, under
 // the whole cut, the pairs set in ev.mask, logging what it replaces.
-func (ev *Evaluator) push(gained, cut []int) {
+func (ev *Evaluator) push(gained []int) {
 	n := len(ev.frames)
 	if n < cap(ev.frames) {
 		ev.frames = ev.frames[:n+1]
@@ -470,11 +411,7 @@ func (ev *Evaluator) push(gained, cut []int) {
 	f := &ev.frames[n]
 	f.ids = append(f.ids[:0], gained...)
 	f.saves, f.nodes, f.ducts, f.needs = f.saves[:0], f.nodes[:0], f.ducts[:0], f.needs[:0]
-	ev.treeSeq++
-	if ev.treeSeq == 0 { // stamp wraparound: invalidate all marks
-		clear(ev.treeGen)
-		ev.treeSeq = 1
-	}
+	f.labels, f.repairs = f.labels[:0], f.repairs[:0]
 	for w, todo := range ev.mask {
 		for ; todo != 0; todo &= todo - 1 {
 			r := &ev.routes[w*64+bits.TrailingZeros64(todo)]
@@ -487,18 +424,27 @@ func (ev *Evaluator) push(gained, cut []int) {
 			f.nodes = append(f.nodes, r.Nodes...)
 			f.ducts = append(f.ducts, r.Ducts...)
 			ev.uncross(f, r)
-			ev.read(r, cut)
+			ev.read(r)
 			r.overSpan = ev.spanExceeded(r, -1)
 			ev.recross(f, r)
 		}
 	}
 }
 
-// undo pops the top frame: the routes it replaced are back, and so is the
-// need of every duct that was current when the frame first touched it.
-// The other ducts it touched are left to the next Load.
+// undo pops the top frame: the routes it replaced are back, so are the
+// trees it repaired, and so is the need of every duct that was current
+// when the frame first touched it. The other ducts it touched are left to
+// the next Load.
 func (ev *Evaluator) undo() {
 	f := &ev.frames[len(ev.frames)-1]
+	end := int32(len(f.labels))
+	for k := len(f.repairs) - 1; k >= 0; k-- {
+		rp := f.repairs[k]
+		ev.trees[rp.si].Restore(f.labels[rp.off:end])
+		ev.depth[rp.si] = int(rp.depth)
+		ev.work.restored += int(end - rp.off)
+		end = rp.off
+	}
 	for _, s := range f.saves {
 		r := &ev.routes[s.pairIdx]
 		ev.uncross(nil, r)
@@ -577,13 +523,13 @@ func findEntry(m []crossEntry, pairIdx int32) (int, bool) {
 	return len(m), false
 }
 
-// read reads one pair's route off the sources' trees under the given cut.
-func (ev *Evaluator) read(r *Route, cut []int) {
+// read reads one pair's route off the sources' trees under Cut.
+func (ev *Evaluator) read(r *Route) {
 	ev.work.routesRead++
 	r.Nodes, r.Ducts, r.TotalKM = r.Nodes[:0], r.Ducts[:0], 0
 	a, b := r.Pair.A, r.Pair.B
 	if len(ev.hubs) == 0 {
-		t := ev.tree(int(r.I), cut)
+		t := ev.tree(int(r.I))
 		if math.IsInf(t.Dist[b], 1) {
 			return
 		}
@@ -596,7 +542,7 @@ func (ev *Evaluator) read(r *Route, cut []int) {
 	best := graph.Inf
 	var bt *graph.ShortestPathTree
 	for si := range ev.hubs {
-		t := ev.tree(si, cut)
+		t := ev.tree(si)
 		if d := t.Dist[a] + t.Dist[b]; d < best && d < graph.Inf {
 			best, bt = d, t
 		}

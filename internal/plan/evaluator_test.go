@@ -134,6 +134,7 @@ type reuseChecker struct {
 	ridden  int // of them, scenarios loaded with a cut-through rider
 	spans   int // slots met whose route has a segment over the span limit
 	budgets int // slots met whose route is over the switching budget
+	below   int // trees met exact for a frame under the top one
 }
 
 func newReuseChecker(t *testing.T, label string, in Input, seed int64) *reuseChecker {
@@ -189,8 +190,50 @@ func (c *reuseChecker) route() []Route {
 	if lost {
 		c.partial++
 	}
+	c.trees()
 	c.loads(got, want)
 	return got
+}
+
+// trees compares every tree the evaluator holds — those the step brought
+// to the cut, and those an undo put back under it — with DijkstraInto's
+// under the cut of the frame the tree records, node by node: distance
+// bits, hops and the path.
+func (c *reuseChecker) trees() {
+	c.t.Helper()
+	ev := c.ev
+	top := len(ev.frames) - 1
+	cut := graph.NewCut(ev.base)
+	var ids []int
+	var gotN, wantN []int
+	var gotE, wantE []graph.Edge
+	for si, t := range ev.trees {
+		if t == nil {
+			continue
+		}
+		d := ev.depth[si]
+		if d > top {
+			c.t.Fatalf("%s, cut %v: source %d's tree is exact for frame %d of %d", c.label, ev.Cut.IDs(), si, d, top)
+		}
+		if d < top {
+			c.below++
+		}
+		ids = ids[:0]
+		for _, f := range ev.frames[1 : d+1] {
+			ids = append(ids, f.ids...)
+		}
+		cut.Set(ids)
+		want := ev.base.DijkstraInto(ev.sources[si], cut.Skip(), new(graph.ShortestPathTree), &c.oracle.dijk)
+		for v := range want.Dist {
+			gotN, gotE, _ = t.AppendPathTo(v, gotN[:0], gotE[:0])
+			wantN, wantE, _ = want.AppendPathTo(v, wantN[:0], wantE[:0])
+			if math.Float64bits(t.Dist[v]) != math.Float64bits(want.Dist[v]) || t.Hops[v] != want.Hops[v] ||
+				!slices.Equal(gotN, wantN) || !slices.Equal(gotE, wantE) {
+				c.t.Fatalf("%s, cut %v, source %d exact for frame %d (cut %v), node %d:\n kept      %v %d %v\n Dijkstra  %v %d %v",
+					c.label, ev.Cut.IDs(), ev.sources[si], d, ids, v, t.Dist[v], t.Hops[v], gotE, want.Dist[v], want.Hops[v], wantE)
+			}
+		}
+	}
 }
 
 // loads compares Load under the region's hose and under a random matrix's
@@ -317,11 +360,12 @@ func (c *reuseChecker) setSequence(steps int) {
 
 // TestRouteReuseMatchesRecompute binds what the evaluator carries from one
 // scenario to the next — routes across frames, crossing sets and needs
-// across loads, trees across repairs: whatever scenarios an evaluator has
-// been through, Route and Load return what a recomputation of every tree,
-// route and crossing list returns, bit for bit.
+// across loads, trees across repairs and undos: whatever scenarios an
+// evaluator has been through, every tree it holds is DijkstraInto's for
+// the cut of its frame, and Route and Load return what a recomputation of
+// every tree, route and crossing list returns, bit for bit.
 func TestRouteReuseMatchesRecompute(t *testing.T) {
-	doubled, spans, budgets := 0, 0, 0
+	doubled, spans, budgets, below := 0, 0, 0, 0
 	for seed := int64(1); seed <= 4; seed++ {
 		in := arenaInput(t, seed, 8, 8, 2)
 		hubbed := arenaInput(t, seed, 6, 8, 2)
@@ -353,10 +397,14 @@ func TestRouteReuseMatchesRecompute(t *testing.T) {
 			doubled += c.doubled
 			spans += c.spans
 			budgets += c.budgets
+			below += c.below
 		}
 	}
 	if doubled == 0 {
 		t.Error("no via-hub walk crossed a duct twice; the cases do not cover multiplicity")
+	}
+	if below == 0 {
+		t.Error("no tree was kept exact for a frame under the top one; the cases do not cover trees an undo put back")
 	}
 	if spans == 0 || budgets == 0 {
 		t.Errorf("%d routes were over the span limit and %d over the switching budget; the cases do not cover the opening scans", spans, budgets)
