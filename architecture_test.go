@@ -37,7 +37,7 @@ var architecture = []rule{
 		"reference forms of a cut and of the hose LP: production cuts with graph.Cut masks through plan.Evaluator and solves with hose.LP; tests and bench/ compare against these"},
 	{[]string{"graph.Graph.DijkstraInto"}, []string{"internal/plan"}, nil,
 		"the evaluator repairs its trees in place below the cut duct (graph.Graph.Repair); the full Dijkstra per scenario is evaluator_test.go's oracle"},
-	{[]string{"plan.PathInfo.CutDucts", "plan.Route.CutDucts"}, nil, []string{"internal/plan", "internal/core"},
+	{[]string{"plan.PathInfo.CutDucts"}, nil, []string{"internal/plan", "internal/core"},
 		"which ducts a pair's full fibers skip is decided in plan and applied in core's ride; every other package asks core.Occupancy or DuctDeltas"},
 	{[]string{"control.Controller.Call"}, nil, []string{"internal/control", "internal/daemon/health.go", "cmd/irisctl"},
 		"only control.Expected.Repair reads a device state and compares it with intent; beyond the daemon's health probe and irisctl's ping nothing sends a bare request"},

@@ -3,6 +3,7 @@ package chaos
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 
@@ -32,7 +33,11 @@ import (
 // An Auditor is safe for concurrent Audit calls, each of which borrows a
 // worker from a free list; Run fans scenarios out over a worker pool.
 type Auditor struct {
-	in plan.Input // the plan's input with Base pinned, for new evaluators
+	in plan.Input // the plan's input
+	// proto routes nothing: every worker's evaluator is a Fork of it, so
+	// each starts from the plan's base graph and the hose-load memo
+	// planning filled.
+	proto *plan.Evaluator
 
 	// Plan-derived tables: by duct ID, and by the evaluator's pair index.
 	have     []int     // base + cut-through fiber-pairs
@@ -54,10 +59,10 @@ type Auditor struct {
 
 // worker is what one Audit call borrows, all of it built once and kept
 // across the scenarios it serves: the evaluator (with its kept trees and
-// hose-load memo), the flow network of the provisioned fiber for the
-// worst-pair throughput, and the union-find over DC positions that both
-// DisconnectedDCs and the worst-pair sources are read from. Results do
-// not depend on which worker served a scenario.
+// the hose-load memo it extends), the flow network of the provisioned
+// fiber for the worst-pair throughput, and the union-find over DC
+// positions that both DisconnectedDCs and the worst-pair sources are read
+// from. Results do not depend on which worker served a scenario.
 type worker struct {
 	ev *plan.Evaluator
 
@@ -78,7 +83,7 @@ func (a *Auditor) newWorker() *worker {
 	m := a.in.Map
 	n := len(m.DCs())
 	w := &worker{
-		ev:   plan.NewEvaluator(a.in),
+		ev:   a.proto.Fork(),
 		net:  graph.NewFlowNetwork(len(m.Nodes)),
 		arcs: make([][2]int, len(a.have)),
 		root: make([]int, n),
@@ -99,13 +104,12 @@ func (a *Auditor) newWorker() *worker {
 	return w
 }
 
-// NewAuditor prepares an auditor for the given plan. The plan's base graph
-// is rebuilt unless the plan's input carried one.
+// NewAuditor prepares an auditor for the given plan. It starts from what
+// planning built (Plan.NewEvaluator): the scenarios planning examined cost
+// the audit no Dijkstra from nothing and no hose max-flow. It takes what
+// it keeps of the plan now, so it outlives the Plan of a reused Planner.
 func NewAuditor(pl *plan.Plan) *Auditor {
-	a := &Auditor{in: pl.Input}
-	if a.in.Base == nil {
-		a.in.Base = plan.BaseGraph(a.in.Map)
-	}
+	a := &Auditor{in: pl.Input, proto: pl.NewEvaluator()}
 	nDucts := a.in.Base.MaxEdgeID() + 1
 	a.have = make([]int, nDucts)
 	a.residual = make([]int, nDucts)
@@ -446,10 +450,19 @@ func (a *Auditor) setCutArcs(w *worker, live bool) {
 
 // Run audits every scenario across the given number of workers (0 =
 // GOMAXPROCS, 1 = serial). Results are in scenario order regardless of
-// scheduling, and identical at every parallelism setting.
+// scheduling, and identical at every parallelism setting. Scenarios are
+// handed out in the order of their duct sets, so one that extends the
+// scenario its worker audited before keeps that scenario's frame and
+// routes only what its own ducts add (plan.Evaluator.Route).
 func (a *Auditor) Run(scenarios []Scenario, parallelism int) []Result {
+	order := make([]int, len(scenarios))
+	for i := range order {
+		order[i] = i
+	}
+	slices.SortStableFunc(order, func(i, j int) int { return slices.Compare(scenarios[i].Ducts, scenarios[j].Ducts) })
 	results := make([]Result, len(scenarios))
-	_ = parallel.ForEach(len(scenarios), parallelism, func(i int) error {
+	_ = parallel.ForEach(len(order), parallelism, func(k int) error {
+		i := order[k]
 		results[i] = a.Audit(scenarios[i])
 		return nil
 	})

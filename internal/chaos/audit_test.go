@@ -3,6 +3,8 @@ package chaos
 import (
 	"reflect"
 	"testing"
+
+	"iris/internal/core"
 )
 
 func TestAuditBaseline(t *testing.T) {
@@ -117,6 +119,33 @@ func TestSummaryAndCurveShapes(t *testing.T) {
 	}
 	if pts := Curve(nil); len(pts) != 0 {
 		t.Fatalf("Curve(nil) = %v, want empty", pts)
+	}
+}
+
+// An auditor takes what it keeps of a plan — the graph and a copy of the
+// hose-load memo planning left — when it is built, so it outlives the Plan
+// of a reused Solver: after the Solver re-plans the region and then plans
+// another, an auditor built from its first plan audits, four workers at a
+// time, exactly as one built from a plan that owns its storage.
+func TestAuditorOutlivesSolverPlan(t *testing.T) {
+	dep := planSynthetic(t, 1, 20, 2)
+	m := dep.Region.Map
+	scs := append(EnumerateCuts(m, 1), SampleCuts(2, m, 2, 100)...)
+	want := NewAuditor(dep.Plan).Run(scs, 1)
+
+	s := core.NewSolver(core.Options{MaxFailures: 2})
+	held, err := s.Solve(dep.Region)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := NewAuditor(held.Plan)
+	for _, r := range []core.Region{dep.Region, planSynthetic(t, 2, 16, 0).Region} {
+		if _, err := s.Solve(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := a.Run(scs, 4); !reflect.DeepEqual(got, want) {
+		t.Fatal("an auditor of a reused Solver's plan audits differently once the Solver planned again")
 	}
 }
 

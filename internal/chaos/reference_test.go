@@ -33,13 +33,9 @@ type refAuditor struct {
 }
 
 func newRefAuditor(pl *plan.Plan) *refAuditor {
-	base := pl.Input.Base
-	if base == nil {
-		base = plan.BaseGraph(pl.Input.Map)
-	}
 	a := &refAuditor{
 		pl:        pl,
-		base:      base,
+		base:      plan.BaseGraph(pl.Input.Map),
 		dcs:       pl.Input.Map.DCs(),
 		caps:      make(map[int]float64),
 		baseKM:    make(map[hose.Pair]float64),

@@ -40,25 +40,21 @@ func reconfigViolated(pr *pathRec) bool {
 // placeAmps runs Algorithm 2 for one scenario: while paths violate the
 // segment-loss constraint (TC1), score every candidate amplifier location
 // by constraint resolutions per newly needed amplifier and place greedily
-// at the best one. It opens from the verdicts the evaluator keeps with the
-// routes (Route.overSpan; no path is amplified yet), in pair order.
-// Amplifier counts accumulate across scenarios in p.ampsArr (amplifiers
-// are physical installations shared by all scenarios). Candidate sets live
-// in generation-stamped per-node lists, so the loop allocates nothing once
+// at the best one. It opens from the routes the evaluator flagged over the
+// span limit, in pair order, and takes each one's candidates — the
+// interior nodes whose amplifier clears it — from the evaluator, which
+// keeps them on the slot until the route changes: no path is amplified
+// yet, and a path keeps its candidates until it gets one. Amplifier
+// counts accumulate across scenarios in p.ampsArr (amplifiers are
+// physical installations shared by all scenarios). Candidate sets live in
+// generation-stamped per-node lists, so the loop allocates nothing once
 // the planner is warm.
 func (p *Planner) placeAmps(recs []pathRec) error {
-	pend := p.pend[:0]
-	for i := range recs {
-		if recs[i].overSpan {
-			pend = append(pend, int32(i))
-		}
-	}
+	pend := appendPairs(p.pend[:0], p.ev.flaggedSet(overSpan))
 
 	for len(pend) > 0 {
-		// Candidate locations: interior nodes whose amplifier would clear
-		// the path's segment-loss violation without creating another. A
-		// path that has none is recorded and leaves the list: no later
-		// placement changes it.
+		// A path that has no candidate is recorded and leaves the list: no
+		// later placement changes it.
 		p.candSeq++
 		if p.candSeq == 0 { // stamp wraparound: invalidate all marks
 			clear(p.candGen)
@@ -68,23 +64,20 @@ func (p *Planner) placeAmps(recs []pathRec) error {
 		k := 0
 		for _, ri := range pend {
 			pr := &recs[ri]
-			found := false
-			for _, v := range pr.Nodes[1 : len(pr.Nodes)-1] {
-				if !p.ev.spanExceeded(pr.Route, v) {
-					if p.candGen[v] != p.candSeq {
-						p.candGen[v] = p.candSeq
-						p.candOf[v] = p.candOf[v][:0]
-						p.candNodes = append(p.candNodes, int32(v))
-					}
-					p.candOf[v] = append(p.candOf[v], ri)
-					found = true
-				}
-			}
-			if !found {
+			sites := p.ev.ampSites(pr.Route)
+			if len(sites) == 0 {
 				p.plan.Viol = append(p.plan.Viol, fmt.Sprintf(
 					"pair %d-%d: no amplifier location can satisfy TC1 (%.1f km path)",
 					pr.Pair.A, pr.Pair.B, pr.TotalKM))
 				continue
+			}
+			for _, v := range sites {
+				if p.candGen[v] != p.candSeq {
+					p.candGen[v] = p.candSeq
+					p.candOf[v] = p.candOf[v][:0]
+					p.candNodes = append(p.candNodes, int32(v))
+				}
+				p.candOf[v] = append(p.candOf[v], ri)
 			}
 			pend[k] = ri
 			k++
@@ -94,21 +87,16 @@ func (p *Planner) placeAmps(recs []pathRec) error {
 			break
 		}
 
-		best := p.pickAmpLocation(recs)
-		for _, ri := range p.candOf[best] {
-			recs[ri].ampNode = best
-		}
-
 		// Amplifiers at a site amplify one fiber each; the site needs as
 		// many as the worst-case load of the pairs amplified there (§4.1
-		// applied to amplifier demand, per Appendix A).
-		p.idxBuf = p.idxBuf[:0]
-		for i := range recs {
-			if recs[i].ampNode == best {
-				p.idxBuf = append(p.idxBuf, recs[i].PairIdx)
-			}
+		// applied to amplifier demand, per Appendix A). Those are its
+		// candidates: a site picked once is no pending path's candidate
+		// again.
+		best, need := p.pickAmpLocation(recs)
+		for _, ri := range p.candOf[best] {
+			recs[ri].ampNode = best
+			p.marked = append(p.marked, ri)
 		}
-		need := p.ev.pairsFor(p.idxBuf)
 		if need > p.ampsArr[best] {
 			if p.ampsArr[best] == 0 {
 				p.ampsTouched = append(p.ampsTouched, int32(best))
@@ -120,7 +108,7 @@ func (p *Planner) placeAmps(recs []pathRec) error {
 		// from a candidate that clears it: what is left has none yet.
 		k = 0
 		for _, ri := range pend {
-			if p.ev.spanExceeded(recs[ri].Route, recs[ri].ampNode) {
+			if recs[ri].ampNode < 0 {
 				pend[k] = ri
 				k++
 			}
@@ -135,9 +123,10 @@ func (p *Planner) placeAmps(recs []pathRec) error {
 // amplifier that must be newly installed, preferring sites whose existing
 // amplifiers (from earlier scenarios) can be reused for free. Ties break
 // on more paths resolved, then the smaller node ID, keeping the greedy
-// pass deterministic regardless of candidate discovery order.
-func (p *Planner) pickAmpLocation(recs []pathRec) int {
-	best := -1
+// pass deterministic regardless of candidate discovery order. It returns
+// the site and the amplifiers its candidates need there.
+func (p *Planner) pickAmpLocation(recs []pathRec) (best, need int) {
+	best = -1
 	var bestScore float64
 	bestResolved := 0
 	for _, v32 := range p.candNodes {
@@ -161,8 +150,8 @@ func (p *Planner) pickAmpLocation(recs []pathRec) int {
 		if best < 0 || score > bestScore ||
 			(score == bestScore && len(cl) > bestResolved) ||
 			(score == bestScore && len(cl) == bestResolved && v < best) {
-			best, bestScore, bestResolved = v, score, len(cl)
+			best, need, bestScore, bestResolved = v, noa, score, len(cl)
 		}
 	}
-	return best
+	return best, need
 }

@@ -2,13 +2,13 @@ package plan
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
 	"time"
 
 	"iris/internal/fibermap"
 	"iris/internal/graph"
 	"iris/internal/hose"
-	"iris/internal/optics"
 )
 
 // This file is the planner's arena: a Planner owns every slab the
@@ -210,7 +210,11 @@ type Planner struct {
 	usedBuf [][]int32 // per DFS depth
 
 	recs   []pathRec // recs[i] wraps the evaluator's slot of pair i
+	marked []int32   // the recs the last scenario's optical decisions touched
 	idxBuf []int32
+	// openOSS is scratch over pair indices: the paths cut-through
+	// placement opens by checking.
+	openOSS []uint64
 
 	// Amplifier placement scratch (per node).
 	pend        []int32
@@ -302,7 +306,7 @@ func (p *Planner) matches(in Input) bool {
 // steady-state Planner.
 func (p *Planner) prepare(in Input) error {
 	p.prepared = false
-	p.ev = NewEvaluator(in)
+	p.ev = newEvaluator(in)
 	dcs, base := p.ev.dcs, p.ev.base
 
 	// Reject regions that are disconnected even before any failure.
@@ -326,8 +330,10 @@ func (p *Planner) prepare(in Input) error {
 
 	p.recs = make([]pathRec, nPairs)
 	for i := range p.recs {
-		p.recs[i].Route = &p.ev.routes[i]
+		p.recs[i] = pathRec{Route: &p.ev.routes[i], ampNode: -1}
 	}
+	p.marked = p.marked[:0]
+	p.openOSS = make([]uint64, p.ev.words)
 
 	p.candOf = make([][]int32, nNodes)
 	p.candGen = make([]uint32, nNodes)
@@ -355,7 +361,8 @@ func (p *Planner) prepare(in Input) error {
 // solve used.
 func (p *Planner) resetSolve(in Input) {
 	p.in = in
-	p.plan = Plan{Input: in, DCs: p.ev.dcs}
+	p.plan = Plan{Input: in, DCs: p.ev.dcs, memo: p.ev.memo}
+	p.plan.Input.Base = p.ev.base
 	for _, id := range p.ductList {
 		p.ductActive[id] = false
 		p.ductSlab[id] = DuctUse{}
@@ -387,9 +394,13 @@ func (p *Planner) resetSolve(in Input) {
 	}
 }
 
-func (p *Planner) timeStage(stage int, start time.Time) {
-	p.stageDur[stage] += time.Since(start)
+// timeStage charges the stage with the time since start and returns now,
+// the next stage's start: one clock read per stage boundary.
+func (p *Planner) timeStage(stage int, start time.Time) time.Time {
+	now := time.Now()
+	p.stageDur[stage] += now.Sub(start)
 	p.stageCalls[stage]++
+	return now
 }
 
 // visit is the pruned scenario DFS: a cut of a duct no chosen path uses
@@ -433,41 +444,42 @@ func (p *Planner) visit(depth int) error {
 
 // scenario processes one failure scenario end to end: routing, amps,
 // cut-throughs, capacity. It appends the IDs of the ducts some chosen path
-// uses to used, ascending, which drives the pruned enumeration. The stages
-// walk every pair's record; one the cut disconnects has no ducts and
-// violates nothing.
+// uses to used, ascending, which drives the pruned enumeration. No stage
+// walks every pair: each opens from the routes the evaluator flagged, and
+// the decisions the last scenario made are taken off the records it
+// marked.
 func (p *Planner) scenario(used []int32) ([]int32, error) {
 	start := time.Now()
 	p.ev.Route()
 	recs := p.recs
-	for i := range recs {
-		pr := &recs[i]
+	for _, ri := range p.marked {
+		pr := &recs[ri]
 		pr.ampNode = -1
 		pr.bypass = pr.bypass[:0]
-		if pr.TotalKM > optics.MaxPathKM+1e-9 {
-			p.recordSLA(pr.Pair, pr.TotalKM)
-		}
+		pr.cutDucts = pr.cutDucts[:0]
 	}
-	p.timeStage(stRoute, start)
+	p.marked = p.marked[:0]
+	p.pend = appendPairs(p.pend[:0], p.ev.flaggedSet(overSLA))
+	for _, ri := range p.pend {
+		p.recordSLA(recs[ri].Pair, recs[ri].TotalKM)
+	}
+	start = p.timeStage(stRoute, start)
 
-	start = time.Now()
 	if err := p.placeAmps(recs); err != nil {
 		return used, err
 	}
-	p.timeStage(stAmps, start)
+	start = p.timeStage(stAmps, start)
 
-	start = time.Now()
 	if err := p.placeCutThroughs(recs); err != nil {
 		return used, err
 	}
-	p.timeStage(stCutthrough, start)
+	start = p.timeStage(stCutthrough, start)
 
 	// Provisioning runs after cut-through placement: traffic on a
 	// cut-through fiber does not also consume switched base capacity on
-	// the ducts it bypasses (Route.CutDucts), but its residual fiber still
+	// the ducts it bypasses (Evaluator.ride), but its residual fiber still
 	// follows the full path. Per-duct maxima are taken against prior
 	// scenarios. The loaded ducts are the used ones.
-	start = time.Now()
 	for _, l := range p.ev.Load(nil, nil) {
 		du := p.ductUse(l.Duct)
 		du.BasePairs = max(du.BasePairs, l.BasePairs)
@@ -479,6 +491,16 @@ func (p *Planner) scenario(used []int32) ([]int32, error) {
 		p.recordBasePaths(recs)
 	}
 	return used, nil
+}
+
+// appendPairs appends the pair indices in a set over them, ascending.
+func appendPairs(dst []int32, set []uint64) []int32 {
+	for w, rest := range set {
+		for ; rest != 0; rest &= rest - 1 {
+			dst = append(dst, int32(w*64+bits.TrailingZeros64(rest)))
+		}
+	}
+	return dst
 }
 
 func (p *Planner) recordSLA(pair hose.Pair, totalKM float64) {
@@ -522,7 +544,7 @@ func (p *Planner) recordBasePaths(recs []pathRec) {
 		}
 		info.Bypassed = append(info.Bypassed[:0], pr.bypass...)
 		slices.Sort(info.Bypassed)
-		info.CutDucts = append(info.CutDucts[:0], pr.CutDucts...)
+		info.CutDucts = append(info.CutDucts[:0], pr.cutDucts...)
 		slices.Sort(info.CutDucts)
 		p.pathsOut[pr.Pair] = info
 	}

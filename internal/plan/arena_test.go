@@ -1,9 +1,13 @@
 package plan
 
 import (
+	"slices"
 	"testing"
 
 	"iris/internal/fibermap"
+	"iris/internal/geo"
+	"iris/internal/graph"
+	"iris/internal/optics"
 )
 
 // arenaInput builds a generated-region planning input.
@@ -182,7 +186,7 @@ func TestEvaluatorSteadyStateZeroAlloc(t *testing.T) {
 }
 
 func evaluatorSweepZeroAlloc(t *testing.T, label string, in Input) {
-	ev := NewEvaluator(in)
+	ev := newEvaluator(in)
 	edges := ev.base.Edges()
 	sweep := func() {
 		ev.Route()
@@ -211,19 +215,21 @@ func evaluatorSweepZeroAlloc(t *testing.T, label string, in Input) {
 // off the evaluator's own counters, so that the time cannot quietly grow
 // back: per solve exactly 2 041 scenarios and at most one failure-free
 // tree per source, per scenario at most 12 routes read off trees (190
-// when every scenario re-read every pair), 24 span walks (one per route
-// read plus Algorithm 2's probes of its pending paths' interior nodes,
-// 9.3 + 9.8; 200 when placeAmps opened by walking every pair) and 25 tree
-// labels overwritten by repairs (19.1; 188 settled per scenario when
-// every touched source ran Dijkstra), no more labels put back by undo
-// than repairs overwrote, and no allocation.
-func BenchmarkPlanK2Region20(b *testing.B) { benchPlanRegion20(b, 2, 2041, 12, 24, 25) }
+// when every scenario re-read every pair), 12 span walks (11.0: one per
+// route read, plus one per interior node of a route read over the span
+// limit, where its amplifier sites are found; 19.1 when Algorithm 2
+// probed every pending path's interior nodes in every scenario, 200 when
+// it opened by walking every pair) and 25 tree labels overwritten by
+// repairs (19.1; 188 settled per scenario when every touched source ran
+// Dijkstra), no more labels put back by undo than repairs overwrote, and
+// no allocation.
+func BenchmarkPlanK2Region20(b *testing.B) { benchPlanRegion20(b, 2, 2041, 12, 12, 25) }
 
 // BenchmarkPlanK3Region20 is the same region and gates at k = 3, where
 // scenarios must be cheap enough to sweep one cut deeper than the plan:
-// exactly 43 260 scenarios, and per scenario at most 12 routes read, 28
-// span walks and 28 labels overwritten (9.8, 21.8 and 22.1).
-func BenchmarkPlanK3Region20(b *testing.B) { benchPlanRegion20(b, 3, 43260, 12, 28, 28) }
+// exactly 43 260 scenarios, and per scenario at most 12 routes read, 13
+// span walks and 28 labels overwritten (9.8, 11.8 and 22.1).
+func BenchmarkPlanK3Region20(b *testing.B) { benchPlanRegion20(b, 3, 43260, 12, 13, 28) }
 
 func benchPlanRegion20(b *testing.B, k, wantScenarios int, maxRoutes, maxSpanWalks, maxRelabelled float64) {
 	in := arenaInput(b, 1, 20, 10, k)
@@ -266,4 +272,138 @@ func benchPlanRegion20(b *testing.B, k, wantScenarios int, maxRoutes, maxSpanWal
 	if restored > relabelled {
 		b.Fatalf("undo put back %.2f labels per scenario, repairs overwrote %.2f: a frame restored what it did not log", restored, relabelled)
 	}
+}
+
+// scanRegion is a hand-built region whose scenarios exercise every way the
+// planner opens a scenario: DC0 and DC1 at the ends of a 70 km chain of
+// six huts (over the switching budget, no amplifier), DC2 behind DC1 on a
+// direct duct and a detour (a cut there changes DC2's routes and keeps
+// the chain's), DC3 and DC4 at the ends of a 100 km chain of four huts (an
+// amplifier clears it and puts it over the switching budget), and a 75 km
+// duct from DC0 to DC3 (over the SLA distance, and over the span limit
+// wherever the amplifier goes, for the pairs it joins).
+func scanRegion(maxFailures int) Input {
+	m := &fibermap.Map{}
+	chain := func(from int, n int, km float64) int {
+		prev := from
+		for i := 0; i < n; i++ {
+			h := m.AddNode(fibermap.Hut, geo.Point{}, "")
+			m.AddDuct(prev, h, km)
+			prev = h
+		}
+		return prev
+	}
+	dc := func() int { return m.AddNode(fibermap.DC, geo.Point{}, "") }
+	dc0, dc1, dc2, dc3, dc4 := dc(), dc(), dc(), dc(), dc()
+	m.AddDuct(chain(dc0, 6, 10), dc1, 10)
+	m.AddDuct(dc1, dc2, 10)
+	m.AddDuct(chain(dc1, 1, 10), dc2, 10)
+	m.AddDuct(chain(dc3, 4, 20), dc4, 20)
+	m.AddDuct(dc0, dc3, 75)
+	caps := map[int]int{dc0: 4, dc1: 6, dc2: 3, dc3: 5, dc4: 2}
+	return Input{Map: m, Capacity: caps, Lambda: 40, MaxFailures: maxFailures}
+}
+
+// TestScenarioDecisionsMatchFullScan: a scenario's stages open from the
+// routes the evaluator flagged and take the last scenario's decisions off
+// the records it marked, and that must be what walking every pair does.
+// Through every cut of at most two ducts of scanRegion and of a generated
+// region whose plan needs cut-throughs, in an order that repeats and
+// undoes frames, each scenario is checked after the planner ran it: every
+// pair a full scan finds over the SLA distance is recorded, one over the
+// span limit with its amplifier or over the switching budget with its
+// bypasses is reported as a violation, every rider is a duct of its pair's
+// route, and the records and loads equal those of a second planner whose
+// records are all reset before the scenario and which holds the same
+// amplifiers.
+func TestScenarioDecisionsMatchFullScan(t *testing.T) {
+	ampOnly, bypassed := 0, 0
+	for _, tc := range []struct {
+		label string
+		in    Input
+	}{{"hand-built", scanRegion(2)}, {"generated, 24 DCs", arenaInput(t, 4, 24, 8, 2)}} {
+		p, q := NewPlanner(), NewPlanner()
+		for _, pl := range []*Planner{p, q} {
+			if err := pl.prepare(tc.in); err != nil {
+				t.Fatal(err)
+			}
+			pl.resetSolve(tc.in)
+		}
+		var ids []int
+		for _, e := range p.ev.base.Edges() {
+			ids = append(ids, e.ID)
+		}
+		if tc.label != "hand-built" {
+			ids = ids[:12]
+		}
+		var cuts [][]int
+		graph.FailureScenarios(ids, 2, func(cut []int) { cuts = append(cuts, slices.Clone(cut)) })
+		cuts = append(cuts, cuts...) // again, from the deepest frame
+		for _, cut := range cuts {
+			ampsBefore := slices.Clone(p.ampsArr)
+			viol, sla := len(p.plan.Viol), len(p.slaRecs)
+			p.ev.Cut.Set(cut)
+			if _, err := p.scenario(nil); err != nil {
+				t.Fatal(err)
+			}
+			overSLA, unfixed := 0, 0
+			for i := range p.recs {
+				pr := &p.recs[i]
+				if pr.TotalKM > optics.MaxPathKM+1e-9 {
+					overSLA++
+				}
+				if p.ev.spanExceeded(pr.Route, pr.ampNode) {
+					unfixed++
+				}
+				if reconfigViolated(pr) {
+					unfixed++
+				}
+				if pr.ampNode >= 0 && len(pr.Ducts) < optics.MaxOSSPerPath && reconfigViolated(&pathRec{Route: pr.Route, ampNode: pr.ampNode}) {
+					ampOnly++
+				}
+				if len(pr.bypass) > 0 && pr.ampNode < 0 {
+					bypassed++
+				}
+				for _, d := range pr.cutDucts {
+					if !slices.ContainsFunc(pr.Ducts, func(e graph.Edge) bool { return e.ID == d }) {
+						t.Fatalf("%s, cut %v, pair %v rides a cut-through on duct %d, off its route", tc.label, cut, pr.Pair, d)
+					}
+				}
+			}
+			if got := len(p.slaRecs) - sla; got != overSLA {
+				t.Fatalf("%s, cut %v: %d SLA records, %d pairs over the SLA distance", tc.label, cut, got, overSLA)
+			}
+			if got := len(p.plan.Viol) - viol; got != unfixed {
+				t.Fatalf("%s, cut %v: %d violations reported, %d paths left over a limit", tc.label, cut, got, unfixed)
+			}
+
+			for i := range q.recs {
+				q.recs[i].ampNode, q.recs[i].bypass, q.recs[i].cutDucts = -1, q.recs[i].bypass[:0], q.recs[i].cutDucts[:0]
+			}
+			q.marked = q.marked[:0]
+			copy(q.ampsArr, ampsBefore)
+			q.ev.Cut.Set(cut)
+			if _, err := q.scenario(nil); err != nil {
+				t.Fatal(err)
+			}
+			for i := range p.recs {
+				a, b := &p.recs[i], &q.recs[i]
+				if a.ampNode != b.ampNode || !sameSet(a.bypass, b.bypass) || !sameSet(a.cutDucts, b.cutDucts) {
+					t.Fatalf("%s, cut %v, pair %v: amplifier %d, bypass %v, riding %v; from reset records %d, %v, %v",
+						tc.label, cut, a.Pair, a.ampNode, a.bypass, a.cutDucts, b.ampNode, b.bypass, b.cutDucts)
+				}
+			}
+			if g, w := p.ev.Load(nil, nil), q.ev.Load(nil, nil); !slices.Equal(g, w) || !slices.Equal(p.ampsArr, q.ampsArr) {
+				t.Fatalf("%s, cut %v: loads or amplifiers differ from those of reset records:\n %v\n %v", tc.label, cut, g, w)
+			}
+		}
+	}
+	if ampOnly == 0 || bypassed == 0 {
+		t.Errorf("%d paths over the switching budget by their amplifier, %d bypassed without one; the cases do not cover both openings",
+			ampOnly, bypassed)
+	}
+}
+
+func sameSet(a, b []int) bool {
+	return len(a) == len(b) && !slices.ContainsFunc(a, func(v int) bool { return !slices.Contains(b, v) })
 }

@@ -7,21 +7,31 @@ import "fmt"
 // uninterrupted fiber runs that traverse one or more switching points
 // without being switched (Appendix A). Candidates are scored by paths
 // resolved per duct of extra fiber; the best is built, affected paths mark
-// the bypassed nodes, and the loop repeats until no violations remain. The
-// first scan is O(1) per path (ossTraversals, nothing is bypassed yet);
-// later ones re-check the pending paths only.
+// the bypassed nodes, and the loop repeats until no violations remain.
+// Nothing is bypassed yet when it opens, so the violating paths are among
+// the routes the evaluator flagged over the budget with no amplifier and
+// the paths Algorithm 2 just amplified; later scans re-check the pending
+// paths only.
 //
 // A candidate's identity — (from, to, duct sequence) — is interned per
 // iteration in p.ctIter; the committed cut-throughs of the whole solve
 // are interned in p.ctAll with their duct and interior lists in flat
 // slabs, so the loop allocates nothing once the planner is warm.
 func (p *Planner) placeCutThroughs(recs []pathRec) error {
-	pend := p.pend[:0]
-	for i := range recs {
-		if reconfigViolated(&recs[i]) {
-			pend = append(pend, int32(i))
+	open := p.openOSS
+	copy(open, p.ev.flaggedSet(overOSS))
+	for _, ri := range p.marked {
+		open[ri>>6] |= 1 << (ri & 63)
+	}
+	pend := appendPairs(p.pend[:0], open)
+	k := 0
+	for _, ri := range pend {
+		if reconfigViolated(&recs[ri]) {
+			pend[k] = ri
+			k++
 		}
 	}
+	pend = pend[:k]
 	for iter := 0; len(pend) > 0; iter++ {
 		if iter > len(recs)*8 {
 			return fmt.Errorf("plan: cut-through placement did not converge")
@@ -61,6 +71,9 @@ func (p *Planner) placeCutThroughs(recs []pathRec) error {
 		interior := p.ctIterInterior[bc.intOff : bc.intOff+bc.intLen]
 		for _, ri := range p.ctResolve[best] {
 			pr := &recs[ri]
+			if len(pr.bypass) == 0 {
+				p.marked = append(p.marked, ri)
+			}
 			for _, n := range interior {
 				if !pr.bypassed(n) {
 					pr.bypass = append(pr.bypass, n)
@@ -68,7 +81,8 @@ func (p *Planner) placeCutThroughs(recs []pathRec) error {
 			}
 			for _, d := range ducts {
 				if !pr.onCutThrough(int(d)) {
-					pr.CutDucts = append(pr.CutDucts, int(d))
+					pr.cutDucts = append(pr.cutDucts, int(d))
+					p.ev.ride(pr.PairIdx, int(d))
 				}
 			}
 		}

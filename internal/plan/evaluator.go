@@ -27,8 +27,11 @@ import (
 //     frames: it undoes the frames the cut no longer contains from their
 //     logs of replaced routes, then pushes one frame for the ducts the cut
 //     gained, re-routing exactly the pairs that cross one of them. What
-//     only the route decides — whether it is over the unamplified span
-//     limit — is kept with it.
+//     only the route decides is kept with it: its optical verdicts, each
+//     also a set over pair indices (flagged), and, once asked for, where
+//     one amplifier would clear a segment over the span limit. So the
+//     planner opens a scenario from the routes the verdicts pick, and
+//     probes amplifier sites only on routes the cut changed.
 //   - Crossing sets are bitsets over pair indices, one per duct, so moving
 //     a pair is a bit per duct; Load recomputes the ducts whose set changed
 //     and lists the rest from the need it computed before.
@@ -51,27 +54,65 @@ type Route struct {
 	Nodes   []int
 	Ducts   []graph.Edge
 	TotalKM float64
-	// CutDucts lists ducts on which this pair consumes no switched base
-	// capacity because its traffic rides a cut-through fiber there. Route
-	// empties it; the planner fills it before Load, other callers leave
-	// it empty and compare the load with base plus cut-through fiber.
-	CutDucts []int
 
-	// overSpan is spanExceeded for the route with no amplifier on it,
-	// kept with the slot: push sets it where it reads a route and undo
-	// puts it back, so Algorithm 2 opens a scenario from the verdicts of
-	// the routes the cut changed instead of walking every pair's ducts.
-	overSpan bool
+	// What only the route decides, kept with it: the verdicts push reads
+	// with the route, and Algorithm 2's candidates once ampSites found
+	// them (sitesRead). Undo puts back what the slot held.
+	verdicts  verdict
+	sites     []int
+	sitesRead bool
+}
+
+// verdict is a set of the optical checks a route fails with no amplifier
+// and no bypass on it.
+type verdict uint8
+
+const (
+	overSpan  verdict = 1 << iota // a segment is over the unamplified span limit (TC1)
+	overSLA                       // the path is longer than the SLA distance
+	overOSS                       // switched at every node, over the switching budget (TC4)
+	nVerdicts = iota
+)
+
+// verdictsOf runs the checks of verdict on a route just read.
+func (ev *Evaluator) verdictsOf(r *Route) verdict {
+	var v verdict
+	if ev.spanExceeded(r, -1) {
+		v |= overSpan
+	}
+	if r.TotalKM > optics.MaxPathKM+1e-9 {
+		v |= overSLA
+	}
+	if max(2, len(r.Ducts)+1) > optics.MaxOSSPerPath {
+		v |= overOSS
+	}
+	return v
+}
+
+// ampSites returns the route's Algorithm 2 candidates: the interior nodes
+// whose amplifier leaves no segment over the span limit, in path order.
+// They are found on the first call after the route was read and kept on
+// the slot, so an evaluator nobody places amplifiers with never walks for
+// them. A list kept under a later frame than the route's stays right when
+// that frame is undone: it depends on the route alone.
+func (ev *Evaluator) ampSites(r *Route) []int {
+	if !r.sitesRead {
+		r.sites, r.sitesRead = r.sites[:0], true
+		if r.verdicts&overSpan != 0 {
+			for _, v := range r.Nodes[1 : len(r.Nodes)-1] {
+				if !ev.spanExceeded(r, v) {
+					r.sites = append(r.sites, v)
+				}
+			}
+		}
+	}
+	return r.sites
 }
 
 // Routed reports whether the scenario leaves the pair a path. The slot of
 // a pair it disconnects has no nodes, no ducts and zero length: Algorithm
 // 1 owes the pair no capacity.
 func (r *Route) Routed() bool { return len(r.Nodes) > 0 }
-
-func (r *Route) onCutThrough(duct int) bool {
-	return slices.Contains(r.CutDucts, duct)
-}
 
 // DuctLoad is what one scenario requires of one duct, in fiber-pairs.
 type DuctLoad struct {
@@ -104,15 +145,16 @@ type rider struct {
 
 // frame is one step of the scenario stack: the ducts the cut gained at
 // that step and what undoing the step puts back — the routes it replaced
-// (nodes and ducts in the frame's flat slabs), the need of every duct
-// whose crossing set it was the first to change since that need was
-// computed, and the tree labels its repairs overwrote. Frame 0 is the
-// failure-free scenario and is never undone.
+// (nodes, ducts and amplifier sites in the frame's flat slabs), the need
+// of every duct whose crossing set it was the first to change since that
+// need was computed, and the tree labels its repairs overwrote. Frame 0 is
+// the failure-free scenario and is never undone.
 type frame struct {
 	ids     []int
 	saves   []routeSave
 	nodes   []int
 	ducts   []graph.Edge
+	sites   []int
 	needs   []DuctLoad
 	labels  []graph.Label
 	repairs []treeRepair
@@ -129,28 +171,46 @@ type routeSave struct {
 	pairIdx          int32
 	nodeOff, nodeLen int32
 	ductOff, ductLen int32
+	siteOff, siteLen int32
 	totalKM          float64
-	overSpan         bool
+	verdicts         verdict
+	sitesRead        bool
 }
 
 // evalWork counts what an evaluator did since it was built: scenarios
 // routed, failure-free trees fetched, tree labels overwritten by repairs
-// and put back by undo, routes read off trees, hose-memo lookups, and span
-// walks — runs of spanExceeded, the evaluator's and Algorithm 2's.
-// BenchmarkPlanK2Region20 and BenchmarkPlanK3Region20 gate on it.
+// and put back by undo, routes read off trees, hose-memo lookups and the
+// max-flows they missed into, and span walks — runs of spanExceeded, all
+// of them on routes push reads. BenchmarkPlanK2Region20,
+// BenchmarkPlanK3Region20 and TestPlanEvaluatorStartsFromPlan gate on it.
 type evalWork struct {
-	scenarios, fullTrees, relabelled, restored, routesRead, lookups, spanWalks int
+	scenarios, fullTrees, relabelled, restored, routesRead, lookups, lps, spanWalks int
+}
+
+// hoseMemo is the worst-case hose load of every pair set looked up under
+// the region's own capacities, by the set's interned ID.
+type hoseMemo struct {
+	idx   setIndex
+	loads []float64
+}
+
+func (m *hoseMemo) clone() *hoseMemo {
+	return &hoseMemo{
+		idx:   setIndex{width: m.idx.width, slab: slices.Clone(m.idx.slab), table: slices.Clone(m.idx.table)},
+		loads: slices.Clone(m.loads),
+	}
 }
 
 // Evaluator routes and loads failure scenarios of one region: a fiber
 // map's usable-duct graph, DC capacities and, for the centralized design,
 // hubs. The scenario is Cut; set it, call Route, then Load. The hose-load
-// memo is keyed by pair sets and survives across scenarios. An Evaluator
-// is not safe for concurrent use.
+// memo is keyed by pair sets and survives across scenarios, and Fork hands
+// it on. An Evaluator is not safe for concurrent use.
 type Evaluator struct {
 	// Cut is the failure scenario Route evaluates.
 	Cut *graph.Cut
 
+	in      Input // the region, with Base set: what Fork builds from
 	base    *graph.Graph
 	dcs     []int
 	nDC     int
@@ -172,6 +232,10 @@ type Evaluator struct {
 	gained []int
 	work   evalWork
 
+	// flagged holds words bits per verdict: bit p of the set for verdict
+	// 1<<k is set while pair p's route has it.
+	flagged []uint64
+
 	// Per-duct crossing tables. cross holds words bits per duct: bit p is
 	// set while pair p's route crosses the duct; multi lists, in pair
 	// order, the pairs that cross it more than once; residCnt counts
@@ -183,26 +247,25 @@ type Evaluator struct {
 	residCnt []int32
 	need     []DuctLoad
 	dirty    []bool
-	riders   []rider
+	riders   []rider  // the scenario's, see ride
 	key      []uint64 // words bits of scratch: a pair set being looked up
 	mask     []uint64 // words bits of scratch: pairs to re-route, or active
 	loads    []DuctLoad
 
-	// Hose-load memo, keyed by pair set.
-	lp        hose.LP
-	hoseIdx   setIndex
-	hoseLoads []float64
-	pairsBuf  []hose.Pair
+	lp       hose.LP
+	memo     *hoseMemo
+	pairsBuf []hose.Pair
 }
 
-// NewEvaluator sizes an evaluator for the input's region: Map, Capacity,
+// newEvaluator sizes an evaluator for the input's region: Map, Capacity,
 // ViaHubs and Base (built from Map when nil) are read; the input is
 // assumed valid.
-func NewEvaluator(in Input) *Evaluator {
+func newEvaluator(in Input) *Evaluator {
 	base := in.Base
 	if base == nil {
 		base = BaseGraph(in.Map)
 	}
+	in.Base, in.Span = base, nil
 	dcs := in.Map.DCs()
 	nDC := len(dcs)
 	nPairs := nDC * (nDC - 1) / 2
@@ -210,6 +273,7 @@ func NewEvaluator(in Input) *Evaluator {
 	words := (nPairs + 63) / 64
 	ev := &Evaluator{
 		Cut:      graph.NewCut(base),
+		in:       in,
 		base:     base,
 		dcs:      dcs,
 		nDC:      nDC,
@@ -219,6 +283,7 @@ func NewEvaluator(in Input) *Evaluator {
 		hubs:     append([]int(nil), in.ViaHubs...),
 		routes:   make([]Route, 0, nPairs),
 		words:    words,
+		flagged:  make([]uint64, nVerdicts*words),
 		cross:    make([]uint64, nDucts*words),
 		multi:    make([][]crossEntry, nDucts),
 		residCnt: make([]int32, nDucts),
@@ -226,7 +291,7 @@ func NewEvaluator(in Input) *Evaluator {
 		dirty:    make([]bool, nDucts),
 		key:      make([]uint64, words),
 		mask:     make([]uint64, words),
-		hoseIdx:  setIndex{width: words},
+		memo:     &hoseMemo{idx: setIndex{width: words}},
 	}
 	ev.sources = dcs
 	if len(ev.hubs) > 0 {
@@ -258,6 +323,17 @@ func NewEvaluator(in Input) *Evaluator {
 		ev.dirty[id] = true
 	}
 	return ev
+}
+
+// Fork returns an evaluator of ev's region at the failure-free scenario, on
+// ev's base graph — whose failure-free trees ev memoised there — with a
+// copy of ev's hose-load memo, so no pair set ev has loaded costs it a
+// max-flow. Fork only reads ev: an evaluator nobody routes on may be
+// forked concurrently.
+func (ev *Evaluator) Fork() *Evaluator {
+	f := newEvaluator(ev.in)
+	f.memo = ev.memo.clone()
+	return f
 }
 
 // DCs returns the region's DC node IDs, ascending. Per-DC slices the
@@ -321,7 +397,8 @@ func (ev *Evaluator) tree(si int) *graph.ShortestPathTree {
 // Route brings every DC pair's route — shortest surviving path in the
 // distributed design, best DC-hub-DC walk in the centralized one — up to
 // Cut and returns the pairs' slots, indexed by pair index. Pairs the cut
-// disconnects are not Routed.
+// disconnects are not Routed. The riders of the last scenario are taken
+// off.
 //
 // A pair's route is re-read only when a duct the cut gained lies on it;
 // every other pair keeps its route by the argument in this file's header.
@@ -329,11 +406,7 @@ func (ev *Evaluator) tree(si int) *graph.ShortestPathTree {
 // frame starts from are exactly those of the ducts still cut.
 func (ev *Evaluator) Route() []Route {
 	ev.work.scenarios++
-	for i := range ev.routes {
-		if r := &ev.routes[i]; len(r.CutDucts) > 0 {
-			r.CutDucts = r.CutDucts[:0]
-		}
-	}
+	ev.riders = ev.riders[:0]
 	if len(ev.frames) == 0 {
 		for i := range ev.mask {
 			ev.mask[i] = ^uint64(0)
@@ -410,7 +483,7 @@ func (ev *Evaluator) push(gained []int) {
 	}
 	f := &ev.frames[n]
 	f.ids = append(f.ids[:0], gained...)
-	f.saves, f.nodes, f.ducts, f.needs = f.saves[:0], f.nodes[:0], f.ducts[:0], f.needs[:0]
+	f.saves, f.nodes, f.ducts, f.sites, f.needs = f.saves[:0], f.nodes[:0], f.ducts[:0], f.sites[:0], f.needs[:0]
 	f.labels, f.repairs = f.labels[:0], f.repairs[:0]
 	for w, todo := range ev.mask {
 		for ; todo != 0; todo &= todo - 1 {
@@ -419,16 +492,39 @@ func (ev *Evaluator) push(gained []int) {
 				pairIdx: r.PairIdx,
 				nodeOff: int32(len(f.nodes)), nodeLen: int32(len(r.Nodes)),
 				ductOff: int32(len(f.ducts)), ductLen: int32(len(r.Ducts)),
-				totalKM: r.TotalKM, overSpan: r.overSpan,
+				siteOff: int32(len(f.sites)), siteLen: int32(len(r.sites)),
+				totalKM: r.TotalKM, verdicts: r.verdicts, sitesRead: r.sitesRead,
 			})
 			f.nodes = append(f.nodes, r.Nodes...)
 			f.ducts = append(f.ducts, r.Ducts...)
+			f.sites = append(f.sites, r.sites...)
 			ev.uncross(f, r)
 			ev.read(r)
-			r.overSpan = ev.spanExceeded(r, -1)
+			ev.flag(r, ev.verdictsOf(r))
+			r.sites, r.sitesRead = r.sites[:0], false
 			ev.recross(f, r)
 		}
 	}
+}
+
+// flag sets the route's verdicts, in the slot and in the flagged sets.
+func (ev *Evaluator) flag(r *Route, v verdict) {
+	w, bit := int(r.PairIdx>>6), uint64(1)<<(r.PairIdx&63)
+	for k := range nVerdicts {
+		if set := ev.flagged[k*ev.words:]; v&(1<<k) != 0 {
+			set[w] |= bit
+		} else {
+			set[w] &^= bit
+		}
+	}
+	r.verdicts = v
+}
+
+// flaggedSet returns the set, words bits over pair indices, of the routes
+// with the verdict.
+func (ev *Evaluator) flaggedSet(v verdict) []uint64 {
+	k := bits.TrailingZeros8(uint8(v))
+	return ev.flagged[k*ev.words : (k+1)*ev.words]
 }
 
 // undo pops the top frame: the routes it replaced are back, so are the
@@ -450,7 +546,9 @@ func (ev *Evaluator) undo() {
 		ev.uncross(nil, r)
 		r.Nodes = append(r.Nodes[:0], f.nodes[s.nodeOff:s.nodeOff+s.nodeLen]...)
 		r.Ducts = append(r.Ducts[:0], f.ducts[s.ductOff:s.ductOff+s.ductLen]...)
-		r.TotalKM, r.overSpan = s.totalKM, s.overSpan
+		r.sites = append(r.sites[:0], f.sites[s.siteOff:s.siteOff+s.siteLen]...)
+		r.TotalKM, r.sitesRead = s.totalKM, s.sitesRead
+		ev.flag(r, s.verdicts)
 		ev.recross(nil, r)
 	}
 	for _, l := range f.needs {
@@ -612,18 +710,6 @@ func (ev *Evaluator) Load(caps []float64, active []bool) []DuctLoad {
 			}
 		}
 	}
-	ev.riders = ev.riders[:0]
-	for i := range ev.routes {
-		r := &ev.routes[i]
-		if len(r.CutDucts) == 0 || (active != nil && !active[i]) {
-			continue
-		}
-		for _, e := range r.Ducts {
-			if r.onCutThrough(e.ID) {
-				ev.riders = append(ev.riders, rider{duct: int32(e.ID), pairIdx: r.PairIdx})
-			}
-		}
-	}
 
 	// A need computed with a rider on the duct is not one to keep: the
 	// duct is dirty going in and coming out.
@@ -658,6 +744,15 @@ func (ev *Evaluator) Load(caps []float64, active []bool) []DuctLoad {
 		}
 	}
 	return ev.loads
+}
+
+// ride records, for the next Load, that the pair's traffic rides a
+// cut-through fiber on a duct of its route: there it consumes no switched
+// base capacity, while its residual fiber still follows the whole path.
+// The planner calls it after cut-through placement; Route takes the riders
+// off, and other callers compare the load with base plus cut-through fiber.
+func (ev *Evaluator) ride(pairIdx int32, duct int) {
+	ev.riders = append(ev.riders, rider{duct: int32(duct), pairIdx: pairIdx})
 }
 
 // loadDuct is the provisioning rule for one crossed duct, from its
@@ -729,10 +824,11 @@ func (ev *Evaluator) hoseLoad(set []uint64, override []float64) float64 {
 	caps := override
 	if override == nil {
 		ev.work.lookups++
-		id, added := ev.hoseIdx.intern(set)
+		id, added := ev.memo.idx.intern(set)
 		if !added {
-			return ev.hoseLoads[id]
+			return ev.memo.loads[id]
 		}
+		ev.work.lps++
 		caps = ev.caps
 	}
 	// Ascending pair indices are ascending (A, B) pairs: the order the
@@ -745,7 +841,7 @@ func (ev *Evaluator) hoseLoad(set []uint64, override []float64) float64 {
 	}
 	load := ev.lp.WorstCaseLoad(caps, ev.pairsBuf)
 	if override == nil {
-		ev.hoseLoads = append(ev.hoseLoads, load)
+		ev.memo.loads = append(ev.memo.loads, load)
 	}
 	return load
 }

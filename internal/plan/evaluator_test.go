@@ -21,7 +21,12 @@ type oracle struct {
 	region *Evaluator
 	dijk   graph.Scratch
 	routes []Route // one slot per pair, as Evaluator.Route returns
+	riders []rider // as Evaluator.ride records them
 	lp     hose.LP
+}
+
+func (o *oracle) rides(pairIdx int32, duct int) bool {
+	return slices.Contains(o.riders, rider{duct: int32(duct), pairIdx: pairIdx})
 }
 
 // readRoutes reads every pair's route under the cut off fresh trees.
@@ -84,7 +89,7 @@ func (o *oracle) load(caps []float64, active []bool) []DuctLoad {
 		}
 		for _, e := range r.Ducts {
 			resid[e.ID]++
-			if r.onCutThrough(e.ID) {
+			if o.rides(r.PairIdx, e.ID) {
 				continue
 			}
 			entries := cross[e.ID]
@@ -139,7 +144,7 @@ type reuseChecker struct {
 
 func newReuseChecker(t *testing.T, label string, in Input, seed int64) *reuseChecker {
 	in.Base = BaseGraph(in.Map)
-	ev := NewEvaluator(in)
+	ev := newEvaluator(in)
 	return &reuseChecker{t: t, label: label, in: in, ev: ev, oracle: oracle{region: ev}, rng: rand.New(rand.NewSource(seed))}
 }
 
@@ -160,30 +165,57 @@ func (c *reuseChecker) route() []Route {
 	for i := range want {
 		g, w := &got[i], &want[i]
 		if g.PairIdx != w.PairIdx || g.Pair != w.Pair || g.I != w.I || g.J != w.J ||
-			math.Float64bits(g.TotalKM) != math.Float64bits(w.TotalKM) || len(g.CutDucts) != 0 ||
+			math.Float64bits(g.TotalKM) != math.Float64bits(w.TotalKM) ||
 			g.Routed() != (len(w.Nodes) > 0) || !slices.Equal(g.Nodes, w.Nodes) || !slices.Equal(g.Ducts, w.Ducts) {
-			c.t.Fatalf("%s, cut %v, pair %v:\n reused     %v %v %v %v\n recomputed %v %v %v",
-				c.label, c.ev.Cut.IDs(), w.Pair, g.Nodes, g.Ducts, g.TotalKM, g.CutDucts, w.Nodes, w.Ducts, w.TotalKM)
+			c.t.Fatalf("%s, cut %v, pair %v:\n reused     %v %v %v\n recomputed %v %v %v",
+				c.label, c.ev.Cut.IDs(), w.Pair, g.Nodes, g.Ducts, g.TotalKM, w.Nodes, w.Ducts, w.TotalKM)
 		}
 		lost = lost || !g.Routed()
 
-		// What Algorithm 2 and cut-through placement open a scenario from
-		// — the span verdict kept with the slot, the closed-form switch
-		// count — against a full scan: the walk over a record built from
-		// the recomputed route, and the optical model's own evaluation.
+		// What the planner opens a scenario from — the verdicts kept with
+		// the slot and in the flagged sets, the amplifier sites kept with
+		// it — against a full scan of the recomputed route: the optical
+		// model's own evaluation, and a span walk per interior node.
 		pr := &pathRec{Route: w, ampNode: -1}
 		el := optics.Evaluate(elementsFor(pr))
-		if over := el.WorstSegDB > optics.AmpGainDB+1e-9; g.overSpan != over || c.ev.spanExceeded(w, -1) != over {
-			c.t.Fatalf("%s, cut %v, pair %v: kept span verdict %v, walked %v, worst segment %.2f dB",
-				c.label, c.ev.Cut.IDs(), w.Pair, g.overSpan, c.ev.spanExceeded(w, -1), el.WorstSegDB)
-		} else if over {
+		var want verdict
+		if el.WorstSegDB > optics.AmpGainDB+1e-9 {
+			want |= overSpan
 			c.spans++
+		}
+		if w.TotalKM > optics.MaxPathKM+1e-9 {
+			want |= overSLA
+		}
+		if el.OSSCount > optics.MaxOSSPerPath {
+			want |= overOSS
+			c.budgets++
+		}
+		for k := verdict(1); k < 1<<nVerdicts; k <<= 1 {
+			if flagged := hasBit(c.ev.flaggedSet(k), w.PairIdx); g.verdicts&k != want&k || flagged != (want&k != 0) {
+				c.t.Fatalf("%s, cut %v, pair %v: verdict %b kept %v, flagged %v, want %v (worst segment %.2f dB, %.1f km, %d switch traversals)",
+					c.label, c.ev.Cut.IDs(), w.Pair, k, g.verdicts&k != 0, flagged, want&k != 0, el.WorstSegDB, w.TotalKM, el.OSSCount)
+			}
+		}
+		// Sites are asked for now and then, so some are kept across
+		// frames, some found late and some never.
+		if c.rng.Intn(3) == 0 {
+			var sites []int
+			if want&overSpan != 0 {
+				for _, v := range w.Nodes[1 : len(w.Nodes)-1] {
+					pr.ampNode = v
+					if optics.Evaluate(elementsFor(pr)).WorstSegDB <= optics.AmpGainDB+1e-9 {
+						sites = append(sites, v)
+					}
+				}
+			}
+			if kept := c.ev.ampSites(g); !slices.Equal(kept, sites) {
+				c.t.Fatalf("%s, cut %v, pair %v: amplifier sites %v, the optical model clears the path at %v",
+					c.label, c.ev.Cut.IDs(), w.Pair, kept, sites)
+			}
 		}
 		if n := ossTraversals(&pathRec{Route: g, ampNode: -1}); n != el.OSSCount {
 			c.t.Fatalf("%s, cut %v, pair %v: %d switch traversals in closed form, %d on the path's elements",
 				c.label, c.ev.Cut.IDs(), w.Pair, n, el.OSSCount)
-		} else if n > optics.MaxOSSPerPath {
-			c.budgets++
 		}
 	}
 	c.routed++
@@ -191,7 +223,7 @@ func (c *reuseChecker) route() []Route {
 		c.partial++
 	}
 	c.trees()
-	c.loads(got, want)
+	c.loads(got)
 	return got
 }
 
@@ -241,24 +273,30 @@ func (c *reuseChecker) trees() {
 // few pairs first ride cut-throughs on some of their ducts (and one on a
 // duct not its own), as placeCutThroughs leaves them; the next Route
 // takes the riders off again.
-func (c *reuseChecker) loads(got, want []Route) {
+func (c *reuseChecker) loads(got []Route) {
 	c.t.Helper()
 	rng := c.rng
-	fresh := NewEvaluator(c.in)
+	fresh := newEvaluator(c.in)
 	fresh.Cut.Set(c.ev.Cut.IDs())
-	mine := fresh.Route()
+	fresh.Route()
+	c.oracle.riders = c.oracle.riders[:0]
+	ride := func(p int32, duct int) {
+		if !c.oracle.rides(p, duct) {
+			c.ev.ride(p, duct)
+			fresh.ride(p, duct)
+			c.oracle.riders = append(c.oracle.riders, rider{duct: int32(duct), pairIdx: p})
+		}
+	}
 	if rng.Intn(3) > 0 {
 		for n := 1 + rng.Intn(4); n > 0; n-- {
-			p := rng.Intn(len(got))
+			p := int32(rng.Intn(len(got)))
 			for _, e := range got[p].Ducts {
-				if rng.Intn(2) == 0 && !got[p].onCutThrough(e.ID) {
-					got[p].CutDucts = append(got[p].CutDucts, e.ID)
+				if rng.Intn(2) == 0 {
+					ride(p, e.ID)
 					c.ridden++
 				}
 			}
-			got[p].CutDucts = append(got[p].CutDucts, rng.Intn(c.ev.base.MaxEdgeID()+1))
-			want[p].CutDucts = append(want[p].CutDucts[:0], got[p].CutDucts...)
-			mine[p].CutDucts = append(mine[p].CutDucts[:0], got[p].CutDucts...)
+			ride(p, rng.Intn(c.ev.base.MaxEdgeID()+1))
 		}
 	}
 	for id := range c.ev.multi {
@@ -408,5 +446,74 @@ func TestRouteReuseMatchesRecompute(t *testing.T) {
 	}
 	if spans == 0 || budgets == 0 {
 		t.Errorf("%d routes were over the span limit and %d over the switching budget; the cases do not cover the opening scans", spans, budgets)
+	}
+}
+
+// An evaluator a plan hands out starts where planning left off: on the
+// graph the plan was routed on, with a hose-load memo of its own that
+// planning filled; so does a Fork of it, which is how the auditor's
+// workers start. On the bench region planned for two cuts each routes and
+// loads the failure-free scenario, every single cut and 200 random double
+// cuts exactly as an evaluator built from nothing does, and runs at most
+// one max-flow in ten scenarios (the cold one runs several per scenario).
+func TestPlanEvaluatorStartsFromPlan(t *testing.T) {
+	in := arenaInput(t, 1, 20, 10, 2)
+	p := NewPlanner()
+	pl, err := p.Plan(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ev := pl.NewEvaluator()
+	forked := ev.Fork()
+	for _, c := range []struct {
+		label     string
+		ev, owner *Evaluator
+	}{{"the plan's evaluator", ev, p.ev}, {"its fork", forked, ev}} {
+		if c.ev.base != p.ev.base || pl.Input.Base != p.ev.base {
+			t.Fatalf("%s does not route on the graph planning ran on", c.label)
+		}
+		if m, o := c.ev.memo, c.owner.memo; len(m.loads) != len(p.ev.memo.loads) || len(m.loads) == 0 ||
+			&m.loads[0] == &o.loads[0] || &m.idx.table[0] == &o.idx.table[0] || &m.idx.slab[0] == &o.idx.slab[0] {
+			t.Fatalf("%s holds %d memoised loads, planning %d, not in storage of its own",
+				c.label, len(m.loads), len(p.ev.memo.loads))
+		}
+	}
+	cold := newEvaluator(in)
+
+	edges := ev.base.Edges()
+	scenarios := [][]int{nil}
+	for _, e := range edges {
+		scenarios = append(scenarios, []int{e.ID})
+	}
+	rng := rand.New(rand.NewSource(1))
+	for len(scenarios) < 1+len(edges)+200 {
+		a, b := edges[rng.Intn(len(edges))].ID, edges[rng.Intn(len(edges))].ID
+		if a != b {
+			scenarios = append(scenarios, []int{a, b})
+		}
+	}
+	for _, cut := range scenarios {
+		cold.Cut.Set(cut)
+		want := cold.Route()
+		wantLoads := slices.Clone(cold.Load(nil, nil))
+		for _, e := range []*Evaluator{ev, forked} {
+			e.Cut.Set(cut)
+			got := e.Route()
+			for i := range want {
+				if !slices.Equal(got[i].Nodes, want[i].Nodes) || !slices.Equal(got[i].Ducts, want[i].Ducts) ||
+					math.Float64bits(got[i].TotalKM) != math.Float64bits(want[i].TotalKM) {
+					t.Fatalf("cut %v, pair %v: route %v, from nothing %v", cut, want[i].Pair, got[i].Ducts, want[i].Ducts)
+				}
+			}
+			if g := e.Load(nil, nil); !slices.Equal(g, wantLoads) {
+				t.Fatalf("cut %v: loads\n %v\nfrom nothing\n %v", cut, g, wantLoads)
+			}
+		}
+	}
+	n := float64(len(scenarios))
+	t.Logf("%d scenarios: %.3f max-flows per scenario from the plan, %.3f from its fork, %.3f from nothing",
+		len(scenarios), float64(ev.work.lps)/n, float64(forked.work.lps)/n, float64(cold.work.lps)/n)
+	if per := float64(ev.work.lps+forked.work.lps) / n; per > 0.1 {
+		t.Errorf("the plan's evaluator and its fork ran %.3f max-flows per scenario, want at most 0.1", per)
 	}
 }

@@ -194,6 +194,8 @@ var stageOrder = []string{"route", "amps", "cutthrough", "provision", "total"}
 // A Plan produced by a reused Planner aliases the planner's arena: it is
 // valid until that planner's next Plan call (see Planner).
 type Plan struct {
+	// Input is the input planned, with Base set to the graph planning ran
+	// on: the caller's, or the one the planner built.
 	Input Input
 	// DCs lists the region's DC node IDs in ascending order, as planning
 	// saw them. Cost models iterate it instead of re-deriving the list
@@ -209,6 +211,20 @@ type Plan struct {
 	// Stages holds per-stage planner timings in stageOrder, feeding the
 	// iris_plan_stage_seconds telemetry histograms.
 	Stages []StageTiming
+
+	memo *hoseMemo // the planner evaluator's, as planning left it
+}
+
+// NewEvaluator returns an evaluator of the plan's region that starts from
+// what planning built: the graph the plan was routed on (Input.Base), with
+// the failure-free trees planning memoised there, and a copy of the
+// hose-load memo planning filled. The copy is taken now, so the evaluator
+// outlives the Plan of a reused Planner. pl must come from a Planner (or
+// New).
+func (pl *Plan) NewEvaluator() *Evaluator {
+	ev := newEvaluator(pl.Input)
+	ev.memo = pl.memo.clone()
+	return ev
 }
 
 // New plans a region. It returns an error for invalid input or if the
@@ -230,10 +246,17 @@ type pathRec struct {
 	*Route
 	ampNode int   // node carrying this path's inline amplifier, or -1
 	bypass  []int // interior nodes bypassed by a cut-through (unordered, unique)
+	// cutDucts lists the ducts on which the pair rides a cut-through fiber
+	// (unordered, unique); each is also a rider of the evaluator's Load.
+	cutDucts []int
 }
 
 func (pr *pathRec) bypassed(v int) bool {
 	return slices.Contains(pr.bypass, v)
+}
+
+func (pr *pathRec) onCutThrough(duct int) bool {
+	return slices.Contains(pr.cutDucts, duct)
 }
 
 // TotalFiberPairs returns the region-wide number of leased fiber-pairs.

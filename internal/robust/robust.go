@@ -29,7 +29,6 @@ import (
 
 	"iris/internal/core"
 	"iris/internal/hose"
-	"iris/internal/plan"
 	"iris/internal/traffic"
 )
 
@@ -397,7 +396,7 @@ func provisioned(alloc core.Allocation, lambda int) float64 {
 // changes the caps and the active pair set.
 func verify(dep *core.Deployment, alloc core.Allocation, ms []*traffic.Matrix) []Verdict {
 	lambda := dep.Region.Lambda
-	ev := plan.NewEvaluator(dep.Plan.Input)
+	ev := dep.Plan.NewEvaluator()
 	routed := make([]bool, ev.NumPairs())
 	routes := ev.Route()
 	for i := range routes {

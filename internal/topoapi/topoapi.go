@@ -39,7 +39,6 @@ import (
 	"iris/internal/graph"
 	"iris/internal/history"
 	"iris/internal/hose"
-	"iris/internal/plan"
 	"iris/internal/robust"
 	"iris/internal/trace"
 	"iris/internal/traffic"
@@ -141,11 +140,7 @@ func (s *Server) retool(dep *core.Deployment) {
 	if s.dep == dep {
 		return
 	}
-	base := dep.Plan.Input.Base
-	if base == nil {
-		base = plan.BaseGraph(dep.Region.Map)
-	}
-	s.base = base
+	s.base = dep.Plan.Input.Base
 	s.auditor = chaos.NewAuditor(dep.Plan)
 	s.overlays = [maxCutK]func() *cutOverlay{}
 	s.dep = dep
