@@ -540,10 +540,9 @@ func (in *Injector) RunCycle(cfg CycleConfig) (*CycleResult, error) {
 func (in *Injector) Handler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		writeJSON := func(v any) {
+			body, _ := json.Marshal(v)
 			w.Header().Set("Content-Type", "application/json")
-			enc := json.NewEncoder(w)
-			enc.SetIndent("", "  ")
-			_ = enc.Encode(v)
+			_, _ = w.Write(body)
 		}
 		if r.Method != http.MethodPost {
 			writeJSON(in.Snapshot())

@@ -41,6 +41,7 @@ import (
 	"iris/internal/history"
 	"iris/internal/robust"
 	"iris/internal/telemetry"
+	"iris/internal/topoapi"
 	"iris/internal/trace"
 	"iris/internal/traffic"
 )
@@ -162,6 +163,10 @@ type Daemon struct {
 	robustRes     *robust.Result
 	robustInEnvN  uint64
 	robustEscapeN uint64
+	// read is the committed state as the topology API reads it: built by
+	// the first read after a change (topoSnapshot), shared by every read
+	// until the next, and dropped by settleLocked.
+	read *topoapi.Snapshot
 
 	// hmu guards per-device breaker state and the jitter source.
 	hmu    sync.Mutex
@@ -477,9 +482,7 @@ func (d *Daemon) converge(tm *traffic.Matrix) error {
 	alloc := st.Snapshot()
 	if haveLKG && alloc.Equal(lkg) {
 		d.mu.Lock()
-		d.allocState, d.lastMatrix = st, tm
-		d.pending = nil
-		d.lastGoodAt = d.now()
+		d.settleLocked(st, tm)
 		d.mu.Unlock()
 		return nil
 	}
@@ -566,13 +569,11 @@ func (d *Daemon) commitChange(tm *traffic.Matrix, st *core.AllocState, alloc cor
 	d.fab = clone
 	d.lkg = alloc
 	d.haveLKG = true
-	d.allocState, d.lastMatrix = st, tm
-	d.pending = nil
-	d.lastGoodAt = d.now()
 	d.lastReconfigID = id
 	if onCommit != nil {
 		onCommit()
 	}
+	d.settleLocked(st, tm)
 	d.mu.Unlock()
 	d.m.circuits.Set(float64(clone.CircuitCount()))
 	log.Info("converged", "ops", ops, "total", rep.Total.Round(time.Microsecond))
@@ -719,6 +720,18 @@ func (d *Daemon) runAudit(ctx context.Context, traceID uint64, exp control.Expec
 	return nil
 }
 
+// settleLocked records that the region serves tm from the books st: the
+// pending shift is taken, the allocation is fresh, and the read snapshot
+// is dropped, so the next read sees tm and whatever else the caller
+// changed under the same lock (lkg, the fabric, robustRes). Every change
+// to the committed state ends here. Callers hold d.mu.
+func (d *Daemon) settleLocked(st *core.AllocState, tm *traffic.Matrix) {
+	d.allocState, d.lastMatrix = st, tm
+	d.pending = nil
+	d.lastGoodAt = d.now()
+	d.read = nil
+}
+
 func (d *Daemon) dropPending() {
 	d.mu.Lock()
 	d.pending = nil
@@ -772,7 +785,7 @@ func (d *Daemon) RepairNow(ctx context.Context) error {
 // ConvergedNow reports whether the region is healthy, repaired and
 // serving the latest allocation — the settle condition of a chaos cycle.
 func (d *Daemon) ConvergedNow() bool {
-	return d.Status().Converged
+	return d.brief().converged()
 }
 
 // penalizeIn attributes an error to the device that caused it and

@@ -5,7 +5,6 @@ import (
 
 	"iris/internal/core"
 	"iris/internal/history"
-	"iris/internal/hose"
 	"iris/internal/topoapi"
 	"iris/internal/trace"
 	"iris/internal/traffic"
@@ -35,11 +34,11 @@ func (d *Daemon) HistoryBooks() (core.Allocation, history.HoseAggregate) {
 	return lkg, hoseAgg(last)
 }
 
-// healthBrief reduces the daemon's status to the health triple history
-// records bracket reconfigurations with.
+// healthBrief is the health triple history records bracket
+// reconfigurations with.
 func (d *Daemon) healthBrief() history.Health {
-	st := d.Status()
-	return history.Health{Healthy: st.Healthy, Converged: st.Converged, NeedRepair: st.NeedRepair}
+	b := d.brief()
+	return history.Health{Healthy: b.healthy, Converged: b.converged(), NeedRepair: b.needRepair}
 }
 
 // hoseAgg summarises a demand matrix for a history record (zero for nil,
@@ -91,26 +90,21 @@ func (d *Daemon) recordHistory(trig history.Trigger, id uint64, at time.Time,
 }
 
 // topoSnapshot is the topology API's view of the region: the committed
-// deployment, allocation and demand. The allocation is the immutable
-// last-known-good snapshot; the demand map is copied because the traffic
-// evolver mutates matrices in place.
-func (d *Daemon) topoSnapshot() topoapi.Snapshot {
+// deployment, allocation, demand and envelope, nil before the first
+// commit. The first read after a change builds it, flattening and sorting
+// the live demand once, and every read until the next change shares it.
+func (d *Daemon) topoSnapshot() *topoapi.Snapshot {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	snap := topoapi.Snapshot{Dep: d.fab.Deployment(), Ready: d.haveLKG}
-	if d.haveLKG {
-		snap.Alloc = d.lkg
+	if d.read != nil || !d.haveLKG {
+		return d.read
 	}
+	d.read = &topoapi.Snapshot{Dep: d.fab.Deployment(), Alloc: d.lkg}
 	if d.lastMatrix != nil {
-		snap.Demand = make(map[hose.Pair]float64, len(d.lastMatrix.Demand))
-		for p, dm := range d.lastMatrix.Demand {
-			if dm > 0 {
-				snap.Demand[p] = dm
-			}
-		}
+		d.read.Demand = topoapi.SortedDemand(d.lastMatrix.Demand)
 	}
 	if d.robustRes != nil {
-		snap.Robust = d.robustRes.Envelope
+		d.read.Robust = d.robustRes.Envelope
 	}
-	return snap
+	return d.read
 }

@@ -183,9 +183,8 @@ func TestCriticalMatchesReplayK2(t *testing.T) {
 	}
 	demand := traffic.HeavyTailed(rand.New(rand.NewSource(1)), m.DCs(), capsW, 0.7).Demand
 	mux := http.NewServeMux()
-	topoapi.New(topoapi.Config{State: func() topoapi.Snapshot {
-		return topoapi.Snapshot{Dep: dep, Demand: demand, Ready: true}
-	}}).Register(mux)
+	snap := &topoapi.Snapshot{Dep: dep, Demand: topoapi.SortedDemand(demand)}
+	topoapi.New(topoapi.Config{State: func() *topoapi.Snapshot { return snap }}).Register(mux)
 	srv := httptest.NewServer(mux)
 	defer srv.Close()
 
@@ -354,8 +353,8 @@ func TestHistoryTimeTravel(t *testing.T) {
 	}
 
 	// 4. /api/critical's top duct is the one whose exhaustive ≤k cut audit
-	// strands the most hose demand, computed independently here with the
-	// same demand snapshot the server uses.
+	// strands the most hose demand, computed independently here from the
+	// live matrix.
 	var crit struct {
 		K     int `json:"k"`
 		Ducts []struct {
@@ -372,7 +371,7 @@ func TestHistoryTimeTravel(t *testing.T) {
 		t.Fatalf("critical lists %d ducts, want %d", len(crit.Ducts), base.NumEdges())
 	}
 
-	ids, worst, solo := replayCritical(base, h.d.topoSnapshot().Demand, crit.K)
+	ids, worst, solo := replayCritical(base, liveDemand(h.d), crit.K)
 	wantStranded, wantSolo := 0.0, 0.0
 	for _, id := range ids {
 		if worst[id] > wantStranded || (worst[id] == wantStranded && solo[id] > wantSolo) {

@@ -97,18 +97,47 @@ type DeviceStatus struct {
 	RetryInSeconds      float64    `json:"retry_in_seconds,omitempty"`
 }
 
+// brief is the part of Status its flags and breakers decide, without
+// the rows: what /healthz, a history record's health bracket and a chaos
+// cycle's settle step read.
+type brief struct {
+	healthy, needRepair, pending, auditOK bool
+	lastReconfigID                        uint64
+}
+
+func (d *Daemon) brief() brief {
+	b := brief{healthy: d.Healthy()}
+	d.mu.Lock()
+	b.needRepair, b.pending, b.auditOK = d.needRepair, d.pending != nil, d.lastAuditOK
+	b.lastReconfigID = d.lastReconfigID
+	d.mu.Unlock()
+	return b
+}
+
+// serving: every breaker closed and the devices need no repair — what
+// /healthz answers 200 for.
+func (b brief) serving() bool { return b.healthy && !b.needRepair }
+
+// converged: serving, nothing pending, and the last audit passed.
+func (b brief) converged() bool { return b.serving() && !b.pending && b.auditOK }
+
 // Status snapshots the daemon's current intent and device supervision
 // state.
 func (d *Daemon) Status() Status {
 	now := d.now()
+	b := d.brief()
+	st := Status{
+		Healthy:        b.healthy,
+		NeedRepair:     b.needRepair,
+		Converged:      b.converged(),
+		PendingShift:   b.pending,
+		LastAuditOK:    b.auditOK,
+		LastReconfigID: b.lastReconfigID,
+	}
 
 	d.mu.Lock()
-	st := Status{
-		NeedRepair: d.needRepair,
-		Steps:      d.steps,
-		LastError:  d.lastErr,
-	}
-	st.LastAuditOK = d.lastAuditOK
+	st.Steps = d.steps
+	st.LastError = d.lastErr
 	if !d.lastAuditAt.IsZero() {
 		at := d.lastAuditAt
 		st.LastAuditAt = &at
@@ -135,8 +164,6 @@ func (d *Daemon) Status() Status {
 			add(p.A, p.B)
 		}
 	}
-	st.PendingShift = d.pending != nil
-	st.LastReconfigID = d.lastReconfigID
 	st.Circuits = d.fab.CircuitCount()
 	d.mu.Unlock()
 	sort.Slice(st.Allocation, func(i, j int) bool {
@@ -150,7 +177,6 @@ func (d *Daemon) Status() Status {
 		names = append(names, name)
 	}
 	sort.Strings(names)
-	healthy := true
 	for _, name := range names {
 		h := d.health[name]
 		ds := DeviceStatus{
@@ -166,15 +192,10 @@ func (d *Daemon) Status() Status {
 		if h.state == breakerOpen && h.openUntil.After(now) {
 			ds.RetryInSeconds = h.openUntil.Sub(now).Seconds()
 		}
-		if h.state != breakerClosed {
-			healthy = false
-		}
 		st.Devices = append(st.Devices, ds)
 	}
 	d.hmu.Unlock()
 
-	st.Healthy = healthy
-	st.Converged = healthy && !st.NeedRepair && !st.PendingShift && st.LastAuditOK
 	if d.cfg.Chaos != nil {
 		snap := d.cfg.Chaos.Snapshot()
 		st.Chaos = &snap
@@ -230,27 +251,24 @@ func (d *Daemon) DebugEvents(reconfigID uint64) EventsDump {
 // lake.
 func (d *Daemon) Handler() http.Handler {
 	mux := http.NewServeMux()
-	writeJSON := func(w http.ResponseWriter, v any) {
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		_ = enc.Encode(v)
-	}
-	jsonError := func(w http.ResponseWriter, code int, msg string) {
+	writeJSON := func(w http.ResponseWriter, code int, v any) {
+		body, _ := json.Marshal(v)
 		w.Header().Set("Content-Type", "application/json")
 		w.WriteHeader(code)
-		_ = json.NewEncoder(w).Encode(map[string]string{"error": msg})
+		_, _ = w.Write(body)
+	}
+	jsonError := func(w http.ResponseWriter, code int, msg string) {
+		writeJSON(w, code, map[string]string{"error": msg})
 	}
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		_ = d.reg.WriteText(w)
 	})
 	mux.HandleFunc("/status", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, d.Status())
+		writeJSON(w, http.StatusOK, d.Status())
 	})
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
-		st := d.Status()
-		if st.Healthy && !st.NeedRepair {
+		if d.brief().serving() {
 			w.WriteHeader(http.StatusOK)
 			_, _ = w.Write([]byte("ok\n"))
 			return
@@ -273,7 +291,7 @@ func (d *Daemon) Handler() http.Handler {
 			jsonError(w, http.StatusNotFound, "no events for reconfig "+strconv.FormatUint(id, 10))
 			return
 		}
-		writeJSON(w, dump)
+		writeJSON(w, http.StatusOK, dump)
 	})
 	mux.HandleFunc("/debug/trace", func(w http.ResponseWriter, r *http.Request) {
 		n := 5
@@ -289,7 +307,7 @@ func (d *Daemon) Handler() http.Handler {
 		if trees == nil {
 			trees = []*trace.Node{}
 		}
-		writeJSON(w, trees)
+		writeJSON(w, http.StatusOK, trees)
 	})
 	if d.cfg.Chaos != nil {
 		mux.Handle("/debug/chaos", d.cfg.Chaos.Handler())
@@ -326,20 +344,20 @@ func (d *Daemon) Handler() http.Handler {
 			// committed after the fault was injected: LastReconfigID only
 			// moves on a real allocation change, so the recorded cycle's
 			// diff is never empty by accident of timing.
-			startID := d.Status().LastReconfigID
+			startID := d.brief().lastReconfigID
 			res, err := d.cfg.Chaos.RunCycle(chaos.CycleConfig{
 				Scenario:    sc,
 				CP:          d,
 				Timeout:     timeout,
 				History:     d.cfg.History,
 				Books:       d.HistoryBooks,
-				SettleExtra: func() bool { return d.Status().LastReconfigID != startID },
+				SettleExtra: func() bool { return d.brief().lastReconfigID != startID },
 			})
 			if err != nil {
 				jsonError(w, http.StatusInternalServerError, err.Error())
 				return
 			}
-			writeJSON(w, res)
+			writeJSON(w, http.StatusOK, res)
 		})
 	}
 	topoapi.New(topoapi.Config{State: d.topoSnapshot, Lake: d.cfg.History}).Register(mux)

@@ -97,9 +97,7 @@ func (d *Daemon) convergeRobust(tm *traffic.Matrix) error {
 		d.m.robustInEnv.Inc()
 		d.mu.Lock()
 		d.robustInEnvN++
-		d.lastMatrix = tm
-		d.pending = nil
-		d.lastGoodAt = d.now()
+		d.settleLocked(d.allocState, tm)
 		d.mu.Unlock()
 		return nil
 	}
@@ -156,9 +154,7 @@ func (d *Daemon) convergeRobust(tm *traffic.Matrix) error {
 		// a device (and without a history record — nothing moved).
 		d.mu.Lock()
 		d.robustRes = sol
-		d.allocState, d.lastMatrix = sol.State, tm
-		d.pending = nil
-		d.lastGoodAt = d.now()
+		d.settleLocked(sol.State, tm)
 		d.mu.Unlock()
 		return nil
 	}

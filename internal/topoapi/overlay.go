@@ -82,7 +82,7 @@ func buildOverlay(base *graph.Graph, k int) *cutOverlay {
 // stranded returns, per partition, the demand of the pairs it separates,
 // summed in the order given: per cut set the sum /api/critical always
 // made, made once for all the cut sets that share the partition.
-func (ov *cutOverlay) stranded(demand []pairDemand) []float64 {
+func (ov *cutOverlay) stranded(demand []PairDemand) []float64 {
 	sums := make([]float64, len(ov.labels))
 	for p, labels := range ov.labels {
 		sums[p] = separated(labels, demand)

@@ -24,7 +24,7 @@ import (
 // overlay — one exhaustive enumeration and one max-flow per live pair,
 // per request — kept as the reference the overlay must equal byte for
 // byte. It shares only the row type and the JSON writer with the server.
-func oracleCritical(snap Snapshot, k int) []byte {
+func oracleCritical(snap *Snapshot, k int) []byte {
 	if k > 3 {
 		k = 3
 	}
@@ -41,11 +41,7 @@ func oracleCritical(snap Snapshot, k int) []byte {
 		rows[id].Bridge = true
 	}
 
-	demand := make([]pairDemand, 0, len(snap.Demand))
-	for p, d := range snap.Demand {
-		demand = append(demand, pairDemand{pair: p, demand: d})
-	}
-	sort.Slice(demand, func(i, j int) bool { return demand[i].pair.Less(demand[j].pair) })
+	demand := snap.Demand
 	cut := graph.NewCut(base)
 	var labels []int
 	graph.FailureScenarios(ids, k, func(set []int) {
@@ -56,8 +52,8 @@ func oracleCritical(snap Snapshot, k int) []byte {
 		labels = base.ComponentsInto(cut.Skip(), labels)
 		stranded := 0.0
 		for _, pd := range demand {
-			if labels[pd.pair.A] != labels[pd.pair.B] {
-				stranded += pd.demand
+			if labels[pd.Pair.A] != labels[pd.Pair.B] {
+				stranded += pd.Demand
 			}
 		}
 		if stranded == 0 {
@@ -80,8 +76,8 @@ func oracleCritical(snap Snapshot, k int) []byte {
 	}
 	var pairs []hose.Pair
 	for _, pd := range demand {
-		if pd.demand > 0 {
-			pairs = append(pairs, pd.pair)
+		if pd.Demand > 0 {
+			pairs = append(pairs, pd.Pair)
 		}
 	}
 	if len(pairs) > 0 {
@@ -131,16 +127,16 @@ func oracleCritical(snap Snapshot, k int) []byte {
 		return a.Duct < b.Duct
 	})
 	w := httptest.NewRecorder()
-	writeJSON(w, map[string]any{"k": k, "ducts": out})
+	writeJSON(w, http.StatusOK, map[string]any{"k": k, "ducts": out})
 	return w.Body.Bytes()
 }
 
 // randomRegion plans a small seeded region with what the bench region
 // lacks: bridges (a spanning tree plus few extra ducts), a DC hanging
 // off one duct, parallel ducts, a duct the plan leaves dark, sometimes a
-// duct too long to be in the base graph — under a demand snapshot with
+// duct too long to be in the base graph — under a demand drawn with
 // zero-demand and absent pairs.
-func randomRegion(t *testing.T, seed int64) Snapshot {
+func randomRegion(t *testing.T, seed int64) *Snapshot {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	m := &fibermap.Map{}
@@ -188,7 +184,7 @@ func randomRegion(t *testing.T, seed int64) Snapshot {
 			}
 		}
 	}
-	return Snapshot{Dep: dep, Demand: demand, Ready: true}
+	return &Snapshot{Dep: dep, Demand: SortedDemand(demand)}
 }
 
 func get(tb testing.TB, h http.Handler, url string) []byte {
@@ -209,7 +205,7 @@ func TestOverlayMatchesEnumeration(t *testing.T) {
 	var bridges, dark, stranding int
 	for seed := int64(1); seed <= 60; seed++ {
 		snap := randomRegion(t, seed)
-		s := New(Config{State: func() Snapshot { return snap }})
+		s := New(Config{State: func() *Snapshot { return snap }})
 		mux := http.NewServeMux()
 		s.Register(mux)
 		check := func(what string) {
@@ -233,33 +229,31 @@ func TestOverlayMatchesEnumeration(t *testing.T) {
 		}
 
 		// (c) Demand values alone rebuild nothing.
+		orig := snap
 		first := get(t, mux, "/api/critical?k=2")
 		counts := s.minCut.counts
-		scaled := make(map[hose.Pair]float64, len(snap.Demand))
-		for p, d := range snap.Demand {
-			scaled[p] = d * 1.5
+		scaled := *orig
+		scaled.Demand = make([]PairDemand, len(orig.Demand))
+		for i, pd := range orig.Demand {
+			scaled.Demand[i] = PairDemand{Pair: pd.Pair, Demand: pd.Demand * 1.5}
 		}
-		orig := snap.Demand
-		snap.Demand = scaled
+		snap = &scaled
 		check("scaled demand")
 		if s.builds.Load() != 3 || &s.minCut.counts[0] != &counts[0] {
 			t.Fatalf("seed %d: a change of demand values rebuilt an overlay or the min-cut column", seed)
 		}
 
 		// (b) A pair going dark and coming back moves min_cut_pairs with it.
-		snap.Demand = make(map[hose.Pair]float64, len(orig))
-		var dropped bool
-		for p, d := range orig {
-			if d > 0 && !dropped {
-				d, dropped = 0, true
+		if len(orig.Demand) > 0 {
+			dropped := *orig
+			dropped.Demand = orig.Demand[1:]
+			snap = &dropped
+			check("one pair at zero")
+			if &s.minCut.counts[0] == &counts[0] {
+				t.Fatalf("seed %d: min-cut column kept across a change of live pairs", seed)
 			}
-			snap.Demand[p] = d
 		}
-		check("one pair at zero")
-		if dropped && &s.minCut.counts[0] == &counts[0] {
-			t.Fatalf("seed %d: min-cut column kept across a change of live pairs", seed)
-		}
-		snap.Demand = orig
+		snap = orig
 		check("pair restored")
 		if again := get(t, mux, "/api/critical?k=2"); !bytes.Equal(again, first) {
 			t.Fatalf("seed %d: restored demand answers differently", seed)
@@ -287,7 +281,7 @@ func TestOverlayMatchesEnumeration(t *testing.T) {
 // answered while the k=3 build (tens of ms) is still running.
 func TestColdServerSharesBuilds(t *testing.T) {
 	snap := staticRegion(t)
-	s := New(Config{State: func() Snapshot { return snap }})
+	s := New(Config{State: func() *Snapshot { return snap }})
 	mux := http.NewServeMux()
 	s.Register(mux)
 	urls := []string{"/api/critical?k=2", "/api/critical?k=3", "/api/paths?from=0&to=5"}
@@ -366,14 +360,14 @@ func TestCriticalWorkBound(t *testing.T) {
 	}
 	for _, tc := range []struct {
 		name  string
-		snap  Snapshot
+		snap  *Snapshot
 		wantK int
 	}{
-		{"200-duct wheel", Snapshot{Dep: dep, Demand: demand, Ready: true}, 2},
+		{"200-duct wheel", &Snapshot{Dep: dep, Demand: SortedDemand(demand)}, 2},
 		{"bench region", staticRegion(t), 3},
 	} {
 		mux := http.NewServeMux()
-		New(Config{State: func() Snapshot { return tc.snap }}).Register(mux)
+		New(Config{State: func() *Snapshot { return tc.snap }}).Register(mux)
 		var body struct {
 			K     int            `json:"k"`
 			Ducts []criticalDuct `json:"ducts"`

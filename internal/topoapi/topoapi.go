@@ -10,16 +10,20 @@
 //	GET /api/history/{reconfig_id}  one record with span tree and alloc diff
 //	GET /api/history/diff?from=&to= net topology change between two reconfigs
 //
-// The server owns no region state: a Config.State callback snapshots the
-// daemon's committed deployment, allocation and demand on every request,
-// and Config.Lake is the history store the daemon and chaos cycles
-// append to. What it keeps is derived from the deployment pointer alone
-// and dropped when a replan swaps it: the base graph, the survivability
-// auditor, and per k asked for the cut overlay /api/critical reads (the
-// partitions the ≤k cut sets produce; built by the first request, once).
-// The last min_cut_pairs column is kept too, for (deployment, live-pair
-// list); demand values change none of it, so nothing is invalidated per
-// tick and steady-state queries never re-plan or re-enumerate.
+// The server owns no region state: a Config.State callback hands it the
+// daemon's committed state — deployment, allocation and demand — as one
+// immutable *Snapshot, the same pointer for every read until the next
+// commit, and Config.Lake is the history store the daemon and chaos
+// cycles append to. What it keeps is derived from those pointers alone.
+// Per deployment, dropped when a replan swaps it: the base graph, the
+// survivability auditor, and per k asked for the cut overlay
+// /api/critical reads (the partitions the ≤k cut sets produce; built by
+// the first request, once). Per snapshot, dropped at the next commit: the
+// per-duct occupancy /api/paths reports and the live-pair list. The last
+// min_cut_pairs column is kept too, for (deployment, live-pair list);
+// demand values change none of it, so steady-state queries never re-plan,
+// re-enumerate or re-sort. Bodies are compact JSON; pretty-printing is
+// the client's (| python3 -m json.tool).
 package topoapi
 
 import (
@@ -44,25 +48,47 @@ import (
 	"iris/internal/traffic"
 )
 
-// Snapshot is the daemon state one request is answered against. Alloc
-// and Demand must be safe for the server to read (committed immutable
-// snapshots or copies); Dep is the deployment they belong to.
+// Snapshot is one committed state of the region, the state every read
+// between two commits is answered against. It is immutable once handed
+// out: a new committed state is a new *Snapshot, and the server keeps
+// what it derives from one per pointer. Dep is the deployment Alloc
+// belongs to.
 type Snapshot struct {
-	Dep    *core.Deployment
-	Alloc  core.Allocation
-	Demand map[hose.Pair]float64
+	Dep   *core.Deployment
+	Alloc core.Allocation
+	// Demand is the live demand as SortedDemand lays it out: the pairs
+	// with demand, in pair order, so float sums over it are reproducible.
+	Demand []PairDemand
 	// Robust is the committed robust envelope (nil outside robust mode);
 	// /api/whatif?audit=envelope audits the live demand against it.
 	Robust *robust.Envelope
-	// Ready is false until the daemon has committed a first allocation;
-	// topology queries answer 503 until then.
-	Ready bool
+}
+
+// PairDemand is one entry of a Snapshot's demand.
+type PairDemand struct {
+	Pair   hose.Pair
+	Demand float64
+}
+
+// SortedDemand flattens a demand map into a Snapshot's Demand: the pairs
+// with demand above zero, in (A, B) order.
+func SortedDemand(demand map[hose.Pair]float64) []PairDemand {
+	out := make([]PairDemand, 0, len(demand))
+	for p, d := range demand {
+		if d > 0 {
+			out = append(out, PairDemand{Pair: p, Demand: d})
+		}
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Pair.Less(out[j].Pair) })
+	return out
 }
 
 // Config wires a Server to its region.
 type Config struct {
-	// State snapshots the live region; required.
-	State func() Snapshot
+	// State returns the committed state, or nil until the region has
+	// committed a first allocation (topology queries answer 503 until
+	// then); required.
+	State func() *Snapshot
 	// Lake is the reconfiguration history store; nil serves the history
 	// endpoints as 404 "history disabled".
 	Lake *history.Lake
@@ -77,9 +103,19 @@ type Server struct {
 	base     *graph.Graph
 	auditor  *chaos.Auditor
 	overlays [maxCutK]func() *cutOverlay // by k-1; each builds once, on first call
+	read     *derived                    // kept for the last snapshot read
 
-	minCut minCutMemo
-	builds atomic.Int64 // overlays built; read by tests only
+	minCut      minCutMemo
+	builds      atomic.Int64 // overlays built; read by tests only
+	occupancies atomic.Int64 // core.Occupancy runs; read by tests only
+}
+
+// derived is what the server keeps per snapshot: the per-duct occupancy,
+// run once on the first /api/paths that needs it, and the live-pair list.
+type derived struct {
+	snap      *Snapshot
+	occupancy func() (fibers, residual map[int]int)
+	live      []hose.Pair
 }
 
 // New returns a server for the given region wiring.
@@ -96,31 +132,30 @@ func (s *Server) Register(mux *http.ServeMux) {
 	mux.HandleFunc("/api/history/", s.handleHistoryItem)
 }
 
-func writeJSON(w http.ResponseWriter, v any) {
+// writeJSON answers with v as one compact JSON body.
+func writeJSON(w http.ResponseWriter, code int, v any) {
+	body, _ := json.Marshal(v)
 	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
+	w.WriteHeader(code)
+	_, _ = w.Write(body)
 }
 
 // jsonError writes a JSON error body, so API consumers never have to
 // sniff between payloads and plain-text errors.
 func jsonError(w http.ResponseWriter, code int, format string, args ...any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	_ = json.NewEncoder(w).Encode(map[string]string{"error": fmt.Sprintf(format, args...)})
+	writeJSON(w, code, map[string]string{"error": fmt.Sprintf(format, args...)})
 }
 
-// snapshot fetches the live state, handling not-ready and non-GET.
-func (s *Server) snapshot(w http.ResponseWriter, r *http.Request) (Snapshot, bool) {
+// snapshot fetches the committed state, handling not-ready and non-GET.
+func (s *Server) snapshot(w http.ResponseWriter, r *http.Request) (*Snapshot, bool) {
 	if r.Method != http.MethodGet {
 		jsonError(w, http.StatusMethodNotAllowed, "GET only")
-		return Snapshot{}, false
+		return nil, false
 	}
 	snap := s.cfg.State()
-	if !snap.Ready || snap.Dep == nil {
+	if snap == nil {
 		jsonError(w, http.StatusServiceUnavailable, "region has not committed an allocation yet")
-		return Snapshot{}, false
+		return nil, false
 	}
 	return snap, true
 }
@@ -144,6 +179,25 @@ func (s *Server) retool(dep *core.Deployment) {
 	s.auditor = chaos.NewAuditor(dep.Plan)
 	s.overlays = [maxCutK]func() *cutOverlay{}
 	s.dep = dep
+}
+
+// derive returns what the server keeps for a snapshot, replacing what it
+// kept for the last one when the pointer changes (a commit).
+func (s *Server) derive(snap *Snapshot) *derived {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.read != nil && s.read.snap == snap {
+		return s.read
+	}
+	live := make([]hose.Pair, len(snap.Demand))
+	for i, pd := range snap.Demand {
+		live[i] = pd.Pair
+	}
+	s.read = &derived{snap: snap, live: live, occupancy: sync.OnceValues(func() (map[int]int, map[int]int) {
+		s.occupancies.Add(1)
+		return core.Occupancy(snap.Dep, snap.Alloc)
+	})}
+	return s.read
 }
 
 func intQuery(q url.Values, name string, def int) (int, error) {
@@ -200,13 +254,13 @@ func (s *Server) handlePaths(w http.ResponseWriter, r *http.Request) {
 		k = 16
 	}
 	base, _ := s.tools(snap.Dep)
-	fibers, residual := core.Occupancy(snap.Dep, snap.Alloc)
+	fibers, residual := s.derive(snap).occupancy()
 	paths := base.KShortestPaths(from, to, k)
 	out := make([]pathOut, 0, len(paths))
 	for _, p := range paths {
-		po := pathOut{Nodes: p.Nodes, KM: p.Dist, Hops: make([]hop, 0, len(p.Edges))}
-		for _, n := range p.Nodes {
-			po.Names = append(po.Names, m.Nodes[n].Name)
+		po := pathOut{Nodes: p.Nodes, Names: make([]string, len(p.Nodes)), KM: p.Dist, Hops: make([]hop, 0, len(p.Edges))}
+		for i, n := range p.Nodes {
+			po.Names[i] = m.Nodes[n].Name
 		}
 		for i, e := range p.Edges {
 			prov, basePairs := 0, 0
@@ -226,7 +280,7 @@ func (s *Server) handlePaths(w http.ResponseWriter, r *http.Request) {
 		}
 		out = append(out, po)
 	}
-	writeJSON(w, map[string]any{"from": from, "to": to, "k": k, "paths": out})
+	writeJSON(w, http.StatusOK, map[string]any{"from": from, "to": to, "k": k, "paths": out})
 }
 
 // criticalDuct is one duct of the criticality ranking.
@@ -247,32 +301,15 @@ type criticalDuct struct {
 	MinCutPairs int `json:"min_cut_pairs"`
 }
 
-// pairDemand is one entry of a demand snapshot.
-type pairDemand struct {
-	pair   hose.Pair
-	demand float64
-}
-
-// sortedDemand flattens a demand snapshot in (A, B) order, so float sums
-// over it are reproducible where ranging the map is not.
-func sortedDemand(demand map[hose.Pair]float64) []pairDemand {
-	out := make([]pairDemand, 0, len(demand))
-	for p, d := range demand {
-		out = append(out, pairDemand{pair: p, demand: d})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].pair.Less(out[j].pair) })
-	return out
-}
-
 // separated sums, in the given order, the demand of the pairs whose
 // endpoints carry different component labels: what a cut strands. That
 // needs components of the masked base graph only — no derived graph and
 // no routing.
-func separated[L int | int32](labels []L, demand []pairDemand) float64 {
+func separated[L int | int32](labels []L, demand []PairDemand) float64 {
 	total := 0.0
 	for _, pd := range demand {
-		if labels[pd.pair.A] != labels[pd.pair.B] {
-			total += pd.demand
+		if labels[pd.Pair.A] != labels[pd.Pair.B] {
+			total += pd.Demand
 		}
 	}
 	return total
@@ -280,10 +317,10 @@ func separated[L int | int32](labels []L, demand []pairDemand) float64 {
 
 // strandedBy is the demand stranded when the given ducts (ascending IDs)
 // are cut.
-func strandedBy(base *graph.Graph, ducts []int, demand map[hose.Pair]float64) float64 {
+func strandedBy(base *graph.Graph, ducts []int, demand []PairDemand) float64 {
 	cut := graph.NewCut(base)
 	cut.Set(ducts)
-	return separated(base.ComponentsInto(cut.Skip(), nil), sortedDemand(demand))
+	return separated(base.ComponentsInto(cut.Skip(), nil), demand)
 }
 
 func (s *Server) handleCritical(w http.ResponseWriter, r *http.Request) {
@@ -297,19 +334,12 @@ func (s *Server) handleCritical(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	base, ov, k := s.cuts(snap.Dep, k)
-	demand := sortedDemand(snap.Demand)
 
 	// Each partition's stranded demand is summed once and attributed to
 	// every duct with a ≤k cut set that produces the partition (worst
 	// case per duct).
-	stranded := ov.stranded(demand)
-	live := make([]hose.Pair, 0, len(demand))
-	for _, pd := range demand {
-		if pd.demand > 0 {
-			live = append(live, pd.pair)
-		}
-	}
-	minCut := s.minCutPairs(snap.Dep, base, live)
+	stranded := ov.stranded(snap.Demand)
+	minCut := s.minCutPairs(snap.Dep, base, s.derive(snap).live)
 
 	out := make([]criticalDuct, base.NumEdges())
 	for i, e := range base.Edges() {
@@ -335,7 +365,7 @@ func (s *Server) handleCritical(w http.ResponseWriter, r *http.Request) {
 		}
 		return a.Duct < b.Duct
 	})
-	writeJSON(w, map[string]any{"k": k, "ducts": out})
+	writeJSON(w, http.StatusOK, map[string]any{"k": k, "ducts": out})
 }
 
 func (s *Server) handleWhatIf(w http.ResponseWriter, r *http.Request) {
@@ -365,7 +395,7 @@ func (s *Server) handleWhatIf(w http.ResponseWriter, r *http.Request) {
 	}
 	base, auditor := s.tools(snap.Dep)
 	res := auditor.Audit(sc)
-	writeJSON(w, map[string]any{
+	writeJSON(w, http.StatusOK, map[string]any{
 		"scenario":        sc,
 		"result":          res,
 		"stranded_demand": strandedBy(base, sc.Ducts, snap.Demand),
@@ -375,15 +405,15 @@ func (s *Server) handleWhatIf(w http.ResponseWriter, r *http.Request) {
 // handleEnvelopeAudit answers /api/whatif?audit=envelope: where the live
 // demand sits relative to the committed robust envelope — contained or
 // escaped, the worst per-pair utilisation, and the escaping pairs.
-func (s *Server) handleEnvelopeAudit(w http.ResponseWriter, snap Snapshot) {
+func (s *Server) handleEnvelopeAudit(w http.ResponseWriter, snap *Snapshot) {
 	env := snap.Robust
 	if env == nil {
 		jsonError(w, http.StatusNotFound, "no robust envelope committed (run with -robust)")
 		return
 	}
 	live := traffic.NewMatrix(snap.Dep.Region.Map.DCs())
-	for p, dm := range snap.Demand {
-		live.Set(p, dm)
+	for _, pd := range snap.Demand {
+		live.Set(pd.Pair, pd.Demand)
 	}
 	escapes := env.Escapes(live)
 	if escapes == nil {
@@ -395,7 +425,7 @@ func (s *Server) handleEnvelopeAudit(w http.ResponseWriter, snap Snapshot) {
 		// zero capacity for.
 		util = -1
 	}
-	writeJSON(w, map[string]any{
+	writeJSON(w, http.StatusOK, map[string]any{
 		"envelope": map[string]any{
 			"matrices": env.Matrices,
 			"headroom": env.Headroom,
@@ -423,7 +453,7 @@ func (s *Server) handleHistory(w http.ResponseWriter, r *http.Request) {
 		jsonError(w, http.StatusBadRequest, "bad n")
 		return
 	}
-	writeJSON(w, map[string]any{
+	writeJSON(w, http.StatusOK, map[string]any{
 		"total":   s.cfg.Lake.Len(),
 		"evicted": s.cfg.Lake.Evicted(),
 		"records": s.cfg.Lake.Summaries(n),
@@ -454,7 +484,7 @@ func (s *Server) handleHistoryItem(w http.ResponseWriter, r *http.Request) {
 		jsonError(w, http.StatusNotFound, "no history record for reconfig %d", id)
 		return
 	}
-	writeJSON(w, map[string]any{"record": rec, "tree": trace.Tree(rec.Spans)})
+	writeJSON(w, http.StatusOK, map[string]any{"record": rec, "tree": trace.Tree(rec.Spans)})
 }
 
 func (s *Server) handleHistoryDiff(w http.ResponseWriter, r *http.Request) {
@@ -519,8 +549,8 @@ func (s *Server) handleHistoryDiff(w http.ResponseWriter, r *http.Request) {
 		"reconfigs": reconfigs,
 		"pairs":     pairs,
 	}
-	if snap := s.cfg.State(); snap.Ready && snap.Dep != nil {
+	if snap := s.cfg.State(); snap != nil {
 		resp["ducts"] = snap.Dep.DuctDeltas(pairs)
 	}
-	writeJSON(w, resp)
+	writeJSON(w, http.StatusOK, resp)
 }

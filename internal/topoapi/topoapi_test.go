@@ -21,7 +21,7 @@ import (
 func newTestServer(t *testing.T, cfg Config) *httptest.Server {
 	t.Helper()
 	if cfg.State == nil {
-		cfg.State = func() Snapshot { return Snapshot{} } // region not ready
+		cfg.State = func() *Snapshot { return nil } // region not ready
 	}
 	mux := http.NewServeMux()
 	New(cfg).Register(mux)
@@ -240,7 +240,7 @@ func TestDiffIdentity(t *testing.T) {
 // staticRegion is the benchmark's read-plane region without a daemon: the
 // seed-1 map with 20 DCs, planned, under a heavy-tailed demand at 0.7
 // utilisation and the allocation for it.
-func staticRegion(tb testing.TB) Snapshot {
+func staticRegion(tb testing.TB) *Snapshot {
 	tb.Helper()
 	gcfg := fibermap.DefaultGen()
 	gcfg.Seed = 1
@@ -266,18 +266,24 @@ func staticRegion(tb testing.TB) Snapshot {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	return Snapshot{Dep: dep, Alloc: st.Snapshot(), Demand: tm.Demand, Ready: true}
+	return &Snapshot{Dep: dep, Alloc: st.Snapshot(), Demand: SortedDemand(tm.Demand)}
 }
 
-// TestResponsesReproducible: identical requests get byte-identical bodies.
-// Stranded demand is a float sum over the demand snapshot; summed in map
-// order its last digits — and with them the criticality ranking of ducts
-// that strand the same pairs — changed from one request to the next.
+// TestResponsesReproducible: identical requests get byte-identical bodies,
+// and every body is compact JSON. Stranded demand is a float sum over the
+// demand snapshot; summed in map order its last digits — and with them
+// the criticality ranking of ducts that strand the same pairs — changed
+// from one request to the next.
 func TestResponsesReproducible(t *testing.T) {
 	snap := staticRegion(t)
-	srv := newTestServer(t, Config{State: func() Snapshot { return snap }})
+	srv := newTestServer(t, Config{State: func() *Snapshot { return snap }})
 	duct := snap.Dep.Plan.Input.Map.Ducts[0].ID
-	for _, path := range []string{"/api/critical?k=2", fmt.Sprintf("/api/whatif?scenario=cut:%d", duct)} {
+	dcs := snap.Dep.Region.Map.DCs()
+	for _, path := range []string{
+		"/api/critical?k=2",
+		fmt.Sprintf("/api/whatif?scenario=cut:%d", duct),
+		fmt.Sprintf("/api/paths?from=%d&to=%d&k=3", dcs[0], dcs[len(dcs)-1]),
+	} {
 		var first []byte
 		for i := 0; i < 20; i++ {
 			res, err := srv.Client().Get(srv.URL + path)
@@ -291,6 +297,10 @@ func TestResponsesReproducible(t *testing.T) {
 			}
 			if i == 0 {
 				first = body
+				var compact bytes.Buffer
+				if err := json.Compact(&compact, body); err != nil || !bytes.Equal(compact.Bytes(), body) {
+					t.Fatalf("GET %s: body is not compact JSON (err %v): %.200s", path, err, body)
+				}
 			} else if !bytes.Equal(body, first) {
 				t.Fatalf("GET %s: response %d differs from the first", path, i+1)
 			}
@@ -298,12 +308,37 @@ func TestResponsesReproducible(t *testing.T) {
 	}
 }
 
-// criticalK2 returns one /api/critical?k=2 request against a server over
-// the static region.
-func criticalK2(b *testing.B, snap Snapshot) func() {
+// TestDerivedPerSnapshot: occupancy is derived once per snapshot pointer,
+// however many /api/paths read it, and again for the next pointer even
+// when it holds the same state — a commit is a new pointer.
+func TestDerivedPerSnapshot(t *testing.T) {
+	snap := staticRegion(t)
+	s := New(Config{State: func() *Snapshot { return snap }})
 	mux := http.NewServeMux()
-	New(Config{State: func() Snapshot { return snap }}).Register(mux)
-	req := httptest.NewRequest(http.MethodGet, "/api/critical?k=2", nil)
+	s.Register(mux)
+	dcs := snap.Dep.Region.Map.DCs()
+	url := fmt.Sprintf("/api/paths?from=%d&to=%d&k=3", dcs[0], dcs[1])
+	first := get(t, mux, url)
+	get(t, mux, "/api/critical?k=1")
+	get(t, mux, url)
+	if n := s.occupancies.Load(); n != 1 {
+		t.Fatalf("three reads of one snapshot ran core.Occupancy %d times, want 1", n)
+	}
+	same := *snap
+	snap = &same
+	if again := get(t, mux, url); !bytes.Equal(again, first) {
+		t.Fatal("an equal snapshot answers differently")
+	}
+	if n := s.occupancies.Load(); n != 2 {
+		t.Fatalf("a new snapshot pointer ran core.Occupancy %d times in all, want 2", n)
+	}
+}
+
+// serve returns one request against a server over the static region.
+func serve(b *testing.B, snap *Snapshot, url string) func() {
+	mux := http.NewServeMux()
+	New(Config{State: func() *Snapshot { return snap }}).Register(mux)
+	req := httptest.NewRequest(http.MethodGet, url, nil)
 	return func() {
 		w := httptest.NewRecorder()
 		mux.ServeHTTP(w, req)
@@ -313,22 +348,28 @@ func criticalK2(b *testing.B, snap Snapshot) func() {
 	}
 }
 
-// BenchmarkAPICriticalK2 is one two-cut criticality request against a
-// warmed server over the static region: the demand summed over the
-// overlay's partitions, the kept min-cut column, the ranking and its
-// JSON. It fails itself above 100 allocations per request (48 today; 549 when
-// every request enumerated 3 829 cut sets and ran 190 max-flows).
-func BenchmarkAPICriticalK2(b *testing.B) {
-	request := criticalK2(b, staticRegion(b))
+// gateAllocs runs a warmed request b.N times and fails above max
+// allocations per request.
+func gateAllocs(b *testing.B, request func(), max float64) {
 	request()
-	if allocs := testing.AllocsPerRun(20, request); allocs > 100 {
-		b.Fatalf("a warmed /api/critical?k=2 allocates %.0f times, want at most 100", allocs)
+	if allocs := testing.AllocsPerRun(20, request); allocs > max {
+		b.Fatalf("a warmed request allocates %.0f times, want at most %.0f", allocs, max)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		request()
 	}
+}
+
+// BenchmarkAPICriticalK2 is one two-cut criticality request against a
+// warmed server over the static region: the demand summed over the
+// overlay's partitions, the kept min-cut column, the ranking and its
+// JSON. It fails itself above 35 allocations per request (26 today; 48
+// when each request sorted the demand and indented its body; 549 when it
+// also enumerated 3 829 cut sets and ran 190 max-flows).
+func BenchmarkAPICriticalK2(b *testing.B) {
+	gateAllocs(b, serve(b, staticRegion(b), "/api/critical?k=2"), 35)
 }
 
 // BenchmarkAPICriticalK2Cold is the first two-cut request a server sees
@@ -339,8 +380,19 @@ func BenchmarkAPICriticalK2Cold(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		criticalK2(b, snap)()
+		serve(b, snap, "/api/critical?k=2")()
 	}
+}
+
+// BenchmarkAPIPaths is one /api/paths?k=3 between the static region's
+// first and last DC against a warmed server: Yen's three shortest paths,
+// the hops annotated from the occupancy kept for the snapshot, and the
+// JSON. It fails itself above 190 allocations per request (165 today;
+// 205 when each request ran core.Occupancy and indented its body).
+func BenchmarkAPIPaths(b *testing.B) {
+	snap := staticRegion(b)
+	dcs := snap.Dep.Region.Map.DCs()
+	gateAllocs(b, serve(b, snap, fmt.Sprintf("/api/paths?from=%d&to=%d&k=3", dcs[0], dcs[len(dcs)-1])), 190)
 }
 
 // FuzzAPIQuery: an arbitrary raw query string against the three
@@ -356,7 +408,7 @@ func FuzzAPIQuery(f *testing.F) {
 	}
 	snap := staticRegion(f)
 	mux := http.NewServeMux()
-	New(Config{State: func() Snapshot { return snap }}).Register(mux)
+	New(Config{State: func() *Snapshot { return snap }}).Register(mux)
 	f.Fuzz(func(t *testing.T, query string) {
 		for _, path := range []string{"/api/paths", "/api/critical", "/api/whatif"} {
 			req := httptest.NewRequest(http.MethodGet, path, nil)
