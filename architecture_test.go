@@ -35,10 +35,12 @@ type rule struct {
 var architecture = []rule{
 	{[]string{"graph.Graph.WithoutEdges", "chaos.Scenario.CutSet", "hose.WorstCaseLoad"}, nil, []string{"bench"},
 		"reference forms of a cut and of the hose LP: production cuts with graph.Cut masks through plan.Evaluator and solves with hose.LP; tests and bench/ compare against these"},
-	{[]string{"graph.Graph.DijkstraInto"}, []string{"internal/plan"}, nil,
-		"the evaluator repairs its trees in place below the cut duct (graph.Graph.Repair); the full Dijkstra per scenario is evaluator_test.go's oracle"},
+	{[]string{"graph.Graph.DijkstraInto"}, nil, []string{"internal/graph"},
+		"scenarios are routed by plan.Evaluator, which repairs its trees in place below the cut duct (graph.Graph.Repair), and checked by chaos.Auditor; the full Dijkstra per scenario is the tests' oracle"},
 	{[]string{"plan.PathInfo.CutDucts"}, nil, []string{"internal/plan", "internal/core"},
 		"which ducts a pair's full fibers skip is decided in plan and applied in core's ride; every other package asks core.Occupancy or DuctDeltas"},
+	{[]string{"plan.PathInfo.Ducts"}, []string{"internal/core"}, []string{"internal/core/diff.go"},
+		"ride is core's one reader of a planned route; which pairs ride a duct, the allocator asks the plan's evaluator (plan.Evaluator.Crossing)"},
 	{[]string{"control.Controller.Call"}, nil, []string{"internal/control", "internal/daemon/health.go", "cmd/irisctl"},
 		"only control.Expected.Repair reads a device state and compares it with intent; beyond the daemon's health probe and irisctl's ping nothing sends a bare request"},
 	{[]string{"import container/heap"}, []string{"internal/graph"}, nil, "the one Dijkstra loop keeps its own indexed heap"},

@@ -1,7 +1,7 @@
 // Failover: demonstrates the OC4 guarantee — a plan with 2-cut tolerance
-// keeps every DC pair connected on an SLA-compliant, fully provisioned
-// path through any two simultaneous duct cuts, while a 0-tolerance plan
-// loses capacity.
+// admits the full hose traffic of every DC pair that keeps a path, through
+// any two simultaneous duct cuts, while a 0-tolerance plan loses capacity
+// in some of them.
 //
 //	go run ./examples/failover
 package main
@@ -9,12 +9,13 @@ package main
 import (
 	"fmt"
 	"log"
-	"math"
 	"sort"
 
+	"iris/internal/chaos"
 	"iris/internal/core"
 	"iris/internal/fibermap"
-	"iris/internal/graph"
+	"iris/internal/optics"
+	"iris/internal/plan"
 )
 
 func main() {
@@ -48,52 +49,29 @@ func main() {
 	fmt.Printf("6-DC region: 2-cut-tolerant plan leases %d fiber-pairs, fragile plan %d\n",
 		tolerant.TotalFiberPairs(), fragile.TotalFiberPairs())
 
-	// Exhaustively re-check the tolerant plan: under every 2-cut scenario,
-	// every still-connected DC pair must find a path whose every duct the
-	// plan provisioned.
-	g := m.Graph()
-	var ductIDs []int
-	for _, d := range m.Ducts {
-		ductIDs = append(ductIDs, d.ID)
-	}
-	scenarios, covered, uncovReroutes := 0, 0, 0
-	cut := graph.NewCut(g)
-	var tree graph.ShortestPathTree
-	var scratch graph.Scratch
-	graph.FailureScenarios(ductIDs, 2, func(ducts []int) {
-		scenarios++
-		cut.Set(ducts)
-		for i, a := range dcs {
-			g.DijkstraInto(a, cut.Skip(), &tree, &scratch)
-			for _, b := range dcs[i+1:] {
-				if math.IsInf(tree.Dist[b], 1) {
-					continue // physically disconnected: no guarantee owed
-				}
-				_, edges, _ := tree.PathTo(b)
-				ok := true
-				for _, e := range edges {
-					duT := tolerant.Ducts[e.ID]
-					if duT == nil || duT.TotalPairs() == 0 {
-						ok = false
-					}
-				}
-				if ok {
-					covered++
-				} else {
-					uncovReroutes++
-				}
+	// Exhaustively audit both plans: under every scenario of up to two
+	// cuts, every still-connected DC pair must get its full hose demand
+	// within the fiber the plan leased.
+	scenarios := chaos.EnumerateCuts(m, 2)
+	admissible := func(pl *plan.Plan) int {
+		n := 0
+		for _, res := range chaos.NewAuditor(pl).Run(scenarios, 1) {
+			if res.Admissible {
+				n++
 			}
 		}
-	})
-	fmt.Printf("checked %d failure scenarios: %d surviving pair-paths fully provisioned, %d not\n",
-		scenarios, covered, uncovReroutes)
-	if uncovReroutes > 0 {
-		log.Fatal("FAIL: the tolerant plan left reroutes unprovisioned")
+		return n
+	}
+	okTolerant, okFragile := admissible(tolerant), admissible(fragile)
+	fmt.Printf("audited %d failure scenarios of up to two cuts: tolerant plan admissible in %d, fragile plan in %d\n",
+		len(scenarios), okTolerant, okFragile)
+	if okTolerant != len(scenarios) {
+		log.Fatal("FAIL: the tolerant plan cannot carry the hose traffic in some scenario")
 	}
 
 	// Show a concrete double cut: kill the two ducts carrying the most
-	// fiber (the lower duct ID wins a tie) and confirm the tolerant plan
-	// still routes everything.
+	// fiber (the lower duct ID wins a tie) and re-route every pair on the
+	// tolerant plan's evaluator.
 	ids := make([]int, 0, len(tolerant.Ducts))
 	for id := range tolerant.Ducts {
 		ids = append(ids, id)
@@ -106,20 +84,17 @@ func main() {
 		return ids[i] < ids[j]
 	})
 	worst1, worst2 := ids[0], ids[1]
-	best1, best2 := pairsOf(worst1), pairsOf(worst2)
-	cut.Set([]int{worst1, worst2})
 	fmt.Printf("\ncutting the two busiest ducts (%d and %d, %d+%d fiber-pairs):\n",
-		worst1, worst2, best1, best2)
-	for i, a := range dcs {
-		g.DijkstraInto(a, cut.Skip(), &tree, &scratch)
-		for _, b := range dcs[i+1:] {
-			if math.IsInf(tree.Dist[b], 1) {
-				fmt.Printf("  %s-%s physically disconnected by the cuts\n",
-					m.Nodes[a].Name, m.Nodes[b].Name)
-				continue
-			}
-			fmt.Printf("  %s-%s re-routes over %.1f km (SLA 120 km: %v)\n",
-				m.Nodes[a].Name, m.Nodes[b].Name, tree.Dist[b], tree.Dist[b] <= 120)
+		worst1, worst2, pairsOf(worst1), pairsOf(worst2))
+	ev := tolerant.NewEvaluator()
+	ev.Cut.Set([]int{worst1, worst2})
+	for _, r := range ev.Route() {
+		a, b := m.Nodes[r.Pair.A].Name, m.Nodes[r.Pair.B].Name
+		if !r.Routed() {
+			fmt.Printf("  %s-%s physically disconnected by the cuts\n", a, b)
+			continue
 		}
+		fmt.Printf("  %s-%s re-routes over %.1f km (SLA %.0f km: %v)\n",
+			a, b, r.TotalKM, optics.MaxPathKM, r.TotalKM <= optics.MaxPathKM)
 	}
 }

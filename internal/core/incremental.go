@@ -3,9 +3,11 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"iris/internal/hose"
+	"iris/internal/plan"
 	"iris/internal/traffic"
 )
 
@@ -30,24 +32,23 @@ type AllocState struct {
 	dep *Deployment
 	dcs []int
 	books
-	// pairIdx/ductPairs are the static reverse index of the plan's paths:
-	// each planned pair gets a dense index, and ductPairs lists the pair
-	// indices riding each duct. The index drives the cascade accounting —
-	// when a duct gains or loses headroom, these are the pairs whose
-	// admissibility is re-audited.
-	pairIdx   map[hose.Pair]int32
-	ductPairs [][]int32 // indexed by duct ID
+	// ev is the plan's evaluator, routed at the failure-free scenario: its
+	// crossing sets say which pairs ride a duct. It drives the cascade
+	// accounting — when a duct gains or loses headroom, these are the
+	// pairs whose admissibility is re-audited. An evaluator is not safe
+	// for concurrent use and a Deployment is shared, so it lives here.
+	ev *plan.Evaluator
 
 	// Scratch buffers reused across AllocateDelta calls so the hot path
 	// allocates O(delta) rather than O(region). Generation stamps avoid
 	// clearing between calls; AllocState is single-owner, so sharing them
 	// is safe.
-	gen      uint32
-	ductGen  []uint32 // per duct ID: generation that last touched it
-	touched  []int    // touched duct IDs, this generation
-	pairGen  []uint32 // per pair index: generation that last marked it
-	aggDCs   []int    // affected DCs, this generation
-	aggDiffs []float64
+	gen        uint32
+	ductGen    []uint32 // per duct ID: generation that last touched it
+	touched    []int    // touched duct IDs, this generation
+	neighbours []int32  // pair indices crossing a touched duct
+	aggDCs     []int    // affected DCs, this generation
+	aggDiffs   []float64
 }
 
 // books is what an allocation keeps account of. A fallback swaps the whole
@@ -76,12 +77,7 @@ type pairDemand struct {
 func (st *AllocState) nextGen() {
 	st.gen++
 	if st.gen == 0 {
-		for i := range st.ductGen {
-			st.ductGen[i] = 0
-		}
-		for i := range st.pairGen {
-			st.pairGen[i] = 0
-		}
+		clear(st.ductGen)
 		st.gen = 1
 	}
 	st.touched = st.touched[:0]
@@ -218,34 +214,9 @@ func (d *Deployment) AllocateState(m *traffic.Matrix) (*AllocState, error) {
 	if err != nil {
 		return nil, err
 	}
-	st.buildPairIndex()
+	st.ev = d.Plan.NewEvaluator()
+	st.ev.Route()
 	return st, nil
-}
-
-func (st *AllocState) buildPairIndex() {
-	pairs := make([]hose.Pair, 0, len(st.dep.Plan.Paths))
-	for p := range st.dep.Plan.Paths {
-		pairs = append(pairs, p)
-	}
-	hose.SortPairs(pairs)
-	maxDuct := 0
-	for _, p := range pairs {
-		for _, duct := range st.dep.Plan.Paths[p].Ducts {
-			if duct > maxDuct {
-				maxDuct = duct
-			}
-		}
-	}
-	st.pairIdx = make(map[hose.Pair]int32, len(pairs))
-	st.ductPairs = make([][]int32, maxDuct+1)
-	for i, p := range pairs {
-		st.pairIdx[p] = int32(i)
-		for _, duct := range st.dep.Plan.Paths[p].Ducts {
-			st.ductPairs[duct] = append(st.ductPairs[duct], int32(i))
-		}
-	}
-	st.ductGen = make([]uint32, maxDuct+1)
-	st.pairGen = make([]uint32, len(pairs))
 }
 
 // AllocateDelta applies a sparse demand update to an AllocState produced
@@ -261,7 +232,7 @@ func (st *AllocState) buildPairIndex() {
 // revert it (for callers whose downstream commit fails). On error the
 // state is unchanged and the allocation it holds remains valid.
 func (d *Deployment) AllocateDelta(st *AllocState, delta traffic.Delta) (Undo, DeltaStats, error) {
-	if st == nil || st.dep != d || st.pairIdx == nil {
+	if st == nil || st.dep != d || st.ev == nil {
 		return Undo{}, DeltaStats{}, fmt.Errorf("core: AllocateDelta needs a state from this deployment's AllocateState")
 	}
 
@@ -293,18 +264,12 @@ func (d *Deployment) AllocateDelta(st *AllocState, delta traffic.Delta) (Undo, D
 
 	// Cascade accounting: the changed pairs' duct-sharing neighbours are
 	// the pairs whose admissibility the duct audit just re-established.
-	gen := st.gen
+	st.neighbours = st.ev.Crossing(st.touched, st.neighbours[:0])
+	revalidated := len(st.neighbours)
 	for _, p := range changed {
-		if idx, ok := st.pairIdx[p]; ok {
-			st.pairGen[idx] = gen
-		}
-	}
-	revalidated := 0
-	for _, duct := range st.touched {
-		for _, idx := range st.ductPairs[duct] {
-			if st.pairGen[idx] != gen {
-				st.pairGen[idx] = gen
-				revalidated++
+		if idx, ok := st.ev.PairIndex(p); ok {
+			if _, rides := slices.BinarySearch(st.neighbours, int32(idx)); rides {
+				revalidated--
 			}
 		}
 	}

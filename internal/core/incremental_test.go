@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -362,5 +363,55 @@ func TestAllocateDeltaRevalidatesNeighbours(t *testing.T) {
 	}
 	if stats.PairsRevalidated == 0 {
 		t.Errorf("stats = %+v, want duct-sharing neighbours revalidated", stats)
+	}
+
+	// The count is exact: over random deltas of one to three pairs on
+	// several regions, it is the number of pairs outside the delta whose
+	// planned path rides a duct the delta touched.
+	checked := 0
+	for seed := int64(1); seed <= 4; seed++ {
+		dep := genDeployment(t, seed, 8)
+		m := traffic.NewMatrix(dep.Region.Map.DCs())
+		pairs := m.Pairs()
+		for _, p := range pairs {
+			m.Set(p, 30)
+		}
+		st, err := dep.AllocateState(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(seed))
+		for range 20 {
+			delta := traffic.NewDelta()
+			for range 1 + rng.Intn(3) {
+				p := pairs[rng.Intn(len(pairs))]
+				v := float64(rng.Intn(61))
+				if v == st.demand[p] {
+					v++
+				}
+				delta.Set(p, v)
+			}
+			_, stats, err := dep.AllocateDelta(st, delta)
+			if err != nil {
+				continue // over a hose or duct: the state is unchanged
+			}
+			touched := make(map[int]bool, len(st.touched))
+			for _, duct := range st.touched {
+				touched[duct] = true
+			}
+			want := 0
+			for p, info := range dep.Plan.Paths {
+				if _, inDelta := delta.Changes[p]; !inDelta && slices.ContainsFunc(info.Ducts, func(d int) bool { return touched[d] }) {
+					want++
+				}
+			}
+			if !stats.Incremental || stats.PairsRevalidated != want {
+				t.Fatalf("seed %d, %v: stats = %+v, want %d pairs revalidated", seed, delta, stats, want)
+			}
+			checked++
+		}
+	}
+	if checked < 40 {
+		t.Errorf("only %d of 80 deltas were admitted; the cases do not exercise the count", checked)
 	}
 }

@@ -18,6 +18,7 @@ package fabric
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -25,6 +26,7 @@ import (
 	"iris/internal/core"
 	"iris/internal/hose"
 	"iris/internal/optics"
+	"iris/internal/plan"
 )
 
 // Fabric is the materialised deployment plus its current circuit state.
@@ -59,10 +61,11 @@ type Fabric struct {
 	tuned map[int][]int
 }
 
-// circuit is one end-to-end fiber circuit for a DC pair.
+// circuit is one end-to-end fiber circuit for a DC pair, along the
+// pair's planned path. The path is the plan's and is shared, read-only.
 type circuit struct {
 	pair     hose.Pair
-	path     *coreFilePath
+	path     *plan.PathInfo
 	localA   int   // local port index at pair.A
 	localB   int   // local port index at pair.B
 	fiberIdx []int // per duct along the path: fiber-pair index in the duct
@@ -70,14 +73,6 @@ type circuit struct {
 	live  int
 	xcvrA []int
 	xcvrB []int
-}
-
-// coreFilePath caches the plan path plus lookup sets.
-type coreFilePath struct {
-	nodes    []int
-	ducts    []int
-	bypassed map[int]bool
-	ampNodes []int
 }
 
 // pool is a free-list allocator over [0, n).
@@ -251,28 +246,12 @@ func (f *Fabric) localPort(dc, localIdx int) (int, error) {
 	return base + localIdx, nil
 }
 
-func (f *Fabric) pathFor(p hose.Pair) (*coreFilePath, error) {
-	info, ok := f.dep.Plan.Paths[p.Canonical()]
-	if !ok {
-		return nil, fmt.Errorf("fabric: no planned path for %d-%d", p.A, p.B)
-	}
-	cp := &coreFilePath{
-		nodes: info.Nodes, ducts: info.Ducts,
-		bypassed: make(map[int]bool),
-		ampNodes: info.AmpNodes,
-	}
-	for _, n := range info.Bypassed {
-		cp.bypassed[n] = true
-	}
-	return cp, nil
-}
-
 // establish allocates resources for one circuit and appends its device
 // operations to the change.
 func (f *Fabric) establish(ch *control.Change, p hose.Pair, live int) (*circuit, error) {
-	path, err := f.pathFor(p)
-	if err != nil {
-		return nil, err
+	path, ok := f.dep.Plan.Paths[p.Canonical()]
+	if !ok {
+		return nil, fmt.Errorf("fabric: no planned path for %d-%d", p.A, p.B)
 	}
 	c := &circuit{pair: p.Canonical(), path: path, live: live}
 
@@ -287,7 +266,7 @@ func (f *Fabric) establish(ch *control.Change, p hose.Pair, live int) (*circuit,
 	}
 	c.localA, c.localB = la, lb
 
-	for _, duct := range path.ducts {
+	for _, duct := range path.Ducts {
 		idx, ok := f.ductFibers[duct].get()
 		if !ok {
 			f.release(c)
@@ -318,7 +297,7 @@ func (f *Fabric) establish(ch *control.Change, p hose.Pair, live int) (*circuit,
 	}
 	ch.Switches = append(ch.Switches, ops...)
 	// First circuit through an amplifier site turns its amps on.
-	for _, n := range path.ampNodes {
+	for _, n := range path.AmpNodes {
 		if f.ampRefs[n] == 0 {
 			ch.Amps = append(ch.Amps, control.AmpOp{Device: f.AmpName(n), Enable: true})
 		}
@@ -353,7 +332,7 @@ func (f *Fabric) teardown(ch *control.Change, c *circuit) error {
 	}
 	ch.Switches = append(ch.Switches, ops...)
 	// Last circuit through an amplifier site parks its amps.
-	for _, n := range c.path.ampNodes {
+	for _, n := range c.path.AmpNodes {
 		f.ampRefs[n]--
 		if f.ampRefs[n] == 0 {
 			ch.Amps = append(ch.Amps, control.AmpOp{Device: f.AmpName(n), Enable: false})
@@ -369,7 +348,7 @@ func (f *Fabric) teardown(ch *control.Change, c *circuit) error {
 func (f *Fabric) release(c *circuit) {
 	f.localPorts[c.pair.A].put(c.localA)
 	f.localPorts[c.pair.B].put(c.localB)
-	for i, duct := range c.path.ducts[:len(c.fiberIdx)] {
+	for i, duct := range c.path.Ducts[:len(c.fiberIdx)] {
 		f.ductFibers[duct].put(c.fiberIdx[i])
 	}
 	c.fiberIdx = nil
@@ -393,23 +372,23 @@ func (f *Fabric) hops(c *circuit, visit func(node, in, out int)) error {
 	if err != nil {
 		return err
 	}
-	first, err := f.port(pathEndpointA(c), c.path.ducts[0], c.fiberIdx[0])
+	first, err := f.port(pathEndpointA(c), c.path.Ducts[0], c.fiberIdx[0])
 	if err != nil {
 		return err
 	}
 	visit(pathEndpointA(c), aLocal, first)
 
 	// Interior switched nodes.
-	for i := 0; i < len(c.path.ducts)-1; i++ {
-		node := c.path.nodes[i+1]
-		if c.path.bypassed[node] {
+	for i := 0; i < len(c.path.Ducts)-1; i++ {
+		node := c.path.Nodes[i+1]
+		if slices.Contains(c.path.Bypassed, node) {
 			continue // cut-through: the fiber passes the hut unswitched
 		}
-		in, err := f.port(node, c.path.ducts[i], c.fiberIdx[i])
+		in, err := f.port(node, c.path.Ducts[i], c.fiberIdx[i])
 		if err != nil {
 			return err
 		}
-		out, err := f.port(node, c.path.ducts[i+1], c.fiberIdx[i+1])
+		out, err := f.port(node, c.path.Ducts[i+1], c.fiberIdx[i+1])
 		if err != nil {
 			return err
 		}
@@ -417,8 +396,8 @@ func (f *Fabric) hops(c *circuit, visit func(node, in, out int)) error {
 	}
 
 	// Destination DC: last duct -> local port.
-	last := len(c.path.ducts) - 1
-	in, err := f.port(pathEndpointB(c), c.path.ducts[last], c.fiberIdx[last])
+	last := len(c.path.Ducts) - 1
+	in, err := f.port(pathEndpointB(c), c.path.Ducts[last], c.fiberIdx[last])
 	if err != nil {
 		return err
 	}
@@ -430,8 +409,8 @@ func (f *Fabric) hops(c *circuit, visit func(node, in, out int)) error {
 	return nil
 }
 
-func pathEndpointA(c *circuit) int { return c.path.nodes[0] }
-func pathEndpointB(c *circuit) int { return c.path.nodes[len(c.path.nodes)-1] }
+func pathEndpointA(c *circuit) int { return c.path.Nodes[0] }
+func pathEndpointB(c *circuit) int { return c.path.Nodes[len(c.path.Nodes)-1] }
 
 // CompileTarget computes the change that moves the fabric from its current
 // circuit state to the given allocation, updating the fabric state. The

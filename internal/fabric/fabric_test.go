@@ -2,6 +2,7 @@ package fabric
 
 import (
 	"context"
+	"slices"
 	"testing"
 
 	"iris/internal/geo"
@@ -468,5 +469,68 @@ func TestCompileTargetResourceExhaustion(t *testing.T) {
 	}
 	if f2.CircuitCount() != 10 {
 		t.Errorf("circuits = %d, want 10", f2.CircuitCount())
+	}
+}
+
+func TestCutThroughBypassesSwitch(t *testing.T) {
+	// A cut-through on a failure-free path: the circuit's fiber passes the
+	// bypassed huts unswitched, so the change cross-connects nothing there
+	// and the devices still match intent afterwards.
+	rig, err := BringUp(BringUpConfig{Seed: 5, DCs: 20, DCCapacity: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rig.Close()
+	var bypassing []hose.Pair
+	for p, info := range rig.Dep.Plan.Paths {
+		if len(info.Bypassed) > 0 {
+			bypassing = append(bypassing, p)
+		}
+	}
+	if len(bypassing) == 0 {
+		t.Fatal("no planned path bypasses a switch; the region does not cover cut-throughs")
+	}
+	hose.SortPairs(bypassing)
+	p := bypassing[0]
+	path := rig.Dep.Plan.Paths[p]
+
+	m := traffic.NewMatrix(rig.Dep.Region.Map.DCs())
+	m.Set(p, 80) // two full fibers, no residual
+	alloc, err := rig.Dep.Allocate(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ch, err := rig.Fab.CompileTarget(alloc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ops := make(map[string]int)
+	for _, op := range ch.Switches {
+		ops[op.Device]++
+	}
+	for _, node := range path.Nodes {
+		want := 2 // one cross-connect per circuit
+		if slices.Contains(path.Bypassed, node) {
+			want = 0
+		}
+		if got := ops[rig.Fab.OSSName(node)]; got != want {
+			t.Errorf("pair %v, node %d (bypassed %v): %d cross-connects, want %d", p, node, path.Bypassed, got, want)
+		}
+	}
+	if len(ch.Switches) != 2*(len(path.Nodes)-len(path.Bypassed)) {
+		t.Errorf("%d cross-connects for two circuits over %d switched nodes", len(ch.Switches), len(path.Nodes)-len(path.Bypassed))
+	}
+	if _, err := rig.Testbed.Controller.Reconfigure(context.Background(), ch); err != nil {
+		t.Fatal(err)
+	}
+	if err := rig.Testbed.Controller.Audit(rig.Fab.Expected()); err != nil {
+		t.Fatalf("audit after the change: %v", err)
+	}
+	for _, node := range path.Bypassed {
+		if dev, ok := rig.Testbed.Devices[rig.Fab.OSSName(node)].(*control.OSS); ok {
+			if ins, _ := dev.Cross(); len(ins) > 0 {
+				t.Errorf("bypassed node %d holds cross-connects %v", node, ins)
+			}
+		}
 	}
 }

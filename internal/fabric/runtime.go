@@ -52,8 +52,7 @@ func clonePools(ps map[int]*pool) map[int]*pool {
 	return out
 }
 
-// clone copies a circuit. The path is shared: it is read-only after
-// construction.
+// clone copies a circuit. The path is shared: it is the plan's, read-only.
 func (c *circuit) clone() *circuit {
 	d := *c
 	d.fiberIdx = append([]int(nil), c.fiberIdx...)

@@ -431,20 +431,35 @@ func (ev *Evaluator) Route() []Route {
 		return ev.routes
 	}
 	ev.gained = ev.gained[:0]
-	clear(ev.mask)
 	for _, id := range cut {
-		if ev.cutBy(id) {
-			continue
+		if !ev.cutBy(id) {
+			ev.gained = append(ev.gained, id)
 		}
-		ev.gained = append(ev.gained, id)
+	}
+	ev.unite(ev.gained)
+	ev.push(ev.gained)
+	return ev.routes
+}
+
+// Crossing appends to dst the indices of the pairs whose current route
+// crosses at least one of the ducts, ascending and each pair once, and
+// returns the extended slice. Under the empty Cut these are the pairs
+// whose planned path (Plan.Paths) rides one of the ducts.
+func (ev *Evaluator) Crossing(ducts []int, dst []int32) []int32 {
+	ev.unite(ducts)
+	return appendPairs(dst, ev.mask)
+}
+
+// unite sets ev.mask to the union of the ducts' crossing sets.
+func (ev *Evaluator) unite(ducts []int) {
+	clear(ev.mask)
+	for _, id := range ducts {
 		if uint(id) < uint(len(ev.need)) {
 			for w, bits := range ev.crossing(id) {
 				ev.mask[w] |= bits
 			}
 		}
 	}
-	ev.push(ev.gained)
-	return ev.routes
 }
 
 // within reports whether every duct the frame cut is in the given cut.

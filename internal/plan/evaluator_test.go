@@ -452,17 +452,26 @@ func TestRouteReuseMatchesRecompute(t *testing.T) {
 // An evaluator a plan hands out starts where planning left off: on the
 // graph the plan was routed on, with a hose-load memo of its own that
 // planning filled; so does a Fork of it, which is how the auditor's
-// workers start. On the bench region planned for two cuts each routes and
+// workers start. Its failure-free routes are the plan's paths, at every
+// tolerance. On the bench region planned for two cuts each routes and
 // loads the failure-free scenario, every single cut and 200 random double
 // cuts exactly as an evaluator built from nothing does, and runs at most
 // one max-flow in ten scenarios (the cold one runs several per scenario).
 func TestPlanEvaluatorStartsFromPlan(t *testing.T) {
+	for k := range 2 {
+		pl, err := New(arenaInput(t, 1, 20, 10, k))
+		if err != nil {
+			t.Fatal(err)
+		}
+		routesArePaths(t, pl)
+	}
 	in := arenaInput(t, 1, 20, 10, 2)
 	p := NewPlanner()
 	pl, err := p.Plan(in)
 	if err != nil {
 		t.Fatal(err)
 	}
+	routesArePaths(t, pl)
 	ev := pl.NewEvaluator()
 	forked := ev.Fork()
 	for _, c := range []struct {
@@ -515,5 +524,54 @@ func TestPlanEvaluatorStartsFromPlan(t *testing.T) {
 		len(scenarios), float64(ev.work.lps)/n, float64(forked.work.lps)/n, float64(cold.work.lps)/n)
 	if per := float64(ev.work.lps+forked.work.lps) / n; per > 0.1 {
 		t.Errorf("the plan's evaluator and its fork ran %.3f max-flows per scenario, want at most 0.1", per)
+	}
+}
+
+// routesArePaths checks that the plan's evaluator, at the empty cut,
+// routes the pairs Plan.Paths holds, on the same nodes and ducts, and that
+// Crossing lists the pairs whose planned path rides one of the ducts
+// asked for: the allocator's cascade accounting reads them there, and the
+// fabric sets circuits up along Plan.Paths.
+func routesArePaths(t *testing.T, pl *Plan) {
+	t.Helper()
+	k := pl.Input.MaxFailures
+	ev := pl.NewEvaluator()
+	routes := ev.Route()
+	routed := 0
+	for _, r := range routes {
+		info, ok := pl.Paths[r.Pair]
+		if r.Routed() != ok {
+			t.Fatalf("k=%d, pair %v: routed %v, planned path %v", k, r.Pair, r.Routed(), ok)
+		}
+		if !ok {
+			continue
+		}
+		routed++
+		ducts := make([]int, len(r.Ducts))
+		for i, e := range r.Ducts {
+			ducts[i] = e.ID
+		}
+		if !slices.Equal(r.Nodes, info.Nodes) || !slices.Equal(ducts, info.Ducts) {
+			t.Fatalf("k=%d, pair %v: route %v over %v, planned %v over %v", k, r.Pair, r.Nodes, ducts, info.Nodes, info.Ducts)
+		}
+	}
+	if routed != len(pl.Paths) {
+		t.Fatalf("k=%d: %d pairs routed, %d planned paths", k, routed, len(pl.Paths))
+	}
+
+	edges := ev.base.Edges()
+	for i, e := range edges {
+		// One duct, then three (one of them twice, out of order).
+		for _, ducts := range [][]int{{e.ID}, {edges[(i+7)%len(edges)].ID, e.ID, edges[(i+3)%len(edges)].ID, e.ID}} {
+			var want []int32
+			for _, r := range routes {
+				if info := pl.Paths[r.Pair]; info != nil && slices.ContainsFunc(info.Ducts, func(d int) bool { return slices.Contains(ducts, d) }) {
+					want = append(want, r.PairIdx)
+				}
+			}
+			if got := ev.Crossing(ducts, nil); !slices.Equal(got, want) {
+				t.Fatalf("k=%d: Crossing(%v) = %v, pairs riding them %v", k, ducts, got, want)
+			}
+		}
 	}
 }
