@@ -43,6 +43,10 @@ var architecture = []rule{
 		"ride is core's one reader of a planned route; which pairs ride a duct, the allocator asks the plan's evaluator (plan.Evaluator.Crossing)"},
 	{[]string{"control.Controller.Call"}, nil, []string{"internal/control", "internal/daemon/health.go", "cmd/irisctl"},
 		"only control.Expected.Repair reads a device state and compares it with intent; beyond the daemon's health probe and irisctl's ping nothing sends a bare request"},
+	{[]string{"history.Lake.Append"}, nil, []string{"internal/daemon/history.go", "bench"},
+		"recordHistory is the one writer of a history record: converge, repair and chaos cycle alike bracket their operation with the daemon's health and books and append through it"},
+	{[]string{"import iris/internal/history"}, []string{"internal/chaos"}, nil,
+		"chaos injects and restores faults; the cycle that records them is a daemon operation (daemon.Daemon.ChaosCycle)"},
 	{[]string{"import container/heap"}, []string{"internal/graph"}, nil, "the one Dijkstra loop keeps its own indexed heap"},
 	{[]string{"import encoding/json"}, []string{"internal/control"}, []string{"internal/control/wire.go"},
 		"wire.go is the line protocol's one codec; encoding/json is its fallback for escaped strings and out-of-set values"},

@@ -5,8 +5,10 @@ package chaos_test
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"log/slog"
+	"net/http"
 	"net/http/httptest"
 	"strconv"
 	"strings"
@@ -165,12 +167,7 @@ func TestChaosCycleEndToEnd(t *testing.T) {
 			d.Step()
 		}
 	}
-	res, err := cr.inj.RunCycle(chaos.CycleConfig{
-		Scenario: sc,
-		CP:       d,
-		Pump:     pump,
-		Timeout:  20 * time.Second,
-	})
+	res, err := d.ChaosCycle(context.Background(), sc, daemon.CycleOptions{Pump: pump, Timeout: 20 * time.Second})
 	if err != nil {
 		t.Fatalf("chaos cycle: %v", err)
 	}
@@ -304,6 +301,29 @@ func TestChaosHTTPInjection(t *testing.T) {
 		resp.Body.Close()
 		if resp.StatusCode < 400 {
 			t.Errorf("POST %q = %d, want an error status", q, resp.StatusCode)
+		}
+	}
+}
+
+// TestChaosHTTPBadAutoRestoreInjectsNothing: an inject whose auto_restore
+// does not parse is refused before any device is faulted, since no
+// restore could be scheduled for it.
+func TestChaosHTTPBadAutoRestoreInjectsNothing(t *testing.T) {
+	cr := newChaosRig(t, [][2]float64{{60, 45}})
+	srv := httptest.NewServer(cr.d.Handler())
+	defer srv.Close()
+	duct := strconv.Itoa(hubDuct(t, cr.rig.Dep.Region.Map))
+	for _, v := range []string{"bogus", "-1s", "0s"} {
+		resp, err := srv.Client().Post(srv.URL+"/debug/chaos?action=inject&kind=cut&duct="+duct+"&auto_restore="+v, "", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("auto_restore=%s answered %d, want 400", v, resp.StatusCode)
+		}
+		if n := cr.inj.Snapshot().ActiveFaults; n != 0 {
+			t.Fatalf("auto_restore=%s left %d faults active", v, n)
 		}
 	}
 }

@@ -1,7 +1,6 @@
 package chaos
 
 import (
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -13,9 +12,7 @@ import (
 	"time"
 
 	"iris/internal/control"
-	"iris/internal/core"
 	"iris/internal/fabric"
-	"iris/internal/history"
 	"iris/internal/telemetry"
 	"iris/internal/trace"
 )
@@ -111,8 +108,9 @@ type InjectorConfig struct {
 	Now func() time.Time
 }
 
-// Injector turns failure scenarios into live device faults and drives
-// recovery cycles against a control plane. It is safe for concurrent use.
+// Injector turns failure scenarios into live device faults and heals them
+// again. The daemon drives whole recovery cycles with it
+// (daemon.Daemon.ChaosCycle). It is safe for concurrent use.
 type Injector struct {
 	devs   *DeviceSet
 	fab    *fabric.Fabric
@@ -129,18 +127,10 @@ type Injector struct {
 	injections  *telemetry.CounterVec
 	restores    *telemetry.Counter
 	activeGauge *telemetry.Gauge
-	cycles      *telemetry.Counter
-	cycleFails  *telemetry.Counter
-	detectSecs  *telemetry.Histogram
-	repairSecs  *telemetry.Histogram
 }
 
 // historyCap bounds the restored-fault journal kept for /debug/chaos.
 const historyCap = 64
-
-// cycleBuckets cover driven test cycles (fake clocks, milliseconds) up to
-// live cycles paced by probe intervals and breaker cooldowns.
-var cycleBuckets = []float64{.0005, .001, .0025, .005, .01, .025, .05, .1, .25, .5, 1, 2.5, 5, 10, 30}
 
 // NewInjector validates the configuration and prepares an injector.
 func NewInjector(cfg InjectorConfig) (*Injector, error) {
@@ -165,14 +155,10 @@ func NewInjector(cfg InjectorConfig) (*Injector, error) {
 	in.injections = reg.CounterVec("iris_chaos_injections_total", "Chaos faults injected, by scenario kind.", "kind")
 	in.restores = reg.Counter("iris_chaos_restores_total", "Chaos faults restored.")
 	in.activeGauge = reg.Gauge("iris_chaos_active_faults", "Currently injected chaos faults.")
-	in.cycles = reg.Counter("iris_chaos_cycles_total", "Completed inject-detect-restore-heal-replan cycles.")
-	in.cycleFails = reg.Counter("iris_chaos_cycle_failures_total", "Chaos cycles that failed or timed out.")
-	in.detectSecs = reg.Histogram("iris_chaos_detect_seconds", "Injection-to-detection latency (fault injected until the control plane reports unhealthy).", cycleBuckets)
-	in.repairSecs = reg.Histogram("iris_chaos_repair_seconds", "Restore-to-repair latency (fault restored until the control plane reconverges).", cycleBuckets)
 	return in, nil
 }
 
-// nextID allocates a fault/cycle ID from the tracer's ID space when one is
+// nextID allocates a fault ID from the tracer's ID space when one is
 // configured, so chaos traces never collide with reconfiguration traces.
 func (in *Injector) nextID() uint64 {
 	if id := in.tracer.NextID(); id != 0 {
@@ -233,9 +219,9 @@ func (in *Injector) TargetsFor(sc Scenario) []string {
 	return out
 }
 
-// inject materialises a scenario as live device faults and returns the
+// Inject materialises a scenario as live device faults and returns the
 // fault handle. It fails if the scenario maps to no live devices.
-func (in *Injector) inject(sc Scenario) (Fault, error) {
+func (in *Injector) Inject(sc Scenario) (Fault, error) {
 	targets := in.TargetsFor(sc)
 	if len(targets) == 0 {
 		return Fault{}, fmt.Errorf("chaos: scenario %q maps to no live devices", sc.Name)
@@ -260,8 +246,8 @@ func (in *Injector) inject(sc Scenario) (Fault, error) {
 	return *f, nil
 }
 
-// restore heals the devices of one active fault.
-func (in *Injector) restore(id uint64) error {
+// Restore heals the devices of one active fault.
+func (in *Injector) Restore(id uint64) error {
 	in.mu.Lock()
 	f, ok := in.active[id]
 	if !ok {
@@ -298,7 +284,7 @@ func (in *Injector) restoreAll() {
 	ids := append([]uint64(nil), in.order...)
 	in.mu.Unlock()
 	for _, id := range ids {
-		_ = in.restore(id)
+		_ = in.Restore(id)
 	}
 }
 
@@ -327,202 +313,6 @@ func (in *Injector) Snapshot() Status {
 	}
 	st.History = append(st.History, in.history...)
 	return st
-}
-
-// ControlPlane is the slice of the irisd daemon a chaos cycle drives. The
-// daemon satisfies it; chaos deliberately does not import the daemon
-// package (the daemon imports chaos to expose /debug/chaos).
-type ControlPlane interface {
-	// Healthy reports whether every device breaker is closed.
-	Healthy() bool
-	// ConvergedNow reports whether the region is healthy, repaired and
-	// serving the latest allocation.
-	ConvergedNow() bool
-	// RepairNow runs one anti-entropy repair pass, journaling its spans
-	// under the span carried by ctx.
-	RepairNow(ctx context.Context) error
-}
-
-// CycleConfig parameterises one RunCycle.
-type CycleConfig struct {
-	Scenario Scenario
-	CP       ControlPlane
-	// Pump advances the control plane one step between condition checks:
-	// tests call ProbeOnce/Step and advance a fake clock; nil sleeps
-	// PollInterval (live daemons progress on their own loop).
-	Pump func()
-	// PollInterval paces the default pump (default 50ms).
-	PollInterval time.Duration
-	// Timeout bounds each wait phase (default 30s).
-	Timeout time.Duration
-	// History, when non-nil, receives one record per cycle — success or
-	// failure — under the cycle's trace ID.
-	History *history.Lake
-	// Books supplies the control plane's committed allocation and hose
-	// aggregate; RunCycle calls it before injecting and after settling to
-	// compute the cycle's allocation diff. Required for records to carry
-	// pair/duct deltas (nil leaves them empty).
-	Books func() (core.Allocation, history.HoseAggregate)
-	// SettleExtra, when non-nil, is ANDed with CP.ConvergedNow during the
-	// settle wait. The daemon's cycle endpoint uses it to hold the cycle
-	// open until a post-recovery reconfiguration has actually committed,
-	// so the emitted record's diff is never an accident of timing.
-	SettleExtra func() bool
-}
-
-// CycleResult reports one completed chaos cycle.
-type CycleResult struct {
-	// TraceID identifies the cycle's span tree: chaos-cycle → inject,
-	// detect, restore, heal, replan (fetch-state, reconfigure phases,
-	// audit), settle.
-	TraceID uint64        `json:"trace_id"`
-	Fault   Fault         `json:"fault"`
-	Detect  time.Duration `json:"detect"`
-	Repair  time.Duration `json:"repair"`
-	Total   time.Duration `json:"total"`
-}
-
-// RunCycle drives the control plane through one full failure-recovery
-// cycle: inject the scenario's faults, wait for the supervision to detect
-// them (a breaker opens), restore the devices, wait for the breaker to
-// close, run a repair pass, and wait for reconvergence. Detection and
-// repair latencies are measured and recorded in the iris_chaos_* metrics;
-// the whole cycle is journaled as one trace.
-func (in *Injector) RunCycle(cfg CycleConfig) (*CycleResult, error) {
-	if cfg.CP == nil {
-		return nil, fmt.Errorf("chaos: CycleConfig.CP is required")
-	}
-	poll := cfg.PollInterval
-	if poll <= 0 {
-		poll = 50 * time.Millisecond
-	}
-	pump := cfg.Pump
-	if pump == nil {
-		pump = func() { time.Sleep(poll) }
-	}
-	timeout := cfg.Timeout
-	if timeout <= 0 {
-		timeout = 30 * time.Second
-	}
-
-	id := in.nextID()
-	root := in.tracer.Start(id, "chaos-cycle")
-	root.SetAttr(cfg.Scenario.Name)
-	t0 := in.now()
-
-	// Bracket the cycle for the history lake: pre-state now, post-state
-	// and the record after the root span lands in the flight recorder.
-	var preAlloc core.Allocation
-	var preHose history.HoseAggregate
-	if cfg.History != nil && cfg.Books != nil {
-		preAlloc, preHose = cfg.Books()
-	}
-	preHealth := history.Health{Healthy: cfg.CP.Healthy(), Converged: cfg.CP.ConvergedNow()}
-	emit := func(opErr error) {
-		if cfg.History == nil {
-			return
-		}
-		rec := history.Record{
-			ReconfigID: id,
-			Trigger:    history.TriggerChaos,
-			At:         t0,
-			Duration:   in.now().Sub(t0),
-			PreHealth:  preHealth,
-			PostHealth: history.Health{Healthy: cfg.CP.Healthy(), Converged: cfg.CP.ConvergedNow()},
-			PreHose:    preHose,
-		}
-		if opErr != nil {
-			rec.Err = opErr.Error()
-		}
-		if cfg.Books != nil {
-			postAlloc, postHose := cfg.Books()
-			rec.PostHose = postHose
-			rec.Pairs = core.DiffAlloc(preAlloc, postAlloc)
-			rec.Ducts = in.fab.Deployment().DuctDeltas(rec.Pairs)
-		}
-		rec.Spans = in.tracer.Events(trace.Filter{TraceID: id})
-		cfg.History.Append(rec)
-	}
-
-	fail := func(err error) (*CycleResult, error) {
-		in.cycleFails.Inc()
-		root.Fail(err)
-		root.Finish()
-		emit(err)
-		return nil, err
-	}
-	wait := func(name string, cond func() bool) (time.Duration, error) {
-		sp := root.Child(name)
-		start := in.now()
-		for !cond() {
-			if in.now().Sub(start) > timeout {
-				err := fmt.Errorf("chaos: %s timed out after %v", name, timeout)
-				sp.Fail(err)
-				sp.Finish()
-				return 0, err
-			}
-			pump()
-		}
-		sp.Finish()
-		return in.now().Sub(start), nil
-	}
-
-	isp := root.Child("inject")
-	f, err := in.inject(cfg.Scenario)
-	if err != nil {
-		isp.Fail(err)
-		isp.Finish()
-		return fail(err)
-	}
-	isp.SetAttr(fmt.Sprintf("devices=%d", len(f.Devices)))
-	isp.Finish()
-
-	detect, err := wait("detect", func() bool { return !cfg.CP.Healthy() })
-	if err != nil {
-		_ = in.restore(f.ID)
-		return fail(err)
-	}
-	in.detectSecs.Observe(detect.Seconds())
-
-	rsp := root.Child("restore")
-	if err := in.restore(f.ID); err != nil {
-		rsp.Fail(err)
-		rsp.Finish()
-		return fail(err)
-	}
-	rsp.Finish()
-	repairStart := in.now()
-
-	if _, err := wait("heal", cfg.CP.Healthy); err != nil {
-		return fail(err)
-	}
-
-	psp := root.Child("replan")
-	err = cfg.CP.RepairNow(trace.ContextWith(context.Background(), psp))
-	psp.Fail(err)
-	psp.Finish()
-	if err != nil {
-		return fail(fmt.Errorf("chaos: replan: %w", err))
-	}
-
-	settled := func() bool {
-		return cfg.CP.ConvergedNow() && (cfg.SettleExtra == nil || cfg.SettleExtra())
-	}
-	if _, err := wait("settle", settled); err != nil {
-		return fail(err)
-	}
-	repair := in.now().Sub(repairStart)
-	in.repairSecs.Observe(repair.Seconds())
-	in.cycles.Inc()
-	root.Finish()
-	emit(nil)
-	return &CycleResult{
-		TraceID: id,
-		Fault:   f,
-		Detect:  detect,
-		Repair:  repair,
-		Total:   in.now().Sub(t0),
-	}, nil
 }
 
 // Handler serves the injector's HTTP surface, mounted by irisd at
@@ -556,19 +346,20 @@ func (in *Injector) Handler() http.Handler {
 				http.Error(w, err.Error(), http.StatusBadRequest)
 				return
 			}
-			f, err := in.inject(sc)
+			var after time.Duration
+			if v := q.Get("auto_restore"); v != "" {
+				if after, err = time.ParseDuration(v); err != nil || after <= 0 {
+					http.Error(w, "bad auto_restore duration", http.StatusBadRequest)
+					return
+				}
+			}
+			f, err := in.Inject(sc)
 			if err != nil {
 				http.Error(w, err.Error(), http.StatusConflict)
 				return
 			}
-			if v := q.Get("auto_restore"); v != "" {
-				d, err := time.ParseDuration(v)
-				if err != nil || d <= 0 {
-					http.Error(w, "bad auto_restore duration", http.StatusBadRequest)
-					return
-				}
-				id := f.ID
-				time.AfterFunc(d, func() { _ = in.restore(id) })
+			if after > 0 {
+				time.AfterFunc(after, func() { _ = in.Restore(f.ID) })
 			}
 			writeJSON(f)
 		case "restore":
@@ -577,7 +368,7 @@ func (in *Injector) Handler() http.Handler {
 				http.Error(w, "bad fault id", http.StatusBadRequest)
 				return
 			}
-			if err := in.restore(id); err != nil {
+			if err := in.Restore(id); err != nil {
 				http.Error(w, err.Error(), http.StatusNotFound)
 				return
 			}

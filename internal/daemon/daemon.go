@@ -89,8 +89,9 @@ type Config struct {
 	// /debug endpoints then serve empty results).
 	Tracer *trace.Tracer
 	// Chaos, when set, exposes the fault injector on the daemon's HTTP
-	// surface (/debug/chaos) and injection state on /status. The injector
-	// must wrap the same fabric's devices the daemon supervises.
+	// surface (/debug/chaos, /debug/chaos/cycle) and injection state on
+	// /status, and arms ChaosCycle. The injector must wrap the same
+	// fabric's devices the daemon supervises.
 	Chaos *chaos.Injector
 	// FlowMonitor, when set, simulates the flow-level cost of every
 	// drained reconfiguration and repair cycle against the committed
@@ -98,10 +99,9 @@ type Config struct {
 	// flow_impact. Register it on the same Registry as the daemon's
 	// metrics so one scrape carries both.
 	FlowMonitor *flowsim.Monitor
-	// History, when set, receives one record per committed convergence and
-	// repair pass — the reconfiguration history lake served on
-	// /api/history. Chaos cycles append their own records through
-	// chaos.CycleConfig.History.
+	// History, when set, receives one record per committed convergence,
+	// repair pass and chaos cycle — the reconfiguration history lake served
+	// on /api/history.
 	History *history.Lake
 	// Robust, when set, switches the converge loop from per-shift deltas
 	// to METTEOR-style robust planning: one envelope allocation covers a
@@ -200,6 +200,12 @@ type metricsSet struct {
 	staleness         *telemetry.Gauge
 	circuits          *telemetry.Gauge
 	planStageSeconds  *telemetry.HistogramVec
+	// Chaos-cycle series, registered only when an injector is armed so
+	// chaos-less scrapes stay clean.
+	chaosCycles     *telemetry.Counter
+	chaosCycleFails *telemetry.Counter
+	chaosDetect     *telemetry.Histogram
+	chaosRepair     *telemetry.Histogram
 	// Robust-mode series, registered only when a robustPolicy is armed so
 	// non-robust scrapes stay clean.
 	robustInEnv    *telemetry.Counter
@@ -313,6 +319,12 @@ func (d *Daemon) initMetrics() {
 	d.m.staleness = r.Gauge("iris_allocation_staleness_seconds", "Age of the last successful convergence.")
 	d.m.circuits = r.Gauge("iris_circuits_active", "Active circuits (full + residual).")
 	d.m.planStageSeconds = r.HistogramVec("iris_plan_stage_seconds", "Per-stage planner latency (route, amps, cutthrough, provision, total) from Algorithm 1.", "stage", latencyBuckets)
+	if d.cfg.Chaos != nil {
+		d.m.chaosCycles = r.Counter("iris_chaos_cycles_total", "Completed inject-detect-restore-heal-replan cycles.")
+		d.m.chaosCycleFails = r.Counter("iris_chaos_cycle_failures_total", "Chaos cycles that failed or timed out.")
+		d.m.chaosDetect = r.Histogram("iris_chaos_detect_seconds", "Injection-to-detection latency (fault injected until the control plane reports unhealthy).", cycleBuckets)
+		d.m.chaosRepair = r.Histogram("iris_chaos_repair_seconds", "Restore-to-repair latency (fault restored until the control plane reconverges).", cycleBuckets)
+	}
 	if d.cfg.Robust != nil {
 		d.m.robustInEnv = r.Counter("iris_robust_in_envelope_total", "Traffic shifts absorbed by the committed envelope (reconfiguration skipped).")
 		d.m.robustEscapes = r.Counter("iris_robust_escapes_total", "Traffic shifts that escaped the committed envelope and forced a re-plan.")
@@ -765,21 +777,6 @@ func (d *Daemon) Audit() error {
 	fab := d.fab
 	d.mu.Unlock()
 	return d.ctl.Audit(fab.Expected())
-}
-
-// RepairNow runs one anti-entropy repair pass immediately. When ctx
-// carries a span (a chaos cycle's replan span), the pass is journaled
-// under it; otherwise it gets its own "repair" trace. Together with
-// Healthy and ConvergedNow this satisfies chaos.ControlPlane.
-func (d *Daemon) RepairNow(ctx context.Context) error {
-	sp := trace.FromContext(ctx)
-	if sp == nil {
-		return d.repair()
-	}
-	d.mu.Lock()
-	fab := d.fab
-	d.mu.Unlock()
-	return d.repairIn(ctx, sp.TraceID(), fab)
 }
 
 // ConvergedNow reports whether the region is healthy, repaired and

@@ -24,16 +24,6 @@ func (d *Daemon) CommittedAlloc() (core.Allocation, bool) {
 	return d.lkg, d.haveLKG
 }
 
-// HistoryBooks supplies the committed allocation and the hose aggregate
-// of the demand it serves — the pre/post bracket a chaos cycle records.
-// It satisfies chaos.CycleConfig.Books.
-func (d *Daemon) HistoryBooks() (core.Allocation, history.HoseAggregate) {
-	d.mu.Lock()
-	lkg, last := d.lkg, d.lastMatrix
-	d.mu.Unlock()
-	return lkg, hoseAgg(last)
-}
-
 // healthBrief is the health triple history records bracket
 // reconfigurations with.
 func (d *Daemon) healthBrief() history.Health {

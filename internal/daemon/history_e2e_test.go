@@ -1,6 +1,7 @@
 package daemon
 
 import (
+	"context"
 	"encoding/json"
 	"math/rand"
 	"net/http"
@@ -84,9 +85,8 @@ func newHistoryRig(t *testing.T, shifts [][2]float64) *historyRig {
 
 // runCycle drives one full chaos cycle with the same history wiring the
 // /debug/chaos/cycle endpoint uses, pumping the daemon on the fake clock.
-func (h *historyRig) runCycle(t *testing.T, sc chaos.Scenario) *chaos.CycleResult {
+func (h *historyRig) runCycle(t *testing.T, sc chaos.Scenario) *CycleResult {
 	t.Helper()
-	startID := h.d.Status().LastReconfigID
 	pump := func() {
 		h.clock.advance(120 * time.Millisecond)
 		h.d.ProbeOnce()
@@ -95,15 +95,7 @@ func (h *historyRig) runCycle(t *testing.T, sc chaos.Scenario) *chaos.CycleResul
 			h.d.Step()
 		}
 	}
-	res, err := h.inj.RunCycle(chaos.CycleConfig{
-		Scenario:    sc,
-		CP:          h.d,
-		Pump:        pump,
-		Timeout:     20 * time.Second,
-		History:     h.lake,
-		Books:       h.d.HistoryBooks,
-		SettleExtra: func() bool { return h.d.Status().LastReconfigID != startID },
-	})
+	res, err := h.d.chaosCycle(context.Background(), sc, CycleOptions{Pump: pump, Timeout: 20 * time.Second}, true)
 	if err != nil {
 		t.Fatalf("chaos cycle: %v", err)
 	}

@@ -247,8 +247,8 @@ func (d *Daemon) DebugEvents(reconfigID uint64) EventsDump {
 // When a chaos injector is configured, /debug/chaos additionally serves
 // its snapshot (GET) and accepts fault injections (POST) — see
 // chaos.Injector.Handler — and POST /debug/chaos/cycle drives one full
-// failure-recovery cycle synchronously, recording it in the history
-// lake.
+// failure-recovery cycle synchronously (ChaosCycle), recording it in the
+// history lake; a client that goes fails the cycle.
 func (d *Daemon) Handler() http.Handler {
 	mux := http.NewServeMux()
 	writeJSON := func(w http.ResponseWriter, code int, v any) {
@@ -340,19 +340,9 @@ func (d *Daemon) Handler() http.Handler {
 				}
 				timeout = parsed
 			}
-			// Hold the settle phase open until a reconfiguration has
-			// committed after the fault was injected: LastReconfigID only
-			// moves on a real allocation change, so the recorded cycle's
-			// diff is never empty by accident of timing.
-			startID := d.brief().lastReconfigID
-			res, err := d.cfg.Chaos.RunCycle(chaos.CycleConfig{
-				Scenario:    sc,
-				CP:          d,
-				Timeout:     timeout,
-				History:     d.cfg.History,
-				Books:       d.HistoryBooks,
-				SettleExtra: func() bool { return d.brief().lastReconfigID != startID },
-			})
+			// Run's loop steps and probes the region meanwhile; the cycle
+			// ends with the request.
+			res, err := d.chaosCycle(r.Context(), sc, CycleOptions{Timeout: timeout}, true)
 			if err != nil {
 				jsonError(w, http.StatusInternalServerError, err.Error())
 				return

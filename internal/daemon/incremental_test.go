@@ -1,6 +1,7 @@
 package daemon
 
 import (
+	"context"
 	"strings"
 	"testing"
 	"time"
@@ -284,12 +285,8 @@ func TestDaemonIncrementalChaosHeal(t *testing.T) {
 			d.Step()
 		}
 	}
-	if _, err := inj.RunCycle(chaos.CycleConfig{
-		Scenario: chaos.Cut(hubDuctID(t, rig.Dep.Region.Map)),
-		CP:       d,
-		Pump:     pump,
-		Timeout:  20 * time.Second,
-	}); err != nil {
+	sc := chaos.Cut(hubDuctID(t, rig.Dep.Region.Map))
+	if _, err := d.ChaosCycle(context.Background(), sc, CycleOptions{Pump: pump, Timeout: 20 * time.Second}); err != nil {
 		t.Fatalf("chaos cycle: %v", err)
 	}
 	// Drain whatever the cycle's pumping left of the feed.

@@ -24,17 +24,17 @@ import (
 // scraped independently of its siblings. *Daemon is the canonical
 // implementation; the fleet scheduler accepts any Region so its isolation
 // properties are testable against fakes.
-//
-// Region embeds chaos.ControlPlane (Healthy, ConvergedNow, RepairNow), so
-// every Region can also be driven through fleet-coordinated chaos cycles.
 type Region interface {
-	chaos.ControlPlane
-
 	// Step runs one control-loop iteration and reports whether the
 	// region's traffic feed is exhausted.
 	Step() (done bool)
 	// ProbeOnce probes device health and advances breaker state.
 	ProbeOnce()
+	// Healthy reports whether every device breaker is closed.
+	Healthy() bool
+	// ConvergedNow reports whether the region is healthy, repaired and
+	// serving the latest allocation.
+	ConvergedNow() bool
 	// Status snapshots the region for aggregation.
 	Status() Status
 	// Demand returns the region's last-converged demand aggregate for the

@@ -5,6 +5,7 @@
 package fleet_test
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -127,10 +128,10 @@ func runFleetE2E(t *testing.T, n int, seed int64) (*fleet.Fleet, *fakeClock) {
 	}
 	outcomes := make(chan []fleet.StormOutcome, 1)
 	go func() {
-		outcomes <- f.Storm(fleet.StormConfig{
+		outcomes <- f.Storm(context.Background(), fleet.StormConfig{
 			Regions: []string{victim},
 			Seed:    seed,
-			Cycle:   fleet.CycleOptions{Pump: pump, Timeout: time.Minute},
+			Cycle:   daemon.CycleOptions{Pump: pump, Timeout: time.Minute},
 		})
 	}()
 	waitBusy := func(want bool) {

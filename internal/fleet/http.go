@@ -24,8 +24,8 @@ import (
 //	                       (?n= bounds rows per region, default 10)
 //	POST /chaos          — run a correlated storm: ?k=2&seed=7&cuts=1
 //	                       [&region=r003&region=r007] [&timeout=30s];
-//	                       blocks until every cycle completes and
-//	                       returns the outcomes as JSON
+//	                       blocks until every cycle completes (or the
+//	                       client goes) and returns the outcomes as JSON
 //	*    /regions/{id}/… — reverse-proxy to region id's own debug
 //	                       surface (its /metrics, /status, /debug/chaos,
 //	                       flight recorder, …)
@@ -117,7 +117,7 @@ func (f *Fleet) Handler() http.Handler {
 				return
 			}
 		}
-		writeJSON(w, f.Storm(cfg))
+		writeJSON(w, f.Storm(r.Context(), cfg))
 	})
 	mux.HandleFunc("/regions/", func(w http.ResponseWriter, r *http.Request) {
 		rest := strings.TrimPrefix(r.URL.Path, "/regions/")

@@ -39,14 +39,13 @@ func (f *fakeRegion) Step() bool {
 	f.steps.Add(1)
 	return false
 }
-func (f *fakeRegion) ProbeOnce()                      {}
-func (f *fakeRegion) Healthy() bool                   { return f.healthy.Load() }
-func (f *fakeRegion) ConvergedNow() bool              { return f.converged.Load() }
-func (f *fakeRegion) RepairNow(context.Context) error { return nil }
-func (f *fakeRegion) Status() daemon.Status           { return daemon.Status{Healthy: f.healthy.Load()} }
-func (f *fakeRegion) Registry() *telemetry.Registry   { return f.reg }
-func (f *fakeRegion) Handler() http.Handler           { return http.NotFoundHandler() }
-func (f *fakeRegion) History() *history.Lake          { return nil }
+func (f *fakeRegion) ProbeOnce()                    {}
+func (f *fakeRegion) Healthy() bool                 { return f.healthy.Load() }
+func (f *fakeRegion) ConvergedNow() bool            { return f.converged.Load() }
+func (f *fakeRegion) Status() daemon.Status         { return daemon.Status{Healthy: f.healthy.Load()} }
+func (f *fakeRegion) Registry() *telemetry.Registry { return f.reg }
+func (f *fakeRegion) Handler() http.Handler         { return http.NotFoundHandler() }
+func (f *fakeRegion) History() *history.Lake        { return nil }
 func (f *fakeRegion) Demand() (daemon.DemandSummary, bool) {
 	return daemon.DemandSummary{Total: 10}, true
 }

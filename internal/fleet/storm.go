@@ -1,37 +1,26 @@
 package fleet
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"sync"
-	"time"
 
 	"iris/internal/chaos"
+	"iris/internal/daemon"
 )
 
-// CycleOptions tunes one fleet-coordinated chaos cycle.
-type CycleOptions struct {
-	// Pump advances the pinned region between condition checks. Nil uses
-	// the live pump: probe the region (the scheduler won't — the region
-	// is busy for the cycle's whole duration) and sleep PollInterval.
-	// Tests pass a pump that also advances a fake clock.
-	Pump func()
-	// PollInterval paces the default pump (default 50ms).
-	PollInterval time.Duration
-	// Timeout bounds each cycle phase (default 30s).
-	Timeout time.Duration
-}
-
 // runChaosCycle pins region id busy and drives it through one full
-// inject→detect→restore→heal→replan→settle cycle. While pinned, the
-// scheduler skips the region — its siblings keep converging untouched —
-// and the cycle's own pump advances the region instead. The cycle is
-// journaled as a fleet-chaos span on the fleet tracer; the detailed
-// chaos-cycle span tree lands on the region's own recorder.
+// inject→detect→restore→heal→replan→settle cycle
+// (daemon.Daemon.ChaosCycle). While pinned, the scheduler skips the
+// region — its siblings keep converging untouched — and the cycle's own
+// pump advances the region instead. The cycle is journaled as a
+// fleet-chaos span on the fleet tracer; the detailed chaos-cycle span
+// tree lands on the region's own recorder.
 //
 // It fails fast if the region is unknown, has no chaos injector armed,
 // or is already busy (a cycle or dispatch owns it).
-func (f *Fleet) runChaosCycle(id string, sc chaos.Scenario, opt CycleOptions) (*chaos.CycleResult, error) {
+func (f *Fleet) runChaosCycle(ctx context.Context, id string, sc chaos.Scenario, opt daemon.CycleOptions) (*daemon.CycleResult, error) {
 	m := f.member(id)
 	if m == nil {
 		return nil, fmt.Errorf("fleet: unknown region %q", id)
@@ -44,34 +33,11 @@ func (f *Fleet) runChaosCycle(id string, sc chaos.Scenario, opt CycleOptions) (*
 	}
 	defer m.busy.Store(false)
 
-	poll := opt.PollInterval
-	if poll <= 0 {
-		poll = 50 * time.Millisecond
-	}
-	pump := opt.Pump
-	if pump == nil {
-		pump = func() {
-			m.r.ProbeOnce()
-			time.Sleep(poll)
-		}
-	}
-
 	sp := f.tracer.Start(f.tracer.NextID(), "fleet-chaos")
 	sp.SetDevice(id)
 	sp.SetAttr(sc.Name)
 	f.log.Info("chaos cycle start", "region", id, "scenario", sc.Name)
-	cc := chaos.CycleConfig{
-		Scenario:     sc,
-		CP:           m.r,
-		Pump:         pump,
-		PollInterval: poll,
-		Timeout:      opt.Timeout,
-		History:      m.r.History(),
-	}
-	if m.built.Daemon != nil {
-		cc.Books = m.built.Daemon.HistoryBooks
-	}
-	res, err := m.built.Injector.RunCycle(cc)
+	res, err := m.built.Daemon.ChaosCycle(ctx, sc, opt)
 	if err != nil {
 		f.chaosFailures.Inc()
 		sp.Fail(err)
@@ -103,22 +69,22 @@ type StormConfig struct {
 	// Cuts is the number of ducts severed per region (default 1).
 	Cuts int
 	// Cycle tunes every cycle in the storm.
-	Cycle CycleOptions
+	Cycle daemon.CycleOptions
 }
 
 // StormOutcome is one region's result in a storm.
 type StormOutcome struct {
-	Region string             `json:"region"`
-	Result *chaos.CycleResult `json:"result,omitempty"`
-	Error  string             `json:"error,omitempty"`
+	Region string              `json:"region"`
+	Result *daemon.CycleResult `json:"result,omitempty"`
+	Error  string              `json:"error,omitempty"`
 }
 
 // Storm runs a correlated multi-region chaos event: every targeted
 // region is pinned and driven through a full failure-recovery cycle
 // concurrently. Outcomes are ordered by region id order of the targets;
 // a region that is busy or chaos-less reports an error outcome rather
-// than failing the storm.
-func (f *Fleet) Storm(cfg StormConfig) []StormOutcome {
+// than failing the storm. Cancelling ctx fails every cycle still waiting.
+func (f *Fleet) Storm(ctx context.Context, cfg StormConfig) []StormOutcome {
 	targets := cfg.Regions
 	if len(targets) == 0 {
 		k := cfg.K
@@ -158,7 +124,7 @@ func (f *Fleet) Storm(cfg StormConfig) []StormOutcome {
 		wg.Add(1)
 		go func(i int, id string, sc chaos.Scenario) {
 			defer wg.Done()
-			res, err := f.runChaosCycle(id, sc, cfg.Cycle)
+			res, err := f.runChaosCycle(ctx, id, sc, cfg.Cycle)
 			if err != nil {
 				out[i].Error = err.Error()
 				return

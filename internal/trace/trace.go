@@ -158,14 +158,6 @@ func (s *Span) Child(name string) *Span {
 	return &Span{t: s.t, trace: s.trace, id: s.t.ids.Add(1), parent: s.id, name: name, start: time.Now()}
 }
 
-// TraceID returns the span's trace ID (0 for a nil span).
-func (s *Span) TraceID() uint64 {
-	if s == nil {
-		return 0
-	}
-	return s.trace
-}
-
 // SetDevice attributes the span to a device agent.
 func (s *Span) SetDevice(device string) {
 	if s == nil {
