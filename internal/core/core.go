@@ -14,6 +14,9 @@
 //
 //	st, err := dep.AllocateState(trafficMatrix)
 //	undo, stats, err := dep.AllocateDelta(st, delta)   // re-solves only changed pairs
+//
+// A Policy decides which allocation each shift commits: PerShift runs
+// that path, robust.Policy the envelope rule.
 package core
 
 import (

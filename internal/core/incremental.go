@@ -121,9 +121,6 @@ func (st *AllocState) demandMatrix() *traffic.Matrix {
 	return m
 }
 
-// Deployment returns the deployment the state allocates against.
-func (st *AllocState) Deployment() *Deployment { return st.dep }
-
 // DeltaStats describes how one AllocateDelta was solved.
 type DeltaStats struct {
 	// Incremental is true when the delta path ran; false when the engine

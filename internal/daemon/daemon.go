@@ -106,8 +106,9 @@ type Config struct {
 	// Robust, when set, switches the converge loop from per-shift deltas
 	// to METTEOR-style robust planning: one envelope allocation covers a
 	// window of matrices and reconfiguration is skipped while the live
-	// demand stays inside it (see internal/robust).
-	Robust *robustPolicy
+	// demand stays inside it (see robust.Policy). Zero fields select the
+	// defaults.
+	Robust *robust.Config
 }
 
 // Daemon is the regional control loop. Construct with New, drive with Run
@@ -126,10 +127,12 @@ type Daemon struct {
 	// collide between the daemon and other instrumented subsystems).
 	fallbackID atomic.Uint64
 
-	// robustWin captures the recent matrices a robust envelope is solved
-	// over (nil without a robustPolicy). Only the converge path touches
-	// it, which Step serialises.
-	robustWin *traffic.Window
+	// policy decides which allocation each shift commits: robust when
+	// Config.Robust arms the envelope rule, else a core.PerShift. Only the
+	// converge path calls Shift, which Step serialises; Adopt runs under
+	// mu with the commit it belongs to.
+	policy core.Policy
+	robust *robust.Policy
 
 	// mu guards the control-loop state below. The fabric pointed to by fab
 	// is never mutated while installed — changes are compiled on clones —
@@ -139,12 +142,7 @@ type Daemon struct {
 	fab     *fabric.Fabric
 	lkg     core.Allocation // last-known-good allocation
 	haveLKG bool
-	// allocState is the incremental allocator's retained books; lastMatrix
-	// is the demand those books satisfy. converge diffs each new matrix
-	// against lastMatrix and hands core.AllocateDelta the sparse update,
-	// re-solving the whole region only on the first convergence, after a
-	// deployment swap, or when the delta cascade trips the fallback.
-	allocState  *core.AllocState
+	// lastMatrix is the demand the region last settled on.
 	lastMatrix  *traffic.Matrix
 	pending     *traffic.Matrix // shift taken from the feed, not yet applied
 	needRepair  bool            // devices may have diverged from intent
@@ -157,12 +155,6 @@ type Daemon struct {
 	// change the devices accepted — the handle for
 	// /debug/events?reconfig=<id>.
 	lastReconfigID uint64
-	// robustRes is the committed envelope solve in robust mode (nil until
-	// the first robust plan, and always nil otherwise); robustInEnvN /
-	// robustEscapeN mirror the iris_robust_* counters for /status.
-	robustRes     *robust.Result
-	robustInEnvN  uint64
-	robustEscapeN uint64
 	// read is the committed state as the topology API reads it: built by
 	// the first read after a change (topoSnapshot), shared by every read
 	// until the next, and dropped by settleLocked.
@@ -206,7 +198,7 @@ type metricsSet struct {
 	chaosCycleFails *telemetry.Counter
 	chaosDetect     *telemetry.Histogram
 	chaosRepair     *telemetry.Histogram
-	// Robust-mode series, registered only when a robustPolicy is armed so
+	// Robust-mode series, registered only when the envelope rule is armed so
 	// non-robust scrapes stay clean.
 	robustInEnv    *telemetry.Counter
 	robustEscapes  *telemetry.Counter
@@ -249,10 +241,6 @@ func New(cfg Config) (*Daemon, error) {
 	if cfg.BackoffMax <= 0 {
 		cfg.BackoffMax = 30 * time.Second
 	}
-	if cfg.Robust != nil {
-		pol := cfg.Robust.withDefaults()
-		cfg.Robust = &pol
-	}
 	d := &Daemon{
 		cfg:    cfg,
 		ctl:    cfg.Controller,
@@ -275,8 +263,10 @@ func New(cfg Config) (*Daemon, error) {
 	d.log = d.log.With("component", "daemon")
 	d.rng = rand.New(rand.NewSource(cfg.Seed))
 	d.health = make(map[string]*deviceHealth)
+	d.policy = &core.PerShift{}
 	if cfg.Robust != nil {
-		d.robustWin = traffic.NewWindow(cfg.Robust.Window)
+		d.robust = robust.NewPolicy(*cfg.Robust)
+		d.policy = d.robust
 	}
 	d.initMetrics()
 	for _, name := range d.ctl.Devices() {
@@ -434,88 +424,52 @@ func (d *Daemon) nextTraceID() uint64 {
 	return d.fallbackID.Add(1)
 }
 
-// converge allocates circuits for the matrix and executes the change that
-// moves the devices there, transactionally against a fabric clone. Every
-// device reconfiguration gets a reconfig ID: the root span of a trace
-// that is threaded through the controller's phases, the closing audit,
-// and any breaker penalty the failure attribution produces.
-//
-// Allocation is incremental: the daemon diffs the matrix against the one
-// its retained AllocState satisfies and re-solves only the changed pairs.
-// A from-scratch solve runs on the first convergence, after the fabric's
-// deployment is swapped out from under the state, or when the delta
-// cascade trips core's fallback threshold. If the devices reject the
-// change, the delta is rolled back so the books keep matching the
-// last-known-good intent the repair pass restores.
+// converge asks the policy which allocation the matrix commits and, when
+// it differs from the committed one, executes the change that moves the
+// devices there. An unchanged outcome only settles: per shift, a delta
+// that left the circuits alone; in robust mode, a shift the committed
+// envelope absorbed or a re-plan onto the same circuits.
 func (d *Daemon) converge(tm *traffic.Matrix) error {
-	if d.cfg.Robust != nil {
-		return d.convergeRobust(tm)
-	}
 	d.mu.Lock()
-	fab, lkg, haveLKG := d.fab, d.lkg, d.haveLKG
-	st, last := d.allocState, d.lastMatrix
+	dep, step := d.fab.Deployment(), d.steps
 	d.mu.Unlock()
 
-	dep := fab.Deployment()
-	var (
-		undo  core.Undo
-		stats core.DeltaStats
-	)
-	if st != nil && last != nil && st.Deployment() == dep {
-		u, s, err := dep.AllocateDelta(st, traffic.DiffMatrices(last, tm))
-		if err != nil {
-			// The demand is infeasible for the planned region: drop the
-			// shift and keep serving the last-known-good allocation. An
-			// infeasible delta leaves the books untouched.
-			d.m.allocFailures.Inc()
-			d.dropPending()
-			return fmt.Errorf("allocate: %w", err)
-		}
-		undo, stats = u, s
-	} else {
-		ns, err := dep.AllocateState(tm)
-		if err != nil {
-			d.m.allocFailures.Inc()
-			d.dropPending()
-			return fmt.Errorf("allocate: %w", err)
-		}
-		st = ns
-		stats = core.DeltaStats{FallbackReason: "full solve", PairsResolved: len(dep.Plan.Paths)}
+	out, err := d.policy.Shift(dep, tm, step)
+	trig := d.noteEnvelope()
+	if err != nil {
+		// The demand is infeasible for the planned region: drop the shift
+		// and keep serving the last-known-good allocation.
+		d.m.allocFailures.Inc()
+		d.dropPending()
+		return err
 	}
-	if stats.Incremental {
-		d.m.allocIncremental.Inc()
-	} else {
-		d.m.allocFallback.Inc()
+	if s := out.Stats; s != nil {
+		if s.Incremental {
+			d.m.allocIncremental.Inc()
+		} else {
+			d.m.allocFallback.Inc()
+		}
+		d.m.allocPairs.Observe(float64(s.PairsResolved))
 	}
-	d.m.allocPairs.Observe(float64(stats.PairsResolved))
-
-	// Snapshot decouples the published allocation from the live books,
-	// which the next delta mutates in place.
-	alloc := st.Snapshot()
-	if haveLKG && alloc.Equal(lkg) {
+	if !out.Changed {
 		d.mu.Lock()
-		d.settleLocked(st, tm)
+		d.settleLocked(tm)
 		d.mu.Unlock()
 		return nil
 	}
-
-	attr := fmt.Sprintf("incremental=%v pairs_resolved=%d pairs_revalidated=%d ducts_touched=%d",
-		stats.Incremental, stats.PairsResolved, stats.PairsRevalidated, stats.DuctsTouched)
-	return d.commitChange(tm, st, alloc, undo, history.TriggerConverge, attr, nil)
+	return d.commitChange(tm, out, trig)
 }
 
 // commitChange executes the drained reconfiguration that moves the
-// devices onto alloc, transactionally against a fabric clone, and records
-// it in the history lake under trig. On success st becomes the retained
-// allocator books and tm the demand they satisfy; undo reverts the books
-// when the devices reject the change (pass the zero Undo for a freshly
-// solved state — nothing to revert). compileAttr annotates the compile
-// span; onCommit, when non-nil, runs inside the commit critical section
-// so policy state (e.g. the robust envelope) swaps atomically with the
-// fabric. It is the shared tail of the per-shift and robust converge
-// paths.
-func (d *Daemon) commitChange(tm *traffic.Matrix, st *core.AllocState, alloc core.Allocation,
-	undo core.Undo, trig history.Trigger, compileAttr string, onCommit func()) error {
+// devices onto the outcome's allocation, transactionally against a fabric
+// clone, and records it in the history lake under trig. Every change gets
+// a reconfig ID: the root span of a trace threaded through the
+// controller's phases, the closing audit, and any breaker penalty the
+// failure attribution produces. On success the policy adopts the outcome
+// in the critical section that swaps the fabric (settleLocked); when the
+// devices reject the change, the outcome's Undo rolls the policy's books
+// back to the last-known-good intent the repair pass restores.
+func (d *Daemon) commitChange(tm *traffic.Matrix, out core.Outcome, trig history.Trigger) error {
 	d.mu.Lock()
 	fab, lkg, haveLKG := d.fab, d.lkg, d.haveLKG
 	last := d.lastMatrix
@@ -537,11 +491,11 @@ func (d *Daemon) commitChange(tm *traffic.Matrix, st *core.AllocState, alloc cor
 	ctx := trace.ContextWith(context.Background(), root)
 
 	csp := root.Child("compile")
-	csp.SetAttr(compileAttr)
+	csp.SetAttr(out.Attr)
 	clone := fab.Clone()
-	ch, err := clone.CompileTarget(alloc)
+	ch, err := clone.CompileTarget(out.Alloc)
 	if err != nil {
-		undo.Rollback()
+		out.Undo.Rollback()
 		csp.Fail(err)
 		csp.Finish()
 		root.Fail(err)
@@ -557,7 +511,7 @@ func (d *Daemon) commitChange(tm *traffic.Matrix, st *core.AllocState, alloc cor
 		// as intent (the clone is discarded, the delta rolled back),
 		// penalise the culprit, and reconcile once the region is healthy
 		// again.
-		undo.Rollback()
+		out.Undo.Rollback()
 		d.m.reconfigFailures.Inc()
 		d.penalizeIn(id, err)
 		d.mu.Lock()
@@ -579,13 +533,10 @@ func (d *Daemon) commitChange(tm *traffic.Matrix, st *core.AllocState, alloc cor
 
 	d.mu.Lock()
 	d.fab = clone
-	d.lkg = alloc
+	d.lkg = out.Alloc
 	d.haveLKG = true
 	d.lastReconfigID = id
-	if onCommit != nil {
-		onCommit()
-	}
-	d.settleLocked(st, tm)
+	d.settleLocked(tm)
 	d.mu.Unlock()
 	d.m.circuits.Set(float64(clone.CircuitCount()))
 	log.Info("converged", "ops", ops, "total", rep.Total.Round(time.Microsecond))
@@ -594,7 +545,7 @@ func (d *Daemon) commitChange(tm *traffic.Matrix, st *core.AllocState, alloc cor
 	monitor := d.cfg.FlowMonitor != nil && haveLKG
 	var pairs []core.PairDelta
 	if monitor || d.cfg.History != nil {
-		pairs = core.DiffAlloc(lkg, alloc)
+		pairs = core.DiffAlloc(lkg, out.Alloc)
 	}
 	if monitor {
 		// Replay the committed change as capacity dips and measure the
@@ -603,7 +554,7 @@ func (d *Daemon) commitChange(tm *traffic.Matrix, st *core.AllocState, alloc cor
 		// and its flow impact side by side.
 		fsp := root.Child("flowsim-impact")
 		imp, ferr := d.cfg.FlowMonitor.ObserveReconfig(
-			id, alloc, dep.Region.Lambda, core.Moves(pairs), rep.Total.Seconds())
+			id, out.Alloc, dep.Region.Lambda, core.Moves(pairs), rep.Total.Seconds())
 		if ferr != nil {
 			fsp.Fail(ferr)
 			log.Warn("flow-impact simulation failed", "err", ferr)
@@ -732,13 +683,15 @@ func (d *Daemon) runAudit(ctx context.Context, traceID uint64, exp control.Expec
 	return nil
 }
 
-// settleLocked records that the region serves tm from the books st: the
-// pending shift is taken, the allocation is fresh, and the read snapshot
-// is dropped, so the next read sees tm and whatever else the caller
-// changed under the same lock (lkg, the fabric, robustRes). Every change
-// to the committed state ends here. Callers hold d.mu.
-func (d *Daemon) settleLocked(st *core.AllocState, tm *traffic.Matrix) {
-	d.allocState, d.lastMatrix = st, tm
+// settleLocked records that the region serves tm: the policy adopts the
+// shift's outcome, the pending shift is taken, the allocation is fresh,
+// and the read snapshot is dropped, so the next read sees tm, the adopted
+// envelope and whatever else the caller changed under the same lock (lkg,
+// the fabric). Every change to the committed state ends here. Callers
+// hold d.mu.
+func (d *Daemon) settleLocked(tm *traffic.Matrix) {
+	d.policy.Adopt()
+	d.lastMatrix = tm
 	d.pending = nil
 	d.lastGoodAt = d.now()
 	d.read = nil

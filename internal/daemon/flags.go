@@ -40,7 +40,6 @@ func (c *RegionConfig) RegisterFlags(fs *flag.FlagSet) {
 	fs.IntVar(&c.RobustWindow, "robust-window", c.RobustWindow, "recent matrices the robust envelope is solved over")
 	fs.Float64Var(&c.RobustHeadroom, "robust-headroom", c.RobustHeadroom, "robust envelope inflation factor (≥ 1)")
 	fs.IntVar(&c.RobustForecast, "robust-forecast", c.RobustForecast, "change-process forecast steps added to the robust envelope set (0 disables)")
-	fs.IntVar(&c.RobustBudget, "robust-budget", c.RobustBudget, "max solve/tighten iterations per robust envelope")
 
 	p := &c.Profile
 	fs.Float64Var(&p.DiurnalAmp, "diurnal-amp", p.DiurnalAmp, "diurnal swing amplitude in [0,1) applied to traffic and -flow-load arrivals (0 disables)")

@@ -93,8 +93,10 @@ func (d *Daemon) topoSnapshot() *topoapi.Snapshot {
 	if d.lastMatrix != nil {
 		d.read.Demand = topoapi.SortedDemand(d.lastMatrix.Demand)
 	}
-	if d.robustRes != nil {
-		d.read.Robust = d.robustRes.Envelope
+	if d.robust != nil {
+		if res := d.robust.Tally().Committed; res != nil {
+			d.read.Robust = res.Envelope
+		}
 	}
 	return d.read
 }

@@ -72,8 +72,8 @@ type Status struct {
 	// observed one).
 	FlowImpact *flowsim.Impact `json:"flow_impact,omitempty"`
 
-	// Robust is the robust-mode envelope block (absent unless a
-	// robustPolicy is armed).
+	// Robust is the robust-mode envelope block (absent unless
+	// Config.Robust arms the envelope rule).
 	Robust *RobustStatus `json:"robust,omitempty"`
 }
 

@@ -27,15 +27,38 @@ func fullSolve(t *testing.T, rig *fabric.Rig, tm *traffic.Matrix) core.Allocatio
 	return want
 }
 
-// books snapshots the daemon's incremental allocator state and its
-// last-known-good allocation.
+// bookKeeper wraps a daemon's policy to hold on to the allocator books
+// it adopts, which the policy keeps to itself.
+type bookKeeper struct {
+	core.Policy
+	next, adopted *core.AllocState
+}
+
+func (k *bookKeeper) Shift(dep *core.Deployment, tm *traffic.Matrix, step int) (core.Outcome, error) {
+	out, err := k.Policy.Shift(dep, tm, step)
+	k.next = out.State
+	return out, err
+}
+
+func (k *bookKeeper) Adopt() {
+	k.Policy.Adopt()
+	k.adopted = k.next
+}
+
+// keepBooks wraps d's policy in a bookKeeper; call it before the first
+// Step.
+func keepBooks(d *Daemon) { d.policy = &bookKeeper{Policy: d.policy} }
+
+// books snapshots the books d's policy adopted (kept since keepBooks) and
+// its last-known-good allocation.
 func books(d *Daemon) (state, lkg core.Allocation, have bool) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if d.allocState == nil {
+	st := d.policy.(*bookKeeper).adopted
+	if st == nil {
 		return core.Allocation{}, d.lkg, false
 	}
-	return d.allocState.Snapshot(), d.lkg, true
+	return st.Snapshot(), d.lkg, true
 }
 
 // TestDaemonIncrementalConvergence drives three shifts and checks that the
@@ -60,6 +83,7 @@ func TestDaemonIncrementalConvergence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	keepBooks(d)
 	for i, tm := range mats {
 		if done := d.Step(); done {
 			t.Fatalf("feed exhausted after %d shifts", i)
@@ -114,6 +138,7 @@ func TestDaemonCoalescesBurst(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	keepBooks(d)
 
 	// Step 1 drains shifts 1-3 and converges on shift 3 only.
 	if done := d.Step(); done {
@@ -170,6 +195,7 @@ func TestDaemonIncrementalRollbackOnFailure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	keepBooks(d)
 
 	d.ProbeOnce()
 	d.Step() // shift 1, clean
@@ -270,6 +296,7 @@ func TestDaemonIncrementalChaosHeal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	keepBooks(d)
 
 	d.ProbeOnce()
 	d.Step()

@@ -13,6 +13,7 @@ import (
 	"iris/internal/core"
 	"iris/internal/hose"
 	"iris/internal/plan"
+	"iris/internal/robust"
 	"iris/internal/traffic"
 )
 
@@ -62,7 +63,11 @@ func checkReads(t *testing.T, d *Daemon, h http.Handler) {
 		t.Fatalf("two reads between commits got snapshots %p and %p, want one", a, b)
 	}
 	d.mu.Lock()
-	dep, res, live := d.fab.Deployment(), d.robustRes, d.lastMatrix
+	dep, live := d.fab.Deployment(), d.lastMatrix
+	var res *robust.Result
+	if d.robust != nil {
+		res = d.robust.Tally().Committed
+	}
 	d.mu.Unlock()
 	alloc, _ := d.CommittedAlloc()
 	fibers, residual := core.Occupancy(dep, alloc)
@@ -166,7 +171,7 @@ func TestReadsFollowCommits(t *testing.T) {
 	}
 	for _, tc := range []struct {
 		name   string
-		robust *robustPolicy
+		robust *robust.Config
 		shifts []shift
 	}{
 		{"per-shift", nil, []shift{
@@ -176,7 +181,7 @@ func TestReadsFollowCommits(t *testing.T) {
 		}},
 		// Headroom 1 makes the envelope the window's maximum, so a small
 		// escape re-plans onto the same circuits.
-		{"robust", &robustPolicy{Window: 4, Headroom: 1}, []shift{
+		{"robust", &robust.Config{Window: 4, Headroom: 1}, []shift{
 			{60.5, 45, true, "first envelope"},
 			{60.2, 44, false, "a shift inside the envelope"},
 			{60.6, 45, false, "an escape re-planned onto the same circuits"},
@@ -231,50 +236,62 @@ func TestReadsFollowCommits(t *testing.T) {
 	}
 }
 
-// TestReadsDuringSteps races reads of every kind against Step; under
-// go test -race it holds the snapshot hand-off to one lock.
+// TestReadsDuringSteps races reads of every kind against Step, in both
+// policies; under go test -race it holds the snapshot hand-off to one
+// lock and the envelope policy's tally to its own.
 func TestReadsDuringSteps(t *testing.T) {
-	rig := toyRig(t, nil)
-	d, err := New(Config{Fab: rig.Fab, Controller: rig.Testbed.Controller, Feed: newRedrawFeed(rig, 3), Logger: testLogger(t)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	h := d.Handler()
-	dcs := rig.Dep.Region.Map.DCs()
-	urls := []string{
-		fmt.Sprintf("/api/paths?from=%d&to=%d", dcs[0], dcs[1]),
-		"/api/critical?k=2",
-		"/api/whatif?scenario=cut:0",
-		"/status",
-		"/healthz",
-	}
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	for g := 0; g < 2; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				for _, u := range urls {
-					w := httptest.NewRecorder()
-					h.ServeHTTP(w, httptest.NewRequest(http.MethodGet, u, nil))
-					if w.Code != http.StatusOK && w.Code != http.StatusServiceUnavailable {
-						t.Errorf("GET %s = %d: %s", u, w.Code, w.Body)
-						return
-					}
-				}
+	for _, tc := range []struct {
+		name   string
+		robust *robust.Config
+	}{{"per-shift", nil}, {"robust", &robust.Config{}}} {
+		t.Run(tc.name, func(t *testing.T) {
+			rig := toyRig(t, nil)
+			d, err := New(Config{Fab: rig.Fab, Controller: rig.Testbed.Controller, Feed: newRedrawFeed(rig, 3),
+				Logger: testLogger(t), Robust: tc.robust})
+			if err != nil {
+				t.Fatal(err)
 			}
-		}()
+			h := d.Handler()
+			dcs := rig.Dep.Region.Map.DCs()
+			urls := []string{
+				fmt.Sprintf("/api/paths?from=%d&to=%d", dcs[0], dcs[1]),
+				"/api/critical?k=2",
+				"/api/whatif?scenario=cut:0",
+				"/status",
+				"/healthz",
+			}
+			if tc.robust != nil {
+				urls = append(urls, "/api/whatif?audit=envelope")
+			}
+			stop := make(chan struct{})
+			var wg sync.WaitGroup
+			for g := 0; g < 2; g++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for {
+						select {
+						case <-stop:
+							return
+						default:
+						}
+						for _, u := range urls {
+							w := httptest.NewRecorder()
+							h.ServeHTTP(w, httptest.NewRequest(http.MethodGet, u, nil))
+							if w.Code != http.StatusOK && w.Code != http.StatusServiceUnavailable {
+								t.Errorf("GET %s = %d: %s", u, w.Code, w.Body)
+								return
+							}
+						}
+					}
+				}()
+			}
+			d.ProbeOnce()
+			for i := 0; i < 30; i++ {
+				d.Step()
+			}
+			close(stop)
+			wg.Wait()
+		})
 	}
-	d.ProbeOnce()
-	for i := 0; i < 30; i++ {
-		d.Step()
-	}
-	close(stop)
-	wg.Wait()
 }

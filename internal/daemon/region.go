@@ -147,14 +147,14 @@ type RegionConfig struct {
 
 	// Robust arms METTEOR-style robust reconfiguration: one envelope
 	// allocation covers a window of matrices and reconfiguration is
-	// skipped while the live demand stays inside it. A zero RobustWindow,
-	// RobustHeadroom or RobustBudget selects the policy's default (4,
-	// 1.15, 8); a zero RobustForecast adds no forecast steps.
+	// skipped while the live demand stays inside it. The other three
+	// fill robust.Config's Window, Headroom and Forecast (zero selects
+	// robust.DefaultConfig's 4, 1.15 and no forecast); the forecast
+	// branch rolls the feed's own change process.
 	Robust         bool
 	RobustWindow   int
 	RobustHeadroom float64
 	RobustForecast int
-	RobustBudget   int
 
 	// FlowLoad arms the flow-impact monitor; a zero FlowUtil, FlowWindow
 	// or FlowGbps selects the monitor's default.
@@ -198,10 +198,9 @@ func DefaultRegionConfig() RegionConfig {
 		Util:           0.7,
 		TraceEvents:    4096,
 		HistoryRecords: 512,
-		RobustWindow:   defaultRobustWindow,
+		RobustWindow:   rb.Window,
 		RobustHeadroom: rb.Headroom,
 		RobustForecast: 2,
-		RobustBudget:   rb.Budget,
 		FlowDist:       "web2",
 		FlowUtil:       0.6,
 		FlowWindow:     4 * time.Second,
@@ -350,15 +349,14 @@ func BuildRegion(cfg RegionConfig) (*BuiltRegion, error) {
 		}
 	}
 
-	var pol *robustPolicy
+	var pol *robust.Config
 	if cfg.Robust {
-		pol = &robustPolicy{
+		pol = &robust.Config{
 			Window:   cfg.RobustWindow,
+			Headroom: cfg.RobustHeadroom,
 			Forecast: cfg.RobustForecast,
 			CP:       traffic.ChangeProcess{Bound: cfg.ShiftBound, Caps: caps, Util: cfg.Util},
 			Seed:     cfg.Seed + 4,
-			Headroom: cfg.RobustHeadroom,
-			Budget:   cfg.RobustBudget,
 		}
 	}
 

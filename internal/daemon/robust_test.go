@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"iris/internal/history"
+	"iris/internal/robust"
 	"iris/internal/telemetry"
 	"iris/internal/traffic"
 )
@@ -36,7 +37,7 @@ func TestRobustModeSkipsAndEscapes(t *testing.T) {
 		History:    lake,
 		// Forecast 0 keeps the envelope a pure function of the replayed
 		// window, so every assertion below is deterministic.
-		Robust: &robustPolicy{Window: 4, Headroom: 1.15, Forecast: 0},
+		Robust: &robust.Config{Window: 4, Headroom: 1.15, Forecast: 0},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -176,5 +177,33 @@ func TestRobustDisabledSurface(t *testing.T) {
 	res.Body.Close()
 	if res.StatusCode != 404 {
 		t.Errorf("envelope audit without robust mode = %d, want 404", res.StatusCode)
+	}
+}
+
+// TestRobustPairsResolvedIsFullSolve: an envelope solve is a full solve
+// over the planned pairs, so the first robust plan observes what a
+// per-shift full solve does, len(Plan.Paths), not one entry per circuit
+// map row.
+func TestRobustPairsResolvedIsFullSolve(t *testing.T) {
+	rig := toyRig(t, nil)
+	reg := telemetry.NewRegistry()
+	d, err := New(Config{
+		Fab:        rig.Fab,
+		Controller: rig.Testbed.Controller,
+		Feed:       traffic.NewReplay(toyMatrix(rig, 60, 45)),
+		Registry:   reg,
+		Logger:     testLogger(t),
+		Robust:     &robust.Config{},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d.ProbeOnce()
+	d.Step()
+	if got := counterValue(t, reg, "iris_alloc_pairs_resolved_count"); got != 1 {
+		t.Fatalf("iris_alloc_pairs_resolved has %v observations after the first plan, want 1", got)
+	}
+	if got, want := counterValue(t, reg, "iris_alloc_pairs_resolved_sum"), float64(len(rig.Dep.Plan.Paths)); got != want {
+		t.Errorf("the first envelope solve resolved %v pairs, want the %v planned pairs", got, want)
 	}
 }

@@ -15,11 +15,12 @@ import (
 // The robust ablation is the METTEOR question asked of this region
 // design: how much reconfiguration churn does a single envelope
 // allocation buy off, and what does that cost in overprovisioned
-// capacity? Each cell replays one seeded §6.3 change process through two
-// control policies over the SAME matrix sequence — per-shift incremental
-// deltas (the daemon's default) versus a robust envelope that only
-// re-plans on escape — and charges every committed change with the
-// flow-level impact monitor (p99 FCT slowdown, stranded bytes).
+// capacity? Each cell replays one seeded §6.3 change process through the
+// two policies irisd runs, over the SAME matrix sequence — per-shift
+// incremental deltas (core.PerShift, the daemon's default) versus a
+// robust envelope that only re-plans on escape (robust.Policy) — and
+// charges every committed change with the flow-level impact monitor (p99
+// FCT slowdown, stranded bytes).
 
 // RobustAblationConfig drives RobustAblation.
 type RobustAblationConfig struct {
@@ -33,9 +34,8 @@ type RobustAblationConfig struct {
 	Bounds []float64
 	// Util is the per-DC utilization of the base matrix.
 	Util float64
-	// Headroom and Budget mirror robust.Config (zero selects defaults).
+	// Headroom is robust.Config's (zero selects its default).
 	Headroom float64
-	Budget   int
 	// DrainS is the charged drain duration per committed change.
 	DrainS float64
 }
@@ -47,7 +47,7 @@ func DefaultRobustAblation() RobustAblationConfig {
 		Seed: 1, Steps: 30,
 		Windows: []int{2, 4, 8},
 		Bounds:  []float64{0.2, 0.6},
-		Util:    0.5, Headroom: 1.15, Budget: 8,
+		Util:    0.5, Headroom: 1.15,
 		DrainS: 0.070,
 	}
 }
@@ -84,34 +84,26 @@ func RobustAblation(cfg RobustAblationConfig) ([]RobustAblationRow, error) {
 	if cfg.DrainS <= 0 {
 		cfg.DrainS = 0.070
 	}
-	r := fibermap.Toy()
-	caps := make(map[int]int)
-	for _, dc := range r.Map.DCs() {
-		caps[dc] = 10
-	}
-	dep, err := core.Plan(core.Region{Map: r.Map, Capacity: caps, Lambda: 40}, core.DefaultOptions())
+	dep, err := robustDeployment()
 	if err != nil {
 		return nil, err
-	}
-	capsW := make(map[int]float64)
-	for dc, c := range dep.Region.Capacity {
-		capsW[dc] = float64(c * dep.Region.Lambda)
 	}
 
 	var rows []RobustAblationRow
 	for _, bound := range cfg.Bounds {
 		// One matrix sequence per bound, shared verbatim by every window
 		// size and both modes: the comparison is of policies, not draws.
-		ms, err := matrixSequence(dep, capsW, cfg, bound)
+		ms, err := matrixSequence(dep, cfg, bound)
 		if err != nil {
 			return nil, err
 		}
-		delta, err := replayDelta(dep, ms, cfg)
+		delta, err := replay(dep, ms, &core.PerShift{}, cfg)
 		if err != nil {
 			return nil, fmt.Errorf("bound %v delta mode: %w", bound, err)
 		}
 		for _, w := range cfg.Windows {
-			rob, err := replayRobust(dep, ms, w, cfg)
+			pol := robust.NewPolicy(robust.Config{Window: w, Headroom: cfg.Headroom})
+			rob, err := replay(dep, ms, pol, cfg)
 			if err != nil {
 				return nil, fmt.Errorf("bound %v window %d robust mode: %w", bound, w, err)
 			}
@@ -128,8 +120,23 @@ func RobustAblation(cfg RobustAblationConfig) ([]RobustAblationRow, error) {
 	return rows, nil
 }
 
+// robustDeployment plans the ablation's region: the toy map, 10
+// fiber-pairs per DC, 40 wavelengths.
+func robustDeployment() (*core.Deployment, error) {
+	r := fibermap.Toy()
+	caps := make(map[int]int)
+	for _, dc := range r.Map.DCs() {
+		caps[dc] = 10
+	}
+	return core.Plan(core.Region{Map: r.Map, Capacity: caps, Lambda: 40}, core.DefaultOptions())
+}
+
 // matrixSequence rolls the cell's full shift sequence up front.
-func matrixSequence(dep *core.Deployment, capsW map[int]float64, cfg RobustAblationConfig, bound float64) ([]*traffic.Matrix, error) {
+func matrixSequence(dep *core.Deployment, cfg RobustAblationConfig, bound float64) ([]*traffic.Matrix, error) {
+	capsW := make(map[int]float64)
+	for dc, c := range dep.Region.Capacity {
+		capsW[dc] = float64(c * dep.Region.Lambda)
+	}
 	dcs := dep.Region.Map.DCs()
 	cp := traffic.ChangeProcess{Bound: bound, Caps: capsW, Util: cfg.Util}
 	base := traffic.HeavyTailed(rand.New(rand.NewSource(cfg.Seed)), dcs, capsW, cfg.Util)
@@ -154,102 +161,57 @@ type modeOutcome struct {
 	allAdmissible bool
 }
 
-// charge runs the flow-impact simulation for one committed change and
-// folds it into the outcome.
-func charge(out *modeOutcome, mon *flowsim.Monitor, id uint64, dep *core.Deployment, prev, next core.Allocation, drainS float64) error {
-	imp, err := mon.ObserveReconfig(id, next, dep.Region.Lambda, core.Diff(prev, next), drainS)
-	if err != nil {
-		return err
-	}
-	if imp.P99 > out.p99 {
-		out.p99 = imp.P99
-	}
-	out.stranded += imp.BytesStranded
-	return nil
-}
-
-// replayDelta is the daemon's default policy: incremental delta per
-// shift, committing whenever the allocation changes.
-func replayDelta(dep *core.Deployment, ms []*traffic.Matrix, cfg RobustAblationConfig) (modeOutcome, error) {
-	var out modeOutcome
+// replay drives one policy through the cell's shifts the way irisd's
+// converge step does — adopt every outcome, count a reconfiguration
+// whenever the allocation changes — and charges every change after the
+// initial convergence. For the envelope rule it also totals what the
+// envelope absorbed and what its solves cost.
+func replay(dep *core.Deployment, ms []*traffic.Matrix, pol core.Policy, cfg RobustAblationConfig) (modeOutcome, error) {
+	out := modeOutcome{allAdmissible: true}
 	mon, err := flowsim.NewMonitor(flowsim.MonitorConfig{Seed: cfg.Seed})
 	if err != nil {
 		return out, err
 	}
-	st, err := dep.AllocateState(ms[0])
-	if err != nil {
-		return out, err
-	}
-	prev := st.Snapshot()
-	out.reconfigs = 1 // the initial convergence
-	last := ms[0]
-	for i, tm := range ms[1:] {
-		if _, _, err := dep.AllocateDelta(st, traffic.DiffMatrices(last, tm)); err != nil {
-			return out, fmt.Errorf("step %d: %w", i+1, err)
-		}
-		last = tm
-		next := st.Snapshot()
-		if next.Equal(prev) {
-			continue
-		}
-		out.reconfigs++
-		if err := charge(&out, mon, uint64(out.reconfigs), dep, prev, next, cfg.DrainS); err != nil {
-			return out, err
-		}
-		prev = next
-	}
-	out.allAdmissible = true
-	return out, nil
-}
-
-// replayRobust is the METTEOR policy: solve an envelope over the recent
-// window, skip shifts it contains, re-plan on escape.
-func replayRobust(dep *core.Deployment, ms []*traffic.Matrix, window int, cfg RobustAblationConfig) (modeOutcome, error) {
-	var out modeOutcome
-	mon, err := flowsim.NewMonitor(flowsim.MonitorConfig{Seed: cfg.Seed})
-	if err != nil {
-		return out, err
-	}
-	win := traffic.NewWindow(window)
+	env, _ := pol.(*robust.Policy)
 	var (
-		res     *robust.Result
-		prev    core.Allocation
-		havePre bool
-		opSum   float64
-		commits int
+		prev   core.Allocation
+		opSum  float64
+		solves int
 	)
-	out.allAdmissible = true
 	for i, tm := range ms {
-		win.Push(tm)
-		if res != nil && res.Envelope.Contains(tm) {
-			out.absorbed++
-			continue
-		}
-		sol, err := robust.Solve(dep, win.Matrices(), robust.Config{
-			Headroom: cfg.Headroom, Budget: cfg.Budget,
-		})
+		o, err := pol.Shift(dep, tm, i)
 		if err != nil {
 			return out, fmt.Errorf("step %d: %w", i, err)
 		}
-		res = sol
-		opSum += sol.Overprovision
-		commits++
-		if !sol.AllAdmissible {
-			out.allAdmissible = false
-		}
-		if havePre && sol.Alloc.Equal(prev) {
-			continue // fresher envelope, same circuits: nothing moves
-		}
-		out.reconfigs++
-		if havePre {
-			if err := charge(&out, mon, uint64(out.reconfigs), dep, prev, sol.Alloc, cfg.DrainS); err != nil {
-				return out, err
+		pol.Adopt()
+		if env != nil {
+			if sol := env.Last().Solved; sol != nil {
+				opSum += sol.Overprovision
+				solves++
+				out.allAdmissible = out.allAdmissible && sol.AllAdmissible
 			}
 		}
-		prev, havePre = sol.Alloc, true
+		if !o.Changed {
+			continue
+		}
+		out.reconfigs++
+		if out.reconfigs > 1 {
+			imp, err := mon.ObserveReconfig(uint64(out.reconfigs), o.Alloc, dep.Region.Lambda, core.Diff(prev, o.Alloc), cfg.DrainS)
+			if err != nil {
+				return out, err
+			}
+			if imp.P99 > out.p99 {
+				out.p99 = imp.P99
+			}
+			out.stranded += imp.BytesStranded
+		}
+		prev = o.Alloc
 	}
-	if commits > 0 {
-		out.overprovision = opSum / float64(commits)
+	if env != nil {
+		out.absorbed = int(env.Tally().Absorbed)
+	}
+	if solves > 0 {
+		out.overprovision = opSum / float64(solves)
 	}
 	return out, nil
 }

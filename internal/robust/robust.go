@@ -9,17 +9,24 @@
 // maximum of the set's pair demands, inflated by a configurable headroom
 // factor, allocated through the existing core planner. Because circuits
 // are dedicated per DC pair, an allocation provisioned for the envelope
-// covers every matrix the envelope dominates; Solve then verifies each
+// covers every matrix the envelope dominates; the solve then verifies each
 // matrix independently — per-pair coverage against the provisioned
-// wavelengths and per-duct worst-case hose load (hose.WorstCaseLoad)
-// against the leased fiber — and iterates, tightening the headroom toward
-// 1 and finally clamping the envelope into the hose polytope, until all k
-// matrices pass or the iteration budget is exhausted.
+// wavelengths and per-duct worst-case hose load against the leased fiber,
+// by the plan's own provisioning rule (plan.Evaluator.Load; the property
+// test rechecks it with hose.WorstCaseLoad) — and iterates, tightening the
+// headroom toward 1 and finally clamping the envelope into the hose
+// polytope, until all k matrices pass or the iteration budget is
+// exhausted.
 //
 // At high utilisation no single allocation can dominate a volatile set
-// (the element-wise max may itself exceed the hose caps); Solve then
+// (the element-wise max may itself exceed the hose caps); the solve then
 // returns the best allocatable envelope with AllAdmissible=false and
 // per-matrix Verdicts, so callers degrade explicitly instead of flapping.
+//
+// Policy is the envelope rule as a core.Policy: it solves over a window
+// of recent shifts, absorbs a shift the committed envelope contains, and
+// re-plans only when demand escapes it. irisd's -robust mode and the
+// robust ablation both drive it.
 package robust
 
 import (
@@ -32,49 +39,39 @@ import (
 	"iris/internal/traffic"
 )
 
-// Config tunes the envelope iteration. The zero value of each field
-// selects the default; construct with DefaultConfig and mutate.
+// Config tunes the envelope rule. The zero value of each field selects
+// the default; DefaultConfig shows them.
 type Config struct {
+	// Window is how many recent matrices Policy solves the envelope over
+	// (default 4).
+	Window int
 	// Headroom inflates the element-wise max envelope before allocation
 	// (default 1.15). Must be ≥ 1: headroom below the max could not cover
 	// the very matrices the envelope was built from.
 	Headroom float64
-	// Shrink is the per-iteration tightening factor: on an infeasible
-	// envelope the excess headroom h-1 is multiplied by Shrink (default
-	// 0.5), walking h toward 1.
-	Shrink float64
-	// Budget bounds solve-verify iterations (default 8).
-	Budget int
+	// Forecast appends this many change-process steps beyond the newest
+	// matrix to Policy's envelope set (0 adds none). CP is the process
+	// they are rolled with (it should match the live feed's), and the
+	// branch of shift step is seeded Seed+step, so forecasting never
+	// perturbs the feed and successive re-plans draw fresh noise.
+	Forecast int
+	CP       traffic.ChangeProcess
+	Seed     int64
 }
 
-// DefaultConfig returns the robust planner's defaults: 15% headroom,
-// halving tightening, 8 iterations.
+// DefaultConfig returns the envelope rule's defaults: a window of 4
+// matrices, 15% headroom, no forecast.
 func DefaultConfig() Config {
-	return Config{Headroom: 1.15, Shrink: 0.5, Budget: 8}
+	return Config{Window: 4, Headroom: 1.15}
 }
 
-func (c Config) withDefaults() (Config, error) {
-	d := DefaultConfig()
-	if c.Headroom == 0 {
-		c.Headroom = d.Headroom
-	}
-	if c.Shrink == 0 {
-		c.Shrink = d.Shrink
-	}
-	if c.Budget == 0 {
-		c.Budget = d.Budget
-	}
-	if c.Headroom < 1 {
-		return c, fmt.Errorf("robust: headroom %.3f < 1", c.Headroom)
-	}
-	if c.Shrink <= 0 || c.Shrink >= 1 {
-		return c, fmt.Errorf("robust: shrink %.3f outside (0,1)", c.Shrink)
-	}
-	if c.Budget < 1 {
-		return c, fmt.Errorf("robust: budget %d < 1", c.Budget)
-	}
-	return c, nil
-}
+// The envelope iteration's fixed knobs: on an infeasible envelope the
+// excess headroom h-1 is multiplied by shrink, walking h toward 1, for at
+// most budget solve-verify rounds.
+const (
+	shrink = 0.5
+	budget = 8
+)
 
 // Envelope is the demand the committed allocation was provisioned for:
 // the inflated (and possibly hose-clamped) element-wise maximum over the
@@ -221,8 +218,8 @@ type Result struct {
 	Overprovision          float64
 }
 
-// Solve computes one allocation admissible for all matrices in ms: build
-// the headroom-inflated element-wise max envelope, allocate it through
+// solve computes one allocation admissible for all matrices in ms: build
+// the element-wise max envelope inflated by headroom h, allocate it through
 // the core planner, verify every matrix, and iterate — tightening the
 // headroom toward 1 while the envelope exceeds the region's hose caps,
 // then clamping it into the polytope — until all matrices pass or the
@@ -230,16 +227,15 @@ type Result struct {
 // utilisation the best allocatable envelope is returned with
 // AllAdmissible=false; the error path is reserved for envelopes the
 // planner rejects outright even clamped.
-func Solve(dep *core.Deployment, ms []*traffic.Matrix, cfg Config) (*Result, error) {
+func solve(dep *core.Deployment, ms []*traffic.Matrix, h float64) (*Result, error) {
 	if dep == nil {
 		return nil, fmt.Errorf("robust: nil deployment")
 	}
 	if len(ms) == 0 {
 		return nil, fmt.Errorf("robust: empty matrix set")
 	}
-	cfg, err := cfg.withDefaults()
-	if err != nil {
-		return nil, err
+	if h < 1 {
+		return nil, fmt.Errorf("robust: headroom %.3f < 1", h)
 	}
 
 	raw := maxEnvelope(ms)
@@ -272,7 +268,6 @@ func Solve(dep *core.Deployment, ms []*traffic.Matrix, cfg Config) (*Result, err
 			}
 		}
 	}
-	h := cfg.Headroom
 	clamped := false
 	if hFeas < 1 {
 		clamped = true
@@ -284,7 +279,7 @@ func Solve(dep *core.Deployment, ms []*traffic.Matrix, cfg Config) (*Result, err
 	// are spent.
 	tighten := func() bool {
 		if h > 1+1e-9 {
-			h = 1 + (h-1)*cfg.Shrink
+			h = 1 + (h-1)*shrink
 			if h <= 1+1e-6 {
 				h = 1
 			}
@@ -299,7 +294,7 @@ func Solve(dep *core.Deployment, ms []*traffic.Matrix, cfg Config) (*Result, err
 
 	var best *Result
 	var lastErr error
-	for iter := 1; iter <= cfg.Budget; iter++ {
+	for iter := 1; iter <= budget; iter++ {
 		em := traffic.NewMatrix(dcs)
 		for p, dm := range raw {
 			em.Set(p, dm*h)
@@ -346,7 +341,7 @@ func Solve(dep *core.Deployment, ms []*traffic.Matrix, cfg Config) (*Result, err
 	if best != nil {
 		return best, nil
 	}
-	return nil, fmt.Errorf("robust: no allocatable envelope within budget %d: %w", cfg.Budget, lastErr)
+	return nil, fmt.Errorf("robust: no allocatable envelope within budget %d: %w", budget, lastErr)
 }
 
 func newEnvelope(em *traffic.Matrix, h float64, k int, clamped bool) *Envelope {

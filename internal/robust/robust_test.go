@@ -49,13 +49,13 @@ func evolve(dep *core.Deployment, seed int64, k int, util, bound float64) []*tra
 // per-pair demand within the provisioned wavelengths AND per-duct
 // hose.WorstCaseLoad within the leased fiber — for EVERY matrix in the
 // set. The check here is recomputed from scratch against the solved
-// allocation, independently of Solve's own Verify call.
+// allocation, independently of solve's own verify call.
 func TestSolveAdmissibleForAllMatrices(t *testing.T) {
 	dep := toyDep(t)
 	lambda := dep.Region.Lambda
 	for _, seed := range []int64{1, 7, 42} {
 		ms := evolve(dep, seed, 6, 0.5, 0.2)
-		res, err := Solve(dep, ms, Config{})
+		res, err := solve(dep, ms, DefaultConfig().Headroom)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -119,7 +119,7 @@ func TestSolveAdmissibleForAllMatrices(t *testing.T) {
 func TestSolveTightensInfeasibleHeadroom(t *testing.T) {
 	dep := toyDep(t)
 	ms := evolve(dep, 3, 4, 0.6, 0.2)
-	res, err := Solve(dep, ms, Config{Headroom: 5.0})
+	res, err := solve(dep, ms, 5.0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +136,7 @@ func TestSolveTightensInfeasibleHeadroom(t *testing.T) {
 
 // TestSolveBestEffortWhenDominationInfeasible pins the degraded path: two
 // individually feasible matrices whose element-wise max exceeds the hose
-// caps force clamping, and the clamped envelope cannot cover both — Solve
+// caps force clamping, and the clamped envelope cannot cover both — solve
 // must return the best allocatable envelope with AllAdmissible=false, not
 // an error.
 func TestSolveBestEffortWhenDominationInfeasible(t *testing.T) {
@@ -146,7 +146,7 @@ func TestSolveBestEffortWhenDominationInfeasible(t *testing.T) {
 	m1.Set(hose.Pair{A: dcs[0], B: dcs[1]}, 390)
 	m2 := traffic.NewMatrix(dcs)
 	m2.Set(hose.Pair{A: dcs[0], B: dcs[2]}, 390)
-	res, err := Solve(dep, []*traffic.Matrix{m1, m2}, Config{})
+	res, err := solve(dep, []*traffic.Matrix{m1, m2}, DefaultConfig().Headroom)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +173,7 @@ func TestSolveBestEffortWhenDominationInfeasible(t *testing.T) {
 func TestEnvelopeContainsEscapesUtilization(t *testing.T) {
 	dep := toyDep(t)
 	ms := evolve(dep, 5, 4, 0.5, 0.2)
-	res, err := Solve(dep, ms, Config{})
+	res, err := solve(dep, ms, DefaultConfig().Headroom)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,20 +246,14 @@ func TestMaxEnvelope(t *testing.T) {
 func TestConfigValidation(t *testing.T) {
 	dep := toyDep(t)
 	ms := evolve(dep, 1, 2, 0.5, 0.2)
-	for _, cfg := range []Config{
-		{Headroom: 0.5},
-		{Shrink: 1.5},
-		{Budget: -1},
-	} {
-		if _, err := Solve(dep, ms, cfg); err == nil {
-			t.Errorf("Solve accepted invalid config %+v", cfg)
-		}
+	if _, err := solve(dep, ms, 0.5); err == nil {
+		t.Error("solve accepted headroom 0.5")
 	}
-	if _, err := Solve(dep, nil, Config{}); err == nil {
-		t.Error("Solve accepted an empty matrix set")
+	if _, err := solve(dep, nil, DefaultConfig().Headroom); err == nil {
+		t.Error("solve accepted an empty matrix set")
 	}
-	if _, err := Solve(nil, ms, Config{}); err == nil {
-		t.Error("Solve accepted a nil deployment")
+	if _, err := solve(nil, ms, DefaultConfig().Headroom); err == nil {
+		t.Error("solve accepted a nil deployment")
 	}
 }
 
@@ -363,7 +357,7 @@ func TestSolveHeadroomIsReproducible(t *testing.T) {
 	ms := evolve(dep, 3, 4, 0.6, 0.2)
 	var first float64
 	for i := 0; i < 20; i++ {
-		res, err := Solve(dep, ms, Config{Headroom: 5.0}) // far above feasible: Headroom is the aggregates' bound
+		res, err := solve(dep, ms, 5.0) // far above feasible: Headroom is the aggregates' bound
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -210,3 +210,22 @@ func (cp ChangeProcess) Step(rng *rand.Rand, m *Matrix) {
 	}
 	m.ClampToHose(scaled)
 }
+
+// Forecast rolls a private change-process branch k steps forward from
+// base and returns the k successive matrices — the "where might demand
+// go next" half of a robust envelope's matrix set. base is not modified;
+// the branch's randomness is isolated under seed so forecasting never
+// perturbs the live feed's stream.
+func Forecast(seed int64, base *Matrix, cp ChangeProcess, k int) []*Matrix {
+	if base == nil || k <= 0 {
+		return nil
+	}
+	rng := rand.New(rand.NewSource(seed))
+	m := base.Clone()
+	out := make([]*Matrix, 0, k)
+	for i := 0; i < k; i++ {
+		cp.Step(rng, m)
+		out = append(out, m.Clone())
+	}
+	return out
+}
