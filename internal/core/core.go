@@ -96,9 +96,7 @@ func (a Allocation) FibersFor(p hose.Pair) int { return a.Fibers[p.Canonical()] 
 func (a Allocation) ResidualFor(p hose.Pair) int { return a.Residual[p.Canonical()] }
 
 // Equal reports whether two allocations assign the same fibers and
-// residual wavelengths to every pair, treating absent entries as zero. The
-// daemon uses it to skip no-op reconfigurations when a traffic step leaves
-// the circuit assignment unchanged.
+// residual wavelengths to every pair, treating absent entries as zero.
 func (a Allocation) Equal(b Allocation) bool {
 	return intMapsEqual(a.Fibers, b.Fibers) && intMapsEqual(a.Residual, b.Residual)
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"maps"
 	"math"
 	"slices"
 	"sort"
@@ -99,17 +100,7 @@ func (st *AllocState) markDuct(duct int) {
 // Snapshot returns a deep copy of the current circuit assignment, safe to
 // retain across further delta applications.
 func (st *AllocState) Snapshot() Allocation {
-	c := Allocation{
-		Fibers:   make(map[hose.Pair]int, len(st.alloc.Fibers)),
-		Residual: make(map[hose.Pair]int, len(st.alloc.Residual)),
-	}
-	for p, v := range st.alloc.Fibers {
-		c.Fibers[p] = v
-	}
-	for p, v := range st.alloc.Residual {
-		c.Residual[p] = v
-	}
-	return c
+	return Allocation{Fibers: maps.Clone(st.alloc.Fibers), Residual: maps.Clone(st.alloc.Residual)}
 }
 
 // demandMatrix reconstructs the demand matrix the state satisfies.

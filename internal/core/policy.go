@@ -24,8 +24,12 @@ type Outcome struct {
 	// allocation the shift commits.
 	State *AllocState
 	Alloc Allocation
+	// Pairs is the diff from the allocation last adopted (empty before
+	// the first) to Alloc, in pair order: what the commit compiles, the
+	// flow monitor replays and the history record keeps.
+	Pairs []PairDelta
 	// Changed reports that Alloc differs from the allocation last adopted
-	// (always, before the first).
+	// (always, before the first): Pairs is not empty.
 	Changed bool
 	// Stats says how the allocator solved the shift; nil when the policy
 	// absorbed it without solving.
@@ -75,7 +79,12 @@ func (p *PerShift) Shift(dep *Deployment, tm *traffic.Matrix, _ int) (Outcome, e
 	// Snapshot decouples the proposed allocation from the books, which
 	// the next delta edits in place.
 	out.Alloc = out.State.Snapshot()
-	out.Changed = b.st == nil || !out.Alloc.Equal(b.alloc)
+	if out.Stats.Incremental {
+		out.Pairs = out.State.deltaPairs(out.Undo.prev)
+	} else {
+		out.Pairs = DiffAlloc(b.alloc, out.Alloc)
+	}
+	out.Changed = b.st == nil || len(out.Pairs) > 0
 	if s := out.Stats; out.Changed {
 		out.Attr = fmt.Sprintf("incremental=%v pairs_resolved=%d pairs_revalidated=%d ducts_touched=%d",
 			s.Incremental, s.PairsResolved, s.PairsRevalidated, s.DuctsTouched)
@@ -86,3 +95,23 @@ func (p *PerShift) Shift(dep *Deployment, tm *traffic.Matrix, _ int) (Outcome, e
 
 // Adopt makes the last shift's books the ones the next delta edits.
 func (p *PerShift) Adopt() { p.adopted = p.next }
+
+// deltaPairs is the pair diff of the incremental AllocateDelta whose Undo
+// holds prev: its changed pairs, in pair order, from the circuits of
+// their old demand to those on the books now. Every other pair kept its
+// circuits, so it is DiffAlloc of the two snapshots at O(changed).
+func (st *AllocState) deltaPairs(prev []pairDemand) []PairDelta {
+	var out []PairDelta
+	for _, pd := range prev {
+		p := pd.pair
+		oldFull, oldRem := pairCircuits(pd.demand, st.dep.Region.Lambda)
+		d := PairDelta{A: p.A, B: p.B,
+			OldFibers: oldFull, NewFibers: st.alloc.Fibers[p],
+			OldResidual: oldRem, NewResidual: st.alloc.Residual[p],
+		}
+		if d.OldFibers != d.NewFibers || d.OldResidual != d.NewResidual {
+			out = append(out, d)
+		}
+	}
+	return out
+}

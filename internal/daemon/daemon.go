@@ -135,9 +135,13 @@ type Daemon struct {
 	robust *robust.Policy
 
 	// mu guards the control-loop state below. The fabric pointed to by fab
-	// is never mutated while installed — changes are compiled on clones —
-	// so holding mu only for pointer reads/swaps keeps /status responsive
-	// during slow reconfigurations.
+	// is never mutated while installed: changes are compiled on clones,
+	// and a clone is copy-on-write — it shares the installed fabric's
+	// pools, tuning tables and circuits, copies a pool or table before
+	// its first write and never writes a circuit (fabric.Fabric.Clone,
+	// whose only write to the installed fabric is an owner token no
+	// reader looks at). So holding mu only for pointer reads/swaps keeps
+	// /status responsive during slow reconfigurations.
 	mu      sync.Mutex
 	fab     *fabric.Fabric
 	lkg     core.Allocation // last-known-good allocation
@@ -471,7 +475,7 @@ func (d *Daemon) converge(tm *traffic.Matrix) error {
 // back to the last-known-good intent the repair pass restores.
 func (d *Daemon) commitChange(tm *traffic.Matrix, out core.Outcome, trig history.Trigger) error {
 	d.mu.Lock()
-	fab, lkg, haveLKG := d.fab, d.lkg, d.haveLKG
+	fab, haveLKG := d.fab, d.haveLKG
 	last := d.lastMatrix
 	d.mu.Unlock()
 	dep := fab.Deployment()
@@ -493,7 +497,7 @@ func (d *Daemon) commitChange(tm *traffic.Matrix, out core.Outcome, trig history
 	csp := root.Child("compile")
 	csp.SetAttr(out.Attr)
 	clone := fab.Clone()
-	ch, err := clone.CompileTarget(out.Alloc)
+	ch, err := clone.Compile(out.Pairs)
 	if err != nil {
 		out.Undo.Rollback()
 		csp.Fail(err)
@@ -540,21 +544,17 @@ func (d *Daemon) commitChange(tm *traffic.Matrix, out core.Outcome, trig history
 	d.mu.Unlock()
 	d.m.circuits.Set(float64(clone.CircuitCount()))
 	log.Info("converged", "ops", ops, "total", rep.Total.Round(time.Microsecond))
-	// One diff of the committed change serves both its readers: the flow
-	// monitor takes the fiber moves, the history record the pair deltas.
-	monitor := d.cfg.FlowMonitor != nil && haveLKG
-	var pairs []core.PairDelta
-	if monitor || d.cfg.History != nil {
-		pairs = core.DiffAlloc(lkg, out.Alloc)
-	}
-	if monitor {
+	// The outcome's one pair diff, which the clone compiled, serves the
+	// change's other readers: the flow monitor takes its fiber moves, the
+	// history record the pair deltas.
+	if d.cfg.FlowMonitor != nil && haveLKG {
 		// Replay the committed change as capacity dips and measure the
 		// flow slowdown it cost. The simulation journals under the same
 		// reconfig trace, so /debug/events?reconfig=<id> shows the drain
 		// and its flow impact side by side.
 		fsp := root.Child("flowsim-impact")
 		imp, ferr := d.cfg.FlowMonitor.ObserveReconfig(
-			id, out.Alloc, dep.Region.Lambda, core.Moves(pairs), rep.Total.Seconds())
+			id, out.Alloc, dep.Region.Lambda, core.Moves(out.Pairs), rep.Total.Seconds())
 		if ferr != nil {
 			fsp.Fail(ferr)
 			log.Warn("flow-impact simulation failed", "err", ferr)
@@ -568,7 +568,7 @@ func (d *Daemon) commitChange(tm *traffic.Matrix, out core.Outcome, trig history
 	root.Fail(err)
 	root.Finish()
 	d.recordHistory(trig, id, recordAt, preHealth,
-		hoseAgg(last), hoseAgg(tm), pairs, dep, err)
+		hoseAgg(last), hoseAgg(tm), out.Pairs, dep, err)
 	return err
 }
 

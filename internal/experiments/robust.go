@@ -174,7 +174,6 @@ func replay(dep *core.Deployment, ms []*traffic.Matrix, pol core.Policy, cfg Rob
 	}
 	env, _ := pol.(*robust.Policy)
 	var (
-		prev   core.Allocation
 		opSum  float64
 		solves int
 	)
@@ -196,7 +195,7 @@ func replay(dep *core.Deployment, ms []*traffic.Matrix, pol core.Policy, cfg Rob
 		}
 		out.reconfigs++
 		if out.reconfigs > 1 {
-			imp, err := mon.ObserveReconfig(uint64(out.reconfigs), o.Alloc, dep.Region.Lambda, core.Diff(prev, o.Alloc), cfg.DrainS)
+			imp, err := mon.ObserveReconfig(uint64(out.reconfigs), o.Alloc, dep.Region.Lambda, core.Moves(o.Pairs), cfg.DrainS)
 			if err != nil {
 				return out, err
 			}
@@ -205,7 +204,6 @@ func replay(dep *core.Deployment, ms []*traffic.Matrix, pol core.Policy, cfg Rob
 			}
 			out.stranded += imp.BytesStranded
 		}
-		prev = o.Alloc
 	}
 	if env != nil {
 		out.absorbed = int(env.Tally().Absorbed)

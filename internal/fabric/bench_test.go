@@ -14,7 +14,7 @@ import (
 // wavelengths per DC, instant switches) with two dense allocations drawn
 // around one heavy-tailed base, so moving between them reconfigures most
 // of the region's devices — the shape of a dense converge tick.
-func benchRegion(b *testing.B) (*Rig, [2]core.Allocation) {
+func benchRegion(b testing.TB) (*Rig, [2]core.Allocation) {
 	b.Helper()
 	rig, err := BringUp(BringUpConfig{Seed: 1, DCs: 20, DCCapacity: 10, Lambda: 40})
 	if err != nil {
@@ -47,9 +47,11 @@ func benchRegion(b *testing.B) (*Rig, [2]core.Allocation) {
 // device operations, one RPC per device per phase. Its allocations —
 // controller and devices, which share the process — are gated at 2 500 a
 // change (2 281 when the gate was set; 2 621 with a goroutine and a channel
-// hand-off per RPC). The CompileTarget it keeps off the clock allocates 673
-// times a change, 778 when every circuit copied its planned path and built
-// a map of the nodes it bypasses; Reconfigure's 2 281 did not move.
+// hand-off per RPC). The CompileTarget it keeps off the clock allocates 684
+// times a change: 673 when it walked the region itself rather than
+// compiling DiffAlloc of the fabric's allocation, 778 when every circuit
+// copied its planned path and built a map of the nodes it bypasses;
+// Reconfigure's 2 281 did not move.
 func BenchmarkReconfigureDense(b *testing.B) {
 	rig, allocs := benchRegion(b)
 	compiled := 0
@@ -125,4 +127,63 @@ func BenchmarkAuditRegion(b *testing.B) {
 		audit()
 	}
 	b.ReportMetric(float64(len(exp.Cross)+len(exp.Enabled)+len(exp.Amps)), "devices/op")
+}
+
+// BenchmarkCommitSparse measures what a sparse tick's commit costs the
+// fabric: Clone of the installed fabric plus Compile of a two-pair delta
+// on it, the clone then installed. The two pairs move back and forth
+// between the bench allocations. Clone copies the fabric's maps and
+// Compile copies only the pools and tuning tables the two pairs write
+// (pools-copied/op, 11), so its allocations are gated at 170 a commit (112
+// when the gate was set; a deep Clone and CompileTarget's whole-region
+// walk allocated 1 117).
+func BenchmarkCommitSparse(b *testing.B) {
+	rig, allocs := benchRegion(b)
+	fab := rig.Fab
+	if _, err := fab.CompileTarget(allocs[0]); err != nil {
+		b.Fatal(err)
+	}
+	fwd := core.DiffAlloc(allocs[0], allocs[1])[:2]
+	back := make([]core.PairDelta, len(fwd))
+	for i, d := range fwd {
+		back[i] = core.PairDelta{A: d.A, B: d.B,
+			OldFibers: d.NewFibers, NewFibers: d.OldFibers,
+			OldResidual: d.NewResidual, NewResidual: d.OldResidual}
+	}
+	deltas := [2][]core.PairDelta{fwd, back}
+	commits, copied := 0, 0
+	commit := func() {
+		clone := fab.Clone()
+		if _, err := clone.Compile(deltas[commits%2]); err != nil {
+			b.Fatal(err)
+		}
+		copied += poolsCopied(fab, clone)
+		fab = clone
+		commits++
+	}
+	if allocs := testing.AllocsPerRun(20, commit); allocs > 170 {
+		b.Fatalf("a sparse commit allocates %.0f times, want at most 170", allocs)
+	}
+	copied = 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		commit()
+	}
+	b.ReportMetric(float64(copied)/float64(b.N), "pools-copied/op")
+}
+
+// poolsCopied counts the pools of the clone that are no longer f's.
+func poolsCopied(f, clone *Fabric) int {
+	n := 0
+	for _, m := range [][2]map[int]*pool{
+		{f.ductFibers, clone.ductFibers}, {f.localPorts, clone.localPorts}, {f.xcvrs, clone.xcvrs},
+	} {
+		for k, p := range m[0] {
+			if m[1][k] != p {
+				n++
+			}
+		}
+	}
+	return n
 }

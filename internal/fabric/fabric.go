@@ -48,9 +48,11 @@ type Fabric struct {
 	localPorts map[int]*pool // DC -> local port indices
 	xcvrs      map[int]*pool // DC -> transceiver indices
 
-	// Circuit state.
+	// Circuit state. A circuit and a full[p] slice's elements are never
+	// written once compiled, so clones share them.
 	full     map[hose.Pair][]*circuit
 	residual map[hose.Pair]*circuit
+	circuits int // circuits in full and residual
 	// ampRefs counts live circuits using each amplifier site, so the
 	// compiler enables an amp with its first user and parks it with the
 	// last.
@@ -58,7 +60,12 @@ type Fabric struct {
 	// tuned is the last wavelength commanded for every transceiver of
 	// every DC, -1 before the first. A freed transceiver keeps its tuning
 	// on the device, so it keeps it here: the books are the device state.
-	tuned map[int][]int
+	tuned map[int]*tuning
+
+	// owner marks the pools and tuning tables this fabric may write in
+	// place; one with another owner is shared with a clone and is copied
+	// before its first write (see Clone).
+	owner *token
 }
 
 // circuit is one end-to-end fiber circuit for a DC pair, along the
@@ -77,12 +84,13 @@ type circuit struct {
 
 // pool is a free-list allocator over [0, n).
 type pool struct {
-	n    int
-	free []int
+	n     int
+	free  []int
+	owner *token // the fabric that may write it
 }
 
-func newPool(n int) *pool {
-	p := &pool{n: n, free: make([]int, n)}
+func newPool(n int, owner *token) *pool {
+	p := &pool{n: n, free: make([]int, n), owner: owner}
 	for i := range p.free {
 		p.free[i] = n - 1 - i // pop from the back yields ascending order
 	}
@@ -113,6 +121,39 @@ func (p *pool) put(vs ...int) {
 	p.free = append(p.free, vs...)
 }
 
+// tuning is one DC's tuning table: the last wavelength commanded for each
+// of its transceivers.
+type tuning struct {
+	wl    []int
+	owner *token // the fabric that may write it
+}
+
+// A token is a fabric's mark of ownership. It is not zero-size, so every
+// live token has an address of its own.
+type token struct{ _ byte }
+
+// own returns the pool at ps[k] for writing: the pool itself when f owns
+// it, else f's own copy of it, installed in ps (one of f's maps).
+func (f *Fabric) own(ps map[int]*pool, k int) *pool {
+	p := ps[k]
+	if p.owner != f.owner {
+		p = &pool{n: p.n, free: slices.Clone(p.free), owner: f.owner}
+		ps[k] = p
+	}
+	return p
+}
+
+// ownTuning returns DC dc's tuning table for writing, copying it first
+// when a clone shares it.
+func (f *Fabric) ownTuning(dc int) []int {
+	t := f.tuned[dc]
+	if t.owner != f.owner {
+		t = &tuning{wl: slices.Clone(t.wl), owner: f.owner}
+		f.tuned[dc] = t
+	}
+	return t.wl
+}
+
 // Build materialises a deployment. The port layout is fully determined by
 // the plan, so two Builds of the same deployment are identical.
 func Build(dep *core.Deployment) (*Fabric, error) {
@@ -132,7 +173,8 @@ func Build(dep *core.Deployment) (*Fabric, error) {
 		full:       make(map[hose.Pair][]*circuit),
 		residual:   make(map[hose.Pair]*circuit),
 		ampRefs:    make(map[int]int),
-		tuned:      make(map[int][]int),
+		tuned:      make(map[int]*tuning),
+		owner:      new(token),
 	}
 	m := dep.Region.Map
 	pl := dep.Plan
@@ -154,7 +196,7 @@ func Build(dep *core.Deployment) (*Fabric, error) {
 		if pairs == 0 {
 			continue
 		}
-		f.ductFibers[id] = newPool(pairs)
+		f.ductFibers[id] = newPool(pairs, f.owner)
 		d := m.Ducts[id]
 		for _, end := range []int{d.A, d.B} {
 			if f.ductBase[end] == nil {
@@ -173,12 +215,13 @@ func Build(dep *core.Deployment) (*Fabric, error) {
 		f.localBase[dc] = f.ossSize[dc]
 		f.localSize[dc] = local
 		f.ossSize[dc] += local
-		f.localPorts[dc] = newPool(local)
-		f.xcvrs[dc] = newPool(capacity * f.lambda)
-		f.tuned[dc] = make([]int, capacity*f.lambda)
-		for i := range f.tuned[dc] {
-			f.tuned[dc][i] = -1
+		f.localPorts[dc] = newPool(local, f.owner)
+		f.xcvrs[dc] = newPool(capacity*f.lambda, f.owner)
+		t := &tuning{wl: make([]int, capacity*f.lambda), owner: f.owner}
+		for i := range t.wl {
+			t.wl[i] = -1
 		}
+		f.tuned[dc] = t
 	}
 	return f, nil
 }
@@ -255,11 +298,11 @@ func (f *Fabric) establish(ch *control.Change, p hose.Pair, live int) (*circuit,
 	}
 	c := &circuit{pair: p.Canonical(), path: path, live: live}
 
-	la, ok := f.localPorts[c.pair.A].get()
+	la, ok := f.own(f.localPorts, c.pair.A).get()
 	if !ok {
 		return nil, fmt.Errorf("fabric: DC %d out of local ports", c.pair.A)
 	}
-	lb, ok := f.localPorts[c.pair.B].get()
+	lb, ok := f.own(f.localPorts, c.pair.B).get()
 	if !ok {
 		f.localPorts[c.pair.A].put(la)
 		return nil, fmt.Errorf("fabric: DC %d out of local ports", c.pair.B)
@@ -267,7 +310,7 @@ func (f *Fabric) establish(ch *control.Change, p hose.Pair, live int) (*circuit,
 	c.localA, c.localB = la, lb
 
 	for _, duct := range path.Ducts {
-		idx, ok := f.ductFibers[duct].get()
+		idx, ok := f.own(f.ductFibers, duct).get()
 		if !ok {
 			f.release(c)
 			return nil, fmt.Errorf("fabric: duct %d out of fibers for %d-%d", duct, p.A, p.B)
@@ -275,12 +318,12 @@ func (f *Fabric) establish(ch *control.Change, p hose.Pair, live int) (*circuit,
 		c.fiberIdx = append(c.fiberIdx, idx)
 	}
 
-	xa, ok := f.xcvrs[c.pair.A].getN(live)
+	xa, ok := f.own(f.xcvrs, c.pair.A).getN(live)
 	if !ok {
 		f.release(c)
 		return nil, fmt.Errorf("fabric: DC %d out of transceivers", c.pair.A)
 	}
-	xb, ok := f.xcvrs[c.pair.B].getN(live)
+	xb, ok := f.own(f.xcvrs, c.pair.B).getN(live)
 	if !ok {
 		f.xcvrs[c.pair.A].put(xa...)
 		f.release(c)
@@ -303,8 +346,9 @@ func (f *Fabric) establish(ch *control.Change, p hose.Pair, live int) (*circuit,
 		}
 		f.ampRefs[n]++
 	}
+	tunedA, tunedB := f.ownTuning(c.pair.A), f.ownTuning(c.pair.B)
 	for slot := 0; slot < live; slot++ {
-		f.tuned[c.pair.A][xa[slot]], f.tuned[c.pair.B][xb[slot]] = slot, slot
+		tunedA[xa[slot]], tunedB[xb[slot]] = slot, slot
 		ch.Retunes = append(ch.Retunes,
 			control.TransceiverOp{Device: f.XcvrName(c.pair.A), Idx: xa[slot], Wavelength: slot},
 			control.TransceiverOp{Device: f.XcvrName(c.pair.B), Idx: xb[slot], Wavelength: slot},
@@ -314,6 +358,7 @@ func (f *Fabric) establish(ch *control.Change, p hose.Pair, live int) (*circuit,
 			control.TransceiverOp{Device: f.XcvrName(c.pair.B), Idx: xb[slot]},
 		)
 	}
+	f.circuits++
 	return c, nil
 }
 
@@ -338,20 +383,21 @@ func (f *Fabric) teardown(ch *control.Change, c *circuit) error {
 			ch.Amps = append(ch.Amps, control.AmpOp{Device: f.AmpName(n), Enable: false})
 		}
 	}
-	f.xcvrs[c.pair.A].put(c.xcvrA...)
-	f.xcvrs[c.pair.B].put(c.xcvrB...)
+	f.own(f.xcvrs, c.pair.A).put(c.xcvrA...)
+	f.own(f.xcvrs, c.pair.B).put(c.xcvrB...)
 	f.release(c)
+	f.circuits--
 	return nil
 }
 
-// release returns the circuit's ports and fibers to their pools.
+// release returns the circuit's ports and fibers to their pools. It
+// leaves the circuit as it was: a clone may share it.
 func (f *Fabric) release(c *circuit) {
-	f.localPorts[c.pair.A].put(c.localA)
-	f.localPorts[c.pair.B].put(c.localB)
+	f.own(f.localPorts, c.pair.A).put(c.localA)
+	f.own(f.localPorts, c.pair.B).put(c.localB)
 	for i, duct := range c.path.Ducts[:len(c.fiberIdx)] {
-		f.ductFibers[duct].put(c.fiberIdx[i])
+		f.own(f.ductFibers, duct).put(c.fiberIdx[i])
 	}
-	c.fiberIdx = nil
 }
 
 // circuitOps emits the OSS operations along the circuit's path. For a
@@ -412,64 +458,64 @@ func (f *Fabric) hops(c *circuit, visit func(node, in, out int)) error {
 func pathEndpointA(c *circuit) int { return c.path.Nodes[0] }
 func pathEndpointB(c *circuit) int { return c.path.Nodes[len(c.path.Nodes)-1] }
 
-// CompileTarget computes the change that moves the fabric from its current
-// circuit state to the given allocation, updating the fabric state. The
-// returned change follows the §5.2 discipline: drains of torn-down or
-// resized circuits come first, then all OSS operations (disconnects before
-// connects), then retunes, then undrains.
-func (f *Fabric) CompileTarget(alloc core.Allocation) (control.Change, error) {
+// Compile computes the change that applies pair deltas — the diff of
+// the fabric's circuits to a target allocation, in pair order, as
+// core.DiffAlloc returns it — and updates the circuit state. Only the
+// named pairs are visited. Each delta's Old values must be the circuits
+// the fabric holds for its pair; otherwise Compile returns an error and
+// leaves the fabric as it was. The returned change follows the §5.2
+// discipline: drains of torn-down or resized circuits come first, then
+// all OSS operations (disconnects before connects), then retunes, then
+// undrains.
+func (f *Fabric) Compile(pairs []core.PairDelta) (control.Change, error) {
+	for _, d := range pairs {
+		p := d.Pair()
+		full, res := len(f.full[p]), 0
+		if rc := f.residual[p]; rc != nil {
+			res = rc.live
+		}
+		if full != d.OldFibers || res != d.OldResidual {
+			return control.Change{}, fmt.Errorf("fabric: pair %d-%d holds %d fibers and %d residual wavelengths, the delta starts from %d and %d",
+				p.A, p.B, full, res, d.OldFibers, d.OldResidual)
+		}
+	}
 	var ch control.Change
-
-	pairs := make(map[hose.Pair]bool)
-	for p := range alloc.Fibers {
-		pairs[p.Canonical()] = true
-	}
-	for p := range f.full {
-		pairs[p] = true
-	}
-	for p := range f.residual {
-		pairs[p] = true
-	}
-	ordered := make([]hose.Pair, 0, len(pairs))
-	for p := range pairs {
-		ordered = append(ordered, p)
-	}
-	hose.SortPairs(ordered)
-
 	// Teardowns first so their fibers and transceivers free up for the
 	// establishes compiled after them (the controller runs disconnects
 	// before connects within the switch phase).
-	for _, p := range ordered {
-		wantFull := alloc.Fibers[p]
-		cur := f.full[p]
-		for len(cur) > wantFull {
+	for _, d := range pairs {
+		p := d.Pair()
+		for cur := f.full[p]; len(cur) > d.NewFibers; {
 			c := cur[len(cur)-1]
 			cur = cur[:len(cur)-1]
+			f.full[p] = cur
 			if err := f.teardown(&ch, c); err != nil {
 				return control.Change{}, err
 			}
 		}
-		f.full[p] = cur
 
-		wantRes := alloc.Residual[p]
-		if rc := f.residual[p]; rc != nil && rc.live != wantRes {
+		if rc := f.residual[p]; rc != nil && rc.live != d.NewResidual {
 			if err := f.teardown(&ch, rc); err != nil {
 				return control.Change{}, err
 			}
 			delete(f.residual, p)
 		}
 	}
-	for _, p := range ordered {
-		wantFull := alloc.Fibers[p]
-		for len(f.full[p]) < wantFull {
-			c, err := f.establish(&ch, p, f.lambda)
-			if err != nil {
-				return control.Change{}, err
+	for _, d := range pairs {
+		p := d.Pair()
+		if grow := d.NewFibers - len(f.full[p]); grow > 0 {
+			// A clone shares the slice's array: grow a copy of it.
+			f.full[p] = slices.Grow(slices.Clip(f.full[p]), grow)
+			for len(f.full[p]) < d.NewFibers {
+				c, err := f.establish(&ch, p, f.lambda)
+				if err != nil {
+					return control.Change{}, err
+				}
+				f.full[p] = append(f.full[p], c)
 			}
-			f.full[p] = append(f.full[p], c)
 		}
-		if wantRes := alloc.Residual[p]; wantRes > 0 && f.residual[p] == nil {
-			c, err := f.establish(&ch, p, wantRes)
+		if d.NewResidual > 0 && f.residual[p] == nil {
+			c, err := f.establish(&ch, p, d.NewResidual)
 			if err != nil {
 				return control.Change{}, err
 			}
@@ -477,6 +523,27 @@ func (f *Fabric) CompileTarget(alloc core.Allocation) (control.Change, error) {
 		}
 	}
 	return ch, nil
+}
+
+// CompileTarget is Compile of the diff from the fabric's circuits to
+// alloc: the change that moves the fabric to the allocation.
+func (f *Fabric) CompileTarget(alloc core.Allocation) (control.Change, error) {
+	return f.Compile(core.DiffAlloc(f.held(), alloc))
+}
+
+// held is the allocation the fabric's circuits carry.
+func (f *Fabric) held() core.Allocation {
+	a := core.Allocation{
+		Fibers:   make(map[hose.Pair]int, len(f.full)),
+		Residual: make(map[hose.Pair]int, len(f.residual)),
+	}
+	for p, cs := range f.full {
+		a.Fibers[p] = len(cs)
+	}
+	for p, c := range f.residual {
+		a.Residual[p] = c.live
+	}
+	return a
 }
 
 // Expected returns the controller's intent for every device the fabric
@@ -495,9 +562,9 @@ func (f *Fabric) Expected() control.Expected {
 			exp.Cross[f.OSSName(node)] = make(map[int]int, size/2)
 		}
 	}
-	for dc, tuned := range f.tuned {
+	for dc, t := range f.tuned {
 		name := f.XcvrName(dc)
-		exp.Tuned[name], exp.Enabled[name] = append([]int(nil), tuned...), make([]bool, len(tuned))
+		exp.Tuned[name], exp.Enabled[name] = append([]int(nil), t.wl...), make([]bool, len(t.wl))
 	}
 	for node, count := range f.dep.Plan.Amps {
 		if count > 0 {
@@ -524,10 +591,4 @@ func (f *Fabric) Expected() control.Expected {
 }
 
 // CircuitCount returns the number of active circuits (full + residual).
-func (f *Fabric) CircuitCount() int {
-	n := len(f.residual)
-	for _, cs := range f.full {
-		n += len(cs)
-	}
-	return n
-}
+func (f *Fabric) CircuitCount() int { return f.circuits }

@@ -1,8 +1,9 @@
 package fabric
 
 import (
+	"maps"
+
 	"iris/internal/control"
-	"iris/internal/hose"
 )
 
 // This file holds the runtime support a long-running controller needs on
@@ -11,54 +12,31 @@ import (
 // reconciliation (compute the repair change that moves partially
 // reconfigured devices back to the fabric's intent).
 
-// Clone returns a deep copy of the fabric's allocator and circuit state.
+// Clone returns a copy of the fabric's allocator and circuit state to
+// compile a change against. A caller can Compile against the clone and,
+// if the change executes cleanly, adopt the clone as the new fabric state
+// — or discard it after a failure, keeping the last-known-good intent.
 // The deployment and the port layout are shared: both are immutable after
-// Build. A caller can CompileTarget against the clone and, if the change
-// executes cleanly, adopt the clone as the new fabric state — or discard
-// it after a failure, keeping the last-known-good intent.
+// Build.
+//
+// The copy is copy-on-write, so it costs what the compile changes. Clone
+// copies the fabric's maps, not what they point to. Compiled circuits are
+// never written, and a full[p] slice is grown as a copy. A pool or tuning
+// table is copied by the first fabric that writes it after the Clone:
+// Clone gives both fabrics new owner tokens, its one write to f, so
+// neither owns what they share. Reads of f (Expected, CircuitCount) may
+// run while the clone compiles.
 func (f *Fabric) Clone() *Fabric {
 	g := *f
-	g.ductFibers = clonePools(f.ductFibers)
-	g.localPorts = clonePools(f.localPorts)
-	g.xcvrs = clonePools(f.xcvrs)
-	g.full = make(map[hose.Pair][]*circuit, len(f.full))
-	for p, cs := range f.full {
-		dup := make([]*circuit, len(cs))
-		for i, c := range cs {
-			dup[i] = c.clone()
-		}
-		g.full[p] = dup
-	}
-	g.residual = make(map[hose.Pair]*circuit, len(f.residual))
-	for p, c := range f.residual {
-		g.residual[p] = c.clone()
-	}
-	g.ampRefs = make(map[int]int, len(f.ampRefs))
-	for n, refs := range f.ampRefs {
-		g.ampRefs[n] = refs
-	}
-	g.tuned = make(map[int][]int, len(f.tuned))
-	for dc, tuned := range f.tuned {
-		g.tuned[dc] = append([]int(nil), tuned...)
-	}
+	g.ductFibers = maps.Clone(f.ductFibers)
+	g.localPorts = maps.Clone(f.localPorts)
+	g.xcvrs = maps.Clone(f.xcvrs)
+	g.full = maps.Clone(f.full)
+	g.residual = maps.Clone(f.residual)
+	g.ampRefs = maps.Clone(f.ampRefs)
+	g.tuned = maps.Clone(f.tuned)
+	f.owner, g.owner = new(token), new(token)
 	return &g
-}
-
-func clonePools(ps map[int]*pool) map[int]*pool {
-	out := make(map[int]*pool, len(ps))
-	for k, p := range ps {
-		out[k] = &pool{n: p.n, free: append([]int(nil), p.free...)}
-	}
-	return out
-}
-
-// clone copies a circuit. The path is shared: it is the plan's, read-only.
-func (c *circuit) clone() *circuit {
-	d := *c
-	d.fiberIdx = append([]int(nil), c.fiberIdx...)
-	d.xcvrA = append([]int(nil), c.xcvrA...)
-	d.xcvrB = append([]int(nil), c.xcvrB...)
-	return &d
 }
 
 // EmptyChange reports whether a change contains no operations; a repair

@@ -90,11 +90,16 @@ func (p *Policy) Shift(dep *core.Deployment, tm *traffic.Matrix, step int) (core
 	p.last.Solved = sol
 	// An envelope solve is a full solve over the planned pairs.
 	out := core.Outcome{
-		State:   sol.State,
-		Alloc:   sol.Alloc,
-		Changed: res == nil || !sol.Alloc.Equal(res.Alloc),
-		Stats:   &core.DeltaStats{FallbackReason: "envelope solve", PairsResolved: len(dep.Plan.Paths)},
+		State: sol.State,
+		Alloc: sol.Alloc,
+		Stats: &core.DeltaStats{FallbackReason: "envelope solve", PairsResolved: len(dep.Plan.Paths)},
 	}
+	var adopted core.Allocation
+	if res != nil {
+		adopted = res.Alloc
+	}
+	out.Pairs = core.DiffAlloc(adopted, sol.Alloc)
+	out.Changed = res == nil || len(out.Pairs) > 0
 	if out.Changed {
 		out.Attr = fmt.Sprintf("robust=true matrices=%d headroom=%.3f overprovision=%.2f admissible=%v",
 			len(ms), sol.Headroom, sol.Overprovision, sol.AllAdmissible)

@@ -1,8 +1,10 @@
 package robust
 
 import (
+	"reflect"
 	"testing"
 
+	"iris/internal/core"
 	"iris/internal/traffic"
 )
 
@@ -77,4 +79,52 @@ func sameDemand(a, b *traffic.Matrix) bool {
 		}
 	}
 	return true
+}
+
+// TestPolicyPairsAreTheAdoptedDiff: however the envelope rule answers a
+// shift — its first solve, an absorbed shift, an escape whose re-solve
+// lands on the same circuits, an escape that moves circuits — the
+// outcome's Pairs is core.DiffAlloc from the allocation last adopted, and
+// Changed says that diff is not empty.
+func TestPolicyPairsAreTheAdoptedDiff(t *testing.T) {
+	dep := toyDep(t)
+	dcs := dep.Region.Map.DCs()
+	m0 := traffic.NewMatrix(dcs)
+	pairs := m0.Pairs()
+	for _, p := range pairs {
+		m0.Set(p, 3.6) // ×1.15 headroom: 4.14, five wavelengths
+	}
+	p := NewPolicy(Config{Window: 1})
+	var adopted core.Allocation
+	shift := func(name string, tm *traffic.Matrix, step int, absorbed, changed bool) core.Outcome {
+		t.Helper()
+		out, err := p.Shift(dep, tm, step)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if want := core.DiffAlloc(adopted, out.Alloc); !reflect.DeepEqual(out.Pairs, want) {
+			t.Errorf("%s: Pairs = %+v, want the adopted diff %+v", name, out.Pairs, want)
+		}
+		if p.Last().Absorbed != absorbed || out.Changed != changed {
+			t.Errorf("%s: absorbed %v changed %v, want %v and %v",
+				name, p.Last().Absorbed, out.Changed, absorbed, changed)
+		}
+		p.Adopt()
+		adopted = out.Alloc
+		return out
+	}
+
+	shift("first solve", m0, 0, false, true)
+	m1 := m0.Clone()
+	m1.Set(pairs[0], 4)
+	shift("absorbed", m1, 1, true, false)
+	// 4.2 escapes the 4.14 envelope; ×1.15 it is 4.83, still five.
+	m2 := m0.Clone()
+	m2.Set(pairs[0], 4.2)
+	shift("escape onto the same circuits", m2, 2, false, false)
+	m3 := m0.Clone()
+	m3.Set(pairs[0], 100)
+	if out := shift("escape that moves circuits", m3, 3, false, true); len(out.Pairs) == 0 {
+		t.Error("escape that moves circuits: no pair deltas")
+	}
 }
