@@ -2,11 +2,14 @@ package control
 
 import (
 	"context"
+	"maps"
 	"slices"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"iris/internal/trace"
 )
 
 // fig13Testbed builds the paper's testbed layout: two DCs with
@@ -59,7 +62,7 @@ func TestUnknownDeviceAndOp(t *testing.T) {
 	if _, err := tb.Controller.Call("dc1-oss", "explode", nil); err == nil {
 		t.Error("expected error for unknown op")
 	}
-	if _, err := tb.Controller.Call("dc1-oss", "connect-batch", map[string]any{"ins": []int{1}}); err == nil {
+	if _, err := tb.Controller.Call("dc1-oss", "switch-batch", map[string]any{"ins": []int{1}}); err == nil {
 		t.Error("expected error for missing argument")
 	}
 	// An OSS and a bank take batches only, an amplifier its single-valued
@@ -67,7 +70,7 @@ func TestUnknownDeviceAndOp(t *testing.T) {
 	args := map[string]any{"in": 0, "out": 1, "ins": []int{0}, "outs": []int{1},
 		"idx": 0, "wavelength": 1, "idxs": []int{0}, "wavelengths": []int{1}}
 	for _, c := range []string{"dc1-oss connect", "dc1-oss disconnect", "dc1-xcvr tune", "dc1-xcvr enable",
-		"dc1-xcvr disable", "dc1-xcvr connect-batch", "hut-amp enable-batch"} {
+		"dc1-xcvr disable", "dc1-xcvr switch-batch", "hut-amp enable-batch"} {
 		dev, op, _ := strings.Cut(c, " ")
 		if _, err := tb.Controller.Call(dev, op, args); err == nil || !strings.Contains(err.Error(), "unknown op") {
 			t.Errorf("%s accepted %s: err = %v, want unknown op", dev, op, err)
@@ -85,23 +88,23 @@ func TestOSSSemantics(t *testing.T) {
 		}
 	}
 	connect := func(in, out int) map[string]any {
-		return map[string]any{"ins": []int{in}, "outs": []int{out}}
+		return switchArgs(nil, []int{in}, []int{out})
 	}
-	must("connect-batch", connect(0, 10))
-	if _, err := c.Call("hut-oss", "connect-batch", connect(0, 11)); err == nil {
+	must("switch-batch", connect(0, 10))
+	if _, err := c.Call("hut-oss", "switch-batch", connect(0, 11)); err == nil {
 		t.Error("double-connecting an input must fail")
 	}
-	if _, err := c.Call("hut-oss", "connect-batch", connect(1, 10)); err == nil {
+	if _, err := c.Call("hut-oss", "switch-batch", connect(1, 10)); err == nil {
 		t.Error("double-feeding an output must fail")
 	}
-	if _, err := c.Call("hut-oss", "connect-batch", connect(99, 1)); err == nil {
+	if _, err := c.Call("hut-oss", "switch-batch", connect(99, 1)); err == nil {
 		t.Error("out-of-range port must fail")
 	}
-	must("disconnect-batch", map[string]any{"ins": []int{0}})
-	if _, err := c.Call("hut-oss", "disconnect-batch", map[string]any{"ins": []int{0}}); err == nil {
+	must("switch-batch", switchArgs([]int{0}, nil, nil))
+	if _, err := c.Call("hut-oss", "switch-batch", switchArgs([]int{0}, nil, nil)); err == nil {
 		t.Error("disconnecting an idle input must fail")
 	}
-	must("connect-batch", connect(1, 10)) // port freed
+	must("switch-batch", connect(1, 10)) // port freed
 }
 
 func TestTransceiverDrainDiscipline(t *testing.T) {
@@ -262,9 +265,9 @@ func TestReconfigureDrainOrdering(t *testing.T) {
 		}
 	}
 	for _, e := range oss.Log() {
-		// The controller batches per device: the move lands as a
-		// connect-batch containing port 4.
-		if e.Op == "connect-batch" && strings.Contains(e.Note, "[4]->[6]") {
+		// The controller batches per device: the move lands as one
+		// switch-batch tearing down port 4 and connecting it again.
+		if e.Op == "switch-batch" && strings.Contains(e.Note, "[4]->[6]") {
 			switchTime = e.Time
 		}
 	}
@@ -358,8 +361,8 @@ func TestConcurrentCalls(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			_, err := tb.Controller.Call("hut-oss", "connect-batch",
-				map[string]any{"ins": []int{i}, "outs": []int{i + 16}})
+			_, err := tb.Controller.Call("hut-oss", "switch-batch",
+				switchArgs(nil, []int{i}, []int{i + 16}))
 			errs <- err
 		}(i)
 	}
@@ -449,8 +452,8 @@ func TestOSSBatchSemantics(t *testing.T) {
 	tb := fig13Testbed(t)
 	c := tb.Controller
 	// Batch connect.
-	if _, err := c.Call("hut-oss", "connect-batch",
-		map[string]any{"ins": []any{0, 1, 2}, "outs": []any{10, 11, 12}}); err != nil {
+	if _, err := c.Call("hut-oss", "switch-batch",
+		map[string]any{"disconnect": []any{}, "ins": []any{0, 1, 2}, "outs": []any{10, 11, 12}}); err != nil {
 		t.Fatal(err)
 	}
 	oss := tb.Devices["hut-oss"].(*OSS)
@@ -459,21 +462,21 @@ func TestOSSBatchSemantics(t *testing.T) {
 	}
 	// A batch with a conflict is rejected atomically: port 1 is busy, so
 	// the new ports 3 and 4 must not be connected either.
-	if _, err := c.Call("hut-oss", "connect-batch",
-		map[string]any{"ins": []any{3, 1, 4}, "outs": []any{13, 14, 15}}); err == nil {
+	if _, err := c.Call("hut-oss", "switch-batch",
+		map[string]any{"disconnect": []any{}, "ins": []any{3, 1, 4}, "outs": []any{13, 14, 15}}); err == nil {
 		t.Fatal("conflicting batch should fail")
 	}
 	if ins, _ := oss.Cross(); len(ins) != 3 {
 		t.Errorf("failed batch left %d connects, want unchanged 3", len(ins))
 	}
 	// Length mismatch.
-	if _, err := c.Call("hut-oss", "connect-batch",
-		map[string]any{"ins": []any{5}, "outs": []any{16, 17}}); err == nil {
+	if _, err := c.Call("hut-oss", "switch-batch",
+		map[string]any{"disconnect": []any{}, "ins": []any{5}, "outs": []any{16, 17}}); err == nil {
 		t.Error("length mismatch should fail")
 	}
 	// Batch disconnect.
-	if _, err := c.Call("hut-oss", "disconnect-batch",
-		map[string]any{"ins": []any{0, 1, 2}}); err != nil {
+	if _, err := c.Call("hut-oss", "switch-batch",
+		map[string]any{"disconnect": []any{0, 1, 2}, "ins": []any{}, "outs": []any{}}); err != nil {
 		t.Fatal(err)
 	}
 	if ins, _ := oss.Cross(); len(ins) != 0 {
@@ -481,19 +484,19 @@ func TestOSSBatchSemantics(t *testing.T) {
 	}
 	// A disconnect naming an idle input, or one input twice, is rejected
 	// atomically as well: no circuit goes and the op log records nothing.
-	if _, err := c.Call("hut-oss", "connect-batch", map[string]any{"ins": []int{0, 1}, "outs": []int{4, 5}}); err != nil {
+	if _, err := c.Call("hut-oss", "switch-batch", switchArgs(nil, []int{0, 1}, []int{4, 5})); err != nil {
 		t.Fatal(err)
 	}
 	logged := len(oss.Log())
 	for _, ins := range [][]any{{0, 2}, {1, 1}} {
-		if _, err := c.Call("hut-oss", "disconnect-batch", map[string]any{"ins": ins}); err == nil {
-			t.Errorf("disconnect-batch %v should fail", ins)
+		if _, err := c.Call("hut-oss", "switch-batch", map[string]any{"disconnect": ins, "ins": []any{}, "outs": []any{}}); err == nil {
+			t.Errorf("disconnecting %v should fail", ins)
 		}
 		if got, outs := oss.Cross(); !slices.Equal(got, []int{0, 1}) || !slices.Equal(outs, []int{4, 5}) {
-			t.Errorf("failed disconnect-batch %v left circuits %v->%v, want [0 1]->[4 5]", ins, got, outs)
+			t.Errorf("failed disconnect of %v left circuits %v->%v, want [0 1]->[4 5]", ins, got, outs)
 		}
 		if got := len(oss.Log()); got != logged {
-			t.Errorf("failed disconnect-batch %v logged %d operations, want 0", ins, got-logged)
+			t.Errorf("failed disconnect of %v logged %d operations, want 0", ins, got-logged)
 		}
 	}
 }
@@ -518,5 +521,64 @@ func TestBatchedSwitchPhasePaysDelayOnce(t *testing.T) {
 	}
 	if rep.Total > 60*time.Millisecond {
 		t.Errorf("8-circuit switch took %v; batching should pay ~20 ms once", rep.Total)
+	}
+}
+
+// TestSwitchPhaseIsOneRound: a change whose switch operations touch three
+// switches, each with a disconnect and a connect, costs three RPCs — one
+// switch-batch span per switch under the switch phase — and leaves the
+// circuits it names, also the one that moves onto a port it vacates.
+func TestSwitchPhaseIsOneRound(t *testing.T) {
+	calls := &callCounts{n: make(map[string]int)}
+	held := map[string]map[int]int{"oss-a": {0: 4}, "oss-b": {1: 5}, "oss-c": {0: 4}}
+	devs := make(map[string]Device)
+	for name, cross := range held {
+		devs[name] = countingDevice{Device: ossHolding(0, cross), name: name, calls: calls}
+	}
+	tb, err := StartTestbed(devs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tb.Close()
+	ch := Change{Switches: []OSSOp{
+		{Device: "oss-a", In: 0, Disconnect: true}, {Device: "oss-a", In: 0, Out: 5}, // onto the input it vacates
+		{Device: "oss-b", In: 1, Disconnect: true}, {Device: "oss-b", In: 2, Out: 5}, // onto the output it vacates
+		{Device: "oss-c", In: 0, Disconnect: true}, {Device: "oss-c", In: 1, Out: 6},
+	}}
+	tracer := trace.New(64)
+	root := tracer.Start(1, "reconfig")
+	rep, err := tb.Controller.Reconfigure(trace.ContextWith(context.Background(), root), ch)
+	root.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	calls.mu.Lock()
+	if want := map[string]int{"oss-a": 1, "oss-b": 1, "oss-c": 1}; !maps.Equal(calls.n, want) {
+		t.Errorf("switch RPCs %v, want %v", calls.n, want)
+	}
+	calls.mu.Unlock()
+	if got := rep.Phases[1]; got.Name != "switch" || got.Ops != len(ch.Switches) {
+		t.Errorf("phase report %+v, want switch with %d operations", got, len(ch.Switches))
+	}
+	want := map[string]map[int]int{"oss-a": {0: 5}, "oss-b": {2: 5}, "oss-c": {1: 6}}
+	for name, cross := range want {
+		if got := circuits(tb.Devices[name].(countingDevice).Device.(*OSS)); !maps.Equal(got, cross) {
+			t.Errorf("%s carries %v, want %v", name, got, cross)
+		}
+	}
+	var phase uint64
+	spans := make(map[string]string) // device → span name under the switch phase
+	for _, ev := range tracer.Events(trace.Filter{TraceID: 1}) {
+		if ev.Name == "switch" {
+			phase = ev.SpanID
+		}
+	}
+	for _, ev := range tracer.Events(trace.Filter{TraceID: 1}) {
+		if ev.ParentID == phase && ev.Device != "" {
+			spans[ev.Device] += ev.Name
+		}
+	}
+	if want := map[string]string{"oss-a": "switch-batch", "oss-b": "switch-batch", "oss-c": "switch-batch"}; !maps.Equal(spans, want) {
+		t.Errorf("spans under the switch phase %v, want %v", spans, want)
 	}
 }

@@ -190,12 +190,11 @@ type Report struct {
 }
 
 // Reconfigure executes the change. Phases run strictly in order; a phase
-// is one round of RPCs (the switch phase two, disconnects then connects),
-// in which each device the phase names receives its operations as one
-// batch and all of them work at once. The first error stops the phase's
-// round and aborts the phases after it; a device whose request was
-// abandoned then may or may not have applied it. Report counts operations,
-// not RPCs.
+// is one round of RPCs, in which each device the phase names receives its
+// operations as one batch and all of them work at once. The first error
+// stops the phase's round and aborts the phases after it; a device whose
+// request was abandoned then may or may not have applied it. Report
+// counts operations, not RPCs.
 //
 // When ctx carries a span (trace.ContextWith — the daemon threads its
 // reconfig root through here), each phase becomes a child span with
@@ -341,39 +340,30 @@ func (c *Controller) transceiverPhase(ctx context.Context, sp *trace.Span, ops [
 	return c.round(ctx, sp, reqs, nil)
 }
 
-// switchPhase executes the OSS operations, batched per device — the
-// physical switch settles all of a batch's mirrors in one window — in two
-// rounds: disconnects precede connects, so a circuit can move to a port
-// being vacated in the same change.
+// switchPhase executes the OSS operations as one round: each switch gets
+// one batch of its disconnects and connects, which it applies only if every
+// entry passes — disconnects first, so a circuit can move to a port
+// vacated in the same change — and settles in one window. Switches share no
+// ports, so no switch waits for another's teardown.
 func (c *Controller) switchPhase(ctx context.Context, sp *trace.Span, ops []OSSOp) error {
-	type batch struct{ ins, outs []int }
-	disc := make(map[string]*batch)
-	conn := make(map[string]*batch)
+	type batch struct{ disconnect, ins, outs []int }
+	byDev := make(map[string]*batch)
 	for _, o := range ops {
-		groups := conn
-		if o.Disconnect {
-			groups = disc
-		}
-		b := groups[o.Device]
+		b := byDev[o.Device]
 		if b == nil {
 			b = new(batch)
-			groups[o.Device] = b
+			byDev[o.Device] = b
 		}
-		b.ins = append(b.ins, o.In)
-		if !o.Disconnect {
-			b.outs = append(b.outs, o.Out)
+		if o.Disconnect {
+			b.disconnect = append(b.disconnect, o.In)
+		} else {
+			b.ins, b.outs = append(b.ins, o.In), append(b.outs, o.Out)
 		}
 	}
-	reqs := make(map[string]request, len(disc))
-	for dev, b := range disc {
-		reqs[dev] = request{span: "disconnect-batch", op: "disconnect-batch", args: map[string]any{"ins": b.ins}}
-	}
-	if err := c.round(ctx, sp, reqs, nil); err != nil {
-		return err
-	}
-	clear(reqs)
-	for dev, b := range conn {
-		reqs[dev] = request{span: "connect-batch", op: "connect-batch", args: map[string]any{"ins": b.ins, "outs": b.outs}}
+	reqs := make(map[string]request, len(byDev))
+	for dev, b := range byDev {
+		reqs[dev] = request{span: "switch-batch", op: "switch-batch",
+			args: map[string]any{"disconnect": b.disconnect, "ins": b.ins, "outs": b.outs}}
 	}
 	return c.round(ctx, sp, reqs, nil)
 }
@@ -496,8 +486,9 @@ func (c *Controller) Repair(ctx context.Context, exp Expected) (Change, error) {
 // name to "state" result, as Controller.Call returns it) to the
 // expectation: the audit turned into anti-entropy. Expected devices absent
 // from states are left untouched; a malformed state is a *DeviceError.
-// Reconfigure runs the change in the usual order: drains, disconnects,
-// connects, amplifiers, retunes, fills, undrains.
+// Reconfigure runs the change in the usual order: drains, switches
+// (disconnects before connects on each switch), amplifiers, retunes,
+// fills, undrains.
 func (e Expected) Repair(states map[string]map[string]any) (Change, error) {
 	var ch Change
 	for _, dev := range e.devices() {

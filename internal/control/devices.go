@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/bits"
 	"slices"
+	"strings"
 	"sync"
 	"time"
 )
@@ -18,7 +19,7 @@ type LogEntry struct {
 
 // logCap is how many operations a device remembers. A device runs for as
 // long as the daemon does, so its log is a ring: a dense tick writes three
-// entries per bank and two per OSS, which makes this the last forty-odd
+// entries per bank and one per OSS, which makes this the last forty-odd
 // ticks.
 const logCap = 128
 
@@ -28,18 +29,23 @@ const logCap = 128
 type logRec struct {
 	at   time.Time
 	op   string
+	off  []int // a switch batch's disconnects
 	a, b []int
 }
 
 func (r logRec) note() string {
-	switch {
-	case r.a == nil:
-		return ""
-	case r.b == nil:
-		return fmt.Sprint(r.a)
-	default: // ports in -> out, or transceivers -> wavelengths
-		return fmt.Sprintf("%v->%v", r.a, r.b)
+	var parts []string
+	if len(r.off) > 0 {
+		parts = append(parts, fmt.Sprintf("off %v", r.off))
 	}
+	switch {
+	case len(r.a) == 0:
+	case r.b == nil:
+		parts = append(parts, fmt.Sprint(r.a))
+	default: // ports in -> out, or transceivers -> wavelengths
+		parts = append(parts, fmt.Sprintf("%v->%v", r.a, r.b))
+	}
+	return strings.Join(parts, "; ")
 }
 
 // opLog is the shared audit-trail implementation embedded in every device.
@@ -49,10 +55,10 @@ type opLog struct {
 	n    int      // operations recorded since the device started
 }
 
-// record remembers one operation. The operand slices are retained, not
-// copied: callers pass slices nothing modifies afterwards.
-func (l *opLog) record(op string, a, b []int) {
-	rec := logRec{at: time.Now(), op: op, a: a, b: b}
+// record remembers one operation, stamped now. The operand slices are
+// retained, not copied: callers pass slices nothing modifies afterwards.
+func (l *opLog) record(rec logRec) {
+	rec.at = time.Now()
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if len(l.ring) < logCap {
@@ -102,20 +108,26 @@ func (o *OSS) Kind() string { return "oss" }
 
 // Handle implements Device. Operations:
 //
-//	connect-batch {ins, outs} — create circuits in one settling window; fails
-//	                            if any port is in use
-//	disconnect-batch {ins}    — tear down the circuits from the input ports;
-//	                            fails, changing nothing, if any is idle or
-//	                            named twice
-//	state                     — circuits {in, out}: input ports ascending
+//	switch-batch {disconnect, ins, outs}
+//	        — tear down the circuits from the disconnect inputs, then create
+//	          ins[i]→outs[i]; a connect may take a port the teardown
+//	          vacated. Either list may be empty. All or nothing: it fails,
+//	          changing nothing, if a disconnect names an idle input or one
+//	          twice, or a connect a busy or out-of-range port
+//	state   — circuits {in, out}: input ports ascending
 //
-// There is no single-circuit form: real OSS firmware executes a set of
-// cross-connect moves in a single mirror-settling window, so a
-// multi-circuit reconfiguration pays the switching delay once per device,
-// not once per circuit, and one circuit is a batch of one.
+// There is no single-circuit form and no second switching command: real
+// OSS firmware executes a set of cross-connect moves in a single
+// mirror-settling window, so a reconfiguration pays the switching delay
+// once per device, not once per circuit, and one circuit is a batch of
+// one.
 func (o *OSS) Handle(op string, args map[string]any) (map[string]any, error) {
 	switch op {
-	case "connect-batch":
+	case "switch-batch":
+		disconnect, err := argIntSlice(args, "disconnect")
+		if err != nil {
+			return nil, err
+		}
 		ins, err := argIntSlice(args, "ins")
 		if err != nil {
 			return nil, err
@@ -127,20 +139,10 @@ func (o *OSS) Handle(op string, args map[string]any) (map[string]any, error) {
 		if len(ins) != len(outs) {
 			return nil, fmt.Errorf("oss: batch length mismatch: %d ins, %d outs", len(ins), len(outs))
 		}
-		if err := o.connectBatch(ins, outs); err != nil {
+		if err := o.switchBatch(disconnect, ins, outs); err != nil {
 			return nil, err
 		}
-		o.record(op, ins, outs)
-		return nil, nil
-	case "disconnect-batch":
-		ins, err := argIntSlice(args, "ins")
-		if err != nil {
-			return nil, err
-		}
-		if err := o.disconnectBatch(ins); err != nil {
-			return nil, err
-		}
-		o.record(op, ins, nil)
+		o.record(logRec{op: op, off: disconnect, a: ins, b: outs})
 		return nil, nil
 	case "state":
 		ins, outs := o.Cross()
@@ -150,33 +152,51 @@ func (o *OSS) Handle(op string, args map[string]any) (map[string]any, error) {
 	}
 }
 
-// connectBatch validates and reserves every cross-connect under the lock,
-// then settles once: the physical switch moves all mirrors in a single
-// settling window.
-func (o *OSS) connectBatch(ins, outs []int) error {
+// switchBatch applies a batch under the lock: it tears down the circuits
+// from disconnect, then reserves every cross-connect, each checked against
+// the state the entries before it left. On the first entry that fails it
+// puts every circuit back as it was. A batch that connects something then
+// settles once: the physical switch moves all mirrors in a single settling
+// window.
+func (o *OSS) switchBatch(disconnect, ins, outs []int) error {
 	o.mu.Lock()
+	was := make([]int, len(disconnect)) // the output each torn-down circuit fed
+	fail := func(torn, made int, err error) error {
+		o.rollback(ins[:made])
+		for i, in := range disconnect[:torn] {
+			o.cross[in], o.outInUse[was[i]] = was[i], in
+		}
+		o.mu.Unlock()
+		return err
+	}
+	for i, in := range disconnect {
+		if in < 0 || in >= o.ports || o.cross[in] < 0 {
+			if slices.Contains(disconnect[:i], in) {
+				return fail(i, 0, fmt.Errorf("oss: input %d named twice in one batch", in))
+			}
+			return fail(i, 0, fmt.Errorf("oss: input %d not connected", in))
+		}
+		was[i] = o.cross[in]
+		o.cross[in], o.outInUse[was[i]] = -1, -1
+	}
 	for i := range ins {
 		in, out := ins[i], outs[i]
 		if in < 0 || in >= o.ports || out < 0 || out >= o.ports {
-			o.rollback(ins[:i])
-			o.mu.Unlock()
-			return fmt.Errorf("oss: port out of range [0,%d): in=%d out=%d", o.ports, in, out)
+			return fail(len(disconnect), i, fmt.Errorf("oss: port out of range [0,%d): in=%d out=%d", o.ports, in, out))
 		}
 		if cur := o.cross[in]; cur >= 0 {
-			o.rollback(ins[:i])
-			o.mu.Unlock()
-			return fmt.Errorf("oss: input %d already connected to %d", in, cur)
+			return fail(len(disconnect), i, fmt.Errorf("oss: input %d already connected to %d", in, cur))
 		}
 		if cur := o.outInUse[out]; cur >= 0 {
-			o.rollback(ins[:i])
-			o.mu.Unlock()
-			return fmt.Errorf("oss: output %d already fed by %d", out, cur)
+			return fail(len(disconnect), i, fmt.Errorf("oss: output %d already fed by %d", out, cur))
 		}
 		o.cross[in] = out
 		o.outInUse[out] = in
 	}
 	o.mu.Unlock()
-	time.Sleep(o.switchDelay)
+	if len(ins) > 0 {
+		time.Sleep(o.switchDelay)
+	}
 	return nil
 }
 
@@ -186,23 +206,6 @@ func (o *OSS) rollback(ins []int) {
 		out := o.cross[in]
 		o.cross[in], o.outInUse[out] = -1, -1
 	}
-}
-
-// disconnectBatch checks every input under the lock before it tears down
-// any circuit.
-func (o *OSS) disconnectBatch(ins []int) error {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	for i, in := range ins {
-		if in < 0 || in >= o.ports || o.cross[in] < 0 {
-			return fmt.Errorf("oss: input %d not connected", in)
-		}
-		if slices.Contains(ins[:i], in) {
-			return fmt.Errorf("oss: input %d named twice in one batch", in)
-		}
-	}
-	o.rollback(ins)
-	return nil
 }
 
 // Cross returns the circuits: input ports ascending, and each one's output.
@@ -256,7 +259,7 @@ func (a *Amplifier) Handle(op string, args map[string]any) (map[string]any, erro
 	default:
 		return nil, fmt.Errorf("amp: unknown op %q", op)
 	}
-	a.record(op, nil, nil)
+	a.record(logRec{op: op})
 	return nil, nil
 }
 
@@ -322,7 +325,7 @@ func (b *TransceiverBank) Handle(op string, args map[string]any) (map[string]any
 		if err := b.tuneBatch(idxs, ws); err != nil {
 			return nil, err
 		}
-		b.record(op, idxs, ws)
+		b.record(logRec{op: op, a: idxs, b: ws})
 		return nil, nil
 	case "enable-batch", "disable-batch":
 		idxs, err := argIntSlice(args, "idxs")
@@ -332,7 +335,7 @@ func (b *TransceiverBank) Handle(op string, args map[string]any) (map[string]any
 		if err := b.setEnabledBatch(idxs, op == "enable-batch"); err != nil {
 			return nil, err
 		}
-		b.record(op, idxs, nil)
+		b.record(logRec{op: op, a: idxs})
 		return nil, nil
 	case "state":
 		b.mu.Lock()
@@ -460,7 +463,7 @@ func (e *ChannelEmulator) Handle(op string, args map[string]any) (map[string]any
 		for _, c := range chans {
 			e.filled[c] = true
 		}
-		e.record(op, chans, nil)
+		e.record(logRec{op: op, a: chans})
 		return nil, nil
 	case "state":
 		return map[string]any{"filled": e.Filled(), "lambda": e.lambda}, nil

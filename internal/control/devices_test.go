@@ -11,6 +11,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 )
 
 // cloneBank returns an independent bank in the same state.
@@ -353,7 +354,7 @@ func TestMismatchNamesTheElementNotTheVectors(t *testing.T) {
 	}{
 		{"bank", "tune-batch", map[string]any{"idxs": idxs, "wavelengths": ws}},
 		{"bank", "enable-batch", map[string]any{"idxs": idxs}},
-		{"oss", "connect-batch", map[string]any{"ins": ins, "outs": outs}},
+		{"oss", "switch-batch", switchArgs(nil, ins, outs)},
 		{"em", "fill", map[string]any{"channels": idxs[:90]}},
 	} {
 		if _, err := tb.Controller.Call(c.dev, c.op, c.args); err != nil {
@@ -543,6 +544,161 @@ func FuzzStateDecode(f *testing.F) {
 			if pt, pe := packBank(tuned, live, lambda); pt != st["tuned"] || pe != st["enabled"] {
 				t.Fatalf("repair took %q for a bank state, which packs again as %q %q", result, pt, pe)
 			}
+		}
+	})
+}
+
+// switchArgs is a switch-batch's arguments.
+func switchArgs(disconnect, ins, outs []int) map[string]any {
+	return map[string]any{"disconnect": disconnect, "ins": ins, "outs": outs}
+}
+
+// ossHolding returns an eight-port switch carrying the given circuits.
+func ossHolding(delay time.Duration, cross map[int]int) *OSS {
+	o := NewOSS(8, delay)
+	for in, out := range cross {
+		o.cross[in], o.outInUse[out] = out, in
+	}
+	return o
+}
+
+// circuits returns a switch's circuits as a map.
+func circuits(o *OSS) map[int]int {
+	ins, outs := o.Cross()
+	m := make(map[int]int, len(ins))
+	for i, in := range ins {
+		m[in] = outs[i]
+	}
+	return m
+}
+
+// TestSwitchBatchSemantics: a switch-batch tears down its disconnects,
+// then makes its connects, each checked against the state after the
+// teardown; a batch with any entry that fails changes nothing and logs
+// nothing.
+func TestSwitchBatchSemantics(t *testing.T) {
+	held := map[int]int{0: 4, 1: 5}
+	for _, c := range []struct {
+		name string
+		args map[string]any
+		want map[int]int // nil: the batch fails
+	}{
+		{"move onto a vacated input", switchArgs([]int{0}, []int{0}, []int{6}), map[int]int{0: 6, 1: 5}},
+		{"move onto a vacated output", switchArgs([]int{0}, []int{2}, []int{4}), map[int]int{1: 5, 2: 4}},
+		{"swap two outputs", switchArgs([]int{0, 1}, []int{0, 1}, []int{5, 4}), map[int]int{0: 5, 1: 4}},
+		{"connects only", switchArgs(nil, []int{2, 3}, []int{6, 7}), map[int]int{0: 4, 1: 5, 2: 6, 3: 7}},
+		{"disconnects only", switchArgs([]int{1}, nil, nil), map[int]int{0: 4}},
+		{"nothing", switchArgs(nil, nil, nil), held},
+		{"idle disconnect", switchArgs([]int{2}, nil, nil), nil},
+		{"idle disconnect behind a good one", switchArgs([]int{0, 2}, []int{3}, []int{4}), nil},
+		{"repeated disconnect", switchArgs([]int{0, 0}, nil, nil), nil},
+		{"out-of-range disconnect", switchArgs([]int{8}, nil, nil), nil},
+		{"busy input", switchArgs(nil, []int{1}, []int{6}), nil},
+		{"busy output", switchArgs(nil, []int{2}, []int{5}), nil},
+		{"busy output behind a teardown", switchArgs([]int{0}, []int{0, 2}, []int{6, 5}), nil},
+		{"repeated input", switchArgs(nil, []int{2, 2}, []int{6, 7}), nil},
+		{"repeated output", switchArgs([]int{0}, []int{2, 3}, []int{4, 4}), nil},
+		{"out-of-range input", switchArgs(nil, []int{8}, []int{6}), nil},
+		{"out-of-range output", switchArgs([]int{0}, []int{0}, []int{-1}), nil},
+		{"length mismatch", switchArgs(nil, []int{2}, []int{6, 7}), nil},
+		{"no disconnect argument", map[string]any{"ins": []int{2}, "outs": []int{6}}, nil},
+		{"no ins argument", map[string]any{"disconnect": []int{0}, "outs": []int{6}}, nil},
+		{"no outs argument", map[string]any{"disconnect": []int{0}, "ins": []int{2}}, nil},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			o := ossHolding(0, held)
+			_, err := o.Handle("switch-batch", c.args)
+			if (err == nil) != (c.want != nil) {
+				t.Fatalf("switch-batch %v: err = %v, want failure %v", c.args, err, c.want == nil)
+			}
+			want, logged := c.want, 1
+			if want == nil {
+				want, logged = held, 0
+			}
+			if got := circuits(o); !maps.Equal(got, want) {
+				t.Errorf("circuits %v, want %v", got, want)
+			}
+			if log := o.Log(); len(log) != logged || (logged == 1 && log[0].Op != "switch-batch") {
+				t.Errorf("log %v, want %d switch-batch entries", log, logged)
+			}
+		})
+	}
+}
+
+// TestSwitchBatchSettlesOnlyForConnects: a batch settles once when it
+// connects something, and not at all when it only tears down.
+func TestSwitchBatchSettlesOnlyForConnects(t *testing.T) {
+	const delay = 20 * time.Millisecond
+	o := ossHolding(delay, map[int]int{0: 4, 1: 5, 2: 6})
+	start := time.Now()
+	if _, err := o.Handle("switch-batch", switchArgs([]int{2}, nil, nil)); err != nil {
+		t.Fatal(err)
+	}
+	if took := time.Since(start); took >= delay {
+		t.Errorf("a disconnect-only batch took %v, want no settling", took)
+	}
+	start = time.Now()
+	if _, err := o.Handle("switch-batch", switchArgs([]int{0, 1}, []int{0, 1, 3}, []int{5, 4, 7})); err != nil {
+		t.Fatal(err)
+	}
+	if took := time.Since(start); took < delay || took >= 2*delay {
+		t.Errorf("a batch of two disconnects and three connects took %v, want one settling of %v", took, delay)
+	}
+}
+
+// FuzzOSSSwitchBatch: on a switch holding a few circuits, any switch-batch
+// either leaves what a model of teardown-then-connect computes, logged as
+// one entry, or fails and leaves the circuits and the log as they were.
+func FuzzOSSSwitchBatch(f *testing.F) {
+	f.Add([]byte{0}, []byte{0}, []byte{6})
+	f.Add([]byte{0, 1}, []byte{0, 1}, []byte{5, 4})
+	f.Add([]byte{3}, []byte{}, []byte{})
+	f.Add([]byte{}, []byte{3, 3}, []byte{7, 8})
+	f.Add([]byte{2, 2}, []byte{9}, []byte{0})
+	held := map[int]int{0: 4, 1: 5, 2: 3}
+	ports := func(bs []byte) []int { // -1 to 8: both ends of [0,8) and past them
+		out := make([]int, len(bs))
+		for i, b := range bs {
+			out[i] = int(b)%10 - 1
+		}
+		return out
+	}
+	f.Fuzz(func(t *testing.T, db, ib, ob []byte) {
+		disconnect, ins, outs := ports(db), ports(ib), ports(ob)
+		want := maps.Clone(held)
+		ok := len(ins) == len(outs)
+		for _, in := range disconnect {
+			if _, held := want[in]; !held {
+				ok = false
+			}
+			delete(want, in)
+		}
+		fed := make(map[int]bool)
+		for _, out := range want {
+			fed[out] = true
+		}
+		for i := 0; ok && i < len(ins); i++ {
+			in, out := ins[i], outs[i]
+			_, busy := want[in]
+			if ok = in >= 0 && in < 8 && out >= 0 && out < 8 && !busy && !fed[out]; ok {
+				want[in], fed[out] = out, true
+			}
+		}
+
+		o := ossHolding(0, held)
+		_, err := o.Handle("switch-batch", switchArgs(disconnect, ins, outs))
+		if (err == nil) != ok {
+			t.Fatalf("switch-batch %v %v->%v: err = %v, the model accepts it: %v", disconnect, ins, outs, err, ok)
+		}
+		logged := 1
+		if !ok {
+			want, logged = held, 0
+		}
+		if got := circuits(o); !maps.Equal(got, want) {
+			t.Fatalf("switch-batch %v %v->%v left %v, want %v", disconnect, ins, outs, got, want)
+		}
+		if got := len(o.Log()); got != logged {
+			t.Fatalf("switch-batch %v %v->%v logged %d entries, want %d", disconnect, ins, outs, got, logged)
 		}
 	})
 }

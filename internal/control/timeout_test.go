@@ -123,7 +123,7 @@ func TestDeviceErrorAttribution(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer tb.Close()
-	_, err = tb.Controller.Call("oss-a", "connect-batch", map[string]any{"ins": []int{99}, "outs": []int{0}})
+	_, err = tb.Controller.Call("oss-a", "switch-batch", switchArgs(nil, []int{99}, []int{0}))
 	if err == nil {
 		t.Fatal("out-of-range connect succeeded")
 	}

@@ -77,7 +77,7 @@ var wireSeeds = []string{
 	``,
 	`null`,
 	` {"id":1,"op":"connect","args":{"in":0,"out":10}} `,
-	`{"id":2,"op":"connect-batch","args":{"ins":[0,1,2],"outs":[10,11,12]}}`,
+	`{"id":2,"op":"switch-batch","args":{"disconnect":[3],"ins":[0,1,2],"outs":[10,11,12]}}`,
 	`{"id":3,"op":"tune-batch","args":{"idxs":[0,3],"wavelengths":[7,-1]}}`,
 	`{"id":4,"op":"fill","args":{"channels":[]}}`,
 	`{"id":5,"ok":true,"result":{"tuned":[5,-1,-1,-1],"enabled":[true,false,false,false],"lambda":40}}`,

@@ -116,9 +116,9 @@ func TestAuditSeesEveryDeviceFlip(t *testing.T) {
 				}
 			}
 		}
-		flip(dev, "disconnect-batch", map[string]any{"ins": []int{in}})
+		flip(dev, "switch-batch", map[string]any{"disconnect": []int{in}, "ins": []int{}, "outs": []int{}})
 		wantReport(dev, "cross map")
-		flip(dev, "connect-batch", map[string]any{"ins": []int{in}, "outs": []int{exp.Cross[dev][in]}})
+		flip(dev, "switch-batch", map[string]any{"disconnect": []int{}, "ins": []int{in}, "outs": []int{exp.Cross[dev][in]}})
 		if err := d.Audit(); err != nil {
 			t.Fatalf("audit after restoring %s: %v", dev, err)
 		}

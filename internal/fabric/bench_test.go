@@ -13,10 +13,11 @@ import (
 // benchRegion is the 20-DC evaluation region (10 fiber-pairs × 40
 // wavelengths per DC, instant switches) with two dense allocations drawn
 // around one heavy-tailed base, so moving between them reconfigures most
-// of the region's devices — the shape of a dense converge tick.
-func benchRegion(b testing.TB) (*Rig, [2]core.Allocation) {
+// of the region's devices — the shape of a dense converge tick. wrap, when
+// non-nil, is the bring-up's WrapDevice.
+func benchRegion(b testing.TB, wrap func(string, control.Device) control.Device) (*Rig, [2]core.Allocation) {
 	b.Helper()
-	rig, err := BringUp(BringUpConfig{Seed: 1, DCs: 20, DCCapacity: 10, Lambda: 40})
+	rig, err := BringUp(BringUpConfig{Seed: 1, DCs: 20, DCCapacity: 10, Lambda: 40, WrapDevice: wrap})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -44,16 +45,21 @@ func benchRegion(b testing.TB) (*Rig, [2]core.Allocation) {
 
 // BenchmarkReconfigureDense measures Controller.Reconfigure alone on a
 // dense change (CompileTarget runs off the clock): a couple of thousand
-// device operations, one RPC per device per phase. Its allocations —
+// device operations, one RPC per device per phase. A counting shim around
+// every device reports the RPCs a change costs (device-rpcs/op): 86 with
+// the switch phase one round, 115 when it was two (disconnects, then
+// connects); it fails above 94, the 86 plus 10 %. Its allocations —
 // controller and devices, which share the process — are gated at 2 500 a
 // change (2 281 when the gate was set; 2 621 with a goroutine and a channel
 // hand-off per RPC). The CompileTarget it keeps off the clock allocates 684
 // times a change: 673 when it walked the region itself rather than
 // compiling DiffAlloc of the fabric's allocation, 778 when every circuit
 // copied its planned path and built a map of the nodes it bypasses;
-// Reconfigure's 2 281 did not move.
+// Reconfigure's 2 281 did not move. With the counting shim a change
+// allocates 2 144 times, 2 303 when the switch phase was two rounds.
 func BenchmarkReconfigureDense(b *testing.B) {
-	rig, allocs := benchRegion(b)
+	counter := &opCounter{n: make(map[string]map[string]int)}
+	rig, allocs := benchRegion(b, counter.wrap)
 	compiled := 0
 	compile := func() control.Change {
 		ch, err := rig.Fab.CompileTarget(allocs[compiled%2])
@@ -87,6 +93,7 @@ func BenchmarkReconfigureDense(b *testing.B) {
 		b.Fatalf("a dense change allocates %.0f times, want at most 2500", allocs)
 	}
 	ops = 0
+	rpcs := counter.total()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -96,6 +103,11 @@ func BenchmarkReconfigureDense(b *testing.B) {
 		reconfigure(ch)
 	}
 	b.ReportMetric(float64(ops)/float64(b.N), "device-ops/op")
+	perChange := float64(counter.total()-rpcs) / float64(b.N)
+	b.ReportMetric(perChange, "device-rpcs/op")
+	if perChange > 94 {
+		b.Fatalf("a dense change costs %.1f device RPCs, want at most 94", perChange)
+	}
 }
 
 // BenchmarkAuditRegion measures the audit that closes every tick: one
@@ -104,7 +116,7 @@ func BenchmarkReconfigureDense(b *testing.B) {
 // controller and devices, which share the process — are gated at 1 200 an
 // audit (888 when the gate was set; 2 802 with per-element state replies).
 func BenchmarkAuditRegion(b *testing.B) {
-	rig, allocs := benchRegion(b)
+	rig, allocs := benchRegion(b, nil)
 	ch, err := rig.Fab.CompileTarget(allocs[0])
 	if err != nil {
 		b.Fatal(err)
@@ -138,7 +150,7 @@ func BenchmarkAuditRegion(b *testing.B) {
 // when the gate was set; a deep Clone and CompileTarget's whole-region
 // walk allocated 1 117).
 func BenchmarkCommitSparse(b *testing.B) {
-	rig, allocs := benchRegion(b)
+	rig, allocs := benchRegion(b, nil)
 	fab := rig.Fab
 	if _, err := fab.CompileTarget(allocs[0]); err != nil {
 		b.Fatal(err)

@@ -146,7 +146,7 @@ func shiftFeed(rig *Rig, seed int64, redraw float64, n int) []*traffic.Matrix {
 // the intent that CompileTarget of its allocation gives on a deep twin,
 // and that the whole-region compiler gives on another.
 func TestCompileMatchesCompileTarget(t *testing.T) {
-	rig, _ := benchRegion(t)
+	rig, _ := benchRegion(t, nil)
 	for _, tc := range []struct {
 		name   string
 		redraw float64
@@ -218,7 +218,7 @@ func countCircuits(f *Fabric) int {
 // TestCompileRejectsWrongOldValues: a delta that does not start from the
 // circuits the fabric holds is an error, and the fabric is left as it was.
 func TestCompileRejectsWrongOldValues(t *testing.T) {
-	rig, allocs := benchRegion(t)
+	rig, allocs := benchRegion(t, nil)
 	if _, err := rig.Fab.CompileTarget(allocs[0]); err != nil {
 		t.Fatal(err)
 	}
@@ -249,7 +249,7 @@ func TestCompileRejectsWrongOldValues(t *testing.T) {
 // what it was, also when the clone's compile fails midway. Run it under
 // -race as well.
 func TestCloneLeavesParentUntouched(t *testing.T) {
-	rig, allocs := benchRegion(t)
+	rig, allocs := benchRegion(t, nil)
 	for _, tc := range []struct {
 		name string
 		// starve grows every pair by one full fiber and empties the free
@@ -326,7 +326,7 @@ func TestCloneLeavesParentUntouched(t *testing.T) {
 // full circuit to the same pair keep their own circuits, also when the
 // parent's slice for the pair has room to grow in place.
 func TestClonesGrowTheirOwnSlices(t *testing.T) {
-	rig, allocs := benchRegion(t)
+	rig, allocs := benchRegion(t, nil)
 	parent := rig.Fab
 	if _, err := parent.CompileTarget(allocs[0]); err != nil {
 		t.Fatal(err)

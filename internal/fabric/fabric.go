@@ -465,8 +465,9 @@ func pathEndpointB(c *circuit) int { return c.path.Nodes[len(c.path.Nodes)-1] }
 // the fabric holds for its pair; otherwise Compile returns an error and
 // leaves the fabric as it was. The returned change follows the §5.2
 // discipline: drains of torn-down or resized circuits come first, then
-// all OSS operations (disconnects before connects), then retunes, then
-// undrains.
+// all OSS operations, then retunes, then undrains. Each switch receives
+// its operations as one batch, which tears down its disconnects before it
+// makes its connects.
 func (f *Fabric) Compile(pairs []core.PairDelta) (control.Change, error) {
 	for _, d := range pairs {
 		p := d.Pair()
@@ -481,8 +482,8 @@ func (f *Fabric) Compile(pairs []core.PairDelta) (control.Change, error) {
 	}
 	var ch control.Change
 	// Teardowns first so their fibers and transceivers free up for the
-	// establishes compiled after them (the controller runs disconnects
-	// before connects within the switch phase).
+	// establishes compiled after them (a switch's batch tears down its
+	// disconnects before it makes its connects).
 	for _, d := range pairs {
 		p := d.Pair()
 		for cur := f.full[p]; len(cur) > d.NewFibers; {

@@ -77,8 +77,9 @@ func tune(i, w int) map[string]any {
 	return map[string]any{"idxs": []int{i}, "wavelengths": []int{w}}
 }
 
-func connect(in, out int) map[string]any {
-	return map[string]any{"ins": []int{in}, "outs": []int{out}}
+// switchArgs is a switch-batch's arguments.
+func switchArgs(disconnect, ins, outs []int) map[string]any {
+	return map[string]any{"disconnect": disconnect, "ins": ins, "outs": outs}
 }
 
 func opCount(ch control.Change) int {
@@ -132,7 +133,7 @@ func TestAuditAndRepairAgreeOnNamedDrifts(t *testing.T) {
 			poke(t, rig, bank, "enable-batch", idxs(live))
 		}, 3},
 		{"stray cross-connect on an idle switch", idle, "cross map", func() {
-			poke(t, rig, idle, "connect-batch", connect(0, 1))
+			poke(t, rig, idle, "switch-batch", switchArgs(nil, []int{0}, []int{1}))
 		}, 1},
 	} {
 		t.Run(c.name, func(t *testing.T) {
@@ -254,17 +255,18 @@ func (d *drifter) apply() bool {
 		if kind != crossRemoved && (len(freeIn) == 0 || len(freeOut) == 0) {
 			return false
 		}
-		in := pick(d.rng, freeIn)
+		in, disconnect := pick(d.rng, freeIn), []int(nil)
 		if kind != crossAdded {
 			in = pick(d.rng, ins)
-			poke(d.t, d.rig, dev, "disconnect-batch", map[string]any{"ins": []int{in}})
+			disconnect = []int{in}
 		}
 		switch {
 		case kind == crossRemoved:
+			poke(d.t, d.rig, dev, "switch-batch", switchArgs(disconnect, nil, nil))
 		case kind == crossMoved && d.rng.Intn(2) == 0: // the output moves to another input
-			poke(d.t, d.rig, dev, "connect-batch", connect(pick(d.rng, freeIn), cross[in]))
-		default:
-			poke(d.t, d.rig, dev, "connect-batch", connect(in, pick(d.rng, freeOut)))
+			poke(d.t, d.rig, dev, "switch-batch", switchArgs(disconnect, []int{pick(d.rng, freeIn)}, []int{cross[in]}))
+		default: // the input moves to another output, or a new circuit
+			poke(d.t, d.rig, dev, "switch-batch", switchArgs(disconnect, []int{in}, []int{pick(d.rng, freeOut)}))
 		}
 	case xcvrDrained, xcvrEnabled, xcvrRetunedLive, xcvrRetunedDrained:
 		dev := pick(d.rng, d.banks)
