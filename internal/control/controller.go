@@ -176,6 +176,27 @@ type Change struct {
 	Undrain []TransceiverOp
 }
 
+// Devices returns every device the change names, sorted: the devices it
+// can have moved, and so the ones the audit that closes it fetches.
+func (ch Change) Devices() []string {
+	seen := make(map[string]bool)
+	for _, ops := range [][]TransceiverOp{ch.Drain, ch.Retunes, ch.Undrain} {
+		for _, o := range ops {
+			seen[o.Device] = true
+		}
+	}
+	for _, o := range ch.Switches {
+		seen[o.Device] = true
+	}
+	for _, o := range ch.Amps {
+		seen[o.Device] = true
+	}
+	for _, o := range ch.Fills {
+		seen[o.Device] = true
+	}
+	return sortedKeys(seen)
+}
+
 // PhaseTiming reports how long one phase of a reconfiguration took.
 type PhaseTiming struct {
 	Name     string
@@ -192,8 +213,10 @@ type Report struct {
 // Reconfigure executes the change. Phases run strictly in order; a phase
 // is one round of RPCs, in which each device the phase names receives its
 // operations as one batch and all of them work at once. The first error
-// stops the phase's round and aborts the phases after it; a device whose
-// request was abandoned then may or may not have applied it. Report
+// stops the phase's round and aborts the phases after it. Unless ctx was
+// cancelled, every request the change sent has been answered when
+// Reconfigure returns, so the devices stay as the error left them; the
+// ones behind the failing device may have applied their batch. Report
 // counts operations, not RPCs.
 //
 // When ctx carries a span (trace.ContextWith — the daemon threads its
@@ -260,10 +283,13 @@ type request struct {
 // (three switches settle in one settling time), and a device's RPC deadline
 // runs from when its request was sent. Replies are read in the same order
 // and handed to visit, if there is one. The first failed reply (a
-// *DeviceError naming its device), a failed visit or a cancelled ctx stops
-// the round, and the requests still in flight are abandoned — a device may
-// have applied an abandoned operation, which is what the audit after a
-// change and Repair are for. Each request is a child span of parent,
+// *DeviceError naming its device) or a failed visit stops the round: the
+// replies still to come are read and discarded, so when round returns no
+// request it sent is in flight and no device applies one of them later
+// (short of a device past its deadline, given up as any timed-out call
+// is). Only a cancelled ctx abandons the requests still in flight — a
+// device may then apply one after round returns, which is what the next
+// repair's fresh fetch is for. Each request is a child span of parent,
 // attributed to its device.
 //
 // A client stays locked from send to recv, so a second request to a device
@@ -285,10 +311,10 @@ func (c *Controller) round(ctx context.Context, parent *trace.Span, reqs map[str
 		clients[i], errs[i] = c.send(dev, req.op, req.args)
 	}
 	for i, dev := range devs {
-		if stop == nil {
-			stop = ctx.Err()
-		}
-		if stop != nil {
+		if err := ctx.Err(); err != nil {
+			if stop == nil {
+				stop = err
+			}
 			if clients[i] != nil {
 				clients[i].abandon()
 			}
@@ -302,6 +328,11 @@ func (c *Controller) round(ctx context.Context, parent *trace.Span, reqs map[str
 			if res, err = clients[i].recv(); err != nil {
 				err = &DeviceError{Device: dev, Err: err}
 			}
+		}
+		if stop != nil {
+			spans[i].SetAttr("discarded")
+			finishRPC(spans[i], err)
+			continue
 		}
 		finishRPC(spans[i], err)
 		if stop = err; stop == nil && visit != nil {
@@ -430,6 +461,30 @@ func named[V any](seen map[string]bool, field map[string]V) {
 	}
 }
 
+// Only returns the part of the expectation that names devs; the maps it
+// holds are shared with e. The audit that closes a change checks the
+// devices the change named (Change.Devices) and no other.
+func (e Expected) Only(devs []string) Expected {
+	var o Expected
+	for _, dev := range devs {
+		keep(&o.Cross, e.Cross, dev)
+		keep(&o.Tuned, e.Tuned, dev)
+		keep(&o.Enabled, e.Enabled, dev)
+		keep(&o.Filled, e.Filled, dev)
+		keep(&o.Amps, e.Amps, dev)
+	}
+	return o
+}
+
+func keep[V any](dst *map[string]V, src map[string]V, dev string) {
+	if v, ok := src[dev]; ok {
+		if *dst == nil {
+			*dst = make(map[string]V)
+		}
+		(*dst)[dev] = v
+	}
+}
+
 // eachState is the one fetch behind the audit and the repair: a round of
 // "state" requests to every device the expectation names, each reply handed
 // to visit — in sorted order, while the devices behind it still answer —
@@ -458,14 +513,21 @@ func (c *Controller) Audit(exp Expected) error {
 // well-formed state that differs from intent is a plain mismatch error
 // naming the device and the field.
 func (c *Controller) AuditCtx(ctx context.Context, exp Expected) error {
-	return c.eachState(ctx, exp, func(dev string, st map[string]any) error {
-		var ch Change
-		diff, err := exp.repair(&ch, dev, st)
-		if err == nil && diff != "" {
-			err = fmt.Errorf("control: audit %s: %s", dev, diff)
-		}
-		return err
-	})
+	return c.eachState(ctx, exp, exp.Check)
+}
+
+// Check is the audit's verdict on one device's state (st as
+// Controller.Call returns it): nil when its repair is empty, a
+// *DeviceError when the state is not well formed, else a mismatch error
+// naming the device, the field and the first element that differs. A
+// device the expectation does not name passes.
+func (e Expected) Check(dev string, st map[string]any) error {
+	var ch Change
+	diff, err := e.repair(&ch, dev, st)
+	if err == nil && diff != "" {
+		err = fmt.Errorf("control: audit %s: %s", dev, diff)
+	}
+	return err
 }
 
 // Repair fetches every expected device's state and returns the change that

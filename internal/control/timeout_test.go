@@ -200,13 +200,14 @@ func overlapRig(t *testing.T) (*Testbed, *moodyBank, Expected) {
 }
 
 // TestAuditThatStopsEarlyLeavesNoStaleReply: when device c of a…e fails
-// the audit, the requests already sent to d and e are abandoned, and the
-// error is the one a one-at-a-time audit gave: a *DeviceError naming c
-// (a deadline for a wedged device), or the context's own error. Once the
-// fault clears the next changes and audits pass on every connection: no
-// reply to an abandoned request is ever read as the reply to a later one.
-// The same holds for a round that mutates — the drain phase of a change —
-// and the phases behind it do not run.
+// the audit, the replies to the requests already sent to d and e are read
+// and discarded (or, when the caller's context is cancelled, the requests
+// are abandoned), and the error is the one a one-at-a-time audit gave: a
+// *DeviceError naming c (a deadline for a wedged device), or the
+// context's own error. Once the fault clears the next changes and audits
+// pass on every connection: no reply to an abandoned request is ever read
+// as the reply to a later one. The same holds for a round that mutates —
+// the drain phase of a change — and the phases behind it do not run.
 func TestAuditThatStopsEarlyLeavesNoStaleReply(t *testing.T) {
 	tb, moody, exp := overlapRig(t)
 	ctl := tb.Controller
@@ -288,10 +289,14 @@ func TestAuditThatStopsEarlyLeavesNoStaleReply(t *testing.T) {
 
 	// The mutating round. failedDrain runs a traced change whose drain of
 	// the banks named fails — behind it a retune of a, which must not run —
-	// and returns the error with the attribute of each bank's span.
+	// and returns the error with the attribute of each bank's span; the
+	// spans of d and e must carry behind: "discarded" when their replies
+	// were read after the round stopped, "deadline_exceeded" when their
+	// deadlines, which ran from the same send as c's, ran out while c's
+	// reply was awaited, "abandoned" when the context was cancelled.
 	tracer := trace.New(256)
 	var traceID uint64
-	failedDrain := func(t *testing.T, ctx context.Context, devs ...string) (map[string]string, error) {
+	failedDrain := func(t *testing.T, ctx context.Context, behind string, devs ...string) (map[string]string, error) {
 		t.Helper()
 		ch := Change{Drain: drain(devs...), Retunes: []TransceiverOp{{Device: "a", Idx: 0, Wavelength: 3}}}
 		traceID++
@@ -316,23 +321,23 @@ func TestAuditThatStopsEarlyLeavesNoStaleReply(t *testing.T) {
 			}
 		}
 		for _, dev := range []string{"d", "e"} {
-			if attrs[dev] != "abandoned" {
-				t.Errorf("span of %s has attr %q, want abandoned", dev, attrs[dev])
+			if attrs[dev] != behind {
+				t.Errorf("span of %s has attr %q, want %s", dev, attrs[dev], behind)
 			}
 		}
 		return attrs, err
 	}
 	for _, c := range []struct {
-		name string
-		mood int32
-		attr string
+		name         string
+		mood         int32
+		attr, behind string
 	}{
-		{"drain wedged past the deadline", wedged, "deadline_exceeded"},
-		{"drain refused", refusing, ""},
+		{"drain wedged past the deadline", wedged, "deadline_exceeded", "deadline_exceeded"},
+		{"drain refused", refusing, "", "discarded"},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			moody.mood.Store(c.mood)
-			attrs, err := failedDrain(t, context.Background(), "a", "b", "c", "d", "e")
+			attrs, err := failedDrain(t, context.Background(), c.behind, "a", "b", "c", "d", "e")
 			var de *DeviceError
 			if !errors.As(err, &de) || de.Device != "c" || isDeadline(err) != (c.mood == wedged) {
 				t.Fatalf("reconfigure = %v, want a DeviceError for c (deadline: %v)", err, c.mood == wedged)
@@ -349,14 +354,14 @@ func TestAuditThatStopsEarlyLeavesNoStaleReply(t *testing.T) {
 		defer cancel()
 		moody.cancel.Store(cancel)
 		moody.mood.Store(cancelling) // c cancels before it replies, so before d's reply is awaited
-		if _, err := failedDrain(t, ctx, "a", "b", "c", "d", "e"); !errors.Is(err, context.Canceled) {
+		if _, err := failedDrain(t, ctx, "abandoned", "a", "b", "c", "d", "e"); !errors.Is(err, context.Canceled) {
 			t.Fatalf("reconfigure = %v, want context.Canceled", err)
 		}
 		healthy(t)
 	})
 
 	t.Run("drain of a device the controller does not have", func(t *testing.T) {
-		attrs, err := failedDrain(t, context.Background(), "a", "bb", "d", "e")
+		attrs, err := failedDrain(t, context.Background(), "discarded", "a", "bb", "d", "e")
 		if !strings.Contains(err.Error(), `unknown device "bb"`) || attrs["a"] != "" {
 			t.Fatalf("reconfigure = %v with span attrs %v, want unknown device bb after a clean a", err, attrs)
 		}
@@ -365,9 +370,11 @@ func TestAuditThatStopsEarlyLeavesNoStaleReply(t *testing.T) {
 }
 
 // TestAuditSpansAreOnePerDevice: under a traced audit every device has
-// one "state" child of the audit's span, attributed to it; a wedged
-// device's carries its error and deadline_exceeded, and the requests
-// abandoned behind it are marked so.
+// one "state" child of the audit's span, attributed to it. A refusing
+// device's carries its error, and the replies read and discarded behind it
+// are marked so. A wedged device's carries its error and
+// deadline_exceeded, and so do the ones behind it: their deadlines ran
+// from the same send and ran out while its reply was awaited.
 func TestAuditSpansAreOnePerDevice(t *testing.T) {
 	tb, moody, exp := overlapRig(t)
 	tracer := trace.New(256)
@@ -408,15 +415,75 @@ func TestAuditSpansAreOnePerDevice(t *testing.T) {
 		}
 	}
 
-	moody.mood.Store(wedged)
-	spans, err = audit(2)
-	if err == nil {
-		t.Fatal("audit of a wedged device passed")
-	}
-	for dev, ev := range spans {
-		want := map[string]string{"c": "deadline_exceeded", "d": "abandoned", "e": "abandoned"}[dev]
-		if ev.Attr != want || (ev.Err != "") != (dev == "c") {
-			t.Errorf("span of %s has attr %q, error %q; want attr %q", dev, ev.Attr, ev.Err, want)
+	for i, c := range []struct {
+		mood    int32
+		attrs   map[string]string
+		failing string // the devices whose spans carry an error
+	}{
+		{refusing, map[string]string{"d": "discarded", "e": "discarded"}, "c"},
+		{wedged, map[string]string{"c": "deadline_exceeded", "d": "deadline_exceeded", "e": "deadline_exceeded"}, "cde"},
+	} {
+		moody.mood.Store(c.mood)
+		spans, err = audit(uint64(2 + i))
+		if err == nil {
+			t.Fatalf("audit of a device in mood %d passed", c.mood)
 		}
+		for dev, ev := range spans {
+			if ev.Attr != c.attrs[dev] || (ev.Err != "") != strings.Contains(c.failing, dev) {
+				t.Errorf("mood %d: span of %s has attr %q, error %q; want attr %q", c.mood, dev, ev.Attr, ev.Err, c.attrs[dev])
+			}
+		}
+	}
+}
+
+// TestRoundLeavesNothingInFlight: when one device of a round refuses
+// while a slower device behind it is still working, the round still waits
+// for the slow one's reply before it returns, so once Reconfigure has
+// returned no device applies anything the change sent. A request the
+// round abandoned used to land later, after the repair's state fetch.
+func TestRoundLeavesNothingInFlight(t *testing.T) {
+	const slow = 150 * time.Millisecond
+	banks := make(map[string]*TransceiverBank)
+	devs := make(map[string]Device)
+	for _, name := range []string{"a", "b", "c", "d", "e"} {
+		banks[name] = NewTransceiverBank(2, 4)
+		devs[name] = banks[name]
+	}
+	devs["c"] = &moodyBank{TransceiverBank: banks["c"]}
+	devs["c"].(*moodyBank).mood.Store(refusing)
+	devs["d"] = &stallableDevice{Device: banks["d"], stall: slow, stalled: true}
+	tb, err := StartTestbedWithOptions(devs, DialOptions{RPCTimeout: 5 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tb.Close()
+	logs := func() map[string]int {
+		n := make(map[string]int)
+		for name, b := range banks {
+			n[name] = len(b.Log())
+		}
+		return n
+	}
+
+	var drain []TransceiverOp
+	for _, name := range []string{"a", "b", "c", "d", "e"} {
+		drain = append(drain, TransceiverOp{Device: name, Idx: 0})
+	}
+	start := time.Now()
+	_, err = tb.Controller.Reconfigure(context.Background(), Change{Drain: drain})
+	var de *DeviceError
+	if !errors.As(err, &de) || de.Device != "c" {
+		t.Fatalf("reconfigure = %v, want a DeviceError for c", err)
+	}
+	if took := time.Since(start); took < slow {
+		t.Errorf("reconfigure returned after %v, before d (%v) had answered", took, slow)
+	}
+	after := logs()
+	time.Sleep(2 * slow)
+	if later := logs(); fmt.Sprint(later) != fmt.Sprint(after) {
+		t.Errorf("device op logs changed after Reconfigure returned: %v, then %v", after, later)
+	}
+	if after["d"] != 1 || after["c"] != 0 {
+		t.Errorf("op logs %v: want d's batch applied and c's refused", after)
 	}
 }

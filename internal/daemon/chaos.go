@@ -163,9 +163,9 @@ func (d *Daemon) chaosCycle(ctx context.Context, sc chaos.Scenario, opt CycleOpt
 	// like Run, a cycle never abandons devices mid-phase.
 	psp := root.Child("replan")
 	d.mu.Lock()
-	fab := d.fab
+	fab, exp := d.fab, d.exp
 	d.mu.Unlock()
-	err = d.repairIn(trace.ContextWith(context.WithoutCancel(ctx), psp), id, fab)
+	err = d.repairIn(trace.ContextWith(context.WithoutCancel(ctx), psp), id, fab, exp)
 	psp.Fail(err)
 	psp.Finish()
 	if err != nil {

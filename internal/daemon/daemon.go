@@ -8,8 +8,10 @@
 //   - computes the incremental circuit change each shift requires,
 //   - executes it as a §5.2 drained reconfiguration
 //     (drain → switch → amps → retune → undrain) against the device agents,
-//   - audits device state against intent after every change,
-//   - supervises device health with periodic probes, per-device
+//   - audits the devices a change named once it is made, and every
+//     device against the committed intent on every probe round, so drift
+//     in a region whose traffic does not move is found and repaired too,
+//   - supervises device health with the same periodic probes, per-device
 //     exponential backoff with jitter, and a circuit breaker that
 //     quarantines flapping devices,
 //   - and degrades to the last-known-good allocation instead of crashing
@@ -163,6 +165,15 @@ type Daemon struct {
 	// the first read after a change (topoSnapshot), shared by every read
 	// until the next, and dropped by settleLocked.
 	read *topoapi.Snapshot
+	// exp is fab's intent, built once by whoever installed fab: what a
+	// probe round compares the states it fetched with.
+	exp control.Expected
+	// writesBegun and writesEnded count the device writes (a commit's or a
+	// repair's Reconfigure) that started and that ended; a commit's ends
+	// where it installs its fabric. A probe compares a state only if no
+	// write was running when the round began and none began before the
+	// state arrived.
+	writesBegun, writesEnded uint64
 
 	// hmu guards per-device breaker state and the jitter source.
 	hmu    sync.Mutex
@@ -254,6 +265,7 @@ func New(cfg Config) (*Daemon, error) {
 		log:    cfg.Logger,
 		tracer: cfg.Tracer,
 		fab:    cfg.Fab,
+		exp:    cfg.Fab.Expected(),
 	}
 	if d.reg == nil {
 		d.reg = telemetry.NewRegistry()
@@ -302,8 +314,8 @@ func (d *Daemon) initMetrics() {
 	d.m.allocFallback = r.Counter("iris_alloc_fallback_total", "Convergences solved from scratch (first solve, deployment swap, or delta-cascade fallback).")
 	d.m.allocPairs = r.Histogram("iris_alloc_pairs_resolved", "DC pairs whose circuits were recomputed per convergence.", []float64{1, 2, 5, 10, 20, 50, 100, 250, 500})
 	d.m.coalesced = r.Counter("iris_daemon_coalesced_shifts_total", "Intermediate traffic shifts skipped by batched convergence (MaxBatch).")
-	d.m.audits = r.Counter("iris_audit_total", "Device-state audits executed.")
-	d.m.auditFailures = r.Counter("iris_audit_failures_total", "Audits that found devices diverged from intent.")
+	d.m.audits = r.Counter("iris_audit_total", "Device-state audits executed: after a change or repair, and each probe round that compared.")
+	d.m.auditFailures = r.Counter("iris_audit_failures_total", "Audits, probe rounds included, that found devices diverged from intent.")
 	d.m.reconciles = r.Counter("iris_reconcile_total", "Reconciliation repairs executed after partial failures.")
 	d.m.reconcileFailures = r.Counter("iris_reconcile_failures_total", "Reconciliation repairs that themselves failed.")
 	d.m.probes = r.Counter("iris_probe_total", "Device health probes sent.")
@@ -468,7 +480,8 @@ func (d *Daemon) converge(tm *traffic.Matrix) error {
 // devices onto the outcome's allocation, transactionally against a fabric
 // clone, and records it in the history lake under trig. Every change gets
 // a reconfig ID: the root span of a trace threaded through the
-// controller's phases, the closing audit, and any breaker penalty the
+// controller's phases, the closing audit of the devices the change named
+// (the probe rounds compare the others), and any breaker penalty the
 // failure attribution produces. On success the policy adopts the outcome
 // in the critical section that swaps the fabric (settleLocked); when the
 // devices reject the change, the outcome's Undo rolls the policy's books
@@ -509,6 +522,7 @@ func (d *Daemon) commitChange(tm *traffic.Matrix, out core.Outcome, trig history
 	}
 	csp.Finish()
 
+	d.beginWrite()
 	rep, err := d.ctl.Reconfigure(ctx, ch)
 	if err != nil {
 		// The devices may be partially reconfigured; keep the old fabric
@@ -520,6 +534,7 @@ func (d *Daemon) commitChange(tm *traffic.Matrix, out core.Outcome, trig history
 		d.penalizeIn(id, err)
 		d.mu.Lock()
 		d.needRepair = true
+		d.writesEnded++
 		d.mu.Unlock()
 		root.Fail(err)
 		root.Finish()
@@ -535,8 +550,10 @@ func (d *Daemon) commitChange(tm *traffic.Matrix, out core.Outcome, trig history
 	d.m.reconfigOps.Add(float64(ops))
 	d.m.reconfigs.Inc()
 
+	exp := clone.Expected()
 	d.mu.Lock()
-	d.fab = clone
+	d.fab, d.exp = clone, exp
+	d.writesEnded++
 	d.lkg = out.Alloc
 	d.haveLKG = true
 	d.lastReconfigID = id
@@ -564,7 +581,7 @@ func (d *Daemon) commitChange(tm *traffic.Matrix, out core.Outcome, trig history
 		}
 		fsp.Finish()
 	}
-	err = d.runAudit(ctx, id, clone.Expected())
+	err = d.runAudit(ctx, id, exp.Only(ch.Devices()))
 	root.Fail(err)
 	root.Finish()
 	d.recordHistory(trig, id, recordAt, preHealth,
@@ -578,7 +595,7 @@ func (d *Daemon) commitChange(tm *traffic.Matrix, out core.Outcome, trig history
 // fetches and reconfiguration phases are journaled like a convergence.
 func (d *Daemon) repair() error {
 	d.mu.Lock()
-	fab, last := d.fab, d.lastMatrix
+	fab, exp, last := d.fab, d.exp, d.lastMatrix
 	d.mu.Unlock()
 
 	recordAt := d.now()
@@ -589,7 +606,7 @@ func (d *Daemon) repair() error {
 	id := d.nextTraceID()
 	root := d.tracer.Start(id, "repair")
 	ctx := trace.ContextWith(context.Background(), root)
-	err := d.repairIn(ctx, id, fab)
+	err := d.repairIn(ctx, id, fab, exp)
 	root.Fail(err)
 	root.Finish()
 	// A repair restores intent rather than changing it, so the record's
@@ -600,9 +617,11 @@ func (d *Daemon) repair() error {
 	return err
 }
 
-func (d *Daemon) repairIn(ctx context.Context, id uint64, fab *fabric.Fabric) error {
+// repairIn is the repair pass of fab, whose intent is exp: a full fetch
+// and compare of every device, the change that closes the difference, and
+// a full audit after it. Only its passing audit clears needRepair.
+func (d *Daemon) repairIn(ctx context.Context, id uint64, fab *fabric.Fabric, exp control.Expected) error {
 	root := trace.FromContext(ctx)
-	exp := fab.Expected()
 	fsp := root.Child("fetch-state")
 	ch, err := d.ctl.Repair(trace.ContextWith(ctx, fsp), exp)
 	fsp.Fail(err)
@@ -613,7 +632,11 @@ func (d *Daemon) repairIn(ctx context.Context, id uint64, fab *fabric.Fabric) er
 	}
 	if !fabric.EmptyChange(ch) {
 		d.m.reconciles.Inc()
+		d.beginWrite()
 		rep, err := d.ctl.Reconfigure(ctx, ch)
+		d.mu.Lock()
+		d.writesEnded++
+		d.mu.Unlock()
 		if err != nil {
 			d.m.reconcileFailures.Inc()
 			d.penalizeIn(id, err)
@@ -668,19 +691,38 @@ func (d *Daemon) runAudit(ctx context.Context, traceID uint64, exp control.Expec
 	err := d.ctl.AuditCtx(trace.ContextWith(ctx, sp), exp)
 	sp.Fail(err)
 	sp.Finish()
-	d.mu.Lock()
-	d.lastAuditAt = d.now()
-	d.lastAuditOK = err == nil
 	if err != nil {
-		d.needRepair = true
-	}
-	d.mu.Unlock()
-	if err != nil {
-		d.m.auditFailures.Inc()
+		d.diverged()
 		d.penalizeIn(traceID, err)
 		return fmt.Errorf("audit: %w", err)
 	}
+	d.mu.Lock()
+	d.lastAuditAt = d.now()
+	d.lastAuditOK = true
+	d.mu.Unlock()
 	return nil
+}
+
+// diverged records an audit that failed, a closing one or a probe
+// round's: the devices may be off intent, so a repair is due, and the
+// audit's result stays a failure until a repair's audit passes. known
+// says a repair was due already.
+func (d *Daemon) diverged() (known bool) {
+	d.mu.Lock()
+	known = d.needRepair
+	d.lastAuditAt = d.now()
+	d.lastAuditOK = false
+	d.needRepair = true
+	d.mu.Unlock()
+	d.m.auditFailures.Inc()
+	return known
+}
+
+// beginWrite counts a device write as started (see writesBegun).
+func (d *Daemon) beginWrite() {
+	d.mu.Lock()
+	d.writesBegun++
+	d.mu.Unlock()
 }
 
 // settleLocked records that the region serves tm: the policy adopts the
@@ -724,12 +766,13 @@ func (d *Daemon) updateStaleness() {
 	}
 }
 
-// Audit runs an immediate device-state audit against the current intent.
+// Audit runs an immediate audit of every device against the current
+// intent.
 func (d *Daemon) Audit() error {
 	d.mu.Lock()
-	fab := d.fab
+	exp := d.exp
 	d.mu.Unlock()
-	return d.ctl.Audit(fab.Expected())
+	return d.ctl.Audit(exp)
 }
 
 // ConvergedNow reports whether the region is healthy, repaired and

@@ -2,8 +2,12 @@ package daemon
 
 import (
 	"context"
+	"encoding/json"
+	"fmt"
 	"math/rand"
+	"net/http/httptest"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -63,9 +67,10 @@ func denseRegion(t *testing.T, dcs int) (*fabric.Rig, *Daemon) {
 
 // TestAuditSeesEveryDeviceFlip: the audit is a full fetch-and-compare, so
 // one transceiver or one cross-connect changed behind the controller's
-// back, on any device, is reported with the device's name. (Fabric-built
-// regions carry no channel emulators; control's own tests cover a flipped
-// emulator channel.)
+// back, on any device, is reported with the device's name — by Audit and
+// by the next probe round, which compares the same states with the same
+// verdict. (Fabric-built regions carry no channel emulators; control's own
+// tests cover a flipped emulator channel.)
 func TestAuditSeesEveryDeviceFlip(t *testing.T) {
 	rig, d := denseRegion(t, 6)
 	if err := d.Audit(); err != nil {
@@ -80,13 +85,38 @@ func TestAuditSeesEveryDeviceFlip(t *testing.T) {
 			t.Fatalf("%s %s %v: %v", dev, op, args, err)
 		}
 	}
+	failures := func() float64 { return counterValue(t, d.Registry(), "iris_audit_failures_total") }
+	// probe runs one probe round and returns whether it found a mismatch.
+	probe := func() (found bool, st Status) {
+		t.Helper()
+		before := failures()
+		d.ProbeOnce()
+		return failures() > before, d.Status()
+	}
 	wantReport := func(dev, what string) {
 		t.Helper()
 		err := d.Audit()
 		if err == nil || !strings.Contains(err.Error(), dev) || !strings.Contains(err.Error(), what) {
 			t.Fatalf("audit after flipping %s = %v, want a %s mismatch naming it", dev, err, what)
 		}
+		found, st := probe()
+		if !found || st.LastAuditOK || !st.NeedRepair || st.LastError != "probe: audit: "+err.Error() {
+			t.Fatalf("probe after flipping %s: found %v, status %+v; want the audit's mismatch %q", dev, found, st, err)
+		}
 	}
+	wantClean := func(dev string) {
+		t.Helper()
+		if err := d.Audit(); err != nil {
+			t.Fatalf("audit after restoring %s: %v", dev, err)
+		}
+		if found, _ := probe(); found {
+			t.Fatalf("probe after restoring %s found a mismatch", dev)
+		}
+		if !d.Healthy() {
+			t.Fatalf("a probe failed: %+v", d.Status().Devices)
+		}
+	}
+	wantClean("nothing")
 
 	t.Run("transceiver", func(t *testing.T) {
 		// The last live transceiver of the last bank: nothing samples the
@@ -102,9 +132,7 @@ func TestAuditSeesEveryDeviceFlip(t *testing.T) {
 		flip(dev, "disable-batch", map[string]any{"idxs": []int{idx}})
 		wantReport(dev, "enabled")
 		flip(dev, "enable-batch", map[string]any{"idxs": []int{idx}})
-		if err := d.Audit(); err != nil {
-			t.Fatalf("audit after restoring %s: %v", dev, err)
-		}
+		wantClean(dev)
 	})
 
 	t.Run("cross-connect", func(t *testing.T) {
@@ -119,9 +147,7 @@ func TestAuditSeesEveryDeviceFlip(t *testing.T) {
 		flip(dev, "switch-batch", map[string]any{"disconnect": []int{in}, "ins": []int{}, "outs": []int{}})
 		wantReport(dev, "cross map")
 		flip(dev, "switch-batch", map[string]any{"disconnect": []int{}, "ins": []int{in}, "outs": []int{exp.Cross[dev][in]}})
-		if err := d.Audit(); err != nil {
-			t.Fatalf("audit after restoring %s: %v", dev, err)
-		}
+		wantClean(dev)
 	})
 }
 
@@ -237,5 +263,221 @@ func TestConcurrentFetchesNeitherDeadlockNorMisframe(t *testing.T) {
 	}
 	if !d.Healthy() {
 		t.Errorf("a probe failed along the way: %+v", d.Status().Devices)
+	}
+}
+
+// TestProbeAuditsAQuietRegion: a region whose traffic does not move makes
+// no change to audit, so drift there is found by the probe. One live
+// transceiver disabled behind the controller's back is reported by the
+// next probe round on /status, naming the device and the field, and the
+// next Step repairs it.
+func TestProbeAuditsAQuietRegion(t *testing.T) {
+	rig, err := fabric.BringUp(fabric.BringUpConfig{Seed: 1, DCs: 6, DCCapacity: 10, Lambda: 40})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(rig.Close)
+	tm, _ := newRedrawFeed(rig, 1).Next()
+	d, err := New(Config{Fab: rig.Fab, Controller: rig.Testbed.Controller,
+		Feed: traffic.NewReplay(tm, tm, tm, tm, tm), Logger: testLogger(t)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(d.Handler())
+	defer srv.Close()
+	status := func() (st Status) {
+		t.Helper()
+		res, err := srv.Client().Get(srv.URL + "/status")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer res.Body.Close()
+		if err := json.NewDecoder(res.Body).Decode(&st); err != nil {
+			t.Fatal(err)
+		}
+		return st
+	}
+	for i := 0; i < 2; i++ { // the commit, then a shift that changes nothing
+		d.ProbeOnce()
+		d.Step()
+	}
+	if st := status(); !st.Converged || st.Circuits == 0 || st.LastError != "" {
+		t.Fatalf("region did not converge: %+v", st)
+	}
+
+	d.mu.Lock()
+	exp := d.exp
+	d.mu.Unlock()
+	dev, idx := "", -1
+	for b, enabled := range exp.Enabled {
+		if i := slices.Index(enabled, true); i >= 0 && (dev == "" || b < dev) {
+			dev, idx = b, i
+		}
+	}
+	if _, err := rig.Testbed.Devices[dev].Handle("disable-batch", map[string]any{"idxs": []int{idx}}); err != nil {
+		t.Fatal(err)
+	}
+	d.ProbeOnce()
+	st := status()
+	want := fmt.Sprintf("%s: enabled[%d] false, want true", dev, idx)
+	if st.LastAuditOK || !st.NeedRepair || st.Converged || !strings.Contains(st.LastError, want) {
+		t.Fatalf("/status after the probe round = %+v, want last_audit_ok false and %q", st, want)
+	}
+	if !st.Healthy {
+		t.Errorf("a mismatch tripped a breaker: %+v", st.Devices)
+	}
+
+	d.Step()
+	if st := status(); !st.Converged || st.NeedRepair || !st.LastAuditOK || st.LastError != "" {
+		t.Fatalf("/status after the next step = %+v, want the drift repaired", st)
+	}
+	if err := d.Audit(); err != nil {
+		t.Fatalf("audit after the repair: %v", err)
+	}
+}
+
+// opCounter counts the operations each wrapped device handles.
+type opCounter struct {
+	mu  sync.Mutex
+	ops map[string]map[string]int // device → operation → count
+}
+
+func (c *opCounter) wrap(name string, dev control.Device) control.Device {
+	return countingDevice{Device: dev, name: name, c: c}
+}
+
+// take returns the counts since the last take and starts again.
+func (c *opCounter) take() map[string]map[string]int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	ops := c.ops
+	c.ops = make(map[string]map[string]int)
+	return ops
+}
+
+type countingDevice struct {
+	control.Device
+	name string
+	c    *opCounter
+}
+
+func (d countingDevice) Handle(op string, args map[string]any) (map[string]any, error) {
+	d.c.mu.Lock()
+	if d.c.ops[d.name] == nil {
+		d.c.ops[d.name] = make(map[string]int)
+	}
+	d.c.ops[d.name][op]++
+	d.c.mu.Unlock()
+	return d.Device.Handle(op, args)
+}
+
+// TestSparseCommitAuditsWhatItTouched: the audit that closes a change
+// fetches the state of every device the change named, once, and of no
+// other device; a probe round fetches every device's, once.
+func TestSparseCommitAuditsWhatItTouched(t *testing.T) {
+	counter := &opCounter{ops: make(map[string]map[string]int)}
+	rig, err := fabric.BringUp(fabric.BringUpConfig{Seed: 1, DCs: 6, DCCapacity: 10, Lambda: 40, WrapDevice: counter.wrap})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(rig.Close)
+	base, _ := newRedrawFeed(rig, 1).Next()
+	shifts := []*traffic.Matrix{base}
+	for _, p := range base.Pairs()[:6] { // one pair at a time, down and back
+		low := shifts[len(shifts)-1].Clone()
+		low.Set(p, base.Get(p)/3)
+		shifts = append(shifts, low, low.Clone())
+		shifts[len(shifts)-1].Set(p, base.Get(p))
+	}
+	d, err := New(Config{Fab: rig.Fab, Controller: rig.Testbed.Controller, Feed: traffic.NewReplay(shifts...)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	all := rig.Testbed.Controller.Devices()
+
+	sparse := 0
+	for step := 0; step < len(shifts); step++ {
+		counter.take()
+		d.Step()
+		if st := d.Status(); !st.Converged {
+			t.Fatalf("step %d did not converge: %+v", step, st)
+		}
+		var touched, fetched []string
+		for dev, ops := range counter.take() {
+			if ops["state"] != 0 {
+				fetched = append(fetched, dev)
+				if ops["state"] != 1 {
+					t.Errorf("step %d: %s got %d state calls, want 1", step, dev, ops["state"])
+				}
+			}
+			if len(ops) > 1 || ops["state"] == 0 {
+				touched = append(touched, dev)
+			}
+		}
+		slices.Sort(touched)
+		slices.Sort(fetched)
+		if !slices.Equal(fetched, touched) {
+			t.Errorf("step %d: the closing audit fetched %v, the change touched %v", step, fetched, touched)
+		}
+		if len(touched) > 0 && len(touched) < len(all)/2 {
+			sparse++
+		}
+
+		d.ProbeOnce()
+		probed := counter.take()
+		for _, dev := range all {
+			if ops := probed[dev]; ops["state"] != 1 || len(ops) != 1 {
+				t.Errorf("step %d: a probe round sent %s %v, want one state call", step, dev, ops)
+			}
+		}
+	}
+	if sparse < len(shifts)/2 {
+		t.Errorf("only %d of %d changes touched fewer than half the %d devices", sparse, len(shifts), len(all))
+	}
+}
+
+// TestProbeOverlappingWritesReportsNothing: probe rounds run back to back
+// while the daemon commits dense changes and runs repair passes. A probe
+// round that fetched a state while a write was moving it, or compared it
+// with intent the write had already replaced, would report a mismatch
+// that is not there. None may: the devices never leave intent except
+// under a write. Meant for -race -count.
+func TestProbeOverlappingWritesReportsNothing(t *testing.T) {
+	_, d := denseRegion(t, 6)
+	stop := make(chan struct{})
+	probes := make(chan int)
+	go func() {
+		n := 0
+		for {
+			select {
+			case <-stop:
+				probes <- n
+				return
+			default:
+				d.ProbeOnce()
+				n++
+			}
+		}
+	}()
+	for i := 0; i < 40; i++ {
+		if i%5 == 0 { // a repair pass: a full fetch, audit and, of drift, a write
+			d.mu.Lock()
+			d.needRepair = true
+			d.mu.Unlock()
+		}
+		d.Step()
+		if st := d.Status(); st.LastError != "" || !st.Converged {
+			close(stop)
+			<-probes
+			t.Fatalf("step %d: %+v", i, st)
+		}
+	}
+	close(stop)
+	n := <-probes
+	if got := counterValue(t, d.Registry(), "iris_audit_failures_total"); got != 0 {
+		t.Errorf("%d probe rounds overlapping 40 commits reported %v mismatches", n, got)
+	}
+	if n < 40 {
+		t.Errorf("only %d probe rounds ran beside 40 commits", n)
 	}
 }

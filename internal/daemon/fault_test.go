@@ -3,6 +3,7 @@ package daemon
 import (
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -289,5 +290,51 @@ func TestHungDeviceTripsBreaker(t *testing.T) {
 	d.Step()
 	if err := d.Audit(); err != nil {
 		t.Fatalf("audit after unstick: %v", err)
+	}
+}
+
+// garbled answers "state" with a bank state no bank could send while on.
+type garbled struct {
+	control.Device
+	on atomic.Bool
+}
+
+func (g *garbled) Handle(op string, args map[string]any) (map[string]any, error) {
+	if op == "state" && g.on.Load() {
+		return map[string]any{"tuned": "zz", "enabled": "0", "lambda": 40}, nil
+	}
+	return g.Device.Handle(op, args)
+}
+
+// TestProbeCountsAMalformedStateAgainstTheBreaker: a state reply that is
+// not well formed is the device's fault, as in the audit. Each probe round
+// counts it against the device's breaker, which opens at the threshold,
+// and reports the audit failed.
+func TestProbeCountsAMalformedStateAgainstTheBreaker(t *testing.T) {
+	shims := make(map[string]*garbled) // BringUp wraps the devices one at a time
+	rig := toyRig(t, func(cfg *fabric.BringUpConfig) {
+		cfg.WrapDevice = func(name string, dev control.Device) control.Device {
+			shims[name] = &garbled{Device: dev}
+			return shims[name]
+		}
+	})
+	name := pickVictim(rig)
+	victim := shims[name]
+	d, err := New(Config{Fab: rig.Fab, Controller: rig.Testbed.Controller,
+		Feed: traffic.NewReplay(toyMatrix(rig, 60, 45)), Now: newFakeClock().Now})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d.Step()
+	victim.on.Store(true)
+	for i := 0; i < d.cfg.FailureThreshold; i++ {
+		if breakerOf(t, d, name) != "closed" {
+			t.Fatalf("breaker opened after %d probe rounds, want %d", i, d.cfg.FailureThreshold)
+		}
+		d.ProbeOnce()
+	}
+	st := d.Status()
+	if got := breakerOf(t, d, name); got != "open" || st.LastAuditOK || !st.NeedRepair || !strings.Contains(st.LastError, name) {
+		t.Fatalf("after %d probe rounds of a malformed state: breaker %s, status %+v", d.cfg.FailureThreshold, got, st)
 	}
 }

@@ -1,17 +1,23 @@
 package daemon
 
 import (
+	"errors"
+	"fmt"
 	"sync"
 	"time"
+
+	"iris/internal/control"
 )
 
-// Device health supervision: every device is probed on a fixed cadence
-// (its "state" operation doubles as a liveness and sanity check, bounded
-// by the controller transport's RPC deadline). Consecutive failures trip a
-// per-device circuit breaker; a tripped device is quarantined for an
-// exponentially growing, jittered cooldown, then given a single half-open
-// trial probe. Success closes the breaker; failure re-opens it with a
-// doubled cooldown up to the configured maximum.
+// Device health supervision: every device is probed on a fixed cadence.
+// The probe fetches the device's whole state, bounded by the controller
+// transport's RPC deadline, and that one fetch serves twice: as a liveness
+// check for the breaker, and as the audit of the device against the
+// committed intent. Consecutive failures trip a per-device circuit
+// breaker; a tripped device is quarantined for an exponentially growing,
+// jittered cooldown, then given a single half-open trial probe. Success
+// closes the breaker; failure re-opens it with a doubled cooldown up to
+// the configured maximum.
 
 type breakerState int
 
@@ -54,9 +60,21 @@ func (d *Daemon) transitionLocked(traceID uint64, name string, h *deviceHealth, 
 	d.tracer.Emit(traceID, "breaker", name, to.String())
 }
 
-// ProbeOnce probes every non-quarantined device concurrently and advances
-// breaker state. Run calls it on the probe interval; tests call it
-// directly.
+// ProbeOnce probes every non-quarantined device concurrently, advances
+// breaker state, and compares each state it fetched with the committed
+// intent (control.Expected.Check, the audit's own verdict). So every
+// device is audited once per round, whether or not traffic moves. A
+// mismatch is a failed audit, as after a change: it sets needRepair,
+// fails last_audit_ok, counts in iris_audit_failures_total and names the
+// first diverged device, in sorted order, and its field in the status's
+// last_error; the next Step repairs it. A probe never clears needRepair:
+// only a repair's audit does. A state that is not well formed is a
+// *control.DeviceError and counts against the device's breaker. A state
+// is compared only if no device write (commitChange, repairIn) was running
+// when the round began and none began before the state arrived: the
+// intent and the devices could disagree for a moment then. The breaker
+// reads every reply. Run calls ProbeOnce on the probe interval; tests call
+// it directly.
 //
 // The probes are a goroutine and a Call each, not one round of requests
 // the way an audit or a phase of control.Controller.Reconfigure is: probing
@@ -66,18 +84,36 @@ func (d *Daemon) transitionLocked(traceID uint64, name string, h *deviceHealth, 
 // deadline eaten, and a region's worth of breakers would trip for one hung
 // device.
 func (d *Daemon) ProbeOnce() {
+	d.mu.Lock()
+	exp, writes := d.exp, d.writesBegun
+	idle := writes == d.writesEnded
+	d.mu.Unlock()
+	names := d.ctl.Devices()
+	found := make([]error, len(names)) // each device's audit verdict
 	var wg sync.WaitGroup
-	for _, name := range d.ctl.Devices() {
+	for i, name := range names {
 		if !d.admitProbe(name) {
 			continue
 		}
 		wg.Add(1)
-		go func(name string) {
+		go func() {
 			defer wg.Done()
-			d.probe(name)
-		}(name)
+			found[i] = d.probe(name, exp, idle, writes)
+		}()
 	}
 	wg.Wait()
+	if idle {
+		d.m.audits.Inc()
+	}
+	for _, err := range found {
+		if err != nil {
+			d.setErr(fmt.Sprintf("probe: audit: %v", err))
+			if !d.diverged() { // else every round of an outage would log it
+				d.log.Warn("probe: devices diverged from intent", "err", err)
+			}
+			break
+		}
+	}
 	d.updateStaleness()
 }
 
@@ -99,9 +135,23 @@ func (d *Daemon) admitProbe(name string) bool {
 	return true
 }
 
-func (d *Daemon) probe(name string) {
+// probe fetches one device's state, compares it with exp when the round
+// began idle and the writes begun are still writes, and updates the
+// device's breaker. It returns the comparison's error, nil when the state
+// matched or was not compared.
+func (d *Daemon) probe(name string, exp control.Expected, idle bool, writes uint64) (audit error) {
 	d.m.probes.Inc()
-	_, err := d.ctl.Call(name, "state", nil)
+	st, err := d.ctl.Call(name, "state", nil)
+	if err == nil && idle {
+		d.mu.Lock()
+		quiet := d.writesBegun == writes
+		d.mu.Unlock()
+		if quiet {
+			if audit = exp.Check(name, st); errors.As(audit, new(*control.DeviceError)) {
+				err = audit
+			}
+		}
+	}
 	d.hmu.Lock()
 	defer d.hmu.Unlock()
 	h := d.health[name]
@@ -113,10 +163,11 @@ func (d *Daemon) probe(name string) {
 		h.consecFails = 0
 		h.cooldown = 0
 		h.lastErr = ""
-		return
+		return audit
 	}
 	d.m.probeFailures.With(name).Inc()
 	d.recordFailureLocked(0, name, h, err)
+	return audit
 }
 
 // recordFailureLocked registers one failure against a device and trips or

@@ -110,9 +110,11 @@ func BenchmarkReconfigureDense(b *testing.B) {
 	}
 }
 
-// BenchmarkAuditRegion measures the audit that closes every tick: one
-// full state fetch from each of the region's switches, banks and
-// amplifiers, compared value by value against intent. Its allocations —
+// BenchmarkAuditRegion measures a full audit of the region, what a probe
+// round compares and the audit a repair pass closes with: one state fetch
+// from each of the region's switches, banks and amplifiers, compared value
+// by value against intent. (The audit that closes a change fetches only
+// the devices the change named.) Its allocations —
 // controller and devices, which share the process — are gated at 1 200 an
 // audit (888 when the gate was set; 2 802 with per-element state replies).
 func BenchmarkAuditRegion(b *testing.B) {

@@ -224,7 +224,7 @@ func (c *opCounter) take() map[string]map[string]int {
 
 // TestReconfigureRPCBudget: on the 20-DC region a reconfiguration costs
 // one RPC per device per phase, however many operations it carries, and
-// the audit that closes it one state fetch per expected device.
+// a full audit one state fetch per expected device.
 func TestReconfigureRPCBudget(t *testing.T) {
 	counter := &opCounter{n: make(map[string]map[string]int)}
 	rig, err := BringUp(BringUpConfig{Seed: 1, DCs: 20, DCCapacity: 10, Lambda: 40, WrapDevice: counter.wrap})
