@@ -100,7 +100,7 @@ func (d *Daemon) chaosCycle(ctx context.Context, sc chaos.Scenario, opt CycleOpt
 		d.mu.Lock()
 		postAlloc, postDemand, dep := d.lkg, d.lastMatrix, d.fab.Deployment()
 		d.mu.Unlock()
-		d.recordHistory(history.TriggerChaos, id, t0, preHealth, hoseAgg(preDemand), hoseAgg(postDemand),
+		d.recordHistory(history.TriggerChaos, id, t0, preHealth, preDemand, postDemand,
 			core.DiffAlloc(preAlloc, postAlloc), dep, err)
 	}
 	fail := func(err error) (*CycleResult, error) {
@@ -163,9 +163,9 @@ func (d *Daemon) chaosCycle(ctx context.Context, sc chaos.Scenario, opt CycleOpt
 	// like Run, a cycle never abandons devices mid-phase.
 	psp := root.Child("replan")
 	d.mu.Lock()
-	fab, exp := d.fab, d.exp
+	fab := d.fab
 	d.mu.Unlock()
-	err = d.repairIn(trace.ContextWith(context.WithoutCancel(ctx), psp), id, fab, exp)
+	err = d.repairIn(trace.ContextWith(context.WithoutCancel(ctx), psp), id, fab)
 	psp.Fail(err)
 	psp.Finish()
 	if err != nil {

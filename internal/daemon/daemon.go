@@ -165,9 +165,6 @@ type Daemon struct {
 	// the first read after a change (topoSnapshot), shared by every read
 	// until the next, and dropped by settleLocked.
 	read *topoapi.Snapshot
-	// exp is fab's intent, built once by whoever installed fab: what a
-	// probe round compares the states it fetched with.
-	exp control.Expected
 	// writesBegun and writesEnded count the device writes (a commit's or a
 	// repair's Reconfigure) that started and that ended; a commit's ends
 	// where it installs its fabric. A probe compares a state only if no
@@ -265,7 +262,6 @@ func New(cfg Config) (*Daemon, error) {
 		log:    cfg.Logger,
 		tracer: cfg.Tracer,
 		fab:    cfg.Fab,
-		exp:    cfg.Fab.Expected(),
 	}
 	if d.reg == nil {
 		d.reg = telemetry.NewRegistry()
@@ -550,9 +546,8 @@ func (d *Daemon) commitChange(tm *traffic.Matrix, out core.Outcome, trig history
 	d.m.reconfigOps.Add(float64(ops))
 	d.m.reconfigs.Inc()
 
-	exp := clone.Expected()
 	d.mu.Lock()
-	d.fab, d.exp = clone, exp
+	d.fab = clone
 	d.writesEnded++
 	d.lkg = out.Alloc
 	d.haveLKG = true
@@ -581,11 +576,12 @@ func (d *Daemon) commitChange(tm *traffic.Matrix, out core.Outcome, trig history
 		}
 		fsp.Finish()
 	}
-	err = d.runAudit(ctx, id, exp.Only(ch.Devices()))
+	// The clone's Compile published its intent, patching the devices the
+	// change touched: reading it builds nothing.
+	err = d.runAudit(ctx, id, clone.Expected().Only(ch.Devices()))
 	root.Fail(err)
 	root.Finish()
-	d.recordHistory(trig, id, recordAt, preHealth,
-		hoseAgg(last), hoseAgg(tm), out.Pairs, dep, err)
+	d.recordHistory(trig, id, recordAt, preHealth, last, tm, out.Pairs, dep, err)
 	return err
 }
 
@@ -595,7 +591,7 @@ func (d *Daemon) commitChange(tm *traffic.Matrix, out core.Outcome, trig history
 // fetches and reconfiguration phases are journaled like a convergence.
 func (d *Daemon) repair() error {
 	d.mu.Lock()
-	fab, exp, last := d.fab, d.exp, d.lastMatrix
+	fab, last := d.fab, d.lastMatrix
 	d.mu.Unlock()
 
 	recordAt := d.now()
@@ -606,21 +602,21 @@ func (d *Daemon) repair() error {
 	id := d.nextTraceID()
 	root := d.tracer.Start(id, "repair")
 	ctx := trace.ContextWith(context.Background(), root)
-	err := d.repairIn(ctx, id, fab, exp)
+	err := d.repairIn(ctx, id, fab)
 	root.Fail(err)
 	root.Finish()
 	// A repair restores intent rather than changing it, so the record's
 	// allocation diff is empty; what it documents is the health transition
 	// and the reconciliation's span tree.
-	d.recordHistory(history.TriggerRepair, id, recordAt, preHealth,
-		hoseAgg(last), hoseAgg(last), nil, fab.Deployment(), err)
+	d.recordHistory(history.TriggerRepair, id, recordAt, preHealth, last, last, nil, fab.Deployment(), err)
 	return err
 }
 
-// repairIn is the repair pass of fab, whose intent is exp: a full fetch
-// and compare of every device, the change that closes the difference, and
+// repairIn is the repair pass of fab: a full fetch and compare of every
+// device against fab's intent, the change that closes the difference, and
 // a full audit after it. Only its passing audit clears needRepair.
-func (d *Daemon) repairIn(ctx context.Context, id uint64, fab *fabric.Fabric, exp control.Expected) error {
+func (d *Daemon) repairIn(ctx context.Context, id uint64, fab *fabric.Fabric) error {
+	exp := fab.Expected()
 	root := trace.FromContext(ctx)
 	fsp := root.Child("fetch-state")
 	ch, err := d.ctl.Repair(trace.ContextWith(ctx, fsp), exp)
@@ -770,9 +766,9 @@ func (d *Daemon) updateStaleness() {
 // intent.
 func (d *Daemon) Audit() error {
 	d.mu.Lock()
-	exp := d.exp
+	fab := d.fab
 	d.mu.Unlock()
-	return d.ctl.Audit(exp)
+	return d.ctl.Audit(fab.Expected())
 }
 
 // ConvergedNow reports whether the region is healthy, repaired and

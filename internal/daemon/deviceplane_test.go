@@ -306,7 +306,7 @@ func TestProbeAuditsAQuietRegion(t *testing.T) {
 	}
 
 	d.mu.Lock()
-	exp := d.exp
+	exp := d.fab.Expected()
 	d.mu.Unlock()
 	dev, idx := "", -1
 	for b, enabled := range exp.Enabled {

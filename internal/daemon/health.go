@@ -85,7 +85,7 @@ func (d *Daemon) transitionLocked(traceID uint64, name string, h *deviceHealth, 
 // device.
 func (d *Daemon) ProbeOnce() {
 	d.mu.Lock()
-	exp, writes := d.exp, d.writesBegun
+	exp, writes := d.fab.Expected(), d.writesBegun
 	idle := writes == d.writesEnded
 	d.mu.Unlock()
 	names := d.ctl.Devices()

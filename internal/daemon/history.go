@@ -52,13 +52,19 @@ func hoseAgg(m *traffic.Matrix) history.HoseAggregate {
 }
 
 // recordHistory appends one record to the history lake (no-op without
-// one). Call it after the operation's root span has finished so the
-// captured Spans include the complete trace.
+// one), summarising the demand before and after (hoseAgg) only then. Call
+// it after the operation's root span has finished so the captured Spans
+// include the complete trace.
 func (d *Daemon) recordHistory(trig history.Trigger, id uint64, at time.Time,
-	preHealth history.Health, preHose, postHose history.HoseAggregate,
+	preHealth history.Health, pre, post *traffic.Matrix,
 	pairs []core.PairDelta, dep *core.Deployment, opErr error) {
 	if d.cfg.History == nil {
 		return
+	}
+	preHose := hoseAgg(pre)
+	postHose := preHose
+	if post != pre {
+		postHose = hoseAgg(post)
 	}
 	rec := history.Record{
 		ReconfigID: id,

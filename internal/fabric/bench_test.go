@@ -144,13 +144,16 @@ func BenchmarkAuditRegion(b *testing.B) {
 }
 
 // BenchmarkCommitSparse measures what a sparse tick's commit costs the
-// fabric: Clone of the installed fabric plus Compile of a two-pair delta
-// on it, the clone then installed. The two pairs move back and forth
-// between the bench allocations. Clone copies the fabric's maps and
-// Compile copies only the pools and tuning tables the two pairs write
-// (pools-copied/op, 11), so its allocations are gated at 170 a commit (112
-// when the gate was set; a deep Clone and CompileTarget's whole-region
-// walk allocated 1 117).
+// fabric: Clone of the installed fabric, Compile of a two-pair delta on
+// it and the clone's Expected, the clone then installed. The two pairs
+// move back and forth between the bench allocations. Clone copies the
+// fabric's slices and pair maps, Compile copies only the pools and books
+// the two pairs write (pools-copied/op, 11) and publishes the touched
+// devices' books, and Expected reads what it published. Its allocations
+// are gated at 170 a commit. When the gate was set Clone + Compile
+// allocated 112 times; with Expected rebuilding the whole region's intent
+// on every call the three allocated 292, and a deep Clone and
+// CompileTarget's whole-region walk 1 117 without it.
 func BenchmarkCommitSparse(b *testing.B) {
 	rig, allocs := benchRegion(b, nil)
 	fab := rig.Fab
@@ -171,7 +174,8 @@ func BenchmarkCommitSparse(b *testing.B) {
 		if _, err := clone.Compile(deltas[commits%2]); err != nil {
 			b.Fatal(err)
 		}
-		copied += poolsCopied(fab, clone)
+		intent = clone.Expected()
+		copied += poolsCopied(clone)
 		fab = clone
 		commits++
 	}
@@ -187,14 +191,16 @@ func BenchmarkCommitSparse(b *testing.B) {
 	b.ReportMetric(float64(copied)/float64(b.N), "pools-copied/op")
 }
 
-// poolsCopied counts the pools of the clone that are no longer f's.
-func poolsCopied(f, clone *Fabric) int {
+// intent keeps BenchmarkCommitSparse's Expected live.
+var intent control.Expected
+
+// poolsCopied counts the pools a fabric copied since its Clone: the ones
+// it owns.
+func poolsCopied(f *Fabric) int {
 	n := 0
-	for _, m := range [][2]map[int]*pool{
-		{f.ductFibers, clone.ductFibers}, {f.localPorts, clone.localPorts}, {f.xcvrs, clone.xcvrs},
-	} {
-		for k, p := range m[0] {
-			if m[1][k] != p {
+	for _, ps := range [][]pool{f.ductFibers, f.localPorts, f.xcvrs} {
+		for _, p := range ps {
+			if p.owner == f.owner {
 				n++
 			}
 		}

@@ -16,15 +16,15 @@ import (
 	"iris/internal/traffic"
 )
 
-// deepTwin copies every pool, tuning table and circuit of f, owners
-// included: a fabric that shares nothing with f and equals it value for
-// value.
+// deepTwin copies every pool, book and circuit of f and its published
+// intent, owners included: a fabric that shares nothing with f and equals
+// it value for value.
 func deepTwin(f *Fabric) *Fabric {
 	g := *f
-	pools := func(ps map[int]*pool) map[int]*pool {
-		out := make(map[int]*pool, len(ps))
-		for k, p := range ps {
-			out[k] = &pool{n: p.n, free: slices.Clone(p.free), owner: p.owner}
+	pools := func(ps []pool) []pool {
+		out := slices.Clone(ps)
+		for i := range out {
+			out[i].free = slices.Clone(ps[i].free)
 		}
 		return out
 	}
@@ -45,12 +45,43 @@ func deepTwin(f *Fabric) *Fabric {
 	for p, c := range f.residual {
 		g.residual[p] = dup(c)
 	}
-	g.ampRefs = maps.Clone(f.ampRefs)
-	g.tuned = make(map[int]*tuning, len(f.tuned))
-	for dc, t := range f.tuned {
-		g.tuned[dc] = &tuning{wl: slices.Clone(t.wl), owner: t.owner}
-	}
+	g.ampRefs = slices.Clone(f.ampRefs)
+	g.tuned = dupBooks(f.tuned, slices.Clone[[]int])
+	g.live = dupBooks(f.live, slices.Clone[[]bool])
+	g.cross = dupBooks(f.cross, maps.Clone[map[int]int])
+	g.exp = deepExpected(f.exp)
+	g.dirty = touched{slices.Clone(f.dirty.oss), slices.Clone(f.dirty.banks), slices.Clone(f.dirty.amps)}
 	return &g
+}
+
+func dupBooks[T any](bs []book[T], dup func(T) T) []book[T] {
+	out := slices.Clone(bs)
+	for i := range out {
+		out[i].v = dup(bs[i].v)
+	}
+	return out
+}
+
+// deepExpected copies an expectation down to its last element.
+func deepExpected(e control.Expected) control.Expected {
+	return control.Expected{
+		Cross:   deepMap(e.Cross, maps.Clone[map[int]int]),
+		Tuned:   deepMap(e.Tuned, slices.Clone[[]int]),
+		Enabled: deepMap(e.Enabled, slices.Clone[[]bool]),
+		Filled:  deepMap(e.Filled, slices.Clone[[]int]),
+		Amps:    maps.Clone(e.Amps),
+	}
+}
+
+func deepMap[V any](m map[string]V, dup func(V) V) map[string]V {
+	if m == nil {
+		return nil
+	}
+	out := make(map[string]V, len(m))
+	for k, v := range m {
+		out[k] = dup(v)
+	}
+	return out
 }
 
 // compileWhole is the whole-region compiler Compile replaced, kept as the
@@ -142,9 +173,12 @@ func shiftFeed(rig *Rig, seed int64, redraw float64, n int) []*traffic.Matrix {
 // TestCompileMatchesCompileTarget is Compile's oracle. PerShift answers
 // seeded sparse, dense and fallback shift sequences on the 20-DC region,
 // and after every shift Compile of the outcome's pair diff, on a clone of
-// the installed fabric, must give the change — op order included — and
-// the intent that CompileTarget of its allocation gives on a deep twin,
-// and that the whole-region compiler gives on another.
+// the installed fabric, must give the change — op order included — that
+// CompileTarget of its allocation gives on a deep twin, and that the
+// whole-region compiler gives on another. The intent the clone published
+// must be the one rebuilt from its circuits, the twin's, and the one
+// rebuilt from the whole-region compiler's circuits; and the installed
+// fabric's intent, held from before the compile, must be as it was.
 func TestCompileMatchesCompileTarget(t *testing.T) {
 	rig, _ := benchRegion(t, nil)
 	for _, tc := range []struct {
@@ -174,6 +208,8 @@ func TestCompileMatchesCompileTarget(t *testing.T) {
 				} else if i > 0 {
 					fallbacks++
 				}
+				held := fab.Expected()
+				heldCopy := deepExpected(held)
 				clone, twin, whole := fab.Clone(), deepTwin(fab), deepTwin(fab)
 				got, err := clone.Compile(out.Pairs)
 				if err != nil {
@@ -191,8 +227,14 @@ func TestCompileMatchesCompileTarget(t *testing.T) {
 					t.Fatalf("shift %d: Compile of %d pair deltas differs from CompileTarget or the whole-region compiler", i, len(out.Pairs))
 				}
 				exp := clone.Expected()
-				if !reflect.DeepEqual(exp, twin.Expected()) || !reflect.DeepEqual(exp, whole.Expected()) {
-					t.Fatalf("shift %d: intent after Compile differs", i)
+				if !reflect.DeepEqual(exp, rebuildExpected(clone)) {
+					t.Fatalf("shift %d: the published intent differs from the one rebuilt from the circuits", i)
+				}
+				if !reflect.DeepEqual(exp, twin.Expected()) || !reflect.DeepEqual(exp, rebuildExpected(whole)) {
+					t.Fatalf("shift %d: intent after Compile differs from CompileTarget's or the whole-region compiler's", i)
+				}
+				if !reflect.DeepEqual(held, heldCopy) {
+					t.Fatalf("shift %d: the clone's compile wrote the installed fabric's intent", i)
 				}
 				if n := clone.CircuitCount(); n != twin.CircuitCount() || n != countCircuits(whole) {
 					t.Fatalf("shift %d: %d circuits, twin %d, whole-region %d", i, n, twin.CircuitCount(), countCircuits(whole))
@@ -244,10 +286,11 @@ func TestCompileRejectsWrongOldValues(t *testing.T) {
 }
 
 // TestCloneLeavesParentUntouched runs what irisd does during a commit: a
-// clone compiles while another goroutine reads the installed fabric's
-// intent and circuit count. The installed fabric must be value for value
-// what it was, also when the clone's compile fails midway. Run it under
-// -race as well.
+// clone compiles while another goroutine reads every entry of the
+// installed fabric's intent, as a probe round compares it, and its
+// circuit count. The installed fabric, its intent included, must be value
+// for value what it was, also when the clone's compile fails midway. Run
+// it under -race as well.
 func TestCloneLeavesParentUntouched(t *testing.T) {
 	rig, allocs := benchRegion(t, nil)
 	for _, tc := range []struct {
@@ -279,14 +322,16 @@ func TestCloneLeavesParentUntouched(t *testing.T) {
 				}
 				deltas = core.DiffAlloc(held, grown)
 				first := rig.Dep.Plan.Paths[deltas[0].Pair()].Ducts
-				for duct, p := range parent.ductFibers {
+				for duct := range parent.ductFibers {
 					if !slices.Contains(first, duct) {
+						p := &parent.ductFibers[duct]
 						p.free = p.free[:0]
 					}
 				}
 			}
 			clone := parent.Clone()
 			twin := deepTwin(parent)
+			heldIntent := deepExpected(parent.Expected())
 
 			done := make(chan struct{})
 			var wg sync.WaitGroup
@@ -299,7 +344,7 @@ func TestCloneLeavesParentUntouched(t *testing.T) {
 						return
 					default:
 					}
-					parent.Expected()
+					readIntent(parent.Expected())
 					parent.CircuitCount()
 				}
 			}()
@@ -315,10 +360,69 @@ func TestCloneLeavesParentUntouched(t *testing.T) {
 			case !tc.starve && err != nil:
 				t.Fatal(err)
 			}
+			if !reflect.DeepEqual(parent.Expected(), heldIntent) {
+				t.Error("the clone's compile changed the installed fabric's intent")
+			}
 			if !reflect.DeepEqual(parent, twin) {
 				t.Error(describeDiff(parent, twin))
 			}
 		})
+	}
+}
+
+// readIntent reads every element of an expectation.
+func readIntent(e control.Expected) int {
+	n := 0
+	for _, cross := range e.Cross {
+		for in, out := range cross {
+			n += in + out
+		}
+	}
+	for _, wl := range e.Tuned {
+		for _, w := range wl {
+			n += w
+		}
+	}
+	for _, live := range e.Enabled {
+		for _, on := range live {
+			if on {
+				n++
+			}
+		}
+	}
+	for _, on := range e.Amps {
+		if on {
+			n++
+		}
+	}
+	return n
+}
+
+// TestCompileLeavesHeldIntentAlone: an Expected handed out is never
+// written, also when the fabric it came from compiles again without a
+// Clone in between, and each compile publishes the intent rebuilt from
+// its circuits.
+func TestCompileLeavesHeldIntentAlone(t *testing.T) {
+	rig, allocs := benchRegion(t, nil)
+	fab := rig.Fab
+	if !reflect.DeepEqual(fab.Expected(), rebuildExpected(fab)) {
+		t.Fatal("Build published an intent other than the empty region's")
+	}
+	for i := 0; i < 4; i++ {
+		held := fab.Expected()
+		heldCopy := deepExpected(held)
+		if _, err := fab.CompileTarget(allocs[i%2]); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(held, heldCopy) {
+			t.Fatalf("compile %d wrote an Expected handed out before it", i)
+		}
+		if reflect.DeepEqual(fab.Expected(), heldCopy) {
+			t.Fatalf("compile %d changed no device's intent: the test tests nothing", i)
+		}
+		if !reflect.DeepEqual(fab.Expected(), rebuildExpected(fab)) {
+			t.Fatalf("compile %d published an intent other than the one rebuilt from the circuits", i)
+		}
 	}
 }
 
@@ -368,14 +472,18 @@ func TestClonesGrowTheirOwnSlices(t *testing.T) {
 func describeDiff(f, twin *Fabric) string {
 	var parts []string
 	for name, eq := range map[string]bool{
-		"duct pools":      reflect.DeepEqual(f.ductFibers, twin.ductFibers),
-		"local ports":     reflect.DeepEqual(f.localPorts, twin.localPorts),
-		"transceivers":    reflect.DeepEqual(f.xcvrs, twin.xcvrs),
-		"full circuits":   reflect.DeepEqual(f.full, twin.full),
-		"residuals":       reflect.DeepEqual(f.residual, twin.residual),
-		"amplifier refs":  reflect.DeepEqual(f.ampRefs, twin.ampRefs),
-		"tuning tables":   reflect.DeepEqual(f.tuned, twin.tuned),
-		"circuit counter": f.circuits == twin.circuits,
+		"duct pools":       reflect.DeepEqual(f.ductFibers, twin.ductFibers),
+		"local ports":      reflect.DeepEqual(f.localPorts, twin.localPorts),
+		"transceivers":     reflect.DeepEqual(f.xcvrs, twin.xcvrs),
+		"full circuits":    reflect.DeepEqual(f.full, twin.full),
+		"residuals":        reflect.DeepEqual(f.residual, twin.residual),
+		"amplifier refs":   reflect.DeepEqual(f.ampRefs, twin.ampRefs),
+		"tuning tables":    reflect.DeepEqual(f.tuned, twin.tuned),
+		"live vectors":     reflect.DeepEqual(f.live, twin.live),
+		"cross-connects":   reflect.DeepEqual(f.cross, twin.cross),
+		"published intent": reflect.DeepEqual(f.exp, twin.exp),
+		"touched devices":  reflect.DeepEqual(f.dirty, twin.dirty),
+		"circuit counter":  f.circuits == twin.circuits,
 	} {
 		if !eq {
 			parts = append(parts, name)

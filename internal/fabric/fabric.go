@@ -18,6 +18,7 @@ package fabric
 
 import (
 	"fmt"
+	"maps"
 	"slices"
 	"sort"
 	"time"
@@ -37,34 +38,49 @@ type Fabric struct {
 	// Device names by node, built once: Clone shares them.
 	ossNames, xcvrNames, ampNames []string
 
-	// Port layout.
-	ossSize   map[int]int         // node -> OSS port count
-	ductBase  map[int]map[int]int // node -> duct -> first port index
-	localBase map[int]int         // DC -> first local (transceiver-side) port
-	localSize map[int]int         // DC -> local port count
+	// Port layout, by node; zero (nil) at a node without ports of the kind.
+	ossSize   []int         // OSS port count
+	ductBase  []map[int]int // duct -> first port index
+	localBase []int         // a DC's first local (transceiver-side) port
+	localSize []int         // a DC's local port count
 
-	// Allocators.
-	ductFibers map[int]*pool // duct -> fiber-pair indices
-	localPorts map[int]*pool // DC -> local port indices
-	xcvrs      map[int]*pool // DC -> transceiver indices
+	// Allocators: fiber pairs by duct, local ports and transceivers by DC.
+	ductFibers []pool
+	localPorts []pool
+	xcvrs      []pool
 
 	// Circuit state. A circuit and a full[p] slice's elements are never
 	// written once compiled, so clones share them.
 	full     map[hose.Pair][]*circuit
 	residual map[hose.Pair]*circuit
 	circuits int // circuits in full and residual
+
+	// The books, by node: the state the fabric commanded of every device,
+	// which is its intent. establish and teardown write them as they emit
+	// the operations, and Compile publishes them as exp.
+	//
 	// ampRefs counts live circuits using each amplifier site, so the
 	// compiler enables an amp with its first user and parks it with the
 	// last.
-	ampRefs map[int]int
+	ampRefs []int
 	// tuned is the last wavelength commanded for every transceiver of
 	// every DC, -1 before the first. A freed transceiver keeps its tuning
 	// on the device, so it keeps it here: the books are the device state.
-	tuned map[int]*tuning
+	tuned []book[[]int]
+	// live marks every DC's transceivers that carry a circuit.
+	live []book[[]bool]
+	// cross is every switch's cross-connect map, input port to output.
+	cross []book[map[int]int]
 
-	// owner marks the pools and tuning tables this fabric may write in
-	// place; one with another owner is shared with a clone and is copied
-	// before its first write (see Clone).
+	// exp is the intent as last published, by Build or by a Compile that
+	// succeeded; dirty names the devices whose books were copied for
+	// writing since.
+	exp   control.Expected
+	dirty touched
+
+	// owner marks the pools and books this fabric may write in place; one
+	// with another owner, or none, is shared and is copied before its
+	// first write (see Clone).
 	owner *token
 }
 
@@ -89,8 +105,8 @@ type pool struct {
 	owner *token // the fabric that may write it
 }
 
-func newPool(n int, owner *token) *pool {
-	p := &pool{n: n, free: make([]int, n), owner: owner}
+func newPool(n int, owner *token) pool {
+	p := pool{n: n, free: make([]int, n), owner: owner}
 	for i := range p.free {
 		p.free[i] = n - 1 - i // pop from the back yields ascending order
 	}
@@ -121,63 +137,96 @@ func (p *pool) put(vs ...int) {
 	p.free = append(p.free, vs...)
 }
 
-// tuning is one DC's tuning table: the last wavelength commanded for each
-// of its transceivers.
-type tuning struct {
-	wl    []int
+// A book is one device's table in the fabric's books. A published table
+// has no owner, so it is never written again: the next write from any
+// fabric copies it.
+type book[T any] struct {
+	v     T
 	owner *token // the fabric that may write it
 }
+
+// touched names, by node, the switches, banks and amplifier sites whose
+// books changed since the intent was published. A node may repeat.
+type touched struct{ oss, banks, amps []int }
 
 // A token is a fabric's mark of ownership. It is not zero-size, so every
 // live token has an address of its own.
 type token struct{ _ byte }
 
-// own returns the pool at ps[k] for writing: the pool itself when f owns
-// it, else f's own copy of it, installed in ps (one of f's maps).
-func (f *Fabric) own(ps map[int]*pool, k int) *pool {
-	p := ps[k]
+// own returns the pool at ps[k] (one of f's slices) for writing, copying
+// its free list first when f does not own it.
+func (f *Fabric) own(ps []pool, k int) *pool {
+	p := &ps[k]
 	if p.owner != f.owner {
-		p = &pool{n: p.n, free: slices.Clone(p.free), owner: f.owner}
-		ps[k] = p
+		p.free, p.owner = slices.Clone(p.free), f.owner
 	}
 	return p
 }
 
-// ownTuning returns DC dc's tuning table for writing, copying it first
-// when a clone shares it.
-func (f *Fabric) ownTuning(dc int) []int {
-	t := f.tuned[dc]
-	if t.owner != f.owner {
-		t = &tuning{wl: slices.Clone(t.wl), owner: f.owner}
-		f.tuned[dc] = t
+// ownCross, ownTuning and ownLive return a device's book for writing. The
+// first write since the book was shared copies it and marks the device
+// touched.
+func (f *Fabric) ownCross(node int) map[int]int {
+	b := &f.cross[node]
+	if b.owner != f.owner {
+		b.v, b.owner = maps.Clone(b.v), f.owner
+		f.dirty.oss = append(f.dirty.oss, node)
 	}
-	return t.wl
+	return b.v
+}
+
+func (f *Fabric) ownTuning(dc int) []int {
+	b := &f.tuned[dc]
+	if b.owner != f.owner {
+		b.v, b.owner = slices.Clone(b.v), f.owner
+		f.dirty.banks = append(f.dirty.banks, dc)
+	}
+	return b.v
+}
+
+func (f *Fabric) ownLive(dc int) []bool {
+	b := &f.live[dc]
+	if b.owner != f.owner {
+		b.v, b.owner = slices.Clone(b.v), f.owner
+		f.dirty.banks = append(f.dirty.banks, dc)
+	}
+	return b.v
 }
 
 // Build materialises a deployment. The port layout is fully determined by
-// the plan, so two Builds of the same deployment are identical.
+// the plan, so two Builds of the same deployment are identical. The empty
+// region's intent is published from the books.
 func Build(dep *core.Deployment) (*Fabric, error) {
 	if dep == nil || dep.Plan == nil {
 		return nil, fmt.Errorf("fabric: nil deployment")
 	}
+	m := dep.Region.Map
+	pl := dep.Plan
+	nodes := len(m.Nodes)
 	f := &Fabric{
 		dep:        dep,
 		lambda:     dep.Region.Lambda,
-		ossSize:    make(map[int]int),
-		ductBase:   make(map[int]map[int]int),
-		localBase:  make(map[int]int),
-		localSize:  make(map[int]int),
-		ductFibers: make(map[int]*pool),
-		localPorts: make(map[int]*pool),
-		xcvrs:      make(map[int]*pool),
+		ossSize:    make([]int, nodes),
+		ductBase:   make([]map[int]int, nodes),
+		localBase:  make([]int, nodes),
+		localSize:  make([]int, nodes),
+		ductFibers: make([]pool, len(m.Ducts)),
+		localPorts: make([]pool, nodes),
+		xcvrs:      make([]pool, nodes),
 		full:       make(map[hose.Pair][]*circuit),
 		residual:   make(map[hose.Pair]*circuit),
-		ampRefs:    make(map[int]int),
-		tuned:      make(map[int]*tuning),
-		owner:      new(token),
+		ampRefs:    make([]int, nodes),
+		tuned:      make([]book[[]int], nodes),
+		live:       make([]book[[]bool], nodes),
+		cross:      make([]book[map[int]int], nodes),
+		exp: control.Expected{
+			Cross:   make(map[string]map[int]int),
+			Tuned:   make(map[string][]int),
+			Enabled: make(map[string][]bool),
+			Amps:    make(map[string]bool),
+		},
+		owner: new(token),
 	}
-	m := dep.Region.Map
-	pl := dep.Plan
 	for _, n := range m.Nodes {
 		f.ossNames = append(f.ossNames, n.Name+"-oss")
 		f.xcvrNames = append(f.xcvrNames, n.Name+"-xcvr")
@@ -207,7 +256,8 @@ func Build(dep *core.Deployment) (*Fabric, error) {
 		}
 	}
 
-	// Local (transceiver-side) ports and transceiver banks at DCs.
+	// Local (transceiver-side) ports and transceiver banks at DCs: every
+	// transceiver untuned and drained.
 	dcs := m.DCs()
 	for _, dc := range dcs {
 		capacity := dep.Region.Capacity[dc]
@@ -217,12 +267,24 @@ func Build(dep *core.Deployment) (*Fabric, error) {
 		f.ossSize[dc] += local
 		f.localPorts[dc] = newPool(local, f.owner)
 		f.xcvrs[dc] = newPool(capacity*f.lambda, f.owner)
-		t := &tuning{wl: make([]int, capacity*f.lambda), owner: f.owner}
-		for i := range t.wl {
-			t.wl[i] = -1
+		wl := make([]int, capacity*f.lambda)
+		for i := range wl {
+			wl[i] = -1
 		}
-		f.tuned[dc] = t
+		f.tuned[dc].v, f.live[dc].v = wl, make([]bool, len(wl))
+		f.dirty.banks = append(f.dirty.banks, dc)
 	}
+	// Every switch empty and every amplifier parked.
+	for node, size := range f.ossSize {
+		if size > 0 {
+			f.cross[node].v = make(map[int]int)
+			f.dirty.oss = append(f.dirty.oss, node)
+		}
+	}
+	for node := range pl.Amps {
+		f.dirty.amps = append(f.dirty.amps, node)
+	}
+	f.publish()
 	return f, nil
 }
 
@@ -266,8 +328,8 @@ func (f *Fabric) Devices(ossDelay time.Duration) map[string]control.Device {
 // port returns the OSS port of fiber-pair fiberIdx of the given duct at
 // the given node.
 func (f *Fabric) port(node, duct, fiberIdx int) (int, error) {
-	bases, ok := f.ductBase[node]
-	if !ok {
+	bases := f.ductBase[node]
+	if bases == nil {
 		return 0, fmt.Errorf("fabric: node %d has no duct ports", node)
 	}
 	base, ok := bases[duct]
@@ -279,18 +341,14 @@ func (f *Fabric) port(node, duct, fiberIdx int) (int, error) {
 
 // localPort returns the transceiver-side OSS port of a DC's local fiber.
 func (f *Fabric) localPort(dc, localIdx int) (int, error) {
-	base, ok := f.localBase[dc]
-	if !ok {
-		return 0, fmt.Errorf("fabric: node %d is not a DC", dc)
-	}
 	if localIdx < 0 || localIdx >= f.localSize[dc] {
-		return 0, fmt.Errorf("fabric: local index %d out of range [0,%d)", localIdx, f.localSize[dc])
+		return 0, fmt.Errorf("fabric: local index %d out of range [0,%d) at node %d", localIdx, f.localSize[dc], dc)
 	}
-	return base + localIdx, nil
+	return f.localBase[dc] + localIdx, nil
 }
 
-// establish allocates resources for one circuit and appends its device
-// operations to the change.
+// establish allocates resources for one circuit, appends its device
+// operations to the change and writes them into the books.
 func (f *Fabric) establish(ch *control.Change, p hose.Pair, live int) (*circuit, error) {
 	path, ok := f.dep.Plan.Paths[p.Canonical()]
 	if !ok {
@@ -331,24 +389,25 @@ func (f *Fabric) establish(ch *control.Change, p hose.Pair, live int) (*circuit,
 	}
 	c.xcvrA, c.xcvrB = xa, xb
 
-	ops, err := f.circuitOps(c, false)
-	if err != nil {
+	if err := f.circuitOps(ch, c, false); err != nil {
 		f.xcvrs[c.pair.A].put(xa...)
 		f.xcvrs[c.pair.B].put(xb...)
 		f.release(c)
 		return nil, err
 	}
-	ch.Switches = append(ch.Switches, ops...)
 	// First circuit through an amplifier site turns its amps on.
 	for _, n := range path.AmpNodes {
 		if f.ampRefs[n] == 0 {
 			ch.Amps = append(ch.Amps, control.AmpOp{Device: f.AmpName(n), Enable: true})
+			f.dirty.amps = append(f.dirty.amps, n)
 		}
 		f.ampRefs[n]++
 	}
 	tunedA, tunedB := f.ownTuning(c.pair.A), f.ownTuning(c.pair.B)
+	liveA, liveB := f.ownLive(c.pair.A), f.ownLive(c.pair.B)
 	for slot := 0; slot < live; slot++ {
 		tunedA[xa[slot]], tunedB[xb[slot]] = slot, slot
+		liveA[xa[slot]], liveB[xb[slot]] = true, true
 		ch.Retunes = append(ch.Retunes,
 			control.TransceiverOp{Device: f.XcvrName(c.pair.A), Idx: xa[slot], Wavelength: slot},
 			control.TransceiverOp{Device: f.XcvrName(c.pair.B), Idx: xb[slot], Wavelength: slot},
@@ -362,25 +421,26 @@ func (f *Fabric) establish(ch *control.Change, p hose.Pair, live int) (*circuit,
 	return c, nil
 }
 
-// teardown appends the operations that remove a circuit and frees its
-// resources.
+// teardown appends the operations that remove a circuit, writes them
+// into the books and frees its resources.
 func (f *Fabric) teardown(ch *control.Change, c *circuit) error {
+	liveA, liveB := f.ownLive(c.pair.A), f.ownLive(c.pair.B)
 	for slot := 0; slot < c.live; slot++ {
+		liveA[c.xcvrA[slot]], liveB[c.xcvrB[slot]] = false, false
 		ch.Drain = append(ch.Drain,
 			control.TransceiverOp{Device: f.XcvrName(c.pair.A), Idx: c.xcvrA[slot]},
 			control.TransceiverOp{Device: f.XcvrName(c.pair.B), Idx: c.xcvrB[slot]},
 		)
 	}
-	ops, err := f.circuitOps(c, true)
-	if err != nil {
+	if err := f.circuitOps(ch, c, true); err != nil {
 		return err
 	}
-	ch.Switches = append(ch.Switches, ops...)
 	// Last circuit through an amplifier site parks its amps.
 	for _, n := range c.path.AmpNodes {
 		f.ampRefs[n]--
 		if f.ampRefs[n] == 0 {
 			ch.Amps = append(ch.Amps, control.AmpOp{Device: f.AmpName(n), Enable: false})
+			f.dirty.amps = append(f.dirty.amps, n)
 		}
 	}
 	f.own(f.xcvrs, c.pair.A).put(c.xcvrA...)
@@ -400,14 +460,19 @@ func (f *Fabric) release(c *circuit) {
 	}
 }
 
-// circuitOps emits the OSS operations along the circuit's path. For a
-// disconnect only the input port of each cross-connect is named.
-func (f *Fabric) circuitOps(c *circuit, disconnect bool) ([]control.OSSOp, error) {
-	var ops []control.OSSOp
-	err := f.hops(c, func(node, in, out int) {
-		ops = append(ops, control.OSSOp{Device: f.OSSName(node), In: in, Out: out, Disconnect: disconnect})
+// circuitOps appends the OSS operations along the circuit's path to the
+// change and writes them into the switches' cross-connect books, in one
+// walk. For a disconnect only the input port of each cross-connect is
+// named.
+func (f *Fabric) circuitOps(ch *control.Change, c *circuit, disconnect bool) error {
+	return f.hops(c, func(node, in, out int) {
+		if cross := f.ownCross(node); disconnect {
+			delete(cross, in)
+		} else {
+			cross[in] = out
+		}
+		ch.Switches = append(ch.Switches, control.OSSOp{Device: f.OSSName(node), In: in, Out: out, Disconnect: disconnect})
 	})
-	return ops, err
 }
 
 // hops calls visit with every cross-connect of the circuit, in path order:
@@ -460,14 +525,15 @@ func pathEndpointB(c *circuit) int { return c.path.Nodes[len(c.path.Nodes)-1] }
 
 // Compile computes the change that applies pair deltas — the diff of
 // the fabric's circuits to a target allocation, in pair order, as
-// core.DiffAlloc returns it — and updates the circuit state. Only the
-// named pairs are visited. Each delta's Old values must be the circuits
-// the fabric holds for its pair; otherwise Compile returns an error and
-// leaves the fabric as it was. The returned change follows the §5.2
-// discipline: drains of torn-down or resized circuits come first, then
-// all OSS operations, then retunes, then undrains. Each switch receives
-// its operations as one batch, which tears down its disconnects before it
-// makes its connects.
+// core.DiffAlloc returns it — and updates the circuit state and the
+// books. Only the named pairs are visited, and on success the books of
+// the devices they touched are published as the fabric's Expected. Each
+// delta's Old values must be the circuits the fabric holds for its pair;
+// otherwise Compile returns an error and leaves the fabric as it was. The
+// returned change follows the §5.2 discipline: drains of torn-down or
+// resized circuits come first, then all OSS operations, then retunes,
+// then undrains. Each switch receives its operations as one batch, which
+// tears down its disconnects before it makes its connects.
 func (f *Fabric) Compile(pairs []core.PairDelta) (control.Change, error) {
 	for _, d := range pairs {
 		p := d.Pair()
@@ -523,6 +589,7 @@ func (f *Fabric) Compile(pairs []core.PairDelta) (control.Change, error) {
 			f.residual[p] = c
 		}
 	}
+	f.publish()
 	return ch, nil
 }
 
@@ -550,45 +617,45 @@ func (f *Fabric) held() core.Allocation {
 // Expected returns the controller's intent for every device the fabric
 // built: each OSS's cross-connect map (empty for an idle switch), each
 // bank's per-transceiver wavelength and live/drained state, and each
-// amplifier group on exactly when a circuit crosses its site.
-func (f *Fabric) Expected() control.Expected {
-	exp := control.Expected{
-		Cross:   make(map[string]map[int]int, len(f.ossSize)),
-		Tuned:   make(map[string][]int, len(f.tuned)),
-		Enabled: make(map[string][]bool, len(f.tuned)),
-		Amps:    make(map[string]bool),
-	}
-	for node, size := range f.ossSize {
-		if size > 0 { // a circuit takes two ports: no map grows past its hint
-			exp.Cross[f.OSSName(node)] = make(map[int]int, size/2)
+// amplifier group on exactly when a circuit crosses its site. It is a
+// read of what Build or the last Compile that succeeded published (a
+// compile that fails midway publishes nothing), and nothing in it is
+// ever written again: a caller may hold it across later compiles and
+// read it from any goroutine.
+func (f *Fabric) Expected() control.Expected { return f.exp }
+
+// publish makes the books of the touched devices the intent: a new
+// Expected that shares every other device's entry with the last one and
+// points each touched device's entry at its book. A published book loses
+// its owner, so the next write from any fabric copies it.
+func (f *Fabric) publish() {
+	if len(f.dirty.oss) > 0 {
+		cross := maps.Clone(f.exp.Cross)
+		for _, n := range f.dirty.oss {
+			b := &f.cross[n]
+			cross[f.ossNames[n]], b.owner = b.v, nil
 		}
+		f.exp.Cross = cross
 	}
-	for dc, t := range f.tuned {
-		name := f.XcvrName(dc)
-		exp.Tuned[name], exp.Enabled[name] = append([]int(nil), t.wl...), make([]bool, len(t.wl))
-	}
-	for node, count := range f.dep.Plan.Amps {
-		if count > 0 {
-			exp.Amps[f.AmpName(node)] = f.ampRefs[node] > 0
+	if len(f.dirty.banks) > 0 {
+		tuned, live := maps.Clone(f.exp.Tuned), maps.Clone(f.exp.Enabled)
+		for _, dc := range f.dirty.banks {
+			t, l := &f.tuned[dc], &f.live[dc]
+			tuned[f.xcvrNames[dc]], t.owner = t.v, nil
+			live[f.xcvrNames[dc]], l.owner = l.v, nil
 		}
+		f.exp.Tuned, f.exp.Enabled = tuned, live
 	}
-	cross := func(node, in, out int) { exp.Cross[f.OSSName(node)][in] = out }
-	every := func(c *circuit) {
-		_ = f.hops(c, cross) // an established circuit's ports resolved at compile
-		liveA, liveB := exp.Enabled[f.XcvrName(c.pair.A)], exp.Enabled[f.XcvrName(c.pair.B)]
-		for slot := 0; slot < c.live; slot++ {
-			liveA[c.xcvrA[slot]], liveB[c.xcvrB[slot]] = true, true
+	if len(f.dirty.amps) > 0 {
+		amps := maps.Clone(f.exp.Amps)
+		for _, n := range f.dirty.amps {
+			if f.dep.Plan.Amps[n] > 0 {
+				amps[f.ampNames[n]] = f.ampRefs[n] > 0
+			}
 		}
+		f.exp.Amps = amps
 	}
-	for _, cs := range f.full {
-		for _, c := range cs {
-			every(c)
-		}
-	}
-	for _, c := range f.residual {
-		every(c)
-	}
-	return exp
+	f.dirty = touched{}
 }
 
 // CircuitCount returns the number of active circuits (full + residual).

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -388,8 +389,8 @@ func reconcileOracle(f *Fabric, states map[string]map[string]any) control.Change
 	})
 
 	// OSS cross-connect repair.
-	for _, node := range sortedKeys(f.ossSize) {
-		if f.ossSize[node] == 0 {
+	for node, size := range f.ossSize {
+		if size == 0 {
 			continue
 		}
 		name := f.OSSName(node)
@@ -460,6 +461,41 @@ func reconcileOracle(f *Fabric, states map[string]map[string]any) control.Change
 		}
 	}
 	return ch
+}
+
+// rebuildExpected is the intent rebuilt from the fabric's circuits, as
+// Fabric.Expected built it before the books were the intent; kept as the
+// oracle of what Compile publishes. It walks the hops of every circuit.
+func rebuildExpected(f *Fabric) control.Expected {
+	exp := control.Expected{
+		Cross:   make(map[string]map[int]int),
+		Tuned:   make(map[string][]int),
+		Enabled: make(map[string][]bool),
+		Amps:    make(map[string]bool),
+	}
+	for node, size := range f.ossSize {
+		if size > 0 {
+			exp.Cross[f.OSSName(node)] = make(map[int]int)
+		}
+	}
+	for _, dc := range f.dep.Region.Map.DCs() {
+		wl := f.tuned[dc].v
+		exp.Tuned[f.XcvrName(dc)], exp.Enabled[f.XcvrName(dc)] = slices.Clone(wl), make([]bool, len(wl))
+	}
+	for node, count := range f.dep.Plan.Amps {
+		if count > 0 {
+			exp.Amps[f.AmpName(node)] = f.ampRefs[node] > 0
+		}
+	}
+	cross := func(node, in, out int) { exp.Cross[f.OSSName(node)][in] = out }
+	forEachCircuit(f, func(c *circuit) {
+		_ = f.hops(c, cross) // an established circuit's ports resolved at compile
+		liveA, liveB := exp.Enabled[f.XcvrName(c.pair.A)], exp.Enabled[f.XcvrName(c.pair.B)]
+		for slot := 0; slot < c.live; slot++ {
+			liveA[c.xcvrA[slot]], liveB[c.xcvrB[slot]] = true, true
+		}
+	})
+	return exp
 }
 
 func forEachCircuit(f *Fabric, fn func(*circuit)) {

@@ -2,6 +2,7 @@ package fabric
 
 import (
 	"maps"
+	"slices"
 
 	"iris/internal/control"
 )
@@ -20,21 +21,26 @@ import (
 // Build.
 //
 // The copy is copy-on-write, so it costs what the compile changes. Clone
-// copies the fabric's maps, not what they point to. Compiled circuits are
-// never written, and a full[p] slice is grown as a copy. A pool or tuning
-// table is copied by the first fabric that writes it after the Clone:
-// Clone gives both fabrics new owner tokens, its one write to f, so
-// neither owns what they share. Reads of f (Expected, CircuitCount) may
-// run while the clone compiles.
+// copies the fabric's per-duct and per-node slices (a memmove each) and
+// its two pair maps, not what they point to. Compiled circuits are never
+// written, and a full[p] slice is grown as a copy. A pool or book is
+// copied by the first fabric that writes it after the Clone: Clone gives
+// both fabrics new owner tokens, its one write to f, so neither owns what
+// they share, and a book the intent published has no owner at all. The
+// clone starts from f's Expected, which its Compile patches. Reads of f
+// (Expected, CircuitCount) may run while the clone compiles.
 func (f *Fabric) Clone() *Fabric {
 	g := *f
-	g.ductFibers = maps.Clone(f.ductFibers)
-	g.localPorts = maps.Clone(f.localPorts)
-	g.xcvrs = maps.Clone(f.xcvrs)
+	g.ductFibers = slices.Clone(f.ductFibers)
+	g.localPorts = slices.Clone(f.localPorts)
+	g.xcvrs = slices.Clone(f.xcvrs)
 	g.full = maps.Clone(f.full)
 	g.residual = maps.Clone(f.residual)
-	g.ampRefs = maps.Clone(f.ampRefs)
-	g.tuned = maps.Clone(f.tuned)
+	g.ampRefs = slices.Clone(f.ampRefs)
+	g.tuned = slices.Clone(f.tuned)
+	g.live = slices.Clone(f.live)
+	g.cross = slices.Clone(f.cross)
+	g.dirty = touched{slices.Clone(f.dirty.oss), slices.Clone(f.dirty.banks), slices.Clone(f.dirty.amps)}
 	f.owner, g.owner = new(token), new(token)
 	return &g
 }
