@@ -3,8 +3,9 @@ package control
 import "testing"
 
 // BenchmarkWireCodec measures the line protocol's codec on the largest
-// message of a tick: the state reply of a 400-transceiver bank (what the
-// audit fetches from every bank, every tick). Encoding into a reused
+// message of a tick: the state reply of a 400-transceiver bank (what a
+// probe round fetches from every bank, and what a bank's last write of a
+// change answers with). Encoding into a reused
 // buffer is gated at zero allocations; decoding allocates the result map
 // and its two packed strings.
 func BenchmarkWireCodec(b *testing.B) {

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net"
 	"slices"
+	"strings"
 	"sync"
 	"time"
 
@@ -177,7 +178,8 @@ type Change struct {
 }
 
 // Devices returns every device the change names, sorted: the devices it
-// can have moved, and so the ones the audit that closes it fetches.
+// can have moved, and so the ones whose last write's reply (Report.States)
+// the audit that closes it compares with intent.
 func (ch Change) Devices() []string {
 	seen := make(map[string]bool)
 	for _, ops := range [][]TransceiverOp{ch.Drain, ch.Retunes, ch.Undrain} {
@@ -208,16 +210,23 @@ type PhaseTiming struct {
 type Report struct {
 	Phases []PhaseTiming
 	Total  time.Duration
+	// States holds, for each device the change named, the reply to the
+	// batch of its last phase: the state the change left it in, in the
+	// shape the "state" op returns (nil if the reply carried none).
+	States map[string]map[string]any
 }
 
 // Reconfigure executes the change. Phases run strictly in order; a phase
 // is one round of RPCs, in which each device the phase names receives its
-// operations as one batch and all of them work at once. The first error
-// stops the phase's round and aborts the phases after it. Unless ctx was
-// cancelled, every request the change sent has been answered when
-// Reconfigure returns, so the devices stay as the error left them; the
-// ones behind the failing device may have applied their batch. Report
-// counts operations, not RPCs.
+// operations as one batch and all of them work at once. The batch of a
+// device's last phase asks for the state it leaves ("state": true), and
+// the replies are the Report's States: a device's last write is also the
+// read of the state the change left it in. The first error stops the
+// phase's round and aborts the phases after it. Unless ctx was cancelled,
+// every request the change sent has been answered when Reconfigure
+// returns, so the devices stay as the error left them; the ones behind the
+// failing device may have applied their batch. Report counts operations,
+// not RPCs.
 //
 // When ctx carries a span (trace.ContextWith — the daemon threads its
 // reconfig root through here), each phase becomes a child span with
@@ -225,28 +234,48 @@ type Report struct {
 // drain → switch → amps → retune → fill → undrain with per-device
 // durations and deadline outcomes.
 func (c *Controller) Reconfigure(ctx context.Context, ch Change) (Report, error) {
-	var rep Report
+	rep := Report{States: make(map[string]map[string]any)}
 	start := time.Now()
 	parent := trace.FromContext(ctx)
 	phases := []struct {
 		name string
-		run  func(sp *trace.Span) error
+		reqs map[string]request
 		ops  int
 	}{
-		{"drain", func(sp *trace.Span) error { return c.transceiverPhase(ctx, sp, ch.Drain, "disable") }, len(ch.Drain)},
-		{"switch", func(sp *trace.Span) error { return c.switchPhase(ctx, sp, ch.Switches) }, len(ch.Switches)},
-		{"amps", func(sp *trace.Span) error { return c.ampPhase(ctx, sp, ch.Amps) }, len(ch.Amps)},
-		{"retune", func(sp *trace.Span) error { return c.transceiverPhase(ctx, sp, ch.Retunes, "tune") }, len(ch.Retunes)},
-		{"fill", func(sp *trace.Span) error { return c.fillPhase(ctx, sp, ch.Fills) }, len(ch.Fills)},
-		{"undrain", func(sp *trace.Span) error { return c.transceiverPhase(ctx, sp, ch.Undrain, "enable") }, len(ch.Undrain)},
+		{"drain", transceiverReqs(ch.Drain, "disable-batch"), len(ch.Drain)},
+		{"switch", switchReqs(ch.Switches), len(ch.Switches)},
+		{"amps", ampReqs(ch.Amps), len(ch.Amps)},
+		{"retune", transceiverReqs(ch.Retunes, "tune-batch"), len(ch.Retunes)},
+		{"fill", fillReqs(ch.Fills), len(ch.Fills)},
+		{"undrain", transceiverReqs(ch.Undrain, "enable-batch"), len(ch.Undrain)},
 	}
-	for _, ph := range phases {
+	last := make(map[string]int) // device → index of its last phase
+	for i := len(phases) - 1; i >= 0; i-- {
+		for dev, req := range phases[i].reqs {
+			if _, later := last[dev]; later {
+				continue
+			}
+			last[dev] = i
+			if req.args == nil {
+				req.args = make(map[string]any, 1)
+				phases[i].reqs[dev] = req
+			}
+			req.args["state"] = true
+		}
+	}
+	for i, ph := range phases {
 		if err := ctx.Err(); err != nil {
 			return rep, err
 		}
 		sp := parent.Child(ph.name)
 		t0 := time.Now()
-		if err := ph.run(sp); err != nil {
+		err := c.round(ctx, sp, ph.reqs, func(dev string, res map[string]any) error {
+			if last[dev] == i {
+				rep.States[dev] = res
+			}
+			return nil
+		})
+		if err != nil {
 			sp.Fail(err)
 			sp.Finish()
 			return rep, fmt.Errorf("control: %s phase: %w", ph.name, err)
@@ -342,12 +371,16 @@ func (c *Controller) round(ctx context.Context, parent *trace.Span, reqs map[str
 	return stop
 }
 
-// transceiverPhase executes one phase's per-transceiver operations (op is
-// "disable", "tune" or "enable") as one batch per bank, which a bank
-// applies only if every entry passes its checks. A bank's span is named
-// after the phase's operation.
-func (c *Controller) transceiverPhase(ctx context.Context, sp *trace.Span, ops []TransceiverOp, op string) error {
-	type batch struct{ idxs, wavelengths []int }
+// transceiverReqs batches one phase's per-transceiver operations (op is
+// "disable-batch", "tune-batch" or "enable-batch") into one request per
+// bank, which a bank applies only if every entry passes its checks. A
+// bank's span is named after the phase's operation ("tune").
+func transceiverReqs(ops []TransceiverOp, op string) map[string]request {
+	tune := op == "tune-batch"
+	type batch struct {
+		n                 int
+		idxs, wavelengths []int
+	}
 	byDev := make(map[string]*batch)
 	for _, o := range ops {
 		b := byDev[o.Device]
@@ -355,35 +388,55 @@ func (c *Controller) transceiverPhase(ctx context.Context, sp *trace.Span, ops [
 			b = new(batch)
 			byDev[o.Device] = b
 		}
+		b.n++
+	}
+	for _, o := range ops { // each list allocated once, at its length
+		b := byDev[o.Device]
+		if b.idxs == nil {
+			b.idxs = make([]int, 0, b.n)
+			if tune {
+				b.wavelengths = make([]int, 0, b.n)
+			}
+		}
 		b.idxs = append(b.idxs, o.Idx)
-		if op == "tune" {
+		if tune {
 			b.wavelengths = append(b.wavelengths, o.Wavelength)
 		}
 	}
 	reqs := make(map[string]request, len(byDev))
 	for dev, b := range byDev {
 		args := map[string]any{"idxs": b.idxs}
-		if op == "tune" {
+		if tune {
 			args["wavelengths"] = b.wavelengths
 		}
-		reqs[dev] = request{span: op, op: op + "-batch", args: args}
+		reqs[dev] = request{span: strings.TrimSuffix(op, "-batch"), op: op, args: args}
 	}
-	return c.round(ctx, sp, reqs, nil)
+	return reqs
 }
 
-// switchPhase executes the OSS operations as one round: each switch gets
-// one batch of its disconnects and connects, which it applies only if every
+// switchReqs batches the OSS operations into one request per switch: a
+// batch of its disconnects and connects, which it applies only if every
 // entry passes — disconnects first, so a circuit can move to a port
-// vacated in the same change — and settles in one window. Switches share no
-// ports, so no switch waits for another's teardown.
-func (c *Controller) switchPhase(ctx context.Context, sp *trace.Span, ops []OSSOp) error {
-	type batch struct{ disconnect, ins, outs []int }
+// vacated in the same change — and settles in one window. Switches share
+// no ports, so no switch waits for another's teardown.
+func switchReqs(ops []OSSOp) map[string]request {
+	type batch struct {
+		n                     int
+		disconnect, ins, outs []int
+	}
 	byDev := make(map[string]*batch)
 	for _, o := range ops {
 		b := byDev[o.Device]
 		if b == nil {
 			b = new(batch)
 			byDev[o.Device] = b
+		}
+		b.n++
+	}
+	for _, o := range ops { // each list allocated once, long enough for all
+		b := byDev[o.Device]
+		if b.ins == nil {
+			b.disconnect, b.ins, b.outs = make([]int, 0, b.n), make([]int, 0, b.n), make([]int, 0, b.n)
 		}
 		if o.Disconnect {
 			b.disconnect = append(b.disconnect, o.In)
@@ -396,14 +449,14 @@ func (c *Controller) switchPhase(ctx context.Context, sp *trace.Span, ops []OSSO
 		reqs[dev] = request{span: "switch-batch", op: "switch-batch",
 			args: map[string]any{"disconnect": b.disconnect, "ins": b.ins, "outs": b.outs}}
 	}
-	return c.round(ctx, sp, reqs, nil)
+	return reqs
 }
 
-// ampPhase switches amplifier groups on or off. Of several operations
+// ampReqs switches amplifier groups on or off. Of several operations
 // naming one device the last decides: a change that parks an amplifier with
 // the last circuit it tears down and lights it for the first it establishes
 // must leave it on.
-func (c *Controller) ampPhase(ctx context.Context, sp *trace.Span, ops []AmpOp) error {
+func ampReqs(ops []AmpOp) map[string]request {
 	reqs := make(map[string]request)
 	for _, o := range ops {
 		op := "disable"
@@ -412,17 +465,17 @@ func (c *Controller) ampPhase(ctx context.Context, sp *trace.Span, ops []AmpOp) 
 		}
 		reqs[o.Device] = request{span: op, op: op}
 	}
-	return c.round(ctx, sp, reqs, nil)
+	return reqs
 }
 
-// fillPhase sets each emulator's channel set; as for amplifiers, the last
+// fillReqs sets each emulator's channel set; as for amplifiers, the last
 // operation naming a device decides.
-func (c *Controller) fillPhase(ctx context.Context, sp *trace.Span, ops []FillOp) error {
+func fillReqs(ops []FillOp) map[string]request {
 	reqs := make(map[string]request)
 	for _, o := range ops {
 		reqs[o.Device] = request{span: "fill", op: "fill", args: map[string]any{"channels": o.Channels}}
 	}
-	return c.round(ctx, sp, reqs, nil)
+	return reqs
 }
 
 // Expected is the controller's whole intent for the devices it names
@@ -458,30 +511,6 @@ func (e Expected) devices() []string {
 func named[V any](seen map[string]bool, field map[string]V) {
 	for dev := range field {
 		seen[dev] = true
-	}
-}
-
-// Only returns the part of the expectation that names devs; the maps it
-// holds are shared with e. The audit that closes a change checks the
-// devices the change named (Change.Devices) and no other.
-func (e Expected) Only(devs []string) Expected {
-	var o Expected
-	for _, dev := range devs {
-		keep(&o.Cross, e.Cross, dev)
-		keep(&o.Tuned, e.Tuned, dev)
-		keep(&o.Enabled, e.Enabled, dev)
-		keep(&o.Filled, e.Filled, dev)
-		keep(&o.Amps, e.Amps, dev)
-	}
-	return o
-}
-
-func keep[V any](dst *map[string]V, src map[string]V, dev string) {
-	if v, ok := src[dev]; ok {
-		if *dst == nil {
-			*dst = make(map[string]V)
-		}
-		(*dst)[dev] = v
 	}
 }
 

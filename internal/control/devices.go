@@ -82,6 +82,13 @@ func (l *opLog) Log() []LogEntry {
 	return out
 }
 
+// wantsState reports whether a write's arguments ask for the state it
+// leaves in its reply ("state": true).
+func wantsState(args map[string]any) bool {
+	on, _ := args["state"].(bool)
+	return on
+}
+
 // OSS emulates an optical space switch: a port-to-port circuit fabric that
 // directs all wavelengths of an input fiber to an output fiber. Switching
 // takes the configured delay (the paper measures ≈20 ms, §5.2).
@@ -114,8 +121,11 @@ func (o *OSS) Kind() string { return "oss" }
 //	          vacated. Either list may be empty. All or nothing: it fails,
 //	          changing nothing, if a disconnect names an idle input or one
 //	          twice, or a connect a busy or out-of-range port
-//	state   — circuits {in, out}: input ports ascending
+//	state   — circuits {in, out, ports}: input ports ascending
 //
+// A switch-batch whose arguments hold "state": true answers with the
+// switch's state as the state op would, read under the lock hold that
+// applied the batch; without it, and on failure, the reply carries none.
 // There is no single-circuit form and no second switching command: real
 // OSS firmware executes a set of cross-connect moves in a single
 // mirror-settling window, so a reconfiguration pays the switching delay
@@ -139,14 +149,16 @@ func (o *OSS) Handle(op string, args map[string]any) (map[string]any, error) {
 		if len(ins) != len(outs) {
 			return nil, fmt.Errorf("oss: batch length mismatch: %d ins, %d outs", len(ins), len(outs))
 		}
-		if err := o.switchBatch(disconnect, ins, outs); err != nil {
+		st, err := o.switchBatch(disconnect, ins, outs, wantsState(args))
+		if err != nil {
 			return nil, err
 		}
 		o.record(logRec{op: op, off: disconnect, a: ins, b: outs})
-		return nil, nil
+		return st, nil
 	case "state":
-		ins, outs := o.Cross()
-		return map[string]any{"in": ins, "out": outs, "ports": o.ports}, nil
+		o.mu.Lock()
+		defer o.mu.Unlock()
+		return o.stateLocked(), nil
 	default:
 		return nil, fmt.Errorf("oss: unknown op %q", op)
 	}
@@ -155,19 +167,20 @@ func (o *OSS) Handle(op string, args map[string]any) (map[string]any, error) {
 // switchBatch applies a batch under the lock: it tears down the circuits
 // from disconnect, then reserves every cross-connect, each checked against
 // the state the entries before it left. On the first entry that fails it
-// puts every circuit back as it was. A batch that connects something then
-// settles once: the physical switch moves all mirrors in a single settling
-// window.
-func (o *OSS) switchBatch(disconnect, ins, outs []int) error {
+// puts every circuit back as it was. With withState it returns the state
+// the batch left, read before the lock is let go. A batch that connects
+// something then settles once: the physical switch moves all mirrors in a
+// single settling window.
+func (o *OSS) switchBatch(disconnect, ins, outs []int, withState bool) (st map[string]any, err error) {
 	o.mu.Lock()
 	was := make([]int, len(disconnect)) // the output each torn-down circuit fed
-	fail := func(torn, made int, err error) error {
+	fail := func(torn, made int, err error) (map[string]any, error) {
 		o.rollback(ins[:made])
 		for i, in := range disconnect[:torn] {
 			o.cross[in], o.outInUse[was[i]] = was[i], in
 		}
 		o.mu.Unlock()
-		return err
+		return nil, err
 	}
 	for i, in := range disconnect {
 		if in < 0 || in >= o.ports || o.cross[in] < 0 {
@@ -193,11 +206,14 @@ func (o *OSS) switchBatch(disconnect, ins, outs []int) error {
 		o.cross[in] = out
 		o.outInUse[out] = in
 	}
+	if withState {
+		st = o.stateLocked()
+	}
 	o.mu.Unlock()
 	if len(ins) > 0 {
 		time.Sleep(o.switchDelay)
 	}
-	return nil
+	return st, nil
 }
 
 // rollback tears down the circuits from ins; callers hold o.mu.
@@ -212,6 +228,18 @@ func (o *OSS) rollback(ins []int) {
 func (o *OSS) Cross() (ins, outs []int) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
+	return o.crossLocked()
+}
+
+// stateLocked is the switch's state, the reply of state and of a write
+// asked for it; callers hold o.mu.
+func (o *OSS) stateLocked() map[string]any {
+	ins, outs := o.crossLocked()
+	return map[string]any{"in": ins, "out": outs, "ports": o.ports}
+}
+
+// crossLocked is Cross; callers hold o.mu.
+func (o *OSS) crossLocked() (ins, outs []int) {
 	ins, outs = make([]int, 0, o.ports/2), make([]int, 0, o.ports/2) // a circuit takes two ports
 	for in, out := range o.cross {
 		if out >= 0 {
@@ -240,7 +268,10 @@ func NewAmplifier(gainDB, limitInDBm float64) *Amplifier {
 // Kind implements Device.
 func (a *Amplifier) Kind() string { return "amp" }
 
-// Handle implements Device. Operations: enable, disable, state.
+// Handle implements Device. Operations: enable, disable, and state —
+// {gain_db, limit_dbm, enabled, fixed_gain}. An enable or disable whose
+// arguments hold "state": true answers with the state it left, as the
+// state op would.
 func (a *Amplifier) Handle(op string, args map[string]any) (map[string]any, error) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -250,17 +281,25 @@ func (a *Amplifier) Handle(op string, args map[string]any) (map[string]any, erro
 	case "disable":
 		a.enabled = false
 	case "state":
-		return map[string]any{
-			"gain_db":    a.gainDB,
-			"limit_dbm":  a.limitIn,
-			"enabled":    a.enabled,
-			"fixed_gain": true,
-		}, nil
+		return a.stateLocked(), nil
 	default:
 		return nil, fmt.Errorf("amp: unknown op %q", op)
 	}
 	a.record(logRec{op: op})
+	if wantsState(args) {
+		return a.stateLocked(), nil
+	}
 	return nil, nil
+}
+
+// stateLocked is the amplifier's state; callers hold a.mu.
+func (a *Amplifier) stateLocked() map[string]any {
+	return map[string]any{
+		"gain_db":    a.gainDB,
+		"limit_dbm":  a.limitIn,
+		"enabled":    a.enabled,
+		"fixed_gain": true,
+	}
 }
 
 // Enabled reports whether the amplifier is active.
@@ -302,7 +341,9 @@ func (b *TransceiverBank) Kind() string { return "transceivers" }
 //	enable-batch {idxs}            — undrain several
 //	state                          — {tuned, enabled, lambda}, see packBank
 //
-// A batch is all-or-nothing: every entry is checked under the lock —
+// A batch whose arguments hold "state": true answers with the bank's state
+// as the state op would, read under the lock hold that applied it. A
+// batch is all-or-nothing: every entry is checked under the lock —
 // index and wavelength in range, a transceiver disabled (drained) before
 // it is retuned and tuned before it is enabled — and the bank changes
 // only if all of them pass. There is no single-transceiver form, so a
@@ -322,66 +363,83 @@ func (b *TransceiverBank) Handle(op string, args map[string]any) (map[string]any
 		if len(idxs) != len(ws) {
 			return nil, fmt.Errorf("transceivers: batch length mismatch: %d idxs, %d wavelengths", len(idxs), len(ws))
 		}
-		if err := b.tuneBatch(idxs, ws); err != nil {
+		st, err := b.tuneBatch(idxs, ws, wantsState(args))
+		if err != nil {
 			return nil, err
 		}
 		b.record(logRec{op: op, a: idxs, b: ws})
-		return nil, nil
+		return st, nil
 	case "enable-batch", "disable-batch":
 		idxs, err := argIntSlice(args, "idxs")
 		if err != nil {
 			return nil, err
 		}
-		if err := b.setEnabledBatch(idxs, op == "enable-batch"); err != nil {
+		st, err := b.setEnabledBatch(idxs, op == "enable-batch", wantsState(args))
+		if err != nil {
 			return nil, err
 		}
 		b.record(logRec{op: op, a: idxs})
-		return nil, nil
+		return st, nil
 	case "state":
 		b.mu.Lock()
 		defer b.mu.Unlock()
-		tuned, enabled := packBank(b.tuned, b.enabled, b.lambda)
-		return map[string]any{"tuned": tuned, "enabled": enabled, "lambda": b.lambda}, nil
+		return b.stateLocked(), nil
 	default:
 		return nil, fmt.Errorf("transceivers: unknown op %q", op)
 	}
 }
 
-func (b *TransceiverBank) tuneBatch(idxs, ws []int) error {
+// tuneBatch and setEnabledBatch apply a batch under the lock and, with
+// withState, return the state it left.
+func (b *TransceiverBank) tuneBatch(idxs, ws []int, withState bool) (map[string]any, error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	for i, idx := range idxs {
 		if idx < 0 || idx >= len(b.tuned) {
-			return fmt.Errorf("transceivers: index %d out of range [0,%d)", idx, len(b.tuned))
+			return nil, fmt.Errorf("transceivers: index %d out of range [0,%d)", idx, len(b.tuned))
 		}
 		if w := ws[i]; w < -1 || w >= b.lambda {
-			return fmt.Errorf("transceivers: wavelength %d out of range [-1,%d)", w, b.lambda)
+			return nil, fmt.Errorf("transceivers: wavelength %d out of range [-1,%d)", w, b.lambda)
 		}
 		if b.enabled[idx] {
-			return fmt.Errorf("transceivers: %d must be disabled (drained) before retuning", idx)
+			return nil, fmt.Errorf("transceivers: %d must be disabled (drained) before retuning", idx)
 		}
 	}
 	for i, idx := range idxs {
 		b.tuned[idx] = ws[i]
 	}
-	return nil
+	return b.stateIf(withState), nil
 }
 
-func (b *TransceiverBank) setEnabledBatch(idxs []int, on bool) error {
+func (b *TransceiverBank) setEnabledBatch(idxs []int, on, withState bool) (map[string]any, error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	for _, idx := range idxs {
 		if idx < 0 || idx >= len(b.enabled) {
-			return fmt.Errorf("transceivers: index %d out of range [0,%d)", idx, len(b.enabled))
+			return nil, fmt.Errorf("transceivers: index %d out of range [0,%d)", idx, len(b.enabled))
 		}
 		if on && b.tuned[idx] < 0 {
-			return fmt.Errorf("transceivers: %d cannot enable while untuned", idx)
+			return nil, fmt.Errorf("transceivers: %d cannot enable while untuned", idx)
 		}
 	}
 	for _, idx := range idxs {
 		b.enabled[idx] = on
 	}
-	return nil
+	return b.stateIf(withState), nil
+}
+
+// stateLocked is the bank's state, packed; callers hold b.mu.
+func (b *TransceiverBank) stateLocked() map[string]any {
+	tuned, enabled := packBank(b.tuned, b.enabled, b.lambda)
+	return map[string]any{"tuned": tuned, "enabled": enabled, "lambda": b.lambda}
+}
+
+// stateIf is stateLocked when a write asked for it, else nil.
+func (b *TransceiverBank) stateIf(withState bool) map[string]any {
+	if !withState {
+		return nil
+	}
+	return b.stateLocked()
 }
 
 // Snapshot returns (tuned wavelength, enabled) for each transceiver.
@@ -444,7 +502,10 @@ func (e *ChannelEmulator) Kind() string { return "emulator" }
 // Handle implements Device. Operations:
 //
 //	fill {channels} — set exactly the given channels to carry ASE noise
-//	state
+//	state           — {filled, lambda}: the filled channels ascending
+//
+// A fill whose arguments hold "state": true answers with the state it
+// left, as the state op would.
 func (e *ChannelEmulator) Handle(op string, args map[string]any) (map[string]any, error) {
 	switch op {
 	case "fill":
@@ -464,9 +525,14 @@ func (e *ChannelEmulator) Handle(op string, args map[string]any) (map[string]any
 			e.filled[c] = true
 		}
 		e.record(logRec{op: op, a: chans})
+		if wantsState(args) {
+			return e.stateLocked(), nil
+		}
 		return nil, nil
 	case "state":
-		return map[string]any{"filled": e.Filled(), "lambda": e.lambda}, nil
+		e.mu.Lock()
+		defer e.mu.Unlock()
+		return e.stateLocked(), nil
 	default:
 		return nil, fmt.Errorf("emulator: unknown op %q", op)
 	}
@@ -476,6 +542,16 @@ func (e *ChannelEmulator) Handle(op string, args map[string]any) (map[string]any
 func (e *ChannelEmulator) Filled() []int {
 	e.mu.Lock()
 	defer e.mu.Unlock()
+	return e.filledLocked()
+}
+
+// stateLocked is the emulator's state; callers hold e.mu.
+func (e *ChannelEmulator) stateLocked() map[string]any {
+	return map[string]any{"filled": e.filledLocked(), "lambda": e.lambda}
+}
+
+// filledLocked is Filled; callers hold e.mu.
+func (e *ChannelEmulator) filledLocked() []int {
 	var out []int
 	for c := 0; c < e.lambda; c++ {
 		if e.filled[c] {

@@ -648,13 +648,17 @@ func TestSwitchBatchSettlesOnlyForConnects(t *testing.T) {
 
 // FuzzOSSSwitchBatch: on a switch holding a few circuits, any switch-batch
 // either leaves what a model of teardown-then-connect computes, logged as
-// one entry, or fails and leaves the circuits and the log as they were.
+// one entry, or fails and leaves the circuits and the log as they were. A
+// batch sent with "state": true that succeeds answers with the model's
+// circuits in the shape of a "state" reply, as the wire carries it; one
+// that fails answers with no result.
 func FuzzOSSSwitchBatch(f *testing.F) {
-	f.Add([]byte{0}, []byte{0}, []byte{6})
-	f.Add([]byte{0, 1}, []byte{0, 1}, []byte{5, 4})
-	f.Add([]byte{3}, []byte{}, []byte{})
-	f.Add([]byte{}, []byte{3, 3}, []byte{7, 8})
-	f.Add([]byte{2, 2}, []byte{9}, []byte{0})
+	f.Add([]byte{0}, []byte{0}, []byte{6}, false)
+	f.Add([]byte{0, 1}, []byte{0, 1}, []byte{5, 4}, true)
+	f.Add([]byte{3}, []byte{}, []byte{}, true)
+	f.Add([]byte{}, []byte{3, 3}, []byte{7, 8}, false)
+	f.Add([]byte{2, 2}, []byte{9}, []byte{0}, true)
+	f.Add([]byte{}, []byte{}, []byte{}, true)
 	held := map[int]int{0: 4, 1: 5, 2: 3}
 	ports := func(bs []byte) []int { // -1 to 8: both ends of [0,8) and past them
 		out := make([]int, len(bs))
@@ -663,7 +667,7 @@ func FuzzOSSSwitchBatch(f *testing.F) {
 		}
 		return out
 	}
-	f.Fuzz(func(t *testing.T, db, ib, ob []byte) {
+	f.Fuzz(func(t *testing.T, db, ib, ob []byte, withState bool) {
 		disconnect, ins, outs := ports(db), ports(ib), ports(ob)
 		want := maps.Clone(held)
 		ok := len(ins) == len(outs)
@@ -686,13 +690,29 @@ func FuzzOSSSwitchBatch(f *testing.F) {
 		}
 
 		o := ossHolding(0, held)
-		_, err := o.Handle("switch-batch", switchArgs(disconnect, ins, outs))
+		args := switchArgs(disconnect, ins, outs)
+		if withState {
+			args["state"] = true
+		}
+		res, err := o.Handle("switch-batch", args)
 		if (err == nil) != ok {
 			t.Fatalf("switch-batch %v %v->%v: err = %v, the model accepts it: %v", disconnect, ins, outs, err, ok)
 		}
 		logged := 1
 		if !ok {
 			want, logged = held, 0
+		}
+		var wantRes map[string]any
+		if ok && withState {
+			wantIns := sortedKeys(want)
+			wantOuts := make([]int, len(wantIns))
+			for i, in := range wantIns {
+				wantOuts[i] = want[in]
+			}
+			wantRes = map[string]any{"in": wantIns, "out": wantOuts, "ports": 8}
+		}
+		if !reflect.DeepEqual(overTheWire(t, res), overTheWire(t, wantRes)) {
+			t.Fatalf("switch-batch %v %v->%v with state %t answered %v, want %v", disconnect, ins, outs, withState, res, wantRes)
 		}
 		if got := circuits(o); !maps.Equal(got, want) {
 			t.Fatalf("switch-batch %v %v->%v left %v, want %v", disconnect, ins, outs, got, want)
@@ -701,4 +721,161 @@ func FuzzOSSSwitchBatch(f *testing.F) {
 			t.Fatalf("switch-batch %v %v->%v logged %d entries, want %d", disconnect, ins, outs, got, logged)
 		}
 	})
+}
+
+// TestWriteReplyIsTheStateOp: every write of every device kind, given
+// "state": true, answers with the state a "state" call made right after it
+// returns, logs one entry like the write without the flag, and without the
+// flag answers with no result.
+func TestWriteReplyIsTheStateOp(t *testing.T) {
+	withState := func(args map[string]any) map[string]any {
+		args = maps.Clone(args)
+		if args == nil {
+			args = make(map[string]any)
+		}
+		args["state"] = true
+		return args
+	}
+	oss := func() Device { return ossHolding(0, map[int]int{0: 4, 1: 5}) }
+	amp := func() Device { return NewAmplifier(20, -3) }
+	emu := func() Device { return NewChannelEmulator(40) }
+	bank := func() Device { // transceivers 0 and 5 tuned, 5 live
+		b := NewTransceiverBank(6, 40)
+		for _, w := range []struct {
+			op   string
+			args map[string]any
+		}{
+			{"tune-batch", map[string]any{"idxs": []int{0, 5}, "wavelengths": []int{3, 39}}},
+			{"enable-batch", map[string]any{"idxs": []int{5}}},
+		} {
+			if _, err := b.Handle(w.op, w.args); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return b
+	}
+	for _, c := range []struct {
+		dev  func() Device
+		op   string
+		args map[string]any
+	}{
+		{oss, "switch-batch", switchArgs([]int{0}, []int{0, 2}, []int{6, 4})},
+		{oss, "switch-batch", switchArgs([]int{0, 1}, nil, nil)},
+		{amp, "enable", nil},
+		{amp, "disable", nil},
+		{bank, "tune-batch", map[string]any{"idxs": []int{0, 2}, "wavelengths": []int{7, 0}}},
+		{bank, "enable-batch", map[string]any{"idxs": []int{0}}},
+		{bank, "disable-batch", map[string]any{"idxs": []int{5}}},
+		{emu, "fill", map[string]any{"channels": []int{1, 7, 30}}},
+		{emu, "fill", map[string]any{"channels": []int{}}},
+	} {
+		dev := c.dev()
+		t.Run(dev.Kind()+"/"+c.op, func(t *testing.T) {
+			logged := func(dev Device) int { return len(dev.(interface{ Log() []LogEntry }).Log()) }
+			before := logged(dev)
+			got, err := dev.Handle(c.op, withState(c.args))
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := dev.Handle("state", nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("reply %v, state %v", got, want)
+			}
+			if !reflect.DeepEqual(overTheWire(t, got), overTheWire(t, want)) {
+				t.Errorf("over the wire: reply %v, state %v", overTheWire(t, got), overTheWire(t, want))
+			}
+			if n := logged(dev) - before; n != 1 {
+				t.Errorf("a state-bearing %s logged %d entries, want 1", c.op, n)
+			}
+			if res, err := c.dev().Handle(c.op, c.args); err != nil || res != nil {
+				t.Errorf("%s without the flag = %v, %v; want no result", c.op, res, err)
+			}
+		})
+	}
+}
+
+// TestReconfigureAsksEachDeviceOnceForState: only the batch of a device's
+// last phase carries "state": true, and its reply is the device's entry in
+// Report.States — the state a fetch after the change returns.
+func TestReconfigureAsksEachDeviceOnceForState(t *testing.T) {
+	var mu sync.Mutex
+	asked := make(map[string][]string) // device → ops sent with "state": true
+	sent := make(map[string][]string)  // device → every op, in order
+	devs := map[string]Device{
+		"oss":  ossHolding(0, map[int]int{0: 4}),
+		"xcvr": NewTransceiverBank(4, 40),
+		"amp":  NewAmplifier(20, -3),
+		"emu":  NewChannelEmulator(40),
+	}
+	for name, dev := range devs {
+		devs[name] = recordingDevice{Device: dev, record: func(op string, args map[string]any) {
+			mu.Lock()
+			defer mu.Unlock()
+			sent[name] = append(sent[name], op)
+			if wantsState(args) {
+				asked[name] = append(asked[name], op)
+			}
+		}}
+	}
+	tb, err := StartTestbed(devs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tb.Close()
+	if _, err := tb.Controller.Call("xcvr", "tune-batch", map[string]any{"idxs": []int{1}, "wavelengths": []int{2}}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tb.Controller.Call("xcvr", "enable-batch", map[string]any{"idxs": []int{1}}); err != nil {
+		t.Fatal(err)
+	}
+	mu.Lock()
+	clear(sent)
+	mu.Unlock()
+	ch := Change{
+		Drain:    []TransceiverOp{{Device: "xcvr", Idx: 1}},
+		Switches: []OSSOp{{Device: "oss", In: 0, Disconnect: true}, {Device: "oss", In: 0, Out: 5}},
+		Amps:     []AmpOp{{Device: "amp", Enable: true}},
+		Retunes:  []TransceiverOp{{Device: "xcvr", Idx: 1, Wavelength: 7}, {Device: "xcvr", Idx: 3, Wavelength: 0}},
+		Fills:    []FillOp{{Device: "emu", Channels: []int{2, 3}}},
+		Undrain:  []TransceiverOp{{Device: "xcvr", Idx: 3}},
+	}
+	rep, err := tb.Controller.Reconfigure(context.Background(), ch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string][]string{"oss": {"switch-batch"}, "xcvr": {"enable-batch"}, "amp": {"enable"}, "emu": {"fill"}}
+	mu.Lock()
+	if !maps.EqualFunc(asked, want, slices.Equal) {
+		t.Errorf("state-bearing requests %v, want %v", asked, want)
+	}
+	if got := sent["xcvr"]; !slices.Equal(got, []string{"disable-batch", "tune-batch", "enable-batch"}) {
+		t.Errorf("bank got %v, want one batch per phase", got)
+	}
+	mu.Unlock()
+	if got := sortedKeys(rep.States); !slices.Equal(got, ch.Devices()) {
+		t.Errorf("report has states of %v, want %v", got, ch.Devices())
+	}
+	for _, dev := range ch.Devices() {
+		st, err := tb.Controller.Call(dev, "state", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(rep.States[dev], st) {
+			t.Errorf("%s: reply state %v, fetched %v", dev, rep.States[dev], st)
+		}
+	}
+}
+
+// recordingDevice reports every request to record before handling it.
+type recordingDevice struct {
+	Device
+	record func(op string, args map[string]any)
+}
+
+func (d recordingDevice) Handle(op string, args map[string]any) (map[string]any, error) {
+	d.record(op, args)
+	return d.Device.Handle(op, args)
 }

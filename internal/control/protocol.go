@@ -273,11 +273,10 @@ func (c *client) send(op string, args map[string]any) (err error) {
 }
 
 // recv reads the response to the request in flight and unlocks the client.
+// The deadline send set stays on the connection: only send and recv do I/O
+// on it, and every send sets a fresh one before it writes.
 func (c *client) recv() (map[string]any, error) {
 	defer c.mu.Unlock()
-	if c.rpcTimeout > 0 {
-		defer c.conn.SetDeadline(time.Time{})
-	}
 	if !c.sc.Scan() {
 		err := c.sc.Err()
 		c.failLocked()

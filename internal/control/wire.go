@@ -413,7 +413,7 @@ func (d *decoder) object(m map[string]any) (map[string]any, error) {
 	err := d.members(func(key []byte) error {
 		v, err := d.value()
 		if err == nil {
-			m[string(key)] = v
+			m[intern(key)] = v
 		}
 		return err
 	})
@@ -596,7 +596,28 @@ func (d *decoder) float() (any, error) {
 
 func (d *decoder) str() (string, error) {
 	b, err := d.strBytes()
-	return string(b), err
+	return intern(b), err
+}
+
+// words are the device protocol's object keys and operation names. The
+// decoder hands out these strings for them instead of a copy of the line's
+// bytes, which would cost an allocation per key of every message.
+var words = [...]string{
+	"idxs", "wavelengths", "disconnect", "ins", "outs", "channels", "state",
+	"in", "out", "ports", "tuned", "enabled", "lambda", "filled",
+	"gain_db", "limit_dbm", "fixed_gain", "kind",
+	"switch-batch", "tune-batch", "disable-batch", "enable-batch",
+	"enable", "disable", "fill", "ping",
+}
+
+// intern returns b as a string, without allocating when it is one of words.
+func intern(b []byte) string {
+	for _, w := range words {
+		if string(b) == w {
+			return w
+		}
+	}
+	return string(b)
 }
 
 // strBytes reads the string literal at d.i. A literal of printable ASCII

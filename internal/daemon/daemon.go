@@ -8,7 +8,8 @@
 //   - computes the incremental circuit change each shift requires,
 //   - executes it as a §5.2 drained reconfiguration
 //     (drain → switch → amps → retune → undrain) against the device agents,
-//   - audits the devices a change named once it is made, and every
+//   - audits the devices a change named once it is made, from the state
+//     each one's last write of the change answered with, and every
 //     device against the committed intent on every probe round, so drift
 //     in a region whose traffic does not move is found and repaired too,
 //   - supervises device health with the same periodic probes, per-device
@@ -476,12 +477,13 @@ func (d *Daemon) converge(tm *traffic.Matrix) error {
 // devices onto the outcome's allocation, transactionally against a fabric
 // clone, and records it in the history lake under trig. Every change gets
 // a reconfig ID: the root span of a trace threaded through the
-// controller's phases, the closing audit of the devices the change named
-// (the probe rounds compare the others), and any breaker penalty the
-// failure attribution produces. On success the policy adopts the outcome
-// in the critical section that swaps the fabric (settleLocked); when the
-// devices reject the change, the outcome's Undo rolls the policy's books
-// back to the last-known-good intent the repair pass restores.
+// controller's phases, the closing audit of the states the change's
+// devices answered its writes with (the probe rounds fetch and compare
+// every device), and any breaker penalty the failure attribution
+// produces. On success the policy adopts the outcome in the critical
+// section that swaps the fabric (settleLocked); when the devices reject
+// the change, the outcome's Undo rolls the policy's books back to the
+// last-known-good intent the repair pass restores.
 func (d *Daemon) commitChange(tm *traffic.Matrix, out core.Outcome, trig history.Trigger) error {
 	d.mu.Lock()
 	fab, haveLKG := d.fab, d.haveLKG
@@ -577,8 +579,12 @@ func (d *Daemon) commitChange(tm *traffic.Matrix, out core.Outcome, trig history
 		fsp.Finish()
 	}
 	// The clone's Compile published its intent, patching the devices the
-	// change touched: reading it builds nothing.
-	err = d.runAudit(ctx, id, clone.Expected().Only(ch.Devices()))
+	// change touched, and each of them answered its last write with the
+	// state it left: the closing audit compares the two and sends nothing.
+	exp := clone.Expected()
+	err = d.runAudit(ctx, id, func(context.Context) error {
+		return auditReplies(exp, ch.Devices(), rep.States)
+	})
 	root.Fail(err)
 	root.Finish()
 	d.recordHistory(trig, id, recordAt, preHealth, last, tm, out.Pairs, dep, err)
@@ -663,7 +669,7 @@ func (d *Daemon) repairIn(ctx context.Context, id uint64, fab *fabric.Fabric) er
 			fsp.Finish()
 		}
 	}
-	if err := d.runAudit(ctx, id, exp); err != nil {
+	if err := d.runAudit(ctx, id, func(ctx context.Context) error { return d.ctl.AuditCtx(ctx, exp) }); err != nil {
 		return err
 	}
 	d.mu.Lock()
@@ -678,13 +684,14 @@ func (d *Daemon) repairIn(ctx context.Context, id uint64, fab *fabric.Fabric) er
 	return nil
 }
 
-// runAudit checks device state against intent and records the result as
-// an "audit" span under whatever span ctx carries (the reconfig or repair
-// root). An audit mismatch schedules a repair.
-func (d *Daemon) runAudit(ctx context.Context, traceID uint64, exp control.Expected) error {
+// runAudit runs audit, a check of device state against intent, and
+// records the result as an "audit" span under whatever span ctx carries
+// (the reconfig or repair root); audit gets a ctx carrying that span. An
+// audit mismatch schedules a repair.
+func (d *Daemon) runAudit(ctx context.Context, traceID uint64, audit func(context.Context) error) error {
 	d.m.audits.Inc()
 	sp := trace.FromContext(ctx).Child("audit")
-	err := d.ctl.AuditCtx(trace.ContextWith(ctx, sp), exp)
+	err := audit(trace.ContextWith(ctx, sp))
 	sp.Fail(err)
 	sp.Finish()
 	if err != nil {
@@ -696,6 +703,24 @@ func (d *Daemon) runAudit(ctx context.Context, traceID uint64, exp control.Expec
 	d.lastAuditAt = d.now()
 	d.lastAuditOK = true
 	d.mu.Unlock()
+	return nil
+}
+
+// auditReplies is the audit that closes a change: every device in devs
+// (the change's, sorted) answered its last write with the state it left
+// (states, Report.States), and exp.Check compares it, stopping at the
+// first that differs. A device whose reply carried no state is a
+// *DeviceError against it, as a malformed one is.
+func auditReplies(exp control.Expected, devs []string, states map[string]map[string]any) error {
+	for _, dev := range devs {
+		st := states[dev]
+		if st == nil {
+			return &control.DeviceError{Device: dev, Err: errors.New("its last write answered with no state")}
+		}
+		if err := exp.Check(dev, st); err != nil {
+			return err
+		}
+	}
 	return nil
 }
 

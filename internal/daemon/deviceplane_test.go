@@ -15,6 +15,7 @@ import (
 
 	"iris/internal/control"
 	"iris/internal/fabric"
+	"iris/internal/hose"
 	"iris/internal/traffic"
 )
 
@@ -336,22 +337,22 @@ func TestProbeAuditsAQuietRegion(t *testing.T) {
 	}
 }
 
-// opCounter counts the operations each wrapped device handles.
+// opCounter keeps the operations each wrapped device handles, in order.
 type opCounter struct {
 	mu  sync.Mutex
-	ops map[string]map[string]int // device → operation → count
+	ops map[string][]string // device → operations; a write asked for its state is op+"+state"
 }
 
 func (c *opCounter) wrap(name string, dev control.Device) control.Device {
 	return countingDevice{Device: dev, name: name, c: c}
 }
 
-// take returns the counts since the last take and starts again.
-func (c *opCounter) take() map[string]map[string]int {
+// take returns the operations since the last take and starts again.
+func (c *opCounter) take() map[string][]string {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	ops := c.ops
-	c.ops = make(map[string]map[string]int)
+	c.ops = make(map[string][]string)
 	return ops
 }
 
@@ -362,20 +363,23 @@ type countingDevice struct {
 }
 
 func (d countingDevice) Handle(op string, args map[string]any) (map[string]any, error) {
-	d.c.mu.Lock()
-	if d.c.ops[d.name] == nil {
-		d.c.ops[d.name] = make(map[string]int)
+	rec := op
+	if on, _ := args["state"].(bool); on {
+		rec += "+state"
 	}
-	d.c.ops[d.name][op]++
+	d.c.mu.Lock()
+	d.c.ops[d.name] = append(d.c.ops[d.name], rec)
 	d.c.mu.Unlock()
 	return d.Device.Handle(op, args)
 }
 
-// TestSparseCommitAuditsWhatItTouched: the audit that closes a change
-// fetches the state of every device the change named, once, and of no
-// other device; a probe round fetches every device's, once.
+// TestSparseCommitAuditsWhatItTouched: a committed Step() sends no "state"
+// request. Each device the change names gets exactly one write that asks
+// for its state, the last request of the change to it — its last phase's
+// batch — and no other device gets a request. A probe round still sends
+// every device one "state".
 func TestSparseCommitAuditsWhatItTouched(t *testing.T) {
-	counter := &opCounter{ops: make(map[string]map[string]int)}
+	counter := &opCounter{ops: make(map[string][]string)}
 	rig, err := fabric.BringUp(fabric.BringUpConfig{Seed: 1, DCs: 6, DCCapacity: 10, Lambda: 40, WrapDevice: counter.wrap})
 	if err != nil {
 		t.Fatal(err)
@@ -398,41 +402,149 @@ func TestSparseCommitAuditsWhatItTouched(t *testing.T) {
 	sparse := 0
 	for step := 0; step < len(shifts); step++ {
 		counter.take()
+		audits := counterValue(t, d.Registry(), "iris_audit_total")
 		d.Step()
-		if st := d.Status(); !st.Converged {
+		if st := d.Status(); !st.Converged || !st.LastAuditOK {
 			t.Fatalf("step %d did not converge: %+v", step, st)
 		}
-		var touched, fetched []string
+		touched := 0
 		for dev, ops := range counter.take() {
-			if ops["state"] != 0 {
-				fetched = append(fetched, dev)
-				if ops["state"] != 1 {
-					t.Errorf("step %d: %s got %d state calls, want 1", step, dev, ops["state"])
+			touched++
+			if slices.Contains(ops, "state") {
+				t.Errorf("step %d: %s got a state request during the commit: %v", step, dev, ops)
+			}
+			asked := 0
+			for _, op := range ops {
+				if strings.HasSuffix(op, "+state") {
+					asked++
 				}
 			}
-			if len(ops) > 1 || ops["state"] == 0 {
-				touched = append(touched, dev)
+			if asked != 1 || !strings.HasSuffix(ops[len(ops)-1], "+state") {
+				t.Errorf("step %d: %s got %v, want one state-bearing write, its last", step, dev, ops)
 			}
 		}
-		slices.Sort(touched)
-		slices.Sort(fetched)
-		if !slices.Equal(fetched, touched) {
-			t.Errorf("step %d: the closing audit fetched %v, the change touched %v", step, fetched, touched)
+		if got := counterValue(t, d.Registry(), "iris_audit_total") - audits; touched > 0 && got != 1 {
+			t.Errorf("step %d: the commit ran %v audits, want 1", step, got)
 		}
-		if len(touched) > 0 && len(touched) < len(all)/2 {
+		if touched > 0 && touched < len(all)/2 {
 			sparse++
 		}
 
 		d.ProbeOnce()
 		probed := counter.take()
 		for _, dev := range all {
-			if ops := probed[dev]; ops["state"] != 1 || len(ops) != 1 {
+			if ops := probed[dev]; !slices.Equal(ops, []string{"state"}) {
 				t.Errorf("step %d: a probe round sent %s %v, want one state call", step, dev, ops)
 			}
 		}
 	}
 	if sparse < len(shifts)/2 {
 		t.Errorf("only %d of %d changes touched fewer than half the %d devices", sparse, len(shifts), len(all))
+	}
+}
+
+// sparseRedrawFeed holds a base matrix and redraws two of its pairs with
+// at least two wavelengths of demand on every tick, each within its
+// endpoints' hose headroom at 0.7: bench/'s tick-sparse feed.
+type sparseRedrawFeed struct {
+	rng      *rand.Rand
+	cur      *traffic.Matrix
+	base     *traffic.Matrix
+	eligible []hose.Pair
+	caps     map[int]float64
+	use      map[int]float64
+}
+
+func newSparseRedrawFeed(rig *fabric.Rig, seed int64) *sparseRedrawFeed {
+	f := &sparseRedrawFeed{rng: rand.New(rand.NewSource(seed)), caps: make(map[int]float64), use: make(map[int]float64)}
+	for dc, c := range rig.Dep.Region.Capacity {
+		f.caps[dc] = 0.7 * float64(c*rig.Dep.Region.Lambda)
+	}
+	f.base = traffic.HeavyTailed(rand.New(rand.NewSource(1)), rig.Dep.Region.Map.DCs(), f.caps, 1)
+	f.cur = f.base.Clone()
+	for _, p := range f.base.Pairs() {
+		f.use[p.A] += f.base.Get(p)
+		f.use[p.B] += f.base.Get(p)
+		if f.base.Get(p) >= 2 {
+			f.eligible = append(f.eligible, p)
+		}
+	}
+	return f
+}
+
+func (f *sparseRedrawFeed) Next() (*traffic.Matrix, bool) {
+	for range 2 {
+		p := f.eligible[f.rng.Intn(len(f.eligible))]
+		old := f.cur.Get(p)
+		v := f.base.Get(p) * (1 + 0.4*(2*f.rng.Float64()-1))
+		for _, dc := range [2]int{p.A, p.B} {
+			v = min(v, f.caps[dc]-f.use[dc]+old)
+		}
+		v = max(v, 0)
+		f.cur.Set(p, v)
+		f.use[p.A] += v - old
+		f.use[p.B] += v - old
+	}
+	return f.cur.Clone(), true
+}
+
+// TestCommitRPCsPerStep counts the device RPCs of a committed Step() on
+// the bench's region (seed 1, 20 DCs of 10 × 40) under a sparse and a
+// dense feed. None is a "state" request: the closing audit reads the
+// replies of the change's last writes. The budgets are a fifth above the
+// counts measured when the audit stopped sending RPCs (13.7 sparse, 89.8
+// dense); with a closing audit that fetched they were 21.7 and 139.6.
+func TestCommitRPCsPerStep(t *testing.T) {
+	for _, c := range []struct {
+		name   string
+		feed   func(*fabric.Rig) traffic.Source
+		steps  int
+		budget float64
+	}{
+		{"sparse", func(rig *fabric.Rig) traffic.Source { return newSparseRedrawFeed(rig, 2) }, 60, 16.5},
+		{"dense", func(rig *fabric.Rig) traffic.Source { return newRedrawFeed(rig, 2) }, 15, 105},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			counter := &opCounter{ops: make(map[string][]string)}
+			rig, err := fabric.BringUp(fabric.BringUpConfig{Seed: 1, DCs: 20, DCCapacity: 10, Lambda: 40, WrapDevice: counter.wrap})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(rig.Close)
+			d, err := New(Config{Fab: rig.Fab, Controller: rig.Testbed.Controller, Feed: c.feed(rig)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			d.Step() // the first allocation
+			commits, rpcs := 0, 0
+			for step := 0; step < c.steps; step++ {
+				counter.take()
+				before := d.Status().LastReconfigID
+				d.Step()
+				st := d.Status()
+				if !st.Converged || st.LastError != "" {
+					t.Fatalf("step %d: %+v", step, st)
+				}
+				if st.LastReconfigID == before {
+					continue
+				}
+				commits++
+				for dev, ops := range counter.take() {
+					if slices.Contains(ops, "state") {
+						t.Errorf("step %d: %s got a state request: %v", step, dev, ops)
+					}
+					rpcs += len(ops)
+				}
+			}
+			if commits < c.steps/2 {
+				t.Fatalf("only %d of %d steps committed", commits, c.steps)
+			}
+			per := float64(rpcs) / float64(commits)
+			t.Logf("%s: %.1f device RPCs per committed Step() over %d commits", c.name, per, commits)
+			if per > c.budget {
+				t.Errorf("%.1f device RPCs per committed Step(), budget %v", per, c.budget)
+			}
+		})
 	}
 }
 

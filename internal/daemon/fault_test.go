@@ -338,3 +338,136 @@ func TestProbeCountsAMalformedStateAgainstTheBreaker(t *testing.T) {
 		t.Fatalf("after %d probe rounds of a malformed state: breaker %s, status %+v", d.cfg.FailureThreshold, got, st)
 	}
 }
+
+// replyLie alters the state one write reply carries, once armed, and
+// leaves the device as the write put it. "drop" removes the first circuit
+// from a switch's reply, "malformed" answers a state no device sends, and
+// "none" answers with no state at all.
+type replyLie struct {
+	mode  string
+	armed atomic.Bool
+	mu    sync.Mutex
+	hit   string // the device whose reply was altered
+}
+
+func (l *replyLie) wrap(name string, dev control.Device) control.Device {
+	return lyingDevice{Device: dev, name: name, lie: l}
+}
+
+func (l *replyLie) victim() string {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.hit
+}
+
+type lyingDevice struct {
+	control.Device
+	name string
+	lie  *replyLie
+}
+
+func (d lyingDevice) Handle(op string, args map[string]any) (map[string]any, error) {
+	res, err := d.Device.Handle(op, args)
+	if asked, _ := args["state"].(bool); err != nil || !asked {
+		return res, err
+	}
+	ins, _ := res["in"].([]int)
+	if d.lie.mode == "drop" && len(ins) == 0 {
+		return res, err
+	}
+	if !d.lie.armed.CompareAndSwap(true, false) {
+		return res, err
+	}
+	d.lie.mu.Lock()
+	d.lie.hit = d.name
+	d.lie.mu.Unlock()
+	switch d.lie.mode {
+	case "drop":
+		outs := res["out"].([]int)
+		return map[string]any{"in": ins[1:], "out": outs[1:], "ports": res["ports"]}, nil
+	case "malformed":
+		return map[string]any{"in": "0,1", "tuned": 7, "enabled": "yes"}, nil
+	default:
+		return nil, nil
+	}
+}
+
+// lyingRegion brings up the toy region with every device behind lie and
+// commits its first allocation honestly; the next Step() commits a second.
+func lyingRegion(t *testing.T, lie *replyLie) *Daemon {
+	t.Helper()
+	rig := toyRig(t, func(cfg *fabric.BringUpConfig) { cfg.WrapDevice = lie.wrap })
+	d, err := New(Config{Fab: rig.Fab, Controller: rig.Testbed.Controller,
+		Feed: traffic.NewReplay(toyMatrix(rig, 60, 45), toyMatrix(rig, 20, 70))})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d.Step()
+	if st := d.Status(); !st.Converged || !st.LastAuditOK {
+		t.Fatalf("first step: %+v", st)
+	}
+	lie.armed.Store(true)
+	d.Step()
+	if lie.armed.Load() {
+		t.Fatal("the second change sent no write the lie could alter")
+	}
+	return d
+}
+
+// TestLyingWriteReplyFailsTheCommit: the closing audit compares each
+// write reply's state with intent, so a switch that answers its last write
+// with one circuit missing fails the commit with an audit error naming the
+// switch and the field, and a repair is due. The repair's fresh fetch
+// finds the switch at intent (the lie was only in the reply), its audit
+// passes and clears the flag, and an audit then passes too.
+func TestLyingWriteReplyFailsTheCommit(t *testing.T) {
+	lie := &replyLie{mode: "drop"}
+	d := lyingRegion(t, lie)
+	st := d.Status()
+	name := lie.victim()
+	if !strings.Contains(st.LastError, "audit "+name+": cross map") || !st.NeedRepair || st.LastAuditOK {
+		t.Fatalf("after a reply missing a circuit of %s: %+v", name, st)
+	}
+	if got := counterValue(t, d.Registry(), "iris_audit_failures_total"); got != 1 {
+		t.Errorf("%v audit failures, want 1", got)
+	}
+	if err := d.repair(); err != nil {
+		t.Fatalf("repair: %v", err)
+	}
+	if st := d.Status(); st.NeedRepair || !st.LastAuditOK {
+		t.Fatalf("after the repair: %+v", st)
+	}
+	if err := d.Audit(); err != nil {
+		t.Fatalf("audit after the repair: %v", err)
+	}
+}
+
+// TestBadWriteReplyFeedsTheBreaker: a write reply whose state is not well
+// formed, or that carries none though the write asked for it, is the
+// device's fault: the commit's audit fails with a *DeviceError that counts
+// against the device's breaker, and a repair is due.
+func TestBadWriteReplyFeedsTheBreaker(t *testing.T) {
+	for _, mode := range []string{"malformed", "none"} {
+		t.Run(mode, func(t *testing.T) {
+			lie := &replyLie{mode: mode}
+			d := lyingRegion(t, lie)
+			st := d.Status()
+			name := lie.victim()
+			if !strings.Contains(st.LastError, "device "+name) || !st.NeedRepair || st.LastAuditOK {
+				t.Fatalf("after a %s reply from %s: %+v", mode, name, st)
+			}
+			for _, ds := range st.Devices {
+				want := 0
+				if ds.Name == name {
+					want = 1
+				}
+				if ds.ConsecutiveFailures != want {
+					t.Errorf("%s: %d consecutive failures, want %d", ds.Name, ds.ConsecutiveFailures, want)
+				}
+			}
+			if err := d.repair(); err != nil {
+				t.Fatalf("repair: %v", err)
+			}
+		})
+	}
+}

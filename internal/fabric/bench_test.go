@@ -56,7 +56,11 @@ func benchRegion(b testing.TB, wrap func(string, control.Device) control.Device)
 // compiling DiffAlloc of the fabric's allocation, 778 when every circuit
 // copied its planned path and built a map of the nodes it bypasses;
 // Reconfigure's 2 281 did not move. With the counting shim a change
-// allocates 2 144 times, 2 303 when the switch phase was two rounds.
+// allocates 2 144 times, 2 303 when the switch phase was two rounds. It
+// is 1 833 now, although each device's last batch answers with its state:
+// the decoder interns the protocol's keys, and a batch's lists are
+// allocated once. (The closing audit those replies replace, a fetch of all
+// 52 states after a dense change, allocated 894 times on its own.)
 func BenchmarkReconfigureDense(b *testing.B) {
 	counter := &opCounter{n: make(map[string]map[string]int)}
 	rig, allocs := benchRegion(b, counter.wrap)
@@ -113,10 +117,12 @@ func BenchmarkReconfigureDense(b *testing.B) {
 // BenchmarkAuditRegion measures a full audit of the region, what a probe
 // round compares and the audit a repair pass closes with: one state fetch
 // from each of the region's switches, banks and amplifiers, compared value
-// by value against intent. (The audit that closes a change fetches only
-// the devices the change named.) Its allocations —
+// by value against intent. (The audit that closes a change fetches
+// nothing: it reads the states the change's last writes answered with.)
+// Its allocations —
 // controller and devices, which share the process — are gated at 1 200 an
-// audit (888 when the gate was set; 2 802 with per-element state replies).
+// audit (888 when the gate was set; 2 802 with per-element state replies;
+// 685 since the decoder interns the protocol's keys).
 func BenchmarkAuditRegion(b *testing.B) {
 	rig, allocs := benchRegion(b, nil)
 	ch, err := rig.Fab.CompileTarget(allocs[0])
