@@ -27,6 +27,7 @@ type deviceSpec struct {
 type Controller struct {
 	mu      sync.Mutex
 	devices map[string]*client
+	names   []string // the keys of devices, sorted once at dial
 }
 
 // DialOptions configures the controller's per-device transports. Zero
@@ -52,6 +53,7 @@ func dialWithOptions(specs []deviceSpec, opts DialOptions) (*Controller, error) 
 		}
 		c.devices[s.Name] = cl
 	}
+	c.names = sortedKeys(c.devices)
 	return c, nil
 }
 
@@ -75,7 +77,7 @@ func (c *Controller) shutdown() {
 	for _, cl := range c.devices {
 		cl.Close()
 	}
-	c.devices = nil
+	c.devices, c.names = nil, nil
 }
 
 // Call forwards one operation to a named device.
@@ -128,11 +130,13 @@ func isDeadline(err error) bool {
 	return errors.As(err, &ne) && ne.Timeout()
 }
 
-// Devices returns the connected device names in sorted order.
+// Devices returns the connected device names in sorted order. The set is
+// fixed when the controller dials, so every call returns the one slice
+// sorted then; callers must not modify it.
 func (c *Controller) Devices() []string {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return sortedKeys(c.devices)
+	return c.names
 }
 
 // OSSOp is one space-switch operation.

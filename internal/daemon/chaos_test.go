@@ -3,6 +3,7 @@ package daemon
 import (
 	"context"
 	"errors"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -58,7 +59,7 @@ func TestChaosCycleIDsWithTracingOff(t *testing.T) {
 	}
 
 	seen := make(map[uint64]history.Trigger)
-	for _, rec := range b.History.Records() {
+	for _, rec := range b.History.Records(0, math.MaxUint64) {
 		if prev, dup := seen[rec.ReconfigID]; dup {
 			t.Errorf("ID %d names a %s and a %s record", rec.ReconfigID, prev, rec.Trigger)
 		}
@@ -107,7 +108,7 @@ func TestChaosCycleEndsWithItsClient(t *testing.T) {
 			t.Errorf("metrics missing %q", want)
 		}
 	}
-	recs := h.lake.Records()
+	recs := h.lake.Records(0, math.MaxUint64)
 	if len(recs) != before+1 {
 		t.Fatalf("lake has %d records, want %d", len(recs), before+1)
 	}

@@ -162,16 +162,22 @@ type Daemon struct {
 	// change the devices accepted — the handle for
 	// /debug/events?reconfig=<id>.
 	lastReconfigID uint64
-	// read is the committed state as the topology API reads it: built by
-	// the first read after a change (topoSnapshot), shared by every read
-	// until the next, and dropped by settleLocked.
+	// read is the committed state as the topology API reads it, and rows
+	// is lkg as /status lists it: each is built by the first read of it
+	// after a change (topoSnapshot, allocRowsLocked), shared by every
+	// read until the next, and dropped by settleLocked.
 	read *topoapi.Snapshot
+	rows []PairAllocation
 	// writesBegun and writesEnded count the device writes (a commit's or a
 	// repair's Reconfigure) that started and that ended; a commit's ends
 	// where it installs its fabric. A probe compares a state only if no
 	// write was running when the round began and none began before the
 	// state arrived.
 	writesBegun, writesEnded uint64
+
+	// names is the controller's devices in its sorted order, fixed in
+	// New: the order of /status's device rows and of a probe round.
+	names []string
 
 	// hmu guards per-device breaker state and the jitter source.
 	hmu    sync.Mutex
@@ -282,7 +288,8 @@ func New(cfg Config) (*Daemon, error) {
 		d.policy = d.robust
 	}
 	d.initMetrics()
-	for _, name := range d.ctl.Devices() {
+	d.names = d.ctl.Devices()
+	for _, name := range d.names {
 		d.health[name] = &deviceHealth{}
 		d.m.breakerState.With(name).Set(0)
 	}
@@ -748,7 +755,7 @@ func (d *Daemon) beginWrite() {
 
 // settleLocked records that the region serves tm: the policy adopts the
 // shift's outcome, the pending shift is taken, the allocation is fresh,
-// and the read snapshot is dropped, so the next read sees tm, the adopted
+// and the read state is dropped, so the next read sees tm, the adopted
 // envelope and whatever else the caller changed under the same lock (lkg,
 // the fabric). Every change to the committed state ends here. Callers
 // hold d.mu.
@@ -757,7 +764,7 @@ func (d *Daemon) settleLocked(tm *traffic.Matrix) {
 	d.lastMatrix = tm
 	d.pending = nil
 	d.lastGoodAt = d.now()
-	d.read = nil
+	d.read, d.rows = nil, nil
 }
 
 func (d *Daemon) dropPending() {

@@ -88,10 +88,9 @@ func (d *Daemon) ProbeOnce() {
 	exp, writes := d.fab.Expected(), d.writesBegun
 	idle := writes == d.writesEnded
 	d.mu.Unlock()
-	names := d.ctl.Devices()
-	found := make([]error, len(names)) // each device's audit verdict
+	found := make([]error, len(d.names)) // each device's audit verdict
 	var wg sync.WaitGroup
-	for i, name := range names {
+	for i, name := range d.names {
 		if !d.admitProbe(name) {
 			continue
 		}

@@ -3,6 +3,7 @@ package daemon
 import (
 	"context"
 	"encoding/json"
+	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -445,7 +446,7 @@ func TestRepairEmitsHistoryRecord(t *testing.T) {
 		t.Fatalf("repair: %v", err)
 	}
 
-	recs := h.lake.Records()
+	recs := h.lake.Records(0, math.MaxUint64)
 	if len(recs) != before+1 {
 		t.Fatalf("lake has %d records after repair, want %d", len(recs), before+1)
 	}
@@ -500,7 +501,7 @@ func TestHistoryPersistenceAcrossRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer reopened.Close()
-	recs := reopened.Records()
+	recs := reopened.Records(0, math.MaxUint64)
 	if len(recs) != len(mats) {
 		t.Fatalf("replayed %d records, want %d", len(recs), len(mats))
 	}

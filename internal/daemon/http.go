@@ -3,7 +3,7 @@ package daemon
 import (
 	"encoding/json"
 	"net/http"
-	"sort"
+	"slices"
 	"strconv"
 	"time"
 
@@ -121,8 +121,36 @@ func (b brief) serving() bool { return b.healthy && !b.needRepair }
 // converged: serving, nothing pending, and the last audit passed.
 func (b brief) converged() bool { return b.serving() && !b.pending && b.auditOK }
 
+// allocRowsLocked returns lkg as /status lists it: every pair with a
+// circuit or a residual, in pair order. The first call after a change
+// builds the rows; settleLocked drops them. Callers hold d.mu and
+// haveLKG is set.
+func (d *Daemon) allocRowsLocked() []PairAllocation {
+	if d.rows != nil {
+		return d.rows
+	}
+	rows := make([]PairAllocation, 0, len(d.lkg.Fibers))
+	for p, f := range d.lkg.Fibers {
+		if r := d.lkg.Residual[p]; f > 0 || r > 0 {
+			rows = append(rows, PairAllocation{A: p.A, B: p.B, Fibers: f, Residual: r})
+		}
+	}
+	for p, r := range d.lkg.Residual {
+		if _, counted := d.lkg.Fibers[p]; !counted && r > 0 {
+			rows = append(rows, PairAllocation{A: p.A, B: p.B, Residual: r})
+		}
+	}
+	slices.SortFunc(rows, func(a, b PairAllocation) int {
+		return hose.Pair{A: a.A, B: a.B}.Compare(hose.Pair{A: b.A, B: b.B})
+	})
+	d.rows = rows
+	return rows
+}
+
 // Status snapshots the daemon's current intent and device supervision
-// state.
+// state. Allocation is built once per commit and shared by every Status
+// until the next, like CommittedAlloc's allocation: callers read it and
+// must not modify it.
 func (d *Daemon) Status() Status {
 	now := d.now()
 	b := d.brief()
@@ -144,40 +172,14 @@ func (d *Daemon) Status() Status {
 	}
 	if d.haveLKG {
 		st.AllocationAgeSeconds = now.Sub(d.lastGoodAt).Seconds()
-		seen := make(map[[2]int]bool)
-		add := func(a, b int) {
-			k := [2]int{a, b}
-			if seen[k] {
-				return
-			}
-			seen[k] = true
-			p := hose.Pair{A: a, B: b}
-			f, r := d.lkg.Fibers[p], d.lkg.Residual[p]
-			if f > 0 || r > 0 {
-				st.Allocation = append(st.Allocation, PairAllocation{A: a, B: b, Fibers: f, Residual: r})
-			}
-		}
-		for p := range d.lkg.Fibers {
-			add(p.A, p.B)
-		}
-		for p := range d.lkg.Residual {
-			add(p.A, p.B)
-		}
+		st.Allocation = d.allocRowsLocked()
 	}
 	st.Circuits = d.fab.CircuitCount()
 	d.mu.Unlock()
-	sort.Slice(st.Allocation, func(i, j int) bool {
-		a, b := st.Allocation[i], st.Allocation[j]
-		return hose.Pair{A: a.A, B: a.B}.Less(hose.Pair{A: b.A, B: b.B})
-	})
 
+	st.Devices = slices.Grow(st.Devices, len(d.names))
 	d.hmu.Lock()
-	names := make([]string, 0, len(d.health))
-	for name := range d.health {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
+	for _, name := range d.names {
 		h := d.health[name]
 		ds := DeviceStatus{
 			Name:                name,

@@ -2,6 +2,7 @@ package daemon
 
 import (
 	"encoding/json"
+	"math"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -101,7 +102,7 @@ func TestRobustModeSkipsAndEscapes(t *testing.T) {
 	}
 
 	var escapeRecs int
-	for _, rec := range lake.Records() {
+	for _, rec := range lake.Records(0, math.MaxUint64) {
 		if rec.Trigger == history.TriggerEnvelopeEscape {
 			escapeRecs++
 		}

@@ -7,22 +7,25 @@
 // as one self-contained Record: trigger, span tree, allocation diff
 // (pair and duct granularity), and pre/post health + hose aggregates.
 //
-// Appends are O(1) and allocation-free at steady state: records land in
-// pre-allocated per-shard rings, the oldest record of a full shard is
-// overwritten in place, and the ID index reuses its map storage. Reads
-// lock one shard (Get) or snapshot each shard in turn (Records), never
-// the whole lake at once. With a Path configured, every record is also
-// written as one JSON line, and a new lake replays the tail of that file
-// so history survives a daemon restart.
+// The lake is one ring under one mutex. Append assigns Seq under that
+// lock, so ring order is Seq order. Appends are O(1) and allocation-free
+// at steady state: a full ring overwrites its oldest record in place,
+// and the ID index reuses its map storage. A read costs what it returns:
+// Get is one index lookup, Summaries(n) summarizes the last n slots in
+// place, and Records(from, to) copies only that Seq range. With a Path
+// configured, every record is also written as one JSON line, and a new
+// lake replays the tail of that file so history survives a daemon
+// restart.
 package history
 
 import (
 	"bufio"
+	"cmp"
 	"encoding/json"
 	"os"
+	"slices"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"iris/internal/core"
@@ -105,7 +108,7 @@ type Summary struct {
 }
 
 // summarize reduces the record to its listing row.
-func (r Record) summarize() Summary {
+func (r *Record) summarize() Summary {
 	return Summary{
 		Seq:        r.Seq,
 		ReconfigID: r.ReconfigID,
@@ -121,24 +124,10 @@ func (r Record) summarize() Summary {
 	}
 }
 
-// shardCount must be a power of two; records are spread by ReconfigID so
-// concurrent emitters (converge loop, chaos cycle, fleet regions sharing
-// a lake in tests) rarely contend on one mutex.
-const shardCount = 8
-
-type shard struct {
-	mu   sync.Mutex
-	buf  []Record
-	idx  map[uint64]int // reconfig ID -> slot
-	next int
-	n    int
-}
-
 // Config configures a Lake.
 type Config struct {
-	// Capacity bounds the number of retained records; non-positive
-	// selects 512. The effective capacity is rounded up to a multiple of
-	// the internal shard count.
+	// Capacity is the number of records retained; non-positive selects
+	// 512.
 	Capacity int
 	// Path, when non-empty, enables JSONL persistence: appends are
 	// mirrored to the file and New replays its tail on open.
@@ -150,8 +139,15 @@ type Config struct {
 
 // Lake is the history store. All methods are safe for concurrent use.
 type Lake struct {
-	shards [shardCount]shard
-	seq    atomic.Uint64
+	// mu guards the ring: buf[(next-n+len(buf)) % len(buf)] is the
+	// oldest of the n records held, buf[next-1] the newest, and Seq
+	// ascends from one to the next.
+	mu   sync.Mutex
+	buf  []Record
+	idx  map[uint64]int // reconfig ID -> slot
+	next int
+	n    int
+	seq  uint64 // the last Seq assigned or replayed
 
 	fileMu sync.Mutex
 	file   *os.File
@@ -173,12 +169,7 @@ func New(cfg Config) (*Lake, error) {
 	if capacity <= 0 {
 		capacity = 512
 	}
-	per := (capacity + shardCount - 1) / shardCount
-	l := &Lake{}
-	for i := range l.shards {
-		l.shards[i].buf = make([]Record, per)
-		l.shards[i].idx = make(map[uint64]int, per)
-	}
+	l := &Lake{buf: make([]Record, capacity), idx: make(map[uint64]int, capacity)}
 	reg := cfg.Registry
 	if reg == nil {
 		reg = telemetry.NewRegistry()
@@ -190,7 +181,7 @@ func New(cfg Config) (*Lake, error) {
 	l.records = reg.Gauge("iris_history_records", "Records currently retained in the history lake.")
 
 	if cfg.Path != "" {
-		l.replay(cfg.Path, capacity)
+		l.replay(cfg.Path)
 		f, err := os.OpenFile(cfg.Path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 		if err != nil {
 			return nil, err
@@ -200,10 +191,12 @@ func New(cfg Config) (*Lake, error) {
 	return l, nil
 }
 
-// replay loads the tail of a JSONL file into the rings. Records keep
+// replay loads the tail of a JSONL file into the ring. Records keep
 // their persisted Seq; the lake's counter resumes past the maximum so
-// new appends sort after everything replayed.
-func (l *Lake) replay(path string, capacity int) {
+// new appends sort after everything replayed. Appends journal after
+// they leave the ring's lock, so concurrent ones can reach the file out
+// of Seq order: the tail is sorted by Seq before it is inserted.
+func (l *Lake) replay(path string) {
 	f, err := os.Open(path)
 	if err != nil {
 		return // first run: nothing to replay
@@ -218,65 +211,67 @@ func (l *Lake) replay(path string, capacity int) {
 			break // truncated or corrupt tail: keep what parsed
 		}
 		tail = append(tail, rec)
-		if len(tail) > capacity {
+		if len(tail) > len(l.buf) {
 			tail = tail[1:]
 		}
 	}
-	var maxSeq uint64
+	slices.SortStableFunc(tail, func(a, b Record) int { return cmp.Compare(a.Seq, b.Seq) })
+	l.mu.Lock()
+	defer l.mu.Unlock()
 	for _, rec := range tail {
-		if rec.Seq > maxSeq {
-			maxSeq = rec.Seq
-		}
-		l.insert(rec)
+		l.seq = max(l.seq, rec.Seq)
+		l.insertLocked(rec)
 		l.replayed.Inc()
 	}
-	if cur := l.seq.Load(); maxSeq > cur {
-		l.seq.Store(maxSeq)
-	}
-	l.records.Set(float64(l.Len()))
 }
 
 // Append stores one record, assigning its Seq, and returns it. The hot
-// path is a struct copy into a pre-allocated ring slot under one shard
+// path is a struct copy into a pre-allocated ring slot under the lake's
 // mutex — O(1), allocation-free at steady state. With persistence
 // enabled the record is also written as one JSON line (failures count in
 // iris_history_persist_errors_total and do not affect the in-memory
 // append).
 func (l *Lake) Append(rec Record) uint64 {
-	rec.Seq = l.seq.Add(1)
-	l.insert(rec)
+	l.mu.Lock()
+	l.seq++
+	rec.Seq = l.seq
+	l.insertLocked(rec)
+	l.mu.Unlock()
 	l.appends.Inc()
-	l.records.Set(float64(l.Len()))
 	if l.file != nil {
 		l.persist(rec)
 	}
 	return rec.Seq
 }
 
-// insert places a record into its shard's ring, evicting the slot's
-// previous occupant from the ID index when the ring is full. Two records
-// may share a ReconfigID — a replayed journal holds the previous
+// insertLocked places a record in the ring's next slot, evicting the
+// oldest record in the lake from the ID index when the ring is full. Two
+// records may share a ReconfigID — a replayed journal holds the previous
 // process's IDs, and the tracer of this one starts at 1 again — and the
 // index then points at the newer: evicting the older must leave it be.
-func (l *Lake) insert(rec Record) {
-	sh := &l.shards[rec.ReconfigID&(shardCount-1)]
-	sh.mu.Lock()
-	if sh.n == len(sh.buf) {
-		if old := sh.buf[sh.next].ReconfigID; sh.idx[old] == sh.next {
-			delete(sh.idx, old)
+// Callers hold l.mu.
+func (l *Lake) insertLocked(rec Record) {
+	if l.n == len(l.buf) {
+		if old := l.buf[l.next].ReconfigID; l.idx[old] == l.next {
+			delete(l.idx, old)
 		}
 		l.evictions.Inc()
+	} else {
+		l.n++
 	}
-	sh.buf[sh.next] = rec
-	sh.idx[rec.ReconfigID] = sh.next
-	sh.next++
-	if sh.next == len(sh.buf) {
-		sh.next = 0
+	l.buf[l.next] = rec
+	l.idx[rec.ReconfigID] = l.next
+	l.next++
+	if l.next == len(l.buf) {
+		l.next = 0
 	}
-	if sh.n < len(sh.buf) {
-		sh.n++
-	}
-	sh.mu.Unlock()
+	l.records.Set(float64(l.n))
+}
+
+// slotLocked returns the ring slot of the i-th oldest record held.
+// Callers hold l.mu.
+func (l *Lake) slotLocked(i int) int {
+	return (l.next - l.n + i + len(l.buf)) % len(l.buf)
 }
 
 func (l *Lake) persist(rec Record) {
@@ -306,52 +301,55 @@ func (l *Lake) Close() error {
 	return err
 }
 
-// Get returns the record for a reconfig ID, locking only that ID's
-// shard.
+// Get returns the record for a reconfig ID.
 func (l *Lake) Get(id uint64) (Record, bool) {
 	if l == nil {
 		return Record{}, false
 	}
-	sh := &l.shards[id&(shardCount-1)]
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	slot, ok := sh.idx[id]
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	slot, ok := l.idx[id]
 	if !ok {
 		return Record{}, false
 	}
-	return sh.buf[slot], true
+	return l.buf[slot], true
 }
 
-// Records snapshots every retained record in Seq order. Shards are
-// locked one at a time, so a snapshot never blocks appends to other
-// shards.
-func (l *Lake) Records() []Record {
+// Records returns the retained records whose Seq lies in (from, to], in
+// Seq order. It finds the range by binary search over the ring and
+// copies only that.
+func (l *Lake) Records(from, to uint64) []Record {
 	if l == nil {
 		return nil
 	}
-	out := make([]Record, 0, l.Len())
-	for i := range l.shards {
-		sh := &l.shards[i]
-		sh.mu.Lock()
-		for j := 0; j < sh.n; j++ {
-			out = append(out, sh.buf[j])
-		}
-		sh.mu.Unlock()
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	first := sort.Search(l.n, func(i int) bool { return l.buf[l.slotLocked(i)].Seq > from })
+	end := sort.Search(l.n, func(i int) bool { return l.buf[l.slotLocked(i)].Seq > to })
+	if first >= end {
+		return nil
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Seq < out[j].Seq })
+	out := make([]Record, end-first)
+	for i := range out {
+		out[i] = l.buf[l.slotLocked(first+i)]
+	}
 	return out
 }
 
 // Summaries returns the most recent n records (all of them when n <= 0)
-// as listing rows, in ascending Seq order.
+// as listing rows, in ascending Seq order, summarizing them in place.
 func (l *Lake) Summaries(n int) []Summary {
-	recs := l.Records()
-	if n > 0 && len(recs) > n {
-		recs = recs[len(recs)-n:]
+	if l == nil {
+		return []Summary{}
 	}
-	out := make([]Summary, len(recs))
-	for i, r := range recs {
-		out[i] = r.summarize()
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if n <= 0 || n > l.n {
+		n = l.n
+	}
+	out := make([]Summary, n)
+	for i := range out {
+		out[i] = l.buf[l.slotLocked(l.n-n+i)].summarize()
 	}
 	return out
 }
@@ -361,14 +359,9 @@ func (l *Lake) Len() int {
 	if l == nil {
 		return 0
 	}
-	n := 0
-	for i := range l.shards {
-		sh := &l.shards[i]
-		sh.mu.Lock()
-		n += sh.n
-		sh.mu.Unlock()
-	}
-	return n
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.n
 }
 
 // Evicted returns how many records the bounded ring has dropped.

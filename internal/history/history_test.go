@@ -2,12 +2,16 @@ package history
 
 import (
 	"encoding/json"
+	"math"
 	"os"
 	"path/filepath"
+	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 
 	"iris/internal/core"
 	"iris/internal/telemetry"
@@ -36,6 +40,9 @@ func rec(id uint64) Record {
 	}
 }
 
+// all returns every record the lake holds, in Seq order.
+func all(l *Lake) []Record { return l.Records(0, math.MaxUint64) }
+
 func TestAppendGetRoundTrip(t *testing.T) {
 	l := mustLake(t, Config{Capacity: 16})
 	seq := l.Append(rec(42))
@@ -59,7 +66,7 @@ func TestNilLakeIsSafeForReads(t *testing.T) {
 	if _, ok := l.Get(1); ok {
 		t.Fatal("nil Get")
 	}
-	if l.Records() != nil || l.Len() != 0 || l.Evicted() != 0 {
+	if all(l) != nil || l.Len() != 0 || l.Evicted() != 0 {
 		t.Fatal("nil lake reads should be empty")
 	}
 }
@@ -69,7 +76,7 @@ func TestRecordsSeqOrdered(t *testing.T) {
 	for id := uint64(1); id <= 20; id++ {
 		l.Append(rec(id))
 	}
-	recs := l.Records()
+	recs := all(l)
 	if len(recs) != 20 {
 		t.Fatalf("len = %d", len(recs))
 	}
@@ -91,11 +98,13 @@ func TestBoundedEviction(t *testing.T) {
 	if l.Evicted() != 100-16 {
 		t.Fatalf("Evicted = %d, want 84", l.Evicted())
 	}
-	// Oldest per shard are gone, newest retained; ring and index agree.
-	if _, ok := l.Get(1); ok {
-		t.Fatal("record 1 should be evicted")
+	// The oldest 84 are gone, the newest 16 retained; ring and index agree.
+	for id := uint64(1); id <= 84; id++ {
+		if _, ok := l.Get(id); ok {
+			t.Fatalf("record %d should be evicted", id)
+		}
 	}
-	for _, r := range l.Records() {
+	for _, r := range all(l) {
 		got, ok := l.Get(r.ReconfigID)
 		if !ok || got.Seq != r.Seq {
 			t.Fatalf("index out of sync for id %d", r.ReconfigID)
@@ -117,6 +126,95 @@ func TestSummaries(t *testing.T) {
 	}
 	if got := l.Summaries(0); len(got) != 10 {
 		t.Fatalf("Summaries(0) = %d rows", len(got))
+	}
+}
+
+func TestRecordsReadsASeqRange(t *testing.T) {
+	l := mustLake(t, Config{Capacity: 10})
+	for id := uint64(1); id <= 25; id++ { // seqs 16..25 retained, the ring wrapped
+		l.Append(rec(id))
+	}
+	for _, c := range []struct{ from, to, first, last uint64 }{
+		{0, math.MaxUint64, 16, 25},
+		{17, 20, 18, 20},
+		{3, 17, 16, 17},
+		{24, 99, 25, 25},
+		{20, 20, 0, 0},
+		{25, 30, 0, 0},
+		{9, 4, 0, 0},
+	} {
+		got := l.Records(c.from, c.to)
+		if c.first == 0 {
+			if got != nil {
+				t.Errorf("Records(%d, %d) = %d records, want none", c.from, c.to, len(got))
+			}
+			continue
+		}
+		if len(got) != int(c.last-c.first+1) {
+			t.Fatalf("Records(%d, %d) = %d records, want seqs %d..%d", c.from, c.to, len(got), c.first, c.last)
+		}
+		for i, r := range got {
+			if r.Seq != c.first+uint64(i) || r.ReconfigID != r.Seq {
+				t.Fatalf("Records(%d, %d)[%d] = seq %d, reconfig %d; want seq %d", c.from, c.to, i, r.Seq, r.ReconfigID, c.first+uint64(i))
+			}
+		}
+	}
+}
+
+// TestCapacityIsExact: a lake holds exactly Capacity records, and evicts
+// the oldest in the lake when full.
+func TestCapacityIsExact(t *testing.T) {
+	l := mustLake(t, Config{Capacity: 10})
+	for id := uint64(1); id <= 30; id++ {
+		l.Append(rec(id))
+		want := min(int(id), 10)
+		if l.Len() != want {
+			t.Fatalf("after %d appends Len = %d, want %d", id, l.Len(), want)
+		}
+		recs := all(l)
+		if len(recs) != want || recs[0].Seq != id-uint64(want)+1 || recs[want-1].Seq != id {
+			t.Fatalf("after %d appends the lake holds %d records, seqs %d..%d", id, len(recs), recs[0].Seq, recs[len(recs)-1].Seq)
+		}
+	}
+	if l.Evicted() != 20 {
+		t.Fatalf("Evicted = %d, want 20", l.Evicted())
+	}
+}
+
+// TestListingReadsOnlyWhatItReturns: a listing of the last 16 records
+// costs the same bytes on a full 512-record lake as on a 64-record one,
+// and no more than twice the rows it returns. TotalAlloc counts every
+// goroutine's allocations (a finalizer the GC queued, say), so each
+// lake's cost is the least of a few measurements.
+func TestListingReadsOnlyWhatItReturns(t *testing.T) {
+	const rows, runs, trials = 16, 100, 5
+	bytesPerListing := func(capacity int) uint64 {
+		l := mustLake(t, Config{Capacity: capacity})
+		for id := uint64(1); id <= uint64(capacity); id++ {
+			l.Append(rec(id))
+		}
+		least := uint64(math.MaxUint64)
+		for range trials {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for range runs {
+				if got := l.Summaries(rows); len(got) != rows || got[rows-1].Seq != uint64(capacity) {
+					t.Fatalf("Summaries(%d) on a %d-record lake = %d rows", rows, capacity, len(got))
+				}
+			}
+			runtime.ReadMemStats(&after)
+			least = min(least, (after.TotalAlloc-before.TotalAlloc)/runs)
+		}
+		return least
+	}
+	full, small := bytesPerListing(512), bytesPerListing(64)
+	budget := uint64(2 * rows * unsafe.Sizeof(Summary{}))
+	t.Logf("Summaries(%d): %d bytes on 512 records, %d on 64, budget %d", rows, full, small, budget)
+	if full != small {
+		t.Errorf("Summaries(%d) allocates %d bytes on a 512-record lake and %d on a 64-record one; want equal", rows, full, small)
+	}
+	if full > budget {
+		t.Errorf("Summaries(%d) allocates %d bytes, budget %d", rows, full, budget)
 	}
 }
 
@@ -162,12 +260,47 @@ func TestPersistenceReplay(t *testing.T) {
 // everyRecordIsIndexed checks that Get finds every record Records returns.
 func everyRecordIsIndexed(t *testing.T, l *Lake) {
 	t.Helper()
-	for _, r := range l.Records() {
+	for _, r := range all(l) {
 		if got, ok := l.Get(r.ReconfigID); !ok || got.ReconfigID != r.ReconfigID {
-			t.Fatalf("Records() holds seq %d (reconfig %d) but Get(%d) = %+v, %v",
+			t.Fatalf("the lake holds seq %d (reconfig %d) but Get(%d) = %+v, %v",
 				r.Seq, r.ReconfigID, r.ReconfigID, got, ok)
 		}
 	}
+}
+
+// TestReplaySortsTheJournalBySeq: concurrent appends can journal out of
+// Seq order; a replayed lake holds them in ascending Seq order, and the
+// records appended after it follow.
+func TestReplaySortsTheJournalBySeq(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "history.jsonl")
+	var journal []byte
+	for _, seq := range []uint64{1, 3, 2, 5, 4, 6} {
+		r := rec(seq)
+		r.Seq = seq
+		line, err := json.Marshal(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		journal = append(append(journal, line...), '\n')
+	}
+	if err := os.WriteFile(path, journal, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	l := mustLake(t, Config{Capacity: 16, Path: path})
+	l.Append(rec(7))
+	recs := all(l)
+	if len(recs) != 7 {
+		t.Fatalf("lake holds %d records, want 7", len(recs))
+	}
+	for i, r := range recs {
+		if r.Seq != uint64(i+1) || r.ReconfigID != r.Seq {
+			t.Fatalf("record %d is seq %d (reconfig %d), want seq %d", i, r.Seq, r.ReconfigID, i+1)
+		}
+	}
+	if got := l.Summaries(3); got[0].Seq != 5 || got[2].Seq != 7 {
+		t.Fatalf("Summaries(3) = seqs %d..%d, want 5..7", got[0].Seq, got[2].Seq)
+	}
+	everyRecordIsIndexed(t, l)
 }
 
 func TestPersistenceReplayBoundedByCapacity(t *testing.T) {
@@ -242,7 +375,7 @@ func TestConcurrentAppendAndRead(t *testing.T) {
 			for i := 0; i < 200; i++ {
 				l.Append(rec(uint64(w*1000 + i + 1)))
 				if i%10 == 0 {
-					l.Records()
+					l.Records(uint64(i), uint64(i+20))
 					l.Summaries(5)
 					l.Get(uint64(w*1000 + i))
 				}
@@ -253,7 +386,7 @@ func TestConcurrentAppendAndRead(t *testing.T) {
 	if l.Len() != 64 {
 		t.Fatalf("Len = %d", l.Len())
 	}
-	recs := l.Records()
+	recs := all(l)
 	for i := 1; i < len(recs); i++ {
 		if recs[i].Seq <= recs[i-1].Seq {
 			t.Fatal("Records not strictly seq-ordered")
@@ -313,7 +446,7 @@ func FuzzJournalReplay(f *testing.F) {
 	f.Add([]byte{})
 
 	f.Fuzz(func(t *testing.T, journal []byte) {
-		const capacity = 16 // a multiple of the shard count, so it is exact
+		const capacity = 16
 		path := filepath.Join(t.TempDir(), "history.jsonl")
 		if err := os.WriteFile(path, journal, 0o644); err != nil {
 			t.Fatal(err)
@@ -326,10 +459,21 @@ func FuzzJournalReplay(f *testing.F) {
 		if l.Len() > capacity {
 			t.Fatalf("replay kept %d records, capacity %d", l.Len(), capacity)
 		}
-		resumed := l.seq.Load()
-		for _, r := range l.Records() {
+		resumed := l.seq
+		for _, r := range all(l) {
 			if r.Seq > resumed {
 				t.Fatalf("replayed seq %d above the resumed counter %d", r.Seq, resumed)
+			}
+		}
+		listing := l.Summaries(0)
+		for i := 1; i < len(listing); i++ {
+			if listing[i].Seq < listing[i-1].Seq {
+				t.Fatalf("replayed listing is out of Seq order at row %d: %d after %d", i, listing[i].Seq, listing[i-1].Seq)
+			}
+		}
+		for n := 1; n <= len(listing); n++ {
+			if got := l.Summaries(n); !reflect.DeepEqual(got, listing[len(listing)-n:]) {
+				t.Fatalf("Summaries(%d) = %+v, want the last %d rows of Summaries(0)", n, got, n)
 			}
 		}
 		everyRecordIsIndexed(t, l)

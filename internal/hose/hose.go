@@ -15,6 +15,7 @@
 package hose
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"sort"
@@ -43,6 +44,14 @@ func (p Pair) Less(q Pair) bool {
 		return p.A < q.A
 	}
 	return p.B < q.B
+}
+
+// Compare is Less as a three-way comparison, for slices.SortFunc.
+func (p Pair) Compare(q Pair) int {
+	if c := cmp.Compare(p.A, q.A); c != 0 {
+		return c
+	}
+	return cmp.Compare(p.B, q.B)
 }
 
 // SortPairs sorts pairs in Less order.

@@ -27,12 +27,13 @@
 package topoapi
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"math"
 	"net/http"
 	"net/url"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -79,7 +80,7 @@ func SortedDemand(demand map[hose.Pair]float64) []PairDemand {
 			out = append(out, PairDemand{Pair: p, Demand: d})
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Pair.Less(out[j].Pair) })
+	slices.SortFunc(out, func(a, b PairDemand) int { return a.Pair.Compare(b.Pair) })
 	return out
 }
 
@@ -352,18 +353,17 @@ func (s *Server) handleCritical(w http.ResponseWriter, r *http.Request) {
 		}
 		out[i] = row
 	}
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i], out[j]
+	slices.SortFunc(out, func(a, b criticalDuct) int {
 		if a.StrandedDemand != b.StrandedDemand {
-			return a.StrandedDemand > b.StrandedDemand
+			return cmp.Compare(b.StrandedDemand, a.StrandedDemand)
 		}
 		if a.SoloStranded != b.SoloStranded {
-			return a.SoloStranded > b.SoloStranded
+			return cmp.Compare(b.SoloStranded, a.SoloStranded)
 		}
 		if a.MinCutPairs != b.MinCutPairs {
-			return a.MinCutPairs > b.MinCutPairs
+			return cmp.Compare(b.MinCutPairs, a.MinCutPairs)
 		}
-		return a.Duct < b.Duct
+		return cmp.Compare(a.Duct, b.Duct)
 	})
 	writeJSON(w, http.StatusOK, map[string]any{"k": k, "ducts": out})
 }
@@ -516,10 +516,7 @@ func (s *Server) handleHistoryDiff(w http.ResponseWriter, r *http.Request) {
 	type bounds struct{ old, new core.PairDelta }
 	net := make(map[hose.Pair]*bounds)
 	var reconfigs []uint64
-	for _, rec := range s.cfg.Lake.Records() {
-		if rec.Seq <= fromRec.Seq || rec.Seq > toRec.Seq {
-			continue
-		}
+	for _, rec := range s.cfg.Lake.Records(fromRec.Seq, toRec.Seq) {
 		reconfigs = append(reconfigs, rec.ReconfigID)
 		for _, pd := range rec.Pairs {
 			b := net[pd.Pair()]
@@ -542,7 +539,7 @@ func (s *Server) handleHistoryDiff(w http.ResponseWriter, r *http.Request) {
 		}
 		pairs = append(pairs, pd)
 	}
-	sort.Slice(pairs, func(i, j int) bool { return pairs[i].Pair().Less(pairs[j].Pair()) })
+	slices.SortFunc(pairs, func(a, b core.PairDelta) int { return a.Pair().Compare(b.Pair()) })
 	resp := map[string]any{
 		"from":      fromID,
 		"to":        toID,
