@@ -137,6 +137,17 @@ func (g *Graph) bucketWidth() float64 {
 // but performs no allocation once t and sc are warm. t is returned for
 // convenience.
 func (g *Graph) DijkstraInto(source int, skip []bool, t *ShortestPathTree, sc *Scratch) *ShortestPathTree {
+	return g.dijkstraTo(source, -1, skip, t, sc)
+}
+
+// dijkstraTo is DijkstraInto stopped as soon as target settles (-1 runs
+// to the end). Target's label, and the label of every node on its path,
+// is then final and the one DijkstraInto computes: the run is a prefix of
+// the full one, a settled label never changes, and a label is only ever
+// offered by a settled node, so target's whole path settled before it.
+// Other nodes may be left unlabelled or with a label a full run would
+// improve: a caller reads only target (PathTo).
+func (g *Graph) dijkstraTo(source, target int, skip []bool, t *ShortestPathTree, sc *Scratch) *ShortestPathTree {
 	t.reset(g)
 	sc.reset(g.n)
 	t.Source = source
@@ -144,7 +155,7 @@ func (g *Graph) DijkstraInto(source int, skip []bool, t *ShortestPathTree, sc *S
 	t.Hops[source] = 0
 	width := g.bucketWidth()
 	sc.push(distItem{node: source}, width)
-	g.settle(t, sc, skip, width)
+	g.settle(t, sc, skip, width, target)
 	return t
 }
 
@@ -239,7 +250,7 @@ func (g *Graph) Repair(t *ShortestPathTree, ids []int, skip []bool, sc *Scratch,
 			sc.push(distItem{node: v, dist: t.Dist[v], hops: t.Hops[v]}, width)
 		}
 	}
-	g.settle(t, sc, skip, width)
+	g.settle(t, sc, skip, width, -1)
 	for _, v := range hit {
 		done[v] = true
 	}
@@ -263,8 +274,9 @@ func (t *ShortestPathTree) Restore(log []Label) {
 // Monotonicity holds because a relaxed label is never smaller than the
 // label being settled, so pushes never land below the cursor; several
 // initial labels (DistancesFromSeeds) are all queued before the first
-// pop.
-func (g *Graph) settle(t *ShortestPathTree, sc *Scratch, skip []bool, width float64) {
+// pop. It returns once target (a node, or -1 for none) settles; the
+// queue it leaves behind is dropped by the next reset.
+func (g *Graph) settle(t *ShortestPathTree, sc *Scratch, skip []bool, width float64, target int) {
 	bi := 0
 	for sc.queued > 0 {
 		for bi < sc.hi && len(sc.buckets[bi]) == 0 {
@@ -289,6 +301,9 @@ func (g *Graph) settle(t *ShortestPathTree, sc *Scratch, skip []bool, width floa
 			continue
 		}
 		sc.done[u] = true
+		if u == target {
+			return
+		}
 		for _, idx := range g.adj[u] {
 			if skip != nil && skip[idx] {
 				continue

@@ -475,3 +475,48 @@ func TestRepairMatchesDijkstra(t *testing.T) {
 		t.Fatalf("warmed Repair and Restore allocated %v per run, want 0", avg)
 	}
 }
+
+// TestStoppedSearchMatchesDijkstraInto binds the early stop of Yen's spur
+// searches: over random multigraphs — real weights, or small integers
+// with zeros, where whole paths tie — and random skip masks, the search
+// stopped when target settles gives target the distance bits, hop count
+// and path DijkstraInto gives it, for every source and target. The
+// stopped search's tree and scratch are reused, dirty, from one search to
+// the next.
+func TestStoppedSearchMatchesDijkstraInto(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	var full, stopped ShortestPathTree
+	var fsc, ssc Scratch
+	pairs := 0
+	for trial := 0; trial < 200; trial++ {
+		g := repairGraph(rng, trial%2 == 0)
+		skip := make([]bool, g.NumEdges())
+		p := rng.Intn(3) // no mask, one edge in 8 cut, one in 3
+		for i := range skip {
+			skip[i] = p > 0 && rng.Intn([3]int{0, 8, 3}[p]) == 0
+		}
+		for source := 0; source < g.NumNodes(); source++ {
+			g.DijkstraInto(source, skip, &full, &fsc)
+			for target := 0; target < g.NumNodes(); target++ {
+				g.dijkstraTo(source, target, skip, &stopped, &ssc)
+				what := fmt.Sprintf("trial %d, %d -> %d", trial, source, target)
+				if math.Float64bits(stopped.Dist[target]) != math.Float64bits(full.Dist[target]) ||
+					stopped.Hops[target] != full.Hops[target] {
+					t.Fatalf("%s: stopped (%v, %d hops), full (%v, %d hops)", what,
+						stopped.Dist[target], stopped.Hops[target], full.Dist[target], full.Hops[target])
+				}
+				sn, se, sok := stopped.PathTo(target)
+				fn, fe, fok := full.PathTo(target)
+				if sok != fok || !slices.Equal(sn, fn) || !slices.Equal(se, fe) {
+					t.Fatalf("%s: stopped path %v %v (%v), full %v %v (%v)", what, sn, se, sok, fn, fe, fok)
+				}
+				if fok {
+					pairs++
+				}
+			}
+		}
+	}
+	if pairs < 10000 {
+		t.Fatalf("only %d reachable pairs compared", pairs)
+	}
+}

@@ -239,7 +239,7 @@ func (g *Graph) DistancesFromSeeds(seeds []Seed) []float64 {
 			sc.push(distItem{node: s.Node, dist: s.Dist}, width)
 		}
 	}
-	g.settle(t, sc, nil, width)
+	g.settle(t, sc, nil, width, -1)
 	return t.Dist
 }
 

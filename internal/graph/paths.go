@@ -1,6 +1,10 @@
 package graph
 
-import "sort"
+import (
+	"slices"
+	"sort"
+	"sync"
+)
 
 // Path is one loopless route between two nodes: the node sequence, the
 // edges walked (parallel edges are distinguished by ID), and the total
@@ -52,6 +56,19 @@ func lessPath(a, b Path) bool {
 	return false
 }
 
+// spurState is the storage KShortestPaths' spur searches reuse: the
+// tree and scratch of the search, the removed-edge mask, and the buffers
+// a candidate path is assembled in before it is known to be new.
+type spurState struct {
+	tree    ShortestPathTree
+	sc      Scratch
+	removed []bool
+	nodes   []int
+	edges   []Edge
+}
+
+var spurPool = sync.Pool{New: func() any { return new(spurState) }}
+
 // KShortestPaths returns up to k loopless shortest paths from one node to
 // another, best first, using Yen's algorithm over the graph's
 // deterministic Dijkstra. Fewer than k paths are returned when the graph
@@ -59,9 +76,12 @@ func lessPath(a, b Path) bool {
 // equal-length paths are broken by hop count, then node sequence, then
 // edge IDs.
 //
-// Each spur step runs DijkstraInto on g under a skip mask, so the cost is
+// Each spur step runs the one Dijkstra loop on g under a skip mask and
+// stops as soon as to settles, so a spur search costs only the nodes
+// nearer its spur node than to is, and the cost is at most
 // O(k · n · Dijkstra) — fine for region-scale fiber maps, which have tens
-// of ducts.
+// of ducts. The searches' tree, scratch and mask, and the buffer a
+// candidate is assembled in, are reused from call to call.
 func (g *Graph) KShortestPaths(from, to, k int) []Path {
 	if k <= 0 || from < 0 || from >= g.n || to < 0 || to >= g.n {
 		return nil
@@ -76,9 +96,12 @@ func (g *Graph) KShortestPaths(from, to, k int) []Path {
 	}
 	paths := []Path{{Nodes: nodes, Edges: edges, Dist: t.Dist[to]}}
 	var candidates []Path
-	removed := make([]bool, len(g.edges)) // by edge index
-	var spurTree ShortestPathTree
-	var sc Scratch
+	sp := spurPool.Get().(*spurState)
+	defer spurPool.Put(sp)
+	if cap(sp.removed) < len(g.edges) {
+		sp.removed = make([]bool, len(g.edges))
+	}
+	removed := sp.removed[:len(g.edges)] // by edge index, cleared per spur
 
 	for len(paths) < k {
 		prev := paths[len(paths)-1]
@@ -113,14 +136,16 @@ func (g *Graph) KShortestPaths(from, to, k int) []Path {
 				}
 			}
 
-			st := g.DijkstraInto(spur, removed, &spurTree, &sc)
-			sn, se, ok := st.PathTo(to)
-			if !ok {
+			st := g.dijkstraTo(spur, to, removed, &sp.tree, &sp.sc)
+			// The candidate is the root then the spur path, which starts
+			// at the spur node the root ends with.
+			var cand Path
+			var reached bool
+			cand.Nodes, cand.Edges, reached = st.AppendPathTo(to,
+				append(sp.nodes[:0], rootNodes[:i]...), append(sp.edges[:0], rootEdges...))
+			sp.nodes, sp.edges = cand.Nodes, cand.Edges
+			if !reached {
 				continue
-			}
-			cand := Path{
-				Nodes: append(append(make([]int, 0, len(rootNodes)+len(sn)-1), rootNodes...), sn[1:]...),
-				Edges: append(append(make([]Edge, 0, len(rootEdges)+len(se)), rootEdges...), se...),
 			}
 			for _, e := range cand.Edges {
 				cand.Dist += e.W
@@ -141,6 +166,7 @@ func (g *Graph) KShortestPaths(from, to, k int) []Path {
 				}
 			}
 			if !dup {
+				cand.Nodes, cand.Edges = slices.Clone(cand.Nodes), slices.Clone(cand.Edges)
 				candidates = append(candidates, cand)
 			}
 		}

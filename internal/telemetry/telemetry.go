@@ -9,7 +9,7 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -23,29 +23,43 @@ import (
 // Registry would otherwise silently alias their counters and corrupt both
 // regions' numbers, so multi-instance supervisors (the fleet) give every
 // instance its own Registry and merge scrapes with MergeText.
+//
+// A scrape does only the work its bytes need. Everything fixed is
+// formatted once: a family's HELP and TYPE lines and its histogram
+// buckets' le pairs at registration, a child's label pair when With first
+// creates it. Families and children are kept in exposition order as they
+// are added, in slices that are replaced, never written in place, so a
+// scrape reads them with no sort and no copy.
 type Registry struct {
-	mu       sync.Mutex
-	families map[string]*family
-	names    []string
+	mu   sync.Mutex
+	fams []*family // by name
 }
 
 type family struct {
-	name, help, typ string
-	label           string // label key; "" for unlabeled families
-	mu              sync.Mutex
-	children        map[string]collector // label value -> collector
-	buckets         []float64            // histograms only
+	name, typ string
+	label     string    // label key; "" for unlabeled families
+	header    string    // the HELP and TYPE lines
+	buckets   []float64 // histograms only, ascending
+	les       []string  // histograms only: `le="bound"` per bucket, then +Inf
+	mu        sync.Mutex
+	children  []child // by label value
+}
+
+// child is one labeled series of a family.
+type child struct {
+	value  string
+	labels string // `key="value"` escaped; "" for an unlabeled family
+	c      collector
 }
 
 type collector interface {
-	// write emits the family's sample lines for one child.
-	write(w io.Writer, name, labels string) error
+	// appendText appends the family's sample lines for one child; labels
+	// and extra are label pairs, either of them possibly empty.
+	appendText(b []byte, f *family, labels, extra string) []byte
 }
 
 // NewRegistry returns an empty registry.
-func NewRegistry() *Registry {
-	return &Registry{families: make(map[string]*family)}
-}
+func NewRegistry() *Registry { return &Registry{} }
 
 // family claims a metric name. A name already present — same type or not —
 // panics: collectors are single-instance per Registry, so a duplicate claim
@@ -54,27 +68,47 @@ func NewRegistry() *Registry {
 func (r *Registry) family(name, help, typ, label string, buckets []float64) *family {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if f, ok := r.families[name]; ok {
+	i, found := slices.BinarySearchFunc(r.fams, name, func(f *family, name string) int {
+		return strings.Compare(f.name, name)
+	})
+	if found {
+		f := r.fams[i]
 		panic(fmt.Sprintf("telemetry: %s already registered (as %s/%q, now claimed as %s/%q) — collectors are single-instance per Registry; give each subsystem instance its own Registry and aggregate with MergeText",
 			name, f.typ, f.label, typ, label))
 	}
-	f := &family{name: name, help: help, typ: typ, label: label,
-		children: make(map[string]collector), buckets: buckets}
-	r.families[name] = f
-	r.names = append(r.names, name)
-	sort.Strings(r.names)
+	f := &family{name: name, typ: typ, label: label,
+		header: "# HELP " + name + " " + string(appendEscaped(nil, help, false)) + "\n# TYPE " + name + " " + typ + "\n"}
+	if typ == "histogram" {
+		f.buckets = slices.Clone(buckets)
+		slices.Sort(f.buckets)
+		for _, ub := range f.buckets {
+			f.les = append(f.les, string(append(appendFloat([]byte(`le="`), ub), '"')))
+		}
+		f.les = append(f.les, `le="+Inf"`)
+	}
+	r.fams = slices.Insert(slices.Clip(r.fams), i, f)
 	return f
 }
 
+// child returns the collector for one label value, creating it and
+// formatting its label pair on first use. A new child replaces the
+// children slice with a copy: a scrape may be reading the old one
+// unlocked.
 func (f *family) child(value string, mk func() collector) collector {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if c, ok := f.children[value]; ok {
-		return c
+	i, found := slices.BinarySearchFunc(f.children, value, func(c child, v string) int {
+		return strings.Compare(c.value, v)
+	})
+	if found {
+		return f.children[i].c
 	}
-	c := mk()
-	f.children[value] = c
-	return c
+	ch := child{value: value, c: mk()}
+	if f.label != "" {
+		ch.labels = string(appendLabel(nil, f.label, value))
+	}
+	f.children = slices.Insert(slices.Clip(f.children), i, ch)
+	return ch.c
 }
 
 // Counter is a monotonically increasing value.
@@ -103,9 +137,8 @@ func (c *Counter) Value() float64 {
 	return c.v
 }
 
-func (c *Counter) write(w io.Writer, name, labels string) error {
-	_, err := fmt.Fprintf(w, "%s%s %s\n", name, labels, formatFloat(c.Value()))
-	return err
+func (c *Counter) appendText(b []byte, f *family, labels, extra string) []byte {
+	return appendSample(b, f.name, labels, extra, c.Value())
 }
 
 // Gauge is a value that can go up and down.
@@ -128,25 +161,22 @@ func (g *Gauge) value() float64 {
 	return g.v
 }
 
-func (g *Gauge) write(w io.Writer, name, labels string) error {
-	_, err := fmt.Fprintf(w, "%s%s %s\n", name, labels, formatFloat(g.value()))
-	return err
+func (g *Gauge) appendText(b []byte, f *family, labels, extra string) []byte {
+	return appendSample(b, f.name, labels, extra, g.value())
 }
 
 // Histogram counts observations into cumulative buckets.
 type Histogram struct {
 	mu      sync.Mutex
-	buckets []float64 // ascending upper bounds, +Inf implicit
+	buckets []float64 // its family's ascending upper bounds, +Inf implicit
 	counts  []uint64  // per bucket (non-cumulative internally)
 	inf     uint64
 	sum     float64
 	count   uint64
 }
 
-func newHistogram(buckets []float64) *Histogram {
-	bs := append([]float64(nil), buckets...)
-	sort.Float64s(bs)
-	return &Histogram{buckets: bs, counts: make([]uint64, len(bs))}
+func newHistogram(f *family) *Histogram {
+	return &Histogram{buckets: f.buckets, counts: make([]uint64, len(f.buckets))}
 }
 
 // Observe records one sample.
@@ -164,36 +194,25 @@ func (h *Histogram) Observe(v float64) {
 	h.inf++
 }
 
-func (h *Histogram) write(w io.Writer, name, labels string) error {
+func (h *Histogram) appendText(b []byte, f *family, labels, extra string) []byte {
 	h.mu.Lock()
-	buckets := append([]float64(nil), h.buckets...)
-	counts := append([]uint64(nil), h.counts...)
-	inf, sum, count := h.inf, h.sum, h.count
-	h.mu.Unlock()
-
-	// Bucket labels compose with the family label.
-	le := func(bound string) string {
-		if labels == "" {
-			return fmt.Sprintf("{le=%q}", bound)
-		}
-		return strings.TrimSuffix(labels, "}") + fmt.Sprintf(",le=%q}", bound)
-	}
+	defer h.mu.Unlock()
+	// Bucket labels compose with the family label: the le pairs were
+	// formatted when the family was registered.
 	var cum uint64
-	for i, ub := range buckets {
-		cum += counts[i]
-		if _, err := fmt.Fprintf(w, "%s_bucket%s %d\n", name, le(formatFloat(ub)), cum); err != nil {
-			return err
+	for i, le := range f.les {
+		if i < len(h.counts) {
+			cum += h.counts[i]
+		} else {
+			cum += h.inf
 		}
+		b = appendSeries(b, f.name, "_bucket", labels, extra, le)
+		b = append(strconv.AppendUint(b, cum, 10), '\n')
 	}
-	cum += inf
-	if _, err := fmt.Fprintf(w, "%s_bucket%s %d\n", name, le("+Inf"), cum); err != nil {
-		return err
-	}
-	if _, err := fmt.Fprintf(w, "%s_sum%s %s\n", name, labels, formatFloat(sum)); err != nil {
-		return err
-	}
-	_, err := fmt.Fprintf(w, "%s_count%s %d\n", name, labels, count)
-	return err
+	b = appendSeries(b, f.name, "_sum", labels, extra, "")
+	b = append(appendFloat(b, h.sum), '\n')
+	b = appendSeries(b, f.name, "_count", labels, extra, "")
+	return append(strconv.AppendUint(b, h.count, 10), '\n')
 }
 
 // Counter registers and returns the unlabeled counter with the given
@@ -215,7 +234,7 @@ func (r *Registry) Gauge(name, help string) *Gauge {
 // Registry.
 func (r *Registry) Histogram(name, help string, buckets []float64) *Histogram {
 	f := r.family(name, help, "histogram", "", buckets)
-	return f.child("", func() collector { return newHistogram(f.buckets) }).(*Histogram)
+	return f.child("", func() collector { return newHistogram(f) }).(*Histogram)
 }
 
 // CounterVec is a counter family keyed by one label.
@@ -260,69 +279,58 @@ func (r *Registry) HistogramVec(name, help, label string, buckets []float64) *Hi
 
 // With returns the histogram for one label value.
 func (v *HistogramVec) With(value string) *Histogram {
-	return v.f.child(value, func() collector { return newHistogram(v.f.buckets) }).(*Histogram)
+	return v.f.child(value, func() collector { return newHistogram(v.f) }).(*Histogram)
 }
 
-// snapshot returns the registry's families in name order.
+// snapshot returns the registry's families in name order. The slice is
+// never written in place, so a scrape reads it unlocked.
 func (r *Registry) snapshot() []*family {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	fams := make([]*family, len(r.names))
-	for i, n := range r.names {
-		fams[i] = r.families[n]
-	}
-	return fams
+	return r.fams
 }
 
-// writeChildren emits one family's sample lines, composing the family
-// label with an optional extra label pair (extraKey == "" omits it). The
-// extra label lets a supervisor stamp every sample of an instance-scoped
-// registry with the instance's identity.
-func (f *family) writeChildren(w io.Writer, extraKey, extraVal string) error {
+// appendChildren appends one family's sample lines, composing the family
+// label with extra, an optional label pair ("" omits it). The extra label
+// lets a supervisor stamp every sample of an instance-scoped registry
+// with the instance's identity.
+func (f *family) appendChildren(b []byte, extra string) []byte {
 	f.mu.Lock()
-	values := make([]string, 0, len(f.children))
-	for v := range f.children {
-		values = append(values, v)
-	}
-	sort.Strings(values)
-	children := make([]collector, len(values))
-	for i, v := range values {
-		children[i] = f.children[v]
-	}
+	children := f.children
 	f.mu.Unlock()
-	for i, c := range children {
-		// %q escapes backslash, quote and newline — exactly the Prometheus
-		// label escaping rules.
-		var pairs []string
-		if f.label != "" {
-			pairs = append(pairs, fmt.Sprintf("%s=%q", f.label, values[i]))
-		}
-		if extraKey != "" {
-			pairs = append(pairs, fmt.Sprintf("%s=%q", extraKey, extraVal))
-		}
-		labels := ""
-		if len(pairs) > 0 {
-			labels = "{" + strings.Join(pairs, ",") + "}"
-		}
-		if err := c.write(w, f.name, labels); err != nil {
-			return err
-		}
+	for _, c := range children {
+		b = c.c.appendText(b, f, c.labels, extra)
 	}
-	return nil
+	return b
+}
+
+// bufPool lends a scrape the buffer it renders into; a warmed scrape
+// allocates nothing, however many series it renders.
+var bufPool = sync.Pool{New: func() any { return new([]byte) }}
+
+// writeOnce hands b to w in one Write, holding no lock, and returns the
+// buffer to the pool.
+func writeOnce(w io.Writer, bp *[]byte, b []byte) error {
+	var err error
+	if len(b) > 0 {
+		_, err = w.Write(b)
+	}
+	*bp = b[:0]
+	bufPool.Put(bp)
+	return err
 }
 
 // WriteText renders every registered family in the Prometheus text
-// exposition format, families sorted by name and children by label value.
+// exposition format, families sorted by name and children by label value,
+// in one Write.
 func (r *Registry) WriteText(w io.Writer) error {
+	bp := bufPool.Get().(*[]byte)
+	b := *bp
 	for _, f := range r.snapshot() {
-		if _, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", f.name, f.help, f.name, f.typ); err != nil {
-			return err
-		}
-		if err := f.writeChildren(w, "", ""); err != nil {
-			return err
-		}
+		b = append(b, f.header...)
+		b = f.appendChildren(b, "")
 	}
-	return nil
+	return writeOnce(w, bp, b)
 }
 
 // LabeledRegistry pairs an instance-scoped registry with the label value
@@ -341,57 +349,111 @@ type LabeledRegistry struct {
 // first appearance — followed by every instance's samples in the order
 // the registries are given. Registering the same family name with a
 // different type or label key across instances is an error, because the
-// merged exposition would be self-contradictory.
+// merged exposition would be self-contradictory; nothing is written then.
+//
+// Each registry's families are already in name order, so the merge walks
+// them side by side and writes once.
 func MergeText(w io.Writer, label string, regs []LabeledRegistry) error {
-	type famGroup struct {
-		help, typ, labelKey string
-		members             []int // indices into regs, in given order
+	type source struct {
+		fams  []*family // the families not yet written
+		extra string    // label="value", formatted once per merge
 	}
-	groups := make(map[string]*famGroup)
-	var order []string
-	snaps := make([][]*family, len(regs))
+	srcs := make([]source, len(regs))
+	var pair [64]byte
 	for i, lr := range regs {
-		snaps[i] = lr.Reg.snapshot()
-		for _, f := range snaps[i] {
-			g, ok := groups[f.name]
-			if !ok {
-				groups[f.name] = &famGroup{help: f.help, typ: f.typ, labelKey: f.label, members: []int{i}}
-				order = append(order, f.name)
+		srcs[i] = source{lr.Reg.snapshot(), string(appendLabel(pair[:0], label, lr.Value))}
+	}
+
+	bp := bufPool.Get().(*[]byte)
+	b := *bp
+	for {
+		// The least name left in any registry, and the first registry
+		// holding it: every earlier one has only greater names left.
+		first := -1
+		for i := range srcs {
+			if len(srcs[i].fams) > 0 && (first < 0 || srcs[i].fams[0].name < srcs[first].fams[0].name) {
+				first = i
+			}
+		}
+		if first < 0 {
+			break
+		}
+		head := srcs[first].fams[0]
+		b = append(b, head.header...)
+		for i := first; i < len(srcs); i++ {
+			s := &srcs[i]
+			if len(s.fams) == 0 || s.fams[0].name != head.name {
 				continue
 			}
-			if g.typ != f.typ || g.labelKey != f.label {
+			f := s.fams[0]
+			if f.typ != head.typ || f.label != head.label {
+				bufPool.Put(bp)
 				return fmt.Errorf("telemetry: merge: %s is %s/%q in %s but %s/%q earlier",
-					f.name, f.typ, f.label, lr.Value, g.typ, g.labelKey)
+					f.name, f.typ, f.label, regs[i].Value, head.typ, head.label)
 			}
-			g.members = append(g.members, i)
+			b = f.appendChildren(b, s.extra)
+			s.fams = s.fams[1:]
 		}
 	}
-	sort.Strings(order)
-	for _, name := range order {
-		g := groups[name]
-		if _, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", name, g.help, name, g.typ); err != nil {
-			return err
-		}
-		for _, i := range g.members {
-			for _, f := range snaps[i] {
-				if f.name != name {
-					continue
-				}
-				if err := f.writeChildren(w, label, regs[i].Value); err != nil {
-					return err
-				}
-			}
-		}
-	}
-	return nil
+	return writeOnce(w, bp, b)
 }
 
-func formatFloat(v float64) string {
+// appendSample appends one sample line: the series and its value.
+func appendSample(b []byte, name, labels, extra string, v float64) []byte {
+	b = appendSeries(b, name, "", labels, extra, "")
+	return append(appendFloat(b, v), '\n')
+}
+
+// appendSeries appends a series name — name and suffix, then the
+// non-empty label pairs of labels, extra and le in braces — and the space
+// before its value.
+func appendSeries(b []byte, name, suffix, labels, extra, le string) []byte {
+	b = append(append(b, name...), suffix...)
+	sep := byte('{')
+	for _, p := range [3]string{labels, extra, le} {
+		if p != "" {
+			b = append(append(b, sep), p...)
+			sep = ','
+		}
+	}
+	if sep == ',' {
+		b = append(b, '}')
+	}
+	return append(b, ' ')
+}
+
+// appendLabel appends the label pair key="value".
+func appendLabel(b []byte, key, value string) []byte {
+	b = append(append(b, key...), '=', '"')
+	return append(appendEscaped(b, value, true), '"')
+}
+
+// appendEscaped appends s escaped as the text format says: a backslash
+// as \\ and a line feed as \n, and in a label value (quoted) a double
+// quote as \". Every other byte, a tab or a non-ASCII rune's too, is
+// written as it is.
+func appendEscaped(b []byte, s string, quoted bool) []byte {
+	for i := 0; i < len(s); i++ {
+		switch c := s[i]; {
+		case c == '\\':
+			b = append(b, '\\', '\\')
+		case c == '\n':
+			b = append(b, '\\', 'n')
+		case c == '"' && quoted:
+			b = append(b, '\\', '"')
+		default:
+			b = append(b, c)
+		}
+	}
+	return b
+}
+
+func appendFloat(b []byte, v float64) []byte {
 	switch {
 	case math.IsInf(v, 1):
-		return "+Inf"
+		return append(b, "+Inf"...)
 	case math.IsInf(v, -1):
-		return "-Inf"
+		return append(b, "-Inf"...)
 	}
-	return strconv.FormatFloat(v, 'g', -1, 64)
+	return strconv.AppendFloat(b, v, 'g', -1, 64)
 }

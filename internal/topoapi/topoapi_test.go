@@ -488,12 +488,14 @@ func BenchmarkAPICriticalK2Cold(b *testing.B) {
 // BenchmarkAPIPaths is one /api/paths?k=3 between the static region's
 // first and last DC against a warmed server: Yen's three shortest paths,
 // the hops annotated from the occupancy kept for the snapshot, and the
-// JSON. It fails itself above 190 allocations per request (165 today;
-// 205 when each request ran core.Occupancy and indented its body).
+// JSON. It fails itself above 65 allocations per request (56 today; 165
+// when each spur search had a fresh tree, scratch and mask and every
+// candidate was allocated before its duplicate check; 205 when each
+// request also ran core.Occupancy and indented its body).
 func BenchmarkAPIPaths(b *testing.B) {
 	snap := staticRegion(b)
 	dcs := snap.Dep.Region.Map.DCs()
-	gateAllocs(b, serve(b, snap, fmt.Sprintf("/api/paths?from=%d&to=%d&k=3", dcs[0], dcs[len(dcs)-1])), 190)
+	gateAllocs(b, serve(b, snap, fmt.Sprintf("/api/paths?from=%d&to=%d&k=3", dcs[0], dcs[len(dcs)-1])), 65)
 }
 
 // FuzzAPIQuery: an arbitrary raw query string against the three
