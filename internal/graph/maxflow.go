@@ -6,12 +6,14 @@ import (
 )
 
 // FlowNetwork is a directed flow network for max-flow computations. It is
-// separate from Graph because flow problems in the planner (hose-model
-// provisioning) are built on derived directed graphs, not on the fiber map
-// itself. A network is meant to be kept: Clear empties it for the next
-// problem, SetCapacity edits one arc, and both — like MaxFlow — run on the
-// storage earlier calls grew, so a warmed network allocates nothing. The
-// zero value is the empty network of no nodes.
+// separate from Graph because its flows run over capacities a plan
+// provisioned, not over the fiber map's distances: the survivability
+// auditor's worst-pair throughput and the topology API's min-cut counts
+// both build one arc pair per duct with fiber. A network is meant to be
+// kept across the flows of one set of arcs: the auditor sets a scenario's
+// cut arcs with SetCapacity and Resets, the API Resets between pairs, and
+// both — like MaxFlow — run on the storage earlier calls grew, so a
+// warmed network allocates nothing.
 type FlowNetwork struct {
 	n    int
 	arcs []arc // forward/backward arcs interleaved: arc i's reverse is i^1
@@ -33,12 +35,12 @@ const flowEps = 1e-12
 // NewFlowNetwork returns a flow network with n nodes and no arcs.
 func NewFlowNetwork(n int) *FlowNetwork {
 	f := new(FlowNetwork)
-	f.Clear(n)
+	f.clear(n)
 	return f
 }
 
-// Clear makes the network one of n nodes and no arcs, keeping its storage.
-func (f *FlowNetwork) Clear(n int) {
+// clear makes the network one of n nodes and no arcs, keeping its storage.
+func (f *FlowNetwork) clear(n int) {
 	// Adjacency lists past the nodes in use are empty, so only those in
 	// use need emptying.
 	for i := range f.head {

@@ -440,17 +440,17 @@ func TestCutBoundsBracketMaxFlow(t *testing.T) {
 	}
 }
 
-// Clear leaves a network that behaves as a new one of the size asked for,
+// clear leaves a network that behaves as a new one of the size asked for,
 // whatever it held before and whether it shrank or grew.
 func TestClearMatchesNew(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	kept := new(FlowNetwork) // the zero value is the empty network
 	for trial := 0; trial < 100; trial++ {
 		n := 2 + rng.Intn(12)
-		kept.Clear(n)
+		kept.clear(n)
 		fresh := NewFlowNetwork(n)
 		if kept.n != n {
-			t.Fatalf("trial %d: NumNodes = %d after Clear(%d)", trial, kept.n, n)
+			t.Fatalf("trial %d: NumNodes = %d after clear(%d)", trial, kept.n, n)
 		}
 		for i := rng.Intn(4 * n); i > 0; i-- {
 			u, v, c := rng.Intn(n), rng.Intn(n), rng.Float64()*10
@@ -534,7 +534,7 @@ func TestSetCapacityMatchesRebuild(t *testing.T) {
 	}
 }
 
-// A warmed network runs Reset and MaxFlow — and Clear and a refill of no
+// A warmed network runs Reset and MaxFlow — and clear and a refill of no
 // more arcs than it has held — without allocating.
 func TestFlowNetworkSteadyStateZeroAlloc(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
@@ -549,7 +549,7 @@ func TestFlowNetworkSteadyStateZeroAlloc(t *testing.T) {
 	}
 
 	fill := func() {
-		f.Clear(n)
+		f.clear(n)
 		for u := 0; u+1 < n; u++ {
 			f.AddArc(u, u+1, 2)
 			f.AddArc(u+1, u, 2)
@@ -558,6 +558,6 @@ func TestFlowNetworkSteadyStateZeroAlloc(t *testing.T) {
 	}
 	fill()
 	if avg := testing.AllocsPerRun(20, fill); avg != 0 {
-		t.Errorf("warmed Clear+AddArc+MaxFlow allocated %v per run, want 0", avg)
+		t.Errorf("warmed clear+AddArc+MaxFlow allocated %v per run, want 0", avg)
 	}
 }

@@ -367,14 +367,17 @@ func TestInvalidCapacityPanicsAlike(t *testing.T) {
 	}
 }
 
-// The LP takes positions: a pair outside the capacities, reversed or
-// degenerate is a caller's bug and panics.
+// The LP takes positions: a pair outside the capacities, reversed,
+// degenerate or given twice is a caller's bug and panics.
 func TestLPRejectsMalformedPairs(t *testing.T) {
 	var lp LP
 	for _, p := range []Pair{{0, 3}, {-1, 1}, {2, 1}, {1, 1}} {
 		if panicOf(func() { lp.WorstCaseLoad([]float64{1, 1, 1}, []Pair{p}) }) == nil {
 			t.Errorf("pair %v accepted", p)
 		}
+	}
+	if panicOf(func() { lp.WorstCaseLoad([]float64{1, 1, 1}, []Pair{{0, 1}, {1, 2}, {0, 1}}) }) == nil {
+		t.Error("a pair given twice accepted")
 	}
 }
 
@@ -387,4 +390,148 @@ func TestLPSteadyStateZeroAlloc(t *testing.T) {
 	if avg := testing.AllocsPerRun(20, func() { lp.WorstCaseLoad(caps, pairs) }); avg != 0 {
 		t.Errorf("warmed LP allocated %v per solve, want 0", avg)
 	}
+}
+
+// maxLevel solves the problem on lp phase by phase and returns the
+// deepest level t reached: past 3 only when an augmenting path crossed a
+// reverse arc.
+func maxLevel(lp *LP, caps []float64, pairs []Pair) int32 {
+	lp.build(caps, pairs)
+	var deepest int32
+	for tl := lp.levels(); tl != 0; tl = lp.levels() {
+		deepest = max(deepest, tl)
+		lp.blockingFlow(tl, 0)
+	}
+	return deepest
+}
+
+// The LP and the map signature against the reference where the bitsets
+// span several words: 65–140 positions; whole, fractional and zero
+// capacities; sets of a few pairs spread over every word and dense sets
+// of more than 64 DCs; one LP held across all of them. The LP gets the
+// distinct pairs in a random order, the map signature the same pairs
+// shuffled, with repeats and reversals. Some instances must need an
+// augmenting path through a reverse arc, so that t's level passes 3.
+func TestLPMatchesReferenceAcrossWords(t *testing.T) {
+	rng := rand.New(rand.NewSource(53))
+	var lp, probe LP
+	deep := 0
+	for trial := 0; trial < 400; trial++ {
+		n := 65 + rng.Intn(76)
+		caps := make([]float64, n)
+		byID := make(map[int]float64, n)
+		for i := range caps {
+			switch rng.Intn(4) {
+			case 0:
+			case 1:
+				caps[i] = float64(rng.Intn(12))
+			default:
+				caps[i] = rng.Float64() * 12
+			}
+			byID[i] = caps[i]
+		}
+		dcs := rng.Perm(n)
+		if trial%2 == 0 {
+			dcs = dcs[:2+rng.Intn(12)] // sparse: a few DCs anywhere
+		} else {
+			dcs = dcs[:65+rng.Intn(n-64)] // dense: more than a word of DCs
+		}
+		var pairs []Pair
+		seen := make(map[Pair]bool)
+		for k := len(dcs) * (1 + rng.Intn(4)); k > 0; k-- {
+			p := Pair{A: dcs[rng.Intn(len(dcs))], B: dcs[rng.Intn(len(dcs))]}.Canonical()
+			if p.A != p.B && !seen[p] {
+				seen[p] = true
+				pairs = append(pairs, p)
+			}
+		}
+		if len(pairs) == 0 {
+			continue
+		}
+		want := refWorstCaseLoad(byID, pairs)
+		if got := lp.WorstCaseLoad(caps, pairs); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("trial %d: LP %v, reference %v (n=%d, %d pairs)", trial, got, want, n, len(pairs))
+		}
+		if maxLevel(&probe, caps, pairs) > 3 {
+			deep++
+		}
+
+		given := append([]Pair(nil), pairs...)
+		for _, p := range pairs {
+			if rng.Intn(3) == 0 {
+				given = append(given, Pair{A: p.B, B: p.A})
+			}
+		}
+		rng.Shuffle(len(given), func(i, j int) { given[i], given[j] = given[j], given[i] })
+		want = refWorstCaseLoad(byID, given)
+		if got := WorstCaseLoad(byID, given); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("trial %d: map signature %v, reference %v (n=%d, %d pairs)", trial, got, want, n, len(given))
+		}
+	}
+	t.Logf("%d instances reached t past level 3", deep)
+	if deep == 0 {
+		t.Fatal("no instance needed an augmenting path through a reverse arc")
+	}
+}
+
+// FuzzLPMatchesReference decodes a problem from bytes — a DC count up to
+// 130, a capacity code per DC, then pairs of DC codes — and holds both
+// entries to the reference bit for bit: the map signature on the pairs as
+// decoded, repeats and reversals kept, and the LP on the distinct ones in
+// first-seen order. A capacity code below 64 is a whole number from 0 to
+// 12, any other a fraction.
+func FuzzLPMatchesReference(f *testing.F) {
+	f.Add([]byte{1, 1, 1, 1, 0, 1, 1, 2, 2, 0})             // the triangle
+	f.Add([]byte{2, 4, 10, 10, 10, 0, 1, 0, 2, 2, 3, 1, 3}) // a shared endpoint
+	f.Add([]byte{3, 200, 77, 130, 255, 9, 0, 1, 1, 2, 2, 3, 3, 4, 0, 4, 2, 0})
+	wide := []byte{128}
+	for i := 0; i < 130; i++ {
+		wide = append(wide, byte(i*37))
+	}
+	for i := 0; i < 200; i++ {
+		wide = append(wide, byte(i*7), byte(i*11+65))
+	}
+	f.Add(wide)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		n := 2 + int(data[0])%129
+		data = data[1:]
+		if len(data) < n {
+			return
+		}
+		caps := make([]float64, n)
+		byID := make(map[int]float64, n)
+		for i, c := range data[:n] {
+			if c < 64 {
+				caps[i] = float64(c % 13)
+			} else {
+				caps[i] = float64(c) / float64(7+c%5)
+			}
+			byID[i] = caps[i]
+		}
+		data = data[n:]
+		var given, distinct []Pair
+		seen := make(map[Pair]bool)
+		for ; len(data) >= 2; data = data[2:] {
+			p := Pair{A: int(data[0]) % n, B: int(data[1]) % n}
+			if p.A == p.B {
+				continue
+			}
+			given = append(given, p)
+			if c := p.Canonical(); !seen[c] {
+				seen[c] = true
+				distinct = append(distinct, c)
+			}
+		}
+		want := refWorstCaseLoad(byID, given)
+		if got := WorstCaseLoad(byID, given); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("map signature %v, reference %v (caps=%v pairs=%v)", got, want, caps, given)
+		}
+		var lp LP
+		if got := lp.WorstCaseLoad(caps, distinct); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("LP %v, reference %v (caps=%v pairs=%v)", got, want, caps, distinct)
+		}
+	})
 }

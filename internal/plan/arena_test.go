@@ -1,12 +1,16 @@
 package plan
 
 import (
+	"math"
+	"math/bits"
 	"slices"
 	"testing"
+	"time"
 
 	"iris/internal/fibermap"
 	"iris/internal/geo"
 	"iris/internal/graph"
+	"iris/internal/hose"
 	"iris/internal/optics"
 )
 
@@ -230,6 +234,57 @@ func BenchmarkPlanK2Region20(b *testing.B) { benchPlanRegion20(b, 2, 2041, 12, 1
 // exactly 43 260 scenarios, and per scenario at most 12 routes read, 13
 // span walks and 28 labels overwritten (9.8, 11.8 and 22.1).
 func BenchmarkPlanK3Region20(b *testing.B) { benchPlanRegion20(b, 3, 43260, 12, 13, 28) }
+
+// BenchmarkPlanK2Region20Cold is BenchmarkPlanK2Region20's region planned
+// the way plan-audit plans it: two separately generated copies alternate
+// on one Planner, so every solve prepares afresh and starts from an empty
+// hose memo, and every pair set it loads is a max-flow. It fails unless
+// each solve examines exactly 2 041 scenarios and runs exactly 3 597
+// max-flows. ns/maxflow is hose.LP alone on the last solve's pair sets,
+// re-solved in the order the memo met them on a warmed LP, each to the
+// memo's float.
+func BenchmarkPlanK2Region20Cold(b *testing.B) {
+	const wantScenarios, wantLPs = 2041, 3597
+	ins := [2]Input{arenaInput(b, 1, 20, 10, 2), arenaInput(b, 1, 20, 10, 2)}
+	p := NewPlanner()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := p.Plan(ins[i%2]); err != nil {
+			b.Fatal(err)
+		}
+		if w := p.ev.work; w.scenarios != wantScenarios || w.lps != wantLPs {
+			b.Fatalf("solve %d: %d scenarios (want %d), %d max-flows (want %d)", i, w.scenarios, wantScenarios, w.lps, wantLPs)
+		}
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(p.ev.work.lps), "maxflows/op")
+
+	ev := p.ev
+	width := ev.memo.idx.width
+	sets := make([][]hose.Pair, len(ev.memo.loads))
+	for id := range sets {
+		for w, rest := range ev.memo.idx.slab[id*width : (id+1)*width] {
+			for ; rest != 0; rest &= rest - 1 {
+				sets[id] = append(sets[id], ev.pairPos[w*64+bits.TrailingZeros64(rest)])
+			}
+		}
+	}
+	var lp hose.LP
+	for id, ps := range sets {
+		if got, want := lp.WorstCaseLoad(ev.caps, ps), ev.memo.loads[id]; math.Float64bits(got) != math.Float64bits(want) {
+			b.Fatalf("pair set %d: LP %v, memo %v", id, got, want)
+		}
+	}
+	const rounds = 20
+	t0 := time.Now()
+	for r := 0; r < rounds; r++ {
+		for _, ps := range sets {
+			lp.WorstCaseLoad(ev.caps, ps)
+		}
+	}
+	b.ReportMetric(float64(time.Since(t0).Nanoseconds())/float64(rounds*len(sets)), "ns/maxflow")
+}
 
 func benchPlanRegion20(b *testing.B, k, wantScenarios int, maxRoutes, maxSpanWalks, maxRelabelled float64) {
 	in := arenaInput(b, 1, 20, 10, k)
