@@ -18,25 +18,18 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
-	"log/slog"
+	"io"
 	"os"
 	"strings"
+	"sync"
 	"time"
 
 	"iris/internal/experiments"
 	"iris/internal/logging"
 )
-
-// logger carries irisbench's structured logs; experiment output stays on
-// stdout via fmt.
-var logger *slog.Logger
-
-func fatal(msg string, err error) {
-	logger.Error(msg, "err", err)
-	os.Exit(1)
-}
 
 // experiment is one runnable entry of the table; the -exp usage text and
 // the unknown-name error are both derived from the table, so registering
@@ -46,24 +39,40 @@ type experiment struct {
 	run  func() (string, error)
 }
 
-func main() {
-	var (
-		full     = flag.Bool("full", false, "run the Fig. 12 sweep at full paper scale (240 scenarios)")
-		parallel = flag.Int("parallel", 0, "sweep worker count: 0 = GOMAXPROCS, 1 = serial; rows are identical at every setting")
-		logLevel = flag.String("log-level", "info", "log level: debug, info, warn or error")
-		logJSON  = flag.Bool("log-json", false, "emit logs as JSON instead of text")
-	)
-
-	// The Fig. 12 cost sweep feeds three experiments; memoize it so
-	// "-exp all" (and the "sweep" alias) plans the grid once.
-	var (
-		sweepRows []experiments.SweepRow
-		sweepDone bool
-	)
-	sweep := func() ([]experiments.SweepRow, error) {
-		if sweepDone {
-			return sweepRows, nil
+// entry is the table row of an experiment that run computes and format
+// prints.
+func entry[R any](name string, run func() (R, error), format func(R) string) experiment {
+	return experiment{name, func() (string, error) {
+		res, err := run()
+		if err != nil {
+			return "", err
 		}
+		return format(res), nil
+	}}
+}
+
+// with is the experiment run with its configuration cfg.
+func with[C, R any](run func(C) (R, error), cfg C) func() (R, error) {
+	return func() (R, error) { return run(cfg) }
+}
+
+// main runs without a signal context: no experiment takes one, so
+// catching SIGINT would only stop Ctrl-C from ending a long sweep.
+func main() {
+	os.Exit(logging.ExitCode(run(context.Background(), os.Args, os.Stdout, os.Stderr)))
+}
+
+// run is irisbench with its command line (args[0] is the program name) and
+// its two output streams: experiment output goes to stdout, logs to
+// stderr.
+func run(_ context.Context, args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet(args[0], flag.ContinueOnError)
+	full := fs.Bool("full", false, "run the Fig. 12 sweep at full paper scale (240 scenarios)")
+	parallel := fs.Int("parallel", 0, "sweep worker count: 0 = GOMAXPROCS, 1 = serial; rows are identical at every setting")
+
+	// The Fig. 12 cost sweep feeds three experiments; run once, it lets
+	// "-exp all" (and the "sweep" alias) plan the grid once.
+	sweep := sync.OnceValues(func() ([]experiments.SweepRow, error) {
 		cfg := experiments.QuickSweep()
 		label := "quick 24-scenario grid, 1-failure tolerance"
 		if *full {
@@ -76,30 +85,15 @@ func main() {
 		if err != nil {
 			return nil, err
 		}
-		fmt.Printf("[cost sweep: %s, %d scenarios in %v]\n\n",
+		fmt.Fprintf(stdout, "[cost sweep: %s, %d scenarios in %v]\n\n",
 			label, len(rows), time.Since(t0).Round(time.Millisecond))
-		sweepRows, sweepDone = rows, true
 		return rows, nil
-	}
+	})
 
 	table := []experiment{
-		{"fig2", func() (string, error) {
-			return experiments.FormatFig2(experiments.Fig2()), nil
-		}},
-		{"fig3", func() (string, error) {
-			res, err := experiments.Fig3(experiments.DefaultFig3())
-			if err != nil {
-				return "", err
-			}
-			return res.Format(), nil
-		}},
-		{"fig6", func() (string, error) {
-			res, err := experiments.Fig6(experiments.DefaultFig6())
-			if err != nil {
-				return "", err
-			}
-			return res.Format(), nil
-		}},
+		{"fig2", func() (string, error) { return experiments.FormatFig2(experiments.Fig2()), nil }},
+		entry("fig3", with(experiments.Fig3, experiments.DefaultFig3()), experiments.Fig3Result.Format),
+		entry("fig6", with(experiments.Fig6, experiments.DefaultFig6()), experiments.Fig6Result.Format),
 		{"fig5", func() (string, error) {
 			near, far, err := experiments.Fig5(experiments.DefaultFig5())
 			if err != nil {
@@ -107,112 +101,30 @@ func main() {
 			}
 			return experiments.FormatFig5(near, far), nil
 		}},
-		{"fig7", func() (string, error) {
-			return experiments.FormatFig7(experiments.Fig7()), nil
-		}},
-		{"toy", func() (string, error) {
-			res, err := experiments.Toy()
-			if err != nil {
-				return "", err
-			}
-			return res.Format(), nil
-		}},
-		{"fig9", func() (string, error) {
-			return experiments.FormatFig9(experiments.Fig9()), nil
-		}},
-		{"fig12", func() (string, error) {
-			rows, err := sweep()
-			if err != nil {
-				return "", err
-			}
-			return experiments.FormatFig12(experiments.ExtractRatios(rows)), nil
-		}},
-		{"appa", func() (string, error) {
-			rows, err := sweep()
-			if err != nil {
-				return "", err
-			}
-			return experiments.FormatAppendixA(experiments.ExtractRatios(rows)), nil
-		}},
-		{"appb", func() (string, error) {
-			rows, err := sweep()
-			if err != nil {
-				return "", err
-			}
-			return experiments.AppendixB(rows).Format(), nil
-		}},
-		{"fig14", func() (string, error) {
-			res, err := experiments.Fig14(experiments.DefaultFig14())
-			if err != nil {
-				return "", err
-			}
-			return res.Format(), nil
-		}},
-		{"fig17", func() (string, error) {
-			points, err := experiments.Fig17(experiments.DefaultFig17())
-			if err != nil {
-				return "", err
-			}
-			return experiments.FormatFig17(points), nil
-		}},
-		{"fig17r", func() (string, error) {
-			points, err := experiments.Fig17Region(experiments.DefaultFig17Region())
-			if err != nil {
-				return "", err
-			}
-			return experiments.FormatFig17Region(points), nil
-		}},
-		{"fig18", func() (string, error) {
-			points, err := experiments.Fig18(experiments.DefaultFig18())
-			if err != nil {
-				return "", err
-			}
-			return experiments.FormatFig18(points), nil
-		}},
-		{"central", func() (string, error) {
-			rows, err := experiments.CentralVsDistributed(experiments.DefaultCentral())
-			if err != nil {
-				return "", err
-			}
-			return experiments.FormatCentral(rows), nil
-		}},
-		{"clos", func() (string, error) {
-			rows, err := experiments.ClosAblation(experiments.DefaultClos())
-			if err != nil {
-				return "", err
-			}
-			return experiments.FormatClos(rows), nil
-		}},
-		{"wss", func() (string, error) {
-			rows, err := experiments.WSSAblation(experiments.DefaultWSS())
-			if err != nil {
-				return "", err
-			}
-			return experiments.FormatWSS(rows), nil
-		}},
-		{"load", func() (string, error) {
-			rows, err := experiments.LoadSweep(experiments.DefaultLoadSweep())
-			if err != nil {
-				return "", err
-			}
-			return experiments.FormatLoadSweep(rows), nil
-		}},
-		{"robust", func() (string, error) {
-			rows, err := experiments.RobustAblation(experiments.DefaultRobustAblation())
-			if err != nil {
-				return "", err
-			}
-			return experiments.FormatRobustAblation(rows), nil
-		}},
-		{"chaos", func() (string, error) {
+		{"fig7", func() (string, error) { return experiments.FormatFig7(experiments.Fig7()), nil }},
+		entry("toy", experiments.Toy, experiments.ToyResult.Format),
+		{"fig9", func() (string, error) { return experiments.FormatFig9(experiments.Fig9()), nil }},
+		entry("fig12", sweep, func(rows []experiments.SweepRow) string {
+			return experiments.FormatFig12(experiments.ExtractRatios(rows))
+		}),
+		entry("appa", sweep, func(rows []experiments.SweepRow) string {
+			return experiments.FormatAppendixA(experiments.ExtractRatios(rows))
+		}),
+		entry("appb", sweep, func(rows []experiments.SweepRow) string { return experiments.AppendixB(rows).Format() }),
+		entry("fig14", with(experiments.Fig14, experiments.DefaultFig14()), experiments.Fig14Result.Format),
+		entry("fig17", with(experiments.Fig17, experiments.DefaultFig17()), experiments.FormatFig17),
+		entry("fig17r", with(experiments.Fig17Region, experiments.DefaultFig17Region()), experiments.FormatFig17Region),
+		entry("fig18", with(experiments.Fig18, experiments.DefaultFig18()), experiments.FormatFig18),
+		entry("central", with(experiments.CentralVsDistributed, experiments.DefaultCentral()), experiments.FormatCentral),
+		entry("clos", with(experiments.ClosAblation, experiments.DefaultClos()), experiments.FormatClos),
+		entry("wss", with(experiments.WSSAblation, experiments.DefaultWSS()), experiments.FormatWSS),
+		entry("load", with(experiments.LoadSweep, experiments.DefaultLoadSweep()), experiments.FormatLoadSweep),
+		entry("robust", with(experiments.RobustAblation, experiments.DefaultRobustAblation()), experiments.FormatRobustAblation),
+		entry("chaos", func() (*experiments.SurvivabilityResult, error) {
 			cfg := experiments.DefaultSurvivability()
 			cfg.Parallelism = *parallel
-			res, err := experiments.Survivability(cfg)
-			if err != nil {
-				return "", err
-			}
-			return res.Format(), nil
-		}},
+			return experiments.Survivability(cfg)
+		}, (*experiments.SurvivabilityResult).Format),
 	}
 
 	names := make([]string, len(table))
@@ -220,15 +132,11 @@ func main() {
 		names[i] = e.name
 	}
 	// The usage line is assembled from the table so it cannot go stale.
-	exp := flag.String("exp", "all",
+	exp := fs.String("exp", "all",
 		"experiment to run (all, sweep = fig12+appa+appb, or one of: "+strings.Join(names, ", ")+")")
-	flag.Parse()
-
-	var err error
-	logger, err = logging.New(os.Stderr, *logLevel, *logJSON, "irisbench")
+	log, err := logging.Parse(fs, args[1:], stderr, "irisbench")
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "irisbench:", err)
-		os.Exit(2)
+		return err
 	}
 
 	wants := func(name string) bool {
@@ -251,15 +159,17 @@ func main() {
 		t0 := time.Now()
 		out, err := e.run()
 		if err != nil {
-			fatal(e.name+" failed", err)
+			log.Error(e.name+" failed", "err", err)
+			return err
 		}
-		fmt.Println(strings.TrimRight(out, "\n"))
-		fmt.Printf("[%s completed in %v]\n\n", e.name, time.Since(t0).Round(time.Millisecond))
+		fmt.Fprintln(stdout, strings.TrimRight(out, "\n"))
+		fmt.Fprintf(stdout, "[%s completed in %v]\n\n", e.name, time.Since(t0).Round(time.Millisecond))
 	}
 
 	if ran == 0 {
-		logger.Error("unknown experiment", "exp", *exp,
+		log.Error("unknown experiment", "exp", *exp,
 			"known", "all, sweep, "+strings.Join(names, ", "))
-		os.Exit(1)
+		return fmt.Errorf("unknown experiment %q", *exp)
 	}
+	return nil
 }

@@ -16,9 +16,12 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -27,34 +30,62 @@ import (
 	"iris/internal/fibermap"
 )
 
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "irischaos:", err)
-	os.Exit(2)
+// main runs without a signal context: an audit takes none, so catching
+// SIGINT would only stop Ctrl-C from ending it.
+func main() {
+	os.Exit(exitCode(run(context.Background(), os.Args, os.Stdout, os.Stderr)))
 }
 
-func main() {
+// errNotAdmissible is -assert's failure, the one that exits 1.
+var errNotAdmissible = errors.New("not hose admissible")
+
+// exitCode is run's error as the process's exit status: 0 on success and
+// for -h, 1 when -assert finds a scenario that is not hose admissible, 2
+// for a bad command line or any other failure.
+func exitCode(err error) int {
+	switch {
+	case err == nil || errors.Is(err, flag.ErrHelp):
+		return 0
+	case errors.Is(err, errNotAdmissible):
+		return 1
+	}
+	return 2
+}
+
+// run is irischaos with its command line (args[0] is the program name) and
+// its two output streams: the report goes to stdout, a failure to stderr.
+func run(_ context.Context, args []string, stdout, stderr io.Writer) (err error) {
+	fs := flag.NewFlagSet(args[0], flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		toy      = flag.Bool("toy", false, "audit the paper's Fig. 10 example region")
-		seed     = flag.Int64("seed", 1, "map generation seed (ignored with -toy)")
-		dcs      = flag.Int("dcs", 4, "data centers to place (ignored with -toy)")
-		capacity = flag.Int("capacity", 10, "per-DC hose capacity in fiber-pairs")
-		lambda   = flag.Int("lambda", 40, "wavelengths per fiber")
-		failures = flag.Int("failures", 2, "plan's duct-cut tolerance (MaxFailures)")
-		mode     = flag.String("mode", "exhaustive", "scenario generator: exhaustive, sample, huts, dcs, amps or geo")
-		cuts     = flag.Int("cuts", 2, "exhaustive audit depth (max simultaneous cuts)")
-		samples  = flag.Int("samples", 100, "scenarios to draw in sample mode")
-		k        = flag.Int("k", 2, "cuts per sampled scenario")
-		radius   = flag.Float64("radius", 6, "geo event radius in km")
-		events   = flag.Int("events", 20, "geo events to draw")
-		format   = flag.String("format", "text", "output format: text, csv or json")
-		parallel = flag.Int("parallel", 0, "audit workers: 0 = GOMAXPROCS, 1 = serial")
-		assert   = flag.Bool("assert", false, "exit non-zero unless every scenario is hose admissible")
+		toy      = fs.Bool("toy", false, "audit the paper's Fig. 10 example region")
+		seed     = fs.Int64("seed", 1, "map generation seed (ignored with -toy)")
+		dcs      = fs.Int("dcs", 4, "data centers to place (ignored with -toy)")
+		capacity = fs.Int("capacity", 10, "per-DC hose capacity in fiber-pairs")
+		lambda   = fs.Int("lambda", 40, "wavelengths per fiber")
+		failures = fs.Int("failures", 2, "plan's duct-cut tolerance (MaxFailures)")
+		mode     = fs.String("mode", "exhaustive", "scenario generator: exhaustive, sample, huts, dcs, amps or geo")
+		cuts     = fs.Int("cuts", 2, "exhaustive audit depth (max simultaneous cuts)")
+		samples  = fs.Int("samples", 100, "scenarios to draw in sample mode")
+		k        = fs.Int("k", 2, "cuts per sampled scenario")
+		radius   = fs.Float64("radius", 6, "geo event radius in km")
+		events   = fs.Int("events", 20, "geo events to draw")
+		format   = fs.String("format", "text", "output format: text, csv or json")
+		parallel = fs.Int("parallel", 0, "audit workers: 0 = GOMAXPROCS, 1 = serial")
+		assert   = fs.Bool("assert", false, "exit non-zero unless every scenario is hose admissible")
 	)
-	flag.Parse()
+	if err := fs.Parse(args[1:]); err != nil {
+		return err
+	}
+	defer func() {
+		if err != nil {
+			fmt.Fprintln(stderr, "irischaos:", err)
+		}
+	}()
 
 	m, err := buildMap(*toy, *seed, *dcs)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	caps := make(map[int]int)
 	for _, dc := range m.DCs() {
@@ -65,7 +96,7 @@ func main() {
 		core.Options{MaxFailures: *failures},
 	)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 
 	var scenarios []chaos.Scenario
@@ -83,10 +114,10 @@ func main() {
 	case "geo":
 		scenarios = chaos.GeoEvents(*seed, m, *radius, *events)
 	default:
-		fatal(fmt.Errorf("unknown mode %q", *mode))
+		return fmt.Errorf("unknown mode %q", *mode)
 	}
 	if len(scenarios) == 0 {
-		fatal(fmt.Errorf("mode %q generated no scenarios for this region", *mode))
+		return fmt.Errorf("mode %q generated no scenarios for this region", *mode)
 	}
 
 	auditor := chaos.NewAuditor(dep.Plan)
@@ -94,27 +125,27 @@ func main() {
 
 	switch *format {
 	case "text":
-		writeText(results, *failures)
+		writeText(stdout, results, *failures)
 	case "csv":
-		writeCSV(results)
+		writeCSV(stdout, results)
 	case "json":
-		enc := json.NewEncoder(os.Stdout)
+		enc := json.NewEncoder(stdout)
 		enc.SetIndent("", "  ")
 		if err := enc.Encode(results); err != nil {
-			fatal(err)
+			return err
 		}
 	default:
-		fatal(fmt.Errorf("unknown format %q", *format))
+		return fmt.Errorf("unknown format %q", *format)
 	}
 
 	if *assert {
 		for _, r := range results {
 			if !r.Admissible {
-				fmt.Fprintf(os.Stderr, "irischaos: scenario %q is not hose admissible\n", r.Scenario.Name)
-				os.Exit(1)
+				return fmt.Errorf("scenario %q is %w", r.Scenario.Name, errNotAdmissible)
 			}
 		}
 	}
+	return nil
 }
 
 func buildMap(toy bool, seed int64, dcs int) (*fibermap.Map, error) {
@@ -132,8 +163,8 @@ func buildMap(toy bool, seed int64, dcs int) (*fibermap.Map, error) {
 	return m, nil
 }
 
-func writeText(results []chaos.Result, failures int) {
-	fmt.Printf("%-24s %-5s %-5s %-5s %-7s %-10s %-8s %s\n",
+func writeText(w io.Writer, results []chaos.Result, failures int) {
+	fmt.Fprintf(w, "%-24s %-5s %-5s %-5s %-7s %-10s %-8s %s\n",
 		"scenario", "cuts", "adm", "surv", "disc", "worst-pair", "stretch", "overloads")
 	for _, r := range results {
 		over := ""
@@ -147,26 +178,26 @@ func writeText(results []chaos.Result, failures int) {
 			}
 			over = strings.Join(parts, " ")
 		}
-		fmt.Printf("%-24s %-5d %-5v %-5v %-7d %10.1f %8.2f %s\n",
+		fmt.Fprintf(w, "%-24s %-5d %-5v %-5v %-7d %10.1f %8.2f %s\n",
 			r.Scenario.Name, r.Cuts, r.Admissible, r.Survives,
 			r.DisconnectedPairs, r.WorstPairFibers, r.MaxStretch, over)
 	}
-	fmt.Println()
-	fmt.Println(chaos.Summary(results))
+	fmt.Fprintln(w)
+	fmt.Fprintln(w, chaos.Summary(results))
 	for _, p := range chaos.Curve(results) {
 		marker := ""
 		if p.Cuts > failures {
 			marker = "  (past tolerance)"
 		}
-		fmt.Printf("  %d cuts: %d scenarios, %.1f%% admissible, %.1f%% surviving%s\n",
+		fmt.Fprintf(w, "  %d cuts: %d scenarios, %.1f%% admissible, %.1f%% surviving%s\n",
 			p.Cuts, p.Scenarios, 100*p.FracAdmissible(), 100*p.FracSurviving(), marker)
 	}
 }
 
-func writeCSV(results []chaos.Result) {
-	fmt.Println("scenario,kind,cuts,admissible,survives,disconnected_pairs,worst_pair_fibers,max_stretch,sla_violations,overloads")
+func writeCSV(w io.Writer, results []chaos.Result) {
+	fmt.Fprintln(w, "scenario,kind,cuts,admissible,survives,disconnected_pairs,worst_pair_fibers,max_stretch,sla_violations,overloads")
 	for _, r := range results {
-		fmt.Printf("%q,%s,%d,%v,%v,%d,%.3f,%.4f,%d,%d\n",
+		fmt.Fprintf(w, "%q,%s,%d,%v,%v,%d,%.3f,%.4f,%d,%d\n",
 			r.Scenario.Name, r.Scenario.Kind, r.Cuts, r.Admissible, r.Survives,
 			r.DisconnectedPairs, r.WorstPairFibers, r.MaxStretch, r.SLAViolations,
 			len(r.Overloads)+len(r.ResidualOverloads))

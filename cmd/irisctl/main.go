@@ -15,8 +15,10 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"log/slog"
+	"io"
 	"os"
+	"os/signal"
+	"syscall"
 	"time"
 
 	"iris/internal/control"
@@ -28,53 +30,51 @@ import (
 	"iris/internal/traffic"
 )
 
-// logger carries irisctl's structured logs; program output stays on
-// stdout via fmt.
-var logger *slog.Logger
-
-func fatal(msg string, err error) {
-	logger.Error(msg, "err", err)
-	os.Exit(1)
+func main() {
+	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
+	err := run(ctx, os.Args, os.Stdout, os.Stderr)
+	stop()
+	os.Exit(logging.ExitCode(err))
 }
 
-func main() {
-	var (
-		toy      = flag.Bool("toy", true, "use the paper's Fig. 10 toy region")
-		seed     = flag.Int64("seed", 1, "generator seed when not using the toy")
-		dcs      = flag.Int("dcs", 5, "DCs to place when not using the toy")
-		ossDelay = flag.Duration("oss-delay", time.Duration(optics.OSSSwitchTimeMS)*time.Millisecond,
-			"emulated OSS switching time")
-		logLevel = flag.String("log-level", "info", "log level: debug, info, warn or error")
-		logJSON  = flag.Bool("log-json", false, "emit logs as JSON instead of text")
-	)
-	flag.Parse()
-
-	var err error
-	logger, err = logging.New(os.Stderr, *logLevel, *logJSON, "irisctl")
+// run is irisctl with its command line (args[0] is the program name), its
+// two output streams and the context whose end cancels a reconfiguration
+// in flight: the demo goes to stdout, logs to stderr.
+func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet(args[0], flag.ContinueOnError)
+	toy := fs.Bool("toy", true, "use the paper's Fig. 10 toy region")
+	seed := fs.Int64("seed", 1, "generator seed when not using the toy")
+	dcs := fs.Int("dcs", 5, "DCs to place when not using the toy")
+	ossDelay := fs.Duration("oss-delay", time.Duration(optics.OSSSwitchTimeMS)*time.Millisecond,
+		"emulated OSS switching time")
+	log, err := logging.Parse(fs, args[1:], stderr, "irisctl")
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "irisctl:", err)
-		os.Exit(2)
+		return err
+	}
+	fail := func(msg string, err error) error {
+		log.Error(msg, "err", err)
+		return err
 	}
 
 	rig, err := fabric.BringUp(fabric.BringUpConfig{
 		Toy: *toy, Seed: *seed, DCs: *dcs, OSSDelay: *ossDelay,
 	})
 	if err != nil {
-		fatal("bring-up failed", err)
+		return fail("bring-up failed", err)
 	}
 	defer rig.Close()
 	dep, fab, tb := rig.Dep, rig.Fab, rig.Testbed
 
 	m := dep.Region.Map
-	fmt.Printf("planned region: %d DCs, %d huts used, %d fiber-pairs\n",
+	fmt.Fprintf(stdout, "planned region: %d DCs, %d huts used, %d fiber-pairs\n",
 		len(m.DCs()), len(dep.Plan.UsedHuts()), dep.Plan.TotalFiberPairs())
-	fmt.Printf("fabric up: %d devices on loopback TCP\n", len(tb.Controller.Devices()))
+	fmt.Fprintf(stdout, "fabric up: %d devices on loopback TCP\n", len(tb.Controller.Devices()))
 	for _, name := range tb.Controller.Devices() {
 		res, err := tb.Controller.Call(name, "ping", nil)
 		if err != nil {
-			fatal("device ping failed", err)
+			return fail("device ping failed", err)
 		}
-		fmt.Printf("  %-14s %v\n", name, res["kind"])
+		fmt.Fprintf(stdout, "  %-14s %v\n", name, res["kind"])
 	}
 
 	// Initial traffic matrix and circuit setup.
@@ -86,10 +86,12 @@ func main() {
 	}
 	alloc, err := dep.Allocate(tm)
 	if err != nil {
-		fatal("allocation failed", err)
+		return fail("allocation failed", err)
 	}
-	fmt.Println("\nestablishing circuits for the initial matrix...")
-	executeTarget(tb, fab, alloc)
+	fmt.Fprintln(stdout, "\nestablishing circuits for the initial matrix...")
+	if err := executeTarget(ctx, stdout, tb, fab, alloc); err != nil {
+		return fail("reconfiguration failed", err)
+	}
 
 	// Traffic shift: the first pair cools, the second heats up.
 	tm.Set(hose.Pair{A: dcIDs[0], B: dcIDs[1]}, 20)
@@ -98,30 +100,36 @@ func main() {
 	}
 	alloc2, err := dep.Allocate(tm)
 	if err != nil {
-		fatal("allocation failed", err)
+		return fail("allocation failed", err)
 	}
 	moves := core.Diff(alloc, alloc2)
-	fmt.Printf("\ntraffic shift: %d circuit move(s); reconfiguring...\n", len(moves))
-	executeTarget(tb, fab, alloc2)
-
-	fmt.Println("\nauditing device state against controller intent...")
-	if err := tb.Controller.Audit(fab.Expected()); err != nil {
-		fatal("audit FAILED", err)
+	fmt.Fprintf(stdout, "\ntraffic shift: %d circuit move(s); reconfiguring...\n", len(moves))
+	if err := executeTarget(ctx, stdout, tb, fab, alloc2); err != nil {
+		return fail("reconfiguration failed", err)
 	}
-	fmt.Printf("audit OK: %d active circuits match intent\n", fab.CircuitCount())
+
+	fmt.Fprintln(stdout, "\nauditing device state against controller intent...")
+	if err := tb.Controller.Audit(fab.Expected()); err != nil {
+		return fail("audit FAILED", err)
+	}
+	fmt.Fprintf(stdout, "audit OK: %d active circuits match intent\n", fab.CircuitCount())
+	return nil
 }
 
-func executeTarget(tb *control.Testbed, fab *fabric.Fabric, alloc core.Allocation) {
+// executeTarget compiles alloc and runs it on the devices, printing each
+// phase.
+func executeTarget(ctx context.Context, w io.Writer, tb *control.Testbed, fab *fabric.Fabric, alloc core.Allocation) error {
 	ch, err := fab.CompileTarget(alloc)
 	if err != nil {
-		fatal("compile failed", err)
+		return fmt.Errorf("compile: %w", err)
 	}
-	rep, err := tb.Controller.Reconfigure(context.Background(), ch)
+	rep, err := tb.Controller.Reconfigure(ctx, ch)
 	if err != nil {
-		fatal("reconfigure failed", err)
+		return fmt.Errorf("reconfigure: %w", err)
 	}
 	for _, p := range rep.Phases {
-		fmt.Printf("  %-8s %4d ops in %8v\n", p.Name, p.Ops, p.Duration.Round(time.Microsecond))
+		fmt.Fprintf(w, "  %-8s %4d ops in %8v\n", p.Name, p.Ops, p.Duration.Round(time.Microsecond))
 	}
-	fmt.Printf("  total: %v (paper budget: 70 ms per fiber switch)\n", rep.Total.Round(time.Microsecond))
+	fmt.Fprintf(w, "  total: %v (paper budget: 70 ms per fiber switch)\n", rep.Total.Round(time.Microsecond))
+	return nil
 }

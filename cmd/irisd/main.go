@@ -32,52 +32,59 @@
 // uses for each of its N regions, so the single-region and fleet binaries
 // cannot drift.
 //
-// SIGINT/SIGTERM shut the daemon down gracefully: an in-flight
-// reconfiguration finishes its drained sequence, the HTTP server closes,
-// then the testbed is torn down.
+// The -listen address is bound before the region is brought up, so a busy
+// address fails before any device exists. SIGINT/SIGTERM shut the daemon
+// down gracefully: an in-flight reconfiguration finishes its drained
+// sequence, the HTTP server closes, then the testbed is torn down. A
+// failure to serve ends the daemon the same way and exits 1.
 package main
 
 import (
 	"context"
-	"errors"
 	"flag"
-	"fmt"
+	"io"
+	"net"
 	"net/http"
 	"net/http/pprof"
 	"os"
 	"os/signal"
 	"syscall"
-	"time"
 
 	"iris/internal/daemon"
 	"iris/internal/logging"
 )
 
 func main() {
+	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
+	err := run(ctx, os.Args, os.Stdout, os.Stderr)
+	stop()
+	os.Exit(logging.ExitCode(err))
+}
+
+// run is irisd with its command line (args[0] is the program name), its
+// two output streams and the context whose end shuts it down.
+func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet(args[0], flag.ContinueOnError)
 	cfg := daemon.DefaultRegionConfig()
-	cfg.RegisterFlags(flag.CommandLine)
-	var (
-		listen       = flag.String("listen", "127.0.0.1:9090", "metrics/status HTTP listen address")
-		logLevel     = flag.String("log-level", "info", "log level: debug, info, warn or error")
-		logJSON      = flag.Bool("log-json", false, "emit logs as JSON instead of text")
-		pprofEnabled = flag.Bool("pprof", false, "serve net/http/pprof under /debug/pprof/ (off by default)")
-	)
-	flag.Parse()
-
-	log, err := logging.New(os.Stderr, *logLevel, *logJSON, "irisd")
+	cfg.RegisterFlags(fs)
+	listen := fs.String("listen", "127.0.0.1:9090", "metrics/status HTTP listen address")
+	pprofEnabled := fs.Bool("pprof", false, "serve net/http/pprof under /debug/pprof/ (off by default)")
+	log, err := logging.Parse(fs, args[1:], stderr, "irisd")
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "irisd:", err)
-		os.Exit(2)
-	}
-	fatal := func(msg string, err error) {
-		log.Error(msg, "err", err)
-		os.Exit(1)
+		return err
 	}
 
+	ln, err := net.Listen("tcp", *listen)
+	if err != nil {
+		log.Error("listen failed", "err", err)
+		return err
+	}
+	defer ln.Close()
 	cfg.Logger = log
 	b, err := daemon.BuildRegion(cfg)
 	if err != nil {
-		fatal("bring-up failed", err)
+		log.Error("bring-up failed", "err", err)
+		return err
 	}
 	defer b.Close()
 	m := b.Rig.Dep.Region.Map
@@ -112,26 +119,13 @@ func main() {
 		log.Info("pprof enabled", "path", "/debug/pprof/")
 	}
 
-	srv := daemon.NewHTTPServer(*listen, mux)
-	go func() {
-		log.Info("http surface up",
-			"addr", *listen,
-			"endpoints", "/metrics /status /healthz /debug/events /debug/trace /api/paths /api/critical /api/whatif /api/history")
-		if err := srv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
-			fatal("http serve failed", err)
-		}
-	}()
-
-	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
-	defer stop()
-	if err := d.Run(ctx); err != nil {
-		log.Error("run failed", "err", err)
-	}
-
-	shutdownCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	if err := srv.Shutdown(shutdownCtx); err != nil {
-		log.Warn("http shutdown", "err", err)
+	log.Info("http surface up",
+		"addr", ln.Addr().String(),
+		"endpoints", "/metrics /status /healthz /debug/events /debug/trace /api/paths /api/critical /api/whatif /api/history")
+	if err := daemon.Serve(ctx, ln, mux, d.Run); err != nil {
+		log.Error("http serve failed", "err", err)
+		return err
 	}
 	log.Info("bye", "steps", d.Status().Steps)
+	return nil
 }

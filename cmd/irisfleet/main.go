@@ -26,21 +26,20 @@
 // Every region flag irisd takes is declared here too, by the same
 // daemon.RegionConfig.RegisterFlags, and applies to each region.
 //
-// SIGINT/SIGTERM shut the fleet down gracefully: in-flight region steps
-// finish, the HTTP server closes, then every emulated testbed is torn
-// down.
+// The -listen address is bound before any region is built. SIGINT/SIGTERM
+// shut the fleet down gracefully: in-flight region steps finish, the HTTP
+// server closes, then every emulated testbed is torn down. A failure to
+// serve ends the fleet the same way and exits 1.
 package main
 
 import (
 	"context"
-	"errors"
 	"flag"
-	"fmt"
-	"net/http"
+	"io"
+	"net"
 	"os"
 	"os/signal"
 	"syscall"
-	"time"
 
 	"iris/internal/daemon"
 	"iris/internal/fleet"
@@ -49,71 +48,63 @@ import (
 )
 
 func main() {
+	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
+	err := run(ctx, os.Args, os.Stdout, os.Stderr)
+	stop()
+	os.Exit(logging.ExitCode(err))
+}
+
+// run is irisfleet with its command line (args[0] is the program name),
+// its two output streams and the context whose end shuts it down.
+func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet(args[0], flag.ContinueOnError)
 	// The region template: irisd's flags and defaults, except that a fleet
 	// of 100 regions switches instantly and keeps smaller rings.
 	rc := daemon.DefaultRegionConfig()
 	rc.OSSDelay = 0
 	rc.TraceEvents = 1024
 	rc.HistoryRecords = 256
-	rc.RegisterFlags(flag.CommandLine)
-	flag.Lookup("seed").Usage = "fleet seed; region i uses seed+i*stride for its map, traffic and jitter"
-	var (
-		regions    = flag.Int("regions", 16, "number of regions to build and supervise")
-		workers    = flag.Int("workers", 0, "scheduler worker pool size (0 = GOMAXPROCS)")
-		listen     = flag.String("listen", "127.0.0.1:9190", "fleet HTTP listen address")
-		fleetTrace = flag.Int("fleet-trace-events", 4096, "fleet flight-recorder capacity for fleet-round/fleet-chaos spans (0 disables)")
-		logLevel   = flag.String("log-level", "info", "log level: debug, info, warn or error")
-		logJSON    = flag.Bool("log-json", false, "emit logs as JSON instead of text")
-	)
-	flag.Parse()
-
-	log, err := logging.New(os.Stderr, *logLevel, *logJSON, "irisfleet")
+	rc.RegisterFlags(fs)
+	fs.Lookup("seed").Usage = "fleet seed; region i uses seed+i*stride for its map, traffic and jitter"
+	cfg := fleet.DefaultConfig()
+	fs.IntVar(&cfg.Regions, "regions", 16, "number of regions to build and supervise")
+	fs.IntVar(&cfg.Workers, "workers", 0, "scheduler worker pool size (0 = GOMAXPROCS)")
+	listen := fs.String("listen", "127.0.0.1:9190", "fleet HTTP listen address")
+	fleetTrace := fs.Int("fleet-trace-events", 4096, "fleet flight-recorder capacity for fleet-round/fleet-chaos spans (0 disables)")
+	log, err := logging.Parse(fs, args[1:], stderr, "irisfleet")
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "irisfleet:", err)
-		os.Exit(2)
+		return err
 	}
 
-	cfg := fleet.DefaultConfig()
-	cfg.Regions = *regions
 	cfg.Seed = rc.Seed
-	cfg.Workers = *workers
 	cfg.Interval = rc.Interval
 	cfg.Logger = log
 	if *fleetTrace > 0 {
 		cfg.Tracer = trace.New(*fleetTrace)
 	}
-
 	cfg.Region = rc
 
+	ln, err := net.Listen("tcp", *listen)
+	if err != nil {
+		log.Error("listen failed", "err", err)
+		return err
+	}
+	defer ln.Close()
 	f, err := fleet.New(cfg)
 	if err != nil {
 		log.Error("fleet bring-up failed", "err", err)
-		os.Exit(1)
+		return err
 	}
 	defer f.Close()
 
-	srv := daemon.NewHTTPServer(*listen, f.Handler())
-	go func() {
-		log.Info("fleet http surface up",
-			"addr", *listen,
-			"endpoints", "/metrics /status /healthz /demand /api/history /chaos /regions/{id}/")
-		if err := srv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
-			log.Error("http serve failed", "err", err)
-			os.Exit(1)
-		}
-	}()
-
-	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
-	defer stop()
-	if err := f.Run(ctx); err != nil && !errors.Is(err, context.Canceled) {
-		log.Error("run failed", "err", err)
-	}
-
-	shutdownCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	if err := srv.Shutdown(shutdownCtx); err != nil {
-		log.Warn("http shutdown", "err", err)
+	log.Info("fleet http surface up",
+		"addr", ln.Addr().String(),
+		"endpoints", "/metrics /status /healthz /demand /api/history /chaos /regions/{id}/")
+	if err := daemon.Serve(ctx, ln, f.Handler(), f.Run); err != nil {
+		log.Error("http serve failed", "err", err)
+		return err
 	}
 	st := f.Status()
 	log.Info("bye", "regions", st.Regions, "converged", st.Converged, "rounds", st.Rounds)
+	return nil
 }

@@ -12,10 +12,11 @@
 package main
 
 import (
+	"context"
 	"errors"
 	"flag"
 	"fmt"
-	"log/slog"
+	"io"
 	"os"
 	"sort"
 	"strconv"
@@ -28,77 +29,75 @@ import (
 	"iris/internal/parallel"
 )
 
-// logger carries irisplan's structured logs; the plan report stays on
-// stdout via fmt.
-var logger *slog.Logger
-
-func fatal(msg string, err error) {
-	logger.Error(msg, "err", err)
-	os.Exit(1)
+// main runs without a signal context: planning takes none, so catching
+// SIGINT would only stop Ctrl-C from ending it.
+func main() {
+	os.Exit(logging.ExitCode(run(context.Background(), os.Args, os.Stdout, os.Stderr)))
 }
 
-func main() {
+// run is irisplan with its command line (args[0] is the program name) and
+// its two output streams: the plan report goes to stdout, logs to stderr.
+func run(_ context.Context, args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet(args[0], flag.ContinueOnError)
 	var (
-		toy      = flag.Bool("toy", false, "plan the paper's Fig. 10 toy region instead of a generated one")
-		seed     = flag.Int64("seed", 1, "region generator seed")
-		seeds    = flag.String("seeds", "", "comma-separated generator seeds: plan one region per seed (overrides -seed; incompatible with -toy/-load/-save)")
-		dcs      = flag.Int("dcs", 8, "number of data centers to place")
-		capacity = flag.Int("capacity", 16, "per-DC capacity in fiber-pairs")
-		lambda   = flag.Int("lambda", 40, "wavelengths per fiber")
-		failures = flag.Int("failures", 2, "fiber-cut tolerance")
-		workers  = flag.Int("parallel", 0, "worker count for -seeds planning: 0 = GOMAXPROCS, 1 = serial")
-		load     = flag.String("load", "", "plan a region loaded from a JSON file instead of generating one")
-		save     = flag.String("save", "", "write the region (generated or loaded) to a JSON file")
-		verbose  = flag.Bool("v", false, "print per-duct and per-path detail")
-		logLevel = flag.String("log-level", "info", "log level: debug, info, warn or error")
-		logJSON  = flag.Bool("log-json", false, "emit logs as JSON instead of text")
+		toy      = fs.Bool("toy", false, "plan the paper's Fig. 10 toy region instead of a generated one")
+		seed     = fs.Int64("seed", 1, "region generator seed")
+		seeds    = fs.String("seeds", "", "comma-separated generator seeds: plan one region per seed (overrides -seed; incompatible with -toy/-load/-save)")
+		dcs      = fs.Int("dcs", 8, "number of data centers to place")
+		capacity = fs.Int("capacity", 16, "per-DC capacity in fiber-pairs")
+		lambda   = fs.Int("lambda", 40, "wavelengths per fiber")
+		failures = fs.Int("failures", 2, "fiber-cut tolerance")
+		workers  = fs.Int("parallel", 0, "worker count for -seeds planning: 0 = GOMAXPROCS, 1 = serial")
+		load     = fs.String("load", "", "plan a region loaded from a JSON file instead of generating one")
+		save     = fs.String("save", "", "write the region (generated or loaded) to a JSON file")
+		verbose  = fs.Bool("v", false, "print per-duct and per-path detail")
 	)
-	flag.Parse()
-
-	var lerr error
-	logger, lerr = logging.New(os.Stderr, *logLevel, *logJSON, "irisplan")
-	if lerr != nil {
-		fmt.Fprintln(os.Stderr, "irisplan:", lerr)
-		os.Exit(2)
+	log, err := logging.Parse(fs, args[1:], stderr, "irisplan")
+	if err != nil {
+		return err
+	}
+	fail := func(msg string, err error) error {
+		log.Error(msg, "err", err)
+		return err
 	}
 
 	if *seeds != "" {
 		if *toy || *load != "" || *save != "" {
-			fatal("bad flags", errors.New("-seeds cannot be combined with -toy, -load, or -save"))
+			return fail("bad flags", errors.New("-seeds cannot be combined with -toy, -load, or -save"))
 		}
-		if err := planSeeds(*seeds, *dcs, *capacity, *lambda, *failures, *workers, *verbose); err != nil {
-			fatal("multi-seed planning failed", err)
+		if err := planSeeds(stdout, *seeds, *dcs, *capacity, *lambda, *failures, *workers, *verbose); err != nil {
+			return fail("multi-seed planning failed", err)
 		}
-		return
+		return nil
 	}
 
 	var region core.Region
-	var err error
 	if *load != "" {
 		region, err = loadRegion(*load, *capacity, *lambda)
 	} else {
 		region, err = buildRegion(*toy, *seed, *dcs, *capacity, *lambda)
 	}
 	if err != nil {
-		fatal("region build failed", err)
+		return fail("region build failed", err)
 	}
 	if *save != "" {
 		if err := saveRegion(region, *save); err != nil {
-			fatal("region save failed", err)
+			return fail("region save failed", err)
 		}
 	}
 	dep, err := core.Plan(region, core.Options{MaxFailures: *failures})
 	if err != nil {
-		fatal("planning failed", err)
+		return fail("planning failed", err)
 	}
-	printDeployment(dep, *verbose)
+	printDeployment(stdout, dep, *verbose)
+	return nil
 }
 
 // planSeeds builds one region per listed seed and plans them concurrently,
 // at most workers at a time, printing each deployment in seed order.
 // Planning a region is deterministic, so the output does not depend on
 // workers.
-func planSeeds(list string, dcs, capacity, lambda, failures, workers int, verbose bool) error {
+func planSeeds(w io.Writer, list string, dcs, capacity, lambda, failures, workers int, verbose bool) error {
 	var regions []core.Region
 	var seedVals []int64
 	for _, field := range strings.Split(list, ",") {
@@ -126,9 +125,9 @@ func planSeeds(list string, dcs, capacity, lambda, failures, workers int, verbos
 		return err
 	}
 	for i, dep := range deps {
-		fmt.Printf("=== seed %d ===\n", seedVals[i])
-		printDeployment(dep, verbose)
-		fmt.Println()
+		fmt.Fprintf(w, "=== seed %d ===\n", seedVals[i])
+		printDeployment(w, dep, verbose)
+		fmt.Fprintln(w)
 	}
 	return nil
 }
@@ -143,11 +142,7 @@ func loadRegion(path string, capacity, lambda int) (core.Region, error) {
 	if err != nil {
 		return core.Region{}, err
 	}
-	caps := make(map[int]int)
-	for _, dc := range m.DCs() {
-		caps[dc] = capacity
-	}
-	return core.Region{Map: m, Capacity: caps, Lambda: lambda}, nil
+	return withCapacity(m, capacity, lambda), nil
 }
 
 func saveRegion(region core.Region, path string) error {
@@ -161,81 +156,81 @@ func saveRegion(region core.Region, path string) error {
 
 func buildRegion(toy bool, seed int64, dcs, capacity, lambda int) (core.Region, error) {
 	if toy {
-		t := fibermap.Toy()
-		caps := make(map[int]int)
-		for _, dc := range t.Map.DCs() {
-			caps[dc] = 10
-		}
-		return core.Region{Map: t.Map, Capacity: caps, Lambda: lambda}, nil
+		return withCapacity(fibermap.Toy().Map, 10, lambda), nil
 	}
 	gcfg := fibermap.DefaultGen()
 	gcfg.Seed = seed
 	m := fibermap.Generate(gcfg)
 	pcfg := fibermap.DefaultPlace()
 	pcfg.Seed, pcfg.N = seed+1, dcs
-	placed, err := fibermap.PlaceDCs(m, pcfg)
-	if err != nil {
+	if _, err := fibermap.PlaceDCs(m, pcfg); err != nil {
 		return core.Region{}, err
 	}
-	caps := make(map[int]int, len(placed))
-	for _, dc := range placed {
-		caps[dc] = capacity
-	}
-	return core.Region{Map: m, Capacity: caps, Lambda: lambda}, nil
+	return withCapacity(m, capacity, lambda), nil
 }
 
-func printDeployment(dep *core.Deployment, verbose bool) {
+// withCapacity is the region of map m whose every DC has capacity
+// fiber-pairs of hose capacity.
+func withCapacity(m *fibermap.Map, capacity, lambda int) core.Region {
+	caps := make(map[int]int)
+	for _, dc := range m.DCs() {
+		caps[dc] = capacity
+	}
+	return core.Region{Map: m, Capacity: caps, Lambda: lambda}
+}
+
+func printDeployment(w io.Writer, dep *core.Deployment, verbose bool) {
 	pl := dep.Plan
 	m := dep.Region.Map
-	fmt.Printf("region: %d DCs, %d huts, %d ducts; λ=%d, failure tolerance %d (%d scenarios)\n",
+	fmt.Fprintf(w, "region: %d DCs, %d huts, %d ducts; λ=%d, failure tolerance %d (%d scenarios)\n",
 		len(m.DCs()), len(m.Huts()), len(m.Ducts), dep.Region.Lambda,
 		pl.Input.MaxFailures, pl.NScena)
 
-	fmt.Printf("\ntopology & capacity (Algorithm 1 + §4.3):\n")
-	fmt.Printf("  fiber-pairs: %d base + %d residual/cut-through = %d total\n",
+	fmt.Fprintf(w, "\ntopology & capacity (Algorithm 1 + §4.3):\n")
+	fmt.Fprintf(w, "  fiber-pairs: %d base + %d residual/cut-through = %d total\n",
 		pl.BaseFiberPairs(), pl.TotalFiberPairs()-pl.BaseFiberPairs(), pl.TotalFiberPairs())
-	fmt.Printf("  used huts:   %d of %d\n", len(pl.UsedHuts()), len(m.Huts()))
-	fmt.Printf("  amplifiers:  %d across %d sites\n", pl.TotalAmps(), len(pl.Amps))
-	fmt.Printf("  cut-throughs: %d links\n", len(pl.Cuts))
+	fmt.Fprintf(w, "  used huts:   %d of %d\n", len(pl.UsedHuts()), len(m.Huts()))
+	fmt.Fprintf(w, "  amplifiers:  %d across %d sites\n", pl.TotalAmps(), len(pl.Amps))
+	fmt.Fprintf(w, "  cut-throughs: %d links\n", len(pl.Cuts))
 	if len(pl.SLA) > 0 {
-		fmt.Printf("  WARNING: %d DC pairs exceed the SLA distance in some failure scenario\n", len(pl.SLA))
+		fmt.Fprintf(w, "  WARNING: %d DC pairs exceed the SLA distance in some failure scenario\n", len(pl.SLA))
 	}
 	if len(pl.Viol) > 0 {
-		fmt.Printf("  WARNING: %d optical-constraint violations:\n", len(pl.Viol))
+		fmt.Fprintf(w, "  WARNING: %d optical-constraint violations:\n", len(pl.Viol))
 		for _, v := range pl.Viol {
-			fmt.Printf("    %s\n", v)
+			fmt.Fprintf(w, "    %s\n", v)
 		}
 	}
 
-	fmt.Printf("\nannual cost (paper §3.3 prices):\n")
-	fmt.Printf("  %-10s $%12.0f  (%d transceivers, %d fiber-pairs)\n",
+	fmt.Fprintf(w, "\nannual cost (paper §3.3 prices):\n")
+	fmt.Fprintf(w, "  %-10s $%12.0f  (%d transceivers, %d fiber-pairs)\n",
 		"EPS", dep.EPS.Total(), dep.EPS.TransceiverCount(), dep.EPS.FiberPairs)
-	fmt.Printf("  %-10s $%12.0f  (%d transceivers, %d fiber-pairs, %d OSS ports, %d amps)\n",
+	fmt.Fprintf(w, "  %-10s $%12.0f  (%d transceivers, %d fiber-pairs, %d OSS ports, %d amps)\n",
 		"Iris", dep.Iris.Total(), dep.Iris.TransceiverCount(), dep.Iris.FiberPairs,
 		dep.Iris.OSSPorts, dep.Iris.Amplifiers)
-	fmt.Printf("  %-10s $%12.0f  (%d OXC ports)\n", "Hybrid", dep.Hybrid.Total(), dep.Hybrid.OXCPorts)
-	fmt.Printf("  EPS / Iris = %.2fx\n", dep.EPS.Total()/dep.Iris.Total())
+	fmt.Fprintf(w, "  %-10s $%12.0f  (%d OXC ports)\n", "Hybrid", dep.Hybrid.Total(), dep.Hybrid.OXCPorts)
+	fmt.Fprintf(w, "  EPS / Iris = %.2fx\n", dep.EPS.Total()/dep.Iris.Total())
 
 	if !verbose {
 		return
 	}
 
-	fmt.Printf("\nper-duct provisioning:\n")
+	fmt.Fprintf(w, "\nper-duct provisioning:\n")
 	ductIDs := make([]int, 0, len(pl.Ducts))
 	for id := range pl.Ducts {
 		ductIDs = append(ductIDs, id)
 	}
 	sort.Ints(ductIDs)
-	fmt.Printf("  %-6s %-18s %-8s %-6s %-10s %s\n", "duct", "endpoints", "km", "base", "residual", "cut-through")
+	fmt.Fprintf(w, "  %-6s %-18s %-8s %-6s %-10s %s\n", "duct", "endpoints", "km", "base", "residual", "cut-through")
 	for _, id := range ductIDs {
 		du := pl.Ducts[id]
 		d := m.Ducts[id]
-		fmt.Printf("  %-6d %-18s %-8.1f %-6d %-10d %d\n", id,
+		fmt.Fprintf(w, "  %-6d %-18s %-8.1f %-6d %-10d %d\n", id,
 			fmt.Sprintf("%s-%s", m.Nodes[d.A].Name, m.Nodes[d.B].Name),
 			d.FiberKM, du.BasePairs, du.ResidualPairs, du.CutThroughPairs)
 	}
 
-	fmt.Printf("\nshortest paths (failure-free):\n")
+	fmt.Fprintf(w, "\nshortest paths (failure-free):\n")
 	var pairs []hose.Pair
 	for p := range pl.Paths {
 		pairs = append(pairs, p)
@@ -243,15 +238,14 @@ func printDeployment(dep *core.Deployment, verbose bool) {
 	hose.SortPairs(pairs)
 	for _, p := range pairs {
 		info := pl.Paths[p]
-		fmt.Printf("  %s → %s: %.1f km, %d hops", m.Nodes[p.A].Name, m.Nodes[p.B].Name,
+		fmt.Fprintf(w, "  %s → %s: %.1f km, %d hops", m.Nodes[p.A].Name, m.Nodes[p.B].Name,
 			info.TotalKM, len(info.Ducts))
 		if len(info.AmpNodes) > 0 {
-			fmt.Printf(", amp at %s", m.Nodes[info.AmpNodes[0]].Name)
+			fmt.Fprintf(w, ", amp at %s", m.Nodes[info.AmpNodes[0]].Name)
 		}
 		if len(info.Bypassed) > 0 {
-			fmt.Printf(", bypasses %d switches", len(info.Bypassed))
+			fmt.Fprintf(w, ", bypasses %d switches", len(info.Bypassed))
 		}
-		fmt.Println()
+		fmt.Fprintln(w)
 	}
-	_ = os.Stdout
 }

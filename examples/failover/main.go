@@ -7,8 +7,11 @@
 package main
 
 import (
+	"errors"
 	"fmt"
+	"io"
 	"log"
+	"os"
 	"sort"
 
 	"iris/internal/chaos"
@@ -20,7 +23,14 @@ import (
 
 func main() {
 	log.SetFlags(0)
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
 
+// run prints the demonstration to w and fails unless the tolerant plan
+// passes every scenario.
+func run(w io.Writer) error {
 	const seed = 3
 	gcfg := fibermap.DefaultGen()
 	gcfg.Seed = seed
@@ -29,7 +39,7 @@ func main() {
 	pcfg.Seed, pcfg.N = seed, 6
 	dcs, err := fibermap.PlaceDCs(m, pcfg)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	caps := make(map[int]int, len(dcs))
 	for _, dc := range dcs {
@@ -39,14 +49,14 @@ func main() {
 	region := core.Region{Map: m, Capacity: caps, Lambda: 40}
 	tolerantDep, err := core.Plan(region, core.Options{MaxFailures: 2})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	fragileDep, err := core.Plan(region, core.Options{MaxFailures: 0})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	tolerant, fragile := tolerantDep.Plan, fragileDep.Plan
-	fmt.Printf("6-DC region: 2-cut-tolerant plan leases %d fiber-pairs, fragile plan %d\n",
+	fmt.Fprintf(w, "6-DC region: 2-cut-tolerant plan leases %d fiber-pairs, fragile plan %d\n",
 		tolerant.TotalFiberPairs(), fragile.TotalFiberPairs())
 
 	// Exhaustively audit both plans: under every scenario of up to two
@@ -63,10 +73,10 @@ func main() {
 		return n
 	}
 	okTolerant, okFragile := admissible(tolerant), admissible(fragile)
-	fmt.Printf("audited %d failure scenarios of up to two cuts: tolerant plan admissible in %d, fragile plan in %d\n",
+	fmt.Fprintf(w, "audited %d failure scenarios of up to two cuts: tolerant plan admissible in %d, fragile plan in %d\n",
 		len(scenarios), okTolerant, okFragile)
 	if okTolerant != len(scenarios) {
-		log.Fatal("FAIL: the tolerant plan cannot carry the hose traffic in some scenario")
+		return errors.New("FAIL: the tolerant plan cannot carry the hose traffic in some scenario")
 	}
 
 	// Show a concrete double cut: kill the two ducts carrying the most
@@ -84,17 +94,18 @@ func main() {
 		return ids[i] < ids[j]
 	})
 	worst1, worst2 := ids[0], ids[1]
-	fmt.Printf("\ncutting the two busiest ducts (%d and %d, %d+%d fiber-pairs):\n",
+	fmt.Fprintf(w, "\ncutting the two busiest ducts (%d and %d, %d+%d fiber-pairs):\n",
 		worst1, worst2, pairsOf(worst1), pairsOf(worst2))
 	ev := tolerant.NewEvaluator()
 	ev.Cut.Set([]int{worst1, worst2})
 	for _, r := range ev.Route() {
 		a, b := m.Nodes[r.Pair.A].Name, m.Nodes[r.Pair.B].Name
 		if !r.Routed() {
-			fmt.Printf("  %s-%s physically disconnected by the cuts\n", a, b)
+			fmt.Fprintf(w, "  %s-%s physically disconnected by the cuts\n", a, b)
 			continue
 		}
-		fmt.Printf("  %s-%s re-routes over %.1f km (SLA %.0f km: %v)\n",
+		fmt.Fprintf(w, "  %s-%s re-routes over %.1f km (SLA %.0f km: %v)\n",
 			a, b, r.TotalKM, optics.MaxPathKM, r.TotalKM <= optics.MaxPathKM)
 	}
+	return nil
 }

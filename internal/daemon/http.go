@@ -1,7 +1,10 @@
 package daemon
 
 import (
+	"context"
 	"encoding/json"
+	"errors"
+	"net"
 	"net/http"
 	"slices"
 	"strconv"
@@ -14,25 +17,55 @@ import (
 	"iris/internal/trace"
 )
 
-// Header-read and keep-alive limits of the HTTP planes. They are
-// constants, not flags: a client that trickles its request line or parks
-// an idle connection is never legitimate.
+// Header-read and keep-alive limits of the HTTP planes, and how long a
+// shutdown waits for in-flight requests. They are constants, not flags: a
+// client that trickles its request line or parks an idle connection is
+// never legitimate.
 const (
 	httpReadHeaderTimeout = 5 * time.Second
 	httpIdleTimeout       = 2 * time.Minute
+	httpShutdownGrace     = 5 * time.Second
 )
 
-// NewHTTPServer returns the server irisd and irisfleet mount their
-// handlers on. It bounds how long a client may take to send its request
+// Serve runs loop while it serves h on ln, which irisd and irisfleet open
+// before they bring anything up, and shuts the server down once loop
+// returns. A serve failure cancels loop's context, so the loop ends as a
+// signal ends it and the caller still tears down what it built. Serve
+// returns the serve error, else loop's own error (one that ends it on its
+// context is not), else the shutdown's.
+func Serve(ctx context.Context, ln net.Listener, h http.Handler, loop func(context.Context) error) error {
+	srv := newHTTPServer(h)
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	served := make(chan error, 1)
+	go func() {
+		served <- srv.Serve(ln)
+		cancel()
+	}()
+	err := loop(ctx)
+	if ctx.Err() != nil {
+		err = nil
+	}
+	shutdownCtx, stop := context.WithTimeout(context.Background(), httpShutdownGrace)
+	defer stop()
+	if serr := srv.Shutdown(shutdownCtx); err == nil {
+		err = serr
+	}
+	if serr := <-served; !errors.Is(serr, http.ErrServerClosed) {
+		return serr
+	}
+	return err
+}
+
+// newHTTPServer bounds how long a client may take to send its request
 // headers and how long an idle keep-alive connection is held. There is
 // no WriteTimeout: a CPU profile legitimately streams for longer than
 // any fixed bound. /api/critical no longer does — its one long step, the
 // first request's overlay build for a deployment, is bounded by
 // topoapi's cut-set limit — but a deadline on it still needs handlers
 // that honour cancellation first.
-func NewHTTPServer(addr string, h http.Handler) *http.Server {
+func newHTTPServer(h http.Handler) *http.Server {
 	return &http.Server{
-		Addr:              addr,
 		Handler:           h,
 		ReadHeaderTimeout: httpReadHeaderTimeout,
 		IdleTimeout:       httpIdleTimeout,

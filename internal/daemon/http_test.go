@@ -1,7 +1,11 @@
 package daemon
 
 import (
+	"context"
 	"encoding/json"
+	"errors"
+	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -112,15 +116,61 @@ func TestChaosCycleEndpointValidation(t *testing.T) {
 }
 
 // TestHTTPServerBoundsSlowClients pins the hardening both binaries rely
-// on: the shared constructor bounds header reads and idle connections.
+// on: the server Serve runs bounds header reads and idle connections.
 func TestHTTPServerBoundsSlowClients(t *testing.T) {
 	h := http.NewServeMux()
-	srv := NewHTTPServer("127.0.0.1:0", h)
-	if srv.Addr != "127.0.0.1:0" || srv.Handler != h {
-		t.Fatalf("server not wired to its arguments: %+v", srv)
+	srv := newHTTPServer(h)
+	if srv.Handler != h {
+		t.Fatalf("server not wired to its handler: %+v", srv)
 	}
 	if srv.ReadHeaderTimeout <= 0 || srv.IdleTimeout <= 0 {
 		t.Fatalf("ReadHeaderTimeout %v, IdleTimeout %v: both must be set",
 			srv.ReadHeaderTimeout, srv.IdleTimeout)
+	}
+}
+
+// TestServeEndsWithItsLoop: Serve answers while its loop runs, and a
+// loop that ends on its own — a feed run dry — shuts the server down and
+// returns nil.
+func TestServeEndsWithItsLoop(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) { io.WriteString(w, "up") })
+	loop := func(ctx context.Context) error {
+		res, err := http.Get("http://" + ln.Addr().String())
+		if err != nil {
+			return err
+		}
+		defer res.Body.Close()
+		if body, _ := io.ReadAll(res.Body); string(body) != "up" {
+			return errors.New("served " + strconv.Quote(string(body)))
+		}
+		return nil
+	}
+	if err := Serve(context.Background(), ln, h, loop); err != nil {
+		t.Fatalf("Serve = %v, want nil", err)
+	}
+	if _, err := http.Get("http://" + ln.Addr().String()); err == nil {
+		t.Fatal("the server still answers after Serve returned")
+	}
+}
+
+// TestServeFailureEndsTheLoop: a listener that cannot serve cancels the
+// loop's context and comes back as Serve's error, instead of ending the
+// process from a goroutine.
+func TestServeFailureEndsTheLoop(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln.Close()
+	loop := func(ctx context.Context) error {
+		<-ctx.Done()
+		return ctx.Err()
+	}
+	if err := Serve(context.Background(), ln, http.NotFoundHandler(), loop); err == nil || errors.Is(err, context.Canceled) {
+		t.Fatalf("Serve on a closed listener = %v, want its accept error", err)
 	}
 }

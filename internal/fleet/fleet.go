@@ -25,6 +25,7 @@ package fleet
 import (
 	"context"
 	"fmt"
+	"io"
 	"log/slog"
 	"runtime"
 	"sort"
@@ -33,7 +34,6 @@ import (
 	"time"
 
 	"iris/internal/daemon"
-	"iris/internal/logging"
 	"iris/internal/parallel"
 	"iris/internal/telemetry"
 	"iris/internal/trace"
@@ -190,7 +190,7 @@ func newSupervisor(cfg Config) (*Fleet, error) {
 	}
 	log := cfg.Logger
 	if log == nil {
-		log = logging.Silent()
+		log = slog.New(slog.NewTextHandler(io.Discard, nil))
 	}
 	reg := cfg.Registry
 	if reg == nil {
