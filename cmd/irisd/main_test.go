@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net"
 	"net/http"
@@ -16,6 +17,7 @@ import (
 
 	"iris/internal/chaos"
 	"iris/internal/daemon"
+	"iris/internal/history"
 	"iris/internal/logging"
 )
 
@@ -257,6 +259,38 @@ func TestServesAChaosRegion(t *testing.T) {
 		t.Errorf("/status chaos = %+v, want one restore", st.Chaos)
 	}
 
+	d.shutdown()
+}
+
+// TestChaosCyclesBesideTheLoop posts chaos cycles to a running irisd one
+// after another while its loop steps every 25 ms and probes every 10 ms.
+// The cycle's replan and the loop's own repair write the same devices, so
+// every cycle answers 200 only if they take turns; each answer's trace_id
+// names the cycle's chaos-cycle record in the history lake.
+func TestChaosCyclesBesideTheLoop(t *testing.T) {
+	d := start(t, "-toy", "-chaos", "-interval", "25ms", "-probe-interval", "10ms")
+	waitFor(t, 10*time.Second, "a first reconfiguration", func() bool {
+		var st daemon.Status
+		return d.do("GET", "/status", &st) == http.StatusOK && st.LastReconfigID > 0
+	})
+	failed := 0
+	for i := range 15 {
+		var res daemon.CycleResult
+		if code := d.do("POST", "/debug/chaos/cycle?kind=cut&duct=4&timeout=10s", &res); code != http.StatusOK {
+			t.Errorf("cycle %d = %d, want 200", i, code)
+			failed++
+			continue
+		}
+		var rec struct {
+			Record history.Record `json:"record"`
+		}
+		if code := d.do("GET", fmt.Sprintf("/api/history/%d", res.TraceID), &rec); code != http.StatusOK || rec.Record.Trigger != history.TriggerChaos {
+			t.Errorf("cycle %d: /api/history/%d = %d %q, want a %s record", i, res.TraceID, code, rec.Record.Trigger, history.TriggerChaos)
+		}
+	}
+	if failed > 0 {
+		t.Errorf("%d of 15 cycles failed", failed)
+	}
 	d.shutdown()
 }
 

@@ -44,10 +44,8 @@ var cycleBuckets = []float64{.0005, .001, .0025, .005, .01, .025, .05, .1, .25, 
 // ChaosCycle drives the region through one full failure-recovery cycle:
 // inject the scenario's faults, wait for the supervision to detect them
 // (a breaker opens), restore the devices, wait for the breakers to close,
-// run a repair pass, and wait for reconvergence. It is for a region
-// nothing else steps or probes meanwhile (a fleet region pinned for the
-// cycle): the default pump probes, and settling waits for convergence
-// alone.
+// run a repair pass, and wait for reconvergence. The default pump probes,
+// and settling waits for convergence alone.
 //
 // The cycle is one trace under an ID from the daemon's reconfiguration
 // ID space and one chaos-cycle history record, success or failure, whose
@@ -159,13 +157,16 @@ func (d *Daemon) chaosCycle(ctx context.Context, sc chaos.Scenario, opt CycleOpt
 		return fail(err)
 	}
 
-	// The repair pass runs to its end even if ctx is cancelled meanwhile:
-	// like Run, a cycle never abandons devices mid-phase.
+	// The repair pass holds loop, as Step does, and runs to its end even if
+	// ctx is cancelled meanwhile: like Run, a cycle never abandons devices
+	// mid-phase.
 	psp := root.Child("replan")
+	d.loop.Lock()
 	d.mu.Lock()
 	fab := d.fab
 	d.mu.Unlock()
 	err = d.repairIn(trace.ContextWith(context.WithoutCancel(ctx), psp), id, fab)
+	d.loop.Unlock()
 	psp.Fail(err)
 	psp.Finish()
 	if err != nil {

@@ -117,3 +117,45 @@ func TestChaosCycleEndsWithItsClient(t *testing.T) {
 		t.Fatalf("last record = %s err %q, want a chaos cycle cancelled in detect", rec.Trigger, rec.Err)
 	}
 }
+
+// TestChaosCyclesBesideRun runs running-mode chaos cycles, irisd's
+// /debug/chaos/cycle, one after another while Run steps and probes a
+// chaos-armed toy region every few milliseconds. The cycle's replan and
+// the loop's own repair write the same devices, so every cycle succeeds
+// only if they take turns. Meant for -race -count.
+func TestChaosCyclesBesideRun(t *testing.T) {
+	cfg := DefaultRegionConfig()
+	cfg.Chaos = true
+	cfg.OSSDelay = time.Millisecond
+	cfg.Interval = 2 * time.Millisecond
+	cfg.ProbeInterval = time.Millisecond
+	cfg.FailureThreshold = 1
+	cfg.BackoffBase = 5 * time.Millisecond
+	cfg.BackoffMax = 20 * time.Millisecond
+	b, err := BuildRegion(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(b.Close)
+	d := b.Daemon
+	ctx, stop := context.WithCancel(context.Background())
+	ran := make(chan error, 1)
+	go func() { ran <- d.Run(ctx) }()
+	defer func() {
+		stop()
+		if err := <-ran; err != nil {
+			t.Errorf("Run = %v", err)
+		}
+	}()
+
+	sc := chaos.Cut(hubDuctID(t, b.Rig.Dep.Region.Map))
+	for i := range 5 {
+		res, err := d.chaosCycle(ctx, sc, CycleOptions{Timeout: 10 * time.Second}, true)
+		if err != nil {
+			t.Fatalf("cycle %d: %v", i, err)
+		}
+		if rec, ok := b.History.Get(res.TraceID); !ok || rec.Trigger != history.TriggerChaos {
+			t.Fatalf("cycle %d: Get(%d) = %s record (found %v), want the cycle's", i, res.TraceID, rec.Trigger, ok)
+		}
+	}
+}

@@ -132,10 +132,16 @@ type Daemon struct {
 
 	// policy decides which allocation each shift commits: robust when
 	// Config.Robust arms the envelope rule, else a core.PerShift. Only the
-	// converge path calls Shift, which Step serialises; Adopt runs under
-	// mu with the commit it belongs to.
+	// converge path calls Shift, under loop; Adopt runs under mu with the
+	// commit it belongs to.
 	policy core.Policy
 	robust *robust.Policy
+
+	// loop is held for its whole run by everything that sends the region's
+	// devices RPCs: Step (a commit or a repair), ProbeOnce, a chaos
+	// cycle's replan and Audit. So the region has one writer, and a probe
+	// never fetches a state a write is moving.
+	loop sync.Mutex
 
 	// mu guards the control-loop state below. The fabric pointed to by fab
 	// is never mutated while installed: changes are compiled on clones,
@@ -168,12 +174,6 @@ type Daemon struct {
 	// read until the next, and dropped by settleLocked.
 	read *topoapi.Snapshot
 	rows []PairAllocation
-	// writesBegun and writesEnded count the device writes (a commit's or a
-	// repair's Reconfigure) that started and that ended; a commit's ends
-	// where it installs its fabric. A probe compares a state only if no
-	// write was running when the round began and none began before the
-	// state arrived.
-	writesBegun, writesEnded uint64
 
 	// names is the controller's devices in its sorted order, fixed in
 	// New: the order of /status's device rows and of a probe round.
@@ -318,7 +318,7 @@ func (d *Daemon) initMetrics() {
 	d.m.allocFallback = r.Counter("iris_alloc_fallback_total", "Convergences solved from scratch (first solve, deployment swap, or delta-cascade fallback).")
 	d.m.allocPairs = r.Histogram("iris_alloc_pairs_resolved", "DC pairs whose circuits were recomputed per convergence.", []float64{1, 2, 5, 10, 20, 50, 100, 250, 500})
 	d.m.coalesced = r.Counter("iris_daemon_coalesced_shifts_total", "Intermediate traffic shifts skipped by batched convergence (MaxBatch).")
-	d.m.audits = r.Counter("iris_audit_total", "Device-state audits executed: after a change or repair, and each probe round that compared.")
+	d.m.audits = r.Counter("iris_audit_total", "Device-state audits executed: after a change or repair, and each probe round.")
 	d.m.auditFailures = r.Counter("iris_audit_failures_total", "Audits, probe rounds included, that found devices diverged from intent.")
 	d.m.reconciles = r.Counter("iris_reconcile_total", "Reconciliation repairs executed after partial failures.")
 	d.m.reconcileFailures = r.Counter("iris_reconcile_failures_total", "Reconciliation repairs that themselves failed.")
@@ -382,6 +382,8 @@ func (d *Daemon) Run(ctx context.Context) error {
 // exhausted and the loop should exit. Run calls it on the interval; tests
 // call it directly for determinism.
 func (d *Daemon) Step() (done bool) {
+	d.loop.Lock()
+	defer d.loop.Unlock()
 	d.m.steps.Inc()
 	d.mu.Lock()
 	d.steps++
@@ -527,7 +529,6 @@ func (d *Daemon) commitChange(tm *traffic.Matrix, out core.Outcome, trig history
 	}
 	csp.Finish()
 
-	d.beginWrite()
 	rep, err := d.ctl.Reconfigure(ctx, ch)
 	if err != nil {
 		// The devices may be partially reconfigured; keep the old fabric
@@ -539,7 +540,6 @@ func (d *Daemon) commitChange(tm *traffic.Matrix, out core.Outcome, trig history
 		d.penalizeIn(id, err)
 		d.mu.Lock()
 		d.needRepair = true
-		d.writesEnded++
 		d.mu.Unlock()
 		root.Fail(err)
 		root.Finish()
@@ -557,7 +557,6 @@ func (d *Daemon) commitChange(tm *traffic.Matrix, out core.Outcome, trig history
 
 	d.mu.Lock()
 	d.fab = clone
-	d.writesEnded++
 	d.lkg = out.Alloc
 	d.haveLKG = true
 	d.lastReconfigID = id
@@ -641,11 +640,7 @@ func (d *Daemon) repairIn(ctx context.Context, id uint64, fab *fabric.Fabric) er
 	}
 	if !fabric.EmptyChange(ch) {
 		d.m.reconciles.Inc()
-		d.beginWrite()
 		rep, err := d.ctl.Reconfigure(ctx, ch)
-		d.mu.Lock()
-		d.writesEnded++
-		d.mu.Unlock()
 		if err != nil {
 			d.m.reconcileFailures.Inc()
 			d.penalizeIn(id, err)
@@ -746,13 +741,6 @@ func (d *Daemon) diverged() (known bool) {
 	return known
 }
 
-// beginWrite counts a device write as started (see writesBegun).
-func (d *Daemon) beginWrite() {
-	d.mu.Lock()
-	d.writesBegun++
-	d.mu.Unlock()
-}
-
 // settleLocked records that the region serves tm: the policy adopts the
 // shift's outcome, the pending shift is taken, the allocation is fresh,
 // and the read state is dropped, so the next read sees tm, the adopted
@@ -797,6 +785,8 @@ func (d *Daemon) updateStaleness() {
 // Audit runs an immediate audit of every device against the current
 // intent.
 func (d *Daemon) Audit() error {
+	d.loop.Lock()
+	defer d.loop.Unlock()
 	d.mu.Lock()
 	fab := d.fab
 	d.mu.Unlock()

@@ -69,12 +69,9 @@ func (d *Daemon) transitionLocked(traceID uint64, name string, h *deviceHealth, 
 // first diverged device, in sorted order, and its field in the status's
 // last_error; the next Step repairs it. A probe never clears needRepair:
 // only a repair's audit does. A state that is not well formed is a
-// *control.DeviceError and counts against the device's breaker. A state
-// is compared only if no device write (commitChange, repairIn) was running
-// when the round began and none began before the state arrived: the
-// intent and the devices could disagree for a moment then. The breaker
-// reads every reply. Run calls ProbeOnce on the probe interval; tests call
-// it directly.
+// *control.DeviceError and counts against the device's breaker. The round
+// holds loop, so no write moves a device under it. Run calls ProbeOnce on
+// the probe interval; tests call it directly.
 //
 // The probes are a goroutine and a Call each, not one round of requests
 // the way an audit or a phase of control.Controller.Reconfigure is: probing
@@ -84,9 +81,10 @@ func (d *Daemon) transitionLocked(traceID uint64, name string, h *deviceHealth, 
 // deadline eaten, and a region's worth of breakers would trip for one hung
 // device.
 func (d *Daemon) ProbeOnce() {
+	d.loop.Lock()
+	defer d.loop.Unlock()
 	d.mu.Lock()
-	exp, writes := d.fab.Expected(), d.writesBegun
-	idle := writes == d.writesEnded
+	exp := d.fab.Expected()
 	d.mu.Unlock()
 	found := make([]error, len(d.names)) // each device's audit verdict
 	var wg sync.WaitGroup
@@ -97,13 +95,11 @@ func (d *Daemon) ProbeOnce() {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			found[i] = d.probe(name, exp, idle, writes)
+			found[i] = d.probe(name, exp)
 		}()
 	}
 	wg.Wait()
-	if idle {
-		d.m.audits.Inc()
-	}
+	d.m.audits.Inc()
 	for _, err := range found {
 		if err != nil {
 			d.setErr(fmt.Sprintf("probe: audit: %v", err))
@@ -134,21 +130,15 @@ func (d *Daemon) admitProbe(name string) bool {
 	return true
 }
 
-// probe fetches one device's state, compares it with exp when the round
-// began idle and the writes begun are still writes, and updates the
+// probe fetches one device's state, compares it with exp and updates the
 // device's breaker. It returns the comparison's error, nil when the state
-// matched or was not compared.
-func (d *Daemon) probe(name string, exp control.Expected, idle bool, writes uint64) (audit error) {
+// matched or was not fetched.
+func (d *Daemon) probe(name string, exp control.Expected) (audit error) {
 	d.m.probes.Inc()
 	st, err := d.ctl.Call(name, "state", nil)
-	if err == nil && idle {
-		d.mu.Lock()
-		quiet := d.writesBegun == writes
-		d.mu.Unlock()
-		if quiet {
-			if audit = exp.Check(name, st); errors.As(audit, new(*control.DeviceError)) {
-				err = audit
-			}
+	if err == nil {
+		if audit = exp.Check(name, st); errors.As(audit, new(*control.DeviceError)) {
+			err = audit
 		}
 	}
 	d.hmu.Lock()

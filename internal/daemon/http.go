@@ -375,7 +375,8 @@ func (d *Daemon) Handler() http.Handler {
 				}
 				timeout = parsed
 			}
-			// Run's loop steps and probes the region meanwhile; the cycle
+			// Run's loop steps and probes the region meanwhile, and the
+			// cycle's replan takes its turn with them on loop; the cycle
 			// ends with the request.
 			res, err := d.chaosCycle(r.Context(), sc, CycleOptions{Timeout: timeout}, true)
 			if err != nil {
