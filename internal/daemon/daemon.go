@@ -8,10 +8,10 @@
 //   - computes the incremental circuit change each shift requires,
 //   - executes it as a §5.2 drained reconfiguration
 //     (drain → switch → amps → retune → undrain) against the device agents,
-//   - audits the devices a change named once it is made, from the state
-//     each one's last write of the change answered with, and every
-//     device against the committed intent on every probe round, so drift
-//     in a region whose traffic does not move is found and repaired too,
+//   - closes every write, a commit's or a repair's, with an audit of the
+//     states its writes answered with, and compares every device with
+//     intent on every probe round, so drift in a region whose traffic
+//     does not move is found and repaired too,
 //   - supervises device health with the same periodic probes, per-device
 //     exponential backoff with jitter, and a circuit breaker that
 //     quarantines flapping devices,
@@ -567,30 +567,15 @@ func (d *Daemon) commitChange(tm *traffic.Matrix, out core.Outcome, trig history
 	// The outcome's one pair diff, which the clone compiled, serves the
 	// change's other readers: the flow monitor takes its fiber moves, the
 	// history record the pair deltas.
-	if d.cfg.FlowMonitor != nil && haveLKG {
-		// Replay the committed change as capacity dips and measure the
-		// flow slowdown it cost. The simulation journals under the same
-		// reconfig trace, so /debug/events?reconfig=<id> shows the drain
-		// and its flow impact side by side.
-		fsp := root.Child("flowsim-impact")
-		imp, ferr := d.cfg.FlowMonitor.ObserveReconfig(
-			id, out.Alloc, dep.Region.Lambda, core.Moves(out.Pairs), rep.Total.Seconds())
-		if ferr != nil {
-			fsp.Fail(ferr)
-			log.Warn("flow-impact simulation failed", "err", ferr)
-		} else {
-			fsp.SetAttr(fmt.Sprintf("pipes=%d flows=%d p99=%.4f stranded_bytes=%.0f",
-				imp.Pipes, imp.Flows, imp.P99, imp.BytesStranded))
+	var impact func(*flowsim.Monitor) (flowsim.Impact, error)
+	if haveLKG {
+		impact = func(m *flowsim.Monitor) (flowsim.Impact, error) {
+			return m.ObserveReconfig(id, out.Alloc, dep.Region.Lambda, core.Moves(out.Pairs), rep.Total.Seconds())
 		}
-		fsp.Finish()
 	}
 	// The clone's Compile published its intent, patching the devices the
-	// change touched, and each of them answered its last write with the
-	// state it left: the closing audit compares the two and sends nothing.
-	exp := clone.Expected()
-	err = d.runAudit(ctx, id, func(context.Context) error {
-		return auditReplies(exp, ch.Devices(), rep.States)
-	})
+	// change touched: the closing audit compares it with their replies.
+	err = d.closeWrite(ctx, id, clone.Expected(), ch, rep, impact)
 	root.Fail(err)
 	root.Finish()
 	d.recordHistory(trig, id, recordAt, preHealth, last, tm, out.Pairs, dep, err)
@@ -598,9 +583,9 @@ func (d *Daemon) commitChange(tm *traffic.Matrix, out core.Outcome, trig history
 }
 
 // repair runs the anti-entropy pass: fetch every device's state, compute
-// the change that restores the fabric's intent, execute and re-audit. The
-// pass gets its own trace ("repair" root) so a reconciliation's state
-// fetches and reconfiguration phases are journaled like a convergence.
+// the change that restores the fabric's intent, execute it and close it
+// like a commit. The pass gets its own trace ("repair" root) so a
+// reconciliation's fetches and phases are journaled like a convergence.
 func (d *Daemon) repair() error {
 	d.mu.Lock()
 	fab, last := d.fab, d.lastMatrix
@@ -624,13 +609,14 @@ func (d *Daemon) repair() error {
 	return err
 }
 
-// repairIn is the repair pass of fab: a full fetch and compare of every
-// device against fab's intent, the change that closes the difference, and
-// a full audit after it. Only its passing audit clears needRepair.
+// repairIn is the repair pass of fab: one fetch and compare of every
+// device against fab's intent, the change that closes the difference,
+// and closeWrite. The fetch judged every device the change leaves alone,
+// and loop keeps other writers out, so an empty change passes on it.
+// Only a passing repair clears needRepair.
 func (d *Daemon) repairIn(ctx context.Context, id uint64, fab *fabric.Fabric) error {
 	exp := fab.Expected()
-	root := trace.FromContext(ctx)
-	fsp := root.Child("fetch-state")
+	fsp := trace.FromContext(ctx).Child("fetch-state")
 	ch, err := d.ctl.Repair(trace.ContextWith(ctx, fsp), exp)
 	fsp.Fail(err)
 	fsp.Finish()
@@ -638,10 +624,11 @@ func (d *Daemon) repairIn(ctx context.Context, id uint64, fab *fabric.Fabric) er
 		d.penalizeIn(id, err)
 		return fmt.Errorf("repair: %w", err)
 	}
+	var rep control.Report
+	var impact func(*flowsim.Monitor) (flowsim.Impact, error)
 	if !fabric.EmptyChange(ch) {
 		d.m.reconciles.Inc()
-		rep, err := d.ctl.Reconfigure(ctx, ch)
-		if err != nil {
+		if rep, err = d.ctl.Reconfigure(ctx, ch); err != nil {
 			d.m.reconcileFailures.Inc()
 			d.penalizeIn(id, err)
 			return fmt.Errorf("repair reconfigure: %w", err)
@@ -650,55 +637,60 @@ func (d *Daemon) repairIn(ctx context.Context, id uint64, fab *fabric.Fabric) er
 		d.mu.Lock()
 		lkg, haveLKG := d.lkg, d.haveLKG
 		d.mu.Unlock()
-		if d.cfg.FlowMonitor != nil && haveLKG {
+		if haveLKG {
 			// A reconcile has no per-pair moves; model it as a uniform dip
 			// sized by the fraction of circuit endpoints the change drained
 			// — the whole-region view of a chaos/repair cycle.
-			frac := 0.0
-			if n := fab.CircuitCount(); n > 0 {
-				frac = float64(len(ch.Drain)) / float64(2*n)
+			impact = func(m *flowsim.Monitor) (flowsim.Impact, error) {
+				frac := 0.0
+				if n := fab.CircuitCount(); n > 0 {
+					frac = float64(len(ch.Drain)) / float64(2*n)
+				}
+				return m.ObserveRepair(id, lkg, fab.Deployment().Region.Lambda, frac, rep.Total.Seconds())
 			}
-			fsp := root.Child("flowsim-impact")
-			imp, ferr := d.cfg.FlowMonitor.ObserveRepair(
-				id, lkg, fab.Deployment().Region.Lambda, frac, rep.Total.Seconds())
-			if ferr != nil {
-				fsp.Fail(ferr)
-				d.log.Warn("flow-impact simulation failed", "reconfig_id", id, "err", ferr)
-			} else {
-				fsp.SetAttr(fmt.Sprintf("pipes=%d flows=%d p99=%.4f stranded_bytes=%.0f",
-					imp.Pipes, imp.Flows, imp.P99, imp.BytesStranded))
-			}
-			fsp.Finish()
 		}
 	}
-	if err := d.runAudit(ctx, id, func(ctx context.Context) error { return d.ctl.AuditCtx(ctx, exp) }); err != nil {
+	if err := d.closeWrite(ctx, id, exp, ch, rep, impact); err != nil {
 		return err
 	}
 	d.mu.Lock()
-	ok := d.lastAuditOK
-	if ok {
-		d.needRepair = false
-	}
+	d.needRepair = false
 	d.mu.Unlock()
-	if !ok {
-		return fmt.Errorf("repair: audit still failing")
-	}
 	return nil
 }
 
-// runAudit runs audit, a check of device state against intent, and
-// records the result as an "audit" span under whatever span ctx carries
-// (the reconfig or repair root); audit gets a ctx carrying that span. An
-// audit mismatch schedules a repair.
-func (d *Daemon) runAudit(ctx context.Context, traceID uint64, audit func(context.Context) error) error {
+// closeWrite ends every write the devices accepted, a commit's and a
+// repair's, under ctx's span: the flow monitor replays its cost (impact,
+// ObserveReconfig or ObserveRepair, if any), then the "audit" span
+// compares each device the change named with exp from the state its last
+// write answered with, sending nothing. A mismatch schedules a repair; a
+// *DeviceError counts against its device's breaker.
+func (d *Daemon) closeWrite(ctx context.Context, id uint64, exp control.Expected, ch control.Change, rep control.Report,
+	impact func(*flowsim.Monitor) (flowsim.Impact, error)) error {
+	root := trace.FromContext(ctx)
+	if d.cfg.FlowMonitor != nil && impact != nil {
+		// The simulation journals under the write's trace, so
+		// /debug/events?reconfig=<id> shows the drain and its flow impact
+		// side by side.
+		fsp := root.Child("flowsim-impact")
+		imp, err := impact(d.cfg.FlowMonitor)
+		if err != nil {
+			fsp.Fail(err)
+			d.log.Warn("flow-impact simulation failed", "reconfig_id", id, "err", err)
+		} else {
+			fsp.SetAttr(fmt.Sprintf("pipes=%d flows=%d p99=%.4f stranded_bytes=%.0f",
+				imp.Pipes, imp.Flows, imp.P99, imp.BytesStranded))
+		}
+		fsp.Finish()
+	}
 	d.m.audits.Inc()
-	sp := trace.FromContext(ctx).Child("audit")
-	err := audit(trace.ContextWith(ctx, sp))
+	sp := root.Child("audit")
+	err := auditReplies(exp, ch.Devices(), rep.States)
 	sp.Fail(err)
 	sp.Finish()
 	if err != nil {
 		d.diverged()
-		d.penalizeIn(traceID, err)
+		d.penalizeIn(id, err)
 		return fmt.Errorf("audit: %w", err)
 	}
 	d.mu.Lock()

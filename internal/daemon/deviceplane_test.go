@@ -548,6 +548,82 @@ func TestCommitRPCsPerStep(t *testing.T) {
 	}
 }
 
+// TestRepairRPCsPerPass counts the device RPCs of one repair pass on the
+// bench's region (52 devices). The pass fetches every device's state once
+// and closes like a commit, from its writes' replies: a clean region costs
+// one "state" per device and no write, and a circuit disconnected behind
+// the daemon's back adds its switch's one switch-batch, which carries the
+// state the audit reads. With a closing audit that fetched again, both
+// passes sent 104 "state" requests.
+func TestRepairRPCsPerPass(t *testing.T) {
+	counter := &opCounter{ops: make(map[string][]string)}
+	rig, err := fabric.BringUp(fabric.BringUpConfig{Seed: 1, DCs: 20, DCCapacity: 10, Lambda: 40, WrapDevice: counter.wrap})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(rig.Close)
+	d, err := New(Config{Fab: rig.Fab, Controller: rig.Testbed.Controller, Feed: newSparseRedrawFeed(rig, 2)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d.Step() // the first allocation
+	all := rig.Testbed.Controller.Devices()
+	if len(all) != 52 {
+		t.Fatalf("the bench region has %d devices, want 52", len(all))
+	}
+	dev, in := firstCircuit(d)
+
+	for _, c := range []struct {
+		name  string
+		drift map[string]any // a switch-batch to dev, or nothing
+		wrote []string       // what the pass sends dev after its state
+	}{
+		{"clean", nil, nil},
+		{"disconnected", map[string]any{"disconnect": []int{in}, "ins": []int{}, "outs": []int{}}, []string{"switch-batch+state"}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			if c.drift != nil {
+				if _, err := rig.Testbed.Controller.Call(dev, "switch-batch", c.drift); err != nil {
+					t.Fatal(err)
+				}
+			}
+			counter.take()
+			if err := d.repair(); err != nil {
+				t.Fatalf("repair: %v", err)
+			}
+			sent := counter.take()
+			rpcs, states, off := 0, 0, 0
+			for _, name := range all {
+				want := []string{"state"}
+				if name == dev {
+					want = append(want, c.wrote...)
+				}
+				if ops := sent[name]; !slices.Equal(ops, want) {
+					if off++; off == 1 {
+						t.Errorf("%s got %v, want %v", name, ops, want)
+					}
+				}
+				rpcs += len(sent[name])
+				for _, op := range sent[name] {
+					if op == "state" {
+						states++
+					}
+				}
+			}
+			t.Logf("%s: %d device RPCs per repair pass, %d of them state requests", c.name, rpcs, states)
+			if off > 0 {
+				t.Errorf("%d of %d devices got other requests than one state and %v to %s", off, len(all), c.wrote, dev)
+			}
+			if st := d.Status(); st.NeedRepair || !st.LastAuditOK {
+				t.Fatalf("after the repair: %+v", st)
+			}
+			if err := d.Audit(); err != nil {
+				t.Fatalf("audit after the repair: %v", err)
+			}
+		})
+	}
+}
+
 // TestProbeOverlappingWritesReportsNothing: probe rounds run back to back
 // while the daemon commits dense changes and runs repair passes. A probe
 // round that fetched a state while a write was moving it, or compared it

@@ -392,9 +392,14 @@ func (d lyingDevice) Handle(op string, args map[string]any) (map[string]any, err
 	}
 }
 
-// lyingRegion brings up the toy region with every device behind lie and
-// commits its first allocation honestly; the next Step() commits a second.
-func lyingRegion(t *testing.T, lie *replyLie) *Daemon {
+// lyingRegion brings up the toy region with every device behind lie,
+// commits its first allocation honestly and arms the lie before the write
+// named. A "commit" is the next Step(), which commits a second allocation.
+// A "repair" is the Step() that repairs one circuit disconnected behind
+// the daemon's back: the switch's one write is the only reply the lie can
+// alter, and the failed repair leaves the second allocation to the next
+// Step().
+func lyingRegion(t *testing.T, lie *replyLie, write string) *Daemon {
 	t.Helper()
 	rig := toyRig(t, func(cfg *fabric.BringUpConfig) { cfg.WrapDevice = lie.wrap })
 	d, err := New(Config{Fab: rig.Fab, Controller: rig.Testbed.Controller,
@@ -406,67 +411,117 @@ func lyingRegion(t *testing.T, lie *replyLie) *Daemon {
 	if st := d.Status(); !st.Converged || !st.LastAuditOK {
 		t.Fatalf("first step: %+v", st)
 	}
+	if write == "repair" {
+		dev, in := firstCircuit(d)
+		if _, err := rig.Testbed.Controller.Call(dev, "switch-batch",
+			map[string]any{"disconnect": []int{in}, "ins": []int{}, "outs": []int{}}); err != nil {
+			t.Fatal(err)
+		}
+		d.mu.Lock()
+		d.needRepair = true
+		d.mu.Unlock()
+	}
 	lie.armed.Store(true)
 	d.Step()
 	if lie.armed.Load() {
-		t.Fatal("the second change sent no write the lie could alter")
+		t.Fatalf("the %s sent no write the lie could alter", write)
 	}
 	return d
 }
 
+// firstCircuit returns the first circuit of the committed intent: its
+// switch and input port, the lowest of each.
+func firstCircuit(d *Daemon) (dev string, in int) {
+	d.mu.Lock()
+	exp := d.fab.Expected()
+	d.mu.Unlock()
+	for sw, cross := range exp.Cross {
+		for i := range cross {
+			if dev == "" || sw < dev || (sw == dev && i < in) {
+				dev, in = sw, i
+			}
+		}
+	}
+	return dev, in
+}
+
+// afterTheLie clears what a lying reply left: the commit's by a repair
+// pass, the repair's by the next Step(), which repairs and commits the
+// second allocation. Either way the fetch finds the device at intent (the
+// lie was only in the reply), so the repair writes nothing and passes.
+func afterTheLie(t *testing.T, d *Daemon, write string) {
+	t.Helper()
+	if write == "commit" {
+		if err := d.repair(); err != nil {
+			t.Fatalf("repair: %v", err)
+		}
+		return
+	}
+	d.Step()
+	if st := d.Status(); !st.Converged || st.NeedRepair || st.LastError != "" {
+		t.Fatalf("the Step after a failed repair: %+v", st)
+	}
+}
+
 // TestLyingWriteReplyFailsTheCommit: the closing audit compares each
-// write reply's state with intent, so a switch that answers its last write
-// with one circuit missing fails the commit with an audit error naming the
-// switch and the field, and a repair is due. The repair's fresh fetch
-// finds the switch at intent (the lie was only in the reply), its audit
-// passes and clears the flag, and an audit then passes too.
+// write reply's state with intent, a commit's and a repair's, so a switch
+// that answers its last write with one circuit missing fails the write
+// with an audit error naming the switch and the field, and a repair is
+// due. The repair's fresh fetch finds the switch at intent (the lie was
+// only in the reply), its audit passes and clears the flag, and an audit
+// then passes too.
 func TestLyingWriteReplyFailsTheCommit(t *testing.T) {
-	lie := &replyLie{mode: "drop"}
-	d := lyingRegion(t, lie)
-	st := d.Status()
-	name := lie.victim()
-	if !strings.Contains(st.LastError, "audit "+name+": cross map") || !st.NeedRepair || st.LastAuditOK {
-		t.Fatalf("after a reply missing a circuit of %s: %+v", name, st)
-	}
-	if got := counterValue(t, d.Registry(), "iris_audit_failures_total"); got != 1 {
-		t.Errorf("%v audit failures, want 1", got)
-	}
-	if err := d.repair(); err != nil {
-		t.Fatalf("repair: %v", err)
-	}
-	if st := d.Status(); st.NeedRepair || !st.LastAuditOK {
-		t.Fatalf("after the repair: %+v", st)
-	}
-	if err := d.Audit(); err != nil {
-		t.Fatalf("audit after the repair: %v", err)
+	for _, write := range []string{"commit", "repair"} {
+		t.Run(write, func(t *testing.T) {
+			lie := &replyLie{mode: "drop"}
+			d := lyingRegion(t, lie, write)
+			st := d.Status()
+			name := lie.victim()
+			if !strings.Contains(st.LastError, "audit "+name+": cross map") || !st.NeedRepair || st.LastAuditOK {
+				t.Fatalf("after a reply missing a circuit of %s: %+v", name, st)
+			}
+			if got := counterValue(t, d.Registry(), "iris_audit_failures_total"); got != 1 {
+				t.Errorf("%v audit failures, want 1", got)
+			}
+			afterTheLie(t, d, write)
+			if st := d.Status(); st.NeedRepair || !st.LastAuditOK {
+				t.Fatalf("after the repair: %+v", st)
+			}
+			if err := d.Audit(); err != nil {
+				t.Fatalf("audit after the repair: %v", err)
+			}
+		})
 	}
 }
 
 // TestBadWriteReplyFeedsTheBreaker: a write reply whose state is not well
 // formed, or that carries none though the write asked for it, is the
-// device's fault: the commit's audit fails with a *DeviceError that counts
-// against the device's breaker, and a repair is due.
+// device's fault: the audit closing the commit or the repair fails with a
+// *DeviceError that counts against the device's breaker, and a repair is
+// due.
 func TestBadWriteReplyFeedsTheBreaker(t *testing.T) {
 	for _, mode := range []string{"malformed", "none"} {
 		t.Run(mode, func(t *testing.T) {
-			lie := &replyLie{mode: mode}
-			d := lyingRegion(t, lie)
-			st := d.Status()
-			name := lie.victim()
-			if !strings.Contains(st.LastError, "device "+name) || !st.NeedRepair || st.LastAuditOK {
-				t.Fatalf("after a %s reply from %s: %+v", mode, name, st)
-			}
-			for _, ds := range st.Devices {
-				want := 0
-				if ds.Name == name {
-					want = 1
-				}
-				if ds.ConsecutiveFailures != want {
-					t.Errorf("%s: %d consecutive failures, want %d", ds.Name, ds.ConsecutiveFailures, want)
-				}
-			}
-			if err := d.repair(); err != nil {
-				t.Fatalf("repair: %v", err)
+			for _, write := range []string{"commit", "repair"} {
+				t.Run(write, func(t *testing.T) {
+					lie := &replyLie{mode: mode}
+					d := lyingRegion(t, lie, write)
+					st := d.Status()
+					name := lie.victim()
+					if !strings.Contains(st.LastError, "device "+name) || !st.NeedRepair || st.LastAuditOK {
+						t.Fatalf("after a %s reply from %s: %+v", mode, name, st)
+					}
+					for _, ds := range st.Devices {
+						want := 0
+						if ds.Name == name {
+							want = 1
+						}
+						if ds.ConsecutiveFailures != want {
+							t.Errorf("%s: %d consecutive failures, want %d", ds.Name, ds.ConsecutiveFailures, want)
+						}
+					}
+					afterTheLie(t, d, write)
+				})
 			}
 		})
 	}

@@ -90,4 +90,22 @@ func TestDaemonReportsFlowImpact(t *testing.T) {
 			t.Errorf("/metrics missing %q", want)
 		}
 	}
+
+	// A repair closes as a commit does: one that writes replays its flow
+	// impact under its own ID, and a clean one replays nothing.
+	dev, in := firstCircuit(d)
+	if _, err := rig.Testbed.Controller.Call(dev, "switch-batch",
+		map[string]any{"disconnect": []int{in}, "ins": []int{}, "outs": []int{}}); err != nil {
+		t.Fatal(err)
+	}
+	for _, wrote := range []bool{true, false} {
+		before := mon.Last().ReconfigID
+		if err := d.repair(); err != nil {
+			t.Fatalf("repair: %v", err)
+		}
+		after := mon.Last()
+		if replayed := after.ReconfigID != before; replayed != wrote || (wrote && after.Kind != "repair") {
+			t.Errorf("repair that wrote %v: last impact %+v, reconfig %d before it", wrote, after, before)
+		}
+	}
 }

@@ -115,11 +115,11 @@ func BenchmarkReconfigureDense(b *testing.B) {
 }
 
 // BenchmarkAuditRegion measures a full audit of the region, what a probe
-// round compares and the audit a repair pass closes with: one state fetch
-// from each of the region's switches, banks and amplifiers, compared value
-// by value against intent. (The audit that closes a change fetches
-// nothing: it reads the states the change's last writes answered with.)
-// Its allocations —
+// round compares and what a repair pass fetches: one state fetch from each
+// of the region's switches, banks and amplifiers, compared value by value
+// against intent. (The audit that closes a write, a commit's or a
+// repair's, fetches nothing: it reads the states the write's last batches
+// answered with.) Its allocations —
 // controller and devices, which share the process — are gated at 1 200 an
 // audit (888 when the gate was set; 2 802 with per-element state replies;
 // 685 since the decoder interns the protocol's keys).
