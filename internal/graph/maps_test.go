@@ -11,11 +11,13 @@ import (
 )
 
 // On the generated regions everything downstream is pinned to — DC
-// placement (fibermap.PlaceDCs reads DistancesFromSeeds) and every plan
-// (Dijkstra from each DC) — the production loop must agree with the
-// typed-heap oracle bit for bit: full trees from every DC, and the
-// distance vector of every seed set placement would try (each candidate
-// grid point's two nearest huts at their access-duct lengths).
+// placement and every plan — the production loop must agree with the
+// typed-heap oracle bit for bit: full trees from every DC (placement
+// reads each placed DC's distance vector, and every plan routes on
+// Dijkstra from each DC), and the distance vector of every seed set
+// placement may fall back to (each candidate grid point's two nearest
+// huts at their access-duct lengths, seeded only for a reading inside
+// placement's band around the SLA).
 func TestGeneratedMapsMatchHeapOracle(t *testing.T) {
 	for seed := int64(1); seed <= 5; seed++ {
 		gcfg := fibermap.DefaultGen()
