@@ -51,6 +51,8 @@ var architecture = []rule{
 	{[]string{"import encoding/json"}, []string{"internal/control"}, []string{"internal/control/wire.go"},
 		"wire.go is the line protocol's one codec; encoding/json is its fallback for escaped strings and out-of-set values"},
 	{[]string{"import reflect", "fmt.Sscanf"}, []string{"internal/control"}, nil, "the audit compares the typed values wire.go decodes"},
+	{[]string{"encoding/json.Marshal"}, nil, []string{"internal/jsonw", "internal/control/wire.go", "internal/history/history.go", "bench"},
+		"an HTTP body goes through jsonw.Write, the one writer, and appends itself when a measured read serves it; json.Marshal is left to jsonw's string fallback and reflected debug dumps, the line protocol's fallback, the history journal and bench/'s result line"},
 	{[]string{"go in control.Controller", "go in control.client"}, nil, nil,
 		"Controller.round is the one way requests are in flight on several devices; the device side's serve keeps its goroutines"},
 	{[]string{"file"}, []string{"."}, []string{"doc.go"},

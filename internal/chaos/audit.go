@@ -8,6 +8,7 @@ import (
 	"sync"
 
 	"iris/internal/graph"
+	"iris/internal/jsonw"
 	"iris/internal/optics"
 	"iris/internal/parallel"
 	"iris/internal/plan"
@@ -159,6 +160,13 @@ type Overload struct {
 	HavePairs int `json:"have"`
 }
 
+func (o Overload) AppendJSON(b []byte) []byte {
+	b = jsonw.Int(append(b, `{"duct":`...), o.DuctID)
+	b = jsonw.Int(append(b, `,"need":`...), o.NeedPairs)
+	b = jsonw.Int(append(b, `,"have":`...), o.HavePairs)
+	return append(b, '}')
+}
+
 // Result is the audit outcome for one scenario.
 type Result struct {
 	Scenario Scenario `json:"scenario"`
@@ -189,6 +197,27 @@ type Result struct {
 	// SLAViolations counts surviving pairs whose degraded path exceeds
 	// the SLA fiber distance.
 	SLAViolations int `json:"sla_violations"`
+}
+
+func (r Result) AppendJSON(b []byte) []byte {
+	b = r.Scenario.AppendJSON(append(b, `{"scenario":`...))
+	b = jsonw.Int(append(b, `,"cuts":`...), r.Cuts)
+	b = jsonw.Bool(append(b, `,"admissible":`...), r.Admissible)
+	b = jsonw.Bool(append(b, `,"survives":`...), r.Survives)
+	b = jsonw.Int(append(b, `,"disconnected_pairs":`...), r.DisconnectedPairs)
+	if len(r.DisconnectedDCs) > 0 {
+		b = jsonw.Ints(append(b, `,"disconnected_dcs":`...), r.DisconnectedDCs)
+	}
+	if len(r.Overloads) > 0 {
+		b = jsonw.Slice(append(b, `,"overloads":`...), r.Overloads)
+	}
+	if len(r.ResidualOverloads) > 0 {
+		b = jsonw.Slice(append(b, `,"residual_overloads":`...), r.ResidualOverloads)
+	}
+	b = jsonw.Float(append(b, `,"worst_pair_fibers":`...), r.WorstPairFibers)
+	b = jsonw.Float(append(b, `,"max_stretch":`...), r.MaxStretch)
+	b = jsonw.Int(append(b, `,"sla_violations":`...), r.SLAViolations)
+	return append(b, '}')
 }
 
 // Audit replays one scenario against the plan. On a warmed worker the

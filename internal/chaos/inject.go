@@ -1,7 +1,6 @@
 package chaos
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -13,6 +12,7 @@ import (
 
 	"iris/internal/control"
 	"iris/internal/fabric"
+	"iris/internal/jsonw"
 	"iris/internal/telemetry"
 	"iris/internal/trace"
 )
@@ -91,6 +91,17 @@ type Fault struct {
 	Devices    []string   `json:"devices"`
 	InjectedAt time.Time  `json:"injected_at"`
 	RestoredAt *time.Time `json:"restored_at,omitempty"`
+}
+
+func (f Fault) AppendJSON(b []byte) []byte {
+	b = jsonw.Uint(append(b, `{"id":`...), f.ID)
+	b = f.Scenario.AppendJSON(append(b, `,"scenario":`...))
+	b = jsonw.Strings(append(b, `,"devices":`...), f.Devices)
+	b = jsonw.Time(append(b, `,"injected_at":`...), f.InjectedAt)
+	if f.RestoredAt != nil {
+		b = jsonw.Time(append(b, `,"restored_at":`...), *f.RestoredAt)
+	}
+	return append(b, '}')
 }
 
 // InjectorConfig parameterises an Injector. Devices and Fab are required.
@@ -299,6 +310,19 @@ type Status struct {
 	Restores   int     `json:"restores"`
 }
 
+func (st Status) AppendJSON(b []byte) []byte {
+	b = jsonw.Int(append(b, `{"active_faults":`...), st.ActiveFaults)
+	if len(st.Active) > 0 {
+		b = jsonw.Slice(append(b, `,"active":`...), st.Active)
+	}
+	if len(st.History) > 0 {
+		b = jsonw.Slice(append(b, `,"history":`...), st.History)
+	}
+	b = jsonw.Int(append(b, `,"injections":`...), st.Injections)
+	b = jsonw.Int(append(b, `,"restores":`...), st.Restores)
+	return append(b, '}')
+}
+
 // Snapshot returns the injector's current state.
 func (in *Injector) Snapshot() Status {
 	in.mu.Lock()
@@ -329,13 +353,8 @@ func (in *Injector) Snapshot() Status {
 // restore after the given duration.
 func (in *Injector) Handler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		writeJSON := func(v any) {
-			body, _ := json.Marshal(v)
-			w.Header().Set("Content-Type", "application/json")
-			_, _ = w.Write(body)
-		}
 		if r.Method != http.MethodPost {
-			writeJSON(in.Snapshot())
+			jsonw.Write(w, http.StatusOK, in.Snapshot())
 			return
 		}
 		q := r.URL.Query()
@@ -361,7 +380,7 @@ func (in *Injector) Handler() http.Handler {
 			if after > 0 {
 				time.AfterFunc(after, func() { _ = in.Restore(f.ID) })
 			}
-			writeJSON(f)
+			jsonw.Write(w, http.StatusOK, f)
 		case "restore":
 			id, err := strconv.ParseUint(q.Get("id"), 10, 64)
 			if err != nil {
@@ -372,10 +391,10 @@ func (in *Injector) Handler() http.Handler {
 				http.Error(w, err.Error(), http.StatusNotFound)
 				return
 			}
-			writeJSON(in.Snapshot())
+			jsonw.Write(w, http.StatusOK, in.Snapshot())
 		case "restore_all":
 			in.restoreAll()
-			writeJSON(in.Snapshot())
+			jsonw.Write(w, http.StatusOK, in.Snapshot())
 		default:
 			http.Error(w, "unknown action (want inject, restore or restore_all)", http.StatusBadRequest)
 		}

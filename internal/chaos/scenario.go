@@ -25,6 +25,7 @@ import (
 	"iris/internal/fibermap"
 	"iris/internal/geo"
 	"iris/internal/graph"
+	"iris/internal/jsonw"
 	"iris/internal/optics"
 	"iris/internal/plan"
 )
@@ -107,6 +108,22 @@ type Scenario struct {
 	// Center and RadiusKM locate a geoEvent.
 	Center   geo.Point `json:"center"`
 	RadiusKM float64   `json:"radius_km,omitempty"`
+}
+
+func (s Scenario) AppendJSON(b []byte) []byte {
+	b = jsonw.String(append(b, `{"kind":`...), s.Kind.String())
+	b = jsonw.String(append(b, `,"name":`...), s.Name)
+	b = jsonw.Ints(append(b, `,"ducts":`...), s.Ducts)
+	if s.Node != 0 {
+		b = jsonw.Int(append(b, `,"node":`...), s.Node)
+	}
+	b = jsonw.Float(append(b, `,"center":{"X":`...), s.Center.X)
+	b = jsonw.Float(append(b, `,"Y":`...), s.Center.Y)
+	b = append(b, '}')
+	if s.RadiusKM != 0 {
+		b = jsonw.Float(append(b, `,"radius_km":`...), s.RadiusKM)
+	}
+	return append(b, '}')
 }
 
 // CutCount returns the number of ducts the scenario severs.

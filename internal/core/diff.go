@@ -5,6 +5,7 @@ import (
 	"sort"
 
 	"iris/internal/hose"
+	"iris/internal/jsonw"
 	"iris/internal/plan"
 )
 
@@ -21,6 +22,16 @@ type PairDelta struct {
 	NewFibers   int `json:"new_fibers"`
 	OldResidual int `json:"old_residual"`
 	NewResidual int `json:"new_residual"`
+}
+
+func (d PairDelta) AppendJSON(b []byte) []byte {
+	b = jsonw.Int(append(b, `{"a":`...), d.A)
+	b = jsonw.Int(append(b, `,"b":`...), d.B)
+	b = jsonw.Int(append(b, `,"old_fibers":`...), d.OldFibers)
+	b = jsonw.Int(append(b, `,"new_fibers":`...), d.NewFibers)
+	b = jsonw.Int(append(b, `,"old_residual":`...), d.OldResidual)
+	b = jsonw.Int(append(b, `,"new_residual":`...), d.NewResidual)
+	return append(b, '}')
 }
 
 // Pair returns the canonical DC pair the delta is about.
@@ -193,6 +204,13 @@ type DuctDelta struct {
 	Duct     int `json:"duct"`
 	Fibers   int `json:"fibers"`
 	Residual int `json:"residual"`
+}
+
+func (d DuctDelta) AppendJSON(b []byte) []byte {
+	b = jsonw.Int(append(b, `{"duct":`...), d.Duct)
+	b = jsonw.Int(append(b, `,"fibers":`...), d.Fibers)
+	b = jsonw.Int(append(b, `,"residual":`...), d.Residual)
+	return append(b, '}')
 }
 
 // DuctDeltas projects pair deltas onto the ducts their planned paths

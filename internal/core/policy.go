@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"time"
 
 	"iris/internal/traffic"
 )
@@ -40,6 +41,17 @@ type Outcome struct {
 	// Undo reverts what the shift did to books it edited in place (the
 	// zero Undo when it solved fresh ones).
 	Undo Undo
+	// Timing is when the shift ran its layers, for the spans of the
+	// change it drives.
+	Timing Timing
+}
+
+// Timing marks when a shift began and when each of its layers ended: the
+// traffic diff, the allocator (a delta or a full solve), and the snapshot
+// of the books with its pair diff. A zero mark is a layer the shift did
+// not run.
+type Timing struct {
+	Start, Diffed, Solved, Snapshotted time.Time
 }
 
 // PerShift is the §5 controller's policy: every shift is allocated. The
@@ -61,9 +73,12 @@ type shiftBooks struct {
 // Shift allocates tm, incrementally when the adopted books allow.
 func (p *PerShift) Shift(dep *Deployment, tm *traffic.Matrix, _ int) (Outcome, error) {
 	b := p.adopted
+	at := Timing{Start: time.Now()}
 	var out Outcome
 	if b.st != nil && b.st.dep == dep {
-		undo, stats, err := dep.AllocateDelta(b.st, traffic.DiffMatrices(b.tm, tm))
+		delta := traffic.DiffMatrices(b.tm, tm)
+		at.Diffed = time.Now()
+		undo, stats, err := dep.AllocateDelta(b.st, delta)
 		if err != nil {
 			// An infeasible delta leaves the books untouched.
 			return Outcome{}, fmt.Errorf("allocate: %w", err)
@@ -76,6 +91,7 @@ func (p *PerShift) Shift(dep *Deployment, tm *traffic.Matrix, _ int) (Outcome, e
 		}
 		out = Outcome{State: st, Stats: &DeltaStats{FallbackReason: "full solve", PairsResolved: len(dep.Plan.Paths)}}
 	}
+	at.Solved = time.Now()
 	// Snapshot decouples the proposed allocation from the books, which
 	// the next delta edits in place.
 	out.Alloc = out.State.Snapshot()
@@ -84,6 +100,8 @@ func (p *PerShift) Shift(dep *Deployment, tm *traffic.Matrix, _ int) (Outcome, e
 	} else {
 		out.Pairs = DiffAlloc(b.alloc, out.Alloc)
 	}
+	at.Snapshotted = time.Now()
+	out.Timing = at
 	out.Changed = b.st == nil || len(out.Pairs) > 0
 	if s := out.Stats; out.Changed {
 		out.Attr = fmt.Sprintf("incremental=%v pairs_resolved=%d pairs_revalidated=%d ducts_touched=%d",

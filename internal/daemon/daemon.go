@@ -32,6 +32,7 @@ import (
 	"io"
 	"log/slog"
 	"math/rand"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -223,6 +224,9 @@ type metricsSet struct {
 	robustEscapes  *telemetry.Counter
 	robustHeadroom *telemetry.Gauge
 	robustOverprov *telemetry.Gauge
+	// Traced-change series, registered by the first (observeTick).
+	tickSeconds  *telemetry.HistogramVec
+	tickCoverage *telemetry.Gauge
 }
 
 // The control loop's cadences when Config leaves them zero, and what
@@ -235,6 +239,10 @@ const (
 // latencyBuckets cover sub-millisecond emulated phases up to multi-second
 // hardware settling.
 var latencyBuckets = []float64{.0005, .001, .0025, .005, .01, .025, .05, .1, .25, .5, 1, 2.5, 5, 10}
+
+// tickBuckets cover a layer's self time in one change, from a few
+// microseconds (a sparse diff) to the seconds of hardware settling.
+var tickBuckets = []float64{1e-5, 2.5e-5, 5e-5, 1e-4, 2.5e-4, 5e-4, .001, .0025, .005, .01, .025, .05, .1, .25, .5, 1, 2.5, 5, 10}
 
 // New validates the configuration and prepares a daemon. The first
 // convergence happens on the first Step (or Run tick).
@@ -511,12 +519,17 @@ func (d *Daemon) commitChange(tm *traffic.Matrix, out core.Outcome, trig history
 
 	id := d.nextTraceID()
 	log := d.log.With("reconfig_id", id)
-	root := d.tracer.Start(id, "reconfig")
+	// The trace starts with the shift, whose layers ran before the change
+	// had an ID.
+	root := d.tracer.StartAt(id, "reconfig", out.Timing.Start)
 	ctx := trace.ContextWith(context.Background(), root)
+	shiftSpans(root, out.Timing)
 
+	clsp := root.Child("fabric.clone")
+	clone := fab.Clone()
+	clsp.Finish()
 	csp := root.Child("compile")
 	csp.SetAttr(out.Attr)
-	clone := fab.Clone()
 	ch, err := clone.Compile(out.Pairs)
 	if err != nil {
 		out.Undo.Rollback()
@@ -529,7 +542,10 @@ func (d *Daemon) commitChange(tm *traffic.Matrix, out core.Outcome, trig history
 	}
 	csp.Finish()
 
-	rep, err := d.ctl.Reconfigure(ctx, ch)
+	rsp := root.Child("control.reconfigure")
+	rep, err := d.ctl.Reconfigure(trace.ContextWith(ctx, rsp), ch)
+	rsp.Fail(err)
+	rsp.Finish()
 	if err != nil {
 		// The devices may be partially reconfigured; keep the old fabric
 		// as intent (the clone is discarded, the delta rolled back),
@@ -576,10 +592,66 @@ func (d *Daemon) commitChange(tm *traffic.Matrix, out core.Outcome, trig history
 	// The clone's Compile published its intent, patching the devices the
 	// change touched: the closing audit compares it with their replies.
 	err = d.closeWrite(ctx, id, clone.Expected(), ch, rep, impact)
+	hsp := root.Child("history.record")
+	rec, keep := d.historyRecord(trig, id, recordAt, preHealth, last, tm, out.Pairs, dep, err)
+	hsp.Finish()
 	root.Fail(err)
 	root.Finish()
-	d.recordHistory(trig, id, recordAt, preHealth, last, tm, out.Pairs, dep, err)
+	// The record captures the trace once its root has finished, so the
+	// lake's append is the one step outside it.
+	if keep || d.tracer != nil {
+		spans := d.tracer.Events(trace.Filter{TraceID: id})
+		d.observeTick(spans)
+		if keep {
+			d.appendHistory(rec, spans)
+		}
+	}
 	return err
+}
+
+// shiftSpans journals the layers of the shift a change commits under its
+// root, from the marks the policy took: traffic.diff, core.delta and
+// core.snapshot, each a span that ends where the next begins. With a nil
+// root it allocates nothing.
+func shiftSpans(root *trace.Span, at core.Timing) {
+	from := at.Start
+	for _, l := range [...]struct {
+		name string
+		end  time.Time
+	}{{"traffic.diff", at.Diffed}, {"core.delta", at.Solved}, {"core.snapshot", at.Snapshotted}} {
+		if !l.end.IsZero() {
+			root.Child(l.name).FinishAs(from, l.end.Sub(from))
+			from = l.end
+		}
+	}
+}
+
+// observeTick exports a traced change's layers from its spans: per span
+// name, the self times summed over the trace (iris_tick_seconds{layer};
+// the root's, layer "reconfig", is the daemon's own time between its
+// layers), and the share of the root's time its children cover
+// (iris_tick_trace_coverage). The first traced change registers both, so
+// an untraced daemon's scrape carries neither.
+func (d *Daemon) observeTick(spans []trace.Event) {
+	root := slices.IndexFunc(spans, func(ev trace.Event) bool { return ev.ParentID == 0 && ev.Name == "reconfig" })
+	if root < 0 {
+		return
+	}
+	if d.m.tickSeconds == nil {
+		d.m.tickSeconds = d.reg.HistogramVec("iris_tick_seconds", "Self time of each layer of a traced reconfiguration, by span name (reconfig: the daemon's own).", "layer", tickBuckets)
+		d.m.tickCoverage = d.reg.Gauge("iris_tick_trace_coverage", "Share of the last traced reconfiguration's time its layer spans cover.")
+	}
+	self := trace.SelfTimes(spans)
+	sums := make(map[string]time.Duration)
+	for i, ev := range spans {
+		sums[ev.Name] += self[i]
+	}
+	for name, t := range sums {
+		d.m.tickSeconds.With(name).Observe(t.Seconds())
+	}
+	if dur := spans[root].Duration; dur > 0 {
+		d.m.tickCoverage.Set(1 - float64(self[root])/float64(dur))
+	}
 }
 
 // repair runs the anti-entropy pass: fetch every device's state, compute
@@ -638,15 +710,10 @@ func (d *Daemon) repairIn(ctx context.Context, id uint64, fab *fabric.Fabric) er
 		lkg, haveLKG := d.lkg, d.haveLKG
 		d.mu.Unlock()
 		if haveLKG {
-			// A reconcile has no per-pair moves; model it as a uniform dip
-			// sized by the fraction of circuit endpoints the change drained
-			// — the whole-region view of a chaos/repair cycle.
+			// Each pair dips by the share of its circuits' slots the
+			// change darkened: switched, drained or retuned.
 			impact = func(m *flowsim.Monitor) (flowsim.Impact, error) {
-				frac := 0.0
-				if n := fab.CircuitCount(); n > 0 {
-					frac = float64(len(ch.Drain)) / float64(2*n)
-				}
-				return m.ObserveRepair(id, lkg, fab.Deployment().Region.Lambda, frac, rep.Total.Seconds())
+				return m.ObserveRepair(id, lkg, fab.Deployment().Region.Lambda, fab.Darkened(ch), rep.Total.Seconds())
 			}
 		}
 	}

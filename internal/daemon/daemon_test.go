@@ -296,8 +296,9 @@ func TestDialOptionsOnRig(t *testing.T) {
 // TestReconfigTraceTree is the deterministic end-to-end trace test: a
 // live flight recorder is threaded from bring-up through two traffic
 // shifts, then the second reconfiguration's span tree is pulled from the
-// recorder and over HTTP and checked for the full ordered §5.2 sequence
-// with per-device children.
+// recorder and over HTTP and checked for the change's layers in order,
+// and under the controller's the full ordered §5.2 sequence with
+// per-device children.
 func TestReconfigTraceTree(t *testing.T) {
 	tracer := trace.New(4096)
 	rig := toyRig(t, func(cfg *fabric.BringUpConfig) { cfg.Tracer = tracer })
@@ -335,22 +336,31 @@ func TestReconfigTraceTree(t *testing.T) {
 		if root.Name != "reconfig" || root.TraceID != st.LastReconfigID {
 			t.Fatalf("root = %q trace %d, want reconfig trace %d", root.Name, root.TraceID, st.LastReconfigID)
 		}
-		var names []string
+		var names, phases []string
 		devChildren := 0
 		for _, c := range root.Children {
 			names = append(names, c.Name)
-			for _, dc := range c.Children {
-				if dc.Device == "" {
-					t.Errorf("child %q of phase %q has no device attribution", dc.Name, c.Name)
+			if c.Name != "control.reconfigure" {
+				continue
+			}
+			for _, ph := range c.Children {
+				phases = append(phases, ph.Name)
+				for _, dc := range ph.Children {
+					if dc.Device == "" {
+						t.Errorf("child %q of phase %q has no device attribution", dc.Name, ph.Name)
+					}
+					if dc.DurationMS < 0 {
+						t.Errorf("device span %q has negative duration", dc.Name)
+					}
+					devChildren++
 				}
-				if dc.DurationMS < 0 {
-					t.Errorf("device span %q has negative duration", dc.Name)
-				}
-				devChildren++
 			}
 		}
-		want := "compile,drain,switch,amps,retune,fill,undrain,audit"
+		want := "traffic.diff,core.delta,core.snapshot,fabric.clone,compile,control.reconfigure,audit,history.record"
 		if got := strings.Join(names, ","); got != want {
+			t.Fatalf("layer order %q, want %q", got, want)
+		}
+		if got, want := strings.Join(phases, ","), "drain,switch,amps,retune,fill,undrain"; got != want {
 			t.Fatalf("phase order %q, want %q", got, want)
 		}
 		if devChildren == 0 {

@@ -109,3 +109,38 @@ func TestDaemonReportsFlowImpact(t *testing.T) {
 		}
 	}
 }
+
+// TestRepairImpactCountsWhatItDarkened: a repair that reconnects one
+// disconnected cross-connect drains nothing, yet that circuit was dark
+// until the repair, so its pipe, and only its, dips.
+func TestRepairImpactCountsWhatItDarkened(t *testing.T) {
+	rig := toyRig(t, nil)
+	mon, err := flowsim.NewMonitor(flowsim.MonitorConfig{Seed: 11, GbpsPerWavelength: 0.01, WindowS: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := New(Config{
+		Fab:         rig.Fab,
+		Controller:  rig.Testbed.Controller,
+		Feed:        traffic.NewReplay(toyMatrix(rig, 60, 45)),
+		FlowMonitor: mon,
+		Logger:      testLogger(t),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d.ProbeOnce()
+	d.Step()
+	dev, in := firstCircuit(d)
+	if _, err := rig.Testbed.Controller.Call(dev, "switch-batch",
+		map[string]any{"disconnect": []int{in}, "ins": []int{}, "outs": []int{}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.repair(); err != nil {
+		t.Fatalf("repair: %v", err)
+	}
+	imp := mon.Last()
+	if imp == nil || imp.Kind != "repair" || imp.Pipes != 1 || imp.Flows == 0 || imp.BytesStranded <= 0 {
+		t.Fatalf("impact of a repair that reconnected one circuit = %+v, want one dimmed pipe that strands bytes", imp)
+	}
+}

@@ -52,14 +52,25 @@ func hoseAgg(m *traffic.Matrix) history.HoseAggregate {
 }
 
 // recordHistory appends one record to the history lake (no-op without
-// one), summarising the demand before and after (hoseAgg) only then. Call
-// it after the operation's root span has finished so the captured Spans
+// one), capturing the operation's trace from the flight recorder. Call it
+// after the operation's root span has finished so the captured Spans
 // include the complete trace.
 func (d *Daemon) recordHistory(trig history.Trigger, id uint64, at time.Time,
 	preHealth history.Health, pre, post *traffic.Matrix,
 	pairs []core.PairDelta, dep *core.Deployment, opErr error) {
+	if rec, ok := d.historyRecord(trig, id, at, preHealth, pre, post, pairs, dep, opErr); ok {
+		d.appendHistory(rec, d.tracer.Events(trace.Filter{TraceID: id}))
+	}
+}
+
+// historyRecord builds an operation's record for the history lake (ok
+// false without one), summarising the demand before and after (hoseAgg)
+// only then: all of it but the trace, which appendHistory adds.
+func (d *Daemon) historyRecord(trig history.Trigger, id uint64, at time.Time,
+	preHealth history.Health, pre, post *traffic.Matrix,
+	pairs []core.PairDelta, dep *core.Deployment, opErr error) (history.Record, bool) {
 	if d.cfg.History == nil {
-		return
+		return history.Record{}, false
 	}
 	preHose := hoseAgg(pre)
 	postHose := preHose
@@ -76,12 +87,18 @@ func (d *Daemon) recordHistory(trig history.Trigger, id uint64, at time.Time,
 		PreHose:    preHose,
 		PostHose:   postHose,
 		Pairs:      pairs,
-		Spans:      d.tracer.Events(trace.Filter{TraceID: id}),
 	}
 	rec.Ducts = dep.DuctDeltas(rec.Pairs)
 	if opErr != nil {
 		rec.Err = opErr.Error()
 	}
+	return rec, true
+}
+
+// appendHistory appends rec with spans, its operation's trace as the
+// flight recorder holds it.
+func (d *Daemon) appendHistory(rec history.Record, spans []trace.Event) {
+	rec.Spans = spans
 	d.cfg.History.Append(rec)
 }
 

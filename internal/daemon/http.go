@@ -2,7 +2,6 @@ package daemon
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"net"
 	"net/http"
@@ -13,6 +12,7 @@ import (
 	"iris/internal/chaos"
 	"iris/internal/flowsim"
 	"iris/internal/hose"
+	"iris/internal/jsonw"
 	"iris/internal/topoapi"
 	"iris/internal/trace"
 )
@@ -110,12 +110,54 @@ type Status struct {
 	Robust *RobustStatus `json:"robust,omitempty"`
 }
 
+func (st *Status) AppendJSON(b []byte) []byte {
+	b = jsonw.Bool(append(b, `{"healthy":`...), st.Healthy)
+	b = jsonw.Bool(append(b, `,"need_repair":`...), st.NeedRepair)
+	b = jsonw.Bool(append(b, `,"converged":`...), st.Converged)
+	b = jsonw.Int(append(b, `,"steps":`...), st.Steps)
+	if st.LastError != "" {
+		b = jsonw.String(append(b, `,"last_error":`...), st.LastError)
+	}
+	b = jsonw.Bool(append(b, `,"last_audit_ok":`...), st.LastAuditOK)
+	if st.LastAuditAt != nil {
+		b = jsonw.Time(append(b, `,"last_audit_at":`...), *st.LastAuditAt)
+	}
+	b = jsonw.Float(append(b, `,"allocation_age_seconds":`...), st.AllocationAgeSeconds)
+	b = jsonw.Bool(append(b, `,"pending_shift":`...), st.PendingShift)
+	if st.LastReconfigID != 0 {
+		b = jsonw.Uint(append(b, `,"last_reconfig_id":`...), st.LastReconfigID)
+	}
+	b = jsonw.Int(append(b, `,"circuits":`...), st.Circuits)
+	if len(st.Allocation) > 0 {
+		b = jsonw.Slice(append(b, `,"allocation":`...), st.Allocation)
+	}
+	b = jsonw.Slice(append(b, `,"devices":`...), st.Devices)
+	if st.Chaos != nil {
+		b = st.Chaos.AppendJSON(append(b, `,"chaos":`...))
+	}
+	if st.FlowImpact != nil {
+		b = st.FlowImpact.AppendJSON(append(b, `,"flow_impact":`...))
+	}
+	if st.Robust != nil {
+		b = st.Robust.AppendJSON(append(b, `,"robust":`...))
+	}
+	return append(b, '}')
+}
+
 // PairAllocation is one DC pair's current circuit assignment.
 type PairAllocation struct {
 	A        int `json:"a"`
 	B        int `json:"b"`
 	Fibers   int `json:"fibers"`
 	Residual int `json:"residual"`
+}
+
+func (pa PairAllocation) AppendJSON(b []byte) []byte {
+	b = jsonw.Int(append(b, `{"a":`...), pa.A)
+	b = jsonw.Int(append(b, `,"b":`...), pa.B)
+	b = jsonw.Int(append(b, `,"fibers":`...), pa.Fibers)
+	b = jsonw.Int(append(b, `,"residual":`...), pa.Residual)
+	return append(b, '}')
 }
 
 // DeviceStatus is one device's supervision state.
@@ -128,6 +170,22 @@ type DeviceStatus struct {
 	ConsecutiveFailures int        `json:"consecutive_failures"`
 	LastError           string     `json:"last_error,omitempty"`
 	RetryInSeconds      float64    `json:"retry_in_seconds,omitempty"`
+}
+
+func (ds DeviceStatus) AppendJSON(b []byte) []byte {
+	b = jsonw.String(append(b, `{"name":`...), ds.Name)
+	b = jsonw.String(append(b, `,"breaker":`...), ds.Breaker)
+	if ds.BreakerSince != nil {
+		b = jsonw.Time(append(b, `,"breaker_since":`...), *ds.BreakerSince)
+	}
+	b = jsonw.Int(append(b, `,"consecutive_failures":`...), ds.ConsecutiveFailures)
+	if ds.LastError != "" {
+		b = jsonw.String(append(b, `,"last_error":`...), ds.LastError)
+	}
+	if ds.RetryInSeconds != 0 {
+		b = jsonw.Float(append(b, `,"retry_in_seconds":`...), ds.RetryInSeconds)
+	}
+	return append(b, '}')
 }
 
 // brief is the part of Status its flags and breakers decide, without
@@ -286,21 +344,13 @@ func (d *Daemon) DebugEvents(reconfigID uint64) EventsDump {
 // history lake; a client that goes fails the cycle.
 func (d *Daemon) Handler() http.Handler {
 	mux := http.NewServeMux()
-	writeJSON := func(w http.ResponseWriter, code int, v any) {
-		body, _ := json.Marshal(v)
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(code)
-		_, _ = w.Write(body)
-	}
-	jsonError := func(w http.ResponseWriter, code int, msg string) {
-		writeJSON(w, code, map[string]string{"error": msg})
-	}
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		_ = d.reg.WriteText(w)
 	})
 	mux.HandleFunc("/status", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, d.Status())
+		st := d.Status()
+		jsonw.Write(w, http.StatusOK, &st)
 	})
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
 		if d.brief().serving() {
@@ -323,10 +373,10 @@ func (d *Daemon) Handler() http.Handler {
 		}
 		dump := d.DebugEvents(id)
 		if id != 0 && len(dump.Events) == 0 {
-			jsonError(w, http.StatusNotFound, "no events for reconfig "+strconv.FormatUint(id, 10))
+			jsonw.Error(w, http.StatusNotFound, "no events for reconfig "+strconv.FormatUint(id, 10))
 			return
 		}
-		writeJSON(w, http.StatusOK, dump)
+		jsonw.Write(w, http.StatusOK, dump)
 	})
 	mux.HandleFunc("/debug/trace", func(w http.ResponseWriter, r *http.Request) {
 		n := 5
@@ -342,13 +392,13 @@ func (d *Daemon) Handler() http.Handler {
 		if trees == nil {
 			trees = []*trace.Node{}
 		}
-		writeJSON(w, http.StatusOK, trees)
+		jsonw.Write(w, http.StatusOK, trees)
 	})
 	if d.cfg.Chaos != nil {
 		mux.Handle("/debug/chaos", d.cfg.Chaos.Handler())
 		mux.HandleFunc("/debug/chaos/cycle", func(w http.ResponseWriter, r *http.Request) {
 			if r.Method != http.MethodPost {
-				jsonError(w, http.StatusMethodNotAllowed, "POST only")
+				jsonw.Error(w, http.StatusMethodNotAllowed, "POST only")
 				return
 			}
 			q := r.URL.Query()
@@ -363,14 +413,14 @@ func (d *Daemon) Handler() http.Handler {
 				sc, err = chaos.ScenarioFromQuery(m, q)
 			}
 			if err != nil {
-				jsonError(w, http.StatusBadRequest, err.Error())
+				jsonw.Error(w, http.StatusBadRequest, err.Error())
 				return
 			}
 			timeout := 30 * time.Second
 			if v := q.Get("timeout"); v != "" {
 				parsed, err := time.ParseDuration(v)
 				if err != nil || parsed <= 0 {
-					jsonError(w, http.StatusBadRequest, "bad timeout")
+					jsonw.Error(w, http.StatusBadRequest, "bad timeout")
 					return
 				}
 				timeout = parsed
@@ -380,10 +430,10 @@ func (d *Daemon) Handler() http.Handler {
 			// ends with the request.
 			res, err := d.chaosCycle(r.Context(), sc, CycleOptions{Timeout: timeout}, true)
 			if err != nil {
-				jsonError(w, http.StatusInternalServerError, err.Error())
+				jsonw.Error(w, http.StatusInternalServerError, err.Error())
 				return
 			}
-			writeJSON(w, http.StatusOK, res)
+			jsonw.Write(w, http.StatusOK, res)
 		})
 	}
 	topoapi.New(topoapi.Config{State: d.topoSnapshot, Lake: d.cfg.History}).Register(mux)

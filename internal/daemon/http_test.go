@@ -5,12 +5,15 @@ import (
 	"encoding/json"
 	"errors"
 	"io"
+	"math"
 	"net"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
 	"strings"
 	"testing"
+
+	"iris/internal/chaos"
 )
 
 // getJSONError asserts a request fails with the given status and a JSON
@@ -172,5 +175,36 @@ func TestServeFailureEndsTheLoop(t *testing.T) {
 	}
 	if err := Serve(context.Background(), ln, http.NotFoundHandler(), loop); err == nil || errors.Is(err, context.Canceled) {
 		t.Fatalf("Serve on a closed listener = %v, want its accept error", err)
+	}
+}
+
+// TestUnencodableBodyAnswers500: a fault whose scenario carries a NaN
+// (nothing that parses a query lets one in; only a bug can) makes the
+// chaos injector's snapshot unencodable, and both routes that serve it,
+// /status and the injector's /debug/chaos, answer 500 with a JSON error
+// body, not a 200 with no body.
+func TestUnencodableBodyAnswers500(t *testing.T) {
+	cfg := DefaultRegionConfig()
+	cfg.Chaos, cfg.OSSDelay = true, 0
+	b, err := BuildRegion(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(b.Close)
+	sc := chaos.Cut(b.Rig.Fab.Deployment().Region.Map.Ducts[0].ID)
+	sc.Center.X = math.NaN()
+	if _, err := b.Injector.Inject(sc); err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(b.Daemon.Handler())
+	defer srv.Close()
+	for _, route := range []string{"/status", "/debug/chaos"} {
+		res, err := srv.Client().Get(srv.URL + route)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if msg := getJSONError(t, res, http.StatusInternalServerError); !strings.Contains(msg, "NaN") {
+			t.Errorf("%s: error %q does not name the NaN", route, msg)
+		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"iris/internal/history"
+	"iris/internal/jsonw"
 )
 
 // RobustStatus is /status's robust block: the committed envelope and the
@@ -35,6 +36,36 @@ type RobustStatus struct {
 	// counts shifts that forced a re-plan.
 	InEnvelope uint64 `json:"in_envelope"`
 	Escapes    uint64 `json:"escapes"`
+}
+
+func (rs RobustStatus) AppendJSON(b []byte) []byte {
+	b = jsonw.Bool(append(b, `{"enabled":`...), rs.Enabled)
+	b = jsonw.Int(append(b, `,"window":`...), rs.Window)
+	if rs.Matrices != 0 {
+		b = jsonw.Int(append(b, `,"matrices":`...), rs.Matrices)
+	}
+	if rs.Headroom != 0 {
+		b = jsonw.Float(append(b, `,"headroom":`...), rs.Headroom)
+	}
+	if rs.Clamped {
+		b = append(b, `,"clamped":true`...)
+	}
+	b = jsonw.Bool(append(b, `,"all_admissible":`...), rs.AllAdmissible)
+	if rs.EnvelopeTotal != 0 {
+		b = jsonw.Float(append(b, `,"envelope_total":`...), rs.EnvelopeTotal)
+	}
+	if rs.ProvisionedWavelengths != 0 {
+		b = jsonw.Float(append(b, `,"provisioned_wavelengths":`...), rs.ProvisionedWavelengths)
+	}
+	if rs.Overprovision != 0 {
+		b = jsonw.Float(append(b, `,"overprovision":`...), rs.Overprovision)
+	}
+	if rs.Utilization != 0 {
+		b = jsonw.Float(append(b, `,"utilization":`...), rs.Utilization)
+	}
+	b = jsonw.Uint(append(b, `,"in_envelope":`...), rs.InEnvelope)
+	b = jsonw.Uint(append(b, `,"escapes":`...), rs.Escapes)
+	return append(b, '}')
 }
 
 // noteEnvelope publishes what the envelope rule made of the shift just

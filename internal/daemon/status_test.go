@@ -214,3 +214,39 @@ func TestStatusReadsBesideCommits(t *testing.T) {
 		t.Fatal("no /status read ran beside the commits")
 	}
 }
+
+// BenchmarkStatus is one /status read of the bench region (seed 1, 20
+// DCs, 52 devices, its allocation rows built by an earlier read), the
+// read api-mix and tick-read send. It fails itself above 13 allocations
+// per request (11 today, 14 when the body went through json.Marshal).
+func BenchmarkStatus(b *testing.B) {
+	rig, err := fabric.BringUp(fabric.BringUpConfig{Seed: 1, DCs: 20, DCCapacity: 10, Lambda: 40})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(rig.Close)
+	d, err := New(Config{Fab: rig.Fab, Controller: rig.Testbed.Controller, Feed: newSparseRedrawFeed(rig, 2)})
+	if err != nil {
+		b.Fatal(err)
+	}
+	d.ProbeOnce()
+	d.Step()
+	h := d.Handler()
+	req := httptest.NewRequest(http.MethodGet, "/status", nil)
+	read := func() {
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, req)
+		if w.Code != http.StatusOK {
+			b.Fatalf("status %d", w.Code)
+		}
+	}
+	read()
+	if allocs := testing.AllocsPerRun(20, read); allocs > 13 {
+		b.Fatalf("a /status read allocates %.0f times, want at most 13", allocs)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		read()
+	}
+}

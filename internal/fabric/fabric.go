@@ -660,3 +660,65 @@ func (f *Fabric) publish() {
 
 // CircuitCount returns the number of active circuits (full + residual).
 func (f *Fabric) CircuitCount() int { return f.circuits }
+
+// Darkened sizes what a change (a repair's, against this fabric's
+// intent) takes dark while it runs, per pair: the wavelength slots of the
+// pair's circuits it switches — a cross-connect of the circuit's path,
+// which carries every slot — or whose transceiver at either end it drains
+// or retunes, as a share of the pair's slots (core.Move.FracAffected).
+// Pairs it leaves alone are not listed; the rest come in pair order.
+func (f *Fabric) Darkened(ch control.Change) []core.Move {
+	switched := make(map[string]map[int]bool)
+	for _, o := range ch.Switches {
+		if switched[o.Device] == nil {
+			switched[o.Device] = make(map[int]bool)
+		}
+		switched[o.Device][o.In] = true
+	}
+	xcvrs := make(map[string]map[int]bool)
+	for _, ops := range [][]control.TransceiverOp{ch.Drain, ch.Retunes} {
+		for _, o := range ops {
+			if xcvrs[o.Device] == nil {
+				xcvrs[o.Device] = make(map[int]bool)
+			}
+			xcvrs[o.Device][o.Idx] = true
+		}
+	}
+	pairs := make([]hose.Pair, 0, len(f.full)+len(f.residual))
+	for p := range f.full {
+		pairs = append(pairs, p)
+	}
+	for p := range f.residual {
+		if _, ok := f.full[p]; !ok {
+			pairs = append(pairs, p)
+		}
+	}
+	hose.SortPairs(pairs)
+	var moves []core.Move
+	for _, p := range pairs {
+		dark, slots := 0, 0
+		circuits := f.full[p]
+		if c := f.residual[p]; c != nil {
+			circuits = append(slices.Clip(circuits), c)
+		}
+		for _, c := range circuits {
+			slots += c.live
+			hit := false
+			_ = f.hops(c, func(node, in, _ int) { hit = hit || switched[f.OSSName(node)][in] })
+			if hit {
+				dark += c.live
+				continue
+			}
+			xa, xb := xcvrs[f.XcvrName(p.A)], xcvrs[f.XcvrName(p.B)]
+			for slot := 0; slot < c.live; slot++ {
+				if xa[c.xcvrA[slot]] || xb[c.xcvrB[slot]] {
+					dark++
+				}
+			}
+		}
+		if dark > 0 {
+			moves = append(moves, core.Move{Pair: p, FracAffected: float64(dark) / float64(slots)})
+		}
+	}
+	return moves
+}

@@ -534,3 +534,48 @@ func TestCutThroughBypassesSwitch(t *testing.T) {
 		}
 	}
 }
+
+// TestDarkenedCountsSlots: a switched cross-connect darkens every slot of
+// its circuit, a drained or retuned transceiver its own slot, each as a
+// share of its pair's slots; ops on nothing the circuits use darken none.
+func TestDarkenedCountsSlots(t *testing.T) {
+	dep, r := toyDeployment(t)
+	f, _ := Build(dep)
+	m := traffic.NewMatrix(dep.Region.Map.DCs())
+	p := hose.Pair{A: r.DC1, B: r.DC3}
+	m.Set(p, 60) // one full circuit (40 slots) and a residual one (20)
+	alloc, err := dep.Allocate(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.CompileTarget(alloc); err != nil {
+		t.Fatal(err)
+	}
+	full, res := f.full[p.Canonical()][0], f.residual[p.Canonical()]
+	var hop control.OSSOp
+	_ = f.hops(full, func(node, in, _ int) { hop = control.OSSOp{Device: f.OSSName(node), In: in} })
+	xa := func(c *circuit, slot int) control.TransceiverOp {
+		return control.TransceiverOp{Device: f.XcvrName(c.pair.A), Idx: c.xcvrA[slot]}
+	}
+	for _, tc := range []struct {
+		name string
+		ch   control.Change
+		frac float64
+	}{
+		{"switched", control.Change{Switches: []control.OSSOp{hop}}, 40.0 / 60},
+		{"drained and retuned", control.Change{Drain: []control.TransceiverOp{xa(res, 0)}, Retunes: []control.TransceiverOp{xa(res, 1), xa(full, 2)}}, 3.0 / 60},
+		{"undrained only", control.Change{Undrain: []control.TransceiverOp{xa(res, 0)}}, 0},
+		{"unused port", control.Change{Switches: []control.OSSOp{{Device: hop.Device, In: 9999, Disconnect: true}}}, 0},
+	} {
+		got := f.Darkened(tc.ch)
+		if tc.frac == 0 {
+			if len(got) != 0 {
+				t.Errorf("%s: darkened %+v, want nothing", tc.name, got)
+			}
+			continue
+		}
+		if len(got) != 1 || got[0].Pair != p.Canonical() || got[0].FracAffected != tc.frac {
+			t.Errorf("%s: darkened %+v, want %v of pair %v", tc.name, got, tc.frac, p.Canonical())
+		}
+	}
+}

@@ -53,6 +53,33 @@ func placeOracle(m *Map, cfg PlaceConfig) ([]int, error) {
 	return dcs, nil
 }
 
+// weightedPick selects a candidate with probability inversely proportional
+// to its distance from the nearest already-placed DC (§6.1), measuring
+// every candidate against every placed DC: the oracle's draw.
+func weightedPick(rng *rand.Rand, m *Map, dcs []int, candidates []geo.Point) geo.Point {
+	weights := make([]float64, len(candidates))
+	var total float64
+	for i, c := range candidates {
+		best := -1.0
+		for _, dc := range dcs {
+			if d := c.Dist(m.Nodes[dc].Pos); best < 0 || d < best {
+				best = d
+			}
+		}
+		w := 1 / (best + 0.5) // +0.5 km regularizer avoids a singularity at 0
+		weights[i] = w
+		total += w
+	}
+	r := rng.Float64() * total
+	for i, w := range weights {
+		r -= w
+		if r <= 0 {
+			return candidates[i]
+		}
+	}
+	return candidates[len(candidates)-1]
+}
+
 // checkMatchesOracle places cfg on two copies of base, once with PlaceDCs
 // and once with the oracle, and fails unless the IDs, the error, the nodes
 // and the ducts are identical. It returns PlaceDCs' search count.

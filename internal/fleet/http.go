@@ -1,13 +1,13 @@
 package fleet
 
 import (
-	"encoding/json"
 	"net/http"
 	"strconv"
 	"strings"
 	"time"
 
 	"iris/internal/history"
+	"iris/internal/jsonw"
 	"iris/internal/telemetry"
 )
 
@@ -31,11 +31,6 @@ import (
 //	                       flight recorder, …)
 func (f *Fleet) Handler() http.Handler {
 	mux := http.NewServeMux()
-	writeJSON := func(w http.ResponseWriter, v any) {
-		body, _ := json.Marshal(v)
-		w.Header().Set("Content-Type", "application/json")
-		_, _ = w.Write(body)
-	}
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		if err := f.reg.WriteText(w); err != nil {
@@ -48,7 +43,7 @@ func (f *Fleet) Handler() http.Handler {
 		_ = telemetry.MergeText(w, "region", regs)
 	})
 	mux.HandleFunc("/status", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, f.Status())
+		jsonw.Write(w, http.StatusOK, f.Status())
 	})
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
 		var degraded []string
@@ -66,7 +61,7 @@ func (f *Fleet) Handler() http.Handler {
 		_, _ = w.Write([]byte("degraded: " + strings.Join(degraded, " ") + "\n"))
 	})
 	mux.HandleFunc("/demand", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, struct {
+		jsonw.Write(w, http.StatusOK, struct {
 			Skew    SkewReport     `json:"skew"`
 			Samples []demandSample `json:"samples"`
 		}{f.bus.skew(), f.bus.snapshot()})
@@ -88,7 +83,7 @@ func (f *Fleet) Handler() http.Handler {
 			}
 			out = append(out, row)
 		}
-		writeJSON(w, out)
+		jsonw.Write(w, http.StatusOK, out)
 	})
 	mux.HandleFunc("/chaos", func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodPost {
@@ -117,7 +112,7 @@ func (f *Fleet) Handler() http.Handler {
 				return
 			}
 		}
-		writeJSON(w, f.Storm(r.Context(), cfg))
+		jsonw.Write(w, http.StatusOK, f.Storm(r.Context(), cfg))
 	})
 	mux.HandleFunc("/regions/", func(w http.ResponseWriter, r *http.Request) {
 		rest := strings.TrimPrefix(r.URL.Path, "/regions/")

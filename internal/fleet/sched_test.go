@@ -2,8 +2,11 @@ package fleet
 
 import (
 	"context"
+	"encoding/json"
 	"math"
 	"net/http"
+	"net/http/httptest"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -189,5 +192,24 @@ func TestBusSkew(t *testing.T) {
 	snap := b.snapshot()
 	if len(snap) != 3 || snap[0].Region != "r000" || snap[2].Region != "r002" {
 		t.Errorf("snapshot not ordered by region: %+v", snap)
+	}
+}
+
+// TestUnencodableBodyAnswers500: a NaN demand sample (only a bug in a
+// region can publish one) makes the skew report unencodable, and the
+// fleet routes that serve it answer 500 with a JSON error body, not a 200
+// with no body.
+func TestUnencodableBodyAnswers500(t *testing.T) {
+	f := fakeFleet(t, newFakeRegion())
+	f.bus.publish("r000", daemon.DemandSummary{Total: math.NaN()})
+	h := f.Handler()
+	for _, route := range []string{"/status", "/demand"} {
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, httptest.NewRequest(http.MethodGet, route, nil))
+		var body struct{ Error string }
+		if err := json.Unmarshal(w.Body.Bytes(), &body); w.Code != http.StatusInternalServerError || err != nil ||
+			!strings.Contains(body.Error, "NaN") || w.Header().Get("Content-Type") != "application/json" {
+			t.Errorf("%s: %d %q %s, want a 500 JSON error naming the NaN", route, w.Code, w.Header().Get("Content-Type"), w.Body)
+		}
 	}
 }

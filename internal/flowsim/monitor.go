@@ -7,6 +7,7 @@ import (
 
 	"iris/internal/core"
 	"iris/internal/hose"
+	"iris/internal/jsonw"
 	"iris/internal/telemetry"
 	"iris/internal/traffic"
 )
@@ -78,6 +79,20 @@ type Impact struct {
 	DurationS      float64 `json:"drain_seconds"`
 }
 
+func (imp Impact) AppendJSON(b []byte) []byte {
+	b = jsonw.Uint(append(b, `{"reconfig_id":`...), imp.ReconfigID)
+	b = jsonw.String(append(b, `,"kind":`...), imp.Kind)
+	b = jsonw.Int(append(b, `,"pipes":`...), imp.Pipes)
+	b = jsonw.Uint(append(b, `,"flows":`...), imp.Flows)
+	b = jsonw.Float(append(b, `,"p50_slowdown":`...), imp.P50)
+	b = jsonw.Float(append(b, `,"p99_slowdown":`...), imp.P99)
+	b = jsonw.Float(append(b, `,"p999_slowdown":`...), imp.P999)
+	b = jsonw.Float(append(b, `,"bytes_stranded":`...), imp.BytesStranded)
+	b = jsonw.Uint(append(b, `,"peak_concurrent":`...), imp.PeakConcurrent)
+	b = jsonw.Float(append(b, `,"drain_seconds":`...), imp.DurationS)
+	return append(b, '}')
+}
+
 var slowdownBuckets = []float64{1, 1.01, 1.02, 1.05, 1.1, 1.2, 1.5, 2, 3, 5, 10}
 
 // NewMonitor validates the configuration and registers the metrics.
@@ -117,18 +132,16 @@ func NewMonitor(cfg MonitorConfig) (*Monitor, error) {
 // pair's pipe dips by the move's affected fraction for the drain
 // duration.
 func (m *Monitor) ObserveReconfig(id uint64, alloc core.Allocation, lambda int, moves []core.Move, drainS float64) (Impact, error) {
-	return m.observe(id, "reconfig", alloc, lambda, moves, 0, drainS)
+	return m.observe(id, "reconfig", alloc, lambda, moves, drainS)
 }
 
-// ObserveRepair simulates a repair/chaos cycle, where per-pair
-// attribution is not available: every pipe dips uniformly by frac for
-// the repair duration — the conservative whole-region view of a
-// reconcile pass.
-func (m *Monitor) ObserveRepair(id uint64, alloc core.Allocation, lambda int, frac, drainS float64) (Impact, error) {
-	return m.observe(id, "repair", alloc, lambda, nil, frac, drainS)
+// ObserveRepair simulates a repair pass: each pipe the repair darkened
+// dips by its share (fabric.Fabric.Darkened) for the repair's duration.
+func (m *Monitor) ObserveRepair(id uint64, alloc core.Allocation, lambda int, darkened []core.Move, drainS float64) (Impact, error) {
+	return m.observe(id, "repair", alloc, lambda, darkened, drainS)
 }
 
-func (m *Monitor) observe(id uint64, kind string, alloc core.Allocation, lambda int, moves []core.Move, uniformFrac, drainS float64) (Impact, error) {
+func (m *Monitor) observe(id uint64, kind string, alloc core.Allocation, lambda int, moves []core.Move, drainS float64) (Impact, error) {
 	if lambda <= 0 {
 		return Impact{}, fmt.Errorf("flowsim: monitor needs lambda > 0")
 	}
@@ -167,18 +180,12 @@ func (m *Monitor) observe(id uint64, kind string, alloc core.Allocation, lambda 
 	}
 	dipAt := window / 2
 	dips := make(map[int][]Dip)
-	if moves != nil {
-		for _, mv := range moves {
-			idx, ok := pipeIdx[mv.Pair.Canonical()]
-			if !ok || mv.FracAffected <= 0 {
-				continue
-			}
-			dips[idx] = append(dips[idx], Dip{TimeS: dipAt, DurationS: drainS, FracLost: mv.FracAffected})
+	for _, mv := range moves {
+		idx, ok := pipeIdx[mv.Pair.Canonical()]
+		if !ok || mv.FracAffected <= 0 {
+			continue
 		}
-	} else if uniformFrac > 0 {
-		for i := range pipes {
-			dips[i] = append(dips[i], Dip{TimeS: dipAt, DurationS: drainS, FracLost: math.Min(uniformFrac, 1)})
-		}
+		dips[idx] = append(dips[idx], Dip{TimeS: dipAt, DurationS: drainS, FracLost: mv.FracAffected})
 	}
 
 	imp := Impact{ReconfigID: id, Kind: kind, Pipes: len(dips), DurationS: drainS, P50: 1, P99: 1, P999: 1}

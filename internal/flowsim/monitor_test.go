@@ -82,15 +82,16 @@ func TestMonitorObserveRepair(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	imp, err := m.ObserveRepair(7, monitorAlloc(), 4, 0.4, 0.2)
+	darkened := []core.Move{{Pair: hose.Pair{A: 2, B: 1}, FracAffected: 0.5}, {Pair: hose.Pair{A: 2, B: 3}, FracAffected: 1}}
+	imp, err := m.ObserveRepair(7, monitorAlloc(), 4, darkened, 0.2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if imp.Kind != "repair" {
 		t.Errorf("kind = %q, want repair", imp.Kind)
 	}
-	if imp.Pipes != 3 {
-		t.Errorf("a uniform repair dip must dim all 3 pipes, got %d", imp.Pipes)
+	if imp.Pipes != 2 {
+		t.Errorf("a repair that darkened 2 pipes dims %d", imp.Pipes)
 	}
 	if imp.P99 < 1 {
 		t.Errorf("p99 slowdown %v < 1", imp.P99)

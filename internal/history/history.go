@@ -25,10 +25,12 @@ import (
 	"os"
 	"slices"
 	"sort"
+	"strconv"
 	"sync"
 	"time"
 
 	"iris/internal/core"
+	"iris/internal/jsonw"
 	"iris/internal/telemetry"
 	"iris/internal/trace"
 )
@@ -56,12 +58,26 @@ type Health struct {
 	NeedRepair bool `json:"need_repair"`
 }
 
+func (h Health) appendJSON(b []byte) []byte {
+	b = jsonw.Bool(append(b, `{"healthy":`...), h.Healthy)
+	b = jsonw.Bool(append(b, `,"converged":`...), h.Converged)
+	b = jsonw.Bool(append(b, `,"need_repair":`...), h.NeedRepair)
+	return append(b, '}')
+}
+
 // HoseAggregate summarizes the demand matrix a reconfiguration served:
 // total wavelengths, the largest single pair, and the pair count.
 type HoseAggregate struct {
 	Total   float64 `json:"total"`
 	MaxPair float64 `json:"max_pair"`
 	Pairs   int     `json:"pairs"`
+}
+
+func (h HoseAggregate) appendJSON(b []byte) []byte {
+	b = jsonw.Float(append(b, `{"total":`...), h.Total)
+	b = jsonw.Float(append(b, `,"max_pair":`...), h.MaxPair)
+	b = jsonw.Int(append(b, `,"pairs":`...), h.Pairs)
+	return append(b, '}')
 }
 
 // Record is one committed reconfiguration. Seq is assigned by the lake
@@ -105,6 +121,25 @@ type Summary struct {
 	PairsChanged int           `json:"pairs_changed"`
 	DuctsTouched int           `json:"ducts_touched"`
 	Spans        int           `json:"spans"`
+}
+
+func (s Summary) AppendJSON(b []byte) []byte {
+	b = jsonw.Uint(append(b, `{"seq":`...), s.Seq)
+	b = jsonw.Uint(append(b, `,"reconfig_id":`...), s.ReconfigID)
+	b = jsonw.String(append(b, `,"trigger":`...), string(s.Trigger))
+	b = jsonw.Time(append(b, `,"at":`...), s.At)
+	b = strconv.AppendInt(append(b, `,"duration_ns":`...), int64(s.Duration), 10)
+	if s.Err != "" {
+		b = jsonw.String(append(b, `,"error":`...), s.Err)
+	}
+	b = s.PreHealth.appendJSON(append(b, `,"pre_health":`...))
+	b = s.PostHealth.appendJSON(append(b, `,"post_health":`...))
+	b = s.PreHose.appendJSON(append(b, `,"pre_hose":`...))
+	b = s.PostHose.appendJSON(append(b, `,"post_hose":`...))
+	b = jsonw.Int(append(b, `,"pairs_changed":`...), s.PairsChanged)
+	b = jsonw.Int(append(b, `,"ducts_touched":`...), s.DuctsTouched)
+	b = jsonw.Int(append(b, `,"spans":`...), s.Spans)
+	return append(b, '}')
 }
 
 // summarize reduces the record to its listing row.

@@ -1,0 +1,148 @@
+package jsonw
+
+import (
+	"bytes"
+	"encoding/json"
+	"math"
+	"net/http"
+	"net/http/httptest"
+	"testing"
+	"time"
+)
+
+// marshal is the oracle: what encoding/json writes for v.
+func marshal(t testing.TB, v any) []byte {
+	t.Helper()
+	b, err := json.Marshal(v)
+	if err != nil {
+		t.Fatalf("json.Marshal(%#v): %v", v, err)
+	}
+	return b
+}
+
+func checkSame(t testing.TB, what string, got, want []byte) {
+	t.Helper()
+	if !bytes.Equal(got, want) {
+		t.Errorf("%s: appended %s, json.Marshal writes %s", what, got, want)
+	}
+}
+
+var (
+	floats = []float64{0, math.Copysign(0, -1), 1, -1, 0.1, 1.5, 1e-6, 9.99e-7, 1e-7, -1e-7, 1.234e-9,
+		1e20, 1e21, 9.999999999999999e20, 123456789012345678901234.0, math.MaxFloat64, math.SmallestNonzeroFloat64,
+		5e-324, 1e-300, 1e300, 0.3333333333333333, 2.5e-5, 1e100, -1e21}
+	strs = []string{"", "plain", "oss-07", "<>&", "a\x01b\x1f\x00", "  ", "\xff\xfe bad", "quote\"back\\slash",
+		"tab\tnl\ncr\r", "sep\u2028par\u2029", "héllo wörld", "\x7f", "\b\f", "emoji 😀", "trail\xe2\x80", "/slash"}
+)
+
+// TestPrimitivesMatchMarshal holds every primitive to encoding/json on
+// the values whose encoding has a rule of its own: -0, the 'e' cut-offs
+// and their exponent clean-up, escapes, invalid UTF-8, U+2028/U+2029,
+// times in and out of UTC, and nil against empty slices.
+func TestPrimitivesMatchMarshal(t *testing.T) {
+	for _, f := range floats {
+		checkSame(t, "Float", Float(nil, f), marshal(t, f))
+	}
+	for _, s := range strs {
+		checkSame(t, "String", String(nil, s), marshal(t, s))
+	}
+	for _, v := range []int{0, 1, -1, math.MaxInt, math.MinInt} {
+		checkSame(t, "Int", Int(nil, v), marshal(t, v))
+	}
+	for _, v := range []uint64{0, 1, math.MaxUint64} {
+		checkSame(t, "Uint", Uint(nil, v), marshal(t, v))
+	}
+	for _, v := range []bool{false, true} {
+		checkSame(t, "Bool", Bool(nil, v), marshal(t, v))
+	}
+	for _, tm := range []time.Time{
+		time.Unix(0, 0).UTC(),
+		time.Date(2026, 10, 18, 8, 21, 20, 123456789, time.UTC),
+		time.Date(1999, 1, 2, 3, 4, 5, 100, time.FixedZone("east", 5*3600+1800)),
+		time.Date(9999, 12, 31, 23, 59, 59, 999999999, time.FixedZone("west", -(23*3600+59*60))),
+		time.Date(0, 1, 1, 0, 0, 0, 0, time.UTC),
+		time.Now(),
+	} {
+		checkSame(t, "Time", Time(nil, tm), marshal(t, tm))
+	}
+	checkSame(t, "Ints(nil)", Ints(nil, nil), marshal(t, []int(nil)))
+	checkSame(t, "Ints", Ints(nil, []int{}), marshal(t, []int{}))
+	checkSame(t, "Ints", Ints(nil, []int{3, -1, 0}), marshal(t, []int{3, -1, 0}))
+	checkSame(t, "Uints(nil)", Uints(nil, nil), marshal(t, []uint64(nil)))
+	checkSame(t, "Uints", Uints(nil, []uint64{7, 0}), marshal(t, []uint64{7, 0}))
+	checkSame(t, "Strings(nil)", Strings(nil, nil), marshal(t, []string(nil)))
+	checkSame(t, "Strings", Strings(nil, strs), marshal(t, strs))
+	checkSame(t, "Slice(nil)", Slice[errorBody](nil, nil), marshal(t, []map[string]string(nil)))
+	checkSame(t, "Slice", Slice(nil, []errorBody{"a", "<b>"}),
+		marshal(t, []map[string]string{{"error": "a"}, {"error": "<b>"}}))
+}
+
+// TestUnencodableValuesPanic: NaN, ±Inf and a time RFC 3339 cannot hold
+// panic with encoding/json's error, which Write turns into a 500.
+func TestUnencodableValuesPanic(t *testing.T) {
+	for name, add := range map[string]func(){
+		"NaN":        func() { Float(nil, math.NaN()) },
+		"+Inf":       func() { Float(nil, math.Inf(1)) },
+		"-Inf":       func() { Float(nil, math.Inf(-1)) },
+		"year 10000": func() { Time(nil, time.Date(10000, 1, 1, 0, 0, 0, 0, time.UTC)) },
+		"year -1":    func() { Time(nil, time.Date(-1, 1, 1, 0, 0, 0, 0, time.UTC)) },
+		"offset 24h": func() { Time(nil, time.Date(2000, 1, 1, 0, 0, 0, 0, time.FixedZone("far", 24*3600))) },
+	} {
+		func() {
+			defer func() {
+				if _, ok := recover().(*json.UnsupportedValueError); !ok {
+					t.Errorf("%s: no *json.UnsupportedValueError panic", name)
+				}
+			}()
+			add()
+		}()
+	}
+}
+
+// FuzzJSONAppend holds the string and float primitives to json.Marshal
+// on arbitrary input.
+func FuzzJSONAppend(f *testing.F) {
+	for i, s := range strs {
+		f.Add(s, floats[i%len(floats)])
+	}
+	f.Fuzz(func(t *testing.T, s string, x float64) {
+		checkSame(t, "String", String(nil, s), marshal(t, s))
+		if math.IsNaN(x) || math.IsInf(x, 0) {
+			return
+		}
+		checkSame(t, "Float", Float([]byte("prefix"), x), append([]byte("prefix"), marshal(t, x)...))
+	})
+}
+
+// unencodable appends a float that has no JSON form.
+type unencodable struct{}
+
+func (unencodable) AppendJSON(b []byte) []byte { return Float(append(b, `{"x":`...), math.NaN()) }
+
+// TestWrite: an appended and a reflected value are written as one JSON
+// body with the status asked for; one that cannot be encoded, either
+// way, answers 500 with a JSON error body.
+func TestWrite(t *testing.T) {
+	for _, tc := range []struct {
+		name           string
+		code, wantCode int
+		v              any
+		want           string
+	}{
+		{"appender", http.StatusTeapot, http.StatusTeapot, errorBody("x<y"), `{"error":"x\u003cy"}`},
+		{"reflected", http.StatusOK, http.StatusOK, map[string]int{"b": 2, "a": 1}, `{"a":1,"b":2}`},
+		{"appended NaN", http.StatusOK, http.StatusInternalServerError, unencodable{}, `{"error":"encode: json: unsupported value: NaN"}`},
+		{"reflected NaN", http.StatusOK, http.StatusInternalServerError, map[string]any{"x": math.NaN()}, `{"error":"encode: json: unsupported value: NaN"}`},
+	} {
+		w := httptest.NewRecorder()
+		Write(w, tc.code, tc.v)
+		if w.Code != tc.wantCode || w.Body.String() != tc.want || w.Header().Get("Content-Type") != "application/json" {
+			t.Errorf("%s: %d %s %q, want %d %s application/json", tc.name, w.Code, w.Body, w.Header().Get("Content-Type"), tc.wantCode, tc.want)
+		}
+	}
+	w := httptest.NewRecorder()
+	Error(w, http.StatusNotFound, "no such \"thing\"")
+	if w.Code != http.StatusNotFound || w.Body.String() != `{"error":"no such \"thing\""}` {
+		t.Errorf("Error: %d %s", w.Code, w.Body)
+	}
+}

@@ -3,6 +3,7 @@ package robust
 import (
 	"fmt"
 	"sync"
+	"time"
 
 	"iris/internal/core"
 	"iris/internal/traffic"
@@ -60,6 +61,7 @@ func NewPolicy(cfg Config) *Policy {
 // Shift absorbs tm when the committed envelope contains it and otherwise
 // solves the envelope of the window (plus forecasts) on dep.
 func (p *Policy) Shift(dep *core.Deployment, tm *traffic.Matrix, step int) (core.Outcome, error) {
+	start := time.Now()
 	p.win = append(p.win, tm.Clone())
 	if len(p.win) > p.cfg.Window {
 		p.win = append(p.win[:0], p.win[1:]...)
@@ -93,6 +95,9 @@ func (p *Policy) Shift(dep *core.Deployment, tm *traffic.Matrix, step int) (core
 		State: sol.State,
 		Alloc: sol.Alloc,
 		Stats: &core.DeltaStats{FallbackReason: "envelope solve", PairsResolved: len(dep.Plan.Paths)},
+		// The envelope solve is the shift's allocator; it snapshots its
+		// own books.
+		Timing: core.Timing{Start: start, Solved: time.Now()},
 	}
 	var adopted core.Allocation
 	if res != nil {

@@ -23,7 +23,8 @@ import (
 // oracleCritical is /api/critical as it was answered before the cut
 // overlay — one exhaustive enumeration and one max-flow per live pair,
 // per request — kept as the reference the overlay must equal byte for
-// byte. It shares only the row type and the JSON writer with the server.
+// byte. It shares only the row type with the server, and encodes its body
+// as the endpoint first did, through json.Marshal of a map.
 func oracleCritical(snap *Snapshot, k int) []byte {
 	if k > 3 {
 		k = 3
@@ -126,9 +127,8 @@ func oracleCritical(snap *Snapshot, k int) []byte {
 		}
 		return a.Duct < b.Duct
 	})
-	w := httptest.NewRecorder()
-	writeJSON(w, http.StatusOK, map[string]any{"k": k, "ducts": out})
-	return w.Body.Bytes()
+	body, _ := json.Marshal(map[string]any{"k": k, "ducts": out})
+	return body
 }
 
 // randomRegion plans a small seeded region with what the bench region

@@ -28,7 +28,6 @@ package topoapi
 
 import (
 	"cmp"
-	"encoding/json"
 	"fmt"
 	"math"
 	"net/http"
@@ -44,6 +43,7 @@ import (
 	"iris/internal/graph"
 	"iris/internal/history"
 	"iris/internal/hose"
+	"iris/internal/jsonw"
 	"iris/internal/robust"
 	"iris/internal/trace"
 	"iris/internal/traffic"
@@ -133,18 +133,9 @@ func (s *Server) Register(mux *http.ServeMux) {
 	mux.HandleFunc("/api/history/", s.handleHistoryItem)
 }
 
-// writeJSON answers with v as one compact JSON body.
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	body, _ := json.Marshal(v)
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	_, _ = w.Write(body)
-}
-
-// jsonError writes a JSON error body, so API consumers never have to
-// sniff between payloads and plain-text errors.
+// jsonError answers with a JSON error body (jsonw.Error).
 func jsonError(w http.ResponseWriter, code int, format string, args ...any) {
-	writeJSON(w, code, map[string]string{"error": fmt.Sprintf(format, args...)})
+	jsonw.Error(w, code, fmt.Sprintf(format, args...))
 }
 
 // snapshot fetches the committed state, handling not-ready and non-GET.
@@ -225,12 +216,49 @@ type hop struct {
 	FreePairs        int     `json:"free_pairs"`
 }
 
+func (h hop) AppendJSON(b []byte) []byte {
+	b = jsonw.Int(append(b, `{"duct":`...), h.Duct)
+	b = jsonw.Int(append(b, `,"from":`...), h.From)
+	b = jsonw.Int(append(b, `,"to":`...), h.To)
+	b = jsonw.Float(append(b, `,"km":`...), h.KM)
+	b = jsonw.Int(append(b, `,"provisioned_pairs":`...), h.ProvisionedPairs)
+	b = jsonw.Int(append(b, `,"used_fibers":`...), h.UsedFibers)
+	b = jsonw.Int(append(b, `,"residual_users":`...), h.ResidualUsers)
+	b = jsonw.Int(append(b, `,"free_pairs":`...), h.FreePairs)
+	return append(b, '}')
+}
+
 // pathOut is one k-shortest path.
 type pathOut struct {
 	Nodes []int    `json:"nodes"`
 	Names []string `json:"names"`
 	KM    float64  `json:"km"`
 	Hops  []hop    `json:"hops"`
+}
+
+func (p pathOut) AppendJSON(b []byte) []byte {
+	b = jsonw.Ints(append(b, `{"nodes":`...), p.Nodes)
+	b = jsonw.Strings(append(b, `,"names":`...), p.Names)
+	b = jsonw.Float(append(b, `,"km":`...), p.KM)
+	b = jsonw.Slice(append(b, `,"hops":`...), p.Hops)
+	return append(b, '}')
+}
+
+// pathsBody is /api/paths' answer. Its fields are in key order: the
+// bytes are those of the map the endpoint was first written with.
+type pathsBody struct {
+	From  int       `json:"from"`
+	K     int       `json:"k"`
+	Paths []pathOut `json:"paths"`
+	To    int       `json:"to"`
+}
+
+func (p *pathsBody) AppendJSON(b []byte) []byte {
+	b = jsonw.Int(append(b, `{"from":`...), p.From)
+	b = jsonw.Int(append(b, `,"k":`...), p.K)
+	b = jsonw.Slice(append(b, `,"paths":`...), p.Paths)
+	b = jsonw.Int(append(b, `,"to":`...), p.To)
+	return append(b, '}')
 }
 
 func (s *Server) handlePaths(w http.ResponseWriter, r *http.Request) {
@@ -281,7 +309,7 @@ func (s *Server) handlePaths(w http.ResponseWriter, r *http.Request) {
 		}
 		out = append(out, po)
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"from": from, "to": to, "k": k, "paths": out})
+	jsonw.Write(w, http.StatusOK, &pathsBody{From: from, K: k, Paths: out, To: to})
 }
 
 // criticalDuct is one duct of the criticality ranking.
@@ -300,6 +328,82 @@ type criticalDuct struct {
 	// MinCutPairs counts live DC pairs whose max-flow min cut crosses
 	// this duct — pairs this duct bottlenecks.
 	MinCutPairs int `json:"min_cut_pairs"`
+}
+
+func (c criticalDuct) AppendJSON(b []byte) []byte {
+	b = jsonw.Int(append(b, `{"duct":`...), c.Duct)
+	b = jsonw.Int(append(b, `,"from":`...), c.From)
+	b = jsonw.Int(append(b, `,"to":`...), c.To)
+	b = jsonw.Float(append(b, `,"km":`...), c.KM)
+	b = jsonw.Bool(append(b, `,"bridge":`...), c.Bridge)
+	b = jsonw.Float(append(b, `,"stranded_demand":`...), c.StrandedDemand)
+	b = jsonw.Float(append(b, `,"solo_stranded":`...), c.SoloStranded)
+	b = jsonw.Int(append(b, `,"min_cut_pairs":`...), c.MinCutPairs)
+	return append(b, '}')
+}
+
+// criticalBody is /api/critical's answer, its fields in key order.
+type criticalBody struct {
+	Ducts []criticalDuct `json:"ducts"`
+	K     int            `json:"k"`
+}
+
+func (c *criticalBody) AppendJSON(b []byte) []byte {
+	b = jsonw.Slice(append(b, `{"ducts":`...), c.Ducts)
+	b = jsonw.Int(append(b, `,"k":`...), c.K)
+	return append(b, '}')
+}
+
+// whatIfBody is /api/whatif's answer to a scenario, its fields in key
+// order.
+type whatIfBody struct {
+	Result         chaos.Result   `json:"result"`
+	Scenario       chaos.Scenario `json:"scenario"`
+	StrandedDemand float64        `json:"stranded_demand"`
+}
+
+func (wi *whatIfBody) AppendJSON(b []byte) []byte {
+	b = wi.Result.AppendJSON(append(b, `{"result":`...))
+	b = wi.Scenario.AppendJSON(append(b, `,"scenario":`...))
+	b = jsonw.Float(append(b, `,"stranded_demand":`...), wi.StrandedDemand)
+	return append(b, '}')
+}
+
+// historyBody is /api/history's answer, its fields in key order.
+type historyBody struct {
+	Evicted int               `json:"evicted"`
+	Records []history.Summary `json:"records"`
+	Total   int               `json:"total"`
+}
+
+func (h *historyBody) AppendJSON(b []byte) []byte {
+	b = jsonw.Int(append(b, `{"evicted":`...), h.Evicted)
+	b = jsonw.Slice(append(b, `,"records":`...), h.Records)
+	b = jsonw.Int(append(b, `,"total":`...), h.Total)
+	return append(b, '}')
+}
+
+// diffBody is /api/history/diff's answer, its fields in key order. Ducts
+// is there (nil: absent) once the region has committed a deployment to
+// project the pairs onto.
+type diffBody struct {
+	Ducts     *[]core.DuctDelta `json:"ducts,omitempty"`
+	From      uint64            `json:"from"`
+	Pairs     []core.PairDelta  `json:"pairs"`
+	Reconfigs []uint64          `json:"reconfigs"`
+	To        uint64            `json:"to"`
+}
+
+func (d *diffBody) AppendJSON(b []byte) []byte {
+	b = append(b, '{')
+	if d.Ducts != nil {
+		b = append(jsonw.Slice(append(b, `"ducts":`...), *d.Ducts), ',')
+	}
+	b = jsonw.Uint(append(b, `"from":`...), d.From)
+	b = jsonw.Slice(append(b, `,"pairs":`...), d.Pairs)
+	b = jsonw.Uints(append(b, `,"reconfigs":`...), d.Reconfigs)
+	b = jsonw.Uint(append(b, `,"to":`...), d.To)
+	return append(b, '}')
 }
 
 // separated sums, in the given order, the demand of the pairs whose
@@ -365,7 +469,7 @@ func (s *Server) handleCritical(w http.ResponseWriter, r *http.Request) {
 		}
 		return cmp.Compare(a.Duct, b.Duct)
 	})
-	writeJSON(w, http.StatusOK, map[string]any{"k": k, "ducts": out})
+	jsonw.Write(w, http.StatusOK, &criticalBody{Ducts: out, K: k})
 }
 
 func (s *Server) handleWhatIf(w http.ResponseWriter, r *http.Request) {
@@ -395,11 +499,7 @@ func (s *Server) handleWhatIf(w http.ResponseWriter, r *http.Request) {
 	}
 	base, auditor := s.tools(snap.Dep)
 	res := auditor.Audit(sc)
-	writeJSON(w, http.StatusOK, map[string]any{
-		"scenario":        sc,
-		"result":          res,
-		"stranded_demand": strandedBy(base, sc.Ducts, snap.Demand),
-	})
+	jsonw.Write(w, http.StatusOK, &whatIfBody{Result: res, Scenario: sc, StrandedDemand: strandedBy(base, sc.Ducts, snap.Demand)})
 }
 
 // handleEnvelopeAudit answers /api/whatif?audit=envelope: where the live
@@ -425,7 +525,7 @@ func (s *Server) handleEnvelopeAudit(w http.ResponseWriter, snap *Snapshot) {
 		// zero capacity for.
 		util = -1
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
+	jsonw.Write(w, http.StatusOK, map[string]any{
 		"envelope": map[string]any{
 			"matrices": env.Matrices,
 			"headroom": env.Headroom,
@@ -453,10 +553,10 @@ func (s *Server) handleHistory(w http.ResponseWriter, r *http.Request) {
 		jsonError(w, http.StatusBadRequest, "bad n")
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
-		"total":   s.cfg.Lake.Len(),
-		"evicted": s.cfg.Lake.Evicted(),
-		"records": s.cfg.Lake.Summaries(n),
+	jsonw.Write(w, http.StatusOK, &historyBody{
+		Evicted: s.cfg.Lake.Evicted(),
+		Records: s.cfg.Lake.Summaries(n),
+		Total:   s.cfg.Lake.Len(),
 	})
 }
 
@@ -484,7 +584,7 @@ func (s *Server) handleHistoryItem(w http.ResponseWriter, r *http.Request) {
 		jsonError(w, http.StatusNotFound, "no history record for reconfig %d", id)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"record": rec, "tree": trace.Tree(rec.Spans)})
+	jsonw.Write(w, http.StatusOK, map[string]any{"record": rec, "tree": trace.Tree(rec.Spans)})
 }
 
 func (s *Server) handleHistoryDiff(w http.ResponseWriter, r *http.Request) {
@@ -540,14 +640,10 @@ func (s *Server) handleHistoryDiff(w http.ResponseWriter, r *http.Request) {
 		pairs = append(pairs, pd)
 	}
 	slices.SortFunc(pairs, func(a, b core.PairDelta) int { return a.Pair().Compare(b.Pair()) })
-	resp := map[string]any{
-		"from":      fromID,
-		"to":        toID,
-		"reconfigs": reconfigs,
-		"pairs":     pairs,
-	}
+	body := diffBody{From: fromID, Pairs: pairs, Reconfigs: reconfigs, To: toID}
 	if snap := s.cfg.State(); snap != nil {
-		resp["ducts"] = snap.Dep.DuctDeltas(pairs)
+		ducts := snap.Dep.DuctDeltas(pairs)
+		body.Ducts = &ducts
 	}
-	writeJSON(w, http.StatusOK, resp)
+	jsonw.Write(w, http.StatusOK, &body)
 }

@@ -9,6 +9,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -103,7 +104,7 @@ func TestHistoryDisabled(t *testing.T) {
 
 // seedLake appends n records with simple one-pair diffs, reconfig IDs
 // 101, 102, ...
-func seedLake(t *testing.T, n int) *history.Lake {
+func seedLake(t testing.TB, n int) *history.Lake {
 	t.Helper()
 	lake, err := history.New(history.Config{Capacity: 32})
 	if err != nil {
@@ -466,11 +467,12 @@ func gateAllocs(b *testing.B, request func(), max float64) {
 // BenchmarkAPICriticalK2 is one two-cut criticality request against a
 // warmed server over the static region: the demand summed over the
 // overlay's partitions, the kept min-cut column, the ranking and its
-// JSON. It fails itself above 35 allocations per request (26 today; 48
-// when each request sorted the demand and indented its body; 549 when it
-// also enumerated 3 829 cut sets and ran 190 max-flows).
+// JSON. It fails itself above 21 allocations per request (14 today, 23
+// when the body was a map through json.Marshal; 48 when each request
+// also sorted the demand and indented its body; 549 when it also
+// enumerated 3 829 cut sets and ran 190 max-flows).
 func BenchmarkAPICriticalK2(b *testing.B) {
-	gateAllocs(b, serve(b, staticRegion(b), "/api/critical?k=2"), 35)
+	gateAllocs(b, serve(b, staticRegion(b), "/api/critical?k=2"), 21)
 }
 
 // BenchmarkAPICriticalK2Cold is the first two-cut request a server sees
@@ -488,14 +490,32 @@ func BenchmarkAPICriticalK2Cold(b *testing.B) {
 // BenchmarkAPIPaths is one /api/paths?k=3 between the static region's
 // first and last DC against a warmed server: Yen's three shortest paths,
 // the hops annotated from the occupancy kept for the snapshot, and the
-// JSON. It fails itself above 65 allocations per request (56 today; 165
-// when each spur search had a fresh tree, scratch and mask and every
-// candidate was allocated before its duplicate check; 205 when each
-// request also ran core.Occupancy and indented its body).
+// JSON. It fails itself above 50 allocations per request (43 today, 56
+// when the body was a map through json.Marshal; 165 when each spur
+// search had a fresh tree, scratch and mask and every candidate was
+// allocated before its duplicate check; 205 when each request also ran
+// core.Occupancy and indented its body).
 func BenchmarkAPIPaths(b *testing.B) {
 	snap := staticRegion(b)
 	dcs := snap.Dep.Region.Map.DCs()
-	gateAllocs(b, serve(b, snap, fmt.Sprintf("/api/paths?from=%d&to=%d&k=3", dcs[0], dcs[len(dcs)-1])), 65)
+	gateAllocs(b, serve(b, snap, fmt.Sprintf("/api/paths?from=%d&to=%d&k=3", dcs[0], dcs[len(dcs)-1])), 50)
+}
+
+// BenchmarkAPIHistory is one /api/history?n=16 listing, api-mix's
+// history read, against a full lake of 32 records. It fails itself above
+// 16 allocations per request (13 today, 40 when the body was a map
+// through json.Marshal).
+func BenchmarkAPIHistory(b *testing.B) {
+	mux := http.NewServeMux()
+	New(Config{State: func() *Snapshot { return nil }, Lake: seedLake(b, 40)}).Register(mux)
+	req := httptest.NewRequest(http.MethodGet, "/api/history?n=16", nil)
+	gateAllocs(b, func() {
+		w := httptest.NewRecorder()
+		mux.ServeHTTP(w, req)
+		if w.Code != http.StatusOK {
+			b.Fatalf("status %d", w.Code)
+		}
+	}, 16)
 }
 
 // FuzzAPIQuery: an arbitrary raw query string against the three
@@ -526,4 +546,31 @@ func FuzzAPIQuery(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestUnencodableBodyAnswers500: a demand that is NaN (only a bug can
+// commit one) strands NaN, which JSON cannot hold, and the what-if that
+// reports it answers 500 with a JSON error body, not a 200 with no body.
+func TestUnencodableBodyAnswers500(t *testing.T) {
+	snap := *staticRegion(t)
+	snap.Demand = slices.Clone(snap.Demand)
+	for i := range snap.Demand {
+		snap.Demand[i].Demand = math.NaN()
+	}
+	srv := newTestServer(t, Config{State: func() *Snapshot { return &snap }})
+	// Cutting a DC's access ducts strands its demand.
+	m := snap.Dep.Region.Map
+	var access []string
+	for _, d := range m.Ducts {
+		if dc := m.DCs()[0]; d.A == dc || d.B == dc {
+			access = append(access, fmt.Sprint(d.ID))
+		}
+	}
+	res, err := srv.Client().Get(srv.URL + "/api/whatif?scenario=cut:" + strings.Join(access, ","))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if msg := checkJSONError(t, res, http.StatusInternalServerError); !strings.Contains(msg, "NaN") {
+		t.Errorf("error %q does not name the NaN", msg)
+	}
 }

@@ -1,6 +1,9 @@
 package trace
 
-import "testing"
+import (
+	"testing"
+	"time"
+)
 
 // BenchmarkTraceSpanEnabled is CI's allocation guard for the tracer hot
 // path: one root + one device child span per iteration must cost at most
@@ -30,11 +33,15 @@ func BenchmarkTraceSpanEnabled(b *testing.B) {
 // wired unconditionally.
 func BenchmarkTraceSpanDisabled(b *testing.B) {
 	var tr *Tracer
+	t0 := time.Now()
 	work := func() {
 		sp := tr.Start(7, "reconfig")
 		c := sp.Child("drain")
 		c.SetDevice("xcvr-dc-0")
 		c.Finish()
+		sp.Finish()
+		sp = tr.StartAt(8, "reconfig", t0)
+		sp.Child("core.delta").FinishAs(t0, time.Millisecond)
 		sp.Finish()
 	}
 	if allocs := testing.AllocsPerRun(1000, work); allocs != 0 {

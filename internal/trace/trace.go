@@ -150,6 +150,16 @@ func (t *Tracer) Start(traceID uint64, name string) *Span {
 	return &Span{t: t, trace: traceID, id: t.ids.Add(1), name: name, start: time.Now()}
 }
 
+// StartAt is Start for an operation that began at at, before its trace
+// ID was known (the zero at is now).
+func (t *Tracer) StartAt(traceID uint64, name string, at time.Time) *Span {
+	s := t.Start(traceID, name)
+	if s != nil && !at.IsZero() {
+		s.start = at
+	}
+	return s
+}
+
 // Child opens a sub-span. Like Start, it costs one allocation.
 func (s *Span) Child(name string) *Span {
 	if s == nil {

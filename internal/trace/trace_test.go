@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math/rand"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -276,5 +278,43 @@ func TestEventJSONShape(t *testing.T) {
 	}
 	if string(raw) != "[]" {
 		t.Fatalf("empty events = %s, want []", raw)
+	}
+}
+
+// TestSelfTimes: a span's self time is its duration less the union of
+// its direct children's intervals clipped to its own; overlapping
+// children count once, and time a child spends outside its parent not at
+// all. On random trees every self time lies in [0, duration], so the
+// share of a root its children cover is in [0, 1].
+func TestSelfTimes(t *testing.T) {
+	t0 := time.Unix(1000, 0)
+	ev := func(id, parent uint64, from, to int) Event {
+		return Event{SpanID: id, ParentID: parent, Start: t0.Add(time.Duration(from)), Duration: time.Duration(to - from)}
+	}
+	events := []Event{
+		ev(1, 0, 0, 100),
+		ev(2, 1, 10, 30),  // overlaps 3
+		ev(3, 1, 20, 50),  // overlaps 2
+		ev(4, 1, 90, 120), // runs past its parent
+		ev(5, 2, 15, 25),
+		ev(6, 9, 0, 7), // its parent is gone: a root
+	}
+	want := []time.Duration{50, 10, 30, 30, 10, 7}
+	if got := SelfTimes(events); !slices.Equal(got, want) {
+		t.Fatalf("self times %v, want %v", got, want)
+	}
+
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 200; trial++ {
+		events = events[:0]
+		for i := 1; i <= 1+rng.Intn(30); i++ {
+			from := rng.Intn(1000)
+			events = append(events, ev(uint64(i), uint64(rng.Intn(i)), from, from+rng.Intn(300)))
+		}
+		for i, self := range SelfTimes(events) {
+			if self < 0 || self > events[i].Duration {
+				t.Fatalf("trial %d: span %d self time %v outside [0, %v]", trial, events[i].SpanID, self, events[i].Duration)
+			}
+		}
 	}
 }

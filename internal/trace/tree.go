@@ -66,6 +66,47 @@ func Tree(events []Event) []*Node {
 	return roots
 }
 
+// SelfTimes returns each event's self time: its duration less the part
+// of its interval its direct children (the events whose ParentID is its
+// SpanID) cover, an instant covered by several children counted once and
+// a child's time outside its parent's interval not at all. So a self time
+// is never negative, and the self times of a tree sum to at most its
+// root's duration.
+func SelfTimes(events []Event) []time.Duration {
+	byID := make(map[uint64]int, len(events))
+	for i, ev := range events {
+		byID[ev.SpanID] = i
+	}
+	kids := make([][]int, len(events))
+	for i, ev := range events {
+		if p, ok := byID[ev.ParentID]; ok && ev.ParentID != 0 {
+			kids[p] = append(kids[p], i)
+		}
+	}
+	self := make([]time.Duration, len(events))
+	for i, ev := range events {
+		cs := kids[i]
+		sort.Slice(cs, func(a, b int) bool { return events[cs[a]].Start.Before(events[cs[b]].Start) })
+		end := ev.Start.Add(ev.Duration)
+		covered, reach := time.Duration(0), ev.Start
+		for _, c := range cs {
+			lo, hi := events[c].Start, events[c].Start.Add(events[c].Duration)
+			if lo.Before(reach) {
+				lo = reach
+			}
+			if hi.After(end) {
+				hi = end
+			}
+			if hi.After(lo) {
+				covered += hi.Sub(lo)
+				reach = hi
+			}
+		}
+		self[i] = ev.Duration - covered
+	}
+	return self
+}
+
 // Traces assembles the recorder's contents into per-trace span trees and
 // returns the last n traces (by most recent activity), oldest first. Any
 // root recorded with trace ID 0 (instant events outside a trace) is
