@@ -1,10 +1,10 @@
 // Command irisctl demonstrates the full Iris operational loop (§5): it
 // plans a region, materialises the deployment into emulated optical
-// devices served over TCP (one OSS per site, transceiver banks at DCs,
-// amplifiers where the planner placed them), then acts as the centralized
-// controller — allocating circuits for a traffic matrix, executing the
-// drained reconfiguration a traffic shift requires, and auditing device
-// state against intent.
+// devices served on private Unix sockets (one OSS per site, transceiver
+// banks at DCs, amplifiers where the planner placed them), then acts as the
+// centralized controller — allocating circuits for a traffic matrix,
+// executing the drained reconfiguration a traffic shift requires, and
+// auditing device state against intent.
 //
 // Usage:
 //
@@ -68,7 +68,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	m := dep.Region.Map
 	fmt.Fprintf(stdout, "planned region: %d DCs, %d huts used, %d fiber-pairs\n",
 		len(m.DCs()), len(dep.Plan.UsedHuts()), dep.Plan.TotalFiberPairs())
-	fmt.Fprintf(stdout, "fabric up: %d devices on loopback TCP\n", len(tb.Controller.Devices()))
+	fmt.Fprintf(stdout, "fabric up: %d devices on private Unix sockets\n", len(tb.Controller.Devices()))
 	for _, name := range tb.Controller.Devices() {
 		res, err := tb.Controller.Call(name, "ping", nil)
 		if err != nil {

@@ -14,10 +14,10 @@ import (
 	"iris/internal/trace"
 )
 
-// deviceSpec names one device agent and where to reach it.
+// deviceSpec names one device agent and the listener it serves on.
 type deviceSpec struct {
 	Name string
-	Addr string
+	Addr net.Addr
 }
 
 // Controller is the centralized Iris controller (§5.2). It holds one
@@ -82,7 +82,7 @@ func (c *Controller) shutdown() {
 
 // Call forwards one operation to a named device.
 func (c *Controller) Call(device, op string, args map[string]any) (map[string]any, error) {
-	cl, err := c.send(device, op, args)
+	cl, err := c.send(device, op, args, time.Now())
 	if err != nil {
 		return nil, err
 	}
@@ -93,16 +93,17 @@ func (c *Controller) Call(device, op string, args map[string]any) (map[string]an
 	return res, err
 }
 
-// send puts one request to a named device on the wire and returns the
-// device's client, which stays locked until recv or Client.abandon.
-func (c *Controller) send(device, op string, args map[string]any) (*client, error) {
+// send puts one request to a named device on the wire, its deadline
+// running from sent, and returns the device's client, which stays locked
+// until recv or Client.abandon.
+func (c *Controller) send(device, op string, args map[string]any, sent time.Time) (*client, error) {
 	c.mu.Lock()
 	cl, ok := c.devices[device]
 	c.mu.Unlock()
 	if !ok {
 		return nil, fmt.Errorf("control: unknown device %q", device)
 	}
-	if err := cl.send(op, args); err != nil {
+	if err := cl.send(op, args, sent); err != nil {
 		return nil, &DeviceError{Device: device, Err: err}
 	}
 	return cl, nil
@@ -313,8 +314,10 @@ type request struct {
 // than one device; the audit, the repair and every phase of a change go
 // through it. Every request is on the wire, in sorted device order, before
 // the first reply is awaited: the devices work while the controller reads
-// (three switches settle in one settling time), and a device's RPC deadline
-// runs from when its request was sent. Replies are read in the same order
+// (three switches settle in one settling time), and every request's RPC
+// deadline runs from one instant taken before the first send: the round
+// has one deadline, and once it has run out for a device it has for every
+// device behind it. Replies are read in the same order
 // and handed to visit, if there is one. The first failed reply (a
 // *DeviceError naming its device) or a failed visit stops the round: the
 // replies still to come are read and discarded, so when round returns no
@@ -334,6 +337,7 @@ func (c *Controller) round(ctx context.Context, parent *trace.Span, reqs map[str
 		return err // nothing goes on the wire for a caller that has given up
 	}
 	devs := sortedKeys(reqs)
+	sent := time.Now()
 	spans := make([]*trace.Span, len(devs))
 	clients := make([]*client, len(devs)) // each holding a request in flight
 	errs := make([]error, len(devs))      // or why there is none
@@ -341,7 +345,7 @@ func (c *Controller) round(ctx context.Context, parent *trace.Span, reqs map[str
 		req := reqs[dev]
 		spans[i] = parent.Child(req.span)
 		spans[i].SetDevice(dev)
-		clients[i], errs[i] = c.send(dev, req.op, req.args)
+		clients[i], errs[i] = c.send(dev, req.op, req.args, sent)
 	}
 	for i, dev := range devs {
 		if err := ctx.Err(); err != nil {

@@ -87,7 +87,7 @@ func TestDeadDeviceSurfacesError(t *testing.T) {
 		serve(ctx, l, NewOSS(4, 0))
 	}()
 
-	ctl, err := dialWithOptions([]deviceSpec{{Name: "oss", Addr: l.Addr().String()}}, DialOptions{})
+	ctl, err := dialWithOptions([]deviceSpec{{Name: "oss", Addr: l.Addr()}}, DialOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +132,7 @@ func TestReconfigureFailsCleanlyOnDeadDevice(t *testing.T) {
 	// listeners after connecting a second controller — simpler: dial a
 	// controller to one real and one bogus address.
 	_, err = dialWithOptions([]deviceSpec{
-		{Name: "oss", Addr: "127.0.0.1:1"}, // nothing listens here
+		{Name: "oss", Addr: &net.TCPAddr{IP: net.IPv4(127, 0, 0, 1), Port: 1}}, // nothing listens here
 	}, DialOptions{})
 	if err == nil {
 		t.Fatal("dial to dead address should fail")
@@ -158,7 +158,7 @@ func TestDialRejectsDuplicateNames(t *testing.T) {
 	defer cancel()
 	go serve(ctx, l, NewOSS(4, 0))
 
-	addr := l.Addr().String()
+	addr := l.Addr()
 	_, err = dialWithOptions([]deviceSpec{{Name: "a", Addr: addr}, {Name: "a", Addr: addr}}, DialOptions{})
 	if err == nil || !strings.Contains(err.Error(), "duplicate") {
 		t.Errorf("err = %v, want duplicate-name error", err)

@@ -5,10 +5,14 @@
 // online optical power management.
 //
 // The paper's controller drove vendor hardware over serial, HTTPS and
-// NetConf; this package substitutes emulated device agents served over
-// TCP with a newline-delimited JSON protocol (wire.go is its codec),
-// preserving the control logic, command set and sequencing while making
-// the whole plane testable in-process.
+// NetConf; this package substitutes emulated device agents speaking a
+// newline-delimited JSON protocol (wire.go is its codec) over a kernel byte
+// stream, preserving the control logic, command set and sequencing while
+// making the whole plane testable in-process. A Testbed serves its agents
+// on Unix-domain sockets in a private directory: controller and agents
+// share one process, so a Unix socket costs less CPU per RPC than loopback
+// TCP, and the directory's mode admits only the process's own user. The
+// client dials whatever network its agent listens on, TCP included.
 package control
 
 import (
@@ -170,14 +174,14 @@ const (
 	DefaultRPCTimeout  = 30 * time.Second
 )
 
-// client is a connection to one device agent. It serialises calls; one TCP
-// connection carries the exchange, and a connection that times out or
+// client is a connection to one device agent. It serialises calls; one
+// stream connection carries the exchange, and a connection that times out or
 // desynchronises is discarded and transparently redialled on the next
 // call, so a device that heals becomes reachable again without rebuilding
 // the controller.
 type client struct {
 	mu          sync.Mutex
-	addr        string
+	addr        net.Addr // the agent's listener, on any stream network
 	dialTimeout time.Duration
 	rpcTimeout  time.Duration
 	conn        net.Conn
@@ -193,7 +197,7 @@ type client struct {
 // dialTimeout bounds connection establishment (and re-establishment);
 // rpcTimeout bounds each request end to end. Zero values select the defaults;
 // negative values disable the corresponding deadline.
-func dialDeviceTimeout(addr string, dialTimeout, rpcTimeout time.Duration) (*client, error) {
+func dialDeviceTimeout(addr net.Addr, dialTimeout, rpcTimeout time.Duration) (*client, error) {
 	if dialTimeout == 0 {
 		dialTimeout = defaultDialTimeout
 	}
@@ -213,9 +217,9 @@ func (c *client) redialLocked() error {
 	var conn net.Conn
 	var err error
 	if c.dialTimeout > 0 {
-		conn, err = net.DialTimeout("tcp", c.addr, c.dialTimeout)
+		conn, err = net.DialTimeout(c.addr.Network(), c.addr.String(), c.dialTimeout)
 	} else {
-		conn, err = net.Dial("tcp", c.addr)
+		conn, err = net.Dial(c.addr.Network(), c.addr.String())
 	}
 	if err != nil {
 		return fmt.Errorf("control: dial %s: %w", c.addr, err)
@@ -235,13 +239,15 @@ func (c *client) failLocked() {
 	}
 }
 
-// send writes one request, starts its RPC deadline and returns with c.mu
-// held: the request is in flight, and the client locked, until recv reads
-// its response or abandon gives it up. When send fails nothing is in flight
-// and the lock is free. The one caller with requests in flight on several
-// clients, Controller.round, takes them in sorted device order, so two
-// rounds cannot deadlock.
-func (c *client) send(op string, args map[string]any) (err error) {
+// send writes one request, sets its RPC deadline to run from sent and
+// returns with c.mu held: the request is in flight, and the client locked,
+// until recv reads its response or abandon gives it up. When send fails
+// nothing is in flight and the lock is free. The one caller with requests
+// in flight on several clients, Controller.round, takes them in sorted
+// device order, so two rounds cannot deadlock; it passes every send of a
+// round the one time the round started, so the deadlines of all its
+// requests fall together.
+func (c *client) send(op string, args map[string]any, sent time.Time) (err error) {
 	c.mu.Lock()
 	defer func() {
 		if err != nil {
@@ -263,7 +269,7 @@ func (c *client) send(op string, args map[string]any) (err error) {
 	}
 	c.wbuf, c.op = line, op
 	if c.rpcTimeout > 0 {
-		c.conn.SetDeadline(time.Now().Add(c.rpcTimeout))
+		c.conn.SetDeadline(sent.Add(c.rpcTimeout))
 	}
 	if _, err := c.conn.Write(line); err != nil {
 		c.failLocked()

@@ -4,14 +4,22 @@ import (
 	"context"
 	"fmt"
 	"net"
+	"os"
+	"path/filepath"
 	"sort"
+	"strconv"
 	"sync"
 )
 
-// Testbed hosts a set of device agents on loopback TCP listeners and a
+// Testbed hosts a set of device agents on Unix-domain stream sockets and a
 // controller connected to all of them — the in-process equivalent of the
-// paper's hardware testbed (Fig. 13a). It exists for tests, examples and
-// the irisctl demo.
+// paper's hardware testbed (Fig. 13a). It exists for tests, examples, the
+// irisctl demo and the daemons, whose devices live and die with them.
+//
+// Both ends of every RPC run in this process, so a Unix socket carries the
+// line protocol for less CPU than loopback TCP, which pays a TCP stack on
+// each end. The sockets sit in one private directory (mode 0700), so no
+// other local user can connect to a device and send it commands.
 type Testbed struct {
 	Controller *Controller
 	// Devices gives direct access to the device implementations, e.g. to
@@ -19,23 +27,28 @@ type Testbed struct {
 	Devices map[string]Device
 
 	cancel    context.CancelFunc
+	dir       string // holds the sockets; removed by Close
 	listeners []net.Listener
 	wg        sync.WaitGroup
 }
 
-// StartTestbed serves each named device on its own ephemeral loopback
-// listener and dials a controller to all of them, with default transport
-// deadlines.
+// StartTestbed serves each named device on its own socket and dials a
+// controller to all of them, with default transport deadlines.
 func StartTestbed(devices map[string]Device) (*Testbed, error) {
 	return StartTestbedWithOptions(devices, DialOptions{})
 }
 
 // StartTestbedWithOptions is StartTestbed with explicit controller
 // transport deadlines (tests use short RPC timeouts to exercise hung
-// devices quickly).
+// devices quickly). The sockets are named by the devices' indices in
+// sorted name order, in a new directory under os.TempDir.
 func StartTestbedWithOptions(devices map[string]Device, opts DialOptions) (*Testbed, error) {
+	dir, err := os.MkdirTemp("", "iris-tb-")
+	if err != nil {
+		return nil, fmt.Errorf("control: testbed: %w", err)
+	}
 	ctx, cancel := context.WithCancel(context.Background())
-	tb := &Testbed{Devices: devices, cancel: cancel}
+	tb := &Testbed{Devices: devices, cancel: cancel, dir: dir}
 
 	names := make([]string, 0, len(devices))
 	for name := range devices {
@@ -44,14 +57,14 @@ func StartTestbedWithOptions(devices map[string]Device, opts DialOptions) (*Test
 	sort.Strings(names)
 
 	var specs []deviceSpec
-	for _, name := range names {
-		l, err := net.Listen("tcp", "127.0.0.1:0")
+	for i, name := range names {
+		l, err := net.Listen("unix", filepath.Join(dir, strconv.Itoa(i)))
 		if err != nil {
 			tb.Close()
 			return nil, fmt.Errorf("control: testbed listen: %w", err)
 		}
 		tb.listeners = append(tb.listeners, l)
-		specs = append(specs, deviceSpec{Name: name, Addr: l.Addr().String()})
+		specs = append(specs, deviceSpec{Name: name, Addr: l.Addr()})
 		dev := devices[name]
 		tb.wg.Add(1)
 		go func(l net.Listener, dev Device) {
@@ -71,8 +84,8 @@ func StartTestbedWithOptions(devices map[string]Device, opts DialOptions) (*Test
 	return tb, nil
 }
 
-// Close shuts down the controller, the listeners, and the serving
-// goroutines.
+// Close shuts down the controller, the listeners and the serving
+// goroutines, and removes the sockets' directory.
 func (tb *Testbed) Close() {
 	if tb.Controller != nil {
 		tb.Controller.shutdown()
@@ -82,4 +95,5 @@ func (tb *Testbed) Close() {
 		l.Close()
 	}
 	tb.wg.Wait()
+	os.RemoveAll(tb.dir)
 }

@@ -44,7 +44,7 @@ func (d *stallableDevice) Handle(op string, args map[string]any) (map[string]any
 // — and once it answers again, the client must transparently reconnect.
 // Call is one send and its recv, as Controller.Call does for a named device.
 func (c *client) Call(op string, args map[string]any) (map[string]any, error) {
-	if err := c.send(op, args); err != nil {
+	if err := c.send(op, args, time.Now()); err != nil {
 		return nil, err
 	}
 	return c.recv()
@@ -65,7 +65,7 @@ func TestCallTimesOutOnHungDevice(t *testing.T) {
 	}()
 	defer func() { cancel(); l.Close(); <-done }()
 
-	cl, err := dialDeviceTimeout(l.Addr().String(), time.Second, 50*time.Millisecond)
+	cl, err := dialDeviceTimeout(l.Addr(), time.Second, 50*time.Millisecond)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +105,7 @@ func TestClosedClientDoesNotRedial(t *testing.T) {
 	}()
 	defer func() { cancel(); l.Close(); <-done }()
 
-	cl, err := dialDeviceTimeout(l.Addr().String(), 0, 0)
+	cl, err := dialDeviceTimeout(l.Addr(), 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

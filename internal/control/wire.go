@@ -7,6 +7,8 @@ import (
 	"math"
 	"strconv"
 	"strings"
+
+	"iris/internal/jsonw"
 )
 
 // The line protocol is one JSON object per '\n'-terminated line:
@@ -20,7 +22,8 @@ import (
 // its zero value, a repeated "args"/"result" object merges into the
 // earlier one — and writes lines encoding/json accepts, but it does so in
 // one pass without reflection, because a codec sits on both ends of every
-// device RPC of every tick.
+// device RPC of every tick. Strings are written by jsonw.String, the read
+// plane's encoder, so both codecs escape a string as encoding/json does.
 //
 // Values inside "args" and "result" are the closed set the devices use:
 // nil, bool, int, float64, string, []int and nested map[string]any / []any
@@ -38,7 +41,7 @@ func appendRequest(dst []byte, r *wireRequest) ([]byte, error) {
 	dst = append(dst, `{"id":`...)
 	dst = strconv.AppendInt(dst, r.ID, 10)
 	dst = append(dst, `,"op":`...)
-	dst = appendString(dst, r.Op)
+	dst = jsonw.String(dst, r.Op)
 	if len(r.Args) > 0 {
 		var err error
 		dst = append(dst, `,"args":`...)
@@ -57,7 +60,7 @@ func appendResponse(dst []byte, r *wireResponse) ([]byte, error) {
 	dst = strconv.AppendBool(dst, r.OK)
 	if r.Error != "" {
 		dst = append(dst, `,"error":`...)
-		dst = appendString(dst, r.Error)
+		dst = jsonw.String(dst, r.Error)
 	}
 	if len(r.Result) > 0 {
 		var err error
@@ -87,7 +90,7 @@ func appendValue(dst []byte, v any) ([]byte, error) {
 		}
 		return strconv.AppendFloat(dst, v, 'g', -1, 64), nil
 	case string:
-		return appendString(dst, v), nil
+		return jsonw.String(dst, v), nil
 	case []int:
 		dst = append(dst, '[')
 		for i, e := range v {
@@ -111,7 +114,7 @@ func appendValue(dst []byte, v any) ([]byte, error) {
 	case map[string]any:
 		dst = append(dst, '{')
 		for k, e := range v {
-			dst = appendString(dst, k)
+			dst = jsonw.String(dst, k)
 			dst = append(dst, ':')
 			if dst, err = appendValue(dst, e); err != nil {
 				return nil, err
@@ -136,21 +139,6 @@ func closeObject(dst []byte) []byte {
 		return dst
 	}
 	return append(dst, '}')
-}
-
-// appendString appends s as a JSON string. Printable ASCII — every op,
-// key and device kind — is copied; a string that needs escaping goes
-// through encoding/json, which owns those rules.
-func appendString(dst []byte, s string) []byte {
-	for i := 0; i < len(s); i++ {
-		if c := s[i]; c < 0x20 || c >= 0x7f || c == '"' || c == '\\' {
-			b, _ := json.Marshal(s) // a string cannot fail to marshal
-			return append(dst, b...)
-		}
-	}
-	dst = append(dst, '"')
-	dst = append(dst, s...)
-	return append(dst, '"')
 }
 
 // decodeRequest decodes one protocol line into r.

@@ -274,9 +274,16 @@ func BuildRegion(cfg RegionConfig) (*BuiltRegion, error) {
 		return nil, fmt.Errorf("daemon: build region: %w", err)
 	}
 	// Past this point every failure must tear the testbed down, or a fleet
-	// bring-up that fails on region k would leak k-1 device sets.
+	// bring-up that fails on region k would leak k-1 device sets: an error
+	// returned through fail, and a panic (a second region registering on a
+	// shared registry), which goes on once the testbed is closed.
+	built := false
+	defer func() {
+		if !built {
+			rig.Close()
+		}
+	}()
 	fail := func(err error) (*BuiltRegion, error) {
-		rig.Close()
 		return nil, fmt.Errorf("daemon: build region: %w", err)
 	}
 
@@ -383,6 +390,7 @@ func BuildRegion(cfg RegionConfig) (*BuiltRegion, error) {
 	if err != nil {
 		return fail(err)
 	}
+	built = true
 	return &BuiltRegion{
 		Daemon:   d,
 		Rig:      rig,

@@ -2,6 +2,7 @@ package daemon_test
 
 import (
 	"math"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -89,8 +90,12 @@ func TestBuildRegionAssemblesEverything(t *testing.T) {
 
 // TestSharedRegistryPanics is the daemon-level half of the telemetry
 // collision regression: wiring two region instances to one registry must
-// fail loudly at construction, not silently alias their metrics.
+// fail loudly at construction, not silently alias their metrics. The
+// panicking region's testbed is closed on the way out: once the panic is
+// recovered no socket directory of it remains.
 func TestSharedRegistryPanics(t *testing.T) {
+	tmp := t.TempDir()
+	t.Setenv("TMPDIR", tmp)
 	reg := telemetry.NewRegistry()
 	cfg := daemon.DefaultRegionConfig()
 	cfg.OSSDelay = 0
@@ -101,15 +106,24 @@ func TestSharedRegistryPanics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer b.Close()
+	b.Close() // its metrics stay registered
 
-	defer func() {
-		if recover() == nil {
-			t.Error("second region on the same registry did not panic")
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("second region on the same registry did not panic")
+			}
+		}()
+		b2, err := daemon.BuildRegion(cfg)
+		if err == nil {
+			b2.Close()
 		}
 	}()
-	b2, err := daemon.BuildRegion(cfg)
-	if err == nil {
-		b2.Close()
+	left, err := filepath.Glob(filepath.Join(tmp, "iris-tb-*"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(left) != 0 {
+		t.Errorf("testbed directories after the recovered panic: %v, want none", left)
 	}
 }
