@@ -3,20 +3,14 @@ package chaos
 import (
 	"errors"
 	"testing"
+
+	"iris/internal/control"
 )
-
-type echoDev struct{}
-
-func (echoDev) Kind() string { return "echo" }
-
-func (echoDev) Handle(op string, args map[string]any) (map[string]any, error) {
-	return map[string]any{"op": op}, nil
-}
 
 func TestDeviceSetFaulting(t *testing.T) {
 	s := NewDeviceSet()
-	dev := s.Wrap("h1-oss", echoDev{})
-	s.Wrap("dc1-xcvr", echoDev{})
+	dev := s.Wrap("h1-oss", control.NewOSS(4, 0))
+	s.Wrap("dc1-xcvr", control.NewTransceiverBank(2, 4))
 
 	if _, err := dev.Handle("state", nil); err != nil {
 		t.Fatalf("healthy device failed: %v", err)

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"iris/internal/control/devicetest"
 	"iris/internal/trace"
 )
 
@@ -529,11 +530,11 @@ func TestBatchedSwitchPhasePaysDelayOnce(t *testing.T) {
 // switch-batch span per switch under the switch phase — and leaves the
 // circuits it names, also the one that moves onto a port it vacates.
 func TestSwitchPhaseIsOneRound(t *testing.T) {
-	calls := &callCounts{n: make(map[string]int)}
+	shims := devicetest.Set{}
 	held := map[string]map[int]int{"oss-a": {0: 4}, "oss-b": {1: 5}, "oss-c": {0: 4}}
 	devs := make(map[string]Device)
 	for name, cross := range held {
-		devs[name] = countingDevice{Device: ossHolding(0, cross), name: name, calls: calls}
+		devs[name] = shims.Wrap(name, ossHolding(0, cross))
 	}
 	tb, err := StartTestbed(devs)
 	if err != nil {
@@ -552,17 +553,16 @@ func TestSwitchPhaseIsOneRound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	calls.mu.Lock()
-	if want := map[string]int{"oss-a": 1, "oss-b": 1, "oss-c": 1}; !maps.Equal(calls.n, want) {
-		t.Errorf("switch RPCs %v, want %v", calls.n, want)
+	batch := []devicetest.Call{{Op: "switch-batch", State: true}}
+	want := map[string][]devicetest.Call{"oss-a": batch, "oss-b": batch, "oss-c": batch}
+	if got := shims.Take(); !maps.EqualFunc(got, want, slices.Equal) {
+		t.Errorf("switch RPCs %v, want %v", got, want)
 	}
-	calls.mu.Unlock()
 	if got := rep.Phases[1]; got.Name != "switch" || got.Ops != len(ch.Switches) {
 		t.Errorf("phase report %+v, want switch with %d operations", got, len(ch.Switches))
 	}
-	want := map[string]map[int]int{"oss-a": {0: 5}, "oss-b": {2: 5}, "oss-c": {1: 6}}
-	for name, cross := range want {
-		if got := circuits(tb.Devices[name].(countingDevice).Device.(*OSS)); !maps.Equal(got, cross) {
+	for name, cross := range map[string]map[int]int{"oss-a": {0: 5}, "oss-b": {2: 5}, "oss-c": {1: 6}} {
+		if got := circuits(shims[name].Inner().(*OSS)); !maps.Equal(got, cross) {
 			t.Errorf("%s carries %v, want %v", name, got, cross)
 		}
 	}

@@ -9,9 +9,10 @@ import (
 	"reflect"
 	"slices"
 	"strings"
-	"sync"
 	"testing"
 	"time"
+
+	"iris/internal/control/devicetest"
 )
 
 // cloneBank returns an independent bank in the same state.
@@ -159,36 +160,19 @@ func TestDeviceLogIsARing(t *testing.T) {
 	}
 }
 
-// hostileDevice answers "state" with whatever it was built with.
-type hostileDevice struct {
-	kind  string
-	state map[string]any
-}
-
-func (d hostileDevice) Kind() string { return d.kind }
-
-func (d hostileDevice) Handle(op string, _ map[string]any) (map[string]any, error) {
-	if op == "state" {
-		return d.state, nil
-	}
-	return nil, fmt.Errorf("hostile: unknown op %q", op)
-}
-
 // malformedStates are replies that are not a state of the device kind the
 // expectation takes them for: wrongly typed fields (each of the first
 // twelve either panicked the audit or passed it before the wire carried
 // typed values) and packed vectors or port lists that break their own
 // format. FuzzStateDecode starts from the same list.
 var malformedStates = func() []struct {
-	name string
-	dev  hostileDevice
-	exp  Expected
+	name  string
+	state map[string]any
+	exp   Expected
 } {
-	cross := func(in, out any) hostileDevice {
-		return hostileDevice{"oss", map[string]any{"in": in, "out": out, "ports": 8}}
-	}
-	bank := func(tuned, enabled any) hostileDevice {
-		return hostileDevice{"transceivers", map[string]any{"tuned": tuned, "enabled": enabled, "lambda": 40}}
+	cross := func(in, out any) map[string]any { return map[string]any{"in": in, "out": out, "ports": 8} }
+	bank := func(tuned, enabled any) map[string]any {
+		return map[string]any{"tuned": tuned, "enabled": enabled, "lambda": 40}
 	}
 	expCross := Expected{Cross: map[string]map[int]int{"dev": {1: 2}}}
 	expDrained := Expected{Enabled: map[string][]bool{"dev": {false, false}}}
@@ -196,26 +180,26 @@ var malformedStates = func() []struct {
 	expFilled := Expected{Filled: map[string][]int{"dev": {}}}
 	expFive := Expected{Enabled: map[string][]bool{"dev": make([]bool, 5)}}
 	return []struct {
-		name string
-		dev  hostileDevice
-		exp  Expected
+		name  string
+		state map[string]any
+		exp   Expected
 	}{
 		{"cross value of the wrong type", cross([]int{1}, []any{"two"}), expCross},
 		{"cross value with a fraction", cross([]int{1}, []any{2.5}), expCross},
 		{"port key with trailing junk", cross([]any{"1junk"}, []int{2}), expCross},
 		{"port key spelled twice", cross([]int{1, 1}, []int{2, 2}), expCross},
-		{"cross map missing", hostileDevice{"oss", map[string]any{"ports": 8}}, expCross},
-		{"cross map an array", hostileDevice{"oss", map[string]any{"cross": []int{1, 2}}}, expCross},
+		{"cross map missing", map[string]any{"ports": 8}, expCross},
+		{"cross map an array", map[string]any{"cross": []int{1, 2}}, expCross},
 		{"enabled with null elements", bank("0101", []any{nil, nil}), expDrained},
 		{"enabled as numbers", bank("0101", []int{0, 0}), expDrained},
-		{"enabled missing", hostileDevice{"transceivers", map[string]any{"tuned": "0101", "lambda": 40}}, expDrained},
+		{"enabled missing", map[string]any{"tuned": "0101", "lambda": 40}, expDrained},
 		{"tuned with a string element", bank([]any{0, "0"}, "0"), expTuned},
 		{"tuned as booleans", bank([]any{false, false}, "0"), expTuned},
-		{"filled an object", hostileDevice{"emulator", map[string]any{"filled": map[string]any{}}}, expFilled},
+		{"filled an object", map[string]any{"filled": map[string]any{}}, expFilled},
 
 		{"in ports descending", cross([]int{2, 1}, []int{3, 4}), expCross},
 		{"more in ports than out ports", cross([]int{1, 3}, []int{2}), expCross},
-		{"out ports missing", hostileDevice{"oss", map[string]any{"in": []int{1}, "ports": 8}}, expCross},
+		{"out ports missing", map[string]any{"in": []int{1}, "ports": 8}, expCross},
 		{"tuned cut short", bank("010", "0"), expTuned},
 		{"tuned of another bank size", bank("010101", "0"), expTuned},
 		{"tuned with an upper-case digit", bank("0A01", "0"), expTuned},
@@ -225,9 +209,9 @@ var malformedStates = func() []struct {
 		{"enabled with an upper-case digit", bank("0101010101", "C0"), expFive},
 		{"enabled with a non-hex digit", bank("0101", "x"), expDrained},
 		{"a bit set past the last transceiver", bank("0101", "2"), expDrained},
-		{"lambda missing", hostileDevice{"transceivers", map[string]any{"tuned": "0101", "enabled": "0"}}, expDrained},
-		{"lambda zero", hostileDevice{"transceivers", map[string]any{"tuned": "0101", "enabled": "0", "lambda": 0}}, expDrained},
-		{"lambda a fraction", hostileDevice{"transceivers", map[string]any{"tuned": "0101", "enabled": "0", "lambda": 40.5}}, expDrained},
+		{"lambda missing", map[string]any{"tuned": "0101", "enabled": "0"}, expDrained},
+		{"lambda zero", map[string]any{"tuned": "0101", "enabled": "0", "lambda": 0}, expDrained},
+		{"lambda a fraction", map[string]any{"tuned": "0101", "enabled": "0", "lambda": 40.5}, expDrained},
 	}
 }()
 
@@ -237,7 +221,16 @@ var malformedStates = func() []struct {
 func TestAuditRejectsMalformedState(t *testing.T) {
 	for _, c := range malformedStates {
 		t.Run(c.name, func(t *testing.T) {
-			tb, err := StartTestbed(map[string]Device{"dev": c.dev})
+			// Any device will do: the audit reads a reply as the kind the
+			// expectation names.
+			dev := devicetest.Wrap(NewOSS(8, 0))
+			dev.Arm(func(op string, args map[string]any, next devicetest.Next) (map[string]any, error) {
+				if op == "state" {
+					return c.state, nil
+				}
+				return next(op, args)
+			})
+			tb, err := StartTestbed(map[string]Device{"dev": dev})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -254,7 +247,7 @@ func TestAuditRejectsMalformedState(t *testing.T) {
 // TestAuditFetchesEachDeviceOnce: one state RPC per expected device, also
 // for a bank whose tuning and live state are both expected.
 func TestAuditFetchesEachDeviceOnce(t *testing.T) {
-	calls := &callCounts{n: make(map[string]int)}
+	shims := devicetest.Set{}
 	devs := map[string]Device{
 		"oss":  NewOSS(4, 0),
 		"xcvr": NewTransceiverBank(2, 4),
@@ -262,7 +255,7 @@ func TestAuditFetchesEachDeviceOnce(t *testing.T) {
 		"amp":  NewAmplifier(20, -3), // not expected, not fetched
 	}
 	for name, dev := range devs {
-		devs[name] = countingDevice{Device: dev, name: name, calls: calls}
+		devs[name] = shims.Wrap(name, dev)
 	}
 	tb, err := StartTestbed(devs)
 	if err != nil {
@@ -277,30 +270,11 @@ func TestAuditFetchesEachDeviceOnce(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	calls.mu.Lock()
-	defer calls.mu.Unlock()
-	if want := map[string]int{"oss": 1, "xcvr": 1, "em": 1}; !reflect.DeepEqual(calls.n, want) {
-		t.Errorf("state fetches = %v, want %v", calls.n, want)
+	state := []devicetest.Call{{Op: "state"}}
+	want := map[string][]devicetest.Call{"oss": state, "xcvr": state, "em": state}
+	if got := shims.Take(); !maps.EqualFunc(got, want, slices.Equal) {
+		t.Errorf("requests %v, want %v", got, want)
 	}
-}
-
-type callCounts struct {
-	mu sync.Mutex
-	n  map[string]int
-}
-
-// countingDevice counts Handle calls per device.
-type countingDevice struct {
-	Device
-	name  string
-	calls *callCounts
-}
-
-func (d countingDevice) Handle(op string, args map[string]any) (map[string]any, error) {
-	d.calls.mu.Lock()
-	d.calls.n[d.name]++
-	d.calls.mu.Unlock()
-	return d.Device.Handle(op, args)
 }
 
 // TestAuditSeesAFlippedEmulatorChannel: the ASE fill is audited channel by
@@ -489,7 +463,7 @@ func TestPackedBankStateCarriesEveryWavelength(t *testing.T) {
 // nothing is reported to differ.
 func FuzzStateDecode(f *testing.F) {
 	for _, c := range malformedStates {
-		line, err := appendValue(nil, c.dev.state)
+		line, err := appendValue(nil, c.state)
 		if err != nil {
 			f.Fatal(err)
 		}
@@ -801,9 +775,7 @@ func TestWriteReplyIsTheStateOp(t *testing.T) {
 // last phase carries "state": true, and its reply is the device's entry in
 // Report.States — the state a fetch after the change returns.
 func TestReconfigureAsksEachDeviceOnceForState(t *testing.T) {
-	var mu sync.Mutex
-	asked := make(map[string][]string) // device → ops sent with "state": true
-	sent := make(map[string][]string)  // device → every op, in order
+	shims := devicetest.Set{}
 	devs := map[string]Device{
 		"oss":  ossHolding(0, map[int]int{0: 4}),
 		"xcvr": NewTransceiverBank(4, 40),
@@ -811,14 +783,7 @@ func TestReconfigureAsksEachDeviceOnceForState(t *testing.T) {
 		"emu":  NewChannelEmulator(40),
 	}
 	for name, dev := range devs {
-		devs[name] = recordingDevice{Device: dev, record: func(op string, args map[string]any) {
-			mu.Lock()
-			defer mu.Unlock()
-			sent[name] = append(sent[name], op)
-			if wantsState(args) {
-				asked[name] = append(asked[name], op)
-			}
-		}}
+		devs[name] = shims.Wrap(name, dev)
 	}
 	tb, err := StartTestbed(devs)
 	if err != nil {
@@ -831,9 +796,7 @@ func TestReconfigureAsksEachDeviceOnceForState(t *testing.T) {
 	if _, err := tb.Controller.Call("xcvr", "enable-batch", map[string]any{"idxs": []int{1}}); err != nil {
 		t.Fatal(err)
 	}
-	mu.Lock()
-	clear(sent)
-	mu.Unlock()
+	shims.Take()
 	ch := Change{
 		Drain:    []TransceiverOp{{Device: "xcvr", Idx: 1}},
 		Switches: []OSSOp{{Device: "oss", In: 0, Disconnect: true}, {Device: "oss", In: 0, Out: 5}},
@@ -846,15 +809,15 @@ func TestReconfigureAsksEachDeviceOnceForState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := map[string][]string{"oss": {"switch-batch"}, "xcvr": {"enable-batch"}, "amp": {"enable"}, "emu": {"fill"}}
-	mu.Lock()
-	if !maps.EqualFunc(asked, want, slices.Equal) {
-		t.Errorf("state-bearing requests %v, want %v", asked, want)
+	want := map[string][]devicetest.Call{ // one batch per phase, the last asking for the state
+		"oss":  {{Op: "switch-batch", State: true}},
+		"xcvr": {{Op: "disable-batch"}, {Op: "tune-batch"}, {Op: "enable-batch", State: true}},
+		"amp":  {{Op: "enable", State: true}},
+		"emu":  {{Op: "fill", State: true}},
 	}
-	if got := sent["xcvr"]; !slices.Equal(got, []string{"disable-batch", "tune-batch", "enable-batch"}) {
-		t.Errorf("bank got %v, want one batch per phase", got)
+	if got := shims.Take(); !maps.EqualFunc(got, want, slices.Equal) {
+		t.Errorf("requests %v, want %v", got, want)
 	}
-	mu.Unlock()
 	if got := sortedKeys(rep.States); !slices.Equal(got, ch.Devices()) {
 		t.Errorf("report has states of %v, want %v", got, ch.Devices())
 	}
@@ -867,15 +830,4 @@ func TestReconfigureAsksEachDeviceOnceForState(t *testing.T) {
 			t.Errorf("%s: reply state %v, fetched %v", dev, rep.States[dev], st)
 		}
 	}
-}
-
-// recordingDevice reports every request to record before handling it.
-type recordingDevice struct {
-	Device
-	record func(op string, args map[string]any)
-}
-
-func (d recordingDevice) Handle(op string, args map[string]any) (map[string]any, error) {
-	d.record(op, args)
-	return d.Device.Handle(op, args)
 }

@@ -9,6 +9,7 @@ import (
 	"sort"
 	"strconv"
 	"sync"
+	"syscall"
 )
 
 // Testbed hosts a set of device agents on Unix-domain stream sockets and a
@@ -22,8 +23,9 @@ import (
 // other local user can connect to a device and send it commands.
 type Testbed struct {
 	Controller *Controller
-	// Devices gives direct access to the device implementations, e.g. to
-	// read their operation logs.
+	// Devices gives direct access to the devices as served, e.g. to read
+	// their operation logs. A device served behind a wrapper (a test's
+	// devicetest shim, a chaos fault shim) is the wrapper here.
 	Devices map[string]Device
 
 	cancel    context.CancelFunc
@@ -58,9 +60,14 @@ func StartTestbedWithOptions(devices map[string]Device, opts DialOptions) (*Test
 
 	var specs []deviceSpec
 	for i, name := range names {
-		l, err := net.Listen("unix", filepath.Join(dir, strconv.Itoa(i)))
+		path := filepath.Join(dir, strconv.Itoa(i))
+		l, err := net.Listen("unix", path)
 		if err != nil {
 			tb.Close()
+			// The kernel's own error for an over-long path is EINVAL.
+			if limit := len(syscall.RawSockaddrUnix{}.Path); len(path) >= limit {
+				err = fmt.Errorf("%w (the path is %d bytes; a socket path must be shorter than sockaddr_un's %d: set a shorter TMPDIR)", err, len(path), limit)
+			}
 			return nil, fmt.Errorf("control: testbed listen: %w", err)
 		}
 		tb.listeners = append(tb.listeners, l)

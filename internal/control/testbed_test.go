@@ -3,7 +3,9 @@ package control
 import (
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
+	"syscall"
 	"testing"
 )
 
@@ -57,9 +59,10 @@ func TestTestbedSocketsArePrivate(t *testing.T) {
 }
 
 // TestTestbedSocketPathTooLong: a temporary directory so deep that a
-// socket's path passes the kernel's limit (sun_path, about 100 bytes)
-// fails the testbed with an error naming the path, and leaves no
-// directory behind.
+// socket's path passes the kernel's limit (sockaddr_un's sun_path, 108
+// bytes on Linux) fails the testbed with an error that names the path,
+// says it is too long for that limit and that a shorter TMPDIR fixes it,
+// and leaves no directory behind.
 func TestTestbedSocketPathTooLong(t *testing.T) {
 	tmp := filepath.Join(t.TempDir(), strings.Repeat("d", 120))
 	if err := os.Mkdir(tmp, 0o700); err != nil {
@@ -74,6 +77,10 @@ func TestTestbedSocketPathTooLong(t *testing.T) {
 	}
 	if want := filepath.Join(tmp, "iris-tb-"); !strings.Contains(err.Error(), want) {
 		t.Errorf("err = %v, want it to name the socket path under %s", err, want)
+	}
+	limit := strconv.Itoa(len(syscall.RawSockaddrUnix{}.Path))
+	if !strings.Contains(err.Error(), "sockaddr_un's "+limit) || !strings.Contains(err.Error(), "shorter TMPDIR") {
+		t.Errorf("err = %v, want it to give the %s-byte limit and a shorter TMPDIR as the fix", err, limit)
 	}
 	if left, err := os.ReadDir(tmp); err != nil || len(left) != 0 {
 		t.Errorf("TMPDIR holds %v after the failed start (%v), want nothing", left, err)

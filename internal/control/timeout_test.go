@@ -6,38 +6,12 @@ import (
 	"fmt"
 	"net"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
+	"iris/internal/control/devicetest"
 	"iris/internal/trace"
 )
-
-// stallableDevice wraps a real device and, while stalled, blocks every
-// operation long enough to blow any short RPC deadline.
-type stallableDevice struct {
-	Device
-	mu      sync.Mutex
-	stall   time.Duration
-	stalled bool
-}
-
-func (d *stallableDevice) setStalled(on bool) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.stalled = on
-}
-
-func (d *stallableDevice) Handle(op string, args map[string]any) (map[string]any, error) {
-	d.mu.Lock()
-	stalled := d.stalled
-	d.mu.Unlock()
-	if stalled {
-		time.Sleep(d.stall)
-	}
-	return d.Device.Handle(op, args)
-}
 
 // TestCallTimesOutOnHungDevice: a device that stops answering must fail
 // the call by the RPC deadline instead of wedging the controller forever
@@ -51,19 +25,19 @@ func (c *client) Call(op string, args map[string]any) (map[string]any, error) {
 }
 
 func TestCallTimesOutOnHungDevice(t *testing.T) {
-	dev := &stallableDevice{Device: NewOSS(4, 0), stall: 2 * time.Second}
+	dev := devicetest.Wrap(NewOSS(4, 0))
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
 		serve(ctx, l, dev)
 	}()
-	defer func() { cancel(); l.Close(); <-done }()
+	t.Cleanup(func() { cancel(); l.Close(); <-done })
+	stall, _ := devicetest.Stall(t)
 
 	cl, err := dialDeviceTimeout(l.Addr(), time.Second, 50*time.Millisecond)
 	if err != nil {
@@ -75,7 +49,7 @@ func TestCallTimesOutOnHungDevice(t *testing.T) {
 		t.Fatalf("healthy call failed: %v", err)
 	}
 
-	dev.setStalled(true)
+	dev.Arm(stall)
 	start := time.Now()
 	if _, err := cl.Call("state", nil); err == nil {
 		t.Fatal("call to hung device succeeded")
@@ -85,7 +59,7 @@ func TestCallTimesOutOnHungDevice(t *testing.T) {
 	}
 
 	// Heal the device: the next call redials and succeeds.
-	dev.setStalled(false)
+	dev.Arm(nil)
 	if _, err := cl.Call("state", nil); err != nil {
 		t.Errorf("call after heal failed (no reconnect?): %v", err)
 	}
@@ -142,44 +116,13 @@ func TestDeviceErrorAttribution(t *testing.T) {
 	}
 }
 
-// The ways one device of a round can fail while the requests to the
-// devices after it are already on the wire.
-const (
-	answering  int32 = iota
-	wedged           // answers after the RPC deadline
-	garbled          // answers "state" with a state of no device kind
-	refusing         // answers with an error
-	cancelling       // cancels the caller's context, then answers
-)
-
-// moodyBank is a two-transceiver bank that misbehaves on demand.
-type moodyBank struct {
-	*TransceiverBank
-	mood   atomic.Int32
-	cancel atomic.Value // the context.CancelFunc a cancelling bank calls
-}
-
-func (d *moodyBank) Handle(op string, args map[string]any) (map[string]any, error) {
-	switch d.mood.Load() {
-	case wedged:
-		time.Sleep(300 * time.Millisecond)
-	case garbled:
-		if op == "state" {
-			return map[string]any{"tuned": "zz", "enabled": true}, nil
-		}
-	case refusing:
-		return nil, errors.New("moody: not now")
-	case cancelling:
-		d.cancel.Load().(context.CancelFunc)()
-	}
-	return d.TransceiverBank.Handle(op, args)
-}
-
-// overlapRig serves five idle banks a…e, the middle one moody, behind a
-// controller with a 60 ms RPC deadline, and returns the intent they match.
-func overlapRig(t *testing.T) (*Testbed, *moodyBank, Expected) {
+// overlapRig serves five idle banks a…e behind a controller with a 60 ms
+// RPC deadline, the middle one wrapped so that a test can make it fail
+// while the requests to the devices after it are already on the wire, and
+// returns the wrapper and the intent the banks match.
+func overlapRig(t *testing.T) (*Testbed, *devicetest.Device, Expected) {
 	t.Helper()
-	moody := &moodyBank{TransceiverBank: NewTransceiverBank(2, 4)}
+	moody := devicetest.Wrap(NewTransceiverBank(2, 4))
 	devs := map[string]Device{"c": moody}
 	exp := Expected{Tuned: map[string][]int{}, Enabled: map[string][]bool{}}
 	for _, name := range []string{"a", "b", "c", "d", "e"} {
@@ -220,7 +163,7 @@ func TestAuditThatStopsEarlyLeavesNoStaleReply(t *testing.T) {
 	}
 	healthy := func(t *testing.T) {
 		t.Helper()
-		moody.mood.Store(answering)
+		moody.Arm(nil)
 		for i := 0; i < 3; i++ {
 			if _, err := ctl.Reconfigure(context.Background(), Change{Drain: drain("a", "b", "c", "d", "e")}); err != nil {
 				t.Fatalf("change %d after the fault cleared: %v", i, err)
@@ -235,17 +178,24 @@ func TestAuditThatStopsEarlyLeavesNoStaleReply(t *testing.T) {
 			}
 		}
 	}
+	wedged, _ := devicetest.Stall(t) // answers when the test ends, long past any deadline
+	garble := func(op string, args map[string]any, next devicetest.Next) (map[string]any, error) {
+		if op == "state" { // a state of no device kind
+			return map[string]any{"tuned": "zz", "enabled": true}, nil
+		}
+		return next(op, args)
+	}
 	for _, c := range []struct {
 		name     string
-		mood     int32
+		hook     devicetest.Hook
 		deadline bool
 	}{
 		{"wedged past the deadline", wedged, true},
-		{"answering garbage", garbled, false},
-		{"refusing", refusing, false},
+		{"answering garbage", garble, false},
+		{"refusing", devicetest.Fail, false},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			moody.mood.Store(c.mood)
+			moody.Arm(c.hook)
 			start := time.Now()
 			err := ctl.Audit(exp)
 			var de *DeviceError
@@ -329,18 +279,19 @@ func TestAuditThatStopsEarlyLeavesNoStaleReply(t *testing.T) {
 	}
 	for _, c := range []struct {
 		name         string
-		mood         int32
+		hook         devicetest.Hook
+		deadline     bool
 		attr, behind string
 	}{
-		{"drain wedged past the deadline", wedged, "deadline_exceeded", "deadline_exceeded"},
-		{"drain refused", refusing, "", "discarded"},
+		{"drain wedged past the deadline", wedged, true, "deadline_exceeded", "deadline_exceeded"},
+		{"drain refused", devicetest.Fail, false, "", "discarded"},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			moody.mood.Store(c.mood)
+			moody.Arm(c.hook)
 			attrs, err := failedDrain(t, context.Background(), c.behind, "a", "b", "c", "d", "e")
 			var de *DeviceError
-			if !errors.As(err, &de) || de.Device != "c" || isDeadline(err) != (c.mood == wedged) {
-				t.Fatalf("reconfigure = %v, want a DeviceError for c (deadline: %v)", err, c.mood == wedged)
+			if !errors.As(err, &de) || de.Device != "c" || isDeadline(err) != c.deadline {
+				t.Fatalf("reconfigure = %v, want a DeviceError for c (deadline: %v)", err, c.deadline)
 			}
 			if attrs["a"] != "" || attrs["b"] != "" || attrs["c"] != c.attr {
 				t.Errorf("span attrs %v, want a and b clean and c %q", attrs, c.attr)
@@ -352,8 +303,11 @@ func TestAuditThatStopsEarlyLeavesNoStaleReply(t *testing.T) {
 	t.Run("drain cancelled between replies", func(t *testing.T) {
 		ctx, cancel := context.WithCancel(context.Background())
 		defer cancel()
-		moody.cancel.Store(cancel)
-		moody.mood.Store(cancelling) // c cancels before it replies, so before d's reply is awaited
+		// c cancels before it replies, so before d's reply is awaited.
+		moody.Arm(func(op string, args map[string]any, next devicetest.Next) (map[string]any, error) {
+			cancel()
+			return next(op, args)
+		})
 		if _, err := failedDrain(t, ctx, "abandoned", "a", "b", "c", "d", "e"); !errors.Is(err, context.Canceled) {
 			t.Fatalf("reconfigure = %v, want context.Canceled", err)
 		}
@@ -415,22 +369,24 @@ func TestAuditSpansAreOnePerDevice(t *testing.T) {
 		}
 	}
 
+	wedged, _ := devicetest.Stall(t)
 	for i, c := range []struct {
-		mood    int32
+		name    string
+		hook    devicetest.Hook
 		attrs   map[string]string
 		failing string // the devices whose spans carry an error
 	}{
-		{refusing, map[string]string{"d": "discarded", "e": "discarded"}, "c"},
-		{wedged, map[string]string{"c": "deadline_exceeded", "d": "deadline_exceeded", "e": "deadline_exceeded"}, "cde"},
+		{"refusing", devicetest.Fail, map[string]string{"d": "discarded", "e": "discarded"}, "c"},
+		{"wedged", wedged, map[string]string{"c": "deadline_exceeded", "d": "deadline_exceeded", "e": "deadline_exceeded"}, "cde"},
 	} {
-		moody.mood.Store(c.mood)
+		moody.Arm(c.hook)
 		spans, err = audit(uint64(2 + i))
 		if err == nil {
-			t.Fatalf("audit of a device in mood %d passed", c.mood)
+			t.Fatalf("audit of a %s device passed", c.name)
 		}
 		for dev, ev := range spans {
 			if ev.Attr != c.attrs[dev] || (ev.Err != "") != strings.Contains(c.failing, dev) {
-				t.Errorf("mood %d: span of %s has attr %q, error %q; want attr %q", c.mood, dev, ev.Attr, ev.Err, c.attrs[dev])
+				t.Errorf("%s: span of %s has attr %q, error %q; want attr %q", c.name, dev, ev.Attr, ev.Err, c.attrs[dev])
 			}
 		}
 	}
@@ -449,9 +405,13 @@ func TestRoundLeavesNothingInFlight(t *testing.T) {
 		banks[name] = NewTransceiverBank(2, 4)
 		devs[name] = banks[name]
 	}
-	devs["c"] = &moodyBank{TransceiverBank: banks["c"]}
-	devs["c"].(*moodyBank).mood.Store(refusing)
-	devs["d"] = &stallableDevice{Device: banks["d"], stall: slow, stalled: true}
+	c, d := devicetest.Wrap(banks["c"]), devicetest.Wrap(banks["d"])
+	c.Arm(devicetest.Fail)
+	d.Arm(func(op string, args map[string]any, next devicetest.Next) (map[string]any, error) {
+		time.Sleep(slow)
+		return next(op, args)
+	})
+	devs["c"], devs["d"] = c, d
 	tb, err := StartTestbedWithOptions(devs, DialOptions{RPCTimeout: 5 * time.Second})
 	if err != nil {
 		t.Fatal(err)

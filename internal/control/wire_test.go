@@ -10,6 +10,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"iris/internal/control/devicetest"
 )
 
 // generic rewrites a value of the protocol's closed set into the form
@@ -329,18 +331,6 @@ func TestWireTypedArrays(t *testing.T) {
 	}
 }
 
-// echoDevice answers "echo" with its arguments, so whatever the decoder
-// produced goes back out through the encoder; every other op goes to a
-// real transceiver bank.
-type echoDevice struct{ *TransceiverBank }
-
-func (d echoDevice) Handle(op string, args map[string]any) (map[string]any, error) {
-	if op == "echo" {
-		return args, nil
-	}
-	return d.TransceiverBank.Handle(op, args)
-}
-
 // FuzzServeConn feeds a device agent an arbitrary byte stream: it must
 // answer every input line with exactly one well-formed response line,
 // whatever the line holds, and return when the stream ends.
@@ -359,11 +349,21 @@ func FuzzServeConn(f *testing.F) {
 			lines++ // the over-long line is answered before the hang-up
 		}
 
+		// The device answers "echo" with its arguments, so whatever the
+		// decoder produced goes back out through the encoder; every other
+		// op goes to a real transceiver bank.
+		dev := devicetest.Wrap(NewTransceiverBank(4, 8))
+		dev.Arm(func(op string, args map[string]any, next devicetest.Next) (map[string]any, error) {
+			if op == "echo" {
+				return args, nil
+			}
+			return next(op, args)
+		})
 		var out bytes.Buffer
 		serveConn(struct {
 			io.Reader
 			io.Writer
-		}{bytes.NewReader(stream), &out}, echoDevice{NewTransceiverBank(4, 8)})
+		}{bytes.NewReader(stream), &out}, dev)
 
 		if out.Len() > 0 && out.Bytes()[out.Len()-1] != '\n' {
 			t.Fatalf("output does not end in a newline: %q", out.Bytes())

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"iris/internal/control"
+	"iris/internal/control/devicetest"
 	"iris/internal/fabric"
 	"iris/internal/hose"
 	"iris/internal/telemetry"
@@ -495,7 +496,7 @@ func TestBreakerSinceAndTraceEvents(t *testing.T) {
 	}
 
 	victim := pickVictim(rig)
-	shims[victim].set(true, 0)
+	shims[victim].Arm(devicetest.Fail)
 	d.ProbeOnce()
 
 	if got := breakerOf(t, d, victim); got != "open" {

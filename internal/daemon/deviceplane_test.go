@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"iris/internal/control"
+	"iris/internal/control/devicetest"
 	"iris/internal/fabric"
 	"iris/internal/hose"
 	"iris/internal/traffic"
@@ -46,15 +47,24 @@ func (f *redrawFeed) Next() (*traffic.Matrix, bool) {
 	return m, true
 }
 
-// denseRegion brings up a generated region under a redraw feed and steps
-// it to its first committed allocation.
-func denseRegion(t *testing.T, dcs int) (*fabric.Rig, *Daemon) {
+// seededRig brings up the generated region of seed 1 with dcs DCs of 10
+// fiber pairs × 40 wavelengths (at 20 DCs, the bench's region), every
+// device wrapped into shims unless shims is nil.
+func seededRig(t testing.TB, dcs int, shims devicetest.Set) *fabric.Rig {
 	t.Helper()
-	rig, err := fabric.BringUp(fabric.BringUpConfig{Seed: 1, DCs: dcs, DCCapacity: 10, Lambda: 40})
+	rig, err := fabric.BringUp(fabric.BringUpConfig{Seed: 1, DCs: dcs, DCCapacity: 10, Lambda: 40, WrapDevice: wrapIn(shims)})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(rig.Close)
+	return rig
+}
+
+// denseRegion brings up a generated region under a redraw feed and steps
+// it to its first committed allocation.
+func denseRegion(t *testing.T, dcs int) (*fabric.Rig, *Daemon) {
+	t.Helper()
+	rig := seededRig(t, dcs, nil)
 	d, err := New(Config{Fab: rig.Fab, Controller: rig.Testbed.Controller, Feed: newRedrawFeed(rig, 1)})
 	if err != nil {
 		t.Fatal(err)
@@ -273,11 +283,7 @@ func TestConcurrentFetchesNeitherDeadlockNorMisframe(t *testing.T) {
 // next probe round on /status, naming the device and the field, and the
 // next Step repairs it.
 func TestProbeAuditsAQuietRegion(t *testing.T) {
-	rig, err := fabric.BringUp(fabric.BringUpConfig{Seed: 1, DCs: 6, DCCapacity: 10, Lambda: 40})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(rig.Close)
+	rig := seededRig(t, 6, nil)
 	tm, _ := newRedrawFeed(rig, 1).Next()
 	d, err := New(Config{Fab: rig.Fab, Controller: rig.Testbed.Controller,
 		Feed: traffic.NewReplay(tm, tm, tm, tm, tm), Logger: testLogger(t)})
@@ -337,54 +343,14 @@ func TestProbeAuditsAQuietRegion(t *testing.T) {
 	}
 }
 
-// opCounter keeps the operations each wrapped device handles, in order.
-type opCounter struct {
-	mu  sync.Mutex
-	ops map[string][]string // device → operations; a write asked for its state is op+"+state"
-}
-
-func (c *opCounter) wrap(name string, dev control.Device) control.Device {
-	return countingDevice{Device: dev, name: name, c: c}
-}
-
-// take returns the operations since the last take and starts again.
-func (c *opCounter) take() map[string][]string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	ops := c.ops
-	c.ops = make(map[string][]string)
-	return ops
-}
-
-type countingDevice struct {
-	control.Device
-	name string
-	c    *opCounter
-}
-
-func (d countingDevice) Handle(op string, args map[string]any) (map[string]any, error) {
-	rec := op
-	if on, _ := args["state"].(bool); on {
-		rec += "+state"
-	}
-	d.c.mu.Lock()
-	d.c.ops[d.name] = append(d.c.ops[d.name], rec)
-	d.c.mu.Unlock()
-	return d.Device.Handle(op, args)
-}
-
 // TestSparseCommitAuditsWhatItTouched: a committed Step() sends no "state"
 // request. Each device the change names gets exactly one write that asks
 // for its state, the last request of the change to it — its last phase's
 // batch — and no other device gets a request. A probe round still sends
 // every device one "state".
 func TestSparseCommitAuditsWhatItTouched(t *testing.T) {
-	counter := &opCounter{ops: make(map[string][]string)}
-	rig, err := fabric.BringUp(fabric.BringUpConfig{Seed: 1, DCs: 6, DCCapacity: 10, Lambda: 40, WrapDevice: counter.wrap})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(rig.Close)
+	shims := devicetest.Set{}
+	rig := seededRig(t, 6, shims)
 	base, _ := newRedrawFeed(rig, 1).Next()
 	shifts := []*traffic.Matrix{base}
 	for _, p := range base.Pairs()[:6] { // one pair at a time, down and back
@@ -401,26 +367,20 @@ func TestSparseCommitAuditsWhatItTouched(t *testing.T) {
 
 	sparse := 0
 	for step := 0; step < len(shifts); step++ {
-		counter.take()
+		shims.Take()
 		audits := counterValue(t, d.Registry(), "iris_audit_total")
 		d.Step()
 		if st := d.Status(); !st.Converged || !st.LastAuditOK {
 			t.Fatalf("step %d did not converge: %+v", step, st)
 		}
 		touched := 0
-		for dev, ops := range counter.take() {
+		for dev, calls := range shims.Take() {
 			touched++
-			if slices.Contains(ops, "state") {
-				t.Errorf("step %d: %s got a state request during the commit: %v", step, dev, ops)
+			if slices.Contains(calls, devicetest.Call{Op: "state"}) {
+				t.Errorf("step %d: %s got a state request during the commit: %v", step, dev, calls)
 			}
-			asked := 0
-			for _, op := range ops {
-				if strings.HasSuffix(op, "+state") {
-					asked++
-				}
-			}
-			if asked != 1 || !strings.HasSuffix(ops[len(ops)-1], "+state") {
-				t.Errorf("step %d: %s got %v, want one state-bearing write, its last", step, dev, ops)
+			if slices.IndexFunc(calls, func(c devicetest.Call) bool { return c.State }) != len(calls)-1 {
+				t.Errorf("step %d: %s got %v, want one state-bearing write, its last", step, dev, calls)
 			}
 		}
 		if got := counterValue(t, d.Registry(), "iris_audit_total") - audits; touched > 0 && got != 1 {
@@ -431,10 +391,10 @@ func TestSparseCommitAuditsWhatItTouched(t *testing.T) {
 		}
 
 		d.ProbeOnce()
-		probed := counter.take()
+		probed := shims.Take()
 		for _, dev := range all {
-			if ops := probed[dev]; !slices.Equal(ops, []string{"state"}) {
-				t.Errorf("step %d: a probe round sent %s %v, want one state call", step, dev, ops)
+			if calls := probed[dev]; !slices.Equal(calls, []devicetest.Call{{Op: "state"}}) {
+				t.Errorf("step %d: a probe round sent %s %v, want one state call", step, dev, calls)
 			}
 		}
 	}
@@ -505,12 +465,8 @@ func TestCommitRPCsPerStep(t *testing.T) {
 		{"dense", func(rig *fabric.Rig) traffic.Source { return newRedrawFeed(rig, 2) }, 15, 105},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			counter := &opCounter{ops: make(map[string][]string)}
-			rig, err := fabric.BringUp(fabric.BringUpConfig{Seed: 1, DCs: 20, DCCapacity: 10, Lambda: 40, WrapDevice: counter.wrap})
-			if err != nil {
-				t.Fatal(err)
-			}
-			t.Cleanup(rig.Close)
+			shims := devicetest.Set{}
+			rig := seededRig(t, 20, shims)
 			d, err := New(Config{Fab: rig.Fab, Controller: rig.Testbed.Controller, Feed: c.feed(rig)})
 			if err != nil {
 				t.Fatal(err)
@@ -518,7 +474,7 @@ func TestCommitRPCsPerStep(t *testing.T) {
 			d.Step() // the first allocation
 			commits, rpcs := 0, 0
 			for step := 0; step < c.steps; step++ {
-				counter.take()
+				shims.Take()
 				before := d.Status().LastReconfigID
 				d.Step()
 				st := d.Status()
@@ -529,11 +485,11 @@ func TestCommitRPCsPerStep(t *testing.T) {
 					continue
 				}
 				commits++
-				for dev, ops := range counter.take() {
-					if slices.Contains(ops, "state") {
-						t.Errorf("step %d: %s got a state request: %v", step, dev, ops)
+				for dev, calls := range shims.Take() {
+					if slices.Contains(calls, devicetest.Call{Op: "state"}) {
+						t.Errorf("step %d: %s got a state request: %v", step, dev, calls)
 					}
-					rpcs += len(ops)
+					rpcs += len(calls)
 				}
 			}
 			if commits < c.steps/2 {
@@ -556,12 +512,8 @@ func TestCommitRPCsPerStep(t *testing.T) {
 // state the audit reads. With a closing audit that fetched again, both
 // passes sent 104 "state" requests.
 func TestRepairRPCsPerPass(t *testing.T) {
-	counter := &opCounter{ops: make(map[string][]string)}
-	rig, err := fabric.BringUp(fabric.BringUpConfig{Seed: 1, DCs: 20, DCCapacity: 10, Lambda: 40, WrapDevice: counter.wrap})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(rig.Close)
+	shims := devicetest.Set{}
+	rig := seededRig(t, 20, shims)
 	d, err := New(Config{Fab: rig.Fab, Controller: rig.Testbed.Controller, Feed: newSparseRedrawFeed(rig, 2)})
 	if err != nil {
 		t.Fatal(err)
@@ -575,11 +527,11 @@ func TestRepairRPCsPerPass(t *testing.T) {
 
 	for _, c := range []struct {
 		name  string
-		drift map[string]any // a switch-batch to dev, or nothing
-		wrote []string       // what the pass sends dev after its state
+		drift map[string]any    // a switch-batch to dev, or nothing
+		wrote []devicetest.Call // what the pass sends dev after its state
 	}{
 		{"clean", nil, nil},
-		{"disconnected", map[string]any{"disconnect": []int{in}, "ins": []int{}, "outs": []int{}}, []string{"switch-batch+state"}},
+		{"disconnected", map[string]any{"disconnect": []int{in}, "ins": []int{}, "outs": []int{}}, []devicetest.Call{{Op: "switch-batch", State: true}}},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			if c.drift != nil {
@@ -587,25 +539,25 @@ func TestRepairRPCsPerPass(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			counter.take()
+			shims.Take()
 			if err := d.repair(); err != nil {
 				t.Fatalf("repair: %v", err)
 			}
-			sent := counter.take()
+			sent := shims.Take()
 			rpcs, states, off := 0, 0, 0
 			for _, name := range all {
-				want := []string{"state"}
+				want := []devicetest.Call{{Op: "state"}}
 				if name == dev {
 					want = append(want, c.wrote...)
 				}
-				if ops := sent[name]; !slices.Equal(ops, want) {
+				if calls := sent[name]; !slices.Equal(calls, want) {
 					if off++; off == 1 {
-						t.Errorf("%s got %v, want %v", name, ops, want)
+						t.Errorf("%s got %v, want %v", name, calls, want)
 					}
 				}
 				rpcs += len(sent[name])
-				for _, op := range sent[name] {
-					if op == "state" {
+				for _, c := range sent[name] {
+					if c.Op == "state" {
 						states++
 					}
 				}

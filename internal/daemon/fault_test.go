@@ -8,45 +8,11 @@ import (
 	"time"
 
 	"iris/internal/control"
+	"iris/internal/control/devicetest"
 	"iris/internal/fabric"
 	"iris/internal/telemetry"
 	"iris/internal/traffic"
 )
-
-// flaky wraps an emulated device so tests can inject failures and hangs at
-// will. Probes use the "state" op (not protocol-level "ping"), so every
-// injected fault is visible to the daemon's supervision.
-type flaky struct {
-	control.Device
-	mu   sync.Mutex
-	fail bool
-	hang time.Duration
-}
-
-func (f *flaky) set(fail bool, hang time.Duration) {
-	f.mu.Lock()
-	f.fail, f.hang = fail, hang
-	f.mu.Unlock()
-}
-
-func (f *flaky) Handle(op string, args map[string]any) (map[string]any, error) {
-	f.mu.Lock()
-	fail, hang := f.fail, f.hang
-	f.mu.Unlock()
-	if hang > 0 {
-		time.Sleep(hang)
-	}
-	if fail {
-		return nil, errTesting
-	}
-	return f.Device.Handle(op, args)
-}
-
-var errTesting = &injectedError{}
-
-type injectedError struct{}
-
-func (*injectedError) Error() string { return "injected fault" }
 
 // fakeClock is an injectable, manually advanced clock.
 type fakeClock struct {
@@ -70,20 +36,24 @@ func (c *fakeClock) advance(d time.Duration) {
 	c.mu.Unlock()
 }
 
-// faultRig brings up the toy region with every device wrapped in a flaky
-// shim, returning the shims by device name.
-func faultRig(t *testing.T, mutate func(*fabric.BringUpConfig)) (*fabric.Rig, map[string]*flaky) {
+// wrapIn is a bring-up's WrapDevice that wraps every device into shims,
+// or none when shims is nil.
+func wrapIn(shims devicetest.Set) func(string, control.Device) control.Device {
+	if shims == nil {
+		return nil
+	}
+	return func(name string, dev control.Device) control.Device { return shims.Wrap(name, dev) }
+}
+
+// faultRig brings up the toy region with every device wrapped, returning
+// the shims by device name. Probes use the "state" op (not protocol-level
+// "ping"), so every fault a hook injects is visible to the daemon's
+// supervision.
+func faultRig(t *testing.T, mutate func(*fabric.BringUpConfig)) (*fabric.Rig, devicetest.Set) {
 	t.Helper()
-	shims := make(map[string]*flaky)
-	var mu sync.Mutex
+	shims := devicetest.Set{}
 	rig := toyRig(t, func(cfg *fabric.BringUpConfig) {
-		cfg.WrapDevice = func(name string, dev control.Device) control.Device {
-			f := &flaky{Device: dev}
-			mu.Lock()
-			shims[name] = f
-			mu.Unlock()
-			return f
-		}
+		cfg.WrapDevice = wrapIn(shims)
 		if mutate != nil {
 			mutate(cfg)
 		}
@@ -150,7 +120,7 @@ func TestBreakerTripAndRecovery(t *testing.T) {
 	// Inject: an OSS starts failing; shift 2's reconfiguration dies
 	// mid-flight.
 	victim := pickVictim(rig)
-	shims[victim].set(true, 0)
+	shims[victim].Arm(devicetest.Fail)
 	if done := d.Step(); done {
 		t.Fatal("feed exhausted prematurely")
 	}
@@ -203,7 +173,7 @@ func TestBreakerTripAndRecovery(t *testing.T) {
 
 	// Heal the device; after the (doubled, ≤200ms) cooldown the half-open
 	// trial succeeds and the breaker closes.
-	shims[victim].set(false, 0)
+	shims[victim].Arm(nil)
 	clock.advance(250 * time.Millisecond)
 	d.ProbeOnce()
 	if got := breakerOf(t, d, victim); got != "closed" {
@@ -270,7 +240,8 @@ func TestHungDeviceTripsBreaker(t *testing.T) {
 	}
 
 	victim := pickVictim(rig)
-	shims[victim].set(false, 400*time.Millisecond)
+	stall, release := devicetest.Stall(t)
+	shims[victim].Arm(stall)
 	d.ProbeOnce()
 	if got := breakerOf(t, d, victim); got != "open" {
 		t.Fatalf("breaker = %q after hung probe, want open", got)
@@ -278,9 +249,8 @@ func TestHungDeviceTripsBreaker(t *testing.T) {
 
 	// Unstick; after cooldown the trial probe must succeed over a freshly
 	// redialled connection.
-	shims[victim].set(false, 0)
+	release()
 	clock.advance(100 * time.Millisecond)
-	time.Sleep(450 * time.Millisecond) // let the stalled handler finish serving
 	d.ProbeOnce()
 	if got := breakerOf(t, d, victim); got != "closed" {
 		t.Fatalf("breaker = %q after unstick, want closed", got)
@@ -293,40 +263,26 @@ func TestHungDeviceTripsBreaker(t *testing.T) {
 	}
 }
 
-// garbled answers "state" with a bank state no bank could send while on.
-type garbled struct {
-	control.Device
-	on atomic.Bool
-}
-
-func (g *garbled) Handle(op string, args map[string]any) (map[string]any, error) {
-	if op == "state" && g.on.Load() {
-		return map[string]any{"tuned": "zz", "enabled": "0", "lambda": 40}, nil
-	}
-	return g.Device.Handle(op, args)
-}
-
 // TestProbeCountsAMalformedStateAgainstTheBreaker: a state reply that is
 // not well formed is the device's fault, as in the audit. Each probe round
 // counts it against the device's breaker, which opens at the threshold,
 // and reports the audit failed.
 func TestProbeCountsAMalformedStateAgainstTheBreaker(t *testing.T) {
-	shims := make(map[string]*garbled) // BringUp wraps the devices one at a time
-	rig := toyRig(t, func(cfg *fabric.BringUpConfig) {
-		cfg.WrapDevice = func(name string, dev control.Device) control.Device {
-			shims[name] = &garbled{Device: dev}
-			return shims[name]
-		}
-	})
+	rig, shims := faultRig(t, nil)
 	name := pickVictim(rig)
-	victim := shims[name]
 	d, err := New(Config{Fab: rig.Fab, Controller: rig.Testbed.Controller,
 		Feed: traffic.NewReplay(toyMatrix(rig, 60, 45)), Now: newFakeClock().Now})
 	if err != nil {
 		t.Fatal(err)
 	}
 	d.Step()
-	victim.on.Store(true)
+	// A bank state no bank could send.
+	shims[name].Arm(func(op string, args map[string]any, next devicetest.Next) (map[string]any, error) {
+		if op == "state" {
+			return map[string]any{"tuned": "zz", "enabled": "0", "lambda": 40}, nil
+		}
+		return next(op, args)
+	})
 	for i := 0; i < d.cfg.FailureThreshold; i++ {
 		if breakerOf(t, d, name) != "closed" {
 			t.Fatalf("breaker opened after %d probe rounds, want %d", i, d.cfg.FailureThreshold)
@@ -339,69 +295,20 @@ func TestProbeCountsAMalformedStateAgainstTheBreaker(t *testing.T) {
 	}
 }
 
-// replyLie alters the state one write reply carries, once armed, and
-// leaves the device as the write put it. "drop" removes the first circuit
-// from a switch's reply, "malformed" answers a state no device sends, and
-// "none" answers with no state at all.
-type replyLie struct {
-	mode  string
-	armed atomic.Bool
-	mu    sync.Mutex
-	hit   string // the device whose reply was altered
-}
-
-func (l *replyLie) wrap(name string, dev control.Device) control.Device {
-	return lyingDevice{Device: dev, name: name, lie: l}
-}
-
-func (l *replyLie) victim() string {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.hit
-}
-
-type lyingDevice struct {
-	control.Device
-	name string
-	lie  *replyLie
-}
-
-func (d lyingDevice) Handle(op string, args map[string]any) (map[string]any, error) {
-	res, err := d.Device.Handle(op, args)
-	if asked, _ := args["state"].(bool); err != nil || !asked {
-		return res, err
-	}
-	ins, _ := res["in"].([]int)
-	if d.lie.mode == "drop" && len(ins) == 0 {
-		return res, err
-	}
-	if !d.lie.armed.CompareAndSwap(true, false) {
-		return res, err
-	}
-	d.lie.mu.Lock()
-	d.lie.hit = d.name
-	d.lie.mu.Unlock()
-	switch d.lie.mode {
-	case "drop":
-		outs := res["out"].([]int)
-		return map[string]any{"in": ins[1:], "out": outs[1:], "ports": res["ports"]}, nil
-	case "malformed":
-		return map[string]any{"in": "0,1", "tuned": 7, "enabled": "yes"}, nil
-	default:
-		return nil, nil
-	}
-}
-
-// lyingRegion brings up the toy region with every device behind lie,
-// commits its first allocation honestly and arms the lie before the write
-// named. A "commit" is the next Step(), which commits a second allocation.
+// lyingRegion brings up the toy region, commits its first allocation
+// honestly and, before the write named, makes the first device that
+// answers a write with its state alter that one reply; it returns the
+// daemon and that device. The device is left as the write put it. Lie
+// "drop" removes the first circuit from a switch's reply, "malformed"
+// answers a state no device sends, and "none" answers with no state at
+// all. A "commit" is the next Step(), which commits a second allocation.
 // A "repair" is the Step() that repairs one circuit disconnected behind
 // the daemon's back: the switch's one write is the only reply the lie can
 // alter, and the failed repair leaves the second allocation to the next
 // Step().
-func lyingRegion(t *testing.T, lie *replyLie, write string) *Daemon {
+func lyingRegion(t *testing.T, lie, write string) (*Daemon, string) {
 	t.Helper()
-	rig := toyRig(t, func(cfg *fabric.BringUpConfig) { cfg.WrapDevice = lie.wrap })
+	rig, shims := faultRig(t, nil)
 	d, err := New(Config{Fab: rig.Fab, Controller: rig.Testbed.Controller,
 		Feed: traffic.NewReplay(toyMatrix(rig, 60, 45), toyMatrix(rig, 20, 70))})
 	if err != nil {
@@ -421,12 +328,33 @@ func lyingRegion(t *testing.T, lie *replyLie, write string) *Daemon {
 		d.needRepair = true
 		d.mu.Unlock()
 	}
-	lie.armed.Store(true)
+	var hit atomic.Value // the name of the device whose reply was altered
+	for name, dev := range shims {
+		dev.Arm(func(op string, args map[string]any, next devicetest.Next) (map[string]any, error) {
+			res, err := next(op, args)
+			if asked, _ := args["state"].(bool); err != nil || !asked {
+				return res, err
+			}
+			ins, _ := res["in"].([]int)
+			if lie == "drop" && len(ins) == 0 || !hit.CompareAndSwap(nil, name) {
+				return res, err
+			}
+			switch lie {
+			case "drop":
+				outs := res["out"].([]int)
+				return map[string]any{"in": ins[1:], "out": outs[1:], "ports": res["ports"]}, nil
+			case "malformed":
+				return map[string]any{"in": "0,1", "tuned": 7, "enabled": "yes"}, nil
+			default:
+				return nil, nil
+			}
+		})
+	}
 	d.Step()
-	if lie.armed.Load() {
+	if hit.Load() == nil {
 		t.Fatalf("the %s sent no write the lie could alter", write)
 	}
-	return d
+	return d, hit.Load().(string)
 }
 
 // firstCircuit returns the first circuit of the committed intent: its
@@ -473,10 +401,8 @@ func afterTheLie(t *testing.T, d *Daemon, write string) {
 func TestLyingWriteReplyFailsTheCommit(t *testing.T) {
 	for _, write := range []string{"commit", "repair"} {
 		t.Run(write, func(t *testing.T) {
-			lie := &replyLie{mode: "drop"}
-			d := lyingRegion(t, lie, write)
+			d, name := lyingRegion(t, "drop", write)
 			st := d.Status()
-			name := lie.victim()
 			if !strings.Contains(st.LastError, "audit "+name+": cross map") || !st.NeedRepair || st.LastAuditOK {
 				t.Fatalf("after a reply missing a circuit of %s: %+v", name, st)
 			}
@@ -504,10 +430,8 @@ func TestBadWriteReplyFeedsTheBreaker(t *testing.T) {
 		t.Run(mode, func(t *testing.T) {
 			for _, write := range []string{"commit", "repair"} {
 				t.Run(write, func(t *testing.T) {
-					lie := &replyLie{mode: mode}
-					d := lyingRegion(t, lie, write)
+					d, name := lyingRegion(t, mode, write)
 					st := d.Status()
-					name := lie.victim()
 					if !strings.Contains(st.LastError, "device "+name) || !st.NeedRepair || st.LastAuditOK {
 						t.Fatalf("after a %s reply from %s: %+v", mode, name, st)
 					}

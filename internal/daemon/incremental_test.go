@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"iris/internal/chaos"
+	"iris/internal/control/devicetest"
 	"iris/internal/core"
 	"iris/internal/fabric"
 	"iris/internal/fibermap"
@@ -202,7 +203,7 @@ func TestDaemonIncrementalRollbackOnFailure(t *testing.T) {
 	want1 := fullSolve(t, rig, mats[0])
 
 	victim := pickVictim(rig)
-	shims[victim].set(true, 0)
+	shims[victim].Arm(devicetest.Fail)
 	if done := d.Step(); done { // shift 2 aborts mid-reconfiguration
 		t.Fatal("feed exhausted prematurely")
 	}
@@ -219,7 +220,7 @@ func TestDaemonIncrementalRollbackOnFailure(t *testing.T) {
 
 	// Heal; the next step repairs and converges the retried shift via the
 	// delta path.
-	shims[victim].set(false, 0)
+	shims[victim].Arm(nil)
 	if done := d.Step(); done {
 		t.Fatal("feed exhausted prematurely")
 	}

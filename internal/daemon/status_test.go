@@ -96,11 +96,7 @@ func TestStatusRowsFollowCommits(t *testing.T) {
 		{"dense", func(rig *fabric.Rig) traffic.Source { return newRedrawFeed(rig, 3) }},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			rig, err := fabric.BringUp(fabric.BringUpConfig{Seed: 1, DCs: 8, DCCapacity: 10, Lambda: 40})
-			if err != nil {
-				t.Fatal(err)
-			}
-			t.Cleanup(rig.Close)
+			rig := seededRig(t, 8, nil)
 			d, err := New(Config{Fab: rig.Fab, Controller: rig.Testbed.Controller, Feed: c.feed(rig)})
 			if err != nil {
 				t.Fatal(err)
@@ -139,11 +135,7 @@ func TestStatusRowsFollowCommits(t *testing.T) {
 // the shared rows and builds new ones, it never writes the old. Meant for
 // -race -count.
 func TestStatusReadsBesideCommits(t *testing.T) {
-	rig, err := fabric.BringUp(fabric.BringUpConfig{Seed: 1, DCs: 6, DCCapacity: 10, Lambda: 40})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(rig.Close)
+	rig := seededRig(t, 6, nil)
 	d, err := New(Config{Fab: rig.Fab, Controller: rig.Testbed.Controller, Feed: newSparseRedrawFeed(rig, 5)})
 	if err != nil {
 		t.Fatal(err)
@@ -220,11 +212,7 @@ func TestStatusReadsBesideCommits(t *testing.T) {
 // read api-mix and tick-read send. It fails itself above 13 allocations
 // per request (11 today, 14 when the body went through json.Marshal).
 func BenchmarkStatus(b *testing.B) {
-	rig, err := fabric.BringUp(fabric.BringUpConfig{Seed: 1, DCs: 20, DCCapacity: 10, Lambda: 40})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Cleanup(rig.Close)
+	rig := seededRig(b, 20, nil)
 	d, err := New(Config{Fab: rig.Fab, Controller: rig.Testbed.Controller, Feed: newSparseRedrawFeed(rig, 2)})
 	if err != nil {
 		b.Fatal(err)

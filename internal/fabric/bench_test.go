@@ -6,22 +6,36 @@ import (
 	"testing"
 
 	"iris/internal/control"
+	"iris/internal/control/devicetest"
 	"iris/internal/core"
 	"iris/internal/traffic"
 )
 
+// benchRig brings up the benchmark's region (seed 1, 20 DCs of 10 fiber
+// pairs × 40 wavelengths), every device wrapped into shims unless shims is
+// nil.
+func benchRig(t testing.TB, shims devicetest.Set) *Rig {
+	t.Helper()
+	cfg := BringUpConfig{Seed: 1, DCs: 20, DCCapacity: 10, Lambda: 40}
+	if shims != nil {
+		cfg.WrapDevice = func(name string, dev control.Device) control.Device { return shims.Wrap(name, dev) }
+	}
+	rig, err := BringUp(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(rig.Close)
+	return rig
+}
+
 // benchRegion is the 20-DC evaluation region (10 fiber-pairs × 40
 // wavelengths per DC, instant switches) with two dense allocations drawn
 // around one heavy-tailed base, so moving between them reconfigures most
-// of the region's devices — the shape of a dense converge tick. wrap, when
-// non-nil, is the bring-up's WrapDevice.
-func benchRegion(b testing.TB, wrap func(string, control.Device) control.Device) (*Rig, [2]core.Allocation) {
+// of the region's devices — the shape of a dense converge tick. shims,
+// when not nil, gets every device wrapped.
+func benchRegion(b testing.TB, shims devicetest.Set) (*Rig, [2]core.Allocation) {
 	b.Helper()
-	rig, err := BringUp(BringUpConfig{Seed: 1, DCs: 20, DCCapacity: 10, Lambda: 40, WrapDevice: wrap})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Cleanup(rig.Close)
+	rig := benchRig(b, shims)
 	dcs := rig.Dep.Region.Map.DCs()
 	caps := make(map[int]float64)
 	for _, dc := range dcs {
@@ -36,6 +50,7 @@ func benchRegion(b testing.TB, wrap func(string, control.Device) control.Device)
 			m.Set(p, base.Get(p)*(1+0.4*(2*rng.Float64()-1)))
 		}
 		m.ClampToHose(caps)
+		var err error
 		if allocs[i], err = rig.Dep.Allocate(m); err != nil {
 			b.Fatal(err)
 		}
@@ -45,8 +60,9 @@ func benchRegion(b testing.TB, wrap func(string, control.Device) control.Device)
 
 // BenchmarkReconfigureDense measures Controller.Reconfigure alone on a
 // dense change (CompileTarget runs off the clock): a couple of thousand
-// device operations, one RPC per device per phase. A counting shim around
-// every device reports the RPCs a change costs (device-rpcs/op): 86 with
+// device operations, one RPC per device per phase. A devicetest shim
+// around every device logs the RPCs a change costs (device-rpcs/op; the
+// log is taken off the clock and allocates nothing on it): 86 with
 // the switch phase one round, 115 when it was two (disconnects, then
 // connects); it fails above 94, the 86 plus 10 %. Its allocations —
 // controller and devices, which share the process — are gated at 2 500 a
@@ -62,8 +78,8 @@ func benchRegion(b testing.TB, wrap func(string, control.Device) control.Device)
 // allocated once. (The closing audit those replies replace, a fetch of all
 // 52 states after a dense change, allocated 894 times on its own.)
 func BenchmarkReconfigureDense(b *testing.B) {
-	counter := &opCounter{n: make(map[string]map[string]int)}
-	rig, allocs := benchRegion(b, counter.wrap)
+	shims := devicetest.Set{}
+	rig, allocs := benchRegion(b, shims)
 	compiled := 0
 	compile := func() control.Change {
 		ch, err := rig.Fab.CompileTarget(allocs[compiled%2])
@@ -97,7 +113,8 @@ func BenchmarkReconfigureDense(b *testing.B) {
 		b.Fatalf("a dense change allocates %.0f times, want at most 2500", allocs)
 	}
 	ops = 0
-	rpcs := counter.total()
+	shims.Take() // the gated changes' requests
+	rpcs := 0
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -105,9 +122,16 @@ func BenchmarkReconfigureDense(b *testing.B) {
 		ch := compile()
 		b.StartTimer()
 		reconfigure(ch)
+		b.StopTimer()
+		// Off the clock: Take copies each log, and each shim logs the
+		// next change into the buffer it keeps.
+		for _, calls := range shims.Take() {
+			rpcs += len(calls)
+		}
+		b.StartTimer()
 	}
 	b.ReportMetric(float64(ops)/float64(b.N), "device-ops/op")
-	perChange := float64(counter.total()-rpcs) / float64(b.N)
+	perChange := float64(rpcs) / float64(b.N)
 	b.ReportMetric(perChange, "device-rpcs/op")
 	if perChange > 94 {
 		b.Fatalf("a dense change costs %.1f device RPCs, want at most 94", perChange)

@@ -2,6 +2,7 @@ package fabric
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -10,10 +11,11 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"sync/atomic"
+	"sync"
 	"testing"
 
 	"iris/internal/control"
+	"iris/internal/control/devicetest"
 	"iris/internal/hose"
 	"iris/internal/traffic"
 )
@@ -21,14 +23,11 @@ import (
 // intentRig brings up the benchmark's region (seed 1, 20 DCs: the smallest
 // generated region whose plan has an amplifier) and commits an allocation
 // that lights the amplifier and leaves most switches and transceivers
-// idle, so intent covers live and idle devices of every kind.
-func intentRig(t *testing.T, wrap func(string, control.Device) control.Device) (*Rig, control.Expected) {
+// idle, so intent covers live and idle devices of every kind. shims, when
+// not nil, gets every device wrapped.
+func intentRig(t *testing.T, shims devicetest.Set) (*Rig, control.Expected) {
 	t.Helper()
-	rig, err := BringUp(BringUpConfig{Seed: 1, DCs: 20, DCCapacity: 10, Lambda: 40, WrapDevice: wrap})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(rig.Close)
+	rig := benchRig(t, shims)
 	var pairs []hose.Pair
 	for p, info := range rig.Dep.Plan.Paths {
 		if len(info.AmpNodes) > 0 {
@@ -562,53 +561,44 @@ func TestRepairMatchesReconcileOracle(t *testing.T) {
 	}
 }
 
-// lyingAmp reports its enabled flag as a string while lie is set.
-type lyingAmp struct {
-	control.Device
-	lie *atomic.Bool
-}
-
-func (a lyingAmp) Handle(op string, args map[string]any) (map[string]any, error) {
-	st, err := a.Device.Handle(op, args)
-	if op == "state" && err == nil && a.lie.Load() {
-		st["enabled"] = "yes"
-	}
-	return st, err
-}
-
 // TestIntentNamesEveryBuiltDevice: on a fabric-built region the audit
 // fetches every device the controller is connected to, idle ones included,
 // exactly once; and an amplifier is read as strictly as a bank — a state
 // whose enabled flag is not a boolean is a *DeviceError from the audit and
 // from the repair, not an amplifier read as parked.
 func TestIntentNamesEveryBuiltDevice(t *testing.T) {
-	counter := &opCounter{n: make(map[string]map[string]int)}
-	var lie atomic.Bool
-	var amp string
-	rig, exp := intentRig(t, func(name string, dev control.Device) control.Device {
-		if dev.Kind() == "amp" {
-			amp = name
-			dev = lyingAmp{dev, &lie}
-		}
-		return counter.wrap(name, dev)
-	})
+	shims := devicetest.Set{}
+	rig, exp := intentRig(t, shims)
 	ctl := rig.Testbed.Controller
 
-	counter.take()
+	shims.Take()
 	if err := ctl.Audit(exp); err != nil {
 		t.Fatal(err)
 	}
-	fetched := counter.take()
-	for _, dev := range ctl.Devices() {
-		if got := fetched[dev]; len(got) != 1 || got["state"] != 1 {
-			t.Errorf("audit sent %s %v, want one state fetch", dev, got)
+	fetched := shims.Take()
+	for _, name := range ctl.Devices() {
+		if got := fetched[name]; !slices.Equal(got, []devicetest.Call{{Op: "state"}}) {
+			t.Errorf("audit sent %s %v, want one state fetch", name, got)
 		}
 	}
 	if len(fetched) != len(ctl.Devices()) {
 		t.Errorf("audit called %d devices, the controller has %d", len(fetched), len(ctl.Devices()))
 	}
 
-	lie.Store(true)
+	// The amplifier reports its enabled flag as a string.
+	var amp string
+	for name, dev := range shims {
+		if dev.Kind() == "amp" {
+			amp = name
+			dev.Arm(func(op string, args map[string]any, next devicetest.Next) (map[string]any, error) {
+				st, err := next(op, args)
+				if op == "state" && err == nil {
+					st["enabled"] = "yes"
+				}
+				return st, err
+			})
+		}
+	}
 	_, repairErr := ctl.Repair(context.Background(), exp)
 	_, pureErr := exp.Repair(deviceStates(t, rig))
 	for what, err := range map[string]error{"Audit": ctl.Audit(exp), "Controller.Repair": repairErr, "Expected.Repair": pureErr} {
@@ -616,6 +606,67 @@ func TestIntentNamesEveryBuiltDevice(t *testing.T) {
 		if !errors.As(err, &de) || de.Device != amp {
 			t.Errorf("%s = %v, want a DeviceError for %s", what, err, amp)
 		}
+	}
+}
+
+// TestAuditReplyBudget: on the 20-DC region what the devices send back for
+// one audit is at most half of what the same states took as per-element
+// JSON arrays and a string-keyed object (the reply shapes before the packed
+// state, rebuilt here from the devices' own accessors).
+func TestAuditReplyBudget(t *testing.T) {
+	shims := devicetest.Set{}
+	rig, exp := intentRig(t, shims)
+	ctl := rig.Testbed.Controller
+	var mu sync.Mutex
+	states := make(map[string]map[string]any) // the last state reply of every device
+	for name, dev := range shims {
+		dev.Arm(func(op string, args map[string]any, next devicetest.Next) (map[string]any, error) {
+			st, err := next(op, args)
+			if op == "state" {
+				mu.Lock()
+				states[name] = st
+				mu.Unlock()
+			}
+			return st, err
+		})
+	}
+
+	shims.Take()
+	if err := ctl.Audit(exp); err != nil {
+		t.Fatal(err)
+	}
+	fetched := shims.Take()
+	size := func(result map[string]any) int {
+		line, err := json.Marshal(map[string]any{"id": 1, "ok": true, "result": result})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return len(line) + 1
+	}
+	packed, elementwise := 0, 0
+	for _, name := range ctl.Devices() {
+		if got := fetched[name]; !slices.Equal(got, []devicetest.Call{{Op: "state"}}) {
+			t.Errorf("audit sent %s %v, want one state fetch", name, got)
+		}
+		packed += size(states[name])
+		old := states[name]
+		switch dev := shims[name].Inner().(type) {
+		case *control.OSS:
+			cross := make(map[string]int)
+			ins, outs := dev.Cross()
+			for i, in := range ins {
+				cross[strconv.Itoa(in)] = outs[i]
+			}
+			old = map[string]any{"cross": cross, "ports": old["ports"]}
+		case *control.TransceiverBank:
+			tuned, enabled := dev.Snapshot()
+			old = map[string]any{"tuned": tuned, "enabled": enabled, "lambda": old["lambda"]}
+		}
+		elementwise += size(old)
+	}
+	t.Logf("state replies of one audit: %d bytes packed, %d bytes element by element", packed, elementwise)
+	if 2*packed > elementwise {
+		t.Errorf("packed replies take %d bytes, more than half of the %d they took element by element", packed, elementwise)
 	}
 }
 

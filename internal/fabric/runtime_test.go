@@ -2,14 +2,12 @@ package fabric
 
 import (
 	"context"
-	"encoding/json"
 	"math/rand"
-	"strconv"
+	"slices"
 	"strings"
-	"sync"
 	"testing"
 
-	"iris/internal/control"
+	"iris/internal/control/devicetest"
 	"iris/internal/hose"
 	"iris/internal/traffic"
 )
@@ -174,64 +172,12 @@ func TestBringUpGeneratedRegion(t *testing.T) {
 	}
 }
 
-// opCounter counts the device RPCs of a region by device and op.
-type opCounter struct {
-	mu sync.Mutex
-	n  map[string]map[string]int // device → op → calls
-}
-
-type countedDevice struct {
-	control.Device
-	name string
-	c    *opCounter
-}
-
-func (d countedDevice) Handle(op string, args map[string]any) (map[string]any, error) {
-	d.c.mu.Lock()
-	if d.c.n[d.name] == nil {
-		d.c.n[d.name] = make(map[string]int)
-	}
-	d.c.n[d.name][op]++
-	d.c.mu.Unlock()
-	return d.Device.Handle(op, args)
-}
-
-func (c *opCounter) wrap(name string, dev control.Device) control.Device {
-	return countedDevice{Device: dev, name: name, c: c}
-}
-
-// total returns the calls counted since the last take.
-func (c *opCounter) total() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	n := 0
-	for _, byOp := range c.n {
-		for _, calls := range byOp {
-			n += calls
-		}
-	}
-	return n
-}
-
-// take returns the calls counted since the last take.
-func (c *opCounter) take() map[string]map[string]int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	n := c.n
-	c.n = make(map[string]map[string]int)
-	return n
-}
-
 // TestReconfigureRPCBudget: on the 20-DC region a reconfiguration costs
 // one RPC per device per phase, however many operations it carries, and
-// a full audit one state fetch per expected device.
+// a full audit one state fetch per device.
 func TestReconfigureRPCBudget(t *testing.T) {
-	counter := &opCounter{n: make(map[string]map[string]int)}
-	rig, err := BringUp(BringUpConfig{Seed: 1, DCs: 20, DCCapacity: 10, Lambda: 40, WrapDevice: counter.wrap})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rig.Close()
+	shims := devicetest.Set{}
+	rig := benchRig(t, shims)
 	kinds := make(map[string]int)
 	for _, dev := range rig.Testbed.Devices {
 		kinds[dev.Kind()]++
@@ -255,21 +201,21 @@ func TestReconfigureRPCBudget(t *testing.T) {
 	if ops < 1000 {
 		t.Fatalf("the change has %d operations: not a dense commit", ops)
 	}
-	counter.take()
+	shims.Take()
 	rep, err := rig.Testbed.Controller.Reconfigure(context.Background(), ch)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	rpcs := 0
-	for dev, byOp := range counter.take() {
-		for op, n := range byOp {
-			rpcs += n
-			if strings.HasSuffix(dev, "-xcvr") && !strings.HasSuffix(op, "-batch") {
-				t.Errorf("%s received the single-transceiver op %q", dev, op)
+	for dev, calls := range shims.Take() {
+		rpcs += len(calls)
+		for i, c := range calls {
+			if strings.HasSuffix(dev, "-xcvr") && !strings.HasSuffix(c.Op, "-batch") {
+				t.Errorf("%s received the single-transceiver op %q", dev, c.Op)
 			}
-			if n > 1 {
-				t.Errorf("%s received %q %d times in one reconfiguration", dev, op, n)
+			if slices.ContainsFunc(calls[:i], func(prev devicetest.Call) bool { return prev.Op == c.Op }) {
+				t.Errorf("%s received %q more than once in one reconfiguration: %v", dev, c.Op, calls)
 			}
 		}
 	}
@@ -289,100 +235,11 @@ func TestReconfigureRPCBudget(t *testing.T) {
 	if err := rig.Testbed.Controller.Audit(exp); err != nil {
 		t.Fatal(err)
 	}
-	fetched := counter.take()
-	expected := make(map[string]bool)
-	for dev := range exp.Cross {
-		expected[dev] = true
-	}
-	for dev := range exp.Enabled {
-		expected[dev] = true
-	}
-	for dev := range exp.Amps {
-		expected[dev] = true
-	}
-	for dev := range expected {
-		if got := fetched[dev]; len(got) != 1 || got["state"] != 1 {
+	fetched := shims.Take()
+	for dev := range shims { // intent names every built device (TestIntentNamesEveryBuiltDevice)
+		if got := fetched[dev]; !slices.Equal(got, []devicetest.Call{{Op: "state"}}) {
 			t.Errorf("audit sent %s %v, want one state fetch", dev, got)
 		}
-	}
-	if len(fetched) != len(expected) {
-		t.Errorf("audit called %d devices, expectation names %d", len(fetched), len(expected))
-	}
-}
-
-// replyRecorder keeps the last "state" result of every device.
-type replyRecorder struct {
-	mu     sync.Mutex
-	states map[string]map[string]any
-	calls  map[string]int
-}
-
-func (r *replyRecorder) wrap(name string, dev control.Device) control.Device {
-	return recordedDevice{Device: dev, name: name, r: r}
-}
-
-type recordedDevice struct {
-	control.Device
-	name string
-	r    *replyRecorder
-}
-
-func (d recordedDevice) Handle(op string, args map[string]any) (map[string]any, error) {
-	st, err := d.Device.Handle(op, args)
-	if op == "state" {
-		d.r.mu.Lock()
-		d.r.states[d.name], d.r.calls[d.name] = st, d.r.calls[d.name]+1
-		d.r.mu.Unlock()
-	}
-	return st, err
-}
-
-// TestAuditReplyBudget: on the 20-DC region an audit is exactly one state
-// fetch per device the controller has, and what the devices send back for
-// it is at most half of what the same states took as per-element JSON
-// arrays and a string-keyed object (the reply shapes before the packed
-// state, rebuilt here from the devices' own accessors).
-func TestAuditReplyBudget(t *testing.T) {
-	rec := &replyRecorder{states: make(map[string]map[string]any), calls: make(map[string]int)}
-	rig, exp := intentRig(t, rec.wrap)
-	clear(rec.calls)
-	if err := rig.Testbed.Controller.Audit(exp); err != nil {
-		t.Fatal(err)
-	}
-	size := func(result map[string]any) int {
-		line, err := json.Marshal(map[string]any{"id": 1, "ok": true, "result": result})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return len(line) + 1
-	}
-	packed, elementwise := 0, 0
-	for _, name := range rig.Testbed.Controller.Devices() {
-		if rec.calls[name] != 1 {
-			t.Errorf("the audit fetched %s %d times, want once", name, rec.calls[name])
-		}
-		packed += size(rec.states[name])
-		old := rec.states[name]
-		switch dev := rig.Testbed.Devices[name].(recordedDevice).Device.(type) {
-		case *control.OSS:
-			cross := make(map[string]int)
-			ins, outs := dev.Cross()
-			for i, in := range ins {
-				cross[strconv.Itoa(in)] = outs[i]
-			}
-			old = map[string]any{"cross": cross, "ports": old["ports"]}
-		case *control.TransceiverBank:
-			tuned, enabled := dev.Snapshot()
-			old = map[string]any{"tuned": tuned, "enabled": enabled, "lambda": old["lambda"]}
-		}
-		elementwise += size(old)
-	}
-	if len(rec.calls) != len(rig.Testbed.Controller.Devices()) {
-		t.Errorf("the audit fetched %d devices, the controller has %d", len(rec.calls), len(rig.Testbed.Controller.Devices()))
-	}
-	t.Logf("state replies of one audit: %d bytes packed, %d bytes element by element", packed, elementwise)
-	if 2*packed > elementwise {
-		t.Errorf("packed replies take %d bytes, more than half of the %d they took element by element", packed, elementwise)
 	}
 }
 
