@@ -41,8 +41,10 @@ var architecture = []rule{
 		"which ducts a pair's full fibers skip is decided in plan and applied in core's ride; every other package asks core.Occupancy or DuctDeltas"},
 	{[]string{"plan.PathInfo.Ducts"}, []string{"internal/core"}, []string{"internal/core/diff.go"},
 		"ride is core's one reader of a planned route; which pairs ride a duct, the allocator asks the plan's evaluator (plan.Evaluator.Crossing)"},
-	{[]string{"control.Controller.Call"}, nil, []string{"internal/control", "internal/daemon/health.go", "cmd/irisctl"},
-		"only control.Expected.Repair reads a device state and compares it with intent; beyond the daemon's health probe and irisctl's ping nothing sends a bare request"},
+	{[]string{"control.Controller.Call"}, nil, []string{"internal/control", "internal/daemon/health.go"},
+		"only control.Expected.Repair reads a device state and compares it with intent; beyond the daemon's health probe nothing sends a bare request"},
+	{[]string{"control.Controller.Reconfigure"}, nil, []string{"internal/control", "internal/daemon/daemon.go", "examples/reconfig", "bench"},
+		"the daemon is the one writer of a fabric: commitChange and repairIn run a change and close it with the audit of its writes' replies; examples/reconfig drives hand-built devices with no fabric, and bench/tick.go's replay goes with ROADMAP item 17(b)"},
 	{[]string{"history.Lake.Append"}, nil, []string{"internal/daemon/history.go", "bench"},
 		"recordHistory is the one writer of a history record: converge, repair and chaos cycle alike bracket their operation with the daemon's health and books and append through it"},
 	{[]string{"import iris/internal/history"}, []string{"internal/chaos"}, nil,

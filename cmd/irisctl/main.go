@@ -1,33 +1,38 @@
-// Command irisctl demonstrates the full Iris operational loop (§5): it
-// plans a region, materialises the deployment into emulated optical
+// Command irisctl demonstrates the Iris operational loop (§5) on the
+// daemon's own write path: it builds a region with daemon.BuildRegion,
+// which plans it, materialises the deployment into emulated optical
 // devices served on private Unix sockets (one OSS per site, transceiver
-// banks at DCs, amplifiers where the planner placed them), then acts as the
-// centralized controller — allocating circuits for a traffic matrix,
-// executing the drained reconfiguration a traffic shift requires, and
-// auditing device state against intent.
+// banks at DCs, amplifiers where the planner placed them) and seeds its
+// traffic feed, then steps the daemon until the feed is exhausted. Each
+// commit is printed as the history lake recorded it: every §5.2 phase of
+// the drained reconfiguration with the devices it reached and its
+// duration, the commit's total, and the verdict of the audit that closes
+// it against the states the devices' writes answered with.
 //
-// Usage:
-//
-//	irisctl [-toy] [-seed N] [-dcs N] [-oss-delay 20ms]
+// Usage: irisctl [flags]; irisctl -h lists them. It takes every region
+// flag irisd does (daemon.RegionConfig.RegisterFlags), with -steps
+// defaulting to 2; -steps 0 steps until interrupted. irisctl steps back to
+// back and never probes, so -interval and -probe-interval, irisd's
+// cadence, do not apply to it. SIGINT/SIGTERM stop it between commits,
+// never in the middle of a change.
 package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"os/signal"
+	"strings"
 	"syscall"
 	"time"
 
-	"iris/internal/control"
-	"iris/internal/core"
-	"iris/internal/fabric"
-	"iris/internal/hose"
+	"iris/internal/daemon"
+	"iris/internal/history"
 	"iris/internal/logging"
-	"iris/internal/optics"
-	"iris/internal/traffic"
 )
 
 func main() {
@@ -38,15 +43,13 @@ func main() {
 }
 
 // run is irisctl with its command line (args[0] is the program name), its
-// two output streams and the context whose end cancels a reconfiguration
-// in flight: the demo goes to stdout, logs to stderr.
+// two output streams and the context whose end stops it before the next
+// step: the demo goes to stdout, logs to stderr.
 func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet(args[0], flag.ContinueOnError)
-	toy := fs.Bool("toy", true, "use the paper's Fig. 10 toy region")
-	seed := fs.Int64("seed", 1, "generator seed when not using the toy")
-	dcs := fs.Int("dcs", 5, "DCs to place when not using the toy")
-	ossDelay := fs.Duration("oss-delay", time.Duration(optics.OSSSwitchTimeMS)*time.Millisecond,
-		"emulated OSS switching time")
+	cfg := daemon.DefaultRegionConfig()
+	cfg.Steps = 2
+	cfg.RegisterFlags(fs)
 	log, err := logging.Parse(fs, args[1:], stderr, "irisctl")
 	if err != nil {
 		return err
@@ -56,80 +59,63 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		return err
 	}
 
-	rig, err := fabric.BringUp(fabric.BringUpConfig{
-		Toy: *toy, Seed: *seed, DCs: *dcs, OSSDelay: *ossDelay,
-	})
+	cfg.Logger = log
+	b, err := daemon.BuildRegion(cfg)
 	if err != nil {
 		return fail("bring-up failed", err)
 	}
-	defer rig.Close()
-	dep, fab, tb := rig.Dep, rig.Fab, rig.Testbed
-
-	m := dep.Region.Map
+	defer b.Close()
+	dep, d := b.Rig.Dep, b.Daemon
+	devices := b.Rig.Testbed.Controller.Devices()
 	fmt.Fprintf(stdout, "planned region: %d DCs, %d huts used, %d fiber-pairs\n",
-		len(m.DCs()), len(dep.Plan.UsedHuts()), dep.Plan.TotalFiberPairs())
-	fmt.Fprintf(stdout, "fabric up: %d devices on private Unix sockets\n", len(tb.Controller.Devices()))
-	for _, name := range tb.Controller.Devices() {
-		res, err := tb.Controller.Call(name, "ping", nil)
-		if err != nil {
-			return fail("device ping failed", err)
+		len(dep.Region.Map.DCs()), len(dep.Plan.UsedHuts()), dep.Plan.TotalFiberPairs())
+	fmt.Fprintf(stdout, "fabric up: %d devices on private Unix sockets: %s\n", len(devices), strings.Join(devices, " "))
+
+	// A lake replayed from -history-path holds records of earlier runs.
+	var seen uint64
+	if last := d.History().Summaries(1); len(last) == 1 {
+		seen = last[0].Seq
+	}
+	for {
+		if err := ctx.Err(); err != nil {
+			return fail("interrupted before the next step", err)
 		}
-		fmt.Fprintf(stdout, "  %-14s %v\n", name, res["kind"])
+		done := d.Step()
+		for _, rec := range d.History().Records(seen, math.MaxUint64) {
+			printRecord(stdout, rec)
+			seen = rec.Seq
+		}
+		if msg := d.Status().LastError; msg != "" {
+			return fail("step failed", errors.New(msg))
+		}
+		if done {
+			return nil
+		}
 	}
-
-	// Initial traffic matrix and circuit setup.
-	dcIDs := m.DCs()
-	tm := traffic.NewMatrix(dcIDs)
-	tm.Set(hose.Pair{A: dcIDs[0], B: dcIDs[1]}, 60)
-	if len(dcIDs) > 2 {
-		tm.Set(hose.Pair{A: dcIDs[0], B: dcIDs[2]}, 45)
-	}
-	alloc, err := dep.Allocate(tm)
-	if err != nil {
-		return fail("allocation failed", err)
-	}
-	fmt.Fprintln(stdout, "\nestablishing circuits for the initial matrix...")
-	if err := executeTarget(ctx, stdout, tb, fab, alloc); err != nil {
-		return fail("reconfiguration failed", err)
-	}
-
-	// Traffic shift: the first pair cools, the second heats up.
-	tm.Set(hose.Pair{A: dcIDs[0], B: dcIDs[1]}, 20)
-	if len(dcIDs) > 2 {
-		tm.Set(hose.Pair{A: dcIDs[0], B: dcIDs[2]}, 95)
-	}
-	alloc2, err := dep.Allocate(tm)
-	if err != nil {
-		return fail("allocation failed", err)
-	}
-	moves := core.Diff(alloc, alloc2)
-	fmt.Fprintf(stdout, "\ntraffic shift: %d circuit move(s); reconfiguring...\n", len(moves))
-	if err := executeTarget(ctx, stdout, tb, fab, alloc2); err != nil {
-		return fail("reconfiguration failed", err)
-	}
-
-	fmt.Fprintln(stdout, "\nauditing device state against controller intent...")
-	if err := tb.Controller.Audit(fab.Expected()); err != nil {
-		return fail("audit FAILED", err)
-	}
-	fmt.Fprintf(stdout, "audit OK: %d active circuits match intent\n", fab.CircuitCount())
-	return nil
 }
 
-// executeTarget compiles alloc and runs it on the devices, printing each
-// phase.
-func executeTarget(ctx context.Context, w io.Writer, tb *control.Testbed, fab *fabric.Fabric, alloc core.Allocation) error {
-	ch, err := fab.CompileTarget(alloc)
-	if err != nil {
-		return fmt.Errorf("compile: %w", err)
+// printRecord prints one history record: the phases under its
+// control.reconfigure span in the order they ran, each with the devices
+// it sent a request to, then the record's total and its audit's verdict.
+func printRecord(w io.Writer, rec history.Record) {
+	fmt.Fprintf(w, "\nrecord %d: %s, reconfig %d, %d pair(s) changed\n", rec.Seq, rec.Trigger, rec.ReconfigID, len(rec.Pairs))
+	var reconfigure uint64
+	children := make(map[uint64]int)
+	for _, ev := range rec.Spans {
+		if ev.Name == "control.reconfigure" {
+			reconfigure = ev.SpanID
+		}
+		children[ev.ParentID]++
 	}
-	rep, err := tb.Controller.Reconfigure(ctx, ch)
-	if err != nil {
-		return fmt.Errorf("reconfigure: %w", err)
+	for _, ev := range rec.Spans {
+		if reconfigure != 0 && ev.ParentID == reconfigure {
+			fmt.Fprintf(w, "  %-8s %3d devices in %9v\n", ev.Name, children[ev.SpanID], ev.Duration.Round(time.Microsecond))
+		}
 	}
-	for _, p := range rep.Phases {
-		fmt.Fprintf(w, "  %-8s %4d ops in %8v\n", p.Name, p.Ops, p.Duration.Round(time.Microsecond))
+	fmt.Fprintf(w, "  total: %v (paper budget: 70 ms per fiber switch)\n", rec.Duration.Round(time.Microsecond))
+	if rec.Err != "" {
+		fmt.Fprintf(w, "  FAILED: %s\n", rec.Err)
+		return
 	}
-	fmt.Fprintf(w, "  total: %v (paper budget: 70 ms per fiber switch)\n", rep.Total.Round(time.Microsecond))
-	return nil
+	fmt.Fprintln(w, "  audit OK: every device the change wrote answered with its intent")
 }

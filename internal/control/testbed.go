@@ -14,8 +14,8 @@ import (
 
 // Testbed hosts a set of device agents on Unix-domain stream sockets and a
 // controller connected to all of them — the in-process equivalent of the
-// paper's hardware testbed (Fig. 13a). It exists for tests, examples, the
-// irisctl demo and the daemons, whose devices live and die with them.
+// paper's hardware testbed (Fig. 13a). It exists for tests, examples and
+// the daemons, whose devices live and die with them.
 //
 // Both ends of every RPC run in this process, so a Unix socket carries the
 // line protocol for less CPU than loopback TCP, which pays a TCP stack on

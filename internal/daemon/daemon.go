@@ -1,6 +1,6 @@
 // Package daemon implements irisd, the long-running regional control
-// plane the paper's §5 controller implies but the one-shot irisctl demo
-// does not provide. The daemon owns a materialised fabric and its
+// plane the paper's §5 controller implies, and is what irisfleet runs per
+// region and irisctl steps. The daemon owns a materialised fabric and its
 // controller and keeps the region converged as demand shifts:
 //
 //   - it ingests a traffic-matrix feed (internal/traffic.Source, stepping

@@ -11,8 +11,9 @@ import (
 )
 
 // BringUpConfig describes a region to plan and materialise into a live
-// emulated testbed. It is the single bring-up path shared by irisctl and
-// irisd, so the two binaries cannot drift.
+// emulated testbed. It is the single bring-up path: daemon.BuildRegion,
+// which every binary that runs a region goes through, calls it, and so do
+// bench/ and the tests that need a live fabric.
 type BringUpConfig struct {
 	// Toy selects the paper's Fig. 10 toy region; otherwise a map is
 	// generated and DCs are placed from Seed / DCs.
