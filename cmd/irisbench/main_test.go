@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"context"
+	"flag"
 	"os"
 	"regexp"
 	"testing"
@@ -56,16 +57,31 @@ func TestWSSIsReproducible(t *testing.T) {
 	}
 }
 
-// TestRobustPrintsTheGolden: the registered robust entry prints the
-// golden grid byte for byte, which TestRobustAblationChurnTrade also
-// holds the library call to.
-func TestRobustPrintsTheGolden(t *testing.T) {
-	want, err := os.ReadFile("../../testdata/golden/irisbench-robust.txt")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := output(t, "-exp", "robust"); got != string(want) {
-		t.Fatalf("-exp robust prints\n%s\nwant the golden\n%s", got, want)
+var update = flag.Bool("update", false, "rewrite every golden TestPrintsTheGolden reads")
+
+// TestPrintsTheGolden: each entry prints its golden under testdata/golden
+// byte for byte, timing lines aside. The robust golden is also the one
+// TestRobustAblationChurnTrade holds the library call to; fig5 and fig6
+// are the byte-identity proof for any change to siting or placement.
+// go test -run TestPrintsTheGolden -update rewrites every row.
+func TestPrintsTheGolden(t *testing.T) {
+	for _, exp := range []string{"robust", "fig5", "fig6"} {
+		t.Run(exp, func(t *testing.T) {
+			path := "../../testdata/golden/irisbench-" + exp + ".txt"
+			got := output(t, "-exp", exp)
+			if *update {
+				if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			want, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != string(want) {
+				t.Fatalf("-exp %s prints\n%s\nwant the golden\n%s", exp, got, want)
+			}
+		})
 	}
 }
 

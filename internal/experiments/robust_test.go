@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"flag"
 	"fmt"
 	"os"
 	"strings"
@@ -15,8 +14,6 @@ import (
 	"iris/internal/traffic"
 )
 
-var update = flag.Bool("update", false, "rewrite the golden files under testdata/golden")
-
 // robustGolden is what irisbench -exp robust prints, timing line aside.
 const robustGolden = "../../testdata/golden/irisbench-robust.txt"
 
@@ -26,19 +23,13 @@ const robustGolden = "../../testdata/golden/irisbench-robust.txt"
 // p99 flow slowdown staying within 2× delta mode's (the envelope re-plans
 // are full solves, so each one moves more — the bound says they don't
 // move pathologically more). The default grid must print the golden
-// file's bytes; go test -run TestRobustAblationChurnTrade -update
-// rewrites it.
+// file's bytes; cmd/irisbench's TestPrintsTheGolden -update rewrites it.
 func TestRobustAblationChurnTrade(t *testing.T) {
 	grid, err := RobustAblation(DefaultRobustAblation())
 	if err != nil {
 		t.Fatal(err)
 	}
 	got := FormatRobustAblation(grid)
-	if *update {
-		if err := os.WriteFile(robustGolden, []byte(got), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
 	want, err := os.ReadFile(robustGolden)
 	if err != nil {
 		t.Fatal(err)
