@@ -88,6 +88,25 @@ func TestDemoAudits(t *testing.T) {
 	checkCommits(t, stdout.String(), 2)
 }
 
+// TestLogRecordsNameOneComponent: with -log-json every record irisctl and
+// its daemon write carries "component" once, which a JSON decoder would
+// otherwise resolve to whichever came last.
+func TestLogRecordsNameOneComponent(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	if err := run(context.Background(), []string{"irisctl", "-oss-delay", "0", "-log-json"}, &stdout, &stderr); err != nil {
+		t.Fatalf("run = %v\n%s", err, stderr.String())
+	}
+	lines := strings.Split(strings.TrimSpace(stderr.String()), "\n")
+	if lines[0] == "" {
+		t.Fatal("irisctl logged nothing")
+	}
+	for _, l := range lines {
+		if n := strings.Count(l, `"component"`); n != 1 {
+			t.Errorf("%d component keys in %s", n, l)
+		}
+	}
+}
+
 // TestRegionFlagsReachTheRegion: the region flags irisctl takes are the
 // daemon's, and they shape the region it builds and the steps it takes.
 func TestRegionFlagsReachTheRegion(t *testing.T) {

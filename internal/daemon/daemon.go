@@ -84,9 +84,9 @@ type Config struct {
 	Registry *telemetry.Registry
 	// Now is the clock (time.Now if nil; tests inject a fake).
 	Now func() time.Time
-	// Logger receives structured logs (silent if nil). The daemon tags
-	// every record with component=daemon and reconfiguration-scoped
-	// records with reconfig_id.
+	// Logger receives structured logs (silent if nil), tagged as the
+	// caller tags it (a binary's logging.Parse adds its component). The
+	// daemon tags reconfiguration-scoped records with reconfig_id.
 	Logger *slog.Logger
 	// Tracer is the flight recorder every reconfiguration, audit and
 	// breaker transition is journaled into (nil disables tracing; the
@@ -287,7 +287,6 @@ func New(cfg Config) (*Daemon, error) {
 	if d.log == nil {
 		d.log = slog.New(slog.NewTextHandler(io.Discard, nil))
 	}
-	d.log = d.log.With("component", "daemon")
 	d.rng = rand.New(rand.NewSource(cfg.Seed))
 	d.health = make(map[string]*deviceHealth)
 	d.policy = &core.PerShift{}

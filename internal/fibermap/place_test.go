@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
+	"sort"
 	"testing"
 
 	"iris/internal/geo"
@@ -33,7 +34,7 @@ func placeOracle(m *Map, cfg PlaceConfig) ([]int, error) {
 	for placed := 0; placed < cfg.N; placed++ {
 		g := m.Graph()
 		candidates := geo.GridPoints(rect, cfg.GridCellKM, func(p geo.Point) bool {
-			return dcSiteFeasible(g, m, dcs, huts, p, cfg)
+			return dcSiteFeasible(g, dcs, oracleSite(m, huts, p), cfg)
 		})
 		if len(candidates) == 0 {
 			return dcs, fmt.Errorf("fibermap: service area exhausted after %d of %d DCs", placed, cfg.N)
@@ -46,11 +47,37 @@ func placeOracle(m *Map, cfg PlaceConfig) ([]int, error) {
 		}
 		id := m.AddNode(DC, site, "")
 		for _, h := range nearestHuts(m, site, huts, 2) {
-			m.AddDuct(id, h, accessLen(site, m.Nodes[h].Pos, cfg.RoadFactor))
+			m.AddDuct(id, h, accessLen(site, m.Nodes[h].Pos))
 		}
 		dcs = append(dcs, id)
 	}
 	return dcs, nil
+}
+
+// oracleSite attaches p to the two huts nearestHuts' sort picks: the
+// oracle's attachment, which Map.Sites' scan must match.
+func oracleSite(m *Map, huts []int, p geo.Point) *Site {
+	s := &Site{P: p}
+	for j, h := range nearestHuts(m, p, huts, 2) {
+		s.Hut[j], s.Acc[j] = h, accessLen(p, m.Nodes[h].Pos)
+	}
+	return s
+}
+
+// nearestHuts returns the k hut IDs closest to p (Euclidean), ID-tiebroken.
+func nearestHuts(m *Map, p geo.Point, huts []int, k int) []int {
+	order := append([]int(nil), huts...)
+	sort.Slice(order, func(x, y int) bool {
+		dx, dy := p.Dist(m.Nodes[order[x]].Pos), p.Dist(m.Nodes[order[y]].Pos)
+		if dx != dy {
+			return dx < dy
+		}
+		return order[x] < order[y]
+	})
+	if len(order) > k {
+		order = order[:k]
+	}
+	return order
 }
 
 // weightedPick selects a candidate with probability inversely proportional
@@ -171,7 +198,7 @@ func forcedSLA(t *testing.T, seed int64) float64 {
 	geo.GridPoints(geo.BoundingRect(pts).Expand(5), cfg.GridCellKM, func(p geo.Point) bool {
 		var seeds []graph.Seed
 		for _, h := range nearestHuts(m, p, huts, 2) {
-			seeds = append(seeds, graph.Seed{Node: h, Dist: accessLen(p, m.Nodes[h].Pos, cfg.RoadFactor)})
+			seeds = append(seeds, graph.Seed{Node: h, Dist: accessLen(p, m.Nodes[h].Pos)})
 		}
 		sla = max(sla, g.DistancesFromSeeds(seeds)[dcs[0]])
 		return false

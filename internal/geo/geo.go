@@ -1,7 +1,8 @@
 // Package geo provides the small amount of 2-D computational geometry the
 // regional DCI planner needs: points in a kilometre-scaled plane, distances,
-// Poisson-disk sampling for synthetic hut placement, and grid-based area
-// measurement used by the siting analysis.
+// Poisson-disk sampling for synthetic hut placement, and the grid of
+// candidate sites that DC placement draws from and the siting analysis
+// measures.
 //
 // All coordinates are in kilometres. The plane approximation is appropriate
 // because regions span only tens of kilometres.
@@ -149,29 +150,10 @@ func PoissonDisk(rng *rand.Rand, rect Rect, n int, minDist float64) []Point {
 	return pts
 }
 
-// GridArea estimates the area of the region of rect where keep returns true,
-// by sampling a uniform grid with the given cell size (km). It returns the
-// estimated area in km². A non-positive cell size panics, as it indicates a
-// programming error rather than a data condition.
-func GridArea(rect Rect, cell float64, keep func(Point) bool) float64 {
-	if cell <= 0 {
-		panic("geo: GridArea requires a positive cell size")
-	}
-	count := 0
-	for x := rect.Min.X + cell/2; x < rect.Max.X; x += cell {
-		for y := rect.Min.Y + cell/2; y < rect.Max.Y; y += cell {
-			if keep(Point{x, y}) {
-				count++
-			}
-		}
-	}
-	return float64(count) * cell * cell
-}
-
 // GridPoints returns the centres of all grid cells of the given size within
-// rect that satisfy keep. It is the enumeration form of GridArea, used when
-// the caller needs the admissible locations themselves (e.g. candidate DC
-// sites) rather than just their measure.
+// rect that satisfy keep. Each point stands for one cell, so a set of them
+// measures len × cell² km². A non-positive cell size panics, as it
+// indicates a programming error rather than a data condition.
 func GridPoints(rect Rect, cell float64, keep func(Point) bool) []Point {
 	if cell <= 0 {
 		panic("geo: GridPoints requires a positive cell size")

@@ -148,47 +148,37 @@ func TestPoissonDiskSaturation(t *testing.T) {
 	}
 }
 
-func TestGridArea(t *testing.T) {
+func TestGridPoints(t *testing.T) {
 	rect := NewRect(Point{0, 0}, Point{10, 10})
-	all := GridArea(rect, 0.5, func(Point) bool { return true })
-	if math.Abs(all-100) > 1e-9 {
+	area := func(cell float64, keep func(Point) bool) float64 {
+		pts := GridPoints(rect, cell, keep)
+		for _, p := range pts {
+			if !keep(p) {
+				t.Fatalf("GridPoints returned excluded point %v", p)
+			}
+		}
+		return float64(len(pts)) * cell * cell
+	}
+	if all := area(0.5, func(Point) bool { return true }); math.Abs(all-100) > 1e-9 {
 		t.Errorf("full-rect area = %v, want 100", all)
 	}
-	half := GridArea(rect, 0.5, func(p Point) bool { return p.X < 5 })
-	if math.Abs(half-50) > 1e-9 {
+	if half := area(0.5, func(p Point) bool { return p.X < 5 }); math.Abs(half-50) > 1e-9 {
 		t.Errorf("half-rect area = %v, want 50", half)
 	}
 	// A disk of radius 4 has area 16π ≈ 50.27.
 	centre := Point{5, 5}
-	disk := GridArea(rect, 0.1, func(p Point) bool { return p.Dist(centre) <= 4 })
-	if math.Abs(disk-16*math.Pi) > 1.0 {
+	if disk := area(0.1, func(p Point) bool { return p.Dist(centre) <= 4 }); math.Abs(disk-16*math.Pi) > 1.0 {
 		t.Errorf("disk area = %v, want ≈ %v", disk, 16*math.Pi)
 	}
 }
 
-func TestGridPointsMatchesGridArea(t *testing.T) {
-	rect := NewRect(Point{0, 0}, Point{8, 6})
-	keep := func(p Point) bool { return p.X+p.Y < 7 }
-	const cell = 0.25
-	pts := GridPoints(rect, cell, keep)
-	area := GridArea(rect, cell, keep)
-	if got := float64(len(pts)) * cell * cell; math.Abs(got-area) > 1e-9 {
-		t.Errorf("GridPoints-derived area %v != GridArea %v", got, area)
-	}
-	for _, p := range pts {
-		if !keep(p) {
-			t.Fatalf("GridPoints returned excluded point %v", p)
-		}
-	}
-}
-
-func TestGridAreaPanicsOnBadCell(t *testing.T) {
+func TestGridPointsPanicsOnBadCell(t *testing.T) {
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic for non-positive cell size")
 		}
 	}()
-	GridArea(Rect{}, 0, func(Point) bool { return true })
+	GridPoints(Rect{}, 0, func(Point) bool { return true })
 }
 
 func TestDistToSegment(t *testing.T) {

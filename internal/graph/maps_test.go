@@ -2,7 +2,6 @@ package graph_test
 
 import (
 	"reflect"
-	"sort"
 	"testing"
 
 	"iris/internal/fibermap"
@@ -15,9 +14,9 @@ import (
 // typed-heap oracle bit for bit: full trees from every DC (placement
 // reads each placed DC's distance vector, and every plan routes on
 // Dijkstra from each DC), and the distance vector of every seed set
-// placement may fall back to (each candidate grid point's two nearest
-// huts at their access-duct lengths, seeded only for a reading inside
-// placement's band around the SLA).
+// placement may fall back to (each candidate grid site's two huts at
+// their access-duct lengths, fibermap.Site as placement builds it,
+// seeded only for a reading inside placement's band around the SLA).
 func TestGeneratedMapsMatchHeapOracle(t *testing.T) {
 	for seed := int64(1); seed <= 5; seed++ {
 		gcfg := fibermap.DefaultGen()
@@ -50,29 +49,17 @@ func TestGeneratedMapsMatchHeapOracle(t *testing.T) {
 		for i, h := range huts {
 			pts[i] = m.Nodes[h].Pos
 		}
-		sets := 0
-		geo.GridPoints(geo.BoundingRect(pts).Expand(5), pcfg.GridCellKM, func(p geo.Point) bool {
-			order := append([]int(nil), huts...)
-			sort.Slice(order, func(x, y int) bool {
-				dx, dy := p.Dist(m.Nodes[order[x]].Pos), p.Dist(m.Nodes[order[y]].Pos)
-				if dx != dy {
-					return dx < dy
-				}
-				return order[x] < order[y]
-			})
-			seeds := make([]graph.Seed, 2)
-			for i, h := range order[:2] {
-				seeds[i] = graph.Seed{Node: h, Dist: p.Dist(m.Nodes[h].Pos) * pcfg.RoadFactor}
-			}
+		rect := geo.BoundingRect(pts).Expand(5)
+		sites := m.Sites(geo.GridPoints(rect, pcfg.GridCellKM, func(geo.Point) bool { return true }))
+		for _, s := range sites {
+			seeds := []graph.Seed{{Node: s.Hut[0], Dist: s.Acc[0]}, {Node: s.Hut[1], Dist: s.Acc[1]}}
 			got := g.DistancesFromSeeds(seeds)
 			want := g.HeapDijkstra(-1, seeds).Dist
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("seed %d: distances from seeds %v differ from the heap oracle", seed, seeds)
 			}
-			sets++
-			return false
-		})
-		if sets == 0 {
+		}
+		if len(sites) == 0 {
 			t.Fatalf("seed %d: no candidate grid points", seed)
 		}
 	}

@@ -24,37 +24,25 @@ func (a Analysis) Render(hub1, hub2 int, existing []int, width int) string {
 	for i, dc := range existing {
 		dcDists[i] = a.distancesFrom(dc)
 	}
-	huts := a.Map.Huts()
-
-	centralOK := func(p geo.Point) bool {
-		for _, dist := range hubDists {
-			if siteDistance(a.Map, huts, dist, p, a.RoadFactor) > a.MaxFiberKM/2 {
-				return false
-			}
+	pts := make([]geo.Point, 0, height*width)
+	for row := 0; row < height; row++ {
+		for col := 0; col < width; col++ {
+			pts = append(pts, geo.Point{
+				X: win.Min.X + (float64(col)+0.5)*cell,
+				Y: win.Max.Y - (float64(row)+0.5)*cell,
+			})
 		}
-		return true
 	}
-	distribOK := func(p geo.Point) bool {
-		for _, dist := range dcDists {
-			if siteDistance(a.Map, huts, dist, p, a.RoadFactor) > a.MaxFiberKM {
-				return false
-			}
-		}
-		return true
-	}
-
+	sites := a.Map.Sites(pts)
 	grid := make([][]byte, height)
 	for row := range grid {
 		grid[row] = make([]byte, width)
 		for col := range grid[row] {
-			p := geo.Point{
-				X: win.Min.X + (float64(col)+0.5)*cell,
-				Y: win.Max.Y - (float64(row)+0.5)*cell,
-			}
-			switch {
-			case centralOK(p) && distribOK(p):
+			s := &sites[row*width+col]
+			switch distribOK := reaches(s, dcDists, a.MaxFiberKM); {
+			case distribOK && reaches(s, hubDists, a.MaxFiberKM/2):
 				grid[row][col] = '#'
-			case distribOK(p):
+			case distribOK:
 				grid[row][col] = '+'
 			default:
 				grid[row][col] = '.'
@@ -69,7 +57,7 @@ func (a Analysis) Render(hub1, hub2 int, existing []int, width int) string {
 			grid[row][col] = ch
 		}
 	}
-	for _, h := range huts {
+	for _, h := range a.Map.Huts() {
 		place(a.Map.Nodes[h].Pos, 'o')
 	}
 	for _, dc := range existing {

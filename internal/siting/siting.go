@@ -3,7 +3,8 @@
 // data center under the centralized model (within half the SLA fiber
 // distance of both hubs) versus the distributed model (within the full SLA
 // fiber distance of every existing DC), measured over real fiber-map
-// distances rather than straight lines.
+// distances rather than straight lines. A candidate site attaches to the
+// fiber map as a placed DC does (fibermap.Site).
 package siting
 
 import (
@@ -11,17 +12,14 @@ import (
 
 	"iris/internal/fibermap"
 	"iris/internal/geo"
-	"iris/internal/graph"
 )
 
-// Analysis configures the service-area computation for one region.
+// Analysis configures the service-area computation for one region. Map
+// must have at least two huts.
 type Analysis struct {
 	Map *fibermap.Map
 	// MaxFiberKM is the SLA limit on DC-DC fiber distance (120 km).
 	MaxFiberKM float64
-	// RoadFactor converts a candidate site's straight-line distance to its
-	// attachment huts into kilometres of access fiber.
-	RoadFactor float64
 	// GridCellKM is the measurement resolution.
 	GridCellKM float64
 	// MarginKM expands the measurement window beyond the hut bounding box.
@@ -34,7 +32,7 @@ type Analysis struct {
 // outside the metro core are exactly where the distributed model's longer
 // reach pays off (Fig. 5's extended shaded areas).
 func DefaultAnalysis(m *fibermap.Map) Analysis {
-	return Analysis{Map: m, MaxFiberKM: 120, RoadFactor: 1.35, GridCellKM: 2, MarginKM: 45}
+	return Analysis{Map: m, MaxFiberKM: 120, GridCellKM: 2, MarginKM: 45}
 }
 
 // window returns the measurement rectangle.
@@ -52,35 +50,28 @@ func (a Analysis) distancesFrom(node int) []float64 {
 	return a.Map.Graph().Dijkstra(node).Dist
 }
 
-// siteDistance returns the fiber distance from a candidate site to a
-// target node, attaching the site to its two nearest huts as PlaceDCs
-// does: the access tail plus the fiber-map distance from the hut.
-func siteDistance(m *fibermap.Map, huts []int, distToTarget []float64, p geo.Point, roadFactor float64) float64 {
-	best := graph.Inf
-	// Consider the two nearest huts, consistent with DC dual-homing.
-	h1, h2 := -1, -1
-	d1, d2 := graph.Inf, graph.Inf
-	for _, h := range huts {
-		d := p.Dist(m.Nodes[h].Pos)
-		switch {
-		case d < d1:
-			h2, d2 = h1, d1
-			h1, d1 = h, d
-		case d < d2:
-			h2, d2 = h, d
+// reaches reports whether s is within limit of every node whose distance
+// vector is in dists.
+func reaches(s *fibermap.Site, dists [][]float64, limit float64) bool {
+	for _, dist := range dists {
+		if s.Reach(dist) > limit {
+			return false
 		}
 	}
-	for _, hd := range [][2]float64{{float64(h1), d1}, {float64(h2), d2}} {
-		h := int(hd[0])
-		if h < 0 {
-			continue
-		}
-		total := hd[1]*roadFactor + distToTarget[h]
-		if total < best {
-			best = total
+	return true
+}
+
+// area returns the area (km²) of the measurement grid's cells within
+// limit of every node whose distance vector is in dists.
+func (a Analysis) area(dists [][]float64, limit float64) float64 {
+	sites := a.Map.Sites(geo.GridPoints(a.window(), a.GridCellKM, func(geo.Point) bool { return true }))
+	n := 0
+	for i := range sites {
+		if reaches(&sites[i], dists, limit) {
+			n++
 		}
 	}
-	return best
+	return float64(n) * a.GridCellKM * a.GridCellKM
 }
 
 // CentralizedArea returns the area (km²) where a new DC could be sited in
@@ -95,17 +86,7 @@ func (a Analysis) CentralizedArea(hubs ...int) (float64, error) {
 	for i, h := range hubs {
 		dists[i] = a.distancesFrom(h)
 	}
-	huts := a.Map.Huts()
-	limit := a.MaxFiberKM / 2
-	area := geo.GridArea(a.window(), a.GridCellKM, func(p geo.Point) bool {
-		for _, dist := range dists {
-			if siteDistance(a.Map, huts, dist, p, a.RoadFactor) > limit {
-				return false
-			}
-		}
-		return true
-	})
-	return area, nil
+	return a.area(dists, a.MaxFiberKM/2), nil
 }
 
 // DistributedArea returns the area (km²) where a new DC could be sited in
@@ -122,16 +103,7 @@ func (a Analysis) DistributedArea(existing ...int) (float64, error) {
 	for i, dc := range existing {
 		dists[i] = a.distancesFrom(dc)
 	}
-	huts := a.Map.Huts()
-	area := geo.GridArea(a.window(), a.GridCellKM, func(p geo.Point) bool {
-		for _, dist := range dists {
-			if siteDistance(a.Map, huts, dist, p, a.RoadFactor) > a.MaxFiberKM {
-				return false
-			}
-		}
-		return true
-	})
-	return area, nil
+	return a.area(dists, a.MaxFiberKM), nil
 }
 
 // AreaIncrease returns the Fig. 6 metric for one region: the ratio of the

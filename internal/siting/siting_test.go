@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"iris/internal/fibermap"
-	"iris/internal/geo"
 )
 
 func region(t *testing.T, seed int64, nDCs int) (*fibermap.Map, []int) {
@@ -157,24 +156,5 @@ func TestFig6Shape(t *testing.T) {
 	}
 	if above*2 < len(ratios) {
 		t.Errorf("only %d/%d regions see ≥1.5× increase", above, len(ratios))
-	}
-}
-
-func TestSiteDistanceUsesAccessTail(t *testing.T) {
-	// A candidate exactly on a hut should see nearly the plain fiber-map
-	// distance; a candidate far away pays the road-factored tail.
-	m := &fibermap.Map{}
-	h0 := m.AddNode(fibermap.Hut, geo.Point{X: 0}, "")
-	h1 := m.AddNode(fibermap.Hut, geo.Point{X: 10}, "")
-	m.AddDuct(h0, h1, 14)
-	dist := m.Graph().Dijkstra(h1).Dist
-
-	atHut := siteDistance(m, []int{h0, h1}, dist, geo.Point{X: 0}, 1.5)
-	if atHut != 14 {
-		t.Errorf("distance from hut site = %v, want 14", atHut)
-	}
-	away := siteDistance(m, []int{h0, h1}, dist, geo.Point{X: -10}, 1.5)
-	if away != 10*1.5+14 {
-		t.Errorf("distance from remote site = %v, want 29", away)
 	}
 }
