@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"flag"
+	"os"
 	"strings"
 	"testing"
 
@@ -58,5 +60,42 @@ func TestToyPlanSurvivesEveryCut(t *testing.T) {
 		if !r.Admissible {
 			t.Errorf("scenario %s is not hose admissible", r.Scenario.Name)
 		}
+	}
+}
+
+var update = flag.Bool("update", false, "rewrite every golden TestPrintsTheGolden reads")
+
+// TestPrintsTheGolden: each row prints its golden under testdata/golden
+// byte for byte. go test -run TestPrintsTheGolden -update rewrites every
+// row.
+func TestPrintsTheGolden(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		args []string
+	}{
+		{"default", nil},
+		{"json", []string{"-format", "json"}},
+		{"geo", []string{"-mode", "geo"}},
+		{"huts", []string{"-mode", "huts"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var stdout, stderr bytes.Buffer
+			if err := run(context.Background(), append([]string{"irischaos"}, tc.args...), &stdout, &stderr); err != nil {
+				t.Fatalf("irischaos %v: %v\n%s", tc.args, err, stderr.String())
+			}
+			path := "../../testdata/golden/irischaos-" + tc.name + ".txt"
+			if *update {
+				if err := os.WriteFile(path, stdout.Bytes(), 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			want, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := stdout.String(); got != string(want) {
+				t.Fatalf("irischaos %v prints\n%s\nwant the golden\n%s", tc.args, got, want)
+			}
+		})
 	}
 }

@@ -3,6 +3,8 @@ package main
 import (
 	"bytes"
 	"context"
+	"flag"
+	"os"
 	"strings"
 	"testing"
 
@@ -51,5 +53,45 @@ func TestSeedsIgnoreWorkers(t *testing.T) {
 	}
 	if i, j := strings.Index(serial, "=== seed 1 ==="), strings.Index(serial, "=== seed 3 ==="); i < 0 || j < i {
 		t.Fatalf("seeds not printed in order:\n%s", serial)
+	}
+}
+
+var update = flag.Bool("update", false, "rewrite every golden TestPrintsTheGolden reads")
+
+// TestPrintsTheGolden: each row prints its golden under testdata/golden
+// byte for byte. go test -run TestPrintsTheGolden -update rewrites every
+// row.
+func TestPrintsTheGolden(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		args []string
+	}{
+		{"default", nil},
+		{"toy-v", []string{"-toy", "-v"}},
+		{"seed1-dcs20-f0-v", []string{"-seed", "1", "-dcs", "20", "-failures", "0", "-v"}},
+		{"seed1-dcs20-f1-v", []string{"-seed", "1", "-dcs", "20", "-failures", "1", "-v"}},
+		{"seed1-dcs20-f2-v", []string{"-seed", "1", "-dcs", "20", "-failures", "2", "-v"}},
+		{"seeds-1-2-3", []string{"-seeds", "1,2,3"}},
+		{"seed6-dcs20-f3", []string{"-seed", "6", "-dcs", "20", "-failures", "3"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var stdout, stderr bytes.Buffer
+			if err := run(context.Background(), append([]string{"irisplan"}, tc.args...), &stdout, &stderr); err != nil {
+				t.Fatalf("irisplan %v: %v\n%s", tc.args, err, stderr.String())
+			}
+			path := "../../testdata/golden/irisplan-" + tc.name + ".txt"
+			if *update {
+				if err := os.WriteFile(path, stdout.Bytes(), 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			want, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := stdout.String(); got != string(want) {
+				t.Fatalf("irisplan %v prints\n%s\nwant the golden\n%s", tc.args, got, want)
+			}
+		})
 	}
 }
