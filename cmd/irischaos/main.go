@@ -9,6 +9,11 @@
 //	          [-cuts D] [-samples N] [-k K] [-radius KM] [-events N]
 //	          [-format text|csv|json] [-parallel W] [-assert]
 //
+// -toy, -seed and -dcs name the region as every binary reads them
+// (fibermap.Spec: seed 1, 8 DCs by default); -seed also seeds the sample
+// and geo draws. Every DC gets -capacity fiber-pairs (default 10) of
+// -lambda wavelengths (default 40), as at bring-up.
+//
 // The default run exhaustively audits every cut set up to -cuts ducts. With
 // -assert the exit status is non-zero unless every audited scenario is hose
 // admissible — the planner's k-failure guarantee, checked end to end — which
@@ -57,10 +62,9 @@ func exitCode(err error) int {
 func run(_ context.Context, args []string, stdout, stderr io.Writer) (err error) {
 	fs := flag.NewFlagSet(args[0], flag.ContinueOnError)
 	fs.SetOutput(stderr)
+	spec := fibermap.DefaultSpec()
+	spec.RegisterFlags(fs)
 	var (
-		toy      = fs.Bool("toy", false, "audit the paper's Fig. 10 example region")
-		seed     = fs.Int64("seed", 1, "map generation seed (ignored with -toy)")
-		dcs      = fs.Int("dcs", 4, "data centers to place (ignored with -toy)")
 		capacity = fs.Int("capacity", 10, "per-DC hose capacity in fiber-pairs")
 		lambda   = fs.Int("lambda", 40, "wavelengths per fiber")
 		failures = fs.Int("failures", 2, "plan's duct-cut tolerance (MaxFailures)")
@@ -83,18 +87,11 @@ func run(_ context.Context, args []string, stdout, stderr io.Writer) (err error)
 		}
 	}()
 
-	m, err := buildMap(*toy, *seed, *dcs)
+	m, err := spec.Map()
 	if err != nil {
 		return err
 	}
-	caps := make(map[int]int)
-	for _, dc := range m.DCs() {
-		caps[dc] = *capacity
-	}
-	dep, err := core.Plan(
-		core.Region{Map: m, Capacity: caps, Lambda: *lambda},
-		core.Options{MaxFailures: *failures},
-	)
+	dep, err := core.Plan(core.UniformRegion(m, *capacity, *lambda), core.Options{MaxFailures: *failures})
 	if err != nil {
 		return err
 	}
@@ -104,7 +101,7 @@ func run(_ context.Context, args []string, stdout, stderr io.Writer) (err error)
 	case "exhaustive":
 		scenarios = chaos.EnumerateCuts(m, *cuts)
 	case "sample":
-		scenarios = chaos.SampleCuts(*seed, m, *k, *samples)
+		scenarios = chaos.SampleCuts(spec.Seed, m, *k, *samples)
 	case "huts":
 		scenarios = chaos.HutLossScenarios(m)
 	case "dcs":
@@ -112,7 +109,7 @@ func run(_ context.Context, args []string, stdout, stderr io.Writer) (err error)
 	case "amps":
 		scenarios = chaos.AmpFailureScenarios(dep.Plan)
 	case "geo":
-		scenarios = chaos.GeoEvents(*seed, m, *radius, *events)
+		scenarios = chaos.GeoEvents(spec.Seed, m, *radius, *events)
 	default:
 		return fmt.Errorf("unknown mode %q", *mode)
 	}
@@ -146,21 +143,6 @@ func run(_ context.Context, args []string, stdout, stderr io.Writer) (err error)
 		}
 	}
 	return nil
-}
-
-func buildMap(toy bool, seed int64, dcs int) (*fibermap.Map, error) {
-	if toy {
-		return fibermap.Toy().Map, nil
-	}
-	gcfg := fibermap.DefaultGen()
-	gcfg.Seed = seed
-	m := fibermap.Generate(gcfg)
-	pcfg := fibermap.DefaultPlace()
-	pcfg.Seed, pcfg.N = seed, dcs
-	if _, err := fibermap.PlaceDCs(m, pcfg); err != nil {
-		return nil, fmt.Errorf("place DCs: %w", err)
-	}
-	return m, nil
 }
 
 func writeText(w io.Writer, results []chaos.Result, failures int) {

@@ -26,7 +26,7 @@ func TestExitCodes(t *testing.T) {
 		{[]string{"-toy", "-mode", "meteor"}, 2, `unknown mode "meteor"`},
 		{[]string{"-toy", "-mode", "amps"}, 2, "generated no scenarios"},
 		{[]string{"-toy", "-failures", "2", "-cuts", "1", "-assert"}, 0, ""},
-		{[]string{"-failures", "0", "-cuts", "2", "-assert"}, 1, `scenario "cut[0 25]" is not hose admissible`},
+		{[]string{"-dcs", "4", "-failures", "0", "-cuts", "2", "-assert"}, 1, `scenario "cut[0 25]" is not hose admissible`},
 	} {
 		var stderr bytes.Buffer
 		err := run(context.Background(), append([]string{"irischaos"}, tc.args...), &bytes.Buffer{}, &stderr)

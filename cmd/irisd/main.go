@@ -11,7 +11,10 @@
 //
 // Usage: irisd [flags]; irisd -h lists them with their defaults. The
 // region flags are declared once, by daemon.RegionConfig.RegisterFlags,
-// for this binary and irisfleet alike.
+// for this binary and irisfleet alike. irisd starts the paper's toy region
+// unless told otherwise; -toy=false brings up the region -seed and -dcs
+// name (fibermap.Spec: seed 1 and 8 DCs by default), the one irisplan
+// -seed N -dcs M plans.
 //
 // With -flow-load, every drained reconfiguration (and chaos/repair
 // cycle) is replayed through the flow-level load engine: the daemon

@@ -7,6 +7,12 @@
 //
 //	irisplan [-toy] [-seed N] [-seeds N,M,...] [-dcs N] [-capacity F] [-lambda L] [-failures K] [-parallel W] [-v]
 //
+// -toy, -seed and -dcs name the region as every binary reads them
+// (fibermap.Spec: seed 1, 8 DCs by default), so irisplan -seed N -dcs M
+// plans the region irisd -toy=false -seed N -dcs M brings up. Every DC
+// gets -capacity fiber-pairs (default 10, bring-up's) of -lambda
+// wavelengths (default 40), the toy's and a loaded map's DCs too.
+//
 // With -seeds, one region per listed seed is planned — concurrently,
 // bounded by -parallel — and each deployment is printed in seed order.
 package main
@@ -39,12 +45,11 @@ func main() {
 // its two output streams: the plan report goes to stdout, logs to stderr.
 func run(_ context.Context, args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet(args[0], flag.ContinueOnError)
+	spec := fibermap.DefaultSpec()
+	spec.RegisterFlags(fs)
 	var (
-		toy      = fs.Bool("toy", false, "plan the paper's Fig. 10 toy region instead of a generated one")
-		seed     = fs.Int64("seed", 1, "region generator seed")
-		seeds    = fs.String("seeds", "", "comma-separated generator seeds: plan one region per seed (overrides -seed; incompatible with -toy/-load/-save)")
-		dcs      = fs.Int("dcs", 8, "number of data centers to place")
-		capacity = fs.Int("capacity", 16, "per-DC capacity in fiber-pairs")
+		seeds    = fs.String("seeds", "", "comma-separated region seeds: plan one region per seed (overrides -seed; incompatible with -toy/-load/-save)")
+		capacity = fs.Int("capacity", 10, "per-DC capacity in fiber-pairs")
 		lambda   = fs.Int("lambda", 40, "wavelengths per fiber")
 		failures = fs.Int("failures", 2, "fiber-cut tolerance")
 		workers  = fs.Int("parallel", 0, "worker count for -seeds planning: 0 = GOMAXPROCS, 1 = serial")
@@ -62,30 +67,30 @@ func run(_ context.Context, args []string, stdout, stderr io.Writer) error {
 	}
 
 	if *seeds != "" {
-		if *toy || *load != "" || *save != "" {
+		if spec.Toy || *load != "" || *save != "" {
 			return fail("bad flags", errors.New("-seeds cannot be combined with -toy, -load, or -save"))
 		}
-		if err := planSeeds(stdout, *seeds, *dcs, *capacity, *lambda, *failures, *workers, *verbose); err != nil {
+		if err := planSeeds(stdout, *seeds, spec.DCs, *capacity, *lambda, *failures, *workers, *verbose); err != nil {
 			return fail("multi-seed planning failed", err)
 		}
 		return nil
 	}
 
-	var region core.Region
+	var m *fibermap.Map
 	if *load != "" {
-		region, err = loadRegion(*load, *capacity, *lambda)
+		m, err = loadMap(*load)
 	} else {
-		region, err = buildRegion(*toy, *seed, *dcs, *capacity, *lambda)
+		m, err = spec.Map()
 	}
 	if err != nil {
 		return fail("region build failed", err)
 	}
 	if *save != "" {
-		if err := saveRegion(region, *save); err != nil {
+		if err := saveMap(m, *save); err != nil {
 			return fail("region save failed", err)
 		}
 	}
-	dep, err := core.Plan(region, core.Options{MaxFailures: *failures})
+	dep, err := core.Plan(core.UniformRegion(m, *capacity, *lambda), core.Options{MaxFailures: *failures})
 	if err != nil {
 		return fail("planning failed", err)
 	}
@@ -105,12 +110,12 @@ func planSeeds(w io.Writer, list string, dcs, capacity, lambda, failures, worker
 		if err != nil {
 			return fmt.Errorf("bad seed %q: %v", field, err)
 		}
-		region, err := buildRegion(false, s, dcs, capacity, lambda)
+		m, err := fibermap.Spec{Seed: s, DCs: dcs}.Map()
 		if err != nil {
 			return fmt.Errorf("seed %d: %v", s, err)
 		}
 		seedVals = append(seedVals, s)
-		regions = append(regions, region)
+		regions = append(regions, core.UniformRegion(m, capacity, lambda))
 	}
 	deps := make([]*core.Deployment, len(regions))
 	err := parallel.ForEach(len(regions), workers, func(i int) error {
@@ -132,51 +137,22 @@ func planSeeds(w io.Writer, list string, dcs, capacity, lambda, failures, worker
 	return nil
 }
 
-func loadRegion(path string, capacity, lambda int) (core.Region, error) {
+func loadMap(path string) (*fibermap.Map, error) {
 	f, err := os.Open(path)
 	if err != nil {
-		return core.Region{}, err
+		return nil, err
 	}
 	defer f.Close()
-	m, err := fibermap.ReadJSON(f)
-	if err != nil {
-		return core.Region{}, err
-	}
-	return withCapacity(m, capacity, lambda), nil
+	return fibermap.ReadJSON(f)
 }
 
-func saveRegion(region core.Region, path string) error {
+func saveMap(m *fibermap.Map, path string) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
 	defer f.Close()
-	return region.Map.WriteJSON(f)
-}
-
-func buildRegion(toy bool, seed int64, dcs, capacity, lambda int) (core.Region, error) {
-	if toy {
-		return withCapacity(fibermap.Toy().Map, 10, lambda), nil
-	}
-	gcfg := fibermap.DefaultGen()
-	gcfg.Seed = seed
-	m := fibermap.Generate(gcfg)
-	pcfg := fibermap.DefaultPlace()
-	pcfg.Seed, pcfg.N = seed+1, dcs
-	if _, err := fibermap.PlaceDCs(m, pcfg); err != nil {
-		return core.Region{}, err
-	}
-	return withCapacity(m, capacity, lambda), nil
-}
-
-// withCapacity is the region of map m whose every DC has capacity
-// fiber-pairs of hose capacity.
-func withCapacity(m *fibermap.Map, capacity, lambda int) core.Region {
-	caps := make(map[int]int)
-	for _, dc := range m.DCs() {
-		caps[dc] = capacity
-	}
-	return core.Region{Map: m, Capacity: caps, Lambda: lambda}
+	return m.WriteJSON(f)
 }
 
 func printDeployment(w io.Writer, dep *core.Deployment, verbose bool) {

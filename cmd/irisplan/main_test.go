@@ -4,10 +4,14 @@ import (
 	"bytes"
 	"context"
 	"flag"
+	"io"
 	"os"
+	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 
+	"iris/internal/daemon"
 	"iris/internal/logging"
 )
 
@@ -53,6 +57,55 @@ func TestSeedsIgnoreWorkers(t *testing.T) {
 	}
 	if i, j := strings.Index(serial, "=== seed 1 ==="), strings.Index(serial, "=== seed 3 ==="); i < 0 || j < i {
 		t.Fatalf("seeds not printed in order:\n%s", serial)
+	}
+}
+
+// TestToyTakesCapacity: -capacity sizes the toy's DCs as it sizes a
+// generated region's.
+func TestToyTakesCapacity(t *testing.T) {
+	plan := func(args ...string) string {
+		t.Helper()
+		var stdout, stderr bytes.Buffer
+		if err := run(context.Background(), append([]string{"irisplan", "-toy"}, args...), &stdout, &stderr); err != nil {
+			t.Fatalf("irisplan -toy %v: %v\n%s", args, err, stderr.String())
+		}
+		return stdout.String()
+	}
+	if def, ten, sixteen := plan(), plan("-capacity", "10"), plan("-capacity", "16"); def != ten || ten == sixteen {
+		t.Fatalf("-toy prints\n%s\n-toy -capacity 16 prints\n%s\nwant the default to be -capacity 10 and the two to differ", def, sixteen)
+	}
+}
+
+// TestOneSeedOneRegion: the map irisplan -seed N -dcs 20 plans is, byte
+// for byte, the one daemon.BuildRegion brings up for seed N and 20 DCs.
+func TestOneSeedOneRegion(t *testing.T) {
+	for _, seed := range []int64{1, 2, 3} {
+		path := filepath.Join(t.TempDir(), "region.json")
+		args := []string{"irisplan", "-seed", strconv.FormatInt(seed, 10), "-dcs", "20", "-failures", "0", "-save", path}
+		var stderr bytes.Buffer
+		if err := run(context.Background(), args, io.Discard, &stderr); err != nil {
+			t.Fatalf("%v: %v\n%s", args, err, stderr.String())
+		}
+		planned, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+
+		rc := daemon.DefaultRegionConfig()
+		rc.Toy, rc.Seed, rc.DCs = false, seed, 20
+		b, err := daemon.BuildRegion(rc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var brought bytes.Buffer
+		err = b.Rig.Dep.Region.Map.WriteJSON(&brought)
+		b.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(planned, brought.Bytes()) {
+			t.Errorf("seed %d: irisplan's map differs from BuildRegion's", seed)
+		}
 	}
 }
 

@@ -32,21 +32,11 @@ func main() {
 // passes every scenario.
 func run(w io.Writer) error {
 	const seed = 3
-	gcfg := fibermap.DefaultGen()
-	gcfg.Seed = seed
-	m := fibermap.Generate(gcfg)
-	pcfg := fibermap.DefaultPlace()
-	pcfg.Seed, pcfg.N = seed, 6
-	dcs, err := fibermap.PlaceDCs(m, pcfg)
+	m, err := fibermap.Spec{Seed: seed, DCs: 6}.Map()
 	if err != nil {
 		return err
 	}
-	caps := make(map[int]int, len(dcs))
-	for _, dc := range dcs {
-		caps[dc] = 8
-	}
-
-	region := core.Region{Map: m, Capacity: caps, Lambda: 40}
+	region := core.UniformRegion(m, 8, 40)
 	tolerantDep, err := core.Plan(region, core.Options{MaxFailures: 2})
 	if err != nil {
 		return err

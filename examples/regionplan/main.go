@@ -22,22 +22,14 @@ func main() {
 
 	// A region: 24-hut metro fiber map, 8 DCs of 16 fiber-pairs each.
 	const seed = 7
-	gcfg := fibermap.DefaultGen()
-	gcfg.Seed = seed
-	m := fibermap.Generate(gcfg)
-	pcfg := fibermap.DefaultPlace()
-	pcfg.Seed, pcfg.N = seed, 8
-	dcs, err := fibermap.PlaceDCs(m, pcfg)
+	m, err := fibermap.Spec{Seed: seed, DCs: 8}.Map()
 	if err != nil {
 		log.Fatal(err)
 	}
-	capacity := make(map[int]int, len(dcs))
-	for _, dc := range dcs {
-		capacity[dc] = 16
-	}
+	dcs := m.DCs()
+	region := core.UniformRegion(m, 16, 40)
 
-	dep, err := core.Plan(core.Region{Map: m, Capacity: capacity, Lambda: 40},
-		core.DefaultOptions())
+	dep, err := core.Plan(region, core.DefaultOptions())
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -51,10 +43,7 @@ func main() {
 
 	// Circuit allocation for a heavy-tailed matrix at 50% utilization.
 	rng := rand.New(rand.NewSource(seed))
-	caps := make(map[int]float64, len(dcs))
-	for _, dc := range dcs {
-		caps[dc] = float64(capacity[dc] * 40) // wavelengths
-	}
+	caps := region.HoseCaps()
 	matrix := traffic.HeavyTailed(rng, dcs, caps, 0.5)
 	integerize(matrix)
 	alloc, err := dep.Allocate(matrix)

@@ -19,15 +19,11 @@ func main() {
 	log.SetFlags(0)
 
 	const seed = 2
-	gcfg := fibermap.DefaultGen()
-	gcfg.Seed = seed
-	m := fibermap.Generate(gcfg)
-	pcfg := fibermap.DefaultPlace()
-	pcfg.Seed, pcfg.N = seed+50, 4
-	dcs, err := fibermap.PlaceDCs(m, pcfg)
+	m, err := fibermap.Placed(seed, seed+50, 4)
 	if err != nil {
 		log.Fatal(err)
 	}
+	dcs := m.DCs()
 	h1, h2 := fibermap.ChooseHubs(m, 6)
 
 	a := siting.DefaultAnalysis(m)

@@ -36,6 +36,28 @@ type Region struct {
 	Lambda   int
 }
 
+// UniformRegion is the region of map m whose every DC has capacity
+// fiber-pairs.
+func UniformRegion(m *fibermap.Map, capacity, lambda int) Region {
+	dcs := m.DCs()
+	caps := make(map[int]int, len(dcs))
+	for _, dc := range dcs {
+		caps[dc] = capacity
+	}
+	return Region{Map: m, Capacity: caps, Lambda: lambda}
+}
+
+// HoseCaps returns each DC's hose capacity in wavelengths: its
+// fiber-pairs times Lambda.
+func (r Region) HoseCaps() map[int]float64 {
+	dcs := r.Map.DCs()
+	caps := make(map[int]float64, len(dcs))
+	for _, dc := range dcs {
+		caps[dc] = float64(r.Capacity[dc] * r.Lambda)
+	}
+	return caps
+}
+
 // Options tune planning.
 type Options struct {
 	// MaxFailures is the duct-cut tolerance (OC4); the paper's

@@ -8,13 +8,13 @@ import (
 // RegisterFlags declares the region's command-line flags on fs, each bound
 // to the field it sets; a flag's default is the value its field holds when
 // RegisterFlags is called, so a binary with different defaults sets them
-// on the struct first. It is the one place a region flag is declared:
-// irisd and irisfleet both call it, and TestEveryKnobHasOneFlag holds
-// every field to exactly one flag (or a stated reason to have none).
+// on the struct first. It is the one place a region flag is declared
+// (-toy, -seed and -dcs through fibermap.Spec.RegisterFlags, which
+// irisplan and irischaos call too): irisd, irisctl and irisfleet call
+// it, and TestEveryKnobHasOneFlag holds every field to exactly one flag
+// (or a stated reason to have none).
 func (c *RegionConfig) RegisterFlags(fs *flag.FlagSet) {
-	fs.BoolVar(&c.Toy, "toy", c.Toy, "use the paper's Fig. 10 toy region")
-	fs.Int64Var(&c.Seed, "seed", c.Seed, "generator seed when not using the toy, and traffic seed")
-	fs.IntVar(&c.DCs, "dcs", c.DCs, "DCs to place when not using the toy")
+	c.Spec.RegisterFlags(fs)
 	fs.DurationVar(&c.OSSDelay, "oss-delay", c.OSSDelay, "emulated OSS switching time")
 	fs.DurationVar(&c.RPCTimeout, "rpc-timeout", c.RPCTimeout, "per-device RPC deadline")
 

@@ -25,14 +25,14 @@ var flagless = map[string]string{
 }
 
 // leaves returns the value of every field of a RegionConfig by name, the
-// fields of Profile as Profile.X.
+// fields of Profile as Profile.X and of the embedded Spec as Spec.X.
 func leaves(c RegionConfig) map[string]any {
 	out := map[string]any{}
 	var walk func(prefix string, v reflect.Value)
 	walk = func(prefix string, v reflect.Value) {
 		for i := 0; i < v.NumField(); i++ {
 			name := prefix + v.Type().Field(i).Name
-			if name == "Profile" {
+			if name == "Profile" || name == "Spec" {
 				walk(name+".", v.Field(i))
 			} else if f := v.Field(i); f.Kind() == reflect.Func {
 				out[name] = f.IsNil() // funcs compare only with nil

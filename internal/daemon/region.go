@@ -10,6 +10,7 @@ import (
 	"iris/internal/chaos"
 	"iris/internal/control"
 	"iris/internal/fabric"
+	"iris/internal/fibermap"
 	"iris/internal/flowsim"
 	"iris/internal/history"
 	"iris/internal/optics"
@@ -103,13 +104,10 @@ func (d *Daemon) Demand() (DemandSummary, bool) {
 // assembly path shared by cmd/irisd and the fleet supervisor, so the two
 // cannot drift. Construct with DefaultRegionConfig and mutate.
 type RegionConfig struct {
-	// Toy selects the paper's Fig. 10 toy region; otherwise a map is
-	// generated and DCs placed from Seed / DCs.
-	Toy bool
-	// Seed seeds the map, traffic and jitter; derived streams use
+	// Spec names the region (the toy, or the map and placement of Seed
+	// with DCs). Seed also seeds traffic and jitter; derived streams use
 	// Seed+1..Seed+4 so one value pins the whole region.
-	Seed int64
-	DCs  int
+	fibermap.Spec
 	// DCCapacity and Lambda pass through to fabric bring-up (0 = its
 	// defaults: 10 fiber-pairs, 40 wavelengths).
 	DCCapacity int
@@ -176,7 +174,8 @@ type RegionConfig struct {
 	Now func() time.Time
 }
 
-// DefaultRegionConfig returns irisd's region defaults: the toy map, 2 s
+// DefaultRegionConfig returns irisd's region defaults: the toy map (with
+// -toy=false, fibermap.DefaultSpec's seed-1 8-DC region), 2 s
 // control loop, 1 s probes, flat traffic at 0.7 hose utilisation, tracing
 // on, chaos, robust mode and flow monitoring off. They are also the
 // defaults RegisterFlags shows. The control-loop, RPC and robust values
@@ -185,10 +184,10 @@ type RegionConfig struct {
 // field and give them no name to read.
 func DefaultRegionConfig() RegionConfig {
 	rb := robust.DefaultConfig()
+	spec := fibermap.DefaultSpec()
+	spec.Toy = true
 	return RegionConfig{
-		Toy:            true,
-		Seed:           1,
-		DCs:            5,
+		Spec:           spec,
 		OSSDelay:       time.Duration(optics.OSSSwitchTimeMS) * time.Millisecond,
 		RPCTimeout:     control.DefaultRPCTimeout,
 		Interval:       defaultInterval,
@@ -289,10 +288,7 @@ func BuildRegion(cfg RegionConfig) (*BuiltRegion, error) {
 
 	// Traffic: a heavy-tailed base matrix evolved by the §6.3 change
 	// process, in wavelength units against each DC's hose capacity.
-	caps := make(map[int]float64)
-	for dc, c := range rig.Dep.Region.Capacity {
-		caps[dc] = float64(c * rig.Dep.Region.Lambda)
-	}
+	caps := rig.Dep.Region.HoseCaps()
 	m := rig.Dep.Region.Map
 	base := traffic.HeavyTailed(rand.New(rand.NewSource(cfg.Seed)), m.DCs(), caps, cfg.Util)
 	var feed traffic.Source = traffic.NewEvolver(cfg.Seed+1, base,

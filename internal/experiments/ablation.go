@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"iris/internal/clos"
+	"iris/internal/core"
 	"iris/internal/cost"
 	"iris/internal/fibermap"
 	"iris/internal/hose"
@@ -56,20 +57,12 @@ func ClosAblation(cfg ClosConfig) ([]ClosRow, error) {
 	planner := plan.NewPlanner() // reused arena; rows only read pl within the iteration
 	for _, seed := range cfg.MapSeeds {
 		for _, n := range cfg.Ns {
-			gcfg := fibermap.DefaultGen()
-			gcfg.Seed = seed
-			m := fibermap.Generate(gcfg)
-			pcfg := fibermap.DefaultPlace()
-			pcfg.Seed, pcfg.N = seed*31+int64(n), n
-			dcs, err := fibermap.PlaceDCs(m, pcfg)
+			m, err := fibermap.Placed(seed, seed*31+int64(n), n)
 			if err != nil {
 				return nil, fmt.Errorf("map %d n=%d: %w", seed, n, err)
 			}
-			caps := make(map[int]int, len(dcs))
-			for _, dc := range dcs {
-				caps[dc] = cfg.F
-			}
-			pl, err := planner.Plan(plan.Input{Map: m, Capacity: caps, Lambda: cfg.Lambda})
+			r := core.UniformRegion(m, cfg.F, cfg.Lambda)
+			pl, err := planner.Plan(plan.Input{Map: m, Capacity: r.Capacity, Lambda: r.Lambda})
 			if err != nil {
 				return nil, err
 			}
@@ -160,20 +153,12 @@ func WSSAblation(cfg WSSConfig) ([]WSSRow, error) {
 	planner := plan.NewPlanner() // reused arena; rows only read pl within the iteration
 	for _, seed := range cfg.MapSeeds {
 		for _, n := range cfg.Ns {
-			gcfg := fibermap.DefaultGen()
-			gcfg.Seed = seed
-			m := fibermap.Generate(gcfg)
-			pcfg := fibermap.DefaultPlace()
-			pcfg.Seed, pcfg.N = seed*31+int64(n), n
-			dcs, err := fibermap.PlaceDCs(m, pcfg)
+			m, err := fibermap.Placed(seed, seed*31+int64(n), n)
 			if err != nil {
 				return nil, fmt.Errorf("map %d n=%d: %w", seed, n, err)
 			}
-			caps := make(map[int]int, len(dcs))
-			for _, dc := range dcs {
-				caps[dc] = cfg.F
-			}
-			pl, err := planner.Plan(plan.Input{Map: m, Capacity: caps, Lambda: cfg.Lambda})
+			r := core.UniformRegion(m, cfg.F, cfg.Lambda)
+			pl, err := planner.Plan(plan.Input{Map: m, Capacity: r.Capacity, Lambda: r.Lambda})
 			if err != nil {
 				return nil, err
 			}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"iris/internal/core"
 	"iris/internal/cost"
 	"iris/internal/fibermap"
 	"iris/internal/plan"
@@ -52,19 +53,11 @@ func CentralVsDistributed(cfg CentralConfig) ([]CentralRow, error) {
 	distPlanner := plan.NewPlanner()
 	centPlanner := plan.NewPlanner()
 	for _, seed := range cfg.MapSeeds {
-		gcfg := fibermap.DefaultGen()
-		gcfg.Seed = seed
-		m := fibermap.Generate(gcfg)
-		pcfg := fibermap.DefaultPlace()
-		pcfg.Seed, pcfg.N = seed+9, cfg.N
-		dcs, err := fibermap.PlaceDCs(m, pcfg)
+		m, err := fibermap.Placed(seed, seed+9, cfg.N)
 		if err != nil {
 			return nil, fmt.Errorf("map %d: %w", seed, err)
 		}
-		caps := make(map[int]int, len(dcs))
-		for _, dc := range dcs {
-			caps[dc] = cfg.F
-		}
+		caps := core.UniformRegion(m, cfg.F, cfg.Lambda).Capacity
 		h1, h2 := fibermap.ChooseHubs(m, cfg.HubSpreadKM)
 
 		dist, err := distPlanner.Plan(plan.Input{Map: m, Capacity: caps, Lambda: cfg.Lambda})

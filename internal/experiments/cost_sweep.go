@@ -5,6 +5,7 @@ import (
 	"strings"
 	"sync"
 
+	"iris/internal/core"
 	"iris/internal/cost"
 	"iris/internal/fibermap"
 	"iris/internal/graph"
@@ -121,7 +122,6 @@ var sweepPool = sync.Pool{New: func() any {
 // fields are read-only once prepared.
 type sweepRegion struct {
 	m    *fibermap.Map
-	dcs  []int
 	base *graph.Graph
 }
 
@@ -146,11 +146,10 @@ func prepareRegions(cfg SweepConfig) (map[regionKey]*sweepRegion, error) {
 			m := base.Clone()
 			pcfg := fibermap.DefaultPlace()
 			pcfg.Seed, pcfg.N = seed*31+int64(n), n
-			dcs, err := fibermap.PlaceDCs(m, pcfg)
-			if err != nil {
+			if _, err := fibermap.PlaceDCs(m, pcfg); err != nil {
 				return fmt.Errorf("map %d n=%d: %w", seed, n, err)
 			}
-			out[regionKey{seed, n}] = &sweepRegion{m: m, dcs: dcs, base: plan.BaseGraph(m)}
+			out[regionKey{seed, n}] = &sweepRegion{m: m, base: plan.BaseGraph(m)}
 		}
 		perSeed[i] = out
 		return nil
@@ -203,10 +202,7 @@ func Sweep(cfg SweepConfig) ([]SweepRow, error) {
 	err = parallel.ForEach(len(scens), cfg.Parallelism, func(i int) error {
 		sc := scens[i]
 		reg := regions[regionKey{sc.MapSeed, sc.N}]
-		caps := make(map[int]int, len(reg.dcs))
-		for _, dc := range reg.dcs {
-			caps[dc] = sc.F
-		}
+		caps := core.UniformRegion(reg.m, sc.F, sc.Lambda).Capacity
 		rsp := root.Child("row")
 		rsp.SetAttr(fmt.Sprintf("seed=%d n=%d f=%d lambda=%d", sc.MapSeed, sc.N, sc.F, sc.Lambda))
 		defer rsp.Finish()
@@ -363,12 +359,8 @@ type ToyResult struct {
 
 // Toy reproduces the §3.4 cost comparison on the Fig. 10 region.
 func Toy() (ToyResult, error) {
-	r := fibermap.Toy()
-	caps := make(map[int]int)
-	for _, dc := range r.Map.DCs() {
-		caps[dc] = 10
-	}
-	pl, err := plan.New(plan.Input{Map: r.Map, Capacity: caps, Lambda: 40})
+	r := core.UniformRegion(fibermap.Toy().Map, 10, 40)
+	pl, err := plan.New(plan.Input{Map: r.Map, Capacity: r.Capacity, Lambda: r.Lambda})
 	if err != nil {
 		return ToyResult{}, err
 	}

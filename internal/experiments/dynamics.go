@@ -198,20 +198,11 @@ func DefaultFig17Region() Fig17RegionConfig {
 
 // Fig17Region runs the study on one planned deployment.
 func Fig17Region(cfg Fig17RegionConfig) ([]Fig17Point, error) {
-	gcfg := fibermap.DefaultGen()
-	gcfg.Seed = cfg.MapSeed
-	m := fibermap.Generate(gcfg)
-	pcfg := fibermap.DefaultPlace()
-	pcfg.Seed, pcfg.N = cfg.MapSeed, cfg.NDCs
-	dcs, err := fibermap.PlaceDCs(m, pcfg)
+	m, err := fibermap.Spec{Seed: cfg.MapSeed, DCs: cfg.NDCs}.Map()
 	if err != nil {
 		return nil, err
 	}
-	caps := make(map[int]int, len(dcs))
-	for _, dc := range dcs {
-		caps[dc] = cfg.F
-	}
-	dep, err := core.Plan(core.Region{Map: m, Capacity: caps, Lambda: cfg.Lambda}, core.Options{})
+	dep, err := core.Plan(core.UniformRegion(m, cfg.F, cfg.Lambda), core.Options{})
 	if err != nil {
 		return nil, err
 	}

@@ -63,18 +63,13 @@ type Fig3Result struct {
 func Fig3(cfg Fig3Config) (Fig3Result, error) {
 	var pool []float64
 	for seed := int64(0); seed < int64(cfg.Regions); seed++ {
-		gcfg := fibermap.DefaultGen()
-		gcfg.Seed = seed
-		m := fibermap.Generate(gcfg)
-		pcfg := fibermap.DefaultPlace()
-		pcfg.Seed, pcfg.N = seed*7+1, cfg.DCsPerRegion
-		dcs, err := fibermap.PlaceDCs(m, pcfg)
+		m, err := fibermap.Placed(seed, seed*7+1, cfg.DCsPerRegion)
 		if err != nil {
 			return Fig3Result{}, fmt.Errorf("region %d: %w", seed, err)
 		}
 		h1, h2 := fibermap.ChooseHubs(m, cfg.HubSpreadKM)
 		var dcPts []geo.Point
-		for _, dc := range dcs {
+		for _, dc := range m.DCs() {
 			dcPts = append(dcPts, m.Nodes[dc].Pos)
 		}
 		hubs := []geo.Point{m.Nodes[h1].Pos, m.Nodes[h2].Pos}
@@ -128,19 +123,14 @@ func Fig6(cfg Fig6Config) (Fig6Result, error) {
 	span := cfg.MaxDCs - cfg.MinDCs + 1
 	for seed := int64(0); seed < int64(cfg.Regions); seed++ {
 		n := cfg.MinDCs + int(seed)%span
-		gcfg := fibermap.DefaultGen()
-		gcfg.Seed = seed
-		m := fibermap.Generate(gcfg)
-		pcfg := fibermap.DefaultPlace()
-		pcfg.Seed, pcfg.N = seed+50, n
-		dcs, err := fibermap.PlaceDCs(m, pcfg)
+		m, err := fibermap.Placed(seed, seed+50, n)
 		if err != nil {
 			return Fig6Result{}, fmt.Errorf("region %d: %w", seed, err)
 		}
 		a := siting.DefaultAnalysis(m)
 		a.GridCellKM = cfg.GridCellKM
 		h1, h2 := fibermap.ChooseHubs(m, cfg.HubSpreadKM)
-		r, err := a.AreaIncrease(h1, h2, dcs)
+		r, err := a.AreaIncrease(h1, h2, m.DCs())
 		if err != nil {
 			return Fig6Result{}, fmt.Errorf("region %d: %w", seed, err)
 		}

@@ -24,15 +24,11 @@ func DefaultFig5() Fig5Config { return Fig5Config{Seed: 2, DCs: 4, Width: 72} }
 // area ('+' plus '#') is identical in both; the centralized area ('#')
 // shrinks when the hubs spread out.
 func Fig5(cfg Fig5Config) (nearMap, farMap string, err error) {
-	gcfg := fibermap.DefaultGen()
-	gcfg.Seed = cfg.Seed
-	m := fibermap.Generate(gcfg)
-	pcfg := fibermap.DefaultPlace()
-	pcfg.Seed, pcfg.N = cfg.Seed+50, cfg.DCs
-	dcs, err := fibermap.PlaceDCs(m, pcfg)
+	m, err := fibermap.Placed(cfg.Seed, cfg.Seed+50, cfg.DCs)
 	if err != nil {
 		return "", "", err
 	}
+	dcs := m.DCs()
 	a := siting.DefaultAnalysis(m)
 	a.GridCellKM = 4
 

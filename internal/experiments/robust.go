@@ -123,20 +123,12 @@ func RobustAblation(cfg RobustAblationConfig) ([]RobustAblationRow, error) {
 // robustDeployment plans the ablation's region: the toy map, 10
 // fiber-pairs per DC, 40 wavelengths.
 func robustDeployment() (*core.Deployment, error) {
-	r := fibermap.Toy()
-	caps := make(map[int]int)
-	for _, dc := range r.Map.DCs() {
-		caps[dc] = 10
-	}
-	return core.Plan(core.Region{Map: r.Map, Capacity: caps, Lambda: 40}, core.DefaultOptions())
+	return core.Plan(core.UniformRegion(fibermap.Toy().Map, 10, 40), core.DefaultOptions())
 }
 
 // matrixSequence rolls the cell's full shift sequence up front.
 func matrixSequence(dep *core.Deployment, cfg RobustAblationConfig, bound float64) ([]*traffic.Matrix, error) {
-	capsW := make(map[int]float64)
-	for dc, c := range dep.Region.Capacity {
-		capsW[dc] = float64(c * dep.Region.Lambda)
-	}
+	capsW := dep.Region.HoseCaps()
 	dcs := dep.Region.Map.DCs()
 	cp := traffic.ChangeProcess{Bound: bound, Caps: capsW, Util: cfg.Util}
 	base := traffic.HeavyTailed(rand.New(rand.NewSource(cfg.Seed)), dcs, capsW, cfg.Util)

@@ -86,33 +86,15 @@ type SurvivabilityResult struct {
 
 // Survivability plans the configured region and audits it.
 func Survivability(cfg SurvivabilityConfig) (*SurvivabilityResult, error) {
-	var (
-		m    *fibermap.Map
-		name string
-	)
-	if cfg.Toy {
-		m = fibermap.Toy().Map
-		name = "toy (Fig. 10)"
-	} else {
-		gcfg := fibermap.DefaultGen()
-		gcfg.Seed = cfg.Seed
-		m = fibermap.Generate(gcfg)
-		pcfg := fibermap.DefaultPlace()
-		pcfg.Seed, pcfg.N = cfg.Seed, cfg.DCs
-		sites, err := fibermap.PlaceDCs(m, pcfg)
-		if err != nil {
-			return nil, fmt.Errorf("place DCs: %w", err)
-		}
-		name = fmt.Sprintf("synthetic seed=%d dcs=%d", cfg.Seed, len(sites))
+	m, err := fibermap.Spec{Toy: cfg.Toy, Seed: cfg.Seed, DCs: cfg.DCs}.Map()
+	if err != nil {
+		return nil, fmt.Errorf("place DCs: %w", err)
 	}
-	caps := make(map[int]int)
-	for _, dc := range m.DCs() {
-		caps[dc] = cfg.Capacity
+	name := "toy (Fig. 10)"
+	if !cfg.Toy {
+		name = fmt.Sprintf("synthetic seed=%d dcs=%d", cfg.Seed, len(m.DCs()))
 	}
-	dep, err := core.Plan(
-		core.Region{Map: m, Capacity: caps, Lambda: cfg.Lambda},
-		core.Options{MaxFailures: cfg.MaxFailures},
-	)
+	dep, err := core.Plan(core.UniformRegion(m, cfg.Capacity, cfg.Lambda), core.Options{MaxFailures: cfg.MaxFailures})
 	if err != nil {
 		return nil, err
 	}

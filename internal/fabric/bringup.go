@@ -15,8 +15,9 @@ import (
 // which every binary that runs a region goes through, calls it, and so do
 // bench/ and the tests that need a live fabric.
 type BringUpConfig struct {
-	// Toy selects the paper's Fig. 10 toy region; otherwise a map is
-	// generated and DCs are placed from Seed / DCs.
+	// Toy, Seed and DCs name the region as a fibermap.Spec does. They are
+	// fields of their own, not an embedded Spec, so that a keyed literal
+	// can set them.
 	Toy  bool
 	Seed int64
 	DCs  int
@@ -53,25 +54,12 @@ func BringUp(cfg BringUpConfig) (*Rig, error) {
 	if cfg.Lambda == 0 {
 		cfg.Lambda = 40
 	}
-	var m *fibermap.Map
-	if cfg.Toy {
-		m = fibermap.Toy().Map
-	} else {
-		gcfg := fibermap.DefaultGen()
-		gcfg.Seed = cfg.Seed
-		m = fibermap.Generate(gcfg)
-		pcfg := fibermap.DefaultPlace()
-		pcfg.Seed, pcfg.N = cfg.Seed, cfg.DCs
-		if _, err := fibermap.PlaceDCs(m, pcfg); err != nil {
-			return nil, fmt.Errorf("fabric: bringup: %w", err)
-		}
-	}
-	caps := make(map[int]int)
-	for _, dc := range m.DCs() {
-		caps[dc] = cfg.DCCapacity
+	m, err := fibermap.Spec{Toy: cfg.Toy, Seed: cfg.Seed, DCs: cfg.DCs}.Map()
+	if err != nil {
+		return nil, fmt.Errorf("fabric: bringup: %w", err)
 	}
 	sp := cfg.Tracer.Start(cfg.Tracer.NextID(), "plan")
-	dep, err := core.Plan(core.Region{Map: m, Capacity: caps, Lambda: cfg.Lambda}, core.Options{Span: sp})
+	dep, err := core.Plan(core.UniformRegion(m, cfg.DCCapacity, cfg.Lambda), core.Options{Span: sp})
 	sp.Fail(err)
 	sp.Finish()
 	if err != nil {

@@ -63,10 +63,7 @@ func (e RegionExperiment) Run() (SlowdownReport, error) {
 	}
 	dcs := e.Dep.Region.Map.DCs()
 	lambda := e.Dep.Region.Lambda
-	caps := make(map[int]float64, len(dcs))
-	for _, dc := range dcs {
-		caps[dc] = float64(e.Dep.Region.Capacity[dc] * lambda) // wavelengths
-	}
+	caps := e.Dep.Region.HoseCaps()
 	rng := rand.New(rand.NewSource(e.Seed))
 	m := traffic.HeavyTailed(rng, dcs, caps, e.Util)
 	integerize(m)

@@ -240,10 +240,7 @@ func solve(dep *core.Deployment, ms []*traffic.Matrix, h float64) (*Result, erro
 
 	raw := maxEnvelope(ms)
 	dcs := dep.Region.Map.DCs()
-	capsW := make(map[int]float64, len(dcs))
-	for _, dc := range dcs {
-		capsW[dc] = float64(dep.Region.Capacity[dc] * dep.Region.Lambda)
-	}
+	capsW := dep.Region.HoseCaps()
 	meanTotal := 0.0
 	for _, m := range ms {
 		meanTotal += m.Total()

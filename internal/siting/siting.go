@@ -61,10 +61,14 @@ func reaches(s *fibermap.Site, dists [][]float64, limit float64) bool {
 	return true
 }
 
-// area returns the area (km²) of the measurement grid's cells within
-// limit of every node whose distance vector is in dists.
-func (a Analysis) area(dists [][]float64, limit float64) float64 {
-	sites := a.Map.Sites(geo.GridPoints(a.window(), a.GridCellKM, func(geo.Point) bool { return true }))
+// sites attaches every cell of the measurement grid to the fiber map.
+func (a Analysis) sites() []fibermap.Site {
+	return a.Map.Sites(geo.GridPoints(a.window(), a.GridCellKM, func(geo.Point) bool { return true }))
+}
+
+// area returns the area (km²) of the measurement grid's cells (sites)
+// within limit of every node whose distance vector is in dists.
+func (a Analysis) area(sites []fibermap.Site, dists [][]float64, limit float64) float64 {
 	n := 0
 	for i := range sites {
 		if reaches(&sites[i], dists, limit) {
@@ -79,6 +83,10 @@ func (a Analysis) area(dists [][]float64, limit float64) float64 {
 // each hub must be at most MaxFiberKM/2, so that any DC-hub-DC path meets
 // the SLA (§2.2).
 func (a Analysis) CentralizedArea(hubs ...int) (float64, error) {
+	return a.centralizedArea(a.sites(), hubs)
+}
+
+func (a Analysis) centralizedArea(sites []fibermap.Site, hubs []int) (float64, error) {
 	if len(hubs) == 0 {
 		return 0, fmt.Errorf("siting: centralized analysis needs at least one hub")
 	}
@@ -86,7 +94,7 @@ func (a Analysis) CentralizedArea(hubs ...int) (float64, error) {
 	for i, h := range hubs {
 		dists[i] = a.distancesFrom(h)
 	}
-	return a.area(dists, a.MaxFiberKM/2), nil
+	return a.area(sites, dists, a.MaxFiberKM/2), nil
 }
 
 // DistributedArea returns the area (km²) where a new DC could be sited in
@@ -94,6 +102,10 @@ func (a Analysis) CentralizedArea(hubs ...int) (float64, error) {
 // at most MaxFiberKM. With no existing DCs the whole serviceable window
 // (any site that can attach to the fiber map at all) qualifies.
 func (a Analysis) DistributedArea(existing ...int) (float64, error) {
+	return a.distributedArea(a.sites(), existing)
+}
+
+func (a Analysis) distributedArea(sites []fibermap.Site, existing []int) (float64, error) {
 	for _, dc := range existing {
 		if dc < 0 || dc >= len(a.Map.Nodes) {
 			return 0, fmt.Errorf("siting: DC node %d out of range", dc)
@@ -103,21 +115,23 @@ func (a Analysis) DistributedArea(existing ...int) (float64, error) {
 	for i, dc := range existing {
 		dists[i] = a.distancesFrom(dc)
 	}
-	return a.area(dists, a.MaxFiberKM), nil
+	return a.area(sites, dists, a.MaxFiberKM), nil
 }
 
 // AreaIncrease returns the Fig. 6 metric for one region: the ratio of the
 // distributed service area (given the existing DCs) to the centralized
-// service area (given the two hubs).
+// service area (given the two hubs). Both areas are read off one
+// attachment of the measurement grid.
 func (a Analysis) AreaIncrease(hub1, hub2 int, existing []int) (float64, error) {
-	ca, err := a.CentralizedArea(hub1, hub2)
+	sites := a.sites()
+	ca, err := a.centralizedArea(sites, []int{hub1, hub2})
 	if err != nil {
 		return 0, err
 	}
 	if ca == 0 {
 		return 0, fmt.Errorf("siting: centralized service area is empty")
 	}
-	da, err := a.DistributedArea(existing...)
+	da, err := a.distributedArea(sites, existing)
 	if err != nil {
 		return 0, err
 	}
