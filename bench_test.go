@@ -218,22 +218,20 @@ func BenchmarkAppendixBHybrid(b *testing.B) {
 
 // --- micro-benchmarks for the planner's hot algorithms ---
 
-func benchRegion(b *testing.B, n int) (*fibermap.Map, []int) {
+// benchRegion is the planner benchmarks' region: map 1 with 10 DCs
+// placed by seed 2, 16 fiber-pairs each.
+func benchRegion(b *testing.B) core.Region {
 	b.Helper()
-	gcfg := fibermap.DefaultGen()
-	gcfg.Seed = 1
-	m := fibermap.Generate(gcfg)
-	pcfg := fibermap.DefaultPlace()
-	pcfg.Seed, pcfg.N = 2, n
-	dcs, err := fibermap.PlaceDCs(m, pcfg)
+	m, err := fibermap.Placed(1, 2, 10)
 	if err != nil {
 		b.Fatal(err)
 	}
-	return m, dcs
+	return core.UniformRegion(m, 16, 40)
 }
 
 func BenchmarkDijkstraRegion(b *testing.B) {
-	m, dcs := benchRegion(b, 10)
+	m := benchRegion(b).Map
+	dcs := m.DCs()
 	g := m.Graph()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -272,28 +270,20 @@ func BenchmarkHoseWorstCaseLoad(b *testing.B) {
 }
 
 func BenchmarkPlanNoFailures(b *testing.B) {
-	m, dcs := benchRegion(b, 10)
-	caps := make(map[int]int)
-	for _, dc := range dcs {
-		caps[dc] = 16
-	}
+	r := benchRegion(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := plan.New(plan.Input{Map: m, Capacity: caps, Lambda: 40}); err != nil {
+		if _, err := plan.New(plan.Input{Map: r.Map, Capacity: r.Capacity, Lambda: r.Lambda}); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
 func BenchmarkPlanTwoFailures(b *testing.B) {
-	m, dcs := benchRegion(b, 10)
-	caps := make(map[int]int)
-	for _, dc := range dcs {
-		caps[dc] = 16
-	}
+	r := benchRegion(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		pl, err := plan.New(plan.Input{Map: m, Capacity: caps, Lambda: 40, MaxFailures: 2})
+		pl, err := plan.New(plan.Input{Map: r.Map, Capacity: r.Capacity, Lambda: r.Lambda, MaxFailures: 2})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -308,12 +298,7 @@ func BenchmarkPlanTwoFailures(b *testing.B) {
 // BenchmarkFullSolveCold measures that path (one throwaway Solver per
 // iteration, the old core.Plan cost shape) on the same region.
 func BenchmarkFullSolve(b *testing.B) {
-	m, dcs := benchRegion(b, 10)
-	caps := make(map[int]int)
-	for _, dc := range dcs {
-		caps[dc] = 16
-	}
-	region := core.Region{Map: m, Capacity: caps, Lambda: 40}
+	region := benchRegion(b)
 	opts := core.DefaultOptions()
 	opts.MaxFailures = 1
 	s := core.NewSolver(opts)
@@ -330,12 +315,7 @@ func BenchmarkFullSolve(b *testing.B) {
 }
 
 func BenchmarkFullSolveCold(b *testing.B) {
-	m, dcs := benchRegion(b, 10)
-	caps := make(map[int]int)
-	for _, dc := range dcs {
-		caps[dc] = 16
-	}
-	region := core.Region{Map: m, Capacity: caps, Lambda: 40}
+	region := benchRegion(b)
 	opts := core.DefaultOptions()
 	opts.MaxFailures = 1
 	b.ReportAllocs()

@@ -17,17 +17,7 @@ func main() {
 
 	// The Fig. 10 example: 4 DCs of 160 Tbps each (10 fiber-pairs at 400G
 	// × 40 wavelengths), two hubs, five ducts.
-	toy := fibermap.Toy()
-	capacity := make(map[int]int)
-	for _, dc := range toy.Map.DCs() {
-		capacity[dc] = 10
-	}
-
-	dep, err := core.Plan(core.Region{
-		Map:      toy.Map,
-		Capacity: capacity,
-		Lambda:   40,
-	}, core.Options{})
+	dep, err := core.Plan(core.UniformRegion(fibermap.Toy().Map, 10, 40), core.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -18,12 +18,8 @@ import (
 // to itself. Run with `go test -run '^$' -fuzz '^FuzzParseScenario$'
 // ./internal/chaos` to explore beyond the seed corpus.
 func FuzzParseScenario(f *testing.F) {
-	gcfg := fibermap.DefaultGen()
-	gcfg.Seed = 1
-	bench := fibermap.Generate(gcfg)
-	pcfg := fibermap.DefaultPlace()
-	pcfg.Seed, pcfg.N = 1, 20
-	if _, err := fibermap.PlaceDCs(bench, pcfg); err != nil {
+	bench, err := fibermap.Spec{Seed: 1, DCs: 20}.Map()
+	if err != nil {
 		f.Fatal(err)
 	}
 	maps := []*fibermap.Map{fibermap.Toy().Map, bench}

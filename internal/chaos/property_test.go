@@ -11,23 +11,11 @@ import (
 // plans with the given duct-cut tolerance.
 func planSynthetic(t testing.TB, seed int64, dcs, failures int) *core.Deployment {
 	t.Helper()
-	gcfg := fibermap.DefaultGen()
-	gcfg.Seed = seed
-	m := fibermap.Generate(gcfg)
-	pcfg := fibermap.DefaultPlace()
-	pcfg.Seed, pcfg.N = seed, dcs
-	sites, err := fibermap.PlaceDCs(m, pcfg)
+	m, err := fibermap.Spec{Seed: seed, DCs: dcs}.Map()
 	if err != nil {
 		t.Fatalf("seed %d: place DCs: %v", seed, err)
 	}
-	caps := make(map[int]int)
-	for _, dc := range sites {
-		caps[dc] = 8
-	}
-	dep, err := core.Plan(
-		core.Region{Map: m, Capacity: caps, Lambda: 40},
-		core.Options{MaxFailures: failures},
-	)
+	dep, err := core.Plan(core.UniformRegion(m, 8, 40), core.Options{MaxFailures: failures})
 	if err != nil {
 		t.Fatalf("seed %d: plan: %v", seed, err)
 	}

@@ -13,14 +13,7 @@ import (
 func toyRegion(t *testing.T, failures int) (*fibermap.ToyRegion, *core.Deployment) {
 	t.Helper()
 	toy := fibermap.Toy()
-	caps := make(map[int]int)
-	for _, dc := range toy.Map.DCs() {
-		caps[dc] = 10
-	}
-	dep, err := core.Plan(
-		core.Region{Map: toy.Map, Capacity: caps, Lambda: 40},
-		core.Options{MaxFailures: failures},
-	)
+	dep, err := core.Plan(core.UniformRegion(toy.Map, 10, 40), core.Options{MaxFailures: failures})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,20 +177,11 @@ func TestSiteScenarios(t *testing.T) {
 func TestAmpFailureScenarios(t *testing.T) {
 	// The toy region needs no amplifiers, so use a generated region large
 	// enough to have amplified paths.
-	gcfg := fibermap.DefaultGen()
-	gcfg.Seed = 3
-	m := fibermap.Generate(gcfg)
-	pcfg := fibermap.DefaultPlace()
-	pcfg.Seed, pcfg.N = 3, 4
-	dcs, err := fibermap.PlaceDCs(m, pcfg)
+	m, err := fibermap.Spec{Seed: 3, DCs: 4}.Map()
 	if err != nil {
 		t.Fatal(err)
 	}
-	caps := make(map[int]int)
-	for _, dc := range dcs {
-		caps[dc] = 8
-	}
-	dep, err := core.Plan(core.Region{Map: m, Capacity: caps, Lambda: 40}, core.Options{})
+	dep, err := core.Plan(core.UniformRegion(m, 8, 40), core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -21,11 +21,7 @@ func seededMatrix(dep *Deployment, rng *rand.Rand) *traffic.Matrix {
 	for _, p := range m.Pairs() {
 		m.Set(p, float64(rng.Intn(60)))
 	}
-	caps := make(map[int]float64, len(dcs))
-	for _, dc := range dcs {
-		caps[dc] = float64(dep.Region.Capacity[dc] * dep.Region.Lambda)
-	}
-	m.ClampToHose(caps)
+	m.ClampToHose(dep.Region.HoseCaps())
 	for _, p := range m.Pairs() {
 		m.Set(p, float64(int(m.Get(p))))
 	}

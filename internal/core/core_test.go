@@ -12,11 +12,7 @@ import (
 
 func toyRegion() (Region, *fibermap.ToyRegion) {
 	r := fibermap.Toy()
-	caps := make(map[int]int)
-	for _, dc := range r.Map.DCs() {
-		caps[dc] = 10
-	}
-	return Region{Map: r.Map, Capacity: caps, Lambda: 40}, r
+	return UniformRegion(r.Map, 10, 40), r
 }
 
 func TestPlanToyDeployment(t *testing.T) {
@@ -96,10 +92,7 @@ func TestAllocateWorstCaseMatrixFits(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(17))
 	dcs := region.Map.DCs()
-	caps := make(map[int]float64)
-	for _, dc := range dcs {
-		caps[dc] = float64(region.Capacity[dc] * region.Lambda)
-	}
+	caps := region.HoseCaps()
 	for trial := 0; trial < 200; trial++ {
 		m := traffic.NewMatrix(dcs)
 		for _, p := range m.Pairs() {
@@ -151,20 +144,11 @@ func TestDiffFromEmpty(t *testing.T) {
 }
 
 func TestGeneratedRegionEndToEnd(t *testing.T) {
-	gcfg := fibermap.DefaultGen()
-	gcfg.Seed = 5
-	m := fibermap.Generate(gcfg)
-	pcfg := fibermap.DefaultPlace()
-	pcfg.Seed, pcfg.N = 5, 6
-	dcs, err := fibermap.PlaceDCs(m, pcfg)
+	m, err := fibermap.Spec{Seed: 5, DCs: 6}.Map()
 	if err != nil {
 		t.Fatal(err)
 	}
-	caps := make(map[int]int)
-	for _, dc := range dcs {
-		caps[dc] = 8
-	}
-	dep, err := Plan(Region{Map: m, Capacity: caps, Lambda: 40}, Options{MaxFailures: 1})
+	dep, err := Plan(UniformRegion(m, 8, 40), Options{MaxFailures: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +158,7 @@ func TestGeneratedRegionEndToEnd(t *testing.T) {
 		t.Errorf("EPS/Iris = %.2f; expected a clear Iris advantage", ratio)
 	}
 	// A moderate uniform matrix allocates cleanly.
-	tm := traffic.NewMatrix(dcs)
+	tm := traffic.NewMatrix(m.DCs())
 	for _, p := range tm.Pairs() {
 		tm.Set(p, 40)
 	}

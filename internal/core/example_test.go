@@ -14,11 +14,8 @@ import (
 // traffic matrix, and shows what a traffic shift would reconfigure.
 func Example() {
 	toy := fibermap.Toy()
-	capacity := make(map[int]int)
-	for _, dc := range toy.Map.DCs() {
-		capacity[dc] = 10 // fiber-pairs: 160 Tbps at 400G × 40λ
-	}
-	dep, err := core.Plan(core.Region{Map: toy.Map, Capacity: capacity, Lambda: 40}, core.Options{})
+	// 10 fiber-pairs a DC: 160 Tbps at 400G × 40λ.
+	dep, err := core.Plan(core.UniformRegion(toy.Map, 10, 40), core.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}

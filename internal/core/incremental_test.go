@@ -15,20 +15,11 @@ import (
 // genDeployment plans a synthetic n-DC region for incremental tests.
 func genDeployment(t testing.TB, seed int64, n int) *Deployment {
 	t.Helper()
-	gcfg := fibermap.DefaultGen()
-	gcfg.Seed = seed
-	m := fibermap.Generate(gcfg)
-	pcfg := fibermap.DefaultPlace()
-	pcfg.Seed, pcfg.N = seed, n
-	dcs, err := fibermap.PlaceDCs(m, pcfg)
+	m, err := fibermap.Spec{Seed: seed, DCs: n}.Map()
 	if err != nil {
 		t.Fatal(err)
 	}
-	caps := make(map[int]int, len(dcs))
-	for _, dc := range dcs {
-		caps[dc] = 8
-	}
-	dep, err := Plan(Region{Map: m, Capacity: caps, Lambda: 40}, Options{MaxFailures: 1})
+	dep, err := Plan(UniformRegion(m, 8, 40), Options{MaxFailures: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,11 +103,7 @@ func TestAllocateDeltaStream(t *testing.T) {
 			for _, p := range pairs {
 				m.Set(p, float64(rng.Intn(60)))
 			}
-			caps := make(map[int]float64, len(dcs))
-			for _, dc := range dcs {
-				caps[dc] = float64(dep.Region.Capacity[dc] * dep.Region.Lambda)
-			}
-			m.ClampToHose(caps)
+			m.ClampToHose(dep.Region.HoseCaps())
 			for _, p := range pairs {
 				m.Set(p, float64(int(m.Get(p))))
 			}

@@ -8,20 +8,11 @@ import (
 
 func solverRegion(t *testing.T, seed int64, n, f int) Region {
 	t.Helper()
-	gcfg := fibermap.DefaultGen()
-	gcfg.Seed = seed
-	m := fibermap.Generate(gcfg)
-	pcfg := fibermap.DefaultPlace()
-	pcfg.Seed, pcfg.N = seed, n
-	dcs, err := fibermap.PlaceDCs(m, pcfg)
+	m, err := fibermap.Spec{Seed: seed, DCs: n}.Map()
 	if err != nil {
 		t.Fatalf("seed %d: %v", seed, err)
 	}
-	caps := make(map[int]int)
-	for _, dc := range dcs {
-		caps[dc] = f
-	}
-	return Region{Map: m, Capacity: caps, Lambda: 40}
+	return UniformRegion(m, f, 40)
 }
 
 // A reused Solver must reproduce Plan exactly: same scenario count, same

@@ -235,10 +235,7 @@ func TestHTTPSurface(t *testing.T) {
 // infinite evolving feed and cancels it; Run must drain and return nil.
 func TestRunGracefulShutdown(t *testing.T) {
 	rig := toyRig(t, nil)
-	caps := make(map[int]float64)
-	for dc, c := range rig.Dep.Region.Capacity {
-		caps[dc] = float64(c * rig.Dep.Region.Lambda)
-	}
+	caps := rig.Dep.Region.HoseCaps()
 	feed := traffic.NewEvolver(11, toyMatrix(rig, 60, 45),
 		traffic.ChangeProcess{Bound: 0.4, Caps: caps, Util: 0.5})
 	d, err := New(Config{

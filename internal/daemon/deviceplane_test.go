@@ -30,9 +30,9 @@ type redrawFeed struct {
 }
 
 func newRedrawFeed(rig *fabric.Rig, seed int64) *redrawFeed {
-	caps := make(map[int]float64)
-	for dc, c := range rig.Dep.Region.Capacity {
-		caps[dc] = 0.7 * float64(c*rig.Dep.Region.Lambda)
+	caps := rig.Dep.Region.HoseCaps()
+	for dc := range caps {
+		caps[dc] *= 0.7
 	}
 	rng := rand.New(rand.NewSource(seed))
 	return &redrawFeed{rng: rng, caps: caps, base: traffic.HeavyTailed(rng, rig.Dep.Region.Map.DCs(), caps, 1)}
@@ -416,9 +416,9 @@ type sparseRedrawFeed struct {
 }
 
 func newSparseRedrawFeed(rig *fabric.Rig, seed int64) *sparseRedrawFeed {
-	f := &sparseRedrawFeed{rng: rand.New(rand.NewSource(seed)), caps: make(map[int]float64), use: make(map[int]float64)}
-	for dc, c := range rig.Dep.Region.Capacity {
-		f.caps[dc] = 0.7 * float64(c*rig.Dep.Region.Lambda)
+	f := &sparseRedrawFeed{rng: rand.New(rand.NewSource(seed)), caps: rig.Dep.Region.HoseCaps(), use: make(map[int]float64)}
+	for dc := range f.caps {
+		f.caps[dc] *= 0.7
 	}
 	f.base = traffic.HeavyTailed(rand.New(rand.NewSource(1)), rig.Dep.Region.Map.DCs(), f.caps, 1)
 	f.cur = f.base.Clone()

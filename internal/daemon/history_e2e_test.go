@@ -155,26 +155,15 @@ func replayCritical(base *graph.Graph, demand map[hose.Pair]float64, k int) (ids
 // snapshot; the test lives here to share the oracle with
 // TestHistoryTimeTravel.
 func TestCriticalMatchesReplayK2(t *testing.T) {
-	gcfg := fibermap.DefaultGen()
-	gcfg.Seed = 1
-	m := fibermap.Generate(gcfg)
-	pcfg := fibermap.DefaultPlace()
-	pcfg.Seed, pcfg.N = 1, 20
-	dcs, err := fibermap.PlaceDCs(m, pcfg)
+	m, err := fibermap.Spec{Seed: 1, DCs: 20}.Map()
 	if err != nil {
 		t.Fatal(err)
 	}
-	caps := make(map[int]int)
-	capsW := make(map[int]float64)
-	for _, dc := range dcs {
-		caps[dc] = 16
-		capsW[dc] = 16 * 40
-	}
-	dep, err := core.Plan(core.Region{Map: m, Capacity: caps, Lambda: 40}, core.Options{MaxFailures: 0})
+	dep, err := core.Plan(core.UniformRegion(m, 16, 40), core.Options{MaxFailures: 0})
 	if err != nil {
 		t.Fatal(err)
 	}
-	demand := traffic.HeavyTailed(rand.New(rand.NewSource(1)), m.DCs(), capsW, 0.7).Demand
+	demand := traffic.HeavyTailed(rand.New(rand.NewSource(1)), m.DCs(), dep.Region.HoseCaps(), 0.7).Demand
 	mux := http.NewServeMux()
 	snap := &topoapi.Snapshot{Dep: dep, Demand: topoapi.SortedDemand(demand)}
 	topoapi.New(topoapi.Config{State: func() *topoapi.Snapshot { return snap }}).Register(mux)

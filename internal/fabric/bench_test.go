@@ -37,9 +37,9 @@ func benchRegion(b testing.TB, shims devicetest.Set) (*Rig, [2]core.Allocation) 
 	b.Helper()
 	rig := benchRig(b, shims)
 	dcs := rig.Dep.Region.Map.DCs()
-	caps := make(map[int]float64)
-	for _, dc := range dcs {
-		caps[dc] = 0.7 * float64(rig.Dep.Region.Capacity[dc]*rig.Dep.Region.Lambda)
+	caps := rig.Dep.Region.HoseCaps()
+	for dc := range caps {
+		caps[dc] *= 0.7
 	}
 	rng := rand.New(rand.NewSource(1))
 	base := traffic.HeavyTailed(rng, dcs, caps, 1)

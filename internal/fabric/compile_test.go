@@ -144,9 +144,9 @@ func compileWhole(f *Fabric, alloc core.Allocation) (control.Change, error) {
 // the base, one in ten to zero, clamped into the hose.
 func shiftFeed(rig *Rig, seed int64, redraw float64, n int) []*traffic.Matrix {
 	dcs := rig.Dep.Region.Map.DCs()
-	caps := make(map[int]float64)
-	for _, dc := range dcs {
-		caps[dc] = 0.7 * float64(rig.Dep.Region.Capacity[dc]*rig.Dep.Region.Lambda)
+	caps := rig.Dep.Region.HoseCaps()
+	for dc := range caps {
+		caps[dc] *= 0.7
 	}
 	rng := rand.New(rand.NewSource(seed))
 	base := traffic.HeavyTailed(rng, dcs, caps, 1)

@@ -17,11 +17,7 @@ import (
 func toyDeployment(t *testing.T) (*core.Deployment, *fibermap.ToyRegion) {
 	t.Helper()
 	r := fibermap.Toy()
-	caps := make(map[int]int)
-	for _, dc := range r.Map.DCs() {
-		caps[dc] = 10
-	}
-	dep, err := core.Plan(core.Region{Map: r.Map, Capacity: caps, Lambda: 40}, core.Options{})
+	dep, err := core.Plan(core.UniformRegion(r.Map, 10, 40), core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -295,20 +291,11 @@ func TestEndToEndWithController(t *testing.T) {
 func TestGeneratedRegionFabric(t *testing.T) {
 	// Fabric compilation works on planned synthetic regions, including
 	// paths with amplifiers and cut-throughs.
-	gcfg := fibermap.DefaultGen()
-	gcfg.Seed = 4
-	m := fibermap.Generate(gcfg)
-	pcfg := fibermap.DefaultPlace()
-	pcfg.Seed, pcfg.N = 4, 6
-	dcs, err := fibermap.PlaceDCs(m, pcfg)
+	m, err := fibermap.Spec{Seed: 4, DCs: 6}.Map()
 	if err != nil {
 		t.Fatal(err)
 	}
-	caps := make(map[int]int)
-	for _, dc := range dcs {
-		caps[dc] = 8
-	}
-	dep, err := core.Plan(core.Region{Map: m, Capacity: caps, Lambda: 40}, core.Options{})
+	dep, err := core.Plan(core.UniformRegion(m, 8, 40), core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -316,7 +303,7 @@ func TestGeneratedRegionFabric(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tm := traffic.NewMatrix(dcs)
+	tm := traffic.NewMatrix(m.DCs())
 	for _, p := range tm.Pairs() {
 		tm.Set(p, 50)
 	}

@@ -184,11 +184,7 @@ func TestReconfigureRPCBudget(t *testing.T) {
 	}
 
 	dcs := rig.Dep.Region.Map.DCs()
-	caps := make(map[int]float64)
-	for _, dc := range dcs {
-		caps[dc] = float64(rig.Dep.Region.Capacity[dc] * rig.Dep.Region.Lambda)
-	}
-	tm := traffic.HeavyTailed(rand.New(rand.NewSource(1)), dcs, caps, 0.7)
+	tm := traffic.HeavyTailed(rand.New(rand.NewSource(1)), dcs, rig.Dep.Region.HoseCaps(), 0.7)
 	alloc, err := rig.Dep.Allocate(tm)
 	if err != nil {
 		t.Fatal(err)

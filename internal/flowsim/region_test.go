@@ -11,12 +11,7 @@ import (
 
 func planToy(t *testing.T) *core.Deployment {
 	t.Helper()
-	r := fibermap.Toy()
-	caps := make(map[int]int)
-	for _, dc := range r.Map.DCs() {
-		caps[dc] = 10
-	}
-	dep, err := core.Plan(core.Region{Map: r.Map, Capacity: caps, Lambda: 40}, core.Options{})
+	dep, err := core.Plan(core.UniformRegion(fibermap.Toy().Map, 10, 40), core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,20 +77,12 @@ func TestIntegerizeRoundsNoise(t *testing.T) {
 }
 
 func TestRegionExperimentOnPlannedRegion(t *testing.T) {
-	gcfg := fibermap.DefaultGen()
-	gcfg.Seed = 8
-	m := fibermap.Generate(gcfg)
-	pcfg := fibermap.DefaultPlace()
-	pcfg.Seed, pcfg.N = 8, 6
-	dcs, err := fibermap.PlaceDCs(m, pcfg)
+	m, err := fibermap.Spec{Seed: 8, DCs: 6}.Map()
 	if err != nil {
 		t.Fatal(err)
 	}
-	caps := make(map[int]int)
-	for _, dc := range dcs {
-		caps[dc] = 16 // large circuits so demand swaps move whole fibers
-	}
-	dep, err := core.Plan(core.Region{Map: m, Capacity: caps, Lambda: 40}, core.Options{})
+	// Large circuits, so demand swaps move whole fibers.
+	dep, err := core.Plan(core.UniformRegion(m, 16, 40), core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

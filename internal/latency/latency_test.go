@@ -87,15 +87,11 @@ func TestInflationsSkipsColocated(t *testing.T) {
 func TestFig3Shape(t *testing.T) {
 	var pool []float64
 	for seed := int64(0); seed < 22; seed++ {
-		gcfg := fibermap.DefaultGen()
-		gcfg.Seed = seed
-		m := fibermap.Generate(gcfg)
-		pcfg := fibermap.DefaultPlace()
-		pcfg.Seed, pcfg.N = seed*7+1, 8
-		dcs, err := fibermap.PlaceDCs(m, pcfg)
+		m, err := fibermap.Placed(seed, seed*7+1, 8)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
+		dcs := m.DCs()
 		h1, h2 := fibermap.ChooseHubs(m, 6)
 		var dcPts []geo.Point
 		for _, dc := range dcs {

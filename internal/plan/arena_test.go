@@ -17,15 +17,11 @@ import (
 // arenaInput builds a generated-region planning input.
 func arenaInput(t testing.TB, seed int64, n, f, maxFailures int) Input {
 	t.Helper()
-	gcfg := fibermap.DefaultGen()
-	gcfg.Seed = seed
-	m := fibermap.Generate(gcfg)
-	pcfg := fibermap.DefaultPlace()
-	pcfg.Seed, pcfg.N = seed, n
-	dcs, err := fibermap.PlaceDCs(m, pcfg)
+	m, err := fibermap.Spec{Seed: seed, DCs: n}.Map()
 	if err != nil {
 		t.Fatalf("seed %d: %v", seed, err)
 	}
+	dcs := m.DCs()
 	caps := make(map[int]int)
 	for _, dc := range dcs {
 		caps[dc] = f

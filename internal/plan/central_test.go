@@ -79,15 +79,11 @@ func TestCentralizedVsDistributedOnToy(t *testing.T) {
 }
 
 func TestCentralizedOnGeneratedRegion(t *testing.T) {
-	gcfg := fibermap.DefaultGen()
-	gcfg.Seed = 6
-	m := fibermap.Generate(gcfg)
-	pcfg := fibermap.DefaultPlace()
-	pcfg.Seed, pcfg.N = 6, 6
-	dcs, err := fibermap.PlaceDCs(m, pcfg)
+	m, err := fibermap.Spec{Seed: 6, DCs: 6}.Map()
 	if err != nil {
 		t.Fatal(err)
 	}
+	dcs := m.DCs()
 	caps := make(map[int]int)
 	for _, dc := range dcs {
 		caps[dc] = 8

@@ -470,15 +470,11 @@ func TestPlannedRegionsSatisfyAllConstraints(t *testing.T) {
 	// in the plan satisfies the full optical constraint set and capacity
 	// covers every DC pair's minimum.
 	for seed := int64(0); seed < 3; seed++ {
-		gcfg := fibermap.DefaultGen()
-		gcfg.Seed = seed
-		m := fibermap.Generate(gcfg)
-		pcfg := fibermap.DefaultPlace()
-		pcfg.Seed, pcfg.N = seed, 6
-		dcs, err := fibermap.PlaceDCs(m, pcfg)
+		m, err := fibermap.Spec{Seed: seed, DCs: 6}.Map()
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
+		dcs := m.DCs()
 		caps := make(map[int]int)
 		for i, dc := range dcs {
 			caps[dc] = 8 + 4*(i%3)

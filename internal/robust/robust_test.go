@@ -14,12 +14,7 @@ import (
 
 func toyDep(t *testing.T) *core.Deployment {
 	t.Helper()
-	r := fibermap.Toy()
-	caps := make(map[int]int)
-	for _, dc := range r.Map.DCs() {
-		caps[dc] = 10
-	}
-	dep, err := core.Plan(core.Region{Map: r.Map, Capacity: caps, Lambda: 40}, core.DefaultOptions())
+	dep, err := core.Plan(core.UniformRegion(fibermap.Toy().Map, 10, 40), core.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,10 +24,7 @@ func toyDep(t *testing.T) *core.Deployment {
 // evolve yields k successive matrices of the seeded §6.3 change process at
 // the given utilisation and drift bound.
 func evolve(dep *core.Deployment, seed int64, k int, util, bound float64) []*traffic.Matrix {
-	capsW := make(map[int]float64)
-	for dc, c := range dep.Region.Capacity {
-		capsW[dc] = float64(c * dep.Region.Lambda)
-	}
+	capsW := dep.Region.HoseCaps()
 	dcs := dep.Region.Map.DCs()
 	base := traffic.HeavyTailed(rand.New(rand.NewSource(seed)), dcs, capsW, util)
 	ev := traffic.NewEvolver(seed+1, base, traffic.ChangeProcess{Bound: bound, Caps: capsW, Util: util})
@@ -275,21 +267,13 @@ func TestProvisioned(t *testing.T) {
 // understated by one, each duct must be reported with need equal to the
 // planner's own figure.
 func TestVerifyHubWalkResidualMultiplicity(t *testing.T) {
-	gcfg := fibermap.DefaultGen()
-	gcfg.Seed = 2
-	m := fibermap.Generate(gcfg)
-	pcfg := fibermap.DefaultPlace()
-	pcfg.Seed, pcfg.N = 2, 5
-	dcs, err := fibermap.PlaceDCs(m, pcfg)
+	m, err := fibermap.Spec{Seed: 2, DCs: 5}.Map()
 	if err != nil {
 		t.Fatal(err)
 	}
-	caps := make(map[int]int)
-	for _, dc := range dcs {
-		caps[dc] = 8
-	}
+	r := core.UniformRegion(m, 8, 40)
 	h1, h2 := fibermap.ChooseHubs(m, 5)
-	pl, err := plan.New(plan.Input{Map: m, Capacity: caps, Lambda: 40, MaxFailures: 0, ViaHubs: []int{h1, h2}})
+	pl, err := plan.New(plan.Input{Map: m, Capacity: r.Capacity, Lambda: r.Lambda, MaxFailures: 0, ViaHubs: []int{h1, h2}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -321,7 +305,7 @@ func TestVerifyHubWalkResidualMultiplicity(t *testing.T) {
 	for _, p := range full.Pairs() {
 		full.Set(p, 1)
 	}
-	dep := &core.Deployment{Region: core.Region{Map: m, Capacity: caps, Lambda: 40}, Plan: pl}
+	dep := &core.Deployment{Region: r, Plan: pl}
 	v := verify(dep, core.Allocation{}, []*traffic.Matrix{full})[0]
 	if len(v.ResidualOverloads) != len(planned) {
 		t.Fatalf("%d residual overloads, want one per planned duct (%d): %+v",
@@ -340,17 +324,11 @@ func TestVerifyHubWalkResidualMultiplicity(t *testing.T) {
 // seeded window land on one headroom, to the last bit (summing the
 // envelope in map order gave several on a region of ten DCs).
 func TestSolveHeadroomIsReproducible(t *testing.T) {
-	m := fibermap.Generate(fibermap.DefaultGen())
-	pcfg := fibermap.DefaultPlace()
-	pcfg.N = 10
-	if _, err := fibermap.PlaceDCs(m, pcfg); err != nil {
+	m, err := fibermap.Spec{Seed: 0, DCs: 10}.Map()
+	if err != nil {
 		t.Fatal(err)
 	}
-	caps := make(map[int]int)
-	for _, dc := range m.DCs() {
-		caps[dc] = 10
-	}
-	dep, err := core.Plan(core.Region{Map: m, Capacity: caps, Lambda: 40}, core.DefaultOptions())
+	dep, err := core.Plan(core.UniformRegion(m, 10, 40), core.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}

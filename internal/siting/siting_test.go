@@ -8,16 +8,11 @@ import (
 
 func region(t *testing.T, seed int64, nDCs int) (*fibermap.Map, []int) {
 	t.Helper()
-	gcfg := fibermap.DefaultGen()
-	gcfg.Seed = seed
-	m := fibermap.Generate(gcfg)
-	pcfg := fibermap.DefaultPlace()
-	pcfg.Seed, pcfg.N = seed+50, nDCs
-	dcs, err := fibermap.PlaceDCs(m, pcfg)
+	m, err := fibermap.Placed(seed, seed+50, nDCs)
 	if err != nil {
 		t.Fatalf("seed %d: %v", seed, err)
 	}
-	return m, dcs
+	return m, m.DCs()
 }
 
 func TestCentralizedAreaErrors(t *testing.T) {

@@ -344,26 +344,15 @@ func TestHistoryDiffMatchesFullCompose(t *testing.T) {
 // utilisation and the allocation for it.
 func staticRegion(tb testing.TB) *Snapshot {
 	tb.Helper()
-	gcfg := fibermap.DefaultGen()
-	gcfg.Seed = 1
-	m := fibermap.Generate(gcfg)
-	pcfg := fibermap.DefaultPlace()
-	pcfg.Seed, pcfg.N = 1, 20
-	dcs, err := fibermap.PlaceDCs(m, pcfg)
+	m, err := fibermap.Spec{Seed: 1, DCs: 20}.Map()
 	if err != nil {
 		tb.Fatal(err)
 	}
-	caps := make(map[int]int)
-	capsW := make(map[int]float64)
-	for _, dc := range dcs {
-		caps[dc] = 16
-		capsW[dc] = 16 * 40
-	}
-	dep, err := core.Plan(core.Region{Map: m, Capacity: caps, Lambda: 40}, core.Options{MaxFailures: 0})
+	dep, err := core.Plan(core.UniformRegion(m, 16, 40), core.Options{MaxFailures: 0})
 	if err != nil {
 		tb.Fatal(err)
 	}
-	tm := traffic.HeavyTailed(rand.New(rand.NewSource(1)), m.DCs(), capsW, 0.7)
+	tm := traffic.HeavyTailed(rand.New(rand.NewSource(1)), m.DCs(), dep.Region.HoseCaps(), 0.7)
 	st, err := dep.AllocateState(tm)
 	if err != nil {
 		tb.Fatal(err)
