@@ -59,6 +59,8 @@ var architecture = []rule{
 		"an HTTP body goes through jsonw.Write, the one writer, and appends itself when a measured read serves it; json.Marshal is left to jsonw's string fallback and reflected debug dumps, the line protocol's fallback, the history journal and bench/'s result line"},
 	{[]string{"go in control.Controller", "go in control.client"}, nil, nil,
 		"Controller.round is the one way requests are in flight on several devices; the device side's serve keeps its goroutines"},
+	{[]string{"fibermap.PlaceDCs"}, nil, []string{"internal/fibermap", "internal/experiments/cost_sweep.go", "bench"},
+		"a region is built by fibermap.Spec.Map, or by fibermap.Placed where a figure passes its own placement seed, so one seed names one region in every binary; the cost sweep places on clones of one generated map, and bench/ times generation and placement apart"},
 	{[]string{"file"}, []string{"."}, []string{"doc.go"},
 		"the root package is a package comment and tests; the library is entered through internal/core"},
 }
