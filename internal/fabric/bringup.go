@@ -15,9 +15,9 @@ import (
 // which every binary that runs a region goes through, calls it, and so do
 // bench/ and the tests that need a live fabric.
 type BringUpConfig struct {
-	// Toy, Seed and DCs name the region as a fibermap.Spec does. They are
-	// fields of their own, not an embedded Spec, so that a keyed literal
-	// can set them.
+	// Toy, Seed and DCs name the region as a fibermap.Spec does. They
+	// stay fields of their own rather than an embedded Spec because
+	// keyed literals, bench/'s among them, set them by name.
 	Toy  bool
 	Seed int64
 	DCs  int
