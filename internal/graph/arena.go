@@ -2,6 +2,7 @@ package graph
 
 import (
 	"math"
+	"math/bits"
 	"sync"
 )
 
@@ -30,7 +31,8 @@ import (
 type Scratch struct {
 	done    []bool
 	buckets [][]distItem
-	hi      int // 1 + highest bucket index touched this run
+	full    [maxBuckets / 64]uint64 // bit b set: buckets[b] is not empty
+	hi      int                     // 1 + highest bucket index touched this run
 	queued  int
 	hit     []int // Repair: the nodes being relabelled
 	settled bool  // done is all set, as Repair leaves it
@@ -73,6 +75,7 @@ func (sc *Scratch) reset(n int) {
 	for i := 0; i < sc.hi; i++ {
 		sc.buckets[i] = sc.buckets[i][:0]
 	}
+	clear(sc.full[:(sc.hi+63)/64])
 	sc.hi = 0
 	sc.queued = 0
 }
@@ -88,10 +91,26 @@ func (sc *Scratch) push(it distItem, width float64) {
 		sc.buckets = append(sc.buckets, nil)
 	}
 	sc.buckets[bi] = append(sc.buckets[bi], it)
+	sc.full[bi/64] |= 1 << (bi % 64)
 	if bi+1 > sc.hi {
 		sc.hi = bi + 1
 	}
 	sc.queued++
+}
+
+// next returns the lowest non-empty bucket at or above b, or -1 if there
+// is none: a scan over the occupancy bits, a word of buckets at a time.
+func (sc *Scratch) next(b int) int {
+	w := b / 64
+	m := sc.full[w] &^ (1<<(b%64) - 1)
+	for m == 0 {
+		w++
+		if w*64 >= sc.hi {
+			return -1
+		}
+		m = sc.full[w]
+	}
+	return w*64 + bits.TrailingZeros64(m)
 }
 
 // reset re-initialises a tree's slabs for graph g with every node
@@ -101,16 +120,16 @@ func (t *ShortestPathTree) reset(g *Graph) {
 	if cap(t.Dist) < n {
 		t.Dist = make([]float64, n)
 		t.Hops = make([]int, n)
-		t.prevEdge = make([]int, n)
+		t.pred = make([]step, n)
 	} else {
 		t.Dist = t.Dist[:n]
 		t.Hops = t.Hops[:n]
-		t.prevEdge = t.prevEdge[:n]
+		t.pred = t.pred[:n]
 	}
 	for i := 0; i < n; i++ {
 		t.Dist[i] = Inf
 		t.Hops[i] = math.MaxInt
-		t.prevEdge[i] = -1
+		t.pred[i] = noStep
 	}
 	t.g = g
 	t.Source = -1
@@ -162,8 +181,10 @@ func (g *Graph) dijkstraTo(source, target int, skip []bool, t *ShortestPathTree,
 // Label is one node's label in a shortest-path tree as a repair found it
 // before overwriting it: what Restore puts back.
 type Label struct {
-	node, hops, prevEdge int
-	dist                 float64
+	dist float64
+	hops int
+	node int32
+	pred step
 }
 
 // Repair brings t, the exact tree of its source under some cut, to the
@@ -201,7 +222,7 @@ func (g *Graph) Repair(t *ShortestPathTree, ids []int, skip []bool, sc *Scratch,
 	for _, id := range ids {
 		if idx, ok := g.EdgeIndex(id); ok {
 			for _, v := range [2]int{g.edges[idx].U, g.edges[idx].V} {
-				if t.prevEdge[v] == idx && done[v] {
+				if int(t.pred[v].edge) == idx && done[v] {
 					done[v] = false
 					sc.hit = append(sc.hit, v)
 				}
@@ -212,8 +233,8 @@ func (g *Graph) Repair(t *ShortestPathTree, ids []int, skip []bool, sc *Scratch,
 	// child.
 	for k := 0; k < len(sc.hit); k++ {
 		x := sc.hit[k]
-		for _, idx := range g.adj[x] {
-			if y := g.edges[idx].other(x); done[y] && t.prevEdge[y] == idx {
+		for _, h := range g.nbrs[x] {
+			if y := int(h.to); done[y] && t.pred[y].edge == h.idx {
 				done[y] = false
 				sc.hit = append(sc.hit, y)
 			}
@@ -221,32 +242,31 @@ func (g *Graph) Repair(t *ShortestPathTree, ids []int, skip []bool, sc *Scratch,
 	}
 	hit := sc.hit
 	for _, v := range hit {
-		log = append(log, Label{node: v, hops: t.Hops[v], prevEdge: t.prevEdge[v], dist: t.Dist[v]})
+		log = append(log, Label{dist: t.Dist[v], hops: t.Hops[v], node: int32(v), pred: t.pred[v]})
 		t.Dist[v] = Inf
 		t.Hops[v] = math.MaxInt
-		t.prevEdge[v] = -1
+		t.pred[v] = noStep
 	}
 	width := g.bucketWidth()
 	sc.hi = 0
 	for _, v := range hit {
-		for _, idx := range g.adj[v] {
-			if skip[idx] {
+		for _, h := range g.nbrs[v] {
+			if skip[h.idx] {
 				continue
 			}
-			e := g.edges[idx]
-			u := e.other(v)
+			u := int(h.to)
 			if !done[u] || t.Hops[u] == math.MaxInt {
 				continue
 			}
-			nd := t.Dist[u] + e.W
+			nd := t.Dist[u] + h.w
 			nh := t.Hops[u] + 1
-			if better(nd, nh, u, e.ID, t.Dist[v], t.Hops[v], t.prev(v), t.prevID(v)) {
+			if p := t.pred[v]; better(nd, nh, u, int(h.id), t.Dist[v], t.Hops[v], int(p.node), int(p.id)) {
 				t.Dist[v] = nd
 				t.Hops[v] = nh
-				t.prevEdge[v] = idx
+				t.pred[v] = step{node: h.to, edge: h.idx, id: h.id}
 			}
 		}
-		if t.prevEdge[v] >= 0 {
+		if t.pred[v].edge >= 0 {
 			sc.push(distItem{node: v, dist: t.Dist[v], hops: t.Hops[v]}, width)
 		}
 	}
@@ -262,7 +282,7 @@ func (g *Graph) Repair(t *ShortestPathTree, ids []int, skip []bool, sc *Scratch,
 func (t *ShortestPathTree) Restore(log []Label) {
 	for i := len(log) - 1; i >= 0; i-- {
 		l := log[i]
-		t.Dist[l.node], t.Hops[l.node], t.prevEdge[l.node] = l.dist, l.hops, l.prevEdge
+		t.Dist[l.node], t.Hops[l.node], t.pred[l.node] = l.dist, l.hops, l.pred
 	}
 }
 
@@ -279,10 +299,7 @@ func (t *ShortestPathTree) Restore(log []Label) {
 func (g *Graph) settle(t *ShortestPathTree, sc *Scratch, skip []bool, width float64, target int) {
 	bi := 0
 	for sc.queued > 0 {
-		for bi < sc.hi && len(sc.buckets[bi]) == 0 {
-			bi++
-		}
-		if bi >= sc.hi {
+		if bi = sc.next(bi); bi < 0 {
 			return
 		}
 		b := sc.buckets[bi]
@@ -295,6 +312,9 @@ func (g *Graph) settle(t *ShortestPathTree, sc *Scratch, skip []bool, width floa
 		it := b[mi]
 		b[mi] = b[len(b)-1]
 		sc.buckets[bi] = b[:len(b)-1]
+		if len(b) == 1 {
+			sc.full[bi/64] &^= 1 << (bi % 64)
+		}
 		sc.queued--
 		u := it.node
 		if sc.done[u] {
@@ -304,21 +324,20 @@ func (g *Graph) settle(t *ShortestPathTree, sc *Scratch, skip []bool, width floa
 		if u == target {
 			return
 		}
-		for _, idx := range g.adj[u] {
-			if skip != nil && skip[idx] {
+		du, nh := t.Dist[u], t.Hops[u]+1
+		for _, h := range g.nbrs[u] {
+			if skip != nil && skip[h.idx] {
 				continue
 			}
-			e := g.edges[idx]
-			v := e.other(u)
+			v := int(h.to)
 			if sc.done[v] {
 				continue
 			}
-			nd := t.Dist[u] + e.W
-			nh := t.Hops[u] + 1
-			if better(nd, nh, u, e.ID, t.Dist[v], t.Hops[v], t.prev(v), t.prevID(v)) {
+			nd := du + h.w
+			if p := t.pred[v]; better(nd, nh, u, int(h.id), t.Dist[v], t.Hops[v], int(p.node), int(p.id)) {
 				t.Dist[v] = nd
 				t.Hops[v] = nh
-				t.prevEdge[v] = idx
+				t.pred[v] = step{node: int32(u), edge: h.idx, id: h.id}
 				sc.push(distItem{node: v, dist: nd, hops: nh}, width)
 			}
 		}

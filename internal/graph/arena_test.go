@@ -77,18 +77,17 @@ func (g *Graph) heapDijkstra(source int, seeds []Seed) *ShortestPathTree {
 			continue
 		}
 		done[u] = true
-		for _, idx := range g.adj[u] {
-			e := g.edges[idx]
-			v := e.other(u)
+		for _, he := range g.nbrs[u] {
+			v := int(he.to)
 			if done[v] {
 				continue
 			}
-			nd := t.Dist[u] + e.W
+			nd := t.Dist[u] + he.w
 			nh := t.Hops[u] + 1
-			if better(nd, nh, u, e.ID, t.Dist[v], t.Hops[v], t.prev(v), t.prevID(v)) {
+			if better(nd, nh, u, int(he.id), t.Dist[v], t.Hops[v], t.prev(v), t.prevID(v)) {
 				t.Dist[v] = nd
 				t.Hops[v] = nh
-				t.prevEdge[v] = idx
+				t.pred[v] = step{node: int32(u), edge: he.idx, id: he.id}
 				h = heapPushItem(h, distItem{node: v, dist: nd, hops: nh})
 			}
 		}
@@ -364,7 +363,8 @@ func repairGraph(rng *rand.Rand, integer bool) *Graph {
 }
 
 // sameLabels asserts two trees agree in every node's distance bits, hop
-// count and tree edge.
+// count and last hop (predecessor node, tree edge and its ID), and that
+// got's last hops are edges of its graph that end at their nodes.
 func sameLabels(t *testing.T, what string, got, want *ShortestPathTree) {
 	t.Helper()
 	if got.Source != want.Source {
@@ -372,9 +372,17 @@ func sameLabels(t *testing.T, what string, got, want *ShortestPathTree) {
 	}
 	for v := range want.Dist {
 		if math.Float64bits(got.Dist[v]) != math.Float64bits(want.Dist[v]) ||
-			got.Hops[v] != want.Hops[v] || got.prevEdge[v] != want.prevEdge[v] {
-			t.Fatalf("%s, node %d: (%v, %d, edge %d), want (%v, %d, edge %d)",
-				what, v, got.Dist[v], got.Hops[v], got.prevEdge[v], want.Dist[v], want.Hops[v], want.prevEdge[v])
+			got.Hops[v] != want.Hops[v] || got.pred[v] != want.pred[v] {
+			t.Fatalf("%s, node %d: (%v, %d, %+v), want (%v, %d, %+v)",
+				what, v, got.Dist[v], got.Hops[v], got.pred[v], want.Dist[v], want.Hops[v], want.pred[v])
+		}
+		p := got.pred[v]
+		if p == noStep {
+			continue
+		}
+		e := got.g.edges[p.edge]
+		if int(p.id) != e.ID || !(e.U == v && e.V == int(p.node) || e.V == v && e.U == int(p.node)) {
+			t.Fatalf("%s, node %d: last hop %+v, but edge %d is %d-%d", what, v, p, e.ID, e.U, e.V)
 		}
 	}
 }
@@ -461,7 +469,7 @@ func TestRepairMatchesDijkstra(t *testing.T) {
 	g := randomGraph(rng, 60, 200)
 	tr := g.DijkstraInto(0, nil, new(ShortestPathTree), &sc)
 	cut := NewCut(g)
-	ids := []int{g.edges[tr.prevEdge[7]].ID}
+	ids := []int{int(tr.pred[7].id)}
 	cut.Push(ids[0])
 	run := func() {
 		log = g.Repair(tr, ids, cut.Skip(), &rsc, log[:0])
@@ -474,6 +482,105 @@ func TestRepairMatchesDijkstra(t *testing.T) {
 	if avg := testing.AllocsPerRun(20, run); avg != 0 {
 		t.Fatalf("warmed Repair and Restore allocated %v per run, want 0", avg)
 	}
+}
+
+// fuzzBytes reads a fuzz input a byte at a time; past its end every byte
+// reads 0.
+type fuzzBytes []byte
+
+func (b *fuzzBytes) next() int {
+	if len(*b) == 0 {
+		return 0
+	}
+	v := (*b)[0]
+	*b = (*b)[1:]
+	return int(v)
+}
+
+// FuzzRepairMatchesDijkstra is TestRepairMatchesDijkstra on graphs and
+// cuts decoded from bytes. The graph: a node count up to 24, an edge
+// count up to four per node, then three bytes an edge — its endpoints,
+// and a byte whose low two bits are its weight (0 to 3 km, so whole paths
+// tie and only hops, predecessor and edge ID decide) and whose next bits
+// skip up to two edge IDs. Endpoints may repeat, giving parallel edges and
+// self-loops. Then the source, and a byte whose low bit makes the repairs
+// share DijkstraInto's scratch. Then up to eight stages, a byte each:
+// its low three bits cut one to three edges (0-4, one byte an edge),
+// every edge of one node (5, one byte), an ID the graph lacks (6) or
+// nothing new (7); its high bit lets the tree lag, so the next repair
+// takes both stages. After each repair the tree must equal DijkstraInto's
+// under the same mask, last hops included; then Restore, one or two
+// repairs' logs a call as the bytes left say, must give back every
+// earlier tree.
+func FuzzRepairMatchesDijkstra(f *testing.F) {
+	f.Add([]byte{3, 3, 0, 1, 0, 1, 2, 0, 0, 2, 0, 0, 0, 0})                                                // a zero-weight triangle, one edge cut
+	f.Add([]byte{4, 6, 0, 1, 1, 0, 1, 5, 1, 2, 1, 2, 3, 1, 0, 3, 3, 1, 1, 1, 0, 0, 1, 133, 2, 5, 1, 6, 7}) // parallel edges, a self-loop, a lag
+	rng := rand.New(rand.NewSource(53))
+	for i := 0; i < 6; i++ {
+		seed := make([]byte, 40+rng.Intn(200))
+		rng.Read(seed)
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		in := fuzzBytes(data)
+		n := 1 + in.next()%24
+		g := New(n)
+		id := 0
+		for m := in.next() % (4*n + 1); m > 0; m-- {
+			u, v, w := in.next()%n, in.next()%n, in.next()
+			id += 1 + (w>>2)%3
+			g.AddEdge(id, u, v, float64(w%4))
+		}
+		edges := g.Edges()
+		source := in.next() % n
+		var tree, want ShortestPathTree
+		var sc, rsc Scratch
+		rs := &rsc
+		if in.next()%2 == 1 {
+			rs = &sc
+		}
+		cut := NewCut(g)
+		g.DijkstraInto(source, nil, &tree, &sc)
+		trees := []*ShortestPathTree{tree.Clone()} // trees[r]: before repair r
+		var offs []int                             // offs[r]: where repair r's labels start
+		var pending []int                          // IDs cut since the last repair
+		var log []Label
+		for stage := 0; stage < 8 && len(in) > 0; stage++ {
+			op := in.next()
+			before := slices.Clone(cut.IDs())
+			switch {
+			case op%8 < 5 && len(edges) > 0:
+				for k := 1 + op/8%3; k > 0; k-- {
+					cut.Push(edges[in.next()%len(edges)].ID)
+				}
+			case op%8 == 5:
+				neighbors(g, in.next()%n, func(e Edge) { cut.Push(e.ID) })
+			case op%8 == 6:
+				cut.Push(g.MaxEdgeID() + 1 + op/8%3)
+			}
+			for _, id := range cut.IDs() {
+				if !slices.Contains(before, id) {
+					pending = append(pending, id)
+				}
+			}
+			if op >= 128 && stage < 7 && len(in) > 0 {
+				continue
+			}
+			offs = append(offs, len(log))
+			log = g.Repair(&tree, pending, cut.Skip(), rs, log)
+			pending = pending[:0]
+			g.DijkstraInto(source, cut.Skip(), &want, &sc)
+			sameLabels(t, fmt.Sprintf("stage %d, cut %v, source %d", stage, cut.IDs(), source), &tree, &want)
+			trees = append(trees, tree.Clone())
+		}
+		for r := len(offs); r > 0; {
+			back := r - 1 - in.next()%min(2, r)
+			tree.Restore(log[offs[back]:])
+			log = log[:offs[back]]
+			sameLabels(t, fmt.Sprintf("restored to before repair %d of %d", back, len(offs)), &tree, trees[back])
+			r = back
+		}
+	})
 }
 
 // TestStoppedSearchMatchesDijkstraInto binds the early stop of Yen's spur

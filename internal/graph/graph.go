@@ -24,16 +24,12 @@ type Edge struct {
 	W    float64 // weight (kilometres of fiber, for the planner)
 }
 
-// other returns the endpoint of e that is not n. It panics if n is not an
-// endpoint, which indicates a programming error.
-func (e Edge) other(n int) int {
-	switch n {
-	case e.U:
-		return e.V
-	case e.V:
-		return e.U
-	}
-	panic(fmt.Sprintf("graph: node %d is not an endpoint of edge %d (%d-%d)", n, e.ID, e.U, e.V))
+// half is one end of an edge as a node's adjacency holds it: the node at
+// the other end and the edge's index, ID and weight. A neighbour scan
+// reads these entries alone and never the edge list.
+type half struct {
+	to, idx, id int32
+	w           float64
 }
 
 // Graph is a weighted undirected multigraph. The zero value is an empty
@@ -50,9 +46,9 @@ func (e Edge) other(n int) int {
 type Graph struct {
 	n     int
 	edges []Edge
-	byID  []int32 // edge ID -> index in edges, -1 when absent
-	adj   [][]int // node -> indices into edges
-	minW  float64 // smallest positive edge weight: the bucket quantum
+	byID  []int32  // edge ID -> index in edges, -1 when absent
+	nbrs  [][]half // node -> its edges' ends, in insertion order
+	minW  float64  // smallest positive edge weight: the bucket quantum
 
 	// sptMu guards spt, the per-source memo of Dijkstra trees. Mutation
 	// (AddEdge) invalidates the whole memo.
@@ -63,8 +59,8 @@ type Graph struct {
 // New returns an empty graph with n nodes and no edges.
 func New(n int) *Graph {
 	return &Graph{
-		n:   n,
-		adj: make([][]int, n),
+		n:    n,
+		nbrs: make([][]half, n),
 	}
 }
 
@@ -86,6 +82,9 @@ func (g *Graph) AddEdge(id, u, v int, w float64) {
 	if id < 0 {
 		panic(fmt.Sprintf("graph: negative edge ID %d", id))
 	}
+	if id > math.MaxInt32 {
+		panic(fmt.Sprintf("graph: edge ID %d does not fit the adjacency", id))
+	}
 	for id >= len(g.byID) {
 		g.byID = append(g.byID, -1)
 	}
@@ -94,18 +93,25 @@ func (g *Graph) AddEdge(id, u, v int, w float64) {
 	}
 	idx := len(g.edges)
 	g.edges = append(g.edges, Edge{ID: id, U: u, V: v, W: w})
-	g.byID[id] = int32(idx)
-	if w > 0 && (g.minW == 0 || w < g.minW) {
-		g.minW = w
-	}
-	g.adj[u] = append(g.adj[u], idx)
-	if v != u {
-		g.adj[v] = append(g.adj[v], idx)
-	}
+	g.link(idx)
 	// Mutation invalidates every memoised shortest-path tree.
 	g.sptMu.Lock()
 	g.spt = nil
 	g.sptMu.Unlock()
+}
+
+// link indexes edge idx: its ID, the bucket quantum, and one half-edge at
+// each endpoint (one only for a self-loop).
+func (g *Graph) link(idx int) {
+	e := g.edges[idx]
+	g.byID[e.ID] = int32(idx)
+	if e.W > 0 && (g.minW == 0 || e.W < g.minW) {
+		g.minW = e.W
+	}
+	g.nbrs[e.U] = append(g.nbrs[e.U], half{to: int32(e.V), idx: int32(idx), id: int32(e.ID), w: e.W})
+	if e.V != e.U {
+		g.nbrs[e.V] = append(g.nbrs[e.V], half{to: int32(e.U), idx: int32(idx), id: int32(e.ID), w: e.W})
+	}
 }
 
 // Edges returns all edges in insertion order. The slice is shared; callers
@@ -137,7 +143,7 @@ func (g *Graph) WithoutEdges(removed map[int]bool) *Graph {
 		n:     g.n,
 		edges: make([]Edge, 0, len(g.edges)),
 		byID:  make([]int32, len(g.byID)),
-		adj:   make([][]int, g.n),
+		nbrs:  make([][]half, g.n),
 	}
 	for i := range h.byID {
 		h.byID[i] = -1
@@ -146,16 +152,8 @@ func (g *Graph) WithoutEdges(removed map[int]bool) *Graph {
 		if removed[e.ID] {
 			continue
 		}
-		idx := len(h.edges)
 		h.edges = append(h.edges, e)
-		h.byID[e.ID] = int32(idx)
-		if e.W > 0 && (h.minW == 0 || e.W < h.minW) {
-			h.minW = e.W
-		}
-		h.adj[e.U] = append(h.adj[e.U], idx)
-		if e.V != e.U {
-			h.adj[e.V] = append(h.adj[e.V], idx)
-		}
+		h.link(len(h.edges) - 1)
 	}
 	return h
 }
@@ -168,11 +166,20 @@ type ShortestPathTree struct {
 	Source int
 	Dist   []float64 // Dist[v] = distance from Source, Inf if unreachable
 	Hops   []int     // number of edges on the chosen path
-	// prevEdge[v] is the index (into g.edges) of the edge used to reach v,
-	// or -1 for the source / unreachable nodes.
-	prevEdge []int
-	g        *Graph
+	// pred[v] is how v was reached: noStep for the source and
+	// unreachable nodes.
+	pred []step
+	g    *Graph
 }
+
+// step is a label's last hop: the predecessor node and the index and ID
+// of the edge from it. The tie-break reads the node and the ID, and a
+// path walk the node and the index, without loading the edge.
+type step struct {
+	node, edge, id int32
+}
+
+var noStep = step{-1, -1, -1}
 
 // Dijkstra computes single-source shortest paths. Ties on distance are
 // broken first by hop count, then by the smaller predecessor node, then by
@@ -243,19 +250,9 @@ func (g *Graph) DistancesFromSeeds(seeds []Seed) []float64 {
 	return t.Dist
 }
 
-func (t *ShortestPathTree) prev(v int) int {
-	if t.prevEdge[v] < 0 {
-		return -1
-	}
-	return t.g.edges[t.prevEdge[v]].other(v)
-}
+func (t *ShortestPathTree) prev(v int) int { return int(t.pred[v].node) }
 
-func (t *ShortestPathTree) prevID(v int) int {
-	if t.prevEdge[v] < 0 {
-		return -1
-	}
-	return t.g.edges[t.prevEdge[v]].ID
-}
+func (t *ShortestPathTree) prevID(v int) int { return int(t.pred[v].id) }
 
 // better reports whether the candidate (dist, hops, prevNode, edgeID) is a
 // strictly better label than the incumbent under the deterministic order.
@@ -292,11 +289,10 @@ func (t *ShortestPathTree) AppendPathTo(v int, nodes []int, edges []Edge) (_ []i
 	}
 	n0, e0 := len(nodes), len(edges)
 	for v != t.Source {
-		idx := t.prevEdge[v]
-		e := t.g.edges[idx]
-		edges = append(edges, e)
+		p := t.pred[v]
+		edges = append(edges, t.g.edges[p.edge])
 		nodes = append(nodes, v)
-		v = e.other(v)
+		v = int(p.node)
 	}
 	nodes = append(nodes, t.Source)
 	reverseInts(nodes[n0:])
@@ -308,7 +304,7 @@ func (t *ShortestPathTree) AppendPathTo(v int, nodes []int, edges []Edge) (_ []i
 // caller that repairs its own copy in place (Repair).
 func (t *ShortestPathTree) Clone() *ShortestPathTree {
 	c := *t
-	c.Dist, c.Hops, c.prevEdge = slices.Clone(t.Dist), slices.Clone(t.Hops), slices.Clone(t.prevEdge)
+	c.Dist, c.Hops, c.pred = slices.Clone(t.Dist), slices.Clone(t.Hops), slices.Clone(t.pred)
 	return &c
 }
 
@@ -355,12 +351,11 @@ func (g *Graph) ComponentsInto(skip []bool, labels []int) []int {
 		for len(stack) > 0 {
 			n := stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
-			for _, idx := range g.adj[n] {
-				if skip != nil && skip[idx] {
+			for _, h := range g.nbrs[n] {
+				if skip != nil && skip[h.idx] {
 					continue
 				}
-				m := g.edges[idx].other(n)
-				if label[m] < 0 {
+				if m := int(h.to); label[m] < 0 {
 					label[m] = next
 					stack = append(stack, m)
 				}

@@ -28,19 +28,6 @@ func TestAddEdgeValidation(t *testing.T) {
 	}
 }
 
-func TestEdgeOther(t *testing.T) {
-	e := Edge{ID: 7, U: 2, V: 5}
-	if e.other(2) != 5 || e.other(5) != 2 {
-		t.Fatal("Other returned wrong endpoint")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for non-endpoint")
-		}
-	}()
-	e.other(3)
-}
-
 // edgeByID returns the edge with the given ID.
 func edgeByID(g *Graph, id int) (Edge, bool) {
 	idx, ok := g.EdgeIndex(id)
@@ -52,8 +39,8 @@ func edgeByID(g *Graph, id int) (Edge, bool) {
 
 // neighbors calls fn for every edge incident to node n.
 func neighbors(g *Graph, n int, fn func(Edge)) {
-	for _, idx := range g.adj[n] {
-		fn(g.edges[idx])
+	for _, h := range g.nbrs[n] {
+		fn(g.edges[h.idx])
 	}
 }
 

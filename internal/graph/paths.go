@@ -131,8 +131,8 @@ func (g *Graph) KShortestPaths(from, to, k int) []Path {
 			// Looplessness: the spur path must not revisit a root node, so
 			// every edge incident to the root prefix (spur excluded) goes.
 			for _, n := range rootNodes[:len(rootNodes)-1] {
-				for _, idx := range g.adj[n] {
-					removed[idx] = true
+				for _, h := range g.nbrs[n] {
+					removed[h.idx] = true
 				}
 			}
 
@@ -202,7 +202,7 @@ func (g *Graph) Bridges() []int {
 	type frame struct {
 		node      int
 		parentIdx int // index into g.edges of the edge used to enter node
-		next      int // next position in g.adj[node] to scan
+		next      int // next position in g.nbrs[node] to scan
 	}
 	for s := 0; s < g.n; s++ {
 		if disc[s] != -1 {
@@ -214,17 +214,17 @@ func (g *Graph) Bridges() []int {
 		for len(stack) > 0 {
 			f := &stack[len(stack)-1]
 			u := f.node
-			if f.next < len(g.adj[u]) {
-				idx := g.adj[u][f.next]
+			if f.next < len(g.nbrs[u]) {
+				h := g.nbrs[u][f.next]
 				f.next++
-				if idx == f.parentIdx {
+				if int(h.idx) == f.parentIdx {
 					continue
 				}
-				v := g.edges[idx].other(u)
+				v := int(h.to)
 				if disc[v] == -1 {
 					disc[v], low[v] = timer, timer
 					timer++
-					stack = append(stack, frame{node: v, parentIdx: idx})
+					stack = append(stack, frame{node: v, parentIdx: int(h.idx)})
 				} else if disc[v] < low[u] {
 					low[u] = disc[v]
 				}

@@ -293,8 +293,17 @@ func benchPlanRegion20(b *testing.B, k, wantScenarios int, maxRoutes, maxSpanWal
 	}
 	solve()
 	solve()
-	if avg := testing.AllocsPerRun(1, solve); avg != 0 {
-		b.Fatalf("warmed k=%d solve allocated %v, want 0", k, avg)
+	// testing.AllocsPerRun reads the process's allocation count, which
+	// also takes in what other goroutines allocate meanwhile: under
+	// -cpuprofile the profile's writer does, now and then during a solve.
+	// A solve that allocates does so every time, so the least of three
+	// single-solve counts is the solve's own.
+	allocs := testing.AllocsPerRun(1, solve)
+	for i := 1; i < 3 && allocs > 0; i++ {
+		allocs = min(allocs, testing.AllocsPerRun(1, solve))
+	}
+	if allocs != 0 {
+		b.Fatalf("warmed k=%d solve allocated %v, want 0", k, allocs)
 	}
 	before := p.ev.work
 	b.ReportAllocs()

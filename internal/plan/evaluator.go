@@ -195,10 +195,9 @@ type hoseMemo struct {
 }
 
 func (m *hoseMemo) clone() *hoseMemo {
-	return &hoseMemo{
-		idx:   setIndex{width: m.idx.width, slab: slices.Clone(m.idx.slab), table: slices.Clone(m.idx.table)},
-		loads: slices.Clone(m.loads),
-	}
+	c := &hoseMemo{idx: m.idx, loads: slices.Clone(m.loads)}
+	c.idx.slab, c.idx.table = slices.Clone(m.idx.slab), slices.Clone(m.idx.table)
+	return c
 }
 
 // Evaluator routes and loads failure scenarios of one region: a fiber
@@ -867,6 +866,7 @@ func (ev *Evaluator) hoseLoad(set []uint64, override []float64) float64 {
 // nothing.
 type setIndex struct {
 	width int
+	n     int      // keys interned
 	slab  []uint64 // concatenated keys, in ID order
 	table []int32  // open addressing; value is id+1, 0 means empty
 }
@@ -883,7 +883,7 @@ func hashSet(key []uint64) uint32 {
 // intern returns the ID for key, adding it if absent. added reports
 // whether this call created the entry.
 func (s *setIndex) intern(key []uint64) (id int, added bool) {
-	n := len(s.slab) / max(s.width, 1)
+	n := s.n
 	if (n+1)*4 >= len(s.table)*3 {
 		s.table = make([]int32, max(64, len(s.table)*2))
 		for id := 0; id < n; id++ {
@@ -896,6 +896,7 @@ func (s *setIndex) intern(key []uint64) (id int, added bool) {
 		if v == 0 {
 			s.slab = append(s.slab, key...)
 			s.table[i] = int32(n + 1)
+			s.n++
 			return n, true
 		}
 		if id = int(v - 1); slices.Equal(s.slab[id*s.width:(id+1)*s.width], key) {
