@@ -317,8 +317,9 @@ type request struct {
 // (three switches settle in one settling time), and every request's RPC
 // deadline runs from one instant taken before the first send: the round
 // has one deadline, and once it has run out for a device it has for every
-// device behind it. Replies are read in the same order
-// and handed to visit, if there is one. The first failed reply (a
+// device behind it: the clock is read before each reply (recvBy), since a
+// connection's own deadline waits on its timer. Replies are read in the
+// same order and handed to visit, if there is one. The first failed reply (a
 // *DeviceError naming its device) or a failed visit stops the round: the
 // replies still to come are read and discarded, so when round returns no
 // request it sent is in flight and no device applies one of them later
@@ -362,7 +363,7 @@ func (c *Controller) round(ctx context.Context, parent *trace.Span, reqs map[str
 		var res map[string]any
 		err := errs[i]
 		if err == nil {
-			if res, err = clients[i].recv(); err != nil {
+			if res, err = clients[i].recvBy(sent); err != nil {
 				err = &DeviceError{Device: dev, Err: err}
 			}
 		}

@@ -22,6 +22,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"os"
 	"sync"
 	"time"
 )
@@ -304,6 +305,21 @@ func (c *client) recv() (map[string]any, error) {
 		return nil, fmt.Errorf("control: %s: %s", c.op, resp.Error)
 	}
 	return resp.Result, nil
+}
+
+// recvBy is recv for a request whose deadline ran from sent. Once that
+// deadline has passed on the clock the request is abandoned, unread, as
+// timed out. The connection's own deadline takes effect only when its
+// runtime timer fires, which on a busy host can be well after a wedged
+// device earlier in a round used the deadline up; reading the clock first
+// holds every request of the round to the one deadline.
+func (c *client) recvBy(sent time.Time) (map[string]any, error) {
+	if c.rpcTimeout > 0 && !time.Now().Before(sent.Add(c.rpcTimeout)) {
+		op := c.op
+		c.abandon()
+		return nil, fmt.Errorf("control: recv %s: %w", op, os.ErrDeadlineExceeded)
+	}
+	return c.recv()
 }
 
 // abandon gives up the request in flight and unlocks the client; as its
