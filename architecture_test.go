@@ -55,8 +55,10 @@ var architecture = []rule{
 	{[]string{"import encoding/json"}, []string{"internal/control"}, []string{"internal/control/wire.go"},
 		"wire.go is the line protocol's one codec; encoding/json is its fallback for escaped strings and out-of-set values"},
 	{[]string{"import reflect", "fmt.Sscanf"}, []string{"internal/control"}, nil, "the audit compares the typed values wire.go decodes"},
-	{[]string{"encoding/json.Marshal"}, nil, []string{"internal/jsonw", "internal/control/wire.go", "internal/history/history.go", "bench"},
-		"an HTTP body goes through jsonw.Write, the one writer, and appends itself when a measured read serves it; json.Marshal is left to jsonw's string fallback and reflected debug dumps, the line protocol's fallback, the history journal and bench/'s result line"},
+	{[]string{"encoding/json.Marshal"}, nil, []string{"internal/jsonw", "internal/httpjson", "internal/control/wire.go", "internal/history/history.go", "bench"},
+		"an HTTP body goes through httpjson.Write, the one writer, and appends itself when a measured read serves it; json.Marshal is left to jsonw's string fallback, httpjson's reflected debug dumps, the line protocol's fallback, the history journal and bench/'s result line"},
+	{[]string{"import net/http"}, []string{"internal/jsonw", "internal/control"}, nil,
+		"the device plane's codec and the JSON primitives it writes strings with link no HTTP stack; the HTTP writer is httpjson"},
 	{[]string{"go in control.Controller", "go in control.client"}, nil, nil,
 		"Controller.round is the one way requests are in flight on several devices; the device side's serve keeps its goroutines"},
 	{[]string{"fibermap.PlaceDCs"}, nil, []string{"internal/fibermap", "internal/experiments/cost_sweep.go", "bench"},

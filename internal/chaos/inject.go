@@ -12,6 +12,7 @@ import (
 
 	"iris/internal/control"
 	"iris/internal/fabric"
+	"iris/internal/httpjson"
 	"iris/internal/jsonw"
 	"iris/internal/telemetry"
 	"iris/internal/trace"
@@ -354,7 +355,7 @@ func (in *Injector) Snapshot() Status {
 func (in *Injector) Handler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodPost {
-			jsonw.Write(w, http.StatusOK, in.Snapshot())
+			httpjson.Write(w, http.StatusOK, in.Snapshot())
 			return
 		}
 		q := r.URL.Query()
@@ -380,7 +381,7 @@ func (in *Injector) Handler() http.Handler {
 			if after > 0 {
 				time.AfterFunc(after, func() { _ = in.Restore(f.ID) })
 			}
-			jsonw.Write(w, http.StatusOK, f)
+			httpjson.Write(w, http.StatusOK, f)
 		case "restore":
 			id, err := strconv.ParseUint(q.Get("id"), 10, 64)
 			if err != nil {
@@ -391,10 +392,10 @@ func (in *Injector) Handler() http.Handler {
 				http.Error(w, err.Error(), http.StatusNotFound)
 				return
 			}
-			jsonw.Write(w, http.StatusOK, in.Snapshot())
+			httpjson.Write(w, http.StatusOK, in.Snapshot())
 		case "restore_all":
 			in.restoreAll()
-			jsonw.Write(w, http.StatusOK, in.Snapshot())
+			httpjson.Write(w, http.StatusOK, in.Snapshot())
 		default:
 			http.Error(w, "unknown action (want inject, restore or restore_all)", http.StatusBadRequest)
 		}

@@ -12,6 +12,7 @@ import (
 	"iris/internal/chaos"
 	"iris/internal/flowsim"
 	"iris/internal/hose"
+	"iris/internal/httpjson"
 	"iris/internal/jsonw"
 	"iris/internal/topoapi"
 	"iris/internal/trace"
@@ -350,7 +351,7 @@ func (d *Daemon) Handler() http.Handler {
 	})
 	mux.HandleFunc("/status", func(w http.ResponseWriter, r *http.Request) {
 		st := d.Status()
-		jsonw.Write(w, http.StatusOK, &st)
+		httpjson.Write(w, http.StatusOK, &st)
 	})
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
 		if d.brief().serving() {
@@ -373,10 +374,10 @@ func (d *Daemon) Handler() http.Handler {
 		}
 		dump := d.DebugEvents(id)
 		if id != 0 && len(dump.Events) == 0 {
-			jsonw.Error(w, http.StatusNotFound, "no events for reconfig "+strconv.FormatUint(id, 10))
+			httpjson.Error(w, http.StatusNotFound, "no events for reconfig "+strconv.FormatUint(id, 10))
 			return
 		}
-		jsonw.Write(w, http.StatusOK, dump)
+		httpjson.Write(w, http.StatusOK, dump)
 	})
 	mux.HandleFunc("/debug/trace", func(w http.ResponseWriter, r *http.Request) {
 		n := 5
@@ -392,13 +393,13 @@ func (d *Daemon) Handler() http.Handler {
 		if trees == nil {
 			trees = []*trace.Node{}
 		}
-		jsonw.Write(w, http.StatusOK, trees)
+		httpjson.Write(w, http.StatusOK, trees)
 	})
 	if d.cfg.Chaos != nil {
 		mux.Handle("/debug/chaos", d.cfg.Chaos.Handler())
 		mux.HandleFunc("/debug/chaos/cycle", func(w http.ResponseWriter, r *http.Request) {
 			if r.Method != http.MethodPost {
-				jsonw.Error(w, http.StatusMethodNotAllowed, "POST only")
+				httpjson.Error(w, http.StatusMethodNotAllowed, "POST only")
 				return
 			}
 			q := r.URL.Query()
@@ -413,14 +414,14 @@ func (d *Daemon) Handler() http.Handler {
 				sc, err = chaos.ScenarioFromQuery(m, q)
 			}
 			if err != nil {
-				jsonw.Error(w, http.StatusBadRequest, err.Error())
+				httpjson.Error(w, http.StatusBadRequest, err.Error())
 				return
 			}
 			timeout := 30 * time.Second
 			if v := q.Get("timeout"); v != "" {
 				parsed, err := time.ParseDuration(v)
 				if err != nil || parsed <= 0 {
-					jsonw.Error(w, http.StatusBadRequest, "bad timeout")
+					httpjson.Error(w, http.StatusBadRequest, "bad timeout")
 					return
 				}
 				timeout = parsed
@@ -430,10 +431,10 @@ func (d *Daemon) Handler() http.Handler {
 			// ends with the request.
 			res, err := d.chaosCycle(r.Context(), sc, CycleOptions{Timeout: timeout}, true)
 			if err != nil {
-				jsonw.Error(w, http.StatusInternalServerError, err.Error())
+				httpjson.Error(w, http.StatusInternalServerError, err.Error())
 				return
 			}
-			jsonw.Write(w, http.StatusOK, res)
+			httpjson.Write(w, http.StatusOK, res)
 		})
 	}
 	topoapi.New(topoapi.Config{State: d.topoSnapshot, Lake: d.cfg.History}).Register(mux)

@@ -7,7 +7,7 @@ import (
 	"time"
 
 	"iris/internal/history"
-	"iris/internal/jsonw"
+	"iris/internal/httpjson"
 	"iris/internal/telemetry"
 )
 
@@ -43,7 +43,7 @@ func (f *Fleet) Handler() http.Handler {
 		_ = telemetry.MergeText(w, "region", regs)
 	})
 	mux.HandleFunc("/status", func(w http.ResponseWriter, r *http.Request) {
-		jsonw.Write(w, http.StatusOK, f.Status())
+		httpjson.Write(w, http.StatusOK, f.Status())
 	})
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
 		var degraded []string
@@ -61,7 +61,7 @@ func (f *Fleet) Handler() http.Handler {
 		_, _ = w.Write([]byte("degraded: " + strings.Join(degraded, " ") + "\n"))
 	})
 	mux.HandleFunc("/demand", func(w http.ResponseWriter, r *http.Request) {
-		jsonw.Write(w, http.StatusOK, struct {
+		httpjson.Write(w, http.StatusOK, struct {
 			Skew    SkewReport     `json:"skew"`
 			Samples []demandSample `json:"samples"`
 		}{f.bus.skew(), f.bus.snapshot()})
@@ -83,7 +83,7 @@ func (f *Fleet) Handler() http.Handler {
 			}
 			out = append(out, row)
 		}
-		jsonw.Write(w, http.StatusOK, out)
+		httpjson.Write(w, http.StatusOK, out)
 	})
 	mux.HandleFunc("/chaos", func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodPost {
@@ -112,7 +112,7 @@ func (f *Fleet) Handler() http.Handler {
 				return
 			}
 		}
-		jsonw.Write(w, http.StatusOK, f.Storm(r.Context(), cfg))
+		httpjson.Write(w, http.StatusOK, f.Storm(r.Context(), cfg))
 	})
 	mux.HandleFunc("/regions/", func(w http.ResponseWriter, r *http.Request) {
 		rest := strings.TrimPrefix(r.URL.Path, "/regions/")

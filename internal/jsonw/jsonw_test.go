@@ -4,8 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"math"
-	"net/http"
-	"net/http/httptest"
 	"testing"
 	"time"
 )
@@ -72,13 +70,20 @@ func TestPrimitivesMatchMarshal(t *testing.T) {
 	checkSame(t, "Uints", Uints(nil, []uint64{7, 0}), marshal(t, []uint64{7, 0}))
 	checkSame(t, "Strings(nil)", Strings(nil, nil), marshal(t, []string(nil)))
 	checkSame(t, "Strings", Strings(nil, strs), marshal(t, strs))
-	checkSame(t, "Slice(nil)", Slice[errorBody](nil, nil), marshal(t, []map[string]string(nil)))
-	checkSame(t, "Slice", Slice(nil, []errorBody{"a", "<b>"}),
-		marshal(t, []map[string]string{{"error": "a"}, {"error": "<b>"}}))
+	checkSame(t, "Slice(nil)", Slice[named](nil, nil), marshal(t, []map[string]string(nil)))
+	checkSame(t, "Slice", Slice(nil, []named{"a", "<b>"}),
+		marshal(t, []map[string]string{{"name": "a"}, {"name": "<b>"}}))
+}
+
+// named is an appender for Slice: the object {"name": s}.
+type named string
+
+func (n named) AppendJSON(dst []byte) []byte {
+	return append(String(append(dst, `{"name":`...), string(n)), '}')
 }
 
 // TestUnencodableValuesPanic: NaN, ±Inf and a time RFC 3339 cannot hold
-// panic with encoding/json's error, which Write turns into a 500.
+// panic with encoding/json's error, which httpjson.Write turns into a 500.
 func TestUnencodableValuesPanic(t *testing.T) {
 	for name, add := range map[string]func(){
 		"NaN":        func() { Float(nil, math.NaN()) },
@@ -112,37 +117,4 @@ func FuzzJSONAppend(f *testing.F) {
 		}
 		checkSame(t, "Float", Float([]byte("prefix"), x), append([]byte("prefix"), marshal(t, x)...))
 	})
-}
-
-// unencodable appends a float that has no JSON form.
-type unencodable struct{}
-
-func (unencodable) AppendJSON(b []byte) []byte { return Float(append(b, `{"x":`...), math.NaN()) }
-
-// TestWrite: an appended and a reflected value are written as one JSON
-// body with the status asked for; one that cannot be encoded, either
-// way, answers 500 with a JSON error body.
-func TestWrite(t *testing.T) {
-	for _, tc := range []struct {
-		name           string
-		code, wantCode int
-		v              any
-		want           string
-	}{
-		{"appender", http.StatusTeapot, http.StatusTeapot, errorBody("x<y"), `{"error":"x\u003cy"}`},
-		{"reflected", http.StatusOK, http.StatusOK, map[string]int{"b": 2, "a": 1}, `{"a":1,"b":2}`},
-		{"appended NaN", http.StatusOK, http.StatusInternalServerError, unencodable{}, `{"error":"encode: json: unsupported value: NaN"}`},
-		{"reflected NaN", http.StatusOK, http.StatusInternalServerError, map[string]any{"x": math.NaN()}, `{"error":"encode: json: unsupported value: NaN"}`},
-	} {
-		w := httptest.NewRecorder()
-		Write(w, tc.code, tc.v)
-		if w.Code != tc.wantCode || w.Body.String() != tc.want || w.Header().Get("Content-Type") != "application/json" {
-			t.Errorf("%s: %d %s %q, want %d %s application/json", tc.name, w.Code, w.Body, w.Header().Get("Content-Type"), tc.wantCode, tc.want)
-		}
-	}
-	w := httptest.NewRecorder()
-	Error(w, http.StatusNotFound, "no such \"thing\"")
-	if w.Code != http.StatusNotFound || w.Body.String() != `{"error":"no such \"thing\""}` {
-		t.Errorf("Error: %d %s", w.Code, w.Body)
-	}
 }

@@ -78,7 +78,7 @@ func fill(t *testing.T, rng *rand.Rand, v reflect.Value) {
 	}
 }
 
-// appender is a body that appends itself (jsonw.Write's fast path).
+// appender is a body that appends itself (httpjson.Write's fast path).
 type appender interface{ AppendJSON([]byte) []byte }
 
 // sameAsMarshal fails unless v's appender writes what json.Marshal does.

@@ -43,6 +43,7 @@ import (
 	"iris/internal/graph"
 	"iris/internal/history"
 	"iris/internal/hose"
+	"iris/internal/httpjson"
 	"iris/internal/jsonw"
 	"iris/internal/robust"
 	"iris/internal/trace"
@@ -133,9 +134,9 @@ func (s *Server) Register(mux *http.ServeMux) {
 	mux.HandleFunc("/api/history/", s.handleHistoryItem)
 }
 
-// jsonError answers with a JSON error body (jsonw.Error).
+// jsonError answers with a JSON error body (httpjson.Error).
 func jsonError(w http.ResponseWriter, code int, format string, args ...any) {
-	jsonw.Error(w, code, fmt.Sprintf(format, args...))
+	httpjson.Error(w, code, fmt.Sprintf(format, args...))
 }
 
 // snapshot fetches the committed state, handling not-ready and non-GET.
@@ -309,7 +310,7 @@ func (s *Server) handlePaths(w http.ResponseWriter, r *http.Request) {
 		}
 		out = append(out, po)
 	}
-	jsonw.Write(w, http.StatusOK, &pathsBody{From: from, K: k, Paths: out, To: to})
+	httpjson.Write(w, http.StatusOK, &pathsBody{From: from, K: k, Paths: out, To: to})
 }
 
 // criticalDuct is one duct of the criticality ranking.
@@ -469,7 +470,7 @@ func (s *Server) handleCritical(w http.ResponseWriter, r *http.Request) {
 		}
 		return cmp.Compare(a.Duct, b.Duct)
 	})
-	jsonw.Write(w, http.StatusOK, &criticalBody{Ducts: out, K: k})
+	httpjson.Write(w, http.StatusOK, &criticalBody{Ducts: out, K: k})
 }
 
 func (s *Server) handleWhatIf(w http.ResponseWriter, r *http.Request) {
@@ -499,7 +500,7 @@ func (s *Server) handleWhatIf(w http.ResponseWriter, r *http.Request) {
 	}
 	base, auditor := s.tools(snap.Dep)
 	res := auditor.Audit(sc)
-	jsonw.Write(w, http.StatusOK, &whatIfBody{Result: res, Scenario: sc, StrandedDemand: strandedBy(base, sc.Ducts, snap.Demand)})
+	httpjson.Write(w, http.StatusOK, &whatIfBody{Result: res, Scenario: sc, StrandedDemand: strandedBy(base, sc.Ducts, snap.Demand)})
 }
 
 // handleEnvelopeAudit answers /api/whatif?audit=envelope: where the live
@@ -525,7 +526,7 @@ func (s *Server) handleEnvelopeAudit(w http.ResponseWriter, snap *Snapshot) {
 		// zero capacity for.
 		util = -1
 	}
-	jsonw.Write(w, http.StatusOK, map[string]any{
+	httpjson.Write(w, http.StatusOK, map[string]any{
 		"envelope": map[string]any{
 			"matrices": env.Matrices,
 			"headroom": env.Headroom,
@@ -553,7 +554,7 @@ func (s *Server) handleHistory(w http.ResponseWriter, r *http.Request) {
 		jsonError(w, http.StatusBadRequest, "bad n")
 		return
 	}
-	jsonw.Write(w, http.StatusOK, &historyBody{
+	httpjson.Write(w, http.StatusOK, &historyBody{
 		Evicted: s.cfg.Lake.Evicted(),
 		Records: s.cfg.Lake.Summaries(n),
 		Total:   s.cfg.Lake.Len(),
@@ -584,7 +585,7 @@ func (s *Server) handleHistoryItem(w http.ResponseWriter, r *http.Request) {
 		jsonError(w, http.StatusNotFound, "no history record for reconfig %d", id)
 		return
 	}
-	jsonw.Write(w, http.StatusOK, map[string]any{"record": rec, "tree": trace.Tree(rec.Spans)})
+	httpjson.Write(w, http.StatusOK, map[string]any{"record": rec, "tree": trace.Tree(rec.Spans)})
 }
 
 func (s *Server) handleHistoryDiff(w http.ResponseWriter, r *http.Request) {
@@ -645,5 +646,5 @@ func (s *Server) handleHistoryDiff(w http.ResponseWriter, r *http.Request) {
 		ducts := snap.Dep.DuctDeltas(pairs)
 		body.Ducts = &ducts
 	}
-	jsonw.Write(w, http.StatusOK, &body)
+	httpjson.Write(w, http.StatusOK, &body)
 }
