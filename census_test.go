@@ -28,7 +28,7 @@ import (
 // A package whose import path ends in "test" is test support, as
 // net/http/httptest is: only tests call it, and TestArchitecture keeps
 // non-test code from importing it, so the census skips it. DESIGN.md
-// ("Surface") states the rule and the four headings.
+// ("Surface") states the rule and the three headings.
 
 const (
 	modulePath  = "iris"
@@ -37,7 +37,7 @@ const (
 )
 
 // censusHeadings are the allow-list's sections, in file order.
-var censusHeadings = []string{"bench", "oracle", "seam", "paper"}
+var censusHeadings = []string{"bench", "oracle", "seam"}
 
 // stdlibInterfaces are the standard-library interfaces a method may
 // exist to satisfy without any module code naming it.

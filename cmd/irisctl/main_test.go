@@ -61,7 +61,7 @@ func commits(out string) []commit {
 	return cs
 }
 
-// checkCommits fails unless out holds n records, each the six §5.2
+// checkCommits fails unless out holds n records, each the five §5.2
 // phases in order and a passed audit.
 func checkCommits(t *testing.T, out string, n int) {
 	t.Helper()
@@ -69,7 +69,7 @@ func checkCommits(t *testing.T, out string, n int) {
 	if len(cs) != n {
 		t.Fatalf("%d records, want %d, in\n%s", len(cs), n, out)
 	}
-	want := []string{"drain", "switch", "amps", "retune", "fill", "undrain"}
+	want := []string{"drain", "switch", "amps", "retune", "undrain"}
 	for i, c := range cs {
 		if !slices.Equal(c.phases, want) || !strings.HasPrefix(c.verdict, "audit OK") {
 			t.Errorf("record %d: phases %v and %q, want %v and a passed audit", i+1, c.phases, c.verdict, want)

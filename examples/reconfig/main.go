@@ -1,8 +1,8 @@
 // Reconfig: drives the Iris control plane (§5) end to end — emulated OSS,
-// amplifier, transceiver and channel-emulator agents on Unix sockets, a
-// controller that establishes circuits and then executes a drained
-// reconfiguration, and a state audit — followed by the physical-layer view
-// of the same event: the Fig. 14 BER timeline around the switch.
+// amplifier and transceiver agents on Unix sockets, a controller that
+// establishes circuits and then executes a drained reconfiguration, and a
+// state audit — followed by the physical-layer view of the same event: the
+// Fig. 14 BER timeline around the switch.
 //
 //	go run ./examples/reconfig
 package main
@@ -10,7 +10,9 @@ package main
 import (
 	"context"
 	"fmt"
+	"io"
 	"log"
+	"os"
 	"time"
 
 	"iris/internal/control"
@@ -19,7 +21,14 @@ import (
 
 func main() {
 	log.SetFlags(0)
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
 
+// run prints the demonstration to w and fails if a reconfiguration or the
+// audit does.
+func run(w io.Writer) error {
 	tb, err := control.StartTestbed(map[string]control.Device{
 		"dc1-oss":  control.NewOSS(16, 20*time.Millisecond),
 		"dc2-oss":  control.NewOSS(16, 20*time.Millisecond),
@@ -29,12 +38,12 @@ func main() {
 		"dc2-xcvr": control.NewTransceiverBank(2, 40),
 	})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	defer tb.Close()
 
 	ctx := context.Background()
-	fmt.Println("setting up the Fig. 13 circuit (60+60 km via the hut amplifier)...")
+	fmt.Fprintln(w, "setting up the Fig. 13 circuit (60+60 km via the hut amplifier)...")
 	_, err = tb.Controller.Reconfigure(ctx, control.Change{
 		Switches: []control.OSSOp{
 			{Device: "dc1-oss", In: 0, Out: 4},
@@ -51,10 +60,10 @@ func main() {
 		},
 	})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
-	fmt.Println("swapping to the 20+10 km path (drain → switch → retune → undrain)...")
+	fmt.Fprintln(w, "swapping to the 20+10 km path (drain → switch → retune → undrain)...")
 	rep, err := tb.Controller.Reconfigure(ctx, control.Change{
 		Drain: []control.TransceiverOp{
 			{Device: "dc1-xcvr", Idx: 0},
@@ -74,34 +83,35 @@ func main() {
 		},
 	})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	for _, p := range rep.Phases {
-		fmt.Printf("  %-8s %v\n", p.Name, p.Duration.Round(time.Microsecond))
+		fmt.Fprintf(w, "  %-8s %v\n", p.Name, p.Duration.Round(time.Microsecond))
 	}
-	fmt.Printf("  total %v — no live traffic was on the path while it switched\n",
+	fmt.Fprintf(w, "  total %v — no live traffic was on the path while it switched\n",
 		rep.Total.Round(time.Microsecond))
 
 	if err := tb.Controller.Audit(control.Expected{
 		Cross: map[string]map[int]int{"hut-oss": {0: 2}},
 	}); err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Println("audit OK")
+	fmt.Fprintln(w, "audit OK")
 
 	// The same event at the physical layer: BER across a minute-spaced
 	// reconfiguration cycle between the two testbed paths.
-	fmt.Println("\nphysical layer (Fig. 14): BER across reconfigurations")
+	fmt.Fprintln(w, "\nphysical layer (Fig. 14): BER across reconfigurations")
 	pathA, pathB := optics.TestbedPaths()
 	samples, err := optics.ReconfigExperiment{
 		Seed: 1, DurationS: 180, IntervalS: 60, SampleMS: 10,
 		PathA: pathA, PathB: pathB,
 	}.Run()
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("  max pre-FEC BER %.2e (soft-FEC threshold %.0e)\n",
+	fmt.Fprintf(w, "  max pre-FEC BER %.2e (soft-FEC threshold %.0e)\n",
 		optics.MaxBER(samples), optics.SoftFECBERThreshold)
-	fmt.Printf("  signal loss %.0f ms total across 2 switches (paper: ~50 ms each)\n",
+	fmt.Fprintf(w, "  signal loss %.0f ms total across 2 switches (paper: ~50 ms each)\n",
 		optics.OutageMS(samples))
+	return nil
 }

@@ -192,7 +192,7 @@ func TestChaosCycleEndToEnd(t *testing.T) {
 	spanNames(dump.Tree, names)
 	for _, want := range []string{
 		"inject", "detect", "restore", "heal", "replan", "settle",
-		"fetch-state", "drain", "switch", "amps", "retune", "fill", "undrain", "audit",
+		"fetch-state", "drain", "switch", "amps", "retune", "undrain", "audit",
 	} {
 		if names[want] == 0 {
 			t.Errorf("span %q missing from cycle trace: %v", want, names)

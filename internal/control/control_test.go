@@ -13,34 +13,35 @@ import (
 	"iris/internal/trace"
 )
 
-// fig13Testbed builds the paper's testbed layout: two DCs with
-// transceiver banks and channel emulators, a DC OSS each, one hut OSS
-// with a loopback amplifier.
-func fig13Testbed(t *testing.T) *Testbed {
+// fig13Testbed builds the paper's testbed layout: two DCs with a
+// transceiver bank and an OSS each, one hut OSS with a loopback
+// amplifier. Every device is served behind a disarmed devicetest.Device,
+// kept in the returned Set by name.
+func fig13Testbed(t *testing.T) (*Testbed, devicetest.Set) {
 	t.Helper()
-	tb, err := StartTestbed(map[string]Device{
-		"dc1-oss":      NewOSS(32, 0),
-		"dc2-oss":      NewOSS(32, 0),
-		"hut-oss":      NewOSS(64, 0),
-		"hut-amp":      NewAmplifier(20, -3),
-		"dc1-xcvr":     NewTransceiverBank(4, 40),
-		"dc2-xcvr":     NewTransceiverBank(4, 40),
-		"dc1-emulator": NewChannelEmulator(40),
-		"dc2-emulator": NewChannelEmulator(40),
-	})
+	shims := devicetest.Set{}
+	devs := map[string]Device{
+		"dc1-oss":  NewOSS(32, 0),
+		"dc2-oss":  NewOSS(32, 0),
+		"hut-oss":  NewOSS(64, 0),
+		"hut-amp":  NewAmplifier(20, -3),
+		"dc1-xcvr": NewTransceiverBank(4, 40),
+		"dc2-xcvr": NewTransceiverBank(4, 40),
+	}
+	for name, dev := range devs {
+		devs[name] = shims.Wrap(name, dev)
+	}
+	tb, err := StartTestbed(devs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(tb.Close)
-	return tb
+	return tb, shims
 }
 
 func TestPingAllDevices(t *testing.T) {
-	tb := fig13Testbed(t)
-	kinds := map[string]string{
-		"dc1-oss": "oss", "hut-amp": "amp",
-		"dc1-xcvr": "transceivers", "dc1-emulator": "emulator",
-	}
+	tb, _ := fig13Testbed(t)
+	kinds := map[string]string{"dc1-oss": "oss", "hut-amp": "amp", "dc1-xcvr": "transceivers"}
 	for dev, kind := range kinds {
 		res, err := tb.Controller.Call(dev, "ping", nil)
 		if err != nil {
@@ -50,13 +51,13 @@ func TestPingAllDevices(t *testing.T) {
 			t.Errorf("%s kind = %v, want %s", dev, res["kind"], kind)
 		}
 	}
-	if got := len(tb.Controller.Devices()); got != 8 {
-		t.Errorf("device count = %d, want 8", got)
+	if got := len(tb.Controller.Devices()); got != 6 {
+		t.Errorf("device count = %d, want 6", got)
 	}
 }
 
 func TestUnknownDeviceAndOp(t *testing.T) {
-	tb := fig13Testbed(t)
+	tb, _ := fig13Testbed(t)
 	if _, err := tb.Controller.Call("nope", "ping", nil); err == nil {
 		t.Error("expected error for unknown device")
 	}
@@ -80,7 +81,7 @@ func TestUnknownDeviceAndOp(t *testing.T) {
 }
 
 func TestOSSSemantics(t *testing.T) {
-	tb := fig13Testbed(t)
+	tb, _ := fig13Testbed(t)
 	c := tb.Controller
 	must := func(op string, args map[string]any) {
 		t.Helper()
@@ -109,7 +110,7 @@ func TestOSSSemantics(t *testing.T) {
 }
 
 func TestTransceiverDrainDiscipline(t *testing.T) {
-	tb := fig13Testbed(t)
+	tb, _ := fig13Testbed(t)
 	c := tb.Controller
 	first := map[string]any{"idxs": []int{0}}
 	tune := func(w int) map[string]any {
@@ -138,25 +139,8 @@ func TestTransceiverDrainDiscipline(t *testing.T) {
 	}
 }
 
-func TestEmulatorFill(t *testing.T) {
-	tb := fig13Testbed(t)
-	if _, err := tb.Controller.Call("dc1-emulator", "fill",
-		map[string]any{"channels": []any{1, 2, 3}}); err != nil {
-		t.Fatal(err)
-	}
-	em := tb.Devices["dc1-emulator"].(*ChannelEmulator)
-	got := em.Filled()
-	if len(got) != 3 || got[0] != 1 || got[2] != 3 {
-		t.Errorf("filled = %v", got)
-	}
-	if _, err := tb.Controller.Call("dc1-emulator", "fill",
-		map[string]any{"channels": []any{99}}); err == nil {
-		t.Error("out-of-range channel must fail")
-	}
-}
-
 func TestReconfigureEndToEnd(t *testing.T) {
-	tb := fig13Testbed(t)
+	tb, _ := fig13Testbed(t)
 	c := tb.Controller
 
 	// Initial circuit: DC1 transceiver 0 on wavelength 3, path through
@@ -170,10 +154,6 @@ func TestReconfigureEndToEnd(t *testing.T) {
 		Retunes: []TransceiverOp{
 			{Device: "dc1-xcvr", Idx: 0, Wavelength: 3},
 			{Device: "dc2-xcvr", Idx: 0, Wavelength: 3},
-		},
-		Fills: []FillOp{
-			{Device: "dc1-emulator", Channels: []int{0, 1, 2}},
-			{Device: "dc2-emulator", Channels: []int{0, 1, 2}},
 		},
 		Undrain: []TransceiverOp{
 			{Device: "dc1-xcvr", Idx: 0},
@@ -208,8 +188,12 @@ func TestReconfigureEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rep.Phases) != 6 {
-		t.Errorf("phases = %d, want 6", len(rep.Phases))
+	var phases []string
+	for _, p := range rep.Phases {
+		phases = append(phases, p.Name)
+	}
+	if want := []string{"drain", "switch", "amps", "retune", "undrain"}; !slices.Equal(phases, want) {
+		t.Errorf("phases %v, want %v", phases, want)
 	}
 
 	// Audit intent vs. device state.
@@ -221,7 +205,6 @@ func TestReconfigureEndToEnd(t *testing.T) {
 		},
 		Tuned:   map[string][]int{"dc1-xcvr": {5, -1, -1, -1}},
 		Enabled: map[string][]bool{"dc1-xcvr": {true, false, false, false}},
-		Filled:  map[string][]int{"dc1-emulator": {0, 1, 2}},
 	})
 	if err != nil {
 		t.Errorf("audit: %v", err)
@@ -236,9 +219,9 @@ func TestReconfigureEndToEnd(t *testing.T) {
 
 func TestReconfigureDrainOrdering(t *testing.T) {
 	// The OSS must never switch while the affected transceivers are live:
-	// every OSS op in a change lands after all drain ops, strictly by the
-	// device logs' timestamps.
-	tb := fig13Testbed(t)
+	// every OSS op in a change lands after all drain ops, in the one order
+	// the devices applied their batches.
+	tb, shims := fig13Testbed(t)
 	c := tb.Controller
 	setup := Change{
 		Switches: []OSSOp{{Device: "hut-oss", In: 4, Out: 5}},
@@ -248,6 +231,19 @@ func TestReconfigureDrainOrdering(t *testing.T) {
 	if _, err := c.Reconfigure(context.Background(), setup); err != nil {
 		t.Fatal(err)
 	}
+	var mu sync.Mutex
+	var applied []string // "device op", appended as each batch returns
+	for name, dev := range shims {
+		dev.Arm(func(op string, args map[string]any, next devicetest.Next) (map[string]any, error) {
+			res, err := next(op, args)
+			if err == nil {
+				mu.Lock()
+				applied = append(applied, name+" "+op)
+				mu.Unlock()
+			}
+			return res, err
+		})
+	}
 	move := Change{
 		Drain:    []TransceiverOp{{Device: "dc1-xcvr", Idx: 1}},
 		Switches: []OSSOp{{Device: "hut-oss", In: 4, Disconnect: true}, {Device: "hut-oss", In: 4, Out: 6}},
@@ -256,27 +252,11 @@ func TestReconfigureDrainOrdering(t *testing.T) {
 	if _, err := c.Reconfigure(context.Background(), move); err != nil {
 		t.Fatal(err)
 	}
-
-	xcvr := tb.Devices["dc1-xcvr"].(*TransceiverBank)
-	oss := tb.Devices["hut-oss"].(*OSS)
-	var drainTime, switchTime time.Time
-	for _, e := range xcvr.Log() {
-		if e.Op == "disable-batch" {
-			drainTime = e.Time
-		}
-	}
-	for _, e := range oss.Log() {
-		// The controller batches per device: the move lands as one
-		// switch-batch tearing down port 4 and connecting it again.
-		if e.Op == "switch-batch" && strings.Contains(e.Note, "[4]->[6]") {
-			switchTime = e.Time
-		}
-	}
-	if drainTime.IsZero() || switchTime.IsZero() {
-		t.Fatal("expected drain and switch log entries")
-	}
-	if switchTime.Before(drainTime) {
-		t.Error("OSS switched before the transceiver was drained")
+	// The controller batches per device: the move lands as one
+	// switch-batch tearing down port 4 and connecting it again.
+	want := []string{"dc1-xcvr disable-batch", "hut-oss switch-batch", "dc1-xcvr enable-batch"}
+	if !slices.Equal(applied, want) {
+		t.Errorf("devices applied %v, want %v", applied, want)
 	}
 }
 
@@ -326,7 +306,7 @@ func TestReconfigureTiming(t *testing.T) {
 }
 
 func TestReconfigureAbortsOnError(t *testing.T) {
-	tb := fig13Testbed(t)
+	tb, shims := fig13Testbed(t)
 	ch := Change{
 		Switches: []OSSOp{{Device: "hut-oss", In: 99, Out: 1}}, // invalid port
 		Retunes:  []TransceiverOp{{Device: "dc1-xcvr", Idx: 0, Wavelength: 1}},
@@ -336,14 +316,14 @@ func TestReconfigureAbortsOnError(t *testing.T) {
 		t.Fatal("expected error")
 	}
 	// The retune phase must not have run.
-	tuned, _ := tb.Devices["dc1-xcvr"].(*TransceiverBank).Snapshot()
+	tuned, _ := shims["dc1-xcvr"].Inner().(*TransceiverBank).Snapshot()
 	if tuned[0] != -1 {
 		t.Error("retune ran despite switch-phase failure")
 	}
 }
 
 func TestReconfigureRespectsContext(t *testing.T) {
-	tb := fig13Testbed(t)
+	tb, _ := fig13Testbed(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	_, err := tb.Controller.Reconfigure(ctx, Change{
@@ -355,7 +335,7 @@ func TestReconfigureRespectsContext(t *testing.T) {
 }
 
 func TestConcurrentCalls(t *testing.T) {
-	tb := fig13Testbed(t)
+	tb, shims := fig13Testbed(t)
 	var wg sync.WaitGroup
 	errs := make(chan error, 16)
 	for i := 0; i < 16; i++ {
@@ -374,14 +354,14 @@ func TestConcurrentCalls(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	oss := tb.Devices["hut-oss"].(*OSS)
+	oss := shims["hut-oss"].Inner().(*OSS)
 	if ins, _ := oss.Cross(); len(ins) != 16 {
 		t.Errorf("cross connects = %d, want 16", len(ins))
 	}
 }
 
 func TestAmplifierStateAndLog(t *testing.T) {
-	tb := fig13Testbed(t)
+	tb, shims := fig13Testbed(t)
 	if _, err := tb.Controller.Call("hut-amp", "enable", nil); err != nil {
 		t.Fatal(err)
 	}
@@ -392,12 +372,11 @@ func TestAmplifierStateAndLog(t *testing.T) {
 	if st["enabled"] != true || st["gain_db"].(float64) != 20 || st["fixed_gain"] != true {
 		t.Errorf("state = %v", st)
 	}
-	amp := tb.Devices["hut-amp"].(*Amplifier)
-	if !amp.Enabled() {
+	if !shims["hut-amp"].Inner().(*Amplifier).Enabled() {
 		t.Error("amplifier should be enabled")
 	}
-	if len(amp.Log()) == 0 {
-		t.Error("expected log entries")
+	if got, want := shims["hut-amp"].Take(), []devicetest.Call{{Op: "enable"}, {Op: "state"}}; !slices.Equal(got, want) {
+		t.Errorf("amplifier handled %v, want %v", got, want)
 	}
 }
 
@@ -405,24 +384,17 @@ func TestAmplifierStateAndLog(t *testing.T) {
 // with the last circuit it tears down and lights it again for the first it
 // establishes. The phase used to send both concurrently, and the amplifier
 // ended in whichever state arrived last; now it gets one RPC carrying the
-// final state. The same holds for two fills naming one emulator, which a
-// round (one request per device) could not even send.
+// final state.
 func TestAmpPhaseLastOperationDecides(t *testing.T) {
-	tb := fig13Testbed(t)
-	amp := tb.Devices["hut-amp"].(*Amplifier)
-	emu := tb.Devices["dc1-emulator"].(*ChannelEmulator)
-	const rounds = 60 // under logCap, so the log counts the RPCs
+	tb, shims := fig13Testbed(t)
+	amp := shims["hut-amp"].Inner().(*Amplifier)
+	const rounds = 60
 	for i := 0; i < rounds; i++ {
 		want := i%2 == 0
-		wantFill := []int{i % 39, 39}
 		rep, err := tb.Controller.Reconfigure(context.Background(), Change{
 			Amps: []AmpOp{
 				{Device: "hut-amp", Enable: !want},
 				{Device: "hut-amp", Enable: want},
-			},
-			Fills: []FillOp{
-				{Device: "dc1-emulator", Channels: []int{(i + 1) % 40}},
-				{Device: "dc1-emulator", Channels: wantFill},
 			},
 		})
 		if err != nil {
@@ -431,33 +403,24 @@ func TestAmpPhaseLastOperationDecides(t *testing.T) {
 		if amp.Enabled() != want {
 			t.Fatalf("reconfiguration %d left the amplifier enabled=%v, its last operation says %v", i, !want, want)
 		}
-		if got := emu.Filled(); !slices.Equal(got, wantFill) {
-			t.Fatalf("reconfiguration %d left the emulator filling %v, its last operation says %v", i, got, wantFill)
-		}
 		if got := rep.Phases[2]; got.Name != "amps" || got.Ops != 2 {
 			t.Fatalf("phase report %+v, want amps with 2 operations", got)
 		}
-		if got := rep.Phases[4]; got.Name != "fill" || got.Ops != 2 {
-			t.Fatalf("phase report %+v, want fill with 2 operations", got)
-		}
 	}
-	if got := len(amp.Log()); got != rounds {
-		t.Fatalf("amplifier received %d operations in %d reconfigurations, want one each", got, rounds)
-	}
-	if got := len(emu.Log()); got != rounds {
-		t.Fatalf("emulator received %d operations in %d reconfigurations, want one each", got, rounds)
+	if got := len(shims["hut-amp"].Take()); got != rounds {
+		t.Fatalf("amplifier received %d requests in %d reconfigurations, want one each", got, rounds)
 	}
 }
 
 func TestOSSBatchSemantics(t *testing.T) {
-	tb := fig13Testbed(t)
+	tb, shims := fig13Testbed(t)
 	c := tb.Controller
 	// Batch connect.
 	if _, err := c.Call("hut-oss", "switch-batch",
 		map[string]any{"disconnect": []any{}, "ins": []any{0, 1, 2}, "outs": []any{10, 11, 12}}); err != nil {
 		t.Fatal(err)
 	}
-	oss := tb.Devices["hut-oss"].(*OSS)
+	oss := shims["hut-oss"].Inner().(*OSS)
 	if ins, _ := oss.Cross(); len(ins) != 3 {
 		t.Fatalf("cross connects = %d, want 3", len(ins))
 	}
@@ -484,20 +447,16 @@ func TestOSSBatchSemantics(t *testing.T) {
 		t.Errorf("cross connects = %d after batch disconnect, want 0", len(ins))
 	}
 	// A disconnect naming an idle input, or one input twice, is rejected
-	// atomically as well: no circuit goes and the op log records nothing.
+	// atomically as well: no circuit goes.
 	if _, err := c.Call("hut-oss", "switch-batch", switchArgs(nil, []int{0, 1}, []int{4, 5})); err != nil {
 		t.Fatal(err)
 	}
-	logged := len(oss.Log())
 	for _, ins := range [][]any{{0, 2}, {1, 1}} {
 		if _, err := c.Call("hut-oss", "switch-batch", map[string]any{"disconnect": ins, "ins": []any{}, "outs": []any{}}); err == nil {
 			t.Errorf("disconnecting %v should fail", ins)
 		}
 		if got, outs := oss.Cross(); !slices.Equal(got, []int{0, 1}) || !slices.Equal(outs, []int{4, 5}) {
 			t.Errorf("failed disconnect of %v left circuits %v->%v, want [0 1]->[4 5]", ins, got, outs)
-		}
-		if got := len(oss.Log()); got != logged {
-			t.Errorf("failed disconnect of %v logged %d operations, want 0", ins, got-logged)
 		}
 	}
 }

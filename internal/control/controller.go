@@ -22,8 +22,8 @@ type deviceSpec struct {
 
 // Controller is the centralized Iris controller (§5.2). It holds one
 // connection per device and executes reconfigurations as strictly ordered
-// phases: drain traffic, switch fibers, retune wavelengths and refill
-// spectrum, then undrain.
+// phases: drain traffic, switch fibers, set amplifiers, retune
+// wavelengths, then undrain.
 type Controller struct {
 	mu      sync.Mutex
 	devices map[string]*client
@@ -154,7 +154,10 @@ type TransceiverOp struct {
 	Wavelength int // used by retune operations
 }
 
-// FillOp sets a channel emulator's ASE-filled channel set.
+// FillOp would set a §5.1 channel emulator's ASE-filled channels. ASE
+// fill is out of scope (DESIGN §2): no device takes it, nothing sets
+// Change.Fills and Reconfigure ignores it. Both stay only because bench/
+// reads len(Fills); they go with ROADMAP item 17(b).
 type FillOp struct {
 	Device   string
 	Channels []int
@@ -168,8 +171,8 @@ type AmpOp struct {
 
 // Change is one reconfiguration: the controller first drains the listed
 // transceivers (no live traffic during switching, §5.2), then executes the
-// OSS operations network-wide, then the per-DC wavelength retunes and
-// spectrum fills, and finally re-enables the undrain set.
+// OSS operations network-wide, then the per-DC wavelength retunes, and
+// finally re-enables the undrain set.
 type Change struct {
 	Drain    []TransceiverOp
 	Switches []OSSOp
@@ -178,7 +181,7 @@ type Change struct {
 	// unused amplifiers are parked to keep ASE out of dark fibers.
 	Amps    []AmpOp
 	Retunes []TransceiverOp
-	Fills   []FillOp
+	Fills   []FillOp // always empty, see FillOp
 	Undrain []TransceiverOp
 }
 
@@ -196,9 +199,6 @@ func (ch Change) Devices() []string {
 		seen[o.Device] = true
 	}
 	for _, o := range ch.Amps {
-		seen[o.Device] = true
-	}
-	for _, o := range ch.Fills {
 		seen[o.Device] = true
 	}
 	return sortedKeys(seen)
@@ -236,7 +236,7 @@ type Report struct {
 // When ctx carries a span (trace.ContextWith — the daemon threads its
 // reconfig root through here), each phase becomes a child span with
 // per-device children, so the flight recorder captures the §5.2 sequence
-// drain → switch → amps → retune → fill → undrain with per-device
+// drain → switch → amps → retune → undrain with per-device
 // durations and deadline outcomes.
 func (c *Controller) Reconfigure(ctx context.Context, ch Change) (Report, error) {
 	rep := Report{States: make(map[string]map[string]any)}
@@ -251,7 +251,6 @@ func (c *Controller) Reconfigure(ctx context.Context, ch Change) (Report, error)
 		{"switch", switchReqs(ch.Switches), len(ch.Switches)},
 		{"amps", ampReqs(ch.Amps), len(ch.Amps)},
 		{"retune", transceiverReqs(ch.Retunes, "tune-batch"), len(ch.Retunes)},
-		{"fill", fillReqs(ch.Fills), len(ch.Fills)},
 		{"undrain", transceiverReqs(ch.Undrain, "enable-batch"), len(ch.Undrain)},
 	}
 	last := make(map[string]int) // device → index of its last phase
@@ -477,16 +476,6 @@ func ampReqs(ops []AmpOp) map[string]request {
 	return reqs
 }
 
-// fillReqs sets each emulator's channel set; as for amplifiers, the last
-// operation naming a device decides.
-func fillReqs(ops []FillOp) map[string]request {
-	reqs := make(map[string]request)
-	for _, o := range ops {
-		reqs[o.Device] = request{span: "fill", op: "fill", args: map[string]any{"channels": o.Channels}}
-	}
-	return reqs
-}
-
 // Expected is the controller's whole intent for the devices it names
 // ("the devices are in expected state", §6.2). A device appears under every
 // field that describes its kind; Audit and Repair fetch and check each
@@ -500,19 +489,16 @@ type Expected struct {
 	Tuned map[string][]int
 	// Enabled maps transceiver-bank device name to per-index live state.
 	Enabled map[string][]bool
-	// Filled maps emulator device name to its ASE channel set (ascending).
-	Filled map[string][]int
 	// Amps maps amplifier device name to whether it must provide gain.
 	Amps map[string]bool
 }
 
 // devices returns every device the expectation names, sorted.
 func (e Expected) devices() []string {
-	seen := make(map[string]bool, len(e.Cross)+len(e.Enabled)+len(e.Filled)+len(e.Amps))
+	seen := make(map[string]bool, len(e.Cross)+len(e.Enabled)+len(e.Amps))
 	named(seen, e.Cross)
 	named(seen, e.Tuned)
 	named(seen, e.Enabled)
-	named(seen, e.Filled)
 	named(seen, e.Amps)
 	return sortedKeys(seen)
 }
@@ -588,7 +574,7 @@ func (c *Controller) Repair(ctx context.Context, exp Expected) (Change, error) {
 // from states are left untouched; a malformed state is a *DeviceError.
 // Reconfigure runs the change in the usual order: drains, switches
 // (disconnects before connects on each switch), amplifiers, retunes,
-// fills, undrains.
+// undrains.
 func (e Expected) Repair(states map[string]map[string]any) (Change, error) {
 	var ch Change
 	for _, dev := range e.devices() {
@@ -698,21 +684,6 @@ func (e Expected) repair(ch *Change, dev string, st map[string]any) (diff string
 			if wantOn {
 				ch.Undrain = append(ch.Undrain, op)
 			}
-		}
-	}
-
-	if want, ok := e.Filled[dev]; ok {
-		got, err := stateInts(st, "filled")
-		if err != nil {
-			return malformed(err)
-		}
-		if !slices.Equal(got, want) {
-			i := 0
-			for i < len(got) && i < len(want) && got[i] == want[i] {
-				i++
-			}
-			differs("filled: %d channels, want %d, alike up to [%d]", len(got), len(want), i)
-			ch.Fills = append(ch.Fills, FillOp{Device: dev, Channels: want})
 		}
 	}
 

@@ -4,83 +4,9 @@ import (
 	"fmt"
 	"math/bits"
 	"slices"
-	"strings"
 	"sync"
 	"time"
 )
-
-// LogEntry records one operation executed by a device, for audits and for
-// verifying controller sequencing in tests.
-type LogEntry struct {
-	Time time.Time
-	Op   string
-	Note string
-}
-
-// logCap is how many operations a device remembers. A device runs for as
-// long as the daemon does, so its log is a ring: a dense tick writes three
-// entries per bank and one per OSS, which makes this the last forty-odd
-// ticks.
-const logCap = 128
-
-// logRec is one remembered operation with its operands as the device
-// received them; the note is formatted when the log is read, not while
-// the operation runs.
-type logRec struct {
-	at   time.Time
-	op   string
-	off  []int // a switch batch's disconnects
-	a, b []int
-}
-
-func (r logRec) note() string {
-	var parts []string
-	if len(r.off) > 0 {
-		parts = append(parts, fmt.Sprintf("off %v", r.off))
-	}
-	switch {
-	case len(r.a) == 0:
-	case r.b == nil:
-		parts = append(parts, fmt.Sprint(r.a))
-	default: // ports in -> out, or transceivers -> wavelengths
-		parts = append(parts, fmt.Sprintf("%v->%v", r.a, r.b))
-	}
-	return strings.Join(parts, "; ")
-}
-
-// opLog is the shared audit-trail implementation embedded in every device.
-type opLog struct {
-	mu   sync.Mutex
-	ring []logRec // grows to logCap, then the oldest entry is overwritten
-	n    int      // operations recorded since the device started
-}
-
-// record remembers one operation, stamped now. The operand slices are
-// retained, not copied: callers pass slices nothing modifies afterwards.
-func (l *opLog) record(rec logRec) {
-	rec.at = time.Now()
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if len(l.ring) < logCap {
-		l.ring = append(l.ring, rec)
-	} else {
-		l.ring[l.n%logCap] = rec
-	}
-	l.n++
-}
-
-// Log returns the device's last logCap operations, oldest first.
-func (l *opLog) Log() []LogEntry {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	out := make([]LogEntry, len(l.ring))
-	oldest := l.n - len(l.ring) // operation k sits in slot k % logCap
-	for i := range out {
-		r := l.ring[(oldest+i)%logCap]
-		out[i] = LogEntry{Time: r.at, Op: r.op, Note: r.note()}
-	}
-	return out
-}
 
 // wantsState reports whether a write's arguments ask for the state it
 // leaves in its reply ("state": true).
@@ -93,7 +19,6 @@ func wantsState(args map[string]any) bool {
 // directs all wavelengths of an input fiber to an output fiber. Switching
 // takes the configured delay (the paper measures ≈20 ms, §5.2).
 type OSS struct {
-	opLog
 	mu          sync.Mutex
 	ports       int
 	switchDelay time.Duration
@@ -149,12 +74,7 @@ func (o *OSS) Handle(op string, args map[string]any) (map[string]any, error) {
 		if len(ins) != len(outs) {
 			return nil, fmt.Errorf("oss: batch length mismatch: %d ins, %d outs", len(ins), len(outs))
 		}
-		st, err := o.switchBatch(disconnect, ins, outs, wantsState(args))
-		if err != nil {
-			return nil, err
-		}
-		o.record(logRec{op: op, off: disconnect, a: ins, b: outs})
-		return st, nil
+		return o.switchBatch(disconnect, ins, outs, wantsState(args))
 	case "state":
 		o.mu.Lock()
 		defer o.mu.Unlock()
@@ -252,7 +172,6 @@ func (o *OSS) crossLocked() (ins, outs []int) {
 // Amplifier emulates an EDFA run at fixed gain behind an input power
 // limiter — Iris's no-online-management amplifier configuration (§5.1).
 type Amplifier struct {
-	opLog
 	mu      sync.Mutex
 	gainDB  float64
 	limitIn float64 // input power limit, dBm
@@ -285,7 +204,6 @@ func (a *Amplifier) Handle(op string, args map[string]any) (map[string]any, erro
 	default:
 		return nil, fmt.Errorf("amp: unknown op %q", op)
 	}
-	a.record(logRec{op: op})
 	if wantsState(args) {
 		return a.stateLocked(), nil
 	}
@@ -314,7 +232,6 @@ func (a *Amplifier) Enabled() bool {
 // and enabled or disabled. Disabling is how the controller drains traffic
 // from a circuit before switching it.
 type TransceiverBank struct {
-	opLog
 	mu      sync.Mutex
 	lambda  int   // wavelengths per fiber
 	tuned   []int // per transceiver: wavelength index, -1 if untuned
@@ -363,23 +280,13 @@ func (b *TransceiverBank) Handle(op string, args map[string]any) (map[string]any
 		if len(idxs) != len(ws) {
 			return nil, fmt.Errorf("transceivers: batch length mismatch: %d idxs, %d wavelengths", len(idxs), len(ws))
 		}
-		st, err := b.tuneBatch(idxs, ws, wantsState(args))
-		if err != nil {
-			return nil, err
-		}
-		b.record(logRec{op: op, a: idxs, b: ws})
-		return st, nil
+		return b.tuneBatch(idxs, ws, wantsState(args))
 	case "enable-batch", "disable-batch":
 		idxs, err := argIntSlice(args, "idxs")
 		if err != nil {
 			return nil, err
 		}
-		st, err := b.setEnabledBatch(idxs, op == "enable-batch", wantsState(args))
-		if err != nil {
-			return nil, err
-		}
-		b.record(logRec{op: op, a: idxs})
-		return st, nil
+		return b.setEnabledBatch(idxs, op == "enable-batch", wantsState(args))
 	case "state":
 		b.mu.Lock()
 		defer b.mu.Unlock()
@@ -479,84 +386,4 @@ func packBank(tuned []int, enabled []bool, lambda int) (string, string) {
 	}
 	both := string(buf)
 	return both[:width*len(tuned)], both[width*len(tuned):]
-}
-
-// ChannelEmulator emulates the ASE-noise channel filler of §5.1: it keeps
-// the unused portion of the C-band spectrum occupied so amplifier gain
-// profiles stay uniform without online power management.
-type ChannelEmulator struct {
-	opLog
-	mu     sync.Mutex
-	lambda int
-	filled map[int]bool
-}
-
-// NewChannelEmulator returns an emulator for lambda wavelength slots.
-func NewChannelEmulator(lambda int) *ChannelEmulator {
-	return &ChannelEmulator{lambda: lambda, filled: make(map[int]bool)}
-}
-
-// Kind implements Device.
-func (e *ChannelEmulator) Kind() string { return "emulator" }
-
-// Handle implements Device. Operations:
-//
-//	fill {channels} — set exactly the given channels to carry ASE noise
-//	state           — {filled, lambda}: the filled channels ascending
-//
-// A fill whose arguments hold "state": true answers with the state it
-// left, as the state op would.
-func (e *ChannelEmulator) Handle(op string, args map[string]any) (map[string]any, error) {
-	switch op {
-	case "fill":
-		chans, err := argIntSlice(args, "channels")
-		if err != nil {
-			return nil, err
-		}
-		e.mu.Lock()
-		defer e.mu.Unlock()
-		for _, c := range chans {
-			if c < 0 || c >= e.lambda {
-				return nil, fmt.Errorf("emulator: channel %d out of range [0,%d)", c, e.lambda)
-			}
-		}
-		e.filled = make(map[int]bool, len(chans))
-		for _, c := range chans {
-			e.filled[c] = true
-		}
-		e.record(logRec{op: op, a: chans})
-		if wantsState(args) {
-			return e.stateLocked(), nil
-		}
-		return nil, nil
-	case "state":
-		e.mu.Lock()
-		defer e.mu.Unlock()
-		return e.stateLocked(), nil
-	default:
-		return nil, fmt.Errorf("emulator: unknown op %q", op)
-	}
-}
-
-// Filled returns the currently ASE-filled channels in ascending order.
-func (e *ChannelEmulator) Filled() []int {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.filledLocked()
-}
-
-// stateLocked is the emulator's state; callers hold e.mu.
-func (e *ChannelEmulator) stateLocked() map[string]any {
-	return map[string]any{"filled": e.filledLocked(), "lambda": e.lambda}
-}
-
-// filledLocked is Filled; callers hold e.mu.
-func (e *ChannelEmulator) filledLocked() []int {
-	var out []int
-	for c := 0; c < e.lambda; c++ {
-		if e.filled[c] {
-			out = append(out, c)
-		}
-	}
-	return out
 }

@@ -128,43 +128,12 @@ func TestTransceiverBatchRejectsAtomically(t *testing.T) {
 	}
 }
 
-// TestDeviceLogIsARing: a device that runs forever remembers its last
-// logCap operations, oldest first, and nothing more.
-func TestDeviceLogIsARing(t *testing.T) {
-	amp := NewAmplifier(20, -3)
-	bank := NewTransceiverBank(2, 4)
-	for i := 0; i < 3*logCap+5; i++ {
-		if _, err := amp.Handle("enable", nil); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := bank.Handle("tune-batch", map[string]any{"idxs": []int{i % 2}, "wavelengths": []int{i % 4}}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := len(amp.Log()); got != logCap {
-		t.Errorf("amplifier retains %d entries, want %d", got, logCap)
-	}
-	log := bank.Log()
-	if len(log) != logCap {
-		t.Fatalf("bank retains %d entries, want %d", len(log), logCap)
-	}
-	last := 3*logCap + 4
-	for i, e := range log {
-		op := last - (logCap - 1) + i
-		if want := fmt.Sprintf("[%d]->[%d]", op%2, op%4); e.Op != "tune-batch" || e.Note != want {
-			t.Fatalf("entry %d = %s %q, want tune-batch %q", i, e.Op, e.Note, want)
-		}
-		if i > 0 && e.Time.Before(log[i-1].Time) {
-			t.Fatalf("entry %d is older than entry %d", i, i-1)
-		}
-	}
-}
-
 // malformedStates are replies that are not a state of the device kind the
 // expectation takes them for: wrongly typed fields (each of the first
-// twelve either panicked the audit or passed it before the wire carried
-// typed values) and packed vectors or port lists that break their own
-// format. FuzzStateDecode starts from the same list.
+// eleven either panicked the audit or passed it before the wire carried
+// typed values), packed vectors or port lists that break their own
+// format, and an amplifier's "enabled" that is not a boolean.
+// FuzzStateDecode starts from the same list.
 var malformedStates = func() []struct {
 	name  string
 	state map[string]any
@@ -177,7 +146,6 @@ var malformedStates = func() []struct {
 	expCross := Expected{Cross: map[string]map[int]int{"dev": {1: 2}}}
 	expDrained := Expected{Enabled: map[string][]bool{"dev": {false, false}}}
 	expTuned := Expected{Tuned: map[string][]int{"dev": {0, 0}}}
-	expFilled := Expected{Filled: map[string][]int{"dev": {}}}
 	expFive := Expected{Enabled: map[string][]bool{"dev": make([]bool, 5)}}
 	return []struct {
 		name  string
@@ -195,7 +163,6 @@ var malformedStates = func() []struct {
 		{"enabled missing", map[string]any{"tuned": "0101", "lambda": 40}, expDrained},
 		{"tuned with a string element", bank([]any{0, "0"}, "0"), expTuned},
 		{"tuned as booleans", bank([]any{false, false}, "0"), expTuned},
-		{"filled an object", map[string]any{"filled": map[string]any{}}, expFilled},
 
 		{"in ports descending", cross([]int{2, 1}, []int{3, 4}), expCross},
 		{"more in ports than out ports", cross([]int{1, 3}, []int{2}), expCross},
@@ -212,6 +179,7 @@ var malformedStates = func() []struct {
 		{"lambda missing", map[string]any{"tuned": "0101", "enabled": "0"}, expDrained},
 		{"lambda zero", map[string]any{"tuned": "0101", "enabled": "0", "lambda": 0}, expDrained},
 		{"lambda a fraction", map[string]any{"tuned": "0101", "enabled": "0", "lambda": 40.5}, expDrained},
+		{"amplifier enabled as a string", map[string]any{"enabled": "true", "gain_db": 20}, Expected{Amps: map[string]bool{"dev": true}}},
 	}
 }()
 
@@ -251,7 +219,6 @@ func TestAuditFetchesEachDeviceOnce(t *testing.T) {
 	devs := map[string]Device{
 		"oss":  NewOSS(4, 0),
 		"xcvr": NewTransceiverBank(2, 4),
-		"em":   NewChannelEmulator(4),
 		"amp":  NewAmplifier(20, -3), // not expected, not fetched
 	}
 	for name, dev := range devs {
@@ -266,37 +233,13 @@ func TestAuditFetchesEachDeviceOnce(t *testing.T) {
 		Cross:   map[string]map[int]int{"oss": {}},
 		Tuned:   map[string][]int{"xcvr": {-1, -1}},
 		Enabled: map[string][]bool{"xcvr": {false, false}},
-		Filled:  map[string][]int{"em": nil},
 	}); err != nil {
 		t.Fatal(err)
 	}
 	state := []devicetest.Call{{Op: "state"}}
-	want := map[string][]devicetest.Call{"oss": state, "xcvr": state, "em": state}
+	want := map[string][]devicetest.Call{"oss": state, "xcvr": state}
 	if got := shims.Take(); !maps.EqualFunc(got, want, slices.Equal) {
 		t.Errorf("requests %v, want %v", got, want)
-	}
-}
-
-// TestAuditSeesAFlippedEmulatorChannel: the ASE fill is audited channel by
-// channel like everything else.
-func TestAuditSeesAFlippedEmulatorChannel(t *testing.T) {
-	tb := fig13Testbed(t)
-	exp := Expected{Filled: map[string][]int{"dc1-emulator": {0, 1, 2}, "dc2-emulator": {}}}
-	if _, err := tb.Controller.Reconfigure(context.Background(), Change{
-		Fills: []FillOp{{Device: "dc1-emulator", Channels: []int{0, 1, 2}}},
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if err := tb.Controller.Audit(exp); err != nil {
-		t.Fatal(err)
-	}
-	// Behind the controller's back, straight on the device.
-	if _, err := tb.Devices["dc1-emulator"].Handle("fill", map[string]any{"channels": []int{0, 1, 3}}); err != nil {
-		t.Fatal(err)
-	}
-	err := tb.Controller.Audit(exp)
-	if err == nil || !strings.Contains(err.Error(), "dc1-emulator") || !strings.Contains(err.Error(), "filled") {
-		t.Errorf("audit = %v, want a filled mismatch naming dc1-emulator", err)
 	}
 }
 
@@ -317,7 +260,7 @@ func TestMismatchNamesTheElementNotTheVectors(t *testing.T) {
 			cross[i], ins, outs = 319-i, append(ins, i), append(outs, 319-i)
 		}
 	}
-	tb, err := StartTestbed(map[string]Device{"bank": bank, "oss": oss, "amp": NewAmplifier(20, -3), "em": NewChannelEmulator(96)})
+	tb, err := StartTestbed(map[string]Device{"bank": bank, "oss": oss, "amp": NewAmplifier(20, -3)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -329,7 +272,6 @@ func TestMismatchNamesTheElementNotTheVectors(t *testing.T) {
 		{"bank", "tune-batch", map[string]any{"idxs": idxs, "wavelengths": ws}},
 		{"bank", "enable-batch", map[string]any{"idxs": idxs}},
 		{"oss", "switch-batch", switchArgs(nil, ins, outs)},
-		{"em", "fill", map[string]any{"channels": idxs[:90]}},
 	} {
 		if _, err := tb.Controller.Call(c.dev, c.op, c.args); err != nil {
 			t.Fatal(err)
@@ -340,7 +282,6 @@ func TestMismatchNamesTheElementNotTheVectors(t *testing.T) {
 			Tuned:   map[string][]int{"bank": slices.Clone(tuned)},
 			Enabled: map[string][]bool{"bank": slices.Clone(live)},
 			Cross:   map[string]map[int]int{"oss": cross},
-			Filled:  map[string][]int{"em": slices.Clone(idxs[:90])},
 			Amps:    map[string]bool{"amp": false},
 		}
 	}
@@ -366,8 +307,6 @@ func TestMismatchNamesTheElementNotTheVectors(t *testing.T) {
 			"control: audit oss: cross map: port 3 → 316, want 9"},
 		{"a parked amplifier", func(e *Expected) { e.Amps["amp"] = true },
 			"control: audit amp: amplifier enabled false, want true"},
-		{"an ASE channel", func(e *Expected) { e.Filled["em"][89] = 95 },
-			"control: audit em: filled: 90 channels, want 90, alike up to [89]"},
 	} {
 		e := exp()
 		c.intent(&e)
@@ -548,8 +487,7 @@ func circuits(o *OSS) map[int]int {
 
 // TestSwitchBatchSemantics: a switch-batch tears down its disconnects,
 // then makes its connects, each checked against the state after the
-// teardown; a batch with any entry that fails changes nothing and logs
-// nothing.
+// teardown; a batch with any entry that fails changes nothing.
 func TestSwitchBatchSemantics(t *testing.T) {
 	held := map[int]int{0: 4, 1: 5}
 	for _, c := range []struct {
@@ -585,15 +523,12 @@ func TestSwitchBatchSemantics(t *testing.T) {
 			if (err == nil) != (c.want != nil) {
 				t.Fatalf("switch-batch %v: err = %v, want failure %v", c.args, err, c.want == nil)
 			}
-			want, logged := c.want, 1
+			want := c.want
 			if want == nil {
-				want, logged = held, 0
+				want = held
 			}
 			if got := circuits(o); !maps.Equal(got, want) {
 				t.Errorf("circuits %v, want %v", got, want)
-			}
-			if log := o.Log(); len(log) != logged || (logged == 1 && log[0].Op != "switch-batch") {
-				t.Errorf("log %v, want %d switch-batch entries", log, logged)
 			}
 		})
 	}
@@ -621,8 +556,8 @@ func TestSwitchBatchSettlesOnlyForConnects(t *testing.T) {
 }
 
 // FuzzOSSSwitchBatch: on a switch holding a few circuits, any switch-batch
-// either leaves what a model of teardown-then-connect computes, logged as
-// one entry, or fails and leaves the circuits and the log as they were. A
+// either leaves what a model of teardown-then-connect computes, or fails
+// and leaves the circuits as they were. A
 // batch sent with "state": true that succeeds answers with the model's
 // circuits in the shape of a "state" reply, as the wire carries it; one
 // that fails answers with no result.
@@ -672,9 +607,8 @@ func FuzzOSSSwitchBatch(f *testing.F) {
 		if (err == nil) != ok {
 			t.Fatalf("switch-batch %v %v->%v: err = %v, the model accepts it: %v", disconnect, ins, outs, err, ok)
 		}
-		logged := 1
 		if !ok {
-			want, logged = held, 0
+			want = held
 		}
 		var wantRes map[string]any
 		if ok && withState {
@@ -691,16 +625,12 @@ func FuzzOSSSwitchBatch(f *testing.F) {
 		if got := circuits(o); !maps.Equal(got, want) {
 			t.Fatalf("switch-batch %v %v->%v left %v, want %v", disconnect, ins, outs, got, want)
 		}
-		if got := len(o.Log()); got != logged {
-			t.Fatalf("switch-batch %v %v->%v logged %d entries, want %d", disconnect, ins, outs, got, logged)
-		}
 	})
 }
 
 // TestWriteReplyIsTheStateOp: every write of every device kind, given
 // "state": true, answers with the state a "state" call made right after it
-// returns, logs one entry like the write without the flag, and without the
-// flag answers with no result.
+// returns, and without the flag answers with no result.
 func TestWriteReplyIsTheStateOp(t *testing.T) {
 	withState := func(args map[string]any) map[string]any {
 		args = maps.Clone(args)
@@ -712,7 +642,6 @@ func TestWriteReplyIsTheStateOp(t *testing.T) {
 	}
 	oss := func() Device { return ossHolding(0, map[int]int{0: 4, 1: 5}) }
 	amp := func() Device { return NewAmplifier(20, -3) }
-	emu := func() Device { return NewChannelEmulator(40) }
 	bank := func() Device { // transceivers 0 and 5 tuned, 5 live
 		b := NewTransceiverBank(6, 40)
 		for _, w := range []struct {
@@ -740,13 +669,9 @@ func TestWriteReplyIsTheStateOp(t *testing.T) {
 		{bank, "tune-batch", map[string]any{"idxs": []int{0, 2}, "wavelengths": []int{7, 0}}},
 		{bank, "enable-batch", map[string]any{"idxs": []int{0}}},
 		{bank, "disable-batch", map[string]any{"idxs": []int{5}}},
-		{emu, "fill", map[string]any{"channels": []int{1, 7, 30}}},
-		{emu, "fill", map[string]any{"channels": []int{}}},
 	} {
 		dev := c.dev()
 		t.Run(dev.Kind()+"/"+c.op, func(t *testing.T) {
-			logged := func(dev Device) int { return len(dev.(interface{ Log() []LogEntry }).Log()) }
-			before := logged(dev)
 			got, err := dev.Handle(c.op, withState(c.args))
 			if err != nil {
 				t.Fatal(err)
@@ -760,9 +685,6 @@ func TestWriteReplyIsTheStateOp(t *testing.T) {
 			}
 			if !reflect.DeepEqual(overTheWire(t, got), overTheWire(t, want)) {
 				t.Errorf("over the wire: reply %v, state %v", overTheWire(t, got), overTheWire(t, want))
-			}
-			if n := logged(dev) - before; n != 1 {
-				t.Errorf("a state-bearing %s logged %d entries, want 1", c.op, n)
 			}
 			if res, err := c.dev().Handle(c.op, c.args); err != nil || res != nil {
 				t.Errorf("%s without the flag = %v, %v; want no result", c.op, res, err)
@@ -780,7 +702,6 @@ func TestReconfigureAsksEachDeviceOnceForState(t *testing.T) {
 		"oss":  ossHolding(0, map[int]int{0: 4}),
 		"xcvr": NewTransceiverBank(4, 40),
 		"amp":  NewAmplifier(20, -3),
-		"emu":  NewChannelEmulator(40),
 	}
 	for name, dev := range devs {
 		devs[name] = shims.Wrap(name, dev)
@@ -802,7 +723,6 @@ func TestReconfigureAsksEachDeviceOnceForState(t *testing.T) {
 		Switches: []OSSOp{{Device: "oss", In: 0, Disconnect: true}, {Device: "oss", In: 0, Out: 5}},
 		Amps:     []AmpOp{{Device: "amp", Enable: true}},
 		Retunes:  []TransceiverOp{{Device: "xcvr", Idx: 1, Wavelength: 7}, {Device: "xcvr", Idx: 3, Wavelength: 0}},
-		Fills:    []FillOp{{Device: "emu", Channels: []int{2, 3}}},
 		Undrain:  []TransceiverOp{{Device: "xcvr", Idx: 3}},
 	}
 	rep, err := tb.Controller.Reconfigure(context.Background(), ch)
@@ -813,7 +733,6 @@ func TestReconfigureAsksEachDeviceOnceForState(t *testing.T) {
 		"oss":  {{Op: "switch-batch", State: true}},
 		"xcvr": {{Op: "disable-batch"}, {Op: "tune-batch"}, {Op: "enable-batch", State: true}},
 		"amp":  {{Op: "enable", State: true}},
-		"emu":  {{Op: "fill", State: true}},
 	}
 	if got := shims.Take(); !maps.EqualFunc(got, want, slices.Equal) {
 		t.Errorf("requests %v, want %v", got, want)

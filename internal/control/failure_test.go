@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"net"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -165,24 +166,36 @@ func TestDialRejectsDuplicateNames(t *testing.T) {
 	}
 }
 
-// TestOversizedRequestLine ensures a very long (but under-limit) request
-// still round-trips: the scanner buffers up to 1 MiB.
+// TestOversizedRequestLine ensures very long (but under-limit) lines
+// round-trip both ways: retuning every transceiver of a 10 000-transceiver
+// bank to a wavelength of up to 13 digits is a request line of ≈190 KB,
+// and its state reply ≈110 KB, both past a scanner's initial 64 KiB
+// buffer; the scanner grows to maxLine.
 func TestOversizedRequestLine(t *testing.T) {
-	tb, err := StartTestbed(map[string]Device{"em": NewChannelEmulator(10000)})
+	const n, lambda = 10000, 1 << 40
+	bank := NewTransceiverBank(n, lambda)
+	tb, err := StartTestbed(map[string]Device{"bank": bank})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer tb.Close()
-	channels := make([]any, 10000)
-	for i := range channels {
-		channels[i] = i
+	idxs, ws := make([]int, n), make([]int, n)
+	for i := range idxs {
+		idxs[i], ws[i] = i, lambda-1-i
 	}
-	if _, err := tb.Controller.Call("em", "fill", map[string]any{"channels": channels}); err != nil {
-		t.Fatalf("large fill failed: %v", err)
+	args := map[string]any{"idxs": idxs, "wavelengths": ws, "state": true}
+	if line, err := appendRequest(nil, &wireRequest{ID: 1, Op: "tune-batch", Args: args}); err != nil || len(line) < 64<<10 {
+		t.Fatalf("request line of %d bytes (%v), want one past the scanner's initial buffer", len(line), err)
 	}
-	em := tb.Devices["em"].(*ChannelEmulator)
-	if got := len(em.Filled()); got != 10000 {
-		t.Errorf("filled = %d, want 10000", got)
+	st, err := tb.Controller.Call("bank", "tune-batch", args)
+	if err != nil {
+		t.Fatalf("large tune-batch failed: %v", err)
+	}
+	if tuned, _ := bank.Snapshot(); !slices.Equal(tuned, ws) {
+		t.Error("the bank holds other wavelengths than the batch set")
+	}
+	if err := (Expected{Tuned: map[string][]int{"bank": ws}}).Check("bank", st); err != nil {
+		t.Errorf("state reply: %v", err)
 	}
 }
 

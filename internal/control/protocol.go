@@ -1,8 +1,8 @@
 // Package control implements the Iris control plane of §5 of the paper: a
 // centralized controller that configures optical space switches, tunable
-// transceivers, amplifiers and channel emulators across a region, using
-// the drain → switch → retune → undrain sequence that lets Iris avoid any
-// online optical power management.
+// transceivers and amplifiers across a region, using the drain → switch →
+// retune → undrain sequence that lets Iris avoid any online optical power
+// management.
 //
 // The paper's controller drove vendor hardware over serial, HTTPS and
 // NetConf; this package substitutes emulated device agents speaking a
@@ -45,8 +45,7 @@ type wireResponse struct {
 // Device is the behaviour contract of an emulated optical component.
 // Handle must be safe for concurrent use.
 type Device interface {
-	// Kind identifies the device type ("oss", "amp", "transceivers",
-	// "emulator").
+	// Kind identifies the device type ("oss", "amp", "transceivers").
 	Kind() string
 	// Handle executes one operation and returns its result.
 	Handle(op string, args map[string]any) (map[string]any, error)

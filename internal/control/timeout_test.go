@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"net"
 	"strings"
 	"testing"
@@ -399,38 +400,36 @@ func TestAuditSpansAreOnePerDevice(t *testing.T) {
 // round abandoned used to land later, after the repair's state fetch.
 func TestRoundLeavesNothingInFlight(t *testing.T) {
 	const slow = 150 * time.Millisecond
+	shims := devicetest.Set{}
 	banks := make(map[string]*TransceiverBank)
 	devs := make(map[string]Device)
+	var retune []TransceiverOp
 	for _, name := range []string{"a", "b", "c", "d", "e"} {
 		banks[name] = NewTransceiverBank(2, 4)
-		devs[name] = banks[name]
+		devs[name] = shims.Wrap(name, banks[name])
+		retune = append(retune, TransceiverOp{Device: name, Idx: 0, Wavelength: 1})
 	}
-	c, d := devicetest.Wrap(banks["c"]), devicetest.Wrap(banks["d"])
-	c.Arm(devicetest.Fail)
-	d.Arm(func(op string, args map[string]any, next devicetest.Next) (map[string]any, error) {
+	shims["c"].Arm(devicetest.Fail)
+	shims["d"].Arm(func(op string, args map[string]any, next devicetest.Next) (map[string]any, error) {
 		time.Sleep(slow)
 		return next(op, args)
 	})
-	devs["c"], devs["d"] = c, d
 	tb, err := StartTestbedWithOptions(devs, DialOptions{RPCTimeout: 5 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer tb.Close()
-	logs := func() map[string]int {
-		n := make(map[string]int)
+	tuned := func() map[string]int {
+		w := make(map[string]int)
 		for name, b := range banks {
-			n[name] = len(b.Log())
+			ws, _ := b.Snapshot()
+			w[name] = ws[0]
 		}
-		return n
+		return w
 	}
 
-	var drain []TransceiverOp
-	for _, name := range []string{"a", "b", "c", "d", "e"} {
-		drain = append(drain, TransceiverOp{Device: name, Idx: 0})
-	}
 	start := time.Now()
-	_, err = tb.Controller.Reconfigure(context.Background(), Change{Drain: drain})
+	_, err = tb.Controller.Reconfigure(context.Background(), Change{Retunes: retune})
 	var de *DeviceError
 	if !errors.As(err, &de) || de.Device != "c" {
 		t.Fatalf("reconfigure = %v, want a DeviceError for c", err)
@@ -438,12 +437,16 @@ func TestRoundLeavesNothingInFlight(t *testing.T) {
 	if took := time.Since(start); took < slow {
 		t.Errorf("reconfigure returned after %v, before d (%v) had answered", took, slow)
 	}
-	after := logs()
-	time.Sleep(2 * slow)
-	if later := logs(); fmt.Sprint(later) != fmt.Sprint(after) {
-		t.Errorf("device op logs changed after Reconfigure returned: %v, then %v", after, later)
+	after := tuned()
+	if want := map[string]int{"a": 1, "b": 1, "c": -1, "d": 1, "e": 1}; !maps.Equal(after, want) {
+		t.Errorf("banks tuned to %v, want %v: d's batch applied and c's refused", after, want)
 	}
-	if after["d"] != 1 || after["c"] != 0 {
-		t.Errorf("op logs %v: want d's batch applied and c's refused", after)
+	shims.Take()
+	time.Sleep(2 * slow)
+	if later := tuned(); !maps.Equal(later, after) {
+		t.Errorf("banks changed after Reconfigure returned: %v, then %v", after, later)
+	}
+	if late := shims.Take(); len(late) > 0 {
+		t.Errorf("devices handled %v after Reconfigure returned", late)
 	}
 }

@@ -591,11 +591,11 @@ func (d *decoder) str() (string, error) {
 // decoder hands out these strings for them instead of a copy of the line's
 // bytes, which would cost an allocation per key of every message.
 var words = [...]string{
-	"idxs", "wavelengths", "disconnect", "ins", "outs", "channels", "state",
-	"in", "out", "ports", "tuned", "enabled", "lambda", "filled",
+	"idxs", "wavelengths", "disconnect", "ins", "outs", "state",
+	"in", "out", "ports", "tuned", "enabled", "lambda",
 	"gain_db", "limit_dbm", "fixed_gain", "kind",
 	"switch-batch", "tune-batch", "disable-batch", "enable-batch",
-	"enable", "disable", "fill", "ping",
+	"enable", "disable", "ping",
 }
 
 // intern returns b as a string, without allocating when it is one of words.

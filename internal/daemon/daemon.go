@@ -319,7 +319,7 @@ func (d *Daemon) initMetrics() {
 	d.m.reconfigFailures = r.Counter("iris_reconfig_failures_total", "Reconfigurations aborted by a device failure.")
 	d.m.reconfigOps = r.Counter("iris_reconfig_ops_total", "Device operations executed by successful reconfigurations.")
 	d.m.reconfigSeconds = r.Histogram("iris_reconfig_seconds", "End-to-end reconfiguration latency.", latencyBuckets)
-	d.m.phaseSeconds = r.HistogramVec("iris_reconfig_phase_seconds", "Per-phase reconfiguration latency (drain, switch, amps, retune, fill, undrain).", "phase", latencyBuckets)
+	d.m.phaseSeconds = r.HistogramVec("iris_reconfig_phase_seconds", "Per-phase reconfiguration latency (drain, switch, amps, retune, undrain).", "phase", latencyBuckets)
 	d.m.allocFailures = r.Counter("iris_allocation_failures_total", "Traffic matrices rejected as unallocatable.")
 	d.m.allocIncremental = r.Counter("iris_alloc_incremental_total", "Convergences solved by the incremental delta allocator.")
 	d.m.allocFallback = r.Counter("iris_alloc_fallback_total", "Convergences solved from scratch (first solve, deployment swap, or delta-cascade fallback).")

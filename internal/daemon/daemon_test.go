@@ -358,7 +358,7 @@ func TestReconfigTraceTree(t *testing.T) {
 		if got := strings.Join(names, ","); got != want {
 			t.Fatalf("layer order %q, want %q", got, want)
 		}
-		if got, want := strings.Join(phases, ","), "drain,switch,amps,retune,fill,undrain"; got != want {
+		if got, want := strings.Join(phases, ","), "drain,switch,amps,retune,undrain"; got != want {
 			t.Fatalf("phase order %q, want %q", got, want)
 		}
 		if devChildren == 0 {

@@ -163,18 +163,15 @@ func TestAuditSeesEveryDeviceFlip(t *testing.T) {
 }
 
 // TestLongRunningRegionStaysFlat steps a region through 300 dense ticks
-// and checks that what a device remembers, and the live heap with it,
-// stop growing: the daemon is built to run indefinitely.
+// and checks that the live heap stops growing: the daemon is built to run
+// indefinitely.
 func TestLongRunningRegionStaysFlat(t *testing.T) {
-	rig, d := denseRegion(t, 10)
-	retained := func() (entries int, heap uint64) {
-		for _, dev := range rig.Testbed.Devices {
-			entries += len(dev.(interface{ Log() []control.LogEntry }).Log())
-		}
+	_, d := denseRegion(t, 10)
+	heap := func() uint64 {
 		runtime.GC()
 		var ms runtime.MemStats
 		runtime.ReadMemStats(&ms)
-		return entries, ms.HeapAlloc
+		return ms.HeapAlloc
 	}
 	step := func(ticks int) {
 		t.Helper()
@@ -187,22 +184,16 @@ func TestLongRunningRegionStaysFlat(t *testing.T) {
 	}
 
 	step(150)
-	entries150, heap150 := retained()
+	heap150 := heap()
 	step(150)
-	entries300, heap300 := retained()
+	heap300 := heap()
 	if err := d.Audit(); err != nil {
 		t.Fatal(err)
 	}
 
-	t.Logf("after 150 ticks: %d log entries, %d KiB live; after 300: %d entries, %d KiB",
-		entries150, heap150>>10, entries300, heap300>>10)
-	// Every device has long filled its ring (a dense tick logs on every
-	// bank and every switch), except amplifiers that seldom toggle.
-	perDevice := entries300 / len(rig.Testbed.Devices)
-	if grown := entries300 - entries150; grown > len(rig.Testbed.Devices) || perDevice > 128 {
-		t.Errorf("device logs grew from %d to %d entries over 150 ticks (%d per device)", entries150, entries300, perDevice)
-	}
-	// At the parent commit the same 150 ticks added tens of megabytes.
+	t.Logf("after 150 ticks: %d KiB live; after 300: %d KiB", heap150>>10, heap300>>10)
+	// When every device kept an unbounded operation log, the same 150
+	// ticks added tens of megabytes.
 	const slack = 2 << 20
 	if heap300 > heap150+slack {
 		t.Errorf("live heap grew from %d to %d bytes over 150 ticks", heap150, heap300)

@@ -68,7 +68,6 @@ func deepExpected(e control.Expected) control.Expected {
 		Cross:   deepMap(e.Cross, maps.Clone[map[int]int]),
 		Tuned:   deepMap(e.Tuned, slices.Clone[[]int]),
 		Enabled: deepMap(e.Enabled, slices.Clone[[]bool]),
-		Filled:  deepMap(e.Filled, slices.Clone[[]int]),
 		Amps:    maps.Clone(e.Amps),
 	}
 }

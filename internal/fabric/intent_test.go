@@ -83,7 +83,7 @@ func switchArgs(disconnect, ins, outs []int) map[string]any {
 }
 
 func opCount(ch control.Change) int {
-	return len(ch.Drain) + len(ch.Switches) + len(ch.Amps) + len(ch.Retunes) + len(ch.Fills) + len(ch.Undrain)
+	return len(ch.Drain) + len(ch.Switches) + len(ch.Amps) + len(ch.Retunes) + len(ch.Undrain)
 }
 
 // TestAuditAndRepairAgreeOnNamedDrifts: the three divergences the audit

@@ -50,5 +50,5 @@ func (f *Fabric) Clone() *Fabric {
 // intent.
 func EmptyChange(ch control.Change) bool {
 	return len(ch.Drain) == 0 && len(ch.Switches) == 0 && len(ch.Amps) == 0 &&
-		len(ch.Retunes) == 0 && len(ch.Fills) == 0 && len(ch.Undrain) == 0
+		len(ch.Retunes) == 0 && len(ch.Undrain) == 0
 }

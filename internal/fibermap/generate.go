@@ -209,13 +209,17 @@ func placeDCs(m *Map, cfg PlaceConfig) (dcs []int, searches int, err error) {
 		grid[i].Site = sites[i]
 	}
 
+	// One graph for every round, with room for the DCs to come; each
+	// round's access ducts go into it as they go into the map. A DC is a
+	// transit node, so they may have shortened hut-to-hut paths: each
+	// round searches from every placed DC again.
+	g := graph.New(len(m.Nodes) + cfg.N)
+	for _, d := range m.Ducts {
+		g.AddEdge(d.ID, d.A, d.B, d.FiberKM)
+	}
 	var vecs [][]float64
 	candidates := make([]int, 0, len(grid)) // indices into grid
 	for placed := 0; placed < cfg.N; placed++ {
-		// A DC is a transit node, so the last round's access ducts may
-		// have shortened hut-to-hut paths: each round searches from every
-		// placed DC on its own graph.
-		g := m.Graph()
 		vecs = vecs[:0]
 		for _, dc := range dcs {
 			vecs = append(vecs, g.Dijkstra(dc).Dist)
@@ -244,7 +248,7 @@ func placeDCs(m *Map, cfg PlaceConfig) (dcs []int, searches int, err error) {
 		}
 		id := m.AddNode(DC, site.P, "")
 		for j, h := range site.Hut {
-			m.AddDuct(id, h, site.Acc[j])
+			g.AddEdge(m.AddDuct(id, h, site.Acc[j]), id, h, site.Acc[j])
 		}
 		dcs = append(dcs, id)
 		for i := range grid {

@@ -227,11 +227,20 @@ func FuzzPlaceDCsMatchesOracle(f *testing.F) {
 // placement seed 1) and fails above 200 shortest-path searches a
 // placement: 190 from the placed DCs (one per DC per round) and room for
 // ten band fallbacks. The oracle's seeded search per candidate makes
-// 6 859.
+// 6 859. It also fails above 1 200 allocations a placement (≈960; ≈2 640
+// when every round rebuilt the map's graph).
 func BenchmarkPlaceDCs20(b *testing.B) {
 	base := Generate(genConfig(1))
 	cfg := placeConfig(1, 20)
+	if allocs := testing.AllocsPerRun(3, func() {
+		if _, _, err := placeDCs(base.Clone(), cfg); err != nil {
+			b.Fatal(err)
+		}
+	}); allocs > 1200 {
+		b.Fatalf("a placement allocates %.0f times, want at most 1200", allocs)
+	}
 	b.ReportAllocs()
+	b.ResetTimer()
 	total := 0
 	for i := 0; i < b.N; i++ {
 		_, n, err := placeDCs(base.Clone(), cfg)

@@ -297,3 +297,34 @@ func TestFleet100Regions(t *testing.T) {
 	}
 	runFleetE2E(t, 100, 1)
 }
+
+// TestStormCyclesARegionOnce: a storm that names one region three times
+// runs one cycle on it; the later mentions report an error without
+// starting one.
+func TestStormCyclesARegionOnce(t *testing.T) {
+	clock := newFakeClock()
+	f := testFleet(t, 2, 1, clock)
+	round(f, clock)
+	id := fleet.RegionID(0)
+	r, _ := f.Region(id)
+	out := f.Storm(context.Background(), fleet.StormConfig{
+		Regions: []string{id, id, id},
+		Seed:    1,
+		Cycle: daemon.CycleOptions{Timeout: time.Minute, Pump: func() {
+			clock.advance(150 * time.Millisecond)
+			r.ProbeOnce()
+			if st := r.Status(); st.Healthy && !st.NeedRepair {
+				r.Step()
+			}
+		}},
+	})
+	twice := fmt.Sprintf("region %q named twice", id)
+	if len(out) != 3 || out[0].Result == nil || out[0].Error != "" || out[1].Error != twice || out[2].Error != twice {
+		t.Fatalf("storm outcomes %+v, want one result and two %q", out, twice)
+	}
+	rec := httptest.NewRecorder()
+	f.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+	if body := rec.Body.String(); !strings.Contains(body, "iris_fleet_chaos_cycles_total 1\n") {
+		t.Errorf("/metrics does not count one fleet chaos cycle:\n%s", body)
+	}
+}

@@ -83,7 +83,9 @@ type StormOutcome struct {
 // region is pinned and driven through a full failure-recovery cycle
 // concurrently. Outcomes are ordered by region id order of the targets;
 // a region that is busy or chaos-less reports an error outcome rather
-// than failing the storm. Cancelling ctx fails every cycle still waiting.
+// than failing the storm, and so does every mention of a region after its
+// first: a storm cycles a region once. Cancelling ctx fails every cycle
+// still waiting.
 func (f *Fleet) Storm(ctx context.Context, cfg StormConfig) []StormOutcome {
 	targets := cfg.Regions
 	if len(targets) == 0 {
@@ -106,9 +108,15 @@ func (f *Fleet) Storm(ctx context.Context, cfg StormConfig) []StormOutcome {
 
 	f.log.Info("storm start", "regions", targets, "cuts", cuts)
 	out := make([]StormOutcome, len(targets))
+	named := make(map[string]bool, len(targets))
 	var wg sync.WaitGroup
 	for i, id := range targets {
 		out[i].Region = id
+		if named[id] {
+			out[i].Error = fmt.Sprintf("region %q named twice", id)
+			continue
+		}
+		named[id] = true
 		m := f.member(id)
 		if m == nil {
 			out[i].Error = fmt.Sprintf("unknown region %q", id)

@@ -5,7 +5,7 @@
 // in an external tracing stack.
 //
 // Spans are hierarchical: a reconfiguration root span has one child per
-// drained phase (drain → switch → amps → retune → fill → undrain → audit,
+// drained phase (drain → switch → amps → retune → undrain → audit,
 // the §5.2 sequence), each phase has per-device children, and the planner
 // and sweep produce their own trees (plan → Algorithm-1 stages, sweep →
 // per-seed rows). Every finished span becomes one fixed-size Event in a

@@ -1,95 +1,13 @@
-// Package wave implements Iris's wavelength management. Iris deliberately
-// keeps this trivial (§5.1–5.2): each DC independently packs its tunable
-// transceivers into outgoing fibers, with amplified-spontaneous-emission
-// (ASE) noise filling unused slots so amplifier gain profiles stay flat.
-// No network-wide coordination is needed because fibers — not wavelengths
-// — are the switching unit.
-//
-// The package also provides the wavelength-assignment machinery a pure
-// wavelength-switched design would need instead: coloring the circuit
-// conflict graph so that circuits sharing a fiber link never collide —
-// exactly the extra complexity Appendix B cites as a reason to prefer
-// fiber switching.
+// Package wave holds the wavelength-assignment machinery a pure
+// wavelength-switched design would need, and Iris does not (§5.1–5.2):
+// coloring the circuit conflict graph so that circuits sharing a fiber
+// link never collide — exactly the extra complexity Appendix B cites as a
+// reason to prefer fiber switching. In Iris each DC tunes its own
+// transceivers onto the fibers it leases, and fibers, not wavelengths,
+// are the switching unit, so no network-wide coordination is needed.
 package wave
 
-import (
-	"fmt"
-	"sort"
-)
-
-// Demand is one destination's wavelength requirement from a source DC.
-type Demand struct {
-	Dst         int
-	Wavelengths int
-}
-
-// Fiber is one outgoing fiber's packing: the destination its circuit
-// points at and the wavelength slots carrying live traffic. Slots not
-// listed are ASE-filled.
-type Fiber struct {
-	Dst   int
-	Slots []int
-}
-
-// PackDC packs a DC's demands into outgoing fibers of lambda wavelength
-// slots each: ⌊d/λ⌋ full fibers per destination plus one residual fiber
-// carrying the remainder (§4.3). Full fibers use every slot; residual
-// fibers use the lowest slots, leaving the rest for ASE fill. Demands are
-// processed in destination order so the packing is deterministic.
-func PackDC(demands []Demand, lambda int) ([]Fiber, error) {
-	if lambda <= 0 {
-		return nil, fmt.Errorf("wave: lambda must be positive, got %d", lambda)
-	}
-	sorted := append([]Demand(nil), demands...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Dst < sorted[j].Dst })
-
-	var fibers []Fiber
-	seen := make(map[int]bool, len(sorted))
-	for _, d := range sorted {
-		if d.Wavelengths < 0 {
-			return nil, fmt.Errorf("wave: negative demand %d for destination %d", d.Wavelengths, d.Dst)
-		}
-		if seen[d.Dst] {
-			return nil, fmt.Errorf("wave: duplicate destination %d", d.Dst)
-		}
-		seen[d.Dst] = true
-		full := d.Wavelengths / lambda
-		for i := 0; i < full; i++ {
-			fibers = append(fibers, Fiber{Dst: d.Dst, Slots: allSlots(lambda)})
-		}
-		if rem := d.Wavelengths % lambda; rem > 0 {
-			fibers = append(fibers, Fiber{Dst: d.Dst, Slots: allSlots(rem)})
-		}
-	}
-	return fibers, nil
-}
-
-func allSlots(n int) []int {
-	s := make([]int, n)
-	for i := range s {
-		s[i] = i
-	}
-	return s
-}
-
-// ASEFill returns the slots of a fiber that must carry ASE noise: the
-// complement of the live slots in [0, lambda).
-func ASEFill(f Fiber, lambda int) []int {
-	live := make(map[int]bool, len(f.Slots))
-	for _, s := range f.Slots {
-		live[s] = true
-	}
-	var fill []int
-	for s := 0; s < lambda; s++ {
-		if !live[s] {
-			fill = append(fill, s)
-		}
-	}
-	return fill
-}
-
-// ---------------------------------------------------------------------------
-// Wavelength assignment for a pure wavelength-switched design.
+import "sort"
 
 // Lightpath is one wavelength-granularity circuit: the set of fiber-link
 // IDs it traverses. Two lightpaths sharing any link must use different

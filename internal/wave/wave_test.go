@@ -2,101 +2,8 @@ package wave
 
 import (
 	"math/rand"
-	"reflect"
 	"testing"
 )
-
-func TestPackDCBasics(t *testing.T) {
-	fibers, err := PackDC([]Demand{
-		{Dst: 2, Wavelengths: 100}, // 2 full + 20 residual at λ=40
-		{Dst: 1, Wavelengths: 40},  // exactly 1 full
-		{Dst: 3, Wavelengths: 0},   // nothing
-	}, 40)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(fibers) != 4 {
-		t.Fatalf("fibers = %d, want 4", len(fibers))
-	}
-	// Destination order: dst 1 first.
-	if fibers[0].Dst != 1 || len(fibers[0].Slots) != 40 {
-		t.Errorf("fiber[0] = %+v", fibers[0])
-	}
-	if fibers[1].Dst != 2 || len(fibers[1].Slots) != 40 {
-		t.Errorf("fiber[1] = %+v", fibers[1])
-	}
-	if fibers[3].Dst != 2 || len(fibers[3].Slots) != 20 {
-		t.Errorf("fiber[3] = %+v (residual)", fibers[3])
-	}
-}
-
-func TestPackDCErrors(t *testing.T) {
-	if _, err := PackDC(nil, 0); err == nil {
-		t.Error("expected error for bad lambda")
-	}
-	if _, err := PackDC([]Demand{{Dst: 1, Wavelengths: -1}}, 40); err == nil {
-		t.Error("expected error for negative demand")
-	}
-	if _, err := PackDC([]Demand{{Dst: 1, Wavelengths: 1}, {Dst: 1, Wavelengths: 2}}, 40); err == nil {
-		t.Error("expected error for duplicate destination")
-	}
-}
-
-func TestPackDCConservesWavelengths(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	for trial := 0; trial < 200; trial++ {
-		lambda := 1 + rng.Intn(64)
-		var demands []Demand
-		want := 0
-		for d := 0; d < 1+rng.Intn(8); d++ {
-			w := rng.Intn(3 * lambda)
-			demands = append(demands, Demand{Dst: d, Wavelengths: w})
-			want += w
-		}
-		fibers, err := PackDC(demands, lambda)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := 0
-		for _, f := range fibers {
-			if len(f.Slots) > lambda {
-				t.Fatalf("fiber overfilled: %d > λ=%d", len(f.Slots), lambda)
-			}
-			got += len(f.Slots)
-		}
-		if got != want {
-			t.Fatalf("trial %d: packed %d wavelengths, want %d", trial, got, want)
-		}
-	}
-}
-
-func TestASEFillComplement(t *testing.T) {
-	f := Fiber{Dst: 1, Slots: []int{0, 1, 2}}
-	fill := ASEFill(f, 6)
-	if !reflect.DeepEqual(fill, []int{3, 4, 5}) {
-		t.Errorf("fill = %v", fill)
-	}
-	full := Fiber{Dst: 1, Slots: allSlots(6)}
-	if got := ASEFill(full, 6); got != nil {
-		t.Errorf("full fiber fill = %v, want none", got)
-	}
-}
-
-func TestFiberCountMatchesSection43(t *testing.T) {
-	// A DC with capacity z fibers sending x+y=z where y is fractional
-	// needs z+1 fibers (§4.3's motivating example).
-	const lambda = 40
-	fibers, err := PackDC([]Demand{
-		{Dst: 1, Wavelengths: 70}, // 1 full + residual
-		{Dst: 2, Wavelengths: 10}, // residual only
-	}, lambda)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(fibers) != 3 { // demand totals 2 fibers' worth but needs 3
-		t.Errorf("fibers = %d, want 3", len(fibers))
-	}
-}
 
 func TestColorLightpathsSimple(t *testing.T) {
 	paths := []Lightpath{
