@@ -1,13 +1,13 @@
 // Command irisctl demonstrates the Iris operational loop (§5) on the
 // daemon's own write path: it builds a region with daemon.BuildRegion,
 // which plans it, materialises the deployment into emulated optical
-// devices served on private Unix sockets (one OSS per site, transceiver
-// banks at DCs, amplifiers where the planner placed them) and seeds its
-// traffic feed, then steps the daemon until the feed is exhausted. Each
-// commit is printed as the history lake recorded it: every §5.2 phase of
-// the drained reconfiguration with the devices it reached and its
-// duration, the commit's total, and the verdict of the audit that closes
-// it against the states the devices' writes answered with.
+// devices served in-process over in-memory pipes (one OSS per site,
+// transceiver banks at DCs, amplifiers where the planner placed them) and
+// seeds its traffic feed, then steps the daemon until the feed is
+// exhausted. Each commit is printed as the history lake recorded it: every
+// §5.2 phase of the drained reconfiguration with the devices it reached
+// and its duration, the commit's total, and the verdict of the audit that
+// closes it against the states the devices' writes answered with.
 //
 // Usage: irisctl [flags]; irisctl -h lists them. It takes every region
 // flag irisd does (daemon.RegionConfig.RegisterFlags), with -steps
@@ -69,7 +69,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	devices := b.Rig.Testbed.Controller.Devices()
 	fmt.Fprintf(stdout, "planned region: %d DCs, %d huts used, %d fiber-pairs\n",
 		len(dep.Region.Map.DCs()), len(dep.Plan.UsedHuts()), dep.Plan.TotalFiberPairs())
-	fmt.Fprintf(stdout, "fabric up: %d devices on private Unix sockets: %s\n", len(devices), strings.Join(devices, " "))
+	fmt.Fprintf(stdout, "fabric up: %d devices on in-memory pipes: %s\n", len(devices), strings.Join(devices, " "))
 
 	// A lake replayed from -history-path holds records of earlier runs.
 	var seen uint64

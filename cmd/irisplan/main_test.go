@@ -126,6 +126,7 @@ func TestPrintsTheGolden(t *testing.T) {
 		{"seed1-dcs20-f2-v", []string{"-seed", "1", "-dcs", "20", "-failures", "2", "-v"}},
 		{"seeds-1-2-3", []string{"-seeds", "1,2,3"}},
 		{"seed6-dcs20-f3", []string{"-seed", "6", "-dcs", "20", "-failures", "3"}},
+		{"seed4-dcs24-f2-v", []string{"-seed", "4", "-dcs", "24", "-failures", "2", "-v"}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var stdout, stderr bytes.Buffer

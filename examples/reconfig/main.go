@@ -1,5 +1,5 @@
 // Reconfig: drives the Iris control plane (§5) end to end — emulated OSS,
-// amplifier and transceiver agents on Unix sockets, a controller that
+// amplifier and transceiver agents on in-memory pipes, a controller that
 // establishes circuits and then executes a drained reconfiguration, and a
 // state audit — followed by the physical-layer view of the same event: the
 // Fig. 14 BER timeline around the switch.

@@ -14,10 +14,12 @@ import (
 	"iris/internal/trace"
 )
 
-// deviceSpec names one device agent and the listener it serves on.
+// deviceSpec names one device agent and how its client connects to it:
+// each call of dial opens a fresh connection, the first at dial and one
+// more each time a poisoned connection is replaced.
 type deviceSpec struct {
 	Name string
-	Addr net.Addr
+	dial func() (net.Conn, error)
 }
 
 // Controller is the centralized Iris controller (§5.2). It holds one
@@ -33,8 +35,7 @@ type Controller struct {
 // DialOptions configures the controller's per-device transports. Zero
 // values select the package defaults.
 type DialOptions struct {
-	DialTimeout time.Duration // connection establishment bound
-	RPCTimeout  time.Duration // end-to-end bound per device call
+	RPCTimeout time.Duration // end-to-end bound per device call
 }
 
 // dialWithOptions connects to all device agents. On any failure it closes
@@ -46,7 +47,7 @@ func dialWithOptions(specs []deviceSpec, opts DialOptions) (*Controller, error) 
 			c.shutdown()
 			return nil, fmt.Errorf("control: duplicate device name %q", s.Name)
 		}
-		cl, err := dialDeviceTimeout(s.Addr, opts.DialTimeout, opts.RPCTimeout)
+		cl, err := dialDevice(s, opts.RPCTimeout)
 		if err != nil {
 			c.shutdown()
 			return nil, err

@@ -4,12 +4,73 @@ import (
 	"bufio"
 	"context"
 	"encoding/json"
+	"errors"
+	"fmt"
 	"net"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
+
+// serve accepts connections on l and serves dev until the listener is
+// closed or ctx is cancelled. Cancellation closes active connections too,
+// so serve never blocks shutdown on clients that keep their sockets open.
+// It returns the first non-shutdown error. The tests that want a kernel
+// socket between client and agent serve on a TCP listener with it.
+func serve(ctx context.Context, l net.Listener, dev Device) error {
+	var (
+		mu    sync.Mutex
+		conns = make(map[net.Conn]bool)
+	)
+	done := make(chan struct{})
+	defer close(done)
+	go func() {
+		select {
+		case <-ctx.Done():
+			l.Close()
+			mu.Lock()
+			for c := range conns {
+				c.Close()
+			}
+			mu.Unlock()
+		case <-done:
+		}
+	}()
+	var wg sync.WaitGroup
+	defer wg.Wait()
+	for {
+		conn, err := l.Accept()
+		if err != nil {
+			if ctx.Err() != nil || errors.Is(err, net.ErrClosed) {
+				return nil
+			}
+			return fmt.Errorf("control: accept: %w", err)
+		}
+		mu.Lock()
+		conns[conn] = true
+		mu.Unlock()
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			defer func() {
+				conn.Close()
+				mu.Lock()
+				delete(conns, conn)
+				mu.Unlock()
+			}()
+			serveConn(conn, dev)
+		}()
+	}
+}
+
+// tcpSpec names a device served on a TCP listener at addr.
+func tcpSpec(name string, addr net.Addr) deviceSpec {
+	return deviceSpec{Name: name, dial: func() (net.Conn, error) {
+		return net.Dial(addr.Network(), addr.String())
+	}}
+}
 
 // TestMalformedRequestGetsErrorResponse sends raw garbage to an agent and
 // expects a structured error rather than a dropped connection.
@@ -88,7 +149,7 @@ func TestDeadDeviceSurfacesError(t *testing.T) {
 		serve(ctx, l, NewOSS(4, 0))
 	}()
 
-	ctl, err := dialWithOptions([]deviceSpec{{Name: "oss", Addr: l.Addr()}}, DialOptions{})
+	ctl, err := dialWithOptions([]deviceSpec{tcpSpec("oss", l.Addr())}, DialOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,11 +190,9 @@ func TestReconfigureFailsCleanlyOnDeadDevice(t *testing.T) {
 	}
 	defer tb.Close()
 
-	// Close only the OSS client's transport by closing the whole testbed
-	// listeners after connecting a second controller — simpler: dial a
-	// controller to one real and one bogus address.
+	// A controller whose device cannot be reached fails to dial.
 	_, err = dialWithOptions([]deviceSpec{
-		{Name: "oss", Addr: &net.TCPAddr{IP: net.IPv4(127, 0, 0, 1), Port: 1}}, // nothing listens here
+		tcpSpec("oss", &net.TCPAddr{IP: net.IPv4(127, 0, 0, 1), Port: 1}), // nothing listens here
 	}, DialOptions{})
 	if err == nil {
 		t.Fatal("dial to dead address should fail")
@@ -159,8 +218,7 @@ func TestDialRejectsDuplicateNames(t *testing.T) {
 	defer cancel()
 	go serve(ctx, l, NewOSS(4, 0))
 
-	addr := l.Addr()
-	_, err = dialWithOptions([]deviceSpec{{Name: "a", Addr: addr}, {Name: "a", Addr: addr}}, DialOptions{})
+	_, err = dialWithOptions([]deviceSpec{tcpSpec("a", l.Addr()), tcpSpec("a", l.Addr())}, DialOptions{})
 	if err == nil || !strings.Contains(err.Error(), "duplicate") {
 		t.Errorf("err = %v, want duplicate-name error", err)
 	}

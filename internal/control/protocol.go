@@ -6,18 +6,17 @@
 //
 // The paper's controller drove vendor hardware over serial, HTTPS and
 // NetConf; this package substitutes emulated device agents speaking a
-// newline-delimited JSON protocol (wire.go is its codec) over a kernel byte
+// newline-delimited JSON protocol (wire.go is its codec) over a byte
 // stream, preserving the control logic, command set and sequencing while
-// making the whole plane testable in-process. A Testbed serves its agents
-// on Unix-domain sockets in a private directory: controller and agents
-// share one process, so a Unix socket costs less CPU per RPC than loopback
-// TCP, and the directory's mode admits only the process's own user. The
-// client dials whatever network its agent listens on, TCP included.
+// making the whole plane testable in-process. A client reaches its agent
+// through a dial function: a Testbed's opens an in-memory pipe (net.Pipe)
+// and serves the agent's end in the same process, so an RPC makes no
+// system call and no agent has an address another process could reach;
+// a test may dial a TCP listener instead.
 package control
 
 import (
 	"bufio"
-	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -49,56 +48,6 @@ type Device interface {
 	Kind() string
 	// Handle executes one operation and returns its result.
 	Handle(op string, args map[string]any) (map[string]any, error)
-}
-
-// serve accepts connections on l and serves dev until the listener is
-// closed or ctx is cancelled. Cancellation closes active connections too,
-// so Serve never blocks shutdown on clients that keep their sockets open.
-// It returns the first non-shutdown error.
-func serve(ctx context.Context, l net.Listener, dev Device) error {
-	var (
-		mu    sync.Mutex
-		conns = make(map[net.Conn]bool)
-	)
-	done := make(chan struct{})
-	defer close(done)
-	go func() {
-		select {
-		case <-ctx.Done():
-			l.Close()
-			mu.Lock()
-			for c := range conns {
-				c.Close()
-			}
-			mu.Unlock()
-		case <-done:
-		}
-	}()
-	var wg sync.WaitGroup
-	defer wg.Wait()
-	for {
-		conn, err := l.Accept()
-		if err != nil {
-			if ctx.Err() != nil || errors.Is(err, net.ErrClosed) {
-				return nil
-			}
-			return fmt.Errorf("control: accept: %w", err)
-		}
-		mu.Lock()
-		conns[conn] = true
-		mu.Unlock()
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			defer func() {
-				conn.Close()
-				mu.Lock()
-				delete(conns, conn)
-				mu.Unlock()
-			}()
-			serveConn(conn, dev)
-		}()
-	}
 }
 
 // maxLine bounds one protocol line in either direction.
@@ -166,13 +115,11 @@ func handleCommon(dev Device, op string, args map[string]any) (map[string]any, e
 	}
 }
 
-// Default transport deadlines. A hardware agent that neither accepts nor
-// answers must not wedge the controller (§5.2 budgets a reconfiguration in
-// tens of milliseconds; seconds means the device is gone).
-const (
-	defaultDialTimeout = 5 * time.Second
-	DefaultRPCTimeout  = 30 * time.Second
-)
+// DefaultRPCTimeout is the default transport deadline. A hardware agent
+// that does not answer must not wedge the controller (§5.2 budgets a
+// reconfiguration in tens of milliseconds; seconds means the device is
+// gone).
+const DefaultRPCTimeout = 30 * time.Second
 
 // client is a connection to one device agent. It serialises calls; one
 // stream connection carries the exchange, and a connection that times out or
@@ -180,31 +127,27 @@ const (
 // call, so a device that heals becomes reachable again without rebuilding
 // the controller.
 type client struct {
-	mu          sync.Mutex
-	addr        net.Addr // the agent's listener, on any stream network
-	dialTimeout time.Duration
-	rpcTimeout  time.Duration
-	conn        net.Conn
-	sc          *bufio.Scanner
-	wbuf        []byte // request line under construction, reused
-	nextID      int64  // ID of the last request sent
-	op          string // its operation, for recv's errors
-	broken      bool
-	closed      bool
+	mu         sync.Mutex
+	name       string                   // the device's, for errors
+	dial       func() (net.Conn, error) // opens a fresh connection to the agent
+	rpcTimeout time.Duration
+	conn       net.Conn
+	sc         *bufio.Scanner
+	wbuf       []byte // request line under construction, reused
+	nextID     int64  // ID of the last request sent
+	op         string // its operation, for recv's errors
+	broken     bool
+	closed     bool
 }
 
-// dialDeviceTimeout connects to a device agent.
-// dialTimeout bounds connection establishment (and re-establishment);
-// rpcTimeout bounds each request end to end. Zero values select the defaults;
-// negative values disable the corresponding deadline.
-func dialDeviceTimeout(addr net.Addr, dialTimeout, rpcTimeout time.Duration) (*client, error) {
-	if dialTimeout == 0 {
-		dialTimeout = defaultDialTimeout
-	}
+// dialDevice connects to a device agent through its spec's dial.
+// rpcTimeout bounds each request end to end: zero selects the default, a
+// negative value disables the deadline.
+func dialDevice(s deviceSpec, rpcTimeout time.Duration) (*client, error) {
 	if rpcTimeout == 0 {
 		rpcTimeout = DefaultRPCTimeout
 	}
-	c := &client{addr: addr, dialTimeout: dialTimeout, rpcTimeout: rpcTimeout}
+	c := &client{name: s.Name, dial: s.dial, rpcTimeout: rpcTimeout}
 	if err := c.redialLocked(); err != nil {
 		return nil, err
 	}
@@ -212,17 +155,11 @@ func dialDeviceTimeout(addr net.Addr, dialTimeout, rpcTimeout time.Duration) (*c
 }
 
 // redialLocked (re)establishes the transport. Callers hold c.mu, except
-// from dialDeviceTimeout where the client is not yet shared.
+// from dialDevice where the client is not yet shared.
 func (c *client) redialLocked() error {
-	var conn net.Conn
-	var err error
-	if c.dialTimeout > 0 {
-		conn, err = net.DialTimeout(c.addr.Network(), c.addr.String(), c.dialTimeout)
-	} else {
-		conn, err = net.Dial(c.addr.Network(), c.addr.String())
-	}
+	conn, err := c.dial()
 	if err != nil {
-		return fmt.Errorf("control: dial %s: %w", c.addr, err)
+		return fmt.Errorf("control: dial %s: %w", c.name, err)
 	}
 	c.conn, c.sc = conn, newLineScanner(conn)
 	c.broken = false
@@ -255,7 +192,7 @@ func (c *client) send(op string, args map[string]any, sent time.Time) (err error
 		}
 	}()
 	if c.closed {
-		return fmt.Errorf("control: client for %s is closed", c.addr)
+		return fmt.Errorf("control: client for %s is closed", c.name)
 	}
 	if c.broken || c.conn == nil {
 		if err := c.redialLocked(); err != nil {
@@ -266,6 +203,11 @@ func (c *client) send(op string, args map[string]any, sent time.Time) (err error
 	line, err := appendRequest(c.wbuf[:0], &wireRequest{ID: c.nextID, Op: op, Args: args})
 	if err != nil {
 		return err // nothing was sent: the transport stays usable
+	}
+	if len(line) > maxLine {
+		// The agent could not frame it, and its error reply would wait on
+		// a pipe this write still holds until the deadline: send nothing.
+		return fmt.Errorf("control: %s request of %d bytes is past the protocol's %d-byte line", op, len(line), maxLine)
 	}
 	c.wbuf, c.op = line, op
 	if c.rpcTimeout > 0 {

@@ -2,87 +2,91 @@ package control
 
 import (
 	"os"
-	"path/filepath"
-	"strconv"
+	"runtime"
 	"strings"
-	"syscall"
 	"testing"
+	"time"
+
+	"iris/internal/control/devicetest"
 )
 
-// TestTestbedSocketsArePrivate: a testbed serves every device on a Unix
-// socket in one directory only its own user may enter, the controller
-// dials each device on that socket, and Close removes the directory.
-func TestTestbedSocketsArePrivate(t *testing.T) {
-	tb, err := StartTestbed(map[string]Device{
-		"oss":  NewOSS(4, 0),
-		"xcvr": NewTransceiverBank(2, 40),
-		"amp":  NewAmplifier(20, 0),
-	})
+// TestTestbedPipesLeaveNothing: a testbed makes no file, and Close waits
+// for every server it started, a redialled connection's too. A wedged
+// device holds its server inside Handle past the request's deadline; the
+// client poisons the connection and redials onto a fresh pipe, which gets
+// a server of its own. With that server wedged too, Close does not return
+// until it is released, and then no goroutine of the testbed is left.
+func TestTestbedPipesLeaveNothing(t *testing.T) {
+	tmp := t.TempDir()
+	t.Setenv("TMPDIR", tmp)
+	before := runtime.NumGoroutine()
+
+	dev := devicetest.Wrap(NewTransceiverBank(4, 40))
+	tb, err := StartTestbedWithOptions(map[string]Device{"bank": dev}, DialOptions{RPCTimeout: 50 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer tb.Close() // a second Close is harmless
-
-	if len(tb.listeners) != len(tb.Devices) {
-		t.Fatalf("%d listeners for %d devices", len(tb.listeners), len(tb.Devices))
-	}
-	dir := tb.dir
-	for _, l := range tb.listeners {
-		addr := l.Addr()
-		if addr.Network() != "unix" || filepath.Dir(addr.String()) != dir {
-			t.Errorf("device served on %s %s, want a unix socket in %s", addr.Network(), addr, dir)
+	wedged := func() func() {
+		t.Helper()
+		stall, release := devicetest.Stall(t)
+		dev.Arm(stall)
+		if _, err := tb.Controller.Call("bank", "state", nil); !isDeadline(err) {
+			t.Fatalf("call to a wedged device = %v, want a deadline", err)
 		}
-		if fi, err := os.Stat(addr.String()); err != nil || fi.Mode().Type() != os.ModeSocket {
-			t.Errorf("%s: %v, mode %v; want a socket", addr, err, fi)
-		}
-	}
-	fi, err := os.Stat(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !fi.IsDir() || fi.Mode().Perm() != 0o700 {
-		t.Errorf("socket directory %s has mode %v, want a directory of mode 0700", dir, fi.Mode())
-	}
-	for _, name := range tb.Controller.Devices() {
-		if cl := tb.Controller.devices[name]; cl.addr.Network() != "unix" {
-			t.Errorf("controller dials %s on %s %s, want its unix socket", name, cl.addr.Network(), cl.addr)
-		}
-		if _, err := tb.Controller.Call(name, "ping", nil); err != nil {
-			t.Errorf("ping %s: %v", name, err)
-		}
+		dev.Arm(nil)
+		return release
 	}
 
-	tb.Close()
-	if _, err := os.Stat(dir); !os.IsNotExist(err) {
-		t.Errorf("socket directory %s after Close: %v, want it gone", dir, err)
+	release1 := wedged()
+	if _, err := tb.Controller.Call("bank", "state", nil); err != nil {
+		t.Fatalf("call after the timeout (redialled): %v", err)
+	}
+	release2 := wedged() // the redialled pipe's server, now inside Handle
+	release1()
+
+	closed := make(chan struct{})
+	go func() { tb.Close(); close(closed) }()
+	select {
+	case <-closed:
+		t.Fatal("Close returned while a redialled connection's server was inside its device")
+	case <-time.After(50 * time.Millisecond):
+	}
+	release2()
+	select {
+	case <-closed:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Close did not return once every device had answered")
+	}
+	if left, err := os.ReadDir(tmp); err != nil || len(left) != 0 {
+		t.Errorf("TMPDIR holds %v (%v), want nothing", left, err)
+	}
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > before; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<16)
+			t.Fatalf("%d goroutines after Close, %d before the testbed:\n%s", runtime.NumGoroutine(), before, buf[:runtime.Stack(buf, true)])
+		}
 	}
 }
 
-// TestTestbedSocketPathTooLong: a temporary directory so deep that a
-// socket's path passes the kernel's limit (sockaddr_un's sun_path, 108
-// bytes on Linux) fails the testbed with an error that names the path,
-// says it is too long for that limit and that a shorter TMPDIR fixes it,
-// and leaves no directory behind.
-func TestTestbedSocketPathTooLong(t *testing.T) {
-	tmp := filepath.Join(t.TempDir(), strings.Repeat("d", 120))
-	if err := os.Mkdir(tmp, 0o700); err != nil {
+// TestRequestPastTheLineLimit: a request longer than a protocol line is
+// refused before anything is sent — on a pipe the agent's error reply
+// would wait behind the write until the deadline — and the connection
+// stays usable.
+func TestRequestPastTheLineLimit(t *testing.T) {
+	tb, err := StartTestbed(map[string]Device{"oss": NewOSS(4, 0)})
+	if err != nil {
 		t.Fatal(err)
 	}
-	t.Setenv("TMPDIR", tmp)
-
-	tb, err := StartTestbed(map[string]Device{"oss": NewOSS(4, 0)})
-	if err == nil {
-		tb.Close()
-		t.Fatalf("testbed under a %d-byte TMPDIR started", len(tmp))
+	defer tb.Close()
+	start := time.Now()
+	_, err = tb.Controller.Call("oss", "ping", map[string]any{"pad": strings.Repeat("x", maxLine)})
+	if err == nil || !strings.Contains(err.Error(), "line") {
+		t.Fatalf("over-long request = %v, want it refused for its length", err)
 	}
-	if want := filepath.Join(tmp, "iris-tb-"); !strings.Contains(err.Error(), want) {
-		t.Errorf("err = %v, want it to name the socket path under %s", err, want)
+	if took := time.Since(start); took > time.Second {
+		t.Errorf("the over-long request took %v to fail", took)
 	}
-	limit := strconv.Itoa(len(syscall.RawSockaddrUnix{}.Path))
-	if !strings.Contains(err.Error(), "sockaddr_un's "+limit) || !strings.Contains(err.Error(), "shorter TMPDIR") {
-		t.Errorf("err = %v, want it to give the %s-byte limit and a shorter TMPDIR as the fix", err, limit)
-	}
-	if left, err := os.ReadDir(tmp); err != nil || len(left) != 0 {
-		t.Errorf("TMPDIR holds %v after the failed start (%v), want nothing", left, err)
+	if _, err := tb.Controller.Call("oss", "ping", nil); err != nil {
+		t.Errorf("ping after the refused request: %v", err)
 	}
 }

@@ -40,7 +40,7 @@ func TestCallTimesOutOnHungDevice(t *testing.T) {
 	t.Cleanup(func() { cancel(); l.Close(); <-done })
 	stall, _ := devicetest.Stall(t)
 
-	cl, err := dialDeviceTimeout(l.Addr(), time.Second, 50*time.Millisecond)
+	cl, err := dialDevice(tcpSpec("oss", l.Addr()), 50*time.Millisecond)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +80,7 @@ func TestClosedClientDoesNotRedial(t *testing.T) {
 	}()
 	defer func() { cancel(); l.Close(); <-done }()
 
-	cl, err := dialDeviceTimeout(l.Addr(), 0, 0)
+	cl, err := dialDevice(tcpSpec("oss", l.Addr()), 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -275,7 +275,7 @@ func TestRunGracefulShutdown(t *testing.T) {
 // still let a healthy region converge.
 func TestDialOptionsOnRig(t *testing.T) {
 	rig := toyRig(t, func(cfg *fabric.BringUpConfig) {
-		cfg.Dial = control.DialOptions{DialTimeout: time.Second, RPCTimeout: time.Second}
+		cfg.Dial = control.DialOptions{RPCTimeout: time.Second}
 	})
 	d, err := New(Config{
 		Fab:        rig.Fab,

@@ -76,7 +76,8 @@ func benchRegion(b testing.TB, shims devicetest.Set) (*Rig, [2]core.Allocation) 
 // is 1 833 now, although each device's last batch answers with its state:
 // the decoder interns the protocol's keys, and a batch's lists are
 // allocated once. (The closing audit those replies replace, a fetch of all
-// 52 states after a dense change, allocated 894 times on its own.)
+// 52 states after a dense change, allocated 894 times on its own.) On
+// in-memory pipes it is 2 163: a pipe's SetDeadline arms two timers an RPC.
 func BenchmarkReconfigureDense(b *testing.B) {
 	shims := devicetest.Set{}
 	rig, allocs := benchRegion(b, shims)
@@ -146,7 +147,8 @@ func BenchmarkReconfigureDense(b *testing.B) {
 // answered with.) Its allocations —
 // controller and devices, which share the process — are gated at 1 200 an
 // audit (888 when the gate was set; 2 802 with per-element state replies;
-// 685 since the decoder interns the protocol's keys).
+// 685 since the decoder interns the protocol's keys; 893 on in-memory
+// pipes, whose SetDeadline arms two timers an RPC).
 func BenchmarkAuditRegion(b *testing.B) {
 	rig, allocs := benchRegion(b, nil)
 	ch, err := rig.Fab.CompileTarget(allocs[0])
