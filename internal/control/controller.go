@@ -14,14 +14,6 @@ import (
 	"iris/internal/trace"
 )
 
-// deviceSpec names one device agent and how its client connects to it:
-// each call of dial opens a fresh connection, the first at dial and one
-// more each time a poisoned connection is replaced.
-type deviceSpec struct {
-	Name string
-	dial func() (net.Conn, error)
-}
-
 // Controller is the centralized Iris controller (§5.2). It holds one
 // connection per device and executes reconfigurations as strictly ordered
 // phases: drain traffic, switch fibers, set amplifiers, retune
@@ -29,7 +21,7 @@ type deviceSpec struct {
 type Controller struct {
 	mu      sync.Mutex
 	devices map[string]*client
-	names   []string // the keys of devices, sorted once at dial
+	names   []string // the keys of devices, sorted once at construction
 }
 
 // DialOptions configures the controller's per-device transports. Zero
@@ -38,24 +30,16 @@ type DialOptions struct {
 	RPCTimeout time.Duration // end-to-end bound per device call
 }
 
-// dialWithOptions connects to all device agents. On any failure it closes
-// the connections already made and returns the error.
-func dialWithOptions(specs []deviceSpec, opts DialOptions) (*Controller, error) {
-	c := &Controller{devices: make(map[string]*client, len(specs))}
-	for _, s := range specs {
-		if _, dup := c.devices[s.Name]; dup {
-			c.shutdown()
-			return nil, fmt.Errorf("control: duplicate device name %q", s.Name)
-		}
-		cl, err := dialDevice(s, opts.RPCTimeout)
-		if err != nil {
-			c.shutdown()
-			return nil, err
-		}
-		c.devices[s.Name] = cl
+// newController returns a controller of one client per device, keyed
+// by name: dials[name] opens a fresh connection to that device's agent.
+// Nothing is dialled here; each client dials on its first send.
+func newController(dials map[string]func() net.Conn, opts DialOptions) *Controller {
+	c := &Controller{devices: make(map[string]*client, len(dials))}
+	for name, dial := range dials {
+		c.devices[name] = newClient(name, dial, opts.RPCTimeout)
 	}
 	c.names = sortedKeys(c.devices)
-	return c, nil
+	return c
 }
 
 // DeviceError tags an error with the device whose call produced it, so a
@@ -132,9 +116,9 @@ func isDeadline(err error) bool {
 	return errors.As(err, &ne) && ne.Timeout()
 }
 
-// Devices returns the connected device names in sorted order. The set is
-// fixed when the controller dials, so every call returns the one slice
-// sorted then; callers must not modify it.
+// Devices returns the controller's device names in sorted order. The set
+// is fixed when the controller is built, so every call returns the one
+// slice sorted then; callers must not modify it.
 func (c *Controller) Devices() []string {
 	c.mu.Lock()
 	defer c.mu.Unlock()

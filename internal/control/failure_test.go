@@ -5,92 +5,22 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"net"
 	"slices"
 	"strings"
-	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
 
-// serve accepts connections on l and serves dev until the listener is
-// closed or ctx is cancelled. Cancellation closes active connections too,
-// so serve never blocks shutdown on clients that keep their sockets open.
-// It returns the first non-shutdown error. The tests that want a kernel
-// socket between client and agent serve on a TCP listener with it.
-func serve(ctx context.Context, l net.Listener, dev Device) error {
-	var (
-		mu    sync.Mutex
-		conns = make(map[net.Conn]bool)
-	)
-	done := make(chan struct{})
-	defer close(done)
-	go func() {
-		select {
-		case <-ctx.Done():
-			l.Close()
-			mu.Lock()
-			for c := range conns {
-				c.Close()
-			}
-			mu.Unlock()
-		case <-done:
-		}
-	}()
-	var wg sync.WaitGroup
-	defer wg.Wait()
-	for {
-		conn, err := l.Accept()
-		if err != nil {
-			if ctx.Err() != nil || errors.Is(err, net.ErrClosed) {
-				return nil
-			}
-			return fmt.Errorf("control: accept: %w", err)
-		}
-		mu.Lock()
-		conns[conn] = true
-		mu.Unlock()
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			defer func() {
-				conn.Close()
-				mu.Lock()
-				delete(conns, conn)
-				mu.Unlock()
-			}()
-			serveConn(conn, dev)
-		}()
-	}
-}
-
-// tcpSpec names a device served on a TCP listener at addr.
-func tcpSpec(name string, addr net.Addr) deviceSpec {
-	return deviceSpec{Name: name, dial: func() (net.Conn, error) {
-		return net.Dial(addr.Network(), addr.String())
-	}}
-}
-
 // TestMalformedRequestGetsErrorResponse sends raw garbage to an agent and
-// expects a structured error rather than a dropped connection.
+// expects a structured error rather than a dropped connection. The bytes
+// go down a pipe from the testbed's own dialer, so the server under test
+// is the one every controller talks to.
 func TestMalformedRequestGetsErrorResponse(t *testing.T) {
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		serve(ctx, l, NewOSS(4, 0))
-	}()
-
-	conn, err := net.Dial("tcp", l.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
+	tb := &Testbed{}
+	defer tb.Close() // waits for the pipe's server, which ends with conn
+	conn := tb.dialer(NewOSS(4, 0))()
 	defer conn.Close()
 	if _, err := conn.Write([]byte("this is not json\n")); err != nil {
 		t.Fatal(err)
@@ -109,7 +39,9 @@ func TestMalformedRequestGetsErrorResponse(t *testing.T) {
 
 	// The connection must still work afterwards.
 	req, _ := json.Marshal(wireRequest{ID: 7, Op: "ping"})
-	conn.Write(append(req, '\n'))
+	if _, err := conn.Write(append(req, '\n')); err != nil {
+		t.Fatal(err)
+	}
 	if !sc.Scan() {
 		t.Fatal("connection dead after malformed request")
 	}
@@ -117,10 +49,6 @@ func TestMalformedRequestGetsErrorResponse(t *testing.T) {
 	if !resp.OK || resp.ID != 7 {
 		t.Errorf("ping after garbage = %+v", resp)
 	}
-
-	cancel()
-	l.Close()
-	<-done
 }
 
 // TestEmptyOpRejected exercises the protocol-level guard.
@@ -135,51 +63,62 @@ func TestEmptyOpRejected(t *testing.T) {
 	}
 }
 
-// TestDeadDeviceSurfacesError kills an agent's listener mid-session and
-// verifies the controller reports the failure instead of hanging.
+// TestDeadDeviceSurfacesError kills an agent mid-session and verifies
+// the controller reports the failure instead of hanging: every call to
+// the dead device fails at once with a DeviceError naming it. The call
+// after the kill fails on the connection the agent dropped; each later
+// one dials afresh, and the dial hands back a pipe whose agent end is
+// already closed.
 func TestDeadDeviceSurfacesError(t *testing.T) {
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
+	var dials atomic.Int32
+	var live net.Conn // the agent end of the first connection
 	served := make(chan struct{})
-	go func() {
-		defer close(served)
-		serve(ctx, l, NewOSS(4, 0))
-	}()
-
-	ctl, err := dialWithOptions([]deviceSpec{tcpSpec("oss", l.Addr())}, DialOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	ctl := newController(map[string]func() net.Conn{"oss": func() net.Conn {
+		conn, agent := net.Pipe()
+		if dials.Add(1) > 1 {
+			agent.Close() // the agent is dead
+			return conn
+		}
+		live = agent
+		go func() {
+			defer close(served)
+			serveConn(agent, NewOSS(4, 0))
+		}()
+		return conn
+	}}, DialOptions{})
 	defer ctl.shutdown()
 	if _, err := ctl.Call("oss", "ping", nil); err != nil {
 		t.Fatal(err)
 	}
 
 	// Kill the agent.
-	cancel()
-	l.Close()
+	live.Close()
 	<-served
 
-	errCh := make(chan error, 1)
-	go func() {
-		_, err := ctl.Call("oss", "ping", nil)
-		errCh <- err
-	}()
-	select {
-	case err := <-errCh:
-		if err == nil {
-			t.Error("call to dead device succeeded")
+	for i := 1; i <= 3; i++ {
+		errCh := make(chan error, 1)
+		go func() {
+			_, err := ctl.Call("oss", "ping", nil)
+			errCh <- err
+		}()
+		select {
+		case err := <-errCh:
+			var de *DeviceError
+			if !errors.As(err, &de) || de.Device != "oss" {
+				t.Errorf("call %d to the dead device = %v, want a DeviceError for oss", i, err)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("call %d to the dead device hung", i)
 		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("call to dead device hung")
+		if n := dials.Load(); n != int32(i) {
+			t.Errorf("%d dials after call %d to the dead device, want %d: one fresh dial a call after the first", n, i, i)
+		}
 	}
 }
 
 // TestReconfigureFailsCleanlyOnDeadDevice verifies the phase machine
-// aborts with a phase-tagged error.
+// aborts with a phase-tagged error when a change names a device the
+// controller does not have.
 func TestReconfigureFailsCleanlyOnDeadDevice(t *testing.T) {
 	tb, err := StartTestbed(map[string]Device{
 		"oss":  NewOSS(8, 0),
@@ -190,37 +129,11 @@ func TestReconfigureFailsCleanlyOnDeadDevice(t *testing.T) {
 	}
 	defer tb.Close()
 
-	// A controller whose device cannot be reached fails to dial.
-	_, err = dialWithOptions([]deviceSpec{
-		tcpSpec("oss", &net.TCPAddr{IP: net.IPv4(127, 0, 0, 1), Port: 1}), // nothing listens here
-	}, DialOptions{})
-	if err == nil {
-		t.Fatal("dial to dead address should fail")
-	}
-
-	// A reconfiguration naming an unknown device fails in its phase.
 	_, err = tb.Controller.Reconfigure(context.Background(), Change{
 		Switches: []OSSOp{{Device: "ghost", In: 0, Out: 1}},
 	})
 	if err == nil || !strings.Contains(err.Error(), "switch phase") {
 		t.Errorf("err = %v, want switch-phase failure", err)
-	}
-}
-
-// TestDialRejectsDuplicateNames covers controller construction errors.
-func TestDialRejectsDuplicateNames(t *testing.T) {
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	go serve(ctx, l, NewOSS(4, 0))
-
-	_, err = dialWithOptions([]deviceSpec{tcpSpec("a", l.Addr()), tcpSpec("a", l.Addr())}, DialOptions{})
-	if err == nil || !strings.Contains(err.Error(), "duplicate") {
-		t.Errorf("err = %v, want duplicate-name error", err)
 	}
 }
 

@@ -9,10 +9,10 @@
 // newline-delimited JSON protocol (wire.go is its codec) over a byte
 // stream, preserving the control logic, command set and sequencing while
 // making the whole plane testable in-process. A client reaches its agent
-// through a dial function: a Testbed's opens an in-memory pipe (net.Pipe)
-// and serves the agent's end in the same process, so an RPC makes no
-// system call and no agent has an address another process could reach;
-// a test may dial a TCP listener instead.
+// through a Testbed's dial function, which opens an in-memory pipe
+// (net.Pipe) and serves the agent's end in the same process, so an RPC
+// makes no system call and no agent has an address another process could
+// reach.
 package control
 
 import (
@@ -122,64 +122,46 @@ func handleCommon(dev Device, op string, args map[string]any) (map[string]any, e
 const DefaultRPCTimeout = 30 * time.Second
 
 // client is a connection to one device agent. It serialises calls; one
-// stream connection carries the exchange, and a connection that times out or
-// desynchronises is discarded and transparently redialled on the next
-// call, so a device that heals becomes reachable again without rebuilding
-// the controller.
+// stream connection carries the exchange. The client dials on its first
+// send, and a connection that times out or desynchronises is closed and
+// dialled afresh by the send after it, so a device that heals becomes
+// reachable again without rebuilding the controller.
 type client struct {
 	mu         sync.Mutex
-	name       string                   // the device's, for errors
-	dial       func() (net.Conn, error) // opens a fresh connection to the agent
+	name       string          // the device's, for errors
+	dial       func() net.Conn // opens a fresh connection to the agent
 	rpcTimeout time.Duration
-	conn       net.Conn
+	conn       net.Conn // nil until the first send and after a failure
 	sc         *bufio.Scanner
 	wbuf       []byte // request line under construction, reused
 	nextID     int64  // ID of the last request sent
 	op         string // its operation, for recv's errors
-	broken     bool
 	closed     bool
 }
 
-// dialDevice connects to a device agent through its spec's dial.
-// rpcTimeout bounds each request end to end: zero selects the default, a
-// negative value disables the deadline.
-func dialDevice(s deviceSpec, rpcTimeout time.Duration) (*client, error) {
+// newClient returns a client of the named device that has not dialled
+// yet. rpcTimeout bounds each request end to end: zero selects the
+// default, a negative value disables the deadline.
+func newClient(name string, dial func() net.Conn, rpcTimeout time.Duration) *client {
 	if rpcTimeout == 0 {
 		rpcTimeout = DefaultRPCTimeout
 	}
-	c := &client{name: s.Name, dial: s.dial, rpcTimeout: rpcTimeout}
-	if err := c.redialLocked(); err != nil {
-		return nil, err
-	}
-	return c, nil
+	return &client{name: name, dial: dial, rpcTimeout: rpcTimeout}
 }
 
-// redialLocked (re)establishes the transport. Callers hold c.mu, except
-// from dialDevice where the client is not yet shared.
-func (c *client) redialLocked() error {
-	conn, err := c.dial()
-	if err != nil {
-		return fmt.Errorf("control: dial %s: %w", c.name, err)
-	}
-	c.conn, c.sc = conn, newLineScanner(conn)
-	c.broken = false
-	return nil
-}
-
-// failLocked poisons the transport: a timed-out or desynchronised
-// connection may still deliver a stale response later, which would corrupt
-// the framing of the next call, so it is closed and replaced lazily.
+// failLocked drops the connection: a timed-out or desynchronised one may
+// still deliver a stale response later, which would corrupt the framing
+// of the next call, so it is closed and the next send dials a fresh one.
 func (c *client) failLocked() {
-	c.broken = true
-	if c.conn != nil {
-		c.conn.Close()
-	}
+	c.conn.Close()
+	c.conn = nil
 }
 
-// send writes one request, sets its RPC deadline to run from sent and
-// returns with c.mu held: the request is in flight, and the client locked,
-// until recv reads its response or abandon gives it up. When send fails
-// nothing is in flight and the lock is free. The one caller with requests
+// send writes one request, dialling first if the client has no
+// connection (send is the only place a client dials), sets its RPC
+// deadline to run from sent and returns with c.mu held: the request is in
+// flight, and the client locked, until recv reads its response or abandon
+// gives it up. When send fails nothing is in flight and the lock is free. The one caller with requests
 // in flight on several clients, Controller.round, takes them in sorted
 // device order, so two rounds cannot deadlock; it passes every send of a
 // round the one time the round started, so the deadlines of all its
@@ -194,10 +176,9 @@ func (c *client) send(op string, args map[string]any, sent time.Time) (err error
 	if c.closed {
 		return fmt.Errorf("control: client for %s is closed", c.name)
 	}
-	if c.broken || c.conn == nil {
-		if err := c.redialLocked(); err != nil {
-			return err
-		}
+	if c.conn == nil {
+		c.conn = c.dial()
+		c.sc = newLineScanner(c.conn)
 	}
 	c.nextID++
 	line, err := appendRequest(c.wbuf[:0], &wireRequest{ID: c.nextID, Op: op, Args: args})
@@ -264,14 +245,14 @@ func (c *client) recvBy(sent time.Time) (map[string]any, error) {
 }
 
 // abandon gives up the request in flight and unlocks the client; as its
-// response may still arrive, the connection is poisoned as after a timeout.
+// response may still arrive, the connection is dropped as after a timeout.
 func (c *client) abandon() {
 	c.failLocked()
 	c.mu.Unlock()
 }
 
 // Close tears down the connection permanently; subsequent calls fail
-// rather than redial.
+// rather than dial.
 func (c *client) Close() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()

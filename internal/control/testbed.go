@@ -25,47 +25,45 @@ type Testbed struct {
 	wg sync.WaitGroup // one per serving goroutine
 }
 
-// StartTestbed serves each named device and dials a controller to all of
-// them, with default transport deadlines.
+// StartTestbed builds a controller of the named devices, with default
+// transport deadlines; each device is served from its client's first
+// send.
 func StartTestbed(devices map[string]Device) (*Testbed, error) {
 	return StartTestbedWithOptions(devices, DialOptions{})
 }
 
 // StartTestbedWithOptions is StartTestbed with explicit controller
 // transport deadlines (tests use short RPC timeouts to exercise hung
-// devices quickly).
+// devices quickly). It does not fail: nothing is dialled until a
+// client's first send, and a pipe dial cannot fail. The error result is
+// kept for its callers.
 func StartTestbedWithOptions(devices map[string]Device, opts DialOptions) (*Testbed, error) {
 	tb := &Testbed{Devices: devices}
-	specs := make([]deviceSpec, 0, len(devices))
-	for _, name := range sortedKeys(devices) {
-		specs = append(specs, deviceSpec{Name: name, dial: tb.dialer(devices[name])})
+	dials := make(map[string]func() net.Conn, len(devices))
+	for name, dev := range devices {
+		dials[name] = tb.dialer(dev)
 	}
-	ctl, err := dialWithOptions(specs, opts)
-	if err != nil {
-		tb.Close()
-		return nil, err
-	}
-	tb.Controller = ctl
+	tb.Controller = newController(dials, opts)
 	return tb, nil
 }
 
 // dialer returns the dial of dev's client: each call opens a fresh pipe
 // and serves its agent end in a goroutine Close waits for, so a client
-// that replaces a poisoned connection gets a server of its own. A client
-// dials only under its lock and never once closed, so no dial follows
-// the controller's shutdown in Close.
-func (tb *Testbed) dialer(dev Device) func() (net.Conn, error) {
-	return func() (net.Conn, error) {
+// that replaces a dropped connection gets a server of its own. A client
+// dials only in send, under its lock and never once closed, so no dial
+// follows the controller's shutdown in Close.
+func (tb *Testbed) dialer(dev Device) func() net.Conn {
+	return func() net.Conn {
 		conn, agent := net.Pipe()
 		tb.wg.Add(1)
 		go tb.serve(agent, dev)
-		return conn, nil
+		return conn
 	}
 }
 
 // serve answers one pipe's requests until the client closes its end. A
 // reply to a request the controller gave up fails on the closed pipe, so
-// the server of a poisoned connection ends once its device has answered.
+// the server of a dropped connection ends once its device has answered.
 func (tb *Testbed) serve(agent net.Conn, dev Device) {
 	defer tb.wg.Done()
 	serveConn(agent, dev)
@@ -73,7 +71,7 @@ func (tb *Testbed) serve(agent net.Conn, dev Device) {
 }
 
 // Close shuts down the controller, which closes the client end of every
-// pipe (a poisoned connection's was closed when it was poisoned), and
+// pipe (a dropped connection's was closed when it was dropped), and
 // waits for every serving goroutine, those of redialled connections
 // included. A second Close is harmless.
 func (tb *Testbed) Close() {

@@ -13,7 +13,7 @@ import (
 // TestTestbedPipesLeaveNothing: a testbed makes no file, and Close waits
 // for every server it started, a redialled connection's too. A wedged
 // device holds its server inside Handle past the request's deadline; the
-// client poisons the connection and redials onto a fresh pipe, which gets
+// client drops the connection and redials onto a fresh pipe, which gets
 // a server of its own. With that server wedged too, Close does not return
 // until it is released, and then no goroutine of the testbed is left.
 func TestTestbedPipesLeaveNothing(t *testing.T) {

@@ -7,6 +7,7 @@ import (
 	"maps"
 	"net"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -16,44 +17,28 @@ import (
 
 // TestCallTimesOutOnHungDevice: a device that stops answering must fail
 // the call by the RPC deadline instead of wedging the controller forever
-// — and once it answers again, the client must transparently reconnect.
-// Call is one send and its recv, as Controller.Call does for a named device.
-func (c *client) Call(op string, args map[string]any) (map[string]any, error) {
-	if err := c.send(op, args, time.Now()); err != nil {
-		return nil, err
-	}
-	return c.recv()
-}
-
+// — and once it answers again, the client must transparently redial.
 func TestCallTimesOutOnHungDevice(t *testing.T) {
 	dev := devicetest.Wrap(NewOSS(4, 0))
-	l, err := net.Listen("tcp", "127.0.0.1:0")
+	tb, err := StartTestbedWithOptions(map[string]Device{"oss": dev}, DialOptions{RPCTimeout: 50 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		serve(ctx, l, dev)
-	}()
-	t.Cleanup(func() { cancel(); l.Close(); <-done })
+	// Before the Stall: cleanups run last first, so the stall is released
+	// before Close waits for the server it holds.
+	t.Cleanup(tb.Close)
 	stall, _ := devicetest.Stall(t)
+	ctl, cl := tb.Controller, tb.Controller.devices["oss"]
 
-	cl, err := dialDevice(tcpSpec("oss", l.Addr()), 50*time.Millisecond)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
-
-	if _, err := cl.Call("state", nil); err != nil {
+	if _, err := ctl.Call("oss", "state", nil); err != nil {
 		t.Fatalf("healthy call failed: %v", err)
 	}
+	first := cl.conn
 
 	dev.Arm(stall)
 	start := time.Now()
-	if _, err := cl.Call("state", nil); err == nil {
-		t.Fatal("call to hung device succeeded")
+	if _, err := ctl.Call("oss", "state", nil); !isDeadline(err) {
+		t.Fatalf("call to hung device = %v, want a deadline", err)
 	}
 	if d := time.Since(start); d > time.Second {
 		t.Errorf("hung call took %v, want ~50ms deadline", d)
@@ -61,32 +46,44 @@ func TestCallTimesOutOnHungDevice(t *testing.T) {
 
 	// Heal the device: the next call redials and succeeds.
 	dev.Arm(nil)
-	if _, err := cl.Call("state", nil); err != nil {
-		t.Errorf("call after heal failed (no reconnect?): %v", err)
+	if _, err := ctl.Call("oss", "state", nil); err != nil {
+		t.Errorf("call after heal failed (no redial?): %v", err)
+	}
+	if cl.conn == nil || cl.conn == first {
+		t.Error("the call after heal did not go over a fresh connection")
 	}
 }
 
-// TestClosedClientDoesNotRedial: Close is permanent.
+// TestClosedClientDoesNotRedial: a client dials on its first send, not
+// before, and Close is permanent: a send after it is refused without a
+// dial.
 func TestClosedClientDoesNotRedial(t *testing.T) {
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		serve(ctx, l, NewOSS(4, 0))
-	}()
-	defer func() { cancel(); l.Close(); <-done }()
+	tb := &Testbed{}
+	dial := tb.dialer(NewOSS(4, 0))
+	var dials atomic.Int32
+	tb.Controller = newController(map[string]func() net.Conn{"oss": func() net.Conn {
+		dials.Add(1)
+		return dial()
+	}}, DialOptions{})
+	defer tb.Close()
 
-	cl, err := dialDevice(tcpSpec("oss", l.Addr()), 0)
-	if err != nil {
+	if n := dials.Load(); n != 0 {
+		t.Fatalf("%d dials before the first send, want 0", n)
+	}
+	if _, err := tb.Controller.Call("oss", "state", nil); err != nil {
 		t.Fatal(err)
 	}
-	cl.Close()
-	if _, err := cl.Call("state", nil); err == nil {
-		t.Error("call on closed client succeeded")
+	if n := dials.Load(); n != 1 {
+		t.Fatalf("%d dials after the first send, want 1", n)
+	}
+	tb.Controller.devices["oss"].Close()
+	_, err := tb.Controller.Call("oss", "state", nil)
+	var de *DeviceError
+	if !errors.As(err, &de) || !strings.Contains(err.Error(), "closed") {
+		t.Errorf("call on closed client = %v, want a DeviceError for a closed client", err)
+	}
+	if n := dials.Load(); n != 1 {
+		t.Errorf("%d dials after Close and a refused send, want still 1", n)
 	}
 }
 

@@ -46,7 +46,8 @@ type Rig struct {
 }
 
 // BringUp plans the region, builds its fabric, and serves the emulated
-// device set with a controller dialled to all of it.
+// device set behind a controller of all of it (each device is dialled on
+// its first RPC).
 func BringUp(cfg BringUpConfig) (*Rig, error) {
 	if cfg.DCCapacity == 0 {
 		cfg.DCCapacity = 10
