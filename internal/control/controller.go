@@ -5,7 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"net"
+	"os"
 	"slices"
 	"strings"
 	"sync"
@@ -33,7 +33,7 @@ type DialOptions struct {
 // newController returns a controller of one client per device, keyed
 // by name: dials[name] opens a fresh connection to that device's agent.
 // Nothing is dialled here; each client dials on its first send.
-func newController(dials map[string]func() net.Conn, opts DialOptions) *Controller {
+func newController(dials map[string]func() *pipeEnd, opts DialOptions) *Controller {
 	c := &Controller{devices: make(map[string]*client, len(dials))}
 	for name, dial := range dials {
 		c.devices[name] = newClient(name, dial, opts.RPCTimeout)
@@ -109,11 +109,7 @@ func finishRPC(sp *trace.Span, err error) {
 // deadline expiry — the outcome the per-RPC spans single out, since a
 // deadline means the device wedged rather than refused.
 func isDeadline(err error) bool {
-	if errors.Is(err, context.DeadlineExceeded) {
-		return true
-	}
-	var ne net.Error
-	return errors.As(err, &ne) && ne.Timeout()
+	return errors.Is(err, context.DeadlineExceeded) || errors.Is(err, os.ErrDeadlineExceeded)
 }
 
 // Devices returns the controller's device names in sorted order. The set
@@ -301,8 +297,8 @@ type request struct {
 // (three switches settle in one settling time), and every request's RPC
 // deadline runs from one instant taken before the first send: the round
 // has one deadline, and once it has run out for a device it has for every
-// device behind it: the clock is read before each reply (recvBy), since a
-// connection's own deadline waits on its timer. Replies are read in the
+// device behind it: the pipe reads the clock before it hands over a reply,
+// whether or not its timer has fired. Replies are read in the
 // same order and handed to visit, if there is one. The first failed reply (a
 // *DeviceError naming its device) or a failed visit stops the round: the
 // replies still to come are read and discarded, so when round returns no
@@ -347,7 +343,7 @@ func (c *Controller) round(ctx context.Context, parent *trace.Span, reqs map[str
 		var res map[string]any
 		err := errs[i]
 		if err == nil {
-			if res, err = clients[i].recvBy(sent); err != nil {
+			if res, err = clients[i].recv(); err != nil {
 				err = &DeviceError{Device: dev, Err: err}
 			}
 		}

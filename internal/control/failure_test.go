@@ -5,7 +5,6 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"net"
 	"slices"
 	"strings"
 	"sync/atomic"
@@ -71,10 +70,10 @@ func TestEmptyOpRejected(t *testing.T) {
 // already closed.
 func TestDeadDeviceSurfacesError(t *testing.T) {
 	var dials atomic.Int32
-	var live net.Conn // the agent end of the first connection
+	var live *pipeEnd // the agent end of the first connection
 	served := make(chan struct{})
-	ctl := newController(map[string]func() net.Conn{"oss": func() net.Conn {
-		conn, agent := net.Pipe()
+	ctl := newController(map[string]func() *pipeEnd{"oss": func() *pipeEnd {
+		conn, agent := newPipe()
 		if dials.Add(1) > 1 {
 			agent.Close() // the agent is dead
 			return conn

@@ -9,10 +9,10 @@
 // newline-delimited JSON protocol (wire.go is its codec) over a byte
 // stream, preserving the control logic, command set and sequencing while
 // making the whole plane testable in-process. A client reaches its agent
-// through a Testbed's dial function, which opens an in-memory pipe
-// (net.Pipe) and serves the agent's end in the same process, so an RPC
-// makes no system call and no agent has an address another process could
-// reach.
+// through a Testbed's dial function, which opens an in-memory pipe of the
+// package's own (pipe.go) and serves the agent's end in the same process,
+// so an RPC makes no system call, a send does not wait for the agent to
+// read it, and no agent has an address another process could reach.
 package control
 
 import (
@@ -20,8 +20,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"net"
-	"os"
 	"sync"
 	"time"
 )
@@ -129,9 +127,9 @@ const DefaultRPCTimeout = 30 * time.Second
 type client struct {
 	mu         sync.Mutex
 	name       string          // the device's, for errors
-	dial       func() net.Conn // opens a fresh connection to the agent
+	dial       func() *pipeEnd // opens a fresh connection to the agent
 	rpcTimeout time.Duration
-	conn       net.Conn // nil until the first send and after a failure
+	conn       *pipeEnd // nil until the first send and after a failure
 	sc         *bufio.Scanner
 	wbuf       []byte // request line under construction, reused
 	nextID     int64  // ID of the last request sent
@@ -142,7 +140,7 @@ type client struct {
 // newClient returns a client of the named device that has not dialled
 // yet. rpcTimeout bounds each request end to end: zero selects the
 // default, a negative value disables the deadline.
-func newClient(name string, dial func() net.Conn, rpcTimeout time.Duration) *client {
+func newClient(name string, dial func() *pipeEnd, rpcTimeout time.Duration) *client {
 	if rpcTimeout == 0 {
 		rpcTimeout = DefaultRPCTimeout
 	}
@@ -161,7 +159,8 @@ func (c *client) failLocked() {
 // connection (send is the only place a client dials), sets its RPC
 // deadline to run from sent and returns with c.mu held: the request is in
 // flight, and the client locked, until recv reads its response or abandon
-// gives it up. When send fails nothing is in flight and the lock is free. The one caller with requests
+// gives it up. When send fails nothing is in flight and the lock is free.
+// The write does not wait for the agent. The one caller with requests
 // in flight on several clients, Controller.round, takes them in sorted
 // device order, so two rounds cannot deadlock; it passes every send of a
 // round the one time the round started, so the deadlines of all its
@@ -186,13 +185,14 @@ func (c *client) send(op string, args map[string]any, sent time.Time) (err error
 		return err // nothing was sent: the transport stays usable
 	}
 	if len(line) > maxLine {
-		// The agent could not frame it, and its error reply would wait on
-		// a pipe this write still holds until the deadline: send nothing.
+		// The agent could not frame it: it would answer without an ID and
+		// drop the connection. Send nothing, so the connection stays and
+		// no buffer holds more than a line.
 		return fmt.Errorf("control: %s request of %d bytes is past the protocol's %d-byte line", op, len(line), maxLine)
 	}
 	c.wbuf, c.op = line, op
 	if c.rpcTimeout > 0 {
-		c.conn.SetDeadline(sent.Add(c.rpcTimeout))
+		c.conn.setReadDeadline(sent.Add(c.rpcTimeout))
 	}
 	if _, err := c.conn.Write(line); err != nil {
 		c.failLocked()
@@ -203,7 +203,11 @@ func (c *client) send(op string, args map[string]any, sent time.Time) (err error
 
 // recv reads the response to the request in flight and unlocks the client.
 // The deadline send set stays on the connection: only send and recv do I/O
-// on it, and every send sets a fresh one before it writes.
+// on it, and every send sets a fresh one before it writes. The pipe checks
+// it before it hands over a reply, so a reply that arrived in time but is
+// read after the deadline (a round's device behind a wedged one) is
+// abandoned, unread, as timed out: every request of a round is held to
+// the one deadline, whenever the connection's timer fires.
 func (c *client) recv() (map[string]any, error) {
 	defer c.mu.Unlock()
 	if !c.sc.Scan() {
@@ -227,21 +231,6 @@ func (c *client) recv() (map[string]any, error) {
 		return nil, fmt.Errorf("control: %s: %s", c.op, resp.Error)
 	}
 	return resp.Result, nil
-}
-
-// recvBy is recv for a request whose deadline ran from sent. Once that
-// deadline has passed on the clock the request is abandoned, unread, as
-// timed out. The connection's own deadline takes effect only when its
-// runtime timer fires, which on a busy host can be well after a wedged
-// device earlier in a round used the deadline up; reading the clock first
-// holds every request of the round to the one deadline.
-func (c *client) recvBy(sent time.Time) (map[string]any, error) {
-	if c.rpcTimeout > 0 && !time.Now().Before(sent.Add(c.rpcTimeout)) {
-		op := c.op
-		c.abandon()
-		return nil, fmt.Errorf("control: recv %s: %w", op, os.ErrDeadlineExceeded)
-	}
-	return c.recv()
 }
 
 // abandon gives up the request in flight and unlocks the client; as its

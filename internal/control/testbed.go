@@ -1,9 +1,6 @@
 package control
 
-import (
-	"net"
-	"sync"
-)
+import "sync"
 
 // Testbed hosts a set of device agents and a controller connected to all
 // of them — the in-process equivalent of the paper's hardware testbed
@@ -11,9 +8,10 @@ import (
 // devices live and die with them.
 //
 // Both ends of every RPC run in this process, so each connection is an
-// in-memory pipe (net.Pipe): the line protocol crosses it without a system
-// call, and a device has no socket or address that anything outside the
-// process could connect to.
+// in-memory pipe (newPipe): the line protocol crosses it without a system
+// call, a write lands in the peer's buffer without waiting for a reader,
+// and a device has no socket or address that anything outside the process
+// could connect to.
 type Testbed struct {
 	Controller *Controller
 	// Devices gives direct access to the devices as served, e.g. to read
@@ -39,7 +37,7 @@ func StartTestbed(devices map[string]Device) (*Testbed, error) {
 // kept for its callers.
 func StartTestbedWithOptions(devices map[string]Device, opts DialOptions) (*Testbed, error) {
 	tb := &Testbed{Devices: devices}
-	dials := make(map[string]func() net.Conn, len(devices))
+	dials := make(map[string]func() *pipeEnd, len(devices))
 	for name, dev := range devices {
 		dials[name] = tb.dialer(dev)
 	}
@@ -51,10 +49,12 @@ func StartTestbedWithOptions(devices map[string]Device, opts DialOptions) (*Test
 // and serves its agent end in a goroutine Close waits for, so a client
 // that replaces a dropped connection gets a server of its own. A client
 // dials only in send, under its lock and never once closed, so no dial
-// follows the controller's shutdown in Close.
-func (tb *Testbed) dialer(dev Device) func() net.Conn {
-	return func() net.Conn {
-		conn, agent := net.Pipe()
+// follows the controller's shutdown in Close. The dial returns the pipe's
+// own type: the client needs a read deadline and nothing else of a
+// net.Conn.
+func (tb *Testbed) dialer(dev Device) func() *pipeEnd {
+	return func() *pipeEnd {
+		conn, agent := newPipe()
 		tb.wg.Add(1)
 		go tb.serve(agent, dev)
 		return conn
@@ -64,7 +64,7 @@ func (tb *Testbed) dialer(dev Device) func() net.Conn {
 // serve answers one pipe's requests until the client closes its end. A
 // reply to a request the controller gave up fails on the closed pipe, so
 // the server of a dropped connection ends once its device has answered.
-func (tb *Testbed) serve(agent net.Conn, dev Device) {
+func (tb *Testbed) serve(agent *pipeEnd, dev Device) {
 	defer tb.wg.Done()
 	serveConn(agent, dev)
 	agent.Close()

@@ -69,9 +69,8 @@ func TestTestbedPipesLeaveNothing(t *testing.T) {
 }
 
 // TestRequestPastTheLineLimit: a request longer than a protocol line is
-// refused before anything is sent — on a pipe the agent's error reply
-// would wait behind the write until the deadline — and the connection
-// stays usable.
+// refused before anything is sent — the agent could not frame it and
+// would drop the connection — and the connection stays usable.
 func TestRequestPastTheLineLimit(t *testing.T) {
 	tb, err := StartTestbed(map[string]Device{"oss": NewOSS(4, 0)})
 	if err != nil {

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"maps"
-	"net"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -61,7 +60,7 @@ func TestClosedClientDoesNotRedial(t *testing.T) {
 	tb := &Testbed{}
 	dial := tb.dialer(NewOSS(4, 0))
 	var dials atomic.Int32
-	tb.Controller = newController(map[string]func() net.Conn{"oss": func() net.Conn {
+	tb.Controller = newController(map[string]func() *pipeEnd{"oss": func() *pipeEnd {
 		dials.Add(1)
 		return dial()
 	}}, DialOptions{})
