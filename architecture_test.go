@@ -52,6 +52,8 @@ var architecture = []rule{
 	{[]string{"import container/heap"}, []string{"internal/graph"}, nil, "the one Dijkstra loop keeps its own indexed heap"},
 	{[]string{"import iris/internal/control/devicetest"}, nil, nil,
 		"devicetest is the tests' programmable device; the census skips it as test support, so no production code may depend on it"},
+	{[]string{"import iris/internal/traffic/traffictest"}, nil, nil,
+		"traffictest is the tests' scripted traffic feed; the census skips it as test support, so no production code may depend on it"},
 	{[]string{"import encoding/json"}, []string{"internal/control"}, []string{"internal/control/wire.go"},
 		"wire.go is the line protocol's one codec; encoding/json is its fallback for escaped strings and out-of-set values"},
 	{[]string{"import reflect", "fmt.Sscanf"}, []string{"internal/control"}, nil, "the audit compares the typed values wire.go decodes"},

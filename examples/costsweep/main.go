@@ -8,7 +8,9 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"iris/internal/experiments"
 	"iris/internal/stats"
@@ -16,7 +18,13 @@ import (
 
 func main() {
 	log.SetFlags(0)
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
 
+// run prints the example to w.
+func run(w io.Writer) error {
 	cfg := experiments.SweepConfig{
 		MapSeeds:    []int64{0, 1, 2, 3},
 		Ns:          []int{5, 10, 15},
@@ -26,22 +34,23 @@ func main() {
 	}
 	rows, err := experiments.Sweep(cfg)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
-	fmt.Printf("%-6s %-4s %-4s %-12s %-12s %-10s %s\n",
+	fmt.Fprintf(w, "%-6s %-4s %-4s %-12s %-12s %-10s %s\n",
 		"map", "n", "f", "EPS $M/yr", "Iris $M/yr", "EPS/Iris", "in-network ports EPS:Iris")
 	byN := make(map[int][]float64)
 	for _, r := range rows {
 		ratio := r.EPS.Total() / r.Iris.Total()
 		byN[r.N] = append(byN[r.N], ratio)
-		fmt.Printf("%-6d %-4d %-4d %-12.1f %-12.1f %-10.2f %d:%d\n",
+		fmt.Fprintf(w, "%-6d %-4d %-4d %-12.1f %-12.1f %-10.2f %d:%d\n",
 			r.MapSeed, r.N, r.F, r.EPS.Total()/1e6, r.Iris.Total()/1e6, ratio,
 			r.EPS.InNetworkPortCount(), r.Iris.InNetworkPortCount())
 	}
 
-	fmt.Println("\nIris's advantage grows with region size (Fig. 12 trend):")
+	fmt.Fprintln(w, "\nIris's advantage grows with region size (Fig. 12 trend):")
 	for _, n := range cfg.Ns {
-		fmt.Printf("  n=%-3d median EPS/Iris = %.2fx\n", n, stats.Median(byN[n]))
+		fmt.Fprintf(w, "  n=%-3d median EPS/Iris = %.2fx\n", n, stats.Median(byN[n]))
 	}
+	return nil
 }

@@ -9,8 +9,10 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
 	"math/rand"
+	"os"
 
 	"iris/internal/core"
 	"iris/internal/fibermap"
@@ -19,26 +21,32 @@ import (
 
 func main() {
 	log.SetFlags(0)
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
 
+// run prints the example to w.
+func run(w io.Writer) error {
 	// A region: 24-hut metro fiber map, 8 DCs of 16 fiber-pairs each.
 	const seed = 7
 	m, err := fibermap.Spec{Seed: seed, DCs: 8}.Map()
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	dcs := m.DCs()
 	region := core.UniformRegion(m, 16, 40)
 
 	dep, err := core.Plan(region, core.DefaultOptions())
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	pl := dep.Plan
-	fmt.Printf("planned %d-DC region under %d failure scenarios:\n", len(dcs), pl.NScena)
-	fmt.Printf("  %d fiber-pairs (%d base), %d amplifiers, %d cut-throughs, %d/%d huts used\n",
+	fmt.Fprintf(w, "planned %d-DC region under %d failure scenarios:\n", len(dcs), pl.NScena)
+	fmt.Fprintf(w, "  %d fiber-pairs (%d base), %d amplifiers, %d cut-throughs, %d/%d huts used\n",
 		pl.TotalFiberPairs(), pl.BaseFiberPairs(), pl.TotalAmps(), len(pl.Cuts),
 		len(pl.UsedHuts()), len(m.Huts()))
-	fmt.Printf("  EPS $%.1fM/yr vs Iris $%.1fM/yr (%.1fx)\n",
+	fmt.Fprintf(w, "  EPS $%.1fM/yr vs Iris $%.1fM/yr (%.1fx)\n",
 		dep.EPS.Total()/1e6, dep.Iris.Total()/1e6, dep.EPS.Total()/dep.Iris.Total())
 
 	// Circuit allocation for a heavy-tailed matrix at 50% utilization.
@@ -48,7 +56,7 @@ func main() {
 	integerize(matrix)
 	alloc, err := dep.Allocate(matrix)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	full, residual := 0, 0
 	for _, f := range alloc.Fibers {
@@ -59,8 +67,8 @@ func main() {
 			residual++
 		}
 	}
-	fmt.Printf("\ncircuit allocation at 50%% utilization:\n")
-	fmt.Printf("  %d full fiber circuits, %d pairs using their residual fiber\n", full, residual)
+	fmt.Fprintf(w, "\ncircuit allocation at 50%% utilization:\n")
+	fmt.Fprintf(w, "  %d full fiber circuits, %d pairs using their residual fiber\n", full, residual)
 
 	// Evolve the traffic and show the reconfiguration a controller would
 	// execute.
@@ -69,22 +77,23 @@ func main() {
 	integerize(matrix)
 	newAlloc, err := dep.Allocate(matrix)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	moves := core.Diff(alloc, newAlloc)
-	fmt.Printf("\nafter a 50%%-bounded traffic change: %d circuits need fiber moves\n", len(moves))
+	fmt.Fprintf(w, "\nafter a 50%%-bounded traffic change: %d circuits need fiber moves\n", len(moves))
 	for i, mv := range moves {
 		if i >= 5 {
-			fmt.Printf("  ... and %d more\n", len(moves)-5)
+			fmt.Fprintf(w, "  ... and %d more\n", len(moves)-5)
 			break
 		}
-		fmt.Printf("  %s ↔ %s: %+d fibers (%.0f%% of the circuit dims for 70 ms)\n",
+		fmt.Fprintf(w, "  %s ↔ %s: %+d fibers (%.0f%% of the circuit dims for 70 ms)\n",
 			m.Nodes[mv.Pair.A].Name, m.Nodes[mv.Pair.B].Name,
 			mv.FibersDelta, mv.FracAffected*100)
 	}
 	if len(moves) == 0 {
-		fmt.Println("  (the change fit within residual wavelengths — no fiber switching at all)")
+		fmt.Fprintln(w, "  (the change fit within residual wavelengths — no fiber switching at all)")
 	}
+	return nil
 }
 
 func integerize(m *traffic.Matrix) {

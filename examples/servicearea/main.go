@@ -9,7 +9,9 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"iris/internal/fibermap"
 	"iris/internal/siting"
@@ -17,11 +19,17 @@ import (
 
 func main() {
 	log.SetFlags(0)
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
 
+// run prints the example to w.
+func run(w io.Writer) error {
 	const seed = 2
 	m, err := fibermap.Placed(seed, seed+50, 4)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	dcs := m.DCs()
 	h1, h2 := fibermap.ChooseHubs(m, 6)
@@ -29,19 +37,20 @@ func main() {
 	a := siting.DefaultAnalysis(m)
 	a.GridCellKM = 4
 
-	fmt.Printf("region: %d huts, %d DCs placed; hubs %s and %s\n\n",
+	fmt.Fprintf(w, "region: %d huts, %d DCs placed; hubs %s and %s\n\n",
 		len(m.Huts()), len(dcs), m.Nodes[h1].Name, m.Nodes[h2].Name)
-	fmt.Print(a.Render(h1, h2, dcs, 72))
+	fmt.Fprint(w, a.Render(h1, h2, dcs, 72))
 
 	ca, err := a.CentralizedArea(h1, h2)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	da, err := a.DistributedArea(dcs...)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("\ncentralized service area: %6.0f km²\n", ca)
-	fmt.Printf("distributed service area: %6.0f km²\n", da)
-	fmt.Printf("area increase: %.1fx (the paper reports 2-5x across Azure regions)\n", da/ca)
+	fmt.Fprintf(w, "\ncentralized service area: %6.0f km²\n", ca)
+	fmt.Fprintf(w, "distributed service area: %6.0f km²\n", da)
+	fmt.Fprintf(w, "area increase: %.1fx (the paper reports 2-5x across Azure regions)\n", da/ca)
+	return nil
 }

@@ -10,6 +10,7 @@ import (
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -20,10 +21,12 @@ import (
 	"iris/internal/daemon"
 	"iris/internal/fabric"
 	"iris/internal/fibermap"
+	"iris/internal/history"
 	"iris/internal/hose"
 	"iris/internal/telemetry"
 	"iris/internal/trace"
 	"iris/internal/traffic"
+	"iris/internal/traffic/traffictest"
 )
 
 type fakeClock struct {
@@ -55,12 +58,14 @@ func (w testWriter) Write(p []byte) (int, error) {
 }
 
 // chaosRig brings up the toy region with every device wrapped in a chaos
-// fault shim and an irisd daemon supervising it on a fake clock.
+// fault shim and an irisd daemon supervising it on a fake clock, its
+// records in a history lake.
 type chaosRig struct {
 	rig   *fabric.Rig
 	devs  *chaos.DeviceSet
 	inj   *chaos.Injector
 	d     *daemon.Daemon
+	lake  *history.Lake
 	clock *fakeClock
 	reg   *telemetry.Registry
 }
@@ -96,10 +101,14 @@ func newChaosRig(t *testing.T, feedShifts [][2]float64) *chaosRig {
 	if err != nil {
 		t.Fatal(err)
 	}
+	lake, err := history.New(history.Config{Capacity: 64, Registry: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
 	d, err := daemon.New(daemon.Config{
 		Fab:              rig.Fab,
 		Controller:       rig.Testbed.Controller,
-		Feed:             traffic.NewReplay(mats...),
+		Feed:             traffictest.NewReplay(mats...),
 		FailureThreshold: 2,
 		BackoffBase:      100 * time.Millisecond,
 		BackoffMax:       400 * time.Millisecond,
@@ -109,11 +118,12 @@ func newChaosRig(t *testing.T, feedShifts [][2]float64) *chaosRig {
 		Logger:           slog.New(slog.NewTextHandler(testWriter{t}, nil)),
 		Tracer:           tracer,
 		Chaos:            inj,
+		History:          lake,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &chaosRig{rig: rig, devs: devs, inj: inj, d: d, clock: clock, reg: reg}
+	return &chaosRig{rig: rig, devs: devs, inj: inj, d: d, lake: lake, clock: clock, reg: reg}
 }
 
 // hubDuct returns the toy region's central hub-hub duct (L5).
@@ -151,10 +161,9 @@ func TestChaosCycleEndToEnd(t *testing.T) {
 		t.Fatalf("not converged after clean shift: %+v", d.Status())
 	}
 
-	sc := chaos.Cut(hubDuct(t, cr.rig.Dep.Region.Map))
-	if targets := cr.inj.TargetsFor(sc); len(targets) != 2 {
-		t.Fatalf("hub cut targets %v, want the two hub OSS", targets)
-	}
+	m := cr.rig.Dep.Region.Map
+	hub := m.Ducts[hubDuct(t, m)]
+	sc := chaos.Cut(hub.ID)
 
 	// The pump stands in for irisd's real-time loop: advance the clock,
 	// probe, and only take control-loop steps while healthy and repaired
@@ -177,19 +186,29 @@ func TestChaosCycleEndToEnd(t *testing.T) {
 	if !d.ConvergedNow() {
 		t.Fatalf("daemon not reconverged after cycle: %+v", d.Status())
 	}
+	hubs := []string{cr.rig.Fab.OSSName(hub.A), cr.rig.Fab.OSSName(hub.B)}
+	slices.Sort(hubs)
+	if !slices.Equal(res.Fault.Devices, hubs) {
+		t.Errorf("hub cut faulted %v, want the two hub OSS %v", res.Fault.Devices, hubs)
+	}
 	if cr.inj.Snapshot().ActiveFaults != 0 {
 		t.Fatal("fault left active after cycle")
 	}
 
-	// The cycle's span tree is complete: the chaos phases at the root, and
-	// the replan subtree carrying the repair's fetch-state, the full
-	// drained reconfiguration (through undrain), and the closing audit.
-	dump := d.DebugEvents(res.TraceID)
-	if len(dump.Tree) != 1 || dump.Tree[0].Name != "chaos-cycle" {
-		t.Fatalf("trace %d roots = %+v, want one chaos-cycle", res.TraceID, dump.Tree)
+	// The cycle's span tree, as its history record keeps it, is complete:
+	// the chaos phases at the root, and the replan subtree carrying the
+	// repair's fetch-state, the full drained reconfiguration (through
+	// undrain), and the closing audit.
+	rec, ok := cr.lake.Get(res.TraceID)
+	if !ok {
+		t.Fatalf("no history record for cycle %d", res.TraceID)
+	}
+	tree := trace.Tree(rec.Spans)
+	if len(tree) != 1 || tree[0].Name != "chaos-cycle" {
+		t.Fatalf("trace %d roots = %+v, want one chaos-cycle", res.TraceID, tree)
 	}
 	names := make(map[string]int)
-	spanNames(dump.Tree, names)
+	spanNames(tree, names)
 	for _, want := range []string{
 		"inject", "detect", "restore", "heal", "replan", "settle",
 		"fetch-state", "drain", "switch", "amps", "retune", "undrain", "audit",

@@ -179,7 +179,7 @@ func (in *Injector) nextID() uint64 {
 	return in.fallbackID.Add(1)
 }
 
-// TargetsFor maps a scenario to the device names its injection fails:
+// targetsFor maps a scenario to the device names its injection fails:
 //
 //   - ductCut: the OSS at each cut duct's endpoints (the line cards facing
 //     the duct) — deduplicated across ducts.
@@ -191,7 +191,7 @@ func (in *Injector) nextID() uint64 {
 //
 // Only devices that exist on the fabric (and were wrapped) are returned;
 // an empty result means the scenario has no live footprint.
-func (in *Injector) TargetsFor(sc Scenario) []string {
+func (in *Injector) targetsFor(sc Scenario) []string {
 	m := in.fab.Deployment().Region.Map
 	seen := make(map[string]bool)
 	var out []string
@@ -234,7 +234,7 @@ func (in *Injector) TargetsFor(sc Scenario) []string {
 // Inject materialises a scenario as live device faults and returns the
 // fault handle. It fails if the scenario maps to no live devices.
 func (in *Injector) Inject(sc Scenario) (Fault, error) {
-	targets := in.TargetsFor(sc)
+	targets := in.targetsFor(sc)
 	if len(targets) == 0 {
 		return Fault{}, fmt.Errorf("chaos: scenario %q maps to no live devices", sc.Name)
 	}

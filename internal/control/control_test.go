@@ -316,7 +316,7 @@ func TestReconfigureAbortsOnError(t *testing.T) {
 		t.Fatal("expected error")
 	}
 	// The retune phase must not have run.
-	tuned, _ := shims["dc1-xcvr"].Inner().(*TransceiverBank).Snapshot()
+	tuned, _ := bankOf(t, shims["dc1-xcvr"].Inner())
 	if tuned[0] != -1 {
 		t.Error("retune ran despite switch-phase failure")
 	}
@@ -354,8 +354,8 @@ func TestConcurrentCalls(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	oss := shims["hut-oss"].Inner().(*OSS)
-	if ins, _ := oss.Cross(); len(ins) != 16 {
+	oss := shims["hut-oss"].Inner()
+	if ins, _ := crossOf(t, oss); len(ins) != 16 {
 		t.Errorf("cross connects = %d, want 16", len(ins))
 	}
 }
@@ -372,7 +372,7 @@ func TestAmplifierStateAndLog(t *testing.T) {
 	if st["enabled"] != true || st["gain_db"].(float64) != 20 || st["fixed_gain"] != true {
 		t.Errorf("state = %v", st)
 	}
-	if !shims["hut-amp"].Inner().(*Amplifier).Enabled() {
+	if !ampOn(t, shims["hut-amp"].Inner()) {
 		t.Error("amplifier should be enabled")
 	}
 	if got, want := shims["hut-amp"].Take(), []devicetest.Call{{Op: "enable"}, {Op: "state"}}; !slices.Equal(got, want) {
@@ -387,7 +387,7 @@ func TestAmplifierStateAndLog(t *testing.T) {
 // final state.
 func TestAmpPhaseLastOperationDecides(t *testing.T) {
 	tb, shims := fig13Testbed(t)
-	amp := shims["hut-amp"].Inner().(*Amplifier)
+	amp := shims["hut-amp"].Inner()
 	const rounds = 60
 	for i := 0; i < rounds; i++ {
 		want := i%2 == 0
@@ -400,7 +400,7 @@ func TestAmpPhaseLastOperationDecides(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if amp.Enabled() != want {
+		if ampOn(t, amp) != want {
 			t.Fatalf("reconfiguration %d left the amplifier enabled=%v, its last operation says %v", i, !want, want)
 		}
 		if got := rep.Phases[2]; got.Name != "amps" || got.Ops != 2 {
@@ -420,8 +420,8 @@ func TestOSSBatchSemantics(t *testing.T) {
 		map[string]any{"disconnect": []any{}, "ins": []any{0, 1, 2}, "outs": []any{10, 11, 12}}); err != nil {
 		t.Fatal(err)
 	}
-	oss := shims["hut-oss"].Inner().(*OSS)
-	if ins, _ := oss.Cross(); len(ins) != 3 {
+	oss := shims["hut-oss"].Inner()
+	if ins, _ := crossOf(t, oss); len(ins) != 3 {
 		t.Fatalf("cross connects = %d, want 3", len(ins))
 	}
 	// A batch with a conflict is rejected atomically: port 1 is busy, so
@@ -430,7 +430,7 @@ func TestOSSBatchSemantics(t *testing.T) {
 		map[string]any{"disconnect": []any{}, "ins": []any{3, 1, 4}, "outs": []any{13, 14, 15}}); err == nil {
 		t.Fatal("conflicting batch should fail")
 	}
-	if ins, _ := oss.Cross(); len(ins) != 3 {
+	if ins, _ := crossOf(t, oss); len(ins) != 3 {
 		t.Errorf("failed batch left %d connects, want unchanged 3", len(ins))
 	}
 	// Length mismatch.
@@ -443,7 +443,7 @@ func TestOSSBatchSemantics(t *testing.T) {
 		map[string]any{"disconnect": []any{0, 1, 2}, "ins": []any{}, "outs": []any{}}); err != nil {
 		t.Fatal(err)
 	}
-	if ins, _ := oss.Cross(); len(ins) != 0 {
+	if ins, _ := crossOf(t, oss); len(ins) != 0 {
 		t.Errorf("cross connects = %d after batch disconnect, want 0", len(ins))
 	}
 	// A disconnect naming an idle input, or one input twice, is rejected
@@ -455,7 +455,7 @@ func TestOSSBatchSemantics(t *testing.T) {
 		if _, err := c.Call("hut-oss", "switch-batch", map[string]any{"disconnect": ins, "ins": []any{}, "outs": []any{}}); err == nil {
 			t.Errorf("disconnecting %v should fail", ins)
 		}
-		if got, outs := oss.Cross(); !slices.Equal(got, []int{0, 1}) || !slices.Equal(outs, []int{4, 5}) {
+		if got, outs := crossOf(t, oss); !slices.Equal(got, []int{0, 1}) || !slices.Equal(outs, []int{4, 5}) {
 			t.Errorf("failed disconnect of %v left circuits %v->%v, want [0 1]->[4 5]", ins, got, outs)
 		}
 	}
@@ -521,7 +521,7 @@ func TestSwitchPhaseIsOneRound(t *testing.T) {
 		t.Errorf("phase report %+v, want switch with %d operations", got, len(ch.Switches))
 	}
 	for name, cross := range map[string]map[int]int{"oss-a": {0: 5}, "oss-b": {2: 5}, "oss-c": {1: 6}} {
-		if got := circuits(shims[name].Inner().(*OSS)); !maps.Equal(got, cross) {
+		if got := circuits(t, shims[name].Inner()); !maps.Equal(got, cross) {
 			t.Errorf("%s carries %v, want %v", name, got, cross)
 		}
 	}

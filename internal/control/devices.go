@@ -144,13 +144,6 @@ func (o *OSS) rollback(ins []int) {
 	}
 }
 
-// Cross returns the circuits: input ports ascending, and each one's output.
-func (o *OSS) Cross() (ins, outs []int) {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	return o.crossLocked()
-}
-
 // stateLocked is the switch's state, the reply of state and of a write
 // asked for it; callers hold o.mu.
 func (o *OSS) stateLocked() map[string]any {
@@ -158,7 +151,8 @@ func (o *OSS) stateLocked() map[string]any {
 	return map[string]any{"in": ins, "out": outs, "ports": o.ports}
 }
 
-// crossLocked is Cross; callers hold o.mu.
+// crossLocked returns the circuits: input ports ascending, and each
+// one's output; callers hold o.mu.
 func (o *OSS) crossLocked() (ins, outs []int) {
 	ins, outs = make([]int, 0, o.ports/2), make([]int, 0, o.ports/2) // a circuit takes two ports
 	for in, out := range o.cross {
@@ -218,13 +212,6 @@ func (a *Amplifier) stateLocked() map[string]any {
 		"enabled":    a.enabled,
 		"fixed_gain": true,
 	}
-}
-
-// Enabled reports whether the amplifier is active.
-func (a *Amplifier) Enabled() bool {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.enabled
 }
 
 // TransceiverBank emulates a DC's tunable transceivers (the T2-attached
@@ -347,13 +334,6 @@ func (b *TransceiverBank) stateIf(withState bool) map[string]any {
 		return nil
 	}
 	return b.stateLocked()
-}
-
-// Snapshot returns (tuned wavelength, enabled) for each transceiver.
-func (b *TransceiverBank) Snapshot() ([]int, []bool) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return append([]int(nil), b.tuned...), append([]bool(nil), b.enabled...)
 }
 
 const hexDigits = "0123456789abcdef"

@@ -15,9 +15,62 @@ import (
 	"iris/internal/control/devicetest"
 )
 
+// The tests read a device the way the controller does: through its state
+// reply, decoded by the audit's own readers.
+
+// stateOf is a device's reply to state.
+func stateOf(t testing.TB, d Device) map[string]any {
+	t.Helper()
+	st, err := d.Handle("state", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st
+}
+
+// crossOf returns a switch's circuits: input ports ascending, and each
+// one's output.
+func crossOf(t testing.TB, d Device) (ins, outs []int) {
+	t.Helper()
+	ins, outs, err := stateCross(stateOf(t, d))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ins, outs
+}
+
+// bankOf returns each transceiver's wavelength (-1: untuned) and whether
+// it is live.
+func bankOf(t testing.TB, d Device) (tuned []int, live []bool) {
+	t.Helper()
+	b, err := stateBank(stateOf(t, d))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tuned, live = make([]int, b.n), make([]bool, b.n)
+	for i := range b.n {
+		var ok bool
+		if tuned[i], live[i], ok = b.at(i); !ok {
+			t.Fatalf("bank state %q %q: transceiver %d is not hex", b.tuned, b.enabled, i)
+		}
+	}
+	return tuned, live
+}
+
+// ampOn reports whether an amplifier's state says it is enabled.
+func ampOn(t testing.TB, d Device) bool {
+	t.Helper()
+	st := stateOf(t, d)
+	on, ok := st["enabled"].(bool)
+	if !ok {
+		t.Fatalf("amplifier state %v has no boolean enabled", st)
+	}
+	return on
+}
+
 // cloneBank returns an independent bank in the same state.
-func cloneBank(b *TransceiverBank) *TransceiverBank {
-	tuned, enabled := b.Snapshot()
+func cloneBank(t testing.TB, b *TransceiverBank) *TransceiverBank {
+	tuned, enabled := bankOf(t, b)
 	return &TransceiverBank{lambda: b.lambda, tuned: tuned, enabled: enabled}
 }
 
@@ -56,7 +109,7 @@ func TestTransceiverBatchMatchesSingleOps(t *testing.T) {
 				args["wavelengths"] = ws
 			}
 
-			oracle := cloneBank(bank)
+			oracle := cloneBank(t, bank)
 			want := len(ws) == len(idxs)
 			for i := 0; want && i < size; i++ {
 				one := map[string]any{"idxs": idxs[i : i+1]}
@@ -67,7 +120,7 @@ func TestTransceiverBatchMatchesSingleOps(t *testing.T) {
 				want = err == nil
 			}
 
-			before := cloneBank(bank)
+			before := cloneBank(t, bank)
 			_, err := bank.Handle(op+"-batch", args)
 			desc := fmt.Sprintf("seed %d step %d: %s-batch %v %v", seed, step, op, idxs, ws)
 			if (err == nil) != want {
@@ -80,8 +133,8 @@ func TestTransceiverBatchMatchesSingleOps(t *testing.T) {
 			} else {
 				accepted++
 			}
-			gotT, gotE := bank.Snapshot()
-			wantT, wantE := after.Snapshot()
+			gotT, gotE := bankOf(t, bank)
+			wantT, wantE := bankOf(t, after)
 			if !reflect.DeepEqual(gotT, wantT) || !reflect.DeepEqual(gotE, wantE) {
 				t.Fatalf("%s (err %v): bank %v %v, want %v %v", desc, err, gotT, gotE, wantT, wantE)
 			}
@@ -104,7 +157,7 @@ func TestTransceiverBatchRejectsAtomically(t *testing.T) {
 	}
 	must("tune-batch", map[string]any{"idxs": []int{0, 1}, "wavelengths": []int{3, 4}})
 	must("enable-batch", map[string]any{"idxs": []int{0}})
-	wantT, wantE := bank.Snapshot()
+	wantT, wantE := bankOf(t, bank)
 
 	for _, c := range []struct {
 		name, op string
@@ -121,7 +174,7 @@ func TestTransceiverBatchRejectsAtomically(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), c.errPart) {
 			t.Errorf("%s: err = %v, want one mentioning %q", c.name, err, c.errPart)
 		}
-		gotT, gotE := bank.Snapshot()
+		gotT, gotE := bankOf(t, bank)
 		if !reflect.DeepEqual(gotT, wantT) || !reflect.DeepEqual(gotE, wantE) {
 			t.Fatalf("%s: rejected batch changed the bank to %v %v", c.name, gotT, gotE)
 		}
@@ -476,8 +529,9 @@ func ossHolding(delay time.Duration, cross map[int]int) *OSS {
 }
 
 // circuits returns a switch's circuits as a map.
-func circuits(o *OSS) map[int]int {
-	ins, outs := o.Cross()
+func circuits(t testing.TB, o Device) map[int]int {
+	t.Helper()
+	ins, outs := crossOf(t, o)
 	m := make(map[int]int, len(ins))
 	for i, in := range ins {
 		m[in] = outs[i]
@@ -527,7 +581,7 @@ func TestSwitchBatchSemantics(t *testing.T) {
 			if want == nil {
 				want = held
 			}
-			if got := circuits(o); !maps.Equal(got, want) {
+			if got := circuits(t, o); !maps.Equal(got, want) {
 				t.Errorf("circuits %v, want %v", got, want)
 			}
 		})
@@ -622,7 +676,7 @@ func FuzzOSSSwitchBatch(f *testing.F) {
 		if !reflect.DeepEqual(overTheWire(t, res), overTheWire(t, wantRes)) {
 			t.Fatalf("switch-batch %v %v->%v with state %t answered %v, want %v", disconnect, ins, outs, withState, res, wantRes)
 		}
-		if got := circuits(o); !maps.Equal(got, want) {
+		if got := circuits(t, o); !maps.Equal(got, want) {
 			t.Fatalf("switch-batch %v %v->%v left %v, want %v", disconnect, ins, outs, got, want)
 		}
 	})

@@ -161,7 +161,7 @@ func TestOversizedRequestLine(t *testing.T) {
 	if err != nil {
 		t.Fatalf("large tune-batch failed: %v", err)
 	}
-	if tuned, _ := bank.Snapshot(); !slices.Equal(tuned, ws) {
+	if tuned, _ := bankOf(t, bank); !slices.Equal(tuned, ws) {
 		t.Error("the bank holds other wavelengths than the batch set")
 	}
 	if err := (Expected{Tuned: map[string][]int{"bank": ws}}).Check("bank", st); err != nil {

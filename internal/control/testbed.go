@@ -14,8 +14,9 @@ import "sync"
 // could connect to.
 type Testbed struct {
 	Controller *Controller
-	// Devices gives direct access to the devices as served, e.g. to read
-	// or set a device's state behind the controller's back. A device
+	// Devices gives direct access to the devices as served, e.g. to set
+	// a device's state behind the controller's back. A test reads a
+	// device through its state op, as the controller does. A device
 	// served behind a wrapper (a test's devicetest shim, a chaos fault
 	// shim) is the wrapper here.
 	Devices map[string]Device

@@ -258,7 +258,7 @@ func TestAuditThatStopsEarlyLeavesNoStaleReply(t *testing.T) {
 		if took > 250*time.Millisecond {
 			t.Errorf("the drain took %v: one 60ms deadline did not bound it", took)
 		}
-		if tuned, _ := tb.Devices["a"].(*TransceiverBank).Snapshot(); tuned[0] != -1 {
+		if tuned, _ := bankOf(t, tb.Devices["a"]); tuned[0] != -1 {
 			t.Errorf("the retune phase ran behind the failed drain")
 		}
 		attrs := make(map[string]string)
@@ -418,7 +418,7 @@ func TestRoundLeavesNothingInFlight(t *testing.T) {
 	tuned := func() map[string]int {
 		w := make(map[string]int)
 		for name, b := range banks {
-			ws, _ := b.Snapshot()
+			ws, _ := bankOf(t, b)
 			w[name] = ws[0]
 		}
 		return w

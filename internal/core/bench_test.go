@@ -17,12 +17,11 @@ func benchSetup(b *testing.B) (*Deployment, *traffic.Matrix, [2]traffic.Delta) {
 	for i, p := range pairs {
 		m.Set(p, float64(5+(7*i)%40))
 	}
-	fwd, back := traffic.NewDelta(), traffic.NewDelta()
+	next := m.Clone()
 	for _, p := range []int{0, len(pairs) / 2} {
-		back.Set(pairs[p], m.Get(pairs[p]))
-		fwd.Set(pairs[p], m.Get(pairs[p])+55)
+		next.Set(pairs[p], m.Get(pairs[p])+55)
 	}
-	return dep, m, [2]traffic.Delta{fwd, back}
+	return dep, m, [2]traffic.Delta{traffic.DiffMatrices(m, next), traffic.DiffMatrices(next, m)}
 }
 
 // BenchmarkAllocateFull is the baseline the incremental engine is measured
@@ -85,11 +84,11 @@ func BenchmarkAllocateDeltaFallback(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	shift := [2]traffic.Delta{traffic.NewDelta(), traffic.NewDelta()}
+	next := m.Clone()
 	for _, p := range m.Pairs() {
-		shift[0].Set(p, m.Get(p)+3)
-		shift[1].Set(p, m.Get(p))
+		next.Set(p, m.Get(p)+3)
 	}
+	shift := [2]traffic.Delta{traffic.DiffMatrices(m, next), traffic.DiffMatrices(next, m)}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -45,8 +45,7 @@ func TestFullBooksEqualPairwiseDeltas(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, p := range m.Pairs() {
-			delta := traffic.NewDelta()
-			delta.Set(p, m.Get(p))
+			delta := traffic.Delta{Changes: map[hose.Pair]float64{p: m.Get(p)}}
 			if _, stats, err := dep.AllocateDelta(st, delta); err != nil {
 				t.Fatalf("seed %d pair %v: %v", seed, p, err)
 			} else if !stats.Incremental {
@@ -93,19 +92,19 @@ func TestOccupancyEqualsLiveBooks(t *testing.T) {
 	check(-1, "AllocateState")
 	applied, fallbacks, rejected, rolledBack := 0, 0, 0, 0
 	for step := 0; step < 200; step++ {
-		delta := traffic.NewDelta()
+		delta := traffic.Delta{Changes: map[hose.Pair]float64{}}
 		switch {
 		case step%10 == 9: // region-wide: the fallback fork
 			for _, p := range pairs {
 				if rng.Intn(4) > 0 {
-					delta.Set(p, float64(rng.Intn(25)))
+					delta.Changes[p] = float64(rng.Intn(25))
 				}
 			}
 		case step%7 == 3: // aimed past the hose: the rejection path
-			delta.Set(pairs[rng.Intn(len(pairs))], float64(rng.Intn(400)))
+			delta.Changes[pairs[rng.Intn(len(pairs))]] = float64(rng.Intn(400))
 		default:
 			for n := 1 + rng.Intn(4); n > 0; n-- {
-				delta.Set(pairs[rng.Intn(len(pairs))], float64(rng.Intn(46)))
+				delta.Changes[pairs[rng.Intn(len(pairs))]] = float64(rng.Intn(46))
 			}
 		}
 		undo, stats, err := dep.AllocateDelta(st, delta)

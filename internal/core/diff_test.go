@@ -196,9 +196,10 @@ func TestDuctDeltasMatchesLiveBooks(t *testing.T) {
 		booksBefore[duct] = [2]int{f, st.residualByDuct[duct]}
 	}
 
-	delta := traffic.NewDelta()
-	delta.Changes[hose.Pair{A: r.DC1, B: r.DC3}.Canonical()] = 40 // 1 fiber, no residual
-	delta.Changes[hose.Pair{A: r.DC2, B: r.DC4}.Canonical()] = 10 // new residual-only pair
+	delta := traffic.Delta{Changes: map[hose.Pair]float64{
+		hose.Pair{A: r.DC1, B: r.DC3}.Canonical(): 40, // 1 fiber, no residual
+		hose.Pair{A: r.DC2, B: r.DC4}.Canonical(): 10, // new residual-only pair
+	}}
 	if _, _, err := dep.AllocateDelta(st, delta); err != nil {
 		t.Fatal(err)
 	}

@@ -115,30 +115,29 @@ func TestAllocateDeltaStream(t *testing.T) {
 
 			incremental, fallbacks, rejected := 0, 0, 0
 			for step := 0; step < 100; step++ {
-				delta := traffic.NewDelta()
+				next := m.Clone()
 				switch {
 				case step%10 == 9:
 					// Every tenth step shifts most of the region at once to
 					// exercise the fallback path.
 					for _, p := range pairs {
 						if rng.Intn(4) > 0 {
-							delta.Set(p, float64(rng.Intn(25)))
+							next.Set(p, float64(rng.Intn(25)))
 						}
 					}
 				case step%7 == 3:
 					// Occasionally aim past the hose so the rejection path
 					// runs too.
 					for n := 1 + rng.Intn(3); n > 0; n-- {
-						delta.Set(pairs[rng.Intn(len(pairs))], float64(rng.Intn(180)))
+						next.Set(pairs[rng.Intn(len(pairs))], float64(rng.Intn(180)))
 					}
 				default:
 					for n := 1 + rng.Intn(4); n > 0; n-- {
-						delta.Set(pairs[rng.Intn(len(pairs))], float64(rng.Intn(46)))
+						next.Set(pairs[rng.Intn(len(pairs))], float64(rng.Intn(46)))
 					}
 				}
+				delta := traffic.DiffMatrices(m, next)
 
-				next := m.Clone()
-				delta.ApplyTo(next)
 				wantAlloc, wantErr := dep.Allocate(next)
 
 				undo, stats, err := dep.AllocateDelta(st, delta)
@@ -203,9 +202,7 @@ func TestAllocateDeltaRollback(t *testing.T) {
 	before := st.Snapshot()
 
 	pairs := m.Pairs()
-	delta := traffic.NewDelta()
-	delta.Set(pairs[0], m.Get(pairs[0])+90)
-	delta.Set(pairs[3], 0)
+	delta := traffic.Delta{Changes: map[hose.Pair]float64{pairs[0]: m.Get(pairs[0]) + 90, pairs[3]: 0}}
 	undo, stats, err := dep.AllocateDelta(st, delta)
 	if err != nil {
 		t.Fatal(err)
@@ -233,9 +230,9 @@ func TestAllocateDeltaRollback(t *testing.T) {
 	}
 
 	// Fallback rollback: a region-wide delta swaps books wholesale.
-	big := traffic.NewDelta()
+	big := traffic.Delta{Changes: map[hose.Pair]float64{}}
 	for _, p := range pairs {
-		big.Set(p, 15)
+		big.Changes[p] = 15
 	}
 	undo, stats, err = dep.AllocateDelta(st, big)
 	if err != nil {
@@ -260,9 +257,10 @@ func TestAllocateDeltaRejectsHoseViolation(t *testing.T) {
 	}
 	// One DC's capacity is 8×40 = 320 wavelengths; two 300-wavelength
 	// pairs from the same DC exceed it.
-	delta := traffic.NewDelta()
-	delta.Set(hose.Pair{A: dcs[0], B: dcs[1]}, 300)
-	delta.Set(hose.Pair{A: dcs[0], B: dcs[2]}, 300)
+	delta := traffic.Delta{Changes: map[hose.Pair]float64{
+		hose.Pair{A: dcs[0], B: dcs[1]}.Canonical(): 300,
+		hose.Pair{A: dcs[0], B: dcs[2]}.Canonical(): 300,
+	}}
 	if _, _, err := dep.AllocateDelta(st, delta); err == nil ||
 		!strings.Contains(err.Error(), "exceeds capacity") {
 		t.Errorf("err = %v, want hose violation", err)
@@ -281,8 +279,7 @@ func TestAllocateDeltaRejectsUnplannedPair(t *testing.T) {
 	}
 	p := hose.Pair{A: dcs[0], B: dcs[1]}.Canonical()
 	delete(dep.Plan.Paths, p)
-	delta := traffic.NewDelta()
-	delta.Set(p, 10)
+	delta := traffic.Delta{Changes: map[hose.Pair]float64{p: 10}}
 	if _, _, err := dep.AllocateDelta(st, delta); err == nil ||
 		!strings.Contains(err.Error(), "no planned path") {
 		t.Errorf("err = %v, want unplanned-pair rejection", err)
@@ -299,8 +296,7 @@ func TestAllocateDeltaNoOp(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	delta := traffic.NewDelta()
-	delta.Set(p, 50) // same demand: normalizes away
+	delta := traffic.Delta{Changes: map[hose.Pair]float64{p.Canonical(): 50}} // same demand: normalizes away
 	_, stats, err := dep.AllocateDelta(st, delta)
 	if err != nil {
 		t.Fatal(err)
@@ -308,7 +304,7 @@ func TestAllocateDeltaNoOp(t *testing.T) {
 	if !stats.Incremental || stats.PairsResolved != 0 || stats.DuctsTouched != 0 {
 		t.Errorf("stats = %+v, want a recognized no-op", stats)
 	}
-	if _, stats, err = dep.AllocateDelta(st, traffic.NewDelta()); err != nil || stats.PairsResolved != 0 {
+	if _, stats, err = dep.AllocateDelta(st, traffic.Delta{}); err != nil || stats.PairsResolved != 0 {
 		t.Errorf("empty delta: stats %+v, err %v", stats, err)
 	}
 }
@@ -320,10 +316,10 @@ func TestAllocateDeltaForeignState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := depB.AllocateDelta(st, traffic.NewDelta()); err == nil {
+	if _, _, err := depB.AllocateDelta(st, traffic.Delta{}); err == nil {
 		t.Error("state from another deployment was accepted")
 	}
-	if _, _, err := depB.AllocateDelta(nil, traffic.NewDelta()); err == nil {
+	if _, _, err := depB.AllocateDelta(nil, traffic.Delta{}); err == nil {
 		t.Error("nil state was accepted")
 	}
 }
@@ -339,8 +335,7 @@ func TestAllocateDeltaRevalidatesNeighbours(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	delta := traffic.NewDelta()
-	delta.Set(m.Pairs()[0], 130)
+	delta := traffic.Delta{Changes: map[hose.Pair]float64{m.Pairs()[0]: 130}}
 	_, stats, err := dep.AllocateDelta(st, delta)
 	if err != nil {
 		t.Fatal(err)
@@ -369,14 +364,14 @@ func TestAllocateDeltaRevalidatesNeighbours(t *testing.T) {
 		}
 		rng := rand.New(rand.NewSource(seed))
 		for range 20 {
-			delta := traffic.NewDelta()
+			delta := traffic.Delta{Changes: map[hose.Pair]float64{}}
 			for range 1 + rng.Intn(3) {
 				p := pairs[rng.Intn(len(pairs))]
 				v := float64(rng.Intn(61))
 				if v == st.demand[p] {
 					v++
 				}
-				delta.Set(p, v)
+				delta.Changes[p] = v
 			}
 			_, stats, err := dep.AllocateDelta(st, delta)
 			if err != nil {

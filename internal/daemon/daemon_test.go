@@ -20,6 +20,7 @@ import (
 	"iris/internal/telemetry"
 	"iris/internal/trace"
 	"iris/internal/traffic"
+	"iris/internal/traffic/traffictest"
 )
 
 // testLogger routes the daemon's structured logs into t.Logf.
@@ -63,7 +64,7 @@ func toyMatrix(rig *fabric.Rig, d01, d02 float64) *traffic.Matrix {
 // audited, status surface checked after each step.
 func TestDaemonThreeShifts(t *testing.T) {
 	rig := toyRig(t, nil)
-	feed := traffic.NewReplay(
+	feed := traffictest.NewReplay(
 		toyMatrix(rig, 60, 45),
 		toyMatrix(rig, 20, 95),
 		toyMatrix(rig, 80, 10),
@@ -121,7 +122,7 @@ func TestDaemonThreeShifts(t *testing.T) {
 // trigger a device reconfiguration.
 func TestDaemonSkipsEqualAllocation(t *testing.T) {
 	rig := toyRig(t, nil)
-	feed := traffic.NewReplay(
+	feed := traffictest.NewReplay(
 		toyMatrix(rig, 60, 45),
 		toyMatrix(rig, 60, 45), // identical → same allocation
 	)
@@ -167,7 +168,7 @@ func counterValue(t *testing.T, reg *telemetry.Registry, name string) float64 {
 // TestHTTPSurface exercises /status, /metrics and /healthz end to end.
 func TestHTTPSurface(t *testing.T) {
 	rig := toyRig(t, nil)
-	feed := traffic.NewReplay(toyMatrix(rig, 60, 45))
+	feed := traffictest.NewReplay(toyMatrix(rig, 60, 45))
 	d, err := New(Config{Fab: rig.Fab, Controller: rig.Testbed.Controller, Feed: feed})
 	if err != nil {
 		t.Fatal(err)
@@ -280,7 +281,7 @@ func TestDialOptionsOnRig(t *testing.T) {
 	d, err := New(Config{
 		Fab:        rig.Fab,
 		Controller: rig.Testbed.Controller,
-		Feed:       traffic.NewReplay(toyMatrix(rig, 60, 45)),
+		Feed:       traffictest.NewReplay(toyMatrix(rig, 60, 45)),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -300,7 +301,7 @@ func TestDialOptionsOnRig(t *testing.T) {
 func TestReconfigTraceTree(t *testing.T) {
 	tracer := trace.New(4096)
 	rig := toyRig(t, func(cfg *fabric.BringUpConfig) { cfg.Tracer = tracer })
-	feed := traffic.NewReplay(
+	feed := traffictest.NewReplay(
 		toyMatrix(rig, 60, 45),
 		toyMatrix(rig, 20, 95), // forces fiber moves: drains carry real ops
 	)
@@ -367,7 +368,7 @@ func TestReconfigTraceTree(t *testing.T) {
 	}
 
 	// Straight from the recorder.
-	checkTree(d.DebugEvents(st.LastReconfigID).Tree)
+	checkTree(d.debugEvents(st.LastReconfigID).Tree)
 
 	// Over HTTP, exactly as an operator would pull it.
 	srv := httptest.NewServer(d.Handler())
@@ -376,7 +377,7 @@ func TestReconfigTraceTree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var dump EventsDump
+	var dump eventsDump
 	if err := json.NewDecoder(res.Body).Decode(&dump); err != nil {
 		t.Fatal(err)
 	}
@@ -477,7 +478,7 @@ func TestBreakerSinceAndTraceEvents(t *testing.T) {
 	d, err := New(Config{
 		Fab:              rig.Fab,
 		Controller:       rig.Testbed.Controller,
-		Feed:             traffic.NewReplay(toyMatrix(rig, 60, 45)),
+		Feed:             traffictest.NewReplay(toyMatrix(rig, 60, 45)),
 		FailureThreshold: 1,
 		Tracer:           tracer,
 		Logger:           testLogger(t),

@@ -18,6 +18,7 @@ import (
 	"iris/internal/fabric"
 	"iris/internal/hose"
 	"iris/internal/traffic"
+	"iris/internal/traffic/traffictest"
 )
 
 // redrawFeed redraws every pair around a heavy-tailed base on every tick
@@ -277,7 +278,7 @@ func TestProbeAuditsAQuietRegion(t *testing.T) {
 	rig := seededRig(t, 6, nil)
 	tm, _ := newRedrawFeed(rig, 1).Next()
 	d, err := New(Config{Fab: rig.Fab, Controller: rig.Testbed.Controller,
-		Feed: traffic.NewReplay(tm, tm, tm, tm, tm), Logger: testLogger(t)})
+		Feed: traffictest.NewReplay(tm, tm, tm, tm, tm), Logger: testLogger(t)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -350,7 +351,7 @@ func TestSparseCommitAuditsWhatItTouched(t *testing.T) {
 		shifts = append(shifts, low, low.Clone())
 		shifts[len(shifts)-1].Set(p, base.Get(p))
 	}
-	d, err := New(Config{Fab: rig.Fab, Controller: rig.Testbed.Controller, Feed: traffic.NewReplay(shifts...)})
+	d, err := New(Config{Fab: rig.Fab, Controller: rig.Testbed.Controller, Feed: traffictest.NewReplay(shifts...)})
 	if err != nil {
 		t.Fatal(err)
 	}

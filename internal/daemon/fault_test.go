@@ -11,7 +11,7 @@ import (
 	"iris/internal/control/devicetest"
 	"iris/internal/fabric"
 	"iris/internal/telemetry"
-	"iris/internal/traffic"
+	"iris/internal/traffic/traffictest"
 )
 
 // fakeClock is an injectable, manually advanced clock.
@@ -87,7 +87,7 @@ func pickVictim(rig *fabric.Rig) string {
 func TestBreakerTripAndRecovery(t *testing.T) {
 	rig, shims := faultRig(t, nil)
 	clock := newFakeClock()
-	feed := traffic.NewReplay(
+	feed := traffictest.NewReplay(
 		toyMatrix(rig, 60, 45),
 		toyMatrix(rig, 20, 95),
 		toyMatrix(rig, 80, 10),
@@ -227,7 +227,7 @@ func TestHungDeviceTripsBreaker(t *testing.T) {
 	d, err := New(Config{
 		Fab:              rig.Fab,
 		Controller:       rig.Testbed.Controller,
-		Feed:             traffic.NewReplay(toyMatrix(rig, 60, 45)),
+		Feed:             traffictest.NewReplay(toyMatrix(rig, 60, 45)),
 		FailureThreshold: 1,
 		BackoffBase:      50 * time.Millisecond,
 		BackoffMax:       50 * time.Millisecond,
@@ -271,7 +271,7 @@ func TestProbeCountsAMalformedStateAgainstTheBreaker(t *testing.T) {
 	rig, shims := faultRig(t, nil)
 	name := pickVictim(rig)
 	d, err := New(Config{Fab: rig.Fab, Controller: rig.Testbed.Controller,
-		Feed: traffic.NewReplay(toyMatrix(rig, 60, 45)), Now: newFakeClock().Now})
+		Feed: traffictest.NewReplay(toyMatrix(rig, 60, 45)), Now: newFakeClock().Now})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,7 +310,7 @@ func lyingRegion(t *testing.T, lie, write string) (*Daemon, string) {
 	t.Helper()
 	rig, shims := faultRig(t, nil)
 	d, err := New(Config{Fab: rig.Fab, Controller: rig.Testbed.Controller,
-		Feed: traffic.NewReplay(toyMatrix(rig, 60, 45), toyMatrix(rig, 20, 70))})
+		Feed: traffictest.NewReplay(toyMatrix(rig, 60, 45), toyMatrix(rig, 20, 70))})
 	if err != nil {
 		t.Fatal(err)
 	}

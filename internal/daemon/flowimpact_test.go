@@ -9,7 +9,7 @@ import (
 
 	"iris/internal/flowsim"
 	"iris/internal/telemetry"
-	"iris/internal/traffic"
+	"iris/internal/traffic/traffictest"
 )
 
 // TestDaemonReportsFlowImpact wires the flow monitor into the control
@@ -25,7 +25,7 @@ func TestDaemonReportsFlowImpact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	feed := traffic.NewReplay(
+	feed := traffictest.NewReplay(
 		toyMatrix(rig, 60, 45),
 		toyMatrix(rig, 20, 95), // forces circuit moves → a monitored reconfig
 	)
@@ -122,7 +122,7 @@ func TestRepairImpactCountsWhatItDarkened(t *testing.T) {
 	d, err := New(Config{
 		Fab:         rig.Fab,
 		Controller:  rig.Testbed.Controller,
-		Feed:        traffic.NewReplay(toyMatrix(rig, 60, 45)),
+		Feed:        traffictest.NewReplay(toyMatrix(rig, 60, 45)),
 		FlowMonitor: mon,
 		Logger:      testLogger(t),
 	})

@@ -23,6 +23,7 @@ import (
 	"iris/internal/topoapi"
 	"iris/internal/trace"
 	"iris/internal/traffic"
+	"iris/internal/traffic/traffictest"
 )
 
 // historyRig is a chaos-armed toy region with a history lake, driven on a
@@ -66,7 +67,7 @@ func newHistoryRig(t *testing.T, shifts [][2]float64) *historyRig {
 	d, err := New(Config{
 		Fab:              rig.Fab,
 		Controller:       rig.Testbed.Controller,
-		Feed:             traffic.NewReplay(mats...),
+		Feed:             traffictest.NewReplay(mats...),
 		FailureThreshold: 2,
 		BackoffBase:      100 * time.Millisecond,
 		BackoffMax:       400 * time.Millisecond,
@@ -467,7 +468,7 @@ func TestHistoryPersistenceAcrossRestart(t *testing.T) {
 	d, err := New(Config{
 		Fab:        rig.Fab,
 		Controller: rig.Testbed.Controller,
-		Feed:       traffic.NewReplay(mats...),
+		Feed:       traffictest.NewReplay(mats...),
 		Logger:     testLogger(t),
 		History:    lake,
 	})

@@ -301,9 +301,9 @@ func (d *Daemon) Status() Status {
 	return st
 }
 
-// EventsDump is the /debug/events payload: the flight recorder's raw
+// eventsDump is the /debug/events payload: the flight recorder's raw
 // events plus, when filtered to one trace, the assembled span tree.
-type EventsDump struct {
+type eventsDump struct {
 	// ReconfigID echoes the ?reconfig= filter (0 = unfiltered dump).
 	ReconfigID uint64        `json:"reconfig_id,omitempty"`
 	Events     []trace.Event `json:"events"`
@@ -312,10 +312,10 @@ type EventsDump struct {
 	Tree []*trace.Node `json:"tree,omitempty"`
 }
 
-// DebugEvents snapshots the flight recorder, optionally filtered to one
+// debugEvents snapshots the flight recorder, optionally filtered to one
 // reconfiguration's trace.
-func (d *Daemon) DebugEvents(reconfigID uint64) EventsDump {
-	dump := EventsDump{
+func (d *Daemon) debugEvents(reconfigID uint64) eventsDump {
+	dump := eventsDump{
 		ReconfigID: reconfigID,
 		Events:     d.tracer.Events(trace.Filter{TraceID: reconfigID}),
 	}
@@ -372,7 +372,7 @@ func (d *Daemon) Handler() http.Handler {
 			}
 			id = parsed
 		}
-		dump := d.DebugEvents(id)
+		dump := d.debugEvents(id)
 		if id != 0 && len(dump.Events) == 0 {
 			httpjson.Error(w, http.StatusNotFound, "no events for reconfig "+strconv.FormatUint(id, 10))
 			return

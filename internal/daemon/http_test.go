@@ -57,7 +57,7 @@ func TestDebugEventsUnknownReconfig(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var dump EventsDump
+	var dump eventsDump
 	if res.StatusCode != 200 {
 		t.Fatalf("known reconfig returned %d", res.StatusCode)
 	}

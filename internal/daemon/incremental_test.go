@@ -15,6 +15,7 @@ import (
 	"iris/internal/telemetry"
 	"iris/internal/trace"
 	"iris/internal/traffic"
+	"iris/internal/traffic/traffictest"
 )
 
 // fullSolve is the from-scratch reference the daemon's incremental books
@@ -77,7 +78,7 @@ func TestDaemonIncrementalConvergence(t *testing.T) {
 	d, err := New(Config{
 		Fab:        rig.Fab,
 		Controller: rig.Testbed.Controller,
-		Feed:       traffic.NewReplay(mats...),
+		Feed:       traffictest.NewReplay(mats...),
 		Registry:   reg,
 		Logger:     testLogger(t),
 	})
@@ -131,7 +132,7 @@ func TestDaemonCoalescesBurst(t *testing.T) {
 	d, err := New(Config{
 		Fab:        rig.Fab,
 		Controller: rig.Testbed.Controller,
-		Feed:       traffic.NewReplay(mats...),
+		Feed:       traffictest.NewReplay(mats...),
 		MaxBatch:   3,
 		Registry:   reg,
 		Logger:     testLogger(t),
@@ -185,7 +186,7 @@ func TestDaemonIncrementalRollbackOnFailure(t *testing.T) {
 	d, err := New(Config{
 		Fab:        rig.Fab,
 		Controller: rig.Testbed.Controller,
-		Feed:       traffic.NewReplay(mats...),
+		Feed:       traffictest.NewReplay(mats...),
 		// High threshold: the breaker must not open, so the rollback and
 		// retry are isolated from the degraded-mode machinery.
 		FailureThreshold: 100,
@@ -283,7 +284,7 @@ func TestDaemonIncrementalChaosHeal(t *testing.T) {
 	d, err := New(Config{
 		Fab:              rig.Fab,
 		Controller:       rig.Testbed.Controller,
-		Feed:             traffic.NewReplay(mats...),
+		Feed:             traffictest.NewReplay(mats...),
 		FailureThreshold: 2,
 		BackoffBase:      100 * time.Millisecond,
 		BackoffMax:       400 * time.Millisecond,

@@ -15,6 +15,7 @@ import (
 	"iris/internal/plan"
 	"iris/internal/robust"
 	"iris/internal/traffic"
+	"iris/internal/traffic/traffictest"
 )
 
 // liveDemand copies the demand the daemon last converged on.
@@ -197,7 +198,7 @@ func TestReadsFollowCommits(t *testing.T) {
 			d, err := New(Config{
 				Fab:        rig.Fab,
 				Controller: rig.Testbed.Controller,
-				Feed:       traffic.NewReplay(mats...),
+				Feed:       traffictest.NewReplay(mats...),
 				Now:        newFakeClock().Now,
 				Logger:     testLogger(t),
 				Robust:     tc.robust,

@@ -10,7 +10,7 @@ import (
 	"iris/internal/history"
 	"iris/internal/robust"
 	"iris/internal/telemetry"
-	"iris/internal/traffic"
+	"iris/internal/traffic/traffictest"
 )
 
 // TestRobustModeSkipsAndEscapes is the robust-policy end-to-end scenario:
@@ -24,7 +24,7 @@ func TestRobustModeSkipsAndEscapes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	feed := traffic.NewReplay(
+	feed := traffictest.NewReplay(
 		toyMatrix(rig, 60, 45),  // first plan: envelope = 1.15 × this
 		toyMatrix(rig, 65, 48),  // within 69 / 51.75 → absorbed
 		toyMatrix(rig, 200, 45), // 200 > 69 → escape, re-plan
@@ -154,7 +154,7 @@ func TestRobustDisabledSurface(t *testing.T) {
 	d, err := New(Config{
 		Fab:        rig.Fab,
 		Controller: rig.Testbed.Controller,
-		Feed:       traffic.NewReplay(toyMatrix(rig, 60, 45)),
+		Feed:       traffictest.NewReplay(toyMatrix(rig, 60, 45)),
 		Registry:   reg,
 	})
 	if err != nil {
@@ -191,7 +191,7 @@ func TestRobustPairsResolvedIsFullSolve(t *testing.T) {
 	d, err := New(Config{
 		Fab:        rig.Fab,
 		Controller: rig.Testbed.Controller,
-		Feed:       traffic.NewReplay(toyMatrix(rig, 60, 45)),
+		Feed:       traffictest.NewReplay(toyMatrix(rig, 60, 45)),
 		Registry:   reg,
 		Logger:     testLogger(t),
 		Robust:     &robust.Config{},

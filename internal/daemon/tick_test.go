@@ -44,7 +44,7 @@ func TestTickLayersCoverTheChange(t *testing.T) {
 		if id == before {
 			continue
 		}
-		events := d.DebugEvents(id).Events
+		events := d.debugEvents(id).Events
 		for i, self := range trace.SelfTimes(events) {
 			if self < 0 {
 				t.Errorf("reconfig %d: span %q has self time %v", id, events[i].Name, self)

@@ -11,7 +11,7 @@ import (
 	"iris/internal/fabric"
 	"iris/internal/robust"
 	"iris/internal/telemetry"
-	"iris/internal/traffic"
+	"iris/internal/traffic/traffictest"
 )
 
 // robustGolden is what irisbench -exp robust prints, timing line aside.
@@ -130,7 +130,7 @@ func TestRobustAblationIsIrisd(t *testing.T) {
 			d, err := daemon.New(daemon.Config{
 				Fab:        fab,
 				Controller: tb.Controller,
-				Feed:       traffic.NewReplay(ms...),
+				Feed:       traffictest.NewReplay(ms...),
 				Registry:   reg,
 				Robust:     tc.robust,
 			})

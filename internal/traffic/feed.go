@@ -20,28 +20,6 @@ type Source interface {
 	Next() (m *Matrix, ok bool)
 }
 
-// Replay replays a fixed sequence of matrices: scripted traffic shifts for
-// demos and deterministic tests.
-type Replay struct {
-	ms []*Matrix
-}
-
-// NewReplay returns a feed that yields clones of the given matrices in
-// order, then reports exhaustion.
-func NewReplay(ms ...*Matrix) *Replay {
-	return &Replay{ms: append([]*Matrix(nil), ms...)}
-}
-
-// Next implements Source.
-func (r *Replay) Next() (*Matrix, bool) {
-	if len(r.ms) == 0 {
-		return nil, false
-	}
-	m := r.ms[0]
-	r.ms = r.ms[1:]
-	return m.Clone(), true
-}
-
 // Evolver is an endless feed that yields a base matrix and then evolves it
 // with the §6.3 change process: each Next is one interval of the paper's
 // bounded-drift or pair-swap demand dynamics.

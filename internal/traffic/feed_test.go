@@ -4,30 +4,7 @@ import (
 	"testing"
 
 	"iris/internal/hose"
-	"iris/internal/trace"
 )
-
-func TestReplayYieldsClonesInOrder(t *testing.T) {
-	m1 := NewMatrix([]int{1, 2})
-	m1.Set(hose.Pair{A: 1, B: 2}, 10)
-	m2 := NewMatrix([]int{1, 2})
-	m2.Set(hose.Pair{A: 1, B: 2}, 20)
-
-	f := NewReplay(m1, m2)
-	got1, ok := f.Next()
-	if !ok || got1.Get(hose.Pair{A: 1, B: 2}) != 10 {
-		t.Fatalf("first Next = %v, %v", got1, ok)
-	}
-	// Mutating the yielded matrix must not affect the source.
-	got1.Set(hose.Pair{A: 1, B: 2}, 99)
-	got2, ok := f.Next()
-	if !ok || got2.Get(hose.Pair{A: 1, B: 2}) != 20 {
-		t.Fatalf("second Next = %v, %v", got2, ok)
-	}
-	if _, ok := f.Next(); ok {
-		t.Error("replay did not exhaust after two matrices")
-	}
-}
 
 func TestEvolverIsDeterministicPerSeed(t *testing.T) {
 	base := NewMatrix([]int{1, 2, 3})
@@ -72,64 +49,5 @@ func TestLimitCapsFeed(t *testing.T) {
 	}
 	if _, ok := f.Next(); ok {
 		t.Error("limited feed yielded a 4th matrix")
-	}
-}
-
-// TestExhaustedSourcesAreIdempotent pins the Source contract: once Next
-// has returned ok=false, every later call must keep returning ok=false.
-func TestExhaustedSourcesAreIdempotent(t *testing.T) {
-	base := NewMatrix([]int{1, 2})
-	base.Set(hose.Pair{A: 1, B: 2}, 1)
-	cp := ChangeProcess{Bound: 0.1, Caps: map[int]float64{1: 10, 2: 10}, Util: 0.5}
-	tr := trace.New(64)
-	sources := map[string]Source{
-		"replay": NewReplay(base),
-		"limit":  Limit(NewEvolver(1, base, cp), 1),
-		"traced": Traced(NewReplay(base), tr),
-	}
-	for name, s := range sources {
-		if _, ok := s.Next(); !ok {
-			t.Fatalf("%s: exhausted before its one matrix", name)
-		}
-		for i := 0; i < 5; i++ {
-			if m, ok := s.Next(); ok || m != nil {
-				t.Fatalf("%s: Next after exhaustion returned %v, %v on call %d", name, m, ok, i)
-			}
-		}
-	}
-}
-
-// TestTracedEmitsExhaustionOnce: a polling loop hammering an exhausted
-// traced feed must journal the exhaustion once, not flood the
-// flight-recorder ring with one event per probe.
-func TestTracedEmitsExhaustionOnce(t *testing.T) {
-	base := NewMatrix([]int{1, 2})
-	base.Set(hose.Pair{A: 1, B: 2}, 1)
-	tr := trace.New(256)
-	f := Traced(NewReplay(base, base), tr)
-	for {
-		if _, ok := f.Next(); !ok {
-			break
-		}
-	}
-	for i := 0; i < 100; i++ {
-		if _, ok := f.Next(); ok {
-			t.Fatal("feed revived after exhaustion")
-		}
-	}
-	var shifts, exhausted int
-	for _, ev := range tr.Events(trace.Filter{}) {
-		switch ev.Name {
-		case "shift":
-			shifts++
-		case "feed-exhausted":
-			exhausted++
-		}
-	}
-	if shifts != 2 {
-		t.Errorf("journaled %d shift events, want 2", shifts)
-	}
-	if exhausted != 1 {
-		t.Errorf("journaled %d feed-exhausted events, want exactly 1", exhausted)
 	}
 }

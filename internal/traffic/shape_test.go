@@ -3,8 +3,6 @@ package traffic
 import (
 	"math"
 	"testing"
-
-	"iris/internal/hose"
 )
 
 func TestShapeValidation(t *testing.T) {
@@ -105,58 +103,5 @@ func TestShapeFlashCrowdsDeterministicAndBounded(t *testing.T) {
 	}
 	if got, want := a.MaxMult(), 3.0; got != want {
 		t.Errorf("MaxMult = %v, want %v", got, want)
-	}
-}
-
-func TestShapedFeedScalesAndClamps(t *testing.T) {
-	dcs := []int{1, 2}
-	pair := hose.Pair{A: 1, B: 2}
-	mk := func(v float64) *Matrix {
-		m := NewMatrix(dcs)
-		m.Set(pair, v)
-		return m
-	}
-	sh, err := NewShape(5, LoadProfile{DiurnalAmp: 0.5, DiurnalPeriodS: 40}, 1000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Step 10s = quarter period: Mult(0)=1, Mult(10)=1.5, Mult(20)=1.
-	f := Shaped(NewReplay(mk(8), mk(8), mk(8)), sh, 10, nil)
-	want := []float64{8, 12, 8}
-	for i, w := range want {
-		m, ok := f.Next()
-		if !ok {
-			t.Fatalf("step %d exhausted early", i)
-		}
-		if got := m.Get(pair); math.Abs(got-w) > 1e-9 {
-			t.Errorf("step %d demand = %v, want %v", i, got, w)
-		}
-	}
-	if _, ok := f.Next(); ok {
-		t.Error("shaped feed outlived its replay")
-	}
-	if _, ok := f.Next(); ok {
-		t.Error("shaped feed exhaustion is not idempotent")
-	}
-
-	// With hose caps, the flash peak clamps instead of overflowing.
-	caps := map[int]float64{1: 10, 2: 10}
-	f = Shaped(NewReplay(mk(8), mk(8)), sh, 10, caps)
-	m, _ := f.Next()
-	if got := m.Get(pair); math.Abs(got-8) > 1e-9 {
-		t.Errorf("unshaped step clamped: %v", got)
-	}
-	m, _ = f.Next()
-	if got := m.Get(pair); got > 10+1e-9 {
-		t.Errorf("clamped step exceeds hose: %v", got)
-	}
-	if got := m.Get(pair); got <= 8 {
-		t.Errorf("clamp erased the swing entirely: %v", got)
-	}
-
-	// A nil shape is a pass-through.
-	r := NewReplay(mk(4))
-	if Shaped(r, nil, 1, nil) != r {
-		t.Error("nil shape should return the source unchanged")
 	}
 }
