@@ -42,7 +42,7 @@ var architecture = []rule{
 	{[]string{"plan.PathInfo.Ducts"}, []string{"internal/core"}, []string{"internal/core/diff.go"},
 		"ride is core's one reader of a planned route; which pairs ride a duct, the allocator asks the plan's evaluator (plan.Evaluator.Crossing)"},
 	{[]string{"control.Controller.Call"}, nil, []string{"internal/control", "internal/daemon/health.go"},
-		"only control.Expected.Repair reads a device state and compares it with intent; beyond the daemon's health probe nothing sends a bare request"},
+		"only control.Controller.Repair and Audit read a device state and compare it with intent; beyond the daemon's health probe nothing sends a bare request"},
 	{[]string{"control.Controller.Reconfigure"}, nil, []string{"internal/control", "internal/daemon/daemon.go", "examples/reconfig", "bench"},
 		"the daemon is the one writer of a fabric: commitChange and repairIn run a change and close it with the audit of its writes' replies; examples/reconfig drives hand-built devices with no fabric, and bench/tick.go's replay goes with ROADMAP item 17(b)"},
 	{[]string{"history.Lake.Append"}, nil, []string{"internal/daemon/history.go", "bench"},

@@ -335,21 +335,6 @@ func BenchmarkOpticsEvaluate(b *testing.B) {
 	}
 }
 
-func BenchmarkFlowsimPipe(b *testing.B) {
-	cfg := flowsim.Config{
-		Seed: 1, DurationS: 10, Dist: traffic.WebSearch(),
-		Pipes: []flowsim.Pipe{{CapacityGbps: 10, UtilFrac: 0.5}},
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := flowsim.Run(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(float64(len(res.Flows)), "flows")
-	}
-}
-
 // BenchmarkFlowsimLoad drives the bucketed load engine through a
 // user-scale event: a single fat pipe whose full 2.5s outage accumulates
 // a backlog of over a million concurrent flows, then drains it. The
@@ -368,9 +353,8 @@ func BenchmarkFlowsimLoad(b *testing.B) {
 	capGbps := lambda * dist.Mean() * 8 / util / 1e9
 	cfg := flowsim.LoadConfig{
 		Seed: 1, DurationS: 8, Dist: dist,
-		Pipes:        []flowsim.Pipe{{CapacityGbps: capGbps, UtilFrac: util}},
-		Dips:         map[int][]flowsim.Dip{0: {{TimeS: 2, DurationS: outageS, FracLost: 1}}},
-		BucketCredit: dist.Max() / 4096,
+		Pipes: []flowsim.Pipe{{CapacityGbps: capGbps, UtilFrac: util}},
+		Dips:  map[int][]flowsim.Dip{0: {{TimeS: 2, DurationS: outageS, FracLost: 1}}},
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

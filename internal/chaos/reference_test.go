@@ -115,7 +115,7 @@ func (a *refAuditor) audit(sc Scenario) Result {
 		for i, x := range a.dcs {
 			for _, y := range a.dcs[i+1:] {
 				pair := hose.Pair{A: x, B: y}
-				_, edges, ok := trees[x].PathTo(y)
+				_, edges, ok := trees[x].AppendPathTo(y, nil, nil)
 				if !ok {
 					res.DisconnectedPairs++
 					continue
@@ -218,8 +218,8 @@ func refBestHubWalk(trees map[int]*graph.ShortestPathTree, hubs []int, a, b int)
 		if d >= best || d >= graph.Inf {
 			continue
 		}
-		_, edgesA, okA := t.PathTo(a)
-		_, edgesB, okB := t.PathTo(b)
+		_, edgesA, okA := t.AppendPathTo(a, nil, nil)
+		_, edgesB, okB := t.AppendPathTo(b, nil, nil)
 		if !okA || !okB {
 			continue
 		}

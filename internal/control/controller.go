@@ -536,7 +536,10 @@ func (e Expected) Check(dev string, st map[string]any) error {
 }
 
 // Repair fetches every expected device's state and returns the change that
-// moves them to the expectation (Expected.Repair); empty, the audit passes.
+// moves them to the expectation: the audit turned into anti-entropy. Empty,
+// the audit passes; a malformed state is a *DeviceError. Reconfigure runs
+// the change in the usual order: drains, switches (disconnects before
+// connects on each switch), amplifiers, retunes, undrains.
 func (c *Controller) Repair(ctx context.Context, exp Expected) (Change, error) {
 	var ch Change
 	err := c.eachState(ctx, exp, func(dev string, st map[string]any) error {
@@ -545,27 +548,6 @@ func (c *Controller) Repair(ctx context.Context, exp Expected) (Change, error) {
 	})
 	if err != nil {
 		return Change{}, err
-	}
-	return ch, nil
-}
-
-// Repair returns the change that moves every device in states (device
-// name to "state" result, as Controller.Call returns it) to the
-// expectation: the audit turned into anti-entropy. Expected devices absent
-// from states are left untouched; a malformed state is a *DeviceError.
-// Reconfigure runs the change in the usual order: drains, switches
-// (disconnects before connects on each switch), amplifiers, retunes,
-// undrains.
-func (e Expected) Repair(states map[string]map[string]any) (Change, error) {
-	var ch Change
-	for _, dev := range e.devices() {
-		st, ok := states[dev]
-		if !ok {
-			continue
-		}
-		if _, err := e.repair(&ch, dev, st); err != nil {
-			return Change{}, err
-		}
 	}
 	return ch, nil
 }

@@ -20,8 +20,6 @@ var flagless = map[string]string{
 	"FailureThreshold": "set by tests only; 0 selects the breaker's default",
 	"BackoffBase":      "set by tests only; 0 selects the breaker's default",
 	"BackoffMax":       "set by tests only; 0 selects the breaker's default",
-
-	"Profile.DiurnalPhaseS": "set by tests only; 0 starts the cycle at its mean",
 }
 
 // leaves returns the value of every field of a RegionConfig by name, the

@@ -12,8 +12,6 @@ import (
 	"iris/internal/parallel"
 	"iris/internal/plan"
 	"iris/internal/stats"
-	"iris/internal/telemetry"
-	"iris/internal/trace"
 )
 
 // SweepConfig is the Fig. 12 scenario grid: fiber maps × region sizes ×
@@ -28,18 +26,7 @@ type SweepConfig struct {
 	// 0 means GOMAXPROCS, 1 is fully serial. Row order and values are
 	// identical at every setting.
 	Parallelism int
-	// Tracer, when non-nil, journals the sweep as one "sweep" trace with
-	// a "row" child per scenario, each carrying its grid coordinates and
-	// the failure-tolerant plan's per-stage children.
-	Tracer *trace.Tracer
-	// Registry, when non-nil, receives iris_plan_stage_seconds
-	// observations from every scenario's failure-tolerant plan.
-	Registry *telemetry.Registry
 }
-
-// stageBuckets match the daemon's latency buckets so plan-stage
-// histograms from a sweep and from irisd line up scrape-for-scrape.
-var stageBuckets = []float64{.0005, .001, .0025, .005, .01, .025, .05, .1, .25, .5, 1, 2.5, 5, 10}
 
 // PaperSweep is the full grid of §6.1: 10 maps × n∈{5,10,15,20} ×
 // f∈{8,16,32} × λ∈{40,64} = 240 scenarios with 2-failure tolerance.
@@ -189,35 +176,17 @@ func Sweep(cfg SweepConfig) ([]SweepRow, error) {
 		return nil, err
 	}
 
-	var stageHist *telemetry.HistogramVec
-	if cfg.Registry != nil {
-		stageHist = cfg.Registry.HistogramVec("iris_plan_stage_seconds",
-			"Per-stage planner latency (route, amps, cutthrough, provision, total) from Algorithm 1.",
-			"stage", stageBuckets)
-	}
-	root := cfg.Tracer.Start(cfg.Tracer.NextID(), "sweep")
-	defer root.Finish()
-
 	rows := make([]SweepRow, len(scens))
 	err = parallel.ForEach(len(scens), cfg.Parallelism, func(i int) error {
 		sc := scens[i]
 		reg := regions[regionKey{sc.MapSeed, sc.N}]
 		caps := core.UniformRegion(reg.m, sc.F, sc.Lambda).Capacity
-		rsp := root.Child("row")
-		rsp.SetAttr(fmt.Sprintf("seed=%d n=%d f=%d lambda=%d", sc.MapSeed, sc.N, sc.F, sc.Lambda))
-		defer rsp.Finish()
 		ws := sweepPool.Get().(*sweepWorkspace)
 		defer sweepPool.Put(ws)
-		in := plan.Input{Map: reg.m, Base: reg.base, Capacity: caps, Lambda: sc.Lambda, MaxFailures: cfg.MaxFailures, Span: rsp}
+		in := plan.Input{Map: reg.m, Base: reg.base, Capacity: caps, Lambda: sc.Lambda, MaxFailures: cfg.MaxFailures}
 		pl, err := planNew(ws.kf, in)
 		if err != nil {
-			rsp.Fail(err)
 			return fmt.Errorf("map %d n=%d f=%d λ=%d: %w", sc.MapSeed, sc.N, sc.F, sc.Lambda, err)
-		}
-		if stageHist != nil {
-			for _, st := range pl.Stages {
-				stageHist.With(st.Stage).Observe(st.Duration.Seconds())
-			}
 		}
 		// Fig. 12d prices EPS on a 0-failure plan; when the sweep itself
 		// runs at 0 failures that plan is identical, so reuse it instead
@@ -226,10 +195,8 @@ func Sweep(cfg SweepConfig) ([]SweepRow, error) {
 		if cfg.MaxFailures != 0 {
 			in0 := in
 			in0.MaxFailures = 0
-			in0.Span = nil // the baseline's stages would shadow the main plan's
 			pl0, err = planNew(ws.zf, in0)
 			if err != nil {
-				rsp.Fail(err)
 				return fmt.Errorf("map %d n=%d f=%d λ=%d (0 failures): %w", sc.MapSeed, sc.N, sc.F, sc.Lambda, err)
 			}
 		}

@@ -338,7 +338,7 @@ func TestAuditPassesIffRepairIsEmpty(t *testing.T) {
 	agree := func(when string) control.Change {
 		t.Helper()
 		audit := ctl.Audit(exp)
-		ch, err := exp.Repair(deviceStates(t, rig))
+		ch, err := ctl.Repair(ctx, exp)
 		if err != nil {
 			t.Fatalf("%s: repair: %v", when, err)
 		}
@@ -536,19 +536,18 @@ func byDevice(ch control.Change) control.Change {
 }
 
 // TestRepairMatchesReconcileOracle: on the drifts the old Fabric.Reconcile
-// handled, Expected.Repair returns the same change.
+// handled, Controller.Repair returns the same change.
 func TestRepairMatchesReconcileOracle(t *testing.T) {
 	rig, exp := intentRig(t, nil)
 	d := newDrifter(t, 18, rig, exp, true)
 	nonEmpty := 0
 	for round := 0; round < 100; round++ {
 		d.round()
-		states := deviceStates(t, rig)
-		got, err := exp.Repair(states)
+		got, err := rig.Testbed.Controller.Repair(context.Background(), exp)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := reconcileOracle(rig.Fab, states)
+		want := reconcileOracle(rig.Fab, deviceStates(t, rig))
 		if !reflect.DeepEqual(byDevice(got), byDevice(want)) {
 			t.Fatalf("round %d:\nrepair %+v\noracle %+v", round, got, want)
 		}
@@ -606,8 +605,7 @@ func TestIntentNamesEveryBuiltDevice(t *testing.T) {
 		}
 	}
 	_, repairErr := ctl.Repair(context.Background(), exp)
-	_, pureErr := exp.Repair(deviceStates(t, rig))
-	for what, err := range map[string]error{"Audit": ctl.Audit(exp), "Controller.Repair": repairErr, "Expected.Repair": pureErr} {
+	for what, err := range map[string]error{"Audit": ctl.Audit(exp), "Repair": repairErr} {
 		var de *control.DeviceError
 		if !errors.As(err, &de) || de.Device != amp {
 			t.Errorf("%s = %v, want a DeviceError for %s", what, err, amp)

@@ -46,8 +46,8 @@ func (f *Fabric) Clone() *Fabric {
 }
 
 // EmptyChange reports whether a change contains no operations; a repair
-// (control.Expected.Repair) that is empty means the devices already match
-// intent.
+// (control.Controller.Repair) that is empty means the devices already
+// match intent.
 func EmptyChange(ch control.Change) bool {
 	return len(ch.Drain) == 0 && len(ch.Switches) == 0 && len(ch.Amps) == 0 &&
 		len(ch.Retunes) == 0 && len(ch.Undrain) == 0

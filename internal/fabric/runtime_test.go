@@ -7,15 +7,21 @@ import (
 	"strings"
 	"testing"
 
+	"iris/internal/control"
 	"iris/internal/control/devicetest"
 	"iris/internal/hose"
 	"iris/internal/traffic"
 )
 
-// toyRig brings up the toy region with an instant-switching testbed.
-func toyRig(t *testing.T) *Rig {
+// toyRig brings up the toy region with an instant-switching testbed,
+// every device wrapped into shims unless shims is nil.
+func toyRig(t *testing.T, shims devicetest.Set) *Rig {
 	t.Helper()
-	rig, err := BringUp(BringUpConfig{Toy: true})
+	cfg := BringUpConfig{Toy: true}
+	if shims != nil {
+		cfg.WrapDevice = func(name string, dev control.Device) control.Device { return shims.Wrap(name, dev) }
+	}
+	rig, err := BringUp(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,7 +40,7 @@ func toyMatrix(rig *Rig, d01, d02 float64) *traffic.Matrix {
 }
 
 func TestCloneIsIndependent(t *testing.T) {
-	rig := toyRig(t)
+	rig := toyRig(t, nil)
 	alloc, err := rig.Dep.Allocate(toyMatrix(rig, 60, 45))
 	if err != nil {
 		t.Fatal(err)
@@ -75,7 +81,7 @@ func deviceStates(t *testing.T, rig *Rig) map[string]map[string]any {
 }
 
 func TestReconcileRepairsDriftedDevices(t *testing.T) {
-	rig := toyRig(t)
+	rig := toyRig(t, nil)
 	ctl := rig.Testbed.Controller
 	alloc, err := rig.Dep.Allocate(toyMatrix(rig, 60, 45))
 	if err != nil {
@@ -93,7 +99,7 @@ func TestReconcileRepairsDriftedDevices(t *testing.T) {
 	}
 
 	// A converged fabric reconciles to an empty change.
-	rc, err := rig.Fab.Expected().Repair(deviceStates(t, rig))
+	rc, err := ctl.Repair(context.Background(), rig.Fab.Expected())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +143,7 @@ func TestReconcileRepairsDriftedDevices(t *testing.T) {
 	}
 
 	// Reconcile must produce exactly the repair and bring the audit back.
-	rc, err = rig.Fab.Expected().Repair(deviceStates(t, rig))
+	rc, err = ctl.Repair(context.Background(), rig.Fab.Expected())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,25 +249,47 @@ func TestReconfigureRPCBudget(t *testing.T) {
 // the same strict readers as the audit, so a bank reporting garbage is an
 // error, not a bank read as fully drained.
 func TestReconcileRejectsMalformedState(t *testing.T) {
-	rig := toyRig(t)
-	states := deviceStates(t, rig)
-	if _, err := rig.Fab.Expected().Repair(states); err != nil {
+	shims := devicetest.Set{}
+	rig := toyRig(t, shims)
+	ctl, exp := rig.Testbed.Controller, rig.Fab.Expected()
+	repair := func() error {
+		_, err := ctl.Repair(context.Background(), exp)
+		return err
+	}
+	if err := repair(); err != nil {
 		t.Fatal(err)
 	}
+	// garble makes dev's state replies pass through edit.
+	garble := func(dev string, edit func(st map[string]any)) {
+		shims[dev].Arm(func(op string, args map[string]any, next devicetest.Next) (map[string]any, error) {
+			st, err := next(op, args)
+			if op == "state" && err == nil {
+				edit(st)
+			}
+			return st, err
+		})
+	}
 	xcvr := rig.Fab.XcvrName(rig.Dep.Region.Map.DCs()[0])
-	good := states[xcvr]["enabled"]
-	states[xcvr]["enabled"] = strings.Repeat("G", len(good.(string)))
-	if _, err := rig.Fab.Expected().Repair(states); err == nil {
+	garble(xcvr, func(st map[string]any) { st["enabled"] = strings.Repeat("G", len(st["enabled"].(string))) })
+	if err := repair(); err == nil {
 		t.Error("reconcile accepted a bank whose enabled vector is not hex digits")
 	}
-	states[xcvr]["enabled"] = good
-	for name, st := range states {
-		if _, ok := st["in"]; ok {
-			st["in"], st["out"] = []int{1, 1}, []int{2, 3}
-			if _, err := rig.Fab.Expected().Repair(states); err == nil {
+	shims[xcvr].Arm(nil)
+	switches := 0
+	for name, dev := range shims {
+		if dev.Kind() == "oss" {
+			switches++
+			garble(name, func(st map[string]any) { st["in"], st["out"] = []int{1, 1}, []int{2, 3} })
+			if err := repair(); err == nil {
 				t.Errorf("reconcile accepted %s with input port 1 connected twice", name)
 			}
-			break
+			dev.Arm(nil)
 		}
+	}
+	if switches == 0 {
+		t.Fatal("the toy region has no switch to garble")
+	}
+	if err := repair(); err != nil {
+		t.Fatalf("reconcile after the devices answer truly again: %v", err)
 	}
 }

@@ -16,11 +16,11 @@ func TestThroughputNeverExceedsCapacity(t *testing.T) {
 		capGbps := 1 + rng.Float64()*9
 		util := 0.1 + rng.Float64()*0.8
 		duration := 5 + rng.Float64()*10
-		cfg := Config{
+		cfg := config{
 			Seed: int64(trial), DurationS: duration, Dist: traffic.FBWeb(),
 			Pipes: []Pipe{{CapacityGbps: capGbps, UtilFrac: util}},
 		}
-		res, err := Run(cfg)
+		res, err := run(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -44,11 +44,11 @@ func TestOfferedLoadIsMet(t *testing.T) {
 		util     = 0.5
 		duration = 30.0
 	)
-	cfg := Config{
+	cfg := config{
 		Seed: 3, DurationS: duration, Dist: traffic.FBWeb(),
 		Pipes: []Pipe{{CapacityGbps: capGbps, UtilFrac: util}},
 	}
-	res, err := Run(cfg)
+	res, err := run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,14 +68,14 @@ func TestOfferedLoadIsMet(t *testing.T) {
 }
 
 // TestFCTsConsistentUnderDipsAcrossSeeds: with identical arrivals, adding
-// dips can only delay each flow, never speed it up. Because the Config
+// dips can only delay each flow, never speed it up. Because the config
 // seed fully determines arrivals, we can compare flow-by-flow.
 func TestFCTsConsistentUnderDipsAcrossSeeds(t *testing.T) {
-	base := Config{
+	base := config{
 		Seed: 5, DurationS: 15, Dist: traffic.WebSearch(),
 		Pipes: []Pipe{{CapacityGbps: 2, UtilFrac: 0.5}},
 	}
-	clean, err := Run(base)
+	clean, err := run(base)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +84,7 @@ func TestFCTsConsistentUnderDipsAcrossSeeds(t *testing.T) {
 		{TimeS: 3, DurationS: 0.5, FracLost: 0.8},
 		{TimeS: 9, DurationS: 0.5, FracLost: 0.8},
 	}}
-	hit, err := Run(dipped)
+	hit, err := run(dipped)
 	if err != nil {
 		t.Fatal(err)
 	}

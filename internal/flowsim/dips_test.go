@@ -52,7 +52,7 @@ func flattenDips(dips []Dip) []Dip {
 // requireSameFlows asserts two runs over identical arrivals produced the
 // same flows with fcts equal within a relative tolerance (the two dip
 // encodings differ in float rounding, not in semantics).
-func requireSameFlows(t *testing.T, got, want Result) {
+func requireSameFlows(t *testing.T, got, want result) {
 	t.Helper()
 	if len(got.Flows) != len(want.Flows) {
 		t.Fatalf("flow counts differ: %d vs reference %d", len(got.Flows), len(want.Flows))
@@ -85,19 +85,19 @@ func TestOverlappingDipsRestoreCorrectCapacity(t *testing.T) {
 		{TimeS: 0, DurationS: 5, FracLost: 0.5},
 		{TimeS: 1, DurationS: 5, FracLost: 0.9},
 	}
-	cfg := Config{
+	cfg := config{
 		Seed: 17, DurationS: 12, Dist: traffic.FBWeb(),
 		Pipes: []Pipe{{CapacityGbps: 0.5, UtilFrac: 0.8}},
 	}
 	over := cfg
 	over.Dips = map[int][]Dip{0: dips}
-	got, err := Run(over)
+	got, err := run(over)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ref := cfg
 	ref.Dips = map[int][]Dip{0: flattenDips(dips)}
-	want, err := Run(ref)
+	want, err := run(ref)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,19 +122,19 @@ func TestRandomDipSetsMatchPiecewiseReference(t *testing.T) {
 				FracLost:  0.1 + rng.Float64()*0.9,
 			})
 		}
-		cfg := Config{
+		cfg := config{
 			Seed: int64(trial), DurationS: 15, Dist: traffic.FBWeb(),
 			Pipes: []Pipe{{CapacityGbps: 1, UtilFrac: 0.6}},
 		}
 		over := cfg
 		over.Dips = map[int][]Dip{0: dips}
-		got, err := Run(over)
+		got, err := run(over)
 		if err != nil {
 			t.Fatal(err)
 		}
 		ref := cfg
 		ref.Dips = map[int][]Dip{0: flattenDips(dips)}
-		want, err := Run(ref)
+		want, err := run(ref)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -149,17 +149,17 @@ func TestRandomDipSetsMatchPiecewiseReference(t *testing.T) {
 // clean run's arrival count.
 func TestFullOutageStallsWithoutDividingByZero(t *testing.T) {
 	const start, dur = 4.0, 2.0
-	cfg := Config{
+	cfg := config{
 		Seed: 23, DurationS: 15, Dist: traffic.FBWeb(),
 		Pipes: []Pipe{{CapacityGbps: 1, UtilFrac: 0.4}},
 	}
-	clean, err := Run(cfg)
+	clean, err := run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	dark := cfg
 	dark.Dips = map[int][]Dip{0: {{TimeS: start, DurationS: dur, FracLost: 1}}}
-	hit, err := Run(dark)
+	hit, err := run(dark)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,17 +191,17 @@ func TestFullOutageStallsWithoutDividingByZero(t *testing.T) {
 // TestDipSpanningSimulationEnd: a dip whose restore lies beyond DurationS
 // must not panic or strand the loop; flows in flight stay incomplete.
 func TestDipSpanningSimulationEnd(t *testing.T) {
-	cfg := Config{
+	cfg := config{
 		Seed: 31, DurationS: 8, Dist: traffic.FBWeb(),
 		Pipes: []Pipe{{CapacityGbps: 1, UtilFrac: 0.5}},
 	}
-	clean, err := Run(cfg)
+	clean, err := run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	spill := cfg
 	spill.Dips = map[int][]Dip{0: {{TimeS: 6, DurationS: 100, FracLost: 1}}}
-	hit, err := Run(spill)
+	hit, err := run(spill)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,19 +238,19 @@ func TestSimultaneousDipEventTies(t *testing.T) {
 		},
 	}
 	for name, dips := range cases {
-		cfg := Config{
+		cfg := config{
 			Seed: 41, DurationS: 10, Dist: traffic.FBWeb(),
 			Pipes: []Pipe{{CapacityGbps: 1, UtilFrac: 0.6}},
 		}
 		over := cfg
 		over.Dips = map[int][]Dip{0: dips}
-		got, err := Run(over)
+		got, err := run(over)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 		ref := cfg
 		ref.Dips = map[int][]Dip{0: flattenDips(dips)}
-		want, err := Run(ref)
+		want, err := run(ref)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}

@@ -9,17 +9,17 @@ import (
 	"iris/internal/traffic"
 )
 
-// This file keeps the simulator Run was built on before it shared the
+// This file keeps the simulator that run was built on before it shared the
 // load engine's event loop: one container/heap of every active flow per
 // pipe. It is the oracle the engine is compared against flow for flow.
 
-// runExact is Run over simulatePipe.
-func runExact(cfg Config) (Result, error) {
+// runExact is run over simulatePipe.
+func runExact(cfg config) (result, error) {
 	mean, err := validate(cfg.DurationS, cfg.Dist, cfg.Pipes)
 	if err != nil {
-		return Result{}, err
+		return result{}, err
 	}
-	var res Result
+	var res result
 	for i, p := range cfg.Pipes {
 		flows, inc := simulatePipe(pipeRNG(cfg.Seed, i), i, p, cfg.Dips[i], cfg.Dist, mean, cfg.DurationS, cfg.WarmupS)
 		res.Flows = append(res.Flows, flows...)

@@ -152,14 +152,14 @@ func (e Experiment) Run() (SlowdownReport, error) {
 	}
 
 	warmup := e.DurationS / 10
-	iris, err := Run(Config{
+	iris, err := run(config{
 		Seed: e.Seed, DurationS: e.DurationS, WarmupS: warmup,
 		Dist: e.Dist, Pipes: pipes, Dips: dips,
 	})
 	if err != nil {
 		return SlowdownReport{}, err
 	}
-	eps, err := Run(Config{
+	eps, err := run(config{
 		Seed: e.Seed, DurationS: e.DurationS, WarmupS: warmup,
 		Dist: e.Dist, Pipes: pipes,
 	})

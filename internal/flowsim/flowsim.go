@@ -37,8 +37,8 @@ type Dip struct {
 	FracLost  float64 // fraction of the pipe capacity drained, in (0,1]
 }
 
-// Config drives one simulation run.
-type Config struct {
+// config drives one simulation run.
+type config struct {
 	Seed      int64
 	DurationS float64
 	// WarmupS excludes flows arriving before this time from the results,
@@ -59,15 +59,15 @@ type flow struct {
 	FCTSec    float64
 }
 
-// Result collects a run's completed flows.
-type Result struct {
+// result collects a run's completed flows.
+type result struct {
 	Flows      []flow
 	Incomplete int // flows still active at the end of the simulation
 }
 
 // fcts returns the completion times of all flows, or of only the short
 // flows (< traffic.ShortFlowBytes) when shortOnly is set.
-func (r Result) fcts(shortOnly bool) []float64 {
+func (r result) fcts(shortOnly bool) []float64 {
 	var out []float64
 	for _, f := range r.Flows {
 		if shortOnly && f.SizeBytes >= traffic.ShortFlowBytes {
@@ -78,7 +78,7 @@ func (r Result) fcts(shortOnly bool) []float64 {
 	return out
 }
 
-// validate checks what Run and RunLoad both require of a run and returns
+// validate checks what run and RunLoad both require of a run and returns
 // the workload's mean flow size.
 func validate(durationS float64, dist traffic.SizeDist, pipes []Pipe) (meanBytes float64, err error) {
 	if durationS <= 0 {
@@ -108,15 +108,15 @@ func pipeRNG(seed int64, i int) *rand.Rand {
 	return rand.New(rand.NewSource(seed*1_000_003 + int64(i)))
 }
 
-// Run simulates all pipes and returns the pooled completed flows sorted by
+// run simulates all pipes and returns the pooled completed flows sorted by
 // arrival time. It is the load engine's event loop (loadPipe) with every
 // counted flow recorded.
-func Run(cfg Config) (Result, error) {
+func run(cfg config) (result, error) {
 	mean, err := validate(cfg.DurationS, cfg.Dist, cfg.Pipes)
 	if err != nil {
-		return Result{}, err
+		return result{}, err
 	}
-	var res Result
+	var res result
 	for i, p := range cfg.Pipes {
 		st := loadPipe(pipeRNG(cfg.Seed, i), p, cfg.Dips[i], cfg.Dist, mean, 0,
 			cfg.DurationS, cfg.WarmupS, nil, func(sizeBytes, arriveS, fctS float64) {

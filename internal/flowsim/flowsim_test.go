@@ -10,32 +10,32 @@ import (
 
 func TestRunValidation(t *testing.T) {
 	dist := traffic.WebSearch()
-	good := Config{Seed: 1, DurationS: 1, Dist: dist, Pipes: []Pipe{{CapacityGbps: 1, UtilFrac: 0.5}}}
-	if _, err := Run(good); err != nil {
+	good := config{Seed: 1, DurationS: 1, Dist: dist, Pipes: []Pipe{{CapacityGbps: 1, UtilFrac: 0.5}}}
+	if _, err := run(good); err != nil {
 		t.Fatalf("valid config rejected: %v", err)
 	}
-	for name, cfg := range map[string]Config{
+	for name, cfg := range map[string]config{
 		"no duration": {Seed: 1, Dist: dist, Pipes: good.Pipes},
 		"no pipes":    {Seed: 1, DurationS: 1, Dist: dist},
 		"bad cap":     {Seed: 1, DurationS: 1, Dist: dist, Pipes: []Pipe{{CapacityGbps: 0, UtilFrac: 0.5}}},
 		"util >= 1":   {Seed: 1, DurationS: 1, Dist: dist, Pipes: []Pipe{{CapacityGbps: 1, UtilFrac: 1}}},
 	} {
-		if _, err := Run(cfg); err == nil {
+		if _, err := run(cfg); err == nil {
 			t.Errorf("%s: expected error", name)
 		}
 	}
 }
 
 func TestRunDeterministic(t *testing.T) {
-	cfg := Config{
+	cfg := config{
 		Seed: 7, DurationS: 5, Dist: traffic.FBWeb(),
 		Pipes: []Pipe{{CapacityGbps: 1, UtilFrac: 0.4}, {CapacityGbps: 1, UtilFrac: 0.2}},
 	}
-	a, err := Run(cfg)
+	a, err := run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run(cfg)
+	b, err := run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,11 +50,11 @@ func TestRunDeterministic(t *testing.T) {
 }
 
 func TestFCTNeverBelowTransmissionTime(t *testing.T) {
-	cfg := Config{
+	cfg := config{
 		Seed: 3, DurationS: 10, Dist: traffic.WebSearch(),
 		Pipes: []Pipe{{CapacityGbps: 2, UtilFrac: 0.6}},
 	}
-	res, err := Run(cfg)
+	res, err := run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,11 +73,11 @@ func TestFCTNeverBelowTransmissionTime(t *testing.T) {
 
 func TestSoloFlowRunsAtLineRate(t *testing.T) {
 	// At very low utilization flows rarely overlap, so FCT ≈ size/capacity.
-	cfg := Config{
+	cfg := config{
 		Seed: 4, DurationS: 30, Dist: traffic.FBWeb(),
 		Pipes: []Pipe{{CapacityGbps: 10, UtilFrac: 0.001}},
 	}
-	res, err := Run(cfg)
+	res, err := run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,18 +94,18 @@ func TestSoloFlowRunsAtLineRate(t *testing.T) {
 }
 
 func TestUtilizationAffectsFCT(t *testing.T) {
-	run := func(util float64) float64 {
-		cfg := Config{
+	p99 := func(util float64) float64 {
+		cfg := config{
 			Seed: 5, DurationS: 20, Dist: traffic.WebSearch(),
 			Pipes: []Pipe{{CapacityGbps: 5, UtilFrac: util}},
 		}
-		res, err := Run(cfg)
+		res, err := run(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return stats.Percentile(res.fcts(false), 99)
 	}
-	low, high := run(0.1), run(0.7)
+	low, high := p99(0.1), p99(0.7)
 	if high <= low {
 		t.Errorf("p99 FCT at 70%% util (%v) should exceed 10%% util (%v)", high, low)
 	}
@@ -113,17 +113,17 @@ func TestUtilizationAffectsFCT(t *testing.T) {
 
 func TestFullOutageDelaysFlows(t *testing.T) {
 	// A total 1-second outage must delay flows in flight across it.
-	base := Config{
+	base := config{
 		Seed: 6, DurationS: 10, Dist: traffic.FBWeb(),
 		Pipes: []Pipe{{CapacityGbps: 1, UtilFrac: 0.3}},
 	}
-	clean, err := Run(base)
+	clean, err := run(base)
 	if err != nil {
 		t.Fatal(err)
 	}
 	dipped := base
 	dipped.Dips = map[int][]Dip{0: {{TimeS: 5, DurationS: 1, FracLost: 1}}}
-	hit, err := Run(dipped)
+	hit, err := run(dipped)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,11 +146,11 @@ func TestFullOutageDelaysFlows(t *testing.T) {
 }
 
 func TestPartialDipOnlySlows(t *testing.T) {
-	base := Config{
+	base := config{
 		Seed: 8, DurationS: 10, Dist: traffic.FBWeb(),
 		Pipes: []Pipe{{CapacityGbps: 1, UtilFrac: 0.5}},
 	}
-	clean, err := Run(base)
+	clean, err := run(base)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +159,7 @@ func TestPartialDipOnlySlows(t *testing.T) {
 		{TimeS: 2, DurationS: 0.07, FracLost: 0.5},
 		{TimeS: 4, DurationS: 0.07, FracLost: 0.5},
 	}}
-	hit, err := Run(dipped)
+	hit, err := run(dipped)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,11 +174,11 @@ func TestPartialDipOnlySlows(t *testing.T) {
 }
 
 func TestWarmupExcludesEarlyFlows(t *testing.T) {
-	cfg := Config{
+	cfg := config{
 		Seed: 9, DurationS: 10, WarmupS: 5, Dist: traffic.FBWeb(),
 		Pipes: []Pipe{{CapacityGbps: 1, UtilFrac: 0.3}},
 	}
-	res, err := Run(cfg)
+	res, err := run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +190,7 @@ func TestWarmupExcludesEarlyFlows(t *testing.T) {
 }
 
 func TestShortFlowFilter(t *testing.T) {
-	res := Result{Flows: []flow{
+	res := result{Flows: []flow{
 		{SizeBytes: 1e3, FCTSec: 1},
 		{SizeBytes: 1e6, FCTSec: 2},
 	}}
@@ -263,5 +263,22 @@ func TestExperimentUnboundedWorseThanBounded(t *testing.T) {
 	}
 	if ru.Reconfigs == 0 {
 		t.Error("unbounded process produced no reconfigurations")
+	}
+}
+
+// BenchmarkFlowsimPipe times the exact simulator on one 10 Gb/s pipe at
+// half load for 10 simulated seconds; flows is the count it completes.
+func BenchmarkFlowsimPipe(b *testing.B) {
+	cfg := config{
+		Seed: 1, DurationS: 10, Dist: traffic.WebSearch(),
+		Pipes: []Pipe{{CapacityGbps: 10, UtilFrac: 0.5}},
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := run(cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.ReportMetric(float64(len(res.Flows)), "flows")
 	}
 }

@@ -19,7 +19,7 @@ import (
 // arrival shape the engine consumes the per-pipe RNG stream in exactly
 // the order the heap-based reference simulator (simulatePipe, kept in
 // exact_test.go) does and replays the same event sequence, which is what
-// lets Run record per-flow results from it and the validation tests
+// lets run record per-flow results from it and the validation tests
 // compare the two flow-for-flow.
 
 // LoadConfig drives one user-scale load run.
@@ -30,18 +30,12 @@ type LoadConfig struct {
 	WarmupS float64
 	Dist    traffic.SizeDist
 	Pipes   []Pipe
-	// Dips maps pipe index to its reconfiguration events, as in Config.
+	// Dips maps pipe index to its reconfiguration events.
 	Dips map[int][]Dip
 	// Shape optionally modulates arrivals (diurnal swing, flash crowds)
 	// via thinning of a homogeneous Poisson envelope. Nil or flat keeps
-	// arrivals identical to Run's.
+	// arrivals identical to run's.
 	Shape *traffic.Shape
-	// Workers bounds the parallel per-pipe simulations; <=0 uses
-	// GOMAXPROCS. Results are deterministic regardless of worker count.
-	Workers int
-	// BucketCredit is the calendar bucket width in credit bytes; <=0
-	// picks maxFlowSize/64, keeping the ring at ~66 buckets.
-	BucketCredit float64
 }
 
 // LoadStats aggregates one run. FCT quantiles come from streaming
@@ -70,8 +64,9 @@ type LoadStats struct {
 	ShortFCT *Sketch
 }
 
-// RunLoad simulates all pipes in parallel and merges their statistics in
-// pipe order, so the result is independent of scheduling.
+// RunLoad simulates all pipes in parallel, on up to GOMAXPROCS workers,
+// and merges their statistics in pipe order, so the result is independent
+// of scheduling.
 func RunLoad(cfg LoadConfig) (LoadStats, error) {
 	mean, err := validate(cfg.DurationS, cfg.Dist, cfg.Pipes)
 	if err != nil {
@@ -79,9 +74,9 @@ func RunLoad(cfg LoadConfig) (LoadStats, error) {
 	}
 
 	per := make([]LoadStats, len(cfg.Pipes))
-	err = parallel.ForEach(len(cfg.Pipes), cfg.Workers, func(i int) error {
+	err = parallel.ForEach(len(cfg.Pipes), 0, func(i int) error {
 		per[i] = loadPipe(pipeRNG(cfg.Seed, i), cfg.Pipes[i], cfg.Dips[i], cfg.Dist, mean,
-			cfg.BucketCredit, cfg.DurationS, cfg.WarmupS, cfg.Shape, nil)
+			0, cfg.DurationS, cfg.WarmupS, cfg.Shape, nil)
 		return nil
 	})
 	if err != nil {
@@ -156,12 +151,14 @@ func (c *creditCalendar) pop() activeFlow {
 	return heap.Pop(&c.heap).(activeFlow)
 }
 
-// loadPipe is the per-pipe event loop behind Run and RunLoad: exact
+// loadPipe is the per-pipe event loop behind run and RunLoad: exact
 // processor sharing with a piecewise-constant capacity by the credit
 // method — credit(t) integrates the per-flow service rate C(t)/N(t), and a
 // flow arriving at credit c0 with size s finishes when credit reaches
 // c0+s. It keeps streaming statistics, and hands every counted flow to
-// sink when one is given. width is LoadConfig.BucketCredit.
+// sink when one is given. width is the calendar's bucket width in credit
+// bytes; <=0 picks the largest flow size/64, keeping the ring at ~66
+// buckets. The event sequence does not depend on it.
 func loadPipe(rng *rand.Rand, p Pipe, dips []Dip, dist traffic.SizeDist,
 	meanBytes, width, durationS, warmupS float64, shape *traffic.Shape,
 	sink func(sizeBytes, arriveS, fctS float64)) LoadStats {

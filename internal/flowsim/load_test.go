@@ -1,15 +1,17 @@
 package flowsim
 
 import (
+	"fmt"
 	"math"
+	"runtime"
 	"testing"
 
 	"iris/internal/stats"
 	"iris/internal/traffic"
 )
 
-func loadTestConfig() Config {
-	return Config{
+func loadTestConfig() config {
+	return config{
 		Seed: 23, DurationS: 20, WarmupS: 2,
 		Dist: traffic.FBWeb(),
 		Pipes: []Pipe{
@@ -25,16 +27,12 @@ func loadTestConfig() Config {
 	}
 }
 
-func runLoadFromExact(t *testing.T, cfg Config, mutate func(*LoadConfig)) LoadStats {
+func runLoadFromExact(t *testing.T, cfg config) LoadStats {
 	t.Helper()
-	lc := LoadConfig{
+	st, err := RunLoad(LoadConfig{
 		Seed: cfg.Seed, DurationS: cfg.DurationS, WarmupS: cfg.WarmupS,
 		Dist: cfg.Dist, Pipes: cfg.Pipes, Dips: cfg.Dips,
-	}
-	if mutate != nil {
-		mutate(&lc)
-	}
-	st, err := RunLoad(lc)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +42,7 @@ func runLoadFromExact(t *testing.T, cfg Config, mutate func(*LoadConfig)) LoadSt
 // TestLoadEngineMatchesExactSimulator is the engine's ground truth: with
 // a flat arrival shape it consumes the same RNG stream and replays the
 // same event sequence as the heap-based reference simulator, so the flows
-// Run records from it must equal the reference's one for one, bit for bit,
+// run records from it must equal the reference's one for one, bit for bit,
 // and the sketch quantiles must sit within the sketch's ~1% bucket
 // resolution of the exact empirical quantiles.
 func TestLoadEngineMatchesExactSimulator(t *testing.T) {
@@ -53,7 +51,7 @@ func TestLoadEngineMatchesExactSimulator(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	recorded, err := Run(cfg)
+	recorded, err := run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +67,7 @@ func TestLoadEngineMatchesExactSimulator(t *testing.T) {
 			t.Fatalf("flow %d: engine %+v, reference %+v", i, f, exact.Flows[i])
 		}
 	}
-	st := runLoadFromExact(t, cfg, nil)
+	st := runLoadFromExact(t, cfg)
 
 	if got, want := st.Flows, uint64(len(exact.Flows)); got != want {
 		t.Fatalf("engine completed %d flows, reference simulator %d", got, want)
@@ -97,29 +95,37 @@ func TestLoadEngineMatchesExactSimulator(t *testing.T) {
 	}
 }
 
-// The event sequence is independent of the calendar bucket width and of
-// the worker count — both are pure performance knobs.
+// The event sequence is independent of the calendar bucket width, which
+// each pipe's loop is given directly, and of how many pipes run at once.
 func TestLoadEngineInvariantToBucketWidthAndWorkers(t *testing.T) {
 	cfg := loadTestConfig()
-	base := runLoadFromExact(t, cfg, nil)
-	variants := map[string]func(*LoadConfig){
-		"coarse buckets": func(lc *LoadConfig) { lc.BucketCredit = cfg.Dist.Max() / 4 },
-		"fine buckets":   func(lc *LoadConfig) { lc.BucketCredit = cfg.Dist.Max() / 512 },
-		"one worker":     func(lc *LoadConfig) { lc.Workers = 1 },
-		"many workers":   func(lc *LoadConfig) { lc.Workers = 8 },
-	}
-	for name, mut := range variants {
-		got := runLoadFromExact(t, cfg, mut)
-		if got.Flows != base.Flows || got.Incomplete != base.Incomplete {
+	same := func(what string, got, want LoadStats) {
+		t.Helper()
+		if got.Flows != want.Flows || got.Incomplete != want.Incomplete {
 			t.Errorf("%s: counts %d/%d differ from base %d/%d",
-				name, got.Flows, got.Incomplete, base.Flows, base.Incomplete)
+				what, got.Flows, got.Incomplete, want.Flows, want.Incomplete)
 		}
-		if got.FCT.Quantile(0.99) != base.FCT.Quantile(0.99) {
-			t.Errorf("%s: p99 %v differs from base %v", name, got.FCT.Quantile(0.99), base.FCT.Quantile(0.99))
+		if got.FCT.Quantile(0.99) != want.FCT.Quantile(0.99) {
+			t.Errorf("%s: p99 %v differs from base %v", what, got.FCT.Quantile(0.99), want.FCT.Quantile(0.99))
 		}
-		if got.BytesStranded != base.BytesStranded {
-			t.Errorf("%s: stranded %v differs from base %v", name, got.BytesStranded, base.BytesStranded)
+		if got.BytesStranded != want.BytesStranded {
+			t.Errorf("%s: stranded %v differs from base %v", what, got.BytesStranded, want.BytesStranded)
 		}
+	}
+	for name, width := range map[string]float64{"coarse buckets": cfg.Dist.Max() / 4, "fine buckets": cfg.Dist.Max() / 512} {
+		for i, p := range cfg.Pipes {
+			pipe := func(width float64) LoadStats {
+				return loadPipe(pipeRNG(cfg.Seed, i), p, cfg.Dips[i], cfg.Dist, cfg.Dist.Mean(),
+					width, cfg.DurationS, cfg.WarmupS, nil, nil)
+			}
+			same(fmt.Sprintf("%s, pipe %d", name, i), pipe(width), pipe(0))
+		}
+	}
+	base := runLoadFromExact(t, cfg)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 8} {
+		runtime.GOMAXPROCS(procs)
+		same(fmt.Sprintf("GOMAXPROCS %d", procs), runLoadFromExact(t, cfg), base)
 	}
 }
 

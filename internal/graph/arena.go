@@ -165,7 +165,7 @@ func (g *Graph) DijkstraInto(source int, skip []bool, t *ShortestPathTree, sc *S
 // the full one, a settled label never changes, and a label is only ever
 // offered by a settled node, so target's whole path settled before it.
 // Other nodes may be left unlabelled or with a label a full run would
-// improve: a caller reads only target (PathTo).
+// improve: a caller reads only target (AppendPathTo).
 func (g *Graph) dijkstraTo(source, target int, skip []bool, t *ShortestPathTree, sc *Scratch) *ShortestPathTree {
 	t.reset(g)
 	sc.reset(g.n)

@@ -109,8 +109,8 @@ func treesEqual(t *testing.T, want, got *ShortestPathTree, n int) {
 		if want.Hops[v] != got.Hops[v] {
 			t.Fatalf("node %d: hops %v != %v", v, got.Hops[v], want.Hops[v])
 		}
-		wn, we, wok := want.PathTo(v)
-		gn, ge, gok := got.PathTo(v)
+		wn, we, wok := want.AppendPathTo(v, nil, nil)
+		gn, ge, gok := got.AppendPathTo(v, nil, nil)
 		if wok != gok || len(wn) != len(gn) || len(we) != len(ge) {
 			t.Fatalf("node %d: path shape mismatch", v)
 		}
@@ -281,34 +281,35 @@ func TestDijkstraInfiniteWeight(t *testing.T) {
 	treesEqual(t, want, got, 3)
 }
 
+// TestAppendPathToMatchesPathTo: a path appended to reused buffers, after
+// a prefix the call must leave alone, is the path read into nil buffers.
 func TestAppendPathToMatchesPathTo(t *testing.T) {
 	rng := rand.New(rand.NewSource(44))
-	var nodes []int
-	var edges []Edge
+	nodes, edges := []int{-1}, []Edge{{ID: -1}}
 	for trial := 0; trial < 50; trial++ {
 		n := 2 + rng.Intn(10)
 		g := randomGraph(rng, n, 3*n)
 		tr := g.Dijkstra(rng.Intn(n))
 		for v := 0; v < n; v++ {
-			wn, we, wok := tr.PathTo(v)
-			nodes, edges = nodes[:0], edges[:0]
-			gn, ge, gok := tr.AppendPathTo(v, nodes, edges)
+			wn, we, wok := tr.AppendPathTo(v, nil, nil)
+			gn, ge, gok := tr.AppendPathTo(v, nodes[:1], edges[:1])
 			if wok != gok {
 				t.Fatalf("ok mismatch at %d", v)
 			}
-			if len(gn) != len(wn) || len(ge) != len(we) {
-				t.Fatalf("length mismatch at %d", v)
+			if len(gn) != 1+len(wn) || len(ge) != 1+len(we) || gn[0] != -1 || ge[0].ID != -1 {
+				t.Fatalf("length or prefix mismatch at %d", v)
 			}
 			for i := range wn {
-				if gn[i] != wn[i] {
+				if gn[1+i] != wn[i] {
 					t.Fatalf("node mismatch at %d[%d]", v, i)
 				}
 			}
 			for i := range we {
-				if ge[i].ID != we[i].ID {
+				if ge[1+i].ID != we[i].ID {
 					t.Fatalf("edge mismatch at %d[%d]", v, i)
 				}
 			}
+			nodes, edges = gn, ge
 		}
 	}
 }
@@ -612,8 +613,8 @@ func TestStoppedSearchMatchesDijkstraInto(t *testing.T) {
 					t.Fatalf("%s: stopped (%v, %d hops), full (%v, %d hops)", what,
 						stopped.Dist[target], stopped.Hops[target], full.Dist[target], full.Hops[target])
 				}
-				sn, se, sok := stopped.PathTo(target)
-				fn, fe, fok := full.PathTo(target)
+				sn, se, sok := stopped.AppendPathTo(target, nil, nil)
+				fn, fe, fok := full.AppendPathTo(target, nil, nil)
 				if sok != fok || !slices.Equal(sn, fn) || !slices.Equal(se, fe) {
 					t.Fatalf("%s: stopped path %v %v (%v), full %v %v (%v)", what, sn, se, sok, fn, fe, fok)
 				}

@@ -189,7 +189,7 @@ var noStep = step{-1, -1, -1}
 // Trees are memoised per source and invalidated when the graph mutates,
 // so repeated calls from the same source — e.g. a planner re-routing the
 // same DCs across a parameter sweep — pay for one run. The returned tree
-// is shared: callers must treat it as read-only (PathTo and the other
+// is shared: callers must treat it as read-only (AppendPathTo and the other
 // accessors only read). Concurrent Dijkstra calls on one graph are safe.
 func (g *Graph) Dijkstra(source int) *ShortestPathTree {
 	g.sptMu.Lock()
@@ -272,17 +272,11 @@ func better(d float64, h, pn, eid int, od float64, oh, opn, oeid int) bool {
 	}
 }
 
-// PathTo returns the node sequence and edge sequence of the shortest path
-// from the tree source to v. It returns ok=false if v is unreachable.
-func (t *ShortestPathTree) PathTo(v int) (nodes []int, edges []Edge, ok bool) {
-	return t.AppendPathTo(v, nil, nil)
-}
-
-// AppendPathTo is PathTo into caller-owned buffers: the path's nodes and
-// edges are appended to the given slices (source first) and the extended
-// slices returned, so a warmed caller extracts paths without allocating.
-// ok is false when v is unreachable, in which case the slices are
-// returned unchanged.
+// AppendPathTo reads the shortest path from the tree source to v: its
+// nodes and edges are appended to the given slices (source first) and the
+// extended slices returned, so a warmed caller extracts paths without
+// allocating, and nil slices read a fresh path. ok is false when v is
+// unreachable, in which case the slices are returned unchanged.
 func (t *ShortestPathTree) AppendPathTo(v int, nodes []int, edges []Edge) (_ []int, _ []Edge, ok bool) {
 	if math.IsInf(t.Dist[v], 1) {
 		return nodes, edges, false

@@ -120,9 +120,9 @@ func TestDijkstraLine(t *testing.T) {
 			t.Errorf("Dist[%d] = %v, want %d", v, tr.Dist[v], v)
 		}
 	}
-	nodes, edges, ok := tr.PathTo(4)
+	nodes, edges, ok := tr.AppendPathTo(4, nil, nil)
 	if !ok {
-		t.Fatal("PathTo(4) not ok")
+		t.Fatal("AppendPathTo(4) not ok")
 	}
 	if !reflect.DeepEqual(nodes, []int{0, 1, 2, 3, 4}) {
 		t.Errorf("nodes = %v", nodes)
@@ -139,8 +139,8 @@ func TestDijkstraUnreachable(t *testing.T) {
 	if !math.IsInf(tr.Dist[2], 1) {
 		t.Errorf("Dist[2] = %v, want +Inf", tr.Dist[2])
 	}
-	if _, _, ok := tr.PathTo(2); ok {
-		t.Error("PathTo(2) should report unreachable")
+	if _, _, ok := tr.AppendPathTo(2, nil, nil); ok {
+		t.Error("AppendPathTo(2) should report unreachable")
 	}
 }
 
@@ -152,7 +152,7 @@ func TestDijkstraPrefersFewerHopsOnTies(t *testing.T) {
 	g.AddEdge(1, 1, 3, 1)
 	g.AddEdge(2, 0, 3, 2)
 	tr := g.Dijkstra(0)
-	nodes, _, _ := tr.PathTo(3)
+	nodes, _, _ := tr.AppendPathTo(3, nil, nil)
 	if !reflect.DeepEqual(nodes, []int{0, 3}) {
 		t.Errorf("path = %v, want direct [0 3]", nodes)
 	}
@@ -176,8 +176,8 @@ func TestDijkstraDeterministicAcrossInsertionOrders(t *testing.T) {
 	}
 	a := build([]int{0, 1, 2, 3})
 	b := build([]int{3, 2, 1, 0})
-	pa, _, _ := a.Dijkstra(0).PathTo(3)
-	pb, _, _ := b.Dijkstra(0).PathTo(3)
+	pa, _, _ := a.Dijkstra(0).AppendPathTo(3, nil, nil)
+	pb, _, _ := b.Dijkstra(0).AppendPathTo(3, nil, nil)
 	if !reflect.DeepEqual(pa, pb) {
 		t.Errorf("paths differ across insertion orders: %v vs %v", pa, pb)
 	}
@@ -226,7 +226,7 @@ func TestPathDistancesConsistent(t *testing.T) {
 		g := randomGraph(rng, 10, 20)
 		tr := g.Dijkstra(0)
 		for v := 0; v < 10; v++ {
-			nodes, edges, ok := tr.PathTo(v)
+			nodes, edges, ok := tr.AppendPathTo(v, nil, nil)
 			if !ok {
 				continue
 			}
@@ -376,8 +376,8 @@ func TestDijkstraConcurrentSharedGraph(t *testing.T) {
 						}
 					}
 				}
-				if _, _, ok := tr.PathTo(49); !ok {
-					t.Error("PathTo(49) unreachable on a connected graph")
+				if _, _, ok := tr.AppendPathTo(49, nil, nil); !ok {
+					t.Error("AppendPathTo(49) unreachable on a connected graph")
 					return
 				}
 			}

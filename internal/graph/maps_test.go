@@ -36,8 +36,8 @@ func TestGeneratedMapsMatchHeapOracle(t *testing.T) {
 				t.Fatalf("seed %d: labels from DC %d differ from the heap oracle", seed, dc)
 			}
 			for v := 0; v < g.NumNodes(); v++ {
-				gn, ge, _ := got.PathTo(v)
-				wn, we, _ := want.PathTo(v)
+				gn, ge, _ := got.AppendPathTo(v, nil, nil)
+				wn, we, _ := want.AppendPathTo(v, nil, nil)
 				if !reflect.DeepEqual(gn, wn) || !reflect.DeepEqual(ge, we) {
 					t.Fatalf("seed %d: path %d->%d differs from the heap oracle", seed, dc, v)
 				}

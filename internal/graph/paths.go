@@ -2,7 +2,6 @@ package graph
 
 import (
 	"slices"
-	"sort"
 	"sync"
 )
 
@@ -87,7 +86,7 @@ func (g *Graph) KShortestPaths(from, to, k int) []Path {
 		return nil
 	}
 	t := g.Dijkstra(from)
-	nodes, edges, ok := t.PathTo(to)
+	nodes, edges, ok := t.AppendPathTo(to, nil, nil)
 	if !ok {
 		return nil
 	}
@@ -183,66 +182,4 @@ func (g *Graph) KShortestPaths(from, to, k int) []Path {
 		candidates = append(candidates[:best], candidates[best+1:]...)
 	}
 	return paths
-}
-
-// Bridges returns the IDs of the bridge edges — edges whose removal
-// disconnects their component — sorted ascending. The graph is a
-// multigraph: a parallel edge between the same endpoints means neither
-// copy is a bridge, which the one-pass Tarjan lowlink walk below handles
-// by skipping only the specific edge instance used to enter a node (not
-// every edge back to the parent). Self-loops are never bridges.
-func (g *Graph) Bridges() []int {
-	disc := make([]int, g.n)
-	low := make([]int, g.n)
-	for i := range disc {
-		disc[i] = -1
-	}
-	var bridges []int
-	timer := 0
-	type frame struct {
-		node      int
-		parentIdx int // index into g.edges of the edge used to enter node
-		next      int // next position in g.nbrs[node] to scan
-	}
-	for s := 0; s < g.n; s++ {
-		if disc[s] != -1 {
-			continue
-		}
-		disc[s], low[s] = timer, timer
-		timer++
-		stack := []frame{{node: s, parentIdx: -1}}
-		for len(stack) > 0 {
-			f := &stack[len(stack)-1]
-			u := f.node
-			if f.next < len(g.nbrs[u]) {
-				h := g.nbrs[u][f.next]
-				f.next++
-				if int(h.idx) == f.parentIdx {
-					continue
-				}
-				v := int(h.to)
-				if disc[v] == -1 {
-					disc[v], low[v] = timer, timer
-					timer++
-					stack = append(stack, frame{node: v, parentIdx: int(h.idx)})
-				} else if disc[v] < low[u] {
-					low[u] = disc[v]
-				}
-				continue
-			}
-			stack = stack[:len(stack)-1]
-			if len(stack) == 0 {
-				continue
-			}
-			p := stack[len(stack)-1].node
-			if low[u] < low[p] {
-				low[p] = low[u]
-			}
-			if low[u] > disc[p] {
-				bridges = append(bridges, g.edges[f.parentIdx].ID)
-			}
-		}
-	}
-	sort.Ints(bridges)
-	return bridges
 }

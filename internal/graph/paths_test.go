@@ -116,75 +116,3 @@ func TestKShortestPathsSameNode(t *testing.T) {
 		t.Fatalf("self path: got %v", paths)
 	}
 }
-
-func TestBridgesChain(t *testing.T) {
-	// 0-1-2 chain: both edges are bridges.
-	g := New(3)
-	g.AddEdge(10, 0, 1, 1)
-	g.AddEdge(20, 1, 2, 1)
-	if got, want := g.Bridges(), []int{10, 20}; !reflect.DeepEqual(got, want) {
-		t.Fatalf("bridges = %v, want %v", got, want)
-	}
-}
-
-func TestBridgesCycleHasNone(t *testing.T) {
-	g := New(3)
-	g.AddEdge(0, 0, 1, 1)
-	g.AddEdge(1, 1, 2, 1)
-	g.AddEdge(2, 2, 0, 1)
-	if got := g.Bridges(); len(got) != 0 {
-		t.Fatalf("cycle bridges = %v, want none", got)
-	}
-}
-
-func TestBridgesParallelEdgesAreNotBridges(t *testing.T) {
-	// Parallel ducts back each other up; a pendant edge off the pair is
-	// still a bridge.
-	g := New(3)
-	g.AddEdge(0, 0, 1, 1)
-	g.AddEdge(1, 0, 1, 1)
-	g.AddEdge(2, 1, 2, 1)
-	if got, want := g.Bridges(), []int{2}; !reflect.DeepEqual(got, want) {
-		t.Fatalf("bridges = %v, want %v", got, want)
-	}
-}
-
-func TestBridgesDisconnectedComponents(t *testing.T) {
-	g := New(5)
-	g.AddEdge(0, 0, 1, 1) // component A: bridge
-	g.AddEdge(1, 2, 3, 1) // component B: triangle, no bridges
-	g.AddEdge(2, 3, 4, 1)
-	g.AddEdge(3, 4, 2, 1)
-	if got, want := g.Bridges(), []int{0}; !reflect.DeepEqual(got, want) {
-		t.Fatalf("bridges = %v, want %v", got, want)
-	}
-}
-
-// TestBridgesAgainstBruteForce cross-checks the lowlink walk against the
-// definition: remove each edge and count components.
-func TestBridgesAgainstBruteForce(t *testing.T) {
-	g := New(7)
-	edges := [][3]int{{0, 0, 1}, {1, 1, 2}, {2, 2, 0}, {3, 2, 3}, {4, 3, 4}, {5, 4, 5}, {6, 5, 3}, {7, 5, 6}}
-	for _, e := range edges {
-		g.AddEdge(e[0], e[1], e[2], 1)
-	}
-	components := func(h *Graph) int {
-		max := -1
-		for _, c := range h.Components() {
-			if c > max {
-				max = c
-			}
-		}
-		return max + 1
-	}
-	base := components(g)
-	var want []int
-	for _, e := range edges {
-		if components(g.WithoutEdges(map[int]bool{e[0]: true})) > base {
-			want = append(want, e[0])
-		}
-	}
-	if got := g.Bridges(); !reflect.DeepEqual(got, want) {
-		t.Fatalf("bridges = %v, brute force says %v", got, want)
-	}
-}

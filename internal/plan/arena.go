@@ -38,8 +38,6 @@ func (s *seqIndex) reset() {
 	clear(s.table)
 }
 
-func (s *seqIndex) len() int { return len(s.off) }
-
 // key returns the interned sequence for an ID. The slice aliases the
 // slab and is invalidated by the next intern that grows it.
 func (s *seqIndex) key(id int) []int32 {

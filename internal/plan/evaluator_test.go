@@ -46,7 +46,7 @@ func (o *oracle) readRoutes(cut *graph.Cut) []Route {
 			r := &o.routes[len(o.routes)-1]
 			if len(ev.hubs) == 0 {
 				if t := trees[i]; !math.IsInf(t.Dist[b], 1) {
-					r.Nodes, r.Ducts, _ = t.PathTo(b)
+					r.Nodes, r.Ducts, _ = t.AppendPathTo(b, nil, nil)
 					r.TotalKM = t.Dist[b]
 				}
 				continue
@@ -61,10 +61,10 @@ func (o *oracle) readRoutes(cut *graph.Cut) []Route {
 			if bt == nil {
 				continue
 			}
-			legN, legE, _ := bt.PathTo(a)
+			legN, legE, _ := bt.AppendPathTo(a, nil, nil)
 			slices.Reverse(legN)
 			slices.Reverse(legE)
-			toN, toE, _ := bt.PathTo(b)
+			toN, toE, _ := bt.AppendPathTo(b, nil, nil)
 			r.Nodes = append(legN, toN[1:]...)
 			r.Ducts = append(legE, toE...)
 			r.TotalKM = best

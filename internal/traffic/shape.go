@@ -15,11 +15,10 @@ import (
 // draws the flash-crowd windows for a run horizon.
 type LoadProfile struct {
 	// DiurnalAmp in [0,1) swings the rate by ±Amp around 1 with period
-	// DiurnalPeriodS and phase offset DiurnalPhaseS. Zero amp disables
+	// DiurnalPeriodS, starting at the mean and rising. Zero amp disables
 	// the swing.
 	DiurnalAmp     float64
 	DiurnalPeriodS float64
-	DiurnalPhaseS  float64
 	// FlashEveryS is the mean interval between flash-crowd onsets (a
 	// Poisson process; 0 disables flashes). Each flash lasts
 	// FlashDurationS and multiplies the rate by FlashMult (≥ 1).
@@ -90,7 +89,7 @@ func NewShape(seed int64, p LoadProfile, horizonS float64) (*Shape, error) {
 func (s *Shape) Mult(t float64) float64 {
 	m := 1.0
 	if s.p.DiurnalAmp > 0 && s.p.DiurnalPeriodS > 0 {
-		m += s.p.DiurnalAmp * math.Sin(2*math.Pi*(t+s.p.DiurnalPhaseS)/s.p.DiurnalPeriodS)
+		m += s.p.DiurnalAmp * math.Sin(2*math.Pi*t/s.p.DiurnalPeriodS)
 	}
 	if len(s.flashes) > 0 {
 		// First window ending after t; t is inside it iff it also started.

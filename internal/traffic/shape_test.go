@@ -55,11 +55,6 @@ func TestShapeDiurnalSwing(t *testing.T) {
 	if got := s.Mult(0); math.Abs(got-1) > 1e-9 {
 		t.Errorf("zero-crossing Mult = %v, want 1", got)
 	}
-	// Phase shifts the whole curve.
-	ps, _ := NewShape(3, LoadProfile{DiurnalAmp: 0.4, DiurnalPeriodS: 100, DiurnalPhaseS: 25}, 1000)
-	if got := ps.Mult(0); math.Abs(got-1.4) > 1e-9 {
-		t.Errorf("phase-shifted Mult(0) = %v, want 1.4", got)
-	}
 	for _, tt := range []float64{0, 10, 42, 317} {
 		if s.Mult(tt) > s.MaxMult()+1e-12 {
 			t.Errorf("Mult(%v)=%v exceeds MaxMult %v", tt, s.Mult(tt), s.MaxMult())
