@@ -41,8 +41,8 @@ var architecture = []rule{
 		"which ducts a pair's full fibers skip is decided in plan and applied in core's ride; every other package asks core.Occupancy or DuctDeltas"},
 	{[]string{"plan.PathInfo.Ducts"}, []string{"internal/core"}, []string{"internal/core/diff.go"},
 		"ride is core's one reader of a planned route; which pairs ride a duct, the allocator asks the plan's evaluator (plan.Evaluator.Crossing)"},
-	{[]string{"control.Controller.Call"}, nil, []string{"internal/control", "internal/daemon/health.go"},
-		"only control.Controller.Repair and Audit read a device state and compare it with intent; beyond the daemon's health probe nothing sends a bare request"},
+	{[]string{"control.Controller.States"}, nil, []string{"internal/control", "internal/daemon/health.go"},
+		"only control.Controller.Repair and Audit read a device state and compare it with intent; beyond them the daemon's probe round is the one fetch of device state"},
 	{[]string{"control.Controller.Reconfigure"}, nil, []string{"internal/control", "internal/daemon/daemon.go", "examples/reconfig", "bench"},
 		"the daemon is the one writer of a fabric: commitChange and repairIn run a change and close it with the audit of its writes' replies; examples/reconfig drives hand-built devices with no fabric, and bench/tick.go's replay goes with ROADMAP item 17(b)"},
 	{[]string{"history.Lake.Append"}, nil, []string{"internal/daemon/history.go", "bench"},
@@ -61,8 +61,8 @@ var architecture = []rule{
 		"an HTTP body goes through httpjson.Write, the one writer, and appends itself when a measured read serves it; json.Marshal is left to jsonw's string fallback, httpjson's reflected debug dumps, the line protocol's fallback, the history journal and bench/'s result line"},
 	{[]string{"import net/http"}, []string{"internal/jsonw", "internal/control"}, nil,
 		"the device plane's codec and the JSON primitives it writes strings with link no HTTP stack; the HTTP writer is httpjson"},
-	{[]string{"go in control.Controller", "go in control.client"}, nil, nil,
-		"Controller.round is the one way requests are in flight on several devices; the device side's serve keeps its goroutines"},
+	{[]string{"go in control.Controller", "go in control.client", "go in daemon.Daemon"}, nil, nil,
+		"Controller.round is the one way requests are in flight on several devices, and a probe is one round (Controller.States); the device side's serve keeps its goroutines"},
 	{[]string{"fibermap.PlaceDCs"}, nil, []string{"internal/fibermap", "internal/experiments/cost_sweep.go", "bench"},
 		"a region is built by fibermap.Spec.Map, or by fibermap.Placed where a figure passes its own placement seed, so one seed names one region in every binary; the cost sweep places on clones of one generated map, and bench/ times generation and placement apart"},
 	{[]string{"file"}, []string{"."}, []string{"doc.go"},

@@ -39,11 +39,22 @@ func fig13Testbed(t *testing.T) (*Testbed, devicetest.Set) {
 	return tb, shims
 }
 
+// call sends one request to a named device and returns its reply: a round
+// of one, untraced. A failed reply is a *DeviceError naming the device.
+func call(c *Controller, dev, op string, args map[string]any) (res map[string]any, err error) {
+	err = c.round(context.Background(), nil, map[string]request{dev: {span: op, op: op, args: args}},
+		func(_ string, r map[string]any, err error) error {
+			res = r
+			return err
+		})
+	return res, err
+}
+
 func TestPingAllDevices(t *testing.T) {
 	tb, _ := fig13Testbed(t)
 	kinds := map[string]string{"dc1-oss": "oss", "hut-amp": "amp", "dc1-xcvr": "transceivers"}
 	for dev, kind := range kinds {
-		res, err := tb.Controller.Call(dev, "ping", nil)
+		res, err := call(tb.Controller, dev, "ping", nil)
 		if err != nil {
 			t.Fatalf("ping %s: %v", dev, err)
 		}
@@ -58,13 +69,13 @@ func TestPingAllDevices(t *testing.T) {
 
 func TestUnknownDeviceAndOp(t *testing.T) {
 	tb, _ := fig13Testbed(t)
-	if _, err := tb.Controller.Call("nope", "ping", nil); err == nil {
+	if _, err := call(tb.Controller, "nope", "ping", nil); err == nil {
 		t.Error("expected error for unknown device")
 	}
-	if _, err := tb.Controller.Call("dc1-oss", "explode", nil); err == nil {
+	if _, err := call(tb.Controller, "dc1-oss", "explode", nil); err == nil {
 		t.Error("expected error for unknown op")
 	}
-	if _, err := tb.Controller.Call("dc1-oss", "switch-batch", map[string]any{"ins": []int{1}}); err == nil {
+	if _, err := call(tb.Controller, "dc1-oss", "switch-batch", map[string]any{"ins": []int{1}}); err == nil {
 		t.Error("expected error for missing argument")
 	}
 	// An OSS and a bank take batches only, an amplifier its single-valued
@@ -74,7 +85,7 @@ func TestUnknownDeviceAndOp(t *testing.T) {
 	for _, c := range []string{"dc1-oss connect", "dc1-oss disconnect", "dc1-xcvr tune", "dc1-xcvr enable",
 		"dc1-xcvr disable", "dc1-xcvr switch-batch", "hut-amp enable-batch"} {
 		dev, op, _ := strings.Cut(c, " ")
-		if _, err := tb.Controller.Call(dev, op, args); err == nil || !strings.Contains(err.Error(), "unknown op") {
+		if _, err := call(tb.Controller, dev, op, args); err == nil || !strings.Contains(err.Error(), "unknown op") {
 			t.Errorf("%s accepted %s: err = %v, want unknown op", dev, op, err)
 		}
 	}
@@ -85,7 +96,7 @@ func TestOSSSemantics(t *testing.T) {
 	c := tb.Controller
 	must := func(op string, args map[string]any) {
 		t.Helper()
-		if _, err := c.Call("hut-oss", op, args); err != nil {
+		if _, err := call(c, "hut-oss", op, args); err != nil {
 			t.Fatalf("%s: %v", op, err)
 		}
 	}
@@ -93,17 +104,17 @@ func TestOSSSemantics(t *testing.T) {
 		return switchArgs(nil, []int{in}, []int{out})
 	}
 	must("switch-batch", connect(0, 10))
-	if _, err := c.Call("hut-oss", "switch-batch", connect(0, 11)); err == nil {
+	if _, err := call(c, "hut-oss", "switch-batch", connect(0, 11)); err == nil {
 		t.Error("double-connecting an input must fail")
 	}
-	if _, err := c.Call("hut-oss", "switch-batch", connect(1, 10)); err == nil {
+	if _, err := call(c, "hut-oss", "switch-batch", connect(1, 10)); err == nil {
 		t.Error("double-feeding an output must fail")
 	}
-	if _, err := c.Call("hut-oss", "switch-batch", connect(99, 1)); err == nil {
+	if _, err := call(c, "hut-oss", "switch-batch", connect(99, 1)); err == nil {
 		t.Error("out-of-range port must fail")
 	}
 	must("switch-batch", switchArgs([]int{0}, nil, nil))
-	if _, err := c.Call("hut-oss", "switch-batch", switchArgs([]int{0}, nil, nil)); err == nil {
+	if _, err := call(c, "hut-oss", "switch-batch", switchArgs([]int{0}, nil, nil)); err == nil {
 		t.Error("disconnecting an idle input must fail")
 	}
 	must("switch-batch", connect(1, 10)) // port freed
@@ -117,24 +128,24 @@ func TestTransceiverDrainDiscipline(t *testing.T) {
 		return map[string]any{"idxs": []int{0}, "wavelengths": []int{w}}
 	}
 	// Cannot enable untuned.
-	if _, err := c.Call("dc1-xcvr", "enable-batch", first); err == nil {
+	if _, err := call(c, "dc1-xcvr", "enable-batch", first); err == nil {
 		t.Error("enabling an untuned transceiver must fail")
 	}
-	if _, err := c.Call("dc1-xcvr", "tune-batch", tune(7)); err != nil {
+	if _, err := call(c, "dc1-xcvr", "tune-batch", tune(7)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Call("dc1-xcvr", "enable-batch", first); err != nil {
+	if _, err := call(c, "dc1-xcvr", "enable-batch", first); err != nil {
 		t.Fatal(err)
 	}
 	// Cannot retune while live: the §5.2 drain-first rule is enforced by
 	// the device itself.
-	if _, err := c.Call("dc1-xcvr", "tune-batch", tune(9)); err == nil {
+	if _, err := call(c, "dc1-xcvr", "tune-batch", tune(9)); err == nil {
 		t.Error("retuning a live transceiver must fail")
 	}
-	if _, err := c.Call("dc1-xcvr", "disable-batch", first); err != nil {
+	if _, err := call(c, "dc1-xcvr", "disable-batch", first); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Call("dc1-xcvr", "tune-batch", tune(9)); err != nil {
+	if _, err := call(c, "dc1-xcvr", "tune-batch", tune(9)); err != nil {
 		t.Errorf("retune after drain should succeed: %v", err)
 	}
 }
@@ -342,7 +353,7 @@ func TestConcurrentCalls(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			_, err := tb.Controller.Call("hut-oss", "switch-batch",
+			_, err := call(tb.Controller, "hut-oss", "switch-batch",
 				switchArgs(nil, []int{i}, []int{i + 16}))
 			errs <- err
 		}(i)
@@ -362,10 +373,10 @@ func TestConcurrentCalls(t *testing.T) {
 
 func TestAmplifierStateAndLog(t *testing.T) {
 	tb, shims := fig13Testbed(t)
-	if _, err := tb.Controller.Call("hut-amp", "enable", nil); err != nil {
+	if _, err := call(tb.Controller, "hut-amp", "enable", nil); err != nil {
 		t.Fatal(err)
 	}
-	st, err := tb.Controller.Call("hut-amp", "state", nil)
+	st, err := call(tb.Controller, "hut-amp", "state", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -416,7 +427,7 @@ func TestOSSBatchSemantics(t *testing.T) {
 	tb, shims := fig13Testbed(t)
 	c := tb.Controller
 	// Batch connect.
-	if _, err := c.Call("hut-oss", "switch-batch",
+	if _, err := call(c, "hut-oss", "switch-batch",
 		map[string]any{"disconnect": []any{}, "ins": []any{0, 1, 2}, "outs": []any{10, 11, 12}}); err != nil {
 		t.Fatal(err)
 	}
@@ -426,7 +437,7 @@ func TestOSSBatchSemantics(t *testing.T) {
 	}
 	// A batch with a conflict is rejected atomically: port 1 is busy, so
 	// the new ports 3 and 4 must not be connected either.
-	if _, err := c.Call("hut-oss", "switch-batch",
+	if _, err := call(c, "hut-oss", "switch-batch",
 		map[string]any{"disconnect": []any{}, "ins": []any{3, 1, 4}, "outs": []any{13, 14, 15}}); err == nil {
 		t.Fatal("conflicting batch should fail")
 	}
@@ -434,12 +445,12 @@ func TestOSSBatchSemantics(t *testing.T) {
 		t.Errorf("failed batch left %d connects, want unchanged 3", len(ins))
 	}
 	// Length mismatch.
-	if _, err := c.Call("hut-oss", "switch-batch",
+	if _, err := call(c, "hut-oss", "switch-batch",
 		map[string]any{"disconnect": []any{}, "ins": []any{5}, "outs": []any{16, 17}}); err == nil {
 		t.Error("length mismatch should fail")
 	}
 	// Batch disconnect.
-	if _, err := c.Call("hut-oss", "switch-batch",
+	if _, err := call(c, "hut-oss", "switch-batch",
 		map[string]any{"disconnect": []any{0, 1, 2}, "ins": []any{}, "outs": []any{}}); err != nil {
 		t.Fatal(err)
 	}
@@ -448,11 +459,11 @@ func TestOSSBatchSemantics(t *testing.T) {
 	}
 	// A disconnect naming an idle input, or one input twice, is rejected
 	// atomically as well: no circuit goes.
-	if _, err := c.Call("hut-oss", "switch-batch", switchArgs(nil, []int{0, 1}, []int{4, 5})); err != nil {
+	if _, err := call(c, "hut-oss", "switch-batch", switchArgs(nil, []int{0, 1}, []int{4, 5})); err != nil {
 		t.Fatal(err)
 	}
 	for _, ins := range [][]any{{0, 2}, {1, 1}} {
-		if _, err := c.Call("hut-oss", "switch-batch", map[string]any{"disconnect": ins, "ins": []any{}, "outs": []any{}}); err == nil {
+		if _, err := call(c, "hut-oss", "switch-batch", map[string]any{"disconnect": ins, "ins": []any{}, "outs": []any{}}); err == nil {
 			t.Errorf("disconnecting %v should fail", ins)
 		}
 		if got, outs := crossOf(t, oss); !slices.Equal(got, []int{0, 1}) || !slices.Equal(outs, []int{4, 5}) {

@@ -65,19 +65,6 @@ func (c *Controller) shutdown() {
 	c.devices, c.names = nil, nil
 }
 
-// Call forwards one operation to a named device.
-func (c *Controller) Call(device, op string, args map[string]any) (map[string]any, error) {
-	cl, err := c.send(device, op, args, time.Now())
-	if err != nil {
-		return nil, err
-	}
-	res, err := cl.recv()
-	if err != nil {
-		err = &DeviceError{Device: device, Err: err}
-	}
-	return res, err
-}
-
 // send puts one request to a named device on the wire, its deadline
 // running from sent, and returns the device's client, which stays locked
 // until recv or Client.abandon.
@@ -254,11 +241,11 @@ func (c *Controller) Reconfigure(ctx context.Context, ch Change) (Report, error)
 		}
 		sp := parent.Child(ph.name)
 		t0 := time.Now()
-		err := c.round(ctx, sp, ph.reqs, func(dev string, res map[string]any) error {
-			if last[dev] == i {
+		err := c.round(ctx, sp, ph.reqs, func(dev string, res map[string]any, err error) error {
+			if err == nil && last[dev] == i {
 				rep.States[dev] = res
 			}
-			return nil
+			return err
 		})
 		if err != nil {
 			sp.Fail(err)
@@ -291,29 +278,29 @@ type request struct {
 }
 
 // round is the one way the controller holds requests in flight on more
-// than one device; the audit, the repair and every phase of a change go
-// through it. Every request is on the wire, in sorted device order, before
-// the first reply is awaited: the devices work while the controller reads
-// (three switches settle in one settling time), and every request's RPC
-// deadline runs from one instant taken before the first send: the round
-// has one deadline, and once it has run out for a device it has for every
-// device behind it: the pipe reads the clock before it hands over a reply,
-// whether or not its timer has fired. Replies are read in the
-// same order and handed to visit, if there is one. The first failed reply (a
-// *DeviceError naming its device) or a failed visit stops the round: the
-// replies still to come are read and discarded, so when round returns no
-// request it sent is in flight and no device applies one of them later
-// (short of a device past its deadline, given up as any timed-out call
-// is). Only a cancelled ctx abandons the requests still in flight — a
-// device may then apply one after round returns, which is what the next
-// repair's fresh fetch is for. Each request is a child span of parent,
-// attributed to its device.
+// than one device; the audit, the repair, the daemon's probe and every
+// phase of a change go through it. Every request is on the wire, in sorted
+// device order, before the first reply is awaited: the devices work while
+// the controller reads (three switches settle in one settling time), and
+// every request's RPC deadline runs from one instant taken before the
+// first send: the round has one deadline. The pipe judges it by when a
+// reply arrived (pipeEnd.Read), so a device that answered in time is
+// heard however long a wedged device before it kept the round waiting.
+// Replies are read in the same order, and each device's outcome — its
+// reply, or a *DeviceError naming it — is handed to visit. The first
+// non-nil visit stops the round: the replies still to come are read and
+// discarded, so when round returns no request it sent is in flight and no
+// device applies one of them later (short of a device past its deadline,
+// given up as any timed-out call is). Only a cancelled ctx abandons the
+// requests still in flight — a device may then apply one after round
+// returns, which is what the next repair's fresh fetch is for. Each
+// request is a child span of parent, attributed to its device.
 //
 // A client stays locked from send to recv, so a second request to a device
 // would wait for ever on the first one's lock: reqs is keyed by device
 // because a round names a device at most once. Every round takes the
 // clients in the same order, so two of them cannot deadlock.
-func (c *Controller) round(ctx context.Context, parent *trace.Span, reqs map[string]request, visit func(dev string, res map[string]any) error) (stop error) {
+func (c *Controller) round(ctx context.Context, parent *trace.Span, reqs map[string]request, visit func(dev string, res map[string]any, err error) error) (stop error) {
 	if err := ctx.Err(); err != nil {
 		return err // nothing goes on the wire for a caller that has given up
 	}
@@ -353,9 +340,7 @@ func (c *Controller) round(ctx context.Context, parent *trace.Span, reqs map[str
 			continue
 		}
 		finishRPC(spans[i], err)
-		if stop = err; stop == nil && visit != nil {
-			stop = visit(dev, res)
-		}
+		stop = visit(dev, res, err)
 	}
 	return stop
 }
@@ -490,18 +475,30 @@ func named[V any](seen map[string]bool, field map[string]V) {
 	}
 }
 
-// eachState is the one fetch behind the audit and the repair: a round of
-// "state" requests to every device the expectation names, each reply handed
-// to visit — in sorted order, while the devices behind it still answer —
-// until a fetch or a visit fails. When ctx carries a span every fetch is a
-// per-device "state" child of it.
-func (c *Controller) eachState(ctx context.Context, exp Expected, visit func(dev string, st map[string]any) error) error {
-	devs := exp.devices()
+// States is the one fetch of device state, behind the audit, the repair
+// and the daemon's probe: a round of "state" requests to the devices
+// named, each outcome (the state, or a *DeviceError) handed to visit in
+// sorted order while the devices behind it still answer. A non-nil visit
+// stops the round and is returned. When ctx carries a span every fetch is
+// a per-device "state" child of it.
+func (c *Controller) States(ctx context.Context, devs []string, visit func(dev string, st map[string]any, err error) error) error {
 	reqs := make(map[string]request, len(devs))
 	for _, dev := range devs {
 		reqs[dev] = request{span: "state", op: "state"}
 	}
 	return c.round(ctx, trace.FromContext(ctx), reqs, visit)
+}
+
+// eachState fetches every device the expectation names and hands each
+// state to visit until a fetch or a visit fails: the audit's and the
+// repair's walk, which stop at the first failure.
+func (c *Controller) eachState(ctx context.Context, exp Expected, visit func(dev string, st map[string]any) error) error {
+	return c.States(ctx, exp.devices(), func(dev string, st map[string]any, err error) error {
+		if err != nil {
+			return err
+		}
+		return visit(dev, st)
+	})
 }
 
 // Audit checks every expected device against the expectation, returning
@@ -522,7 +519,7 @@ func (c *Controller) AuditCtx(ctx context.Context, exp Expected) error {
 }
 
 // Check is the audit's verdict on one device's state (st as
-// Controller.Call returns it): nil when its repair is empty, a
+// Controller.States hands it over): nil when its repair is empty, a
 // *DeviceError when the state is not well formed, else a mismatch error
 // naming the device, the field and the first element that differs. A
 // device the expectation does not name passes.

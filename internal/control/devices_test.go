@@ -326,7 +326,7 @@ func TestMismatchNamesTheElementNotTheVectors(t *testing.T) {
 		{"bank", "enable-batch", map[string]any{"idxs": idxs}},
 		{"oss", "switch-batch", switchArgs(nil, ins, outs)},
 	} {
-		if _, err := tb.Controller.Call(c.dev, c.op, c.args); err != nil {
+		if _, err := call(tb.Controller, c.dev, c.op, c.args); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -765,10 +765,10 @@ func TestReconfigureAsksEachDeviceOnceForState(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer tb.Close()
-	if _, err := tb.Controller.Call("xcvr", "tune-batch", map[string]any{"idxs": []int{1}, "wavelengths": []int{2}}); err != nil {
+	if _, err := call(tb.Controller, "xcvr", "tune-batch", map[string]any{"idxs": []int{1}, "wavelengths": []int{2}}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := tb.Controller.Call("xcvr", "enable-batch", map[string]any{"idxs": []int{1}}); err != nil {
+	if _, err := call(tb.Controller, "xcvr", "enable-batch", map[string]any{"idxs": []int{1}}); err != nil {
 		t.Fatal(err)
 	}
 	shims.Take()
@@ -795,7 +795,7 @@ func TestReconfigureAsksEachDeviceOnceForState(t *testing.T) {
 		t.Errorf("report has states of %v, want %v", got, ch.Devices())
 	}
 	for _, dev := range ch.Devices() {
-		st, err := tb.Controller.Call(dev, "state", nil)
+		st, err := call(tb.Controller, dev, "state", nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -57,7 +57,7 @@ func TestEmptyOpRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer tb.Close()
-	if _, err := tb.Controller.Call("oss", "", nil); err == nil {
+	if _, err := call(tb.Controller, "oss", "", nil); err == nil {
 		t.Error("empty op should be rejected")
 	}
 }
@@ -86,7 +86,7 @@ func TestDeadDeviceSurfacesError(t *testing.T) {
 		return conn
 	}}, DialOptions{})
 	defer ctl.shutdown()
-	if _, err := ctl.Call("oss", "ping", nil); err != nil {
+	if _, err := call(ctl, "oss", "ping", nil); err != nil {
 		t.Fatal(err)
 	}
 
@@ -97,7 +97,7 @@ func TestDeadDeviceSurfacesError(t *testing.T) {
 	for i := 1; i <= 3; i++ {
 		errCh := make(chan error, 1)
 		go func() {
-			_, err := ctl.Call("oss", "ping", nil)
+			_, err := call(ctl, "oss", "ping", nil)
 			errCh <- err
 		}()
 		select {
@@ -157,7 +157,7 @@ func TestOversizedRequestLine(t *testing.T) {
 	if line, err := appendRequest(nil, &wireRequest{ID: 1, Op: "tune-batch", Args: args}); err != nil || len(line) < 64<<10 {
 		t.Fatalf("request line of %d bytes (%v), want one past the scanner's initial buffer", len(line), err)
 	}
-	st, err := tb.Controller.Call("bank", "tune-batch", args)
+	st, err := call(tb.Controller, "bank", "tune-batch", args)
 	if err != nil {
 		t.Fatalf("large tune-batch failed: %v", err)
 	}

@@ -15,6 +15,9 @@ import (
 // most one line and is reused.
 //
 // An end has one reader at a time, and only it sets the end's deadline.
+// The deadline judges when bytes arrived, not when they are read: a reply
+// the device wrote in time is handed over however late its reader comes
+// to it, and one it wrote after the deadline is refused.
 type pipeEnd struct {
 	mu     *sync.Mutex // the pipe's one lock, shared by both ends
 	peer   *pipeEnd
@@ -23,6 +26,7 @@ type pipeEnd struct {
 	closed bool          // this end was closed
 
 	deadline time.Time   // of Read; zero for none
+	arrived  time.Time   // when in's first byte arrived; zero if no deadline was set then
 	timer    *time.Timer // wakes a Read waiting on the deadline; made once
 	armed    time.Time   // when timer was last set to fire
 }
@@ -38,34 +42,43 @@ func newPipe() (*pipeEnd, *pipeEnd) {
 	return &p.a, &p.b
 }
 
-// setReadDeadline bounds every later Read: once t has passed a Read fails
-// with os.ErrDeadlineExceeded, even when the peer's bytes are waiting.
-// The zero time clears it. Setting it is a store; the end's one reader
-// sets it between its reads.
-func (e *pipeEnd) setReadDeadline(t time.Time) { e.deadline = t }
+// setReadDeadline bounds every later Read: bytes the peer writes at or
+// after t are refused with os.ErrDeadlineExceeded, and a Read waiting for
+// bytes fails once t has passed. The zero time clears it. The end's one
+// reader sets it between its reads, before the write its peer answers.
+func (e *pipeEnd) setReadDeadline(t time.Time) {
+	e.mu.Lock()
+	e.deadline = t
+	e.mu.Unlock()
+}
 
 // Read returns buffered bytes, or waits until the peer writes, either end
-// closes or the deadline passes. The deadline is checked first, so a
-// reply that arrived too late is not read, and the stream's own check is
-// the one deadline of a round.
+// closes or the deadline passes. Buffered bytes that arrived before the
+// deadline are handed over whenever the Read comes, and ones that arrived
+// after it are refused, so a round's replies are held to its one deadline
+// by when each device answered, not by the order they are read in. Only a
+// Read with nothing buffered reads the clock.
 func (e *pipeEnd) Read(b []byte) (int, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	for {
 		var now time.Time
-		if !e.deadline.IsZero() {
-			now = time.Now()
-		}
 		switch {
 		case e.closed:
 			return 0, io.ErrClosedPipe
-		case !now.IsZero() && !now.Before(e.deadline):
-			return 0, os.ErrDeadlineExceeded
 		case len(e.in) > 0:
+			if !e.deadline.IsZero() && !e.arrived.Before(e.deadline) {
+				return 0, os.ErrDeadlineExceeded
+			}
 			n := copy(b, e.in)
 			e.in = e.in[:copy(e.in, e.in[n:])] // keeps the buffer for reuse
 			return n, nil
-		case e.peer.closed:
+		case !e.deadline.IsZero():
+			if now = time.Now(); !now.Before(e.deadline) {
+				return 0, os.ErrDeadlineExceeded
+			}
+		}
+		if e.peer.closed {
 			return 0, io.EOF
 		}
 		if !now.IsZero() {
@@ -104,17 +117,25 @@ func (e *pipeEnd) wake() {
 	}
 }
 
-// Write appends b to the peer's buffer and returns at once. It fails once
-// either end is closed.
+// Write appends b to the peer's buffer and returns at once; into an empty
+// buffer of a reader with a deadline it stamps the time the bytes arrived.
+// It fails once either end is closed.
 func (e *pipeEnd) Write(b []byte) (int, error) {
 	e.mu.Lock()
 	if e.closed || e.peer.closed {
 		e.mu.Unlock()
 		return 0, io.ErrClosedPipe
 	}
-	e.peer.in = append(e.peer.in, b...)
+	p := e.peer
+	if len(p.in) == 0 {
+		p.arrived = time.Time{}
+		if !p.deadline.IsZero() {
+			p.arrived = time.Now()
+		}
+	}
+	p.in = append(p.in, b...)
 	e.mu.Unlock()
-	e.peer.wake()
+	p.wake()
 	return len(b), nil
 }
 

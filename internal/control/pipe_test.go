@@ -112,21 +112,36 @@ func TestPipeCloseEndsBothDirections(t *testing.T) {
 	}
 }
 
-// TestPipeDeadlineBeforeBufferedBytes: once the deadline has passed a Read
-// fails with os.ErrDeadlineExceeded even though a reply is waiting, so a
-// reply read after its round's deadline is abandoned rather than used.
-// Clearing the deadline hands the reply over.
-func TestPipeDeadlineBeforeBufferedBytes(t *testing.T) {
+// TestPipeDeadlineJudgesArrival: the deadline judges when a reply
+// arrived, not when it is read. A reply written before the deadline is
+// handed over by a Read that comes after it, as a round's reply behind a
+// wedged device is; one written after the deadline is refused with
+// os.ErrDeadlineExceeded although it is buffered. Clearing the deadline
+// hands that one over.
+func TestPipeDeadlineJudgesArrival(t *testing.T) {
 	a, b := newPipe()
 	defer a.Close()
-	b.Write([]byte("{\"id\":1,\"ok\":true}\n"))
+	reply := []byte("{\"id\":1,\"ok\":true}\n")
+	buf := make([]byte, 64)
+
+	deadline := time.Now().Add(50 * time.Millisecond)
+	a.setReadDeadline(deadline)
+	b.Write(reply)
+	time.Sleep(time.Until(deadline) + 10*time.Millisecond)
+	if n, err := a.Read(buf); string(buf[:n]) != string(reply) || err != nil {
+		t.Fatalf("read after the deadline of a reply that arrived before it = %q, %v; want the reply", buf[:n], err)
+	}
+
 	a.setReadDeadline(time.Now().Add(-time.Millisecond))
-	if _, err := a.Read(make([]byte, 64)); !errors.Is(err, os.ErrDeadlineExceeded) || !isDeadline(err) {
-		t.Fatalf("read past the deadline with a reply buffered = %v, want os.ErrDeadlineExceeded", err)
+	b.Write(reply)
+	for i := 0; i < 2; i++ {
+		if _, err := a.Read(buf); !errors.Is(err, os.ErrDeadlineExceeded) || !isDeadline(err) {
+			t.Fatalf("read of a reply that arrived after the deadline = %v, want os.ErrDeadlineExceeded", err)
+		}
 	}
 	a.setReadDeadline(time.Time{})
-	if n, err := a.Read(make([]byte, 64)); n == 0 || err != nil {
-		t.Errorf("read with the deadline cleared = %d, %v; want the reply", n, err)
+	if n, err := a.Read(buf); string(buf[:n]) != string(reply) || err != nil {
+		t.Errorf("read with the deadline cleared = %q, %v; want the reply", buf[:n], err)
 	}
 }
 

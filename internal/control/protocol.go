@@ -203,11 +203,10 @@ func (c *client) send(op string, args map[string]any, sent time.Time) (err error
 
 // recv reads the response to the request in flight and unlocks the client.
 // The deadline send set stays on the connection: only send and recv do I/O
-// on it, and every send sets a fresh one before it writes. The pipe checks
-// it before it hands over a reply, so a reply that arrived in time but is
-// read after the deadline (a round's device behind a wedged one) is
-// abandoned, unread, as timed out: every request of a round is held to
-// the one deadline, whenever the connection's timer fires.
+// on it, and every send sets a fresh one before it writes. The pipe judges
+// it by when the reply arrived: one the device wrote in time is read
+// however late recv comes to it (a round's device behind a wedged one),
+// and one written after the deadline is refused, unread, as timed out.
 func (c *client) recv() (map[string]any, error) {
 	defer c.mu.Unlock()
 	if !c.sc.Scan() {

@@ -30,7 +30,7 @@ func TestTestbedPipesLeaveNothing(t *testing.T) {
 		t.Helper()
 		stall, release := devicetest.Stall(t)
 		dev.Arm(stall)
-		if _, err := tb.Controller.Call("bank", "state", nil); !isDeadline(err) {
+		if _, err := call(tb.Controller, "bank", "state", nil); !isDeadline(err) {
 			t.Fatalf("call to a wedged device = %v, want a deadline", err)
 		}
 		dev.Arm(nil)
@@ -38,7 +38,7 @@ func TestTestbedPipesLeaveNothing(t *testing.T) {
 	}
 
 	release1 := wedged()
-	if _, err := tb.Controller.Call("bank", "state", nil); err != nil {
+	if _, err := call(tb.Controller, "bank", "state", nil); err != nil {
 		t.Fatalf("call after the timeout (redialled): %v", err)
 	}
 	release2 := wedged() // the redialled pipe's server, now inside Handle
@@ -78,14 +78,14 @@ func TestRequestPastTheLineLimit(t *testing.T) {
 	}
 	defer tb.Close()
 	start := time.Now()
-	_, err = tb.Controller.Call("oss", "ping", map[string]any{"pad": strings.Repeat("x", maxLine)})
+	_, err = call(tb.Controller, "oss", "ping", map[string]any{"pad": strings.Repeat("x", maxLine)})
 	if err == nil || !strings.Contains(err.Error(), "line") {
 		t.Fatalf("over-long request = %v, want it refused for its length", err)
 	}
 	if took := time.Since(start); took > time.Second {
 		t.Errorf("the over-long request took %v to fail", took)
 	}
-	if _, err := tb.Controller.Call("oss", "ping", nil); err != nil {
+	if _, err := call(tb.Controller, "oss", "ping", nil); err != nil {
 		t.Errorf("ping after the refused request: %v", err)
 	}
 }

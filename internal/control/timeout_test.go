@@ -29,14 +29,14 @@ func TestCallTimesOutOnHungDevice(t *testing.T) {
 	stall, _ := devicetest.Stall(t)
 	ctl, cl := tb.Controller, tb.Controller.devices["oss"]
 
-	if _, err := ctl.Call("oss", "state", nil); err != nil {
+	if _, err := call(ctl, "oss", "state", nil); err != nil {
 		t.Fatalf("healthy call failed: %v", err)
 	}
 	first := cl.conn
 
 	dev.Arm(stall)
 	start := time.Now()
-	if _, err := ctl.Call("oss", "state", nil); !isDeadline(err) {
+	if _, err := call(ctl, "oss", "state", nil); !isDeadline(err) {
 		t.Fatalf("call to hung device = %v, want a deadline", err)
 	}
 	if d := time.Since(start); d > time.Second {
@@ -45,7 +45,7 @@ func TestCallTimesOutOnHungDevice(t *testing.T) {
 
 	// Heal the device: the next call redials and succeeds.
 	dev.Arm(nil)
-	if _, err := ctl.Call("oss", "state", nil); err != nil {
+	if _, err := call(ctl, "oss", "state", nil); err != nil {
 		t.Errorf("call after heal failed (no redial?): %v", err)
 	}
 	if cl.conn == nil || cl.conn == first {
@@ -69,14 +69,14 @@ func TestClosedClientDoesNotRedial(t *testing.T) {
 	if n := dials.Load(); n != 0 {
 		t.Fatalf("%d dials before the first send, want 0", n)
 	}
-	if _, err := tb.Controller.Call("oss", "state", nil); err != nil {
+	if _, err := call(tb.Controller, "oss", "state", nil); err != nil {
 		t.Fatal(err)
 	}
 	if n := dials.Load(); n != 1 {
 		t.Fatalf("%d dials after the first send, want 1", n)
 	}
 	tb.Controller.devices["oss"].Close()
-	_, err := tb.Controller.Call("oss", "state", nil)
+	_, err := call(tb.Controller, "oss", "state", nil)
 	var de *DeviceError
 	if !errors.As(err, &de) || !strings.Contains(err.Error(), "closed") {
 		t.Errorf("call on closed client = %v, want a DeviceError for a closed client", err)
@@ -94,7 +94,7 @@ func TestDeviceErrorAttribution(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer tb.Close()
-	_, err = tb.Controller.Call("oss-a", "switch-batch", switchArgs(nil, []int{99}, []int{0}))
+	_, err = call(tb.Controller, "oss-a", "switch-batch", switchArgs(nil, []int{99}, []int{0}))
 	if err == nil {
 		t.Fatal("out-of-range connect succeeded")
 	}
@@ -170,7 +170,7 @@ func TestAuditThatStopsEarlyLeavesNoStaleReply(t *testing.T) {
 			}
 		}
 		for _, dev := range ctl.Devices() {
-			if _, err := ctl.Call(dev, "state", nil); err != nil {
+			if _, err := call(ctl, dev, "state", nil); err != nil {
 				t.Fatalf("%s after the fault cleared: %v", dev, err)
 			}
 		}
@@ -237,10 +237,10 @@ func TestAuditThatStopsEarlyLeavesNoStaleReply(t *testing.T) {
 	// The mutating round. failedDrain runs a traced change whose drain of
 	// the banks named fails — behind it a retune of a, which must not run —
 	// and returns the error with the attribute of each bank's span; the
-	// spans of d and e must carry behind: "discarded" when their replies
-	// were read after the round stopped, "deadline_exceeded" when their
-	// deadlines, which ran from the same send as c's, ran out while c's
-	// reply was awaited, "abandoned" when the context was cancelled.
+	// spans of d and e must carry behind and no error: "discarded" when
+	// their replies were read after the round stopped — also behind a
+	// wedged c, since they answered before the deadline that ran out on c —
+	// and "abandoned" when the context was cancelled.
 	tracer := trace.New(256)
 	var traceID uint64
 	failedDrain := func(t *testing.T, ctx context.Context, behind string, devs ...string) (map[string]string, error) {
@@ -261,15 +261,15 @@ func TestAuditThatStopsEarlyLeavesNoStaleReply(t *testing.T) {
 		if tuned, _ := bankOf(t, tb.Devices["a"]); tuned[0] != -1 {
 			t.Errorf("the retune phase ran behind the failed drain")
 		}
-		attrs := make(map[string]string)
+		attrs, errs := make(map[string]string), make(map[string]string)
 		for _, ev := range tracer.Events(trace.Filter{TraceID: traceID}) {
 			if ev.Name == "disable" {
-				attrs[ev.Device] = ev.Attr
+				attrs[ev.Device], errs[ev.Device] = ev.Attr, ev.Err
 			}
 		}
 		for _, dev := range []string{"d", "e"} {
-			if attrs[dev] != behind {
-				t.Errorf("span of %s has attr %q, want %s", dev, attrs[dev], behind)
+			if attrs[dev] != behind || errs[dev] != "" {
+				t.Errorf("span of %s has attr %q, error %q; want %s and no error", dev, attrs[dev], errs[dev], behind)
 			}
 		}
 		return attrs, err
@@ -280,7 +280,7 @@ func TestAuditThatStopsEarlyLeavesNoStaleReply(t *testing.T) {
 		deadline     bool
 		attr, behind string
 	}{
-		{"drain wedged past the deadline", wedged, true, "deadline_exceeded", "deadline_exceeded"},
+		{"drain wedged past the deadline", wedged, true, "deadline_exceeded", "discarded"},
 		{"drain refused", devicetest.Fail, false, "", "discarded"},
 	} {
 		t.Run(c.name, func(t *testing.T) {
@@ -324,8 +324,8 @@ func TestAuditThatStopsEarlyLeavesNoStaleReply(t *testing.T) {
 // one "state" child of the audit's span, attributed to it. A refusing
 // device's carries its error, and the replies read and discarded behind it
 // are marked so. A wedged device's carries its error and
-// deadline_exceeded, and so do the ones behind it: their deadlines ran
-// from the same send and ran out while its reply was awaited.
+// deadline_exceeded; the ones behind it answered before the deadline ran
+// out on it, so their replies are read and discarded too, with no error.
 func TestAuditSpansAreOnePerDevice(t *testing.T) {
 	tb, moody, exp := overlapRig(t)
 	tracer := trace.New(256)
@@ -374,7 +374,7 @@ func TestAuditSpansAreOnePerDevice(t *testing.T) {
 		failing string // the devices whose spans carry an error
 	}{
 		{"refusing", devicetest.Fail, map[string]string{"d": "discarded", "e": "discarded"}, "c"},
-		{"wedged", wedged, map[string]string{"c": "deadline_exceeded", "d": "deadline_exceeded", "e": "deadline_exceeded"}, "cde"},
+		{"wedged", wedged, map[string]string{"c": "deadline_exceeded", "d": "discarded", "e": "discarded"}, "c"},
 	} {
 		moody.Arm(c.hook)
 		spans, err = audit(uint64(2 + i))

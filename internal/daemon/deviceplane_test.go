@@ -527,7 +527,7 @@ func TestRepairRPCsPerPass(t *testing.T) {
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			if c.drift != nil {
-				if _, err := rig.Testbed.Controller.Call(dev, "switch-batch", c.drift); err != nil {
+				if _, err := rig.Testbed.Devices[dev].Handle("switch-batch", c.drift); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -566,6 +566,53 @@ func TestRepairRPCsPerPass(t *testing.T) {
 			}
 		})
 	}
+}
+
+// BenchmarkProbeRound is one ProbeOnce on the bench region (seed 1, 20
+// DCs, 52 devices, its first allocation committed, every breaker closed):
+// one round of "state" requests, each state compared with intent. It
+// fails itself unless every round it runs sends each device exactly one
+// "state" request and nothing else, and above 810 allocations a round:
+// 734 when the gate was set, 780 when each device's probe was a goroutine
+// and a request of its own.
+func BenchmarkProbeRound(b *testing.B) {
+	shims := devicetest.Set{}
+	rig := seededRig(b, 20, shims)
+	d, err := New(Config{Fab: rig.Fab, Controller: rig.Testbed.Controller, Feed: newSparseRedrawFeed(rig, 2)})
+	if err != nil {
+		b.Fatal(err)
+	}
+	d.Step()
+	devs := rig.Testbed.Controller.Devices()
+	rounds := func(n int) {
+		sent := shims.Take()
+		for _, dev := range devs {
+			if calls := sent[dev]; len(calls) != n || slices.ContainsFunc(calls, func(c devicetest.Call) bool { return c != devicetest.Call{Op: "state"} }) {
+				b.Fatalf("%d probe rounds sent %s %v, want %d state requests", n, dev, calls, n)
+			}
+		}
+		if st := d.Status(); len(sent) != len(devs) || !st.Healthy || !st.LastAuditOK {
+			b.Fatalf("%d probe rounds sent requests to %d of %d devices; status %+v", n, len(sent), len(devs), st)
+		}
+	}
+	const gated = 20
+	shims.Take()
+	for i := 0; i <= gated; i++ { // grows each shim's log to what the gate's rounds log
+		d.ProbeOnce()
+	}
+	rounds(gated + 1)
+	if allocs := testing.AllocsPerRun(gated, d.ProbeOnce); allocs > 810 {
+		b.Fatalf("a probe round allocates %.0f times, want at most 810", allocs)
+	}
+	rounds(gated + 1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		d.ProbeOnce()
+	}
+	b.StopTimer()
+	rounds(b.N)
+	b.ReportMetric(float64(len(devs)), "devices/op")
 }
 
 // TestProbeOverlappingWritesReportsNothing: probe rounds run back to back

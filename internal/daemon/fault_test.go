@@ -1,6 +1,7 @@
 package daemon
 
 import (
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -218,12 +219,16 @@ func TestBreakerTripAndRecovery(t *testing.T) {
 
 // TestHungDeviceTripsBreaker verifies the transport deadline converts a
 // hang into a failure, and that the poisoned connection redials after the
-// device unsticks.
+// device unsticks. The probe round waits out the hung device's deadline
+// with the requests to the devices sorted after it already answered:
+// those replies arrived in time, so only the hung device's breaker opens
+// and only it counts a probe failure.
 func TestHungDeviceTripsBreaker(t *testing.T) {
 	rig, shims := faultRig(t, func(cfg *fabric.BringUpConfig) {
 		cfg.Dial = control.DialOptions{RPCTimeout: 75 * time.Millisecond}
 	})
 	clock := newFakeClock()
+	reg := telemetry.NewRegistry()
 	d, err := New(Config{
 		Fab:              rig.Fab,
 		Controller:       rig.Testbed.Controller,
@@ -232,6 +237,7 @@ func TestHungDeviceTripsBreaker(t *testing.T) {
 		BackoffBase:      50 * time.Millisecond,
 		BackoffMax:       50 * time.Millisecond,
 		Seed:             1,
+		Registry:         reg,
 		Now:              clock.Now,
 		Logger:           testLogger(t),
 	})
@@ -240,11 +246,33 @@ func TestHungDeviceTripsBreaker(t *testing.T) {
 	}
 
 	victim := pickVictim(rig)
+	devs := rig.Testbed.Controller.Devices()
+	if i := slices.Index(devs, victim); i < 0 || i == len(devs)-1 {
+		t.Fatalf("victim %s is not followed by another device in %v", victim, devs)
+	}
 	stall, release := devicetest.Stall(t)
 	shims[victim].Arm(stall)
 	d.ProbeOnce()
 	if got := breakerOf(t, d, victim); got != "open" {
 		t.Fatalf("breaker = %q after hung probe, want open", got)
+	}
+	for _, dev := range devs {
+		if got := breakerOf(t, d, dev); dev != victim && got != "closed" {
+			t.Errorf("breaker of %s = %q beside the hung %s, want closed", dev, got, victim)
+		}
+	}
+	counted := false
+	for _, line := range strings.Split(metricsText(t, reg), "\n") {
+		if !strings.HasPrefix(line, "iris_probe_failures_total{") {
+			continue
+		}
+		if line != `iris_probe_failures_total{device="`+victim+`"} 1` {
+			t.Errorf("probe failures beside the hung %s: %s", victim, line)
+		}
+		counted = true
+	}
+	if !counted {
+		t.Errorf("the hung %s counts no probe failure", victim)
 	}
 
 	// Unstick; after cooldown the trial probe must succeed over a freshly
@@ -320,7 +348,7 @@ func lyingRegion(t *testing.T, lie, write string) (*Daemon, string) {
 	}
 	if write == "repair" {
 		dev, in := firstCircuit(d)
-		if _, err := rig.Testbed.Controller.Call(dev, "switch-batch",
+		if _, err := rig.Testbed.Devices[dev].Handle("switch-batch",
 			map[string]any{"disconnect": []int{in}, "ins": []int{}, "outs": []int{}}); err != nil {
 			t.Fatal(err)
 		}

@@ -94,7 +94,7 @@ func TestDaemonReportsFlowImpact(t *testing.T) {
 	// A repair closes as a commit does: one that writes replays its flow
 	// impact under its own ID, and a clean one replays nothing.
 	dev, in := firstCircuit(d)
-	if _, err := rig.Testbed.Controller.Call(dev, "switch-batch",
+	if _, err := rig.Testbed.Devices[dev].Handle("switch-batch",
 		map[string]any{"disconnect": []int{in}, "ins": []int{}, "outs": []int{}}); err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +132,7 @@ func TestRepairImpactCountsWhatItDarkened(t *testing.T) {
 	d.ProbeOnce()
 	d.Step()
 	dev, in := firstCircuit(d)
-	if _, err := rig.Testbed.Controller.Call(dev, "switch-batch",
+	if _, err := rig.Testbed.Devices[dev].Handle("switch-batch",
 		map[string]any{"disconnect": []int{in}, "ins": []int{}, "outs": []int{}}); err != nil {
 		t.Fatal(err)
 	}

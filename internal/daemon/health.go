@@ -1,9 +1,9 @@
 package daemon
 
 import (
+	"context"
 	"errors"
 	"fmt"
-	"sync"
 	"time"
 
 	"iris/internal/control"
@@ -60,53 +60,51 @@ func (d *Daemon) transitionLocked(traceID uint64, name string, h *deviceHealth, 
 	d.tracer.Emit(traceID, "breaker", name, to.String())
 }
 
-// ProbeOnce probes every non-quarantined device concurrently, advances
-// breaker state, and compares each state it fetched with the committed
-// intent (control.Expected.Check, the audit's own verdict). So every
-// device is audited once per round, whether or not traffic moves. A
-// mismatch is a failed audit, as after a change: it sets needRepair,
-// fails last_audit_ok, counts in iris_audit_failures_total and names the
-// first diverged device, in sorted order, and its field in the status's
-// last_error; the next Step repairs it. A probe never clears needRepair:
-// only a repair's audit does. A state that is not well formed is a
-// *control.DeviceError and counts against the device's breaker. The round
-// holds loop, so no write moves a device under it. Run calls ProbeOnce on
-// the probe interval; tests call it directly.
+// ProbeOnce probes every non-quarantined device in one round of "state"
+// requests (control.Controller.States, the audit's and the repair's
+// fetch), advances each device's breaker by its outcome, and compares
+// each state it fetched with the committed intent (control.Expected.Check,
+// the audit's own verdict). So every device is audited once per round,
+// whether or not traffic moves. A mismatch is a failed audit, as after a
+// change: it sets needRepair, fails last_audit_ok, counts in
+// iris_audit_failures_total and names the first diverged device, in sorted
+// order, and its field in the status's last_error; the next Step repairs
+// it. A probe never clears needRepair: only a repair's audit does. A state
+// that is not well formed is a *control.DeviceError and counts against the
+// device's breaker. The round holds loop, so no write moves a device under
+// it. Run calls ProbeOnce on the probe interval; tests call it directly.
 //
-// The probes are a goroutine and a Call each, not one round of requests
-// the way an audit or a phase of control.Controller.Reconfigure is: probing
-// owes every device its own verdict under its own deadline, whereas a round
-// stops at the first failure and reads replies in order, so behind one
-// wedged switch every later device would be abandoned, or have its
-// deadline eaten, and a region's worth of breakers would trip for one hung
-// device.
+// The probe owes every device its own verdict, so its visit never stops
+// the round: each device's outcome reaches its breaker, and a device that
+// answered in time is heard however long a wedged one before it kept the
+// round waiting (the deadline judges when a reply arrived), so one hung
+// device trips its own breaker and no other.
 func (d *Daemon) ProbeOnce() {
 	d.loop.Lock()
 	defer d.loop.Unlock()
 	d.mu.Lock()
 	exp := d.fab.Expected()
 	d.mu.Unlock()
-	found := make([]error, len(d.names)) // each device's audit verdict
-	var wg sync.WaitGroup
-	for i, name := range d.names {
-		if !d.admitProbe(name) {
-			continue
+	admitted := make([]string, 0, len(d.names))
+	for _, name := range d.names {
+		if d.admitProbe(name) {
+			admitted = append(admitted, name)
 		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			found[i] = d.probe(name, exp)
-		}()
 	}
-	wg.Wait()
+	var diverged error // the first device's audit verdict, in sorted order
+	// The visit never stops the round and the context is never cancelled,
+	// so States returns nil.
+	_ = d.ctl.States(context.TODO(), admitted, func(name string, st map[string]any, err error) error {
+		if audit := d.probe(name, exp, st, err); diverged == nil {
+			diverged = audit
+		}
+		return nil
+	})
 	d.m.audits.Inc()
-	for _, err := range found {
-		if err != nil {
-			d.setErr(fmt.Sprintf("probe: audit: %v", err))
-			if !d.diverged() { // else every round of an outage would log it
-				d.log.Warn("probe: devices diverged from intent", "err", err)
-			}
-			break
+	if diverged != nil {
+		d.setErr(fmt.Sprintf("probe: audit: %v", diverged))
+		if !d.diverged() { // else every round of an outage would log it
+			d.log.Warn("probe: devices diverged from intent", "err", diverged)
 		}
 	}
 	d.updateStaleness()
@@ -130,12 +128,11 @@ func (d *Daemon) admitProbe(name string) bool {
 	return true
 }
 
-// probe fetches one device's state, compares it with exp and updates the
-// device's breaker. It returns the comparison's error, nil when the state
-// matched or was not fetched.
-func (d *Daemon) probe(name string, exp control.Expected) (audit error) {
+// probe takes one device's fetch — its state, or err — compares the state
+// with exp and updates the device's breaker. It returns the comparison's
+// error, nil when the state matched or was not fetched.
+func (d *Daemon) probe(name string, exp control.Expected, st map[string]any, err error) (audit error) {
 	d.m.probes.Inc()
-	st, err := d.ctl.Call(name, "state", nil)
 	if err == nil {
 		if audit = exp.Check(name, st); errors.As(audit, new(*control.DeviceError)) {
 			err = audit

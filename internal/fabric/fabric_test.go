@@ -423,11 +423,7 @@ func TestAmplifierLifecycle(t *testing.T) {
 	if _, err := tb.Controller.Reconfigure(context.Background(), chLive); err != nil {
 		t.Fatal(err)
 	}
-	st, err := tb.Controller.Call(f2.AmpName(h2), "state", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st["enabled"] != true {
+	if st := deviceState(t, tb.Controller, f2.AmpName(h2)); st["enabled"] != true {
 		t.Errorf("amplifier state %v after reconfiguration, want enabled", st)
 	}
 }
@@ -518,10 +514,7 @@ func TestCutThroughBypassesSwitch(t *testing.T) {
 	}
 	for _, node := range path.Bypassed {
 		if _, ok := rig.Testbed.Devices[rig.Fab.OSSName(node)].(*control.OSS); ok {
-			st, err := rig.Testbed.Controller.Call(rig.Fab.OSSName(node), "state", nil)
-			if err != nil {
-				t.Fatal(err)
-			}
+			st := deviceState(t, rig.Testbed.Controller, rig.Fab.OSSName(node))
 			if ins, _ := st["in"].([]int); len(ins) > 0 { // no circuit: an empty []any
 				t.Errorf("bypassed node %d holds cross-connects %v", node, ins)
 			}
