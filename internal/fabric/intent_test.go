@@ -547,7 +547,7 @@ func TestRepairMatchesReconcileOracle(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := reconcileOracle(rig.Fab, deviceStates(t, rig))
+		want := reconcileOracle(rig.Fab, deviceStates(t, rig.Testbed.Controller, rig.Testbed.Controller.Devices()...))
 		if !reflect.DeepEqual(byDevice(got), byDevice(want)) {
 			t.Fatalf("round %d:\nrepair %+v\noracle %+v", round, got, want)
 		}
